@@ -1,6 +1,6 @@
 package resilientos
 
-// Hot-path micro-benchmarks: the four inner loops BENCH_simspeed.json
+// Hot-path micro-benchmarks: the inner loops BENCH_simspeed.json
 // attributes cost to, each isolated to one operation so a regression in
 // simulator speed can be localized without re-running the full battery.
 // Run with -benchmem (ReportAllocs is on): allocs/op on these paths is
@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"resilientos/internal/check"
 	"resilientos/internal/kernel"
 	"resilientos/internal/obs"
 	"resilientos/internal/perf"
@@ -105,6 +106,28 @@ func BenchmarkHotpathEveryTick(b *testing.B) {
 	env.Run(sim.Time(b.N) * sim.Time(time.Millisecond))
 	if ticks < b.N-1 {
 		b.Fatalf("fired %d/%d ticks", ticks, b.N)
+	}
+}
+
+// BenchmarkHotpathCheckStepQuiet measures the invariant checker's step
+// hook on a booted, settled full system when nothing it inspects has
+// changed — all but a few percent of the steps of a real run. It is
+// three counter reads and a clock compare, and must not allocate.
+func BenchmarkHotpathCheckStepQuiet(b *testing.B) {
+	sys := New(Config{Seed: 1})
+	sys.Run(3 * time.Second) // boot settle
+	ck := check.New(check.Config{Kernel: sys.Kernel, RS: sys.RS, DS: sys.DS, Now: sys.Env.Now})
+	ck.Step() // the first step always scans
+	if allocs := testing.AllocsPerRun(100, ck.Step); allocs != 0 {
+		b.Fatalf("quiet step allocates %v times", allocs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ck.Step()
+	}
+	if !ck.Ok() {
+		b.Fatalf("settled system violates invariants: %v", ck.Violations())
 	}
 }
 

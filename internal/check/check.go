@@ -50,10 +50,22 @@
 // Checking is deterministic: state scans visit kernel and server tables
 // in sorted order, so identically-seeded runs report identical
 // violations.
+//
+// The step hook runs after every scheduler event, but almost every event
+// leaves everything the scans read untouched. The real kernel, data
+// store and reincarnation server therefore expose a mutation counter
+// (Version), and a step rescans only when a counter moved, when an event
+// rewrote the span or publish state, while a stale grant is being
+// counted, or when the clock passes the earliest pending deadline (see
+// quiet). A skipped scan would have reported nothing and changed
+// nothing, so violations — text, order and step — are those of scanning
+// every step; a view without a counter (the test fakes) is still
+// scanned every step and serves as the reference.
 package check
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"resilientos/internal/core"
@@ -82,6 +94,11 @@ type NameView interface {
 	VisitNames(func(name string, ep kernel.Endpoint))
 }
 
+// versioned is the mutation counter a view may expose besides its
+// interface. The owner bumps it on every write to a field the scans
+// read, so while it stands still the view would scan exactly as before.
+type versioned interface{ Version() uint64 }
+
 // Config wires a Checker to a running system. Kernel, RS, and DS may each
 // be nil; the invariants needing them are skipped (the trace-span checks
 // only need events).
@@ -91,9 +108,6 @@ type Config struct {
 	DS     NameView
 	Now    func() sim.Time // virtual clock; nil stamps violations with 0
 
-	// EveryN samples the state-scan invariants to every Nth scheduler
-	// step (default 1: every step). Event-driven checks always run.
-	EveryN int
 	// TraceTail bounds the kept-events ring for repro dumps (default 64).
 	TraceTail int
 	// MaxViolations stops recording after this many (default 128).
@@ -115,12 +129,12 @@ type Config struct {
 	// heartbeat period).
 	HeartbeatSlack sim.Time
 
-	// Windows, if set, is polled during state scans for the windowed
-	// telemetry sampler's structural self-check (timeseries.Sampler.Err):
-	// a non-nil result — windows out of order, overlapping, or with
-	// non-dense indices — is a window-monotonic violation. The poll is a
-	// single function call per scan, so attaching a sampler to a checked
-	// run costs nothing measurable.
+	// Windows, if set, is polled on every step (scan or not) for the
+	// windowed telemetry sampler's structural self-check
+	// (timeseries.Sampler.Err): a non-nil result — windows out of order,
+	// overlapping, or with non-dense indices — is a window-monotonic
+	// violation. The poll is a single function call, so attaching a
+	// sampler to a checked run costs nothing measurable.
 	Windows func() error
 
 	// StrictSpanLeaks makes every causal span still open at Finish a
@@ -166,15 +180,24 @@ type Checker struct {
 	openDecPolicy  map[string]sim.Time  // label -> decision-level policy-run time
 	capsuleVer     map[string]int64     // label -> last capsule version saved or adopted
 
-	// Per-step scratch state, reused to keep the every-step scans
-	// allocation-free.
+	// Per-scan scratch state, reused to keep the scans allocation-free.
 	seenEp     map[kernel.Endpoint]string
 	seenLabel  map[string]kernel.Endpoint
 	liveStale  map[grantKey]bool
 	svcBuf     []core.ServiceInfo
 	liveLabels map[string]bool
 	standbyEps map[kernel.Endpoint]string // live standby replicas, by endpoint
+
+	// Scan gating (see quiet).
+	views    []versioned // counters of the configured views
+	seen     []uint64    // their values at the last scan
+	ungated  bool        // a view has no counter: scan every step
+	dirty    bool        // an event rewrote state the scans read
+	deadline sim.Time    // earliest deadline the last scan left pending
 }
+
+// noDeadline is Checker.deadline when nothing is pending.
+const noDeadline = sim.Time(math.MaxInt64)
 
 type grantKey struct {
 	owner kernel.Endpoint
@@ -205,9 +228,6 @@ func Attach(env *sim.Env, rec *obs.Recorder, cfg Config) *Checker {
 
 // New creates a checker.
 func New(cfg Config) *Checker {
-	if cfg.EveryN <= 0 {
-		cfg.EveryN = 1
-	}
 	if cfg.TraceTail <= 0 {
 		cfg.TraceTail = 64
 	}
@@ -223,7 +243,7 @@ func New(cfg Config) *Checker {
 	if cfg.SpanDeadline <= 0 {
 		cfg.SpanDeadline = 60 * time.Second
 	}
-	return &Checker{
+	c := &Checker{
 		cfg:            cfg,
 		tail:           obs.NewRingSink(cfg.TraceTail),
 		active:         make(map[string]bool),
@@ -241,7 +261,19 @@ func New(cfg Config) *Checker {
 		liveStale:      make(map[grantKey]bool),
 		liveLabels:     make(map[string]bool),
 		standbyEps:     make(map[kernel.Endpoint]string),
+		dirty:          true, // the first step always scans
 	}
+	for _, view := range []any{cfg.Kernel, cfg.RS, cfg.DS} {
+		switch v := view.(type) {
+		case nil: // not configured: its scans never run
+		case versioned:
+			c.views = append(c.views, v)
+		default:
+			c.ungated = true
+		}
+	}
+	c.seen = make([]uint64, len(c.views))
+	return c
 }
 
 func (c *Checker) now() sim.Time {
@@ -284,12 +316,15 @@ func (c *Checker) TraceTail() []obs.Event { return c.tail.Events() }
 // Event-driven checks (obs.Sink).
 
 // Emit implements obs.Sink: it feeds the repro tail and maintains the
-// span and publish state machines.
+// span and publish state machines. A case that writes state the scans
+// read (pendingPublish, openSpans, openPolicies) sets dirty; the causal
+// span, decision and capsule state is read only here and in Finish.
 func (c *Checker) Emit(e obs.Event) {
 	c.tail.Emit(e)
 	switch e.Kind {
 	case obs.KindMark:
 		// Run boundary: forget open state, as the timeline builder does.
+		c.dirty = true
 		c.pendingPublish = make(map[string]bool)
 		c.openSpans = make(map[string]sim.Time)
 		c.openPolicies = make(map[string]sim.Time)
@@ -312,20 +347,26 @@ func (c *Checker) Emit(e obs.Event) {
 		delete(c.openCausal, e.Span)
 	case obs.KindDefect:
 		// A re-defect before recovery finished re-arms the deadline.
+		c.dirty = true
 		c.openSpans[e.Comp] = e.T
 	case obs.KindPolicyStart:
+		c.dirty = true
 		c.openPolicies[e.Comp] = e.T
 	case obs.KindPolicyExit:
+		c.dirty = true
 		delete(c.openPolicies, e.Comp)
 	case obs.KindRestart:
+		c.dirty = true
 		c.pendingPublish[e.Comp] = true
 		delete(c.openSpans, e.Comp)
 		c.clearKey("span:" + e.Comp)
 	case obs.KindGiveUp:
+		c.dirty = true
 		delete(c.openSpans, e.Comp)
 		c.clearKey("span:" + e.Comp)
 	case obs.KindPublish:
 		// Aux is the published name (V2=1 marks a withdraw).
+		c.dirty = true
 		delete(c.pendingPublish, e.Aux)
 	case obs.KindCapsuleSave:
 		// Capsule versions must be strictly monotone per driver label.
@@ -413,25 +454,56 @@ func (c *Checker) onDecision(e decision.Event) {
 // sinks run synchronously inside the step's event.
 func (c *Checker) Step() {
 	c.step++
-	if c.step%c.cfg.EveryN != 0 {
-		return
-	}
 	now := c.now()
-	if c.cfg.Kernel != nil {
-		c.scanProcs()
-		c.scanGrants()
-		if c.cfg.DS != nil {
-			c.scanNames()
+	if !c.quiet(now) {
+		c.dirty = false
+		for i, v := range c.views {
+			c.seen[i] = v.Version()
 		}
+		c.deadline = noDeadline // the scans below re-derive it (due)
+		if c.cfg.Kernel != nil {
+			c.scanProcs()
+			c.scanGrants()
+			if c.cfg.DS != nil {
+				c.scanNames()
+			}
+		}
+		if c.cfg.RS != nil {
+			c.scanServices(now)
+		}
+		c.scanSpans(now)
 	}
-	if c.cfg.RS != nil {
-		c.scanServices(now)
-	}
-	c.scanSpans(now)
 	if c.cfg.Windows != nil {
 		if err := c.cfg.Windows(); err != nil {
 			c.report("windows", "window-monotonic", "timeseries", err.Error())
 		}
+	}
+}
+
+// quiet reports whether a scan at this step could neither report nor
+// clear anything, because nothing it reads has changed since the last
+// one: every view's counter stands still, no event rewrote the span or
+// publish state, no stale grant is being aged (that invariant counts
+// steps, not time), and the clock has not passed a pending deadline.
+func (c *Checker) quiet(now sim.Time) bool {
+	if c.ungated || c.dirty || len(c.staleGrants) > 0 || now > c.deadline {
+		return false
+	}
+	for i, v := range c.views {
+		if v.Version() != c.seen[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// due records a deadline the running scan found still pending: the
+// condition it guards is `now > at`, so the first step past it must scan
+// even if nothing else changed. One already passed needs no wake-up —
+// this scan has just reported it.
+func (c *Checker) due(now, at sim.Time) {
+	if at >= now && at < c.deadline {
+		c.deadline = at
 	}
 }
 
@@ -479,7 +551,7 @@ func (c *Checker) Finish() {
 
 // scanProcs asserts endpoint and label uniqueness and slot consistency,
 // and that dead instances hold no grants. The scratch maps are reused
-// across steps: this runs after every scheduler event.
+// across scans: on an ungated view this runs after every scheduler event.
 func (c *Checker) scanProcs() {
 	seenEp := c.seenEp
 	seenLabel := c.seenLabel
@@ -585,7 +657,7 @@ func (c *Checker) scanNames() {
 // reincarnation server's own bookkeeping.
 func (c *Checker) scanServices(now sim.Time) {
 	// Snapshot into a reused buffer when the view supports it (the real
-	// RS does); this scan runs after every scheduler event.
+	// RS does); ungated, this scan runs after every scheduler event.
 	var svcs []core.ServiceInfo
 	if s, ok := c.cfg.RS.(interface {
 		ServicesInto([]core.ServiceInfo) []core.ServiceInfo
@@ -625,12 +697,14 @@ func (c *Checker) scanServices(now sim.Time) {
 		if c.cfg.Kernel != nil && kernelEp == kernel.None {
 			first, seen := c.deadSince[svc.Label]
 			if !seen {
+				first = now
 				c.deadSince[svc.Label] = now
 			} else if now-first > c.cfg.DeadGrace {
 				c.report("dead:"+svc.Label, "rs-guard", svc.Label,
 					fmt.Sprintf("instance %v dead for %v with no recovery begun",
 						svc.Ep, time.Duration(now-first)))
 			}
+			c.due(now, first+c.cfg.DeadGrace)
 		} else {
 			delete(c.deadSince, svc.Label)
 			c.clearKey("dead:" + svc.Label)
@@ -652,7 +726,11 @@ func (c *Checker) scanServices(now sim.Time) {
 			if slack <= 0 {
 				slack = svc.HeartbeatPeriod
 			}
-			if svc.NextPing > 0 && now > svc.NextPing+svc.HeartbeatPeriod+slack {
+			stallAt := svc.NextPing + svc.HeartbeatPeriod + slack
+			if svc.NextPing > 0 {
+				c.due(now, stallAt)
+			}
+			if svc.NextPing > 0 && now > stallAt {
 				c.report("hbstall:"+svc.Label, "heartbeat", svc.Label,
 					fmt.Sprintf("heartbeat monitoring stalled: ping due at %v never sent (now %v)",
 						time.Duration(svc.NextPing), time.Duration(now)))
@@ -671,6 +749,7 @@ func (c *Checker) scanServices(now sim.Time) {
 // scanSpans asserts recovery spans and policy scripts close in time.
 func (c *Checker) scanSpans(now sim.Time) {
 	for _, comp := range sortedTimeKeys(c.openSpans) {
+		c.due(now, c.openSpans[comp]+c.cfg.SpanDeadline)
 		if now-c.openSpans[comp] > c.cfg.SpanDeadline {
 			c.report("span:"+comp, "trace-span", comp,
 				fmt.Sprintf("defect at %v still unresolved after %v (no restart or give-up)",
@@ -678,6 +757,7 @@ func (c *Checker) scanSpans(now sim.Time) {
 		}
 	}
 	for _, comp := range sortedTimeKeys(c.openPolicies) {
+		c.due(now, c.openPolicies[comp]+c.cfg.SpanDeadline)
 		if now-c.openPolicies[comp] > c.cfg.SpanDeadline {
 			c.report("policy:"+comp, "trace-span", comp,
 				fmt.Sprintf("policy script running since %v (deadline %v)",

@@ -24,9 +24,11 @@ type fakeKernel struct {
 	grants []kernel.GrantInfo
 	labels map[string]kernel.Endpoint
 	alive  map[kernel.Endpoint]bool
+	scans  int // VisitProcs calls: one per state scan
 }
 
 func (f *fakeKernel) VisitProcs(fn func(kernel.ProcInfo)) {
+	f.scans++
 	for _, p := range f.procs {
 		fn(p)
 	}
@@ -47,9 +49,12 @@ func (f *fakeKernel) LookupLabel(l string) kernel.Endpoint {
 
 func (f *fakeKernel) Alive(e kernel.Endpoint) bool { return f.alive[e] }
 
-type fakeRS struct{ svcs []core.ServiceInfo }
+type fakeRS struct {
+	svcs  []core.ServiceInfo
+	scans int // Services calls: one per state scan
+}
 
-func (f *fakeRS) Services() []core.ServiceInfo { return f.svcs }
+func (f *fakeRS) Services() []core.ServiceInfo { f.scans++; return f.svcs }
 
 type nameEntry struct {
 	name string
@@ -63,6 +68,29 @@ func (f *fakeDS) VisitNames(fn func(string, kernel.Endpoint)) {
 		fn(n.name, n.ep)
 	}
 }
+
+// The versioned fakes add the mutation counter the real kernel, data
+// store and reincarnation server expose, which switches the checker from
+// scan-every-step to scan-on-change. The tests that use them never move
+// the counter: only the clock or the step count advances.
+type (
+	verKernel struct {
+		fakeKernel
+		ver uint64
+	}
+	verRS struct {
+		fakeRS
+		ver uint64
+	}
+	verDS struct {
+		fakeDS
+		ver uint64
+	}
+)
+
+func (f *verKernel) Version() uint64 { return f.ver }
+func (f *verRS) Version() uint64     { return f.ver }
+func (f *verDS) Version() uint64     { return f.ver }
 
 func liveProc(slot, gen int, label string) kernel.ProcInfo {
 	return kernel.ProcInfo{Slot: slot, Gen: gen, Ep: ep(slot, gen), Label: label, Alive: true}
@@ -419,19 +447,148 @@ func TestTraceTailKeepsRecentEvents(t *testing.T) {
 	}
 }
 
-func TestEveryNSampling(t *testing.T) {
-	fk := &fakeKernel{procs: []kernel.ProcInfo{
-		{Slot: 2, Gen: 1, Ep: ep(2, 1), Label: "mfs", Alive: false, Grants: 1},
+// ---------------------------------------------------------------------
+// Scan gating: with versioned views a quiet step skips the scans, yet
+// every deadline must fire at the step it fires at when every step scans.
+
+// firstViolation steps c up to n times, advancing *now by dt before each
+// step, and returns the 1-based step at which c first reports anything
+// (0 = never).
+func firstViolation(c *check.Checker, now *sim.Time, dt sim.Time, n int) int {
+	for i := 1; i <= n; i++ {
+		*now += dt
+		c.Step()
+		if !c.Ok() {
+			return i
+		}
+	}
+	return 0
+}
+
+func TestGatedDeadlinesFireAtTheSameStep(t *testing.T) {
+	const dt = 7 * time.Millisecond // never lands exactly on a deadline
+	deadSvc := []core.ServiceInfo{{Label: "eth.x", Ep: ep(1, 1), Running: true}}
+	stalledSvc := []core.ServiceInfo{{
+		Label: "eth.x", Ep: ep(1, 1), Running: true,
+		HeartbeatPeriod: 50 * time.Millisecond, HeartbeatMisses: 3,
+		NextPing: 100 * time.Millisecond, // never sent, never re-armed
 	}}
-	c := check.New(check.Config{Kernel: fk, EveryN: 10})
-	for i := 0; i < 9; i++ {
+	staleGrant := fakeKernel{
+		procs: []kernel.ProcInfo{liveProc(1, 1, "mfs")},
+		grants: []kernel.GrantInfo{
+			{Owner: ep(1, 1), OwnerLabel: "mfs", ID: 9, To: ep(7, 1), Access: kernel.GrantRead, Len: 512},
+		},
+		alive: map[kernel.Endpoint]bool{ep(1, 1): true}, // the grantee is dead
+	}
+	cases := []struct {
+		name      string
+		invariant string
+		kernel    fakeKernel
+		svcs      []core.ServiceInfo
+		emit      []obs.Event
+		wantScans int // state scans the gated checker may spend
+	}{
+		// Scan 1 arms the deadline, scan 2 fires it; nothing in between.
+		// (An empty kernel has no live instance of any label.)
+		{name: "dead-beyond-grace", invariant: "rs-guard", svcs: deadSvc, wantScans: 2},
+		{name: "heartbeat-stall", invariant: "heartbeat", svcs: stalledSvc, wantScans: 2},
+		{name: "defect-span", invariant: "trace-span",
+			emit: []obs.Event{{Kind: obs.KindDefect, Comp: "eth.x"}}, wantScans: 2},
+		{name: "policy-span", invariant: "trace-span",
+			emit: []obs.Event{{Kind: obs.KindPolicyStart, Comp: "eth.x"}}, wantScans: 2},
+		// A stale grant ages in steps, so it is rescanned on every one.
+		{name: "stale-grant", invariant: "grant-safety", kernel: staleGrant, wantScans: 6},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := check.Config{
+				DeadGrace: 200 * time.Millisecond, SpanDeadline: 300 * time.Millisecond,
+				GrantGraceSteps: 4,
+			}
+			run := func(k check.KernelView, rs check.RSView, ds check.NameView) (int, []check.Violation) {
+				var now sim.Time
+				cfg := cfg
+				cfg.Kernel, cfg.RS, cfg.DS = k, rs, ds
+				cfg.Now = func() sim.Time { return now }
+				c := check.New(cfg)
+				for _, e := range tc.emit {
+					c.Emit(e)
+				}
+				return firstViolation(c, &now, dt, 100), c.Violations()
+			}
+			plainK, plainRS := tc.kernel, fakeRS{svcs: tc.svcs}
+			wantStep, want := run(&plainK, &plainRS, &fakeDS{})
+			gatedK, gatedRS := verKernel{fakeKernel: tc.kernel}, verRS{fakeRS: fakeRS{svcs: tc.svcs}}
+			gotStep, got := run(&gatedK, &gatedRS, &verDS{})
+
+			if wantStep == 0 || len(want) != 1 || want[0].Invariant != tc.invariant {
+				t.Fatalf("reference run: step %d, violations %v; want one %s", wantStep, want, tc.invariant)
+			}
+			if gotStep != wantStep {
+				t.Errorf("gated checker fired at step %d, scanning every step fires at %d", gotStep, wantStep)
+			}
+			if len(got) != 1 || got[0] != want[0] {
+				t.Errorf("gated checker reported %v, want %v", got, want)
+			}
+			if plainK.scans != wantStep || plainRS.scans != wantStep {
+				t.Errorf("reference scanned %d/%d times in %d steps; it must scan on every one",
+					plainK.scans, plainRS.scans, wantStep)
+			}
+			if gatedK.scans != tc.wantScans || gatedRS.scans != tc.wantScans {
+				t.Errorf("gated checker scanned %d/%d times in %d steps, want %d",
+					gatedK.scans, gatedRS.scans, gotStep, tc.wantScans)
+			}
+		})
+	}
+}
+
+// TestGatedScanFollowsCounters: a change behind a still counter is by
+// contract invisible, and moving any one counter rescans everything.
+func TestGatedScanFollowsCounters(t *testing.T) {
+	fk := &verKernel{fakeKernel: fakeKernel{
+		procs:  []kernel.ProcInfo{liveProc(1, 2, "eth.x")},
+		labels: map[string]kernel.Endpoint{"eth.x": ep(1, 2)},
+		alive:  map[kernel.Endpoint]bool{ep(1, 2): true},
+	}}
+	fr := &verRS{fakeRS: fakeRS{svcs: []core.ServiceInfo{{Label: "eth.x", Ep: ep(1, 2), Running: true}}}}
+	fd := &verDS{fakeDS: fakeDS{names: []nameEntry{{"eth.x", ep(1, 2)}}}}
+	c := check.New(check.Config{Kernel: fk, RS: fr, DS: fd})
+	for i := 0; i < 100; i++ {
 		c.Step()
 	}
-	if !c.Ok() {
-		t.Fatal("sampled checker scanned before its Nth step")
+	if fk.scans != 1 || fr.scans != 1 {
+		t.Fatalf("100 quiet steps cost %d/%d scans, want 1 (the first)", fk.scans, fr.scans)
 	}
+	fd.names[0].ep = ep(1, 1) // stale, but the data store's counter stands still
 	c.Step()
-	wantInvariant(t, c, "grant-safety")
+	if !c.Ok() {
+		t.Fatalf("scanned without a counter moving: %v", c.Violations())
+	}
+	for _, bump := range []*uint64{&fd.ver, &fk.ver, &fr.ver} {
+		before := fk.scans
+		*bump++
+		c.Step()
+		c.Step()
+		if fk.scans != before+1 {
+			t.Fatalf("counter bump caused %d scans over two steps, want 1", fk.scans-before)
+		}
+	}
+	wantInvariant(t, c, "stale-endpoint")
+
+	// So does an event that rewrites state the scans read, with every
+	// counter still — and only such an event.
+	before := fk.scans
+	c.Emit(obs.Event{Kind: obs.KindSpanBegin, Comp: "inet", Span: 1})
+	c.Step()
+	if fk.scans != before {
+		t.Fatal("a causal-span event, which no scan reads, caused a scan")
+	}
+	c.Emit(obs.Event{Kind: obs.KindRestart, Comp: "eth.x"})
+	c.Step()
+	c.Step()
+	if fk.scans != before+1 {
+		t.Fatalf("a restart event caused %d scans over two steps, want 1", fk.scans-before)
+	}
 }
 
 // ---------------------------------------------------------------------

@@ -381,6 +381,14 @@ type ServiceInfo struct {
 	StandbyEp kernel.Endpoint
 }
 
+// Version moves whenever the service bookkeeping may have changed. Every
+// service field is written by the RS process itself — never by a
+// scheduler callback, a death hook or a policy shell — so the count of
+// hand-offs to that process is a sufficient (if generous) counter, and no
+// write site needs to remember to bump anything. The invariant checker
+// skips rescanning the services while it stands still.
+func (rs *RS) Version() uint64 { return rs.ctx.Resumes() }
+
 // Services returns a snapshot of every guarded service, in label order.
 func (rs *RS) Services() []ServiceInfo { return rs.ServicesInto(nil) }
 

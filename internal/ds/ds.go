@@ -47,6 +47,7 @@ type DS struct {
 	ctx    *kernel.Ctx
 	names  map[string]kernel.Endpoint
 	sorted []string // cached name order; nil = rebuild
+	ver    uint64   // see Version; bumped on every write to names
 	subs   []subscription
 	store  map[string]record // key: owner + "\x00" + name
 	labels map[kernel.Endpoint]string
@@ -85,6 +86,11 @@ func StartServer(k *kernel.Kernel) (*DS, kernel.Endpoint, error) {
 	}
 	return d, ctx.Endpoint(), nil
 }
+
+// Version counts the writes to the naming table (publish, withdraw,
+// failover). While it stands still VisitNames reports the same entries,
+// which lets the invariant checker skip rescanning an unchanged table.
+func (d *DS) Version() uint64 { return d.ver }
 
 // VisitNames calls fn for every published name, in name order. Read-only;
 // for the invariant checker's stale-endpoint scan.
@@ -139,6 +145,7 @@ func (d *DS) publish(m kernel.Message) {
 		d.sorted = nil // new name: re-sort on next walk
 	}
 	d.names[m.Name] = kernel.Endpoint(m.Arg1)
+	d.ver++
 	d.ctx.Logf("publish %s -> %v", m.Name, kernel.Endpoint(m.Arg1))
 	d.ctx.Obs().Emit(obs.KindPublish, Label, m.Name, m.Arg1, 0)
 	d.reply(m.Source, kernel.Message{Type: proto.DSAck, Arg2: proto.OK})
@@ -152,6 +159,7 @@ func (d *DS) withdraw(m kernel.Message) {
 	}
 	delete(d.names, m.Name)
 	d.sorted = nil
+	d.ver++
 	d.ctx.Obs().Emit(obs.KindPublish, Label, m.Name, proto.InvalidEndpoint, 1)
 	d.reply(m.Source, kernel.Message{Type: proto.DSAck, Arg2: proto.OK})
 	d.fanout(m.Name, proto.InvalidEndpoint)
@@ -179,6 +187,7 @@ func (d *DS) failover(m kernel.Message) {
 		d.sorted = nil
 	}
 	d.names[m.Name] = next
+	d.ver++
 	d.ctx.Logf("failover %s -> %v", m.Name, next)
 	d.ctx.Obs().Emit(obs.KindPublish, Label, m.Name, m.Arg1, 0)
 	d.reply(m.Source, kernel.Message{Type: proto.DSAck, Arg2: proto.OK})

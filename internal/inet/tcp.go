@@ -38,11 +38,13 @@ type tcpConn struct {
 	remotePort uint16
 	state      tcpState
 
-	// Send side. sndBuf holds bytes [sndUna, sndUna+len(sndBuf)).
+	// Send side. sndBuf holds bytes [sndUna, sndUna+len(sndBuf)); it is a
+	// window sliding through sndBack (see queueSend).
 	iss      uint32
 	sndUna   uint32
 	sndNxt   uint32
 	sndBuf   []byte
+	sndBack  []byte
 	peerWnd  uint16
 	dupAcks  int
 	closeReq bool // app closed; FIN goes out after the buffer drains
@@ -544,7 +546,7 @@ func (s *Server) admitBlockedSend(c *tcpConn) {
 	if n > room {
 		n = room
 	}
-	c.sndBuf = append(c.sndBuf, c.sendData[:n]...)
+	c.queueSend(c.sendData[:n])
 	c.sendData = c.sendData[n:]
 	c.sendDone += n
 	if len(c.sendData) == 0 {
@@ -555,6 +557,24 @@ func (s *Server) admitBlockedSend(c *tcpConn) {
 		c.sendCtx = obs.SpanContext{}
 	}
 	s.trySend(c)
+}
+
+// queueSend appends p to the send buffer. ACKs slide sndBuf forward
+// through its backing array; when the tail runs out the unacked bytes
+// move back to the front of the same array instead of into a fresh one.
+// The array is kept at least twice the bytes held, so a move copies
+// fewer bytes than were acked since the last one — amortised O(1) per
+// byte sent, where plain append reallocated the whole buffer each time.
+// Segments never alias the buffer (encodeTCP copies the payload).
+func (c *tcpConn) queueSend(p []byte) {
+	need := len(c.sndBuf) + len(p)
+	if need > cap(c.sndBuf) {
+		if len(c.sndBack) < 2*need {
+			c.sndBack = make([]byte, 2*need)
+		}
+		c.sndBuf = c.sndBack[:copy(c.sndBack, c.sndBuf)]
+	}
+	c.sndBuf = append(c.sndBuf, p...)
 }
 
 // maybeFinish schedules connection teardown once both directions closed.

@@ -41,6 +41,11 @@ func (c *Ctx) Sleep(d sim.Time) { c.p.Sleep(d) }
 // Yield lets other same-instant work run.
 func (c *Ctx) Yield() { c.p.Yield() }
 
+// Resumes counts the scheduler's hand-offs to this process (see
+// sim.Proc.Resumes): state only this process writes cannot have changed
+// while the count stands still.
+func (c *Ctx) Resumes() uint64 { return c.e.proc.Resumes() }
+
 // Send performs a blocking rendezvous send.
 func (c *Ctx) Send(dst Endpoint, msg Message) error { return c.k.send(c.e, dst, msg) }
 
@@ -204,7 +209,10 @@ func (c *Ctx) CreateGrant(buf []byte, access GrantAccess, to Endpoint) GrantID {
 }
 
 // RevokeGrant removes a grant from the caller's table.
-func (c *Ctx) RevokeGrant(id GrantID) { delete(c.e.grants, id) }
+func (c *Ctx) RevokeGrant(id GrantID) {
+	delete(c.e.grants, id)
+	c.k.version++
+}
 
 // SafeCopyFrom copies len(dst) bytes from the granted buffer (owner, id) at
 // offset into dst (requires CallSafeCopy and a read grant).

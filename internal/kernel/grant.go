@@ -30,6 +30,7 @@ func (e *procEntry) createGrant(buf []byte, access GrantAccess, to Endpoint) Gra
 	e.nextGrant++
 	id := e.nextGrant
 	e.grants[id] = &grant{buf: buf, access: access, to: to}
+	e.k.version++
 	return id
 }
 

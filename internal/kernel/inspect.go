@@ -8,6 +8,14 @@ import "sort"
 // the scheduler's step hook observe identical state on identically-seeded
 // runs.
 
+// Version counts the writes to everything the visitors, LookupLabel and
+// Alive read: the process table (spawn, reap, relabel) and the grant
+// tables (create, revoke). While it stands still they answer the same,
+// which lets the checker skip rescanning an unchanged kernel. The
+// contract is on the writer: new code that writes one of those fields
+// must bump it.
+func (k *Kernel) Version() uint64 { return k.version }
+
 // ProcInfo is a read-only snapshot of one process-table slot.
 type ProcInfo struct {
 	Slot   int

@@ -103,6 +103,7 @@ type Kernel struct {
 
 	slots    []*procEntry // process table; index = slot
 	byLabel  map[string]*procEntry
+	version  uint64 // see Version; bumped on every proc- or grant-table write
 	deathFns []DeathHook
 
 	ports map[uint32]Device // device port space
@@ -238,6 +239,7 @@ func (k *Kernel) Spawn(label string, priv Privileges, body func(c *Ctx)) (*Ctx, 
 	}
 	k.slots[slot] = e
 	k.byLabel[label] = e
+	k.version++
 	ctx := &Ctx{k: k, e: e}
 	e.proc = k.env.Spawn(fmt.Sprintf("%s/%d", label, gen), func(p *sim.Proc) {
 		ctx.p = p
@@ -311,6 +313,7 @@ func (k *Kernel) Relabel(ep Endpoint, label string) error {
 	}
 	e.label = label
 	k.byLabel[label] = e
+	k.version++
 	return nil
 }
 
@@ -352,6 +355,7 @@ func (k *Kernel) reap(e *procEntry, status int) {
 		e.cause.Status = status
 	}
 	e.alive = false
+	k.version++ // covers the grant and label cleanup below too
 	k.env.Logf("kernel", "reap %s ep=%v cause=%v", e.label, e.ep, e.cause)
 	if e.cause.Kind == CauseException {
 		k.obs.Emit(obs.KindProcException, e.label, e.cause.Exc.String(), int64(e.ep), 0)

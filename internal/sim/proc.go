@@ -42,11 +42,12 @@ type exitSentinel struct{ status int }
 // the environment's scheduler. Exactly one process goroutine executes at a
 // time; it returns control by parking, sleeping, or exiting.
 type Proc struct {
-	env    *Env
-	pid    int
-	name   string
-	state  ProcState
-	resume chan any // scheduler -> process: value to return from Park
+	env     *Env
+	pid     int
+	name    string
+	state   ProcState
+	resume  chan any // scheduler -> process: value to return from Park
+	resumes uint64   // hand-offs so far (see Resumes)
 
 	killed     bool // kill requested; delivered at next park point
 	exitStatus int
@@ -68,6 +69,11 @@ func (p *Proc) Env() *Env { return p.env }
 
 // Alive reports whether the process has not yet died.
 func (p *Proc) Alive() bool { return p.state != StateDead }
+
+// Resumes counts the scheduler's hand-offs to the process. The process
+// executes only between a hand-off and its next park, so state that only
+// it writes is unchanged for as long as the count is.
+func (p *Proc) Resumes() uint64 { return p.resumes }
 
 // OnExit registers fn to run (in scheduler context) when the process dies.
 // Hooks run in registration order.
@@ -134,6 +140,7 @@ func (p *Proc) top(body func(*Proc)) {
 // resumeAndWait hands control to the process goroutine and blocks the
 // scheduler until the process parks, exits, or sleeps again.
 func (p *Proc) resumeAndWait(v any) {
+	p.resumes++
 	p.resume <- v
 	<-p.env.yield
 }

@@ -25,11 +25,10 @@ type Time = time.Duration
 // event is a scheduled callback. Events with equal time fire in schedule
 // order (seq breaks ties), which keeps runs deterministic.
 type event struct {
-	at       Time
-	seq      uint64
-	fn       func()
-	canceled bool
-	index    int // heap index, -1 when popped
+	at    Time
+	seq   uint64
+	fn    func()
+	index int // heap index, -1 once popped (fired) or removed (canceled)
 }
 
 type eventHeap []*event
@@ -197,15 +196,14 @@ type Event struct {
 
 // Cancel prevents the event from firing. Canceling an already-fired or
 // already-canceled event is a no-op. It reports whether the event was
-// actually stopped before firing.
+// actually stopped before firing. The event leaves the queue at once:
+// timers that are re-armed far more often than they fire (retransmit,
+// alarm) would otherwise pile up dead entries until their time came.
 func (ev *Event) Cancel() bool {
-	if ev == nil || ev.ev == nil || ev.ev.canceled {
-		return false
+	if ev == nil || ev.ev == nil || ev.ev.index < 0 {
+		return false // already fired, firing, or canceled
 	}
-	if ev.ev.index < 0 {
-		return false // already popped (fired or firing)
-	}
-	ev.ev.canceled = true
+	heap.Remove(&ev.env.events, ev.ev.index)
 	return true
 }
 
@@ -272,9 +270,6 @@ func (e *Env) Run(horizon Time) Time {
 	e.stopped = false
 	for len(e.events) > 0 && !e.stopped {
 		ev := heap.Pop(&e.events).(*event)
-		if ev.canceled {
-			continue
-		}
 		if limit >= 0 && ev.at > limit {
 			// Put it back; the horizon was reached.
 			heap.Push(&e.events, ev)
@@ -314,15 +309,7 @@ func (e *Env) Run(horizon Time) Time {
 }
 
 // Pending reports the number of events waiting in the queue.
-func (e *Env) Pending() int {
-	n := 0
-	for _, ev := range e.events {
-		if !ev.canceled {
-			n++
-		}
-	}
-	return n
-}
+func (e *Env) Pending() int { return len(e.events) }
 
 // procPanic records a non-sentinel panic escaping a process body so it can
 // be re-raised on the scheduler goroutine with context.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -137,6 +138,36 @@ func TestPending(t *testing.T) {
 	ev1.Cancel()
 	if got := e.Pending(); got != 1 {
 		t.Fatalf("Pending after cancel = %d, want 1", got)
+	}
+}
+
+// TestCancelLeavesNoDeadEntries re-arms one timer 10,000 times among a
+// few live events, the way a retransmit timer is re-armed per ACK: a
+// canceled event must leave the queue at once, not linger until its time
+// comes, and removing from the middle of the heap must not disturb the
+// (time, schedule order) firing order of what remains.
+func TestCancelLeavesNoDeadEntries(t *testing.T) {
+	e := NewEnv(1)
+	var fired []int
+	for i := 0; i < 8; i++ {
+		e.Schedule(time.Duration(8-i/2)*time.Second, func() { fired = append(fired, i) })
+	}
+	var timer *Event
+	for i := 0; i < 10000; i++ {
+		timer.Cancel() // nil-safe on the first cycle
+		timer = e.Schedule(time.Duration(1+i%13)*time.Second, func() { fired = append(fired, -1) })
+		if got := len(e.events); got != 9 {
+			t.Fatalf("cycle %d: heap holds %d entries, want 9 (8 live + the armed timer)", i, got)
+		}
+	}
+	timer.Cancel()
+	if got := len(e.events); got != 8 {
+		t.Fatalf("heap holds %d entries after the last cancel, want 8", got)
+	}
+	e.Run(0)
+	want := []int{6, 7, 4, 5, 2, 3, 0, 1} // by time, ties in schedule order
+	if !slices.Equal(fired, want) {
+		t.Fatalf("fired %v, want %v", fired, want)
 	}
 }
 
