@@ -209,6 +209,45 @@ func restartBudget(svc *service) int {
 	return b
 }
 
+// [recovery:begin]
+// creditStableRun resets the consecutive-failure accounting — and with it
+// the microreboot budget — after a long stable run, so the budgets
+// reflect crash *loops* rather than lifetime totals.
+func (svc *service) creditStableRun(now sim.Time) {
+	if svc.lastFailure != 0 && now-svc.lastFailure > stableResetAfter+svc.cfg.HeartbeatPeriod {
+		svc.failures = 0
+		svc.microCount = 0
+	}
+}
+
+// [recovery:end]
+
+// serveFrom makes ep the service's serving instance, with a clean
+// monitoring slate and a fresh microreboot budget.
+func (svc *service) serveFrom(c *kernel.Ctx, ep kernel.Endpoint) {
+	svc.ep = ep
+	svc.running = true
+	svc.stopped = false
+	svc.updating = false
+	svc.killClass = 0
+	svc.microCount = 0
+	svc.microPending = false
+	svc.hbBits = 0
+	svc.hbN = 0
+	svc.restartHeartbeat(c.Now())
+	c.Obs().Emit(obs.KindRestart, svc.cfg.Label, svc.cfg.Version, int64(ep), int64(svc.failures))
+}
+
+// restartHeartbeat forgets outstanding pings and schedules the next one a
+// full period out.
+func (svc *service) restartHeartbeat(now sim.Time) {
+	svc.missed = 0
+	svc.awaiting = false
+	if svc.cfg.HeartbeatPeriod > 0 {
+		svc.nextPing = now + svc.cfg.HeartbeatPeriod
+	}
+}
+
 // recordHB appends one heartbeat observation (true = pong seen) to the
 // service's sliding window.
 func (svc *service) recordHB(ok bool) {
@@ -310,6 +349,28 @@ func WithOnReboot(fn func()) Option {
 func WithDecisions(d *decision.Recorder) Option {
 	return func(rs *RS) { rs.dec = d }
 }
+
+// [recovery:begin]
+// decide records one recovery decision about svc. The caller says what
+// was decided (Kind, Action, Detail, Delay, Status, Latency); what every
+// decision carries — the service, the defect class, the budget state it
+// was computed from and the link to the recovery episode's span — is
+// filled in here. Triggers precede the episode their kill opens and carry
+// no link. Callers guard with rs.dec.On only where building Detail costs
+// something.
+func (rs *RS) decide(svc *service, class Defect, ev decision.Event) {
+	if !rs.dec.On(ev.Kind) {
+		return
+	}
+	ev.Service, ev.Defect = svc.cfg.Label, int(class)
+	ev.Failures, ev.Budget = svc.failures, restartBudget(svc)
+	if ev.Kind != decision.KindTrigger {
+		ev.Trace, ev.Span = svc.episode.Trace, svc.episode.Span
+	}
+	rs.dec.Emit(ev)
+}
+
+// [recovery:end]
 
 // Start spawns the reincarnation server. It subscribes to PM's exit
 // events; services are then added with StartService.
@@ -547,21 +608,7 @@ func (rs *RS) spawnInstance(c *kernel.Ctx, svc *service) {
 		c.Logf("spawn %s: %v", svc.cfg.Label, err)
 		return
 	}
-	svc.ep = ep
-	svc.running = true
-	svc.stopped = false
-	svc.updating = false
-	svc.killClass = 0
-	svc.missed = 0
-	svc.awaiting = false
-	svc.hbBits = 0
-	svc.hbN = 0
-	svc.microCount = 0 // a fresh instance earns a fresh microreboot budget
-	svc.microPending = false
-	if svc.cfg.HeartbeatPeriod > 0 {
-		svc.nextPing = c.Now() + svc.cfg.HeartbeatPeriod
-	}
-	c.Obs().Emit(obs.KindRestart, svc.cfg.Label, svc.cfg.Version, int64(ep), int64(svc.failures))
+	svc.serveFrom(c, ep)
 	// Publish the new endpoint; dependent components subscribed through
 	// the data store learn about the restart from this (paper §5.3).
 	_, err = c.SendRec(rs.dsEp, kernel.Message{
@@ -670,11 +717,7 @@ func (rs *RS) onStandbyExit(c *kernel.Ctx, m kernel.Message) {
 // [recovery:begin]
 // recover runs the policy-driven recovery procedure (§5.2).
 func (rs *RS) recover(c *kernel.Ctx, svc *service, class Defect) {
-	// Consecutive-failure accounting: a long stable run resets the count.
-	if svc.lastFailure != 0 && c.Now()-svc.lastFailure > stableResetAfter+svc.cfg.HeartbeatPeriod {
-		svc.failures = 0
-		svc.microCount = 0
-	}
+	svc.creditStableRun(c.Now())
 	switch {
 	case svc.microPending:
 		// This death is the failed tail of a granted microreboot, which
@@ -686,17 +729,7 @@ func (rs *RS) recover(c *kernel.Ctx, svc *service, class Defect) {
 	svc.lastFailure = c.Now()
 	c.Logf("defect %v in %s (repetition %d)", class, svc.cfg.Label, svc.failures)
 	c.Obs().Emit(obs.KindDefect, svc.cfg.Label, class.String(), int64(svc.failures), int64(class))
-	if !svc.episode.Valid() {
-		svc.episode = c.Obs().StartSpan(Label, "recover:"+svc.cfg.Label, obs.SpanContext{})
-	}
-	if rs.dec.On(decision.KindDetect) {
-		rs.dec.Emit(decision.Event{
-			Kind: decision.KindDetect, Service: svc.cfg.Label, Defect: int(class),
-			Failures: svc.failures, Budget: restartBudget(svc),
-			Detail: svc.hbWindow(),
-			Trace:  svc.episode.Trace, Span: svc.episode.Span,
-		})
-	}
+	rs.openEpisode(c, svc, class)
 
 	if svc.cfg.MaxRestarts > 0 && svc.failures > svc.cfg.MaxRestarts {
 		svc.gaveUp = true
@@ -706,30 +739,13 @@ func (rs *RS) recover(c *kernel.Ctx, svc *service, class Defect) {
 			Repetition: svc.failures, GaveUp: true,
 		})
 		c.Obs().Emit(obs.KindGiveUp, svc.cfg.Label, class.String(), int64(svc.failures), 0)
-		if rs.dec.On(decision.KindAction) {
-			rs.dec.Emit(decision.Event{
-				Kind: decision.KindAction, Service: svc.cfg.Label, Defect: int(class),
-				Failures: svc.failures, Budget: restartBudget(svc),
-				Action: "give-up", Detail: "restart budget exhausted",
-				Trace: svc.episode.Trace, Span: svc.episode.Span,
-			})
-		}
+		rs.decide(svc, class, decision.Event{Kind: decision.KindAction,
+			Action: "give-up", Detail: "restart budget exhausted"})
 		// Withdraw the name so dependents see the component as gone. The
 		// episode ends unsuccessfully (status 1): the component stays down.
 		c.SetTraceCtx(svc.episode)
 		_, _ = c.SendRec(rs.dsEp, kernel.Message{Type: proto.DSWithdraw, Name: svc.cfg.Label})
-		episode := svc.episode
-		c.Obs().EndSpan(Label, svc.episode, 1)
-		svc.episode = obs.SpanContext{}
-		c.SetTraceCtx(obs.SpanContext{})
-		if rs.dec.On(decision.KindOutcome) {
-			rs.dec.Emit(decision.Event{
-				Kind: decision.KindOutcome, Service: svc.cfg.Label, Defect: int(class),
-				Failures: svc.failures, Budget: restartBudget(svc),
-				Action: "gave-up", Status: 1, Latency: c.Now() - svc.detectedAt,
-				Trace: episode.Trace, Span: episode.Span,
-			})
-		}
+		rs.closeEpisode(c, svc, class, "gave-up", "", 1)
 		return
 	}
 
@@ -745,14 +761,7 @@ func (rs *RS) recover(c *kernel.Ctx, svc *service, class Defect) {
 
 	if svc.cfg.Policy == nil {
 		// Direct restart (the disk-driver path of §6.2).
-		if rs.dec.On(decision.KindAction) {
-			rs.dec.Emit(decision.Event{
-				Kind: decision.KindAction, Service: svc.cfg.Label, Defect: int(class),
-				Failures: svc.failures, Budget: restartBudget(svc),
-				Action: "restart-direct",
-				Trace:  svc.episode.Trace, Span: svc.episode.Span,
-			})
-		}
+		rs.decide(svc, class, decision.Event{Kind: decision.KindAction, Action: "restart-direct"})
 		rs.completeRecovery(c, svc, class)
 		return
 	}
@@ -779,28 +788,11 @@ func (rs *RS) promoteStandby(c *kernel.Ctx, svc *service, class Defect) bool {
 		return false
 	}
 	if rs.dec.On(decision.KindAction) {
-		rs.dec.Emit(decision.Event{
-			Kind: decision.KindAction, Service: svc.cfg.Label, Defect: int(class),
-			Failures: svc.failures, Budget: restartBudget(svc),
-			Action: "promote-standby", Detail: fmt.Sprintf("replica=%v", ep),
-			Trace: svc.episode.Trace, Span: svc.episode.Span,
-		})
+		rs.decide(svc, class, decision.Event{Kind: decision.KindAction,
+			Action: "promote-standby", Detail: fmt.Sprintf("replica=%v", ep)})
 	}
 	c.SetTraceCtx(svc.episode)
-	svc.ep = ep
-	svc.running = true
-	svc.updating = false
-	svc.killClass = 0
-	svc.missed = 0
-	svc.awaiting = false
-	svc.hbBits = 0
-	svc.hbN = 0
-	svc.microCount = 0
-	svc.microPending = false
-	if svc.cfg.HeartbeatPeriod > 0 {
-		svc.nextPing = c.Now() + svc.cfg.HeartbeatPeriod
-	}
-	c.Obs().Emit(obs.KindRestart, svc.cfg.Label, svc.cfg.Version, int64(ep), int64(svc.failures))
+	svc.serveFrom(c, ep)
 	// The promote must be queued at the replica before the data-store
 	// fanout lets dependents talk to it; per-receiver delivery is arrival
 	// order, so the replica attaches before serving its first request.
@@ -811,26 +803,7 @@ func (rs *RS) promoteStandby(c *kernel.Ctx, svc *service, class Defect) bool {
 		c.Logf("failover publish %s: %v", svc.cfg.Label, err)
 	}
 	c.Logf("service %s failed over to standby %v (failures=%d)", svc.cfg.Label, ep, svc.failures)
-	rs.events = append(rs.events, Event{
-		Time: svc.detectedAt, Label: svc.cfg.Label, Defect: class,
-		Repetition: svc.failures, Recovered: true,
-		Duration: c.Now() - svc.detectedAt, NewEp: ep,
-	})
-	c.Obs().ObserveRecovery(svc.cfg.Label, c.Now()-svc.detectedAt)
-	if rs.dec.On(decision.KindOutcome) {
-		rs.dec.Emit(decision.Event{
-			Kind: decision.KindOutcome, Service: svc.cfg.Label, Defect: int(class),
-			Failures: svc.failures, Budget: restartBudget(svc),
-			Action: "recovered", Detail: "promote-standby",
-			Status: 0, Latency: c.Now() - svc.detectedAt,
-			Trace: svc.episode.Trace, Span: svc.episode.Span,
-		})
-	}
-	c.Obs().EndSpan(Label, svc.episode, 0)
-	svc.episode = obs.SpanContext{}
-	c.SetTraceCtx(obs.SpanContext{})
-	svc.detectedAt = 0
-	svc.pendingClass = 0
+	rs.settle(c, svc, class, "promote-standby")
 	rs.spawnStandby(c, svc) // back-fill the pool in the background
 	return true
 }
@@ -858,12 +831,7 @@ func (rs *RS) onMicroAsk(c *kernel.Ctx, m kernel.Message) {
 	if class < DefectExit || class > DefectUpdate {
 		class = DefectExit
 	}
-	// Same stable-run reset as recover(): a long healthy stretch clears
-	// both budgets.
-	if svc.lastFailure != 0 && c.Now()-svc.lastFailure > stableResetAfter+svc.cfg.HeartbeatPeriod {
-		svc.failures = 0
-		svc.microCount = 0
-	}
+	svc.creditStableRun(c.Now())
 	var deny string
 	switch {
 	case svc.microCount >= microBudget:
@@ -872,13 +840,8 @@ func (rs *RS) onMicroAsk(c *kernel.Ctx, m kernel.Message) {
 		deny = "restart budget exhausted"
 	}
 	if deny != "" {
-		if rs.dec.On(decision.KindTrigger) {
-			rs.dec.Emit(decision.Event{
-				Kind: decision.KindTrigger, Service: svc.cfg.Label, Defect: int(class),
-				Failures: svc.failures, Budget: restartBudget(svc),
-				Action: "microreboot-deny", Detail: deny,
-			})
-		}
+		rs.decide(svc, class, decision.Event{Kind: decision.KindTrigger,
+			Action: "microreboot-deny", Detail: deny})
 		c.Logf("microreboot of %s denied: %s", svc.cfg.Label, deny)
 		reply.Arg1 = proto.ErrAgain
 		_ = c.Send(m.Source, reply)
@@ -892,25 +855,10 @@ func (rs *RS) onMicroAsk(c *kernel.Ctx, m kernel.Message) {
 	svc.detectedAt = c.Now()
 	c.Logf("defect %v in %s: microreboot %d/%d (repetition %d)",
 		class, svc.cfg.Label, svc.microCount, microBudget, svc.failures)
-	if !svc.episode.Valid() {
-		svc.episode = c.Obs().StartSpan(Label, "recover:"+svc.cfg.Label, obs.SpanContext{})
-	}
-	if rs.dec.On(decision.KindDetect) {
-		rs.dec.Emit(decision.Event{
-			Kind: decision.KindDetect, Service: svc.cfg.Label, Defect: int(class),
-			Failures: svc.failures, Budget: restartBudget(svc),
-			Detail: svc.hbWindow(),
-			Trace:  svc.episode.Trace, Span: svc.episode.Span,
-		})
-	}
+	rs.openEpisode(c, svc, class)
 	if rs.dec.On(decision.KindAction) {
-		rs.dec.Emit(decision.Event{
-			Kind: decision.KindAction, Service: svc.cfg.Label, Defect: int(class),
-			Failures: svc.failures, Budget: restartBudget(svc),
-			Action: "microreboot",
-			Detail: fmt.Sprintf("in-place vm reset %d/%d", svc.microCount, microBudget),
-			Trace:  svc.episode.Trace, Span: svc.episode.Span,
-		})
+		rs.decide(svc, class, decision.Event{Kind: decision.KindAction, Action: "microreboot",
+			Detail: fmt.Sprintf("in-place vm reset %d/%d", svc.microCount, microBudget)})
 	}
 	_ = c.Send(m.Source, reply)
 }
@@ -927,32 +875,9 @@ func (rs *RS) onMicroDone(c *kernel.Ctx, m kernel.Message) {
 		return
 	}
 	svc.microPending = false
-	svc.missed = 0
-	svc.awaiting = false
-	if svc.cfg.HeartbeatPeriod > 0 {
-		svc.nextPing = c.Now() + svc.cfg.HeartbeatPeriod
-	}
-	class := rs.lastDefectClass(svc)
+	svc.restartHeartbeat(c.Now())
 	c.Logf("service %s microrebooted in place (failures=%d)", svc.cfg.Label, svc.failures)
-	rs.events = append(rs.events, Event{
-		Time: svc.detectedAt, Label: svc.cfg.Label, Defect: class,
-		Repetition: svc.failures, Recovered: true,
-		Duration: c.Now() - svc.detectedAt, NewEp: svc.ep,
-	})
-	c.Obs().ObserveRecovery(svc.cfg.Label, c.Now()-svc.detectedAt)
-	if rs.dec.On(decision.KindOutcome) {
-		rs.dec.Emit(decision.Event{
-			Kind: decision.KindOutcome, Service: svc.cfg.Label, Defect: int(class),
-			Failures: svc.failures, Budget: restartBudget(svc),
-			Action: "recovered", Detail: "microreboot",
-			Status: 0, Latency: c.Now() - svc.detectedAt,
-			Trace: svc.episode.Trace, Span: svc.episode.Span,
-		})
-	}
-	c.Obs().EndSpan(Label, svc.episode, 0)
-	svc.episode = obs.SpanContext{}
-	svc.detectedAt = 0
-	svc.pendingClass = 0
+	rs.settle(c, svc, rs.lastDefectClass(svc), "microreboot")
 }
 
 // [recovery:end]
@@ -965,29 +890,46 @@ func (rs *RS) onMicroDone(c *kernel.Ctx, m kernel.Message) {
 func (rs *RS) completeRecovery(c *kernel.Ctx, svc *service, class Defect) {
 	c.SetTraceCtx(svc.episode)
 	rs.spawnInstance(c, svc)
-	rs.events = append(rs.events, Event{
-		Time:       svc.detectedAt,
-		Label:      svc.cfg.Label,
-		Defect:     class,
-		Repetition: svc.failures,
-		Recovered:  true,
-		Duration:   c.Now() - svc.detectedAt,
-		NewEp:      svc.ep,
-	})
-	c.Obs().ObserveRecovery(svc.cfg.Label, c.Now()-svc.detectedAt)
-	if rs.dec.On(decision.KindOutcome) {
-		rs.dec.Emit(decision.Event{
-			Kind: decision.KindOutcome, Service: svc.cfg.Label, Defect: int(class),
-			Failures: svc.failures, Budget: restartBudget(svc),
-			Action: "recovered", Status: 0, Latency: c.Now() - svc.detectedAt,
-			Trace: svc.episode.Trace, Span: svc.episode.Span,
-		})
+	rs.settle(c, svc, class, "")
+}
+
+// openEpisode opens the recovery episode's root span at defect detection
+// (a granted microreboot whose reset then fails is detected twice; the
+// second detection continues the first's episode) and records the
+// detection.
+func (rs *RS) openEpisode(c *kernel.Ctx, svc *service, class Defect) {
+	if !svc.episode.Valid() {
+		svc.episode = c.Obs().StartSpan(Label, "recover:"+svc.cfg.Label, obs.SpanContext{})
 	}
-	c.Obs().EndSpan(Label, svc.episode, 0)
-	svc.episode = obs.SpanContext{}
-	c.SetTraceCtx(obs.SpanContext{})
+	if rs.dec.On(decision.KindDetect) {
+		rs.decide(svc, class, decision.Event{Kind: decision.KindDetect, Detail: svc.hbWindow()})
+	}
+}
+
+// settle books a completed recovery, whichever rung of the ladder carried
+// it out (how; "" for a respawn): svc.ep is serving again, so the event
+// log, the latency histogram and the decision trail get their entry and
+// the episode closes.
+func (rs *RS) settle(c *kernel.Ctx, svc *service, class Defect, how string) {
+	took := c.Now() - svc.detectedAt
+	rs.events = append(rs.events, Event{
+		Time: svc.detectedAt, Label: svc.cfg.Label, Defect: class,
+		Repetition: svc.failures, Recovered: true, Duration: took, NewEp: svc.ep,
+	})
+	c.Obs().ObserveRecovery(svc.cfg.Label, took)
+	rs.closeEpisode(c, svc, class, "recovered", how, 0)
 	svc.detectedAt = 0
 	svc.pendingClass = 0
+}
+
+// closeEpisode records the episode's terminal decision and ends its span
+// with status (0 recovered, 1 gave up).
+func (rs *RS) closeEpisode(c *kernel.Ctx, svc *service, class Defect, outcome, how string, status int64) {
+	rs.decide(svc, class, decision.Event{Kind: decision.KindOutcome,
+		Action: outcome, Detail: how, Status: status, Latency: c.Now() - svc.detectedAt})
+	c.Obs().EndSpan(Label, svc.episode, status)
+	svc.episode = obs.SpanContext{}
+	c.SetTraceCtx(obs.SpanContext{})
 }
 
 // [recovery:end]
@@ -1006,12 +948,10 @@ func (rs *RS) runPolicyScript(c *kernel.Ctx, svc *service, class Defect) {
 	args := append([]string{svc.cfg.Label, fmt.Sprint(int(class)), fmt.Sprint(svc.failures)},
 		svc.cfg.PolicyParams...)
 	c.Obs().Emit(obs.KindPolicyStart, svc.cfg.Label, runnerLabel, int64(class), int64(svc.failures))
-	// Snapshot the episode and RS state for the runner's decision trail:
-	// the script may itself complete the recovery (clearing svc.episode)
-	// before its remaining steps execute.
-	episode := svc.episode
-	failures := svc.failures
-	budget := restartBudget(svc)
+	// Snapshot the episode and budget state for the runner's decision
+	// trail: the script may itself complete the recovery (clearing
+	// svc.episode) before its remaining steps execute.
+	atLaunch := *svc
 	// The runner inherits the episode context at spawn: the script's
 	// restart calls show up inside the episode's span tree.
 	c.SetTraceCtx(svc.episode)
@@ -1044,11 +984,9 @@ func (rs *RS) runPolicyScript(c *kernel.Ctx, svc *service, class Defect) {
 		if rs.dec.On(decision.KindPolicyStep) {
 			opts = append(opts, policy.WithTrace(func(argv []string, status int) {
 				ev := decision.Event{
-					Kind: decision.KindPolicyStep, Service: args[0], Defect: int(class),
-					Failures: failures, Budget: budget,
+					Kind:   decision.KindPolicyStep,
 					Action: argv[0], Detail: policyStepDetail(argv, interp.VarState()),
 					Status: int64(status),
-					Trace:  episode.Trace, Span: episode.Span,
 				}
 				// The sleep builtin is the script's backoff: surface the
 				// computed delay as a first-class field.
@@ -1057,7 +995,7 @@ func (rs *RS) runPolicyScript(c *kernel.Ctx, svc *service, class Defect) {
 						ev.Delay = sim.Time(secs * float64(time.Second))
 					}
 				}
-				rs.dec.Emit(ev)
+				rs.decide(&atLaunch, class, ev)
 			}))
 		}
 		interp = policy.NewInterp(opts...)
@@ -1069,37 +1007,20 @@ func (rs *RS) runPolicyScript(c *kernel.Ctx, svc *service, class Defect) {
 			// back to a direct restart request.
 			_, _ = sh.SendRec(rsEp, kernel.Message{Type: proto.RSRestart, Name: args[0]})
 		}
-		if rs.dec.On(decision.KindPolicyStep) {
-			rs.dec.Emit(decision.Event{
-				Kind: decision.KindPolicyStep, Service: args[0], Defect: int(class),
-				Failures: failures, Budget: budget,
-				Action: "exit", Status: rc,
-				Trace: episode.Trace, Span: episode.Span,
-			})
-		}
+		rs.decide(&atLaunch, class, decision.Event{Kind: decision.KindPolicyStep, Action: "exit", Status: rc})
 		sh.Obs().Emit(obs.KindPolicyExit, args[0], runnerLabel, rc, 0)
 		sh.Exit(0)
 	})
 	if err != nil {
 		c.Logf("policy runner for %s: %v", svc.cfg.Label, err)
-		if rs.dec.On(decision.KindAction) {
-			rs.dec.Emit(decision.Event{
-				Kind: decision.KindAction, Service: svc.cfg.Label, Defect: int(class),
-				Failures: failures, Budget: budget,
-				Action: "restart-direct", Detail: "policy runner spawn failed",
-				Trace: episode.Trace, Span: episode.Span,
-			})
-		}
+		rs.decide(svc, class, decision.Event{Kind: decision.KindAction,
+			Action: "restart-direct", Detail: "policy runner spawn failed"})
 		rs.completeRecovery(c, svc, class)
 		return
 	}
 	if rs.dec.On(decision.KindAction) {
-		rs.dec.Emit(decision.Event{
-			Kind: decision.KindAction, Service: svc.cfg.Label, Defect: int(class),
-			Failures: failures, Budget: budget,
-			Action: "policy-run", Detail: strings.Join(args, " "),
-			Trace: episode.Trace, Span: episode.Span,
-		})
+		rs.decide(svc, class, decision.Event{Kind: decision.KindAction,
+			Action: "policy-run", Detail: strings.Join(args, " ")})
 	}
 }
 
@@ -1235,13 +1156,8 @@ func (rs *RS) doUpdate(c *kernel.Ctx, cfg ServiceConfig) {
 func (rs *RS) beginTermination(c *kernel.Ctx, svc *service, class Defect) {
 	if class == DefectUpdate {
 		svc.updating = true
-		if rs.dec.On(decision.KindTrigger) {
-			rs.dec.Emit(decision.Event{
-				Kind: decision.KindTrigger, Service: svc.cfg.Label, Defect: int(DefectUpdate),
-				Failures: svc.failures, Budget: restartBudget(svc),
-				Action: "terminate", Detail: "dynamic update", Delay: termGrace,
-			})
-		}
+		rs.decide(svc, DefectUpdate, decision.Event{Kind: decision.KindTrigger,
+			Action: "terminate", Detail: "dynamic update", Delay: termGrace})
 	}
 	svc.termKillAt = c.Now() + termGrace
 	_ = c.Kill(svc.ep, kernel.SIGTERM)
@@ -1265,11 +1181,8 @@ func (rs *RS) onComplaint(c *kernel.Ctx, m kernel.Message) {
 	}
 	c.Logf("complaint about %s from %s", m.Name, rs.k.LabelOf(m.Source))
 	if rs.dec.On(decision.KindTrigger) {
-		rs.dec.Emit(decision.Event{
-			Kind: decision.KindTrigger, Service: m.Name, Defect: int(DefectComplaint),
-			Failures: svc.failures, Budget: restartBudget(svc),
-			Action: "complaint-kill", Detail: "complaint from " + rs.k.LabelOf(m.Source),
-		})
+		rs.decide(svc, DefectComplaint, decision.Event{Kind: decision.KindTrigger,
+			Action: "complaint-kill", Detail: "complaint from " + rs.k.LabelOf(m.Source)})
 	}
 	svc.killClass = DefectComplaint
 	_ = c.Kill(svc.ep, kernel.SIGKILL)
@@ -1335,16 +1248,13 @@ func (rs *RS) onTimer(c *kernel.Ctx) {
 		}
 		if svc.termKillAt != 0 && now >= svc.termKillAt {
 			svc.termKillAt = 0
-			if !svc.stopped && rs.dec.On(decision.KindTrigger) {
-				class := 0
+			if !svc.stopped {
+				var class Defect
 				if svc.updating {
-					class = int(DefectUpdate)
+					class = DefectUpdate
 				}
-				rs.dec.Emit(decision.Event{
-					Kind: decision.KindTrigger, Service: svc.cfg.Label, Defect: class,
-					Failures: svc.failures, Budget: restartBudget(svc),
-					Action: "escalate-sigkill", Detail: "termination grace expired",
-				})
+				rs.decide(svc, class, decision.Event{Kind: decision.KindTrigger,
+					Action: "escalate-sigkill", Detail: "termination grace expired"})
 			}
 			_ = c.Kill(svc.ep, kernel.SIGKILL)
 			continue
@@ -1361,12 +1271,9 @@ func (rs *RS) onTimer(c *kernel.Ctx) {
 					// the exit event completes the recovery.
 					c.Logf("%s missed %d heartbeats; declaring stuck", svc.cfg.Label, svc.missed)
 					if rs.dec.On(decision.KindTrigger) {
-						rs.dec.Emit(decision.Event{
-							Kind: decision.KindTrigger, Service: svc.cfg.Label, Defect: int(DefectHeartbeat),
-							Failures: svc.failures, Budget: restartBudget(svc),
+						rs.decide(svc, DefectHeartbeat, decision.Event{Kind: decision.KindTrigger,
 							Action: "declare-stuck",
-							Detail: fmt.Sprintf("hb=%s missed=%d", svc.hbWindow(), svc.missed),
-						})
+							Detail: fmt.Sprintf("hb=%s missed=%d", svc.hbWindow(), svc.missed)})
 					}
 					svc.killClass = DefectHeartbeat
 					svc.awaiting = false

@@ -10,18 +10,16 @@
 // (MMU exception), a failed assert panics the driver, and an inverted
 // loop condition spins until the step budget marks the driver stuck
 // (caught by heartbeats).
+//
+// Like rtl8139 the package is only the chip — control program, symbol
+// table, planted state block, receive-drain loop; the rest of the driver
+// is drvlib's shared Ethernet half (drvlib.Eth).
 package dp8390
 
 import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"time"
-
 	"resilientos/internal/drvlib"
 	"resilientos/internal/hw"
 	"resilientos/internal/kernel"
-	"resilientos/internal/proto"
 	"resilientos/internal/ucode"
 )
 
@@ -257,197 +255,26 @@ func image(base uint32) *ucode.Image {
 func Image(base uint32) *ucode.Image { return image(base) }
 
 // Config configures a driver instance factory.
-type Config struct {
-	NIC *hw.NIC
-	// QueueLen bounds the internal transmit queue (default 64).
-	QueueLen int
-	// OnVM is the fault-injection hook, called with each instance's VM.
-	OnVM func(*ucode.VM)
-	// Mechanism selects the driver half of the recovery mechanism; it
-	// must match the service's RS configuration.
-	Mechanism drvlib.Mechanism
-	// Salvage enables the state-capsule save/restore handshake.
-	Salvage bool
-}
+type Config = drvlib.EthConfig
 
 // Binary returns the service binary for this driver.
 func Binary(cfg Config) func(c *kernel.Ctx) {
-	if cfg.QueueLen == 0 {
-		cfg.QueueLen = 64
-	}
-	return func(c *kernel.Ctx) {
-		d := &driver{cfg: cfg}
-		drvlib.RunWith(c, d, drvlib.Options{Mechanism: cfg.Mechanism, Salvage: cfg.Salvage})
-	}
-}
-
-type driver struct {
-	cfg    Config
-	vm     *ucode.VM
-	handle *hw.NICHandle
-	txQ    [][]byte
-	txBusy bool
-	client kernel.Endpoint
-}
-
-var errResetTimeout = errors.New("dp8390: reset did not complete")
-
-// setup builds the instance's pristine VM and attaches it to the card's
-// IRQ and DMA window, without touching device state.
-func (d *driver) setup(c *kernel.Ctx) error {
-	img := image(d.cfg.NIC.PortRange().Lo)
-	d.vm = ucode.New(img, drvlib.CtxBus{C: c})
-	if d.cfg.OnVM != nil {
-		d.cfg.OnVM(d.vm)
-	}
-	d.handle = d.cfg.NIC.Handle()
-	if err := c.IRQSubscribe(d.cfg.NIC.IRQ()); err != nil {
-		return fmt.Errorf("irq: %w", err)
-	}
-	return nil
+	return drvlib.EthBinary(drvlib.EthChip{Name: "dp8390", Image: image, Plant: plantState, Drain: drain}, cfg)
 }
 
 // plantState seeds the software state block a fresh (zeroed) VM needs to
 // pass its own consistency checks: the canary and ring pointers that the
-// "reset" routine normally plants.
-func (d *driver) plantState() {
-	d.vm.RAM[ramCanary] = canaryMagic
-	d.vm.RAM[ramBnry] = 0
-	d.vm.RAM[ramCurr] = 0
+// "reset" routine normally plants. An instance that takes the card over
+// without a reset (promotion, microreboot) starts from it — the block
+// lived in the dead VM, not in the card.
+func plantState(vm *ucode.VM) {
+	vm.RAM[ramCanary] = canaryMagic
+	vm.RAM[ramBnry] = 0
+	vm.RAM[ramCurr] = 0
 }
 
-// Init implements drvlib.Device.
-func (d *driver) Init(c *kernel.Ctx) error {
-	if err := d.setup(c); err != nil {
-		return err
-	}
-	return d.resetEnable(c)
-}
-
-// resetEnable pays the full hardware reset cycle and re-enables the
-// receiver.
-func (d *driver) resetEnable(c *kernel.Ctx) error {
-	drvlib.React(c, d.vm.Run("reset"))
-	deadline := c.Now() + 2*time.Second
-	for {
-		c.Sleep(10 * time.Millisecond)
-		if !drvlib.React(c, d.vm.Run("status")) {
-			continue
-		}
-		if d.vm.Regs[1]&hw.NICStatResetBsy == 0 {
-			break
-		}
-		if c.Now() > deadline {
-			return errResetTimeout
-		}
-	}
-	if !drvlib.React(c, d.vm.Run("enable")) {
-		return errors.New("dp8390: enable failed")
-	}
-	return nil
-}
-
-// Promote implements drvlib.Promoter: attach to the card the dead primary
-// left behind, skipping the reset cycle when the receiver is still
-// enabled. The software state block is re-planted either way — it lived
-// in the dead instance's VM, not in the card.
-func (d *driver) Promote(c *kernel.Ctx) error {
-	if err := d.setup(c); err != nil {
-		return err
-	}
-	d.plantState()
-	if drvlib.React(c, d.vm.Run("status")) {
-		st := d.vm.Regs[1]
-		if st&hw.NICStatEnabled != 0 && st&hw.NICStatResetBsy == 0 {
-			d.txBusy = st&hw.NICStatTxBusy != 0
-			return nil
-		}
-	}
-	return d.resetEnable(c)
-}
-
-// Microreboot implements drvlib.Microrebooter: swap in a pristine VM,
-// re-plant the software ring state, and re-derive the transmit
-// bookkeeping from the live card — the in-place reset that absorbs a
-// faulted VM without a hardware reset or respawn.
-func (d *driver) Microreboot(c *kernel.Ctx) error {
-	img := image(d.cfg.NIC.PortRange().Lo)
-	d.vm = ucode.New(img, drvlib.CtxBus{C: c})
-	if d.cfg.OnVM != nil {
-		d.cfg.OnVM(d.vm)
-	}
-	d.plantState()
-	if !drvlib.React(c, d.vm.Run("status")) {
-		return errors.New("dp8390: status probe failed after vm reset")
-	}
-	st := d.vm.Regs[1]
-	if st&hw.NICStatEnabled == 0 {
-		if !drvlib.React(c, d.vm.Run("enable")) {
-			return errors.New("dp8390: re-enable failed")
-		}
-	}
-	d.txBusy = st&hw.NICStatTxBusy != 0
-	d.pump(c)
-	return nil
-}
-
-// capsuleKind tags this driver's state capsules.
-const capsuleKind = "dp8390.conf"
-
-// SaveState implements drvlib.Salvager: the network server binding
-// survives a clean handover.
-func (d *driver) SaveState(c *kernel.Ctx) (string, []byte) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(d.client))
-	return capsuleKind, b[:]
-}
-
-// RestoreState implements drvlib.Salvager: validate, then adopt; a stale
-// client endpoint rejects the capsule.
-func (d *driver) RestoreState(c *kernel.Ctx, kind string, payload []byte) error {
-	if kind != capsuleKind || len(payload) != 8 {
-		return errors.New("dp8390: foreign or malformed capsule")
-	}
-	client := kernel.Endpoint(binary.LittleEndian.Uint64(payload))
-	if client == 0 || client == kernel.None {
-		return nil // predecessor had no client bound
-	}
-	if !c.Kernel().Alive(client) {
-		return errors.New("dp8390: capsule client endpoint is stale")
-	}
-	d.client = client
-	return nil
-}
-
-// HandleRequest implements drvlib.Device.
-func (d *driver) HandleRequest(c *kernel.Ctx, m kernel.Message) {
-	switch m.Type {
-	case proto.EthConf:
-		d.client = m.Source
-		_ = c.Send(m.Source, kernel.Message{Type: proto.EthAck, Arg1: proto.OK})
-	case proto.EthSend:
-		if len(d.txQ) >= d.cfg.QueueLen {
-			return // dropped; reliable protocols retransmit
-		}
-		d.txQ = append(d.txQ, m.Payload)
-		d.pump(c)
-	}
-}
-
-func (d *driver) pump(c *kernel.Ctx) {
-	if d.txBusy || len(d.txQ) == 0 {
-		return
-	}
-	frame := d.txQ[0]
-	d.txQ = d.txQ[1:]
-	d.handle.SetTx(frame)
-	if drvlib.React(c, d.vm.Run("tx")) {
-		d.txBusy = true
-	}
-}
-
-// HandleIRQ implements drvlib.Device.
-func (d *driver) HandleIRQ(c *kernel.Ctx, mask uint64) {
+// drain pops received frames in "rxdrain" batches of up to 8.
+func drain(c *kernel.Ctx, e *drvlib.Eth) {
 	for rounds := 0; ; rounds++ {
 		if rounds > 32 {
 			// A (faulty) drain that always claims a full batch would spin
@@ -455,37 +282,16 @@ func (d *driver) HandleIRQ(c *kernel.Ctx, mask uint64) {
 			// only through missed heartbeats.
 			drvlib.Stuck(c)
 		}
-		if !drvlib.React(c, d.vm.Run("rxdrain")) {
-			break
+		if !e.Call(c, "rxdrain") {
+			return
 		}
-		popped := int(d.vm.Regs[1])
-		for i := 0; i < popped; i++ {
-			// rxdrain pops register-side; the DMA window holds the last
-			// frame only, so drain one frame per VM call in lockstep.
-			frame := d.handle.TakeRx()
-			if frame == nil {
-				break
-			}
-			if d.client != kernel.None && d.client != 0 {
-				_ = c.AsyncSend(d.client, kernel.Message{Type: proto.EthRecv, Payload: frame})
-			}
+		popped := int(e.VM.Regs[1])
+		// rxdrain pops register-side; the DMA window holds the frames in
+		// pop order, so collect one per pop in lockstep.
+		for i := 0; i < popped && e.Deliver(c); i++ {
 		}
 		if popped < 8 {
-			break
+			return
 		}
 	}
-	if drvlib.React(c, d.vm.Run("status")) {
-		if d.vm.Regs[1]&hw.NICStatTxBusy == 0 {
-			d.txBusy = false
-			d.pump(c)
-		}
-	}
-}
-
-// HandleAlarm implements drvlib.Device.
-func (d *driver) HandleAlarm(c *kernel.Ctx) {}
-
-// Shutdown implements drvlib.Device.
-func (d *driver) Shutdown(c *kernel.Ctx) {
-	drvlib.React(c, d.vm.Run("reset"))
 }

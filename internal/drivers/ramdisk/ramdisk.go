@@ -25,10 +25,8 @@ type Config struct {
 	// disk driver keeps serving the same memory, like MINIX's RAM disk
 	// whose contents live in core, not in the driver process.
 	Backing *Store
-	// Mechanism selects the driver half of the recovery mechanism.
-	Mechanism drvlib.Mechanism
-	// Salvage enables the state-capsule save/restore handshake.
-	Salvage bool
+	// Options selects the driver half of the recovery mechanism.
+	drvlib.Options
 }
 
 // Store is the RAM disk's backing memory, deliberately held outside the
@@ -67,8 +65,7 @@ func Binary(cfg Config) func(c *kernel.Ctx) {
 		cfg.Backing = NewStore()
 	}
 	return func(c *kernel.Ctx) {
-		d := &driver{cfg: cfg}
-		drvlib.RunWith(c, d, drvlib.Options{Mechanism: cfg.Mechanism, Salvage: cfg.Salvage})
+		drvlib.RunWith(c, &driver{cfg: cfg}, cfg.Options)
 	}
 }
 

@@ -3,18 +3,17 @@
 // reset, receiver enable, transmit kick, receive pop — run as ucode on the
 // driver VM, so the fault injector can mutate the running "binary"; bulk
 // frame data moves through the NIC's DMA window.
+//
+// The package is the chip: its control program, the symbol table, and the
+// receive-drain loop. Everything a driver does around them — message
+// loop, transmit queue, client binding, and the driver half of every
+// recovery mechanism — is drvlib's shared Ethernet half (drvlib.Eth).
 package rtl8139
 
 import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"time"
-
 	"resilientos/internal/drvlib"
 	"resilientos/internal/hw"
 	"resilientos/internal/kernel"
-	"resilientos/internal/proto"
 	"resilientos/internal/ucode"
 )
 
@@ -113,235 +112,16 @@ func image(base uint32) *ucode.Image {
 }
 
 // Config configures a driver instance factory.
-type Config struct {
-	NIC *hw.NIC
-	// QueueLen bounds the internal transmit queue (default 64).
-	QueueLen int
-	// OnVM, if set, is called with each new instance's VM — the hook the
-	// fault-injection campaign uses to reach the running binary.
-	OnVM func(*ucode.VM)
-	// Mechanism selects the driver half of the recovery mechanism; it
-	// must match the service's RS configuration.
-	Mechanism drvlib.Mechanism
-	// Salvage enables the state-capsule save/restore handshake.
-	Salvage bool
-}
+type Config = drvlib.EthConfig
 
 // Binary returns the service binary for this driver. Each (re)start calls
 // it afresh, so a restarted instance runs a pristine image.
 func Binary(cfg Config) func(c *kernel.Ctx) {
-	if cfg.QueueLen == 0 {
-		cfg.QueueLen = 64
-	}
-	return func(c *kernel.Ctx) {
-		d := &driver{cfg: cfg}
-		drvlib.RunWith(c, d, drvlib.Options{Mechanism: cfg.Mechanism, Salvage: cfg.Salvage})
-	}
+	return drvlib.EthBinary(drvlib.EthChip{Name: "rtl8139", Image: image, Drain: drain}, cfg)
 }
 
-type driver struct {
-	cfg    Config
-	vm     *ucode.VM
-	handle *hw.NICHandle
-	txQ    [][]byte
-	txBusy bool
-	client kernel.Endpoint // who gets received frames (last configurer)
-	opened bool
-}
-
-var errResetTimeout = errors.New("rtl8139: reset did not complete")
-
-// setup builds the instance's pristine VM and attaches it to the card's
-// IRQ and DMA window, without touching device state.
-func (d *driver) setup(c *kernel.Ctx) error {
-	// The image is position-dependent on the NIC's port base; assemble a
-	// pristine copy for this instance.
-	img := image(d.cfg.NIC.PortRange().Lo)
-	d.vm = ucode.New(img, drvlib.CtxBus{C: c})
-	if d.cfg.OnVM != nil {
-		d.cfg.OnVM(d.vm)
+// drain pops received frames one per "rx" call until the ring is empty.
+func drain(c *kernel.Ctx, e *drvlib.Eth) {
+	for e.Call(c, "rx") && e.VM.Regs[1] != 0 && e.Deliver(c) {
 	}
-	d.handle = d.cfg.NIC.Handle()
-	if err := c.IRQSubscribe(d.cfg.NIC.IRQ()); err != nil {
-		return fmt.Errorf("irq: %w", err)
-	}
-	return nil
-}
-
-// Init implements drvlib.Device: reset and (re)initialize the card. After
-// a crash this is what puts the card back in promiscuous receive mode
-// (paper §6.1).
-func (d *driver) Init(c *kernel.Ctx) error {
-	if err := d.setup(c); err != nil {
-		return err
-	}
-	return d.resetEnable(c)
-}
-
-// resetEnable pays the full hardware reset cycle and re-enables the
-// receiver — the NICResetDelay that dominates a respawn's recovery dip.
-func (d *driver) resetEnable(c *kernel.Ctx) error {
-	drvlib.React(c, d.vm.Run("reset"))
-	// Poll for reset completion; the card takes NICResetDelay.
-	deadline := c.Now() + 2*time.Second
-	for {
-		c.Sleep(10 * time.Millisecond)
-		if !drvlib.React(c, d.vm.Run("status")) {
-			continue
-		}
-		st := d.vm.Regs[1]
-		if st&hw.NICStatResetBsy == 0 {
-			break
-		}
-		if c.Now() > deadline {
-			return errResetTimeout
-		}
-	}
-	if !drvlib.React(c, d.vm.Run("enable")) {
-		return errors.New("rtl8139: enable failed")
-	}
-	return nil
-}
-
-// Promote implements drvlib.Promoter: attach to the card the dead primary
-// left behind. A crash does not reset the hardware, so the receiver is
-// normally still enabled and the NICResetDelay cycle can be skipped
-// entirely — the fast path that keeps the failover dip shallow. A card
-// found disabled or mid-reset pays the full cycle.
-func (d *driver) Promote(c *kernel.Ctx) error {
-	if err := d.setup(c); err != nil {
-		return err
-	}
-	if drvlib.React(c, d.vm.Run("status")) {
-		st := d.vm.Regs[1]
-		if st&hw.NICStatEnabled != 0 && st&hw.NICStatResetBsy == 0 {
-			d.txBusy = st&hw.NICStatTxBusy != 0
-			return nil
-		}
-	}
-	return d.resetEnable(c)
-}
-
-// Microreboot implements drvlib.Microrebooter: swap in a pristine VM and
-// re-derive the transmit bookkeeping from the live card — no hardware
-// reset, no respawn, no re-grant churn, so the stream resumes almost
-// immediately. The client binding and queue survive: they were never the
-// faulty state, the VM was.
-func (d *driver) Microreboot(c *kernel.Ctx) error {
-	img := image(d.cfg.NIC.PortRange().Lo)
-	d.vm = ucode.New(img, drvlib.CtxBus{C: c})
-	if d.cfg.OnVM != nil {
-		d.cfg.OnVM(d.vm)
-	}
-	if !drvlib.React(c, d.vm.Run("status")) {
-		return errors.New("rtl8139: status probe failed after vm reset")
-	}
-	st := d.vm.Regs[1]
-	if st&hw.NICStatEnabled == 0 {
-		if !drvlib.React(c, d.vm.Run("enable")) {
-			return errors.New("rtl8139: re-enable failed")
-		}
-	}
-	d.txBusy = st&hw.NICStatTxBusy != 0
-	d.pump(c)
-	return nil
-}
-
-// capsuleKind tags this driver's state capsules.
-const capsuleKind = "rtl8139.conf"
-
-// SaveState implements drvlib.Salvager: the network server binding and
-// open state survive a clean handover, so the successor serves without
-// waiting to be re-configured.
-func (d *driver) SaveState(c *kernel.Ctx) (string, []byte) {
-	var b [9]byte
-	if d.opened {
-		b[0] = 1
-	}
-	binary.LittleEndian.PutUint64(b[1:], uint64(d.client))
-	return capsuleKind, b[:]
-}
-
-// RestoreState implements drvlib.Salvager: validate, then adopt. A
-// capsule naming a dead client endpoint is stale state from an older
-// epoch and is rejected — the successor cold-starts instead.
-func (d *driver) RestoreState(c *kernel.Ctx, kind string, payload []byte) error {
-	if kind != capsuleKind || len(payload) != 9 {
-		return errors.New("rtl8139: foreign or malformed capsule")
-	}
-	client := kernel.Endpoint(binary.LittleEndian.Uint64(payload[1:]))
-	if payload[0] != 1 {
-		return nil // predecessor was never configured: nothing to adopt
-	}
-	if client == kernel.None || !c.Kernel().Alive(client) {
-		return errors.New("rtl8139: capsule client endpoint is stale")
-	}
-	d.client = client
-	d.opened = true
-	return nil
-}
-
-// HandleRequest implements drvlib.Device.
-func (d *driver) HandleRequest(c *kernel.Ctx, m kernel.Message) {
-	switch m.Type {
-	case proto.EthConf:
-		d.client = m.Source
-		d.opened = true
-		_ = c.Send(m.Source, kernel.Message{Type: proto.EthAck, Arg1: proto.OK})
-	case proto.EthSend:
-		if len(d.txQ) >= d.cfg.QueueLen {
-			return // queue overflow: frame dropped, TCP will retransmit
-		}
-		d.txQ = append(d.txQ, m.Payload)
-		d.pump(c)
-	}
-}
-
-// pump pushes queued frames into the card whenever the transmitter idles.
-func (d *driver) pump(c *kernel.Ctx) {
-	if d.txBusy || len(d.txQ) == 0 {
-		return
-	}
-	frame := d.txQ[0]
-	d.txQ = d.txQ[1:]
-	d.handle.SetTx(frame)
-	if drvlib.React(c, d.vm.Run("tx")) {
-		d.txBusy = true
-	}
-}
-
-// HandleIRQ implements drvlib.Device: drain received frames and continue
-// transmitting.
-func (d *driver) HandleIRQ(c *kernel.Ctx, mask uint64) {
-	// Drain the receive ring.
-	for {
-		if !drvlib.React(c, d.vm.Run("rx")) {
-			break
-		}
-		if d.vm.Regs[1] == 0 {
-			break
-		}
-		frame := d.handle.TakeRx()
-		if frame == nil {
-			break
-		}
-		if d.client != kernel.None && d.client != 0 {
-			_ = c.AsyncSend(d.client, kernel.Message{Type: proto.EthRecv, Payload: frame})
-		}
-	}
-	// A tx-done interrupt frees the transmitter.
-	if drvlib.React(c, d.vm.Run("status")) {
-		if d.vm.Regs[1]&hw.NICStatTxBusy == 0 {
-			d.txBusy = false
-			d.pump(c)
-		}
-	}
-}
-
-// HandleAlarm implements drvlib.Device.
-func (d *driver) HandleAlarm(c *kernel.Ctx) {}
-
-// Shutdown implements drvlib.Device.
-func (d *driver) Shutdown(c *kernel.Ctx) {
-	drvlib.React(c, d.vm.Run("reset"))
 }

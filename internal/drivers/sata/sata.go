@@ -12,7 +12,6 @@ package sata
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"sort"
 	"time"
 
@@ -109,110 +108,58 @@ type Config struct {
 	Disk *hw.Disk
 	// OnVM is the fault-injection hook.
 	OnVM func(*ucode.VM)
-	// Mechanism selects the driver half of the recovery mechanism; it
-	// must match the service's RS configuration.
-	Mechanism drvlib.Mechanism
-	// Salvage enables the state-capsule save/restore handshake.
-	Salvage bool
+	// Options selects the driver half of the recovery mechanism.
+	drvlib.Options
 }
 
 // Binary returns the service binary for this driver.
 func Binary(cfg Config) func(c *kernel.Ctx) {
+	ready := drvlib.StatusBits{Mask: hw.DiskStatBusy | hw.DiskStatReady, Want: hw.DiskStatReady}
 	return func(c *kernel.Ctx) {
-		d := &driver{cfg: cfg}
-		drvlib.RunWith(c, d, drvlib.Options{Mechanism: cfg.Mechanism, Salvage: cfg.Salvage})
+		drvlib.RunWith(c, &driver{
+			VMDevice: drvlib.VMDevice{
+				Chip: "sata", Image: image, OnVM: cfg.OnVM,
+				Base: cfg.Disk.PortRange().Lo, IRQ: cfg.Disk.IRQ(),
+				// The reset+identify cycle is what makes disk-driver
+				// recovery slower than network-driver recovery in the
+				// paper's Fig. 8 vs Fig. 7 comparison.
+				Poll: 20 * time.Millisecond, Timeout: 10 * time.Second,
+				Ready: ready, Live: ready,
+			},
+			handle: cfg.Disk.Handle(),
+			opened: make(map[int64]bool),
+			busy:   kernel.None,
+		}, cfg.Options)
 	}
 }
 
+// driver adds the transfer path and the open-minor table to the shared
+// VM-device core, which supplies Init, Promote and Shutdown unchanged.
 type driver struct {
-	cfg    Config
-	vm     *ucode.VM
+	drvlib.VMDevice
 	handle *hw.DiskHandle
 	opened map[int64]bool // open minor devices
+	// busy is the requester of the transfer in progress (None when idle):
+	// the one caller a fault in the middle of a transfer leaves waiting.
+	busy kernel.Endpoint
 }
 
-var errResetTimeout = errors.New("sata: reset did not complete")
-
-// setup builds the instance's pristine VM and attaches it to the disk's
-// IRQ and DMA window, without touching device state.
-func (d *driver) setup(c *kernel.Ctx) error {
-	img := image(d.cfg.Disk.PortRange().Lo)
-	d.vm = ucode.New(img, drvlib.CtxBus{C: c})
-	if d.cfg.OnVM != nil {
-		d.cfg.OnVM(d.vm)
-	}
-	d.handle = d.cfg.Disk.Handle()
-	if d.opened == nil {
-		d.opened = make(map[int64]bool)
-	}
-	if err := c.IRQSubscribe(d.cfg.Disk.IRQ()); err != nil {
-		return fmt.Errorf("irq: %w", err)
-	}
-	return nil
-}
-
-// Init implements drvlib.Device. The reset+identify here is what makes
-// disk-driver recovery slower than network-driver recovery in the paper's
-// Fig. 8 vs Fig. 7 comparison.
-func (d *driver) Init(c *kernel.Ctx) error {
-	if err := d.setup(c); err != nil {
-		return err
-	}
-	return d.resetIdentify(c)
-}
-
-// resetIdentify pays the full DiskResetDelay cycle.
-func (d *driver) resetIdentify(c *kernel.Ctx) error {
-	drvlib.React(c, d.vm.Run("reset"))
-	deadline := c.Now() + 10*time.Second
-	for {
-		c.Sleep(20 * time.Millisecond)
-		if !drvlib.React(c, d.vm.Run("status")) {
-			continue
-		}
-		st := d.vm.Regs[1]
-		if st&hw.DiskStatBusy == 0 && st&hw.DiskStatReady != 0 {
-			return nil
-		}
-		if c.Now() > deadline {
-			return errResetTimeout
-		}
-	}
-}
-
-// Promote implements drvlib.Promoter: attach to the disk the dead primary
-// left behind. A crash does not reset the device, so it is normally still
-// ready and the DiskResetDelay cycle — the dominant term in Fig. 8's
-// recovery time — is skipped. A device found busy or not ready pays the
-// full reset.
-func (d *driver) Promote(c *kernel.Ctx) error {
-	if err := d.setup(c); err != nil {
-		return err
-	}
-	if drvlib.React(c, d.vm.Run("status")) {
-		st := d.vm.Regs[1]
-		if st&hw.DiskStatBusy == 0 && st&hw.DiskStatReady != 0 {
-			return nil
-		}
-	}
-	return d.resetIdentify(c)
-}
-
-// Microreboot implements drvlib.Microrebooter: swap in a pristine VM
-// against the live device. Open minors survive — they were never the
-// faulty state.
+// Microreboot implements drvlib.Microrebooter. Open minors survive the VM
+// swap; the transfer the fault interrupted does not, and its requester is
+// told so — an interrupted request is failed, not dropped, or the caller
+// waits forever on an endpoint that never died (the file server reissues
+// on ErrIO). A device still busy with the abandoned command cannot be
+// taken over in place: the error falls back to a full respawn.
 func (d *driver) Microreboot(c *kernel.Ctx) error {
-	img := image(d.cfg.Disk.PortRange().Lo)
-	d.vm = ucode.New(img, drvlib.CtxBus{C: c})
-	if d.cfg.OnVM != nil {
-		d.cfg.OnVM(d.vm)
+	if err := d.VMDevice.Microreboot(c); err != nil {
+		return err
 	}
-	if !drvlib.React(c, d.vm.Run("status")) {
-		return errors.New("sata: status probe failed after vm reset")
-	}
-	st := d.vm.Regs[1]
-	if st&hw.DiskStatBusy != 0 || st&hw.DiskStatReady == 0 {
+	if !d.Live.In(d.St) {
 		return errors.New("sata: device not ready after vm reset")
+	}
+	if d.busy != kernel.None {
+		_ = c.Send(d.busy, kernel.Message{Type: proto.BdevReply, Arg1: proto.ErrIO})
+		d.busy = kernel.None
 	}
 	return nil
 }
@@ -264,10 +211,10 @@ func (d *driver) HandleRequest(c *kernel.Ctx, m kernel.Message) {
 	case proto.BdevOpen:
 		d.opened[m.Arg1] = true
 		_ = c.Send(m.Source, kernel.Message{Type: proto.BdevReply, Arg1: proto.OK})
-	case proto.BdevRead:
-		d.transfer(c, m, false)
-	case proto.BdevWrite:
-		d.transfer(c, m, true)
+	case proto.BdevRead, proto.BdevWrite:
+		d.busy = m.Source // a VM fault unwinds past the reset below
+		d.transfer(c, m, m.Type == proto.BdevWrite)
+		d.busy = kernel.None
 	}
 }
 
@@ -295,7 +242,7 @@ func (d *driver) transfer(c *kernel.Ctx, m kernel.Message, write bool) {
 		}
 		d.handle.PutData(buf)
 	}
-	if !drvlib.React(c, d.vm.Run("submit", uint32(lba), uint32(count), cmd)) {
+	if !d.Call(c, "submit", uint32(lba), uint32(count), cmd) {
 		fail()
 		return
 	}
@@ -306,15 +253,16 @@ func (d *driver) transfer(c *kernel.Ctx, m kernel.Message, write bool) {
 			fail()
 			return
 		}
-		if !drvlib.React(c, d.vm.Run("status")) {
+		st, ok := d.Status(c)
+		if !ok {
 			fail()
 			return
 		}
-		if d.vm.Regs[1]&hw.DiskStatBusy == 0 {
+		if st&hw.DiskStatBusy == 0 {
 			break
 		}
 	}
-	if !drvlib.React(c, d.vm.Run("checkdone")) {
+	if !d.Call(c, "checkdone") {
 		fail()
 		return
 	}
@@ -337,11 +285,3 @@ func (d *driver) transfer(c *kernel.Ctx, m kernel.Message, write bool) {
 // HandleIRQ implements drvlib.Device. Completion interrupts are consumed
 // synchronously inside transfer; anything arriving here is stale.
 func (d *driver) HandleIRQ(c *kernel.Ctx, mask uint64) {}
-
-// HandleAlarm implements drvlib.Device.
-func (d *driver) HandleAlarm(c *kernel.Ctx) {}
-
-// Shutdown implements drvlib.Device.
-func (d *driver) Shutdown(c *kernel.Ctx) {
-	drvlib.React(c, d.vm.Run("reset"))
-}

@@ -13,7 +13,9 @@ func TestCapsuleRoundTrip(t *testing.T) {
 		kind    string
 		payload []byte
 	}{
-		{1, "rtl8139.conf", []byte{0x01, 0x52, 0x54, 0x00, 0x12, 0x34, 0x56, 0x3F, 0x01}},
+		// An Ethernet driver's capsule (Eth.SaveState): the bound network
+		// server's endpoint, u64 LE.
+		{1, "rtl8139.conf", []byte{0x0B, 0x10, 0, 0, 0, 0, 0, 0}},
 		{7, "ramdisk.geom", []byte{0, 0, 1, 0, 0, 0, 0, 0}},
 		{0xFFFFFFFF, "sata.queue", nil},
 		{42, "", []byte("x")},
@@ -74,7 +76,7 @@ func TestCapsuleRejectsCorruption(t *testing.T) {
 func FuzzDecodeCapsule(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add([]byte("RSC1"))
-	f.Add(EncodeCapsule(1, "rtl8139.conf", []byte{1, 2, 3, 4, 5, 6, 7, 8, 9}))
+	f.Add(EncodeCapsule(1, "rtl8139.conf", []byte{0x0B, 0x10, 0, 0, 0, 0, 0, 0}))
 	f.Add(EncodeCapsule(0, "", nil))
 	f.Add(EncodeCapsule(0xFFFFFFFF, "sata.queue", bytes.Repeat([]byte{0xAA}, 100)))
 	f.Fuzz(func(t *testing.T, data []byte) {

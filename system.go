@@ -33,6 +33,7 @@ import (
 	"resilientos/internal/drivers/ramdisk"
 	"resilientos/internal/drivers/rtl8139"
 	"resilientos/internal/drivers/sata"
+	"resilientos/internal/drvlib"
 	"resilientos/internal/hw"
 	"resilientos/internal/inet"
 	"resilientos/internal/kernel"
@@ -281,6 +282,23 @@ func (sys *System) driverPriv(ports kernel.PortRange, irq int) kernel.Privileges
 	}
 }
 
+// guardedDriver describes one of the drivers the recovery mechanism
+// applies to. The mechanism has a driver half (drvlib.Options, handed to
+// binary) and an RS half (ServiceConfig.Mechanism) that must agree; both
+// are derived here from the one Config value.
+func (sys *System) guardedDriver(label string, priv kernel.Privileges,
+	binary func(drvlib.Options) core.Binary) core.ServiceConfig {
+	return core.ServiceConfig{
+		Label:           label,
+		Binary:          binary(drvlib.Options{Mechanism: sys.cfg.Mechanism, Salvage: sys.cfg.Salvage}),
+		Priv:            priv,
+		HeartbeatPeriod: sys.hb(),
+		HeartbeatMisses: sys.cfg.HeartbeatMisses,
+		MaxRestarts:     sys.cfg.MaxRestarts,
+		Mechanism:       sys.cfg.Mechanism,
+	}
+}
+
 func (sys *System) serverPriv(mayComplain bool) kernel.Privileges {
 	return kernel.Privileges{
 		AllowAllIPC: true,
@@ -294,30 +312,16 @@ func (sys *System) bootNet() {
 	cfg := sys.cfg
 	m := sys.Machine
 	// Local drivers.
-	sys.RS.StartService(core.ServiceConfig{
-		Label: DriverRTL8139,
-		Binary: rtl8139.Binary(rtl8139.Config{NIC: m.NIC0, OnVM: sys.trackVM(DriverRTL8139),
-			Mechanism: cfg.Mechanism, Salvage: cfg.Salvage}),
-		Priv:            sys.driverPriv(m.NIC0.PortRange(), m.NIC0.IRQ()),
-		HeartbeatPeriod: sys.hb(),
-		HeartbeatMisses: cfg.HeartbeatMisses,
-		Policy:          cfg.NetPolicy,
-		PolicyParams:    cfg.NetPolicyParams,
-		MaxRestarts:     cfg.MaxRestarts,
-		Mechanism:       cfg.Mechanism,
-	})
-	sys.RS.StartService(core.ServiceConfig{
-		Label: DriverDP8390,
-		Binary: dp8390.Binary(dp8390.Config{NIC: m.NIC1, OnVM: sys.trackVM(DriverDP8390),
-			Mechanism: cfg.Mechanism, Salvage: cfg.Salvage}),
-		Priv:            sys.driverPriv(m.NIC1.PortRange(), m.NIC1.IRQ()),
-		HeartbeatPeriod: sys.hb(),
-		HeartbeatMisses: cfg.HeartbeatMisses,
-		Policy:          cfg.NetPolicy,
-		PolicyParams:    cfg.NetPolicyParams,
-		MaxRestarts:     cfg.MaxRestarts,
-		Mechanism:       cfg.Mechanism,
-	})
+	eth := func(label string, nic *hw.NIC, binary func(drvlib.EthConfig) func(*kernel.Ctx)) {
+		svc := sys.guardedDriver(label, sys.driverPriv(nic.PortRange(), nic.IRQ()),
+			func(o drvlib.Options) core.Binary {
+				return binary(drvlib.EthConfig{NIC: nic, OnVM: sys.trackVM(label), Options: o})
+			})
+		svc.Policy, svc.PolicyParams = cfg.NetPolicy, cfg.NetPolicyParams
+		sys.RS.StartService(svc)
+	}
+	eth(DriverRTL8139, m.NIC0, rtl8139.Binary)
+	eth(DriverDP8390, m.NIC1, dp8390.Binary)
 	// Remote peer drivers: ideal, never killed by the experiments.
 	sys.RS.StartService(core.ServiceConfig{
 		Label:  remoteDriver0,
@@ -370,31 +374,21 @@ func (sys *System) bootDisk() {
 	if _, err := mfs.Mkfs(m.Disk, mfs.MkfsConfig{Ateach: prealloc}); err != nil {
 		panic(err)
 	}
-	sys.RS.StartService(core.ServiceConfig{
-		Label: DriverSATA,
-		Binary: sata.Binary(sata.Config{Disk: m.Disk, OnVM: sys.trackVM(DriverSATA),
-			Mechanism: sys.cfg.Mechanism, Salvage: sys.cfg.Salvage}),
-		Priv:            sys.driverPriv(m.Disk.PortRange(), m.Disk.IRQ()),
-		HeartbeatPeriod: sys.hb(),
-		HeartbeatMisses: sys.cfg.HeartbeatMisses,
-		// §6.2: no policy script for disk drivers — direct RAM restart.
-		MaxRestarts: sys.cfg.MaxRestarts,
-		Mechanism:   sys.cfg.Mechanism,
-	})
+	// §6.2: no policy script for disk drivers — direct RAM restart.
+	sys.RS.StartService(sys.guardedDriver(DriverSATA, sys.driverPriv(m.Disk.PortRange(), m.Disk.IRQ()),
+		func(o drvlib.Options) core.Binary {
+			return sata.Binary(sata.Config{Disk: m.Disk, OnVM: sys.trackVM(DriverSATA), Options: o})
+		}))
 	sys.RAMStore = ramdisk.NewStore()
-	sys.RS.StartService(core.ServiceConfig{
-		Label: DriverRAMDisk,
-		Binary: ramdisk.Binary(ramdisk.Config{Backing: sys.RAMStore,
-			Mechanism: sys.cfg.Mechanism, Salvage: sys.cfg.Salvage}),
-		Priv: kernel.Privileges{
-			IPCTo: []string{core.Label, ds.Label, ServerMFS, ServerVFS},
-			Calls: []kernel.Call{kernel.CallSafeCopy},
-			UID:   100,
-		},
-		HeartbeatPeriod: sys.hb(),
-		HeartbeatMisses: sys.cfg.HeartbeatMisses,
-		Mechanism:       sys.cfg.Mechanism,
+	ram := sys.guardedDriver(DriverRAMDisk, kernel.Privileges{
+		IPCTo: []string{core.Label, ds.Label, ServerMFS, ServerVFS},
+		Calls: []kernel.Call{kernel.CallSafeCopy},
+		UID:   100,
+	}, func(o drvlib.Options) core.Binary {
+		return ramdisk.Binary(ramdisk.Config{Backing: sys.RAMStore, Options: o})
 	})
+	ram.MaxRestarts = 0 // the trusted RAM disk is never given up on
+	sys.RS.StartService(ram)
 	// File server stack.
 	sys.MFS = mfs.New(mfs.Config{
 		DS:           sys.DSEp,
