@@ -23,11 +23,60 @@ import (
 	"resilientos/internal/ucode"
 )
 
+// gateAllocs fails b when op allocates: these paths allocated nothing when
+// the gate was set, and simspeed's allocs/event is made of them.
+func gateAllocs(b *testing.B, what string, op func()) {
+	b.Helper()
+	if allocs := testing.AllocsPerRun(100, op); allocs != 0 {
+		b.Fatalf("%s allocates %v times", what, allocs)
+	}
+}
+
+// BenchmarkHotpathSwitch measures the scheduler's hand-off alone: two
+// processes wake each other and park. One iteration is one Wake, one
+// run-queue entry and one coroutine switch each way.
+func BenchmarkHotpathSwitch(b *testing.B) {
+	env := sim.NewEnv(1)
+	defer env.Close()
+	var ping, pong *sim.Proc
+	switches := 0
+	// Each stops the loop on resuming, so one Run is one hand-off.
+	ping = env.Spawn("ping", func(p *sim.Proc) {
+		for {
+			p.Park()
+			switches++
+			env.Stop()
+			pong.Wake(nil)
+		}
+	})
+	pong = env.Spawn("pong", func(p *sim.Proc) {
+		for {
+			ping.Wake(nil)
+			p.Park()
+			switches++
+			env.Stop()
+		}
+	})
+	handOff := func() { env.Run(0) }
+	handOff() // both started
+	gateAllocs(b, "a Park/Wake hand-off", handOff)
+	switches = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		handOff()
+	}
+	if switches != b.N {
+		b.Fatalf("%d hand-offs in %d runs", switches, b.N)
+	}
+}
+
 // BenchmarkHotpathIPCRendezvous measures one kernel send/receive
 // round-trip between two processes: two rendezvous handoffs, two
 // coroutine switches, plus dispatch bookkeeping per iteration.
 func BenchmarkHotpathIPCRendezvous(b *testing.B) {
 	env := sim.NewEnv(1)
+	defer env.Close()
 	k := kernel.New(env)
 	priv := kernel.Privileges{AllowAllIPC: true}
 	srv, err := k.Spawn("echo", priv, func(c *kernel.Ctx) {
@@ -46,7 +95,7 @@ func BenchmarkHotpathIPCRendezvous(b *testing.B) {
 	}
 	trips := 0
 	if _, err := k.Spawn("client", priv, func(c *kernel.Ctx) {
-		for i := 0; i < b.N; i++ {
+		for i := 0; ; i++ {
 			if c.Send(srv.Endpoint(), kernel.Message{Type: 1, Arg1: int64(i)}) != nil {
 				return
 			}
@@ -54,13 +103,20 @@ func BenchmarkHotpathIPCRendezvous(b *testing.B) {
 				return
 			}
 			trips++
+			env.Stop() // one Run is one round-trip
 		}
 	}); err != nil {
 		b.Fatal(err)
 	}
+	roundTrip := func() { env.Run(0) }
+	roundTrip() // both started
+	gateAllocs(b, "an IPC round-trip", roundTrip)
+	trips = 0
 	b.ReportAllocs()
 	b.ResetTimer()
-	env.Run(0)
+	for i := 0; i < b.N; i++ {
+		roundTrip()
+	}
 	if trips != b.N {
 		b.Fatalf("completed %d/%d round-trips", trips, b.N)
 	}
@@ -95,12 +151,14 @@ func BenchmarkHotpathTraceAppendNil(b *testing.B) {
 }
 
 // BenchmarkHotpathEveryTick measures one periodic-timer firing: heap
-// pop, callback, re-arm, heap push — the scheduler's steady-state cost
-// with no process work at all.
+// pop, callback, re-arm of the ticker's own event, heap push — the
+// scheduler's steady-state cost with no process work at all.
 func BenchmarkHotpathEveryTick(b *testing.B) {
 	env := sim.NewEnv(1)
 	ticks := 0
 	env.Tick(sim.Time(time.Millisecond), func() { ticks++ })
+	gateAllocs(b, "a tick", func() { env.Run(sim.Time(time.Millisecond)) })
+	ticks = 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	env.Run(sim.Time(b.N) * sim.Time(time.Millisecond))
@@ -115,12 +173,11 @@ func BenchmarkHotpathEveryTick(b *testing.B) {
 // three counter reads and a clock compare, and must not allocate.
 func BenchmarkHotpathCheckStepQuiet(b *testing.B) {
 	sys := New(Config{Seed: 1})
+	defer sys.Close()
 	sys.Run(3 * time.Second) // boot settle
 	ck := check.New(check.Config{Kernel: sys.Kernel, RS: sys.RS, DS: sys.DS, Now: sys.Env.Now})
 	ck.Step() // the first step always scans
-	if allocs := testing.AllocsPerRun(100, ck.Step); allocs != 0 {
-		b.Fatalf("quiet step allocates %v times", allocs)
-	}
+	gateAllocs(b, "a quiet step", ck.Step)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

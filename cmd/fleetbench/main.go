@@ -136,6 +136,7 @@ func run(args []string) error {
 
 	start := time.Now()
 	c := cluster.New(cfg)
+	defer c.Close()
 	r := c.Run()
 	wall := time.Since(start).Seconds()
 	r.Render(os.Stdout)

@@ -312,6 +312,7 @@ func runFleet(o options) *perf.Profiler {
 	})
 	c.Run()
 	p.Finish(c.Now())
+	c.Close()
 	return p
 }
 

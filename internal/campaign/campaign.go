@@ -389,6 +389,7 @@ func runCell(cell Cell, cfg Config) CellResult {
 			})
 		}
 	}
+	sys.Close() // a campaign boots thousands of these
 	return res
 }
 

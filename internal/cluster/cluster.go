@@ -287,5 +287,20 @@ func (c *Cluster) Now() sim.Time { return c.fleet.Now() }
 // Segments returns the fleet window series recorded by the sampler.
 func (c *Cluster) Segments() []timeseries.Segment { return c.sampler.Segments() }
 
-// Run is the one-call entry point: boot a fleet from cfg and execute it.
-func Run(cfg Config) *Report { return New(cfg).Run() }
+// Close tears down the fleet environment and every node's system (see
+// resilientos.System.Close). Reports, segments and the nodes' RS event
+// logs stay readable.
+func (c *Cluster) Close() {
+	c.fleet.Close()
+	for _, n := range c.nodes {
+		n.Sys.Close()
+	}
+}
+
+// Run is the one-call entry point: boot a fleet from cfg, execute it and
+// tear it down.
+func Run(cfg Config) *Report {
+	c := New(cfg)
+	defer c.Close()
+	return c.Run()
+}

@@ -53,8 +53,7 @@ func (k *Kernel) send(e *procEntry, dst Endpoint, msg Message) error {
 	}
 	msg.Source = e.ep
 	if d.recvWait && (d.recvFrom == Any || d.recvFrom == e.ep) {
-		d.recvWait = false
-		d.proc.Wake(deliveredMsg{msg: msg})
+		d.deliver(msg)
 		k.perf.End(perf.RegionKernelIPC)
 		return nil
 	}
@@ -144,14 +143,25 @@ func (k *Kernel) receiveInner(e *procEntry, from Endpoint) (Message, error) {
 		e.recvFrom = from
 		k.perf.End(perf.RegionKernelIPC)
 		switch v := e.proc.Park().(type) {
-		case deliveredMsg:
-			return v.msg, nil
+		case delivered:
+			msg := e.inbox
+			e.inbox = Message{}
+			return msg, nil
 		case ipcAbort:
 			return Message{}, v.err
 		default:
 			panic("kernel: unexpected wake value in receive")
 		}
 	}
+}
+
+// deliver hands msg to a process blocked in Receive. The message waits in
+// the entry's inbox and the wake value only says it is there: boxing a
+// Message into Park's return value would allocate on every delivery.
+func (d *procEntry) deliver(msg Message) {
+	d.recvWait = false
+	d.inbox = msg
+	d.proc.Wake(delivered{})
 }
 
 // takeNotification pops the highest-priority pending notification matching
@@ -242,13 +252,12 @@ func (k *Kernel) notifyEntry(d *procEntry, src Endpoint) {
 		return
 	}
 	if d.recvWait && (d.recvFrom == Any || d.recvFrom == src) {
-		d.recvWait = false
 		msg := Message{Source: src, Type: MsgNotify}
 		if src == Hardware {
 			msg.Arg1 = int64(d.irqPending)
 			d.irqPending = 0
 		}
-		d.proc.Wake(deliveredMsg{msg: msg})
+		d.deliver(msg)
 		return
 	}
 	for _, pending := range d.notifyQ {
@@ -289,8 +298,7 @@ func (k *Kernel) PostAsync(dst Endpoint, msg Message) error {
 	}
 	msg.Source = System
 	if d.recvWait && (d.recvFrom == Any || d.recvFrom == System) {
-		d.recvWait = false
-		d.proc.Wake(deliveredMsg{msg: msg})
+		d.deliver(msg)
 		return nil
 	}
 	d.asyncQ = append(d.asyncQ, msg)
@@ -320,8 +328,7 @@ func (k *Kernel) asyncSend(e *procEntry, dst Endpoint, msg Message) error {
 	}
 	msg.Source = e.ep
 	if d.recvWait && (d.recvFrom == Any || d.recvFrom == e.ep) {
-		d.recvWait = false
-		d.proc.Wake(deliveredMsg{msg: msg})
+		d.deliver(msg)
 		return nil
 	}
 	d.asyncQ = append(d.asyncQ, msg)

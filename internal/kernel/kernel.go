@@ -172,6 +172,7 @@ type procEntry struct {
 
 	// IPC state.
 	recvWait bool       // blocked in Receive
+	inbox    Message    // delivered to the blocked Receive, until it resumes
 	recvFrom Endpoint   // who we are waiting for (Any allowed)
 	sendTo   *procEntry // non-nil when blocked sending to that process
 	sendMsg  Message    // the message being sent while blocked
@@ -196,9 +197,9 @@ type procEntry struct {
 
 // wake values delivered through sim.Proc.Park.
 type (
-	deliveredMsg struct{ msg Message }
-	ipcAbort     struct{ err error }
-	sendOK       struct{}
+	delivered struct{} // the message is in the entry's inbox
+	ipcAbort  struct{ err error }
+	sendOK    struct{}
 )
 
 // Spawn creates a new system process with the given stable label,
@@ -389,6 +390,7 @@ func (k *Kernel) reap(e *procEntry, status int) {
 	e.senders = nil
 	e.asyncQ = nil
 	e.notifyQ = nil
+	e.inbox = Message{} // delivered, but killed before Receive resumed
 	// Abort everyone blocked receiving specifically from us (this is the
 	// rendezvous abort the file server relies on, paper §6.2).
 	for _, other := range k.slots {

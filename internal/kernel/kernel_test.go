@@ -2,6 +2,8 @@ package kernel
 
 import (
 	"errors"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -710,5 +712,105 @@ func TestTryReceiveSourceFilter(t *testing.T) {
 	env.Run(2 * time.Second)
 	if first != bEp {
 		t.Fatalf("first = %v, want b", first)
+	}
+}
+
+// inboxEmpty reports whether nothing waits in the entry's delivery slot.
+func inboxEmpty(c *Ctx) bool { return reflect.DeepEqual(c.e.inbox, Message{}) }
+
+// TestInboxEmptyAfterReceive: a message delivered to a blocked receiver
+// travels through the entry's inbox, whichever of the four delivery paths
+// it took, and the slot is empty again when Receive returns.
+func TestInboxEmptyAfterReceive(t *testing.T) {
+	env, k := newKernel(t)
+	var got []int32
+	rc, _ := k.Spawn("receiver", trusted(), func(c *Ctx) {
+		for i := 0; i < 4; i++ {
+			m, err := c.Receive(Any)
+			if err != nil {
+				t.Errorf("receive %d: %v", i, err)
+			}
+			if !inboxEmpty(c) {
+				t.Errorf("receive %d left %+v in the inbox", i, c.e.inbox)
+			}
+			got = append(got, m.Type)
+		}
+	})
+	k.Spawn("sender", trusted(), func(c *Ctx) {
+		// Each after a sleep, so the receiver is blocked again.
+		c.Sleep(time.Second)
+		c.Send(rc.Endpoint(), Message{Type: 1, Payload: []byte("x")})
+		c.Sleep(time.Second)
+		c.AsyncSend(rc.Endpoint(), Message{Type: 2, Name: "y"})
+		c.Sleep(time.Second)
+		c.Notify(rc.Endpoint())
+		c.Sleep(time.Second)
+		k.PostAsync(rc.Endpoint(), Message{Type: 4})
+	})
+	env.Run(0)
+	if want := []int32{1, 2, MsgNotify, 4}; !slices.Equal(got, want) {
+		t.Fatalf("received types %v, want %v", got, want)
+	}
+}
+
+// TestInboxClearedWhenReceiverKilledBeforeResume: a receiver killed in the
+// instant between a delivery and its own resume never takes the message;
+// it must not stay behind in the dead entry, and the sender, whose send
+// completed, is not failed after the fact.
+func TestInboxClearedWhenReceiverKilledBeforeResume(t *testing.T) {
+	env, k := newKernel(t)
+	resumed := false
+	rc, _ := k.Spawn("receiver", trusted(), func(c *Ctx) {
+		c.Receive(Any)
+		resumed = true
+	})
+	var sendErr error
+	k.Spawn("sender", trusted(), func(c *Ctx) {
+		c.Sleep(time.Second)
+		sendErr = c.Send(rc.Endpoint(), Message{Type: 9, Payload: make([]byte, 64)})
+		if inboxEmpty(rc) {
+			t.Error("delivery to a blocked receiver bypassed its inbox")
+		}
+		k.Kill(rc.Endpoint(), SIGKILL) // its wake is already in flight
+	})
+	env.Run(0)
+	if resumed {
+		t.Fatal("receiver resumed after the kill")
+	}
+	if sendErr != nil {
+		t.Fatalf("send = %v, want nil (delivered before the kill)", sendErr)
+	}
+	if !inboxEmpty(rc) {
+		t.Fatalf("dead receiver's inbox still holds %+v", rc.e.inbox)
+	}
+}
+
+// TestAbortWinsOverEarlierDelivery: a receiver that took one message from
+// a source and is waiting for the next when the source dies gets
+// ErrSrcDied and an empty message — not a second copy of the first.
+func TestAbortWinsOverEarlierDelivery(t *testing.T) {
+	env, k := newKernel(t)
+	var first, second Message
+	var err1, err2 error
+	var src *Ctx
+	rc, _ := k.Spawn("receiver", trusted(), func(c *Ctx) {
+		first, err1 = c.Receive(src.Endpoint())
+		second, err2 = c.Receive(src.Endpoint())
+		if !inboxEmpty(c) {
+			t.Errorf("aborted receive left %+v in the inbox", c.e.inbox)
+		}
+	})
+	src, _ = k.Spawn("source", trusted(), func(c *Ctx) {
+		c.Sleep(time.Second)
+		c.Send(rc.Endpoint(), Message{Type: 5, Arg1: 55})
+		c.Sleep(time.Second)
+		c.Exit(1)
+	})
+	env.Run(0)
+	if err1 != nil || first.Type != 5 || first.Arg1 != 55 {
+		t.Fatalf("first receive = %+v, %v", first, err1)
+	}
+	if !errors.Is(err2, ErrSrcDied) || second.Type != 0 || second.Arg1 != 0 {
+		t.Fatalf("second receive = %+v, %v; want an empty message and ErrSrcDied", second, err2)
 	}
 }

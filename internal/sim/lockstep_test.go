@@ -42,6 +42,15 @@ func lockstepTrace(workers int) string {
 		envs[i].Tick(period, func() {
 			logs[i] += fmt.Sprintf("%d@%v r=%d;", i, envs[i].Now(), envs[i].Rand().Intn(1000))
 		})
+		// A process too: with several workers its coroutine is resumed
+		// from a different goroutine at every barrier.
+		envs[i].Spawn("sleeper", func(p *Proc) {
+			for {
+				p.Sleep(period * 3 / 2)
+				logs[i] += fmt.Sprintf("%d woke@%v;", i, p.Env().Now())
+			}
+		})
+		defer envs[i].Close()
 	}
 	ls := NewLockstep(workers, envs...)
 	for bar := 5 * time.Millisecond; bar <= 25*time.Millisecond; bar += 5 * time.Millisecond {

@@ -1,8 +1,17 @@
+// The go1.23 constraint is what lets this file use iter.Pull while go.mod
+// says go 1.22 (go vet rejects the call otherwise). go.mod has to stay
+// there: benchmark/go.mod says 1.22 and requires this module, and a higher
+// version here makes every go command in benchmark/ demand an update to it.
+
+//go:build go1.23
+
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
+	"slices"
 )
 
 // ProcState describes the lifecycle of a simulated process.
@@ -31,28 +40,43 @@ func (s ProcState) String() string {
 	}
 }
 
-// killSentinel unwinds a process goroutine when the process is killed from
-// outside while parked.
+// killSentinel unwinds a process when it is killed from outside while
+// parked, or kills itself.
 type killSentinel struct{}
 
-// exitSentinel unwinds a process goroutine when the process exits itself.
+// exitSentinel unwinds a process when it exits itself.
 type exitSentinel struct{ status int }
 
-// Proc is a simulated process: a goroutine that runs cooperatively under
-// the environment's scheduler. Exactly one process goroutine executes at a
-// time; it returns control by parking, sleeping, or exiting.
+// Proc is a simulated process: a coroutine (iter.Pull) that runs
+// cooperatively under the environment's scheduler. Exactly one process
+// executes at a time; it returns control by parking, sleeping, or exiting.
+// A hand-off in either direction is one direct switch between the
+// scheduler's goroutine and the coroutine's.
 type Proc struct {
 	env     *Env
 	pid     int
 	name    string
 	state   ProcState
-	resume  chan any // scheduler -> process: value to return from Park
-	resumes uint64   // hand-offs so far (see Resumes)
+	body    func(*Proc)
+	resumes uint64 // hand-offs so far (see Resumes)
+
+	// The coroutine; nil until the start event fires. resume switches to
+	// the process, yield switches back and reports false once stop was
+	// called, stop unwinds a process parked in yield.
+	resume func() (struct{}, bool)
+	stop   func()
+	yield  func(struct{}) bool
+
+	// wake is the one event a process ever has pending: its start, a Wake
+	// in flight, its sleep timer, its unwind after Kill, or the run of its
+	// exit hooks. Only Spawn, Wake, Sleep, Kill and the process's death
+	// queue it, each from a state in which it cannot already be queued.
+	wake    Event
+	wakeVal any // what the Park in progress returns
 
 	killed     bool // kill requested; delivered at next park point
 	exitStatus int
 	exitHooks  []func(status int)
-	wakeEv     *Event // pending wake/resume event, if any
 }
 
 // PID returns the process's simulation-unique ID.
@@ -82,38 +106,54 @@ func (p *Proc) OnExit(fn func(status int)) {
 }
 
 // Spawn creates a process named name running body and schedules it to start
-// at the current virtual time. The body runs on its own goroutine but only
+// at the current virtual time. The body runs on its own coroutine, and only
 // while the scheduler has handed it control.
 func (e *Env) Spawn(name string, body func(p *Proc)) *Proc {
 	p := &Proc{
-		env:    e,
-		pid:    e.nextPID,
-		name:   name,
-		state:  StateRunnable,
-		resume: make(chan any),
+		env:   e,
+		pid:   e.nextPID,
+		name:  name,
+		state: StateRunnable,
+		body:  body,
 	}
+	p.wake = Event{env: e, fn: p.fire, index: idle}
 	e.nextPID++
 	e.procs[p.pid] = p
 	if e.observer != nil {
 		e.observer(ProcSpawn, name, p.pid, 0)
 	}
-	e.Schedule(0, func() {
-		if p.killed || p.state == StateDead {
-			// Killed before it ever ran: just report death.
-			p.finish(-1)
-			return
-		}
-		go p.top(body)
-		p.state = StateRunning
-		p.resumeAndWait(nil)
-	})
+	e.enqueue(&p.wake, 0)
 	return p
 }
 
-// top is the root frame of a process goroutine. It recovers the unwind
+// fire is the callback of the wake event, in scheduler context.
+func (p *Proc) fire() {
+	switch {
+	case p.state == StateDead:
+		p.runExitHooks()
+		return
+	case p.resume != nil:
+		// A Wake, the sleep timer or the unwind after Kill.
+	case p.killed:
+		// Killed before it ever ran: just report death.
+		p.state = StateDead
+		p.exitStatus = -1
+		p.runExitHooks()
+		return
+	default:
+		p.resume, p.stop = iter.Pull(p.top)
+	}
+	p.state = StateRunning
+	p.resumes++
+	p.resume()
+}
+
+// top is the root frame of a process coroutine. It recovers the unwind
 // sentinels, records unexpected panics for the scheduler to re-raise, and
-// always returns control.
-func (p *Proc) top(body func(*Proc)) {
+// always returns control. Exit hooks are left to the wake event so they
+// run in scheduler context.
+func (p *Proc) top(yield func(struct{}) bool) {
+	p.yield = yield
 	status := 0
 	defer func() {
 		if r := recover(); r != nil {
@@ -127,43 +167,11 @@ func (p *Proc) top(body func(*Proc)) {
 				status = -1
 			}
 		}
-		p.finishFromProc(status)
+		p.state = StateDead
+		p.exitStatus = status
+		p.env.enqueue(&p.wake, 0)
 	}()
-	// Wait for the first hand-off from the scheduler.
-	<-p.resume
-	if p.killed {
-		panic(killSentinel{})
-	}
-	body(p)
-}
-
-// resumeAndWait hands control to the process goroutine and blocks the
-// scheduler until the process parks, exits, or sleeps again.
-func (p *Proc) resumeAndWait(v any) {
-	p.resumes++
-	p.resume <- v
-	<-p.env.yield
-}
-
-// finishFromProc marks the process dead from within its own goroutine and
-// returns control to the scheduler. Exit hooks are deferred to a fresh
-// scheduler event so they run in scheduler context.
-func (p *Proc) finishFromProc(status int) {
-	p.state = StateDead
-	p.exitStatus = status
-	env := p.env
-	env.Schedule(0, func() { p.runExitHooks() })
-	env.yield <- struct{}{}
-}
-
-// finish marks a never-started process dead from scheduler context.
-func (p *Proc) finish(status int) {
-	if p.state == StateDead {
-		return
-	}
-	p.state = StateDead
-	p.exitStatus = status
-	p.runExitHooks()
+	p.body(p)
 }
 
 func (p *Proc) runExitHooks() {
@@ -180,21 +188,26 @@ func (p *Proc) runExitHooks() {
 
 // Park blocks the process until another party calls Wake, returning the
 // value passed to Wake. If the process is killed while parked, Park never
-// returns: the goroutine unwinds through its deferred calls.
+// returns: the coroutine unwinds through its deferred calls.
 //
-// Park must only be called from the process's own goroutine.
+// Park must only be called from the process's own coroutine.
 func (p *Proc) Park() any {
 	if p.state != StateRunning {
 		panic(fmt.Sprintf("sim: Park on %s process %q", p.state, p.name))
 	}
 	p.state = StateParked
-	p.env.yield <- struct{}{}
-	v := <-p.resume
-	if p.killed {
+	p.switchOut()
+	v := p.wakeVal
+	p.wakeVal = nil
+	return v
+}
+
+// switchOut hands control back to the scheduler until the wake event (or
+// Env.Close) resumes the process.
+func (p *Proc) switchOut() {
+	if !p.yield(struct{}{}) || p.killed {
 		panic(killSentinel{})
 	}
-	p.state = StateRunning
-	return v
 }
 
 // Wake schedules the parked process to resume at the current virtual time,
@@ -204,18 +217,12 @@ func (p *Proc) Wake(v any) {
 	if p.state != StateParked {
 		panic(fmt.Sprintf("sim: Wake on %s process %q", p.state, p.name))
 	}
-	if p.wakeEv != nil {
+	if p.wake.index != idle { // asleep, not parked
 		panic(fmt.Sprintf("sim: double Wake on process %q", p.name))
 	}
 	p.state = StateRunnable
-	p.wakeEv = p.env.Schedule(0, func() {
-		p.wakeEv = nil
-		if p.state != StateRunnable {
-			return // killed in the meantime; unwind was handled elsewhere
-		}
-		p.state = StateRunning
-		p.resumeAndWait(v)
-	})
+	p.wakeVal = v
+	p.env.enqueue(&p.wake, 0)
 }
 
 // Sleep suspends the process for d of virtual time. If the process is
@@ -225,21 +232,8 @@ func (p *Proc) Sleep(d Time) {
 		panic(fmt.Sprintf("sim: Sleep on %s process %q", p.state, p.name))
 	}
 	p.state = StateParked
-	p.wakeEv = p.env.Schedule(d, func() {
-		p.wakeEv = nil
-		if p.state != StateParked {
-			return
-		}
-		p.state = StateRunning
-		p.resumeAndWait(nil)
-	})
-	p.env.yield <- struct{}{}
-	v := <-p.resume
-	_ = v
-	if p.killed {
-		panic(killSentinel{})
-	}
-	p.state = StateRunning
+	p.env.enqueue(&p.wake, d)
+	p.switchOut()
 }
 
 // Yield gives other runnable work at the current virtual time a chance to
@@ -247,7 +241,7 @@ func (p *Proc) Sleep(d Time) {
 func (p *Proc) Yield() { p.Sleep(0) }
 
 // Exit terminates the calling process with the given status. It never
-// returns; deferred calls in the process body run as the goroutine unwinds.
+// returns; deferred calls in the process body run as the coroutine unwinds.
 func (p *Proc) Exit(status int) {
 	panic(exitSentinel{status: status})
 }
@@ -264,25 +258,52 @@ func (p *Proc) Kill() {
 	switch p.state {
 	case StateParked:
 		// Cancel any pending timer wake and schedule the unwind.
-		if p.wakeEv != nil {
-			p.wakeEv.Cancel()
-			p.wakeEv = nil
-		}
+		p.wake.Cancel()
 		p.state = StateRunnable
-		p.env.Schedule(0, func() {
-			if p.state != StateRunnable {
-				return
-			}
-			p.state = StateRunning
-			p.resumeAndWait(killSentinel{})
-		})
+		p.env.enqueue(&p.wake, 0)
 	case StateRunnable:
-		// Either not yet started, or a wake/sleep event is in flight; that
-		// event (or the start event) observes p.killed and unwinds.
+		// Either not yet started, or a wake is in flight; that event (or
+		// the start event) observes p.killed and unwinds.
 	case StateRunning:
 		// Killing yourself: unwind immediately.
 		panic(killSentinel{})
 	}
+}
+
+// Close tears the environment down once its results are harvested: every
+// process still alive is unwound, in PID order, as if killed — deferred
+// calls run, exit hooks fire with status -1 — and the queues are dropped,
+// so no coroutine (a goroutine each) outlives the environment. Nothing an
+// unwinding process or a hook schedules runs. The environment must not be
+// used afterwards.
+func (e *Env) Close() {
+	pids := make([]int, 0, len(e.procs))
+	for pid := range e.procs {
+		pids = append(pids, pid)
+	}
+	slices.Sort(pids)
+	for _, pid := range pids {
+		p := e.procs[pid]
+		p.wake.Cancel()
+		p.killed = true
+		if p.stop != nil && p.state != StateDead {
+			p.state = StateRunning
+			p.stop() // yield returns false; top queues the exit hooks
+			p.wake.Cancel()
+		}
+		p.fire() // dead by now, or never started: the exit hooks, here
+	}
+	// Drop the queues; handles to the dropped events stay safe to Cancel.
+	for _, ev := range e.events {
+		ev.index = idle
+	}
+	for _, r := range e.runq[e.runHead:] {
+		if r.live() {
+			r.ev.index = idle
+		}
+	}
+	e.events, e.runq, e.runHead, e.runLive = nil, nil, 0, 0
+	e.raiseFatal()
 }
 
 // ExitStatus returns the status the process died with (-1 for killed or

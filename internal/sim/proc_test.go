@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -284,5 +286,141 @@ func TestSpawnFromProcess(t *testing.T) {
 	e.Run(0)
 	if !childRan {
 		t.Fatal("child spawned from process did not run")
+	}
+}
+
+// TestKillInEveryState takes a process into each state a kill can find it
+// in and ends it both ways, by Kill and by Env.Close. Either way the
+// deferred calls of a started process run, nothing after the park point
+// does, and the exit hooks fire exactly once, with -1.
+func TestKillInEveryState(t *testing.T) {
+	states := []struct {
+		name    string
+		started bool
+		arrange func(e *Env, p *Proc) // from outside, after the body's first park
+		viaKill func(e *Env, p *Proc) // nil: Kill once, from outside
+	}{
+		{name: "before start", arrange: nil},
+		{name: "parked", started: true, arrange: func(e *Env, p *Proc) {}},
+		{name: "sleeping", started: true, arrange: func(e *Env, p *Proc) {
+			p.Wake("sleep")
+			e.Run(time.Second)
+		}},
+		{name: "runnable, wake in flight", started: true, arrange: func(e *Env, p *Proc) { p.Wake(nil) }},
+		{name: "self", started: true, arrange: func(e *Env, p *Proc) {},
+			viaKill: func(e *Env, p *Proc) { p.Wake("self") }},
+		{name: "twice", started: true, arrange: func(e *Env, p *Proc) {},
+			viaKill: func(e *Env, p *Proc) { p.Kill(); p.Kill() }},
+	}
+	for _, st := range states {
+		for _, how := range []string{"Kill", "Close"} {
+			if st.name == "self" && how == "Close" {
+				continue // Close is for whoever owns the Env, not for its processes
+			}
+			t.Run(st.name+"/"+how, func(t *testing.T) {
+				e := NewEnv(1)
+				var deferred, after bool
+				var hooks []int
+				p := e.Spawn("victim", func(p *Proc) {
+					defer func() { deferred = true }()
+					switch p.Park() {
+					case "sleep":
+						p.Sleep(time.Hour)
+					case "self":
+						p.Kill()
+					}
+					after = true
+				})
+				p.OnExit(func(status int) { hooks = append(hooks, status) })
+				if st.arrange != nil {
+					e.Run(0)
+					st.arrange(e, p)
+				}
+				if how == "Kill" {
+					if st.viaKill != nil {
+						st.viaKill(e, p)
+					} else {
+						p.Kill()
+					}
+					if end := e.Run(0); end >= time.Hour {
+						t.Fatalf("run lasted %v: the sleep timer survived the kill", end)
+					}
+				}
+				e.Close() // after a Kill there is nothing left for it to do
+				e.Close()
+				if deferred != st.started || after {
+					t.Fatalf("deferred = %v (want %v), ran past the park point = %v", deferred, st.started, after)
+				}
+				if len(hooks) != 1 || hooks[0] != -1 || p.ExitStatus() != -1 {
+					t.Fatalf("exit hooks saw %v, ExitStatus = %d; want one call with -1", hooks, p.ExitStatus())
+				}
+				if p.State() != StateDead || e.Pending() != 0 {
+					t.Fatalf("state = %v, %d events pending", p.State(), e.Pending())
+				}
+			})
+		}
+	}
+}
+
+// TestProcessPanicReachesCaller: a panic that is not one of the unwind
+// sentinels is not swallowed with them. It surfaces, with the process
+// named, from Run — or from Close, when it is a deferred call that panics
+// during the teardown.
+func TestProcessPanicReachesCaller(t *testing.T) {
+	caught := func(fn func()) (msg string) {
+		defer func() { msg, _ = recover().(string) }()
+		fn()
+		return ""
+	}
+	body := func(p *Proc) {
+		defer func() { panic("boom") }()
+		p.Park()
+	}
+	for _, how := range []string{"Kill", "Close"} {
+		e := NewEnv(1)
+		p := e.Spawn("faulty", body)
+		status := 0
+		p.OnExit(func(s int) { status = s })
+		e.Run(0)
+		msg := caught(func() {
+			if how == "Kill" {
+				p.Kill()
+				e.Run(0)
+			} else {
+				e.Close()
+			}
+		})
+		if !strings.Contains(msg, `"faulty"`) || !strings.Contains(msg, "boom") {
+			t.Fatalf("%s: caller saw %q, want the process name and the panic value", how, msg)
+		}
+		e.Close()
+		if status != -1 {
+			t.Fatalf("%s: exit hook saw %d, want -1", how, status)
+		}
+	}
+}
+
+// TestCloseLeavesNoGoroutines: every parked process is a coroutine, and a
+// coroutine is a goroutine; Close must leave none behind. (Without it the
+// count below ends 1,000 higher than it started.)
+func TestCloseLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		e := NewEnv(int64(i))
+		unwound := 0
+		for j := 0; j < 10; j++ {
+			e.Spawn("parked", func(p *Proc) {
+				defer func() { unwound++ }()
+				p.Park()
+			})
+		}
+		e.Run(0)
+		e.Close()
+		if unwound != 10 {
+			t.Fatalf("env %d: %d of 10 processes unwound", i, unwound)
+		}
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines before, %d after 100 closed environments", before, after)
 	}
 }

@@ -1,6 +1,6 @@
 // Package sim implements a deterministic discrete-event simulation engine.
 //
-// The engine provides a virtual clock, an event heap, and cooperative
+// The engine provides a virtual clock, an event queue, and cooperative
 // process coroutines: at most one simulated process runs at any moment, and
 // control transfers between the scheduler and processes are explicit
 // (Park/Wake/Sleep). All randomness flows through a seeded generator, so a
@@ -22,25 +22,38 @@ import (
 // Time is a point in virtual time, measured as an offset from boot.
 type Time = time.Duration
 
-// event is a scheduled callback. Events with equal time fire in schedule
-// order (seq breaks ties), which keeps runs deterministic.
-type event struct {
+// Event is a scheduled callback and the cancelable handle to it: the
+// value Schedule returns is the queue entry itself. Events with equal time
+// fire in schedule order (seq breaks ties), which keeps runs deterministic.
+//
+// Proc and Ticker embed the one event they ever have pending and re-queue
+// it, so waking, sleeping and ticking allocate nothing.
+type Event struct {
+	env   *Env
 	at    Time
 	seq   uint64
 	fn    func()
-	index int // heap index, -1 once popped (fired) or removed (canceled)
+	index int // heap index, or idle / inRunq
 }
 
-type eventHeap []*event
+// Values of Event.index for an event that is not in the heap.
+const (
+	idle   = -1 // not queued: fired, canceled, or never scheduled
+	inRunq = -2 // in the run queue
+)
+
+func (ev *Event) before(at Time, seq uint64) bool {
+	if ev.at != at {
+		return ev.at < at
+	}
+	return ev.seq < seq
+}
+
+type eventHeap []*Event
 
 func (h eventHeap) Len() int { return len(h) }
 
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
+func (h eventHeap) Less(i, j int) bool { return h[i].before(h[j].at, h[j].seq) }
 
 func (h eventHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
@@ -49,7 +62,7 @@ func (h eventHeap) Swap(i, j int) {
 }
 
 func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
+	ev := x.(*Event)
 	ev.index = len(*h)
 	*h = append(*h, ev)
 }
@@ -59,10 +72,21 @@ func (h *eventHeap) Pop() any {
 	n := len(old)
 	ev := old[n-1]
 	old[n-1] = nil
-	ev.index = -1
+	ev.index = idle
 	*h = old[:n-1]
 	return ev
 }
+
+// runEntry is one run-queue slot. It is live while its event is still in
+// the run queue under the seq the slot was filled with: a canceled event
+// is only marked, and an embedded event may be back in the queue (further
+// down, under a later seq) before the loop reaches its old slot.
+type runEntry struct {
+	ev  *Event
+	seq uint64
+}
+
+func (r runEntry) live() bool { return r.ev.index == inRunq && r.ev.seq == r.seq }
 
 // ProcEvent identifies a process-lifecycle transition reported to an
 // observer (see Env.SetObserver).
@@ -83,13 +107,22 @@ type Observer func(ev ProcEvent, name string, pid, status int)
 // Env is a simulation environment: one virtual clock, one event queue, and
 // the set of processes living on it. An Env is not safe for concurrent use;
 // the entire simulation is single-threaded by design.
+//
+// The queue has two parts. Events due later wait in a heap ordered by
+// (at, seq). Events due at the current instant — most of them: every Wake,
+// Yield and Schedule(0) — wait in a FIFO run queue, which that order makes
+// sorted already: all its entries have at == now, and seq only grows. The
+// loop fires whichever of the two heads is first by (at, seq), so the
+// firing order is the one a single heap would give.
 type Env struct {
 	now     Time
-	events  eventHeap
+	events  eventHeap  // due later than the instant they were scheduled at
+	runq    []runEntry // due now; pending entries are runq[runHead:]
+	runHead int
+	runLive int // run-queue entries not canceled
 	seq     uint64
 	nexec   uint64 // events executed (scheduler work metric)
 	rng     *rand.Rand
-	yield   chan struct{} // processes signal the scheduler here
 	procs   map[int]*Proc
 	nextPID int
 	stopped bool
@@ -107,7 +140,6 @@ type Env struct {
 func NewEnv(seed int64) *Env {
 	return &Env{
 		rng:   rand.New(rand.NewSource(seed)),
-		yield: make(chan struct{}),
 		procs: make(map[int]*Proc),
 	}
 }
@@ -179,31 +211,56 @@ func (e *Env) Logf(tag, format string, args ...any) {
 // runs in scheduler context and must not call blocking process primitives
 // (Sleep, Park, ...). It returns a handle that can cancel the event.
 func (e *Env) Schedule(d Time, fn func()) *Event {
+	ev := &Event{env: e, fn: fn, index: idle}
+	e.enqueue(ev, d)
+	return ev
+}
+
+// enqueue queues ev to fire at now+d. It is the only way into the queue,
+// for Schedule's fresh events and for the embedded ones alike.
+func (e *Env) enqueue(ev *Event, d Time) {
+	if ev.index != idle {
+		panic("sim: event scheduled twice")
+	}
 	if d < 0 {
 		d = 0
 	}
-	ev := &event{at: e.now + d, seq: e.seq, fn: fn}
+	ev.at, ev.seq = e.now+d, e.seq
 	e.seq++
-	heap.Push(&e.events, ev)
-	return &Event{env: e, ev: ev}
-}
-
-// Event is a cancelable handle to a scheduled callback.
-type Event struct {
-	env *Env
-	ev  *event
+	if d > 0 {
+		heap.Push(&e.events, ev)
+		return
+	}
+	// A queue that never drains (two processes waking each other inside
+	// one instant) must not grow with the events fired: reuse the fired
+	// slots once they are half of a full buffer.
+	if len(e.runq) == cap(e.runq) && e.runHead > len(e.runq)/2 {
+		n := copy(e.runq, e.runq[e.runHead:])
+		clear(e.runq[n:])
+		e.runq, e.runHead = e.runq[:n], 0
+	}
+	ev.index = inRunq
+	e.runLive++
+	e.runq = append(e.runq, runEntry{ev, ev.seq})
 }
 
 // Cancel prevents the event from firing. Canceling an already-fired or
 // already-canceled event is a no-op. It reports whether the event was
-// actually stopped before firing. The event leaves the queue at once:
+// actually stopped before firing. An event in the heap leaves it at once:
 // timers that are re-armed far more often than they fire (retransmit,
-// alarm) would otherwise pile up dead entries until their time came.
+// alarm) would otherwise pile up dead entries until their time came. An
+// event in the run queue is only marked; its slot is gone within the
+// instant.
 func (ev *Event) Cancel() bool {
-	if ev == nil || ev.ev == nil || ev.ev.index < 0 {
+	switch {
+	case ev == nil || ev.index == idle:
 		return false // already fired, firing, or canceled
+	case ev.index == inRunq:
+		ev.index = idle
+		ev.env.runLive--
+	default:
+		heap.Remove(&ev.env.events, ev.index)
 	}
-	heap.Remove(&ev.env.events, ev.ev.index)
 	return true
 }
 
@@ -211,8 +268,7 @@ func (ev *Event) Cancel() bool {
 // telemetry sampler (internal/obs/timeseries) uses one per run segment to
 // fire window rollovers at exact virtual-time boundaries.
 type Ticker struct {
-	env     *Env
-	ev      *Event
+	ev      Event // re-armed after every firing
 	period  Time
 	fn      func()
 	stopped bool
@@ -227,21 +283,17 @@ func (e *Env) Tick(period Time, fn func()) *Ticker {
 	if period <= 0 {
 		period = 1
 	}
-	t := &Ticker{env: e, period: period, fn: fn}
-	t.arm()
+	t := &Ticker{period: period, fn: fn}
+	t.ev = Event{env: e, fn: t.fire, index: idle}
+	e.enqueue(&t.ev, period)
 	return t
 }
 
-func (t *Ticker) arm() {
-	t.ev = t.env.Schedule(t.period, func() {
-		if t.stopped {
-			return
-		}
-		t.fn()
-		if !t.stopped { // fn may have called Stop
-			t.arm()
-		}
-	})
+func (t *Ticker) fire() {
+	t.fn()
+	if !t.stopped { // fn may have called Stop
+		t.ev.env.enqueue(&t.ev, t.period)
+	}
 }
 
 // Stop cancels the ticker; the pending rollover never fires. Idempotent.
@@ -268,13 +320,10 @@ func (e *Env) Run(horizon Time) Time {
 		limit = e.now + horizon
 	}
 	e.stopped = false
-	for len(e.events) > 0 && !e.stopped {
-		ev := heap.Pop(&e.events).(*event)
-		if limit >= 0 && ev.at > limit {
-			// Put it back; the horizon was reached.
-			heap.Push(&e.events, ev)
-			e.now = limit
-			return e.now
+	for !e.stopped {
+		ev := e.pop(limit)
+		if ev == nil {
+			break
 		}
 		if ev.at > e.now {
 			e.now = ev.at
@@ -296,11 +345,7 @@ func (e *Env) Run(horizon Time) Time {
 				e.stepHook()
 			}
 		}
-		if e.fatal != nil {
-			p := e.fatal
-			e.fatal = nil
-			panic(fmt.Sprintf("sim: process %q crashed: %v\n%s", p.proc, p.value, p.stack))
-		}
+		e.raiseFatal()
 	}
 	if limit >= 0 && e.now < limit && !e.stopped {
 		e.now = limit
@@ -308,8 +353,43 @@ func (e *Env) Run(horizon Time) Time {
 	return e.now
 }
 
+// pop removes and returns the first pending event by (at, seq), or nil
+// when there is none due by limit (limit < 0 means no limit).
+func (e *Env) pop(limit Time) *Event {
+	for e.runHead < len(e.runq) {
+		r := e.runq[e.runHead]
+		live := r.live()
+		if live && len(e.events) > 0 && e.events[0].before(r.ev.at, r.seq) {
+			// Scheduled for this instant before it began: the heap's turn.
+			return heap.Pop(&e.events).(*Event)
+		}
+		e.runq[e.runHead] = runEntry{}
+		if e.runHead++; e.runHead == len(e.runq) {
+			e.runq, e.runHead = e.runq[:0], 0
+		}
+		if live {
+			r.ev.index = idle
+			e.runLive--
+			return r.ev
+		}
+	}
+	if len(e.events) == 0 || limit >= 0 && e.events[0].at > limit {
+		return nil
+	}
+	return heap.Pop(&e.events).(*Event)
+}
+
+// raiseFatal re-raises, on the scheduler's goroutine and with the process
+// named, a panic that escaped a process body.
+func (e *Env) raiseFatal() {
+	if p := e.fatal; p != nil {
+		e.fatal = nil
+		panic(fmt.Sprintf("sim: process %q crashed: %v\n%s", p.proc, p.value, p.stack))
+	}
+}
+
 // Pending reports the number of events waiting in the queue.
-func (e *Env) Pending() int { return len(e.events) }
+func (e *Env) Pending() int { return len(e.events) + e.runLive }
 
 // procPanic records a non-sentinel panic escaping a process body so it can
 // be re-raised on the scheduler goroutine with context.

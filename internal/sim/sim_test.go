@@ -139,6 +139,41 @@ func TestPending(t *testing.T) {
 	if got := e.Pending(); got != 1 {
 		t.Fatalf("Pending after cancel = %d, want 1", got)
 	}
+
+	// Entries due now wait in the run queue, where a canceled one is only
+	// marked: Pending must not count it, nor Run execute it.
+	fired := 0
+	now1 := e.Schedule(0, func() { fired++ })
+	e.Schedule(0, func() { fired++ })
+	if got := e.Pending(); got != 3 {
+		t.Fatalf("Pending with two entries due now = %d, want 3", got)
+	}
+	if !now1.Cancel() || now1.Cancel() {
+		t.Fatal("Cancel of a run-queue entry: want true once, then false")
+	}
+	if got := e.Pending(); got != 2 {
+		t.Fatalf("Pending after canceling a run-queue entry = %d, want 2", got)
+	}
+	e.Run(time.Millisecond)
+	if fired != 1 || e.EventsExecuted() != 1 {
+		t.Fatalf("fired %d, EventsExecuted %d, want 1 and 1", fired, e.EventsExecuted())
+	}
+	if got := e.Pending(); got != 1 {
+		t.Fatalf("Pending after the instant = %d, want 1", got)
+	}
+
+	// The events embedded in processes and tickers count like any other.
+	p := e.Spawn("sleeper", func(p *Proc) { p.Sleep(time.Hour) })
+	tk := e.Tick(time.Minute, func() {})
+	e.Run(time.Millisecond)
+	if got := e.Pending(); got != 3 {
+		t.Fatalf("Pending with a sleeper and a ticker = %d, want 3", got)
+	}
+	tk.Stop()
+	p.Kill() // cancels the sleep timer, queues the unwind
+	if got := e.Pending(); got != 2 {
+		t.Fatalf("Pending after Stop and Kill = %d, want 2 (the 2 s event and the unwind)", got)
+	}
 }
 
 // TestCancelLeavesNoDeadEntries re-arms one timer 10,000 times among a
@@ -163,6 +198,26 @@ func TestCancelLeavesNoDeadEntries(t *testing.T) {
 	timer.Cancel()
 	if got := len(e.events); got != 8 {
 		t.Fatalf("heap holds %d entries after the last cancel, want 8", got)
+	}
+
+	// The same for the embedded events: a ticker stopped and a sleeper
+	// killed 10,000 times over leave nothing behind in the heap, and
+	// their canceled run-queue entries are gone once the instant is over.
+	for i := 0; i < 10000; i++ {
+		tk := e.Tick(time.Duration(1+i%13)*time.Second, func() { fired = append(fired, -2) })
+		p := e.Spawn("sleeper", func(p *Proc) { p.Sleep(time.Duration(1+i%7) * time.Second) })
+		dud := e.Schedule(0, func() { fired = append(fired, -3) })
+		dud.Cancel()
+		e.Run(time.Nanosecond) // the sleeper starts and goes to sleep
+		if got := len(e.events); got != 10 {
+			t.Fatalf("cycle %d: heap holds %d entries, want 10 (8 live, ticker, sleep timer)", i, got)
+		}
+		tk.Stop()
+		p.Kill()
+		e.Run(time.Nanosecond) // the sleeper unwinds
+		if h, r := len(e.events), len(e.runq); h != 8 || r != 0 {
+			t.Fatalf("cycle %d: heap holds %d entries and the run queue %d, want 8 and 0", i, h, r)
+		}
 	}
 	e.Run(0)
 	want := []int{6, 7, 4, 5, 2, 3, 0, 1} // by time, ties in schedule order

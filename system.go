@@ -444,6 +444,19 @@ func (sys *System) Run(d time.Duration) time.Duration {
 	return sys.Env.Run(d)
 }
 
+// Close tears the system down once its results are harvested: every
+// process still alive unwinds as if killed, so none of their goroutines
+// outlives the system (see sim.Env.Close). Tearing down is not part of
+// the run: recorder and profiler are detached first, so the reaping shows
+// in neither the trace nor the region counts. A runner that boots systems
+// in a loop calls it on each before dropping it.
+func (sys *System) Close() {
+	sys.Env.SetObserver(nil)
+	sys.Kernel.SetObs(nil)
+	sys.Kernel.SetPerf(nil)
+	sys.Env.Close()
+}
+
 // Every schedules fn to run every interval of virtual time, first at
 // now+interval (the crash-simulation loop of §7.1 uses this). It returns
 // a cancelable ticker: stopping it removes the pending event from the

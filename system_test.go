@@ -1,12 +1,14 @@
 package resilientos
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
 	"resilientos/internal/core"
 	"resilientos/internal/hw"
 	"resilientos/internal/kernel"
+	"resilientos/internal/obs"
 )
 
 func TestBootAllServicesUp(t *testing.T) {
@@ -600,5 +602,39 @@ func TestVFSRestartInvalidatesDescriptors(t *testing.T) {
 	sys.Run(time.Minute)
 	if !reopened {
 		t.Fatal("editor did not finish")
+	}
+}
+
+// TestCloseUnwindsWholeSystem stops a full system in the middle of a
+// transfer and a driver recovery — servers blocked in every kind of call —
+// and closes it: no process and no goroutine is left, and the teardown
+// stays out of the trace.
+func TestCloseUnwindsWholeSystem(t *testing.T) {
+	before := runtime.NumGoroutine()
+	events := &obs.SliceSink{}
+	sys := New(Config{Obs: obs.NewRecorder(events),
+		PreallocFiles: []PreallocFile{{Name: "bigdata", Size: 8 << 20}}})
+	sys.ServeFile(80, 7, 64<<20)
+	var wget WgetResult
+	sys.Wget(DriverRTL8139, 80, 7, 64<<20, &wget)
+	var dd DdResult
+	sys.Dd("/bigdata", 64<<10, &dd)
+	sys.Run(4 * time.Second)
+	sys.KillDriver(DriverRTL8139)
+	sys.Run(50 * time.Millisecond) // RS has seen the death, the restart is under way
+	if wget.Duration != 0 || sys.Kernel.ProcCount() < 10 {
+		t.Fatalf("not mid-run: wget done = %v, %d processes", wget.Duration != 0, sys.Kernel.ProcCount())
+	}
+	traced := len(events.Events())
+
+	sys.Close()
+	if n := sys.Kernel.ProcCount(); n != 0 {
+		t.Errorf("%d kernel processes alive after Close", n)
+	}
+	if n := len(events.Events()); n != traced {
+		t.Errorf("teardown emitted %d trace events", n-traced)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines before the system booted, %d after Close", before, after)
 	}
 }
