@@ -1,10 +1,10 @@
 package resilientos
 
-// Hot-path micro-benchmarks: the inner loops BENCH_simspeed.json
-// attributes cost to, each isolated to one operation so a regression in
-// simulator speed can be localized without re-running the full battery.
+// Hot-path micro-benchmarks: the inner loops internal/perf's regions
+// attribute cost to, each isolated to one operation so a regression in
+// simulator speed can be localized without re-running the repo benchmark.
 // Run with -benchmem (ReportAllocs is on): allocs/op on these paths is
-// the first thing to check when simspeed's allocs/event moves.
+// the first thing to check when its sim.allocs_per_entry moves.
 //
 //	go test -bench=Hotpath -benchmem
 //
@@ -24,7 +24,7 @@ import (
 )
 
 // gateAllocs fails b when op allocates: these paths allocated nothing when
-// the gate was set, and simspeed's allocs/event is made of them.
+// the gate was set, and the benchmark's allocs per entry are made of them.
 func gateAllocs(b *testing.B, what string, op func()) {
 	b.Helper()
 	if allocs := testing.AllocsPerRun(100, op); allocs != 0 {
@@ -124,7 +124,7 @@ func BenchmarkHotpathIPCRendezvous(b *testing.B) {
 
 // BenchmarkHotpathTraceAppend measures one trace-event emit through the
 // recorder into a ring sink — stamp, mask check, fan-out, ring write —
-// the per-event cost the obs region of simspeed attributes.
+// the per-event cost the obs region attributes.
 func BenchmarkHotpathTraceAppend(b *testing.B) {
 	ring := obs.NewRingSink(4096)
 	rec := obs.NewRecorder(ring)

@@ -52,7 +52,7 @@ func run(args []string) error {
 	invariants := fs.Bool("invariants", false, "run the live invariant checker in every cell")
 	traceTail := fs.Int("trace-tail", 32, "trace events kept per cell for violation repro dumps")
 	quiet := fs.Bool("q", false, "suppress per-cell progress")
-	benchJSON := fs.String("bench-json", "", "write the machine-readable campaign baseline (BENCH_campaign.json schema) to this file")
+	benchJSON := fs.String("bench-json", "", "write the machine-readable result (internal/bench document) to this file")
 
 	classic := fs.Bool("classic", false, "original §7.2 single-system campaign")
 	faults := fs.Int("faults", 12500, "classic: total faults to inject")
@@ -85,7 +85,7 @@ func run(args []string) error {
 	wall := time.Since(start)
 	fmt.Printf("\nwall clock: %v (workers=%d)\n", wall.Round(time.Millisecond), cfg.Workers)
 	if *benchJSON != "" {
-		if err := bench.WriteFile(*benchJSON, benchReport(rep, wall)); err != nil {
+		if err := bench.WriteFile(*benchJSON, benchDoc(rep)); err != nil {
 			return err
 		}
 		fmt.Printf("perf baseline written to %s\n", *benchJSON)
@@ -96,37 +96,34 @@ func run(args []string) error {
 	return nil
 }
 
-// benchReport converts the merged campaign report to the BENCH_campaign
-// JSON schema. Virtual-time fields are deterministic for a fixed matrix;
-// wall clock and workers describe the run machine.
-func benchReport(rep *campaign.Report, wall time.Duration) bench.Campaign {
-	out := bench.Campaign{
-		Schema:              bench.SchemaCampaign,
-		Seeds:               len(rep.Config.Seeds),
-		Cells:               len(rep.Cells),
-		FaultsPerCell:       rep.Config.FaultsPerCell,
-		Workers:             rep.Config.Workers,
-		Injected:            rep.Injected,
-		Crashes:             rep.Crashes,
-		Recovered:           rep.Recovered,
-		GaveUp:              rep.GaveUp,
-		InvariantViolations: len(rep.Violations),
-		WallClockS:          wall.Seconds(),
-	}
+// benchDoc is the campaign's bench document: the matrix shape as
+// parameters, then totals and per-fault-type counts and recovery
+// latencies, identical for any -workers value.
+func benchDoc(rep *campaign.Report) bench.Doc {
+	doc := bench.New("faultbench", map[string]string{
+		"seeds":           strconv.Itoa(len(rep.Config.Seeds)),
+		"cells":           strconv.Itoa(len(rep.Cells)),
+		"faults_per_cell": strconv.Itoa(rep.Config.FaultsPerCell),
+	})
+	doc.Count("injected", rep.Injected)
+	doc.Count("crashes", rep.Crashes)
+	doc.Count("recovered", rep.Recovered)
+	doc.Count("gave_up", rep.GaveUp)
+	rate := 0.0
 	if rep.Crashes > 0 {
-		out.RecoveryRatePct = 100 * float64(rep.Recovered) / float64(rep.Crashes)
+		rate = 100 * float64(rep.Recovered) / float64(rep.Crashes)
 	}
+	doc.Add("recovery_rate_pct", rate, "%", bench.Higher)
+	doc.Count("invariant_violations", len(rep.Violations))
 	for _, a := range rep.ByFault {
-		out.ByFault = append(out.ByFault, bench.CampaignFault{
-			Fault:     a.Fault.String(),
-			Injected:  a.Injected,
-			Crashes:   a.Crashes,
-			Recovered: a.Recovered,
-			GaveUp:    a.GaveUp,
-			Recovery:  bench.Latency(obs.Summarize(a.Latencies)),
-		})
+		key := "fault/" + a.Fault.String() + "/"
+		doc.Count(key+"injected", a.Injected)
+		doc.Count(key+"crashes", a.Crashes)
+		doc.Count(key+"recovered", a.Recovered)
+		doc.Count(key+"gave_up", a.GaveUp)
+		doc.Latency(key+"recovery", obs.Summarize(a.Latencies))
 	}
-	return out
+	return doc
 }
 
 // parseMatrix builds a campaign config from the -matrix spec. Keys are

@@ -4,21 +4,19 @@
 // with per-kill dips, dip depth/width analysis, and the
 // recovered-throughput ratio, emitted as byte-reproducible CSV + JSON
 // plus a self-contained SVG render. For a fixed -seed two runs produce
-// identical CSV/JSON/SVG bytes, so the outputs double as golden files
-// and as inputs to the bench-regression gate (cmd/benchgate).
+// identical CSV/JSON/SVG bytes, so the outputs double as golden files.
 //
 // Output files land in -out, named fig<N>_seed<S>.{csv,json,svg} plus
 // fig<N>_seed<S>_windows.csv (the raw window series: counters, event
 // kinds, annotations, per-service status). With -bench, the per-figure
-// summary is also written as BENCH_fig<N>.json (bench/figure/v1 schema;
-// contains wall-clock and so is not byte-reproducible).
+// summary is also written as BENCH_fig<N>.json (internal/bench document,
+// as byte-reproducible as the rest).
 //
 // With -mechanisms, the command instead runs the recovery-mechanism
 // comparison: the same Fig. 7 (or 8) configuration once per mechanism
 // (respawn, microreboot, standby) with VM-level crash injection, writing
-// fig<N>_seed<S>_<mech>.csv per mechanism plus BENCH_recovery.json
-// (bench/recovery/v1), the paper-style extension table of dip depth and
-// width per mechanism that the bench gate trends.
+// fig<N>_seed<S>_<mech>.csv per mechanism plus BENCH_recovery.json, the
+// paper-style extension table of dip depth and width per mechanism.
 //
 //	figures                             # both figures, quick defaults
 //	figures -fig 7 -seed 11             # the committed golden configuration
@@ -63,7 +61,7 @@ func run(args []string) error {
 	interval := fs.Float64("interval", 2, "kill interval in seconds (0 = uninterrupted)")
 	window := fs.Float64("window", 1, "telemetry window width in seconds")
 	out := fs.String("out", ".", "output directory")
-	doBench := fs.Bool("bench", false, "also write BENCH_fig<N>.json summaries (bench/figure/v1)")
+	doBench := fs.Bool("bench", false, "also write BENCH_fig<N>.json summaries (internal/bench documents)")
 	mechs := fs.Bool("mechanisms", false, "run the recovery-mechanism comparison instead (writes BENCH_recovery.json)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -104,7 +102,7 @@ func run(args []string) error {
 
 // runMechanisms runs the recovery-mechanism comparison: one identical
 // figure run per mechanism with VM-level crash injection, a per-mechanism
-// CSV each, and the BENCH_recovery.json summary with the standby-depth
+// CSV each, and the BENCH_recovery.json document with the standby-depth
 // and microreboot-width gains over the respawn baseline.
 func runMechanisms(fig int, seed, sizeMB int64, intervalS, windowS float64, out string) error {
 	wallStart := time.Now()
@@ -115,18 +113,22 @@ func runMechanisms(fig int, seed, sizeMB int64, intervalS, windowS float64, out 
 		Interval: time.Duration(intervalS * float64(time.Second)),
 		Window:   time.Duration(windowS * float64(time.Second)),
 	})
-	doc.WallClockS = time.Since(wallStart).Seconds()
+	mechs := resilientos.RecoveryMechanisms
 
+	first := results[0]
 	fmt.Printf("fig%d recovery mechanisms: %d MB, crash every %v, seed %d (%.1fs wall)\n",
-		doc.Fig, doc.SizeBytes>>20, results[0].Interval, doc.Seed, doc.WallClockS)
+		first.Fig, first.Size>>20, first.Interval, first.Seed, time.Since(wallStart).Seconds())
 	fmt.Printf("  %-12s %8s %8s %10s %12s %10s\n",
 		"mechanism", "MB/s", "crashes", "depth %", "width ms", "recov %")
-	for _, m := range doc.Mechanisms {
+	for i, res := range results {
+		depth, width := res.MeanDip()
 		fmt.Printf("  %-12s %8.2f %8d %10.1f %12.1f %10.1f\n",
-			m.Mechanism, m.MBps, m.Crashes, m.MeanDipDepth, m.MeanDipWidthMs, m.RecoveredPct)
+			mechs[i], res.MBps, res.Kills, depth, width, res.RecoveredPct)
 	}
+	depthGain, _ := doc.Value("standby_depth_gain_pct")
+	widthGain, _ := doc.Value("micro_width_gain_ms")
 	fmt.Printf("  standby depth gain: %.1f pct points, microreboot width gain: %.1f ms\n",
-		doc.StandbyDepthGainPct, doc.MicroWidthGainMs)
+		depthGain, widthGain)
 
 	for i, res := range results {
 		var csv bytes.Buffer
@@ -134,7 +136,7 @@ func runMechanisms(fig int, seed, sizeMB int64, intervalS, windowS float64, out 
 			return err
 		}
 		path := filepath.Join(out, fmt.Sprintf("fig%d_seed%d_%s.csv",
-			res.Fig, res.Seed, doc.Mechanisms[i].Mechanism))
+			res.Fig, res.Seed, mechs[i]))
 		if err := os.WriteFile(path, csv.Bytes(), 0o644); err != nil {
 			return fmt.Errorf("fig%d: write %s: %w", res.Fig, path, err)
 		}
@@ -149,11 +151,11 @@ func runMechanisms(fig int, seed, sizeMB int64, intervalS, windowS float64, out 
 	for i, res := range results {
 		if res.Violation != nil {
 			return fmt.Errorf("fig%d %s: window series invariant violated: %w",
-				res.Fig, doc.Mechanisms[i].Mechanism, res.Violation)
+				res.Fig, mechs[i], res.Violation)
 		}
 		if !res.OK {
 			return fmt.Errorf("fig%d %s: transfer failed integrity check (%d of %d bytes)",
-				res.Fig, doc.Mechanisms[i].Mechanism, res.Bytes, res.Size)
+				res.Fig, mechs[i], res.Bytes, res.Size)
 		}
 	}
 	return nil
@@ -218,7 +220,7 @@ func runFigure(fig int, seed, sizeMB int64, intervalS, windowS float64, out stri
 	}
 	if doBench {
 		path := filepath.Join(out, fmt.Sprintf("BENCH_fig%d.json", res.Fig))
-		if err := bench.WriteFile(path, res.BenchFigure(wall)); err != nil {
+		if err := bench.WriteFile(path, res.BenchDoc()); err != nil {
 			return fmt.Errorf("fig%d: write %s: %w", res.Fig, path, err)
 		}
 		fmt.Printf("  wrote %s\n", path)

@@ -21,7 +21,7 @@
 //	fleetbench -compare -storm correlated:eth.rtl8139    # all policies side by side
 //	fleetbench -seed 11 -csv fleet.csv -bench-json BENCH_fleet.json
 //	fleetbench -workload spec.json -record trace.jsonl   # pin a campaign
-//	fleetbench -replay trace.jsonl -det                  # regression-replay it
+//	fleetbench -replay trace.jsonl                       # regression-replay it
 package main
 
 import (
@@ -29,6 +29,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"time"
 
 	"resilientos/internal/bench"
@@ -64,14 +65,13 @@ func run(args []string) error {
 	compare := fs.Bool("compare", false, "run every policy under the same storm and print a comparison table")
 	csvPath := fs.String("csv", "", "write the fleet window series (timeseries CSV) to this file")
 	jsonPath := fs.String("json", "", "write the full campaign report as JSON to this file")
-	benchJSON := fs.String("bench-json", "", "write the machine-readable fleet baseline (BENCH_fleet.json schema) to this file")
+	benchJSON := fs.String("bench-json", "", "write the machine-readable result (internal/bench document) to this file")
 	workloadPath := fs.String("workload", "",
 		"workload spec JSON (internal/workload): declarative per-class arrival\n"+
 			"processes, sizes, and SLO budgets; replaces -rps and the built-in\n"+
 			"mix, and the spec horizon overrides -horizon")
 	recordPath := fs.String("record", "", "write the generated arrival sequence as a tracev2 JSONL trace (requires -workload)")
 	replayPath := fs.String("replay", "", "re-drive a recorded tracev2 trace (exclusive with -workload and -record)")
-	det := fs.Bool("det", false, "zero wall-clock fields in bench output so repeated runs are byte-comparable")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -138,12 +138,8 @@ func run(args []string) error {
 	c := cluster.New(cfg)
 	defer c.Close()
 	r := c.Run()
-	wall := time.Since(start).Seconds()
 	r.Render(os.Stdout)
-	fmt.Printf("wall clock: %.2fs\n", wall)
-	if *det {
-		wall = 0
-	}
+	fmt.Printf("wall clock: %.2fs\n", time.Since(start).Seconds())
 
 	if *csvPath != "" {
 		f, err := os.Create(*csvPath)
@@ -174,12 +170,58 @@ func run(args []string) error {
 		fmt.Printf("wrote %s\n", *jsonPath)
 	}
 	if *benchJSON != "" {
-		if err := bench.WriteFile(*benchJSON, r.BenchDoc(wall)); err != nil {
+		if err := bench.WriteFile(*benchJSON, benchDoc(r)); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %s\n", *benchJSON)
 	}
 	return nil
+}
+
+// benchDoc is the campaign's bench document: what selects the run as
+// parameters, the fleet-wide summary, then every class under
+// "class/<name>/". Request latencies include retry penalties and
+// mid-recovery reroutes.
+func benchDoc(r *cluster.Report) bench.Doc {
+	params := map[string]string{
+		"nodes":   strconv.Itoa(r.Nodes),
+		"seed":    strconv.FormatInt(r.Seed, 10),
+		"policy":  r.Policy,
+		"storm":   r.Storm,
+		"horizon": r.Horizon.String(),
+		"window":  r.Window.String(),
+	}
+	if r.Workload != "" {
+		params["workload"] = r.Workload
+	}
+	doc := bench.New("fleetbench", params)
+	doc.Count("windows", r.Windows)
+	doc.Add("availability_pct", r.AvailabilityPct, "%", bench.Higher)
+	doc.Add("node_availability_pct", r.NodeAvailabilityPct, "%", bench.Higher)
+	doc.Count("requests", int(r.Requests))
+	doc.Count("completed", int(r.Completed))
+	doc.Count("reroutes", int(r.Reroutes))
+	doc.Latency("request", r.Latency)
+	doc.Count("kills", r.Kills)
+	doc.Count("injections", r.Injections)
+	doc.Count("crashes", r.Crashes)
+	doc.Count("recovered", r.Recovered)
+	doc.Count("gave_up", r.GaveUp)
+	doc.Add("recovered_pct", r.RecoveredPct, "%", bench.Higher)
+	doc.Count("max_recovery_overlap", r.MaxRecoveryOverlap)
+	doc.Add("mean_recovery_overlap", r.MeanRecoveryOverlap, "nodes", bench.Lower)
+	for _, cr := range r.Classes {
+		key := "class/" + cr.Class + "/"
+		doc.Add(key+"availability_pct", cr.AvailabilityPct, "%", bench.Higher)
+		doc.Add(key+"node_availability_pct", cr.NodeAvailabilityPct, "%", bench.Higher)
+		doc.Latency(key+"request", cr.Latency)
+		if cr.SLO != nil { // only classes with a declared budget
+			doc.Add(key+"slo_budget_ms", float64(cr.SLO.Budget)/1e6, "virt_ms", bench.Lower)
+			doc.Add(key+"slo_attained_pct", cr.SLO.AttainedPct, "%", bench.Higher)
+			doc.Add(key+"slo_window_pct", cr.SLO.WindowPct, "%", bench.Higher)
+		}
+	}
+	return doc
 }
 
 // runCompare executes the same storm under every routing policy and

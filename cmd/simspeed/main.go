@@ -1,6 +1,6 @@
-// Command simspeed measures the simulator's own wall-clock speed — the
-// meta-benchmark behind BENCH_simspeed.json. It runs a fixed battery of
-// three scenarios through internal/perf:
+// Command simspeed is the simulator's exact-count drift gate and
+// profiling harness. It runs a fixed battery of three scenarios through
+// internal/perf:
 //
 //   - fig7: the Fig. 7 wget transfer under periodic driver kills, with
 //     the full observability stack attached (trace recorder with spans,
@@ -9,24 +9,22 @@
 //   - campaign: a SWIFI campaign shard (one seed, one victim).
 //
 // Each scenario runs twice: instrumented (obs stack on) and bare (nil
-// recorders), yielding an obs-on vs obs-off overhead matrix on top of
-// the per-region cost attribution (scheduler step, kernel IPC, ucode
-// VM, obs recording, invariant checker, decision log, timeseries
-// rollovers, lockstep barrier). The fleet scenario's recorder is
-// structural (the report is built from it), so its bare run is an
-// identical re-run and its overhead column reads the run-to-run noise
-// floor instead.
+// recorders). The fleet scenario's recorder is structural (the report is
+// built from it), so its bare run is an identical re-run.
 //
-// The output document separates the two planes the profiler keeps
-// apart: scenario event counts, region entry counts, and virtual time
-// are deterministic for a fixed seed (byte-reproducible, hard-gated by
-// cmd/benchgate); events/sec, ns/event, and allocs/event observe the
-// host machine (gated warn-only). -det zeroes the wall-clock fields so
-// two runs can be byte-compared — the determinism-separation gate CI
-// enforces.
+// It reports only what a run this short can resolve: scheduler events
+// instrumented and bare, trace events emitted, virtual time simulated,
+// and per region (scheduler step, kernel IPC, ucode VM, obs recording,
+// invariant checker, decision log, timeseries rollovers, lockstep
+// barrier) the entry and alloc-sample counts. All of it is a function of
+// the seed: the same code must execute the same events, so the seed-1
+// document is committed (testdata/BENCH_simspeed_seed1.json) and any
+// drift is a behaviour change. How fast the host runs the simulator is
+// benchmark/'s job (go -C benchmark run .); the pprof and folded-stack
+// flags here say where the time goes.
 //
-//	simspeed                          # battery, table + BENCH_simspeed.json
-//	simspeed -det -json a.json        # deterministic skeleton only
+//	simspeed                          # battery, table only
+//	simspeed -bench-json a.json       # also write the bench document
 //	simspeed -cpuprofile cpu.pprof    # profile the profiler's subject
 //	simspeed -folded simspeed.folded  # wall + virtual folded stacks
 package main
@@ -36,8 +34,10 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime/pprof"
+	"strconv"
 	"strings"
 	"time"
 
@@ -65,10 +65,8 @@ func main() {
 
 func run(args []string) (int, error) {
 	fs := flag.NewFlagSet("simspeed", flag.ContinueOnError)
-	jsonPath := fs.String("json", "BENCH_simspeed.json", "write the BENCH_simspeed.json document here (empty = skip)")
-	det := fs.Bool("det", false, "zero wall-clock fields in the JSON so repeated runs are byte-comparable")
+	benchJSON := fs.String("bench-json", "", "write the machine-readable result (internal/bench document) to this file")
 	seed := fs.Int64("seed", 1, "scenario seed")
-	quick := fs.Bool("quick", false, "smaller battery (CI smoke / tests)")
 	only := fs.String("scenario", "", "comma-separated scenario filter (fig7,fleet,campaign; empty = all)")
 	foldedPath := fs.String("folded", "", "write merged wall+virtual folded stacks (fig7 scenario) here")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the battery here")
@@ -80,13 +78,10 @@ func run(args []string) (int, error) {
 		return 2, nil
 	}
 	if fs.NArg() != 0 {
-		return 2, fmt.Errorf("usage: simspeed [-json file] [-det] [-seed n] [-quick] [-scenario list] [-folded file] [-cpuprofile file] [-memprofile file]")
+		return 2, fmt.Errorf("usage: simspeed [-bench-json file] [-seed n] [-scenario list] [-folded file] [-cpuprofile file] [-memprofile file]")
 	}
 
-	o := defaults(*seed)
-	if *quick {
-		o = quickOpts(*seed)
-	}
+	o := options{seed: *seed}
 	if *only != "" {
 		o.filter = make(map[string]bool)
 		for _, name := range strings.Split(*only, ",") {
@@ -127,51 +122,19 @@ func run(args []string) (int, error) {
 			return 2, err
 		}
 	}
-	if *jsonPath != "" {
-		out := doc
-		if *det {
-			out = doc.Canonical()
-		}
-		if err := bench.WriteFile(*jsonPath, out); err != nil {
+	if *benchJSON != "" {
+		if err := bench.WriteFile(*benchJSON, doc); err != nil {
 			return 2, err
 		}
-		fmt.Printf("wrote %s\n", *jsonPath)
+		fmt.Printf("wrote %s\n", *benchJSON)
 	}
 	return 0, nil
 }
 
-// options sizes the battery. The quick preset keeps every scenario's
-// structure (same regions exercised) at a fraction of the virtual time.
+// options selects the battery: the seed and which scenarios to run.
 type options struct {
-	seed           int64
-	fig7Size       int64
-	fig7Kill       time.Duration
-	fleetNodes     int
-	fleetHorizon   time.Duration
-	campaignFaults int
-	filter         map[string]bool
-}
-
-func defaults(seed int64) options {
-	return options{
-		seed:           seed,
-		fig7Size:       8 << 20,
-		fig7Kill:       2 * time.Second,
-		fleetNodes:     4,
-		fleetHorizon:   4 * time.Second,
-		campaignFaults: 6,
-	}
-}
-
-func quickOpts(seed int64) options {
-	return options{
-		seed:           seed,
-		fig7Size:       1 << 20,
-		fig7Kill:       time.Second,
-		fleetNodes:     2,
-		fleetHorizon:   time.Second,
-		campaignFaults: 2,
-	}
+	seed   int64
+	filter map[string]bool // nil = all
 }
 
 func (o options) want(name string) bool {
@@ -180,27 +143,21 @@ func (o options) want(name string) bool {
 
 // battery runs every selected scenario instrumented and bare, and
 // returns the bench document plus the fig7 merged folded stacks.
-func battery(o options) (bench.Simspeed, []byte) {
-	doc := bench.Simspeed{Schema: bench.SchemaSimspeed, Seed: o.seed}
+func battery(o options) (bench.Doc, []byte) {
+	doc := bench.New("simspeed", map[string]string{"seed": strconv.FormatInt(o.seed, 10)})
 	var folded []byte
-	start := time.Now()
 	if o.want("fig7") {
 		inst, lines := runFig7(o, true)
 		bare, _ := runFig7(o, false)
 		folded = lines
-		doc.Scenarios = append(doc.Scenarios, scenarioDoc("fig7", inst, bare))
+		addScenario(&doc, "fig7", inst, bare)
 	}
 	if o.want("fleet") {
-		inst := runFleet(o)
-		bare := runFleet(o)
-		doc.Scenarios = append(doc.Scenarios, scenarioDoc("fleet", inst, bare))
+		addScenario(&doc, "fleet", runFleet(o), runFleet(o))
 	}
 	if o.want("campaign") {
-		inst := runCampaign(o, true)
-		bare := runCampaign(o, false)
-		doc.Scenarios = append(doc.Scenarios, scenarioDoc("campaign", inst, bare))
+		addScenario(&doc, "campaign", runCampaign(o, true), runCampaign(o, false))
 	}
-	doc.WallClockS = time.Since(start).Seconds()
 	return doc, folded
 }
 
@@ -252,11 +209,12 @@ func runFig7(o options, instrumented bool) (*perf.Profiler, []byte) {
 	}
 	sys.Run(3 * time.Second) // boot settle
 
-	sys.ServeFile(80, o.seed, o.fig7Size)
+	const fig7Size = 8 << 20
+	sys.ServeFile(80, o.seed, fig7Size)
 	var res resilientos.WgetResult
-	sys.Wget(resilientos.DriverRTL8139, 80, o.seed, o.fig7Size, &res)
+	sys.Wget(resilientos.DriverRTL8139, 80, o.seed, fig7Size, &res)
 	done := func() bool { return res.Duration != 0 || res.Err != nil }
-	sys.Every(o.fig7Kill, func() {
+	sys.Every(2*time.Second, func() {
 		if !done() {
 			sys.KillDriver(resilientos.DriverRTL8139)
 		}
@@ -298,9 +256,9 @@ func runFleet(o options) *perf.Profiler {
 	p := perf.New()
 	p.Start(0)
 	c := cluster.New(cluster.Config{
-		Nodes:   o.fleetNodes,
+		Nodes:   4,
 		Seed:    o.seed,
-		Horizon: o.fleetHorizon,
+		Horizon: 4 * time.Second,
 		RPS:     150,
 		Storm: cluster.Storm{
 			Kind:     "correlated",
@@ -328,7 +286,7 @@ func runCampaign(o options, instrumented bool) *perf.Profiler {
 		Seeds:         []int64{o.seed},
 		Victims:       []string{resilientos.DriverRTL8139},
 		FaultTypes:    []fi.FaultType{fi.FaultSrcReg, fi.FaultPointer},
-		FaultsPerCell: o.campaignFaults,
+		FaultsPerCell: 6,
 		Invariants:    instrumented,
 		Decisions:     instrumented,
 		Perf:          p,
@@ -337,63 +295,33 @@ func runCampaign(o options, instrumented bool) *perf.Profiler {
 	return p
 }
 
-// scenarioDoc folds an instrumented and a bare profiler into one
-// scenario row of the bench document.
-func scenarioDoc(name string, inst, bare *perf.Profiler) bench.SimspeedScenario {
-	ir, br := inst.Report(), bare.Report()
-	sc := bench.SimspeedScenario{
-		Name:             name,
-		Events:           ir.Events,
-		BareEvents:       br.Events,
-		VirtualMs:        float64(ir.VirtualNs) / 1e6,
-		ObsEvents:        inst.Count(perf.RegionObs),
-		WallMs:           float64(ir.WallNs) / 1e6,
-		EventsPerSec:     ir.EventsPerSec,
-		NsPerEvent:       ir.NsPerEvent,
-		AllocsPerEvent:   ir.AllocsPerEvent,
-		VirtualPerWall:   ir.VirtualPerWall,
-		BareWallMs:       float64(br.WallNs) / 1e6,
-		BareEventsPerSec: br.EventsPerSec,
-	}
-	if br.NsPerEvent > 0 {
-		sc.OverheadPct = 100 * (ir.NsPerEvent - br.NsPerEvent) / br.NsPerEvent
-	}
+// addScenario appends one scenario's exact counts: the instrumented and
+// the bare run's scheduler events, the trace events emitted past the
+// mask, the virtual time simulated, and every region's entry and
+// alloc-sample counts of the instrumented run.
+func addScenario(doc *bench.Doc, name string, inst, bare *perf.Profiler) {
+	ir := inst.Report()
+	key := name + "/"
+	doc.Count(key+"events", int(ir.Events))
+	doc.Count(key+"bare_events", int(bare.Report().Events))
+	doc.Count(key+"obs_events", int(inst.Count(perf.RegionObs)))
+	doc.Add(key+"virtual_ms", float64(ir.VirtualNs)/1e6, "virt_ms", bench.Lower)
 	for _, rr := range ir.Regions {
-		sc.Regions = append(sc.Regions, bench.SimspeedRegion{
-			Region:         rr.Region,
-			Count:          rr.Count,
-			Samples:        rr.Samples,
-			TotalNs:        rr.TotalNs,
-			SelfNs:         rr.SelfNs,
-			NsPerEntry:     rr.NsPerEntry,
-			AllocsPerEntry: rr.AllocsPerEntry,
-		})
+		doc.Count(key+"region/"+rr.Region+"/entries", int(rr.Count))
+		doc.Count(key+"region/"+rr.Region+"/samples", int(rr.Samples))
 	}
-	return sc
 }
 
-// render prints the human table: the scenario matrix, then each
-// scenario's region attribution.
-func render(w *os.File, doc bench.Simspeed) {
-	fmt.Fprintf(w, "simspeed battery (seed %d, %.1fs wall)\n\n", doc.Seed, doc.WallClockS)
-	fmt.Fprintf(w, "%-10s %10s %12s %9s %9s %10s %14s %9s\n",
-		"SCENARIO", "EVENTS", "EV/SEC", "NS/EV", "ALLOC/EV", "VIRT/WALL", "BARE-EV/SEC", "OBS-OVH%")
-	for _, sc := range doc.Scenarios {
-		fmt.Fprintf(w, "%-10s %10d %12.0f %9.0f %9.1f %10.1f %14.0f %+8.1f%%\n",
-			sc.Name, sc.Events, sc.EventsPerSec, sc.NsPerEvent, sc.AllocsPerEvent,
-			sc.VirtualPerWall, sc.BareEventsPerSec, sc.OverheadPct)
-	}
-	for _, sc := range doc.Scenarios {
-		fmt.Fprintf(w, "\n%s regions:\n", sc.Name)
-		fmt.Fprintf(w, "  %-12s %10s %12s %12s %10s %10s\n",
-			"REGION", "COUNT", "TOTAL(us)", "SELF(us)", "NS/ENTRY", "ALLOC/ENT")
-		for _, rr := range sc.Regions {
-			if rr.Count == 0 {
-				continue
-			}
-			fmt.Fprintf(w, "  %-12s %10d %12d %12d %10.0f %10.2f\n",
-				rr.Region, rr.Count, rr.TotalNs/1000, rr.SelfNs/1000,
-				rr.NsPerEntry, rr.AllocsPerEntry)
+// render prints the document as a table, one scenario per block.
+func render(w io.Writer, doc bench.Doc) {
+	fmt.Fprintf(w, "simspeed battery (seed %s)\n", doc.Params["seed"])
+	scenario := ""
+	for _, m := range doc.Metrics {
+		sc, rest, _ := strings.Cut(m.Name, "/")
+		if sc != scenario {
+			scenario = sc
+			fmt.Fprintf(w, "\n%s\n", sc)
 		}
+		fmt.Fprintf(w, "  %-32s %12.0f %s\n", rest, m.Value, m.Unit)
 	}
 }

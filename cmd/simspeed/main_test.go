@@ -2,121 +2,91 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
+	"flag"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"resilientos/internal/bench"
 )
 
-// The determinism-separation gate: two runs of the same battery must
-// agree on every byte except the wall-clock fields. Canonical() zeroes
-// exactly those, so the canonical documents must be identical while
-// the raw documents (which carry wall-time observations) are not
-// comparable.
-func TestBatteryCanonicalFormIsReproducible(t *testing.T) {
-	o := quickOpts(1)
-	d1, folded := battery(o)
-	d2, _ := battery(o)
+var update = flag.Bool("update", false, "regenerate testdata/BENCH_simspeed_seed1.json")
 
-	b1, err := json.MarshalIndent(d1.Canonical(), "", "  ")
+const golden = "testdata/BENCH_simspeed_seed1.json"
+
+// The document holds nothing the host can move, so two batteries must
+// agree byte for byte with no flag at all — and with the committed
+// seed-1 document, the exact-count drift gate: the same code at the same
+// seed executes the same events, and a PR that moves one says why.
+func TestBatteryTwiceIdenticalBytes(t *testing.T) {
+	dir := t.TempDir()
+	var docs [2][]byte
+	for i := range docs {
+		path := filepath.Join(dir, "doc.json")
+		if code, err := run([]string{"-seed", "1", "-bench-json", path}); code != 0 || err != nil {
+			t.Fatalf("battery: code=%d err=%v", code, err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs[i] = b
+	}
+	if !bytes.Equal(docs[0], docs[1]) {
+		t.Fatalf("documents differ between identical runs:\n--- run 1\n%s\n--- run 2\n%s", docs[0], docs[1])
+	}
+	if *update {
+		if err := os.WriteFile(golden, docs[0], 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("read golden (regenerate with -update): %v", err)
 	}
-	b2, err := json.MarshalIndent(d2.Canonical(), "", "  ")
-	if err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(docs[0], want) {
+		t.Errorf("exact counts drifted from %s: diff it against `go run ./cmd/simspeed -seed 1 -bench-json`; "+
+			"if the change is intentional, regenerate with -update and say why in the PR", golden)
 	}
-	if !bytes.Equal(b1, b2) {
-		t.Fatalf("canonical documents differ between identical runs:\n--- run 1\n%s\n--- run 2\n%s", b1, b2)
+}
+
+// The counts must be the ones the profiler's regions define: every
+// scheduler event is one step-region entry; attaching the obs stack
+// emits trace events and schedules work of its own, so the instrumented
+// fig7 run executes different events from the bare one (which is why
+// both are pinned); and the live checker runs once per step.
+func TestBatteryExactCounts(t *testing.T) {
+	doc, folded := battery(options{seed: 1})
+	value := func(name string) float64 {
+		v, ok := doc.Value(name)
+		if !ok {
+			t.Fatalf("document lacks %q", name)
+		}
+		return v
 	}
-	if len(folded) == 0 {
-		t.Fatal("fig7 produced no folded stacks")
+	for _, sc := range []string{"fig7", "fleet", "campaign"} {
+		events := value(sc + "/events")
+		if events == 0 || value(sc+"/bare_events") == 0 {
+			t.Errorf("%s: zero event counts", sc)
+		}
+		if step := value(sc + "/region/step/entries"); step != events {
+			t.Errorf("%s: step region entered %v times for %v events", sc, step, events)
+		}
+	}
+	if value("fig7/obs_events") == 0 {
+		t.Error("instrumented fig7 run emitted no obs events")
+	}
+	if inst, bare := value("fig7/events"), value("fig7/bare_events"); inst == bare {
+		t.Errorf("instrumented and bare fig7 both executed %v events; sampler/checker scheduling missing", inst)
+	}
+	if value("fig7/region/check/entries") == 0 {
+		t.Error("invariant checker region never entered")
+	}
+	if value("fleet/region/barrier/entries") == 0 {
+		t.Error("lockstep barrier region never entered")
 	}
 	if !bytes.Contains(folded, []byte("wall:")) {
-		t.Fatal("folded stacks lack the wall-clock plane")
-	}
-}
-
-// The battery must populate both planes: deterministic counts nonzero,
-// wall-clock observations nonzero before canonicalization and zero
-// after.
-func TestBatterySeparatesPlanes(t *testing.T) {
-	doc, _ := battery(quickOpts(1))
-	if doc.Schema != bench.SchemaSimspeed {
-		t.Fatalf("schema %q", doc.Schema)
-	}
-	want := map[string]bool{"fig7": true, "fleet": true, "campaign": true}
-	for _, sc := range doc.Scenarios {
-		delete(want, sc.Name)
-		if sc.Events == 0 || sc.BareEvents == 0 {
-			t.Fatalf("%s: zero event counts", sc.Name)
-		}
-		if sc.WallMs <= 0 || sc.EventsPerSec <= 0 || sc.NsPerEvent <= 0 {
-			t.Fatalf("%s: wall-clock plane empty: %+v", sc.Name, sc)
-		}
-		var stepCount uint64
-		for _, rr := range sc.Regions {
-			if rr.Region == "step" {
-				stepCount = rr.Count
-			}
-		}
-		if stepCount != sc.Events {
-			t.Fatalf("%s: step region count %d != events %d", sc.Name, stepCount, sc.Events)
-		}
-	}
-	if len(want) != 0 {
-		t.Fatalf("missing scenarios: %v", want)
-	}
-
-	can := doc.Canonical()
-	for _, sc := range can.Scenarios {
-		if sc.WallMs != 0 || sc.EventsPerSec != 0 || sc.NsPerEvent != 0 ||
-			sc.AllocsPerEvent != 0 || sc.VirtualPerWall != 0 ||
-			sc.BareWallMs != 0 || sc.BareEventsPerSec != 0 || sc.OverheadPct != 0 {
-			t.Fatalf("%s: canonical form kept wall-clock fields: %+v", sc.Name, sc)
-		}
-		if sc.Events == 0 {
-			t.Fatalf("%s: canonical form lost deterministic counts", sc.Name)
-		}
-		for _, rr := range sc.Regions {
-			if rr.TotalNs != 0 || rr.SelfNs != 0 || rr.NsPerEntry != 0 || rr.AllocsPerEntry != 0 {
-				t.Fatalf("%s/%s: canonical region kept wall fields", sc.Name, rr.Region)
-			}
-		}
-	}
-	if can.WallClockS != 0 {
-		t.Fatal("canonical form kept WallClockS")
-	}
-}
-
-// The instrumented fig7 run attaches the obs stack, which both emits
-// events (ObsEvents) and schedules its own work — its event count must
-// differ from the bare run's, which is exactly why both are gated.
-func TestFig7InstrumentedAndBareDiffer(t *testing.T) {
-	doc, _ := battery(options{
-		seed: 1, fig7Size: 1 << 20, fig7Kill: 1e9,
-		filter: map[string]bool{"fig7": true},
-	})
-	if len(doc.Scenarios) != 1 || doc.Scenarios[0].Name != "fig7" {
-		t.Fatalf("scenario filter broken: %+v", doc.Scenarios)
-	}
-	sc := doc.Scenarios[0]
-	if sc.ObsEvents == 0 {
-		t.Fatal("instrumented run emitted no obs events")
-	}
-	if sc.Events == sc.BareEvents {
-		t.Fatalf("instrumented (%d) and bare (%d) event counts agree; sampler/checker scheduling missing",
-			sc.Events, sc.BareEvents)
-	}
-	var hasCheck bool
-	for _, rr := range sc.Regions {
-		if rr.Region == "check" && rr.Count > 0 {
-			hasCheck = true
-		}
-	}
-	if !hasCheck {
-		t.Fatal("invariant checker region never entered")
+		t.Error("fig7 folded stacks lack the wall-clock plane")
 	}
 }
 
@@ -128,26 +98,22 @@ func TestRenderAndFlags(t *testing.T) {
 		t.Fatalf("positional arg: code=%d err=%v", code, err)
 	}
 	dir := t.TempDir()
-	code, err := run([]string{"-quick", "-det",
+	code, err := run([]string{
 		"-scenario", "fleet",
-		"-json", dir + "/BENCH_simspeed.json",
+		"-bench-json", dir + "/BENCH_simspeed.json",
 		"-folded", dir + "/simspeed.folded"})
 	if code != 0 || err != nil {
-		t.Fatalf("quick run: code=%d err=%v", code, err)
+		t.Fatalf("fleet-only run: code=%d err=%v", code, err)
 	}
-	b, err := os.ReadFile(dir + "/BENCH_simspeed.json")
+	doc, err := bench.ReadFile(dir + "/BENCH_simspeed.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doc bench.Simspeed
-	if err := json.Unmarshal(b, &doc); err != nil {
-		t.Fatal(err)
+	if _, ok := doc.Value("fleet/events"); !ok {
+		t.Fatal("scenario filter dropped the fleet scenario")
 	}
-	if len(doc.Scenarios) != 1 || doc.Scenarios[0].Name != "fleet" {
-		t.Fatalf("scenario filter: %+v", doc.Scenarios)
-	}
-	if doc.Scenarios[0].WallMs != 0 {
-		t.Fatal("-det did not zero wall fields")
+	if _, ok := doc.Value("fig7/events"); ok {
+		t.Fatal("scenario filter kept fig7")
 	}
 	// -scenario fleet produces no fig7 folded stacks: file is written
 	// but empty.

@@ -49,7 +49,7 @@ func run(args []string) error {
 	intervals := fs.String("intervals", "", "comma-separated kill intervals in seconds (default 1,2,4,6,8,10,12,15)")
 	trace := fs.String("trace", "", "write the full JSONL event trace to this file (use a small -size; summarize with tracestat)")
 	perfetto := fs.String("perfetto", "", "write the causal span trace as Chrome trace-event JSON to this file (open in ui.perfetto.dev; use a small -size)")
-	benchJSON := fs.String("bench-json", "", "write the machine-readable perf baseline (BENCH_throughput.json schema) to this file")
+	benchJSON := fs.String("bench-json", "", "write the machine-readable result (internal/bench document) to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -100,7 +100,6 @@ func run(args []string) error {
 		}
 	}
 
-	wallStart := time.Now()
 	var points []resilientos.ThroughputPoint
 	switch *exp {
 	case "fig7":
@@ -158,33 +157,20 @@ func run(args []string) error {
 		fmt.Printf("perfetto trace written to %s\n", *perfetto)
 	}
 	if *benchJSON != "" {
-		size := points[0].Bytes
-		rep := bench.Throughput{
-			Schema:     bench.SchemaThroughput,
-			Experiment: *exp,
-			Seed:       *seed,
-			SizeBytes:  size,
-			WallClockS: time.Since(wallStart).Seconds(),
+		doc := bench.New("throughput", map[string]string{
+			"exp":        *exp,
+			"seed":       strconv.FormatInt(*seed, 10),
+			"size_bytes": strconv.FormatInt(points[0].Bytes, 10),
+		})
+		for _, p := range points { // first point is uninterrupted (interval 0)
+			key := fmt.Sprintf("interval_%gs/", p.KillInterval.Seconds())
+			doc.Add(key+"mbps", p.MBps, "MB/s", bench.Higher)
+			doc.Add(key+"virtual_s", p.Duration.Seconds(), "virt_s", bench.Lower)
+			doc.Count(key+"kills", p.Kills)
+			doc.Count(key+"recoveries", p.Recoveries)
+			doc.Latency(key+"recovery", p.Recovery)
 		}
-		for _, p := range points {
-			virt := p.Duration.Seconds()
-			var ops float64
-			if virt > 0 {
-				ops = float64(p.Bytes) / (64 << 10) / virt
-			}
-			rep.Points = append(rep.Points, bench.ThroughputPoint{
-				KillIntervalS:  p.KillInterval.Seconds(),
-				Bytes:          p.Bytes,
-				VirtualS:       virt,
-				MBps:           p.MBps,
-				OpsPerVirtualS: ops,
-				Kills:          p.Kills,
-				Recoveries:     p.Recoveries,
-				OK:             p.OK,
-				Recovery:       bench.Latency(p.Recovery),
-			})
-		}
-		if err := bench.WriteFile(*benchJSON, rep); err != nil {
+		if err := bench.WriteFile(*benchJSON, doc); err != nil {
 			return err
 		}
 		fmt.Printf("perf baseline written to %s\n", *benchJSON)

@@ -330,7 +330,7 @@ func run(args []string) error {
 	workers := fs.Int("workers", 1, "worker pool size (output is identical for any value)")
 	record := fs.String("record", "", "write the baseline decision log (spec header + JSONL) to this file")
 	replay := fs.String("replay", "", "re-run the campaign recorded in this file and byte-compare its decision log before sweeping")
-	benchJSON := fs.String("bench-json", "", "write the machine-readable sweep summary (BENCH_decisions.json schema) to this file")
+	benchJSON := fs.String("bench-json", "", "write the machine-readable result (internal/bench document) to this file")
 	quiet := fs.Bool("q", false, "suppress per-cell progress")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -401,7 +401,6 @@ func run(args []string) error {
 		}
 	}
 
-	start := time.Now()
 	baseRep, err := runScenario(base, *workers, progress("baseline"))
 	if err != nil {
 		return err
@@ -433,13 +432,11 @@ func run(args []string) error {
 		}
 		variants = append(variants, variant{name: name, rep: rep, sum: latencySummary(rep)})
 	}
-	wall := time.Since(start)
 
 	renderTable(os.Stdout, base, variants)
 
 	if *benchJSON != "" {
-		doc := benchDoc(base, variants, *workers, wall)
-		if err := bench.WriteFile(*benchJSON, doc); err != nil {
+		if err := bench.WriteFile(*benchJSON, benchDoc(base, variants)); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "sweep summary written to %s\n", *benchJSON)
@@ -483,27 +480,22 @@ func renderTable(w *os.File, base scenario, variants []variant) {
 	}
 }
 
-func benchDoc(base scenario, variants []variant, workers int, wall time.Duration) bench.Decisions {
-	conv := func(v variant) bench.DecisionVariant {
-		return bench.DecisionVariant{
-			Name:            v.name,
-			Crashes:         v.rep.Crashes,
-			Recovered:       v.rep.Recovered,
-			GaveUp:          v.rep.GaveUp,
-			AvailabilityPct: v.rep.Availability(),
-			Events:          len(v.rep.DecisionLog),
-			Recovery:        bench.Latency(v.sum),
+// benchDoc is the sweep's bench document: the baseline under
+// "baseline/", every counterfactual under "override/<knobs>/" (knobs
+// joined by '/').
+func benchDoc(base scenario, variants []variant) bench.Doc {
+	doc := bench.New("whatif", map[string]string{"spec": base.spec()})
+	for i, v := range variants {
+		key := "baseline/"
+		if i > 0 {
+			key = "override/" + strings.ReplaceAll(v.name, ",", "/") + "/"
 		}
-	}
-	doc := bench.Decisions{
-		Schema:     bench.SchemaDecisions,
-		Spec:       base.spec(),
-		Workers:    workers,
-		WallClockS: wall.Seconds(),
-		Baseline:   conv(variants[0]),
-	}
-	for _, v := range variants[1:] {
-		doc.Overrides = append(doc.Overrides, conv(v))
+		doc.Count(key+"crashes", v.rep.Crashes)
+		doc.Count(key+"recovered", v.rep.Recovered)
+		doc.Count(key+"gave_up", v.rep.GaveUp)
+		doc.Add(key+"availability_pct", v.rep.Availability(), "%", bench.Higher)
+		doc.Count(key+"decision_events", len(v.rep.DecisionLog))
+		doc.Latency(key+"recovery", v.sum)
 	}
 	return doc
 }

@@ -96,6 +96,7 @@ func runNetPoint(size int64, interval time.Duration, seed int64, sink obs.Sink) 
 	rec, events := newExperimentRecorder(sink)
 	rec.Emit(obs.KindMark, "run", fmt.Sprintf("fig7 interval=%v seed=%d", interval, seed), size, 0)
 	sys := New(Config{Seed: seed, DisableDisk: true, DisableChar: true, Obs: rec})
+	defer sys.Close()
 	sys.Run(3 * time.Second) // boot settle
 	sys.ServeFile(80, seed, size)
 	var res WgetResult
@@ -157,6 +158,7 @@ func runDiskPoint(size int64, interval time.Duration, seed int64, sink obs.Sink)
 		PreallocFiles: []PreallocFile{{Name: "bigdata", Size: size}},
 		Obs:           rec,
 	})
+	defer sys.Close()
 	sys.Run(3 * time.Second) // boot settle (disk reset+identify)
 	var res DdResult
 	sys.Dd("/bigdata", 64<<10, &res)
@@ -267,6 +269,7 @@ func FaultInjectionCampaign(cfg CampaignConfig) CampaignResult {
 		DisableChar: true,
 		Machine:     mc,
 	})
+	defer sys.Close()
 	sys.Run(3 * time.Second)
 
 	// Endless traffic through the DP8390 channel: back-to-back downloads.

@@ -13,6 +13,7 @@ import (
 	"resilientos/internal/obs"
 	"resilientos/internal/obs/decision"
 	"resilientos/internal/obs/timeseries"
+	"resilientos/internal/sim"
 )
 
 // The figure pipeline renders the paper's Figs. 7 and 8 as *data*: one
@@ -22,8 +23,8 @@ import (
 // kills, restarts, and recovery dips resolved — the envelope the paper
 // plots, not just the end-to-end averages of the sweep runners in
 // experiments.go. For a fixed seed every byte of the CSV/JSON/SVG output
-// is reproducible, so the curves double as golden files and as
-// bench-gate inputs (internal/bench/compare).
+// is reproducible, so the curves and their bench documents (internal/bench)
+// are committed as golden files.
 
 // FigureConfig configures one figure run. The zero value (plus Fig)
 // gives the standard quick-run shape: fig7 = 64 MB transfer, fig8 =
@@ -163,6 +164,7 @@ func RunFigure(cfg FigureConfig) FigureResult {
 	sysCfg.Decisions = cfg.Decisions
 	sysCfg.Mechanism = cfg.Mechanism
 	sys := New(sysCfg)
+	defer sys.Close()
 	sampler := timeseries.New(timeseries.Config{
 		Window:   cfg.Window,
 		Registry: rec.Metrics(),
@@ -407,73 +409,75 @@ var RecoveryMechanisms = []core.Mechanism{
 // RunMechanismComparison runs the same figure configuration once per
 // recovery mechanism — with VM-level crash injection forced on, since an
 // external SIGKILL cannot be microrebooted — and assembles the paper-style
-// extension table of Fig. 7/8 dip depth and width per mechanism. Results
-// are returned in RecoveryMechanisms order. The document's WallClockS is
-// left zero for the caller to stamp; everything else is deterministic for
-// a fixed seed.
-func RunMechanismComparison(cfg FigureConfig) ([]FigureResult, bench.Recovery) {
+// extension table of Fig. 7/8 dip depth and width per mechanism as a
+// bench document: every run's summary under "<mechanism>/", then the two
+// headline claims — what a warm standby buys in dip depth and what a
+// microreboot buys in dip width over respawn. Results are returned in
+// RecoveryMechanisms order.
+func RunMechanismComparison(cfg FigureConfig) ([]FigureResult, bench.Doc) {
 	results := make([]FigureResult, 0, len(RecoveryMechanisms))
-	doc := bench.Recovery{Schema: bench.SchemaRecovery}
 	for _, mech := range RecoveryMechanisms {
 		c := cfg
 		c.Mechanism = mech
 		c.CrashVM = true
-		r := RunFigure(c)
-		f := r.BenchFigure(0)
-		doc.Mechanisms = append(doc.Mechanisms, bench.RecoveryMechanism{
-			Mechanism:      mech.String(),
-			OK:             r.OK,
-			MBps:           r.MBps,
-			BaselineMBps:   r.BaselineMBps,
-			Crashes:        r.Kills,
-			Dips:           len(r.Dips),
-			MeanDipDepth:   f.MeanDipDepth,
-			MeanDipWidthMs: f.MeanDipWidthMs,
-			RecoveredPct:   r.RecoveredPct,
-			Recovery:       bench.Latency(r.Recovery),
-		})
-		results = append(results, r)
+		results = append(results, RunFigure(c))
 	}
-	first := results[0]
-	doc.Fig, doc.Seed, doc.SizeBytes = first.Fig, first.Seed, first.Size
-	doc.CrashEveryS = first.Interval.Seconds()
-	respawn, micro, standby := doc.Mechanisms[0], doc.Mechanisms[1], doc.Mechanisms[2]
-	doc.StandbyDepthGainPct = respawn.MeanDipDepth - standby.MeanDipDepth
-	doc.MicroWidthGainMs = respawn.MeanDipWidthMs - micro.MeanDipWidthMs
+	doc := bench.New("figures -mechanisms", results[0].benchParams())
+	for i, r := range results {
+		r.addBench(&doc, RecoveryMechanisms[i].String()+"/")
+	}
+	respawnDepth, respawnWidth := results[0].MeanDip()
+	_, microWidth := results[1].MeanDip()
+	standbyDepth, _ := results[2].MeanDip()
+	doc.Add("standby_depth_gain_pct", respawnDepth-standbyDepth, "%", bench.Higher)
+	doc.Add("micro_width_gain_ms", respawnWidth-microWidth, "virt_ms", bench.Higher)
 	return results, doc
 }
 
-// BenchFigure summarizes the result as the bench-gate document.
-func (r FigureResult) BenchFigure(wallClock time.Duration) bench.Figure {
-	meanDepth, meanWidth := 0.0, 0.0
-	if len(r.Dips) > 0 {
-		for _, d := range r.Dips {
-			meanDepth += d.DepthPct
-			meanWidth += float64(d.Width) / 1e6
-		}
-		meanDepth /= float64(len(r.Dips))
-		meanWidth /= float64(len(r.Dips))
+// MeanDip averages the run's dips: depth in % of the baseline, width in
+// virtual milliseconds (both 0 without a dip).
+func (r FigureResult) MeanDip() (depthPct, widthMs float64) {
+	if len(r.Dips) == 0 {
+		return 0, 0
 	}
-	return bench.Figure{
-		Schema:         bench.SchemaFigure,
-		Name:           fmt.Sprintf("fig%d", r.Fig),
-		Seed:           r.Seed,
-		SizeBytes:      r.Size,
-		KillIntervalS:  r.Interval.Seconds(),
-		Windows:        len(r.Points),
-		Kills:          r.Kills,
-		OK:             r.OK,
-		MBps:           r.MBps,
-		BaselineMBps:   r.BaselineMBps,
-		MeanMBps:       r.MeanMBps,
-		MinMBps:        r.MinMBps,
-		Dips:           len(r.Dips),
-		MeanDipDepth:   meanDepth,
-		MeanDipWidthMs: meanWidth,
-		RecoveredPct:   r.RecoveredPct,
-		Recovery:       bench.Latency(r.Recovery),
-		WallClockS:     wallClock.Seconds(),
+	for _, d := range r.Dips {
+		depthPct += d.DepthPct
+		widthMs += float64(d.Width) / 1e6
 	}
+	n := float64(len(r.Dips))
+	return depthPct / n, widthMs / n
+}
+
+// BenchDoc summarizes the result as the bench document of `figures -bench`.
+func (r FigureResult) BenchDoc() bench.Doc {
+	doc := bench.New("figures", r.benchParams())
+	r.addBench(&doc, "")
+	return doc
+}
+
+func (r FigureResult) benchParams() map[string]string {
+	return map[string]string{
+		"fig":           strconv.Itoa(r.Fig),
+		"seed":          strconv.FormatInt(r.Seed, 10),
+		"size_bytes":    strconv.FormatInt(r.Size, 10),
+		"kill_interval": r.Interval.String(),
+		"window":        r.Window.String(),
+	}
+}
+
+func (r FigureResult) addBench(d *bench.Doc, prefix string) {
+	depth, width := r.MeanDip()
+	d.Add(prefix+"mbps", r.MBps, "MB/s", bench.Higher) // end-to-end transfer rate
+	d.Add(prefix+"baseline_mbps", r.BaselineMBps, "MB/s", bench.Higher)
+	d.Add(prefix+"mean_mbps", r.MeanMBps, "MB/s", bench.Higher)
+	d.Add(prefix+"min_mbps", r.MinMBps, "MB/s", bench.Higher)
+	d.Count(prefix+"windows", len(r.Points))
+	d.Count(prefix+"kills", r.Kills)
+	d.Count(prefix+"dips", len(r.Dips))
+	d.Add(prefix+"mean_dip_depth_pct", depth, "%", bench.Lower)
+	d.Add(prefix+"mean_dip_width_ms", width, "virt_ms", bench.Lower)
+	d.Add(prefix+"recovered_pct", r.RecoveredPct, "%", bench.Higher) // post-recovery rate vs baseline
+	d.Latency(prefix+"recovery", r.Recovery)
 }
 
 // ---------------------------------------------------------------------
@@ -533,13 +537,24 @@ type figureDoc struct {
 	MeanMBps     float64         `json:"mean_mbps"`
 	MinMBps      float64         `json:"min_mbps"`
 	RecoveredPct float64         `json:"recovered_pct"`
-	Recovery     bench.LatencyMs `json:"recovery"`
+	Recovery     recoveryLatency `json:"recovery"`
 	Points       []FigurePoint   `json:"points"`
 	Dips         []FigureDip     `json:"dips"`
 }
 
+// recoveryLatency is a latency distribution in virtual milliseconds.
+type recoveryLatency struct {
+	Count  int     `json:"count"`
+	MeanMs float64 `json:"mean_ms"`
+	P50Ms  float64 `json:"p50_ms"`
+	P95Ms  float64 `json:"p95_ms"`
+	P99Ms  float64 `json:"p99_ms"`
+	MaxMs  float64 `json:"max_ms"`
+}
+
 // WriteFigureJSON writes the full series document as indented JSON.
 func WriteFigureJSON(w io.Writer, r FigureResult) error {
+	ms := func(t sim.Time) float64 { return float64(t) / 1e6 }
 	doc := figureDoc{
 		Schema: "resilientos/figure-series/v1",
 		Fig:    r.Fig, Seed: r.Seed, SizeBytes: r.Size,
@@ -548,9 +563,13 @@ func WriteFigureJSON(w io.Writer, r FigureResult) error {
 		Kills: r.Kills, OK: r.OK,
 		BaselineMBps: r.BaselineMBps, MeanMBps: r.MeanMBps, MinMBps: r.MinMBps,
 		RecoveredPct: r.RecoveredPct,
-		Recovery:     bench.Latency(r.Recovery),
-		Points:       r.Points,
-		Dips:         r.Dips,
+		Recovery: recoveryLatency{
+			Count: r.Recovery.Count, MeanMs: ms(r.Recovery.Mean),
+			P50Ms: ms(r.Recovery.P50), P95Ms: ms(r.Recovery.P95),
+			P99Ms: ms(r.Recovery.P99), MaxMs: ms(r.Recovery.Max),
+		},
+		Points: r.Points,
+		Dips:   r.Dips,
 	}
 	if doc.Points == nil {
 		doc.Points = []FigurePoint{}

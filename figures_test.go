@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"resilientos/internal/bench"
 )
 
 // figureGoldenConfig is the committed-golden configuration — the same
@@ -95,12 +99,67 @@ func TestFigureGoldens(t *testing.T) {
 				t.Error("SVG render not self-contained")
 			}
 
-			// Summary document sanity.
-			bf := res.BenchFigure(0)
-			if bf.Name != fmt.Sprintf("fig%d", fig) || bf.Kills != res.Kills || !bf.OK {
-				t.Errorf("bench figure summary inconsistent: %+v", bf)
-			}
+			// The summary `figures -seed 11 -bench` writes as BENCH_fig<N>.json.
+			checkBenchGolden(t, fmt.Sprintf("testdata/BENCH_fig%d_seed11.json", fig), res.BenchDoc())
 		})
+	}
+}
+
+// checkBenchGolden compares doc, canonically encoded, with the committed
+// golden byte for byte (-update rewrites the golden first) and names the
+// lines that differ.
+func checkBenchGolden(t *testing.T, golden string, doc bench.Doc) {
+	t.Helper()
+	if *updateGolden {
+		if err := bench.WriteFile(golden, doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tmp := filepath.Join(t.TempDir(), "doc.json")
+	if err := bench.WriteFile(tmp, doc); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(tmp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden (regenerate with -update): %v", err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	var diff strings.Builder
+	for _, side := range []struct {
+		mark         string
+		these, other []byte
+	}{{"-", want, got}, {"+", got, want}} {
+		for _, ln := range strings.Split(string(side.these), "\n") {
+			if !bytes.Contains(side.other, []byte(ln+"\n")) {
+				fmt.Fprintf(&diff, "%s %s\n", side.mark, ln)
+			}
+		}
+	}
+	t.Errorf("bench document differs from %s; if the change is intentional, regenerate "+
+		"with -update and say why in the PR:\n%s", golden, diff.String())
+}
+
+// TestRunnersCloseTheirSystems: every figure, throughput and campaign
+// runner boots a system per call (a sweep one per point) and must close
+// it once the results are harvested, or each leaves its parked processes
+// behind as goroutines.
+func TestRunnersCloseTheirSystems(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for i := 0; i < 3; i++ {
+		RunFigure(FigureConfig{Fig: 7, Seed: 3, Size: 1 << 20})
+	}
+	RunFigure(FigureConfig{Fig: 8, Seed: 3, Size: 4 << 20})
+	Fig7NetworkRecovery(1<<20, []time.Duration{time.Second, 2 * time.Second}, 3)
+	Fig8DiskRecovery(4<<20, []time.Duration{time.Second}, 3)
+	FaultInjectionCampaign(CampaignConfig{Faults: 20, Seed: 3})
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines before the runners, %d after", before, after)
 	}
 }
 

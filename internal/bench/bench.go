@@ -1,335 +1,198 @@
-// Package bench defines the machine-readable performance baselines the
-// benchmark commands emit (BENCH_throughput.json, BENCH_campaign.json).
-// The schemas are documented in EXPERIMENTS.md; CI uploads the files as
-// artifacts so regressions are diffable across commits. Virtual-time
-// numbers are deterministic for a fixed seed+workload; wall-clock fields
-// describe the run machine and are expected to vary.
+// Package bench defines the one machine-readable result document every
+// benchmark command emits (-bench-json): a flat list of named metrics,
+// each with a unit and the direction in which it is better. Every value
+// is a function of the seed and the configuration — virtual time and
+// exact counts only, nothing the host machine can move — so a document
+// is compared with its committed golden byte for byte, and `diff` of two
+// documents, one metric per line, is the report. Host speed is measured
+// by benchmark/ (go -C benchmark run .), not here.
 package bench
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"math"
 	"os"
 
 	"resilientos/internal/obs"
 	"resilientos/internal/sim"
 )
 
-// Schema identifiers; bump the version on incompatible field changes.
+// Schema identifies the document shape; readers reject any other.
+const Schema = "resilientos/bench/metrics/v1"
+
+// Directions a metric can be better in.
 const (
-	SchemaThroughput = "resilientos/bench/throughput/v1"
-	SchemaCampaign   = "resilientos/bench/campaign/v1"
-	SchemaFigure     = "resilientos/bench/figure/v1"
-	SchemaFleet      = "resilientos/bench/fleet/v1"
-	SchemaDecisions  = "resilientos/bench/decisions/v1"
-	SchemaRecovery   = "resilientos/bench/recovery/v1"
-	SchemaSimspeed   = "resilientos/bench/simspeed/v1"
+	Higher = "higher"
+	Lower  = "lower"
 )
 
-// LatencyMs is a recovery-latency distribution in virtual milliseconds.
-type LatencyMs struct {
-	Count  int     `json:"count"`
-	MeanMs float64 `json:"mean_ms"`
-	P50Ms  float64 `json:"p50_ms"`
-	P95Ms  float64 `json:"p95_ms"`
-	P99Ms  float64 `json:"p99_ms"`
-	MaxMs  float64 `json:"max_ms"`
+// Metric is one named scalar. Name is a '/'-separated path over
+// [a-z0-9_./=-], unique within its document.
+type Metric struct {
+	Name   string  `json:"name"`
+	Value  float64 `json:"value"`
+	Unit   string  `json:"unit"`
+	Better string  `json:"better"`
 }
 
-// Latency converts an obs summary to the JSON shape.
-func Latency(s obs.LatencySummary) LatencyMs {
-	ms := func(t sim.Time) float64 { return float64(t) / 1e6 }
-	return LatencyMs{
-		Count: s.Count, MeanMs: ms(s.Mean),
-		P50Ms: ms(s.P50), P95Ms: ms(s.P95), P99Ms: ms(s.P99), MaxMs: ms(s.Max),
+// Doc is the bench document: which command produced it, the parameters
+// that select the run, and the metrics in the producer's own order.
+type Doc struct {
+	Schema  string            `json:"schema"`
+	Source  string            `json:"source"`
+	Params  map[string]string `json:"params"`
+	Metrics []Metric          `json:"metrics"`
+}
+
+// New returns an empty document of the current schema.
+func New(source string, params map[string]string) Doc {
+	return Doc{Schema: Schema, Source: source, Params: params}
+}
+
+// Add appends one metric.
+func (d *Doc) Add(name string, v float64, unit, better string) {
+	d.Metrics = append(d.Metrics, Metric{Name: name, Value: v, Unit: unit, Better: better})
+}
+
+// Count appends an exact count. Counts say what a run did, not how well,
+// so the direction is only nominal.
+func (d *Doc) Count(name string, n int) {
+	d.Add(name, float64(n), "count", Lower)
+}
+
+// Latency appends a latency distribution in virtual milliseconds as
+// <stem>_count and, unless it is empty, <stem>_{mean,p50,p95,p99,max}_ms.
+func (d *Doc) Latency(stem string, s obs.LatencySummary) {
+	d.Count(stem+"_count", s.Count)
+	if s.Count == 0 {
+		return
 	}
+	add := func(q string, t sim.Time) { d.Add(stem+"_"+q+"_ms", float64(t)/1e6, "virt_ms", Lower) }
+	add("mean", s.Mean)
+	add("p50", s.P50)
+	add("p95", s.P95)
+	add("p99", s.P99)
+	add("max", s.Max)
 }
 
-// ThroughputPoint is one kill-interval point of a Fig. 7/8 sweep.
-type ThroughputPoint struct {
-	KillIntervalS  float64   `json:"kill_interval_s"` // 0 = uninterrupted
-	Bytes          int64     `json:"bytes"`
-	VirtualS       float64   `json:"virtual_s"` // transfer duration, virtual time
-	MBps           float64   `json:"mbps"`
-	OpsPerVirtualS float64   `json:"ops_per_virtual_s"` // 64 KiB reads per virtual second
-	Kills          int       `json:"kills"`
-	Recoveries     int       `json:"recoveries"`
-	OK             bool      `json:"ok"`
-	Recovery       LatencyMs `json:"recovery"`
-}
-
-// Throughput is the BENCH_throughput.json document.
-type Throughput struct {
-	Schema     string            `json:"schema"`
-	Experiment string            `json:"experiment"` // "fig7" or "fig8"
-	Seed       int64             `json:"seed"`
-	SizeBytes  int64             `json:"size_bytes"`
-	WallClockS float64           `json:"wall_clock_s"`
-	Points     []ThroughputPoint `json:"points"`
-}
-
-// Figure is the BENCH_fig7.json / BENCH_fig8.json document: the summary
-// of one windowed figure run (cmd/figures), the per-commit shape the
-// bench-regression gate (compare) trends. Virtual-time fields are
-// deterministic for a fixed seed; WallClockS varies by machine.
-type Figure struct {
-	Schema         string    `json:"schema"`
-	Name           string    `json:"name"` // "fig7" or "fig8"
-	Seed           int64     `json:"seed"`
-	SizeBytes      int64     `json:"size_bytes"`
-	KillIntervalS  float64   `json:"kill_interval_s"`
-	Windows        int       `json:"windows"`
-	Kills          int       `json:"kills"`
-	OK             bool      `json:"ok"`
-	MBps           float64   `json:"mbps"`          // end-to-end transfer rate
-	BaselineMBps   float64   `json:"baseline_mbps"` // pre-kill windowed rate
-	MeanMBps       float64   `json:"mean_mbps"`
-	MinMBps        float64   `json:"min_mbps"`
-	Dips           int       `json:"dips"`
-	MeanDipDepth   float64   `json:"mean_dip_depth_pct"`
-	MeanDipWidthMs float64   `json:"mean_dip_width_ms"`
-	RecoveredPct   float64   `json:"recovered_pct"` // post-recovery rate vs baseline
-	Recovery       LatencyMs `json:"recovery"`
-	WallClockS     float64   `json:"wall_clock_s"`
-}
-
-// CampaignFault aggregates one fault type of a SWIFI campaign.
-type CampaignFault struct {
-	Fault     string    `json:"fault"`
-	Injected  int       `json:"injected"`
-	Crashes   int       `json:"crashes"`
-	Recovered int       `json:"recovered"`
-	GaveUp    int       `json:"gave_up"`
-	Recovery  LatencyMs `json:"recovery"`
-}
-
-// Campaign is the BENCH_campaign.json document.
-type Campaign struct {
-	Schema              string          `json:"schema"`
-	Seeds               int             `json:"seeds"`
-	Cells               int             `json:"cells"`
-	FaultsPerCell       int             `json:"faults_per_cell"`
-	Workers             int             `json:"workers"`
-	Injected            int             `json:"injected"`
-	Crashes             int             `json:"crashes"`
-	Recovered           int             `json:"recovered"`
-	GaveUp              int             `json:"gave_up"`
-	RecoveryRatePct     float64         `json:"recovery_rate_pct"`
-	InvariantViolations int             `json:"invariant_violations"`
-	WallClockS          float64         `json:"wall_clock_s"`
-	ByFault             []CampaignFault `json:"by_fault"`
-}
-
-// FleetSLO is one class's attainment against its workload-declared
-// latency budget.
-type FleetSLO struct {
-	BudgetMs    float64 `json:"budget_ms"`
-	AttainedPct float64 `json:"attained_pct"` // requests within budget; higher is better
-	WindowPct   float64 `json:"window_pct"`   // windows within budget; higher is better
-}
-
-// FleetClass is one service class's slice of a fleet campaign.
-type FleetClass struct {
-	Class               string    `json:"class"`
-	AvailabilityPct     float64   `json:"availability_pct"`      // higher is better
-	NodeAvailabilityPct float64   `json:"node_availability_pct"` // higher is better
-	Requests            int64     `json:"requests"`
-	Latency             LatencyMs `json:"latency"`       // request latency, lower is better
-	SLO                 *FleetSLO `json:"slo,omitempty"` // nil without a declared budget
-}
-
-// Fleet is the BENCH_fleet.json document: the summary of one
-// cmd/fleetbench campaign (internal/cluster). Direction conventions for
-// the regression gate: availability and recovery percentages are
-// higher-better, request-latency percentiles are lower-better. All
-// fields but WallClockS are deterministic for a fixed fleet seed.
-type Fleet struct {
-	Schema   string  `json:"schema"`
-	Nodes    int     `json:"nodes"`
-	Seed     int64   `json:"seed"`
-	Policy   string  `json:"policy"`
-	Storm    string  `json:"storm"`
-	Workload string  `json:"workload,omitempty"` // driving spec/trace name
-	HorizonS float64 `json:"horizon_s"`
-	WindowMs float64 `json:"window_ms"`
-	Windows  int     `json:"windows"`
-
-	AvailabilityPct     float64 `json:"availability_pct"`      // higher is better
-	NodeAvailabilityPct float64 `json:"node_availability_pct"` // higher is better
-
-	Requests  int64     `json:"requests"`
-	Completed int64     `json:"completed"`
-	Reroutes  int64     `json:"reroutes"`
-	Latency   LatencyMs `json:"latency"` // request latency, lower is better
-
-	Kills        int     `json:"kills"`
-	Injections   int     `json:"injections"`
-	Crashes      int     `json:"crashes"`
-	Recovered    int     `json:"recovered"`
-	GaveUp       int     `json:"gave_up"`
-	RecoveredPct float64 `json:"recovered_pct"` // higher is better
-
-	MaxRecoveryOverlap  int     `json:"max_recovery_overlap"`
-	MeanRecoveryOverlap float64 `json:"mean_recovery_overlap"`
-
-	WallClockS float64      `json:"wall_clock_s"`
-	Classes    []FleetClass `json:"classes"`
-}
-
-// DecisionVariant is one knob configuration of a counterfactual sweep:
-// the baseline, or one override re-run of the same recorded campaign.
-type DecisionVariant struct {
-	Name            string    `json:"name"` // "baseline" or the override spec
-	Crashes         int       `json:"crashes"`
-	Recovered       int       `json:"recovered"`
-	GaveUp          int       `json:"gave_up"`
-	AvailabilityPct float64   `json:"availability_pct"` // higher is better
-	Events          int       `json:"events"`           // decision-trace length
-	Recovery        LatencyMs `json:"recovery"`
-}
-
-// Decisions is the BENCH_decisions.json document: the summary of one
-// cmd/whatif counterfactual sweep over a recorded campaign. The baseline
-// feeds the regression gate (availability, give-ups, recovery p95);
-// override variants are trended but not gated — they exist to show what
-// each knob costs, not to pin it.
-type Decisions struct {
-	Schema     string            `json:"schema"`
-	Spec       string            `json:"spec"` // canonical baseline scenario
-	Workers    int               `json:"workers"`
-	WallClockS float64           `json:"wall_clock_s"`
-	Baseline   DecisionVariant   `json:"baseline"`
-	Overrides  []DecisionVariant `json:"overrides"`
-}
-
-// RecoveryMechanism is one mechanism's slice of a recovery-mechanism
-// comparison: the same figure run (seed, size, crash cadence) under one
-// recovery mechanism. Dip depth and width are lower-better.
-type RecoveryMechanism struct {
-	Mechanism      string    `json:"mechanism"` // respawn, microreboot, standby
-	OK             bool      `json:"ok"`
-	MBps           float64   `json:"mbps"`
-	BaselineMBps   float64   `json:"baseline_mbps"`
-	Crashes        int       `json:"crashes"`
-	Dips           int       `json:"dips"`
-	MeanDipDepth   float64   `json:"mean_dip_depth_pct"` // lower is better
-	MeanDipWidthMs float64   `json:"mean_dip_width_ms"`  // lower is better
-	RecoveredPct   float64   `json:"recovered_pct"`      // higher is better
-	Recovery       LatencyMs `json:"recovery"`
-}
-
-// Recovery is the BENCH_recovery.json document: the paper-style extension
-// table comparing Fig. 7 dip depth/width across recovery mechanisms, one
-// identical run per mechanism with VM-level crash injection. The gain
-// fields pin the headline claims — a warm standby buys dip depth, a
-// microreboot buys dip width — so a commit that erodes either fails the
-// bench gate. All fields but WallClockS are deterministic per seed.
-type Recovery struct {
-	Schema      string              `json:"schema"`
-	Fig         int                 `json:"fig"`
-	Seed        int64               `json:"seed"`
-	SizeBytes   int64               `json:"size_bytes"`
-	CrashEveryS float64             `json:"crash_every_s"`
-	WallClockS  float64             `json:"wall_clock_s"`
-	Mechanisms  []RecoveryMechanism `json:"mechanisms"`
-
-	// StandbyDepthGainPct is respawn's mean dip depth minus standby's
-	// (percentage points; higher is better). MicroWidthGainMs is
-	// respawn's mean dip width minus microreboot's (ms; higher is
-	// better).
-	StandbyDepthGainPct float64 `json:"standby_depth_gain_pct"`
-	MicroWidthGainMs    float64 `json:"micro_width_gain_ms"`
-}
-
-// SimspeedRegion is one instrumented region's row of a simspeed
-// scenario: the per-subsystem cost attribution of internal/perf. Count
-// and Samples are deterministic for a fixed seed+workload; the ns and
-// alloc fields observe the run machine.
-type SimspeedRegion struct {
-	Region         string  `json:"region"`
-	Count          uint64  `json:"count"`            // entries (deterministic)
-	Samples        uint64  `json:"samples"`          // alloc-sampled entries (deterministic)
-	TotalNs        int64   `json:"total_ns"`         // inclusive wall ns
-	SelfNs         int64   `json:"self_ns"`          // exclusive wall ns
-	NsPerEntry     float64 `json:"ns_per_entry"`     // self ns per entry, lower is better
-	AllocsPerEntry float64 `json:"allocs_per_entry"` // heap objects per entry
-}
-
-// SimspeedScenario is one battery scenario of cmd/simspeed, run twice:
-// instrumented (obs + invariant checker + decision log attached) and
-// bare (all recorders nil). Events/BareEvents/VirtualMs and every
-// region's Count/Samples are deterministic; everything else is
-// wall-clock and varies by machine.
-type SimspeedScenario struct {
-	Name string `json:"name"`
-
-	Events     uint64  `json:"events"`      // scheduler events, instrumented run
-	BareEvents uint64  `json:"bare_events"` // scheduler events, nil-recorder run
-	VirtualMs  float64 `json:"virtual_ms"`  // virtual time simulated
-	ObsEvents  uint64  `json:"obs_events"`  // trace events emitted past the mask
-
-	WallMs           float64 `json:"wall_ms"`
-	EventsPerSec     float64 `json:"events_per_sec"`   // higher is better
-	NsPerEvent       float64 `json:"ns_per_event"`     // lower is better
-	AllocsPerEvent   float64 `json:"allocs_per_event"` // lower is better
-	VirtualPerWall   float64 `json:"virtual_per_wall"` // higher is better
-	BareWallMs       float64 `json:"bare_wall_ms"`
-	BareEventsPerSec float64 `json:"bare_events_per_sec"` // higher is better
-	// OverheadPct is the obs/check/decision stack's wall-clock cost:
-	// instrumented ns/event over bare ns/event, as a percentage
-	// increase. Lower is better.
-	OverheadPct float64 `json:"overhead_pct"`
-
-	Regions []SimspeedRegion `json:"regions"`
-}
-
-// Simspeed is the BENCH_simspeed.json document: wall-clock speed of the
-// simulator itself over the standard cmd/simspeed battery. The
-// deterministic fields are hard-gated by the bench gate (any drift
-// fails: the same code must execute the same events); the wall-clock
-// fields are gated warn-only (shared-runner noise).
-type Simspeed struct {
-	Schema     string             `json:"schema"`
-	Seed       int64              `json:"seed"`
-	WallClockS float64            `json:"wall_clock_s"`
-	Scenarios  []SimspeedScenario `json:"scenarios"`
-}
-
-// Canonical returns a deep copy with every wall-clock field zeroed,
-// leaving only the deterministic skeleton (scenario names, event and
-// region entry counts, virtual time). Two runs of the same binary and
-// seed must produce byte-identical canonical documents — the
-// determinism-separation gate cmd/simspeed tests and CI enforce.
-func (s Simspeed) Canonical() Simspeed {
-	out := s
-	out.WallClockS = 0
-	out.Scenarios = make([]SimspeedScenario, len(s.Scenarios))
-	for i, sc := range s.Scenarios {
-		sc.WallMs = 0
-		sc.EventsPerSec = 0
-		sc.NsPerEvent = 0
-		sc.AllocsPerEvent = 0
-		sc.VirtualPerWall = 0
-		sc.BareWallMs = 0
-		sc.BareEventsPerSec = 0
-		sc.OverheadPct = 0
-		sc.Regions = make([]SimspeedRegion, len(s.Scenarios[i].Regions))
-		for j, rr := range s.Scenarios[i].Regions {
-			rr.TotalNs = 0
-			rr.SelfNs = 0
-			rr.NsPerEntry = 0
-			rr.AllocsPerEntry = 0
-			sc.Regions[j] = rr
+// Value returns the named metric's value.
+func (d Doc) Value(name string) (float64, bool) {
+	for _, m := range d.Metrics {
+		if m.Name == name {
+			return m.Value, true
 		}
-		out.Scenarios[i] = sc
 	}
-	return out
+	return 0, false
 }
 
-// WriteFile marshals v as indented JSON (plus trailing newline) to path.
-func WriteFile(path string, v any) error {
-	b, err := json.MarshalIndent(v, "", "  ")
+// validate holds what both directions enforce, so nothing WriteFile
+// accepts is refused by ReadFile.
+func (d Doc) validate() error {
+	if d.Schema != Schema {
+		return fmt.Errorf("bench: schema %q, want %q", d.Schema, Schema)
+	}
+	seen := make(map[string]bool, len(d.Metrics))
+	for _, m := range d.Metrics {
+		if m.Name == "" {
+			return errors.New("bench: metric without a name")
+		}
+		for _, c := range []byte(m.Name) {
+			switch {
+			case 'a' <= c && c <= 'z', '0' <= c && c <= '9':
+			case c == '_', c == '.', c == '/', c == '=', c == '-':
+			default:
+				return fmt.Errorf("bench: metric name %q: byte %q outside [a-z0-9_./=-]", m.Name, c)
+			}
+		}
+		if seen[m.Name] {
+			return fmt.Errorf("bench: duplicate metric %q", m.Name)
+		}
+		seen[m.Name] = true
+		if math.IsNaN(m.Value) || math.IsInf(m.Value, 0) {
+			return fmt.Errorf("bench: metric %q is %v", m.Name, m.Value)
+		}
+		if m.Better != Higher && m.Better != Lower {
+			return fmt.Errorf("bench: metric %q: better %q, want %q or %q", m.Name, m.Better, Higher, Lower)
+		}
+	}
+	return nil
+}
+
+// encode renders the canonical bytes: header fields on a line each
+// (params with sorted keys), then one metric per line.
+func encode(d Doc) ([]byte, error) {
+	if err := d.validate(); err != nil {
+		return nil, err
+	}
+	if d.Params == nil {
+		d.Params = map[string]string{}
+	}
+	source, err := json.Marshal(d.Source)
+	if err != nil {
+		return nil, err
+	}
+	params, err := json.Marshal(d.Params)
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	fmt.Fprintf(&buf, "{\n  \"schema\": %q,\n  \"source\": %s,\n  \"params\": %s,\n  \"metrics\": [",
+		Schema, source, params)
+	for i, m := range d.Metrics {
+		b, err := json.Marshal(m)
+		if err != nil {
+			return nil, err
+		}
+		if i > 0 {
+			buf.WriteByte(',')
+		}
+		buf.WriteString("\n    ")
+		buf.Write(b)
+	}
+	buf.WriteString("\n  ]\n}\n")
+	return buf.Bytes(), nil
+}
+
+// parse is the strict reader: unknown schema, unknown fields, trailing
+// data and every validate rule are errors, never panics.
+func parse(b []byte) (Doc, error) {
+	var d Doc
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&d); err != nil {
+		return Doc{}, fmt.Errorf("bench: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Doc{}, errors.New("bench: data after the document")
+	}
+	if err := d.validate(); err != nil {
+		return Doc{}, err
+	}
+	return d, nil
+}
+
+// WriteFile writes d to path in the canonical encoding.
+func WriteFile(path string, d Doc) error {
+	b, err := encode(d)
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+	return os.WriteFile(path, b, 0o644)
+}
+
+// ReadFile reads and strictly validates the document at path.
+func ReadFile(path string) (Doc, error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return Doc{}, err
+	}
+	d, err := parse(b)
+	if err != nil {
+		return Doc{}, fmt.Errorf("%s: %w", path, err)
+	}
+	return d, nil
 }

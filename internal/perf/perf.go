@@ -1,6 +1,6 @@
 // Package perf is wall-clock performance telemetry for the simulator
-// itself — the meters behind BENCH_simspeed.json and ROADMAP item 1
-// ("profile the hot path"). It lives strictly apart from the
+// itself — the meters behind cmd/simspeed's exact counts and the
+// per-layer table of benchmark/. It lives strictly apart from the
 // deterministic virtual-time plane: everything the simulation computes
 // (event order, virtual clocks, traces, figures) is identical with and
 // without a Profiler attached.
@@ -11,10 +11,10 @@
 //   - Deterministic counters: how many times each region was entered,
 //     and which entries were alloc-sampled (every Kth entry of a region,
 //     a pure count-based rule). These are byte-reproducible across runs
-//     and machines and are hard-gated by benchgate.
+//     and machines; cmd/simspeed's committed golden pins them.
 //   - Wall-clock samples: nanoseconds and allocation deltas observed
-//     while inside a region. These vary run to run and are gated
-//     warn-only.
+//     while inside a region. These vary run to run; benchmark/ reads
+//     them from runs long enough to resolve them.
 //
 // Regions are cheap nestable brackets (Begin/End) placed on the
 // simulator hot path: the scheduler step loop, kernel IPC dispatch,
@@ -33,7 +33,6 @@ package perf
 
 import (
 	"fmt"
-	"runtime"
 	"runtime/metrics"
 	"sort"
 	"time"
@@ -115,13 +114,8 @@ type Profiler struct {
 	stack       []frame
 	allocSample []metrics.Sample
 
-	startWall    time.Time
 	startVirtual sim.Time
 	endVirtual   sim.Time
-	wallNs       int64
-	startMallocs uint64
-	mallocs      uint64
-	finished     bool
 }
 
 // New returns a profiler with the default alloc-sampling period.
@@ -210,18 +204,12 @@ func (p *Profiler) Count(r Region) uint64 {
 	return p.counts[r]
 }
 
-// Start marks the beginning of the measured run: it snapshots wall
-// time, the virtual clock, and the exact process-wide allocation count
-// (runtime.ReadMemStats).
+// Start marks the beginning of the measured run on the virtual clock.
 func (p *Profiler) Start(virtualNow sim.Time) {
 	if p == nil {
 		return
 	}
 	p.startVirtual = virtualNow
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	p.startMallocs = ms.Mallocs
-	p.startWall = time.Now()
 }
 
 // Finish marks the end of the measured run. The region stack must be
@@ -230,12 +218,7 @@ func (p *Profiler) Finish(virtualNow sim.Time) {
 	if p == nil {
 		return
 	}
-	p.wallNs = int64(time.Since(p.startWall))
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	p.mallocs = ms.Mallocs - p.startMallocs
 	p.endVirtual = virtualNow
-	p.finished = true
 	if len(p.stack) != 0 {
 		panic("perf: Finish with " + p.stack[len(p.stack)-1].region.String() + " still open")
 	}
@@ -289,18 +272,12 @@ type RegionReport struct {
 }
 
 // Report is the profiler's summary of one run. Events, VirtualNs, and
-// the per-region Count/Samples fields are deterministic; everything
-// else observes the host machine.
+// the per-region Count/Samples fields are deterministic; the regions'
+// ns and alloc fields observe the host machine.
 type Report struct {
-	Events         uint64  // scheduler events executed (RegionStep entries)
-	VirtualNs      int64   // virtual time advanced between Start and Finish
-	WallNs         int64   // wall time between Start and Finish
-	Mallocs        uint64  // exact heap allocations between Start and Finish
-	EventsPerSec   float64 // Events / wall seconds
-	NsPerEvent     float64 // WallNs / Events
-	AllocsPerEvent float64 // Mallocs / Events
-	VirtualPerWall float64 // virtual seconds simulated per wall second
-	Regions        []RegionReport
+	Events    uint64 // scheduler events executed (RegionStep entries)
+	VirtualNs int64  // virtual time advanced between Start and Finish
+	Regions   []RegionReport
 }
 
 // Report summarizes the run. Every region appears exactly once, in
@@ -313,16 +290,6 @@ func (p *Profiler) Report() Report {
 	rep := Report{
 		Events:    p.counts[RegionStep],
 		VirtualNs: int64(p.endVirtual - p.startVirtual),
-		WallNs:    p.wallNs,
-		Mallocs:   p.mallocs,
-	}
-	if rep.WallNs > 0 {
-		rep.EventsPerSec = float64(rep.Events) / (float64(rep.WallNs) / 1e9)
-		rep.VirtualPerWall = float64(rep.VirtualNs) / float64(rep.WallNs)
-	}
-	if rep.Events > 0 {
-		rep.NsPerEvent = float64(rep.WallNs) / float64(rep.Events)
-		rep.AllocsPerEvent = float64(rep.Mallocs) / float64(rep.Events)
 	}
 	rep.Regions = make([]RegionReport, 0, regionMax)
 	for r := Region(0); r < regionMax; r++ {

@@ -228,9 +228,6 @@ func TestReportStructure(t *testing.T) {
 	if rep.Events != 1 || rep.VirtualNs != int64(time.Second) {
 		t.Fatalf("events=%d virtual=%d", rep.Events, rep.VirtualNs)
 	}
-	if rep.WallNs <= 0 || rep.EventsPerSec <= 0 {
-		t.Fatalf("wall=%d events/sec=%g", rep.WallNs, rep.EventsPerSec)
-	}
 }
 
 func TestFoldedLines(t *testing.T) {

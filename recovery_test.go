@@ -29,24 +29,24 @@ func mechanismComparisonConfig() FigureConfig {
 func TestRecoveryMechanismGoldens(t *testing.T) {
 	results, doc := RunMechanismComparison(mechanismComparisonConfig())
 	for i, res := range results {
-		mech := doc.Mechanisms[i]
+		mech := RecoveryMechanisms[i]
 		if res.Violation != nil {
-			t.Fatalf("%s: window series invariant violated: %v", mech.Mechanism, res.Violation)
+			t.Fatalf("%s: window series invariant violated: %v", mech, res.Violation)
 		}
 		if !res.OK {
 			t.Fatalf("%s: transfer failed integrity check: %d of %d bytes",
-				mech.Mechanism, res.Bytes, res.Size)
+				mech, res.Bytes, res.Size)
 		}
 		if res.Kills < 2 {
 			t.Fatalf("%s: only %d crashes — run too short to compare mechanisms",
-				mech.Mechanism, res.Kills)
+				mech, res.Kills)
 		}
 
 		var got bytes.Buffer
 		if err := WriteFigureCSV(&got, res); err != nil {
 			t.Fatal(err)
 		}
-		golden := fmt.Sprintf("testdata/fig7_seed11_%s.csv", mech.Mechanism)
+		golden := fmt.Sprintf("testdata/fig7_seed11_%s.csv", mech)
 		if *updateGolden {
 			if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
 				t.Fatal(err)
@@ -59,28 +59,33 @@ func TestRecoveryMechanismGoldens(t *testing.T) {
 		if !bytes.Equal(got.Bytes(), want) {
 			t.Errorf("%s curve differs from %s (%d vs %d bytes); "+
 				"if the change is intentional, regenerate with -update",
-				mech.Mechanism, golden, got.Len(), len(want))
+				mech, golden, got.Len(), len(want))
 		}
 	}
+	// The table `figures -mechanisms` writes as BENCH_recovery.json.
+	checkBenchGolden(t, "testdata/BENCH_recovery_seed11.json", doc)
 
-	respawn, micro, standby := doc.Mechanisms[0], doc.Mechanisms[1], doc.Mechanisms[2]
-	if standby.MeanDipDepth >= respawn.MeanDipDepth {
-		t.Errorf("standby dip depth %.1f%% not shallower than respawn's %.1f%%",
-			standby.MeanDipDepth, respawn.MeanDipDepth)
+	value := func(name string) float64 {
+		v, ok := doc.Value(name)
+		if !ok {
+			t.Fatalf("bench document lacks %q", name)
+		}
+		return v
 	}
-	if micro.MeanDipWidthMs >= respawn.MeanDipWidthMs {
-		t.Errorf("microreboot dip width %.1fms not narrower than respawn's %.1fms",
-			micro.MeanDipWidthMs, respawn.MeanDipWidthMs)
+	if s, r := value("standby/mean_dip_depth_pct"), value("respawn/mean_dip_depth_pct"); s >= r {
+		t.Errorf("standby dip depth %.1f%% not shallower than respawn's %.1f%%", s, r)
 	}
-	if doc.StandbyDepthGainPct <= 0 || doc.MicroWidthGainMs <= 0 {
-		t.Errorf("headline gains not positive: depth %.1f pct points, width %.1f ms",
-			doc.StandbyDepthGainPct, doc.MicroWidthGainMs)
+	if m, r := value("microreboot/mean_dip_width_ms"), value("respawn/mean_dip_width_ms"); m >= r {
+		t.Errorf("microreboot dip width %.1fms not narrower than respawn's %.1fms", m, r)
+	}
+	if d, w := value("standby_depth_gain_pct"), value("micro_width_gain_ms"); d <= 0 || w <= 0 {
+		t.Errorf("headline gains not positive: depth %.1f pct points, width %.1f ms", d, w)
 	}
 }
 
 // TestRecoveryMechanismRunToRun reruns the whole comparison from scratch
 // and demands byte-identical curves and an identical bench document —
-// the reproducibility property the BENCH_recovery.json gate relies on.
+// the reproducibility property the committed BENCH_recovery golden relies on.
 func TestRecoveryMechanismRunToRun(t *testing.T) {
 	encode := func() ([][]byte, []byte) {
 		results, doc := RunMechanismComparison(mechanismComparisonConfig())
@@ -92,7 +97,7 @@ func TestRecoveryMechanismRunToRun(t *testing.T) {
 			}
 			curves = append(curves, buf.Bytes())
 		}
-		blob, err := json.Marshal(doc) // WallClockS is zero in both runs
+		blob, err := json.Marshal(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
