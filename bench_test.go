@@ -79,42 +79,6 @@ func BenchmarkFig8_DiskRecovery(b *testing.B) {
 	}
 }
 
-// BenchmarkTable_FaultInjection regenerates the §7.2 campaign numbers
-// (paper: 12,500 faults, 347 crashes — 65% panic / 31% exception / 4%
-// heartbeat — and 100% recovery).
-func BenchmarkTable_FaultInjection(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := FaultInjectionCampaign(CampaignConfig{Faults: 2500, Seed: 1})
-		for _, row := range res.Rows() {
-			b.Logf("%s", row)
-		}
-		if res.Crashes == 0 {
-			b.Fatal("campaign produced no crashes")
-		}
-		b.ReportMetric(float64(res.Crashes), "crashes")
-		b.ReportMetric(100*float64(res.Recovered)/float64(res.Crashes), "recovered_%")
-		b.ReportMetric(100*float64(res.ByDefect[core.DefectExit])/float64(res.Crashes), "panic_%")
-		b.ReportMetric(100*float64(res.ByDefect[core.DefectException])/float64(res.Crashes), "exception_%")
-		b.ReportMetric(100*float64(res.ByDefect[core.DefectHeartbeat])/float64(res.Crashes), "heartbeat_%")
-	}
-}
-
-// BenchmarkTable_FaultInjectionHardware regenerates the §7.2 real-hardware
-// variant: a confusable NIC without a master-reset command occasionally
-// needs a host-level BIOS reset (paper: >99% recovery, <5 BIOS resets).
-func BenchmarkTable_FaultInjectionHardware(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := FaultInjectionCampaign(CampaignConfig{Faults: 2500, Seed: 1, Hardware: true})
-		for _, row := range res.Rows() {
-			b.Logf("%s", row)
-		}
-		b.ReportMetric(float64(res.BIOSResets), "bios_resets")
-		if res.Crashes > 0 {
-			b.ReportMetric(100*float64(res.Recovered)/float64(res.Crashes), "recovered_%")
-		}
-	}
-}
-
 // BenchmarkFig3_RecoverySchemes regenerates the Fig. 3 table: which driver
 // classes recover transparently (network: yes, in the network server;
 // block: yes, in the file server; character: only with application help).

@@ -13,3 +13,11 @@ func TestHelp(t *testing.T) {
 		t.Fatalf("run(-h) = %v, want flag.ErrHelp", err)
 	}
 }
+
+// A mistyped victim must fail the run, not print an all-zero table and
+// exit 0.
+func TestMistypedVictimIsAnError(t *testing.T) {
+	if err := run([]string{"-matrix", "victims=bogus,per-cell=1", "-q"}); err == nil {
+		t.Fatal("run(victims=bogus) succeeded")
+	}
+}

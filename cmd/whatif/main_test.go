@@ -1,165 +1,54 @@
 package main
 
 import (
-	"reflect"
 	"strings"
 	"testing"
-	"time"
 
-	"resilientos/internal/drvlib"
-	"resilientos/internal/policy"
+	"resilientos/internal/campaign"
 )
 
-func TestSpecRoundTrip(t *testing.T) {
-	base := baseline()
-	const want = "seeds=11 victim=eth.rtl8139 fault=bit-flip per-cell=10 hb=500ms misses=3 budget=0 backoff=1s policy=on mech=respawn"
-	if got := base.spec(); got != want {
+// The grammar itself (round trip, rejections, overrides, the backoff
+// script) is tested where it lives, in internal/campaign.
+
+func TestBaselineSpec(t *testing.T) {
+	base, err := campaign.ParseSpec(baselineSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "seed=11,victims=eth.rtl8139,faults=bit-flip,per-cell=10,hb=500ms,misses=3,budget=0,backoff=1s,policy=on,mech=respawn,hw=off"
+	if got := base.Spec(); got != want {
 		t.Fatalf("baseline spec = %q, want %q", got, want)
-	}
-	parsed, err := parseSpec(base.spec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(parsed, base) {
-		t.Fatalf("parseSpec(spec()) = %+v, want %+v", parsed, base)
-	}
-
-	// Overridden scenarios — including hb=off and multi-seed — must
-	// round-trip too: the spec is the replay-file header.
-	sc := base
-	sc.seeds = []int64{3, 7, 11}
-	sc.hb = -1
-	sc.policy = false
-	sc.budget = 2
-	sc.mech = drvlib.MechStandby
-	reparsed, err := parseSpec(sc.spec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(reparsed, sc) {
-		t.Fatalf("round trip = %+v, want %+v", reparsed, sc)
-	}
-	if !strings.Contains(sc.spec(), "hb=off") || !strings.Contains(sc.spec(), "policy=off") ||
-		!strings.Contains(sc.spec(), "mech=standby") {
-		t.Fatalf("spec %q should render disabled knobs as off and the mechanism by name", sc.spec())
-	}
-}
-
-func TestParseSpecErrors(t *testing.T) {
-	for _, spec := range []string{
-		"",
-		"victim=eth.rtl8139",                 // no seeds
-		"seeds=11",                           // no victim
-		"seeds=x victim=v",                   // bad seed
-		"seeds=11 victim=v fault=nope",       // unknown fault
-		"seeds=11 victim=v nonsense",         // not key=value
-		"seeds=11 victim=v warp=9",           // unknown knob
-		"seeds=11 victim=v per-cell=0",       // per-cell below 1
-		"seeds=11 victim=v hb=banana",        // bad duration
-		"seeds=11 victim=v policy=sometimes", // bad policy value
-		"seeds=11 victim=v mech=teleport",    // unknown mechanism
-	} {
-		if _, err := parseSpec(spec); err == nil {
-			t.Errorf("parseSpec(%q) accepted", spec)
-		}
-	}
-}
-
-func TestApplyOverride(t *testing.T) {
-	base := baseline()
-	sc, name, err := applyOverride(base, "hb=250ms, budget=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if name != "hb=250ms,budget=1" {
-		t.Fatalf("variant name = %q", name)
-	}
-	if sc.hb != 250*time.Millisecond || sc.budget != 1 {
-		t.Fatalf("override not applied: hb=%v budget=%d", sc.hb, sc.budget)
-	}
-	// The base scenario is untouched (applyOverride works on a copy).
-	if base.hb != 500*time.Millisecond || base.budget != 0 {
-		t.Fatalf("baseline mutated: %+v", base)
-	}
-
-	sc2, name2, err := applyOverride(base, "mech=microreboot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if name2 != "mech=microreboot" || sc2.mech != drvlib.MechMicroreboot {
-		t.Fatalf("mech override: name=%q mech=%v", name2, sc2.mech)
-	}
-
-	for _, bad := range []string{"", ",", "hb", "hb=0s", "misses=0", "budget=-1", "warp=9", "mech=warp"} {
-		if _, _, err := applyOverride(base, bad); err == nil {
-			t.Errorf("applyOverride(%q) accepted", bad)
-		}
-	}
-}
-
-// TestBackoffScript executes the generated policy against a stub service
-// command and checks the exponential backoff arms: the sleep doubles per
-// repetition, caps at 8x base, is skipped entirely for dynamic updates
-// (reason 6), and always ends in a restart of the failed component.
-func TestBackoffScript(t *testing.T) {
-	script := backoffScript(500 * time.Millisecond)
-	cases := []struct {
-		reason, repetition string
-		sleep              string // expected sleep argv[1], "" = no sleep
-	}{
-		{"2", "1", "0.5"},
-		{"2", "2", "1"},
-		{"2", "3", "2"},
-		{"2", "4", "4"},
-		{"2", "9", "4"}, // capped at the fourth arm
-		{"6", "1", ""},  // update: no backoff
-	}
-	for _, tc := range cases {
-		var steps [][]string
-		var restarts [][]string
-		in := policy.NewInterp(
-			policy.WithArgs("eth.rtl8139", tc.reason, tc.repetition),
-			policy.WithTrace(func(argv []string, status int) {
-				steps = append(steps, append([]string(nil), argv...))
-			}),
-			policy.WithCommand("service", func(argv []string, stdin string) (string, int) {
-				restarts = append(restarts, append([]string(nil), argv...))
-				return "", 0
-			}),
-		)
-		status, err := in.Run(script)
-		if err != nil {
-			t.Fatalf("reason=%s rep=%s: %v", tc.reason, tc.repetition, err)
-		}
-		if status != 0 {
-			t.Fatalf("reason=%s rep=%s: exit %d", tc.reason, tc.repetition, status)
-		}
-		var slept string
-		for _, argv := range steps {
-			if argv[0] == "sleep" {
-				slept = argv[1]
-			}
-		}
-		if slept != tc.sleep {
-			t.Errorf("reason=%s rep=%s: slept %q, want %q", tc.reason, tc.repetition, slept, tc.sleep)
-		}
-		want := [][]string{{"service", "restart", "eth.rtl8139"}}
-		if !reflect.DeepEqual(restarts, want) {
-			t.Errorf("reason=%s rep=%s: service calls %v, want %v", tc.reason, tc.repetition, restarts, want)
-		}
 	}
 }
 
 func TestEncodeRecordingHeader(t *testing.T) {
-	sc := baseline()
-	data := encodeRecording(sc, nil)
+	base, err := campaign.ParseSpec(baselineSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := encodeRecording(base, nil)
 	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
 	if len(lines) != 1 {
 		t.Fatalf("empty log encodes to %d lines", len(lines))
 	}
 	if !strings.Contains(lines[0], `"kind":"mark"`) ||
 		!strings.Contains(lines[0], `"svc":"whatif"`) ||
-		!strings.Contains(lines[0], sc.spec()) {
+		!strings.Contains(lines[0], base.Spec()) {
 		t.Fatalf("header line %q missing mark/spec", lines[0])
+	}
+}
+
+// A mistyped victim, an unknown key or an empty override must stop the
+// sweep before anything runs, not print an all-zero table.
+func TestBadSpecsAreRejected(t *testing.T) {
+	for _, args := range [][]string{
+		{"-matrix", "victims=bogus"},
+		{"-matrix", "victim=eth.dp8390"},
+		{"-override", ""},
+		{"-override", "warp=9"},
+	} {
+		if err := run(append(args, "-q")); err == nil {
+			t.Errorf("run(%q) succeeded", args)
+		}
 	}
 }

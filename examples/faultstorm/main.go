@@ -1,27 +1,25 @@
 // Faultstorm: a compact §7.2 fault-injection campaign — mutate the running
-// DP8390 driver's binary one fault at a time and watch the reincarnation
-// server classify and repair every crash.
+// DP8390 driver's binary one randomly drawn fault at a time and watch the
+// reincarnation server classify and repair every crash. The paper's
+// single-system run is a one-cell campaign matrix.
 package main
 
 import (
 	"fmt"
-	"time"
+	"os"
 
 	"resilientos"
+	"resilientos/internal/campaign"
+	"resilientos/internal/fi"
 )
 
 func main() {
-	fmt.Println("injecting 2,000 binary faults into the running DP8390 driver...")
-	res := resilientos.FaultInjectionCampaign(resilientos.CampaignConfig{
-		Faults: 2000,
-		Seed:   7,
-		Progress: func(injected, crashes int, now time.Duration) {
-			fmt.Printf("  %5d injected, %3d crashes, t=%v\n", injected, crashes, now.Round(time.Second))
-		},
-	})
-	fmt.Println()
-	for _, row := range res.Rows() {
-		fmt.Println(row)
-	}
+	fmt.Print("injecting 2,000 binary faults into the running DP8390 driver...\n\n")
+	campaign.Run(campaign.Config{
+		Seeds:         []int64{7},
+		Victims:       []string{resilientos.DriverDP8390},
+		FaultTypes:    []fi.FaultType{fi.FaultRandom},
+		FaultsPerCell: 2000,
+	}).Render(os.Stdout)
 	fmt.Println("\n(compare the paper's §7.2: 65% panic / 31% exception / 4% heartbeat, 100% recovery)")
 }

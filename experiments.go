@@ -4,15 +4,13 @@ import (
 	"fmt"
 	"time"
 
-	"resilientos/internal/core"
-	"resilientos/internal/fi"
 	"resilientos/internal/hw"
 	"resilientos/internal/obs"
 )
 
 // Experiment runners regenerating the paper's evaluation (§7): the Fig. 7
 // network-driver and Fig. 8 disk-driver throughput-vs-kill-interval
-// sweeps, and the §7.2 software fault-injection campaign.
+// sweeps. (The §7.2 fault-injection campaign is internal/campaign.)
 
 // ThroughputPoint is one point of a Fig. 7 / Fig. 8 series.
 type ThroughputPoint struct {
@@ -190,177 +188,4 @@ func mbps(bytes int64, d time.Duration) float64 {
 		return 0
 	}
 	return float64(bytes) / d.Seconds() / 1e6
-}
-
-// CampaignResult aggregates a §7.2 fault-injection campaign.
-type CampaignResult struct {
-	Injected   int // total faults injected
-	Crashes    int // detectable crashes observed
-	ByDefect   map[core.Defect]int
-	ByFault    map[fi.FaultType]int // fault type that finally triggered each crash
-	Recovered  int
-	BIOSResets int // deeply confused cards needing host intervention (-hw runs)
-	GaveUp     int // unrecoverable despite restarts
-
-	// SoftConfusions / DeepConfusions count card wedges observed (-hw).
-	SoftConfusions int
-	DeepConfusions int
-	BnryWrites     int
-	BadBnry        int
-}
-
-// Rows renders the result in the layout of the paper's §7.2 numbers.
-func (r CampaignResult) Rows() []string {
-	pct := func(n int) float64 {
-		if r.Crashes == 0 {
-			return 0
-		}
-		return 100 * float64(n) / float64(r.Crashes)
-	}
-	rows := []string{
-		fmt.Sprintf("faults injected:          %d", r.Injected),
-		fmt.Sprintf("detectable crashes:       %d", r.Crashes),
-		fmt.Sprintf("  internal panic (exit):  %d (%.0f%%)", r.ByDefect[core.DefectExit], pct(r.ByDefect[core.DefectExit])),
-		fmt.Sprintf("  CPU/MMU exception:      %d (%.0f%%)", r.ByDefect[core.DefectException], pct(r.ByDefect[core.DefectException])),
-		fmt.Sprintf("  missing heartbeat:      %d (%.0f%%)", r.ByDefect[core.DefectHeartbeat], pct(r.ByDefect[core.DefectHeartbeat])),
-		fmt.Sprintf("recovered:                %d (%.1f%% of crashes)", r.Recovered, pct(r.Recovered)),
-	}
-	if r.BIOSResets > 0 || r.GaveUp > 0 {
-		rows = append(rows,
-			fmt.Sprintf("BIOS resets needed:       %d", r.BIOSResets),
-			fmt.Sprintf("unrecovered:              %d", r.GaveUp))
-	}
-	return rows
-}
-
-// CampaignConfig tunes a fault-injection campaign.
-type CampaignConfig struct {
-	Faults   int   // total faults to inject (paper: 12,500)
-	Seed     int64 // randomness for system and injector
-	Hardware bool  // model the real-card gate: confusable NIC, no master reset
-	// Progress, if set, is called periodically with (injected, crashes,
-	// virtual time).
-	Progress func(injected, crashes int, now time.Duration)
-}
-
-// FaultInjectionCampaign reproduces §7.2: drive continuous TCP traffic
-// through the DP8390 driver and repeatedly inject one randomly selected
-// fault into the *running* driver until it crashes; recover; repeat. The
-// crash classification and recovery rate are the paper's headline table.
-func FaultInjectionCampaign(cfg CampaignConfig) CampaignResult {
-	if cfg.Faults == 0 {
-		cfg.Faults = 12_500
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	mc := hw.MachineConfig{}
-	if cfg.Hardware {
-		// A garbage value in a control register wedges the card half the
-		// time, and a quarter of wedges are deep (only a BIOS reset — or a
-		// master reset the authors' card lacked — clears them).
-		mc.NICConfuseProb = 0.5
-		mc.NICDeepProb = 0.25
-		mc.NICMasterReset = false
-	}
-	sys := New(Config{
-		Seed:        cfg.Seed,
-		DisableDisk: true,
-		DisableChar: true,
-		Machine:     mc,
-	})
-	defer sys.Close()
-	sys.Run(3 * time.Second)
-
-	// Endless traffic through the DP8390 channel: back-to-back downloads.
-	const chunk = 8 << 20
-	sys.ServeFile(80, cfg.Seed, chunk)
-	sys.Spawn("wget-loop", func(p *Proc) {
-		buf := 64 << 10
-		for {
-			conn, err := p.Dial(NetLocal, DriverDP8390, 80)
-			if err != nil {
-				p.Sleep(200 * time.Millisecond)
-				continue
-			}
-			for {
-				if _, err := conn.Read(buf); err != nil {
-					break
-				}
-			}
-			conn.Close()
-		}
-	})
-
-	res := CampaignResult{
-		ByDefect: make(map[core.Defect]int),
-		ByFault:  make(map[fi.FaultType]int),
-	}
-	injector := fi.New(sys.Env.Rand())
-	seenEvents := 0
-	var lastInjection fi.Injection
-	nic := sys.Machine.NIC1
-
-	// Inject one fault every 50ms of virtual time while the driver runs;
-	// watch the reincarnation server's event log for crashes.
-	stall := 0
-	for res.Injected < cfg.Faults {
-		sys.Run(50 * time.Millisecond)
-		if cfg.Progress != nil && res.Injected%1000 == 0 {
-			cfg.Progress(res.Injected, res.Crashes, sys.Env.Now())
-		}
-		stall++
-		if stall > 10000 {
-			break // safety: the workload or driver is irrecoverably wedged
-		}
-		// Crash observed?
-		events := sys.RS.Events()
-		for _, e := range events[seenEvents:] {
-			if e.Label != DriverDP8390 {
-				continue
-			}
-			res.Crashes++
-			res.ByDefect[e.Defect]++
-			res.ByFault[lastInjection.Type]++
-			if e.Recovered {
-				res.Recovered++
-			}
-			if e.GaveUp {
-				res.GaveUp++
-			}
-		}
-		seenEvents = len(events)
-		// The hardware gate: a deeply confused card makes every restart
-		// fail its init asserts; give it the paper's BIOS reset.
-		if _, deep := nic.Confused(); deep {
-			nic.BIOSReset()
-			res.BIOSResets++
-			continue
-		}
-		vm := sys.DriverVM(DriverDP8390)
-		if vm == nil || sys.RS.ServiceEndpoint(DriverDP8390) < 0 {
-			continue // driver down or restarting; no target to mutate
-		}
-		lastInjection = injector.InjectRandom(vm.Img)
-		res.Injected++
-		stall = 0
-	}
-	res.SoftConfusions = nic.Stats.Confusions
-	res.DeepConfusions = nic.Stats.DeepConfused
-	res.BnryWrites = nic.Stats.BnryWrites
-	res.BadBnry = nic.Stats.BadBnry
-	// Let any final crash resolve.
-	sys.Run(10 * time.Second)
-	for _, e := range sys.RS.Events()[seenEvents:] {
-		if e.Label != DriverDP8390 {
-			continue
-		}
-		res.Crashes++
-		res.ByDefect[e.Defect]++
-		res.ByFault[lastInjection.Type]++
-		if e.Recovered {
-			res.Recovered++
-		}
-	}
-	return res
 }

@@ -145,8 +145,8 @@ func checkBenchGolden(t *testing.T, golden string, doc bench.Doc) {
 		"with -update and say why in the PR:\n%s", golden, diff.String())
 }
 
-// TestRunnersCloseTheirSystems: every figure, throughput and campaign
-// runner boots a system per call (a sweep one per point) and must close
+// TestRunnersCloseTheirSystems: every figure and throughput runner
+// boots a system per call (a sweep one per point) and must close
 // it once the results are harvested, or each leaves its parked processes
 // behind as goroutines.
 func TestRunnersCloseTheirSystems(t *testing.T) {
@@ -157,7 +157,6 @@ func TestRunnersCloseTheirSystems(t *testing.T) {
 	RunFigure(FigureConfig{Fig: 8, Seed: 3, Size: 4 << 20})
 	Fig7NetworkRecovery(1<<20, []time.Duration{time.Second, 2 * time.Second}, 3)
 	Fig8DiskRecovery(4<<20, []time.Duration{time.Second}, 3)
-	FaultInjectionCampaign(CampaignConfig{Faults: 20, Seed: 3})
 	if after := runtime.NumGoroutine(); after > before {
 		t.Errorf("%d goroutines before the runners, %d after", before, after)
 	}

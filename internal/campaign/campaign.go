@@ -23,7 +23,7 @@ package campaign
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -32,14 +32,16 @@ import (
 	"resilientos/internal/check"
 	"resilientos/internal/core"
 	"resilientos/internal/fi"
+	"resilientos/internal/hw"
 	"resilientos/internal/obs"
 	"resilientos/internal/obs/decision"
 	"resilientos/internal/perf"
-	"resilientos/internal/policy"
 	"resilientos/internal/sim"
 )
 
 // AllFaultTypes is the paper's seven mutation classes, in paper order.
+// fi.FaultRandom — a fresh draw among them per injection, what the
+// paper's own 12,500-fault run used — is a cell class of its own.
 var AllFaultTypes = []fi.FaultType{
 	fi.FaultSrcReg, fi.FaultDstReg, fi.FaultPointer, fi.FaultStale,
 	fi.FaultLoopCond, fi.FaultBitFlip, fi.FaultElide,
@@ -75,32 +77,17 @@ type Config struct {
 	// TraceTail is the number of trace events kept per cell for violation
 	// repro dumps (default 32).
 	TraceTail int
-	// InjectEvery is the virtual time between injections (default 50ms).
-	InjectEvery time.Duration
 	// Progress, if set, is called after each finished cell with
 	// (done, total). Calls are serialized but unordered across cells.
 	Progress func(done, total int)
 
-	// The recovery knobs below parameterize every cell's system — the
-	// counterfactual levers cmd/whatif sweeps. Zero values keep the
-	// standard machine (500ms heartbeat, 3 misses, unlimited restarts,
-	// no policy script).
-
-	// HeartbeatPeriod overrides the driver heartbeat period (0 = the
-	// standard 500ms; negative disables heartbeats entirely).
-	HeartbeatPeriod time.Duration
-	// HeartbeatMisses overrides consecutive misses before a driver is
-	// declared stuck (0 = the standard 3).
-	HeartbeatMisses int
-	// MaxRestarts bounds consecutive recoveries per driver (0 = forever).
-	MaxRestarts int
-	// Policy / PolicyParams attach a recovery policy script to the
-	// network drivers (disk drivers always restart directly, §6.2).
-	Policy       *policy.Script
-	PolicyParams []string
-	// Mechanism selects the recovery mechanism for every cell's drivers
-	// (zero = classic kill-and-respawn; microreboot, standby).
-	Mechanism core.Mechanism
+	// System is the configuration every cell boots: the recovery knobs
+	// (heartbeat, restart budget, policy script, mechanism — the
+	// counterfactual levers cmd/whatif sweeps) and the machine (the
+	// real-hardware gate). The zero value is the standard system. A cell
+	// overwrites only what a cell owns: Seed, Obs, Decisions, Perf,
+	// PreallocFiles and the three Disable* switches.
+	System resilientos.Config
 
 	// Decisions attaches a recovery-decision recorder to every cell: the
 	// per-cell trace lands in CellResult.Decisions, the merged log (with
@@ -145,9 +132,6 @@ func (cfg *Config) fill() {
 	if cfg.TraceTail <= 0 {
 		cfg.TraceTail = 32
 	}
-	if cfg.InjectEvery <= 0 {
-		cfg.InjectEvery = 50 * time.Millisecond
-	}
 }
 
 // Cell is one point of the campaign matrix.
@@ -182,9 +166,8 @@ func Cells(cfg Config) []Cell {
 type ViolationReport struct {
 	Cell      Cell
 	Violation check.Violation
-	Injection fi.Injection // last mutation before the violation
-	HasInj    bool
-	Trace     []obs.Event // last K trace events, oldest first
+	Injection fi.Injection // last mutation before the violation (Type 0: none yet)
+	Trace     []obs.Event  // last K trace events, oldest first
 }
 
 // CellResult is the outcome of one cell's run.
@@ -196,9 +179,14 @@ type CellResult struct {
 	Recovered int
 	GaveUp    int
 	Latencies []sim.Time // completed recovery latencies, detection order
+	// BIOSResets counts host resets of a deeply confused card (only a
+	// machine behind the real-hardware gate ever needs one).
+	BIOSResets int
+	// ByTrigger tallies crashes by the class of the last fault injected
+	// before them (fi.FaultRandom cells only; elsewhere it is the cell's).
+	ByTrigger [fi.NumFaultTypes + 1]int
 
-	LastInjection fi.Injection
-	HasInjection  bool
+	LastInjection fi.Injection // Type 0: nothing injected yet
 	Violations    []ViolationReport
 
 	// Decision-trace results (cfg.Decisions only).
@@ -272,21 +260,15 @@ func runCell(cell Cell, cfg Config) CellResult {
 	}
 
 	disk := cell.Victim == resilientos.DriverSATA
-	syscfg := resilientos.Config{
-		Seed:            cell.Seed,
-		Obs:             rec,
-		Decisions:       decRec,
-		DisableChar:     true,
-		DisableDisk:     !disk,
-		DisableNet:      disk,
-		HeartbeatPeriod: cfg.HeartbeatPeriod,
-		HeartbeatMisses: cfg.HeartbeatMisses,
-		MaxRestarts:     cfg.MaxRestarts,
-		NetPolicy:       cfg.Policy,
-		NetPolicyParams: cfg.PolicyParams,
-		Mechanism:       cfg.Mechanism,
-		Perf:            cfg.Perf,
-	}
+	syscfg := cfg.System
+	syscfg.Seed = cell.Seed
+	syscfg.Obs = rec
+	syscfg.Decisions = decRec
+	syscfg.Perf = cfg.Perf
+	syscfg.DisableChar = true
+	syscfg.DisableDisk = !disk
+	syscfg.DisableNet = disk
+	syscfg.PreallocFiles = nil
 	if disk {
 		syscfg.PreallocFiles = []resilientos.PreallocFile{{Name: "/campaign", Size: 16 << 20}}
 	}
@@ -310,6 +292,13 @@ func runCell(cell Cell, cfg Config) CellResult {
 	startWorkload(sys, cell.Victim)
 
 	injector := fi.New(sys.Env.Rand())
+	var nic *hw.NIC // the victim's card; nil for the disk driver
+	switch cell.Victim {
+	case resilientos.DriverRTL8139:
+		nic = sys.Machine.NIC0
+	case resilientos.DriverDP8390:
+		nic = sys.Machine.NIC1
+	}
 	seen := 0
 	harvest := func() {
 		evs := sys.RS.Events()
@@ -319,6 +308,9 @@ func runCell(cell Cell, cfg Config) CellResult {
 			}
 			res.Crashes++
 			res.ByDefect[e.Defect]++
+			if cell.Fault == fi.FaultRandom {
+				res.ByTrigger[res.LastInjection.Type]++
+			}
 			if e.Recovered {
 				res.Recovered++
 			}
@@ -331,11 +323,20 @@ func runCell(cell Cell, cfg Config) CellResult {
 
 	stall := 0
 	for res.Injected < cfg.FaultsPerCell {
-		sys.Run(cfg.InjectEvery)
+		sys.Run(50 * time.Millisecond) // between injections
 		harvest()
 		stall++
 		if stall > 2000 {
 			break // driver irrecoverably wedged; report what we have
+		}
+		// The hardware gate: a deeply confused card fails every restart's
+		// init asserts until the host gives it the paper's BIOS reset.
+		if nic != nil {
+			if _, deep := nic.Confused(); deep {
+				nic.BIOSReset()
+				res.BIOSResets++
+				continue
+			}
 		}
 		vm := sys.DriverVM(cell.Victim)
 		if vm == nil || sys.RS.ServiceEndpoint(cell.Victim) < 0 {
@@ -343,10 +344,9 @@ func runCell(cell Cell, cfg Config) CellResult {
 		}
 		inj, ok := injector.TryInject(vm.Img, cell.Fault)
 		if !ok {
-			break // image has no applicable site for this fault type
+			break // no applicable site left: report the shortfall, never pad
 		}
 		res.LastInjection = inj
-		res.HasInjection = true
 		res.Injected++
 		stall = 0
 	}
@@ -384,7 +384,6 @@ func runCell(cell Cell, cfg Config) CellResult {
 				Cell:      cell,
 				Violation: v,
 				Injection: res.LastInjection,
-				HasInj:    res.HasInjection,
 				Trace:     ck.TraceTail(),
 			})
 		}
@@ -499,6 +498,8 @@ type Report struct {
 	Crashes    int
 	Recovered  int
 	GaveUp     int
+	BIOSResets int
+	ByTrigger  [fi.NumFaultTypes + 1]int // summed over the fi.FaultRandom cells
 
 	// Decision-trace aggregates (cfg.Decisions only). DecisionLog is the
 	// per-cell traces concatenated in cell-index order, each prefixed by
@@ -544,6 +545,10 @@ func merge(cfg Config, results []CellResult) *Report {
 		r.Crashes += res.Crashes
 		r.Recovered += res.Recovered
 		r.GaveUp += res.GaveUp
+		r.BIOSResets += res.BIOSResets
+		for ft, n := range res.ByTrigger {
+			r.ByTrigger[ft] += n
+		}
 		r.Violations = append(r.Violations, res.Violations...)
 		if cfg.Decisions {
 			r.DecisionLog = append(r.DecisionLog, decision.Event{
@@ -589,9 +594,19 @@ func (r *Report) Render(w io.Writer) {
 			a.ByDefect[core.DefectHeartbeat],
 			a.Recovered, pct(a.Recovered, a.Crashes), a.GaveUp)
 	}
-	fmt.Fprintf(w, "%-20s %9d %8d %6s %6s %6s %5d (%3.0f%%) %7d\n\n",
+	fmt.Fprintf(w, "%-20s %9d %8d %6s %6s %6s %5d (%3.0f%%) %7d\n",
 		"total", r.Injected, r.Crashes, "", "", "",
 		r.Recovered, pct(r.Recovered, r.Crashes), r.GaveUp)
+	if cfg.System.Machine.NICConfuseProb > 0 {
+		fmt.Fprintf(w, "BIOS resets needed:  %d\n", r.BIOSResets)
+	}
+	if slices.Contains(cfg.FaultTypes, fi.FaultRandom) {
+		fmt.Fprintln(w, "crash-triggering fault class (random cells):")
+		for _, ft := range AllFaultTypes {
+			fmt.Fprintf(w, "  %-20s %6d\n", ft, r.ByTrigger[ft])
+		}
+	}
+	fmt.Fprintln(w)
 
 	// Per-fault-type recovery-latency histograms.
 	for _, a := range r.ByFault {
@@ -619,11 +634,14 @@ func (r *Report) Render(w io.Writer) {
 	fmt.Fprintf(w, "INVARIANT VIOLATIONS: %d\n", len(r.Violations))
 	for i, vr := range r.Violations {
 		fmt.Fprintf(w, "\n#%d %s\n   %v\n", i+1, vr.Cell, vr.Violation)
-		if vr.HasInj {
+		if vr.Injection.Type != 0 {
 			fmt.Fprintf(w, "   last mutation: %v\n", vr.Injection)
 		}
-		fmt.Fprintf(w, "   repro: -matrix seed=%d victim=%s fault=%s\n",
-			vr.Cell.Seed, vr.Cell.Victim, vr.Cell.Fault)
+		one := cfg
+		one.Seeds = []int64{vr.Cell.Seed}
+		one.Victims = []string{vr.Cell.Victim}
+		one.FaultTypes = []fi.FaultType{vr.Cell.Fault}
+		fmt.Fprintf(w, "   repro: -matrix %s\n", one.Spec())
 		fmt.Fprintf(w, "   last %d trace events:\n", len(vr.Trace))
 		for _, e := range vr.Trace {
 			fmt.Fprintf(w, "     %12v %-14s %-12s %s v1=%d v2=%d\n",
@@ -664,11 +682,4 @@ func renderHist(w io.Writer, h *obs.Histogram) {
 		}
 		fmt.Fprintf(w, "  <= %-8s %6d %s\n", label, b.Count, bar)
 	}
-}
-
-// sortViolations is a helper for tests: violations sorted by cell index
-// then time (the merge already yields this order; sorting makes the
-// property explicit where asserted).
-func sortViolations(v []ViolationReport) {
-	sort.SliceStable(v, func(i, j int) bool { return v[i].Cell.Index < v[j].Cell.Index })
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"resilientos/internal/obs/timeseries"
+	"resilientos/internal/ucode"
 )
 
 func testConfig() Config {
@@ -132,6 +133,26 @@ func TestPoissonInjectStorm(t *testing.T) {
 	}
 	if r.Completed == 0 {
 		t.Fatalf("no requests completed")
+	}
+}
+
+// TestInjectRefusesExhaustedImage: a SWIFI storm that outlasts a driver's
+// image (every instruction already mutated into a NOP) must see inject
+// report "nothing to mutate", not spin inside the injector.
+func TestInjectRefusesExhaustedImage(t *testing.T) {
+	n := newNode(0, 11, 0, false, nil)
+	defer n.Sys.Close()
+	n.Sys.Run(3 * time.Second)
+	const driver = "eth.rtl8139"
+	if !n.inject(driver) {
+		t.Fatal("inject into a freshly booted driver refused")
+	}
+	img := n.Sys.DriverVM(driver).Img
+	for pc := range img.Code {
+		img.Code[pc] = ucode.Enc(ucode.OpNop, 0, 0, 0)
+	}
+	if n.inject(driver) || n.injections != 1 {
+		t.Fatalf("inject into an all-NOP image: injections = %d, want it refused", n.injections)
 	}
 }
 

@@ -151,13 +151,16 @@ func (n *Node) kill(driver string) {
 
 // inject mutates the named driver's running code image with one random
 // fault (§7.2 fault model). It reports false when the driver has no live
-// VM to mutate (down or mid-restart).
+// VM to mutate (down or mid-restart) or its image has no instruction
+// left that any fault class applies to.
 func (n *Node) inject(driver string) bool {
 	vm := n.Sys.DriverVM(driver)
 	if vm == nil || n.Sys.RS.ServiceEndpoint(driver) < 0 {
 		return false
 	}
-	n.injector.InjectRandom(vm.Img)
+	if _, ok := n.injector.InjectRandom(vm.Img); !ok {
+		return false
+	}
 	n.injections++
 	return true
 }

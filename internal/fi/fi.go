@@ -8,6 +8,7 @@ package fi
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"resilientos/internal/ucode"
 )
@@ -24,8 +25,12 @@ const (
 	FaultLoopCond                      // (5) invert termination condition of a loop
 	FaultBitFlip                       // (6) flip a bit in an instruction
 	FaultElide                         // (7) elide an instruction
-	numFaultTypes = 7
+	NumFaultTypes = 7                  // classes are numbered 1..NumFaultTypes
 )
+
+// FaultRandom is the mix §7.2 actually ran: each injection draws one of
+// the seven classes at random (InjectRandom).
+const FaultRandom FaultType = NumFaultTypes + 1
 
 func (f FaultType) String() string {
 	switch f {
@@ -43,6 +48,8 @@ func (f FaultType) String() string {
 		return "bit-flip"
 	case FaultElide:
 		return "elided-instruction"
+	case FaultRandom:
+		return "random"
 	default:
 		return fmt.Sprintf("FaultType(%d)", int(f))
 	}
@@ -73,20 +80,30 @@ func New(rng *rand.Rand) *Injector { return &Injector{rng: rng} }
 // paper's campaign step "inject 1 randomly selected fault into the running
 // driver". Mutating an image a driver is currently executing is the whole
 // point: the next invocation of the affected routine runs the faulty code.
-func (j *Injector) InjectRandom(img *ucode.Image) Injection {
+// It reports false, before drawing anything, once every instruction has
+// been mutated into a NOP and no class has a site left.
+func (j *Injector) InjectRandom(img *ucode.Image) (Injection, bool) {
+	// Bit flips apply to every non-NOP, so "some non-NOP is left" is
+	// exactly "some class still applies" — and makes the loop terminate.
+	if !slices.ContainsFunc(img.Code, func(in ucode.Instr) bool { return in.Op() != ucode.OpNop }) {
+		return Injection{}, false
+	}
 	for {
-		ft := FaultType(j.rng.Intn(numFaultTypes) + 1)
+		ft := FaultType(j.rng.Intn(NumFaultTypes) + 1)
 		if inj, ok := j.TryInject(img, ft); ok {
-			return inj
+			return inj, true
 		}
-		// Type not applicable at the sampled site; resample. Every image
-		// admits bit flips and elisions, so this terminates.
+		// Class not applicable anywhere in the image; resample.
 	}
 }
 
-// TryInject applies one fault of the given type at a random applicable
-// instruction. It reports false if the image has no applicable site.
+// TryInject applies one fault of the given type (FaultRandom: of a
+// randomly drawn type) at a random applicable instruction. It reports
+// false if the image has no applicable site.
 func (j *Injector) TryInject(img *ucode.Image, ft FaultType) (Injection, bool) {
+	if ft == FaultRandom {
+		return j.InjectRandom(img)
+	}
 	sites := applicableSites(img, ft)
 	if len(sites) == 0 {
 		return Injection{}, false

@@ -36,7 +36,10 @@ func TestInjectRandomMutatesExactlyOneInstruction(t *testing.T) {
 	orig := testImage(t)
 	for seed := int64(0); seed < 50; seed++ {
 		img := orig.Clone()
-		inj := New(rand.New(rand.NewSource(seed))).InjectRandom(img)
+		inj, ok := New(rand.New(rand.NewSource(seed))).InjectRandom(img)
+		if !ok {
+			t.Fatalf("seed %d: no site in a fresh image", seed)
+		}
 		diff := 0
 		for pc := range img.Code {
 			if img.Code[pc] != orig.Code[pc] {
@@ -177,10 +180,49 @@ func TestLoopCondNotApplicableWithoutBranches(t *testing.T) {
 func TestInjectRandomDeterministic(t *testing.T) {
 	a := testImage(t)
 	b := testImage(t)
-	ia := New(rand.New(rand.NewSource(9))).InjectRandom(a)
-	ib := New(rand.New(rand.NewSource(9))).InjectRandom(b)
+	ia, _ := New(rand.New(rand.NewSource(9))).InjectRandom(a)
+	ib, _ := New(rand.New(rand.NewSource(9))).InjectRandom(b)
 	if ia != ib {
 		t.Fatalf("same seed, different injections: %v vs %v", ia, ib)
+	}
+}
+
+// An exhausted image — every instruction already a NOP — has no site for
+// any class: InjectRandom must say so at once instead of resampling
+// forever, draw nothing from the rng, and do the same through TryInject.
+func TestInjectRandomExhaustedImage(t *testing.T) {
+	img := testImage(t)
+	for pc := range img.Code {
+		img.Code[pc] = ucode.Enc(ucode.OpNop, 0, 0, 0)
+	}
+	rng := rand.New(rand.NewSource(3))
+	want := rand.New(rand.NewSource(3)).Int63()
+	j := New(rng)
+	if inj, ok := j.InjectRandom(img); ok {
+		t.Fatalf("InjectRandom on an all-NOP image applied %v", inj)
+	}
+	if inj, ok := j.TryInject(img, FaultRandom); ok {
+		t.Fatalf("TryInject(FaultRandom) on an all-NOP image applied %v", inj)
+	}
+	if got := rng.Int63(); got != want {
+		t.Fatal("a refused injection consumed randomness")
+	}
+
+	// Mutating one image over and over ends in exactly that state.
+	img = testImage(t)
+	n := 0
+	for ; n < 100_000; n++ {
+		if _, ok := j.InjectRandom(img); !ok {
+			break
+		}
+	}
+	if n == 100_000 {
+		t.Fatal("repeated injection never exhausted the image")
+	}
+	for pc, in := range img.Code {
+		if in.Op() != ucode.OpNop {
+			t.Fatalf("InjectRandom refused with a live instruction left at %d: %v", pc, in)
+		}
 	}
 }
 

@@ -52,14 +52,10 @@ const (
 
 // NICStats counts observable NIC events for tests and experiments.
 type NICStats struct {
-	RxDelivered  int // frames handed to the driver
-	RxDropped    int // frames lost (ring overflow or receiver disabled)
-	TxFrames     int
-	FCSErrors    int // frames dropped for bad FCS
-	Confusions   int // times the card entered a confused state
-	DeepConfused int // times the card entered deep confusion
-	BnryWrites   int // boundary-register writes
-	BadBnry      int // boundary writes with garbage values
+	RxDelivered int // frames handed to the driver
+	RxDropped   int // frames lost (ring overflow or receiver disabled)
+	TxFrames    int
+	FCSErrors   int // frames dropped for bad FCS
 }
 
 // NICConfig configures a simulated Ethernet controller.
@@ -174,9 +170,7 @@ func (n *NIC) PortOut(port uint32, val uint32) error {
 	case NICRegTxGo:
 		n.transmit()
 	case NICRegBnry:
-		n.Stats.BnryWrites++
 		if val >= NICBnryPages {
-			n.Stats.BadBnry++
 			// A garbage boundary pointer desynchronizes the receive
 			// engine; on some cards this wedges the chip.
 			n.maybeConfuse()
@@ -238,11 +232,9 @@ func (n *NIC) maybeConfuse() {
 	if n.env.Rand().Float64() >= n.cfg.ConfuseProb {
 		return
 	}
-	n.Stats.Confusions++
 	n.confusion = nicSoft
 	if n.env.Rand().Float64() < n.cfg.DeepConfuseProb {
 		n.confusion = nicDeep
-		n.Stats.DeepConfused++
 	}
 	n.enabled = false
 }
