@@ -9,7 +9,7 @@ package resilientos
 //	go test -bench=. -benchmem            # everything
 //
 // Full-scale runs (the paper's 512 MB / 1 GB / 12,500 faults) live behind
-// cmd/throughput and cmd/faultbench; the benches default to reduced sizes
+// cmd/figures and cmd/faultbench; the benches default to reduced sizes
 // so `go test -bench=.` stays minutes, not hours. Throughput in MB/s is
 // size-invariant, so the reduced runs land on the same series shape.
 
@@ -35,44 +35,26 @@ var benchIntervals = []time.Duration{1 * time.Second, 2 * time.Second, 4 * time.
 // BenchmarkFig7_NetworkRecovery regenerates Fig. 7 (networking throughput
 // vs. Ethernet-driver kill interval; paper: 10.8 MB/s uninterrupted,
 // 25%..1% loss across 1..15 s intervals).
-func BenchmarkFig7_NetworkRecovery(b *testing.B) {
-	const size = 48 << 20
-	for i := 0; i < b.N; i++ {
-		points := Fig7NetworkRecovery(size, benchIntervals, 1)
-		base := points[0]
-		b.ReportMetric(base.MBps, "clean_MB/s")
-		for _, p := range points {
-			if !p.OK {
-				b.Fatalf("integrity failure at %v", p.KillInterval)
-			}
-			b.Logf("%s", p)
-			if p.KillInterval == time.Second {
-				b.ReportMetric(p.MBps, "kill1s_MB/s")
-			}
-			if p.KillInterval == 15*time.Second {
-				b.ReportMetric(p.MBps, "kill15s_MB/s")
-			}
-		}
-	}
-}
+func BenchmarkFig7_NetworkRecovery(b *testing.B) { benchSweep(b, 7, 48<<20) }
 
 // BenchmarkFig8_DiskRecovery regenerates Fig. 8 (disk throughput vs. disk-
 // driver kill interval; paper: 32.7 MB/s uninterrupted, 62%..7% loss).
-func BenchmarkFig8_DiskRecovery(b *testing.B) {
-	const size = 96 << 20
+func BenchmarkFig8_DiskRecovery(b *testing.B) { benchSweep(b, 8, 96<<20) }
+
+func benchSweep(b *testing.B, fig int, size int64) {
 	for i := 0; i < b.N; i++ {
-		points := Fig8DiskRecovery(size, benchIntervals, 1)
-		base := points[0]
-		b.ReportMetric(base.MBps, "clean_MB/s")
+		points := Sweep(FigureConfig{Fig: fig, Size: size}, benchIntervals)
+		b.ReportMetric(points[0].MBps, "clean_MB/s")
 		for _, p := range points {
 			if !p.OK {
-				b.Fatalf("integrity failure at %v", p.KillInterval)
+				b.Fatalf("integrity failure at %v", p.Interval)
 			}
-			b.Logf("%s", p)
-			if p.KillInterval == time.Second {
+			b.Logf("kill every %v: %.2f MB/s (%d kills, %d recoveries, %v/kill lost)",
+				p.Interval, p.MBps, p.Kills, p.Recoveries, p.PerKillLoss(points[0]).Round(time.Millisecond))
+			if p.Interval == time.Second {
 				b.ReportMetric(p.MBps, "kill1s_MB/s")
 			}
-			if p.KillInterval == 15*time.Second {
+			if p.Interval == 15*time.Second {
 				b.ReportMetric(p.MBps, "kill15s_MB/s")
 			}
 		}

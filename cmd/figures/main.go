@@ -12,6 +12,12 @@
 // summary is also written as BENCH_fig<N>.json (internal/bench document,
 // as byte-reproducible as the rest).
 //
+// With several -interval values, the command instead runs the paper's
+// kill-interval sweep — the uninterrupted transfer, then one run per
+// interval — and prints throughput, relative loss and the recovery-latency
+// distribution (defect to reintegration, virtual time) per interval;
+// -bench then writes BENCH_throughput.json.
+//
 // With -mechanisms, the command instead runs the recovery-mechanism
 // comparison: the same Fig. 7 (or 8) configuration once per mechanism
 // (respawn, microreboot, standby) with VM-level crash injection, writing
@@ -22,24 +28,31 @@
 //	figures -fig 7 -seed 11             # the committed golden configuration
 //	figures -fig 8 -size 64 -interval 3 # 64 MB read, kill every 3s
 //	figures -bench                      # also write BENCH_fig7/8.json
+//	figures -fig 7 -size 512 -interval 1,2,4,6,8,10,12,15   # the paper's Fig. 7 sweep
+//	figures -fig 7 -size 16 -interval 1 -trace fig7.jsonl   # capture a full trace (summarize with tracestat)
 //	figures -mechanisms -seed 11        # recovery-mechanism comparison
 //
-// Exit status is non-zero if a transfer fails its integrity check, the
-// window series violates its structural invariants, or any output file
-// cannot be written.
+// Exit status is non-zero if a transfer fails its integrity check or never
+// completes, the window series violates its structural invariants, or any
+// output file cannot be written.
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"time"
 
 	"resilientos"
 	"resilientos/internal/bench"
+	"resilientos/internal/obs"
 	"resilientos/internal/obs/timeseries"
 )
 
@@ -57,45 +70,178 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
 	fig := fs.Int("fig", 0, "figure to run: 7 (network), 8 (disk), or 0 for both")
 	seed := fs.Int64("seed", 1, "simulation seed")
-	sizeMB := fs.Int64("size", 0, "transfer size in MB (default: 64 for fig7, 128 for fig8)")
-	interval := fs.Float64("interval", 2, "kill interval in seconds (0 = uninterrupted)")
-	window := fs.Float64("window", 1, "telemetry window width in seconds")
+	sizeMB := fs.Int64("size", 0, "transfer size in MB (default: 64 for fig7, 128 for fig8; the paper's sweeps use 512 and 1024)")
+	interval := fs.String("interval", "2", "kill interval in seconds (0 = uninterrupted); a comma list\n(the paper's is 1,2,4,6,8,10,12,15) runs the kill-interval sweep instead")
+	window := fs.String("window", "1", "telemetry window width in seconds")
 	out := fs.String("out", ".", "output directory")
-	doBench := fs.Bool("bench", false, "also write BENCH_fig<N>.json summaries (internal/bench documents)")
+	doBench := fs.Bool("bench", false, "also write the internal/bench summary: BENCH_fig<N>.json, or BENCH_throughput.json for a sweep")
 	mechs := fs.Bool("mechanisms", false, "run the recovery-mechanism comparison instead (writes BENCH_recovery.json)")
+	trace := fs.String("trace", "", "write every run's full JSONL event trace to this file (use a small -size; summarize with tracestat)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() != 0 {
-		return fmt.Errorf("usage: figures [-fig 7|8] [-seed n] [-size mb] [-interval s] [-window s] [-out dir] [-bench] [-mechanisms]")
+		return fmt.Errorf("usage: figures [-fig 7|8] [-seed n] [-size mb] [-interval s[,s...]] [-window s] [-out dir] [-bench] [-mechanisms] [-trace file]")
 	}
-
-	var figs []int
-	switch *fig {
-	case 0:
-		figs = []int{7, 8}
-	case 7, 8:
-		figs = []int{*fig}
-	default:
+	if *fig != 0 && *fig != 7 && *fig != 8 {
 		return fmt.Errorf("unknown figure %d (want 7 or 8)", *fig)
+	}
+	intervals, err := parseIntervals(*interval)
+	if err != nil {
+		return fmt.Errorf("-interval: %w", err)
+	}
+	cfg := resilientos.FigureConfig{
+		Fig:      *fig,
+		Size:     *sizeMB << 20,
+		Interval: intervals[0],
+		System:   resilientos.Config{Seed: *seed},
+	}
+	if cfg.Window, err = parseSeconds(*window); err != nil {
+		return fmt.Errorf("-window: %w", err)
+	}
+	figs := []int{cfg.Fig}
+	sweep := len(intervals) > 1
+	switch {
+	case sweep && *mechs:
+		return fmt.Errorf("-mechanisms takes a single -interval")
+	case cfg.Fig == 0 && (sweep || *mechs):
+		figs = []int{7} // a sweep or a comparison is a single-figure table; default to the network one
+	case cfg.Fig == 0:
+		figs = []int{7, 8}
 	}
 
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		return err
 	}
-
-	if *mechs {
-		f := *fig
-		if f == 0 {
-			f = 7 // the comparison is a single-figure table; default to the network one
-		}
-		return runMechanisms(f, *seed, *sizeMB, *interval, *window, *out)
-	}
-
-	for _, f := range figs {
-		if err := runFigure(f, *seed, *sizeMB, *interval, *window, *out, *doBench); err != nil {
+	traceDone := func() error { return nil }
+	if *trace != "" {
+		f, err := os.Create(*trace)
+		if err != nil {
 			return err
 		}
+		bw := bufio.NewWriterSize(f, 1<<20)
+		js := obs.NewJSONLSink(bw)
+		cfg.Trace = js
+		traceDone = func() error {
+			if err := errors.Join(js.Err(), bw.Flush(), f.Close()); err != nil {
+				return err
+			}
+			fmt.Printf("trace written to %s\n", *trace)
+			return nil
+		}
+	}
+
+	for _, cfg.Fig = range figs {
+		switch {
+		case *mechs:
+			err = runMechanisms(cfg, *out)
+		case sweep:
+			err = runSweep(cfg, intervals, *out, *doBench)
+		default:
+			err = runFigure(cfg, *out, *doBench)
+		}
+		if err != nil {
+			break
+		}
+	}
+	return errors.Join(err, traceDone())
+}
+
+// parseIntervals parses a comma-separated list of kill intervals in
+// seconds; the error names the offending item.
+func parseIntervals(list string) ([]time.Duration, error) {
+	var intervals []time.Duration
+	for _, item := range strings.Split(list, ",") {
+		d, err := parseSeconds(item)
+		if err != nil {
+			return nil, err
+		}
+		intervals = append(intervals, d)
+	}
+	return intervals, nil
+}
+
+// parseSeconds parses one flag value in seconds: 0, or a finite positive
+// number that rounds to at least one whole nanosecond.
+func parseSeconds(item string) (time.Duration, error) {
+	v, err := strconv.ParseFloat(strings.TrimSpace(item), 64)
+	ns := math.Round(v * float64(time.Second))
+	if err != nil || math.IsNaN(v) || v < 0 || (v > 0 && ns < 1) || ns >= math.MaxInt64 {
+		return 0, fmt.Errorf("bad value %q (want seconds: 0 or a positive finite number)", item)
+	}
+	return time.Duration(ns), nil
+}
+
+// verdict is the error a finished run makes the command exit with, nil
+// for a sound one.
+func verdict(res resilientos.FigureResult) error {
+	switch {
+	case res.Violation != nil:
+		return fmt.Errorf("window series invariant violated: %w", res.Violation)
+	case res.OK:
+		return nil
+	case res.Duration == 0:
+		return errors.New("transfer did not complete within the horizon (kill interval below recovery time?)")
+	default:
+		return fmt.Errorf("transfer failed integrity check (%d of %d bytes)", res.Bytes, res.Size)
+	}
+}
+
+// runSweep runs the kill-interval sweep and prints one row per point,
+// then the throughput-vs-interval and recovery-latency tables.
+func runSweep(cfg resilientos.FigureConfig, intervals []time.Duration, out string, doBench bool) error {
+	points := resilientos.Sweep(cfg, intervals)
+	base := points[0]
+	if base.Fig == 8 {
+		fmt.Printf("Fig. 8: dd %d MB | sha1sum, killing the SATA-class driver\n", base.Size>>20)
+		fmt.Printf("(paper: 32.7 MB/s uninterrupted; 12.3 MB/s at 1s kills; 30.5 MB/s at 15s)\n\n")
+	} else {
+		fmt.Printf("Fig. 7: wget %d MB over TCP, killing the RTL8139-class driver\n", base.Size>>20)
+		fmt.Printf("(paper: 10.8 MB/s uninterrupted; 8.1 MB/s at 1s kills; 10.7 MB/s at 15s)\n\n")
+	}
+	for _, p := range points {
+		kind := "uninterrupted"
+		if p.Interval > 0 {
+			kind = fmt.Sprintf("kill every %v", p.Interval)
+		}
+		fmt.Printf("%-16s %8.2f MB/s  (%d kills, %d recoveries, %v/kill lost, ok=%v)\n",
+			kind, p.MBps, p.Kills, p.Recoveries, p.PerKillLoss(base).Round(time.Millisecond), p.OK)
+		if p.Recovery.Count > 0 {
+			fmt.Printf("                 recovery latency: %s\n", p.Recovery)
+		}
+		if err := verdict(p); err != nil {
+			return fmt.Errorf("fig%d, %s: %w", p.Fig, kind, err)
+		}
+	}
+	fmt.Println()
+	fmt.Println("interval_s  throughput_MBps  relative_loss")
+	for _, p := range points[1:] {
+		fmt.Printf("%10.0f  %15.2f  %12.0f%%\n",
+			p.Interval.Seconds(), p.MBps, 100*(1-p.MBps/base.MBps))
+	}
+	var recovered []resilientos.FigureResult
+	for _, p := range points {
+		if p.Recovery.Count > 0 {
+			recovered = append(recovered, p)
+		}
+	}
+	if len(recovered) > 0 {
+		ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+		fmt.Println()
+		fmt.Println("recovery latency (defect -> reintegration, virtual time)")
+		fmt.Println("interval_s  count  mean_ms   p50_ms   p95_ms   p99_ms   max_ms")
+		for _, p := range recovered {
+			r := p.Recovery
+			fmt.Printf("%10.0f  %5d  %7.1f  %7.1f  %7.1f  %7.1f  %7.1f\n",
+				p.Interval.Seconds(), r.Count, ms(r.Mean), ms(r.P50), ms(r.P95), ms(r.P99), ms(r.Max))
+		}
+	}
+	if doBench {
+		path := filepath.Join(out, "BENCH_throughput.json")
+		if err := bench.WriteFile(path, resilientos.SweepBenchDoc(points)); err != nil {
+			return fmt.Errorf("write %s: %w", path, err)
+		}
+		fmt.Printf("\nwrote %s\n", path)
 	}
 	return nil
 }
@@ -104,15 +250,9 @@ func run(args []string) error {
 // figure run per mechanism with VM-level crash injection, a per-mechanism
 // CSV each, and the BENCH_recovery.json document with the standby-depth
 // and microreboot-width gains over the respawn baseline.
-func runMechanisms(fig int, seed, sizeMB int64, intervalS, windowS float64, out string) error {
+func runMechanisms(cfg resilientos.FigureConfig, out string) error {
 	wallStart := time.Now()
-	results, doc := resilientos.RunMechanismComparison(resilientos.FigureConfig{
-		Fig:      fig,
-		Seed:     seed,
-		Size:     sizeMB << 20,
-		Interval: time.Duration(intervalS * float64(time.Second)),
-		Window:   time.Duration(windowS * float64(time.Second)),
-	})
+	results, doc := resilientos.RunMechanismComparison(cfg)
 	mechs := resilientos.RecoveryMechanisms
 
 	first := results[0]
@@ -149,27 +289,16 @@ func runMechanisms(fig int, seed, sizeMB int64, intervalS, windowS float64, out 
 	fmt.Printf("  wrote %s\n", path)
 
 	for i, res := range results {
-		if res.Violation != nil {
-			return fmt.Errorf("fig%d %s: window series invariant violated: %w",
-				res.Fig, mechs[i], res.Violation)
-		}
-		if !res.OK {
-			return fmt.Errorf("fig%d %s: transfer failed integrity check (%d of %d bytes)",
-				res.Fig, mechs[i], res.Bytes, res.Size)
+		if err := verdict(res); err != nil {
+			return fmt.Errorf("fig%d %s: %w", res.Fig, mechs[i], err)
 		}
 	}
 	return nil
 }
 
-func runFigure(fig int, seed, sizeMB int64, intervalS, windowS float64, out string, doBench bool) error {
+func runFigure(cfg resilientos.FigureConfig, out string, doBench bool) error {
 	wallStart := time.Now()
-	res := resilientos.RunFigure(resilientos.FigureConfig{
-		Fig:      fig,
-		Seed:     seed,
-		Size:     sizeMB << 20,
-		Interval: time.Duration(intervalS * float64(time.Second)),
-		Window:   time.Duration(windowS * float64(time.Second)),
-	})
+	res := resilientos.RunFigure(cfg)
 	wall := time.Since(wallStart)
 
 	fmt.Printf("fig%d: %d MB via %s, kill every %v, seed %d\n",
@@ -227,11 +356,8 @@ func runFigure(fig int, seed, sizeMB int64, intervalS, windowS float64, out stri
 	}
 	fmt.Println()
 
-	if res.Violation != nil {
-		return fmt.Errorf("fig%d: window series invariant violated: %w", res.Fig, res.Violation)
-	}
-	if !res.OK {
-		return fmt.Errorf("fig%d: transfer failed integrity check (%d of %d bytes)", res.Fig, res.Bytes, res.Size)
+	if err := verdict(res); err != nil {
+		return fmt.Errorf("fig%d: %w", res.Fig, err)
 	}
 	return nil
 }

@@ -1,5 +1,5 @@
 // Command tracestat summarizes a JSONL trace captured from the
-// observability subsystem (e.g. throughput -trace fig7.jsonl): total and
+// observability subsystem (e.g. figures -trace fig7.jsonl): total and
 // per-component event counts, the event-kind breakdown, the
 // per-component recovery-latency distribution stitched from the trace's
 // defect → policy → restart → reintegration spans, and — when the trace
@@ -10,13 +10,8 @@
 // through a bounded buffer that overflowed) is reported as truncated,
 // with the dropped-event count.
 //
-// With no trace-file argument, tracestat runs the experiment itself and
-// summarizes the live event stream, using the same -exp/-seed/-size/
-// -intervals conventions as cmd/throughput:
-//
 //	tracestat fig7.jsonl
 //	tracestat -decisions base.jsonl   # summarize a recovery decision log (cmd/whatif)
-//	tracestat -exp fig7 -seed 11      # run Fig. 7 in-process, no file needed
 //	tracestat -spans fig7.jsonl       # also dump every recovery span
 //	tracestat -comp eth.rtl8139 trace.jsonl
 //	tracestat -kinds span.begin,span.end,span.orphan trace.jsonl
@@ -30,11 +25,9 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
-	"resilientos"
 	"resilientos/internal/obs"
 	"resilientos/internal/obs/export"
 	"resilientos/internal/obs/profile"
@@ -59,20 +52,14 @@ func run(args []string) error {
 	folded := fs.String("folded", "", "write the folded-stacks flamegraph profile to this file")
 	perfetto := fs.String("perfetto", "", "write the Chrome trace-event JSON export to this file")
 	decisions := fs.Bool("decisions", false, "treat the trace file as a recovery decision log (obs/decision JSONL): defect-class/action matrix, per-class latency, give-ups")
-	exp := fs.String("exp", "", "with no trace file: run this experiment in-process (fig7 or fig8) and summarize its events")
-	ring := fs.Int("ring", 0, "with -exp: capture through a bounded ring sink of this capacity\n(0 = unbounded); an overflow surfaces as a truncated trace with the\nexact drop count, exercising the capture path a flight recorder uses")
-	seed := fs.Int64("seed", 1, "simulation seed for an in-process -exp run")
-	sizeMB := fs.Int64("size", 16, "transfer size in MB for an in-process -exp run")
-	intervals := fs.String("intervals", "2", "comma-separated kill intervals in seconds for an in-process -exp run")
 	fs.Usage = func() {
 		w := fs.Output()
 		fmt.Fprintln(w, "usage: tracestat [flags] <trace.jsonl>")
-		fmt.Fprintln(w, "       tracestat [flags] -exp fig7|fig8")
 		fmt.Fprintln(w)
-		fmt.Fprintln(w, "Summarize a JSONL observability trace: event counts by kind and")
-		fmt.Fprintln(w, "component, the per-component recovery-latency distribution, and the")
-		fmt.Fprintln(w, "causal-span virtual-time profile. Reads the trace from a file, or")
-		fmt.Fprintln(w, "generates one by running a cmd/throughput experiment in-process.")
+		fmt.Fprintln(w, "Summarize a JSONL observability trace (e.g. from figures -trace):")
+		fmt.Fprintln(w, "event counts by kind and component, the per-component")
+		fmt.Fprintln(w, "recovery-latency distribution, and the causal-span virtual-time")
+		fmt.Fprintln(w, "profile.")
 		fmt.Fprintln(w)
 		fmt.Fprintln(w, "flags:")
 		fs.PrintDefaults()
@@ -87,27 +74,18 @@ func run(args []string) error {
 		}
 		return runDecisions(fs.Arg(0))
 	}
-	var events []obs.Event
-	switch {
-	case fs.NArg() == 1 && *exp == "":
-		f, err := os.Open(fs.Arg(0))
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		events, err = obs.ParseJSONL(f)
-		if err != nil {
-			return err
-		}
-	case fs.NArg() == 0 && *exp != "":
-		var err error
-		events, err = generate(*exp, *sizeMB, *seed, *intervals, *ring)
-		if err != nil {
-			return err
-		}
-	default:
+	if fs.NArg() != 1 {
 		fs.Usage()
-		return fmt.Errorf("need exactly one of a trace file or -exp")
+		return fmt.Errorf("need exactly one trace file")
+	}
+	f, err := os.Open(fs.Arg(0))
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	events, err := obs.ParseJSONL(f)
+	if err != nil {
+		return err
 	}
 	// Ring-sink drop marks mean a capture buffer overflowed and the
 	// trace is truncated. The mark normally leads the stream, but a
@@ -251,53 +229,4 @@ func run(args []string) error {
 		fmt.Printf("perfetto trace written to %s\n", *perfetto)
 	}
 	return nil
-}
-
-// generate runs a cmd/throughput experiment in-process and returns its
-// event stream, so a trace can be inspected without a capture file.
-// With ring > 0 the stream is captured through a bounded RingSink, the
-// flight-recorder configuration: only the newest ring events survive
-// and an overflow is returned as a leading drop mark.
-func generate(exp string, sizeMB, seed int64, intervals string, ring int) ([]obs.Event, error) {
-	var ivs []time.Duration
-	for _, part := range strings.Split(intervals, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		secs, err := strconv.ParseFloat(part, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad interval %q", part)
-		}
-		ivs = append(ivs, time.Duration(secs*float64(time.Second)))
-	}
-	var sink obs.Sink
-	var slice *obs.SliceSink
-	var bounded *obs.RingSink
-	if ring > 0 {
-		bounded = obs.NewRingSink(ring)
-		sink = bounded
-	} else {
-		slice = &obs.SliceSink{}
-		sink = slice
-	}
-	var points []resilientos.ThroughputPoint
-	switch exp {
-	case "fig7":
-		points = resilientos.Fig7NetworkRecoveryTrace(sizeMB<<20, ivs, seed, sink)
-	case "fig8":
-		points = resilientos.Fig8DiskRecoveryTrace(sizeMB<<20, ivs, seed, sink)
-	default:
-		return nil, fmt.Errorf("unknown experiment %q (want fig7 or fig8)", exp)
-	}
-	for _, p := range points {
-		if !p.OK {
-			return nil, fmt.Errorf("integrity check failed for %v", p.KillInterval)
-		}
-	}
-	fmt.Printf("in-process %s run: %d MB, seed %d, intervals %s\n\n", exp, sizeMB, seed, intervals)
-	if bounded != nil {
-		return bounded.EventsWithDropMark(), nil
-	}
-	return slice.Events(), nil
 }

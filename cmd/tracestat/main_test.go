@@ -72,19 +72,3 @@ func TestDropMarksSurfaced(t *testing.T) {
 		t.Fatalf("drop marks leaked into the event tables:\n%s", out)
 	}
 }
-
-// The flight-recorder path end to end: a real in-process fig7 run
-// captured through a tiny bounded ring must overflow and be reported
-// as truncated, with kept events still summarized.
-func TestRingCaptureOverflowsUnderHighRate(t *testing.T) {
-	out := capture(t, []string{"-exp", "fig7", "-size", "1", "-intervals", "2", "-ring", "128"})
-	if !strings.Contains(out, "trace truncated") {
-		t.Fatalf("ring capture did not overflow:\n%s", out)
-	}
-	if !strings.Contains(out, "128 kept") {
-		t.Fatalf("ring did not keep exactly its capacity:\n%s", out)
-	}
-	if !strings.Contains(out, "events by kind") {
-		t.Fatalf("kept events not summarized:\n%s", out)
-	}
-}

@@ -21,11 +21,10 @@ func fig7DecisionEvents(t *testing.T, seed int64) []decision.Event {
 	t.Helper()
 	sink := &decision.SliceSink{}
 	res := RunFigure(FigureConfig{
-		Fig:       7,
-		Seed:      seed,
-		Size:      32 << 20,
-		Interval:  time.Second,
-		Decisions: decision.NewRecorder(sink),
+		Fig:      7,
+		Size:     32 << 20,
+		Interval: time.Second,
+		System:   Config{Seed: seed, Decisions: decision.NewRecorder(sink)},
 	})
 	if res.Violation != nil {
 		t.Fatalf("window series invariant violated: %v", res.Violation)

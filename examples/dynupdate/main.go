@@ -18,6 +18,7 @@ func main() {
 		DisableChar:   true,
 		PreallocFiles: []resilientos.PreallocFile{{Name: "bigdata", Size: 48 << 20}},
 	})
+	defer sys.Close()
 	sys.Run(3 * time.Second)
 
 	var dd resilientos.DdResult

@@ -28,6 +28,7 @@ func main() {
 		DisableDisk: true,
 		DisableChar: true,
 	})
+	defer sys.Close()
 
 	// --- Scene 1: Fig. 2 policy script guarding a crash-looping service.
 	generic := policy.MustParse(`

@@ -17,6 +17,7 @@ import (
 
 func main() {
 	sys := resilientos.New(resilientos.Config{DisableNet: true, DisableDisk: true})
+	defer sys.Close()
 	sys.Run(time.Second)
 
 	jobs := []string{"invoice-01", "invoice-02", "invoice-03", "invoice-04", "invoice-05"}

@@ -16,6 +16,7 @@ func main() {
 		DisableChar:   true,
 		PreallocFiles: []resilientos.PreallocFile{{Name: "bigdata", Size: 32 << 20}},
 	})
+	defer sys.Close()
 
 	// dd if=/bigdata | sha1sum
 	var dd resilientos.DdResult

@@ -20,6 +20,7 @@ func main() {
 		DisableDisk: true,
 		DisableChar: true,
 	})
+	defer sys.Close()
 	sys.Run(3 * time.Second) // boot
 
 	sys.ServeFile(80, seed, size)

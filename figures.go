@@ -9,9 +9,7 @@ import (
 
 	"resilientos/internal/bench"
 	"resilientos/internal/core"
-	"resilientos/internal/hw"
 	"resilientos/internal/obs"
-	"resilientos/internal/obs/decision"
 	"resilientos/internal/obs/timeseries"
 	"resilientos/internal/sim"
 )
@@ -21,10 +19,11 @@ import (
 // driver kills, sampled by the windowed telemetry layer
 // (internal/obs/timeseries) into a per-second throughput curve with the
 // kills, restarts, and recovery dips resolved — the envelope the paper
-// plots, not just the end-to-end averages of the sweep runners in
-// experiments.go. For a fixed seed every byte of the CSV/JSON/SVG output
-// is reproducible, so the curves and their bench documents (internal/bench)
-// are committed as golden files.
+// plots — and, swept over kill intervals (Sweep), the end-to-end averages
+// of the paper's x-axis. RunFigure is the one §7.1 runner. For a fixed
+// seed every byte of the CSV/JSON/SVG output is reproducible, so the
+// curves and their bench documents (internal/bench) are committed as
+// golden files.
 
 // FigureConfig configures one figure run. The zero value (plus Fig)
 // gives the standard quick-run shape: fig7 = 64 MB transfer, fig8 =
@@ -33,24 +32,28 @@ type FigureConfig struct {
 	Fig      int           // 7 (network) or 8 (disk)
 	Size     int64         // transfer size in bytes
 	Interval time.Duration // kill interval (0 = uninterrupted)
-	Seed     int64
 	Window   time.Duration // sampler window width
 
-	// Mechanism selects the recovery mechanism for the run's drivers
-	// (zero = classic kill-and-respawn). The paper-style mechanism
-	// comparison runs the same figure under each value.
-	Mechanism core.Mechanism
 	// CrashVM, if set, injects failures by corrupting the driver's live
 	// ucode VM (CrashDriverVM) instead of SIGKILL. An external kill can
 	// only ever be answered by respawn or promotion; a VM-level defect is
 	// also interceptable by microreboot, so mechanism comparisons use it.
 	CrashVM bool
 
-	// Decisions, if set, receives the run's recovery decision trace
-	// (the golden seed-11 decision log is recorded through this). Note
-	// figure runs disable span kinds, so decision events carry no
-	// trace/span linkage.
-	Decisions *decision.Recorder
+	// System is the configuration the run boots: the seed, the recovery
+	// knobs (heartbeat, restart budget, policy script, mechanism) and the
+	// decision recorder (the golden seed-11 decision log is recorded
+	// through it; figure runs disable span kinds, so its events carry no
+	// trace/span linkage). The zero value is the standard system. A
+	// figure overwrites only what a figure owns: Obs, the three Disable*
+	// switches, PreallocFiles, and Machine.DiskSeed when zero.
+	System Config
+
+	// Trace, if set, receives every run's full structured trace — every
+	// event kind on, per-frame IPC included — each run's stream opening
+	// with a mark before boot and ending with the transfer. Full traces
+	// of the paper's 512 MB transfer are large; use a reduced size.
+	Trace obs.Sink
 }
 
 // FigurePoint is one window of the throughput curve. T is the window's
@@ -91,11 +94,13 @@ type FigureResult struct {
 	Window   time.Duration
 	Driver   string
 
-	Bytes    int64
-	Duration time.Duration
-	MBps     float64
-	Kills    int
-	OK       bool
+	Bytes      int64
+	Duration   time.Duration // 0 if the transfer never resolved
+	MBps       float64
+	Kills      int
+	Recoveries int    // recoveries the reincarnation server completed
+	Digest     string // hex MD5 (fig 7) / SHA-1 (fig 8) of the bytes received
+	OK         bool   // complete and matched the integrity check
 
 	// BaselineMBps is the mean windowed throughput before the first kill;
 	// RecoveredPct the mean post-recovery rate across dips, as % of it.
@@ -120,8 +125,8 @@ func RunFigure(cfg FigureConfig) FigureResult {
 	if cfg.Fig == 0 {
 		cfg.Fig = 7
 	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
+	if cfg.System.Seed == 0 {
+		cfg.System.Seed = 1
 	}
 	if cfg.Window <= 0 {
 		cfg.Window = time.Second
@@ -136,33 +141,43 @@ func RunFigure(cfg FigureConfig) FigureResult {
 	if cfg.Interval < 0 {
 		cfg.Interval = 0
 	}
+	seed := cfg.System.Seed
 
 	events := &obs.SliceSink{}
 	rec := obs.NewRecorder(events)
-	// Per-frame kinds off: per-window IPC volume comes from the kernel's
-	// registry counters, which stay live under a disabled event mask.
-	rec.Disable(obs.KindIPCSend, obs.KindIPCRecv, obs.KindProcSpawn, obs.KindProcExit)
-	rec.Disable(obs.SpanKinds...)
+	if cfg.Trace != nil {
+		rec.AddSink(cfg.Trace)
+	} else {
+		// Per-frame kinds off: per-window IPC volume comes from the kernel's
+		// registry counters, which stay live under a disabled event mask.
+		rec.Disable(obs.KindIPCSend, obs.KindIPCRecv, obs.KindProcSpawn, obs.KindProcExit)
+		rec.Disable(obs.SpanKinds...)
+	}
+	runDesc := fmt.Sprintf("fig%d interval=%v seed=%d", cfg.Fig, cfg.Interval, seed)
+	if cfg.System.Mechanism != core.MechRespawn || cfg.CrashVM {
+		// Appended only off the default so pre-mechanism goldens hold.
+		runDesc += fmt.Sprintf(" mech=%s crashvm=%v", cfg.System.Mechanism, cfg.CrashVM)
+	}
+	// Span and trace IDs restart with every recorder: the mark before boot
+	// is the boundary a reader of several runs' streams splits at.
+	rec.Emit(obs.KindMark, "run", runDesc, cfg.Size, 0)
 
-	var sysCfg Config
+	sysCfg := cfg.System
+	sysCfg.Obs = rec
+	sysCfg.DisableChar = true
+	sysCfg.DisableDisk = cfg.Fig != 8
+	sysCfg.DisableNet = cfg.Fig == 8
+	sysCfg.PreallocFiles = nil
+	if sysCfg.Machine.DiskSeed == 0 {
+		sysCfg.Machine.DiskSeed = seed
+	}
 	driver := DriverRTL8139
 	bytesName := "inet.bytes." + DriverRTL8139
 	if cfg.Fig == 8 {
 		driver = DriverSATA
 		bytesName = "mfs.bytes." + DriverSATA
-		sysCfg = Config{
-			Seed:          cfg.Seed,
-			DisableNet:    true,
-			DisableChar:   true,
-			Machine:       hw.MachineConfig{DiskSeed: cfg.Seed},
-			PreallocFiles: []PreallocFile{{Name: "bigdata", Size: cfg.Size}},
-			Obs:           rec,
-		}
-	} else {
-		sysCfg = Config{Seed: cfg.Seed, DisableDisk: true, DisableChar: true, Obs: rec}
+		sysCfg.PreallocFiles = []PreallocFile{{Name: "bigdata", Size: cfg.Size}}
 	}
-	sysCfg.Decisions = cfg.Decisions
-	sysCfg.Mechanism = cfg.Mechanism
 	sys := New(sysCfg)
 	defer sys.Close()
 	sampler := timeseries.New(timeseries.Config{
@@ -174,13 +189,10 @@ func RunFigure(cfg FigureConfig) FigureResult {
 	rec.AddSink(sampler)
 
 	sys.Run(3 * time.Second) // boot settle
-	runDesc := fmt.Sprintf("fig%d interval=%v seed=%d", cfg.Fig, cfg.Interval, cfg.Seed)
-	if cfg.Mechanism != core.MechRespawn || cfg.CrashVM {
-		// Appended only off the default so pre-mechanism goldens hold.
-		runDesc += fmt.Sprintf(" mech=%s crashvm=%v", cfg.Mechanism, cfg.CrashVM)
-	}
-	rec.Emit(obs.KindMark, "run", runDesc, cfg.Size, 0)
+	// The boot / transfer boundary of the window series is the sampler's
+	// alone: a captured trace stays one mark-delimited segment per run.
 	markT := sys.Env.Now()
+	sampler.Emit(obs.Event{T: markT, Kind: obs.KindMark, Comp: "run", Aux: runDesc, V1: cfg.Size})
 
 	var done func() bool
 	var finish func(r *FigureResult)
@@ -191,14 +203,16 @@ func RunFigure(cfg FigureConfig) FigureResult {
 		finish = func(r *FigureResult) {
 			r.Bytes, r.Duration = res.Bytes, res.Duration
 			r.OK = res.Err == nil && res.Bytes == cfg.Size
+			r.Digest = fmt.Sprintf("%x", res.SHA1)
 		}
 	} else {
-		sys.ServeFile(80, cfg.Seed, cfg.Size)
+		sys.ServeFile(80, seed, cfg.Size)
 		var res WgetResult
-		sys.Wget(driver, 80, cfg.Seed, cfg.Size, &res)
+		sys.Wget(driver, 80, seed, cfg.Size, &res)
 		done = func() bool { return res.Duration != 0 || res.Err != nil }
 		finish = func(r *FigureResult) {
 			r.Bytes, r.Duration, r.OK = res.Bytes, res.Duration, res.OK
+			r.Digest = fmt.Sprintf("%x", res.MD5)
 		}
 	}
 
@@ -217,8 +231,10 @@ func RunFigure(cfg FigureConfig) FigureResult {
 	}
 
 	// Step in sub-window increments and stop as soon as the transfer
-	// resolves: the series ends at the transfer's end instead of padding
-	// out a worst-case horizon with empty windows.
+	// resolves: the series (and a captured trace) ends at the transfer's
+	// end instead of padding out a worst-case horizon with empty windows.
+	// A kill interval below the victim's recovery time never lets the
+	// transfer finish; the horizon bounds that run (Duration stays 0).
 	horizon := 4*time.Duration(cfg.Size/1e6)*time.Second + 30*time.Second
 	for !done() && sys.Env.Now()-markT < horizon {
 		sys.Run(100 * time.Millisecond)
@@ -226,10 +242,11 @@ func RunFigure(cfg FigureConfig) FigureResult {
 	sampler.Finish()
 
 	res := FigureResult{
-		Fig: cfg.Fig, Seed: cfg.Seed, Size: cfg.Size,
+		Fig: cfg.Fig, Seed: seed, Size: cfg.Size,
 		Interval: cfg.Interval, Window: cfg.Window, Driver: driver,
-		Kills:    len(killTimes),
-		Segments: sampler.Segments(),
+		Kills:      len(killTimes),
+		Recoveries: len(sys.RS.Events()),
+		Segments:   sampler.Segments(),
 	}
 	finish(&res)
 	res.MBps = mbps(res.Bytes, res.Duration)
@@ -241,6 +258,42 @@ func RunFigure(cfg FigureConfig) FigureResult {
 	res.Recovery = obs.Summarize(obs.RecoveryLatencies(spans, driver))
 	analyzeFigure(&res, bytesName, killTimes)
 	return res
+}
+
+// Sweep runs the kill-interval sweep behind the paper's Fig. 7 / Fig. 8
+// x-axis: the uninterrupted transfer first (cfg.Interval is ignored),
+// then one RunFigure per interval. A point is OK only if it also
+// received the same bytes as the uninterrupted run (Fig. 8: the same
+// SHA-1 across all runs). The paper uses 512 MB (fig 7) and 1 GB (fig 8);
+// throughput is a function of virtual time, so a smaller size barely
+// moves it.
+func Sweep(cfg FigureConfig, intervals []time.Duration) []FigureResult {
+	cfg.Interval = 0
+	base := RunFigure(cfg)
+	results := []FigureResult{base}
+	for _, iv := range intervals {
+		cfg.Interval = iv
+		r := RunFigure(cfg)
+		r.OK = r.OK && r.Digest == base.Digest
+		results = append(results, r)
+	}
+	return results
+}
+
+// PerKillLoss is the mean transfer time lost per kill relative to the
+// uninterrupted run base — the effective recovery cost.
+func (r FigureResult) PerKillLoss(base FigureResult) time.Duration {
+	if r.Kills == 0 {
+		return 0
+	}
+	return (r.Duration - base.Duration) / time.Duration(r.Kills)
+}
+
+func mbps(bytes int64, d time.Duration) float64 {
+	if d <= 0 {
+		return 0
+	}
+	return float64(bytes) / d.Seconds() / 1e6
 }
 
 // analyzeFigure fills the curve, baseline, and dip analysis from the
@@ -418,7 +471,7 @@ func RunMechanismComparison(cfg FigureConfig) ([]FigureResult, bench.Doc) {
 	results := make([]FigureResult, 0, len(RecoveryMechanisms))
 	for _, mech := range RecoveryMechanisms {
 		c := cfg
-		c.Mechanism = mech
+		c.System.Mechanism = mech
 		c.CrashVM = true
 		results = append(results, RunFigure(c))
 	}
@@ -452,6 +505,27 @@ func (r FigureResult) MeanDip() (depthPct, widthMs float64) {
 func (r FigureResult) BenchDoc() bench.Doc {
 	doc := bench.New("figures", r.benchParams())
 	r.addBench(&doc, "")
+	return doc
+}
+
+// SweepBenchDoc summarizes a Sweep as the bench document `figures -bench`
+// writes for it (BENCH_throughput.json): one metric group per point, the
+// uninterrupted run first (interval 0).
+func SweepBenchDoc(points []FigureResult) bench.Doc {
+	base := points[0]
+	doc := bench.New("throughput", map[string]string{
+		"exp":        fmt.Sprintf("fig%d", base.Fig),
+		"seed":       strconv.FormatInt(base.Seed, 10),
+		"size_bytes": strconv.FormatInt(base.Bytes, 10),
+	})
+	for _, p := range points {
+		key := fmt.Sprintf("interval_%gs/", p.Interval.Seconds())
+		doc.Add(key+"mbps", p.MBps, "MB/s", bench.Higher)
+		doc.Add(key+"virtual_s", p.Duration.Seconds(), "virt_s", bench.Lower)
+		doc.Count(key+"kills", p.Kills)
+		doc.Count(key+"recoveries", p.Recoveries)
+		doc.Latency(key+"recovery", p.Recovery)
+	}
 	return doc
 }
 

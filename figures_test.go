@@ -3,6 +3,7 @@ package resilientos
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -11,12 +12,15 @@ import (
 	"time"
 
 	"resilientos/internal/bench"
+	"resilientos/internal/obs"
+	"resilientos/internal/obs/export"
+	"resilientos/internal/obs/profile"
 )
 
 // figureGoldenConfig is the committed-golden configuration — the same
 // shape `cmd/figures -seed 11` runs, pinned byte-for-byte in testdata.
 func figureGoldenConfig(fig int) FigureConfig {
-	return FigureConfig{Fig: fig, Seed: 11, Interval: 2 * time.Second}
+	return FigureConfig{Fig: fig, System: Config{Seed: 11}, Interval: 2 * time.Second}
 }
 
 // TestFigureGoldens pins the Fig. 7/8 throughput-curve CSVs for seed 11
@@ -145,27 +149,121 @@ func checkBenchGolden(t *testing.T, golden string, doc bench.Doc) {
 		"with -update and say why in the PR:\n%s", golden, diff.String())
 }
 
-// TestRunnersCloseTheirSystems: every figure and throughput runner
-// boots a system per call (a sweep one per point) and must close
-// it once the results are harvested, or each leaves its parked processes
+// TestRunnersCloseTheirSystems: the figure runner boots a system per
+// call (a sweep one per point) and must close it once the results are
+// harvested, or each leaves its parked processes
 // behind as goroutines.
 func TestRunnersCloseTheirSystems(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
-		RunFigure(FigureConfig{Fig: 7, Seed: 3, Size: 1 << 20})
+		RunFigure(FigureConfig{Fig: 7, System: Config{Seed: 3}, Size: 1 << 20})
 	}
-	RunFigure(FigureConfig{Fig: 8, Seed: 3, Size: 4 << 20})
-	Fig7NetworkRecovery(1<<20, []time.Duration{time.Second, 2 * time.Second}, 3)
-	Fig8DiskRecovery(4<<20, []time.Duration{time.Second}, 3)
+	RunFigure(FigureConfig{Fig: 8, System: Config{Seed: 3}, Size: 4 << 20})
+	Sweep(FigureConfig{Fig: 7, System: Config{Seed: 3}, Size: 1 << 20}, []time.Duration{time.Second, 2 * time.Second})
+	Sweep(FigureConfig{Fig: 8, System: Config{Seed: 3}, Size: 4 << 20}, []time.Duration{time.Second})
 	if after := runtime.NumGoroutine(); after > before {
 		t.Errorf("%d goroutines before the runners, %d after", before, after)
+	}
+}
+
+// TestBenchGolden runs CI's trace-artifacts sweep (Fig. 8, 64 MB, kills
+// every 1 s and 4 s, seed 1) and byte-compares the bench document with
+// the committed golden — the file `throughput -bench-json` wrote before
+// the sweep became a loop over RunFigure, bytes unchanged.
+func TestBenchGolden(t *testing.T) {
+	points := Sweep(FigureConfig{Fig: 8, Size: 64 << 20}, []time.Duration{time.Second, 4 * time.Second})
+	checkBenchGolden(t, "testdata/BENCH_throughput_fig8.json", SweepBenchDoc(points))
+}
+
+// TestSweepPinned pins sweep rows to the values the deleted point runners
+// (experiments.go, deleted in PR 19) returned for them, read off the
+// last commit that had them: a drift in the sweep is a diff here.
+func TestSweepPinned(t *testing.T) {
+	type row struct {
+		interval, duration time.Duration
+		kills, recoveries  int
+		p95                time.Duration
+	}
+	for _, tc := range []struct {
+		fig  int
+		size int64
+		rows []row
+	}{
+		{7, 16 << 20, []row{
+			{0, 1546346896, 0, 0, 0},
+			{time.Second, 1846548715, 1, 1, 120 * time.Millisecond},
+			{2 * time.Second, 1546346896, 0, 0, 0},
+		}},
+		{8, 64 << 20, []row{
+			{0, 2051450000, 0, 0, 0},
+			{time.Second, 3905600000, 3, 3, 600 * time.Millisecond},
+			{2 * time.Second, 2669500000, 1, 1, 600 * time.Millisecond},
+		}},
+	} {
+		tc := tc
+		t.Run(fmt.Sprintf("fig%d", tc.fig), func(t *testing.T) {
+			t.Parallel()
+			cfg := FigureConfig{Fig: tc.fig, Size: tc.size, System: Config{Seed: 11}}
+			points := Sweep(cfg, []time.Duration{time.Second, 2 * time.Second})
+			for i, p := range points {
+				if !p.OK || p.Violation != nil {
+					t.Errorf("kill every %v: ok=%v violation=%v", p.Interval, p.OK, p.Violation)
+				}
+				got := row{p.Interval, p.Duration, p.Kills, p.Recoveries, p.Recovery.P95}
+				if got != tc.rows[i] {
+					t.Errorf("point %d: got %+v, want %+v", i, got, tc.rows[i])
+				}
+			}
+		})
+	}
+}
+
+// TestSweepTrace captures a two-interval sweep into one sink: each run's
+// stream is one mark-delimited segment that resolves its span IDs on its
+// own, the profiler and the exporter digest the whole capture, and every
+// run's stream ends with its transfer, not a worst-case horizon later.
+func TestSweepTrace(t *testing.T) {
+	sink := &obs.SliceSink{}
+	cfg := FigureConfig{Fig: 8, Size: 64 << 20, Trace: sink}
+	points := Sweep(cfg, []time.Duration{time.Second, 2 * time.Second})
+	segs := obs.Segments(sink.Events())
+	if len(segs) != len(points) {
+		t.Fatalf("%d mark-delimited segments for %d runs", len(segs), len(points))
+	}
+	terminated := 0
+	for i, seg := range segs {
+		if !points[i].OK {
+			t.Errorf("run %d: transfer failed", i)
+		}
+		if seg[0].Kind != obs.KindMark {
+			t.Errorf("run %d: stream opens with %v, want a mark", i, seg[0].Kind)
+		}
+		for _, problem := range obs.BuildForest(seg).Check() {
+			t.Errorf("run %d: %s", i, problem)
+		}
+		terminated += profile.Build(seg).Spans
+		var resolved time.Duration
+		for _, e := range seg {
+			if e.Kind == obs.KindProcExit && e.Comp == "dd" {
+				resolved = e.T
+			}
+		}
+		if last := seg[len(seg)-1].T; resolved == 0 || last > resolved+100*time.Millisecond {
+			t.Errorf("run %d: last event at %v, transfer resolved at %v", i, last, resolved)
+		}
+	}
+	if prof := profile.Build(sink.Events()); prof.Spans != terminated || terminated == 0 {
+		t.Errorf("profile of the capture: %d terminated spans, %d summed over runs", prof.Spans, terminated)
+	}
+	if err := export.Export(io.Discard, sink.Events()); err != nil {
+		t.Errorf("export: %v", err)
 	}
 }
 
 // TestFigureUninterrupted checks the no-kill path: no dips, recovered
 // ratio reported as 100%, and a flat curve at the baseline.
 func TestFigureUninterrupted(t *testing.T) {
-	res := RunFigure(FigureConfig{Fig: 7, Seed: 3, Size: 8 << 20, Interval: 0})
+	res := RunFigure(FigureConfig{Fig: 7, System: Config{Seed: 3}, Size: 8 << 20, Interval: 0})
 	if res.Violation != nil {
 		t.Fatalf("window series invariant violated: %v", res.Violation)
 	}

@@ -18,7 +18,7 @@ import (
 // recovery-mechanism comparison — the same shape `cmd/figures -mechanisms
 // -seed 11 -size 32 -interval 1` runs, pinned byte-for-byte in testdata.
 func mechanismComparisonConfig() FigureConfig {
-	return FigureConfig{Fig: 7, Seed: 11, Size: 32 << 20, Interval: time.Second}
+	return FigureConfig{Fig: 7, System: Config{Seed: 11}, Size: 32 << 20, Interval: time.Second}
 }
 
 // TestRecoveryMechanismGoldens pins the seed-11 per-mechanism Fig. 7
