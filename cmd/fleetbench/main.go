@@ -9,12 +9,14 @@
 // once, or Poisson-faults nodes independently. Output is
 // byte-reproducible from -seed for any -workers value.
 //
-// Campaigns can also be workload-driven (internal/workload): a JSON spec
-// declares per-class client populations, arrival processes (Poisson,
-// Gamma, Weibull, fixed-rate), diurnal rate modulation, sizes, and SLO
-// budgets; -record pins the generated arrival sequence as a tracev2
-// JSONL file and -replay re-drives exactly that sequence, byte-identical
-// for any -workers value.
+// The load is always a workload spec (internal/workload): by default the
+// built-in "classic" one (-rps Poisson requests a second, 3 net : 1
+// disk), with -workload a JSON file declaring per-class client
+// populations, arrival processes (Poisson, Gamma, Weibull, fixed-rate),
+// diurnal rate modulation, sizes, and SLO budgets. -record pins the
+// generated arrival sequence as a tracev2 JSONL file and -replay
+// re-drives exactly that sequence, byte-identical for any -workers
+// value.
 //
 //	fleetbench -nodes 4 -policy failure-aware -storm correlated:eth.rtl8139,k=2,every=1s
 //	fleetbench -policy round-robin -storm poisson:disk.sata,mean=800ms,mode=inject
@@ -25,9 +27,11 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"time"
@@ -60,18 +64,21 @@ func run(args []string) error {
 		"example: correlated:eth.rtl8139,k=2,every=1s")
 	horizon := fs.Duration("horizon", 12*time.Second, "campaign length in virtual time")
 	window := fs.Duration("window", 250*time.Millisecond, "availability window width")
-	rps := fs.Float64("rps", 200, "fleet-wide request arrival rate per virtual second")
+	rps := fs.Float64("rps", 200, "fleet-wide request rate per virtual second of the built-in \"classic\"\n"+
+		"workload (workload.Classic: Poisson, 3 net : 1 disk)")
 	workers := fs.Int("workers", 1, "node-advance parallelism (output is identical for any value)")
-	compare := fs.Bool("compare", false, "run every policy under the same storm and print a comparison table")
+	compare := fs.Bool("compare", false, "run every policy under the same storm and print a comparison table\n"+
+		"(-bench-json then holds one policy/<name>/ group per policy)")
 	csvPath := fs.String("csv", "", "write the fleet window series (timeseries CSV) to this file")
 	jsonPath := fs.String("json", "", "write the full campaign report as JSON to this file")
 	benchJSON := fs.String("bench-json", "", "write the machine-readable result (internal/bench document) to this file")
 	workloadPath := fs.String("workload", "",
 		"workload spec JSON (internal/workload): declarative per-class arrival\n"+
-			"processes, sizes, and SLO budgets; replaces -rps and the built-in\n"+
-			"mix, and the spec horizon overrides -horizon")
-	recordPath := fs.String("record", "", "write the generated arrival sequence as a tracev2 JSONL trace (requires -workload)")
-	replayPath := fs.String("replay", "", "re-drive a recorded tracev2 trace (exclusive with -workload and -record)")
+			"processes, sizes, and SLO budgets; replaces the classic workload\n"+
+			"(-rps), and the spec horizon overrides -horizon")
+	recordPath := fs.String("record", "", "write the generated arrival sequence as a tracev2 JSONL trace")
+	replayPath := fs.String("replay", "", "re-drive a recorded tracev2 trace (exclusive with -workload and -record;\n"+
+		"the trace's horizon overrides -horizon)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -79,9 +86,7 @@ func run(args []string) error {
 	cfg := cluster.Config{
 		Nodes:   *nodes,
 		Seed:    *seed,
-		Horizon: *horizon,
 		Window:  *window,
-		RPS:     *rps,
 		Workers: *workers,
 	}
 	st, err := cluster.ParseStorm(*storm)
@@ -90,87 +95,68 @@ func run(args []string) error {
 	}
 	cfg.Storm = st
 
-	switch {
-	case *replayPath != "" && (*workloadPath != "" || *recordPath != ""):
-		return errors.New("fleetbench: -replay is exclusive with -workload and -record")
-	case *recordPath != "" && *workloadPath == "":
-		return errors.New("fleetbench: -record requires -workload")
-	case *workloadPath != "":
-		spec, err := workload.Load(*workloadPath)
+	// One load path: a trace header plus its events, read back from a
+	// recording or generated from the one spec this run names.
+	var h workload.Header
+	var events []workload.Event
+	if *replayPath != "" {
+		if *workloadPath != "" || *recordPath != "" {
+			return errors.New("fleetbench: -replay is exclusive with -workload and -record")
+		}
+		if h, events, err = workload.ReadTraceFile(*replayPath); err != nil {
+			return err
+		}
+	} else {
+		var spec *workload.Spec
+		if *workloadPath != "" {
+			spec, err = workload.Load(*workloadPath)
+		} else if spec, err = workload.Classic(*seed, *rps, *horizon); err != nil {
+			err = fmt.Errorf("fleetbench: -rps %v over -horizon %s: %w", *rps, *horizon, err)
+		}
 		if err != nil {
 			return err
 		}
-		events := spec.Generate()
-		cfg.Arrivals = events
-		cfg.Classes = spec.ClassNames()
-		cfg.Budgets = spec.Budgets()
-		cfg.WorkloadName = spec.Name
-		cfg.Horizon = time.Duration(spec.Horizon)
+		events = spec.Generate()
+		h = spec.TraceHeader(len(events))
 		if *recordPath != "" {
-			if err := workload.WriteTraceFile(*recordPath, spec.TraceHeader(len(events)), events); err != nil {
+			if err := workload.WriteTraceFile(*recordPath, h, events); err != nil {
 				return err
 			}
 			fmt.Printf("recorded %d events to %s\n", len(events), *recordPath)
 		}
-	case *replayPath != "":
-		h, events, err := workload.ReadTraceFile(*replayPath)
-		if err != nil {
-			return err
-		}
-		cfg.Arrivals = events
-		cfg.Classes = h.ClassNames()
-		cfg.Budgets = h.Budgets()
-		cfg.WorkloadName = h.Name
-		cfg.Horizon = time.Duration(h.HorizonNS)
 	}
+	if len(events) == 0 {
+		// cluster.Config reads an empty sequence as "the default load".
+		return fmt.Errorf("fleetbench: workload %q has no arrivals within its %s horizon", h.Name, time.Duration(h.HorizonNS))
+	}
+	cfg.Arrivals = events
+	cfg.Classes = h.ClassNames()
+	cfg.Budgets = h.Budgets()
+	cfg.WorkloadName = h.Name
+	cfg.Horizon = time.Duration(h.HorizonNS)
 
+	var doc bench.Doc
 	if *compare {
-		return runCompare(cfg)
-	}
-
-	p, err := cluster.ParsePolicy(*policy)
-	if err != nil {
-		return err
-	}
-	cfg.Policy = p
-
-	start := time.Now()
-	c := cluster.New(cfg)
-	defer c.Close()
-	r := c.Run()
-	r.Render(os.Stdout)
-	fmt.Printf("wall clock: %.2fs\n", time.Since(start).Seconds())
-
-	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
-		if err != nil {
+		clash := ""
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name == "csv" || f.Name == "json" || f.Name == "policy" {
+				clash = f.Name
+			}
+		})
+		if clash != "" {
+			return fmt.Errorf("fleetbench: -compare runs every policy and writes only -bench-json; it cannot take -%s", clash)
+		}
+		doc = runCompare(cfg)
+	} else {
+		if cfg.Policy, err = cluster.ParsePolicy(*policy); err != nil {
 			return err
 		}
-		if err := timeseries.WriteCSV(f, c.Segments()); err != nil {
-			f.Close()
+		if doc, err = runOne(cfg, *csvPath, *jsonPath); err != nil {
 			return err
 		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *csvPath)
-	}
-	if *jsonPath != "" {
-		f, err := os.Create(*jsonPath)
-		if err != nil {
-			return err
-		}
-		if err := r.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *jsonPath)
 	}
 	if *benchJSON != "" {
-		if err := bench.WriteFile(*benchJSON, benchDoc(r)); err != nil {
+		if err := bench.WriteFile(*benchJSON, doc); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %s\n", *benchJSON)
@@ -178,11 +164,44 @@ func run(args []string) error {
 	return nil
 }
 
-// benchDoc is the campaign's bench document: what selects the run as
-// parameters, the fleet-wide summary, then every class under
-// "class/<name>/". Request latencies include retry penalties and
-// mid-recovery reroutes.
-func benchDoc(r *cluster.Report) bench.Doc {
+// runOne executes one campaign, prints its report, writes the window
+// series and the JSON report where asked, and returns its bench document.
+func runOne(cfg cluster.Config, csvPath, jsonPath string) (bench.Doc, error) {
+	start := time.Now()
+	c := cluster.New(cfg)
+	defer c.Close()
+	r := c.Run()
+	r.Render(os.Stdout)
+	fmt.Printf("wall clock: %.2fs\n", time.Since(start).Seconds())
+
+	doc := bench.New("fleetbench", benchParams(r))
+	addBench(&doc, "", r)
+	if err := writeOut(csvPath, func(w io.Writer) error { return timeseries.WriteCSV(w, c.Segments()) }); err != nil {
+		return doc, err
+	}
+	return doc, writeOut(jsonPath, r.WriteJSON)
+}
+
+// writeOut writes what write produces to path and reports it on stdout;
+// an empty path (the flag was not given) writes nothing.
+func writeOut(path string, write func(io.Writer) error) error {
+	if path == "" {
+		return nil
+	}
+	var buf bytes.Buffer
+	if err := write(&buf); err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s\n", path)
+	return nil
+}
+
+// benchParams are what selects a campaign; -compare drops the policy,
+// which is what it varies.
+func benchParams(r *cluster.Report) map[string]string {
 	params := map[string]string{
 		"nodes":   strconv.Itoa(r.Nodes),
 		"seed":    strconv.FormatInt(r.Seed, 10),
@@ -194,24 +213,30 @@ func benchDoc(r *cluster.Report) bench.Doc {
 	if r.Workload != "" {
 		params["workload"] = r.Workload
 	}
-	doc := bench.New("fleetbench", params)
-	doc.Count("windows", r.Windows)
-	doc.Add("availability_pct", r.AvailabilityPct, "%", bench.Higher)
-	doc.Add("node_availability_pct", r.NodeAvailabilityPct, "%", bench.Higher)
-	doc.Count("requests", int(r.Requests))
-	doc.Count("completed", int(r.Completed))
-	doc.Count("reroutes", int(r.Reroutes))
-	doc.Latency("request", r.Latency)
-	doc.Count("kills", r.Kills)
-	doc.Count("injections", r.Injections)
-	doc.Count("crashes", r.Crashes)
-	doc.Count("recovered", r.Recovered)
-	doc.Count("gave_up", r.GaveUp)
-	doc.Add("recovered_pct", r.RecoveredPct, "%", bench.Higher)
-	doc.Count("max_recovery_overlap", r.MaxRecoveryOverlap)
-	doc.Add("mean_recovery_overlap", r.MeanRecoveryOverlap, "nodes", bench.Lower)
+	return params
+}
+
+// addBench appends one campaign's metrics under prefix: the fleet-wide
+// summary, then every class under "class/<name>/". Request latencies
+// include retry penalties and mid-recovery reroutes.
+func addBench(doc *bench.Doc, prefix string, r *cluster.Report) {
+	doc.Count(prefix+"windows", r.Windows)
+	doc.Add(prefix+"availability_pct", r.AvailabilityPct, "%", bench.Higher)
+	doc.Add(prefix+"node_availability_pct", r.NodeAvailabilityPct, "%", bench.Higher)
+	doc.Count(prefix+"requests", int(r.Requests))
+	doc.Count(prefix+"completed", int(r.Completed))
+	doc.Count(prefix+"reroutes", int(r.Reroutes))
+	doc.Latency(prefix+"request", r.Latency)
+	doc.Count(prefix+"kills", r.Kills)
+	doc.Count(prefix+"injections", r.Injections)
+	doc.Count(prefix+"crashes", r.Crashes)
+	doc.Count(prefix+"recovered", r.Recovered)
+	doc.Count(prefix+"gave_up", r.GaveUp)
+	doc.Add(prefix+"recovered_pct", r.RecoveredPct, "%", bench.Higher)
+	doc.Count(prefix+"max_recovery_overlap", r.MaxRecoveryOverlap)
+	doc.Add(prefix+"mean_recovery_overlap", r.MeanRecoveryOverlap, "nodes", bench.Lower)
 	for _, cr := range r.Classes {
-		key := "class/" + cr.Class + "/"
+		key := prefix + "class/" + cr.Class + "/"
 		doc.Add(key+"availability_pct", cr.AvailabilityPct, "%", bench.Higher)
 		doc.Add(key+"node_availability_pct", cr.NodeAvailabilityPct, "%", bench.Higher)
 		doc.Latency(key+"request", cr.Latency)
@@ -221,16 +246,17 @@ func benchDoc(r *cluster.Report) bench.Doc {
 			doc.Add(key+"slo_window_pct", cr.SLO.WindowPct, "%", bench.Higher)
 		}
 	}
-	return doc
 }
 
-// runCompare executes the same storm under every routing policy and
-// prints the side-by-side table the acceptance campaign reads.
-func runCompare(cfg cluster.Config) error {
+// runCompare executes the same storm under every routing policy, prints
+// the side-by-side table the acceptance campaign reads and returns the
+// runs as one bench document, one "policy/<name>/" group each.
+func runCompare(cfg cluster.Config) bench.Doc {
 	fmt.Printf("fleet policy comparison: %d nodes, seed %d, storm %s\n\n",
 		cfg.Nodes, cfg.Seed, cfg.Storm)
 	fmt.Printf("%-14s %12s %12s %10s %10s %10s %9s %8s\n",
 		"policy", "avail%", "node-avail%", "p50", "p99", "reroutes", "recov%", "gaveup")
+	var reports []*cluster.Report
 	for _, p := range cluster.Policies() {
 		c := cfg
 		c.Policy = p
@@ -240,6 +266,13 @@ func runCompare(cfg cluster.Config) error {
 			time.Duration(r.Latency.P50).Round(time.Microsecond),
 			time.Duration(r.Latency.P99).Round(time.Microsecond),
 			r.Reroutes, r.RecoveredPct, r.GaveUp)
+		reports = append(reports, r)
 	}
-	return nil
+	params := benchParams(reports[0])
+	delete(params, "policy")
+	doc := bench.New("fleetbench", params)
+	for _, r := range reports {
+		addBench(&doc, "policy/"+r.Policy+"/", r)
+	}
+	return doc
 }

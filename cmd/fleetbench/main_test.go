@@ -37,7 +37,14 @@ func TestBadFlags(t *testing.T) {
 		{"unknown policy", []string{"-policy", "bogus", "-horizon", "1s"}, "policy"},
 		{"unknown storm", []string{"-storm", "hail:everything"}, "storm"},
 		{"unknown flag", []string{"-wrokload", "x.json"}, "flag"},
-		{"record without workload", []string{"-record", "t.jsonl"}, "-record requires -workload"},
+		{"rps NaN", []string{"-rps", "NaN", "-horizon", "1s"}, "-rps NaN"},
+		{"rps +Inf", []string{"-rps", "+Inf", "-horizon", "1s"}, "-rps +Inf"},
+		{"rps zero", []string{"-rps", "0", "-horizon", "1s"}, "-rps 0"},
+		{"rps negative", []string{"-rps", "-5", "-horizon", "1s"}, "-rps -5"},
+		{"rps below one request per horizon", []string{"-rps", "1e-12", "-horizon", "1s"}, "no arrivals"},
+		{"compare plus csv", []string{"-compare", "-csv", "x.csv"}, "cannot take -csv"},
+		{"compare plus json", []string{"-compare", "-json", "x.json"}, "cannot take -json"},
+		{"compare plus policy", []string{"-compare", "-policy", "bogus"}, "cannot take -policy"},
 		{"replay plus workload", []string{"-replay", "t.jsonl", "-workload", "w.json"}, "-replay is exclusive"},
 		{"replay plus record", []string{"-replay", "t.jsonl", "-record", "u.jsonl"}, "-replay is exclusive"},
 		{"missing spec file", []string{"-workload", filepath.Join(t.TempDir(), "absent.json")}, "no such file"},
@@ -139,31 +146,68 @@ func TestGoldenReplay(t *testing.T) {
 	}
 }
 
-// TestFleetSmokeGolden runs CI's fleet-smoke campaign (built-in request
-// mix, 4 nodes under a correlated NIC-kill storm) through the CLI and
-// byte-compares the bench document it writes with the committed golden.
-func TestFleetSmokeGolden(t *testing.T) {
-	const golden = "testdata/BENCH_fleet_storm_seed11.json"
-	dir := t.TempDir()
-	benchPath := filepath.Join(dir, "BENCH_fleet.json")
-	csvPath := filepath.Join(dir, "fleet.csv")
-	err := run([]string{
-		"-nodes", "4", "-seed", "11", "-horizon", "6s", "-policy", "failure-aware",
-		"-storm", "correlated:eth.rtl8139,k=2,every=1s",
-		"-bench-json", benchPath, "-csv", csvPath,
-	})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
+// smokeArgs is CI's fleet-smoke campaign: the built-in classic workload
+// on 4 nodes under a correlated NIC-kill storm.
+var smokeArgs = []string{"-nodes", "4", "-seed", "11", "-storm", "correlated:eth.rtl8139,k=2,every=1s"}
+
+// checkGolden byte-compares the file a run wrote with a committed golden
+// (-update rewrites the golden first).
+func checkGolden(t *testing.T, got, golden string) {
+	t.Helper()
 	if *update {
-		if err := os.WriteFile(golden, readFile(t, benchPath), 0o644); err != nil {
+		if err := os.WriteFile(golden, readFile(t, got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !bytes.Equal(readFile(t, benchPath), readFile(t, golden)) {
-		t.Errorf("bench doc differs from %s (diff it against the -bench-json output; -update if intentional)", golden)
+	if !bytes.Equal(readFile(t, got), readFile(t, golden)) {
+		t.Errorf("%s differs from %s (diff them; -update if intentional)", filepath.Base(got), golden)
 	}
-	if fi, err := os.Stat(csvPath); err != nil || fi.Size() == 0 {
-		t.Fatalf("csv not written: %v", err)
+}
+
+// TestFleetSmokeGolden runs CI's fleet-smoke campaign through the CLI,
+// byte-compares the bench document it writes with the committed golden,
+// and holds -record to its contract on the built-in workload: replaying
+// the recording at another -workers value reproduces every output.
+func TestFleetSmokeGolden(t *testing.T) {
+	outputs := func(dir string) []string {
+		return []string{
+			"-csv", filepath.Join(dir, "fleet.csv"),
+			"-json", filepath.Join(dir, "fleet.json"),
+			"-bench-json", filepath.Join(dir, "BENCH_fleet.json"),
+		}
 	}
+	dir, rdir := t.TempDir(), t.TempDir()
+	trace := filepath.Join(dir, "classic.jsonl")
+	args := append(append([]string{"-horizon", "6s", "-policy", "failure-aware", "-record", trace}, smokeArgs...), outputs(dir)...)
+	if err := run(args); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	checkGolden(t, filepath.Join(dir, "BENCH_fleet.json"), "testdata/BENCH_fleet_storm_seed11.json")
+
+	// The trace carries the horizon and the load; storm, fleet and policy
+	// are campaign flags a replay repeats.
+	args = append(append([]string{"-workers", "4", "-replay", trace}, smokeArgs...), outputs(rdir)...)
+	if err := run(args); err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	for _, name := range []string{"fleet.csv", "fleet.json", "BENCH_fleet.json"} {
+		want := readFile(t, filepath.Join(dir, name))
+		if len(want) == 0 {
+			t.Fatalf("%s not written", name)
+		}
+		if !bytes.Equal(readFile(t, filepath.Join(rdir, name)), want) {
+			t.Errorf("replay at -workers 4: %s differs from the recording run's", name)
+		}
+	}
+}
+
+// TestCompareGolden pins the seed-11 policy comparison (EXPERIMENTS.md
+// renders its table from this document): -compare -bench-json holds one
+// policy/<name>/ group per policy.
+func TestCompareGolden(t *testing.T) {
+	got := filepath.Join(t.TempDir(), "BENCH_fleet_compare.json")
+	if err := run(append([]string{"-compare", "-bench-json", got}, smokeArgs...)); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	checkGolden(t, got, "testdata/BENCH_fleet_compare_seed11.json")
 }

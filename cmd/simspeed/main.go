@@ -53,6 +53,7 @@ import (
 	"resilientos/internal/obs/timeseries"
 	"resilientos/internal/perf"
 	"resilientos/internal/sim"
+	"resilientos/internal/workload"
 )
 
 func main() {
@@ -253,13 +254,18 @@ func runFig7(o options, instrumented bool) (*perf.Profiler, []byte) {
 // so there is no nil-recorder variant; callers run it twice and read
 // the overhead column as the noise floor.
 func runFleet(o options) *perf.Profiler {
+	const horizon = 4 * time.Second
+	load, err := workload.Classic(o.seed, 150, horizon)
+	if err != nil {
+		panic(err) // the rate and the horizon are constants
+	}
 	p := perf.New()
 	p.Start(0)
 	c := cluster.New(cluster.Config{
-		Nodes:   4,
-		Seed:    o.seed,
-		Horizon: 4 * time.Second,
-		RPS:     150,
+		Nodes:    4,
+		Seed:     o.seed,
+		Horizon:  horizon,
+		Arrivals: load.Generate(),
 		Storm: cluster.Storm{
 			Kind:     "correlated",
 			Driver:   resilientos.DriverRTL8139,

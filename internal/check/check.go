@@ -26,8 +26,7 @@
 //     twice or terminates without being open, and at the end of the run
 //     every opened span was ended or orphaned (a span whose owner died
 //     must have been orphaned by the kernel's reaper; an open span with
-//     a live owner is a request legitimately still in flight, unless
-//     StrictSpanLeaks is set).
+//     a live owner is a request legitimately still in flight).
 //   - decision: the recovery-decision log (internal/obs/decision) is
 //     consistent with the episode lifecycle — no action, policy step, or
 //     terminal outcome outside an open recovery episode
@@ -136,15 +135,6 @@ type Config struct {
 	// violation. The poll is a single function call, so attaching a
 	// sampler to a checked run costs nothing measurable.
 	Windows func() error
-
-	// StrictSpanLeaks makes every causal span still open at Finish a
-	// span-leak violation. The default is lenient: an open span whose
-	// owning component is still alive is a request legitimately in
-	// flight (a blocked socket read, say) — only spans owned by dead
-	// components count, and those indicate the kernel reaper failed to
-	// orphan them. Set it for workloads known to quiesce before the end
-	// of the run.
-	StrictSpanLeaks bool
 }
 
 // Violation is one invariant failure.
@@ -535,13 +525,12 @@ func (c *Checker) Finish() {
 	}
 	for _, id := range sortedSpanIDs(c.openCausal) {
 		sp := c.openCausal[id]
-		if !c.cfg.StrictSpanLeaks {
-			// Lenient mode: an open span whose owner is still alive is a
-			// request legitimately in flight. Only a dead owner's open
-			// span is a leak — the reaper should have orphaned it.
-			if c.cfg.Kernel == nil || c.cfg.Kernel.LookupLabel(sp.comp) != kernel.None {
-				continue
-			}
+		// An open span whose owner is still alive is a request
+		// legitimately in flight (a blocked socket read, say). Only a
+		// dead owner's open span is a leak — the reaper should have
+		// orphaned it.
+		if c.cfg.Kernel == nil || c.cfg.Kernel.LookupLabel(sp.comp) != kernel.None {
+			continue
 		}
 		c.report(fmt.Sprintf("finish-causal:%d", id), "span-leak", sp.comp,
 			fmt.Sprintf("span %d opened at %v never ended or orphaned",

@@ -26,7 +26,7 @@ import (
 )
 
 // Config parameterizes one fleet campaign. The zero value is usable:
-// Fill supplies defaults for everything but the storm (default none).
+// New supplies defaults for everything but the storm (default none).
 type Config struct {
 	Nodes int   // fleet size (default 4)
 	Seed  int64 // fleet seed; node seeds and all draws derive from it (default 1)
@@ -36,37 +36,23 @@ type Config struct {
 
 	Horizon time.Duration // request/storm phase length (default 12s)
 	Window  time.Duration // availability window width (default 250ms)
-	Slice   time.Duration // lockstep barrier spacing (default 5ms)
-	Settle  time.Duration // boot settling before the campaign (default 3s)
-	Drain   time.Duration // max extra time for recoveries/in-flight (default 8s)
 
-	RPS        float64       // fleet-wide request arrival rate (default 200)
-	DiskShare  float64       // fraction of requests that are disk-class (default 0.25)
-	RetryAfter time.Duration // client re-route timeout after a failed attempt (default 40ms)
-	// Warmup is how long a node's service class stays distrusted after a
-	// recovery republish — the cluster-level model of post-restart service
-	// disruption (TCP retransmission stalls after a NIC driver restart in
-	// the paper's measurements). Default 500ms.
-	Warmup time.Duration
-
-	MaxRestarts int // per-node RS restart budget (0 = unbounded)
-	Workers     int // node-advance parallelism; never changes results (default 1)
+	Workers int // node-advance parallelism; never changes results (default 1)
 
 	// Perf, if set, attaches wall-clock telemetry (internal/perf) to the
 	// fleet clock, the lockstep barrier, and every member node. The
-	// profiler is single-threaded, so Fill forces Workers to 1 — which
+	// profiler is single-threaded, so New forces Workers to 1 — which
 	// never changes results, only wall-clock speed.
 	Perf *perf.Profiler
 
-	// Arrivals, when non-empty, replaces the built-in Poisson request mix
-	// with an explicit arrival sequence — generated from a workload spec
-	// or replayed from a recorded tracev2 trace. Event times are offsets
-	// from the end of the settle phase; RPS and DiskShare are ignored.
+	// Arrivals is the load: the arrival sequence the fleet serves,
+	// generated from a workload spec or replayed from a recorded tracev2
+	// trace. Event times are offsets from the end of the settle phase.
+	// Empty means workload.Classic at defaultRPS over the horizon.
 	Arrivals []workload.Event
-	// Classes lists the routable service classes (default net+disk, the
-	// classic mix). Workload-driven campaigns derive this from the spec;
-	// including the char class boots the character-device subsystem on
-	// every node.
+	// Classes lists the routable service classes (default net+disk).
+	// Workload-driven campaigns derive this from the spec; including the
+	// char class boots the character-device subsystem on every node.
 	Classes []string
 	// Budgets maps a class to its SLO latency budget; classes with a
 	// budget get request- and window-level attainment in the report.
@@ -75,10 +61,20 @@ type Config struct {
 	WorkloadName string
 }
 
-// Fill applies defaults and normalizes the geometry: the window is
+// What every campaign has run with; no caller wanted a second value.
+const (
+	slice      = 5 * time.Millisecond   // lockstep barrier spacing
+	settle     = 3 * time.Second        // boot settling before the campaign
+	drain      = 8 * time.Second        // max extra time for recoveries/in-flight
+	retryAfter = 40 * time.Millisecond  // client re-route timeout after a failed attempt
+	warmup     = 500 * time.Millisecond // post-recovery distrust of a class (see Node.warmupUntil)
+	defaultRPS = 200                    // fleet-wide rate of the default load
+)
+
+// fill applies defaults and normalizes the geometry: the window is
 // rounded down to a slice multiple and the horizon up to a window
 // multiple, so windows tile the campaign exactly.
-func (cfg Config) Fill() Config {
+func (cfg Config) fill() Config {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 4
 	}
@@ -94,38 +90,15 @@ func (cfg Config) Fill() Config {
 	if cfg.Horizon <= 0 {
 		cfg.Horizon = 12 * time.Second
 	}
-	if cfg.Slice <= 0 {
-		cfg.Slice = 5 * time.Millisecond
-	}
 	if cfg.Window <= 0 {
 		cfg.Window = 250 * time.Millisecond
 	}
-	if cfg.Window < cfg.Slice {
-		cfg.Window = cfg.Slice
+	if cfg.Window < slice {
+		cfg.Window = slice
 	}
-	cfg.Window -= cfg.Window % cfg.Slice
+	cfg.Window -= cfg.Window % slice
 	if rem := cfg.Horizon % cfg.Window; rem != 0 {
 		cfg.Horizon += cfg.Window - rem
-	}
-	if cfg.Settle <= 0 {
-		cfg.Settle = 3 * time.Second
-	}
-	if cfg.Drain <= 0 {
-		cfg.Drain = 8 * time.Second
-	}
-	if cfg.RPS == 0 {
-		cfg.RPS = 200
-	}
-	if cfg.DiskShare < 0 || cfg.DiskShare > 1 {
-		cfg.DiskShare = 0.25
-	} else if cfg.DiskShare == 0 {
-		cfg.DiskShare = 0.25
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = 40 * time.Millisecond
-	}
-	if cfg.Warmup <= 0 {
-		cfg.Warmup = 500 * time.Millisecond
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
@@ -135,6 +108,13 @@ func (cfg Config) Fill() Config {
 	}
 	if len(cfg.Classes) == 0 {
 		cfg.Classes = []string{resilientos.ClassNet, resilientos.ClassDisk}
+	}
+	if len(cfg.Arrivals) == 0 {
+		spec, err := workload.Classic(cfg.Seed, defaultRPS, cfg.Horizon)
+		if err != nil {
+			panic(err) // unreachable: the rate and the horizon are positive here
+		}
+		cfg.Arrivals, cfg.WorkloadName = spec.Generate(), spec.Name
 	}
 	return cfg
 }
@@ -153,7 +133,7 @@ type Cluster struct {
 	sampler *timeseries.Sampler
 	tracker *tracker
 
-	rng     *rand.Rand // request-path draws (arrival gaps, classes, service times)
+	rng     *rand.Rand // service-time draws
 	horizon sim.Time
 	classes []string
 
@@ -166,7 +146,7 @@ type Cluster struct {
 
 // New boots a fleet. Call Run to execute the campaign.
 func New(cfg Config) *Cluster {
-	cfg = cfg.Fill()
+	cfg = cfg.fill()
 	c := &Cluster{
 		cfg:       cfg,
 		policy:    cfg.Policy,
@@ -198,7 +178,7 @@ func New(cfg Config) *Cluster {
 	}
 	envs := make([]*sim.Env, 0, cfg.Nodes)
 	for i := 0; i < cfg.Nodes; i++ {
-		n := newNode(i, cfg.Seed, cfg.MaxRestarts, withChar, cfg.Perf)
+		n := newNode(i, cfg.Seed, withChar, cfg.Perf)
 		c.nodes = append(c.nodes, n)
 		envs = append(envs, n.Sys.Env)
 	}
@@ -218,7 +198,7 @@ func (c *Cluster) barrier(t sim.Time) {
 	recovering := 0
 	healthy := make(map[string]int, len(c.classes))
 	for _, n := range c.nodes {
-		if n.sampleHealth(t, sim.Time(c.cfg.Warmup)) {
+		if n.sampleHealth(t) {
 			recovering++
 		}
 		for _, cl := range c.classes {
@@ -236,9 +216,6 @@ func (c *Cluster) barrier(t sim.Time) {
 // slices, then a drain that waits for in-flight requests and recoveries
 // to finish. Returns the fleet report.
 func (c *Cluster) Run() *Report {
-	slice := sim.Time(c.cfg.Slice)
-	settle := sim.Time(c.cfg.Settle)
-
 	// Boot settling: let every node reach steady state before windows
 	// start, so availability measures the storm, not the boot.
 	c.barrier(settle)
@@ -258,7 +235,7 @@ func (c *Cluster) Run() *Report {
 	// Drain: no new arrivals or strikes; keep the fleet stepping until
 	// every request completed and every recovery republished (or the
 	// drain budget runs out — survivors are reported as Incomplete).
-	drainEnd := end + sim.Time(c.cfg.Drain)
+	drainEnd := end + drain
 	for t := end + slice; t <= drainEnd; t += slice {
 		if c.outstanding == 0 && !c.anyRecovering() {
 			break

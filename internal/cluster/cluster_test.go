@@ -7,17 +7,21 @@ import (
 
 	"resilientos/internal/obs/timeseries"
 	"resilientos/internal/ucode"
+	"resilientos/internal/workload"
 )
 
 func testConfig() Config {
+	const horizon = 4 * time.Second
+	spec, err := workload.Classic(11, 150, horizon)
+	if err != nil {
+		panic(err)
+	}
 	return Config{
-		Nodes:   4,
-		Seed:    11,
-		Horizon: 4 * time.Second,
-		Window:  200 * time.Millisecond,
-		Settle:  2 * time.Second,
-		Drain:   4 * time.Second,
-		RPS:     150,
+		Nodes:    4,
+		Seed:     11,
+		Horizon:  horizon,
+		Window:   200 * time.Millisecond,
+		Arrivals: spec.Generate(),
 	}
 }
 
@@ -140,7 +144,7 @@ func TestPoissonInjectStorm(t *testing.T) {
 // image (every instruction already mutated into a NOP) must see inject
 // report "nothing to mutate", not spin inside the injector.
 func TestInjectRefusesExhaustedImage(t *testing.T) {
-	n := newNode(0, 11, 0, false, nil)
+	n := newNode(0, 11, false, nil)
 	defer n.Sys.Close()
 	n.Sys.Run(3 * time.Second)
 	const driver = "eth.rtl8139"

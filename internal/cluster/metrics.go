@@ -218,8 +218,8 @@ type Report struct {
 	Seed   int64  `json:"seed"`
 	Policy string `json:"policy"`
 	Storm  string `json:"storm"`
-	// Workload names the driving workload spec or trace ("" for the
-	// classic built-in mix).
+	// Workload names the driving workload spec or trace ("classic" for
+	// the default load; "" only when a caller passed unnamed arrivals).
 	Workload string        `json:"workload,omitempty"`
 	Horizon  time.Duration `json:"horizon_ns"`
 	Window   time.Duration `json:"window_ns"`

@@ -86,8 +86,8 @@ func deriveSeed(fleetSeed int64, index int) int64 {
 
 // newNode boots one member system. Nodes always run the network and disk
 // stacks; the character devices boot only when the campaign's class set
-// routes char jobs (withChar), keeping classic fleet runs lean.
-func newNode(index int, fleetSeed int64, maxRestarts int, withChar bool, p *perf.Profiler) *Node {
+// routes char jobs (withChar), keeping net+disk fleets lean.
+func newNode(index int, fleetSeed int64, withChar bool, p *perf.Profiler) *Node {
 	seed := deriveSeed(fleetSeed, index)
 	n := &Node{
 		Index: index,
@@ -96,7 +96,6 @@ func newNode(index int, fleetSeed int64, maxRestarts int, withChar bool, p *perf
 		Sys: resilientos.New(resilientos.Config{
 			Seed:        seed,
 			DisableChar: !withChar,
-			MaxRestarts: maxRestarts,
 			Perf:        p,
 		}),
 		injector:    fi.New(rand.New(rand.NewSource(seed ^ 0x5DEECE66D))),
@@ -109,7 +108,7 @@ func newNode(index int, fleetSeed int64, maxRestarts int, withChar bool, p *perf
 // time now, extending per-class warmup windows for any recovery episodes
 // since the previous barrier, and reports whether the node is degraded
 // (mid-recovery or warming up).
-func (n *Node) sampleHealth(now, warmup sim.Time) bool {
+func (n *Node) sampleHealth(now sim.Time) bool {
 	evs := n.Sys.RS.Events()
 	for _, ev := range evs[n.seenEvents:] {
 		cl := classOf(ev.Label)

@@ -18,45 +18,19 @@ type request struct {
 	id       int64
 	class    string // resilientos.ClassNet, ClassDisk, or ClassChar
 	arrival  sim.Time
-	size     int64 // request payload bytes (0 for the classic built-in mix)
+	size     int64 // request payload bytes; the transfer term of serviceTime
 	reroutes int
 }
 
-// armArrivals starts the request source on the fleet clock: an explicit
-// workload sequence when the campaign carries one, otherwise the classic
-// built-in Poisson net/disk mix. Both self-limit to the campaign horizon.
-func (c *Cluster) armArrivals(until sim.Time) {
-	if len(c.cfg.Arrivals) > 0 {
-		c.armWorkload(until)
-		return
-	}
-	if c.cfg.RPS <= 0 {
-		return
-	}
-	mean := float64(time.Second) / c.cfg.RPS
-	var next func()
-	next = func() {
-		if c.fleet.Now() >= until {
-			return
-		}
-		c.arrive()
-		gap := sim.Time(c.rng.ExpFloat64() * mean)
-		if gap < 10*time.Microsecond {
-			gap = 10 * time.Microsecond
-		}
-		c.fleet.Schedule(gap, next)
-	}
-	c.fleet.Schedule(sim.Time(c.rng.ExpFloat64()*mean), next)
-}
-
-// armWorkload drives the explicit arrival sequence: event i fires at
-// settle+T_i. The chain keeps one pending timer instead of flooding the
+// armArrivals starts the request source on the fleet clock: event i of
+// the campaign's arrival sequence fires at settle+T_i, up to the campaign
+// horizon. The chain keeps one pending timer instead of flooding the
 // event heap with the whole trace, and batches all events that share a
 // timestamp. Trace order is arrival order, so a recorded campaign
-// replays exactly — the generator's own random stream never touches the
+// replays exactly — the generator's own random streams never touch the
 // cluster RNG, which keeps service-time draws identical between a
 // recording run and its replay.
-func (c *Cluster) armWorkload(until sim.Time) {
+func (c *Cluster) armArrivals(until sim.Time) {
 	events := c.cfg.Arrivals
 	base := c.fleet.Now() // the settle barrier
 	i := 0
@@ -65,7 +39,7 @@ func (c *Cluster) armWorkload(until sim.Time) {
 		now := c.fleet.Now()
 		for i < len(events) && base+events[i].T <= now {
 			if now < until {
-				c.arriveEvent(events[i])
+				c.arrive(events[i])
 			}
 			i++
 		}
@@ -76,22 +50,8 @@ func (c *Cluster) armWorkload(until sim.Time) {
 	pump()
 }
 
-// arrive creates one request of the classic built-in mix.
-func (c *Cluster) arrive() {
-	class := resilientos.ClassNet
-	if c.rng.Float64() < c.cfg.DiskShare {
-		class = resilientos.ClassDisk
-	}
-	c.nextReq++
-	r := &request{id: c.nextReq, class: class, arrival: c.fleet.Now()}
-	c.outstanding++
-	c.reg.Counter("fleet.arrivals").Add(1)
-	c.reg.Counter("fleet.arrivals." + class).Add(1)
-	c.dispatch(r)
-}
-
-// arriveEvent admits one workload event as a request.
-func (c *Cluster) arriveEvent(ev workload.Event) {
+// arrive admits one workload event as a request.
+func (c *Cluster) arrive(ev workload.Event) {
 	c.nextReq++
 	r := &request{id: c.nextReq, class: ev.Class, arrival: c.fleet.Now(), size: ev.Size}
 	c.outstanding++
@@ -100,9 +60,9 @@ func (c *Cluster) arriveEvent(ev workload.Event) {
 	c.dispatch(r)
 }
 
-// Per-class service-cost model for sized (workload-driven) requests: a
-// fixed per-request base, a size-proportional transfer term, and
-// exponential jitter. Bandwidths are ns-per-byte.
+// Per-class service-cost model: a fixed per-request base, a
+// size-proportional transfer term, and exponential jitter. Bandwidths
+// are ns-per-byte.
 const (
 	netBase  = 1 * time.Millisecond
 	diskBase = 3 * time.Millisecond
@@ -115,29 +75,21 @@ var nsPerByte = map[string]float64{
 	resilientos.ClassChar: 1e9 / (1 << 20),  // 1 MiB/s
 }
 
-// serviceTime draws a deterministic service time for one attempt. Sized
-// requests (workload mode) pay base + size/bandwidth + jitter; the
-// classic mix keeps its original per-class formula so legacy campaigns
-// stay byte-identical.
+// serviceTime draws a deterministic service time for one attempt:
+// base + size/bandwidth + jitter.
 func (c *Cluster) serviceTime(class string, size int64) sim.Time {
-	if size > 0 {
-		var base sim.Time
-		var jitter time.Duration
-		switch class {
-		case resilientos.ClassDisk:
-			base, jitter = sim.Time(diskBase), 2500*time.Microsecond
-		case resilientos.ClassChar:
-			base, jitter = sim.Time(charBase), 2000*time.Microsecond
-		default:
-			base, jitter = sim.Time(netBase), 1500*time.Microsecond
-		}
-		return base + sim.Time(float64(size)*nsPerByte[class]) +
-			sim.Time(c.rng.ExpFloat64()*float64(jitter))
+	var base sim.Time
+	var jitter time.Duration
+	switch class {
+	case resilientos.ClassDisk:
+		base, jitter = sim.Time(diskBase), 2500*time.Microsecond
+	case resilientos.ClassChar:
+		base, jitter = sim.Time(charBase), 2000*time.Microsecond
+	default:
+		base, jitter = sim.Time(netBase), 1500*time.Microsecond
 	}
-	if class == resilientos.ClassDisk {
-		return 6*time.Millisecond + sim.Time(c.rng.ExpFloat64()*float64(2500*time.Microsecond))
-	}
-	return 2*time.Millisecond + sim.Time(c.rng.ExpFloat64()*float64(1500*time.Microsecond))
+	return base + sim.Time(float64(size)*nsPerByte[class]) +
+		sim.Time(c.rng.ExpFloat64()*float64(jitter))
 }
 
 // dispatch routes a request to a node chosen by the active policy, using
@@ -164,7 +116,7 @@ func (c *Cluster) bounce(r *request, n *Node, why string) {
 	c.rerouted++
 	c.reg.Counter("fleet.reroute." + why).Add(1)
 	c.tracker.noteBounce(r.class, c.fleet.Now())
-	c.fleet.Schedule(c.cfg.RetryAfter, func() {
+	c.fleet.Schedule(retryAfter, func() {
 		n.inflight--
 		c.dispatch(r)
 	})

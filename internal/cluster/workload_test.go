@@ -40,7 +40,7 @@ func workloadConfig(t *testing.T) Config {
 
 // TestWorkloadDeterminism extends the reproducibility contract to
 // workload-driven campaigns: the same generated arrival sequence —
-// including the char class, which the legacy mix never exercises —
+// including the char class, which the classic spec never exercises —
 // yields byte-identical series and reports across repeated runs and
 // worker counts 1/2/8.
 func TestWorkloadDeterminism(t *testing.T) {
@@ -160,5 +160,31 @@ func TestSLOAttainment(t *testing.T) {
 		if cr.SLO == nil || cr.SLO.AttainedPct != 0 || cr.SLO.WindowPct == 100 {
 			t.Fatalf("impossible budget: class %q SLO = %+v, want 0 attained", cr.Class, cr.SLO)
 		}
+	}
+}
+
+// TestDefaultLoadIsClassic: a campaign that names no arrivals serves
+// exactly workload.Classic at 200 rps over its horizon — the built-in
+// mix is a spec like any other, not a second arrival path.
+func TestDefaultLoadIsClassic(t *testing.T) {
+	implicit := testConfig()
+	implicit.Arrivals = nil
+	implicit.Storm = Storm{Kind: "correlated", Driver: "eth.rtl8139", K: 2, Interval: time.Second}
+
+	spec, err := workload.Classic(implicit.Seed, 200, implicit.Horizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	explicit := implicit
+	explicit.Arrivals = spec.Generate()
+	explicit.WorkloadName = spec.Name
+
+	csv1, rep1 := runBytes(t, implicit)
+	csv2, rep2 := runBytes(t, explicit)
+	if !bytes.Equal(csv1, csv2) {
+		t.Fatal("default load: CSV differs from Classic(seed, 200, horizon) passed explicitly")
+	}
+	if !bytes.Equal(rep1, rep2) {
+		t.Fatalf("default load: report differs from Classic(seed, 200, horizon) passed explicitly\ndefault:\n%s\nexplicit:\n%s", rep1, rep2)
 	}
 }

@@ -29,8 +29,6 @@ type EthChip struct {
 // EthConfig configures an Ethernet driver instance factory.
 type EthConfig struct {
 	NIC *hw.NIC
-	// QueueLen bounds the internal transmit queue (default 64).
-	QueueLen int
 	// OnVM, if set, is called with each new instance's VM — the hook the
 	// fault-injection campaign uses to reach the running binary.
 	OnVM func(*ucode.VM)
@@ -42,9 +40,6 @@ type EthConfig struct {
 // Each (re)start calls it afresh, so a restarted instance runs a pristine
 // image.
 func EthBinary(chip EthChip, cfg EthConfig) func(c *kernel.Ctx) {
-	if cfg.QueueLen == 0 {
-		cfg.QueueLen = 64
-	}
 	return func(c *kernel.Ctx) {
 		RunWith(c, &Eth{
 			VMDevice: VMDevice{
@@ -54,12 +49,14 @@ func EthBinary(chip EthChip, cfg EthConfig) func(c *kernel.Ctx) {
 				Ready: StatusBits{Mask: hw.NICStatResetBsy},
 				Live:  StatusBits{Mask: hw.NICStatEnabled | hw.NICStatResetBsy, Want: hw.NICStatEnabled},
 			},
-			drain:    chip.Drain,
-			handle:   cfg.NIC.Handle(),
-			queueLen: cfg.QueueLen,
+			drain:  chip.Drain,
+			handle: cfg.NIC.Handle(),
 		}, cfg.Options)
 	}
 }
+
+// txQueueLen bounds an Ethernet driver's internal transmit queue.
+const txQueueLen = 64
 
 // Eth is the Go half of an Ethernet driver, shared by every chip: the
 // transmit queue, the client binding and its state capsule, and the
@@ -68,12 +65,11 @@ func EthBinary(chip EthChip, cfg EthConfig) func(c *kernel.Ctx) {
 // through the NIC's DMA window.
 type Eth struct {
 	VMDevice
-	drain    func(c *kernel.Ctx, e *Eth)
-	handle   *hw.NICHandle
-	queueLen int
-	txQ      [][]byte
-	txBusy   bool
-	client   kernel.Endpoint // who gets received frames (last configurer)
+	drain  func(c *kernel.Ctx, e *Eth)
+	handle *hw.NICHandle
+	txQ    [][]byte
+	txBusy bool
+	client kernel.Endpoint // who gets received frames (last configurer)
 }
 
 // Init implements Device: after a crash this is what puts the card back
@@ -139,7 +135,7 @@ func (e *Eth) HandleRequest(c *kernel.Ctx, m kernel.Message) {
 		e.client = m.Source
 		_ = c.Send(m.Source, kernel.Message{Type: proto.EthAck, Arg1: proto.OK})
 	case proto.EthSend:
-		if len(e.txQ) >= e.queueLen {
+		if len(e.txQ) >= txQueueLen {
 			return // queue overflow: frame dropped, TCP will retransmit
 		}
 		e.txQ = append(e.txQ, m.Payload)

@@ -27,14 +27,10 @@ const (
 
 // MachineConfig tunes the standard machine.
 type MachineConfig struct {
-	DiskSectors     int64   // default 4 GiB worth
-	DiskSeed        int64   // content seed for unwritten sectors
-	NICMasterReset  bool    // whether local NICs support master reset
-	NICConfuseProb  float64 // P(garbage command wedges a NIC)
-	NICDeepProb     float64 // P(wedge is deep), given wedged
-	RemotePeer      bool    // attach a remote host NIC to NIC0's wire
-	WireLossProb    float64
-	WireCorruptProb float64
+	DiskSeed       int64   // content seed for unwritten sectors
+	NICMasterReset bool    // whether local NICs support master reset
+	NICConfuseProb float64 // P(garbage command wedges a NIC)
+	NICDeepProb    float64 // P(wedge is deep), given wedged
 }
 
 // Machine is the standard simulated hardware complement: two NICs (one
@@ -54,9 +50,6 @@ type Machine struct {
 
 // NewMachine builds the standard machine on the environment and kernel.
 func NewMachine(env *sim.Env, k *kernel.Kernel, cfg MachineConfig) *Machine {
-	if cfg.DiskSectors == 0 {
-		cfg.DiskSectors = 8 << 20 // 8 Mi sectors = 4 GiB
-	}
 	m := &Machine{}
 	m.NIC0 = NewNIC(env, k, NICConfig{
 		Base: PortNIC0, IRQ: IRQNIC0,
@@ -74,11 +67,10 @@ func NewMachine(env *sim.Env, k *kernel.Kernel, cfg MachineConfig) *Machine {
 	m.Remote1 = NewNIC(env, k, NICConfig{Base: 0xF100, IRQ: 31, MasterReset: true})
 	m.Wire0 = Connect(env, m.NIC0, m.Remote)
 	m.Wire1 = Connect(env, m.NIC1, m.Remote1)
-	m.Wire0.LossProb = cfg.WireLossProb
-	m.Wire0.CorruptProb = cfg.WireCorruptProb
 	m.Disk = NewDisk(env, k, DiskConfig{
 		Base: PortDisk, IRQ: IRQDisk,
-		Sectors: cfg.DiskSectors, Seed: cfg.DiskSeed,
+		Sectors: 8 << 20, // 8 Mi sectors = 4 GiB
+		Seed:    cfg.DiskSeed,
 	})
 	m.Audio = NewAudio(env, k, AudioConfig{Base: PortAudio, IRQ: IRQAudio, CaptureRate: 64000})
 	m.Printer = NewPrinter(env, k, PrinterConfig{Base: PortPrinter, IRQ: IRQPrinter})

@@ -26,10 +26,13 @@ type Config struct {
 	Pattern string
 	// DS is the data store endpoint.
 	DS kernel.Endpoint
-	// RTOInit/RTOMin/RTOMax govern TCP retransmission timeouts.
+	// RTOInit is the first TCP retransmission timeout of a connection;
+	// every retransmission doubles it, up to rtoMax.
 	RTOInit sim.Time
-	RTOMax  sim.Time
 }
+
+// rtoMax caps the exponential retransmission backoff.
+const rtoMax = 5 * sim.Time(1e9) // 5s
 
 // Defaults fills unset config fields.
 func (c *Config) defaults() {
@@ -38,9 +41,6 @@ func (c *Config) defaults() {
 	}
 	if c.RTOInit == 0 {
 		c.RTOInit = 300 * sim.Time(1e6) // 300ms
-	}
-	if c.RTOMax == 0 {
-		c.RTOMax = 5 * sim.Time(1e9) // 5s
 	}
 }
 

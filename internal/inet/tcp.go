@@ -244,8 +244,8 @@ func (s *Server) onTcpTimer(c *tcpConn) {
 	}
 	// Exponential backoff.
 	c.rto *= 2
-	if c.rto > s.cfg.RTOMax {
-		c.rto = s.cfg.RTOMax
+	if c.rto > rtoMax {
+		c.rto = rtoMax
 	}
 	s.armRetx(c)
 	s.stats.Retransmits++

@@ -127,9 +127,6 @@ type Config struct {
 	// Status, if set, is called at every rollover for the per-service
 	// state column (adapt core.RS.Services to []ServiceStatus).
 	Status func() []ServiceStatus
-	// Annotate lists the event kinds kept as annotations
-	// (DefaultAnnotate when nil).
-	Annotate []obs.Kind
 }
 
 // Sampler records a live run's window series. Wire it with Attach (window
@@ -173,19 +170,15 @@ func New(cfg Config) *Sampler {
 	if cfg.Window <= 0 {
 		cfg.Window = DefaultWindow
 	}
-	ann := cfg.Annotate
-	if ann == nil {
-		ann = DefaultAnnotate
-	}
 	s := &Sampler{
 		cfg:      cfg,
 		width:    cfg.Window,
-		annotate: make(map[obs.Kind]bool, len(ann)),
+		annotate: make(map[obs.Kind]bool, len(DefaultAnnotate)),
 		base:     make(map[string]int64),
 		kinds:    make(map[obs.Kind]int),
 		overKind: make(map[obs.Kind]int),
 	}
-	for _, k := range ann {
+	for _, k := range DefaultAnnotate {
 		s.annotate[k] = true
 	}
 	return s

@@ -132,8 +132,7 @@ type Env struct {
 	stepHook func()     // runs after every executed event (see SetStepHook)
 	perf     *PerfHooks // wall-clock instrumentation (see SetPerfHooks)
 
-	logw    io.Writer
-	logTags map[string]bool // nil means log everything when logw != nil
+	logw io.Writer
 }
 
 // NewEnv returns a fresh environment whose randomness is derived from seed.
@@ -182,26 +181,10 @@ func (e *Env) SetPerfHooks(h *PerfHooks) { e.perf = h }
 // SetLogOutput directs simulation trace output to w (nil disables tracing).
 func (e *Env) SetLogOutput(w io.Writer) { e.logw = w }
 
-// SetLogTags restricts tracing to the given tags. An empty call restores
-// all-tags logging.
-func (e *Env) SetLogTags(tags ...string) {
-	if len(tags) == 0 {
-		e.logTags = nil
-		return
-	}
-	e.logTags = make(map[string]bool, len(tags))
-	for _, t := range tags {
-		e.logTags[t] = true
-	}
-}
-
 // Logf emits one trace line stamped with the virtual clock. Tracing is off
 // unless SetLogOutput was called.
 func (e *Env) Logf(tag, format string, args ...any) {
 	if e.logw == nil {
-		return
-	}
-	if e.logTags != nil && !e.logTags[tag] {
 		return
 	}
 	fmt.Fprintf(e.logw, "[%12s] %-8s %s\n", e.now, tag, fmt.Sprintf(format, args...))

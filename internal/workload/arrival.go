@@ -165,8 +165,11 @@ func (s *Spec) Generate() []Event {
 			p := newProcess(cs.Arrival)
 			t := sim.Time(0)
 			for {
-				g := p.gap(r) * meanGapSec / modAt(cs.Periods, t)
-				gap := sim.Time(g * 1e9)
+				g := p.gap(r) * meanGapSec / modAt(cs.Periods, t) * 1e9
+				if g >= float64(horizon) {
+					break // also: a near-zero rate's gap must not overflow sim.Time below
+				}
+				gap := sim.Time(g)
 				if gap < minGap {
 					gap = minGap
 				}

@@ -23,6 +23,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"time"
 )
@@ -157,6 +158,29 @@ func Parse(b []byte) (*Spec, error) {
 	return &s, nil
 }
 
+// Classic is the fleet's built-in request mix as an ordinary spec named
+// "classic": one Poisson chain per class, net at three quarters of rps
+// and disk at one quarter. The two fixed sizes are the ones at which the
+// cluster's sized service model (base + size/bandwidth + jitter) costs
+// 2 ms + Exp(1.5 ms) for a net request and 6 ms + Exp(2.5 ms) for a disk
+// request, to the microsecond.
+func Classic(seed int64, rps float64, horizon time.Duration) (*Spec, error) {
+	poisson := ArrivalSpec{Process: ProcessPoisson}
+	s := &Spec{
+		Name:    "classic",
+		Seed:    seed,
+		Horizon: Duration(horizon),
+		Classes: []ClassSpec{
+			{Class: ClassNet, RPS: 0.75 * rps, Arrival: poisson, Size: SizeSpec{Min: 16777, Max: 16777}},
+			{Class: ClassDisk, RPS: 0.25 * rps, Arrival: poisson, Size: SizeSpec{Min: 100663, Max: 100663}},
+		},
+	}
+	if err := s.normalize(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
 // Load reads and parses a spec file.
 func Load(path string) (*Spec, error) {
 	b, err := os.ReadFile(path)
@@ -197,8 +221,8 @@ func (s *Spec) normalize() error {
 		if cs.Clients < 0 {
 			return fmt.Errorf("workload: class %q: clients must be positive", cs.Class)
 		}
-		if cs.RPS <= 0 {
-			return fmt.Errorf("workload: class %q: rps must be positive", cs.Class)
+		if !(cs.RPS > 0) || math.IsInf(cs.RPS, 0) { // !(x > 0) is also true of NaN
+			return fmt.Errorf("workload: class %q: rps must be positive and finite", cs.Class)
 		}
 		switch cs.Arrival.Process {
 		case ProcessFixed, ProcessPoisson:

@@ -229,3 +229,54 @@ func TestStreamIndependence(t *testing.T) {
 		}
 	}
 }
+
+// TestClassic pins the built-in mix as a spec: reproducible from the
+// seed, Poisson net:disk at 3:1 adding up to the asked rate, the two
+// fixed sizes, and a rate that is not a positive finite number refused —
+// a near-zero one generating nothing instead of overflowing into a flood.
+func TestClassic(t *testing.T) {
+	const rps, horizon = 200, 60 * time.Second
+	s, err := Classic(11, rps, horizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Name != "classic" {
+		t.Fatalf("name = %q, want classic", s.Name)
+	}
+	events := s.Generate()
+	again, _ := Classic(11, rps, horizon)
+	if !reflect.DeepEqual(events, again.Generate()) {
+		t.Fatal("same seed generated a different sequence")
+	}
+	other, _ := Classic(12, rps, horizon)
+	if reflect.DeepEqual(events, other.Generate()) {
+		t.Fatal("a different seed generated the same sequence")
+	}
+
+	count := map[string]float64{}
+	for _, ev := range events {
+		count[ev.Class]++
+		if want := map[string]int64{ClassNet: 16777, ClassDisk: 100663}[ev.Class]; ev.Size != want {
+			t.Fatalf("%s request of %d bytes, want %d", ev.Class, ev.Size, want)
+		}
+	}
+	if want := rps * horizon.Seconds(); math.Abs(float64(len(events))-want) > 0.05*want {
+		t.Fatalf("%d events over %s, want %.0f within 5%%", len(events), horizon, want)
+	}
+	if ratio := count[ClassNet] / count[ClassDisk]; math.Abs(ratio-3) > 0.15 {
+		t.Fatalf("net:disk = %.0f:%.0f (%.2f), want 3:1 within 5%%", count[ClassNet], count[ClassDisk], ratio)
+	}
+
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -5} {
+		if _, err := Classic(11, bad, horizon); err == nil || !strings.Contains(err.Error(), "rps") {
+			t.Errorf("Classic(rps=%v) = %v, want an error naming rps", bad, err)
+		}
+	}
+	slow, err := Classic(11, 1e-12, horizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(slow.Generate()); n != 0 {
+		t.Fatalf("rps 1e-12 generated %d events in %s, want none", n, horizon)
+	}
+}

@@ -57,6 +57,7 @@ func TestExperimentsTablesMatchGoldens(t *testing.T) {
 	}
 	fig7, fig8 := load("testdata/BENCH_fig7_seed11.json"), load("testdata/BENCH_fig8_seed11.json")
 	rec := load("testdata/BENCH_recovery_seed11.json")
+	fleet := load("cmd/fleetbench/testdata/BENCH_fleet_compare_seed11.json")
 	blocks := map[string]string{
 		"fig7": benchTable(
 			[]benchCol{{"Fig. 7 (net, seed 11)", fig7, ""}, {"Fig. 8 (disk, seed 11)", fig8, ""}},
@@ -82,6 +83,22 @@ func TestExperimentsTablesMatchGoldens(t *testing.T) {
 			[]benchRow{
 				{"standby, dip depth", "standby_depth_gain_pct", "%.1f points"},
 				{"microreboot, dip width", "micro_width_gain_ms", "%.0f ms"},
+			}),
+		"fleet-compare": benchTable(
+			[]benchCol{
+				{"round-robin", fleet, "policy/round-robin/"},
+				{"least-loaded", fleet, "policy/least-loaded/"},
+				{"failure-aware", fleet, "policy/failure-aware/"},
+			},
+			[]benchRow{
+				{"availability", "availability_pct", "%.2f %%"},
+				{"node floor", "node_availability_pct", "%.0f %%"},
+				{"requests", "requests", "%.0f"},
+				{"request p50", "request_p50_ms", "%.2f ms"},
+				{"request p99", "request_p99_ms", "%.2f ms"},
+				{"reroutes", "reroutes", "%.0f"},
+				{"kills", "kills", "%.0f"},
+				{"recovered", "recovered_pct", "%.0f %%"},
 			}),
 	}
 
