@@ -3,11 +3,11 @@
 // replicated service under fault storms (internal/cluster).
 //
 // Every node is a full simulated OS — microkernel, reincarnation server,
-// drivers — advanced in lockstep virtual time; a fleet-level event loop
-// routes synthetic requests with a pluggable policy while the storm
-// driver kills (or SWIFI-mutates) the same driver on several nodes at
-// once, or Poisson-faults nodes independently. Output is
-// byte-reproducible from -seed for any -workers value.
+// drivers — run in parallel from one storm strike to the next; a
+// fleet-level event loop routes synthetic requests with a pluggable
+// policy while the storm driver kills (or SWIFI-mutates) the same driver
+// on several nodes at once, or Poisson-faults nodes independently.
+// Output is byte-reproducible from -seed for any -workers value.
 //
 // The load is always a workload spec (internal/workload): by default the
 // built-in "classic" one (-rps Poisson requests a second, 3 net : 1
@@ -83,6 +83,14 @@ func run(args []string) error {
 		return err
 	}
 
+	// cluster.Config reads a zero as "the default", so a count the user
+	// typed must be checked here.
+	if *nodes < 1 {
+		return fmt.Errorf("fleetbench: -nodes %d: a fleet has at least one node", *nodes)
+	}
+	if *workers < 1 {
+		return fmt.Errorf("fleetbench: -workers %d: at least one worker advances the nodes", *workers)
+	}
 	cfg := cluster.Config{
 		Nodes:   *nodes,
 		Seed:    *seed,
@@ -91,7 +99,7 @@ func run(args []string) error {
 	}
 	st, err := cluster.ParseStorm(*storm)
 	if err != nil {
-		return err
+		return fmt.Errorf("fleetbench: -storm %s: %w", *storm, err)
 	}
 	cfg.Storm = st
 
@@ -146,7 +154,9 @@ func run(args []string) error {
 		if clash != "" {
 			return fmt.Errorf("fleetbench: -compare runs every policy and writes only -bench-json; it cannot take -%s", clash)
 		}
-		doc = runCompare(cfg)
+		if doc, err = runCompare(cfg); err != nil {
+			return err
+		}
 	} else {
 		if cfg.Policy, err = cluster.ParsePolicy(*policy); err != nil {
 			return err
@@ -168,7 +178,10 @@ func run(args []string) error {
 // series and the JSON report where asked, and returns its bench document.
 func runOne(cfg cluster.Config, csvPath, jsonPath string) (bench.Doc, error) {
 	start := time.Now()
-	c := cluster.New(cfg)
+	c, err := boot(cfg)
+	if err != nil {
+		return bench.Doc{}, err
+	}
 	defer c.Close()
 	r := c.Run()
 	r.Render(os.Stdout)
@@ -180,6 +193,17 @@ func runOne(cfg cluster.Config, csvPath, jsonPath string) (bench.Doc, error) {
 		return doc, err
 	}
 	return doc, writeOut(jsonPath, r.WriteJSON)
+}
+
+// boot boots the fleet. The flags have been parsed by now, so what
+// cluster.Boot can still refuse is a storm the members cannot be struck
+// by: a victim they do not guard.
+func boot(cfg cluster.Config) (*cluster.Cluster, error) {
+	c, err := cluster.Boot(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("fleetbench: -storm %s: %w", cfg.Storm, err)
+	}
+	return c, nil
 }
 
 // writeOut writes what write produces to path and reports it on stdout;
@@ -251,16 +275,20 @@ func addBench(doc *bench.Doc, prefix string, r *cluster.Report) {
 // runCompare executes the same storm under every routing policy, prints
 // the side-by-side table the acceptance campaign reads and returns the
 // runs as one bench document, one "policy/<name>/" group each.
-func runCompare(cfg cluster.Config) bench.Doc {
+func runCompare(cfg cluster.Config) (bench.Doc, error) {
 	fmt.Printf("fleet policy comparison: %d nodes, seed %d, storm %s\n\n",
 		cfg.Nodes, cfg.Seed, cfg.Storm)
 	fmt.Printf("%-14s %12s %12s %10s %10s %10s %9s %8s\n",
 		"policy", "avail%", "node-avail%", "p50", "p99", "reroutes", "recov%", "gaveup")
 	var reports []*cluster.Report
 	for _, p := range cluster.Policies() {
-		c := cfg
-		c.Policy = p
-		r := cluster.Run(c)
+		cfg.Policy = p
+		c, err := boot(cfg)
+		if err != nil {
+			return bench.Doc{}, err
+		}
+		r := c.Run()
+		c.Close()
 		fmt.Printf("%-14s %12.2f %12.2f %10s %10s %10d %9.1f %8d\n",
 			r.Policy, r.AvailabilityPct, r.NodeAvailabilityPct,
 			time.Duration(r.Latency.P50).Round(time.Microsecond),
@@ -274,5 +302,5 @@ func runCompare(cfg cluster.Config) bench.Doc {
 	for _, r := range reports {
 		addBench(&doc, "policy/"+r.Policy+"/", r)
 	}
-	return doc
+	return doc, nil
 }

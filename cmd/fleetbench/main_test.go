@@ -37,6 +37,13 @@ func TestBadFlags(t *testing.T) {
 		{"unknown policy", []string{"-policy", "bogus", "-horizon", "1s"}, "policy"},
 		{"unknown storm", []string{"-storm", "hail:everything"}, "storm"},
 		{"unknown flag", []string{"-wrokload", "x.json"}, "flag"},
+		{"mistyped storm victim", []string{"-storm", "correlated:eth.bogus,every=300ms", "-horizon", "2s"}, `-storm correlated:eth.bogus`},
+		{"mistyped storm victim under compare", []string{"-compare", "-storm", "poisson:eth.bogus", "-horizon", "1s"}, `-storm poisson:eth.bogus`},
+		{"storm interval below a millisecond", []string{"-storm", "correlated:eth.rtl8139,every=1ns", "-horizon", "1s"}, "-storm correlated:eth.rtl8139,every=1ns"},
+		{"nodes zero", []string{"-nodes", "0", "-horizon", "1s"}, "-nodes 0"},
+		{"nodes negative", []string{"-nodes", "-3", "-horizon", "1s"}, "-nodes -3"},
+		{"workers negative", []string{"-workers", "-1", "-horizon", "1s"}, "-workers -1"},
+		{"workers zero", []string{"-workers", "0", "-horizon", "1s"}, "-workers 0"},
 		{"rps NaN", []string{"-rps", "NaN", "-horizon", "1s"}, "-rps NaN"},
 		{"rps +Inf", []string{"-rps", "+Inf", "-horizon", "1s"}, "-rps +Inf"},
 		{"rps zero", []string{"-rps", "0", "-horizon", "1s"}, "-rps 0"},

@@ -5,15 +5,23 @@
 // buy a *service* when faults hit many machines at once?
 //
 // Every node is a full resilientos.System — its own microkernel,
-// reincarnation server, drivers, and seeded scheduler — advanced in
-// lockstep virtual time by sim.Lockstep. A fleet-level event loop owns
-// a separate clock on which request arrivals, routing, storm strikes,
-// and metric windows are scheduled. Cluster-level logic only ever reads
-// node state at lockstep barriers, so a campaign is byte-reproducible
-// from its fleet seed regardless of how many workers advance the nodes.
+// reincarnation server, drivers, and seeded scheduler — advanced by
+// sim.Lockstep. A fleet-level event loop owns a separate clock on which
+// request arrivals, routing, storm strikes, and metric windows are
+// scheduled, and looks at the fleet every 5 ms slice. Requests are
+// synthetic here and never enter a member, so a storm strike is the only
+// thing the fleet ever does to one, and the instant of the next strike is
+// known when it is scheduled: members run ahead of the fleet clock, in
+// parallel, to the slice boundary just before that instant, each probing
+// its own health at every boundary on the way, and the fleet loop adopts
+// those answers as its clock passes them. Cluster-level logic therefore
+// reads exactly the node state it would have read by stopping every
+// member at every boundary, and a campaign is byte-reproducible from its
+// fleet seed regardless of how many workers advance the nodes.
 package cluster
 
 import (
+	"fmt"
 	"math/rand"
 	"time"
 
@@ -63,7 +71,7 @@ type Config struct {
 
 // What every campaign has run with; no caller wanted a second value.
 const (
-	slice      = 5 * time.Millisecond   // lockstep barrier spacing
+	slice      = 5 * time.Millisecond   // spacing of the fleet's looks at its members
 	settle     = 3 * time.Second        // boot settling before the campaign
 	drain      = 8 * time.Second        // max extra time for recoveries/in-flight
 	retryAfter = 40 * time.Millisecond  // client re-route timeout after a failed attempt
@@ -137,6 +145,21 @@ type Cluster struct {
 	horizon sim.Time
 	classes []string
 
+	// Run-ahead state. Whenever the fleet loop looks, every member stands
+	// on the one slice boundary stand, at or ahead of the fleet clock.
+	// limit is as far as a run-ahead may go — the end of the phase in
+	// progress; the drain's end is not known in advance, so it stays
+	// behind the clock there and members go one slice at a time.
+	// strikeAt is what the storm publishes (see nextStrike).
+	stand    sim.Time
+	limit    sim.Time
+	strikeAt []sim.Time
+	// sliceCadence is a test hook: never run ahead, stop every member at
+	// every boundary — the reference the run-ahead is compared against.
+	sliceCadence bool
+
+	healthy map[string]int // barrier's per-class tally, reused
+
 	nextReq      int64
 	outstanding  int64
 	rerouted     int64
@@ -144,9 +167,15 @@ type Cluster struct {
 	latencies    map[string][]sim.Time
 }
 
-// New boots a fleet. Call Run to execute the campaign.
-func New(cfg Config) *Cluster {
+// Boot boots a fleet; call Run to execute the campaign. It refuses a
+// storm that cannot run (see Storm.validate) or whose victim no member
+// guards: such a storm would count strikes that RS never delivers and
+// report a fleet that rode them out.
+func Boot(cfg Config) (*Cluster, error) {
 	cfg = cfg.fill()
+	if err := cfg.Storm.validate(); err != nil {
+		return nil, err
+	}
 	c := &Cluster{
 		cfg:       cfg,
 		policy:    cfg.Policy,
@@ -155,6 +184,7 @@ func New(cfg Config) *Cluster {
 		horizon:   sim.Time(cfg.Horizon),
 		classes:   cfg.Classes,
 		latencies: make(map[string][]sim.Time, len(cfg.Classes)),
+		healthy:   make(map[string]int, len(cfg.Classes)),
 	}
 	withChar := false
 	for _, cl := range cfg.Classes {
@@ -182,42 +212,79 @@ func New(cfg Config) *Cluster {
 		c.nodes = append(c.nodes, n)
 		envs = append(envs, n.Sys.Env)
 	}
+	if s := cfg.Storm; s.Kind != "none" && !c.nodes[0].Sys.RS.Guards(s.Driver) {
+		c.Close()
+		return nil, fmt.Errorf("cluster: storm victim %q is not a driver the fleet's members guard", s.Driver)
+	}
 	c.lock = sim.NewLockstep(cfg.Workers, envs...)
 	cfg.Perf.AttachLockstep(c.lock)
+	return c, nil
+}
+
+// New is Boot for a Config built in code and known to be valid: it panics
+// on the error Boot would return.
+func New(cfg Config) *Cluster {
+	c, err := Boot(cfg)
+	if err != nil {
+		panic(err)
+	}
 	return c
 }
 
-// barrier advances fleet and node clocks to the shared instant t and
-// refreshes every node's health snapshot. Order is fixed: fleet events
-// first (they may kill/inject into nodes), then node catch-up, then
-// snapshots — so routing between t and the next barrier sees exactly the
-// state the fleet observed at t.
+// barrier brings the fleet to the slice boundary t. Order is fixed: fleet
+// events up to t first (they may kill/inject into nodes, which stand on
+// the boundary before t whenever one does — see lookahead), then the
+// members, then the adoption of their probe answers for t — so routing
+// between t and the next barrier sees exactly the state a probe at t saw.
+// Members are only moved when the fleet clock has caught up with them;
+// they then run on past t as far as lookahead allows.
 func (c *Cluster) barrier(t sim.Time) {
 	c.fleet.RunUntil(t)
-	c.lock.AdvanceTo(t)
+	if t > c.stand {
+		to := c.lookahead(t)
+		c.lock.Each(func(i int, _ *sim.Env) { c.nodes[i].runAhead(t, to) })
+		c.stand = to
+	}
 	recovering := 0
-	healthy := make(map[string]int, len(c.classes))
+	clear(c.healthy)
 	for _, n := range c.nodes {
-		if n.sampleHealth(t) {
+		n.adopt(t)
+		if n.degraded {
 			recovering++
 		}
 		for _, cl := range c.classes {
 			if n.health.OK(cl) {
-				healthy[cl]++
+				c.healthy[cl]++
 			}
 		}
 	}
 	if c.tracker != nil {
-		c.tracker.sampleBarrier(t, healthy, recovering)
+		c.tracker.sampleBarrier(t, c.healthy, recovering)
 	}
 }
 
-// Run executes the campaign: settle, storm+load phase in lockstep
-// slices, then a drain that waits for in-flight requests and recoveries
-// to finish. Returns the fleet report.
+// lookahead returns the boundary, t or later, that members standing just
+// before t may run to: the last one before the next strike's instant,
+// within the phase in progress. The fleet clock has reached t, so every
+// strike up to t has landed and scheduled its successor, and nextStrike
+// is exact. A strike in the slice that follows t leaves no room, and the
+// members stop at t, where it will find them.
+func (c *Cluster) lookahead(t sim.Time) sim.Time {
+	to := min(c.limit, boundaryBefore(c.nextStrike()))
+	if c.sliceCadence || to < t {
+		return t
+	}
+	return to
+}
+
+// Run executes the campaign: settle, the storm+load phase one slice of
+// the fleet clock at a time (the members a strike interval at a time),
+// then a drain that waits for in-flight requests and recoveries to
+// finish. Returns the fleet report.
 func (c *Cluster) Run() *Report {
 	// Boot settling: let every node reach steady state before windows
 	// start, so availability measures the storm, not the boot.
+	c.limit = settle
 	c.barrier(settle)
 
 	c.tracker = newTracker(settle, sim.Time(c.cfg.Window), int(c.horizon/sim.Time(c.cfg.Window)),
@@ -225,6 +292,7 @@ func (c *Cluster) Run() *Report {
 	c.sampler.Attach(c.fleet)
 
 	end := settle + c.horizon
+	c.limit = end
 	c.armArrivals(end)
 	c.startStorm(c.cfg.Storm, end)
 

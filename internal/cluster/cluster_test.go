@@ -191,6 +191,17 @@ func TestParseStorm(t *testing.T) {
 		{"hail:everything", Storm{}, false},
 		{"correlated:eth.rtl8139,k=0", Storm{}, false},
 		{"poisson:eth.rtl8139,mean=xyz", Storm{}, false},
+		// A spacing below 1 ms is 10⁹ fleet events per virtual second at
+		// the extreme; the floor is the Poisson arm's own gap clamp.
+		{"correlated:eth.rtl8139,every=1ns", Storm{}, false},
+		{"correlated:eth.rtl8139,every=999us", Storm{}, false},
+		{"correlated:eth.rtl8139,every=0s", Storm{}, false},
+		{"correlated:eth.rtl8139,every=-1s", Storm{}, false},
+		{"poisson:eth.rtl8139,mean=1us", Storm{}, false},
+		{"correlated:eth.rtl8139,every=1ms", Storm{Kind: "correlated", Driver: "eth.rtl8139", K: 2,
+			Interval: time.Millisecond, Mean: time.Second}, true},
+		{"poisson:eth.rtl8139,mean=1ms", Storm{Kind: "poisson", Driver: "eth.rtl8139", K: 2,
+			Interval: 2 * time.Second, Mean: time.Millisecond}, true},
 	}
 	for _, tc := range cases {
 		got, err := ParseStorm(tc.spec)

@@ -22,10 +22,12 @@ type Node struct {
 	Seed  int64  // per-node seed, derived from the fleet seed
 	Sys   *resilientos.System
 
-	// health is the snapshot taken at the last lockstep barrier. Routing
-	// decisions between barriers read this, never live RS state, so
-	// results cannot depend on the order nodes were advanced in.
-	health resilientos.Health
+	// health is the sample the fleet loop adopted at its last barrier, and
+	// degraded whether that sample showed the node mid-recovery or warming
+	// up. Routing decisions between barriers read this, never live RS
+	// state, so results cannot depend on the order nodes were advanced in.
+	health   resilientos.Health
+	degraded bool
 
 	// inflight is the number of requests currently dispatched to this
 	// node (the least-loaded policy's signal).
@@ -39,17 +41,39 @@ type Node struct {
 	kills      int
 	injections int
 
-	// seenEvents is how many RS recovery events were folded into the
-	// warmup state so far; warmupUntil tracks, per service class, when the
-	// class is trusted again after a recovery. Driver restart itself is
-	// near-instant in virtual time, but the service built on it is not —
-	// the paper's measurements show network stalls of seconds (TCP
-	// retransmission backoff) after a NIC driver restart. The cluster's
-	// health channel models that as a fixed warmup window following each
-	// recovery's republish, the same hysteresis a real load balancer's
-	// health probes impose.
-	seenEvents  int
-	warmupUntil map[string]sim.Time
+	// Probe state, written only by whoever runs this node ahead (one
+	// lockstep worker at a time). rsHealth is System.Health as of
+	// rsVersion, and seenEvents how many RS recovery events were folded
+	// into the warmup deadlines so far: both move only when RS.Version
+	// does. A warmup deadline is when a service class is trusted again
+	// after a recovery. Driver restart itself is near-instant in virtual
+	// time, but the service built on it is not — the paper's measurements
+	// show network stalls of seconds (TCP retransmission backoff) after a
+	// NIC driver restart. The cluster's health channel models that as a
+	// fixed warmup window following each recovery's republish, the same
+	// hysteresis a real load balancer's health probes impose.
+	rsVersion  uint64
+	rsHealth   resilientos.Health
+	seenEvents int
+
+	netWarmUntil, diskWarmUntil, charWarmUntil sim.Time
+
+	// changes lists the boundaries of the last run-ahead at which the
+	// probe's answer differed from the boundary before, in time order;
+	// probed is the latest answer and adopted how many entries the fleet
+	// loop has taken over into health.
+	changes []healthChange
+	probed  healthChange
+	adopted int
+}
+
+// healthChange is one entry of a node's transition list: what the probe
+// at boundary at answered, recorded because the previous boundary's
+// answer was different.
+type healthChange struct {
+	at       sim.Time
+	health   resilientos.Health
+	degraded bool
 }
 
 // classOf maps a guarded service label to the fleet service class it
@@ -98,44 +122,86 @@ func newNode(index int, fleetSeed int64, withChar bool, p *perf.Profiler) *Node 
 			DisableChar: !withChar,
 			Perf:        p,
 		}),
-		injector:    fi.New(rand.New(rand.NewSource(seed ^ 0x5DEECE66D))),
-		warmupUntil: make(map[string]sim.Time, 3),
+		injector: fi.New(rand.New(rand.NewSource(seed ^ 0x5DEECE66D))),
 	}
 	return n
 }
 
-// sampleHealth refreshes the node's barrier health snapshot at barrier
-// time now, extending per-class warmup windows for any recovery episodes
-// since the previous barrier, and reports whether the node is degraded
-// (mid-recovery or warming up).
-func (n *Node) sampleHealth(now sim.Time) bool {
-	evs := n.Sys.RS.Events()
-	for _, ev := range evs[n.seenEvents:] {
-		cl := classOf(ev.Label)
-		if cl == "" || !ev.Recovered {
-			continue
-		}
-		if end := ev.Time + ev.Duration + warmup; end > n.warmupUntil[cl] {
-			n.warmupUntil[cl] = end
+// probe answers a health probe at the member's boundary time now: the RS
+// view of every service class, minus the classes still inside their
+// post-recovery warmup, and whether the node is degraded (mid-recovery or
+// warming up). RS state and its event log are written only by RS's own
+// process (kills arrive through its message loop), so while RS.Version
+// stands still there is nothing to re-read and the probe is a few
+// comparisons; when it moved, the snapshot is retaken and the new tail of
+// the event log extends the warmup deadlines.
+func (n *Node) probe(now sim.Time) (h resilientos.Health, degraded bool) {
+	if v := n.Sys.RS.Version(); v != n.rsVersion {
+		n.rsVersion = v
+		n.rsHealth = n.Sys.Health()
+		tail := n.Sys.RS.EventsSince(n.seenEvents)
+		n.seenEvents += len(tail)
+		for _, ev := range tail {
+			if !ev.Recovered {
+				continue
+			}
+			var until *sim.Time
+			switch classOf(ev.Label) {
+			case resilientos.ClassNet:
+				until = &n.netWarmUntil
+			case resilientos.ClassDisk:
+				until = &n.diskWarmUntil
+			case resilientos.ClassChar:
+				until = &n.charWarmUntil
+			default:
+				continue
+			}
+			if end := ev.Time + ev.Duration + warmup; end > *until {
+				*until = end
+			}
 		}
 	}
-	n.seenEvents = len(evs)
-	h := n.Sys.Health()
+	h = n.rsHealth
 	warming := false
-	if now < n.warmupUntil[resilientos.ClassNet] {
+	if now < n.netWarmUntil {
 		h.NetOK = false
 		warming = true
 	}
-	if now < n.warmupUntil[resilientos.ClassDisk] {
+	if now < n.diskWarmUntil {
 		h.DiskOK = false
 		warming = true
 	}
-	if now < n.warmupUntil[resilientos.ClassChar] {
+	if now < n.charWarmUntil {
 		h.CharOK = false
 		warming = true
 	}
-	n.health = h
-	return warming || h.Recovering > 0
+	return h, warming || h.Recovering > 0
+}
+
+// runAhead advances the member through the slice boundaries first,
+// first+slice, ... to, probing at each one exactly as a fleet that stopped
+// there would, and leaves the answers that differ from their predecessor
+// in changes for the fleet loop to adopt as its own clock passes them.
+// It touches only this node, so nodes run ahead concurrently.
+func (n *Node) runAhead(first, to sim.Time) {
+	n.changes, n.adopted = n.changes[:0], 0
+	for t := first; t <= to; t += slice {
+		n.Sys.Env.RunUntil(t)
+		h, degraded := n.probe(t)
+		if h != n.probed.health || degraded != n.probed.degraded {
+			n.probed = healthChange{at: t, health: h, degraded: degraded}
+			n.changes = append(n.changes, n.probed)
+		}
+	}
+}
+
+// adopt makes the probe answer for boundary t the node's routing health.
+func (n *Node) adopt(t sim.Time) {
+	for n.adopted < len(n.changes) && n.changes[n.adopted].at <= t {
+		ch := n.changes[n.adopted]
+		n.health, n.degraded = ch.health, ch.degraded
+		n.adopted++
+	}
 }
 
 // Health returns the node's last barrier snapshot.

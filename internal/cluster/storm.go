@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -64,6 +65,32 @@ func (s Storm) String() string {
 	return s.Kind
 }
 
+// minStormGap is the shortest strike spacing a storm may ask for. Every
+// strike is a fleet event, so a nanosecond interval would be 10⁹ of them
+// per virtual second; the Poisson arm clamps its drawn gaps to the same
+// floor.
+const minStormGap = time.Millisecond
+
+// validate rejects a schedule that cannot run: an unknown kind, or a
+// strike spacing below minStormGap (zero and negative included). Whether
+// the victim exists is Boot's question, which has the members to ask.
+func (s Storm) validate() error {
+	switch s.Kind {
+	case "", "none":
+	case "correlated":
+		if s.Interval < minStormGap {
+			return fmt.Errorf("cluster: storm interval %s is below %s", s.Interval, minStormGap)
+		}
+	case "poisson":
+		if s.Mean < minStormGap {
+			return fmt.Errorf("cluster: storm mean %s is below %s", s.Mean, minStormGap)
+		}
+	default:
+		return fmt.Errorf("cluster: unknown storm kind %q (want none, correlated, or poisson)", s.Kind)
+	}
+	return nil
+}
+
 // ParseStorm parses a storm spec:
 //
 //	none
@@ -80,9 +107,6 @@ func ParseStorm(spec string) (Storm, error) {
 		return s, nil
 	}
 	kind, rest, _ := strings.Cut(spec, ":")
-	if kind != "correlated" && kind != "poisson" {
-		return s, fmt.Errorf("cluster: unknown storm kind %q (want none, correlated, or poisson)", kind)
-	}
 	s.Kind = kind
 	for i, tok := range strings.Split(rest, ",") {
 		tok = strings.TrimSpace(tok)
@@ -106,13 +130,13 @@ func ParseStorm(spec string) (Storm, error) {
 			s.K = n
 		case "every":
 			d, err := time.ParseDuration(val)
-			if err != nil || d <= 0 {
+			if err != nil {
 				return s, fmt.Errorf("cluster: bad storm interval %q", val)
 			}
 			s.Interval = d
 		case "mean":
 			d, err := time.ParseDuration(val)
-			if err != nil || d <= 0 {
+			if err != nil {
 				return s, fmt.Errorf("cluster: bad storm mean %q", val)
 			}
 			s.Mean = d
@@ -129,12 +153,18 @@ func ParseStorm(spec string) (Storm, error) {
 			return s, fmt.Errorf("cluster: unknown storm key %q", key)
 		}
 	}
-	return s, nil
+	return s, s.validate()
 }
 
 // strike damages the victim driver on one node according to the storm's
-// fault mode.
+// fault mode. It is the fleet's only reach into a member, so it is where
+// the run-ahead rule is held: the member must not have passed the slice
+// boundary just before the strike's instant.
 func (c *Cluster) strike(n *Node, s Storm) {
+	if at, limit := n.Sys.Env.Now(), boundaryBefore(c.fleet.Now()); at > limit {
+		panic(fmt.Sprintf("cluster: %s stands at %s, past %s, for a strike at %s",
+			n.Name, at, limit, c.fleet.Now()))
+	}
 	switch s.Mode {
 	case ModeInject:
 		if n.inject(s.Driver) {
@@ -146,14 +176,40 @@ func (c *Cluster) strike(n *Node, s Storm) {
 	}
 }
 
+// noStrike is the next-strike instant of a fleet nothing will strike.
+const noStrike = sim.Time(math.MaxInt64)
+
+// boundaryBefore returns the last slice boundary strictly before the
+// instant s > 0 — (ceil(s/slice)-1)·slice, where a member stands when a
+// fleet event at s reaches it.
+func boundaryBefore(s sim.Time) sim.Time { return (s - 1) / slice * slice }
+
+// nextStrike returns the earliest instant at which a scheduled strike can
+// still land. Every chain of strikes publishes the instant of its next
+// one in its strikeAt slot the moment it schedules it, and nothing else
+// in the fleet reaches into a member, so members may run up to the
+// boundary before this instant without being asked.
+func (c *Cluster) nextStrike() sim.Time {
+	next := noStrike
+	for _, at := range c.strikeAt {
+		if at < next {
+			next = at
+		}
+	}
+	return next
+}
+
 // startStorm schedules the storm on the fleet clock. Returned tickers and
 // events live until the fleet env drains; the campaign horizon bounds
-// them naturally.
+// them naturally (a chain's slot goes stale only once it is past until,
+// where the drain no longer looks ahead).
 func (c *Cluster) startStorm(s Storm, until sim.Time) {
 	switch s.Kind {
 	case "correlated":
+		c.strikeAt = []sim.Time{c.fleet.Now() + s.Interval}
 		wave := 0
 		c.fleet.Tick(s.Interval, func() {
+			c.strikeAt[0] = c.fleet.Now() + s.Interval
 			if c.fleet.Now() > until {
 				return
 			}
@@ -172,12 +228,14 @@ func (c *Cluster) startStorm(s Storm, until sim.Time) {
 		// One exponential arrival chain per node, driven by a dedicated
 		// RNG so storm draws never interleave with request-path draws.
 		rng := rand.New(rand.NewSource(c.cfg.Seed ^ 0x53746F726D)) // "Storm"
+		c.strikeAt = make([]sim.Time, len(c.nodes))
 		var arm func(n *Node)
 		arm = func(n *Node) {
 			gap := time.Duration(rng.ExpFloat64() * float64(s.Mean))
-			if gap < time.Millisecond {
-				gap = time.Millisecond
+			if gap < minStormGap {
+				gap = minStormGap
 			}
+			c.strikeAt[n.Index] = c.fleet.Now() + gap
 			c.fleet.Schedule(gap, func() {
 				if c.fleet.Now() > until {
 					return

@@ -403,6 +403,12 @@ func (rs *RS) Endpoint() kernel.Endpoint { return rs.ctx.Endpoint() }
 // Events returns a copy of the recovery event log.
 func (rs *RS) Events() []Event { return append([]Event(nil), rs.events...) }
 
+// EventsSince returns the recovery events logged after the first n, as a
+// read-only view of the log itself: entries are appended and never
+// rewritten, so a caller that remembers how many it has seen pays for the
+// new ones only (the fleet's per-boundary health probe).
+func (rs *RS) EventsSince(n int) []Event { return rs.events[n:len(rs.events):len(rs.events)] }
+
 // Alerts returns a copy of the failure alerts sent by policy scripts.
 func (rs *RS) Alerts() []Alert { return append([]Alert(nil), rs.alerts...) }
 
@@ -416,6 +422,21 @@ func (rs *RS) ServiceEndpoint(label string) kernel.Endpoint {
 		return svc.ep
 	}
 	return kernel.None
+}
+
+// Guards reports whether label names a service RS guards, or has been
+// asked to start once its process first runs — so a caller can tell a
+// mistyped label from a real one before the simulation has taken a step.
+func (rs *RS) Guards(label string) bool {
+	if _, ok := rs.services[label]; ok {
+		return true
+	}
+	for _, req := range rs.pending {
+		if req.kind == "start" && req.cfg.Label == label {
+			return true
+		}
+	}
+	return false
 }
 
 // ServiceInfo is a read-only snapshot of one guarded service, for the

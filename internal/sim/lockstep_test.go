@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -80,4 +81,50 @@ func TestLockstepWorkerIndependence(t *testing.T) {
 	if want == "" {
 		t.Fatal("empty transcript")
 	}
+}
+
+// Each hands every member to fn exactly once, whatever the pool size, in
+// member order when there is one worker, and the perf hooks bracket the
+// whole call once — not once per member or per worker.
+func TestLockstepEach(t *testing.T) {
+	const n = 5
+	for _, workers := range []int{1, 2, 8} {
+		envs := make([]*Env, n)
+		for i := range envs {
+			envs[i] = NewEnv(int64(i + 1))
+			defer envs[i].Close()
+		}
+		ls := NewLockstep(workers, envs...)
+		begins, ends := 0, 0
+		ls.SetPerfHooks(func() { begins++ }, func() { ends++ })
+
+		var visits [n]atomic.Int32
+		var order []int // appended only under workers == 1
+		ls.Each(func(i int, e *Env) {
+			if e != envs[i] {
+				t.Errorf("workers=%d: index %d came with another member's env", workers, i)
+			}
+			visits[i].Add(1)
+			if workers == 1 {
+				order = append(order, i)
+			}
+			e.RunUntil(Time(i+1) * time.Millisecond)
+		})
+		for i := range visits {
+			if got := visits[i].Load(); got != 1 {
+				t.Errorf("workers=%d: member %d visited %d times", workers, i, got)
+			}
+			if want := Time(i+1) * time.Millisecond; envs[i].Now() != want {
+				t.Errorf("workers=%d: member %d at %v, want %v", workers, i, envs[i].Now(), want)
+			}
+		}
+		if workers == 1 && fmt.Sprint(order) != "[0 1 2 3 4]" {
+			t.Errorf("one worker visited members in order %v", order)
+		}
+		if begins != 1 || ends != 1 {
+			t.Errorf("workers=%d: perf hooks fired %d/%d times around one call", workers, begins, ends)
+		}
+	}
+	// No members: nothing to call, nothing to wait for.
+	NewLockstep(4).Each(func(int, *Env) { t.Error("fn called for an empty lockstep") })
 }

@@ -167,8 +167,9 @@ type System struct {
 	VFS        *vfs.Server
 	RAMStore   *ramdisk.Store
 
-	cfg Config
-	vms map[string]*ucode.VM // live driver VMs, by label
+	cfg    Config
+	vms    map[string]*ucode.VM // live driver VMs, by label
+	svcBuf []core.ServiceInfo   // Health's reused RS snapshot
 }
 
 // New boots a system. It panics only on configuration bugs (boot is a
@@ -538,12 +539,11 @@ func (h Health) OK(class string) bool {
 // running, not mid-recovery, and not abandoned; subsystems that were
 // disabled at boot report unhealthy.
 func (sys *System) Health() Health {
-	h := Health{NetOK: !sys.cfg.DisableNet, DiskOK: !sys.cfg.DisableDisk,
-		CharOK: !sys.cfg.DisableChar}
-	up := make(map[string]bool)
-	for _, s := range sys.RS.Services() {
-		ok := s.Running && !s.Recovering && !s.GaveUp && !s.Stopped
-		up[s.Label] = ok
+	var h Health
+	var net, disk, char int // serving components on each class's path
+	sys.svcBuf = sys.RS.ServicesInto(sys.svcBuf[:0])
+	for i := range sys.svcBuf {
+		s := &sys.svcBuf[i]
 		if s.Recovering {
 			h.Recovering++
 		}
@@ -551,10 +551,21 @@ func (sys *System) Health() Health {
 			h.GaveUp++
 		}
 		h.Failures += s.Failures
+		if !s.Running || s.Recovering || s.GaveUp || s.Stopped {
+			continue
+		}
+		switch s.Label {
+		case ServerInet, DriverRTL8139:
+			net++
+		case ServerVFS, ServerMFS, DriverSATA:
+			disk++
+		case DriverAudio, DriverPrinter, DriverBurner:
+			char++
+		}
 	}
-	h.NetOK = h.NetOK && up[ServerInet] && up[DriverRTL8139]
-	h.DiskOK = h.DiskOK && up[ServerVFS] && up[ServerMFS] && up[DriverSATA]
-	h.CharOK = h.CharOK && up[DriverAudio] && up[DriverPrinter] && up[DriverBurner]
+	h.NetOK = !sys.cfg.DisableNet && net == 2
+	h.DiskOK = !sys.cfg.DisableDisk && disk == 3
+	h.CharOK = !sys.cfg.DisableChar && char == 3
 	return h
 }
 
