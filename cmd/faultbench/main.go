@@ -1,16 +1,16 @@
 // Command faultbench runs software fault-injection campaigns against the
 // simulated OS.
 //
-// It shards a seed × victim-driver × fault-class matrix across a pool of
-// workers, each running an independent deterministic simulation
+// It shards a seed × victim-driver × fault-class matrix across the CPUs
+// (GOMAXPROCS workers), each cell an independent deterministic simulation
 // (internal/campaign). The merged report — the paper-style
 // §7.2 table plus per-fault-type recovery-latency histograms — is
-// byte-identical for any -workers value. With -invariants every cell
+// byte-identical on any number of them. With -invariants every cell
 // runs the live invariant checker (internal/check) after every scheduler
 // step; a violation dumps the cell's seed, the last mutated instruction,
 // and the last K trace events, and faultbench exits nonzero.
 //
-//	faultbench -matrix seeds=8,per-cell=25 -workers 4 -invariants
+//	faultbench -matrix seeds=8,per-cell=25 -invariants
 //	faultbench -matrix seeds=2,victims=eth.dp8390,faults=bit-flip
 //
 // The paper's own §7.2 run is a one-cell matrix; hw=on adds the real-card gate:
@@ -45,7 +45,6 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("faultbench", flag.ContinueOnError)
 	matrix := fs.String("matrix", "", campaign.SpecUsage)
-	workers := fs.Int("workers", 1, "worker pool size (output is identical for any value)")
 	invariants := fs.Bool("invariants", false, "run the live invariant checker in every cell")
 	traceTail := fs.Int("trace-tail", 32, "trace events kept per cell for violation repro dumps")
 	quiet := fs.Bool("q", false, "suppress per-cell progress")
@@ -58,7 +57,6 @@ func run(args []string) error {
 	if err != nil {
 		return fmt.Errorf("-matrix: %v", err)
 	}
-	cfg.Workers = *workers
 	cfg.Invariants = *invariants
 	cfg.TraceTail = *traceTail
 	if !*quiet {
@@ -71,7 +69,7 @@ func run(args []string) error {
 	rep := campaign.Run(cfg)
 	rep.Render(os.Stdout)
 	wall := time.Since(start)
-	fmt.Printf("\nwall clock: %v (workers=%d)\n", wall.Round(time.Millisecond), cfg.Workers)
+	fmt.Printf("\nwall clock: %v\n", wall.Round(time.Millisecond))
 	if *benchJSON != "" {
 		if err := bench.WriteFile(*benchJSON, benchDoc(rep)); err != nil {
 			return err
@@ -86,7 +84,7 @@ func run(args []string) error {
 
 // benchDoc is the campaign's bench document: the matrix shape as
 // parameters, then totals and per-fault-type counts and recovery
-// latencies, identical for any -workers value.
+// latencies, identical for any worker count.
 func benchDoc(rep *campaign.Report) bench.Doc {
 	doc := bench.New("faultbench", map[string]string{
 		"seeds":           strconv.Itoa(len(rep.Config.Seeds)),

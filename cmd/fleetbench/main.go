@@ -3,11 +3,12 @@
 // replicated service under fault storms (internal/cluster).
 //
 // Every node is a full simulated OS — microkernel, reincarnation server,
-// drivers — run in parallel from one storm strike to the next; a
-// fleet-level event loop routes synthetic requests with a pluggable
-// policy while the storm driver kills (or SWIFI-mutates) the same driver
-// on several nodes at once, or Poisson-faults nodes independently.
-// Output is byte-reproducible from -seed for any -workers value.
+// drivers — and the nodes run their whole campaign in parallel, one per
+// CPU (GOMAXPROCS); a fleet-level event loop then routes synthetic
+// requests with a pluggable policy over what they went through: a storm
+// that kills (or SWIFI-mutates) the same driver on several nodes at once,
+// or Poisson-faults nodes independently.
+// Output is byte-reproducible from -seed on any number of CPUs.
 //
 // The load is always a workload spec (internal/workload): by default the
 // built-in "classic" one (-rps Poisson requests a second, 3 net : 1
@@ -15,8 +16,7 @@
 // populations, arrival processes (Poisson, Gamma, Weibull, fixed-rate),
 // diurnal rate modulation, sizes, and SLO budgets. -record pins the
 // generated arrival sequence as a tracev2 JSONL file and -replay
-// re-drives exactly that sequence, byte-identical for any -workers
-// value.
+// re-drives exactly that sequence, byte for byte.
 //
 //	fleetbench -nodes 4 -policy failure-aware -storm correlated:eth.rtl8139,k=2,every=1s
 //	fleetbench -policy round-robin -storm poisson:disk.sata,mean=800ms,mode=inject
@@ -66,7 +66,6 @@ func run(args []string) error {
 	window := fs.Duration("window", 250*time.Millisecond, "availability window width")
 	rps := fs.Float64("rps", 200, "fleet-wide request rate per virtual second of the built-in \"classic\"\n"+
 		"workload (workload.Classic: Poisson, 3 net : 1 disk)")
-	workers := fs.Int("workers", 1, "node-advance parallelism (output is identical for any value)")
 	compare := fs.Bool("compare", false, "run every policy under the same storm and print a comparison table\n"+
 		"(-bench-json then holds one policy/<name>/ group per policy)")
 	csvPath := fs.String("csv", "", "write the fleet window series (timeseries CSV) to this file")
@@ -88,14 +87,10 @@ func run(args []string) error {
 	if *nodes < 1 {
 		return fmt.Errorf("fleetbench: -nodes %d: a fleet has at least one node", *nodes)
 	}
-	if *workers < 1 {
-		return fmt.Errorf("fleetbench: -workers %d: at least one worker advances the nodes", *workers)
-	}
 	cfg := cluster.Config{
-		Nodes:   *nodes,
-		Seed:    *seed,
-		Window:  *window,
-		Workers: *workers,
+		Nodes:  *nodes,
+		Seed:   *seed,
+		Window: *window,
 	}
 	st, err := cluster.ParseStorm(*storm)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -42,8 +43,6 @@ func TestBadFlags(t *testing.T) {
 		{"storm interval below a millisecond", []string{"-storm", "correlated:eth.rtl8139,every=1ns", "-horizon", "1s"}, "-storm correlated:eth.rtl8139,every=1ns"},
 		{"nodes zero", []string{"-nodes", "0", "-horizon", "1s"}, "-nodes 0"},
 		{"nodes negative", []string{"-nodes", "-3", "-horizon", "1s"}, "-nodes -3"},
-		{"workers negative", []string{"-workers", "-1", "-horizon", "1s"}, "-workers -1"},
-		{"workers zero", []string{"-workers", "0", "-horizon", "1s"}, "-workers 0"},
 		{"rps NaN", []string{"-rps", "NaN", "-horizon", "1s"}, "-rps NaN"},
 		{"rps +Inf", []string{"-rps", "+Inf", "-horizon", "1s"}, "-rps +Inf"},
 		{"rps zero", []string{"-rps", "0", "-horizon", "1s"}, "-rps 0"},
@@ -73,10 +72,11 @@ func TestBadFlags(t *testing.T) {
 }
 
 // goldenArgs are the campaign flags every golden run shares; only the
-// workload source and worker count vary.
-func goldenArgs(dir string, workers string) []string {
+// workload source and the number of CPUs (GOMAXPROCS, which is the worker
+// count) vary.
+func goldenArgs(dir string) []string {
 	return []string{
-		"-nodes", "3", "-seed", "11", "-workers", workers,
+		"-nodes", "3", "-seed", "11",
 		"-storm", "correlated:eth.rtl8139,k=1,every=1500ms",
 		"-window", "200ms",
 		"-csv", filepath.Join(dir, "fleet.csv"),
@@ -95,8 +95,8 @@ func readFile(t *testing.T, path string) []byte {
 
 // TestGoldenReplay is the pinned-campaign regression test: the seed-11
 // mixed-class spec records a golden trace, the recording run's outputs
-// match the checked-in goldens, and replaying the golden trace at
-// workers 1, 2, and 8 reproduces them byte for byte. Run with -update
+// match the checked-in goldens, and replaying the golden trace on 1, 2,
+// and 8 CPUs reproduces them byte for byte. Run with -update
 // to regenerate testdata after an intentional change.
 func TestGoldenReplay(t *testing.T) {
 	const (
@@ -107,7 +107,7 @@ func TestGoldenReplay(t *testing.T) {
 
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "trace.jsonl")
-	args := append(goldenArgs(dir, "1"),
+	args := append(goldenArgs(dir),
 		"-workload", "testdata/workload_seed11.json", "-record", tracePath)
 	if err := run(args); err != nil {
 		t.Fatalf("record run: %v", err)
@@ -138,17 +138,19 @@ func TestGoldenReplay(t *testing.T) {
 		t.Error("recording run bench doc differs from golden")
 	}
 
-	for _, workers := range []string{"1", "2", "8"} {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
 		rdir := t.TempDir()
-		args := append(goldenArgs(rdir, workers), "-replay", goldenTrace)
+		args := append(goldenArgs(rdir), "-replay", goldenTrace)
 		if err := run(args); err != nil {
-			t.Fatalf("replay workers=%s: %v", workers, err)
+			t.Fatalf("replay GOMAXPROCS=%d: %v", procs, err)
 		}
 		if !bytes.Equal(readFile(t, filepath.Join(rdir, "fleet.csv")), wantCSV) {
-			t.Errorf("replay workers=%s: CSV differs from golden", workers)
+			t.Errorf("replay GOMAXPROCS=%d: CSV differs from golden", procs)
 		}
 		if !bytes.Equal(readFile(t, filepath.Join(rdir, "BENCH_fleet.json")), wantBench) {
-			t.Errorf("replay workers=%s: bench doc differs from golden", workers)
+			t.Errorf("replay GOMAXPROCS=%d: bench doc differs from golden", procs)
 		}
 	}
 }
@@ -174,7 +176,7 @@ func checkGolden(t *testing.T, got, golden string) {
 // TestFleetSmokeGolden runs CI's fleet-smoke campaign through the CLI,
 // byte-compares the bench document it writes with the committed golden,
 // and holds -record to its contract on the built-in workload: replaying
-// the recording at another -workers value reproduces every output.
+// the recording on another number of CPUs reproduces every output.
 func TestFleetSmokeGolden(t *testing.T) {
 	outputs := func(dir string) []string {
 		return []string{
@@ -183,6 +185,7 @@ func TestFleetSmokeGolden(t *testing.T) {
 			"-bench-json", filepath.Join(dir, "BENCH_fleet.json"),
 		}
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	dir, rdir := t.TempDir(), t.TempDir()
 	trace := filepath.Join(dir, "classic.jsonl")
 	args := append(append([]string{"-horizon", "6s", "-policy", "failure-aware", "-record", trace}, smokeArgs...), outputs(dir)...)
@@ -193,7 +196,8 @@ func TestFleetSmokeGolden(t *testing.T) {
 
 	// The trace carries the horizon and the load; storm, fleet and policy
 	// are campaign flags a replay repeats.
-	args = append(append([]string{"-workers", "4", "-replay", trace}, smokeArgs...), outputs(rdir)...)
+	runtime.GOMAXPROCS(4)
+	args = append(append([]string{"-replay", trace}, smokeArgs...), outputs(rdir)...)
 	if err := run(args); err != nil {
 		t.Fatalf("replay: %v", err)
 	}
@@ -203,7 +207,7 @@ func TestFleetSmokeGolden(t *testing.T) {
 			t.Fatalf("%s not written", name)
 		}
 		if !bytes.Equal(readFile(t, filepath.Join(rdir, name)), want) {
-			t.Errorf("replay at -workers 4: %s differs from the recording run's", name)
+			t.Errorf("replay at GOMAXPROCS=4: %s differs from the recording run's", name)
 		}
 	}
 }

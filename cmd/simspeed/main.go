@@ -5,7 +5,7 @@
 //   - fig7: the Fig. 7 wget transfer under periodic driver kills, with
 //     the full observability stack attached (trace recorder with spans,
 //     windowed sampler, live invariant checker, decision log);
-//   - fleet: a 4-node lockstep cluster under a correlated kill storm;
+//   - fleet: a 4-node cluster under a correlated kill storm;
 //   - campaign: a SWIFI campaign shard (one seed, one victim).
 //
 // Each scenario runs twice: instrumented (obs stack on) and bare (nil
@@ -15,7 +15,7 @@
 // It reports only what a run this short can resolve: scheduler events
 // instrumented and bare, trace events emitted, virtual time simulated,
 // and per region (scheduler step, kernel IPC, ucode VM, obs recording,
-// invariant checker, decision log, timeseries rollovers, lockstep
+// invariant checker, decision log, timeseries rollovers, fleet
 // barrier) the entry and alloc-sample counts. All of it is a function of
 // the seed: the same code must execute the same events, so the seed-1
 // document is committed (testdata/BENCH_simspeed_seed1.json) and any
@@ -247,7 +247,7 @@ func runFig7(o options, instrumented bool) (*perf.Profiler, []byte) {
 	return p, folded
 }
 
-// runFleet is the lockstep scenario: a correlated kill storm over a
+// runFleet is the fleet scenario: a correlated kill storm over a
 // small fleet, exercising the barrier region and many sequentially
 // advanced member environments sharing one profiler. The fleet's
 // recorder and sampler are structural (the report is built from them),

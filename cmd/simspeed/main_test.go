@@ -83,7 +83,7 @@ func TestBatteryExactCounts(t *testing.T) {
 		t.Error("invariant checker region never entered")
 	}
 	if value("fleet/region/barrier/entries") == 0 {
-		t.Error("lockstep barrier region never entered")
+		t.Error("fleet barrier region never entered")
 	}
 	if !bytes.Contains(folded, []byte("wall:")) {
 		t.Error("fig7 folded stacks lack the wall-clock plane")

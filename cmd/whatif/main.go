@@ -8,7 +8,7 @@
 // override re-runs the identical campaign with one knob set changed and
 // the paper-style table reports the deltas. Because every cell is an
 // independent seeded simulation, the whole sweep — table and decision
-// logs — is byte-identical across runs and for any -workers value.
+// logs — is byte-identical across runs and on any number of CPUs.
 //
 //	whatif                                  # default sweep, seed 11
 //	whatif -matrix seed=3;7,victims=eth.dp8390 -override hb=250ms -override budget=1
@@ -60,8 +60,7 @@ type variant struct {
 
 // runCampaign executes one campaign with the decision trace and the live
 // checker on.
-func runCampaign(cfg campaign.Config, workers int, progress func(done, total int)) (*campaign.Report, error) {
-	cfg.Workers = workers
+func runCampaign(cfg campaign.Config, progress func(done, total int)) (*campaign.Report, error) {
 	cfg.Invariants = true
 	cfg.Decisions = true
 	cfg.Progress = progress
@@ -90,7 +89,6 @@ func run(args []string) error {
 	matrix := fs.String("matrix", "", "baseline campaign, applied on top of "+baselineSpec+"\n"+campaign.SpecUsage)
 	var overrides multiFlag
 	fs.Var(&overrides, "override", "counterfactual spec applied on top of the baseline, e.g. hb=250ms,budget=1 (repeatable; default sweep: hb=250ms / backoff=4s / budget=1 / policy=off / mech=microreboot / mech=standby)")
-	workers := fs.Int("workers", 1, "worker pool size (output is identical for any value)")
 	record := fs.String("record", "", "write the baseline decision log (spec header + JSONL) to this file")
 	replay := fs.String("replay", "", "re-run the campaign recorded in this file and byte-compare its decision log before sweeping")
 	benchJSON := fs.String("bench-json", "", "write the machine-readable result (internal/bench document) to this file")
@@ -157,7 +155,7 @@ func run(args []string) error {
 		}
 	}
 
-	baseRep, err := runCampaign(base, *workers, progress("baseline"))
+	baseRep, err := runCampaign(base, progress("baseline"))
 	if err != nil {
 		return err
 	}
@@ -179,7 +177,7 @@ func run(args []string) error {
 	variants := []variant{{name: "baseline", rep: baseRep, sum: latencySummary(baseRep)}}
 	for i, cfg := range counterfactuals {
 		name := strings.ReplaceAll(overrides[i], " ", "")
-		rep, err := runCampaign(cfg, *workers, progress(name))
+		rep, err := runCampaign(cfg, progress(name))
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,6 @@
 // Package campaign shards a large SWIFI (software-implemented fault
 // injection) campaign — the seed × fault-type × victim-driver matrix of
-// paper §7.2 — across a pool of workers, each running its own fully
+// paper §7.2 — across the workers of sim.Each, each cell its own fully
 // independent deterministic simulation. Because every cell is a separate
 // virtual machine with its own seeded scheduler, cells parallelize
 // perfectly, and because results are merged in cell-index order, the
@@ -69,8 +69,8 @@ type Config struct {
 	FaultTypes []fi.FaultType
 	// FaultsPerCell is how many faults each cell injects (default 10).
 	FaultsPerCell int
-	// Workers sizes the worker pool (default 1). Output is identical for
-	// any value.
+	// Workers sizes the worker pool (default: see sim.Each). Output is
+	// identical for any value.
 	Workers int
 	// Invariants attaches the live checker to every cell.
 	Invariants bool
@@ -122,9 +122,6 @@ func (cfg *Config) fill() {
 	}
 	if cfg.FaultsPerCell <= 0 {
 		cfg.FaultsPerCell = 10
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
 	}
 	if cfg.Perf != nil {
 		cfg.Workers = 1
@@ -206,39 +203,15 @@ func Run(cfg Config) *Report {
 		mu   sync.Mutex
 		done int
 	)
-	finish := func(i int, r CellResult) {
-		results[i] = r
+	sim.Each(cfg.Workers, len(cells), func(i int) {
+		results[i] = runCell(cells[i], cfg)
 		if cfg.Progress != nil {
 			mu.Lock()
 			done++
 			cfg.Progress(done, len(cells))
 			mu.Unlock()
 		}
-	}
-
-	if cfg.Workers == 1 || len(cells) <= 1 {
-		for i, c := range cells {
-			finish(i, runCell(c, cfg))
-		}
-		return merge(cfg, results)
-	}
-
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				finish(i, runCell(cells[i], cfg))
-			}
-		}()
-	}
-	for i := range cells {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	})
 	return merge(cfg, results)
 }
 

@@ -60,17 +60,27 @@ func testConfig(workers int) Config {
 
 // TestWorkersByteIdentical is the campaign's core determinism contract:
 // the rendered report of a sharded run must be byte-identical no matter
-// how many workers executed it.
+// how many workers of the shared pool (sim.Each) executed it, and every
+// cell reports its completion once.
 func TestWorkersByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-cell campaign in -short mode")
 	}
-	var seq, par bytes.Buffer
+	var seq bytes.Buffer
 	Run(testConfig(1)).Render(&seq)
-	Run(testConfig(8)).Render(&par)
-	if !bytes.Equal(seq.Bytes(), par.Bytes()) {
-		t.Fatalf("-workers=1 and -workers=8 reports differ:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s",
-			seq.String(), par.String())
+	for _, workers := range []int{2, 8} {
+		cfg := testConfig(workers)
+		var calls []int
+		cfg.Progress = func(done, total int) { calls = append(calls, done) } // serialized by Run
+		var par bytes.Buffer
+		Run(cfg).Render(&par)
+		if !bytes.Equal(seq.Bytes(), par.Bytes()) {
+			t.Fatalf("workers=1 and workers=%d reports differ:\n--- workers=1 ---\n%s\n--- workers=%d ---\n%s",
+				workers, seq.String(), workers, par.String())
+		}
+		if fmt.Sprint(calls) != "[1 2 3 4]" {
+			t.Errorf("workers=%d: progress reported %v, want one call per cell, counting up", workers, calls)
+		}
 	}
 }
 
@@ -160,7 +170,7 @@ func TestDecisionLogWorkerIndependent(t *testing.T) {
 
 	a, b := decision.Encode(seq.DecisionLog), decision.Encode(par.DecisionLog)
 	if !bytes.Equal(a, b) {
-		t.Fatalf("-workers=1 and -workers=8 decision logs differ (%d vs %d bytes)", len(a), len(b))
+		t.Fatalf("workers=1 and workers=8 decision logs differ (%d vs %d bytes)", len(a), len(b))
 	}
 	if len(seq.DecisionLog) == 0 {
 		t.Fatal("campaign with Decisions produced an empty log")

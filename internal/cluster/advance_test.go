@@ -8,11 +8,13 @@ import (
 
 	"resilientos"
 	"resilientos/internal/obs/timeseries"
+	"resilientos/internal/perf"
 	"resilientos/internal/sim"
 )
 
-// fingerprint is everything a campaign leaves behind that a run-ahead
-// could disturb: what the fleet reported, and where every member ended up.
+// fingerprint is everything a campaign leaves behind that letting the
+// members go first could disturb: what the fleet reported, and where every
+// member ended up.
 type fingerprint struct {
 	report, csv []byte
 	members     string // per member: RS event log, executed events, final clock
@@ -40,14 +42,15 @@ func runFingerprint(t *testing.T, cfg Config, sliceCadence bool) fingerprint {
 	return fp
 }
 
-// TestLookaheadMatchesSliceCadence holds the run-ahead to its reference:
-// a fleet that stops every member at every 5 ms boundary (sliceCadence,
-// how every campaign ran before members were let ahead). Reports, window
+// TestOneSectionMatchesSliceCadence holds the two-phase campaign — every
+// member from boot to the end in one parallel section, then the fleet loop
+// — to its reference: a fleet whose members and fleet loop alternate at
+// every 5 ms boundary (sliceCadence, what the drain does). Reports, window
 // series and each member's recovery log, event count and clock must be
 // the same bytes for every storm shape — strikes on slice multiples, off
 // them, several per slice, per-node Poisson chains, SWIFI injection, none
 // — and any worker count.
-func TestLookaheadMatchesSliceCadence(t *testing.T) {
+func TestOneSectionMatchesSliceCadence(t *testing.T) {
 	const nic = resilientos.DriverRTL8139
 	storms := []Storm{
 		{Kind: "correlated", Driver: nic, K: 2, Interval: time.Second},
@@ -69,32 +72,39 @@ func TestLookaheadMatchesSliceCadence(t *testing.T) {
 				got := runFingerprint(t, cfg, false)
 				name := fmt.Sprintf("storm %s seed %d workers %d", storm, seed, workers)
 				if !bytes.Equal(got.report, want.report) {
-					t.Errorf("%s: report differs\nrun-ahead:\n%s\nslice cadence:\n%s", name, got.report, want.report)
+					t.Errorf("%s: report differs\none section:\n%s\nslice cadence:\n%s", name, got.report, want.report)
 				}
 				if !bytes.Equal(got.csv, want.csv) {
 					t.Errorf("%s: window CSV differs", name)
 				}
 				if got.members != want.members {
-					t.Errorf("%s: members differ\nrun-ahead:\n%s\nslice cadence:\n%s", name, got.members, want.members)
+					t.Errorf("%s: members differ\none section:\n%s\nslice cadence:\n%s", name, got.members, want.members)
 				}
 			}
 		}
 	}
 }
 
-// TestRunAheadIsLong: the point of the lookahead is few, long parallel
-// sections. Under a 1 s correlated storm a 4 s campaign is settle, one
-// section per strike interval and the (empty) tail — not 800 slices.
+// TestRunAheadIsLong: a member's campaign is one job. Whatever the storm,
+// the members run in one parallel section from boot to the end of the
+// storm phase, and after it only the drain brings them back, one section
+// per slice it lasts — not one per strike, let alone per slice. (Health-
+// blind routing under a storm whose last warmup outlasts the horizon
+// leaves bounced requests for the drain to wait on.)
 func TestRunAheadIsLong(t *testing.T) {
 	cfg := testConfig()
-	cfg.Storm = Storm{Kind: "correlated", Driver: resilientos.DriverRTL8139, K: 2, Interval: time.Second}
+	cfg.Storm = Storm{Kind: "correlated", Driver: resilientos.DriverRTL8139, K: 2, Interval: 700 * time.Millisecond}
+	cfg.Policy = &RoundRobin{}
+	cfg.Perf = perf.New()
 	c := New(cfg)
 	defer c.Close()
-	sections := 0
-	c.lock.SetPerfHooks(func() { sections++ }, func() {})
 	c.Run()
-	if slices := int(c.Now() / sim.Time(slice)); sections > 10 || slices < 1400 {
-		t.Fatalf("%d parallel sections over %d slices, want at most 10 over at least 1400", sections, slices)
+	drained := int((c.Now() - settle - sim.Time(cfg.Horizon)) / slice)
+	if drained < 1 || drained > 100 {
+		t.Fatalf("the drain took %d slices, want a short one", drained)
+	}
+	if got, want := cfg.Perf.Count(perf.RegionBarrier), uint64(1+drained); got != want {
+		t.Fatalf("%d parallel sections, want %d: one for the campaign and one per drain slice", got, want)
 	}
 }
 

@@ -5,19 +5,22 @@
 // buy a *service* when faults hit many machines at once?
 //
 // Every node is a full resilientos.System — its own microkernel,
-// reincarnation server, drivers, and seeded scheduler — advanced by
-// sim.Lockstep. A fleet-level event loop owns a separate clock on which
-// request arrivals, routing, storm strikes, and metric windows are
-// scheduled, and looks at the fleet every 5 ms slice. Requests are
-// synthetic here and never enter a member, so a storm strike is the only
-// thing the fleet ever does to one, and the instant of the next strike is
-// known when it is scheduled: members run ahead of the fleet clock, in
-// parallel, to the slice boundary just before that instant, each probing
-// its own health at every boundary on the way, and the fleet loop adopts
-// those answers as its clock passes them. Cluster-level logic therefore
-// reads exactly the node state it would have read by stopping every
-// member at every boundary, and a campaign is byte-reproducible from its
-// fleet seed regardless of how many workers advance the nodes.
+// reincarnation server, drivers, and seeded scheduler. A fleet-level event
+// loop owns a separate clock on which request arrivals, routing, and
+// metric windows are scheduled, and looks at the fleet every 5 ms slice.
+// Requests are synthetic here and never enter a member, so a storm strike
+// is the only thing the fleet ever does to one, and the storm is a pure
+// function of the fleet seed: Boot lists every member's strikes up front,
+// as the arrivals are. A member's run is then a function of its seed and
+// its strike list and of nothing else, so a campaign has two phases: the
+// members, as independent jobs of one sim.Each, run from boot to the end
+// of the campaign, each dealing itself its strikes and probing its own
+// health at every slice boundary into a transition list; then the fleet
+// loop runs alone and adopts those answers as its clock passes them.
+// Cluster-level logic therefore reads exactly the node state it would
+// have read by stopping every member at every boundary, and a campaign is
+// byte-reproducible from its fleet seed regardless of how many workers
+// run the members.
 package cluster
 
 import (
@@ -45,11 +48,11 @@ type Config struct {
 	Horizon time.Duration // request/storm phase length (default 12s)
 	Window  time.Duration // availability window width (default 250ms)
 
-	Workers int // node-advance parallelism; never changes results (default 1)
+	Workers int // members run in parallel; never changes results (default: see sim.Each)
 
 	// Perf, if set, attaches wall-clock telemetry (internal/perf) to the
-	// fleet clock, the lockstep barrier, and every member node. The
-	// profiler is single-threaded, so New forces Workers to 1 — which
+	// fleet clock, the members' parallel sections, and every member node.
+	// The profiler is single-threaded, so New forces Workers to 1 — which
 	// never changes results, only wall-clock speed.
 	Perf *perf.Profiler
 
@@ -108,9 +111,6 @@ func (cfg Config) fill() Config {
 	if rem := cfg.Horizon % cfg.Window; rem != 0 {
 		cfg.Horizon += cfg.Window - rem
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
-	}
 	if cfg.Perf != nil {
 		cfg.Workers = 1
 	}
@@ -132,8 +132,7 @@ type Cluster struct {
 	cfg    Config
 	policy Policy
 
-	fleet *sim.Env // fleet clock: arrivals, routing, storms, windows
-	lock  *sim.Lockstep
+	fleet *sim.Env // fleet clock: arrivals, routing, strike counts, windows
 	nodes []*Node
 
 	reg     *obs.Registry
@@ -145,20 +144,12 @@ type Cluster struct {
 	horizon sim.Time
 	classes []string
 
-	// Run-ahead state. Whenever the fleet loop looks, every member stands
-	// on the one slice boundary stand, at or ahead of the fleet clock.
-	// limit is as far as a run-ahead may go — the end of the phase in
-	// progress; the drain's end is not known in advance, so it stays
-	// behind the clock there and members go one slice at a time.
-	// strikeAt is what the storm publishes (see nextStrike).
-	stand    sim.Time
-	limit    sim.Time
-	strikeAt []sim.Time
-	// sliceCadence is a test hook: never run ahead, stop every member at
-	// every boundary — the reference the run-ahead is compared against.
+	// sliceCadence is a test hook: members and fleet loop alternate slice
+	// by slice through the whole campaign, as they do in the drain — the
+	// reference the one-section run is compared against.
 	sliceCadence bool
 
-	healthy map[string]int // barrier's per-class tally, reused
+	healthy map[string]int // tick's per-class tally, reused
 
 	nextReq      int64
 	outstanding  int64
@@ -167,15 +158,18 @@ type Cluster struct {
 	latencies    map[string][]sim.Time
 }
 
-// Boot boots a fleet; call Run to execute the campaign. It refuses a
-// storm that cannot run (see Storm.validate) or whose victim no member
-// guards: such a storm would count strikes that RS never delivers and
-// report a fleet that rode them out.
+// Boot boots a fleet and lists its storm; call Run to execute the
+// campaign. It refuses a storm that cannot run (see Storm.validate) or
+// whose victim no member guards: such a storm would count strikes that RS
+// never delivers and report a fleet that rode them out. A wave cannot hit
+// more nodes than there are, so K is clamped here, and the report names
+// the storm that ran.
 func Boot(cfg Config) (*Cluster, error) {
 	cfg = cfg.fill()
 	if err := cfg.Storm.validate(); err != nil {
 		return nil, err
 	}
+	cfg.Storm.K = min(cfg.Storm.K, cfg.Nodes)
 	c := &Cluster{
 		cfg:       cfg,
 		policy:    cfg.Policy,
@@ -206,18 +200,16 @@ func Boot(cfg Config) (*Cluster, error) {
 		c.rec.SetPerf(cfg.Perf)
 		c.sampler.SetPerf(cfg.Perf)
 	}
-	envs := make([]*sim.Env, 0, cfg.Nodes)
 	for i := 0; i < cfg.Nodes; i++ {
-		n := newNode(i, cfg.Seed, withChar, cfg.Perf)
-		c.nodes = append(c.nodes, n)
-		envs = append(envs, n.Sys.Env)
+		c.nodes = append(c.nodes, newNode(i, cfg.Seed, withChar, cfg.Perf))
 	}
 	if s := cfg.Storm; s.Kind != "none" && !c.nodes[0].Sys.RS.Guards(s.Driver) {
 		c.Close()
 		return nil, fmt.Errorf("cluster: storm victim %q is not a driver the fleet's members guard", s.Driver)
 	}
-	c.lock = sim.NewLockstep(cfg.Workers, envs...)
-	cfg.Perf.AttachLockstep(c.lock)
+	for i, strikes := range strikeSchedule(cfg.Seed, cfg.Storm, cfg.Nodes, settle+c.horizon) {
+		c.nodes[i].storm, c.nodes[i].strikes = cfg.Storm, strikes
+	}
 	return c, nil
 }
 
@@ -231,20 +223,20 @@ func New(cfg Config) *Cluster {
 	return c
 }
 
-// barrier brings the fleet to the slice boundary t. Order is fixed: fleet
-// events up to t first (they may kill/inject into nodes, which stand on
-// the boundary before t whenever one does — see lookahead), then the
-// members, then the adoption of their probe answers for t — so routing
-// between t and the next barrier sees exactly the state a probe at t saw.
-// Members are only moved when the fleet clock has caught up with them;
-// they then run on past t as far as lookahead allows.
-func (c *Cluster) barrier(t sim.Time) {
+// advance runs every member to the slice boundary t (see Node.advance),
+// in parallel: members share no state and the fleet loop stands still.
+func (c *Cluster) advance(t sim.Time) {
+	c.cfg.Perf.Begin(perf.RegionBarrier)
+	sim.Each(c.cfg.Workers, len(c.nodes), func(i int) { c.nodes[i].advance(t) })
+	c.cfg.Perf.End(perf.RegionBarrier)
+}
+
+// tick brings the fleet clock to the slice boundary t, which every member
+// has reached or passed: fleet events up to t first, then the adoption of
+// the members' probe answers for t — so routing between t and the next
+// tick sees exactly the state a probe at t saw — then the tally.
+func (c *Cluster) tick(t sim.Time) {
 	c.fleet.RunUntil(t)
-	if t > c.stand {
-		to := c.lookahead(t)
-		c.lock.Each(func(i int, _ *sim.Env) { c.nodes[i].runAhead(t, to) })
-		c.stand = to
-	}
 	recovering := 0
 	clear(c.healthy)
 	for _, n := range c.nodes {
@@ -263,41 +255,49 @@ func (c *Cluster) barrier(t sim.Time) {
 	}
 }
 
-// lookahead returns the boundary, t or later, that members standing just
-// before t may run to: the last one before the next strike's instant,
-// within the phase in progress. The fleet clock has reached t, so every
-// strike up to t has landed and scheduled its successor, and nextStrike
-// is exact. A strike in the slice that follows t leaves no room, and the
-// members stop at t, where it will find them.
-func (c *Cluster) lookahead(t sim.Time) sim.Time {
-	to := min(c.limit, boundaryBefore(c.nextStrike()))
-	if c.sliceCadence || to < t {
-		return t
+// countStrike books, at its instant on the fleet clock, the strike node i
+// dealt itself there (see Node.advance).
+func (c *Cluster) countStrike(i int) {
+	n := c.nodes[i]
+	landed := n.strikes[n.counted].landed
+	n.counted++
+	switch {
+	case c.cfg.Storm.Mode != ModeInject:
+		c.reg.Counter("fleet.kills").Add(1)
+	case landed:
+		c.reg.Counter("fleet.injections").Add(1)
 	}
-	return to
 }
 
-// Run executes the campaign: settle, the storm+load phase one slice of
-// the fleet clock at a time (the members a strike interval at a time),
-// then a drain that waits for in-flight requests and recoveries to
-// finish. Returns the fleet report.
+// Run executes the campaign. The members go first, in one parallel
+// section: boot settling, then the storm phase to its end. Then the fleet
+// loop, alone, one slice of its clock at a time over what the members
+// left behind. The drain that follows waits for in-flight requests and
+// recoveries to finish; its end is not known in advance, so there members
+// and fleet loop alternate slice by slice. Returns the fleet report.
 func (c *Cluster) Run() *Report {
+	end := settle + c.horizon
+	if c.sliceCadence {
+		c.advance(settle)
+	} else {
+		c.advance(end)
+	}
+
 	// Boot settling: let every node reach steady state before windows
 	// start, so availability measures the storm, not the boot.
-	c.limit = settle
-	c.barrier(settle)
+	c.tick(settle)
 
 	c.tracker = newTracker(settle, sim.Time(c.cfg.Window), int(c.horizon/sim.Time(c.cfg.Window)),
 		c.classes, c.cfg.Budgets)
 	c.sampler.Attach(c.fleet)
-
-	end := settle + c.horizon
-	c.limit = end
 	c.armArrivals(end)
-	c.startStorm(c.cfg.Storm, end)
+	startStorm(c.fleet, c.cfg.Seed, c.cfg.Storm, len(c.nodes), end, c.countStrike)
 
 	for t := settle + slice; t <= end; t += slice {
-		c.barrier(t)
+		if c.sliceCadence {
+			c.advance(t)
+		}
+		c.tick(t)
 	}
 
 	// Drain: no new arrivals or strikes; keep the fleet stepping until
@@ -308,7 +308,8 @@ func (c *Cluster) Run() *Report {
 		if c.outstanding == 0 && !c.anyRecovering() {
 			break
 		}
-		c.barrier(t)
+		c.advance(t)
+		c.tick(t)
 	}
 	c.sampler.Finish()
 	return c.buildReport()

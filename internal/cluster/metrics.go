@@ -13,7 +13,7 @@ import (
 )
 
 // tracker accumulates per-window fleet availability. The campaign
-// horizon is cut into fixed windows; at every lockstep barrier the
+// horizon is cut into fixed windows; at every fleet tick (barrier) the
 // tracker records the minimum healthy-node count per service class, and
 // the request path reports every bounced attempt into the window it
 // landed in. A window is available for a class when at least one node

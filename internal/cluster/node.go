@@ -22,10 +22,10 @@ type Node struct {
 	Seed  int64  // per-node seed, derived from the fleet seed
 	Sys   *resilientos.System
 
-	// health is the sample the fleet loop adopted at its last barrier, and
+	// health is the sample the fleet loop adopted at its last tick, and
 	// degraded whether that sample showed the node mid-recovery or warming
-	// up. Routing decisions between barriers read this, never live RS
-	// state, so results cannot depend on the order nodes were advanced in.
+	// up. Routing decisions between ticks read this, never live RS state,
+	// so results cannot depend on when or in what order nodes were advanced.
 	health   resilientos.Health
 	degraded bool
 
@@ -41,11 +41,23 @@ type Node struct {
 	kills      int
 	injections int
 
-	// Probe state, written only by whoever runs this node ahead (one
-	// lockstep worker at a time). rsHealth is System.Health as of
-	// rsVersion, and seenEvents how many RS recovery events were folded
-	// into the warmup deadlines so far: both move only when RS.Version
-	// does. A warmup deadline is when a service class is trusted again
+	// The node's share of the storm (see strikeSchedule): which driver is
+	// struck and how, and the instants, in time order. The member deals
+	// itself strikes[:struck] as it advances; the fleet clock books
+	// strikes[:counted] as it passes them.
+	storm   Storm
+	strikes []strike
+	struck  int
+	counted int
+
+	// next is the slice boundary advance stops at next.
+	next sim.Time
+
+	// Probe state, written only by whoever advances this node (one worker
+	// at a time). rsHealth is System.Health as of rsVersion, and
+	// seenEvents how many RS recovery events were folded into the warmup
+	// deadlines so far: both move only when RS.Version does. A warmup
+	// deadline is when a service class is trusted again
 	// after a recovery. Driver restart itself is near-instant in virtual
 	// time, but the service built on it is not — the paper's measurements
 	// show network stalls of seconds (TCP retransmission backoff) after a
@@ -58,13 +70,20 @@ type Node struct {
 
 	netWarmUntil, diskWarmUntil, charWarmUntil sim.Time
 
-	// changes lists the boundaries of the last run-ahead at which the
-	// probe's answer differed from the boundary before, in time order;
-	// probed is the latest answer and adopted how many entries the fleet
-	// loop has taken over into health.
+	// changes lists the boundaries at which the probe's answer differed
+	// from the boundary before, in time order; probed is the latest answer
+	// and adopted how many entries the fleet loop has taken over into
+	// health.
 	changes []healthChange
 	probed  healthChange
 	adopted int
+}
+
+// strike is one entry of a node's strike list. landed is the member's to
+// write: false for an injection that found nothing to mutate.
+type strike struct {
+	at     sim.Time
+	landed bool
 }
 
 // healthChange is one entry of a node's transition list: what the probe
@@ -123,6 +142,7 @@ func newNode(index int, fleetSeed int64, withChar bool, p *perf.Profiler) *Node 
 			Perf:        p,
 		}),
 		injector: fi.New(rand.New(rand.NewSource(seed ^ 0x5DEECE66D))),
+		next:     settle,
 	}
 	return n
 }
@@ -178,14 +198,21 @@ func (n *Node) probe(now sim.Time) (h resilientos.Health, degraded bool) {
 	return h, warming || h.Recovering > 0
 }
 
-// runAhead advances the member through the slice boundaries first,
-// first+slice, ... to, probing at each one exactly as a fleet that stopped
-// there would, and leaves the answers that differ from their predecessor
-// in changes for the fleet loop to adopt as its own clock passes them.
-// It touches only this node, so nodes run ahead concurrently.
-func (n *Node) runAhead(first, to sim.Time) {
-	n.changes, n.adopted = n.changes[:0], 0
-	for t := first; t <= to; t += slice {
+// advance is the member's whole part in a campaign: it runs the member
+// through the slice boundaries it has not reached yet (settle first, then
+// every slice) up to to, dealing it the strikes of its list that fall in
+// each slice before running it — so a strike lands on a member standing on
+// the boundary just before its instant — and probing at each boundary
+// exactly as a fleet that stopped there would. The answers that differ
+// from their predecessor go to changes for the fleet loop to adopt as its
+// own clock passes them. It touches only this node, so nodes advance
+// concurrently, each as far ahead of the fleet clock as it is told.
+func (n *Node) advance(to sim.Time) {
+	for ; n.next <= to; n.next += slice {
+		t := n.next
+		for ; n.struck < len(n.strikes) && n.strikes[n.struck].at <= t; n.struck++ {
+			n.strikes[n.struck].landed = n.strike()
+		}
 		n.Sys.Env.RunUntil(t)
 		h, degraded := n.probe(t)
 		if h != n.probed.health || degraded != n.probed.degraded {
@@ -204,8 +231,18 @@ func (n *Node) adopt(t sim.Time) {
 	}
 }
 
-// Health returns the node's last barrier snapshot.
+// Health returns the sample the fleet loop adopted last.
 func (n *Node) Health() resilientos.Health { return n.health }
+
+// strike damages the storm's victim driver on this node according to the
+// storm's fault mode, and reports whether there was anything to damage.
+func (n *Node) strike() bool {
+	if n.storm.Mode == ModeInject {
+		return n.inject(n.storm.Driver)
+	}
+	n.kill(n.storm.Driver)
+	return true
+}
 
 // kill delivers a SIGKILL crash to the named driver — the §7.1 fault
 // model, applied fleet-wide by the storm driver.

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -156,96 +155,63 @@ func ParseStorm(spec string) (Storm, error) {
 	return s, s.validate()
 }
 
-// strike damages the victim driver on one node according to the storm's
-// fault mode. It is the fleet's only reach into a member, so it is where
-// the run-ahead rule is held: the member must not have passed the slice
-// boundary just before the strike's instant.
-func (c *Cluster) strike(n *Node, s Storm) {
-	if at, limit := n.Sys.Env.Now(), boundaryBefore(c.fleet.Now()); at > limit {
-		panic(fmt.Sprintf("cluster: %s stands at %s, past %s, for a strike at %s",
-			n.Name, at, limit, c.fleet.Now()))
-	}
-	switch s.Mode {
-	case ModeInject:
-		if n.inject(s.Driver) {
-			c.reg.Counter("fleet.injections").Add(1)
-		}
-	default:
-		n.kill(s.Driver)
-		c.reg.Counter("fleet.kills").Add(1)
-	}
+// strikeSchedule lists, per node, the instants at which the storm strikes
+// it, in time order and none past until: the storm's chains run to until on
+// a clock of their own that starts, like the campaign, at the end of the
+// settle phase. The schedule is a pure function of its arguments, exactly
+// as cfg.Arrivals is of the workload spec.
+func strikeSchedule(seed int64, s Storm, nodes int, until sim.Time) [][]strike {
+	clock := sim.NewEnv(seed)
+	defer clock.Close()
+	clock.RunUntil(settle)
+	strikes := make([][]strike, nodes)
+	startStorm(clock, seed, s, nodes, until, func(node int) {
+		strikes[node] = append(strikes[node], strike{at: clock.Now()})
+	})
+	clock.RunUntil(until)
+	return strikes
 }
 
-// noStrike is the next-strike instant of a fleet nothing will strike.
-const noStrike = sim.Time(math.MaxInt64)
-
-// boundaryBefore returns the last slice boundary strictly before the
-// instant s > 0 — (ceil(s/slice)-1)·slice, where a member stands when a
-// fleet event at s reaches it.
-func boundaryBefore(s sim.Time) sim.Time { return (s - 1) / slice * slice }
-
-// nextStrike returns the earliest instant at which a scheduled strike can
-// still land. Every chain of strikes publishes the instant of its next
-// one in its strikeAt slot the moment it schedules it, and nothing else
-// in the fleet reaches into a member, so members may run up to the
-// boundary before this instant without being asked.
-func (c *Cluster) nextStrike() sim.Time {
-	next := noStrike
-	for _, at := range c.strikeAt {
-		if at < next {
-			next = at
-		}
-	}
-	return next
-}
-
-// startStorm schedules the storm on the fleet clock. Returned tickers and
-// events live until the fleet env drains; the campaign horizon bounds
-// them naturally (a chain's slot goes stale only once it is past until,
-// where the drain no longer looks ahead).
-func (c *Cluster) startStorm(s Storm, until sim.Time) {
+// startStorm schedules the storm's strike chains on env and calls hit(node)
+// at every strike up to until. The chains depend on nothing but their own
+// events, so any two clocks they run on see the same strikes: the one
+// strikeSchedule lists them on, and the fleet clock, where a strike is only
+// counted. Tickers and events live until env drains; until bounds them.
+func startStorm(env *sim.Env, seed int64, s Storm, nodes int, until sim.Time, hit func(node int)) {
 	switch s.Kind {
 	case "correlated":
-		c.strikeAt = []sim.Time{c.fleet.Now() + s.Interval}
 		wave := 0
-		c.fleet.Tick(s.Interval, func() {
-			c.strikeAt[0] = c.fleet.Now() + s.Interval
-			if c.fleet.Now() > until {
+		env.Tick(s.Interval, func() {
+			if env.Now() > until {
 				return
 			}
-			k := s.K
-			if k > len(c.nodes) {
-				k = len(c.nodes)
-			}
 			// Rotate the wave's victim window so every node takes turns
-			// being hit; all k strikes land at the same instant.
-			for i := 0; i < k; i++ {
-				c.strike(c.nodes[(wave+i)%len(c.nodes)], s)
+			// being hit; all K strikes land at the same instant.
+			for i := 0; i < s.K; i++ {
+				hit((wave + i) % nodes)
 			}
-			wave = (wave + 1) % len(c.nodes)
+			wave = (wave + 1) % nodes
 		})
 	case "poisson":
 		// One exponential arrival chain per node, driven by a dedicated
 		// RNG so storm draws never interleave with request-path draws.
-		rng := rand.New(rand.NewSource(c.cfg.Seed ^ 0x53746F726D)) // "Storm"
-		c.strikeAt = make([]sim.Time, len(c.nodes))
-		var arm func(n *Node)
-		arm = func(n *Node) {
+		rng := rand.New(rand.NewSource(seed ^ 0x53746F726D)) // "Storm"
+		var arm func(node int)
+		arm = func(node int) {
 			gap := time.Duration(rng.ExpFloat64() * float64(s.Mean))
 			if gap < minStormGap {
 				gap = minStormGap
 			}
-			c.strikeAt[n.Index] = c.fleet.Now() + gap
-			c.fleet.Schedule(gap, func() {
-				if c.fleet.Now() > until {
+			env.Schedule(gap, func() {
+				if env.Now() > until {
 					return
 				}
-				c.strike(n, s)
-				arm(n)
+				hit(node)
+				arm(node)
 			})
 		}
-		for _, n := range c.nodes {
-			arm(n)
+		for node := 0; node < nodes; node++ {
+			arm(node)
 		}
 	}
 }

@@ -12,7 +12,6 @@ const (
 	PortNIC0    uint32 = 0x1000 // RTL8139-class NIC (local host)
 	PortNIC1    uint32 = 0x1100 // DP8390-class NIC (fault-injection target)
 	PortDisk    uint32 = 0x2000 // SATA-class disk
-	PortRAMDisk uint32 = 0x2100 // RAM disk (no real hardware behind it)
 	PortAudio   uint32 = 0x3000
 	PortPrinter uint32 = 0x3100
 	PortBurner  uint32 = 0x3200

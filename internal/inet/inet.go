@@ -10,7 +10,6 @@
 package inet
 
 import (
-	"fmt"
 	"sort"
 
 	"resilientos/internal/kernel"
@@ -642,28 +641,4 @@ func (s *Server) onTimer() {
 			s.onTcpTimer(c)
 		}
 	}
-}
-
-// DebugConns describes every socket's state for tests and debugging.
-func (s *Server) DebugConns() []string {
-	var out []string
-	for _, id := range s.sockOrder {
-		sk := s.socks[id]
-		switch sk.kind {
-		case sockTCP:
-			c := sk.conn
-			out = append(out, fmt.Sprintf(
-				"tcp %d %d->%d state=%d una=%d nxt=%d buf=%d rcvNxt=%d rcvBuf=%d peerWnd=%d retxAt=%v rto=%v fin(s=%v a=%v r=%v) waiters(c=%v r=%v s=%v)",
-				c.id, c.localPort, c.remotePort, c.state,
-				c.sndUna-c.iss, c.sndNxt-c.iss, len(c.sndBuf),
-				c.rcvNxt, len(c.rcvBuf), c.peerWnd, c.retxAt, c.rto,
-				c.finSent, c.finAcked, c.rcvFIN,
-				c.connectW != 0, c.recvW != 0, c.sendW != 0))
-		case sockListen:
-			out = append(out, fmt.Sprintf("listen %d port=%d q=%d", sk.id, sk.port, len(sk.acceptQ)))
-		case sockUDP:
-			out = append(out, fmt.Sprintf("udp %d port=%d q=%d", sk.id, sk.port, len(sk.udpQ)))
-		}
-	}
-	return out
 }

@@ -14,9 +14,6 @@ var (
 	// the signal the file server uses to mark requests pending.
 	ErrSrcDied = errors.New("kernel: awaited source died")
 
-	// ErrBadEndpoint is returned for malformed endpoint arguments.
-	ErrBadEndpoint = errors.New("kernel: bad endpoint")
-
 	// ErrNotAllowed is returned when the caller's privileges do not permit
 	// the IPC target or kernel call.
 	ErrNotAllowed = errors.New("kernel: operation not permitted")

@@ -45,15 +45,3 @@ func (k *Kernel) deliverSignal(d *procEntry, sig Signal) {
 		k.notifyEntry(d, System)
 	}
 }
-
-// SendSignal delivers sig to the process with endpoint ep. It is the
-// kernel-level entry point used by the process manager; processes use
-// Ctx.Kill which enforces privileges.
-func (k *Kernel) SendSignal(ep Endpoint, sig Signal) error {
-	d := k.lookup(ep)
-	if d == nil {
-		return ErrDeadDst
-	}
-	k.deliverSignal(d, sig)
-	return nil
-}

@@ -15,7 +15,8 @@
 // at exact virtual-time boundaries, counters are visited in name order,
 // and every encoding below has a fixed field order — two runs with the
 // same seed produce byte-identical series, so series are usable as golden
-// files and as regression-gate inputs (internal/bench/compare).
+// files, and the curve metrics extracted from them as regression-gate
+// inputs (the committed internal/bench documents).
 //
 // Windows are half-open [Start, End): an event stamped exactly on a
 // boundary belongs to the *next* window. A KindMark event is a run
@@ -295,7 +296,6 @@ func (s *Sampler) Emit(e obs.Event) {
 	}
 	if e.Kind == obs.KindMark {
 		s.closeWindow(e.T)
-		s.segs[len(s.segs)-1].Windows = s.trimSegment()
 		s.openSegment(e.Aux, e.T)
 		return
 	}
@@ -313,12 +313,6 @@ func (s *Sampler) Emit(e obs.Event) {
 	if s.annotate[e.Kind] {
 		s.anns = append(s.anns, Annotation{T: e.T, Kind: e.Kind, Comp: e.Comp, Aux: e.Aux})
 	}
-}
-
-// trimSegment returns the closing segment's windows (hook for future
-// trailing-window policies; currently the series is kept whole).
-func (s *Sampler) trimSegment() []Window {
-	return s.segs[len(s.segs)-1].Windows
 }
 
 // Finish flushes the partial final window at the current virtual time and

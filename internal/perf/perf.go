@@ -19,7 +19,7 @@
 // Regions are cheap nestable brackets (Begin/End) placed on the
 // simulator hot path: the scheduler step loop, kernel IPC dispatch,
 // ucode VM execution, obs/decision recording, the invariant checker,
-// timeseries rollovers, and the fleet lockstep barrier. Region entry and
+// timeseries rollovers, and the fleet's parallel sections. Region entry and
 // exit must be strictly LIFO on the executed event stream; a region must
 // never span a Park (the kernel ends its IPC region before parking a
 // process). End panics on a mismatched region to catch such bugs
@@ -27,7 +27,7 @@
 //
 // A Profiler is single-threaded, like the Env it observes: attach one
 // profiler to one environment (or to several environments advanced
-// sequentially, e.g. a Lockstep with one worker). A nil *Profiler is
+// sequentially, e.g. by sim.Each with one worker). A nil *Profiler is
 // valid everywhere and all methods are no-ops, mirroring obs.Recorder.
 package perf
 
@@ -56,7 +56,7 @@ const (
 	RegionCheck                    // live invariant checker (step hook)
 	RegionDecision                 // recovery decision-log recording
 	RegionTimeseries               // timeseries window rollovers
-	RegionBarrier                  // lockstep barrier advance (contains steps)
+	RegionBarrier                  // a fleet's members advancing (contains steps)
 	regionMax
 )
 
@@ -238,16 +238,6 @@ func (p *Profiler) Attach(env *sim.Env) {
 		HookBegin:  func() { p.Begin(RegionCheck) },
 		HookEnd:    func() { p.End(RegionCheck) },
 	})
-}
-
-// AttachLockstep brackets every AdvanceTo barrier in RegionBarrier.
-// Member environments profiled by the same profiler must advance
-// sequentially (workers == 1); the profiler is single-threaded.
-func (p *Profiler) AttachLockstep(l *sim.Lockstep) {
-	if p == nil || l == nil {
-		return
-	}
-	l.SetPerfHooks(func() { p.Begin(RegionBarrier) }, func() { p.End(RegionBarrier) })
 }
 
 // AttachVM brackets every invocation of vm in RegionUcode.

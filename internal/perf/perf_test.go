@@ -19,7 +19,6 @@ func TestNilProfilerIsNoOp(t *testing.T) {
 	p.Start(0)
 	p.Finish(0)
 	p.Attach(sim.NewEnv(1))
-	p.AttachLockstep(sim.NewLockstep(1))
 	p.AttachVM(&ucode.VM{})
 	if p.Depth() != 0 || p.Count(RegionStep) != 0 {
 		t.Fatal("nil profiler reported state")
@@ -176,9 +175,10 @@ func TestAttachVMCountsInvocations(t *testing.T) {
 	}
 }
 
-// AttachLockstep brackets the whole barrier; member events nest inside
-// it, exercising the cross-env LIFO discipline the cluster relies on.
-func TestAttachLockstepNestsMemberSteps(t *testing.T) {
+// RegionBarrier brackets a whole sim.Each, the way internal/cluster does;
+// member events nest inside it, exercising the cross-env LIFO discipline
+// the cluster relies on.
+func TestBarrierRegionNestsMemberSteps(t *testing.T) {
 	a, b := sim.NewEnv(1), sim.NewEnv(2)
 	p := New()
 	p.Attach(a)
@@ -187,10 +187,11 @@ func TestAttachLockstepNestsMemberSteps(t *testing.T) {
 		env := env
 		env.Tick(sim.Time(time.Millisecond), func() {})
 	}
-	l := sim.NewLockstep(1, a, b)
-	p.AttachLockstep(l)
+	envs := []*sim.Env{a, b}
 	p.Start(0)
-	l.AdvanceTo(sim.Time(10 * time.Millisecond))
+	p.Begin(RegionBarrier)
+	sim.Each(1, len(envs), func(i int) { envs[i].RunUntil(sim.Time(10 * time.Millisecond)) })
+	p.End(RegionBarrier)
 	p.Finish(sim.Time(10 * time.Millisecond))
 
 	if got := p.Count(RegionBarrier); got != 1 {

@@ -336,6 +336,18 @@ func (e *Env) Run(horizon Time) Time {
 	return e.now
 }
 
+// RunUntil advances the environment to the absolute virtual time t,
+// executing every event scheduled before or at t. Unlike Run, whose
+// horizon is relative to the current clock, RunUntil is idempotent for a
+// clock already at or past t. It returns the virtual time reached (t,
+// unless Stop fired first).
+func (e *Env) RunUntil(t Time) Time {
+	if t <= e.now {
+		return e.now
+	}
+	return e.Run(t - e.now)
+}
+
 // pop removes and returns the first pending event by (at, seq), or nil
 // when there is none due by limit (limit < 0 means no limit).
 func (e *Env) pop(limit Time) *Event {

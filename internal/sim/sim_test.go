@@ -235,3 +235,26 @@ func TestDeterministicRand(t *testing.T) {
 		}
 	}
 }
+
+// Events before or at the target run; events after it do not.
+func TestRunUntil(t *testing.T) {
+	e := NewEnv(1)
+	var fired []string
+	e.Schedule(10*time.Millisecond, func() { fired = append(fired, "a") })
+	e.Schedule(30*time.Millisecond, func() { fired = append(fired, "b") })
+
+	if got := e.RunUntil(20 * time.Millisecond); got != 20*time.Millisecond {
+		t.Fatalf("RunUntil reached %v, want 20ms", got)
+	}
+	if len(fired) != 1 || fired[0] != "a" {
+		t.Fatalf("fired = %v, want [a]", fired)
+	}
+	// Idempotent at or before the current clock.
+	if got := e.RunUntil(5 * time.Millisecond); got != 20*time.Millisecond {
+		t.Fatalf("backwards RunUntil moved the clock to %v", got)
+	}
+	e.RunUntil(40 * time.Millisecond)
+	if len(fired) != 2 || fired[1] != "b" {
+		t.Fatalf("fired = %v, want [a b]", fired)
+	}
+}

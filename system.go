@@ -596,12 +596,3 @@ func (sys *System) StatusFunc() func() []timeseries.ServiceStatus {
 		return out
 	}
 }
-
-// InetEndpoint resolves the current endpoint of a network server side.
-func (sys *System) InetEndpoint(side NetSide) kernel.Endpoint {
-	label := ServerInet
-	if side == NetRemote {
-		label = ServerRemoteInet
-	}
-	return sys.Kernel.LookupLabel(label)
-}
