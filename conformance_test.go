@@ -48,7 +48,9 @@ var conformanceFile = []PreallocFile{{Name: "big", Size: 8 << 20}}
 // the right bytes, no invariant is violated, and RS logged a recovery of
 // the victim. The driver half of all of it is drvlib's — a driver that
 // passes here does so without recovery code of its own.
-func TestRecoveryConformance(t *testing.T) {
+func TestRecoveryConformance(t *testing.T) { recoveryConformance(t) }
+
+func recoveryConformance(t *testing.T) {
 	for _, victim := range []string{DriverRTL8139, DriverDP8390, DriverSATA} {
 		for _, mech := range RecoveryMechanisms {
 			for _, salvage := range []bool{false, true} {

@@ -143,8 +143,8 @@ func RunFigure(cfg FigureConfig) FigureResult {
 	}
 	seed := cfg.System.Seed
 
-	events := &obs.SliceSink{}
-	rec := obs.NewRecorder(events)
+	events := &obs.SliceSink{} // for the recovery timeline; a full trace goes to cfg.Trace alone
+	rec := obs.NewRecorder(obs.Only(events, obs.TimelineKinds...))
 	if cfg.Trace != nil {
 		rec.AddSink(cfg.Trace)
 	} else {

@@ -216,13 +216,24 @@ func Run(cfg Config) *Report {
 }
 
 // runCell boots one independent system and runs the cell's injections.
+// It keeps the few dozen events its latencies are stitched from, not the
+// million-odd the recorder emits.
 func runCell(cell Cell, cfg Config) CellResult {
+	return runCellKeeping(cell, cfg, obs.TimelineKinds, nil)
+}
+
+// runCellKeeping is runCell with its two seams for tests: keep is the set
+// of kinds the cell's event slice retains (every kind gives the plain
+// slice the filtered one is checked against), and injected, if set, runs
+// after every injection.
+func runCellKeeping(cell Cell, cfg Config, keep []obs.Kind, injected func()) CellResult {
 	res := CellResult{Cell: cell, ByDefect: make(map[core.Defect]int)}
 
+	// The checker is a sink of its own and sees everything the recorder
+	// emits, whatever the slice keeps. Per-frame IPC kinds dominate trace
+	// volume and are not emitted at all.
 	events := &obs.SliceSink{}
-	rec := obs.NewRecorder(events)
-	// The timeline and the checker only need the recovery-path events;
-	// per-frame IPC kinds dominate trace volume and are dropped.
+	rec := obs.NewRecorder(obs.Only(events, keep...))
 	rec.Disable(obs.KindIPCSend, obs.KindIPCRecv)
 
 	var decSink *decision.SliceSink
@@ -274,8 +285,9 @@ func runCell(cell Cell, cfg Config) CellResult {
 	}
 	seen := 0
 	harvest := func() {
-		evs := sys.RS.Events()
-		for _, e := range evs[seen:] {
+		evs := sys.RS.EventsSince(seen)
+		seen += len(evs)
+		for _, e := range evs {
 			if e.Label != cell.Victim {
 				continue
 			}
@@ -291,7 +303,6 @@ func runCell(cell Cell, cfg Config) CellResult {
 				res.GaveUp++
 			}
 		}
-		seen = len(evs)
 	}
 
 	stall := 0
@@ -322,6 +333,9 @@ func runCell(cell Cell, cfg Config) CellResult {
 		res.LastInjection = inj
 		res.Injected++
 		stall = 0
+		if injected != nil {
+			injected()
+		}
 	}
 	// Let the final crash (if any) resolve; policy backoff can hold a
 	// restart for a few seconds.
@@ -412,6 +426,7 @@ func downtime(events []decision.Event, victim string, end sim.Time) sim.Time {
 func startWorkload(sys *resilientos.System, victim string) {
 	if victim == resilientos.DriverSATA {
 		sys.Spawn("dd-loop", func(p *resilientos.Proc) {
+			buf := make([]byte, 64<<10)
 			for {
 				f, err := p.Open("/campaign")
 				if err != nil {
@@ -419,7 +434,7 @@ func startWorkload(sys *resilientos.System, victim string) {
 					continue
 				}
 				for {
-					if _, err := f.Read(64 << 10); err != nil {
+					if _, err := f.Read(buf); err != nil {
 						break
 					}
 				}
@@ -430,6 +445,7 @@ func startWorkload(sys *resilientos.System, victim string) {
 	}
 	sys.ServeFile(80, 1, 8<<20)
 	sys.Spawn("wget-loop", func(p *resilientos.Proc) {
+		buf := make([]byte, 64<<10)
 		for {
 			conn, err := p.Dial(resilientos.NetLocal, victim, 80)
 			if err != nil {
@@ -437,7 +453,7 @@ func startWorkload(sys *resilientos.System, victim string) {
 				continue
 			}
 			for {
-				if _, err := conn.Read(64 << 10); err != nil {
+				if _, err := conn.Read(buf); err != nil {
 					break
 				}
 			}

@@ -5,6 +5,7 @@ package fslib
 import (
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 
 	"resilientos/internal/kernel"
@@ -78,18 +79,21 @@ func Create(c *kernel.Ctx, vfs kernel.Endpoint, path string) (*File, error) {
 	return &File{ctx: c, vfs: vfs, fd: reply.Arg1}, nil
 }
 
-// Read returns up to max bytes from the current offset; nil at EOF.
-func (f *File) Read(max int) ([]byte, error) {
+// Read reads up to len(p) bytes at the current offset into p; io.EOF at
+// end of file. The reply buffer goes back to the system's free list.
+func (f *File) Read(p []byte) (int, error) {
 	reply, err := call(f.ctx, f.vfs, kernel.Message{
-		Type: proto.FSRead, Arg1: f.fd, Arg2: int64(max),
+		Type: proto.FSRead, Arg1: f.fd, Arg2: int64(len(p)),
 	})
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	if reply.Arg1 == 0 {
-		return nil, nil // EOF
+		return 0, io.EOF
 	}
-	return reply.Payload, nil
+	n := copy(p, reply.Payload)
+	f.ctx.Bufs().Put(reply.Payload)
+	return n, nil
 }
 
 // Write appends b at the current offset.

@@ -60,7 +60,8 @@ type Disk struct {
 	busy   bool
 	errbit bool
 	drq    bool
-	buf    []byte // device transfer buffer
+	buf    []byte // transfer data: a completed read (a window of xfer) or a loaded write
+	xfer   []byte // device-owned read buffer, grown to the largest read
 	gen    int    // bumped by reset; invalidates in-flight completions
 
 	Stats DiskStats
@@ -213,9 +214,13 @@ func (d *Disk) command(val uint32) {
 	}
 }
 
-// sectorContent returns the deterministic content of an unwritten sector.
-func (d *Disk) sectorContent(lba int64) []byte {
-	s := make([]byte, SectorSize)
+// fillSector writes a sector's current content into s: what was written
+// there, else the deterministic content of an unwritten sector.
+func (d *Disk) fillSector(lba int64, s []byte) {
+	if w, ok := d.cow[lba]; ok {
+		copy(s, w)
+		return
+	}
 	x := uint64(d.cfg.Seed)*0x9E3779B97F4A7C15 + uint64(lba)*0xBF58476D1CE4E5B9 + 1
 	for i := 0; i < SectorSize; i += 8 {
 		// xorshift64*
@@ -224,17 +229,27 @@ func (d *Disk) sectorContent(lba int64) []byte {
 		x ^= x >> 27
 		binary.LittleEndian.PutUint64(s[i:], x*0x2545F4914F6CDD1D)
 	}
-	return s
 }
 
+// xferKeep bounds the read buffer the device retains; only a garbage
+// COUNT from a mutated driver asks for more, and gets a one-off buffer.
+const xferKeep = 1 << 20
+
+// readSectors fills the device's read buffer in place. The result is
+// valid until the next read completes: the driver copies it out through
+// the requester's grant before it issues another command.
 func (d *Disk) readSectors(lba, count int64) []byte {
-	out := make([]byte, 0, count*SectorSize)
-	for i := int64(0); i < count; i++ {
-		if s, ok := d.cow[lba+i]; ok {
-			out = append(out, s...)
-		} else {
-			out = append(out, d.sectorContent(lba+i)...)
+	n := count * SectorSize
+	out := d.xfer
+	if n > int64(cap(out)) {
+		out = make([]byte, n)
+		if n <= xferKeep {
+			d.xfer = out
 		}
+	}
+	out = out[:n]
+	for i := int64(0); i < count; i++ {
+		d.fillSector(lba+i, out[i*SectorSize:][:SectorSize])
 	}
 	return out
 }
@@ -255,7 +270,8 @@ type DiskHandle struct{ d *Disk }
 // Handle returns the disk's DMA handle.
 func (d *Disk) Handle() *DiskHandle { return &DiskHandle{d: d} }
 
-// TakeData returns (and clears) the device buffer after a completed read.
+// TakeData returns (and clears) the device buffer after a completed read:
+// a view of device memory, to be copied out before the next command.
 // Returns nil if no read data is pending.
 func (h *DiskHandle) TakeData() []byte {
 	if !h.d.drq {
@@ -268,21 +284,15 @@ func (h *DiskHandle) TakeData() []byte {
 }
 
 // PutData loads the device buffer in preparation for a write command.
-func (h *DiskHandle) PutData(b []byte) {
-	cp := make([]byte, len(b))
-	copy(cp, b)
-	h.d.buf = cp
-}
+// The device takes b over: the caller must not touch it again.
+func (h *DiskHandle) PutData(b []byte) { h.d.buf = b }
 
 // PeekSector reads a sector's current content directly, bypassing the
 // driver path. Test/verification use only.
 func (d *Disk) PeekSector(lba int64) []byte {
-	if s, ok := d.cow[lba]; ok {
-		cp := make([]byte, SectorSize)
-		copy(cp, s)
-		return cp
-	}
-	return d.sectorContent(lba)
+	s := make([]byte, SectorSize)
+	d.fillSector(lba, s)
+	return s
 }
 
 // PokeSector writes a sector's content directly, bypassing the driver

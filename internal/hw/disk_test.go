@@ -2,6 +2,7 @@ package hw
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"time"
 )
@@ -184,5 +185,55 @@ func TestDiskPokePeek(t *testing.T) {
 	}
 	if len(got) != SectorSize {
 		t.Fatalf("len = %d", len(got))
+	}
+}
+
+// sectorReference is the unwritten-sector generator as it stood when it
+// made a fresh slice per sector; the in-place fill is checked against it.
+func sectorReference(seed, lba int64) []byte {
+	s := make([]byte, SectorSize)
+	x := uint64(seed)*0x9E3779B97F4A7C15 + uint64(lba)*0xBF58476D1CE4E5B9 + 1
+	for i := 0; i < SectorSize; i += 8 {
+		x ^= x >> 12
+		x ^= x << 25
+		x ^= x >> 27
+		binary.LittleEndian.PutUint64(s[i:], x*0x2545F4914F6CDD1D)
+	}
+	return s
+}
+
+// TestDiskFillMatchesReference: PeekSector and the read command both
+// fill in place; they must yield the reference generator's bytes for
+// unwritten sectors and the written bytes for the rest — also when the
+// device's transfer buffer still holds a longer, earlier read.
+func TestDiskFillMatchesReference(t *testing.T) {
+	d, run := newTestDisk(t)
+	written := bytes.Repeat([]byte{0xC3}, SectorSize)
+	d.PokeSector(41, written)
+	want := func(lba int64) []byte {
+		if lba == 41 {
+			return written
+		}
+		return sectorReference(7, lba)
+	}
+	for _, lba := range []int64{0, 1, 40, 41, 42, 1023} {
+		if !bytes.Equal(d.PeekSector(lba), want(lba)) {
+			t.Fatalf("PeekSector(%d) differs from the reference", lba)
+		}
+	}
+	for _, span := range [][2]int64{{0, 64}, {40, 3}, {1000, 24}, {41, 1}} {
+		d.out(DiskRegLBA, uint32(span[0]))
+		d.out(DiskRegCount, uint32(span[1]))
+		d.out(DiskRegCmd, DiskCmdRead)
+		run(time.Second)
+		data := d.Handle().TakeData()
+		if int64(len(data)) != span[1]*SectorSize {
+			t.Fatalf("read %v returned %d bytes", span, len(data))
+		}
+		for i := int64(0); i < span[1]; i++ {
+			if !bytes.Equal(data[i*SectorSize:][:SectorSize], want(span[0]+i)) {
+				t.Fatalf("read %v: sector %d differs from the reference", span, span[0]+i)
+			}
+		}
 	}
 }

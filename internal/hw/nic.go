@@ -312,8 +312,6 @@ func (h *NICHandle) TakeRx() []byte {
 }
 
 // SetTx places a frame in the DMA window for the next NICRegTxGo command.
-func (h *NICHandle) SetTx(frame []byte) {
-	cp := make([]byte, len(frame))
-	copy(cp, frame)
-	h.n.txFrame = cp
-}
+// The card takes the frame over — it travels the wire as is — so the
+// caller must not touch it again.
+func (h *NICHandle) SetTx(frame []byte) { h.n.txFrame = frame }

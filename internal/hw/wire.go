@@ -37,10 +37,7 @@ func (w *Wire) carry(from int, frame []byte) {
 	}
 	fcs := FCS(frame)
 	if w.CorruptProb > 0 && w.env.Rand().Float64() < w.CorruptProb && len(frame) > 0 {
-		cp := make([]byte, len(frame))
-		copy(cp, frame)
-		cp[w.env.Rand().Intn(len(cp))] ^= 0xFF
-		frame = cp
+		frame[w.env.Rand().Intn(len(frame))] ^= 0xFF // the wire's to garble: the sender let go of it
 	}
 	dst := w.nics[1-from]
 	w.env.Schedule(w.Delay, func() { dst.deliver(frame, fcs) })

@@ -44,11 +44,19 @@ const (
 	flagRST
 )
 
-// tcpHeaderLen is the byte length of the TCP-on-wire header.
-const tcpHeaderLen = 20
+// tcpHeaderLen is the byte length of the TCP-on-wire header, tcpSumOff
+// the offset of its checksum field.
+const (
+	tcpHeaderLen = 20
+	tcpSumOff    = 16
+)
 
-// udpHeaderLen is the byte length of the UDP-on-wire header.
-const udpHeaderLen = 9
+// udpHeaderLen is the byte length of the UDP-on-wire header, udpSumOff
+// the offset of its checksum field.
+const (
+	udpHeaderLen = 9
+	udpSumOff    = 5
+)
 
 // MSS is the maximum TCP payload per frame (Ethernet 1500 minus header).
 const MSS = 1500 - tcpHeaderLen
@@ -68,9 +76,20 @@ type datagram struct {
 	payload          []byte
 }
 
-// encodeTCP serializes a segment into a frame.
-func encodeTCP(s *segment) []byte {
-	f := make([]byte, tcpHeaderLen+len(s.payload))
+// frameSum is the CRC-32 of f with the four checksum bytes at off taken
+// as zero: the sum over the three ranges around the field, so neither
+// end has to copy the frame or clear the field to compute it.
+func frameSum(f []byte, off int) uint32 {
+	sum := crc32.Update(0, crc32.IEEETable, f[:off])
+	sum = crc32.Update(sum, crc32.IEEETable, zeroSum[:])
+	return crc32.Update(sum, crc32.IEEETable, f[off+4:])
+}
+
+var zeroSum [4]byte // a local would escape into crc32's assembly, one allocation a frame
+
+// encodeTCP serializes a segment into f, which the caller sized to
+// tcpHeaderLen+len(s.payload); every byte of f is written.
+func encodeTCP(f []byte, s *segment) []byte {
 	f[0] = protoTCP
 	binary.BigEndian.PutUint16(f[1:], s.srcPort)
 	binary.BigEndian.PutUint16(f[3:], s.dstPort)
@@ -79,23 +98,18 @@ func encodeTCP(s *segment) []byte {
 	f[13] = s.flags
 	binary.BigEndian.PutUint16(f[14:], s.wnd)
 	copy(f[tcpHeaderLen:], s.payload)
-	binary.BigEndian.PutUint32(f[16:], crc32.ChecksumIEEE(f))
+	binary.BigEndian.PutUint32(f[tcpSumOff:], frameSum(f, tcpSumOff))
 	return f
 }
 
-// decodeTCP parses a frame as a TCP segment, verifying the checksum.
-func decodeTCP(f []byte) (*segment, bool) {
-	if len(f) < tcpHeaderLen || f[0] != protoTCP {
-		return nil, false
+// decodeTCP parses a frame as a TCP segment, verifying the checksum. The
+// segment's payload is a view of the frame.
+func decodeTCP(f []byte) (segment, bool) {
+	if len(f) < tcpHeaderLen || f[0] != protoTCP ||
+		frameSum(f, tcpSumOff) != binary.BigEndian.Uint32(f[tcpSumOff:]) {
+		return segment{}, false
 	}
-	sum := binary.BigEndian.Uint32(f[16:])
-	cp := make([]byte, len(f))
-	copy(cp, f)
-	binary.BigEndian.PutUint32(cp[16:], 0)
-	if crc32.ChecksumIEEE(cp) != sum {
-		return nil, false
-	}
-	return &segment{
+	return segment{
 		srcPort: binary.BigEndian.Uint16(f[1:]),
 		dstPort: binary.BigEndian.Uint16(f[3:]),
 		seq:     binary.BigEndian.Uint32(f[5:]),
@@ -113,20 +127,15 @@ func encodeUDP(d *datagram) []byte {
 	binary.BigEndian.PutUint16(f[1:], d.srcPort)
 	binary.BigEndian.PutUint16(f[3:], d.dstPort)
 	copy(f[udpHeaderLen:], d.payload)
-	binary.BigEndian.PutUint32(f[5:], crc32.ChecksumIEEE(f))
+	binary.BigEndian.PutUint32(f[udpSumOff:], frameSum(f, udpSumOff))
 	return f
 }
 
-// decodeUDP parses a frame as a UDP datagram, verifying the checksum.
+// decodeUDP parses a frame as a UDP datagram, verifying the checksum. The
+// datagram's payload is a view of the frame.
 func decodeUDP(f []byte) (*datagram, bool) {
-	if len(f) < udpHeaderLen || f[0] != protoUDP {
-		return nil, false
-	}
-	sum := binary.BigEndian.Uint32(f[5:])
-	cp := make([]byte, len(f))
-	copy(cp, f)
-	binary.BigEndian.PutUint32(cp[5:], 0)
-	if crc32.ChecksumIEEE(cp) != sum {
+	if len(f) < udpHeaderLen || f[0] != protoUDP ||
+		frameSum(f, udpSumOff) != binary.BigEndian.Uint32(f[udpSumOff:]) {
 		return nil, false
 	}
 	return &datagram{

@@ -295,7 +295,11 @@ func (s *Server) frameOut(ch *channel, frame []byte, trace obs.SpanContext) {
 	ch.bytes.Add(int64(len(frame)))
 }
 
-// onFrame ingests a frame delivered by a driver.
+// onFrame ingests a frame delivered by a driver. A TCP frame ends here:
+// handleSegment copies what it keeps (into rcvBuf, or a parked
+// out-of-order segment), so the frame goes back to the free list. A
+// datagram's payload stays a view of its frame and goes to the reader
+// with it.
 func (s *Server) onFrame(m kernel.Message) {
 	ch := s.channelByEp(m.Source)
 	if ch == nil {
@@ -310,8 +314,9 @@ func (s *Server) onFrame(m kernel.Message) {
 	switch f[0] {
 	case protoTCP:
 		if seg, ok := decodeTCP(f); ok {
-			s.handleSegment(ch, seg)
+			s.handleSegment(ch, &seg)
 		}
+		s.ctx.Bufs().Put(f)
 	case protoUDP:
 		if d, ok := decodeUDP(f); ok {
 			s.handleDatagram(d)

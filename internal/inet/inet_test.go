@@ -2,7 +2,9 @@ package inet
 
 import (
 	"bytes"
-	"errors"
+	"encoding/binary"
+	"hash/crc32"
+	"io"
 	"testing"
 	"time"
 
@@ -86,6 +88,10 @@ func (sp *stubPair) carry(side int, frame []byte) {
 		peer = "eth.a"
 	}
 	for i := 0; i < n; i++ {
+		if i > 0 {
+			// A frame has one owner: the wire's duplicate is a copy.
+			frame = append([]byte(nil), frame...)
+		}
 		sp.env.Schedule(sp.Delay, func() {
 			ep := sp.k.LookupLabel(peer)
 			if ep == kernel.None {
@@ -168,12 +174,13 @@ func TestTCPHandshakeAndEcho(t *testing.T) {
 			t.Errorf("accept: %v", err)
 			return
 		}
-		data, err := conn.Read(4096)
+		data := make([]byte, 4096)
+		n, err := conn.Read(data)
 		if err != nil {
 			t.Errorf("read: %v", err)
 			return
 		}
-		conn.Write(bytes.ToUpper(data))
+		conn.Write(bytes.ToUpper(data[:n]))
 		conn.Close()
 	})
 	var got []byte
@@ -185,10 +192,12 @@ func TestTCPHandshakeAndEcho(t *testing.T) {
 			return
 		}
 		conn.Write([]byte("hello"))
-		got, err = conn.Read(4096)
+		got = make([]byte, 4096)
+		n, err := conn.Read(got)
 		if err != nil {
 			t.Errorf("read: %v", err)
 		}
+		got = got[:n]
 		conn.Close()
 	})
 	r.env.Run(time.Minute)
@@ -198,12 +207,65 @@ func TestTCPHandshakeAndEcho(t *testing.T) {
 }
 
 // transfer moves size patterned bytes from B (server) to A (client) and
-// verifies content; returns the duration.
+// verifies content.
 func transfer(t *testing.T, r *rig, size int) {
 	t.Helper()
-	pattern := func(i int) byte { return byte(i*7 + i>>8) }
+	serve(t, r, 80, size)
+	done := false
+	r.spawnApp(t, "client", func(c *kernel.Ctx) {
+		c.Sleep(50 * time.Millisecond)
+		conn, err := netlib.Dial(c, r.aEp, "eth.a", 80)
+		if err != nil {
+			t.Errorf("dial: %v", err)
+			return
+		}
+		off := 0
+		for data := make([]byte, 8192); ; {
+			n, err := conn.Read(data)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Errorf("read: %v", err)
+				return
+			}
+			if !patterned(t, 80, off, data[:n]) {
+				return
+			}
+			off += n
+		}
+		if off != size {
+			t.Errorf("received %d bytes, want %d", off, size)
+		}
+		done = true
+	})
+	r.env.Run(10 * time.Minute)
+	if !done {
+		t.Fatal("transfer did not complete")
+	}
+}
+
+// pattern is byte i of the stream served on port: concurrent transfers
+// carry different bytes.
+func pattern(port uint16, i int) byte { return byte(i*7 + i>>8 + int(port)) }
+
+// patterned checks that data is the stream of port from offset off on.
+func patterned(t *testing.T, port uint16, off int, data []byte) bool {
+	for i, b := range data {
+		if b != pattern(port, off+i) {
+			t.Errorf("port %d: corruption at %d", port, off+i)
+			return false
+		}
+	}
+	return true
+}
+
+// serve starts a server on B that streams size patterned bytes to the
+// first connection on port and closes.
+func serve(t *testing.T, r *rig, port uint16, size int) {
+	t.Helper()
 	r.spawnApp(t, "server", func(c *kernel.Ctx) {
-		lst, err := netlib.Listen(c, r.bEp, 80)
+		lst, err := netlib.Listen(c, r.bEp, port)
 		if err != nil {
 			t.Errorf("listen: %v", err)
 			return
@@ -219,7 +281,7 @@ func transfer(t *testing.T, r *rig, size int) {
 				n = size - off
 			}
 			for i := 0; i < n; i++ {
-				buf[i] = pattern(off + i)
+				buf[i] = pattern(port, off+i)
 			}
 			if _, err := conn.Write(buf[:n]); err != nil {
 				t.Errorf("write: %v", err)
@@ -229,40 +291,58 @@ func transfer(t *testing.T, r *rig, size int) {
 		}
 		conn.Close()
 	})
-	done := false
-	r.spawnApp(t, "client", func(c *kernel.Ctx) {
-		c.Sleep(50 * time.Millisecond)
-		conn, err := netlib.Dial(c, r.aEp, "eth.a", 80)
-		if err != nil {
-			t.Errorf("dial: %v", err)
-			return
-		}
-		off := 0
-		for {
-			data, err := conn.Read(8192)
-			if errors.Is(err, netlib.ErrClosed) {
-				break
-			}
-			if err != nil {
-				t.Errorf("read: %v", err)
+}
+
+// TestTwoReadersOneINET interleaves two transfers through one pair of
+// network servers over a wire that drops and duplicates. The readers
+// speak the socket protocol by hand so they can hold each read reply for
+// a while — long enough for the server to answer the other — before
+// checking it and recycling it, poisoned, the way netlib does. A frame
+// recycled before its payload was copied, or one reply buffer serving
+// both readers, corrupts a stream.
+func TestTwoReadersOneINET(t *testing.T) {
+	poison(t)
+	r := newRig(t)
+	r.sp.DropEvery = 20
+	r.sp.DupEvery = 7
+	reader := func(port uint16, size int) (done *bool) {
+		serve(t, r, port, size)
+		done = new(bool)
+		r.spawnApp(t, "client", func(c *kernel.Ctx) {
+			c.Sleep(50 * time.Millisecond)
+			conn, err := c.SendRec(r.aEp, kernel.Message{Type: proto.TCPConnect, Name: "eth.a", Arg1: int64(port)})
+			if err != nil || conn.Arg1 < 0 {
+				t.Errorf("port %d: connect: %v %d", port, err, conn.Arg1)
 				return
 			}
-			for i, b := range data {
-				if b != pattern(off+i) {
-					t.Errorf("corruption at %d", off+i)
+			off := 0
+			for {
+				rep, err := c.SendRec(r.aEp, kernel.Message{Type: proto.TCPRecv, Arg1: conn.Arg1, Arg2: 8192})
+				if err != nil || rep.Arg1 < 0 {
+					t.Errorf("port %d: read: %v %d", port, err, rep.Arg1)
 					return
 				}
+				if rep.Arg1 == 0 {
+					break
+				}
+				c.Sleep(300 * time.Microsecond)
+				if !patterned(t, port, off, rep.Payload) {
+					return
+				}
+				off += len(rep.Payload)
+				c.Bufs().Put(rep.Payload)
 			}
-			off += len(data)
-		}
-		if off != size {
-			t.Errorf("received %d bytes, want %d", off, size)
-		}
-		done = true
-	})
+			*done = off == size
+		})
+		return done
+	}
+	first, second := reader(80, 512<<10), reader(81, 384<<10+3)
 	r.env.Run(10 * time.Minute)
-	if !done {
-		t.Fatal("transfer did not complete")
+	if !*first || !*second {
+		t.Fatalf("transfers completed in full: %v, %v", *first, *second)
+	}
+	if r.b.Stats().Retransmits+r.b.Stats().FastRetransmits == 0 || r.a.Stats().SegsFuture == 0 {
+		t.Error("no retransmission or no out-of-order segment: the wire was too kind")
 	}
 }
 
@@ -344,15 +424,17 @@ func TestTCPEOFAfterClose(t *testing.T) {
 			t.Errorf("dial: %v", err)
 			return
 		}
-		first, _ = conn.Read(64)
-		_, readErr = conn.Read(64)
+		first = make([]byte, 64)
+		n, _ := conn.Read(first)
+		first = first[:n]
+		_, readErr = conn.Read(first[:cap(first)])
 	})
 	r.env.Run(time.Minute)
 	if string(first) != "bye" {
 		t.Fatalf("first read = %q", first)
 	}
-	if !errors.Is(readErr, netlib.ErrClosed) {
-		t.Fatalf("read after close = %v, want ErrClosed", readErr)
+	if readErr != io.EOF {
+		t.Fatalf("read after close = %v, want io.EOF", readErr)
 	}
 }
 
@@ -388,12 +470,12 @@ func TestTCPFlowControlSlowReader(t *testing.T) {
 		if err != nil {
 			return
 		}
-		for {
-			data, err := conn.Read(4 << 10)
+		for data := make([]byte, 4<<10); ; {
+			n, err := conn.Read(data)
 			if err != nil {
 				break
 			}
-			total += len(data)
+			total += n
 			c.Sleep(5 * time.Millisecond) // slow consumer
 		}
 	})
@@ -451,13 +533,40 @@ func TestUDPQueuesWhenNoReader(t *testing.T) {
 	}
 }
 
+// dirtyFrame is a frame buffer as the free list hands them out: the
+// previous holder's bytes still in it.
+func dirtyFrame(n int) []byte { return bytes.Repeat([]byte{0xDB}, n) }
+
+// TestFrameSumMatchesZeroedFieldCRC pins the wire format: the checksum a
+// frame carries is the CRC-32 of the frame with the field zeroed — the
+// definition the codec computed on a copy before it summed the three
+// ranges around the field in place.
+func TestFrameSumMatchesZeroedFieldCRC(t *testing.T) {
+	reference := func(f []byte, off int) uint32 {
+		cp := append([]byte(nil), f...)
+		binary.BigEndian.PutUint32(cp[off:], 0)
+		return crc32.ChecksumIEEE(cp)
+	}
+	for n := 0; n < 100; n++ {
+		payload := bytes.Repeat([]byte{byte(n)}, n*17)
+		tcp := encodeTCP(dirtyFrame(tcpHeaderLen+len(payload)), &segment{seq: uint32(n), payload: payload})
+		if got, want := binary.BigEndian.Uint32(tcp[tcpSumOff:]), reference(tcp, tcpSumOff); got != want {
+			t.Fatalf("tcp frame of %d bytes carries %#x, want %#x", len(tcp), got, want)
+		}
+		udp := encodeUDP(&datagram{srcPort: uint16(n), payload: payload})
+		if got, want := binary.BigEndian.Uint32(udp[udpSumOff:]), reference(udp, udpSumOff); got != want {
+			t.Fatalf("udp frame of %d bytes carries %#x, want %#x", len(udp), got, want)
+		}
+	}
+}
+
 func TestSegmentCodecRoundtrip(t *testing.T) {
 	seg := &segment{
 		srcPort: 80, dstPort: 40001,
 		seq: 12345, ack: 67890, flags: flagACK | flagFIN,
 		wnd: 555, payload: []byte("payload bytes"),
 	}
-	dec, ok := decodeTCP(encodeTCP(seg))
+	dec, ok := decodeTCP(encodeTCP(dirtyFrame(tcpHeaderLen+len(seg.payload)), seg))
 	if !ok {
 		t.Fatal("decode failed")
 	}
@@ -469,7 +578,7 @@ func TestSegmentCodecRoundtrip(t *testing.T) {
 }
 
 func TestSegmentChecksumRejectsCorruption(t *testing.T) {
-	f := encodeTCP(&segment{srcPort: 1, dstPort: 2, payload: []byte("x")})
+	f := encodeTCP(dirtyFrame(tcpHeaderLen+1), &segment{srcPort: 1, dstPort: 2, payload: []byte("x")})
 	f[len(f)-1] ^= 0xFF
 	if _, ok := decodeTCP(f); ok {
 		t.Fatal("corrupted segment accepted")

@@ -39,7 +39,7 @@ type tcpConn struct {
 	state      tcpState
 
 	// Send side. sndBuf holds bytes [sndUna, sndUna+len(sndBuf)); it is a
-	// window sliding through sndBack (see queueSend).
+	// window sliding through sndBack (see appendSliding).
 	iss      uint32
 	sndUna   uint32
 	sndNxt   uint32
@@ -53,11 +53,13 @@ type tcpConn struct {
 	finAcked bool
 	synAcked bool
 
-	// Receive side.
-	rcvNxt uint32
-	rcvBuf []byte
-	rcvFIN bool
-	ooo    map[uint32][]byte // out-of-order segments awaiting the gap fill
+	// Receive side. rcvBuf slides through rcvBack as sndBuf does through
+	// sndBack.
+	rcvNxt  uint32
+	rcvBuf  []byte
+	rcvBack []byte
+	rcvFIN  bool
+	ooo     map[uint32][]byte // out-of-order segments awaiting the gap fill
 
 	// Retransmission.
 	rto    sim.Time
@@ -110,7 +112,7 @@ func (c *tcpConn) rcvWindow() uint16 {
 
 // tcpSegOut builds and transmits one segment on the connection's channel.
 func (s *Server) tcpSegOut(c *tcpConn, flags uint8, seq uint32, payload []byte) {
-	seg := &segment{
+	s.segOut(c.ch, &segment{
 		srcPort: c.localPort,
 		dstPort: c.remotePort,
 		seq:     seq,
@@ -118,8 +120,16 @@ func (s *Server) tcpSegOut(c *tcpConn, flags uint8, seq uint32, payload []byte) 
 		flags:   flags,
 		wnd:     c.rcvWindow(),
 		payload: payload,
-	}
-	s.frameOut(c.ch, encodeTCP(seg), c.opCtx())
+	}, c.opCtx())
+}
+
+// segOut frames a segment in a buffer from the free list and transmits
+// it. The frame changes hands with every hop — driver, card, wire, peer
+// card, peer driver — and the network server it reaches puts it back
+// (onFrame); one dropped on the way is garbage.
+func (s *Server) segOut(ch *channel, seg *segment, trace obs.SpanContext) {
+	f := s.ctx.Bufs().Get(tcpHeaderLen + len(seg.payload))
+	s.frameOut(ch, encodeTCP(f, seg), trace)
 }
 
 // opCtx picks the causal context an outgoing segment belongs to: the
@@ -264,11 +274,10 @@ func (s *Server) handleSegment(ch *channel, seg *segment) {
 		}
 		if seg.flags&flagRST == 0 {
 			// No socket: refuse.
-			rst := &segment{
+			s.segOut(ch, &segment{
 				srcPort: seg.dstPort, dstPort: seg.srcPort,
 				seq: seg.ack, ack: seg.seq, flags: flagRST,
-			}
-			s.frameOut(ch, encodeTCP(rst), obs.SpanContext{})
+			}, obs.SpanContext{})
 		}
 		return
 	}
@@ -285,10 +294,10 @@ func (s *Server) handleSegment(ch *channel, seg *segment) {
 			// previous network-server instance. Answer RST (RFC 793) so
 			// the peer discards the stale connection; our SYN retransmit
 			// then reaches its listener.
-			s.frameOut(c.ch, encodeTCP(&segment{
+			s.segOut(c.ch, &segment{
 				srcPort: c.localPort, dstPort: c.remotePort,
 				seq: seg.ack, flags: flagRST,
-			}), obs.SpanContext{})
+			}, obs.SpanContext{})
 			return
 		}
 		if seg.flags&(flagSYN|flagACK) == flagSYN|flagACK && seg.ack == c.iss+1 {
@@ -431,7 +440,7 @@ func (s *Server) processData(c *tcpConn, seg *segment) {
 				if n > room {
 					n = room
 				}
-				c.rcvBuf = append(c.rcvBuf, payload[:n]...)
+				appendSliding(&c.rcvBuf, &c.rcvBack, payload[:n])
 				c.rcvNxt += uint32(n)
 				advanced = true
 				s.stats.SegsAccepted++
@@ -484,7 +493,7 @@ func (s *Server) drainOoo(c *tcpConn) {
 				if n > room {
 					n = room
 				}
-				c.rcvBuf = append(c.rcvBuf, fresh[:n]...)
+				appendSliding(&c.rcvBuf, &c.rcvBack, fresh[:n])
 				c.rcvNxt += uint32(n)
 				delete(c.ooo, seq)
 				found = true
@@ -522,7 +531,7 @@ func (s *Server) replyRecv(c *tcpConn, to kernel.Endpoint, max int) {
 	if n > max {
 		n = max
 	}
-	payload := make([]byte, n)
+	payload := s.ctx.Bufs().Get(n) // the reader puts it back
 	copy(payload, c.rcvBuf[:n])
 	c.rcvBuf = c.rcvBuf[n:]
 	// Reading opened the window: tell the sender.
@@ -546,7 +555,7 @@ func (s *Server) admitBlockedSend(c *tcpConn) {
 	if n > room {
 		n = room
 	}
-	c.queueSend(c.sendData[:n])
+	appendSliding(&c.sndBuf, &c.sndBack, c.sendData[:n])
 	c.sendData = c.sendData[n:]
 	c.sendDone += n
 	if len(c.sendData) == 0 {
@@ -559,22 +568,23 @@ func (s *Server) admitBlockedSend(c *tcpConn) {
 	s.trySend(c)
 }
 
-// queueSend appends p to the send buffer. ACKs slide sndBuf forward
-// through its backing array; when the tail runs out the unacked bytes
+// appendSliding appends p to *buf, a window that the consumer slides
+// forward through the backing array *back (ACKs for the send buffer,
+// reads for the receive buffer). When the tail runs out the bytes held
 // move back to the front of the same array instead of into a fresh one.
 // The array is kept at least twice the bytes held, so a move copies
-// fewer bytes than were acked since the last one — amortised O(1) per
-// byte sent, where plain append reallocated the whole buffer each time.
-// Segments never alias the buffer (encodeTCP copies the payload).
-func (c *tcpConn) queueSend(p []byte) {
-	need := len(c.sndBuf) + len(p)
-	if need > cap(c.sndBuf) {
-		if len(c.sndBack) < 2*need {
-			c.sndBack = make([]byte, 2*need)
+// fewer bytes than were consumed since the last one — amortised O(1) per
+// byte, where plain append reallocated the whole buffer each time.
+// Nothing else aliases the window (encodeTCP and replyRecv copy out).
+func appendSliding(buf, back *[]byte, p []byte) {
+	need := len(*buf) + len(p)
+	if need > cap(*buf) {
+		if len(*back) < 2*need {
+			*back = make([]byte, 2*need)
 		}
-		c.sndBuf = c.sndBack[:copy(c.sndBack, c.sndBuf)]
+		*buf = (*back)[:copy(*back, *buf)]
 	}
-	c.sndBuf = append(c.sndBuf, p...)
+	*buf = append(*buf, p...)
 }
 
 // maybeFinish schedules connection teardown once both directions closed.

@@ -30,6 +30,9 @@ func (c *Ctx) Now() sim.Time { return c.k.env.Now() }
 // recorder methods are nil-safe, so callers instrument unconditionally.
 func (c *Ctx) Obs() *obs.Recorder { return c.k.obs }
 
+// Bufs returns the system's free list of bulk byte buffers.
+func (c *Ctx) Bufs() *Bufs { return &c.k.bufs }
+
 // Logf traces a line attributed to this process.
 func (c *Ctx) Logf(format string, args ...any) {
 	c.k.env.Logf(c.e.label, format, args...)

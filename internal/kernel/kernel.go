@@ -109,6 +109,8 @@ type Kernel struct {
 	ports map[uint32]Device // device port space
 	irqs  map[int]*irqLine
 
+	bufs Bufs // the system's bulk-buffer free list
+
 	debugLeakGrants bool // test-only: skip grant revocation in reap
 }
 

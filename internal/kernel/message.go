@@ -4,9 +4,9 @@ import "resilientos/internal/obs"
 
 // Message is the fixed-shape IPC unit, modeled on MINIX's small fixed-size
 // messages: a type tag, a few scalar arguments, an optional grant reference
-// for bulk data, and a small inline payload used where real MINIX would use
-// a grant for brevity's sake (e.g. network frames). The kernel fills in
-// Source on delivery.
+// for bulk data, and an inline payload used where real MINIX would use a
+// grant for brevity's sake (network frames, read replies). The kernel fills
+// in Source on delivery.
 type Message struct {
 	Source Endpoint
 	Type   int32
@@ -29,8 +29,13 @@ type Message struct {
 	// Name carries a short string argument (device names, labels).
 	Name string
 
-	// Payload is small inline data. Slices are shared, not copied; by
-	// convention senders do not mutate a payload after sending.
+	// Payload is inline data. The slice is handed over, not copied. A
+	// bulk payload — a frame, a file- or socket-read reply — changes
+	// owner with the message: the sender must not touch it again, and
+	// the last receiver puts it back on the free list (Ctx.Bufs) once it
+	// has copied the bytes out. A request's payload (data to write or
+	// send, a state capsule) is only lent: the receiver copies what it
+	// keeps before it replies.
 	Payload []byte
 }
 

@@ -2,6 +2,7 @@ package mfs
 
 import (
 	"bytes"
+	"crypto/sha1"
 	"testing"
 	"testing/quick"
 	"time"
@@ -455,6 +456,10 @@ func TestMFSComplainsAboutProtocolViolation(t *testing.T) {
 // Property: random write/read sequences through MFS behave like an
 // in-memory reference file.
 func TestMFSMatchesReferenceModel(t *testing.T) {
+	// Replies are recycled, poisoned, as a reader would: the next read is
+	// then assembled in a dirty buffer, so holes must be zeroed, not found
+	// zero.
+	poison(t)
 	r := newFsRig(t, nil)
 	done := false
 	r.client(t, func(c *kernel.Ctx) {
@@ -494,11 +499,62 @@ func TestMFSMatchesReferenceModel(t *testing.T) {
 				t.Errorf("step %d: read mismatch at %d+%d", step, voff, vn)
 				return
 			}
+			c.Bufs().Put(rep.Payload)
 		}
 		done = true
 	})
 	r.env.Run(10 * time.Minute)
 	if !done {
 		t.Fatal("model check did not finish")
+	}
+}
+
+// TestTwoReadersOneMFS interleaves two readers of two files on one file
+// server. Each holds a reply for a while before copying it out — long
+// enough for the server to finish the other's next read — and then
+// recycles it, poisoned, the way fslib does. The digests must equal
+// those of each file read alone: a server answering every read out of
+// one scratch buffer hands the second reader's bytes to the first.
+func TestTwoReadersOneMFS(t *testing.T) {
+	files := []PreallocFile{{Name: "a", Size: 3 << 20}, {Name: "b", Size: 2<<20 + 4097}}
+	// read starts a reader of path in chunk-sized reads; *sum is set when
+	// it reaches end of file.
+	read := func(r *fsRig, path string, chunk int, sum *[sha1.Size]byte) {
+		r.client(t, func(c *kernel.Ctx) {
+			c.Sleep(time.Second)
+			ino := fsCall(t, c, r.mfsEp, kernel.Message{Type: proto.FSOpen, Name: path}).Arg1
+			h := sha1.New()
+			for off := int64(0); ; {
+				rep := fsCall(t, c, r.mfsEp, kernel.Message{Type: proto.FSRead, Arg1: ino, Arg2: int64(chunk), Arg3: off})
+				if rep.Arg1 <= 0 {
+					break
+				}
+				c.Sleep(5 * time.Millisecond)
+				h.Write(rep.Payload)
+				off += int64(len(rep.Payload))
+				c.Bufs().Put(rep.Payload)
+			}
+			copy(sum[:], h.Sum(nil))
+		})
+	}
+	var wantA, wantB, gotA, gotB [sha1.Size]byte
+	alone := newFsRig(t, files)
+	read(alone, "/a", 64<<10, &wantA)
+	alone.env.Run(time.Minute)
+	alone = newFsRig(t, files)
+	read(alone, "/b", 64<<10, &wantB)
+	alone.env.Run(time.Minute)
+
+	poison(t)
+	r := newFsRig(t, files)
+	read(r, "/a", 64<<10, &gotA)
+	read(r, "/b", 4096+1, &gotB) // every read ends mid-block
+	r.env.Run(time.Minute)
+	var zero [sha1.Size]byte
+	if wantA == zero || wantB == zero || wantA == wantB {
+		t.Fatalf("reference reads did not finish: %x %x", wantA, wantB)
+	}
+	if gotA != wantA || gotB != wantB {
+		t.Errorf("interleaved reads: /a ok=%v, /b ok=%v", gotA == wantA, gotB == wantB)
 	}
 }

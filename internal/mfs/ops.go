@@ -344,7 +344,10 @@ func (s *Server) mapThroughIndirect(root *uint32, idx int64, alloc bool) (uint32
 // File data
 
 // readFile reads up to n bytes at off, coalescing contiguous zone runs
-// into single driver transfers.
+// into single driver transfers. The result is a reply buffer from the
+// system's free list; whoever the reply reaches last puts it back. A run
+// of whole blocks is read straight into it (the driver copies through the
+// grant); a run entered or left mid-block goes through the edge scratch.
 func (s *Server) readFile(ino uint32, off int64, n int) ([]byte, error) {
 	in, err := s.readInode(ino)
 	if err != nil {
@@ -359,10 +362,10 @@ func (s *Server) readFile(ino uint32, off int64, n int) ([]byte, error) {
 	if int64(n) > in.Size-off {
 		n = int(in.Size - off)
 	}
-	out := make([]byte, 0, n)
-	for len(out) < n {
-		zi := (off + int64(len(out))) / BlockSize
-		inblk := (off + int64(len(out))) % BlockSize
+	out := s.ctx.Bufs().Get(n)
+	for done := 0; done < n; {
+		zi := (off + int64(done)) / BlockSize
+		inblk := (off + int64(done)) % BlockSize
 		// Find the contiguous disk-zone run starting here.
 		first, err := s.bmap(&in, zi, false)
 		if err != nil {
@@ -370,15 +373,13 @@ func (s *Server) readFile(ino uint32, off int64, n int) ([]byte, error) {
 		}
 		if first == 0 {
 			// Sparse hole: zeros.
-			take := BlockSize - int(inblk)
-			if take > n-len(out) {
-				take = n - len(out)
-			}
-			out = append(out, make([]byte, take)...)
+			take := min(BlockSize-int(inblk), n-done)
+			clear(out[done : done+take])
+			done += take
 			continue
 		}
 		run := int64(1)
-		need := (int64(n-len(out)) + inblk + BlockSize - 1) / BlockSize
+		need := (int64(n-done) + inblk + BlockSize - 1) / BlockSize
 		for run < need {
 			z, err := s.bmap(&in, zi+run, false)
 			if err != nil {
@@ -389,15 +390,22 @@ func (s *Server) readFile(ino uint32, off int64, n int) ([]byte, error) {
 			}
 			run++
 		}
-		buf := make([]byte, run*BlockSize)
-		if err := s.readZones(int64(first), run, buf); err != nil {
+		take := min(int(run*BlockSize-inblk), n-done)
+		if inblk == 0 && int64(take) == run*BlockSize {
+			err = s.readZones(int64(first), run, out[done:done+take])
+		} else {
+			if int64(cap(s.edge)) < run*BlockSize {
+				s.edge = make([]byte, run*BlockSize)
+			}
+			edge := s.edge[:run*BlockSize]
+			if err = s.readZones(int64(first), run, edge); err == nil {
+				copy(out[done:done+take], edge[inblk:])
+			}
+		}
+		if err != nil {
 			return nil, err
 		}
-		take := int(run*BlockSize - inblk)
-		if take > n-len(out) {
-			take = n - len(out)
-		}
-		out = append(out, buf[inblk:inblk+int64(take)]...)
+		done += take
 	}
 	return out, nil
 }

@@ -57,6 +57,7 @@ type Server struct {
 
 	sb    *Superblock
 	cache *blockCache
+	edge  []byte // readFile's scratch for a zone run read mid-block
 
 	bytes *obs.Counter // bytes moved through the driver, cached per binding
 

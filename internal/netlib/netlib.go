@@ -6,6 +6,7 @@ package netlib
 import (
 	"errors"
 	"fmt"
+	"io"
 
 	"resilientos/internal/kernel"
 	"resilientos/internal/proto"
@@ -103,22 +104,25 @@ func (cn *Conn) Write(b []byte) (int, error) {
 	return int(reply.Arg1), nil
 }
 
-// Read blocks for up to max bytes; it returns nil, ErrClosed after the
-// peer's orderly close has drained.
-func (cn *Conn) Read(max int) ([]byte, error) {
+// Read blocks for up to len(p) bytes into p; io.EOF after the peer's
+// orderly close has drained. The reply buffer goes back to the system's
+// free list.
+func (cn *Conn) Read(p []byte) (int, error) {
 	reply, err := cn.ctx.SendRec(cn.inet, kernel.Message{
-		Type: proto.TCPRecv, Arg1: cn.id, Arg2: int64(max),
+		Type: proto.TCPRecv, Arg1: cn.id, Arg2: int64(len(p)),
 	})
 	if err != nil {
-		return nil, ErrNoServer
+		return 0, ErrNoServer
 	}
 	if reply.Arg1 < 0 {
-		return nil, codeErr(reply.Arg1)
+		return 0, codeErr(reply.Arg1)
 	}
 	if reply.Arg1 == 0 {
-		return nil, ErrClosed // EOF
+		return 0, io.EOF
 	}
-	return reply.Payload, nil
+	n := copy(p, reply.Payload)
+	cn.ctx.Bufs().Put(reply.Payload)
+	return n, nil
 }
 
 // Close initiates an orderly close.

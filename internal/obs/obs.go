@@ -100,6 +100,13 @@ const (
 // span tracking off wholesale (StartSpan then returns the zero context).
 var SpanKinds = []Kind{KindSpanBegin, KindSpanEnd, KindSpanOrphan, KindSpanLink}
 
+// TimelineKinds lists the kinds Timeline reads: a run that wants only
+// recovery spans keeps these (see Only) and none of the rest.
+var TimelineKinds = []Kind{
+	KindMark, KindDefect, KindPolicyStart, KindPolicyExit,
+	KindRestart, KindReintegrate, KindGiveUp,
+}
+
 var kindNames = [...]string{
 	KindMark:          "mark",
 	KindIPCSend:       "ipc.send",
@@ -429,6 +436,28 @@ func (s *SliceSink) Emit(e Event) { s.events = append(s.events, e) }
 
 // Events returns the recorded events in emission order (not a copy).
 func (s *SliceSink) Events() []Event { return s.events }
+
+// Only returns a sink that passes events of the given kinds on to s and
+// drops the rest. The recorder's own mask decides what is emitted at all
+// — to every sink; this narrows what one of them keeps.
+func Only(s Sink, kinds ...Kind) Sink {
+	f := kindFilter{to: s}
+	for _, k := range kinds {
+		f.mask |= 1 << uint(k)
+	}
+	return f
+}
+
+type kindFilter struct {
+	mask uint64
+	to   Sink
+}
+
+func (f kindFilter) Emit(e Event) {
+	if f.mask&(1<<uint(e.Kind)) != 0 {
+		f.to.Emit(e)
+	}
+}
 
 // CountSink counts events by kind and by component without storing them.
 type CountSink struct {

@@ -1,6 +1,7 @@
 package resilientos
 
 import (
+	"io"
 	"runtime"
 	"testing"
 	"time"
@@ -188,16 +189,16 @@ func TestFileWriteReadRoundtrip(t *testing.T) {
 			return
 		}
 		var total int
-		for {
-			data, err := g.Read(4096)
+		for data := make([]byte, 4096); ; {
+			n, err := g.Read(data)
+			if err == io.EOF {
+				break
+			}
 			if err != nil {
 				t.Errorf("read: %v", err)
 				return
 			}
-			if data == nil {
-				break
-			}
-			total += len(data)
+			total += n
 		}
 		if total != 100*len(text) {
 			t.Errorf("read back %d bytes", total)
@@ -406,12 +407,12 @@ func TestAudioInputLostAcrossDriverDeath(t *testing.T) {
 				p.Sleep(100 * time.Millisecond)
 				continue
 			}
-			for {
-				data, err := f.Read(4096)
-				if err != nil {
+			for data := make([]byte, 4096); ; {
+				n, err := f.Read(data)
+				if err != nil && err != io.EOF { // EOF: nothing captured yet
 					break // driver died; reopen and continue recording
 				}
-				recorded = append(recorded, data...)
+				recorded = append(recorded, data[:n]...)
 				p.Sleep(50 * time.Millisecond)
 			}
 		}
@@ -470,12 +471,12 @@ func TestNetworkServerRecovery(t *testing.T) {
 				continue
 			}
 			var got int64
-			for got < size {
-				data, err := conn.Read(64 << 10)
+			for data := make([]byte, 64<<10); got < size; {
+				n, err := conn.Read(data)
 				if err != nil {
 					break // INET died mid-transfer: reconnect from scratch
 				}
-				got += int64(len(data))
+				got += int64(n)
 			}
 			if got >= size {
 				done = true
@@ -525,8 +526,11 @@ func TestFileServerRecovery(t *testing.T) {
 			t.Errorf("open: %v", err)
 			return
 		}
-		for {
-			data, err := f.Read(64 << 10)
+		for data := make([]byte, 64<<10); ; {
+			n, err := f.Read(data)
+			if err == io.EOF {
+				break
+			}
 			if err != nil {
 				ioErrors++
 				if ioErrors > 10 {
@@ -536,10 +540,7 @@ func TestFileServerRecovery(t *testing.T) {
 				p.Sleep(200 * time.Millisecond) // server coming back
 				continue
 			}
-			if data == nil {
-				break
-			}
-			got += int64(len(data))
+			got += int64(n)
 		}
 		done = true
 	})
@@ -592,9 +593,10 @@ func TestVFSRestartInvalidatesDescriptors(t *testing.T) {
 			t.Errorf("reopen: %v", err)
 			return
 		}
-		data, err := g.Read(64)
-		if err != nil || string(data) != "before" {
-			t.Errorf("reread: %q %v", data, err)
+		data := make([]byte, 64)
+		n, err := g.Read(data)
+		if err != nil || string(data[:n]) != "before" {
+			t.Errorf("reread: %q %v", data[:n], err)
 			return
 		}
 		reopened = true

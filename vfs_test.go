@@ -1,6 +1,7 @@
 package resilientos
 
 import (
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -105,16 +106,16 @@ func TestVFSSequentialReadOffsets(t *testing.T) {
 		}
 		// Reads advance the VFS-held offset.
 		var got []byte
-		for {
-			d, err := g.Read(3)
+		for d := make([]byte, 3); ; {
+			n, err := g.Read(d)
+			if err == io.EOF {
+				break
+			}
 			if err != nil {
 				t.Errorf("read: %v", err)
 				return
 			}
-			if d == nil {
-				break
-			}
-			got = append(got, d...)
+			got = append(got, d[:n]...)
 		}
 		if string(got) != "abcdefghij" {
 			t.Errorf("sequential read = %q", got)
@@ -159,7 +160,7 @@ func TestVFSCloseInvalidatesFd(t *testing.T) {
 			return
 		}
 		f.Close()
-		if _, err := f.Read(10); err == nil {
+		if _, err := f.Read(make([]byte, 10)); err == nil {
 			t.Error("read on closed fd succeeded")
 			return
 		}

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"time"
 
 	"resilientos/internal/netlib"
@@ -18,25 +19,35 @@ import (
 // player, CD burner).
 
 // Pattern fills buf with the deterministic pseudo-random byte stream used
-// by the network transfer workloads, starting at stream offset off.
+// by the network transfer workloads, starting at stream offset off: whole
+// 8-byte lanes at a time, byte-wise only at the two unaligned edges.
 func Pattern(seed int64, off int64, buf []byte) {
-	// xorshift64* per 8-byte lane, keyed by seed and lane index.
 	lane := off / 8
-	phase := off % 8
-	var word [8]byte
-	for i := 0; i < len(buf); {
-		x := uint64(seed)*0x9E3779B97F4A7C15 + uint64(lane)*0xBF58476D1CE4E5B9 + 1
-		x ^= x >> 12
-		x ^= x << 25
-		x ^= x >> 27
-		binary.LittleEndian.PutUint64(word[:], x*0x2545F4914F6CDD1D)
-		for ; phase < 8 && i < len(buf); phase++ {
-			buf[i] = word[phase]
-			i++
-		}
-		phase = 0
+	if phase := off % 8; phase != 0 {
+		var w [8]byte
+		binary.LittleEndian.PutUint64(w[:], patternLane(seed, lane))
+		buf = buf[copy(buf, w[phase:]):]
 		lane++
 	}
+	for ; len(buf) >= 8; buf = buf[8:] {
+		binary.LittleEndian.PutUint64(buf, patternLane(seed, lane))
+		lane++
+	}
+	if len(buf) > 0 {
+		var w [8]byte
+		binary.LittleEndian.PutUint64(w[:], patternLane(seed, lane))
+		copy(buf, w[:])
+	}
+}
+
+// patternLane is one 8-byte lane of the stream: xorshift64* keyed by seed
+// and lane index.
+func patternLane(seed, lane int64) uint64 {
+	x := uint64(seed)*0x9E3779B97F4A7C15 + uint64(lane)*0xBF58476D1CE4E5B9 + 1
+	x ^= x >> 12
+	x ^= x << 25
+	x ^= x >> 27
+	return x * 0x2545F4914F6CDD1D
 }
 
 // PatternMD5 returns the MD5 of the first size bytes of the pattern
@@ -112,18 +123,19 @@ func (sys *System) Wget(channel string, port uint16, seed int64, size int64, res
 			return
 		}
 		h := md5.New()
+		buf := make([]byte, 64<<10)
 		var got int64
 		for got < size {
-			data, err := conn.Read(64 << 10)
+			n, err := conn.Read(buf)
 			if err != nil {
-				if errors.Is(err, netlib.ErrClosed) {
+				if err == io.EOF || errors.Is(err, netlib.ErrClosed) {
 					break
 				}
 				res.Err = err
 				return
 			}
-			h.Write(data)
-			got += int64(len(data))
+			h.Write(buf[:n])
+			got += int64(n)
 			res.Bytes = got
 		}
 		conn.Close()
@@ -155,17 +167,18 @@ func (sys *System) Dd(path string, bs int, res *DdResult) {
 		// the disk driver's initial reset+identify.
 		start := p.Now()
 		h := sha1.New()
+		buf := make([]byte, bs)
 		for {
-			data, err := f.Read(bs)
+			n, err := f.Read(buf)
+			if err == io.EOF {
+				break
+			}
 			if err != nil {
 				res.Err = err
 				return
 			}
-			if data == nil {
-				break // EOF
-			}
-			h.Write(data)
-			res.Bytes += int64(len(data))
+			h.Write(buf[:n])
+			res.Bytes += int64(n)
 		}
 		f.Close()
 		res.Duration = p.Now() - start

@@ -2,6 +2,8 @@ package resilientos
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -72,5 +74,71 @@ func TestPatternMD5MatchesStream(t *testing.T) {
 	_ = h
 	if want != got {
 		t.Fatal("PatternMD5 not deterministic")
+	}
+}
+
+// patternReference is Pattern as it was before it stored whole lanes: one
+// byte per inner-loop iteration. Kept as the oracle for the fast path.
+func patternReference(seed int64, off int64, buf []byte) {
+	lane := off / 8
+	phase := off % 8
+	var word [8]byte
+	for i := 0; i < len(buf); {
+		x := uint64(seed)*0x9E3779B97F4A7C15 + uint64(lane)*0xBF58476D1CE4E5B9 + 1
+		x ^= x >> 12
+		x ^= x << 25
+		x ^= x >> 27
+		binary.LittleEndian.PutUint64(word[:], x*0x2545F4914F6CDD1D)
+		for ; phase < 8 && i < len(buf); phase++ {
+			buf[i] = word[phase]
+			i++
+		}
+		phase = 0
+		lane++
+	}
+}
+
+// TestPatternMatchesByteWiseReference: the lane-wise generator emits the
+// byte-wise one's stream bit for bit — every offset phase against every
+// length around one and two lanes, then random (seed, off, len).
+func TestPatternMatchesByteWiseReference(t *testing.T) {
+	check := func(seed, off int64, n int) {
+		t.Helper()
+		// Guard bytes either side catch a store outside buf.
+		got := bytes.Repeat([]byte{0xA5}, n+16)
+		want := bytes.Repeat([]byte{0xA5}, n+16)
+		Pattern(seed, off, got[8:8+n])
+		patternReference(seed, off, want[8:8+n])
+		if !bytes.Equal(got, want) {
+			t.Fatalf("Pattern(%d, %d, len %d) = % x, want % x", seed, off, n, got, want)
+		}
+	}
+	for off := int64(0); off < 17; off++ {
+		for n := 0; n <= 17; n++ {
+			check(3, off, n)
+		}
+	}
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		check(r.Int63()-r.Int63(), r.Int63n(1<<40), r.Intn(5000))
+	}
+}
+
+// TestPatternMD5Pinned pins the stream itself: these sums were taken from
+// the byte-wise generator, and every wget digest and golden hangs on them.
+func TestPatternMD5Pinned(t *testing.T) {
+	for _, c := range []struct {
+		seed, size int64
+		md5        string
+	}{
+		{1, 0, "d41d8cd98f00b204e9800998ecf8427e"},
+		{1, 1, "0fbd1776e1ad22c59a7080d35c7fd4db"},
+		{1, 4097, "fc8d1f3a56883d3c0594f47355b40ed4"},
+		{7, 65536, "e8933e8bb6148825f419fc9e8baab1be"},
+		{11, 1048579, "4fad4d23e4bf970815153871e9b54fee"},
+	} {
+		if got := fmt.Sprintf("%x", PatternMD5(c.seed, c.size)); got != c.md5 {
+			t.Errorf("PatternMD5(%d, %d) = %s, want %s", c.seed, c.size, got, c.md5)
+		}
 	}
 }
