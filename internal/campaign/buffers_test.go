@@ -9,6 +9,7 @@ import (
 	"resilientos"
 	"resilientos/internal/fi"
 	"resilientos/internal/obs"
+	"resilientos/internal/ucode"
 )
 
 // TestPoisonCampaignCells runs one SWIFI cell per victim under each
@@ -63,7 +64,7 @@ func TestCellHeapBounded(t *testing.T) {
 	runtime.GC() // what earlier tests left behind is not this cell's
 	var peak uint64
 	samples := 0
-	got := runCellKeeping(cell, cfg, obs.TimelineKinds, func() {
+	got := runCellKeeping(cell, cfg, obs.TimelineKinds, func(*ucode.VM, fi.Injection) {
 		var m runtime.MemStats
 		runtime.ReadMemStats(&m)
 		peak = max(peak, m.HeapInuse)

@@ -37,6 +37,7 @@ import (
 	"resilientos/internal/obs/decision"
 	"resilientos/internal/perf"
 	"resilientos/internal/sim"
+	"resilientos/internal/ucode"
 )
 
 // AllFaultTypes is the paper's seven mutation classes, in paper order.
@@ -225,8 +226,8 @@ func runCell(cell Cell, cfg Config) CellResult {
 // runCellKeeping is runCell with its two seams for tests: keep is the set
 // of kinds the cell's event slice retains (every kind gives the plain
 // slice the filtered one is checked against), and injected, if set, runs
-// after every injection.
-func runCellKeeping(cell Cell, cfg Config, keep []obs.Kind, injected func()) CellResult {
+// after every injection with the VM it mutated.
+func runCellKeeping(cell Cell, cfg Config, keep []obs.Kind, injected func(*ucode.VM, fi.Injection)) CellResult {
 	res := CellResult{Cell: cell, ByDefect: make(map[core.Defect]int)}
 
 	// The checker is a sink of its own and sees everything the recorder
@@ -334,7 +335,7 @@ func runCellKeeping(cell Cell, cfg Config, keep []obs.Kind, injected func()) Cel
 		res.Injected++
 		stall = 0
 		if injected != nil {
-			injected()
+			injected(vm, inj)
 		}
 	}
 	// Let the final crash (if any) resolve; policy backoff can hold a

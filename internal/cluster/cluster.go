@@ -149,7 +149,12 @@ type Cluster struct {
 	// reference the one-section run is compared against.
 	sliceCadence bool
 
-	healthy map[string]int // tick's per-class tally, reused
+	// tick's tally, redone only when an adopted answer moved: healthy
+	// nodes per class (indexed as classes) and nodes mid-recovery.
+	healthy    []int
+	recovering int
+
+	arrivals, dispatched, reroutes family // per-class / per-node / per-cause counters
 
 	nextReq      int64
 	outstanding  int64
@@ -178,8 +183,11 @@ func Boot(cfg Config) (*Cluster, error) {
 		horizon:   sim.Time(cfg.Horizon),
 		classes:   cfg.Classes,
 		latencies: make(map[string][]sim.Time, len(cfg.Classes)),
-		healthy:   make(map[string]int, len(cfg.Classes)),
+		healthy:   make([]int, len(cfg.Classes)),
 	}
+	c.arrivals = family{c.reg, "fleet.arrivals.", map[string]*obs.Counter{}}
+	c.dispatched = family{c.reg, "fleet.dispatch.", map[string]*obs.Counter{}}
+	c.reroutes = family{c.reg, "fleet.reroute.", map[string]*obs.Counter{}}
 	withChar := false
 	for _, cl := range cfg.Classes {
 		c.latencies[cl] = nil
@@ -234,24 +242,30 @@ func (c *Cluster) advance(t sim.Time) {
 // tick brings the fleet clock to the slice boundary t, which every member
 // has reached or passed: fleet events up to t first, then the adoption of
 // the members' probe answers for t — so routing between t and the next
-// tick sees exactly the state a probe at t saw — then the tally.
+// tick sees exactly the state a probe at t saw — then the tally, which
+// only an adopted answer can move.
 func (c *Cluster) tick(t sim.Time) {
 	c.fleet.RunUntil(t)
-	recovering := 0
-	clear(c.healthy)
+	moved := false
 	for _, n := range c.nodes {
-		n.adopt(t)
-		if n.degraded {
-			recovering++
-		}
-		for _, cl := range c.classes {
-			if n.health.OK(cl) {
-				c.healthy[cl]++
+		moved = n.adopt(t) || moved
+	}
+	if moved {
+		c.recovering = 0
+		clear(c.healthy)
+		for _, n := range c.nodes {
+			if n.degraded {
+				c.recovering++
+			}
+			for i, cl := range c.classes {
+				if n.health.OK(cl) {
+					c.healthy[i]++
+				}
 			}
 		}
 	}
 	if c.tracker != nil {
-		c.tracker.sampleBarrier(t, c.healthy, recovering)
+		c.tracker.sampleBarrier(t, c.healthy, c.recovering)
 	}
 }
 

@@ -82,19 +82,19 @@ func (t *tracker) window(at sim.Time) int {
 	return i
 }
 
-// sampleBarrier records one barrier's healthy-node counts per class and
-// the number of nodes with a recovery in flight.
-func (t *tracker) sampleBarrier(at sim.Time, healthy map[string]int, recoveringNodes int) {
+// sampleBarrier records one barrier's healthy-node counts per class
+// (indexed as classes) and the number of nodes with a recovery in flight.
+func (t *tracker) sampleBarrier(at sim.Time, healthy []int, recoveringNodes int) {
 	t.barriers++
 	t.overlapSum += int64(recoveringNodes)
 	if recoveringNodes > t.overlapMax {
 		t.overlapMax = recoveringNodes
 	}
-	i := t.window(at)
-	for _, cl := range t.classes {
-		t.healthySum[cl] += int64(healthy[cl])
-		if i >= 0 && healthy[cl] < t.minHealthy[cl][i] {
-			t.minHealthy[cl][i] = healthy[cl]
+	w := t.window(at)
+	for i, cl := range t.classes {
+		t.healthySum[cl] += int64(healthy[i])
+		if w >= 0 && healthy[i] < t.minHealthy[cl][w] {
+			t.minHealthy[cl][w] = healthy[i]
 		}
 	}
 }

@@ -222,13 +222,16 @@ func (n *Node) advance(to sim.Time) {
 	}
 }
 
-// adopt makes the probe answer for boundary t the node's routing health.
-func (n *Node) adopt(t sim.Time) {
+// adopt makes the probe answer for boundary t the node's routing health,
+// and reports whether that took over a new answer.
+func (n *Node) adopt(t sim.Time) bool {
+	from := n.adopted
 	for n.adopted < len(n.changes) && n.changes[n.adopted].at <= t {
 		ch := n.changes[n.adopted]
 		n.health, n.degraded = ch.health, ch.degraded
 		n.adopted++
 	}
+	return n.adopted != from
 }
 
 // Health returns the sample the fleet loop adopted last.

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"resilientos"
+	"resilientos/internal/obs"
 	"resilientos/internal/sim"
 	"resilientos/internal/workload"
 )
@@ -56,8 +57,26 @@ func (c *Cluster) arrive(ev workload.Event) {
 	r := &request{id: c.nextReq, class: ev.Class, arrival: c.fleet.Now(), size: ev.Size}
 	c.outstanding++
 	c.reg.Counter("fleet.arrivals").Add(1)
-	c.reg.Counter("fleet.arrivals." + ev.Class).Add(1)
+	c.arrivals.inc(ev.Class)
 	c.dispatch(r)
+}
+
+// family is the counters "<prefix><key>" of one registry, each resolved
+// once: a counter is created by its key's first event, as a direct
+// Registry.Counter call would, so the registry holds the same names.
+type family struct {
+	reg    *obs.Registry
+	prefix string
+	byKey  map[string]*obs.Counter
+}
+
+func (f *family) inc(key string) {
+	ctr, ok := f.byKey[key]
+	if !ok {
+		ctr = f.reg.Counter(f.prefix + key)
+		f.byKey[key] = ctr
+	}
+	ctr.Add(1)
 }
 
 // Per-class service-cost model: a fixed per-request base, a
@@ -98,7 +117,7 @@ func (c *Cluster) serviceTime(class string, size int64) sim.Time {
 func (c *Cluster) dispatch(r *request) {
 	n := c.nodes[c.policy.Pick(r.class, c.nodes)]
 	n.inflight++
-	c.reg.Counter("fleet.dispatch." + n.Name).Add(1)
+	c.dispatched.inc(n.Name)
 	if !n.health.OK(r.class) {
 		// Routed onto a sick node (health-blind policy, or a fleet-wide
 		// outage): the attempt stalls until the client re-routes.
@@ -114,7 +133,7 @@ func (c *Cluster) dispatch(r *request) {
 func (c *Cluster) bounce(r *request, n *Node, why string) {
 	r.reroutes++
 	c.rerouted++
-	c.reg.Counter("fleet.reroute." + why).Add(1)
+	c.reroutes.inc(why)
 	c.tracker.noteBounce(r.class, c.fleet.Now())
 	c.fleet.Schedule(retryAfter, func() {
 		n.inflight--
@@ -129,7 +148,7 @@ func (c *Cluster) finish(r *request, n *Node) {
 	if !n.health.OK(r.class) {
 		r.reroutes++
 		c.rerouted++
-		c.reg.Counter("fleet.reroute.midflight").Add(1)
+		c.reroutes.inc("midflight")
 		c.tracker.noteBounce(r.class, c.fleet.Now())
 		n.inflight--
 		c.dispatch(r)

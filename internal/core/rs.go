@@ -24,7 +24,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -311,10 +311,10 @@ type RS struct {
 	dsEp kernel.Endpoint
 	pmEp kernel.Endpoint
 
-	services     map[string]*service
-	sortedLabels []string     // cached label order for ServicesInto
-	pending      []pendingReq // Go-level API requests awaiting the RS loop
-	shSeq        int          // policy-script runner sequence numbers
+	services map[string]*service
+	ordered  []*service   // the services in label order, rebuilt when one is added
+	pending  []pendingReq // Go-level API requests awaiting the RS loop
+	shSeq    int          // policy-script runner sequence numbers
 
 	events   []Event
 	alerts   []Alert
@@ -476,25 +476,16 @@ func (rs *RS) Services() []ServiceInfo { return rs.ServicesInto(nil) }
 
 // ServicesInto appends the snapshot to buf and returns it, letting the
 // live invariant checker — which snapshots after every scheduler step —
-// reuse one buffer. The sorted label list is cached and rebuilt only
-// when services are added.
+// reuse one buffer.
 func (rs *RS) ServicesInto(buf []ServiceInfo) []ServiceInfo {
-	if len(rs.sortedLabels) != len(rs.services) {
-		rs.sortedLabels = rs.sortedLabels[:0]
-		for l := range rs.services {
-			rs.sortedLabels = append(rs.sortedLabels, l)
-		}
-		sort.Strings(rs.sortedLabels)
-	}
 	out := buf
-	for _, l := range rs.sortedLabels {
-		svc := rs.services[l]
+	for _, svc := range rs.ordered {
 		standby := kernel.None
 		if svc.standbyUp {
 			standby = svc.standbyEp
 		}
 		out = append(out, ServiceInfo{
-			Label:           l,
+			Label:           svc.cfg.Label,
 			Ep:              svc.ep,
 			Running:         svc.running,
 			Stopped:         svc.stopped,
@@ -606,6 +597,11 @@ func (rs *RS) drain(c *kernel.Ctx) {
 				svc.cfg.HeartbeatMisses = 3
 			}
 			rs.services[req.cfg.Label] = svc
+			rs.ordered = rs.ordered[:0]
+			for _, s := range rs.services {
+				rs.ordered = append(rs.ordered, s)
+			}
+			slices.SortFunc(rs.ordered, func(a, b *service) int { return strings.Compare(a.cfg.Label, b.cfg.Label) })
 			rs.spawnInstance(c, svc)
 		case "stop":
 			rs.doStop(c, req.label)
@@ -1224,7 +1220,7 @@ func (rs *RS) doReboot(c *kernel.Ctx) {
 // pings and SIGTERM escalations share the single kernel alarm).
 func (rs *RS) armTimer(c *kernel.Ctx) {
 	var next sim.Time
-	for _, svc := range rs.services {
+	for _, svc := range rs.ordered {
 		if svc.running && svc.cfg.HeartbeatPeriod > 0 {
 			if next == 0 || svc.nextPing < next {
 				next = svc.nextPing
@@ -1257,13 +1253,7 @@ func (rs *RS) onTimer(c *kernel.Ctx) {
 	// last recovery left ambient would leak into heartbeat pings: clear it.
 	c.SetTraceCtx(obs.SpanContext{})
 	now := c.Now()
-	labels := make([]string, 0, len(rs.services))
-	for l := range rs.services {
-		labels = append(labels, l)
-	}
-	sort.Strings(labels)
-	for _, l := range labels {
-		svc := rs.services[l]
+	for _, svc := range rs.ordered {
 		if !svc.running {
 			continue
 		}
@@ -1314,7 +1304,7 @@ func (rs *RS) onTimer(c *kernel.Ctx) {
 // [recovery:end]
 
 func (rs *RS) onPong(from kernel.Endpoint) {
-	for _, svc := range rs.services {
+	for _, svc := range rs.ordered {
 		if svc.ep == from {
 			if svc.awaiting && rs.dec.On(decision.KindDetect) {
 				svc.recordHB(true)

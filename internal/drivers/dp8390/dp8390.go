@@ -222,8 +222,8 @@ drained:
 	halt
 `
 
-// image assembles the pristine driver binary for a NIC at the given base.
-func image(base uint32) *ucode.Image {
+// Image assembles the pristine driver binary for a NIC at the given base.
+func Image(base uint32) *ucode.Image {
 	return ucode.MustAssemble(src, map[string]uint32{
 		"BASE":       base,
 		"REGCMD":     hw.NICRegCmd,
@@ -250,16 +250,12 @@ func image(base uint32) *ucode.Image {
 	})
 }
 
-// Image returns a pristine copy of the driver binary for a NIC at base —
-// exported for the fault injector's applicability analysis and tests.
-func Image(base uint32) *ucode.Image { return image(base) }
-
 // Config configures a driver instance factory.
 type Config = drvlib.EthConfig
 
 // Binary returns the service binary for this driver.
 func Binary(cfg Config) func(c *kernel.Ctx) {
-	return drvlib.EthBinary(drvlib.EthChip{Name: "dp8390", Image: image, Plant: plantState, Drain: drain}, cfg)
+	return drvlib.EthBinary(drvlib.EthChip{Name: "dp8390", Image: Image, Plant: plantState, Drain: drain}, cfg)
 }
 
 // plantState seeds the software state block a fresh (zeroed) VM needs to

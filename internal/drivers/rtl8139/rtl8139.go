@@ -93,8 +93,8 @@ norx:
 	halt
 `
 
-// image assembles the pristine driver binary for a NIC at the given base.
-func image(base uint32) *ucode.Image {
+// Image assembles the pristine driver binary for a NIC at the given base.
+func Image(base uint32) *ucode.Image {
 	return ucode.MustAssemble(src, map[string]uint32{
 		"BASE":       base,
 		"REGCMD":     hw.NICRegCmd,
@@ -114,10 +114,10 @@ func image(base uint32) *ucode.Image {
 // Config configures a driver instance factory.
 type Config = drvlib.EthConfig
 
-// Binary returns the service binary for this driver. Each (re)start calls
-// it afresh, so a restarted instance runs a pristine image.
+// Binary returns the service binary for this driver. Each (re)start runs
+// a fresh copy of the pristine image.
 func Binary(cfg Config) func(c *kernel.Ctx) {
-	return drvlib.EthBinary(drvlib.EthChip{Name: "rtl8139", Image: image, Drain: drain}, cfg)
+	return drvlib.EthBinary(drvlib.EthChip{Name: "rtl8139", Image: Image, Drain: drain}, cfg)
 }
 
 // drain pops received frames one per "rx" call until the ring is empty.

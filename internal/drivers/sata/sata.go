@@ -91,7 +91,8 @@ deverr:
 	fail
 `
 
-func image(base uint32) *ucode.Image {
+// Image assembles the pristine driver binary for a disk at the given base.
+func Image(base uint32) *ucode.Image {
 	return ucode.MustAssemble(src, map[string]uint32{
 		"BASE":      base,
 		"REGCMD":    hw.DiskRegCmd,
@@ -118,7 +119,7 @@ func Binary(cfg Config) func(c *kernel.Ctx) {
 	return func(c *kernel.Ctx) {
 		drvlib.RunWith(c, &driver{
 			VMDevice: drvlib.VMDevice{
-				Chip: "sata", Image: image, OnVM: cfg.OnVM,
+				Chip: "sata", Image: Image, OnVM: cfg.OnVM,
 				Base: cfg.Disk.PortRange().Lo, IRQ: cfg.Disk.IRQ(),
 				// The reset+identify cycle is what makes disk-driver
 				// recovery slower than network-driver recovery in the

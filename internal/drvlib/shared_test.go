@@ -24,7 +24,7 @@ func TestResetCycleTimesOut(t *testing.T) {
 		env := sim.NewEnv(1)
 		k := kernel.New(env)
 		d := &VMDevice{
-			Chip:  "stub",
+			Chip:  "stub: " + name, // one pristine image per chip
 			Image: func(uint32) *ucode.Image { return ucode.MustAssemble(src, nil) },
 			IRQ:   3, Poll: 10 * time.Millisecond, Timeout: 200 * time.Millisecond,
 			Ready: StatusBits{Mask: 1},

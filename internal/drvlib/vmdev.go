@@ -3,6 +3,7 @@ package drvlib
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"resilientos/internal/kernel"
@@ -24,8 +25,11 @@ func (b StatusBits) In(st uint32) bool { return st&b.Mask == b.Want }
 // The chip's control program must export "reset" (start a device reset)
 // and "status" (r1 = status register).
 type VMDevice struct {
-	Chip  string                         // names the chip in errors and capsule kinds
-	Image func(base uint32) *ucode.Image // assembles a pristine binary
+	Chip string // names the chip in errors and capsule kinds
+	// Image assembles the chip's pristine binary for a port base. It runs
+	// once per (Chip, base) in the life of the program (see pristine), so
+	// it may depend on nothing else.
+	Image func(base uint32) *ucode.Image
 	// Plant, if set, seeds the state block in driver RAM that a fresh
 	// (zeroed) VM needs to pass its own consistency checks.
 	Plant func(vm *ucode.VM)
@@ -47,11 +51,27 @@ type VMDevice struct {
 	St uint32 // status register as Status last read it
 }
 
-// fresh swaps in a VM running a pristine image, without touching device
-// state. The image is position-dependent on the port base, and faults are
-// injected into the running copy, so every VM gets its own.
+// pristine holds the one assembled image of each chip at each port base
+// (the image is position-dependent on it). No VM runs it: every instance
+// runs a Clone — the paper's restart from a RAM copy — so faults injected
+// into the running copy die with it. Fleet members and campaign cells
+// boot concurrently, hence the sync.Map.
+var pristine sync.Map // imageKey -> *ucode.Image
+
+type imageKey struct {
+	chip string
+	base uint32
+}
+
+// fresh swaps in a VM running a copy of the pristine image, without
+// touching device state.
 func (d *VMDevice) fresh(c *kernel.Ctx) {
-	d.VM = ucode.New(d.Image(d.Base), CtxBus{C: c})
+	key := imageKey{d.Chip, d.Base}
+	img, ok := pristine.Load(key)
+	if !ok {
+		img, _ = pristine.LoadOrStore(key, d.Image(d.Base))
+	}
+	d.VM = ucode.New(img.(*ucode.Image).Clone(), CtxBus{C: c})
 	if d.Plant != nil {
 		d.Plant(d.VM)
 	}

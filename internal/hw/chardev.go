@@ -1,6 +1,8 @@
 package hw
 
 import (
+	"encoding/binary"
+
 	"resilientos/internal/kernel"
 	"resilientos/internal/sim"
 )
@@ -73,7 +75,7 @@ type Audio struct {
 	CaptureMade int64 // capture bytes produced by the codec
 	CaptureLost int64 // capture bytes dropped because nobody read them
 	inUnderrun  bool  // currently starved
-	ticker      *sim.Event
+	play        *sim.Ticker
 }
 
 var _ kernel.Device = (*Audio)(nil)
@@ -98,37 +100,26 @@ func NewAudio(env *sim.Env, k *kernel.Kernel, cfg AudioConfig) *Audio {
 	a := &Audio{env: env, k: k, cfg: cfg}
 	k.MapDevice(kernel.PortRange{Lo: cfg.Base, Hi: cfg.Base + 0x10}, a)
 	if cfg.CaptureRate > 0 {
-		a.scheduleCapture()
+		env.Tick(cfg.Tick, a.captureTick)
 	}
 	return a
 }
 
-// scheduleCapture runs the codec's input side: samples appear whether or
-// not a driver is alive to read them, and overflow is silent loss.
-func (a *Audio) scheduleCapture() {
-	a.env.Schedule(a.cfg.Tick, func() {
-		n := int(a.cfg.CaptureRate * int64(a.cfg.Tick) / int64(sim.Time(1e9)))
-		n &^= 3 // whole 4-byte samples
-		for i := 0; i < n; i += 4 {
-			a.CaptureMade += 4
-			if len(a.capture)+4 > a.cfg.CaptureBuf {
-				a.CaptureLost += 4
-				a.captureSeq++ // the sample existed; it is simply gone
-				continue
-			}
-			var w [4]byte
-			w[0] = byte(a.captureSeq)
-			w[1] = byte(a.captureSeq >> 8)
-			w[2] = byte(a.captureSeq >> 16)
-			w[3] = byte(a.captureSeq >> 24)
-			a.capture = append(a.capture, w[:]...)
-			a.captureSeq++
-		}
-		if len(a.capture) > 0 {
-			a.k.RaiseIRQ(a.cfg.IRQ)
-		}
-		a.scheduleCapture()
-	})
+// captureTick runs the codec's input side: samples appear whether or not
+// a driver is alive to read them, and overflow is silent loss. Only the
+// samples that fit are written; the rest existed, numbered, and are gone.
+func (a *Audio) captureTick() {
+	n := int(a.cfg.CaptureRate*int64(a.cfg.Tick)/int64(sim.Time(1e9))) / 4 // whole 4-byte samples
+	fit := min(n, max(0, (a.cfg.CaptureBuf-len(a.capture))/4))
+	for i := range fit {
+		a.capture = binary.LittleEndian.AppendUint32(a.capture, a.captureSeq+uint32(i))
+	}
+	a.captureSeq += uint32(n)
+	a.CaptureMade += 4 * int64(n)
+	a.CaptureLost += 4 * int64(n-fit)
+	if len(a.capture) > 0 {
+		a.k.RaiseIRQ(a.cfg.IRQ)
+	}
 }
 
 // PortRange returns the ports an audio driver needs.
@@ -175,7 +166,7 @@ func (a *Audio) PortOut(port uint32, val uint32) error {
 	case CharCmdStart:
 		if !a.running {
 			a.running = true
-			a.scheduleTick()
+			a.play = a.env.Tick(a.cfg.Tick, a.playTick)
 		}
 	case CharCmdStop:
 		a.stop()
@@ -185,37 +176,30 @@ func (a *Audio) PortOut(port uint32, val uint32) error {
 
 func (a *Audio) stop() {
 	a.running = false
-	if a.ticker != nil {
-		a.ticker.Cancel()
-		a.ticker = nil
-	}
+	a.play.Stop()
+	a.play = nil
 }
 
-func (a *Audio) scheduleTick() {
-	a.ticker = a.env.Schedule(a.cfg.Tick, func() {
-		if !a.running {
-			return
+// playTick consumes one tick of playback while the codec runs.
+func (a *Audio) playTick() {
+	need := int(a.cfg.PlayRate * int64(a.cfg.Tick) / int64(sim.Time(1e9)))
+	if a.buf >= need {
+		a.buf -= need
+		a.Consumed += int64(need)
+		a.inUnderrun = false
+	} else {
+		// Starved: whatever remains plays, then silence. One episode
+		// counts once however many ticks it lasts.
+		a.Consumed += int64(a.buf)
+		a.buf = 0
+		if !a.inUnderrun {
+			a.Underruns++
+			a.inUnderrun = true
 		}
-		need := int(a.cfg.PlayRate * int64(a.cfg.Tick) / int64(sim.Time(1e9)))
-		if a.buf >= need {
-			a.buf -= need
-			a.Consumed += int64(need)
-			a.inUnderrun = false
-		} else {
-			// Starved: whatever remains plays, then silence. One episode
-			// counts once however many ticks it lasts.
-			a.Consumed += int64(a.buf)
-			a.buf = 0
-			if !a.inUnderrun {
-				a.Underruns++
-				a.inUnderrun = true
-			}
-		}
-		if a.buf < a.cfg.Watermark {
-			a.k.RaiseIRQ(a.cfg.IRQ)
-		}
-		a.scheduleTick()
-	})
+	}
+	if a.buf < a.cfg.Watermark {
+		a.k.RaiseIRQ(a.cfg.IRQ)
+	}
 }
 
 // AudioHandle is the driver-side sample data window.
@@ -373,7 +357,7 @@ type Burner struct {
 	written   int64
 	total     int64
 	lastWrite sim.Time
-	guard     *sim.Event
+	guard     *sim.Timer // the gap limit, re-armed by every chunk
 }
 
 var _ kernel.Device = (*Burner)(nil)
@@ -387,6 +371,11 @@ func NewBurner(env *sim.Env, k *kernel.Kernel, cfg BurnerConfig) *Burner {
 		cfg.GapLimit = 300 * sim.Time(1e6) // 300ms of buffer
 	}
 	b := &Burner{env: env, k: k, cfg: cfg}
+	b.guard = env.NewTimer(func() {
+		if b.burning && b.written < b.total {
+			b.ruined = true
+		}
+	})
 	k.MapDevice(kernel.PortRange{Lo: cfg.Base, Hi: cfg.Base + 0x10}, b)
 	return b
 }
@@ -438,18 +427,7 @@ func (h *BurnerHandle) Begin(total int64) {
 	b.written = 0
 	b.total = total
 	b.lastWrite = b.env.Now()
-	b.armGuard()
-}
-
-func (b *Burner) armGuard() {
-	if b.guard != nil {
-		b.guard.Cancel()
-	}
-	b.guard = b.env.Schedule(b.cfg.GapLimit, func() {
-		if b.burning && b.written < b.total {
-			b.ruined = true
-		}
-	})
+	b.guard.Reset(b.cfg.GapLimit)
 }
 
 // Write feeds the next chunk of the burn. Late chunks (after the gap
@@ -462,16 +440,13 @@ func (h *BurnerHandle) Write(n int64) {
 	}
 	b.written += n
 	b.lastWrite = b.env.Now()
-	b.armGuard()
+	b.guard.Reset(b.cfg.GapLimit)
 }
 
 // Finish ends the burn and reports whether the disc is good.
 func (h *BurnerHandle) Finish() (ok bool) {
 	b := h.b
-	if b.guard != nil {
-		b.guard.Cancel()
-		b.guard = nil
-	}
+	b.guard.Stop()
 	ok = b.burning && !b.ruined && b.written >= b.total
 	b.burning = false
 	return ok

@@ -245,20 +245,19 @@ func (c *Ctx) IRQMask(line int, masked bool) error { return c.k.irqSetMask(c.e, 
 // SetAlarm arranges a Clock notification after d; any previous alarm is
 // replaced. d <= 0 cancels.
 func (c *Ctx) SetAlarm(d sim.Time) {
-	if c.e.alarm != nil {
-		c.e.alarm.Cancel()
-		c.e.alarm = nil
-	}
+	e := c.e
 	if d <= 0 {
+		e.alarm.Stop()
 		return
 	}
-	e := c.e
-	e.alarm = c.k.env.Schedule(d, func() {
-		e.alarm = nil
-		if e.alive {
-			c.k.notifyEntry(e, Clock)
-		}
-	})
+	if e.alarm == nil {
+		e.alarm = c.k.env.NewTimer(func() {
+			if e.alive {
+				c.k.notifyEntry(e, Clock)
+			}
+		})
+	}
+	e.alarm.Reset(d)
 }
 
 // MayComplain reports whether this process is authorized to file

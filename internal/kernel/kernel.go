@@ -188,7 +188,7 @@ type procEntry struct {
 	grants    map[GrantID]*grant
 	nextGrant GrantID
 
-	alarm *sim.Event
+	alarm *sim.Timer // created by the first SetAlarm, re-armed by every later one
 
 	// Causal-tracing state (only touched when the kernel has a recorder).
 	traceCtx  obs.SpanContext   // ambient context stamped on outgoing sends
@@ -375,10 +375,7 @@ func (k *Kernel) reap(e *procEntry, status int) {
 	}
 	e.traceCtx = obs.SpanContext{}
 
-	if e.alarm != nil {
-		e.alarm.Cancel()
-		e.alarm = nil
-	}
+	e.alarm.Stop()
 	// Unhook from any send queue we were sitting in.
 	if e.sendTo != nil {
 		e.sendTo.removeSender(e)

@@ -2,7 +2,7 @@ package obs
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"resilientos/internal/sim"
@@ -69,7 +69,7 @@ func Timeline(events []Event) []Span {
 		for c := range open {
 			comps = append(comps, c)
 		}
-		sort.Strings(comps)
+		slices.Sort(comps)
 		for _, c := range comps {
 			sp := open[c]
 			sp.Open = true
@@ -160,7 +160,7 @@ func Summarize(lat []sim.Time) LatencySummary {
 		return LatencySummary{}
 	}
 	sorted := append([]sim.Time(nil), lat...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	slices.Sort(sorted)
 	var sum sim.Time
 	for _, v := range sorted {
 		sum += v

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"cmp"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -88,6 +89,7 @@ type chaos struct {
 	events  []*Event
 	procs   []*Proc
 	tickers []*Ticker
+	timers  []*Timer
 }
 
 func (c *chaos) delay() Time { return Time(c.rng.Intn(4)) * time.Millisecond }
@@ -103,7 +105,7 @@ func pick[T any](c *chaos, s []T) (v T, ok bool) {
 func (c *chaos) act() {
 	for n := c.rng.Intn(4); n > 0 && c.budget > 0; n-- {
 		c.budget--
-		switch c.rng.Intn(9) {
+		switch c.rng.Intn(10) {
 		case 0, 1:
 			c.events = append(c.events, c.e.Schedule(0, c.act))
 		case 2:
@@ -137,6 +139,14 @@ func (c *chaos) act() {
 			if len(c.procs) < 24 {
 				c.procs = append(c.procs, c.e.Spawn("chaos", c.body))
 			}
+		case 9:
+			if len(c.timers) < 4 {
+				c.timers = append(c.timers, c.e.NewTimer(c.act))
+			} else if t, _ := pick(c, c.timers); c.rng.Intn(3) == 0 {
+				t.Stop()
+			} else {
+				t.Reset(c.delay())
+			}
 		}
 	}
 }
@@ -157,8 +167,9 @@ func (c *chaos) body(p *Proc) {
 
 // TestFiringOrderOracle is the differential between the scheduler (run
 // queue merged with the heap) and a pure heap: over 64 seeds of random
-// Schedule / Cancel / Wake / Sleep / Yield / Kill / Tick / Stop / Spawn,
-// every single firing must be the first pending entry by (at, seq).
+// Schedule / Cancel / Wake / Sleep / Yield / Kill / Tick / Stop / Spawn /
+// Timer Reset / Stop, every single firing must be the first pending entry
+// by (at, seq).
 func TestFiringOrderOracle(t *testing.T) {
 	for seed := int64(0); seed < 64; seed++ {
 		e := NewEnv(seed)
@@ -199,6 +210,104 @@ func TestFiringOrderOracle(t *testing.T) {
 		}
 		if late.Cancel() || soon.Cancel() { // handles outlive the queues
 			t.Fatalf("seed %d: Cancel after Close found an event to stop", seed)
+		}
+	}
+}
+
+// oneShot is a re-armable one-shot: a Timer, or the code it replaced.
+type oneShot interface {
+	Reset(d Time)
+	Stop() bool
+}
+
+// scheduleTimer is that code: every arm cancels the pending event and
+// schedules a fresh one.
+type scheduleTimer struct {
+	e  *Env
+	fn func()
+	ev *Event
+}
+
+func (s *scheduleTimer) Reset(d Time) { s.ev.Cancel(); s.ev = s.e.Schedule(d, s.fn) }
+func (s *scheduleTimer) Stop() bool   { return s.ev.Cancel() }
+
+// timerScript runs a random script of Reset / Stop on six one-shots mixed
+// with Schedule / Cancel, every delay 0, 1 or 2 ms so that ties abound,
+// and returns what fired when and what every Stop and Cancel answered.
+// The script's choices are drawn in firing order, so two runs diverge at
+// the first firing they disagree on.
+func timerScript(t *testing.T, seed int64, reference bool) []string {
+	e := NewEnv(seed)
+	defer e.Close()
+	rng := rand.New(rand.NewSource(seed))
+	var (
+		log    []string
+		shots  []oneShot
+		events []*Event
+		budget = 3000
+		act    func(who string)
+	)
+	act = func(who string) {
+		log = append(log, fmt.Sprintf("%v fire %s", e.Now(), who))
+		for n := rng.Intn(4); n > 0 && budget > 0; n-- {
+			budget--
+			d := Time(rng.Intn(3)) * time.Millisecond
+			switch i := rng.Intn(len(shots)); rng.Intn(6) {
+			case 0, 1:
+				shots[i].Reset(d)
+			case 2:
+				log = append(log, fmt.Sprintf("stop %d: %v", i, shots[i].Stop()))
+			case 3, 4:
+				id := fmt.Sprint("event ", len(events))
+				events = append(events, e.Schedule(d, func() { act(id) }))
+			case 5:
+				if len(events) > 0 {
+					ev := events[rng.Intn(len(events))]
+					log = append(log, fmt.Sprintf("cancel: %v", ev.Cancel()))
+				}
+			}
+		}
+	}
+	for i := range 6 {
+		fn := func() { act(fmt.Sprint("timer ", i)) }
+		if reference {
+			shots = append(shots, &scheduleTimer{e: e, fn: fn})
+		} else {
+			shots = append(shots, e.NewTimer(fn))
+		}
+	}
+	var driver *Ticker // keeps the script going when every one-shot is stopped
+	driver = e.Tick(time.Millisecond, func() {
+		if budget == 0 {
+			driver.Stop()
+		}
+		act("tick")
+	})
+	if !reference {
+		attachOracle(t, e).sync()
+	}
+	e.Run(0)
+	if budget != 0 || len(log) < 2000 {
+		t.Fatalf("seed %d: %d operations left, %d log lines: the script is not exercising the queue", seed, budget, len(log))
+	}
+	return log
+}
+
+// TestTimerOrderOracle: a Timer re-arms its one embedded event where the
+// code it replaced cancelled an event and scheduled a fresh one. Under a
+// random script the two must fire the same things at the same instants in
+// the same order, and answer every Stop and Cancel alike — and the Timer
+// run also passes the pure-heap oracle at every firing.
+func TestTimerOrderOracle(t *testing.T) {
+	for seed := int64(0); seed < 64; seed++ {
+		got, want := timerScript(t, seed, false), timerScript(t, seed, true)
+		if !slices.Equal(got, want) {
+			i := 0
+			for i < len(got) && i < len(want) && got[i] == want[i] {
+				i++
+			}
+			t.Fatalf("seed %d: %d lines, reference %d; from line %d:\n%q\nreference:\n%q",
+				seed, len(got), len(want), i, got[i:min(i+3, len(got))], want[i:min(i+3, len(want))])
 		}
 	}
 }

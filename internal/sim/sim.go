@@ -26,8 +26,8 @@ type Time = time.Duration
 // value Schedule returns is the queue entry itself. Events with equal time
 // fire in schedule order (seq breaks ties), which keeps runs deterministic.
 //
-// Proc and Ticker embed the one event they ever have pending and re-queue
-// it, so waking, sleeping and ticking allocate nothing.
+// Proc, Ticker and Timer embed the one event they ever have pending and
+// re-queue it, so waking, sleeping, ticking and re-arming allocate nothing.
 type Event struct {
 	env   *Env
 	at    Time
@@ -287,6 +287,28 @@ func (t *Ticker) Stop() {
 	t.stopped = true
 	t.ev.Cancel()
 }
+
+// Timer is a re-armable one-shot created by Env.NewTimer. It carries the
+// one event it can have pending, so re-arming it allocates nothing.
+type Timer struct{ ev Event }
+
+// NewTimer returns a stopped timer that runs fn in scheduler context each
+// time it fires. fn must not block.
+func (e *Env) NewTimer(fn func()) *Timer {
+	return &Timer{ev: Event{env: e, fn: fn, index: idle}}
+}
+
+// Reset arms the timer to fire at now+d, replacing a pending firing. The
+// firing takes a fresh seq, so it orders exactly as Cancel + Schedule
+// would.
+func (t *Timer) Reset(d Time) {
+	t.ev.Cancel()
+	t.ev.env.enqueue(&t.ev, d)
+}
+
+// Stop cancels a pending firing and reports whether there was one. A nil
+// timer has none.
+func (t *Timer) Stop() bool { return t != nil && t.ev.Cancel() }
 
 // Stop makes Run return after the current event completes.
 func (e *Env) Stop() { e.stopped = true }
