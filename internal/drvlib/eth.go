@@ -3,6 +3,7 @@ package drvlib
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
 	"time"
 
 	"resilientos/internal/hw"
@@ -67,7 +68,7 @@ type Eth struct {
 	VMDevice
 	drain  func(c *kernel.Ctx, e *Eth)
 	handle *hw.NICHandle
-	txQ    [][]byte
+	txQ    [][]byte // pops slide down the backing array instead of re-growing it
 	txBusy bool
 	client kernel.Endpoint // who gets received frames (last configurer)
 }
@@ -149,7 +150,7 @@ func (e *Eth) pump(c *kernel.Ctx) {
 		return
 	}
 	frame := e.txQ[0]
-	e.txQ = e.txQ[1:]
+	e.txQ = slices.Delete(e.txQ, 0, 1)
 	e.handle.SetTx(frame)
 	if e.Call(c, "tx") {
 		e.txBusy = true

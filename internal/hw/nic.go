@@ -1,6 +1,8 @@
 package hw
 
 import (
+	"slices"
+
 	"resilientos/internal/kernel"
 	"resilientos/internal/sim"
 )
@@ -83,6 +85,8 @@ type NIC struct {
 	confusion int
 	resetBusy bool
 
+	// rxRing and dmaRx pop from the front by sliding down their backing
+	// arrays, so a steady stream of frames does not re-grow them.
 	rxRing  [][]byte
 	txFrame []byte // DMA window, set by the driver handle
 	txBusy  bool
@@ -165,7 +169,7 @@ func (n *NIC) PortOut(port uint32, val uint32) error {
 	case NICRegRxPop:
 		if len(n.rxRing) > 0 {
 			n.dmaRx = append(n.dmaRx, n.rxRing[0])
-			n.rxRing = n.rxRing[1:]
+			n.rxRing = slices.Delete(n.rxRing, 0, 1)
 		}
 	case NICRegTxGo:
 		n.transmit()
@@ -266,11 +270,16 @@ func (n *NIC) transmit() {
 	n.txBusy = true
 	n.Stats.TxFrames++
 	serialize := sim.Time(int64(len(frame)) * int64(sim.Time(1e9)) / n.cfg.RateBps)
-	n.env.Schedule(serialize, func() {
-		n.txBusy = false
-		n.k.RaiseIRQ(n.cfg.IRQ) // TX-done interrupt
-		n.wire.carry(n.side, frame)
-	})
+	n.wire.fly(serialize, n, nil, frame, 0)
+}
+
+// sent ends serialization: the TX-done interrupt, and the frame is on the
+// wire. A reset in between does not stop it, and the transmitter may
+// already be serializing the next frame.
+func (n *NIC) sent(frame []byte) {
+	n.txBusy = false
+	n.k.RaiseIRQ(n.cfg.IRQ)
+	n.wire.carry(n.side, frame)
 }
 
 // deliver is called by the wire when a frame arrives.
@@ -306,7 +315,7 @@ func (h *NICHandle) TakeRx() []byte {
 		return nil
 	}
 	f := h.n.dmaRx[0]
-	h.n.dmaRx = h.n.dmaRx[1:]
+	h.n.dmaRx = slices.Delete(h.n.dmaRx, 0, 1)
 	h.n.Stats.RxDelivered++
 	return f
 }

@@ -2,6 +2,8 @@ package hw
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -240,5 +242,137 @@ func TestNICResetDropsPendingFrames(t *testing.T) {
 	env.Run(time.Second)
 	if ln, _ := b.PortIn(b.cfg.Base + NICRegRxLen); ln != 0 {
 		t.Fatal("reset kept pending rx frames")
+	}
+}
+
+// watchIRQs spawns one kernel process per line that logs each interrupt
+// it is woken for, with its instant, and then calls on (nil: nothing). The
+// processes subscribe before watchIRQs returns, at virtual time 0.
+func watchIRQs(t *testing.T, env *sim.Env, k *kernel.Kernel, on func(line int), lines ...int) *[]string {
+	t.Helper()
+	var log []string
+	for _, line := range lines {
+		priv := kernel.Privileges{Calls: []kernel.Call{kernel.CallIRQCtl}, IRQs: []int{line}}
+		if _, err := k.Spawn(fmt.Sprintf("irq%d", line), priv, func(c *kernel.Ctx) {
+			if err := c.IRQSubscribe(line); err != nil {
+				t.Errorf("subscribe %d: %v", line, err)
+				return
+			}
+			for {
+				m, err := c.Receive(kernel.Any)
+				if err != nil {
+					return
+				}
+				if m.Source == kernel.Hardware {
+					log = append(log, fmt.Sprintf("%v irq%d", env.Now(), line))
+					if on != nil {
+						on(line)
+					}
+				}
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	env.Run(0)
+	return &log
+}
+
+// takeAll pops every frame pending at n, oldest first.
+func takeAll(n *NIC) [][]byte {
+	var got [][]byte
+	for {
+		if ln, _ := n.PortIn(n.cfg.Base + NICRegRxLen); ln == 0 {
+			return got
+		}
+		n.PortOut(n.cfg.Base+NICRegRxPop, 1)
+		got = append(got, n.Handle().TakeRx())
+	}
+}
+
+// TestTxDuringReset: a reset clears the transmitter's busy bit while a
+// frame is still serializing, so a second TxGo starts another frame before
+// the first one's tx-done. Both tx-done interrupts fire and both frames
+// reach the peer, each at the instant its own serialization and the
+// propagation delay give — including the tie at 186.363µs, which goes to
+// the event scheduled first.
+func TestTxDuringReset(t *testing.T) {
+	env, k := testRig(t)
+	a, b, w := nicPair(env, k, NICConfig{Base: 0x1000, IRQ: 9})
+	log := watchIRQs(t, env, k, nil, 9, 10)
+	enable(a)
+	enable(b)
+	first, second := bytes.Repeat([]byte{1}, 1500), bytes.Repeat([]byte{2}, 1500)
+	a.Handle().SetTx(first)
+	a.PortOut(0x1000+NICRegTxGo, 1) // done at 136.363µs
+	env.Run(50 * time.Microsecond)
+	a.PortOut(0x1000+NICRegCmd, NICCmdReset)
+	if s, _ := a.PortIn(0x1000 + NICRegStatus); s&NICStatTxBusy != 0 {
+		t.Fatal("reset left the transmitter busy")
+	}
+	a.Handle().SetTx(second)
+	a.PortOut(0x1000+NICRegTxGo, 1) // done at 186.363µs
+	env.Run(time.Second)
+	want := []string{
+		"136.363µs irq9",  // first tx-done
+		"186.363µs irq9",  // second tx-done, scheduled at 50µs
+		"186.363µs irq10", // first frame arrives, scheduled at 136.363µs
+		"236.363µs irq10", // second frame arrives
+	}
+	if !slices.Equal(*log, want) {
+		t.Errorf("interrupts:\n%q\nwant\n%q", *log, want)
+	}
+	if a.Stats.TxFrames != 2 || w.Carried != 2 {
+		t.Errorf("TxFrames %d, carried %d: want 2 and 2", a.Stats.TxFrames, w.Carried)
+	}
+	if got := takeAll(b); len(got) != 2 || !bytes.Equal(got[0], first) || !bytes.Equal(got[1], second) {
+		t.Errorf("peer received %d frames, want the first then the second", len(got))
+	}
+}
+
+// TestWireFramesInFlight: with a propagation delay longer than the
+// serialization of everything sent, a full-size frame and the 20-byte
+// ACKs queued behind it are all on the wire at once. Each arrives one
+// delay after its own tx-done, in the order sent.
+func TestWireFramesInFlight(t *testing.T) {
+	env, k := testRig(t)
+	a, b, w := nicPair(env, k, NICConfig{Base: 0x1000, IRQ: 9})
+	w.Delay = time.Millisecond
+	frames := [][]byte{bytes.Repeat([]byte{0xEE}, 1500)}
+	for i := 0; i < 5; i++ {
+		frames = append(frames, bytes.Repeat([]byte{byte(i)}, 20))
+	}
+	queue := frames
+	send := func() { // the driver's pump: next frame on every tx-done
+		if len(queue) > 0 {
+			a.Handle().SetTx(queue[0])
+			queue = queue[1:]
+			a.PortOut(0x1000+NICRegTxGo, 1)
+		}
+	}
+	log := watchIRQs(t, env, k, func(line int) {
+		if line == 9 {
+			send()
+		}
+	}, 9, 10)
+	enable(a)
+	enable(b)
+	send()
+	env.Run(time.Second)
+	want := []string{
+		"136.363µs irq9", "138.181µs irq9", "139.999µs irq9", "141.817µs irq9", "143.635µs irq9", "145.453µs irq9",
+		"1.136363ms irq10", "1.138181ms irq10", "1.139999ms irq10", "1.141817ms irq10", "1.143635ms irq10", "1.145453ms irq10",
+	}
+	if !slices.Equal(*log, want) {
+		t.Errorf("interrupts:\n%q\nwant\n%q", *log, want)
+	}
+	got := takeAll(b)
+	if len(got) != len(frames) {
+		t.Fatalf("peer received %d frames, want %d", len(got), len(frames))
+	}
+	for i := range frames {
+		if !bytes.Equal(got[i], frames[i]) {
+			t.Errorf("frame %d out of order: % x…", i, got[i][:4])
+		}
 	}
 }

@@ -18,6 +18,8 @@ type Wire struct {
 
 	Carried int // frames accepted for transport
 	Lost    int // frames dropped in transit
+
+	free []*flight // landed flights, ready for the next frame
 }
 
 // Connect joins two NICs with a wire.
@@ -39,6 +41,44 @@ func (w *Wire) carry(from int, frame []byte) {
 	if w.CorruptProb > 0 && w.env.Rand().Float64() < w.CorruptProb && len(frame) > 0 {
 		frame[w.env.Rand().Intn(len(frame))] ^= 0xFF // the wire's to garble: the sender let go of it
 	}
-	dst := w.nics[1-from]
-	w.env.Schedule(w.Delay, func() { dst.deliver(frame, fcs) })
+	w.fly(w.Delay, nil, w.nics[1-from], frame, fcs)
+}
+
+// flight is one frame in transit on one leg, with the timer that ends the
+// leg: serializing out of src (which then hands it to the wire) or
+// propagating to dst. The wire keeps landed flights on a free list, so a
+// frame's hops schedule no closure and allocate nothing.
+type flight struct {
+	w        *Wire
+	timer    *sim.Timer
+	src, dst *NIC // exactly one is set
+	frame    []byte
+	fcs      uint32
+}
+
+// fly starts a leg that ends d from now. Re-arming a landed flight's timer
+// takes a fresh seq, so the leg fires exactly where Schedule put it.
+func (w *Wire) fly(d sim.Time, src, dst *NIC, frame []byte, fcs uint32) {
+	var f *flight
+	if n := len(w.free); n > 0 {
+		f, w.free = w.free[n-1], w.free[:n-1]
+	} else {
+		f = &flight{w: w}
+		f.timer = w.env.NewTimer(f.land)
+	}
+	f.src, f.dst, f.frame, f.fcs = src, dst, frame, fcs
+	f.timer.Reset(d)
+}
+
+// land ends the leg. The flight is back on the free list before the frame
+// moves on, so the next leg may reuse it.
+func (f *flight) land() {
+	src, dst, frame, fcs := f.src, f.dst, f.frame, f.fcs
+	f.src, f.dst, f.frame = nil, nil, nil
+	f.w.free = append(f.w.free, f)
+	if src != nil {
+		src.sent(frame)
+	} else {
+		dst.deliver(frame, fcs)
+	}
 }

@@ -1,9 +1,10 @@
 package workload
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"resilientos/internal/sim"
 )
@@ -185,6 +186,6 @@ func (s *Spec) Generate() []Event {
 			}
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].T < out[j].T })
+	slices.SortStableFunc(out, func(a, b Event) int { return cmp.Compare(a.T, b.T) })
 	return out
 }

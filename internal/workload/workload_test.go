@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"regexp"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -278,5 +281,50 @@ func TestClassic(t *testing.T) {
 	}
 	if n := len(slow.Generate()); n != 0 {
 		t.Fatalf("rps 1e-12 generated %d events in %s, want none", n, horizon)
+	}
+}
+
+// benchMix is the repo benchmark's fleet_storm mix: net Poisson with a
+// diurnal term, disk gamma, char Weibull, over 200 s.
+const benchMix = `{"name":"bench-mix","seed":%d,"horizon":"200s","classes":[
+{"class":"net","clients":6,"rps":90,"arrival":{"process":"poisson"},"size":{"min":1024,"max":65536},"slo":"25ms","periods":[{"period":"2s","amplitude":0.4}]},
+{"class":"disk","clients":3,"rps":45,"arrival":{"process":"gamma","shape":4},"size":{"min":4096,"max":131072},"slo":"40ms"},
+{"class":"char","clients":2,"rps":15,"arrival":{"process":"weibull","shape":1.5},"size":{"min":256,"max":8192},"slo":"35ms"}]}`
+
+// TestGenerateOrderMatchesStableReference: Generate's merge equals the
+// reflective sort.SliceStable it replaced, element for element. Each
+// client chain is strictly increasing in T, so sorting the output by
+// (class, client) recovers the concatenated chains the merge started
+// from; the reference sorts those again. With every class at a fixed rate
+// the clients of a class tie on every instant, so ties must keep class
+// then client order.
+func TestGenerateOrderMatchesStableReference(t *testing.T) {
+	fixed := regexp.MustCompile(`"arrival":\{[^}]*\}`)
+	for _, mix := range []string{benchMix, fixed.ReplaceAllString(benchMix, `"arrival":{"process":"fixed"}`)} {
+		for _, seed := range []int64{1, 7, 11} {
+			s, err := Parse([]byte(fmt.Sprintf(mix, seed)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := s.Generate()
+			if len(got) == 0 {
+				t.Fatalf("seed %d: no events", seed)
+			}
+			class := map[string]int{}
+			for i, cs := range s.Classes {
+				class[cs.Class] = i
+			}
+			ref := slices.Clone(got)
+			sort.SliceStable(ref, func(i, j int) bool {
+				a, b := ref[i], ref[j]
+				return class[a.Class] < class[b.Class] || class[a.Class] == class[b.Class] && a.Client < b.Client
+			})
+			sort.SliceStable(ref, func(i, j int) bool { return ref[i].T < ref[j].T })
+			for i := range got {
+				if got[i] != ref[i] {
+					t.Fatalf("seed %d, %s: event %d is %+v, stable reference %+v", seed, s.Classes[0].Arrival.Process, i, got[i], ref[i])
+				}
+			}
+		}
 	}
 }

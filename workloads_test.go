@@ -2,13 +2,32 @@ package resilientos
 
 import (
 	"bytes"
+	"crypto/md5"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
+	"time"
 )
+
+// PatternMD5 returns the MD5 of the first size bytes of the pattern
+// stream: the digest of the original file, which a clean wget's MD5 must
+// equal.
+func PatternMD5(seed int64, size int64) [md5.Size]byte {
+	h := md5.New()
+	buf := make([]byte, 64<<10)
+	for off := int64(0); off < size; {
+		n := min(int64(len(buf)), size-off)
+		Pattern(seed, off, buf[:n])
+		h.Write(buf[:n])
+		off += n
+	}
+	var sum [md5.Size]byte
+	copy(sum[:], h.Sum(nil))
+	return sum
+}
 
 // Property: the workload byte stream is offset-consistent — reading it in
 // arbitrary chunkings yields identical bytes. This is what lets the wget
@@ -140,5 +159,76 @@ func TestPatternMD5Pinned(t *testing.T) {
 		if got := fmt.Sprintf("%x", PatternMD5(c.seed, c.size)); got != c.md5 {
 			t.Errorf("PatternMD5(%d, %d) = %s, want %s", c.seed, c.size, got, c.md5)
 		}
+	}
+}
+
+// TestWgetDetectsCorruption: wget's verdict is a byte-for-byte comparison
+// with the pattern, made as the stream arrives, and its MD5 is the digest
+// of what arrived. A server that flips one byte mid-stream, one that
+// serves another seed's file and one that closes early must each fail the
+// check, and the digest must still be that of the bytes actually sent.
+func TestWgetDetectsCorruption(t *testing.T) {
+	const seed, size = 3, 1<<20 + 5
+	for _, c := range []struct {
+		name  string
+		sent  int64                       // bytes the server writes
+		serve func(off int64, buf []byte) // fills one chunk of the stream
+		ok    bool
+	}{
+		{"clean", size, func(off int64, buf []byte) { Pattern(seed, off, buf) }, true},
+		{"flipped-byte", size, func(off int64, buf []byte) {
+			Pattern(seed, off, buf)
+			const at = 300_001 // mid-stream, off any lane and chunk boundary
+			if off <= at && at < off+int64(len(buf)) {
+				buf[at-off] ^= 0x40
+			}
+		}, false},
+		{"other-seed", size, func(off int64, buf []byte) { Pattern(seed+1, off, buf) }, false},
+		{"short", size - 4097, func(off int64, buf []byte) { Pattern(seed, off, buf) }, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sys := New(Config{Seed: 1, DisableDisk: true, DisableChar: true})
+			defer sys.Close()
+			sent := md5.New()
+			sys.Spawn("httpd", func(p *Proc) {
+				lst, err := p.Listen(NetRemote, 80)
+				if err != nil {
+					t.Errorf("listen: %v", err)
+					return
+				}
+				conn, err := lst.Accept()
+				if err != nil {
+					t.Errorf("accept: %v", err)
+					return
+				}
+				buf := make([]byte, 64<<10)
+				for off := int64(0); off < c.sent; {
+					n := min(int64(len(buf)), c.sent-off)
+					c.serve(off, buf[:n])
+					sent.Write(buf[:n])
+					if _, err := conn.Write(buf[:n]); err != nil {
+						t.Errorf("write at %d: %v", off, err)
+						return
+					}
+					off += n
+				}
+				conn.Close()
+			})
+			var res WgetResult
+			sys.Wget(DriverRTL8139, 80, seed, size, &res)
+			sys.Run(time.Minute)
+			if res.Err != nil || res.Bytes != c.sent {
+				t.Fatalf("got %d of %d bytes sent, err %v", res.Bytes, c.sent, res.Err)
+			}
+			if res.OK != c.ok {
+				t.Errorf("OK = %v, want %v", res.OK, c.ok)
+			}
+			if want := [md5.Size]byte(sent.Sum(nil)); res.MD5 != want {
+				t.Errorf("MD5 %x, but the server sent %x", res.MD5, want)
+			}
+			if c.ok && res.MD5 != PatternMD5(seed, size) {
+				t.Errorf("clean MD5 %x, want the original's %x", res.MD5, PatternMD5(seed, size))
+			}
+		})
 	}
 }
