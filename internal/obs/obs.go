@@ -61,10 +61,12 @@ const (
 	// KindPolicyExit is a recovery policy script finishing (V1 = status).
 	KindPolicyExit
 	// KindRestart is a fresh instance published in the data store
-	// (Aux = "start" or "recover", V1 = new endpoint). Closes a span.
+	// (Aux = the service's version, V1 = new endpoint, V2 = consecutive
+	// failures). Closes a span.
 	KindRestart
 	// KindReintegrate is a dependent server rebinding a restarted driver
-	// (Comp = server, Aux = driver label). Completes a span.
+	// (Comp = server, Aux = driver label, V1 = the endpoint rebound: the V1
+	// of the KindRestart whose span it completes).
 	KindReintegrate
 	// KindGiveUp is the reincarnation server abandoning a component.
 	KindGiveUp

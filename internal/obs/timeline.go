@@ -60,9 +60,15 @@ func (s Span) String() string {
 // reintegrations are forgotten, so traces of several runs can share a
 // file without cross-linking.
 func Timeline(events []Event) []Span {
+	// A reintegration names the driver and the endpoint it rebinds; the
+	// span it completes is the one whose restart published that endpoint.
+	type instance struct {
+		comp string
+		ep   int64
+	}
 	var out []Span
 	open := make(map[string]*Span)   // component -> span awaiting restart
-	closed := make(map[string][]int) // component -> out indices awaiting reintegration
+	closed := make(map[instance]int) // restarted instance -> out index awaiting reintegration
 	flush := func() {
 		// Deterministic order: flush open spans sorted by component.
 		comps := make([]string, 0, len(open))
@@ -76,7 +82,7 @@ func Timeline(events []Event) []Span {
 			out = append(out, *sp)
 		}
 		open = make(map[string]*Span)
-		closed = make(map[string][]int)
+		closed = make(map[instance]int)
 	}
 	for _, e := range events {
 		switch e.Kind {
@@ -108,16 +114,15 @@ func Timeline(events []Event) []Span {
 			sp.Restart = e.T
 			delete(open, e.Comp)
 			out = append(out, *sp)
-			closed[e.Comp] = append(closed[e.Comp], len(out)-1)
+			closed[instance{e.Comp, e.V1}] = len(out) - 1
 		case KindReintegrate:
-			// Comp is the reintegrating server; Aux names the driver.
-			idxs := closed[e.Aux]
-			for n, i := range idxs {
-				if out[i].Reintegrated == 0 {
-					out[i].Reintegrated = e.T
-					closed[e.Aux] = idxs[n+1:]
-					break
-				}
+			// Comp is the reintegrating server; Aux names the driver and
+			// V1 the endpoint rebound. The first dependent to rebind it
+			// completes the span; a restart nobody rebinds stays as it is.
+			key := instance{e.Aux, e.V1}
+			if i, ok := closed[key]; ok {
+				out[i].Reintegrated = e.T
+				delete(closed, key)
 			}
 		case KindGiveUp:
 			if sp, ok := open[e.Comp]; ok {

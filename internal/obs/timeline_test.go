@@ -16,7 +16,7 @@ func TestTimelineFullSpan(t *testing.T) {
 		{T: 101 * ms, Kind: KindPolicyStart, Comp: "eth"},
 		{T: 150 * ms, Kind: KindPolicyExit, Comp: "eth"},
 		{T: 150 * ms, Kind: KindRestart, Comp: "eth", V1: 2},
-		{T: 270 * ms, Kind: KindReintegrate, Comp: "inet", Aux: "eth"},
+		{T: 270 * ms, Kind: KindReintegrate, Comp: "inet", Aux: "eth", V1: 2},
 	}
 	spans := Timeline(events)
 	if len(spans) != 1 {
@@ -72,7 +72,7 @@ func TestTimelineMarkSeparatesRuns(t *testing.T) {
 		{T: 0, Kind: KindMark, Comp: "run"},
 		// Second run: a reintegrate without its own restart must not
 		// complete the previous run's span.
-		{T: 5 * ms, Kind: KindReintegrate, Comp: "inet", Aux: "eth"},
+		{T: 5 * ms, Kind: KindReintegrate, Comp: "inet", Aux: "eth", V1: 2},
 	}
 	spans := Timeline(events)
 	if len(spans) != 1 {
@@ -87,10 +87,10 @@ func TestTimelineBackToBackRecoveries(t *testing.T) {
 	events := []Event{
 		{T: 10 * ms, Kind: KindDefect, Comp: "eth", V1: 1},
 		{T: 12 * ms, Kind: KindRestart, Comp: "eth", V1: 2},
-		{T: 20 * ms, Kind: KindReintegrate, Comp: "inet", Aux: "eth"},
+		{T: 20 * ms, Kind: KindReintegrate, Comp: "inet", Aux: "eth", V1: 2},
 		{T: 30 * ms, Kind: KindDefect, Comp: "eth", V1: 2},
 		{T: 33 * ms, Kind: KindRestart, Comp: "eth", V1: 3},
-		{T: 45 * ms, Kind: KindReintegrate, Comp: "inet", Aux: "eth"},
+		{T: 45 * ms, Kind: KindReintegrate, Comp: "inet", Aux: "eth", V1: 3},
 	}
 	spans := Timeline(events)
 	if len(spans) != 2 {
@@ -98,6 +98,30 @@ func TestTimelineBackToBackRecoveries(t *testing.T) {
 	}
 	if spans[0].Latency() != 10*ms || spans[1].Latency() != 15*ms {
 		t.Fatalf("latencies = %v, %v", spans[0].Latency(), spans[1].Latency())
+	}
+}
+
+// A restart no dependent ever rebinds (the instance died again first)
+// must not capture the reintegration of the next one: the reintegration
+// completes the span whose restart published the endpoint it rebinds.
+func TestTimelineUnreintegratedRestartDoesNotShiftPairing(t *testing.T) {
+	events := []Event{
+		{T: 10 * ms, Kind: KindDefect, Comp: "eth", V1: 1},
+		{T: 12 * ms, Kind: KindRestart, Comp: "eth", V1: 2}, // never rebound
+		{T: 30 * ms, Kind: KindDefect, Comp: "eth", V1: 2},
+		{T: 33 * ms, Kind: KindRestart, Comp: "eth", V1: 3},
+		{T: 45 * ms, Kind: KindReintegrate, Comp: "inet", Aux: "eth", V1: 3},
+		{T: 46 * ms, Kind: KindReintegrate, Comp: "mfs", Aux: "eth", V1: 3}, // a second dependent
+	}
+	spans := Timeline(events)
+	if len(spans) != 2 {
+		t.Fatalf("spans = %v", spans)
+	}
+	if spans[0].Reintegrated != 0 || spans[0].Latency() != 2*ms {
+		t.Fatalf("unrebound span = %+v, want no reintegration and latency 2ms", spans[0])
+	}
+	if spans[1].Reintegrated != 45*ms || spans[1].Latency() != 15*ms {
+		t.Fatalf("rebound span = %+v, want reintegrated at 45ms and latency 15ms", spans[1])
 	}
 }
 
