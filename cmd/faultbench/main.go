@@ -23,6 +23,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"time"
@@ -33,7 +34,7 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return
 		}
@@ -42,7 +43,7 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("faultbench", flag.ContinueOnError)
 	matrix := fs.String("matrix", "", campaign.SpecUsage)
 	invariants := fs.Bool("invariants", false, "run the live invariant checker in every cell")
@@ -67,14 +68,14 @@ func run(args []string) error {
 
 	start := time.Now()
 	rep := campaign.Run(cfg)
-	rep.Render(os.Stdout)
+	rep.Render(stdout)
 	wall := time.Since(start)
-	fmt.Printf("\nwall clock: %v\n", wall.Round(time.Millisecond))
+	fmt.Fprintf(stdout, "\nwall clock: %v\n", wall.Round(time.Millisecond))
 	if *benchJSON != "" {
 		if err := bench.WriteFile(*benchJSON, benchDoc(rep)); err != nil {
 			return err
 		}
-		fmt.Printf("perf baseline written to %s\n", *benchJSON)
+		fmt.Fprintf(stdout, "perf baseline written to %s\n", *benchJSON)
 	}
 	if !rep.Ok() {
 		return fmt.Errorf("campaign surfaced %d invariant violation(s)", len(rep.Violations))

@@ -43,6 +43,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -57,7 +58,7 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return
 		}
@@ -66,7 +67,7 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
 	fig := fs.Int("fig", 0, "figure to run: 7 (network), 8 (disk), or 0 for both")
 	seed := fs.Int64("seed", 1, "simulation seed")
@@ -126,7 +127,7 @@ func run(args []string) error {
 			if err := errors.Join(js.Err(), bw.Flush(), f.Close()); err != nil {
 				return err
 			}
-			fmt.Printf("trace written to %s\n", *trace)
+			fmt.Fprintf(stdout, "trace written to %s\n", *trace)
 			return nil
 		}
 	}
@@ -134,11 +135,11 @@ func run(args []string) error {
 	for _, cfg.Fig = range figs {
 		switch {
 		case *mechs:
-			err = runMechanisms(cfg, *out)
+			err = runMechanisms(stdout, cfg, *out)
 		case sweep:
-			err = runSweep(cfg, intervals, *out, *doBench)
+			err = runSweep(stdout, cfg, intervals, *out, *doBench)
 		default:
-			err = runFigure(cfg, *out, *doBench)
+			err = runFigure(stdout, cfg, *out, *doBench)
 		}
 		if err != nil {
 			break
@@ -189,34 +190,34 @@ func verdict(res resilientos.FigureResult) error {
 
 // runSweep runs the kill-interval sweep and prints one row per point,
 // then the throughput-vs-interval and recovery-latency tables.
-func runSweep(cfg resilientos.FigureConfig, intervals []time.Duration, out string, doBench bool) error {
+func runSweep(w io.Writer, cfg resilientos.FigureConfig, intervals []time.Duration, out string, doBench bool) error {
 	points := resilientos.Sweep(cfg, intervals)
 	base := points[0]
 	if base.Fig == 8 {
-		fmt.Printf("Fig. 8: dd %d MB | sha1sum, killing the SATA-class driver\n", base.Size>>20)
-		fmt.Printf("(paper: 32.7 MB/s uninterrupted; 12.3 MB/s at 1s kills; 30.5 MB/s at 15s)\n\n")
+		fmt.Fprintf(w, "Fig. 8: dd %d MB | sha1sum, killing the SATA-class driver\n", base.Size>>20)
+		fmt.Fprintf(w, "(paper: 32.7 MB/s uninterrupted; 12.3 MB/s at 1s kills; 30.5 MB/s at 15s)\n\n")
 	} else {
-		fmt.Printf("Fig. 7: wget %d MB over TCP, killing the RTL8139-class driver\n", base.Size>>20)
-		fmt.Printf("(paper: 10.8 MB/s uninterrupted; 8.1 MB/s at 1s kills; 10.7 MB/s at 15s)\n\n")
+		fmt.Fprintf(w, "Fig. 7: wget %d MB over TCP, killing the RTL8139-class driver\n", base.Size>>20)
+		fmt.Fprintf(w, "(paper: 10.8 MB/s uninterrupted; 8.1 MB/s at 1s kills; 10.7 MB/s at 15s)\n\n")
 	}
 	for _, p := range points {
 		kind := "uninterrupted"
 		if p.Interval > 0 {
 			kind = fmt.Sprintf("kill every %v", p.Interval)
 		}
-		fmt.Printf("%-16s %8.2f MB/s  (%d kills, %d recoveries, %v/kill lost, ok=%v)\n",
+		fmt.Fprintf(w, "%-16s %8.2f MB/s  (%d kills, %d recoveries, %v/kill lost, ok=%v)\n",
 			kind, p.MBps, p.Kills, p.Recoveries, p.PerKillLoss(base).Round(time.Millisecond), p.OK)
 		if p.Recovery.Count > 0 {
-			fmt.Printf("                 recovery latency: %s\n", p.Recovery)
+			fmt.Fprintf(w, "                 recovery latency: %s\n", p.Recovery)
 		}
 		if err := verdict(p); err != nil {
 			return fmt.Errorf("fig%d, %s: %w", p.Fig, kind, err)
 		}
 	}
-	fmt.Println()
-	fmt.Println("interval_s  throughput_MBps  relative_loss")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "interval_s  throughput_MBps  relative_loss")
 	for _, p := range points[1:] {
-		fmt.Printf("%10.0f  %15.2f  %12.0f%%\n",
+		fmt.Fprintf(w, "%10.0f  %15.2f  %12.0f%%\n",
 			p.Interval.Seconds(), p.MBps, 100*(1-p.MBps/base.MBps))
 	}
 	var recovered []resilientos.FigureResult
@@ -227,12 +228,12 @@ func runSweep(cfg resilientos.FigureConfig, intervals []time.Duration, out strin
 	}
 	if len(recovered) > 0 {
 		ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-		fmt.Println()
-		fmt.Println("recovery latency (defect -> reintegration, virtual time)")
-		fmt.Println("interval_s  count  mean_ms   p50_ms   p95_ms   p99_ms   max_ms")
+		fmt.Fprintln(w)
+		fmt.Fprintln(w, "recovery latency (defect -> reintegration, virtual time)")
+		fmt.Fprintln(w, "interval_s  count  mean_ms   p50_ms   p95_ms   p99_ms   max_ms")
 		for _, p := range recovered {
 			r := p.Recovery
-			fmt.Printf("%10.0f  %5d  %7.1f  %7.1f  %7.1f  %7.1f  %7.1f\n",
+			fmt.Fprintf(w, "%10.0f  %5d  %7.1f  %7.1f  %7.1f  %7.1f  %7.1f\n",
 				p.Interval.Seconds(), r.Count, ms(r.Mean), ms(r.P50), ms(r.P95), ms(r.P99), ms(r.Max))
 		}
 	}
@@ -241,7 +242,7 @@ func runSweep(cfg resilientos.FigureConfig, intervals []time.Duration, out strin
 		if err := bench.WriteFile(path, resilientos.SweepBenchDoc(points)); err != nil {
 			return fmt.Errorf("write %s: %w", path, err)
 		}
-		fmt.Printf("\nwrote %s\n", path)
+		fmt.Fprintf(w, "\nwrote %s\n", path)
 	}
 	return nil
 }
@@ -250,24 +251,24 @@ func runSweep(cfg resilientos.FigureConfig, intervals []time.Duration, out strin
 // figure run per mechanism with VM-level crash injection, a per-mechanism
 // CSV each, and the BENCH_recovery.json document with the standby-depth
 // and microreboot-width gains over the respawn baseline.
-func runMechanisms(cfg resilientos.FigureConfig, out string) error {
+func runMechanisms(w io.Writer, cfg resilientos.FigureConfig, out string) error {
 	wallStart := time.Now()
 	results, doc := resilientos.RunMechanismComparison(cfg)
 	mechs := resilientos.RecoveryMechanisms
 
 	first := results[0]
-	fmt.Printf("fig%d recovery mechanisms: %d MB, crash every %v, seed %d (%.1fs wall)\n",
+	fmt.Fprintf(w, "fig%d recovery mechanisms: %d MB, crash every %v, seed %d (%.1fs wall)\n",
 		first.Fig, first.Size>>20, first.Interval, first.Seed, time.Since(wallStart).Seconds())
-	fmt.Printf("  %-12s %8s %8s %10s %12s %10s\n",
+	fmt.Fprintf(w, "  %-12s %8s %8s %10s %12s %10s\n",
 		"mechanism", "MB/s", "crashes", "depth %", "width ms", "recov %")
 	for i, res := range results {
 		depth, width := res.MeanDip()
-		fmt.Printf("  %-12s %8.2f %8d %10.1f %12.1f %10.1f\n",
+		fmt.Fprintf(w, "  %-12s %8.2f %8d %10.1f %12.1f %10.1f\n",
 			mechs[i], res.MBps, res.Kills, depth, width, res.RecoveredPct)
 	}
 	depthGain, _ := doc.Value("standby_depth_gain_pct")
 	widthGain, _ := doc.Value("micro_width_gain_ms")
-	fmt.Printf("  standby depth gain: %.1f pct points, microreboot width gain: %.1f ms\n",
+	fmt.Fprintf(w, "  standby depth gain: %.1f pct points, microreboot width gain: %.1f ms\n",
 		depthGain, widthGain)
 
 	for i, res := range results {
@@ -280,13 +281,13 @@ func runMechanisms(cfg resilientos.FigureConfig, out string) error {
 		if err := os.WriteFile(path, csv.Bytes(), 0o644); err != nil {
 			return fmt.Errorf("fig%d: write %s: %w", res.Fig, path, err)
 		}
-		fmt.Printf("  wrote %s\n", path)
+		fmt.Fprintf(w, "  wrote %s\n", path)
 	}
 	path := filepath.Join(out, "BENCH_recovery.json")
 	if err := bench.WriteFile(path, doc); err != nil {
 		return fmt.Errorf("write %s: %w", path, err)
 	}
-	fmt.Printf("  wrote %s\n", path)
+	fmt.Fprintf(w, "  wrote %s\n", path)
 
 	for i, res := range results {
 		if err := verdict(res); err != nil {
@@ -296,27 +297,27 @@ func runMechanisms(cfg resilientos.FigureConfig, out string) error {
 	return nil
 }
 
-func runFigure(cfg resilientos.FigureConfig, out string, doBench bool) error {
+func runFigure(w io.Writer, cfg resilientos.FigureConfig, out string, doBench bool) error {
 	wallStart := time.Now()
 	res := resilientos.RunFigure(cfg)
 	wall := time.Since(wallStart)
 
-	fmt.Printf("fig%d: %d MB via %s, kill every %v, seed %d\n",
+	fmt.Fprintf(w, "fig%d: %d MB via %s, kill every %v, seed %d\n",
 		res.Fig, res.Size>>20, res.Driver, res.Interval, res.Seed)
-	fmt.Printf("  %.2f MB/s end to end over %v virtual (%d kills, ok=%v, %.1fs wall)\n",
+	fmt.Fprintf(w, "  %.2f MB/s end to end over %v virtual (%d kills, ok=%v, %.1fs wall)\n",
 		res.MBps, res.Duration.Round(time.Millisecond), res.Kills, res.OK, wall.Seconds())
-	fmt.Printf("  windows: %d, baseline %.2f MB/s, min %.2f, recovered %.1f%% of baseline\n",
+	fmt.Fprintf(w, "  windows: %d, baseline %.2f MB/s, min %.2f, recovered %.1f%% of baseline\n",
 		len(res.Points), res.BaselineMBps, res.MinMBps, res.RecoveredPct)
 	for i, d := range res.Dips {
 		state := fmt.Sprintf("recovered to %.2f MB/s (%.1f%%)", d.RecoveredMBps, d.RecoveredPct)
 		if d.Truncated {
 			state = "truncated (transfer or next kill before recovery window)"
 		}
-		fmt.Printf("  dip %d: kill at %v, depth %.1f%%, width %v, %s\n",
+		fmt.Fprintf(w, "  dip %d: kill at %v, depth %.1f%%, width %v, %s\n",
 			i, d.Kill, d.DepthPct, d.Width, state)
 	}
 	if res.Recovery.Count > 0 {
-		fmt.Printf("  recovery latency: %s\n", res.Recovery)
+		fmt.Fprintf(w, "  recovery latency: %s\n", res.Recovery)
 	}
 
 	stem := filepath.Join(out, fmt.Sprintf("fig%d_seed%d", res.Fig, res.Seed))
@@ -345,16 +346,16 @@ func runFigure(cfg resilientos.FigureConfig, out string, doBench bool) error {
 		if err := os.WriteFile(f.path, f.data, 0o644); err != nil {
 			return fmt.Errorf("fig%d: write %s: %w", res.Fig, f.path, err)
 		}
-		fmt.Printf("  wrote %s\n", f.path)
+		fmt.Fprintf(w, "  wrote %s\n", f.path)
 	}
 	if doBench {
 		path := filepath.Join(out, fmt.Sprintf("BENCH_fig%d.json", res.Fig))
 		if err := bench.WriteFile(path, res.BenchDoc()); err != nil {
 			return fmt.Errorf("fig%d: write %s: %w", res.Fig, path, err)
 		}
-		fmt.Printf("  wrote %s\n", path)
+		fmt.Fprintf(w, "  wrote %s\n", path)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 
 	if err := verdict(res); err != nil {
 		return fmt.Errorf("fig%d: %w", res.Fig, err)

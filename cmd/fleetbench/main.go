@@ -43,7 +43,7 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return
 		}
@@ -52,7 +52,7 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("fleetbench", flag.ContinueOnError)
 	nodes := fs.Int("nodes", 4, "fleet size (each node is a full simulated OS)")
 	seed := fs.Int64("seed", 1, "fleet seed; node seeds and every draw derive from it")
@@ -125,7 +125,7 @@ func run(args []string) error {
 			if err := workload.WriteTraceFile(*recordPath, h, events); err != nil {
 				return err
 			}
-			fmt.Printf("recorded %d events to %s\n", len(events), *recordPath)
+			fmt.Fprintf(stdout, "recorded %d events to %s\n", len(events), *recordPath)
 		}
 	}
 	if len(events) == 0 {
@@ -149,14 +149,14 @@ func run(args []string) error {
 		if clash != "" {
 			return fmt.Errorf("fleetbench: -compare runs every policy and writes only -bench-json; it cannot take -%s", clash)
 		}
-		if doc, err = runCompare(cfg); err != nil {
+		if doc, err = runCompare(stdout, cfg); err != nil {
 			return err
 		}
 	} else {
 		if cfg.Policy, err = cluster.ParsePolicy(*policy); err != nil {
 			return err
 		}
-		if doc, err = runOne(cfg, *csvPath, *jsonPath); err != nil {
+		if doc, err = runOne(stdout, cfg, *csvPath, *jsonPath); err != nil {
 			return err
 		}
 	}
@@ -164,14 +164,14 @@ func run(args []string) error {
 		if err := bench.WriteFile(*benchJSON, doc); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s\n", *benchJSON)
+		fmt.Fprintf(stdout, "wrote %s\n", *benchJSON)
 	}
 	return nil
 }
 
 // runOne executes one campaign, prints its report, writes the window
 // series and the JSON report where asked, and returns its bench document.
-func runOne(cfg cluster.Config, csvPath, jsonPath string) (bench.Doc, error) {
+func runOne(w io.Writer, cfg cluster.Config, csvPath, jsonPath string) (bench.Doc, error) {
 	start := time.Now()
 	c, err := boot(cfg)
 	if err != nil {
@@ -179,15 +179,15 @@ func runOne(cfg cluster.Config, csvPath, jsonPath string) (bench.Doc, error) {
 	}
 	defer c.Close()
 	r := c.Run()
-	r.Render(os.Stdout)
-	fmt.Printf("wall clock: %.2fs\n", time.Since(start).Seconds())
+	r.Render(w)
+	fmt.Fprintf(w, "wall clock: %.2fs\n", time.Since(start).Seconds())
 
 	doc := bench.New("fleetbench", benchParams(r))
 	addBench(&doc, "", r)
-	if err := writeOut(csvPath, func(w io.Writer) error { return timeseries.WriteCSV(w, c.Segments()) }); err != nil {
+	if err := writeOut(w, csvPath, func(w io.Writer) error { return timeseries.WriteCSV(w, c.Segments()) }); err != nil {
 		return doc, err
 	}
-	return doc, writeOut(jsonPath, r.WriteJSON)
+	return doc, writeOut(w, jsonPath, r.WriteJSON)
 }
 
 // boot boots the fleet. The flags have been parsed by now, so what
@@ -203,7 +203,7 @@ func boot(cfg cluster.Config) (*cluster.Cluster, error) {
 
 // writeOut writes what write produces to path and reports it on stdout;
 // an empty path (the flag was not given) writes nothing.
-func writeOut(path string, write func(io.Writer) error) error {
+func writeOut(stdout io.Writer, path string, write func(io.Writer) error) error {
 	if path == "" {
 		return nil
 	}
@@ -214,7 +214,7 @@ func writeOut(path string, write func(io.Writer) error) error {
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s\n", path)
+	fmt.Fprintf(stdout, "wrote %s\n", path)
 	return nil
 }
 
@@ -270,10 +270,10 @@ func addBench(doc *bench.Doc, prefix string, r *cluster.Report) {
 // runCompare executes the same storm under every routing policy, prints
 // the side-by-side table the acceptance campaign reads and returns the
 // runs as one bench document, one "policy/<name>/" group each.
-func runCompare(cfg cluster.Config) (bench.Doc, error) {
-	fmt.Printf("fleet policy comparison: %d nodes, seed %d, storm %s\n\n",
+func runCompare(w io.Writer, cfg cluster.Config) (bench.Doc, error) {
+	fmt.Fprintf(w, "fleet policy comparison: %d nodes, seed %d, storm %s\n\n",
 		cfg.Nodes, cfg.Seed, cfg.Storm)
-	fmt.Printf("%-14s %12s %12s %10s %10s %10s %9s %8s\n",
+	fmt.Fprintf(w, "%-14s %12s %12s %10s %10s %10s %9s %8s\n",
 		"policy", "avail%", "node-avail%", "p50", "p99", "reroutes", "recov%", "gaveup")
 	var reports []*cluster.Report
 	for _, p := range cluster.Policies() {
@@ -284,7 +284,7 @@ func runCompare(cfg cluster.Config) (bench.Doc, error) {
 		}
 		r := c.Run()
 		c.Close()
-		fmt.Printf("%-14s %12.2f %12.2f %10s %10s %10d %9.1f %8d\n",
+		fmt.Fprintf(w, "%-14s %12.2f %12.2f %10s %10s %10d %9.1f %8d\n",
 			r.Policy, r.AvailabilityPct, r.NodeAvailabilityPct,
 			time.Duration(r.Latency.P50).Round(time.Microsecond),
 			time.Duration(r.Latency.P99).Round(time.Microsecond),

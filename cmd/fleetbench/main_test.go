@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -16,7 +17,7 @@ var update = flag.Bool("update", false, "regenerate the golden trace and campaig
 // Every cmd must answer -h with its flag documentation and a clean exit
 // (main treats flag.ErrHelp as success).
 func TestHelp(t *testing.T) {
-	if err := run([]string{"-h"}); !errors.Is(err, flag.ErrHelp) {
+	if err := run([]string{"-h"}, io.Discard); !errors.Is(err, flag.ErrHelp) {
 		t.Fatalf("run(-h) = %v, want flag.ErrHelp", err)
 	}
 }
@@ -60,7 +61,7 @@ func TestBadFlags(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := run(tc.args)
+			err := run(tc.args, io.Discard)
 			if err == nil {
 				t.Fatalf("run(%v) succeeded, want error containing %q", tc.args, tc.want)
 			}
@@ -109,7 +110,7 @@ func TestGoldenReplay(t *testing.T) {
 	tracePath := filepath.Join(dir, "trace.jsonl")
 	args := append(goldenArgs(dir),
 		"-workload", "testdata/workload_seed11.json", "-record", tracePath)
-	if err := run(args); err != nil {
+	if err := run(args, io.Discard); err != nil {
 		t.Fatalf("record run: %v", err)
 	}
 
@@ -143,7 +144,7 @@ func TestGoldenReplay(t *testing.T) {
 		runtime.GOMAXPROCS(procs)
 		rdir := t.TempDir()
 		args := append(goldenArgs(rdir), "-replay", goldenTrace)
-		if err := run(args); err != nil {
+		if err := run(args, io.Discard); err != nil {
 			t.Fatalf("replay GOMAXPROCS=%d: %v", procs, err)
 		}
 		if !bytes.Equal(readFile(t, filepath.Join(rdir, "fleet.csv")), wantCSV) {
@@ -189,7 +190,7 @@ func TestFleetSmokeGolden(t *testing.T) {
 	dir, rdir := t.TempDir(), t.TempDir()
 	trace := filepath.Join(dir, "classic.jsonl")
 	args := append(append([]string{"-horizon", "6s", "-policy", "failure-aware", "-record", trace}, smokeArgs...), outputs(dir)...)
-	if err := run(args); err != nil {
+	if err := run(args, io.Discard); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	checkGolden(t, filepath.Join(dir, "BENCH_fleet.json"), "testdata/BENCH_fleet_storm_seed11.json")
@@ -198,7 +199,7 @@ func TestFleetSmokeGolden(t *testing.T) {
 	// are campaign flags a replay repeats.
 	runtime.GOMAXPROCS(4)
 	args = append(append([]string{"-replay", trace}, smokeArgs...), outputs(rdir)...)
-	if err := run(args); err != nil {
+	if err := run(args, io.Discard); err != nil {
 		t.Fatalf("replay: %v", err)
 	}
 	for _, name := range []string{"fleet.csv", "fleet.json", "BENCH_fleet.json"} {
@@ -217,7 +218,7 @@ func TestFleetSmokeGolden(t *testing.T) {
 // policy/<name>/ group per policy.
 func TestCompareGolden(t *testing.T) {
 	got := filepath.Join(t.TempDir(), "BENCH_fleet_compare.json")
-	if err := run(append([]string{"-compare", "-bench-json", got}, smokeArgs...)); err != nil {
+	if err := run(append([]string{"-compare", "-bench-json", got}, smokeArgs...), io.Discard); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	checkGolden(t, got, "testdata/BENCH_fleet_compare_seed11.json")

@@ -13,13 +13,14 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"resilientos/internal/loc"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return
 		}
@@ -28,7 +29,7 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("locstats", flag.ContinueOnError)
 	all := fs.Bool("all", false, "also list every package's size")
 	if err := fs.Parse(args); err != nil {
@@ -42,13 +43,13 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("Fig. 9: reengineering effort specific to recovery (executable LoC)")
-	fmt.Println("(paper: RS 30%, DS 15%, VFS 5%, FS <1%, drivers ~5 lines, PM and kernel 0)")
-	fmt.Println()
-	fmt.Print(loc.Render(rows))
+	fmt.Fprintln(stdout, "Fig. 9: reengineering effort specific to recovery (executable LoC)")
+	fmt.Fprintln(stdout, "(paper: RS 30%, DS 15%, VFS 5%, FS <1%, drivers ~5 lines, PM and kernel 0)")
+	fmt.Fprintln(stdout)
+	fmt.Fprint(stdout, loc.Render(rows))
 
 	if *all {
-		fmt.Println("\nAll packages (code / comment / blank):")
+		fmt.Fprintln(stdout, "\nAll packages (code / comment / blank):")
 		totals, err := loc.TotalsByPackage(root)
 		if err != nil {
 			return err
@@ -56,11 +57,11 @@ func run(args []string) error {
 		var code, comment int
 		for _, name := range loc.SortedNames(totals) {
 			c := totals[name]
-			fmt.Printf("  %-32s %6d %6d %6d\n", name, c.Code, c.Comment, c.Blank)
+			fmt.Fprintf(stdout, "  %-32s %6d %6d %6d\n", name, c.Code, c.Comment, c.Blank)
 			code += c.Code
 			comment += c.Comment
 		}
-		fmt.Printf("  %-32s %6d %6d\n", "TOTAL", code, comment)
+		fmt.Fprintf(stdout, "  %-32s %6d %6d\n", "TOTAL", code, comment)
 	}
 	return nil
 }

@@ -57,14 +57,14 @@ import (
 )
 
 func main() {
-	code, err := run(os.Args[1:])
+	code, err := run(os.Args[1:], os.Stdout)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 	}
 	os.Exit(code)
 }
 
-func run(args []string) (int, error) {
+func run(args []string, stdout io.Writer) (int, error) {
 	fs := flag.NewFlagSet("simspeed", flag.ContinueOnError)
 	benchJSON := fs.String("bench-json", "", "write the machine-readable result (internal/bench document) to this file")
 	seed := fs.Int64("seed", 1, "scenario seed")
@@ -103,7 +103,7 @@ func run(args []string) (int, error) {
 	}
 
 	doc, folded := battery(o)
-	render(os.Stdout, doc)
+	render(stdout, doc)
 
 	if *memProfile != "" {
 		f, err := os.Create(*memProfile)
@@ -127,7 +127,7 @@ func run(args []string) (int, error) {
 		if err := bench.WriteFile(*benchJSON, doc); err != nil {
 			return 2, err
 		}
-		fmt.Printf("wrote %s\n", *benchJSON)
+		fmt.Fprintf(stdout, "wrote %s\n", *benchJSON)
 	}
 	return 0, nil
 }

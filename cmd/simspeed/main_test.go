@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -23,7 +24,7 @@ func TestBatteryTwiceIdenticalBytes(t *testing.T) {
 	var docs [2][]byte
 	for i := range docs {
 		path := filepath.Join(dir, "doc.json")
-		if code, err := run([]string{"-seed", "1", "-bench-json", path}); code != 0 || err != nil {
+		if code, err := run([]string{"-seed", "1", "-bench-json", path}, io.Discard); code != 0 || err != nil {
 			t.Fatalf("battery: code=%d err=%v", code, err)
 		}
 		b, err := os.ReadFile(path)
@@ -91,17 +92,17 @@ func TestBatteryExactCounts(t *testing.T) {
 }
 
 func TestRenderAndFlags(t *testing.T) {
-	if code, err := run([]string{"-badflag"}); code != 2 || err != nil {
+	if code, err := run([]string{"-badflag"}, io.Discard); code != 2 || err != nil {
 		t.Fatalf("bad flag: code=%d err=%v", code, err)
 	}
-	if code, err := run([]string{"positional"}); code != 2 || err == nil {
+	if code, err := run([]string{"positional"}, io.Discard); code != 2 || err == nil {
 		t.Fatalf("positional arg: code=%d err=%v", code, err)
 	}
 	dir := t.TempDir()
 	code, err := run([]string{
 		"-scenario", "fleet",
 		"-bench-json", dir + "/BENCH_simspeed.json",
-		"-folded", dir + "/simspeed.folded"})
+		"-folded", dir + "/simspeed.folded"}, io.Discard)
 	if code != 0 || err != nil {
 		t.Fatalf("fleet-only run: code=%d err=%v", code, err)
 	}

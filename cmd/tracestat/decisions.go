@@ -131,7 +131,7 @@ func summarizeDecisions(w io.Writer, events []decision.Event) {
 
 // runDecisions is the -decisions mode: parse the file as a decision log
 // and summarize it.
-func runDecisions(path string) error {
+func runDecisions(path string, stdout io.Writer) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -141,6 +141,6 @@ func runDecisions(path string) error {
 	if err != nil {
 		return err
 	}
-	summarizeDecisions(os.Stdout, events)
+	summarizeDecisions(stdout, events)
 	return nil
 }

@@ -6,10 +6,6 @@
 // carries causal spans — the virtual-time profile (top spans by self
 // time, per-component compute/blocked/dead split).
 //
-// A trace that begins with a ring-sink drop mark (the trace was captured
-// through a bounded buffer that overflowed) is reported as truncated,
-// with the dropped-event count.
-//
 //	tracestat fig7.jsonl
 //	tracestat -decisions base.jsonl   # summarize a recovery decision log (cmd/whatif)
 //	tracestat -spans fig7.jsonl       # also dump every recovery span
@@ -23,6 +19,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -34,7 +31,7 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return
 		}
@@ -43,7 +40,7 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("tracestat", flag.ContinueOnError)
 	comp := fs.String("comp", "", "restrict the latency table to one component label")
 	spans := fs.Bool("spans", false, "dump every recovery span")
@@ -72,7 +69,7 @@ func run(args []string) error {
 			fs.Usage()
 			return fmt.Errorf("-decisions needs exactly one decision-log file")
 		}
-		return runDecisions(fs.Arg(0))
+		return runDecisions(fs.Arg(0), stdout)
 	}
 	if fs.NArg() != 1 {
 		fs.Usage()
@@ -86,28 +83,6 @@ func run(args []string) error {
 	events, err := obs.ParseJSONL(f)
 	if err != nil {
 		return err
-	}
-	// Ring-sink drop marks mean a capture buffer overflowed and the
-	// trace is truncated. The mark normally leads the stream, but a
-	// concatenated or re-filtered capture can carry one anywhere —
-	// scan the whole stream, sum the counts, and strip the marks so
-	// the tables below describe real events only.
-	var droppedTotal int64
-	dropMarks := 0
-	liveEvents := events[:0]
-	for _, e := range events {
-		if e.Kind == obs.KindMark && e.Comp == obs.DropMarkComp && e.Aux == obs.DropMarkAux {
-			droppedTotal += e.V1
-			dropMarks++
-			continue
-		}
-		liveEvents = append(liveEvents, e)
-	}
-	events = liveEvents
-	if dropMarks > 0 {
-		kept := len(events)
-		fmt.Printf("WARNING: trace truncated — capture ring dropped %d event(s); %d kept (%.1f%% of %d emitted)\n\n",
-			droppedTotal, kept, 100*float64(kept)/float64(int64(kept)+droppedTotal), int64(kept)+droppedTotal)
 	}
 	if *kinds != "" {
 		keep := make(map[obs.Kind]bool)
@@ -127,7 +102,7 @@ func run(args []string) error {
 		events = kept
 	}
 	if len(events) == 0 {
-		fmt.Println("empty trace")
+		fmt.Fprintln(stdout, "empty trace")
 		return nil
 	}
 
@@ -135,32 +110,32 @@ func run(args []string) error {
 	for _, e := range events {
 		counts.Emit(e)
 	}
-	fmt.Printf("%d events, %v .. %v virtual time\n\n",
+	fmt.Fprintf(stdout, "%d events, %v .. %v virtual time\n\n",
 		counts.Total, events[0].T, events[len(events)-1].T)
 
-	fmt.Println("events by kind")
+	fmt.Fprintln(stdout, "events by kind")
 	for _, k := range obs.Kinds() {
 		if n := counts.ByKind[k]; n > 0 {
-			fmt.Printf("  %-16s %8d\n", k, n)
+			fmt.Fprintf(stdout, "  %-16s %8d\n", k, n)
 		}
 	}
-	fmt.Println()
-	fmt.Println("events by component")
+	fmt.Fprintln(stdout)
+	fmt.Fprintln(stdout, "events by component")
 	comps := make([]string, 0, len(counts.ByComp))
 	for c := range counts.ByComp {
 		comps = append(comps, c)
 	}
 	sort.Strings(comps)
 	for _, c := range comps {
-		fmt.Printf("  %-16s %8d\n", c, counts.ByComp[c])
+		fmt.Fprintf(stdout, "  %-16s %8d\n", c, counts.ByComp[c])
 	}
 
 	all := obs.Timeline(events)
 	if *spans {
-		fmt.Println()
-		fmt.Println("recovery spans")
+		fmt.Fprintln(stdout)
+		fmt.Fprintln(stdout, "recovery spans")
 		for _, s := range all {
-			fmt.Printf("  %v\n", s)
+			fmt.Fprintf(stdout, "  %v\n", s)
 		}
 	}
 
@@ -177,9 +152,9 @@ func run(args []string) error {
 		names = append(names, c)
 	}
 	sort.Strings(names)
-	fmt.Println()
-	fmt.Println("recovery latency (defect -> reintegration, virtual time)")
-	fmt.Println("component         count  mean_ms   p50_ms   p95_ms   p99_ms   max_ms")
+	fmt.Fprintln(stdout)
+	fmt.Fprintln(stdout, "recovery latency (defect -> reintegration, virtual time)")
+	fmt.Fprintln(stdout, "component         count  mean_ms   p50_ms   p95_ms   p99_ms   max_ms")
 	printed := false
 	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	for _, c := range names {
@@ -189,19 +164,19 @@ func run(args []string) error {
 			continue
 		}
 		printed = true
-		fmt.Printf("%-16s  %5d  %7.1f  %7.1f  %7.1f  %7.1f  %7.1f\n",
+		fmt.Fprintf(stdout, "%-16s  %5d  %7.1f  %7.1f  %7.1f  %7.1f  %7.1f\n",
 			c, sum.Count, ms(sum.Mean), ms(sum.P50), ms(sum.P95), ms(sum.P99), ms(sum.Max))
 	}
 	if !printed {
-		fmt.Println("(no completed recoveries in trace)")
+		fmt.Fprintln(stdout, "(no completed recoveries in trace)")
 	}
 
 	// Causal-span profile: virtual-time attribution over the span forest.
 	prof := profile.Build(events)
 	if prof.Spans > 0 && *top > 0 {
-		fmt.Println()
-		fmt.Printf("span profile (%d terminated spans, %d still open)\n", prof.Spans, prof.Open)
-		prof.WriteTable(os.Stdout, *top)
+		fmt.Fprintln(stdout)
+		fmt.Fprintf(stdout, "span profile (%d terminated spans, %d still open)\n", prof.Spans, prof.Open)
+		prof.WriteTable(stdout, *top)
 	}
 	if *folded != "" {
 		out, err := os.Create(*folded)
@@ -212,7 +187,7 @@ func run(args []string) error {
 		if err := out.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("\nfolded stacks written to %s\n", *folded)
+		fmt.Fprintf(stdout, "\nfolded stacks written to %s\n", *folded)
 	}
 	if *perfetto != "" {
 		out, err := os.Create(*perfetto)
@@ -226,7 +201,7 @@ func run(args []string) error {
 		if err := out.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("perfetto trace written to %s\n", *perfetto)
+		fmt.Fprintf(stdout, "perfetto trace written to %s\n", *perfetto)
 	}
 	return nil
 }

@@ -27,6 +27,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -38,7 +39,7 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return
 		}
@@ -84,7 +85,7 @@ func encodeRecording(base campaign.Config, log []decision.Event) []byte {
 	}}, log...))
 }
 
-func run(args []string) error {
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("whatif", flag.ContinueOnError)
 	matrix := fs.String("matrix", "", "baseline campaign, applied on top of "+baselineSpec+"\n"+campaign.SpecUsage)
 	var overrides multiFlag
@@ -165,7 +166,7 @@ func run(args []string) error {
 			return fmt.Errorf("replay mismatch: re-run produced %d bytes, recording has %d (determinism broken or knobs drifted)",
 				len(got), len(want))
 		}
-		fmt.Printf("replay: %s reproduced byte-for-byte (%d events)\n\n", *replay, len(recorded))
+		fmt.Fprintf(stdout, "replay: %s reproduced byte-for-byte (%d events)\n\n", *replay, len(recorded))
 	}
 	if *record != "" {
 		if err := os.WriteFile(*record, encodeRecording(base, baseRep.DecisionLog), 0o644); err != nil {
@@ -184,7 +185,7 @@ func run(args []string) error {
 		variants = append(variants, variant{name: name, rep: rep, sum: latencySummary(rep)})
 	}
 
-	renderTable(os.Stdout, base, variants)
+	renderTable(stdout, base, variants)
 
 	if *benchJSON != "" {
 		if err := bench.WriteFile(*benchJSON, benchDoc(base, variants)); err != nil {
@@ -205,7 +206,7 @@ func latencySummary(rep *campaign.Report) obs.LatencySummary {
 
 // renderTable writes the paper-style counterfactual table. Everything is
 // virtual-time deterministic: no wall clock, no worker count.
-func renderTable(w *os.File, base campaign.Config, variants []variant) {
+func renderTable(w io.Writer, base campaign.Config, variants []variant) {
 	fmt.Fprintf(w, "counterfactual sweep: %s\n\n", base.Spec())
 	fmt.Fprintf(w, "%-24s %7s %9s %6s %9s %9s %9s %9s %9s\n",
 		"variant", "crashes", "recovered", "gaveup",

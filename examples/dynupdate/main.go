@@ -6,13 +6,18 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 	"time"
 
 	"resilientos"
 	"resilientos/internal/core"
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run plays the scene and prints its outcome to w.
+func run(w io.Writer) {
 	sys := resilientos.New(resilientos.Config{
 		DisableNet:    true,
 		DisableChar:   true,
@@ -26,15 +31,15 @@ func main() {
 
 	// Update the SATA driver to "v2" half a second into the transfer.
 	sys.After(500*time.Millisecond, func() {
-		fmt.Printf("  >> service update disk.sata (I/O in progress, %d MB read)\n", dd.Bytes>>20)
+		fmt.Fprintf(w, "  >> service update disk.sata (I/O in progress, %d MB read)\n", dd.Bytes>>20)
 		sys.UpdateDriver(core.ServiceConfig{Label: resilientos.DriverSATA, Version: "v2"})
 	})
 
 	sys.Run(5 * time.Minute)
 
-	fmt.Printf("\ndd finished: %d MB, err=%v, SHA-1 %x...\n", dd.Bytes>>20, dd.Err, dd.SHA1[:6])
+	fmt.Fprintf(w, "\ndd finished: %d MB, err=%v, SHA-1 %x...\n", dd.Bytes>>20, dd.Err, dd.SHA1[:6])
 	for _, e := range sys.RS.Events() {
-		fmt.Printf("[%8v] %s: defect=%v (class %d), repetition=%d — no backoff for updates\n",
+		fmt.Fprintf(w, "[%8v] %s: defect=%v (class %d), repetition=%d — no backoff for updates\n",
 			e.Time.Round(time.Millisecond), e.Label, e.Defect, int(e.Defect), e.Repetition)
 	}
 }

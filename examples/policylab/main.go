@@ -13,6 +13,8 @@ package main
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
+	"os"
 	"time"
 
 	"resilientos"
@@ -22,7 +24,10 @@ import (
 	"resilientos/internal/proto"
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run plays the scene and prints its outcome to w.
+func run(w io.Writer) {
 	sys := resilientos.New(resilientos.Config{
 		DisableNet:  true,
 		DisableDisk: true,
@@ -68,6 +73,7 @@ done
 	// checkpointing into the data store.
 	dsEp := sys.DSEp
 	var lastCounter int64
+	var restored []int64 // the count each restarted instance retrieved
 	sys.RS.StartService(core.ServiceConfig{
 		Label: "counter",
 		Binary: func(c *kernel.Ctx) {
@@ -76,7 +82,7 @@ done
 			reply, err := c.SendRec(dsEp, kernel.Message{Type: proto.DSRetrieve, Name: "count"})
 			if err == nil && reply.Arg2 == proto.OK && len(reply.Payload) == 8 {
 				count = int64(binary.LittleEndian.Uint64(reply.Payload))
-				c.Logf("recovered counter state: %d", count)
+				restored = append(restored, count)
 			}
 			for {
 				c.Sleep(100 * time.Millisecond)
@@ -95,15 +101,16 @@ done
 
 	sys.Run(90 * time.Second)
 
-	fmt.Println("=== recovery log ===")
+	fmt.Fprintln(w, "=== recovery log ===")
 	for _, e := range sys.RS.Events() {
-		fmt.Printf("[%8v] %-8s defect=%-10v repetition=%d recovered=%v gaveUp=%v\n",
+		fmt.Fprintf(w, "[%8v] %-8s defect=%-10v repetition=%d recovered=%v gaveUp=%v\n",
 			e.Time.Round(time.Millisecond), e.Label, e.Defect, e.Repetition, e.Recovered, e.GaveUp)
 	}
-	fmt.Println("\n=== alerts mailed by the policy script ===")
+	fmt.Fprintln(w, "\n=== alerts mailed by the policy script ===")
 	for _, a := range sys.RS.Alerts() {
-		fmt.Printf("[%8v] to %s: %q\n", a.Time.Round(time.Millisecond), a.To, a.Subject)
+		fmt.Fprintf(w, "[%8v] to %s: %q\n", a.Time.Round(time.Millisecond), a.To, a.Subject)
 	}
-	fmt.Printf("\ncounter after two kills: %d (state recovered from the data store;\n", lastCounter)
-	fmt.Println("a fresh instance without recovery would have restarted from ~20)")
+	fmt.Fprintf(w, "\ncounter after two kills: %d (state recovered from the data store at %v;\n",
+		lastCounter, restored)
+	fmt.Fprintln(w, "a fresh instance without recovery would have restarted from ~20)")
 }

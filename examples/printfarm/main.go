@@ -10,12 +10,17 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 	"time"
 
 	"resilientos"
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run plays the scene and prints its outcome to w.
+func run(w io.Writer) {
 	sys := resilientos.New(resilientos.Config{DisableNet: true, DisableDisk: true})
 	defer sys.Close()
 	sys.Run(time.Second)
@@ -40,8 +45,8 @@ func main() {
 
 	sys.Run(2 * time.Minute)
 
-	fmt.Println("=== lpd (recovery-aware: redoes failed jobs) ===")
-	fmt.Printf("jobs submitted: %d/%d, driver failures ridden out: %d\n",
+	fmt.Fprintln(w, "=== lpd (recovery-aware: redoes failed jobs) ===")
+	fmt.Fprintf(w, "jobs submitted: %d/%d, driver failures ridden out: %d\n",
 		lpd.Submitted, len(jobs), lpd.Errors)
 	printed := map[string]int{}
 	for _, l := range sys.Machine.Printer.Output {
@@ -52,22 +57,22 @@ func main() {
 		if printed[j] > 1 {
 			dup = fmt.Sprintf("  (printed %d times — duplicate after recovery)", printed[j])
 		}
-		fmt.Printf("  %-12s on paper: %v%s\n", j, printed[j] > 0, dup)
+		fmt.Fprintf(w, "  %-12s on paper: %v%s\n", j, printed[j] > 0, dup)
 	}
 
-	fmt.Println("\n=== mp3 player (keeps playing; hiccups possible) ===")
-	fmt.Printf("bytes played: %d, driver failures ridden out: %d, audible hiccups: %d\n",
+	fmt.Fprintln(w, "\n=== mp3 player (keeps playing; hiccups possible) ===")
+	fmt.Fprintf(w, "bytes played: %d, driver failures ridden out: %d, audible hiccups: %d\n",
 		mp3.FedBytes, mp3.Errors, sys.Machine.Audio.Underruns)
 
-	fmt.Println("\n=== cd burner (unrecoverable: the user must be told) ===")
+	fmt.Fprintln(w, "\n=== cd burner (unrecoverable: the user must be told) ===")
 	if burn.Err != nil {
-		fmt.Printf("burn failed, reported to user: %v\n", burn.Err)
+		fmt.Fprintf(w, "burn failed, reported to user: %v\n", burn.Err)
 	} else {
-		fmt.Printf("disc ok: %v\n", burn.DiscOK)
+		fmt.Fprintf(w, "disc ok: %v\n", burn.DiscOK)
 	}
-	fmt.Println("\nrecovery log:")
+	fmt.Fprintln(w, "\nrecovery log:")
 	for _, e := range sys.RS.Events() {
-		fmt.Printf("  [%8v] %-12s defect=%v recovered=%v\n",
+		fmt.Fprintf(w, "  [%8v] %-12s defect=%v recovered=%v\n",
 			e.Time.Round(time.Millisecond), e.Label, e.Defect, e.Recovered)
 	}
 }

@@ -1,0 +1,31 @@
+package main
+
+import (
+	"strings"
+	"testing"
+)
+
+// §6.3 in one run: lpd gets every job on paper despite two printer kills,
+// the mp3 player plays on with audible hiccups, and the burn the burner's
+// death interrupted comes back as a ruined disc the user is told about.
+func TestPrintfarmCharacterDeviceOutcomes(t *testing.T) {
+	var out strings.Builder
+	run(&out)
+	got := out.String()
+	for _, want := range []string{
+		"jobs submitted: 5/5",
+		"disc ok: false",
+		"chr.printer  defect=killed recovered=true",
+		"chr.audio    defect=killed recovered=true",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("output lacks %q:\n%s", want, got)
+		}
+	}
+	if strings.Contains(got, "on paper: false") {
+		t.Errorf("a job was lost:\n%s", got)
+	}
+	if strings.Contains(got, "audible hiccups: 0\n") {
+		t.Errorf("the audio kill left no hiccup:\n%s", got)
+	}
+}

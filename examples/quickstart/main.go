@@ -5,12 +5,17 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 	"time"
 
 	"resilientos"
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run plays the scene and prints its outcome to w.
+func run(w io.Writer) {
 	sys := resilientos.New(resilientos.Config{
 		DisableNet:    true,
 		DisableChar:   true,
@@ -25,24 +30,24 @@ func main() {
 	// Murder the disk driver every second while the read runs.
 	sys.Every(time.Second, func() {
 		if dd.Duration == 0 {
-			fmt.Println("  >> SIGKILL disk.sata (I/O in progress)")
+			fmt.Fprintln(w, "  >> SIGKILL disk.sata (I/O in progress)")
 			sys.KillDriver(resilientos.DriverSATA)
 		}
 	})
 
 	sys.Run(5 * time.Minute)
 
-	fmt.Printf("\nread %d MB in %v of virtual time (%.1f MB/s), err=%v\n",
+	fmt.Fprintf(w, "\nread %d MB in %v of virtual time (%.1f MB/s), err=%v\n",
 		dd.Bytes>>20, dd.Duration.Round(time.Millisecond),
 		float64(dd.Bytes)/dd.Duration.Seconds()/1e6, dd.Err)
-	fmt.Printf("SHA-1: %x\n\n", dd.SHA1)
+	fmt.Fprintf(w, "SHA-1: %x\n\n", dd.SHA1)
 
-	fmt.Println("recovery log:")
+	fmt.Fprintln(w, "recovery log:")
 	for _, e := range sys.RS.Events() {
-		fmt.Printf("  [%8v] %s: defect=%v, transparently recovered=%v\n",
+		fmt.Fprintf(w, "  [%8v] %s: defect=%v, transparently recovered=%v\n",
 			e.Time.Round(time.Millisecond), e.Label, e.Defect, e.Recovered)
 	}
 	st := sys.MFS.Stats()
-	fmt.Printf("\nfile server: %d driver calls, %d failed and were reissued — "+
+	fmt.Fprintf(w, "\nfile server: %d driver calls, %d failed and were reissued — "+
 		"the application saw none of it\n", st.DriverCalls, st.Reissues)
 }

@@ -15,6 +15,7 @@ import (
 	"resilientos/internal/obs"
 	"resilientos/internal/obs/export"
 	"resilientos/internal/obs/profile"
+	"resilientos/internal/sim"
 )
 
 // figureGoldenConfig is the committed-golden configuration — the same
@@ -161,7 +162,7 @@ func TestRunnersCloseTheirSystems(t *testing.T) {
 	RunFigure(FigureConfig{Fig: 8, System: Config{Seed: 3}, Size: 4 << 20})
 	Sweep(FigureConfig{Fig: 7, System: Config{Seed: 3}, Size: 1 << 20}, []time.Duration{time.Second, 2 * time.Second})
 	Sweep(FigureConfig{Fig: 8, System: Config{Seed: 3}, Size: 4 << 20}, []time.Duration{time.Second})
-	if after := runtime.NumGoroutine(); after > before {
+	if after := sim.SettledGoroutines(before); after > before {
 		t.Errorf("%d goroutines before the runners, %d after", before, after)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"resilientos/internal/core"
 	"resilientos/internal/fi"
 	"resilientos/internal/obs/decision"
+	"resilientos/internal/sim"
 )
 
 func TestSeq(t *testing.T) {
@@ -339,7 +340,7 @@ func TestRunClosesItsSystems(t *testing.T) {
 	}
 	before := runtime.NumGoroutine()
 	Run(cfg)
-	if after := runtime.NumGoroutine(); after > before {
+	if after := sim.SettledGoroutines(before); after > before {
 		t.Errorf("%d goroutines before the campaigns, %d after", before, after)
 	}
 }

@@ -234,9 +234,6 @@ func (n *Node) adopt(t sim.Time) bool {
 	return n.adopted != from
 }
 
-// Health returns the sample the fleet loop adopted last.
-func (n *Node) Health() resilientos.Health { return n.health }
-
 // strike damages the storm's victim driver on this node according to the
 // storm's fault mode, and reports whether there was anything to damage.
 func (n *Node) strike() bool {

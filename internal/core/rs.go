@@ -622,21 +622,18 @@ func (rs *RS) drain(c *kernel.Ctx) {
 func (rs *RS) spawnInstance(c *kernel.Ctx, svc *service) {
 	ep, err := c.Spawn(svc.cfg.Label, svc.cfg.Priv, svc.cfg.Binary)
 	if err != nil {
-		c.Logf("spawn %s: %v", svc.cfg.Label, err)
 		return
 	}
 	svc.serveFrom(c, ep)
 	// Publish the new endpoint; dependent components subscribed through
-	// the data store learn about the restart from this (paper §5.3).
-	_, err = c.SendRec(rs.dsEp, kernel.Message{
+	// the data store learn about the restart from this (paper §5.3). A
+	// publish the data store does not answer has no fallback: there is no
+	// other way to tell them.
+	_, _ = c.SendRec(rs.dsEp, kernel.Message{
 		Type: proto.DSPublish,
 		Name: svc.cfg.Label,
 		Arg1: int64(ep),
 	})
-	if err != nil {
-		c.Logf("publish %s: %v", svc.cfg.Label, err)
-	}
-	c.Logf("service %s up at %v (failures=%d)", svc.cfg.Label, ep, svc.failures)
 	if svc.cfg.Mechanism == MechStandby {
 		rs.spawnStandby(c, svc) // keep the warm pool filled
 	}
@@ -653,12 +650,10 @@ func (rs *RS) spawnStandby(c *kernel.Ctx, svc *service) {
 	}
 	ep, err := c.Spawn(drvlib.StandbyLabel(svc.cfg.Label), svc.cfg.Priv, svc.cfg.Binary)
 	if err != nil {
-		c.Logf("spawn standby for %s: %v", svc.cfg.Label, err)
 		return
 	}
 	svc.standbyEp = ep
 	svc.standbyUp = true
-	c.Logf("standby for %s parked at %v", svc.cfg.Label, ep)
 }
 
 // killStandby retires the parked replica (give-up, administrative stop).
@@ -718,7 +713,7 @@ func (rs *RS) onExitEvent(c *kernel.Ctx, m kernel.Message) {
 // so the pool self-heals. Deliberate retirements (give-up, stop,
 // promotion) clear standbyEp before acting and are ignored here.
 func (rs *RS) onStandbyExit(c *kernel.Ctx, m kernel.Message) {
-	svc, ok := rs.services[drvlib.PrimaryLabel(m.Name)]
+	svc, ok := rs.services[strings.TrimSuffix(m.Name, drvlib.StandbySuffix)]
 	if !ok || !svc.standbyUp || kernel.Endpoint(m.Arg1) != svc.standbyEp {
 		return
 	}
@@ -744,7 +739,6 @@ func (rs *RS) recover(c *kernel.Ctx, svc *service, class Defect) {
 		svc.failures++
 	}
 	svc.lastFailure = c.Now()
-	c.Logf("defect %v in %s (repetition %d)", class, svc.cfg.Label, svc.failures)
 	c.Obs().Emit(obs.KindDefect, svc.cfg.Label, class.String(), int64(svc.failures), int64(class))
 	rs.openEpisode(c, svc, class)
 
@@ -801,7 +795,6 @@ func (rs *RS) promoteStandby(c *kernel.Ctx, svc *service, class Defect) bool {
 	svc.standbyEp = kernel.None
 	svc.standbyUp = false
 	if err := c.Relabel(ep, svc.cfg.Label); err != nil {
-		c.Logf("promote %s: relabel %v: %v", svc.cfg.Label, ep, err)
 		return false
 	}
 	if rs.dec.On(decision.KindAction) {
@@ -814,12 +807,11 @@ func (rs *RS) promoteStandby(c *kernel.Ctx, svc *service, class Defect) bool {
 	// fanout lets dependents talk to it; per-receiver delivery is arrival
 	// order, so the replica attaches before serving its first request.
 	_ = c.AsyncSend(ep, kernel.Message{Type: proto.RSPromote, Name: svc.cfg.Label})
-	if _, err := c.SendRec(rs.dsEp, kernel.Message{
+	// As in spawnInstance, a failover the data store does not answer has
+	// no fallback.
+	_, _ = c.SendRec(rs.dsEp, kernel.Message{
 		Type: proto.DSFailover, Name: svc.cfg.Label, Arg1: int64(ep),
-	}); err != nil {
-		c.Logf("failover publish %s: %v", svc.cfg.Label, err)
-	}
-	c.Logf("service %s failed over to standby %v (failures=%d)", svc.cfg.Label, ep, svc.failures)
+	})
 	rs.settle(c, svc, class, "promote-standby")
 	rs.spawnStandby(c, svc) // back-fill the pool in the background
 	return true
@@ -859,7 +851,6 @@ func (rs *RS) onMicroAsk(c *kernel.Ctx, m kernel.Message) {
 	if deny != "" {
 		rs.decide(svc, class, decision.Event{Kind: decision.KindTrigger,
 			Action: "microreboot-deny", Detail: deny})
-		c.Logf("microreboot of %s denied: %s", svc.cfg.Label, deny)
 		reply.Arg1 = proto.ErrAgain
 		_ = c.Send(m.Source, reply)
 		return
@@ -870,8 +861,6 @@ func (rs *RS) onMicroAsk(c *kernel.Ctx, m kernel.Message) {
 	svc.microPending = true
 	svc.pendingClass = class
 	svc.detectedAt = c.Now()
-	c.Logf("defect %v in %s: microreboot %d/%d (repetition %d)",
-		class, svc.cfg.Label, svc.microCount, microBudget, svc.failures)
 	rs.openEpisode(c, svc, class)
 	if rs.dec.On(decision.KindAction) {
 		rs.decide(svc, class, decision.Event{Kind: decision.KindAction, Action: "microreboot",
@@ -893,7 +882,6 @@ func (rs *RS) onMicroDone(c *kernel.Ctx, m kernel.Message) {
 	}
 	svc.microPending = false
 	svc.restartHeartbeat(c.Now())
-	c.Logf("service %s microrebooted in place (failures=%d)", svc.cfg.Label, svc.failures)
 	rs.settle(c, svc, rs.lastDefectClass(svc), "microreboot")
 }
 
@@ -987,8 +975,9 @@ func (rs *RS) runPolicyScript(c *kernel.Ctx, svc *service, class Defect) {
 				rs.mailCommand(sh, argv, stdin)
 				return "", 0
 			}),
+			// log succeeds and prints nowhere: its argv is already in the
+			// decision trail as a policy step.
 			policy.WithCommand("log", func(argv []string, stdin string) (string, int) {
-				sh.Logf("policy log: %v", argv[1:])
 				return "", 0
 			}),
 			policy.WithCommand("reboot", func(argv []string, stdin string) (string, int) {
@@ -1018,7 +1007,6 @@ func (rs *RS) runPolicyScript(c *kernel.Ctx, svc *service, class Defect) {
 		interp = policy.NewInterp(opts...)
 		rc := int64(0)
 		if _, err := interp.Run(script); err != nil {
-			sh.Logf("policy script failed: %v", err)
 			rc = 1
 			// A broken policy script must not strand the component: fall
 			// back to a direct restart request.
@@ -1029,7 +1017,6 @@ func (rs *RS) runPolicyScript(c *kernel.Ctx, svc *service, class Defect) {
 		sh.Exit(0)
 	})
 	if err != nil {
-		c.Logf("policy runner for %s: %v", svc.cfg.Label, err)
 		rs.decide(svc, class, decision.Event{Kind: decision.KindAction,
 			Action: "restart-direct", Detail: "policy runner spawn failed"})
 		rs.completeRecovery(c, svc, class)
@@ -1196,7 +1183,6 @@ func (rs *RS) onComplaint(c *kernel.Ctx, m kernel.Message) {
 		_ = c.Send(m.Source, reply)
 		return
 	}
-	c.Logf("complaint about %s from %s", m.Name, rs.k.LabelOf(m.Source))
 	if rs.dec.On(decision.KindTrigger) {
 		rs.decide(svc, DefectComplaint, decision.Event{Kind: decision.KindTrigger,
 			Action: "complaint-kill", Detail: "complaint from " + rs.k.LabelOf(m.Source)})
@@ -1210,7 +1196,6 @@ func (rs *RS) onComplaint(c *kernel.Ctx, m kernel.Message) {
 
 func (rs *RS) doReboot(c *kernel.Ctx) {
 	rs.rebooted = true
-	c.Logf("policy script requested system reboot")
 	if rs.onReboot != nil {
 		rs.onReboot()
 	}
@@ -1280,7 +1265,6 @@ func (rs *RS) onTimer(c *kernel.Ctx) {
 				if svc.missed >= svc.cfg.HeartbeatMisses {
 					// Defect class 4: the component is stuck. Kill it;
 					// the exit event completes the recovery.
-					c.Logf("%s missed %d heartbeats; declaring stuck", svc.cfg.Label, svc.missed)
 					if rs.dec.On(decision.KindTrigger) {
 						rs.decide(svc, DefectHeartbeat, decision.Event{Kind: decision.KindTrigger,
 							Action: "declare-stuck",

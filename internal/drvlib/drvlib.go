@@ -101,9 +101,6 @@ func IsStandbyLabel(label string) bool { return strings.HasSuffix(label, Standby
 // StandbyLabel returns the replica label for a service label.
 func StandbyLabel(label string) string { return label + StandbySuffix }
 
-// PrimaryLabel returns the service label a replica label belongs to.
-func PrimaryLabel(label string) string { return strings.TrimSuffix(label, StandbySuffix) }
-
 // Device is the driver-specific half of a driver process. Run supplies
 // the message loop; the Device supplies hardware knowledge.
 type Device interface {
@@ -557,12 +554,10 @@ func adoptCapsule(c *kernel.Ctx, d Device, st *runState) {
 	}
 	version, kind, payload, err := DecodeCapsule(reply.Payload)
 	if err != nil {
-		c.Logf("capsule rejected: %v", err)
 		c.Obs().Emit(obs.KindCapsuleAdopt, c.Label(), "corrupt", int64(version), 1)
 		return
 	}
 	if err := sal.RestoreState(c, kind, payload); err != nil {
-		c.Logf("capsule v%d rejected: %v", version, err)
 		c.Obs().Emit(obs.KindCapsuleAdopt, c.Label(), kind, int64(version), 1)
 		return
 	}

@@ -146,7 +146,6 @@ func (d *DS) publish(m kernel.Message) {
 	}
 	d.names[m.Name] = kernel.Endpoint(m.Arg1)
 	d.ver++
-	d.ctx.Logf("publish %s -> %v", m.Name, kernel.Endpoint(m.Arg1))
 	d.ctx.Obs().Emit(obs.KindPublish, Label, m.Name, m.Arg1, 0)
 	d.reply(m.Source, kernel.Message{Type: proto.DSAck, Arg2: proto.OK})
 	d.fanout(m.Name, m.Arg1)
@@ -179,7 +178,6 @@ func (d *DS) failover(m kernel.Message) {
 	}
 	next := kernel.Endpoint(m.Arg1)
 	if cur, ok := d.names[m.Name]; ok && cur != next && d.ctx.Kernel().Alive(cur) {
-		d.ctx.Logf("failover %s refused: %v still live", m.Name, cur)
 		d.reply(m.Source, kernel.Message{Type: proto.DSAck, Arg2: proto.ErrExist})
 		return
 	}
@@ -188,7 +186,6 @@ func (d *DS) failover(m kernel.Message) {
 	}
 	d.names[m.Name] = next
 	d.ver++
-	d.ctx.Logf("failover %s -> %v", m.Name, next)
 	d.ctx.Obs().Emit(obs.KindPublish, Label, m.Name, m.Arg1, 0)
 	d.reply(m.Source, kernel.Message{Type: proto.DSAck, Arg2: proto.OK})
 	d.fanout(m.Name, m.Arg1)

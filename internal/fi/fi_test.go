@@ -2,6 +2,7 @@ package fi
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"resilientos/internal/ucode"
@@ -256,3 +257,18 @@ type busStub struct{}
 func (busStub) In(port uint32) (uint32, bool) { return 0, true }
 
 func (busStub) Out(port, val uint32) bool { return true }
+
+// An injection prints as the line a violation report shows: the fault
+// type, the mutated instruction's index, and its encoding before and
+// after.
+func TestInjectionString(t *testing.T) {
+	img := testImage(t)
+	inj, ok := New(rand.New(rand.NewSource(1))).TryInject(img, FaultElide)
+	if !ok {
+		t.Fatal("no elide site")
+	}
+	want := "elided-instruction @" + strconv.Itoa(inj.PC) + ": " + inj.Before.String() + " -> nop"
+	if got := inj.String(); got != want {
+		t.Fatalf("injection = %q, want %q", got, want)
+	}
+}

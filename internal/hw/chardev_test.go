@@ -167,3 +167,51 @@ func TestMachineAssembly(t *testing.T) {
 		t.Fatalf("default disk sectors = %d", m.Disk.Sectors())
 	}
 }
+
+// Each character device's status register reflects its state: ready when
+// idle, running while it plays, prints or burns, and — for audio — low
+// buffer once playback drains below the watermark. Other registers read 0.
+func TestCharStatusRegisters(t *testing.T) {
+	env, k := testRig(t)
+	status := func(d interface {
+		PortIn(uint32) (uint32, error)
+	}, base uint32) uint32 {
+		t.Helper()
+		s, err := d.PortIn(base + CharRegStatus)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if other, _ := d.PortIn(base + CharRegCmd); other != 0 {
+			t.Fatalf("command register reads %#x, want 0", other)
+		}
+		return s
+	}
+
+	a := NewAudio(env, k, AudioConfig{Base: 0x3000, IRQ: 5, BufSize: 1000, Watermark: 500})
+	if s := status(a, 0x3000); s != CharStatReady|CharStatLowBuf {
+		t.Errorf("idle empty audio status = %#x", s)
+	}
+	a.Handle().Feed(1000)
+	a.PortOut(0x3000+CharRegCmd, CharCmdStart)
+	if s := status(a, 0x3000); s != CharStatReady|CharStatRunning {
+		t.Errorf("playing audio status = %#x", s)
+	}
+
+	p := NewPrinter(env, k, PrinterConfig{Base: 0x3100, IRQ: 6})
+	if s := status(p, 0x3100); s != CharStatReady {
+		t.Errorf("idle printer status = %#x", s)
+	}
+	p.Handle().Submit("line")
+	if s := status(p, 0x3100); s != CharStatRunning {
+		t.Errorf("printing printer status = %#x", s)
+	}
+
+	b := NewBurner(env, k, BurnerConfig{Base: 0x3200, IRQ: 7})
+	if s := status(b, 0x3200); s != CharStatReady {
+		t.Errorf("idle burner status = %#x", s)
+	}
+	b.Handle().Begin(1 << 20)
+	if s := status(b, 0x3200); s != CharStatReady|CharStatRunning {
+		t.Errorf("burning burner status = %#x", s)
+	}
+}

@@ -33,16 +33,8 @@ func (c *Ctx) Obs() *obs.Recorder { return c.k.obs }
 // Bufs returns the system's free list of bulk byte buffers.
 func (c *Ctx) Bufs() *Bufs { return &c.k.bufs }
 
-// Logf traces a line attributed to this process.
-func (c *Ctx) Logf(format string, args ...any) {
-	c.k.env.Logf(c.e.label, format, args...)
-}
-
 // Sleep suspends the process for d of virtual time.
 func (c *Ctx) Sleep(d sim.Time) { c.p.Sleep(d) }
-
-// Yield lets other same-instant work run.
-func (c *Ctx) Yield() { c.p.Yield() }
 
 // Resumes counts the scheduler's hand-offs to this process (see
 // sim.Proc.Resumes): state only this process writes cannot have changed
@@ -128,9 +120,10 @@ func (c *Ctx) Exit(status int) {
 }
 
 // Panic terminates the calling process as a driver panic: an exit with a
-// nonzero status after logging the reason.
+// nonzero status. The reason names the failed check at the call site; the
+// trace records the exit status and the reincarnation server its defect
+// class.
 func (c *Ctx) Panic(reason string) {
-	c.Logf("panic: %s", reason)
 	c.Exit(2)
 }
 
@@ -259,10 +252,6 @@ func (c *Ctx) SetAlarm(d sim.Time) {
 	}
 	e.alarm.Reset(d)
 }
-
-// MayComplain reports whether this process is authorized to file
-// malfunction complaints with the reincarnation server.
-func (c *Ctx) MayComplain() bool { return c.e.priv.MayComplain }
 
 // LookupLabel resolves a stable label to the live instance's endpoint
 // (None when down). System processes normally use the data store for this;

@@ -28,19 +28,6 @@ const (
 	CauseException                      // killed by the kernel for a CPU/MMU exception
 )
 
-func (k CauseKind) String() string {
-	switch k {
-	case CauseExit:
-		return "exit"
-	case CauseSignal:
-		return "signal"
-	case CauseException:
-		return "exception"
-	default:
-		return fmt.Sprintf("CauseKind(%d)", int(k))
-	}
-}
-
 // Cause records how a process died.
 type Cause struct {
 	Kind   CauseKind
@@ -124,9 +111,6 @@ func New(env *sim.Env) *Kernel {
 	}
 }
 
-// Env returns the simulation environment.
-func (k *Kernel) Env() *sim.Env { return k.env }
-
 // SetObs installs the observability recorder every kernel-layer event is
 // emitted through. A nil recorder (the default) keeps all instrumented
 // paths free.
@@ -135,9 +119,6 @@ func (k *Kernel) SetObs(r *obs.Recorder) {
 	k.ipcSend = r.Metrics().Counter("kernel.ipc.send")
 	k.ipcRecv = r.Metrics().Counter("kernel.ipc.recv")
 }
-
-// Obs returns the recorder (possibly nil; obs methods are nil-safe).
-func (k *Kernel) Obs() *obs.Recorder { return k.obs }
 
 // SetPerf installs the wall-clock profiler bracketing the IPC dispatch
 // paths (RegionKernelIPC). A nil profiler (the default) keeps the hot
@@ -251,7 +232,6 @@ func (k *Kernel) Spawn(label string, priv Privileges, body func(c *Ctx)) (*Ctx, 
 	// All death paths (exit, kill, exception, crash) funnel through the sim
 	// process's exit hook so IPC cleanup is centralized.
 	e.proc.OnExit(func(status int) { k.reap(e, status) })
-	k.env.Logf("kernel", "spawn %s ep=%v", label, e.ep)
 	return ctx, nil
 }
 
@@ -310,7 +290,6 @@ func (k *Kernel) Relabel(ep Endpoint, label string) error {
 	if cur, ok := k.byLabel[label]; ok && cur != e && cur.alive {
 		return ErrNotAllowed
 	}
-	k.env.Logf("kernel", "relabel %s -> %s ep=%v", e.label, label, ep)
 	if k.byLabel[e.label] == e {
 		delete(k.byLabel, e.label)
 	}
@@ -359,7 +338,6 @@ func (k *Kernel) reap(e *procEntry, status int) {
 	}
 	e.alive = false
 	k.version++ // covers the grant and label cleanup below too
-	k.env.Logf("kernel", "reap %s ep=%v cause=%v", e.label, e.ep, e.cause)
 	if e.cause.Kind == CauseException {
 		k.obs.Emit(obs.KindProcException, e.label, e.cause.Exc.String(), int64(e.ep), 0)
 	}

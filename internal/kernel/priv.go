@@ -17,29 +17,6 @@ const (
 	CallExit                     // voluntary exit (all processes)
 )
 
-func (c Call) String() string {
-	switch c {
-	case CallSafeCopy:
-		return "SAFECOPY"
-	case CallDevIO:
-		return "DEVIO"
-	case CallIRQCtl:
-		return "IRQCTL"
-	case CallAlarm:
-		return "ALARM"
-	case CallKill:
-		return "KILL"
-	case CallSpawn:
-		return "SPAWN"
-	case CallPrivCtl:
-		return "PRIVCTL"
-	case CallExit:
-		return "EXIT"
-	default:
-		return "CALL?"
-	}
-}
-
 // PortRange is a half-open range [Lo, Hi) of device I/O ports.
 type PortRange struct {
 	Lo, Hi uint32

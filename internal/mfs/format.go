@@ -43,9 +43,8 @@ const (
 	RootIno = 1
 )
 
-// Inode modes.
+// Inode modes (0 marks a free inode).
 const (
-	ModeFree uint32 = 0
 	ModeFile uint32 = 1
 	ModeDir  uint32 = 2
 )

@@ -151,16 +151,13 @@ func (s *Server) onDriverUpdate(m kernel.Message) {
 func (s *Server) mount() {
 	blk, err := s.readBlock(0)
 	if err != nil {
-		s.ctx.Logf("mount: %v", err)
 		return
 	}
 	sb, err := decodeSuperblock(blk)
 	if err != nil {
-		s.ctx.Logf("mount: %v", err)
 		return
 	}
 	s.sb = sb
-	s.ctx.Logf("mounted: %d zones, %d inodes", sb.NZones, sb.NInodes)
 }
 
 // rawIO performs one block-driver transfer, transparently absorbing

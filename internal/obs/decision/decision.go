@@ -162,8 +162,7 @@ type Recorder struct {
 	sinks []Sink
 	mask  uint64 // bit i set = Kind(i) enabled
 
-	perf  *perf.Profiler // wall-clock cost attribution (nil = off)
-	nemit uint64         // events emitted past the mask (deterministic)
+	perf *perf.Profiler // wall-clock cost attribution (nil = off)
 }
 
 // NewRecorder creates a recorder with all kinds enabled.
@@ -200,16 +199,6 @@ func (r *Recorder) Disable(kinds ...Kind) {
 	}
 }
 
-// Enable turns kinds (back) on.
-func (r *Recorder) Enable(kinds ...Kind) {
-	if r == nil {
-		return
-	}
-	for _, k := range kinds {
-		r.mask |= 1 << uint(k)
-	}
-}
-
 // On reports whether events of kind k are recorded. Nil-safe; the RS
 // calls this before computing expensive event details (heartbeat
 // windows, joined argv).
@@ -227,22 +216,12 @@ func (r *Recorder) SetPerf(p *perf.Profiler) {
 	r.perf = p
 }
 
-// Emitted reports how many events passed the kind mask and reached the
-// sinks — the recorder's deterministic work counter. Nil-safe.
-func (r *Recorder) Emitted() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.nemit
-}
-
 // Emit stamps e with the current virtual time and publishes it to every
 // sink. Nil-safe.
 func (r *Recorder) Emit(e Event) {
 	if r == nil || r.mask&(1<<uint(e.Kind)) == 0 {
 		return
 	}
-	r.nemit++
 	r.perf.Begin(perf.RegionDecision)
 	if r.clock != nil {
 		e.T = r.clock()
@@ -263,31 +242,6 @@ func (s *SliceSink) Emit(e Event) { s.events = append(s.events, e) }
 
 // Events returns the recorded events in emission order (not a copy).
 func (s *SliceSink) Events() []Event { return s.events }
-
-// JSONLSink writes each event as one canonical JSON line. The first
-// write error is retained and silences the sink.
-type JSONLSink struct {
-	w   io.Writer
-	buf []byte
-	err error
-}
-
-// NewJSONLSink wraps w.
-func NewJSONLSink(w io.Writer) *JSONLSink { return &JSONLSink{w: w} }
-
-// Emit implements Sink.
-func (s *JSONLSink) Emit(e Event) {
-	if s.err != nil {
-		return
-	}
-	s.buf = AppendJSONL(s.buf[:0], e)
-	if _, err := s.w.Write(s.buf); err != nil {
-		s.err = err
-	}
-}
-
-// Err returns the first write error, if any.
-func (s *JSONLSink) Err() error { return s.err }
 
 // AppendJSONL appends e's canonical JSONL encoding (including the
 // trailing newline) to dst. Field order is fixed — t, kind, svc,

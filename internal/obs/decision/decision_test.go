@@ -13,7 +13,6 @@ func TestNilRecorderIsFree(t *testing.T) {
 	r.SetClock(func() sim.Time { return 1 })
 	r.AddSink(&SliceSink{})
 	r.Disable(KindDetect)
-	r.Enable(KindDetect)
 	if r.On(KindDetect) {
 		t.Fatal("nil recorder reports On")
 	}
@@ -47,11 +46,6 @@ func TestMaskFilters(t *testing.T) {
 	r.Emit(Event{Kind: KindDetect, Service: "x"})
 	if len(sink.Events()) != 1 || sink.Events()[0].Kind != KindDetect {
 		t.Fatalf("mask filtering broken: %+v", sink.Events())
-	}
-	r.Enable(KindPolicyStep)
-	r.Emit(Event{Kind: KindPolicyStep, Service: "x"})
-	if len(sink.Events()) != 2 {
-		t.Fatalf("re-enabled kind not recorded")
 	}
 }
 

@@ -163,4 +163,13 @@ func TestRegistrySnapshotSorted(t *testing.T) {
 			t.Fatalf("snapshot not sorted: %v", snap)
 		}
 	}
+	if got := snap[1].String(); got != "m: 5" {
+		t.Fatalf("gauge row = %q", got)
+	}
+	h := g.Histogram("lat", nil)
+	h.Observe(int64(2 * time.Millisecond))
+	h.Observe(int64(4 * time.Millisecond))
+	if got := g.Snapshot()[1].String(); got != "lat: n=2 mean=3ms" {
+		t.Fatalf("histogram row = %q", got)
+	}
 }

@@ -244,16 +244,6 @@ func (r *Recorder) Disable(kinds ...Kind) {
 	}
 }
 
-// Enable turns event kinds (back) on.
-func (r *Recorder) Enable(kinds ...Kind) {
-	if r == nil {
-		return
-	}
-	for _, k := range kinds {
-		r.mask |= 1 << uint(k)
-	}
-}
-
 // On reports whether events of kind k are recorded. Nil-safe; hot paths
 // call this before computing expensive event arguments.
 func (r *Recorder) On(k Kind) bool {
@@ -403,29 +393,6 @@ func (s *RingSink) Events() []Event {
 
 // Dropped reports how many events were evicted for lack of room.
 func (s *RingSink) Dropped() int { return s.dropped }
-
-// DropMarkComp / DropMarkAux identify the synthetic mark event that
-// EventsWithDropMark prepends to a truncated ring, so trace readers
-// (cmd/tracestat) can tell a truncated trace from a complete one.
-const (
-	DropMarkComp = "obs"
-	DropMarkAux  = "dropped"
-)
-
-// EventsWithDropMark returns the buffered events, oldest first, preceded
-// by a mark event recording how many older events were evicted (V1 =
-// count). With no drops it is identical to Events.
-func (s *RingSink) EventsWithDropMark() []Event {
-	evs := s.Events()
-	if s.dropped == 0 {
-		return evs
-	}
-	mark := Event{Kind: KindMark, Comp: DropMarkComp, Aux: DropMarkAux, V1: int64(s.dropped)}
-	if len(evs) > 0 {
-		mark.T = evs[0].T
-	}
-	return append([]Event{mark}, evs...)
-}
 
 // SliceSink appends every event to an unbounded slice (experiments use it
 // to post-process a whole run's trace).

@@ -14,7 +14,6 @@ func TestNilRecorderIsFree(t *testing.T) {
 	r.SetClock(func() sim.Time { return 0 })
 	r.AddSink(&SliceSink{})
 	r.Disable(KindIPCSend)
-	r.Enable(KindIPCSend)
 	r.Emit(KindDefect, "eth", "exit/panic", 1, 0)
 	r.ObserveSendRec(5)
 	r.ObserveRecovery("eth", 7)
@@ -44,11 +43,6 @@ func TestRecorderFiltering(t *testing.T) {
 	}
 	if len(s.Events()) != 1 || s.Events()[0].Kind != KindDefect {
 		t.Fatalf("filtering failed: %v", s.Events())
-	}
-	r.Enable(KindIPCSend)
-	r.Emit(KindIPCSend, "a", "b", 0, 0)
-	if len(s.Events()) != 2 {
-		t.Fatal("re-enabled kind not recorded")
 	}
 }
 
@@ -190,9 +184,8 @@ func TestAttachSim(t *testing.T) {
 
 // Overflow under sustained high rate: a flight-recorder ring fed
 // through the Recorder at trace rates must account for every event —
-// kept + dropped == emitted — keep exactly the newest window in
-// emission order, and stamp the drop mark with the exact count and the
-// oldest survivor's time so a rendered timeline stays monotone.
+// kept + dropped == emitted — and keep exactly the newest window in
+// emission order.
 func TestRingSinkOverflowUnderHighRate(t *testing.T) {
 	const capacity = 256
 	const emitted = 10_000
@@ -218,19 +211,5 @@ func TestRingSinkOverflowUnderHighRate(t *testing.T) {
 		if e.V1 != int64(emitted-capacity+j) {
 			t.Fatalf("window broken at %d: got V1=%d, want %d", j, e.V1, emitted-capacity+j)
 		}
-	}
-	marked := ring.EventsWithDropMark()
-	if len(marked) != capacity+1 {
-		t.Fatalf("marked stream has %d events, want %d", len(marked), capacity+1)
-	}
-	m := marked[0]
-	if m.Kind != KindMark || m.Comp != DropMarkComp || m.Aux != DropMarkAux {
-		t.Fatalf("leading event is not a drop mark: %+v", m)
-	}
-	if m.V1 != emitted-capacity {
-		t.Fatalf("drop mark count %d, want %d", m.V1, emitted-capacity)
-	}
-	if m.T != marked[1].T {
-		t.Fatalf("drop mark stamped %v, oldest survivor %v", m.T, marked[1].T)
 	}
 }

@@ -225,18 +225,6 @@ func BuildForest(events []Event) *Forest {
 	return f
 }
 
-// Open returns the spans that never got a terminal event, in ID order.
-func (f *Forest) Open() []*TraceSpan {
-	var out []*TraceSpan
-	for _, s := range f.ByID {
-		if !s.Terminated() {
-			out = append(out, s)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
 // Check runs the structural well-formedness audit the property tests
 // assert on: build-time Problems, plus per-trace single-root and
 // ancestry checks. Child IDs always exceed parent IDs (the allocator is

@@ -358,77 +358,6 @@ func sortedKinds(m map[obs.Kind]int) []obs.Kind {
 }
 
 // ---------------------------------------------------------------------
-// Offline binning
-
-// BinEvents bins a recorded trace into fixed-width windows — the offline
-// counterpart of a live Sampler, for traces captured without one. The
-// trace is split at marks via obs.Segments exactly as Timeline does; a
-// mark-opened segment starts at the mark's timestamp, the leading
-// mark-less segment at virtual time 0. Windows are contiguous from index
-// 0 through the last event's window; all are full width (an offline
-// trace does not know where the run ended). Counter deltas and status
-// are unavailable offline; Kinds and Annotations are filled.
-func BinEvents(events []obs.Event, width sim.Time, annotate []obs.Kind) []Segment {
-	if width <= 0 {
-		width = DefaultWindow
-	}
-	if annotate == nil {
-		annotate = DefaultAnnotate
-	}
-	ann := make(map[obs.Kind]bool, len(annotate))
-	for _, k := range annotate {
-		ann[k] = true
-	}
-	var out []Segment
-	for _, evs := range obs.Segments(events) {
-		if len(evs) == 0 {
-			continue
-		}
-		seg := Segment{}
-		if evs[0].Kind == obs.KindMark {
-			seg.Label = evs[0].Aux
-			seg.Start = evs[0].T
-			evs = evs[1:]
-		}
-		if len(evs) == 0 {
-			out = append(out, seg)
-			continue
-		}
-		last := int((evs[len(evs)-1].T - seg.Start) / width)
-		for i := 0; i <= last; i++ {
-			seg.Windows = append(seg.Windows, Window{
-				Index: i,
-				Start: seg.Start + sim.Time(i)*width,
-				End:   seg.Start + sim.Time(i+1)*width,
-				Full:  true,
-			})
-		}
-		kinds := make([]map[obs.Kind]int, last+1)
-		for _, e := range evs {
-			i := int((e.T - seg.Start) / width)
-			if i < 0 || i > last {
-				continue // clock went backwards; Validate flags the series source
-			}
-			if kinds[i] == nil {
-				kinds[i] = make(map[obs.Kind]int)
-			}
-			kinds[i][e.Kind]++
-			if ann[e.Kind] {
-				seg.Windows[i].Annotations = append(seg.Windows[i].Annotations,
-					Annotation{T: e.T, Kind: e.Kind, Comp: e.Comp, Aux: e.Aux})
-			}
-		}
-		for i, m := range kinds {
-			for _, k := range sortedKinds(m) {
-				seg.Windows[i].Kinds = append(seg.Windows[i].Kinds, KindCount{Kind: k, N: m[k]})
-			}
-		}
-		out = append(out, seg)
-	}
-	return out
-}
-
-// ---------------------------------------------------------------------
 // Validation
 
 // Validate checks the structural invariants of a window series: within

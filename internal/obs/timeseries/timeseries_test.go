@@ -179,48 +179,6 @@ func TestSamplerMarkSegmentsRun(t *testing.T) {
 	}
 }
 
-func TestBinEventsSegmented(t *testing.T) {
-	evs := []obs.Event{
-		{T: 0, Kind: obs.KindIPCSend, Comp: "a"},
-		{T: sec / 2, Kind: obs.KindDefect, Comp: "eth", Aux: "crash"},
-		{T: sec, Kind: obs.KindRestart, Comp: "eth"}, // exactly on boundary → window 1
-		{T: 3 * sec / 2, Kind: obs.KindMark, Comp: "exp", Aux: "run2"},
-		{T: 2 * sec, Kind: obs.KindIPCSend, Comp: "b"}, // 0.5s into segment 2 → its window 0
-	}
-	segs := BinEvents(evs, sec, nil)
-	if err := Validate(segs, sec); err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) != 2 {
-		t.Fatalf("got %d segments, want 2", len(segs))
-	}
-	if segs[1].Label != "run2" || segs[1].Start != 3*sec/2 {
-		t.Fatalf("segment 1 = %q@%v, want run2@1.5s", segs[1].Label, segs[1].Start)
-	}
-	ws := segs[0].Windows
-	if len(ws) != 2 {
-		t.Fatalf("segment 0: %d windows, want 2", len(ws))
-	}
-	if ws[0].KindN(obs.KindIPCSend) != 1 || ws[0].KindN(obs.KindDefect) != 1 {
-		t.Errorf("segment 0 window 0 kinds = %v", ws[0].Kinds)
-	}
-	if ws[1].KindN(obs.KindRestart) != 1 {
-		t.Errorf("boundary event not in window 1: kinds = %v", ws[1].Kinds)
-	}
-	if len(ws[0].Annotations) != 1 || ws[0].Annotations[0].Kind != obs.KindDefect {
-		t.Errorf("segment 0 window 0 annotations = %v", ws[0].Annotations)
-	}
-	if got := segs[1].Windows[0].KindN(obs.KindIPCSend); got != 1 {
-		t.Errorf("segment 1 window 0: ipc.send count %d, want 1", got)
-	}
-}
-
-func TestBinEventsEmpty(t *testing.T) {
-	if segs := BinEvents(nil, sec, nil); len(segs) != 0 {
-		t.Fatalf("empty trace: got %d segments", len(segs))
-	}
-}
-
 func TestValidateCatchesGaps(t *testing.T) {
 	bad := []Segment{{Start: 0, Windows: []Window{
 		{Index: 0, Start: 0, End: sec, Full: true},

@@ -58,6 +58,16 @@ func TestEchoToStdout(t *testing.T) {
 	}
 }
 
+// Inside double quotes a backslash escapes the next character: \n and \t
+// are a newline and a tab, anything else stands for itself.
+func TestDoubleQuoteEscapes(t *testing.T) {
+	var sb strings.Builder
+	run(t, `echo "a\tb\nc\"d\$e"`, WithStdout(&sb))
+	if want := "a\tb\nc\"d$e\n"; sb.String() != want {
+		t.Fatalf("stdout = %q, want %q", sb.String(), want)
+	}
+}
+
 func TestStatusVariable(t *testing.T) {
 	in, _ := run(t, `
 false
@@ -365,8 +375,14 @@ func TestParseErrors(t *testing.T) {
 		`for do done`,            // bad for
 	}
 	for _, src := range cases {
-		if _, err := Parse(src); err == nil {
+		_, err := Parse(src)
+		if err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", src)
+			continue
+		}
+		// Lexer and parser errors both name the line they stopped at.
+		if !strings.HasPrefix(err.Error(), "policy: line 1: ") {
+			t.Errorf("Parse(%q) error %q does not name its line", src, err)
 		}
 	}
 }

@@ -131,13 +131,10 @@ const (
 
 // Character device ioctl operations.
 const (
-	// ChrIoctlPrinterSubmit submits Payload as one print line (ChrWrite is
-	// equivalent; kept for protocol symmetry).
-	ChrIoctlPrinterSubmit int64 = 1 + iota
 	// ChrIoctlBurnBegin starts a CD burn of Arg2 total bytes.
-	ChrIoctlBurnBegin
+	ChrIoctlBurnBegin int64 = 2
 	// ChrIoctlBurnFinish finalizes a burn; reply Arg1 = 1 if disc is good.
-	ChrIoctlBurnFinish
+	ChrIoctlBurnFinish int64 = 3
 )
 
 // Network server (INET) socket protocol (applications <-> inet).

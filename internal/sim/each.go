@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Each calls fn(i) once for every i in [0, n) and returns when all calls
@@ -45,4 +46,21 @@ func Each(workers, n int, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
+}
+
+// SettledGoroutines returns the process's goroutine count once it has
+// fallen to limit or below, or after a second if it never does. Close
+// unwinds an environment's coroutines before it returns, but when Each
+// returns a worker may still be between its wg.Done and its exit; a
+// caller comparing goroutine counts across a teardown (the leak tests)
+// reads the count through this rather than runtime.NumGoroutine once.
+func SettledGoroutines(limit int) int {
+	deadline := time.Now().Add(time.Second)
+	for {
+		n := runtime.NumGoroutine()
+		if n <= limit || time.Now().After(deadline) {
+			return n
+		}
+		time.Sleep(time.Millisecond)
+	}
 }

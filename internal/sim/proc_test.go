@@ -420,7 +420,19 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 			t.Fatalf("env %d: %d of 10 processes unwound", i, unwound)
 		}
 	}
-	if after := runtime.NumGoroutine(); after > before {
+	if after := SettledGoroutines(before); after > before {
 		t.Fatalf("%d goroutines before, %d after 100 closed environments", before, after)
+	}
+}
+
+// Process states print by name in failure messages.
+func TestProcStateNames(t *testing.T) {
+	for s, want := range map[ProcState]string{
+		StateRunnable: "runnable", StateRunning: "running", StateParked: "parked",
+		StateDead: "dead", 9: "ProcState(9)",
+	} {
+		if got := s.String(); got != want {
+			t.Errorf("ProcState(%d) = %q, want %q", int(s), got, want)
+		}
 	}
 }

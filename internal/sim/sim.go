@@ -14,7 +14,6 @@ package sim
 import (
 	"container/heap"
 	"fmt"
-	"io"
 	"math/rand"
 	"time"
 )
@@ -131,8 +130,6 @@ type Env struct {
 	observer Observer
 	stepHook func()     // runs after every executed event (see SetStepHook)
 	perf     *PerfHooks // wall-clock instrumentation (see SetPerfHooks)
-
-	logw io.Writer
 }
 
 // NewEnv returns a fresh environment whose randomness is derived from seed.
@@ -177,18 +174,6 @@ type PerfHooks struct {
 // SetPerfHooks installs wall-clock instrumentation on the scheduler
 // loop (nil disables).
 func (e *Env) SetPerfHooks(h *PerfHooks) { e.perf = h }
-
-// SetLogOutput directs simulation trace output to w (nil disables tracing).
-func (e *Env) SetLogOutput(w io.Writer) { e.logw = w }
-
-// Logf emits one trace line stamped with the virtual clock. Tracing is off
-// unless SetLogOutput was called.
-func (e *Env) Logf(tag, format string, args ...any) {
-	if e.logw == nil {
-		return
-	}
-	fmt.Fprintf(e.logw, "[%12s] %-8s %s\n", e.now, tag, fmt.Sprintf(format, args...))
-}
 
 // Schedule arranges for fn to run on the scheduler at now+d. The callback
 // runs in scheduler context and must not call blocking process primitives

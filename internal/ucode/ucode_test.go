@@ -476,3 +476,15 @@ main:
 		}
 	}
 }
+
+// Outcomes print by name in failure messages and reports.
+func TestOutcomeNames(t *testing.T) {
+	for o, want := range map[Outcome]string{
+		OutcomeOK: "ok", OutcomeFail: "fail", OutcomeAssert: "assert",
+		OutcomeMMU: "mmu", OutcomeCPU: "cpu", OutcomeStall: "stall", 99: "Outcome(99)",
+	} {
+		if got := o.String(); got != want {
+			t.Errorf("Outcome(%d) = %q, want %q", int(o), got, want)
+		}
+	}
+}

@@ -43,14 +43,8 @@ func KnownClass(c string) bool {
 }
 
 // Duration is a JSON duration: it unmarshals from either a Go duration
-// string ("250ms") or a plain nanosecond integer, and marshals as the
-// string form.
+// string ("250ms") or a plain nanosecond integer.
 type Duration time.Duration
-
-// MarshalJSON implements json.Marshaler.
-func (d Duration) MarshalJSON() ([]byte, error) {
-	return json.Marshal(time.Duration(d).String())
-}
 
 // UnmarshalJSON implements json.Unmarshaler.
 func (d *Duration) UnmarshalJSON(b []byte) error {

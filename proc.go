@@ -39,12 +39,6 @@ func (p *Proc) Now() time.Duration { return p.ctx.Now() }
 // Sleep suspends the process in virtual time.
 func (p *Proc) Sleep(d time.Duration) { p.ctx.Sleep(d) }
 
-// Logf traces a line attributed to this process.
-func (p *Proc) Logf(format string, args ...any) { p.ctx.Logf(format, args...) }
-
-// Exit terminates the process.
-func (p *Proc) Exit(status int) { p.ctx.Exit(status) }
-
 // waitLabel resolves a server label, waiting (in virtual time) for the
 // service to come up — processes started at boot race the reincarnation
 // server bringing the system up, and a restarted server is briefly absent.

@@ -233,3 +233,41 @@ func TestSalvageAcrossDriverUpdate(t *testing.T) {
 		t.Errorf("successor adopted capsule v%d, predecessor saved v%d", adoptedVer, savedVer)
 	}
 }
+
+// The RAM disk's geometry capsule crosses a clean update the same way,
+// and a character driver (no capsule) is shut down and replaced.
+func TestSalvageRAMDiskAndCharUpdate(t *testing.T) {
+	sink := &obs.SliceSink{}
+	rec := obs.NewRecorder(sink)
+	rec.Disable(obs.KindIPCSend, obs.KindIPCRecv)
+	sys := New(Config{DisableNet: true, Obs: rec, Salvage: true})
+	defer sys.Close()
+	sys.Run(time.Second)
+	for _, label := range []string{DriverRAMDisk, DriverAudio} {
+		sys.UpdateDriver(core.ServiceConfig{Label: label, Version: "v2"})
+	}
+	sys.Run(5 * time.Second)
+
+	saves, adopts := 0, 0
+	for _, e := range sink.Events() {
+		switch {
+		case e.Comp != DriverRAMDisk:
+		case e.Kind == obs.KindCapsuleSave:
+			saves++
+		case e.Kind == obs.KindCapsuleAdopt && e.V2 == 0 && e.Aux == "ramdisk.geom":
+			adopts++
+		}
+	}
+	if saves != 1 || adopts != 1 {
+		t.Errorf("disk.ram capsule: %d saves, %d adoptions; want 1 and 1", saves, adopts)
+	}
+	updated := map[string]bool{}
+	for _, e := range sys.RS.Events() {
+		if e.Defect == core.DefectUpdate && e.Recovered {
+			updated[e.Label] = true
+		}
+	}
+	if !updated[DriverRAMDisk] || !updated[DriverAudio] {
+		t.Errorf("updates completed: %v, want disk.ram and chr.audio", updated)
+	}
+}

@@ -24,7 +24,6 @@
 package resilientos
 
 import (
-	"io"
 	"time"
 
 	"resilientos/internal/core"
@@ -83,8 +82,6 @@ const (
 type Config struct {
 	// Seed drives all randomness (default 1).
 	Seed int64
-	// Trace, if set, receives the virtual-time event log.
-	Trace io.Writer
 	// Obs, if set, is wired into the kernel and simulation engine: every
 	// instrumented layer emits structured trace events and metrics through
 	// it. Nil (the default) keeps all instrumentation free.
@@ -185,9 +182,6 @@ func New(cfg Config) *System {
 		cfg.HeartbeatMisses = 3
 	}
 	env := sim.NewEnv(cfg.Seed)
-	if cfg.Trace != nil {
-		env.SetLogOutput(cfg.Trace)
-	}
 	k := kernel.New(env)
 	if cfg.Obs != nil {
 		cfg.Obs.SetClock(env.Now)
@@ -430,14 +424,6 @@ func (sys *System) bootChar() {
 		HeartbeatMisses: sys.cfg.HeartbeatMisses,
 	})
 }
-
-// Obs returns the observability recorder the system was booted with
-// (nil when observability is off; all recorder methods are nil-safe).
-func (sys *System) Obs() *obs.Recorder { return sys.cfg.Obs }
-
-// Decisions returns the recovery-decision recorder the system was booted
-// with (nil when decision tracing is off; all methods are nil-safe).
-func (sys *System) Decisions() *decision.Recorder { return sys.cfg.Decisions }
 
 // Run advances the simulation by d of virtual time (0 = until the event
 // queue drains). It returns the virtual time reached.

@@ -10,6 +10,7 @@ import (
 	"resilientos/internal/hw"
 	"resilientos/internal/kernel"
 	"resilientos/internal/obs"
+	"resilientos/internal/sim"
 )
 
 func TestBootAllServicesUp(t *testing.T) {
@@ -636,7 +637,7 @@ func TestCloseUnwindsWholeSystem(t *testing.T) {
 	if n := len(events.Events()); n != traced {
 		t.Errorf("teardown emitted %d trace events", n-traced)
 	}
-	if after := runtime.NumGoroutine(); after > before {
+	if after := sim.SettledGoroutines(before); after > before {
 		t.Errorf("%d goroutines before the system booted, %d after Close", before, after)
 	}
 }

@@ -2,7 +2,11 @@ package resilientos
 
 import (
 	"fmt"
+	"io/fs"
 	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -127,6 +131,60 @@ func TestExperimentsTablesMatchGoldens(t *testing.T) {
 	if *updateGolden && md != string(raw) {
 		if err := os.WriteFile(path, []byte(md), 0o644); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestDesignIndexNamesExist keeps DESIGN §4 honest: every test or
+// benchmark its regeneration-target column names must be declared by some
+// test file in the repository (a trailing * matches any name with that
+// prefix), so a rename or a deletion cannot leave the index pointing at
+// nothing.
+func TestDesignIndexNamesExist(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(design), "\n## 4. Per-experiment index\n")
+	if !ok {
+		t.Fatal("DESIGN.md has no §4 per-experiment index")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	nameRE := regexp.MustCompile(`\b(?:Test|Benchmark)[A-Za-z0-9_]*\*?`)
+	var named []string
+	for _, line := range strings.Split(section, "\n") {
+		cells := strings.Split(strings.Trim(line, "| "), " | ")
+		if len(cells) < 5 || strings.HasPrefix(cells[0], "---") || cells[0] == "Exp" {
+			continue
+		}
+		named = append(named, nameRE.FindAllString(cells[len(cells)-1], -1)...)
+	}
+	if len(named) < 10 {
+		t.Fatalf("found only %d names in the index: %v", len(named), named)
+	}
+
+	declRE := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark)\w*)\(`)
+	var declared []string
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range declRE.FindAllStringSubmatch(string(src), -1) {
+			declared = append(declared, m[1])
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range named {
+		prefix, wild := strings.CutSuffix(name, "*")
+		found := slices.ContainsFunc(declared, func(d string) bool {
+			return d == prefix || (wild && strings.HasPrefix(d, prefix))
+		})
+		if !found {
+			t.Errorf("DESIGN §4 names %s, which no test file declares", name)
 		}
 	}
 }

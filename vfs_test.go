@@ -171,3 +171,48 @@ func TestVFSCloseInvalidatesFd(t *testing.T) {
 		t.Fatal("app did not finish")
 	}
 }
+
+// Unlink goes through VFS to MFS: a non-empty directory refuses, a file
+// goes away, and the emptied directory can then be removed.
+func TestVFSUnlink(t *testing.T) {
+	sys := New(Config{DisableNet: true, DisableChar: true})
+	defer sys.Close()
+	done := false
+	sys.Spawn("app", func(p *Proc) {
+		if err := p.Mkdir("/d"); err != nil {
+			t.Errorf("mkdir: %v", err)
+			return
+		}
+		f, err := p.Create("/d/x")
+		if err != nil {
+			t.Errorf("create: %v", err)
+			return
+		}
+		f.Close()
+		if err := p.Unlink("/d"); err == nil {
+			t.Error("unlink of a non-empty directory succeeded")
+			return
+		}
+		if err := p.Unlink("/d/x"); err != nil {
+			t.Errorf("unlink file: %v", err)
+			return
+		}
+		if _, err := p.Stat("/d/x"); err == nil {
+			t.Error("unlinked file still stats")
+			return
+		}
+		if names, err := p.Readdir("/d"); err != nil || len(names) != 0 {
+			t.Errorf("readdir after unlink = %v, %v", names, err)
+			return
+		}
+		if err := p.Unlink("/d"); err != nil {
+			t.Errorf("unlink empty directory: %v", err)
+			return
+		}
+		done = true
+	})
+	sys.Run(time.Minute)
+	if !done {
+		t.Fatal("app did not finish")
+	}
+}

@@ -58,7 +58,6 @@ func (sys *System) ServeFile(port uint16, seed int64, size int64) {
 	sys.Spawn("httpd", func(p *Proc) {
 		lst, err := p.Listen(NetRemote, port)
 		if err != nil {
-			p.Logf("httpd: listen: %v", err)
 			return
 		}
 		for {

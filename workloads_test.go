@@ -232,3 +232,36 @@ func TestWgetDetectsCorruption(t *testing.T) {
 		})
 	}
 }
+
+// Closing a listener gives its port back: a second Listen on a bound port
+// is refused, and succeeds once the first listener is closed.
+func TestListenerCloseFreesPort(t *testing.T) {
+	sys := New(Config{DisableDisk: true, DisableChar: true})
+	defer sys.Close()
+	done := false
+	sys.Spawn("app", func(p *Proc) {
+		lst, err := p.Listen(NetRemote, 9000)
+		if err != nil {
+			t.Errorf("listen: %v", err)
+			return
+		}
+		if _, err := p.Listen(NetRemote, 9000); err == nil {
+			t.Error("second listen on a bound port succeeded")
+			return
+		}
+		if err := lst.Close(); err != nil {
+			t.Errorf("close: %v", err)
+			return
+		}
+		again, err := p.Listen(NetRemote, 9000)
+		if err != nil {
+			t.Errorf("listen after close: %v", err)
+			return
+		}
+		done = again.Close() == nil
+	})
+	sys.Run(time.Minute)
+	if !done {
+		t.Fatal("app did not finish")
+	}
+}
