@@ -757,6 +757,7 @@ func (rs *RS) recover(c *kernel.Ctx, svc *service, class Defect) {
 		c.SetTraceCtx(svc.episode)
 		_, _ = c.SendRec(rs.dsEp, kernel.Message{Type: proto.DSWithdraw, Name: svc.cfg.Label})
 		rs.closeEpisode(c, svc, class, "gave-up", "", 1)
+		svc.detectedAt = 0
 		return
 	}
 

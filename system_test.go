@@ -641,3 +641,29 @@ func TestCloseUnwindsWholeSystem(t *testing.T) {
 		t.Errorf("%d goroutines before the system booted, %d after Close", before, after)
 	}
 }
+
+// TestGaveUpServiceIsNotRecovering: a driver RS has given up on is down,
+// not mid-recovery, so neither its snapshot nor the node's health counts
+// it as recovering (which made campaign cells wait out their whole
+// quiesce bound for an episode that had already ended).
+func TestGaveUpServiceIsNotRecovering(t *testing.T) {
+	sys := New(Config{DisableDisk: true, DisableChar: true, MaxRestarts: 1})
+	defer sys.Close()
+	sys.Run(time.Second)
+	for i := 0; i < 2; i++ { // the second death exceeds the budget
+		sys.KillDriver(DriverRTL8139)
+		sys.Run(time.Second)
+	}
+	var info core.ServiceInfo
+	for _, s := range sys.RS.Services() {
+		if s.Label == DriverRTL8139 {
+			info = s
+		}
+	}
+	if !info.GaveUp || info.Recovering {
+		t.Fatalf("%s after exhausting MaxRestarts: %+v, want given up and not recovering", DriverRTL8139, info)
+	}
+	if h := sys.Health(); h.GaveUp != 1 || h.Recovering != 0 || h.NetOK {
+		t.Fatalf("health %+v, want one given-up service, none recovering, net down", h)
+	}
+}
