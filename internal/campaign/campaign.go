@@ -93,7 +93,7 @@ type Config struct {
 	// Decisions attaches a recovery-decision recorder to every cell: the
 	// per-cell trace lands in CellResult.Decisions, the merged log (with
 	// cell-boundary marks) in Report.DecisionLog, and victim availability
-	// is derived from the detect→terminal downtime windows.
+	// is derived from the detect→recovered downtime windows.
 	Decisions bool
 
 	// Perf, if set, attaches wall-clock telemetry (internal/perf) to
@@ -189,7 +189,7 @@ type CellResult struct {
 
 	// Decision-trace results (cfg.Decisions only).
 	Decisions []decision.Event // the cell's full decision trace
-	Downtime  sim.Time         // victim detect→terminal windows, summed
+	Downtime  sim.Time         // victim detect→recovered windows, summed (see downtime)
 	Horizon   sim.Time         // measured interval (post-settle to end)
 }
 
@@ -391,9 +391,9 @@ func anyRecovering(sys *resilientos.System) bool {
 }
 
 // downtime sums the victim's unavailability windows from a decision
-// trace: a detect opens a window, the episode's terminal decision closes
-// it, and an episode still open at the horizon end counts up to the end
-// (a gave-up driver is down for the rest of the run).
+// trace: a detect opens a window and a recovered outcome closes it. A
+// gave-up outcome leaves it open, because a given-up driver stays down,
+// and a window still open at the end of the cell counts up to the end.
 func downtime(events []decision.Event, victim string, end sim.Time) sim.Time {
 	var total sim.Time
 	var openAt sim.Time
@@ -409,7 +409,7 @@ func downtime(events []decision.Event, victim string, end sim.Time) sim.Time {
 				openAt = e.T
 			}
 		case decision.KindOutcome:
-			if open {
+			if open && e.Action != "gave-up" {
 				total += e.T - openAt
 				open = false
 			}

@@ -243,6 +243,33 @@ func TestCampaignKnobsChangeBehavior(t *testing.T) {
 	}
 }
 
+// TestGiveUpCountsAsDowntime: a driver RS gives up on stays down for the
+// rest of its cell. Capping the restart budget in EXPERIMENTS.md's
+// counterfactual example gives the victim up in both cells, so it must
+// cost availability against the uncapped baseline, not buy it.
+func TestGiveUpCountsAsDowntime(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign in -short mode")
+	}
+	base, err := ParseSpec("seed=3;7,victims=eth.dp8390,faults=bit-flip,per-cell=25,backoff=1s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base.Decisions = true
+	capped, err := base.Override("hb=250ms,budget=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, c := Run(base), Run(capped)
+	if c.GaveUp == 0 {
+		t.Fatal("budget=1 gave nothing up; the example no longer exercises give-up")
+	}
+	if c.Availability() >= b.Availability() {
+		t.Fatalf("availability %.3f %% with budget=1 (%d given up), %.3f %% without: a given-up driver counted as up",
+			c.Availability(), c.GaveUp, b.Availability())
+	}
+}
+
 // paperCell runs the paper's own §7.2 experiment — randomly drawn faults
 // into one running DP8390 driver — as the one-cell matrix it is.
 func paperCell(t testing.TB, spec string) *Report {
