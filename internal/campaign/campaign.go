@@ -383,7 +383,7 @@ func runCellKeeping(cell Cell, cfg Config, keep []obs.Kind, injected func(*ucode
 // anyRecovering reports whether any guarded service is mid-recovery.
 func anyRecovering(sys *resilientos.System) bool {
 	for _, s := range sys.RS.Services() {
-		if s.Recovering {
+		if s.Phase.Recovering() {
 			return true
 		}
 	}

@@ -662,7 +662,7 @@ func (c *Checker) scanServices(now sim.Time) {
 	}
 	for _, svc := range svcs {
 		liveLabels[svc.Label] = true
-		if !svc.Running || svc.Stopped || svc.GaveUp {
+		if !svc.Phase.Guarded() {
 			delete(c.deadSince, svc.Label)
 			c.clearKey("guard:" + svc.Label)
 			c.clearKey("dead:" + svc.Label)

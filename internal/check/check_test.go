@@ -123,7 +123,7 @@ func TestCleanStateOK(t *testing.T) {
 		labels: map[string]kernel.Endpoint{"rs": ep(0, 1), "eth.x": ep(1, 2)},
 		alive:  map[kernel.Endpoint]bool{ep(0, 1): true, ep(1, 2): true},
 	}
-	fr := &fakeRS{svcs: []core.ServiceInfo{{Label: "eth.x", Ep: ep(1, 2), Running: true}}}
+	fr := &fakeRS{svcs: []core.ServiceInfo{{Label: "eth.x", Ep: ep(1, 2), Phase: core.PhaseServing}}}
 	fd := &fakeDS{names: []nameEntry{{"eth.x", ep(1, 2)}}}
 	c := check.New(check.Config{Kernel: fk, RS: fr, DS: fd})
 	for i := 0; i < 100; i++ {
@@ -279,7 +279,7 @@ func TestRSGuardEndpointMismatch(t *testing.T) {
 		labels: map[string]kernel.Endpoint{"eth.x": ep(1, 2)},
 		alive:  map[kernel.Endpoint]bool{ep(1, 2): true},
 	}
-	fr := &fakeRS{svcs: []core.ServiceInfo{{Label: "eth.x", Ep: ep(1, 1), Running: true}}}
+	fr := &fakeRS{svcs: []core.ServiceInfo{{Label: "eth.x", Ep: ep(1, 1), Phase: core.PhaseServing}}}
 	c := check.New(check.Config{Kernel: fk, RS: fr})
 	c.Step()
 	v := wantInvariant(t, c, "rs-guard")
@@ -288,32 +288,40 @@ func TestRSGuardEndpointMismatch(t *testing.T) {
 	}
 }
 
+// TestRSGuardDeadBeyondGrace: in every phase where RS vouches for a live
+// instance, a death it has not noticed within the grace is a violation.
 func TestRSGuardDeadBeyondGrace(t *testing.T) {
-	var now sim.Time
-	fk := &fakeKernel{labels: map[string]kernel.Endpoint{}} // instance gone
-	fr := &fakeRS{svcs: []core.ServiceInfo{{Label: "eth.x", Ep: ep(1, 1), Running: true}}}
-	c := check.New(check.Config{
-		Kernel: fk, RS: fr,
-		Now:       func() sim.Time { return now },
-		DeadGrace: 10 * time.Millisecond,
-	})
-	c.Step() // arms deadSince at t=0
-	now = 5 * time.Millisecond
-	c.Step()
-	if n := countInvariant(c, "rs-guard"); n != 0 {
-		t.Fatalf("violation inside death-detection grace: %v", c.Violations())
+	for _, phase := range []core.Phase{core.PhaseServing, core.PhaseTerminating, core.PhaseMicrorebooting} {
+		t.Run(phase.String(), func(t *testing.T) {
+			var now sim.Time
+			fk := &fakeKernel{labels: map[string]kernel.Endpoint{}} // instance gone
+			fr := &fakeRS{svcs: []core.ServiceInfo{{Label: "eth.x", Ep: ep(1, 1), Phase: phase}}}
+			c := check.New(check.Config{
+				Kernel: fk, RS: fr,
+				Now:       func() sim.Time { return now },
+				DeadGrace: 10 * time.Millisecond,
+			})
+			c.Step() // arms deadSince at t=0
+			now = 5 * time.Millisecond
+			c.Step()
+			if n := countInvariant(c, "rs-guard"); n != 0 {
+				t.Fatalf("violation inside death-detection grace: %v", c.Violations())
+			}
+			now = 11 * time.Millisecond
+			c.Step()
+			wantInvariant(t, c, "rs-guard")
+		})
 	}
-	now = 11 * time.Millisecond
-	c.Step()
-	wantInvariant(t, c, "rs-guard")
 }
 
 func TestRSGuardStoppedServiceIgnored(t *testing.T) {
 	var now sim.Time
 	fk := &fakeKernel{labels: map[string]kernel.Endpoint{}}
 	fr := &fakeRS{svcs: []core.ServiceInfo{
-		{Label: "chr.audio", Ep: ep(1, 1), Running: false, Stopped: true},
-		{Label: "eth.bad", Ep: ep(2, 1), Running: false, GaveUp: true},
+		{Label: "chr.audio", Ep: ep(1, 1), Phase: core.PhaseStopped},
+		{Label: "eth.bad", Ep: ep(2, 1), Phase: core.PhaseGaveUp},
+		// SIGTERM sent, its death not yet reported to RS: expected.
+		{Label: "chr.printer", Ep: ep(3, 1), Phase: core.PhaseStopping},
 	}}
 	c := check.New(check.Config{
 		Kernel: fk, RS: fr,
@@ -330,7 +338,7 @@ func TestRSGuardStoppedServiceIgnored(t *testing.T) {
 
 func TestHeartbeatMissesAtThreshold(t *testing.T) {
 	fr := &fakeRS{svcs: []core.ServiceInfo{{
-		Label: "eth.x", Ep: ep(1, 1), Running: true,
+		Label: "eth.x", Ep: ep(1, 1), Phase: core.PhaseServing,
 		HeartbeatPeriod: 500 * time.Millisecond, HeartbeatMisses: 3,
 		Missed: 3, Awaiting: true,
 	}}}
@@ -345,7 +353,7 @@ func TestHeartbeatMissesAtThreshold(t *testing.T) {
 func TestHeartbeatMonitoringStalled(t *testing.T) {
 	var now sim.Time = 10 * time.Second
 	fr := &fakeRS{svcs: []core.ServiceInfo{{
-		Label: "eth.x", Ep: ep(1, 1), Running: true,
+		Label: "eth.x", Ep: ep(1, 1), Phase: core.PhaseServing,
 		HeartbeatPeriod: 500 * time.Millisecond, HeartbeatMisses: 3,
 		NextPing: time.Second, // ping due 9s ago, never sent
 	}}}
@@ -467,9 +475,9 @@ func firstViolation(c *check.Checker, now *sim.Time, dt sim.Time, n int) int {
 
 func TestGatedDeadlinesFireAtTheSameStep(t *testing.T) {
 	const dt = 7 * time.Millisecond // never lands exactly on a deadline
-	deadSvc := []core.ServiceInfo{{Label: "eth.x", Ep: ep(1, 1), Running: true}}
+	deadSvc := []core.ServiceInfo{{Label: "eth.x", Ep: ep(1, 1), Phase: core.PhaseServing}}
 	stalledSvc := []core.ServiceInfo{{
-		Label: "eth.x", Ep: ep(1, 1), Running: true,
+		Label: "eth.x", Ep: ep(1, 1), Phase: core.PhaseServing,
 		HeartbeatPeriod: 50 * time.Millisecond, HeartbeatMisses: 3,
 		NextPing: 100 * time.Millisecond, // never sent, never re-armed
 	}}
@@ -550,7 +558,7 @@ func TestGatedScanFollowsCounters(t *testing.T) {
 		labels: map[string]kernel.Endpoint{"eth.x": ep(1, 2)},
 		alive:  map[kernel.Endpoint]bool{ep(1, 2): true},
 	}}
-	fr := &verRS{fakeRS: fakeRS{svcs: []core.ServiceInfo{{Label: "eth.x", Ep: ep(1, 2), Running: true}}}}
+	fr := &verRS{fakeRS: fakeRS{svcs: []core.ServiceInfo{{Label: "eth.x", Ep: ep(1, 2), Phase: core.PhaseServing}}}}
 	fd := &verDS{fakeDS: fakeDS{names: []nameEntry{{"eth.x", ep(1, 2)}}}}
 	c := check.New(check.Config{Kernel: fk, RS: fr, DS: fd})
 	for i := 0; i < 100; i++ {

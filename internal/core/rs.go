@@ -147,13 +147,75 @@ type Alert struct {
 	Body    string
 }
 
+// Phase is where a guarded service stands on the recovery ladder between
+// two turns of the reincarnation server. One turn may pass through
+// several (a direct restart goes serving → recovering → serving); the
+// spawn, promote and publish steps inside a turn are not phases. Every
+// change goes through service.setPhase, which refuses a move the ladder
+// does not allow (DESIGN §10 lists them).
+type Phase uint8
+
+// The phases.
+const (
+	PhaseDown           Phase = iota // no instance: none spawned yet, or the last spawn failed
+	PhaseServing                     // the instance serves
+	PhaseTerminating                 // SIGTERM sent for a dynamic update or replace; the instance still serves
+	PhaseStopping                    // SIGTERM sent for an administrative stop
+	PhaseStopped                     // administratively stopped: no recovery
+	PhaseRecovering                  // defect detected; the fresh instance is not published yet
+	PhaseMicrorebooting              // in-place VM reset granted; RSMicroDone not seen yet
+	PhaseGaveUp                      // MaxRestarts exhausted: the service stays down
+	numPhases
+)
+
+var phaseNames = [numPhases]string{"down", "serving", "terminating", "stopping",
+	"stopped", "recovering", "microrebooting", "gave-up"}
+
+func (p Phase) String() string {
+	if p < numPhases {
+		return phaseNames[p]
+	}
+	return fmt.Sprintf("Phase(%d)", int(p))
+}
+
+// Serving reports whether the instance serves requests; node health
+// counts the service as up.
+func (p Phase) Serving() bool { return p == PhaseServing || p == PhaseTerminating }
+
+// Recovering reports whether a recovery episode is open: a defect was
+// detected and no fresh instance is published yet.
+func (p Phase) Recovering() bool { return p == PhaseRecovering || p == PhaseMicrorebooting }
+
+// Guarded reports whether RS vouches for a live instance and recovers it
+// if it dies, which is what the invariant checker's rs-guard holds RS to.
+func (p Phase) Guarded() bool { return p.Serving() || p == PhaseMicrorebooting }
+
+// running reports whether the instance RS last spawned is alive as far as
+// RS knows: its death is still to be reported.
+func (p Phase) running() bool { return p.Guarded() || p == PhaseStopping }
+
+// [recovery:begin]
+// ladder lists each phase's legal next phases.
+var ladder = [numPhases][]Phase{
+	PhaseDown:           {PhaseDown, PhaseServing, PhaseRecovering},
+	PhaseServing:        {PhaseTerminating, PhaseStopping, PhaseRecovering, PhaseMicrorebooting},
+	PhaseTerminating:    {PhaseTerminating, PhaseStopping, PhaseRecovering},
+	PhaseStopping:       {PhaseStopping, PhaseStopped},
+	PhaseStopped:        {PhaseDown, PhaseServing, PhaseRecovering},
+	PhaseRecovering:     {PhaseDown, PhaseServing, PhaseRecovering, PhaseGaveUp},
+	PhaseMicrorebooting: {PhaseServing, PhaseTerminating, PhaseStopping, PhaseRecovering, PhaseMicrorebooting},
+	PhaseGaveUp:         {PhaseDown, PhaseServing, PhaseRecovering},
+}
+
+// [recovery:end]
+
 // service is RS's per-component bookkeeping.
 type service struct {
-	cfg     ServiceConfig
-	ep      kernel.Endpoint
-	running bool
-	stopped bool // administratively stopped; don't recover
-	gaveUp  bool
+	cfg   ServiceConfig
+	ep    kernel.Endpoint
+	phase Phase  // written by setPhase only
+	cause Defect // why RS is killing the instance (heartbeat, complaint, update; 0 = it is not)
+	class Defect // defect class of the open recovery episode
 
 	failures    int // consecutive failure count (the script's $3)
 	lastFailure sim.Time
@@ -163,24 +225,16 @@ type service struct {
 	awaiting bool // ping sent, pong not yet seen
 	missed   int
 
-	// killClass records why RS itself is killing the instance, so the
-	// resulting exit event is attributed to the right defect class.
-	killClass Defect
-
-	updating   bool     // SIGTERM sent for dynamic update
 	termKillAt sim.Time // when to escalate SIGTERM to SIGKILL
+	detectedAt sim.Time // when the open episode's defect was detected, for Duration
 
-	detectedAt   sim.Time // set when a defect is detected, for Duration
-	pendingClass Defect   // class of the recovery a policy script is driving
+	// standbyEp is the parked warm replica (Mechanism == MechStandby;
+	// kernel.None = none).
+	standbyEp kernel.Endpoint
 
-	// Warm-standby pool state (Mechanism == MechStandby).
-	standbyEp kernel.Endpoint // parked replica (meaningful iff standbyUp)
-	standbyUp bool
-
-	// Microreboot accounting (Mechanism == MechMicroreboot).
-	microCount   int  // in-place reboots since the last full respawn
-	microPending bool // granted microreboot in flight; a death before
-	// RSMicroDone is its failed tail and must not be double-counted
+	// microCount is how many in-place reboots the instance has had since
+	// the last full respawn (Mechanism == MechMicroreboot).
+	microCount int
 
 	// Heartbeat history window for decision tracing: the last up-to-8
 	// ping results of the current instance, bit 0 = most recent,
@@ -202,11 +256,7 @@ func restartBudget(svc *service) int {
 	if svc.cfg.MaxRestarts <= 0 {
 		return -1
 	}
-	b := svc.cfg.MaxRestarts - svc.failures
-	if b < 0 {
-		b = 0
-	}
-	return b
+	return max(svc.cfg.MaxRestarts-svc.failures, 0)
 }
 
 // [recovery:begin]
@@ -222,16 +272,38 @@ func (svc *service) creditStableRun(now sim.Time) {
 
 // [recovery:end]
 
-// serveFrom makes ep the service's serving instance, with a clean
-// monitoring slate and a fresh microreboot budget.
+// [recovery:begin]
+// setPhase moves svc to phase p. It is the only writer of svc.phase, and
+// a move the ladder does not list is a bug in RS.
+func (svc *service) setPhase(p Phase) {
+	if !slices.Contains(ladder[svc.phase], p) {
+		panic(fmt.Sprintf("rs: %s: illegal phase move %v -> %v", svc.cfg.Label, svc.phase, p))
+	}
+	svc.phase = p
+}
+
+// killFor records why RS is killing the instance, so its exit is
+// attributed to that defect class. An update wins over a heartbeat or
+// complaint kill that races it: the exit is class 6.
+func (svc *service) killFor(class Defect) {
+	if svc.cause != DefectUpdate {
+		svc.cause = class
+	}
+}
+
+// [recovery:end]
+
+// serveFrom makes ep the service's instance, with a clean monitoring
+// slate and a fresh microreboot budget. Outside a recovery episode it
+// serves at once; an episode's fresh instance serves once settle has
+// booked the episode.
 func (svc *service) serveFrom(c *kernel.Ctx, ep kernel.Endpoint) {
 	svc.ep = ep
-	svc.running = true
-	svc.stopped = false
-	svc.updating = false
-	svc.killClass = 0
+	if svc.phase != PhaseRecovering {
+		svc.setPhase(PhaseServing)
+	}
+	svc.cause = 0
 	svc.microCount = 0
-	svc.microPending = false
 	svc.hbBits = 0
 	svc.hbN = 0
 	svc.restartHeartbeat(c.Now())
@@ -418,7 +490,7 @@ func (rs *RS) Rebooted() bool { return rs.rebooted }
 // ServiceEndpoint returns the current endpoint of a service (None when
 // down).
 func (rs *RS) ServiceEndpoint(label string) kernel.Endpoint {
-	if svc, ok := rs.services[label]; ok && svc.running {
+	if svc, ok := rs.services[label]; ok && svc.phase.running() {
 		return svc.ep
 	}
 	return kernel.None
@@ -442,11 +514,9 @@ func (rs *RS) Guards(label string) bool {
 // ServiceInfo is a read-only snapshot of one guarded service, for the
 // live invariant checker (internal/check).
 type ServiceInfo struct {
-	Label   string
-	Ep      kernel.Endpoint // current (or last) instance endpoint
-	Running bool
-	Stopped bool // administratively stopped; no recovery expected
-	GaveUp  bool
+	Label string
+	Ep    kernel.Endpoint // current (or last) instance endpoint
+	Phase Phase
 
 	HeartbeatPeriod sim.Time
 	HeartbeatMisses int
@@ -454,8 +524,7 @@ type ServiceInfo struct {
 	Awaiting        bool     // ping sent, pong outstanding
 	Missed          int      // consecutive misses so far
 
-	Failures   int
-	Recovering bool // defect detected, fresh instance not yet published
+	Failures int
 
 	// StandbyEp is the parked warm replica's endpoint (None = no
 	// replica). The invariant checker asserts no published name ever
@@ -480,24 +549,17 @@ func (rs *RS) Services() []ServiceInfo { return rs.ServicesInto(nil) }
 func (rs *RS) ServicesInto(buf []ServiceInfo) []ServiceInfo {
 	out := buf
 	for _, svc := range rs.ordered {
-		standby := kernel.None
-		if svc.standbyUp {
-			standby = svc.standbyEp
-		}
 		out = append(out, ServiceInfo{
 			Label:           svc.cfg.Label,
 			Ep:              svc.ep,
-			Running:         svc.running,
-			Stopped:         svc.stopped,
-			GaveUp:          svc.gaveUp,
+			Phase:           svc.phase,
 			HeartbeatPeriod: svc.cfg.HeartbeatPeriod,
 			HeartbeatMisses: svc.cfg.HeartbeatMisses,
 			NextPing:        svc.nextPing,
 			Awaiting:        svc.awaiting,
 			Missed:          svc.missed,
 			Failures:        svc.failures,
-			Recovering:      svc.detectedAt != 0,
-			StandbyEp:       standby,
+			StandbyEp:       svc.standbyEp,
 		})
 	}
 	return out
@@ -592,7 +654,7 @@ func (rs *RS) drain(c *kernel.Ctx) {
 		rs.pending = rs.pending[1:]
 		switch req.kind {
 		case "start":
-			svc := &service{cfg: req.cfg}
+			svc := &service{cfg: req.cfg, standbyEp: kernel.None}
 			if svc.cfg.HeartbeatMisses == 0 {
 				svc.cfg.HeartbeatMisses = 3
 			}
@@ -608,7 +670,7 @@ func (rs *RS) drain(c *kernel.Ctx) {
 		case "update":
 			rs.doUpdate(c, req.cfg)
 		case "kill":
-			if svc, ok := rs.services[req.label]; ok && svc.running {
+			if svc, ok := rs.services[req.label]; ok && svc.phase.running() {
 				// Attributed to "killed by user": RS merely relays.
 				_ = c.Kill(svc.ep, req.sig)
 			}
@@ -622,6 +684,7 @@ func (rs *RS) drain(c *kernel.Ctx) {
 func (rs *RS) spawnInstance(c *kernel.Ctx, svc *service) {
 	ep, err := c.Spawn(svc.cfg.Label, svc.cfg.Priv, svc.cfg.Binary)
 	if err != nil {
+		svc.setPhase(PhaseDown)
 		return
 	}
 	svc.serveFrom(c, ep)
@@ -645,28 +708,22 @@ func (rs *RS) spawnInstance(c *kernel.Ctx, svc *service) {
 // it before Init).
 // [recovery:begin]
 func (rs *RS) spawnStandby(c *kernel.Ctx, svc *service) {
-	if svc.standbyUp || svc.stopped || svc.gaveUp {
+	if svc.standbyEp != kernel.None || svc.phase == PhaseStopping || svc.phase == PhaseStopped || svc.phase == PhaseGaveUp {
 		return
 	}
-	ep, err := c.Spawn(drvlib.StandbyLabel(svc.cfg.Label), svc.cfg.Priv, svc.cfg.Binary)
-	if err != nil {
-		return
+	if ep, err := c.Spawn(drvlib.StandbyLabel(svc.cfg.Label), svc.cfg.Priv, svc.cfg.Binary); err == nil {
+		svc.standbyEp = ep
 	}
-	svc.standbyEp = ep
-	svc.standbyUp = true
 }
 
 // killStandby retires the parked replica (give-up, administrative stop).
 // The endpoint is cleared before the kill so the resulting death event is
 // not mistaken for a replica crash and back-filled.
 func (rs *RS) killStandby(c *kernel.Ctx, svc *service, sig kernel.Signal) {
-	if !svc.standbyUp {
-		return
+	if ep := svc.standbyEp; ep != kernel.None {
+		svc.standbyEp = kernel.None
+		_ = c.Kill(ep, sig)
 	}
-	ep := svc.standbyEp
-	svc.standbyEp = kernel.None
-	svc.standbyUp = false
-	_ = c.Kill(ep, sig)
 }
 
 // [recovery:end]
@@ -683,19 +740,14 @@ func (rs *RS) onExitEvent(c *kernel.Ctx, m kernel.Message) {
 	if !ok || kernel.Endpoint(m.Arg1) != svc.ep {
 		return // not ours, or a stale instance's echo
 	}
-	svc.running = false
 	svc.termKillAt = 0
-	if svc.stopped {
-		return // administrative stop: expected, no recovery
+	class := svc.cause
+	svc.cause = 0
+	if svc.phase == PhaseStopping {
+		svc.setPhase(PhaseStopped) // administrative stop: expected, no recovery
+		return
 	}
-	var class Defect
-	switch {
-	case svc.updating:
-		class = DefectUpdate
-	case svc.killClass != 0:
-		class = svc.killClass
-		svc.killClass = 0
-	default:
+	if class == 0 {
 		switch m.Arg2 {
 		case proto.CauseExit:
 			class = DefectExit
@@ -714,11 +766,10 @@ func (rs *RS) onExitEvent(c *kernel.Ctx, m kernel.Message) {
 // promotion) clear standbyEp before acting and are ignored here.
 func (rs *RS) onStandbyExit(c *kernel.Ctx, m kernel.Message) {
 	svc, ok := rs.services[strings.TrimSuffix(m.Name, drvlib.StandbySuffix)]
-	if !ok || !svc.standbyUp || kernel.Endpoint(m.Arg1) != svc.standbyEp {
+	if !ok || kernel.Endpoint(m.Arg1) != svc.standbyEp {
 		return
 	}
 	svc.standbyEp = kernel.None
-	svc.standbyUp = false
 	if svc.cfg.Mechanism == MechStandby {
 		rs.spawnStandby(c, svc)
 	}
@@ -730,20 +781,19 @@ func (rs *RS) onStandbyExit(c *kernel.Ctx, m kernel.Message) {
 // recover runs the policy-driven recovery procedure (§5.2).
 func (rs *RS) recover(c *kernel.Ctx, svc *service, class Defect) {
 	svc.creditStableRun(c.Now())
-	switch {
-	case svc.microPending:
-		// This death is the failed tail of a granted microreboot, which
-		// was already charged at RSMicroAsk: don't double-count it.
-		svc.microPending = false
-	case class != DefectUpdate:
+	// A death while microrebooting is the failed tail of a granted
+	// microreboot, which was already charged at RSMicroAsk.
+	if svc.phase != PhaseMicrorebooting && class != DefectUpdate {
 		svc.failures++
 	}
+	svc.setPhase(PhaseRecovering)
+	svc.class = class
 	svc.lastFailure = c.Now()
 	c.Obs().Emit(obs.KindDefect, svc.cfg.Label, class.String(), int64(svc.failures), int64(class))
 	rs.openEpisode(c, svc, class)
 
 	if svc.cfg.MaxRestarts > 0 && svc.failures > svc.cfg.MaxRestarts {
-		svc.gaveUp = true
+		svc.setPhase(PhaseGaveUp)
 		rs.killStandby(c, svc, kernel.SIGKILL) // no pool for an abandoned service
 		rs.events = append(rs.events, Event{
 			Time: c.Now(), Label: svc.cfg.Label, Defect: class,
@@ -757,7 +807,6 @@ func (rs *RS) recover(c *kernel.Ctx, svc *service, class Defect) {
 		c.SetTraceCtx(svc.episode)
 		_, _ = c.SendRec(rs.dsEp, kernel.Message{Type: proto.DSWithdraw, Name: svc.cfg.Label})
 		rs.closeEpisode(c, svc, class, "gave-up", "", 1)
-		svc.detectedAt = 0
 		return
 	}
 
@@ -765,7 +814,7 @@ func (rs *RS) recover(c *kernel.Ctx, svc *service, class Defect) {
 	// spawning. Dynamic updates still respawn (the update's new binary
 	// must run), and a missing or unpromotable replica falls through to
 	// the ordinary spawn path below.
-	if svc.cfg.Mechanism == MechStandby && class != DefectUpdate && svc.standbyUp {
+	if svc.cfg.Mechanism == MechStandby && class != DefectUpdate && svc.standbyEp != kernel.None {
 		if rs.promoteStandby(c, svc, class) {
 			return
 		}
@@ -777,7 +826,6 @@ func (rs *RS) recover(c *kernel.Ctx, svc *service, class Defect) {
 		rs.completeRecovery(c, svc, class)
 		return
 	}
-	svc.pendingClass = class
 	rs.runPolicyScript(c, svc, class)
 }
 
@@ -794,7 +842,6 @@ func (rs *RS) recover(c *kernel.Ctx, svc *service, class Defect) {
 func (rs *RS) promoteStandby(c *kernel.Ctx, svc *service, class Defect) bool {
 	ep := svc.standbyEp
 	svc.standbyEp = kernel.None
-	svc.standbyUp = false
 	if err := c.Relabel(ep, svc.cfg.Label); err != nil {
 		return false
 	}
@@ -832,7 +879,7 @@ func (rs *RS) onMicroAsk(c *kernel.Ctx, m kernel.Message) {
 	svc, ok := rs.services[m.Name]
 	reply := kernel.Message{Type: proto.RSAck, Arg1: proto.OK}
 	if !ok || m.Source != svc.ep || svc.cfg.Mechanism != MechMicroreboot ||
-		svc.stopped || svc.updating || svc.gaveUp {
+		(svc.phase != PhaseServing && svc.phase != PhaseMicrorebooting) {
 		reply.Arg1 = proto.ErrPerm
 		_ = c.Send(m.Source, reply)
 		return
@@ -859,8 +906,8 @@ func (rs *RS) onMicroAsk(c *kernel.Ctx, m kernel.Message) {
 	svc.failures++
 	svc.lastFailure = c.Now()
 	svc.microCount++
-	svc.microPending = true
-	svc.pendingClass = class
+	svc.setPhase(PhaseMicrorebooting)
+	svc.class = class
 	svc.detectedAt = c.Now()
 	rs.openEpisode(c, svc, class)
 	if rs.dec.On(decision.KindAction) {
@@ -878,12 +925,11 @@ func (rs *RS) onMicroAsk(c *kernel.Ctx, m kernel.Message) {
 // reintegration — only the books are settled.
 func (rs *RS) onMicroDone(c *kernel.Ctx, m kernel.Message) {
 	svc, ok := rs.services[m.Name]
-	if !ok || m.Source != svc.ep || !svc.microPending {
+	if !ok || m.Source != svc.ep || svc.phase != PhaseMicrorebooting {
 		return
 	}
-	svc.microPending = false
 	svc.restartHeartbeat(c.Now())
-	rs.settle(c, svc, rs.lastDefectClass(svc), "microreboot")
+	rs.settle(c, svc, svc.class, "microreboot")
 }
 
 // [recovery:end]
@@ -914,8 +960,9 @@ func (rs *RS) openEpisode(c *kernel.Ctx, svc *service, class Defect) {
 
 // settle books a completed recovery, whichever rung of the ladder carried
 // it out (how; "" for a respawn): svc.ep is serving again, so the event
-// log, the latency histogram and the decision trail get their entry and
-// the episode closes.
+// log, the latency histogram and the decision trail get their entry, the
+// episode closes and the service serves (a respawn whose spawn failed
+// stays down).
 func (rs *RS) settle(c *kernel.Ctx, svc *service, class Defect, how string) {
 	took := c.Now() - svc.detectedAt
 	rs.events = append(rs.events, Event{
@@ -924,8 +971,9 @@ func (rs *RS) settle(c *kernel.Ctx, svc *service, class Defect, how string) {
 	})
 	c.Obs().ObserveRecovery(svc.cfg.Label, took)
 	rs.closeEpisode(c, svc, class, "recovered", how, 0)
-	svc.detectedAt = 0
-	svc.pendingClass = 0
+	if svc.phase != PhaseDown {
+		svc.setPhase(PhaseServing)
+	}
 }
 
 // closeEpisode records the episode's terminal decision and ends its span
@@ -1083,12 +1131,12 @@ func (rs *RS) onRestartRequest(c *kernel.Ctx, m kernel.Message) {
 	switch {
 	case !ok:
 		reply.Arg1 = proto.ErrNotFound
-	case svc.running:
+	case svc.phase.running():
 		// Restart of a live service = administrative replace.
-		rs.beginTermination(c, svc, DefectUpdate)
-	case svc.detectedAt != 0:
+		rs.beginTermination(c, svc, PhaseTerminating)
+	case svc.phase == PhaseRecovering:
 		// The script is finishing a recovery already in progress.
-		rs.completeRecovery(c, svc, rs.lastDefectClass(svc))
+		rs.completeRecovery(c, svc, svc.class)
 	default:
 		rs.spawnInstance(c, svc)
 	}
@@ -1097,37 +1145,20 @@ func (rs *RS) onRestartRequest(c *kernel.Ctx, m kernel.Message) {
 
 // [recovery:end]
 
-// [recovery:begin]
-// lastDefectClass reconstructs the class recorded at detection for the
-// script-driven path. The class is threaded through the script's $2; for
-// the event log we re-derive it from the pending detection.
-func (rs *RS) lastDefectClass(svc *service) Defect {
-	if svc.updating {
-		return DefectUpdate
-	}
-	if svc.pendingClass != 0 {
-		return svc.pendingClass
-	}
-	return DefectExit
-}
-
-// [recovery:end]
-
 // doStop administratively stops a service.
 func (rs *RS) doStop(c *kernel.Ctx, label string) {
 	svc, ok := rs.services[label]
-	if !ok || !svc.running {
+	if !ok || !svc.phase.running() {
 		return
 	}
-	svc.stopped = true
 	rs.killStandby(c, svc, kernel.SIGTERM)
-	rs.beginTermination(c, svc, 0)
+	rs.beginTermination(c, svc, PhaseStopping)
 }
 
 // [recovery:begin]
 // doUpdate performs the dynamic-update flow: ask the component to exit
 // (SIGTERM), escalate to SIGKILL after a grace period, then start the new
-// binary. The exit event carries the class-6 attribution via svc.updating.
+// binary. The exit event carries the class-6 attribution via svc.cause.
 func (rs *RS) doUpdate(c *kernel.Ctx, cfg ServiceConfig) {
 	svc, ok := rs.services[cfg.Label]
 	if !ok {
@@ -1147,23 +1178,30 @@ func (rs *RS) doUpdate(c *kernel.Ctx, cfg ServiceConfig) {
 		svc.cfg.Policy = cfg.Policy
 		svc.cfg.PolicyParams = cfg.PolicyParams
 	}
-	if !svc.running {
+	if !svc.phase.running() {
 		svc.detectedAt = c.Now()
 		rs.recover(c, svc, DefectUpdate)
 		return
 	}
-	rs.beginTermination(c, svc, DefectUpdate)
+	rs.beginTermination(c, svc, PhaseTerminating)
 }
 
 // [recovery:end]
 
-// beginTermination sends SIGTERM and arms the SIGKILL escalation.
-func (rs *RS) beginTermination(c *kernel.Ctx, svc *service, class Defect) {
-	if class == DefectUpdate {
-		svc.updating = true
+// beginTermination sends SIGTERM and arms the SIGKILL escalation, for an
+// administrative stop (PhaseStopping) or a dynamic update or replace
+// (PhaseTerminating). A stop under way wins over a later update or
+// replace: the service stays stopping.
+func (rs *RS) beginTermination(c *kernel.Ctx, svc *service, p Phase) {
+	if p == PhaseTerminating {
+		svc.killFor(DefectUpdate)
 		rs.decide(svc, DefectUpdate, decision.Event{Kind: decision.KindTrigger,
 			Action: "terminate", Detail: "dynamic update", Delay: termGrace})
+		if svc.phase == PhaseStopping {
+			p = PhaseStopping
+		}
 	}
+	svc.setPhase(p)
 	svc.termKillAt = c.Now() + termGrace
 	_ = c.Kill(svc.ep, kernel.SIGTERM)
 }
@@ -1179,7 +1217,7 @@ func (rs *RS) onComplaint(c *kernel.Ctx, m kernel.Message) {
 		return
 	}
 	svc, ok := rs.services[m.Name]
-	if !ok || !svc.running {
+	if !ok || !svc.phase.running() {
 		reply.Arg1 = proto.ErrNotFound
 		_ = c.Send(m.Source, reply)
 		return
@@ -1188,7 +1226,7 @@ func (rs *RS) onComplaint(c *kernel.Ctx, m kernel.Message) {
 		rs.decide(svc, DefectComplaint, decision.Event{Kind: decision.KindTrigger,
 			Action: "complaint-kill", Detail: "complaint from " + rs.k.LabelOf(m.Source)})
 	}
-	svc.killClass = DefectComplaint
+	svc.killFor(DefectComplaint)
 	_ = c.Kill(svc.ep, kernel.SIGKILL)
 	_ = c.Send(m.Source, reply)
 }
@@ -1207,12 +1245,15 @@ func (rs *RS) doReboot(c *kernel.Ctx) {
 func (rs *RS) armTimer(c *kernel.Ctx) {
 	var next sim.Time
 	for _, svc := range rs.ordered {
-		if svc.running && svc.cfg.HeartbeatPeriod > 0 {
+		if !svc.phase.running() {
+			continue
+		}
+		if svc.cfg.HeartbeatPeriod > 0 {
 			if next == 0 || svc.nextPing < next {
 				next = svc.nextPing
 			}
 		}
-		if svc.running && svc.termKillAt != 0 {
+		if svc.termKillAt != 0 {
 			if next == 0 || svc.termKillAt < next {
 				next = svc.termKillAt
 			}
@@ -1240,17 +1281,13 @@ func (rs *RS) onTimer(c *kernel.Ctx) {
 	c.SetTraceCtx(obs.SpanContext{})
 	now := c.Now()
 	for _, svc := range rs.ordered {
-		if !svc.running {
+		if !svc.phase.running() {
 			continue
 		}
 		if svc.termKillAt != 0 && now >= svc.termKillAt {
 			svc.termKillAt = 0
-			if !svc.stopped {
-				var class Defect
-				if svc.updating {
-					class = DefectUpdate
-				}
-				rs.decide(svc, class, decision.Event{Kind: decision.KindTrigger,
+			if svc.phase == PhaseTerminating {
+				rs.decide(svc, DefectUpdate, decision.Event{Kind: decision.KindTrigger,
 					Action: "escalate-sigkill", Detail: "termination grace expired"})
 			}
 			_ = c.Kill(svc.ep, kernel.SIGKILL)
@@ -1271,7 +1308,7 @@ func (rs *RS) onTimer(c *kernel.Ctx) {
 							Action: "declare-stuck",
 							Detail: fmt.Sprintf("hb=%s missed=%d", svc.hbWindow(), svc.missed)})
 					}
-					svc.killClass = DefectHeartbeat
+					svc.killFor(DefectHeartbeat)
 					svc.awaiting = false
 					svc.missed = 0
 					_ = c.Kill(svc.ep, kernel.SIGKILL)

@@ -218,7 +218,7 @@ func TestMicrorebootCountsAgainstMaxRestarts(t *testing.T) {
 		t.Fatalf("%d microreboots granted with MaxRestarts=2, want 2", dev.microCount)
 	}
 	info := findService(t, r.rs, "drv")
-	if !info.GaveUp {
+	if info.Phase != PhaseGaveUp {
 		t.Fatalf("service did not give up after exhausting MaxRestarts: %+v", info)
 	}
 	if r.rs.ServiceEndpoint("drv") != kernel.None {

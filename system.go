@@ -530,14 +530,14 @@ func (sys *System) Health() Health {
 	sys.svcBuf = sys.RS.ServicesInto(sys.svcBuf[:0])
 	for i := range sys.svcBuf {
 		s := &sys.svcBuf[i]
-		if s.Recovering {
+		if s.Phase.Recovering() {
 			h.Recovering++
 		}
-		if s.GaveUp {
+		if s.Phase == core.PhaseGaveUp {
 			h.GaveUp++
 		}
 		h.Failures += s.Failures
-		if !s.Running || s.Recovering || s.GaveUp || s.Stopped {
+		if !s.Phase.Serving() {
 			continue
 		}
 		switch s.Label {
@@ -564,16 +564,16 @@ func (sys *System) StatusFunc() func() []timeseries.ServiceStatus {
 		svcs := sys.RS.Services()
 		out := make([]timeseries.ServiceStatus, 0, len(svcs))
 		for _, s := range svcs {
-			state := "dead"
-			switch {
-			case s.Stopped:
-				state = "stopped"
-			case s.GaveUp:
-				state = "gave-up"
-			case s.Recovering:
-				state = "recovering"
-			case s.Running:
+			state := "dead" // PhaseDown
+			switch s.Phase {
+			case core.PhaseServing, core.PhaseTerminating:
 				state = "live"
+			case core.PhaseRecovering, core.PhaseMicrorebooting:
+				state = "recovering"
+			case core.PhaseStopping, core.PhaseStopped:
+				state = "stopped"
+			case core.PhaseGaveUp:
+				state = "gave-up"
 			}
 			out = append(out, timeseries.ServiceStatus{
 				Label: s.Label, State: state, Failures: s.Failures,

@@ -660,8 +660,8 @@ func TestGaveUpServiceIsNotRecovering(t *testing.T) {
 			info = s
 		}
 	}
-	if !info.GaveUp || info.Recovering {
-		t.Fatalf("%s after exhausting MaxRestarts: %+v, want given up and not recovering", DriverRTL8139, info)
+	if info.Phase != core.PhaseGaveUp {
+		t.Fatalf("%s after exhausting MaxRestarts: %+v, want given up", DriverRTL8139, info)
 	}
 	if h := sys.Health(); h.GaveUp != 1 || h.Recovering != 0 || h.NetOK {
 		t.Fatalf("health %+v, want one given-up service, none recovering, net down", h)
