@@ -960,7 +960,7 @@ func (rs *RS) openEpisode(c *kernel.Ctx, svc *service, class Defect) {
 
 // settle books a completed recovery, whichever rung of the ladder carried
 // it out (how; "" for a respawn): svc.ep is serving again, so the event
-// log, the latency histogram and the decision trail get their entry, the
+// log, the restart counter and the decision trail get their entry, the
 // episode closes and the service serves (a respawn whose spawn failed
 // stays down).
 func (rs *RS) settle(c *kernel.Ctx, svc *service, class Defect, how string) {
@@ -969,7 +969,7 @@ func (rs *RS) settle(c *kernel.Ctx, svc *service, class Defect, how string) {
 		Time: svc.detectedAt, Label: svc.cfg.Label, Defect: class,
 		Repetition: svc.failures, Recovered: true, Duration: took, NewEp: svc.ep,
 	})
-	c.Obs().ObserveRecovery(svc.cfg.Label, took)
+	c.Obs().ObserveRecovery(svc.cfg.Label)
 	rs.closeEpisode(c, svc, class, "recovered", how, 0)
 	if svc.phase != PhaseDown {
 		svc.setPhase(PhaseServing)

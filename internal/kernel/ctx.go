@@ -67,7 +67,6 @@ func (c *Ctx) TryReceive(from Endpoint) (Message, bool) {
 // is restored afterwards (the reply's context must not leak into the
 // caller's next, unrelated call).
 func (c *Ctx) SendRec(dst Endpoint, msg Message) (Message, error) {
-	start := c.k.env.Now()
 	var sc, ambient obs.SpanContext
 	var dstLabel string
 	traced := c.k.obs.On(obs.KindSpanBegin)
@@ -90,9 +89,6 @@ func (c *Ctx) SendRec(dst Endpoint, msg Message) (Message, error) {
 		}
 		c.dropOpenSpan(sc)
 		c.e.traceCtx = ambient
-	}
-	if err == nil {
-		c.k.obs.ObserveSendRec(c.k.env.Now() - start)
 	}
 	return reply, err
 }

@@ -1,28 +1,22 @@
 package obs
 
 import (
-	"fmt"
 	"sort"
 	"time"
 )
 
-// Registry holds named metrics. Get-or-create accessors make call sites
-// one-liners; a nil *Registry (from a nil Recorder) returns nil metrics
-// whose methods are no-ops, so instrumentation is free when observability
-// is off. Snapshot order is sorted by name, keeping dumps deterministic.
+// Registry holds named counters. The get-or-create accessor makes call
+// sites one-liners; a nil *Registry (from a nil Recorder) returns nil
+// counters whose methods are no-ops, so instrumentation is free when
+// observability is off. VisitCounters walks them in name order, keeping
+// dumps deterministic.
 type Registry struct {
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
 }
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
-	}
+	return &Registry{counters: make(map[string]*Counter)}
 }
 
 // Counter returns the named counter, creating it on first use.
@@ -36,33 +30,6 @@ func (g *Registry) Counter(name string) *Counter {
 		g.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (g *Registry) Gauge(name string) *Gauge {
-	if g == nil {
-		return nil
-	}
-	v, ok := g.gauges[name]
-	if !ok {
-		v = &Gauge{}
-		g.gauges[name] = v
-	}
-	return v
-}
-
-// Histogram returns the named histogram, creating it with the given
-// bucket bounds on first use (bounds are ignored for an existing one).
-func (g *Registry) Histogram(name string, bounds []int64) *Histogram {
-	if g == nil {
-		return nil
-	}
-	h, ok := g.hists[name]
-	if !ok {
-		h = NewHistogram(bounds)
-		g.hists[name] = h
-	}
-	return h
 }
 
 // Counter is a monotonically increasing count.
@@ -81,24 +48,6 @@ func (c *Counter) Value() int64 {
 		return 0
 	}
 	return c.v
-}
-
-// Gauge is a last-value metric.
-type Gauge struct{ v int64 }
-
-// Set records the current value. Nil-safe.
-func (g *Gauge) Set(v int64) {
-	if g != nil {
-		g.v = v
-	}
-}
-
-// Value returns the last set value (0 for nil).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
 }
 
 // LatencyBuckets is the default bucket layout for virtual-time latency
@@ -132,8 +81,6 @@ var LatencyBuckets = []int64{
 type Histogram struct {
 	bounds []int64
 	counts []int64
-	sum    int64
-	n      int64
 }
 
 // NewHistogram creates a histogram with the given ascending upper bounds
@@ -147,13 +94,8 @@ func NewHistogram(bounds []int64) *Histogram {
 	return &Histogram{bounds: b, counts: make([]int64, len(b)+1)}
 }
 
-// Observe records one value. Nil-safe.
+// Observe records one value.
 func (h *Histogram) Observe(v int64) {
-	if h == nil {
-		return
-	}
-	h.sum += v
-	h.n++
 	// Binary search for the first bound >= v.
 	lo, hi := 0, len(h.bounds)
 	for lo < hi {
@@ -167,60 +109,6 @@ func (h *Histogram) Observe(v int64) {
 	h.counts[lo]++
 }
 
-// Count returns the number of observations (0 for nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.n
-}
-
-// Sum returns the sum of observations.
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum
-}
-
-// Mean returns the mean observation (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h == nil || h.n == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.n)
-}
-
-// Quantile returns the upper bound of the bucket containing the q-th
-// quantile (0 < q <= 1), using the nearest-rank method: the target rank
-// is round(q*n), clamped to at least 1. Because only the bucket's upper
-// bound is reported, results are conservative — the true quantile is at
-// most the returned value, never above it — and two quantiles falling in
-// the same bucket are indistinguishable (both report that bound; there
-// is no intra-bucket interpolation). Observations past the last bound
-// report the largest bound (the histogram cannot resolve the overflow
-// bucket).
-func (h *Histogram) Quantile(q float64) int64 {
-	if h == nil || h.n == 0 || len(h.bounds) == 0 {
-		return 0
-	}
-	rank := int64(q*float64(h.n) + 0.5)
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for i, c := range h.counts {
-		cum += c
-		if cum >= rank {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			return h.bounds[len(h.bounds)-1] // overflow bucket
-		}
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // Bucket is one histogram row for dumps.
 type Bucket struct {
 	UpperBound int64 // -1 for the +Inf overflow bucket
@@ -229,9 +117,6 @@ type Bucket struct {
 
 // Buckets returns the bucket rows, ascending, including the overflow.
 func (h *Histogram) Buckets() []Bucket {
-	if h == nil {
-		return nil
-	}
 	out := make([]Bucket, 0, len(h.counts))
 	for i, c := range h.counts {
 		ub := int64(-1)
@@ -245,7 +130,7 @@ func (h *Histogram) Buckets() []Bucket {
 
 // VisitCounters calls fn for every counter, in name order (deterministic).
 // The windowed telemetry sampler (internal/obs/timeseries) uses this to
-// compute per-window counter deltas without allocating a full Snapshot.
+// compute per-window counter deltas.
 func (g *Registry) VisitCounters(fn func(name string, v int64)) {
 	if g == nil {
 		return
@@ -258,42 +143,4 @@ func (g *Registry) VisitCounters(fn func(name string, v int64)) {
 	for _, name := range names {
 		fn(name, g.counters[name].Value())
 	}
-}
-
-// MetricValue is one row of a registry snapshot.
-type MetricValue struct {
-	Name string
-	Kind string // "counter", "gauge", "histogram"
-	// Value holds the counter/gauge value, or the histogram count.
-	Value int64
-	// Hist is set for histograms.
-	Hist *Histogram
-}
-
-// Snapshot returns every metric, sorted by name (deterministic).
-func (g *Registry) Snapshot() []MetricValue {
-	if g == nil {
-		return nil
-	}
-	out := make([]MetricValue, 0, len(g.counters)+len(g.gauges)+len(g.hists))
-	for name, c := range g.counters {
-		out = append(out, MetricValue{Name: name, Kind: "counter", Value: c.Value()})
-	}
-	for name, v := range g.gauges {
-		out = append(out, MetricValue{Name: name, Kind: "gauge", Value: v.Value()})
-	}
-	for name, h := range g.hists {
-		out = append(out, MetricValue{Name: name, Kind: "histogram", Value: h.Count(), Hist: h})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// String renders a metric row compactly (histograms as count/mean).
-func (m MetricValue) String() string {
-	if m.Kind == "histogram" {
-		return fmt.Sprintf("%s: n=%d mean=%v", m.Name, m.Value,
-			time.Duration(m.Hist.Mean()).Round(time.Microsecond))
-	}
-	return fmt.Sprintf("%s: %d", m.Name, m.Value)
 }

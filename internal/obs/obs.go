@@ -194,12 +194,7 @@ type Recorder struct {
 	sinks []Sink
 	mask  uint64 // bit i set = Kind(i) enabled
 	reg   *Registry
-
-	ipcRTT *Histogram // virtual-time SendRec round trips
-	recLat *Histogram // defect -> reintegration recovery latency
-
 	perf  *perf.Profiler // wall-clock cost attribution (nil = off)
-	nemit uint64         // events emitted past the mask (deterministic)
 
 	// Causal-tracing ID allocators. The scheduler is single-threaded, so
 	// plain counters are deterministic for a fixed seed+workload.
@@ -210,10 +205,7 @@ type Recorder struct {
 // NewRecorder creates a recorder with all event kinds enabled, a fresh
 // metrics registry, and the given sinks.
 func NewRecorder(sinks ...Sink) *Recorder {
-	r := &Recorder{sinks: sinks, mask: ^uint64(0), reg: NewRegistry()}
-	r.ipcRTT = r.reg.Histogram("ipc_sendrec_ns", LatencyBuckets)
-	r.recLat = r.reg.Histogram("recovery_latency_ns", LatencyBuckets)
-	return r
+	return &Recorder{sinks: sinks, mask: ^uint64(0), reg: NewRegistry()}
 }
 
 // SetClock installs the virtual-time source (the simulation environment's
@@ -261,21 +253,11 @@ func (r *Recorder) SetPerf(p *perf.Profiler) {
 	r.perf = p
 }
 
-// Emitted reports how many events passed the kind mask and reached the
-// sinks — the recorder's deterministic fast-path work counter. Nil-safe.
-func (r *Recorder) Emitted() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.nemit
-}
-
 // Emit stamps and publishes one event to every sink. Nil-safe.
 func (r *Recorder) Emit(k Kind, comp, aux string, v1, v2 int64) {
 	if r == nil || r.mask&(1<<uint(k)) == 0 {
 		return
 	}
-	r.nemit++
 	r.perf.Begin(perf.RegionObs)
 	e := Event{Kind: k, Comp: comp, Aux: aux, V1: v1, V2: v2}
 	if r.clock != nil {
@@ -293,7 +275,6 @@ func (r *Recorder) EmitCtx(k Kind, comp, aux string, v1, v2 int64, sc SpanContex
 	if r == nil || r.mask&(1<<uint(k)) == 0 {
 		return
 	}
-	r.nemit++
 	r.perf.Begin(perf.RegionObs)
 	e := Event{Kind: k, Comp: comp, Aux: aux, V1: v1, V2: v2, Trace: sc.Trace, Span: sc.Span}
 	if r.clock != nil {
@@ -307,7 +288,6 @@ func (r *Recorder) EmitCtx(k Kind, comp, aux string, v1, v2 int64, sc SpanContex
 
 // emitSpan publishes a span-lifecycle event with full trace fields.
 func (r *Recorder) emitSpan(k Kind, comp, aux string, v1 int64, tr, sp, pa int64) {
-	r.nemit++
 	r.perf.Begin(perf.RegionObs)
 	e := Event{Kind: k, Comp: comp, Aux: aux, V1: v1, Trace: tr, Span: sp, Parent: pa}
 	if r.clock != nil {
@@ -328,21 +308,12 @@ func (r *Recorder) Metrics() *Registry {
 	return r.reg
 }
 
-// ObserveSendRec records one virtual-time IPC round trip.
-func (r *Recorder) ObserveSendRec(d sim.Time) {
+// ObserveRecovery counts one completed recovery of comp in the
+// restarts.<comp> counter, which the window series carry.
+func (r *Recorder) ObserveRecovery(comp string) {
 	if r == nil {
 		return
 	}
-	r.ipcRTT.Observe(int64(d))
-}
-
-// ObserveRecovery records one completed recovery: latency into the
-// recovery-latency histogram and a per-component restart counter.
-func (r *Recorder) ObserveRecovery(comp string, d sim.Time) {
-	if r == nil {
-		return
-	}
-	r.recLat.Observe(int64(d))
 	r.reg.Counter("restarts." + comp).Add(1)
 }
 

@@ -92,14 +92,7 @@ func TestTraceRecoveryTimeline(t *testing.T) {
 	}
 	// The metrics registry counted the same restarts the trace shows.
 	restarts := rec.Metrics().Counter("restarts." + DriverRTL8139).Value()
-	if restarts == 0 {
-		t.Error("restart counter is zero despite recoveries")
-	}
-	hist := rec.Metrics().Histogram("recovery_latency_ns", nil)
-	if hist.Count() != restarts {
-		t.Errorf("recovery histogram n=%d, restart counter=%d", hist.Count(), restarts)
-	}
-	if rec.Metrics().Histogram("ipc_sendrec_ns", nil).Count() == 0 {
-		t.Error("no SendRec round trips observed")
+	if restarts != int64(len(lat)) {
+		t.Errorf("restart counter %d, %d recovery spans in the trace", restarts, len(lat))
 	}
 }
