@@ -136,7 +136,6 @@ type Cluster struct {
 	nodes []*Node
 
 	reg     *obs.Registry
-	rec     *obs.Recorder
 	sampler *timeseries.Sampler
 	tracker *tracker
 
@@ -201,11 +200,8 @@ func Boot(cfg Config) (*Cluster, error) {
 		Registry: c.reg,
 		Status:   c.statusFunc(),
 	})
-	c.rec = obs.NewRecorder(c.sampler)
-	c.rec.SetClock(c.fleet.Now)
 	if cfg.Perf != nil {
 		cfg.Perf.Attach(c.fleet)
-		c.rec.SetPerf(cfg.Perf)
 		c.sampler.SetPerf(cfg.Perf)
 	}
 	for i := 0; i < cfg.Nodes; i++ {
