@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -149,6 +151,50 @@ service restart $component
 	outcomes := byKind(events, decision.KindOutcome)
 	if len(outcomes) == 0 || outcomes[0].Action != "recovered" {
 		t.Fatalf("outcomes = %+v", outcomes)
+	}
+}
+
+// TestPolicyServiceUpdateIsRefused: a script cannot name a new binary,
+// so RS refuses its `service update` and the builtin returns 1. The
+// script goes on, restarts the driver and exits, and the episode settles.
+// RS used to drop the request and leave the runner blocked for good.
+func TestPolicyServiceUpdateIsRefused(t *testing.T) {
+	r, sink := decBoot(t)
+	crashed := false
+	cfg := svcCfg("drv", func(c *kernel.Ctx) {
+		if !crashed {
+			crashed = true
+			c.Sleep(100 * time.Millisecond)
+			c.Panic("induced failure")
+		}
+		steadyBody(c)
+	})
+	cfg.Policy = policy.MustParse(`
+service update $1
+service restart $1
+exit 0
+`)
+	r.rs.StartService(cfg)
+	r.env.Run(2 * time.Second)
+
+	events := sink.Events()
+	if problems := decision.Check(events); len(problems) != 0 {
+		t.Fatalf("decision log ill-formed: %v", problems)
+	}
+	var steps []string
+	for _, e := range byKind(events, decision.KindPolicyStep) {
+		steps = append(steps, fmt.Sprintf("%s %q %d", e.Action, e.Detail, e.Status))
+	}
+	want := []string{`service "service update drv" 1`, `service "service restart drv" 0`, `exit "" 0`}
+	if !slices.Equal(steps, want) {
+		t.Fatalf("policy steps = %q, want %q", steps, want)
+	}
+	outcomes := byKind(events, decision.KindOutcome)
+	if len(outcomes) != 1 || outcomes[0].Action != "recovered" {
+		t.Fatalf("outcomes = %+v", outcomes)
+	}
+	if info := r.rs.Services()[0]; info.Phase != PhaseServing {
+		t.Fatalf("drv in phase %v after the script, want serving", info.Phase)
 	}
 }
 

@@ -13,7 +13,7 @@
 //  3. killed by user                   (PM exit event, CauseSignal)
 //  4. heartbeat message missing        (N consecutive missed pongs)
 //  5. complaint by another component   (RSComplain from an authorized server)
-//  6. dynamic update by user           (RSUpdate)
+//  6. dynamic update by user           (UpdateService)
 //
 // Recovery is policy-driven (§5.2): a service may carry a shell script
 // (internal/policy) that decides when and how to restart — the default
@@ -644,6 +644,10 @@ func (rs *RS) run(c *kernel.Ctx) {
 		case m.Type == proto.RSReboot:
 			rs.doReboot(c)
 			_ = c.Send(m.Source, kernel.Message{Type: proto.RSAck, Arg1: proto.OK})
+		case m.Type == proto.RSUpdate:
+			// A message cannot carry a new binary: updates come through
+			// UpdateService. Refused, so a script's `service update` fails.
+			_ = c.Send(m.Source, kernel.Message{Type: proto.RSAck, Arg1: proto.ErrBadCall})
 		}
 	}
 }

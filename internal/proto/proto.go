@@ -60,8 +60,9 @@ const (
 	RSRestart
 	// RSStop: stop service Name (SIGTERM then SIGKILL). Reply: RSAck.
 	RSStop
-	// RSUpdate: dynamic update of service Name (defect class 6).
-	// Reply: RSAck.
+	// RSUpdate: a policy script's `service update Name`. A message
+	// cannot name a new binary, so RS refuses it: RSAck with ErrBadCall.
+	// Dynamic updates (defect class 6) go through core.RS.UpdateService.
 	RSUpdate
 	// RSComplain: an authorized server reports a malfunctioning component
 	// (defect class 5). Name = accused label. Reply: RSAck.
