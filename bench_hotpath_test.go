@@ -15,6 +15,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"resilientos/internal/check"
 	"resilientos/internal/inet"
@@ -256,6 +257,43 @@ func BenchmarkHotpathTraceAppend(b *testing.B) {
 	// Every emit reached the ring: kept or dropped as the oldest.
 	if n := len(ring.Events()) + ring.Dropped(); n != b.N {
 		b.Fatalf("emitted %d/%d", n, b.N)
+	}
+}
+
+// BenchmarkHotpathTraceRetain measures one emit into a SliceSink past
+// its first 4,096 events, the shape of a full-capture run (wget_observed
+// keeps 185,472 a unit): stamp, fan-out, store. A retained event costs
+// its own bytes once. Ceiling: unsafe.Sizeof(obs.Event{}) plus 8 B of
+// chunk overhead per emit; a sink that regrows one slice copies
+// everything it holds at each growth, several hundred bytes per emit.
+func BenchmarkHotpathTraceRetain(b *testing.B) {
+	// retaining returns a recorder whose SliceSink is already past its
+	// plainly appended first 4,096 events.
+	retaining := func() *obs.Recorder {
+		rec := obs.NewRecorder(&obs.SliceSink{})
+		for i := 0; i <= 4096; i++ {
+			rec.Emit(obs.KindIPCSend, "bench", "hotpath", int64(i), 0)
+		}
+		return rec
+	}
+	// 200 gated runs emit 12,000 events, just under 3 × 4,096: whatever
+	// the phase, at most three chunks are allocated among them.
+	const perOp = 60
+	rec := retaining()
+	gateAllocBytes(b, "retaining a trace event", perOp*uint64(unsafe.Sizeof(obs.Event{})+8), func() {
+		for i := 0; i < perOp; i++ {
+			rec.Emit(obs.KindIPCSend, "bench", "hotpath", int64(i), 0)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%(1<<16) == 0 { // a fresh sink now and then keeps the heap small
+			b.StopTimer()
+			rec = retaining()
+			b.StartTimer()
+		}
+		rec.Emit(obs.KindIPCSend, "bench", "hotpath", int64(i), 0)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package obs is the kernel-wide observability subsystem: a structured
 // trace bus carrying virtual-time-stamped, typed events through pluggable
-// sinks, a metrics registry (counters, gauges, fixed-bucket histograms),
-// and a recovery-timeline builder that stitches trace events into
+// sinks, a metrics registry of named counters, a standalone fixed-bucket
+// Histogram, and a recovery-timeline builder that stitches trace events into
 // per-component recovery spans (defect → policy script → restart →
 // reintegration) so experiments can report latency percentiles, not just
 // means.
@@ -365,17 +365,48 @@ func (s *RingSink) Events() []Event {
 // Dropped reports how many events were evicted for lack of room.
 func (s *RingSink) Dropped() int { return s.dropped }
 
-// SliceSink appends every event to an unbounded slice (experiments use it
-// to post-process a whole run's trace).
+// SliceSink keeps every event, unbounded (experiments use it to
+// post-process a whole run's trace). Up to sliceChunk events it is one
+// plainly appended slice; past that it fills whole sliceChunk-event
+// chunks, so nothing it already holds is copied again while the run
+// emits. Events joins the chunks once; read it after the run.
 type SliceSink struct {
-	events []Event
+	full [][]Event // filled chunks, oldest first
+	tail []Event   // the chunk being filled; the whole trace while full is empty
 }
 
-// Emit implements Sink.
-func (s *SliceSink) Emit(e Event) { s.events = append(s.events, e) }
+// sliceChunk is the SliceSink chunk size in events: a campaign cell
+// (about 35 events) never reaches it, a Fig. 7 run fills dozens.
+const sliceChunk = 4096
 
-// Events returns the recorded events in emission order (not a copy).
-func (s *SliceSink) Events() []Event { return s.events }
+// Emit implements Sink.
+func (s *SliceSink) Emit(e Event) {
+	if len(s.tail) >= sliceChunk {
+		s.full = append(s.full, s.tail)
+		s.tail = make([]Event, 0, sliceChunk)
+	}
+	s.tail = append(s.tail, e)
+}
+
+// Events returns the recorded events in emission order. A trace of one
+// chunk is returned as held; a longer one is joined into an exactly
+// sized slice the first time, and later calls return that slice until
+// the next Emit.
+func (s *SliceSink) Events() []Event {
+	if len(s.full) == 0 {
+		return s.tail
+	}
+	n := len(s.tail)
+	for _, c := range s.full {
+		n += len(c)
+	}
+	out := make([]Event, 0, n)
+	for _, c := range s.full {
+		out = append(out, c...)
+	}
+	s.full, s.tail = nil, append(out, s.tail...)
+	return s.tail
+}
 
 // Only returns a sink that passes events of the given kinds on to s and
 // drops the rest. The recorder's own mask decides what is emitted at all

@@ -210,3 +210,99 @@ func TestRingSinkOverflowUnderHighRate(t *testing.T) {
 		}
 	}
 }
+
+// checkSeq fails unless evs are V1 = 0, 1, …, n-1 in order.
+func checkSeq(t *testing.T, evs []Event, n int) {
+	t.Helper()
+	if len(evs) != n {
+		t.Fatalf("kept %d events, want %d", len(evs), n)
+	}
+	for i, e := range evs {
+		if e.V1 != int64(i) {
+			t.Fatalf("event %d has V1=%d: emission order broken", i, e.V1)
+		}
+	}
+}
+
+// A trace crossing two chunk boundaries comes back whole and in emission
+// order, as one exactly sized slice.
+func TestSliceSinkAcrossChunks(t *testing.T) {
+	const n = 2*sliceChunk + 17
+	s := &SliceSink{}
+	for i := 0; i < n; i++ {
+		s.Emit(Event{Kind: KindMark, V1: int64(i)})
+	}
+	evs := s.Events()
+	checkSeq(t, evs, n)
+	if cap(evs) != n {
+		t.Fatalf("joined slice has cap %d, want exactly %d", cap(evs), n)
+	}
+}
+
+func TestSliceSinkEmpty(t *testing.T) {
+	var s SliceSink
+	if evs := s.Events(); len(evs) != 0 {
+		t.Fatalf("zero sink holds %d events", len(evs))
+	}
+	s.Emit(Event{V1: 0})
+	checkSeq(t, s.Events(), 1)
+}
+
+// Events called twice returns the joined slice itself, not a second join.
+func TestSliceSinkEventsTwice(t *testing.T) {
+	s := &SliceSink{}
+	for i := 0; i < sliceChunk+1; i++ {
+		s.Emit(Event{V1: int64(i)})
+	}
+	a, b := s.Events(), s.Events()
+	checkSeq(t, b, sliceChunk+1)
+	if &a[0] != &b[0] || len(a) != len(b) {
+		t.Fatal("second Events call joined again")
+	}
+}
+
+// Emitting after Events keeps every event, and the slice returned before
+// is left as it was.
+func TestSliceSinkEmitAfterEvents(t *testing.T) {
+	for _, first := range []int{10, sliceChunk, sliceChunk + 5, 3 * sliceChunk} {
+		s := &SliceSink{}
+		n := 0
+		emit := func(k int) {
+			for ; k > 0; k-- {
+				s.Emit(Event{V1: int64(n)})
+				n++
+			}
+		}
+		emit(first)
+		before := s.Events()
+		checkSeq(t, before, first)
+		emit(sliceChunk + 3)
+		checkSeq(t, s.Events(), n)
+		checkSeq(t, before, first)
+	}
+}
+
+// appendSink is the reference for a short trace: one slice, bare append.
+type appendSink struct{ events []Event }
+
+func (s *appendSink) Emit(e Event) { s.events = append(s.events, e) }
+
+// A short trace grows by plain append, so it allocates what a bare
+// append sink does: the same allocations, of the same sizes (the same
+// capacity at the end). Campaign cells keep about 35 events each.
+func TestSliceSinkSmallTraceAllocs(t *testing.T) {
+	const n = 10
+	var sink *SliceSink
+	var ref *appendSink
+	fill := func(s Sink) { // through the interface, as a recorder emits
+		for j := 0; j < n; j++ {
+			s.Emit(Event{V1: int64(j)})
+		}
+	}
+	sinkAllocs := testing.AllocsPerRun(100, func() { sink = &SliceSink{}; fill(sink) })
+	refAllocs := testing.AllocsPerRun(100, func() { ref = &appendSink{}; fill(ref) })
+	if sinkAllocs != refAllocs || cap(sink.Events()) != cap(ref.events) {
+		t.Fatalf("10-event trace: %v allocations to cap %d, bare append %v to cap %d",
+			sinkAllocs, cap(sink.Events()), refAllocs, cap(ref.events))
+	}
+}

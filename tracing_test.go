@@ -19,11 +19,12 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files from the cur
 
 // causalTraceEvents runs a small fixed network workload under periodic
 // driver kills with the full causal trace (spans, links, IPC edges)
-// captured in memory, and returns the event stream.
-func causalTraceEvents(t *testing.T, seed int64, size int64) []obs.Event {
+// captured in memory, and returns the event stream. Sinks in also see
+// the same stream.
+func causalTraceEvents(t *testing.T, seed int64, size int64, also ...obs.Sink) []obs.Event {
 	t.Helper()
 	sink := &obs.SliceSink{}
-	rec := obs.NewRecorder(sink)
+	rec := obs.NewRecorder(append([]obs.Sink{sink}, also...)...)
 	sys := New(Config{
 		Seed:        seed,
 		DisableDisk: true,
@@ -77,6 +78,30 @@ func TestPerfettoExportRunToRun(t *testing.T) {
 	b := export.Bytes(causalTraceEvents(t, 11, 1<<20))
 	if !bytes.Equal(a, b) {
 		t.Fatalf("perfetto export not reproducible across runs: %d vs %d bytes", len(a), len(b))
+	}
+}
+
+// TestSliceSinkMatchesJSONLStream cross-checks the chunked SliceSink
+// against the streaming reference: an observed run long enough to fill
+// several chunks feeds both, and the retained events, encoded, must be
+// byte-equal to what the JSONL sink wrote as they happened.
+func TestSliceSinkMatchesJSONLStream(t *testing.T) {
+	var stream bytes.Buffer
+	jsonl := obs.NewJSONLSink(&stream)
+	events := causalTraceEvents(t, 11, 256<<10, jsonl)
+	if jsonl.Err() != nil {
+		t.Fatal(jsonl.Err())
+	}
+	if len(events) < 2*4096 {
+		t.Fatalf("only %d events: the run must cross two chunk boundaries", len(events))
+	}
+	var got []byte
+	for _, e := range events {
+		got = obs.AppendJSONL(got, e)
+	}
+	if !bytes.Equal(got, stream.Bytes()) {
+		t.Fatalf("retained trace (%d events, %d B) differs from the JSONL stream (%d B)",
+			len(events), len(got), stream.Len())
 	}
 }
 
