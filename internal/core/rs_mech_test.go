@@ -121,6 +121,48 @@ func TestStandbyPromotionFailsOver(t *testing.T) {
 	}
 }
 
+// TestStandbyReplicaDeathIsBackFilled kills the parked replica, not the
+// primary: RS parks a fresh one at a new endpoint and leaves the serving
+// instance alone — no failure counted, no recovery booked.
+func TestStandbyReplicaDeathIsBackFilled(t *testing.T) {
+	r := boot(t)
+	dev := &mechDevice{}
+	cfg := svcCfg("drv", mechBinary(dev, drvlib.Options{Mechanism: drvlib.MechStandby}))
+	cfg.Mechanism = MechStandby
+	r.rs.StartService(cfg)
+	r.env.Run(2 * time.Second)
+
+	before := findService(t, r.rs, "drv")
+	parked := r.k.LookupLabel(drvlib.StandbyLabel("drv"))
+	if parked == kernel.None || parked != before.StandbyEp {
+		t.Fatalf("parked replica at %v, RS records %v", parked, before.StandbyEp)
+	}
+	events := len(r.rs.Events())
+
+	if err := r.k.Kill(parked, kernel.SIGKILL); err != nil {
+		t.Fatal(err)
+	}
+	r.env.Run(2 * time.Second)
+
+	after := findService(t, r.rs, "drv")
+	if after.StandbyEp == kernel.None || after.StandbyEp == parked {
+		t.Fatalf("standby pool not back-filled: %v (the dead replica was %v)", after.StandbyEp, parked)
+	}
+	if got := r.k.LookupLabel(drvlib.StandbyLabel("drv")); got != after.StandbyEp {
+		t.Fatalf("kernel has the replica at %v, RS at %v", got, after.StandbyEp)
+	}
+	if after.Ep != before.Ep || after.Phase != before.Phase {
+		t.Fatalf("primary %v/%v after the replica died, was %v/%v", after.Ep, after.Phase, before.Ep, before.Phase)
+	}
+	if got := r.rs.Events(); len(got) != events {
+		t.Fatalf("a replica's death booked recovery events: %v", got[events:])
+	}
+	if after.Failures != 0 || dev.promoteCount != 0 || dev.initCount != 1 {
+		t.Fatalf("failures=%d promote=%d init=%d: the primary must be untouched",
+			after.Failures, dev.promoteCount, dev.initCount)
+	}
+}
+
 // TestRelabelRefusesLiveDuplicate pins the kernel half of the
 // never-two-owners invariant: a relabel onto a label another live
 // process bears must be refused.

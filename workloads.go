@@ -155,7 +155,7 @@ func (sys *System) Dd(path string, bs int, res *DdResult) {
 		// Measure from the first read, not from boot: opening waits for
 		// the disk driver's initial reset+identify.
 		start := p.Now()
-		h := sha1.New()
+		h := newSHA1()
 		buf := make([]byte, bs)
 		for {
 			n, err := f.Read(buf)
