@@ -83,9 +83,12 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	// cluster.Config reads a zero as "the default", so a count the user
-	// typed must be checked here.
+	// typed must be checked here; it reads a negative window so too.
 	if *nodes < 1 {
 		return fmt.Errorf("fleetbench: -nodes %d: a fleet has at least one node", *nodes)
+	}
+	if *window <= 0 {
+		return fmt.Errorf("fleetbench: -window %s: an availability window has a positive width", *window)
 	}
 	cfg := cluster.Config{
 		Nodes:  *nodes,

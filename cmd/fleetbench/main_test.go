@@ -44,6 +44,8 @@ func TestBadFlags(t *testing.T) {
 		{"storm interval below a millisecond", []string{"-storm", "correlated:eth.rtl8139,every=1ns", "-horizon", "1s"}, "-storm correlated:eth.rtl8139,every=1ns"},
 		{"nodes zero", []string{"-nodes", "0", "-horizon", "1s"}, "-nodes 0"},
 		{"nodes negative", []string{"-nodes", "-3", "-horizon", "1s"}, "-nodes -3"},
+		{"window zero", []string{"-window", "0s", "-horizon", "1s"}, "-window 0s"},
+		{"window negative", []string{"-window", "-1s", "-horizon", "1s"}, "-window -1s"},
 		{"rps NaN", []string{"-rps", "NaN", "-horizon", "1s"}, "-rps NaN"},
 		{"rps +Inf", []string{"-rps", "+Inf", "-horizon", "1s"}, "-rps +Inf"},
 		{"rps zero", []string{"-rps", "0", "-horizon", "1s"}, "-rps 0"},

@@ -26,6 +26,7 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"resilientos"
@@ -153,13 +154,19 @@ type Cluster struct {
 	healthy    []int
 	recovering int
 
-	arrivals, dispatched, reroutes family // per-class / per-node / per-cause counters
+	// The request path's counters, each resolved on its first event:
+	// every arrival and completion, and per class (indexed as classes),
+	// per node (as nodes) and per reroute cause (as rerouteCauses).
+	arrived, completed             counter
+	arrivals, dispatched, reroutes []counter
+
+	free *request // completed requests, for arrive to reuse
 
 	nextReq      int64
 	outstanding  int64
 	rerouted     int64
 	reroutedReqs int64
-	latencies    map[string][]sim.Time
+	latencies    [][]sim.Time // completed requests' latencies, indexed as classes
 }
 
 // Boot boots a fleet and lists its storm; call Run to execute the
@@ -181,19 +188,14 @@ func Boot(cfg Config) (*Cluster, error) {
 		reg:       obs.NewRegistry(),
 		horizon:   sim.Time(cfg.Horizon),
 		classes:   cfg.Classes,
-		latencies: make(map[string][]sim.Time, len(cfg.Classes)),
+		latencies: make([][]sim.Time, len(cfg.Classes)),
 		healthy:   make([]int, len(cfg.Classes)),
 	}
-	c.arrivals = family{c.reg, "fleet.arrivals.", map[string]*obs.Counter{}}
-	c.dispatched = family{c.reg, "fleet.dispatch.", map[string]*obs.Counter{}}
-	c.reroutes = family{c.reg, "fleet.reroute.", map[string]*obs.Counter{}}
-	withChar := false
-	for _, cl := range cfg.Classes {
-		c.latencies[cl] = nil
-		if cl == resilientos.ClassChar {
-			withChar = true
-		}
-	}
+	c.arrived = counter{reg: c.reg, name: "fleet.arrivals"}
+	c.completed = counter{reg: c.reg, name: "fleet.complete"}
+	c.arrivals = family(c.reg, "fleet.arrivals.", cfg.Classes)
+	c.reroutes = family(c.reg, "fleet.reroute.", rerouteCauses)
+	withChar := slices.Contains(cfg.Classes, resilientos.ClassChar)
 	c.rng = rand.New(rand.NewSource(cfg.Seed ^ 0x466C656574)) // "Fleet"
 	c.sampler = timeseries.New(timeseries.Config{
 		Window:   sim.Time(cfg.Window),
@@ -204,9 +206,12 @@ func Boot(cfg Config) (*Cluster, error) {
 		cfg.Perf.Attach(c.fleet)
 		c.sampler.SetPerf(cfg.Perf)
 	}
-	for i := 0; i < cfg.Nodes; i++ {
+	names := make([]string, cfg.Nodes)
+	for i := range names {
 		c.nodes = append(c.nodes, newNode(i, cfg.Seed, withChar, cfg.Perf))
+		names[i] = c.nodes[i].Name
 	}
+	c.dispatched = family(c.reg, "fleet.dispatch.", names)
 	if s := cfg.Storm; s.Kind != "none" && !c.nodes[0].Sys.RS.Guards(s.Driver) {
 		c.Close()
 		return nil, fmt.Errorf("cluster: storm victim %q is not a driver the fleet's members guard", s.Driver)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"time"
 
@@ -26,19 +27,20 @@ type tracker struct {
 	width   sim.Time
 	windows int
 
-	classes    []string
-	minHealthy map[string][]int
-	bounces    map[string][]int
-	healthySum map[string]int64 // summed healthy counts over barriers
+	// Per class, indexed like the campaign's classes.
+	minHealthy [][]int
+	bounces    [][]int
+	healthySum []int64 // summed healthy counts over barriers
 
-	// SLO accounting, per class with a declared latency budget: sloOver
-	// counts over-budget completions per window, sloWithin/sloTotal count
-	// requests within/of-all completions (including completions landing
-	// in the drain, outside every window).
-	budgets   map[string]sim.Time
-	sloOver   map[string][]int
-	sloWithin map[string]int64
-	sloTotal  map[string]int64
+	// SLO accounting, per class with a declared latency budget (0 in
+	// budgets for a class without one): sloOver counts over-budget
+	// completions per window, sloWithin/sloTotal count requests
+	// within/of-all completions (including completions landing in the
+	// drain, outside every window).
+	budgets   []sim.Time
+	sloOver   [][]int
+	sloWithin []int64
+	sloTotal  []int64
 
 	barriers   int
 	overlapSum int64 // nodes mid-recovery, summed over barriers
@@ -46,26 +48,27 @@ type tracker struct {
 }
 
 func newTracker(start, width sim.Time, windows int, classes []string, budgets map[string]time.Duration) *tracker {
+	n := len(classes)
 	t := &tracker{
-		start: start, width: width, windows: windows, classes: classes,
-		minHealthy: make(map[string][]int, len(classes)),
-		bounces:    make(map[string][]int, len(classes)),
-		healthySum: make(map[string]int64, len(classes)),
-		budgets:    make(map[string]sim.Time, len(budgets)),
-		sloOver:    make(map[string][]int, len(budgets)),
-		sloWithin:  make(map[string]int64, len(budgets)),
-		sloTotal:   make(map[string]int64, len(budgets)),
+		start: start, width: width, windows: windows,
+		minHealthy: make([][]int, n),
+		bounces:    make([][]int, n),
+		healthySum: make([]int64, n),
+		budgets:    make([]sim.Time, n),
+		sloOver:    make([][]int, n),
+		sloWithin:  make([]int64, n),
+		sloTotal:   make([]int64, n),
 	}
-	for _, cl := range classes {
+	for c, cl := range classes {
 		mh := make([]int, windows)
 		for i := range mh {
 			mh[i] = 1 << 30
 		}
-		t.minHealthy[cl] = mh
-		t.bounces[cl] = make([]int, windows)
+		t.minHealthy[c] = mh
+		t.bounces[c] = make([]int, windows)
 		if b := budgets[cl]; b > 0 {
-			t.budgets[cl] = sim.Time(b)
-			t.sloOver[cl] = make([]int, windows)
+			t.budgets[c] = sim.Time(b)
+			t.sloOver[c] = make([]int, windows)
 		}
 	}
 	return t
@@ -91,16 +94,17 @@ func (t *tracker) sampleBarrier(at sim.Time, healthy []int, recoveringNodes int)
 		t.overlapMax = recoveringNodes
 	}
 	w := t.window(at)
-	for i, cl := range t.classes {
-		t.healthySum[cl] += int64(healthy[i])
-		if w >= 0 && healthy[i] < t.minHealthy[cl][w] {
-			t.minHealthy[cl][w] = healthy[i]
+	for c, h := range healthy {
+		t.healthySum[c] += int64(h)
+		if w >= 0 && h < t.minHealthy[c][w] {
+			t.minHealthy[c][w] = h
 		}
 	}
 }
 
-// noteBounce attributes one failed request attempt to its window.
-func (t *tracker) noteBounce(class string, at sim.Time) {
+// noteBounce attributes one failed request attempt of class (an index
+// into the classes) to its window.
+func (t *tracker) noteBounce(class int, at sim.Time) {
 	if i := t.window(at); i >= 0 {
 		t.bounces[class][i]++
 	}
@@ -108,9 +112,9 @@ func (t *tracker) noteBounce(class string, at sim.Time) {
 
 // noteComplete scores one completed request against its class's latency
 // budget (no-op for classes without one).
-func (t *tracker) noteComplete(class string, at, lat sim.Time) {
-	b, ok := t.budgets[class]
-	if !ok {
+func (t *tracker) noteComplete(class int, at, lat sim.Time) {
+	b := t.budgets[class]
+	if b == 0 {
 		return
 	}
 	t.sloTotal[class]++
@@ -125,9 +129,9 @@ func (t *tracker) noteComplete(class string, at, lat sim.Time) {
 // has no budget. AttainedPct is request-level (completions within
 // budget); WindowPct is the fraction of horizon windows without an
 // over-budget completion — the per-window SLO the spec declares.
-func (t *tracker) slo(class string) *SLOReport {
-	b, ok := t.budgets[class]
-	if !ok {
+func (t *tracker) slo(class int) *SLOReport {
+	b := t.budgets[class]
+	if b == 0 {
 		return nil
 	}
 	r := &SLOReport{Budget: time.Duration(b), AttainedPct: 100, WindowPct: 100}
@@ -149,7 +153,7 @@ func (t *tracker) slo(class string) *SLOReport {
 // availability returns, for one class, the fraction of windows that were
 // served (node up at every barrier, zero bounced attempts) and the
 // fraction with at least one healthy node (the policy-independent floor).
-func (t *tracker) availability(class string) (servedPct, nodePct float64) {
+func (t *tracker) availability(class int) (servedPct, nodePct float64) {
 	if t.windows == 0 {
 		return 100, 100
 	}
@@ -271,26 +275,26 @@ func (c *Cluster) buildReport() *Report {
 	}
 
 	allServed := 100.0
-	var pool []sim.Time
-	for _, cl := range c.tracker.classes {
-		served, node := c.tracker.availability(cl)
+	for i, cl := range c.classes {
+		served, node := c.tracker.availability(i)
 		if served < allServed {
 			allServed = served
 		}
 		mean := 0.0
 		if c.tracker.barriers > 0 {
-			mean = float64(c.tracker.healthySum[cl]) / float64(c.tracker.barriers)
+			mean = float64(c.tracker.healthySum[i]) / float64(c.tracker.barriers)
 		}
+		lat := c.latencies[i]
+		slices.Sort(lat)
 		r.Classes = append(r.Classes, ClassReport{
 			Class:               cl,
 			AvailabilityPct:     served,
 			NodeAvailabilityPct: node,
 			MeanHealthyNodes:    mean,
-			Requests:            int64(len(c.latencies[cl])),
-			Latency:             obs.Summarize(c.latencies[cl]),
-			SLO:                 c.tracker.slo(cl),
+			Requests:            int64(len(lat)),
+			Latency:             obs.SummarizeSorted(lat),
+			SLO:                 c.tracker.slo(i),
 		})
-		pool = append(pool, c.latencies[cl]...)
 	}
 	r.AvailabilityPct = allServed
 	nodeAll := 100.0
@@ -300,7 +304,8 @@ func (c *Cluster) buildReport() *Report {
 		}
 	}
 	r.NodeAvailabilityPct = nodeAll
-	r.Latency = obs.Summarize(pool)
+	pool := mergeSorted(c.latencies)
+	r.Latency = obs.SummarizeSorted(pool)
 
 	r.Requests = c.nextReq
 	r.Completed = int64(len(pool))
@@ -341,6 +346,24 @@ func (c *Cluster) buildReport() *Report {
 	}
 	r.MaxRecoveryOverlap = c.tracker.overlapMax
 	return r
+}
+
+// mergeSorted merges runs, each in ascending order, into one new slice in
+// ascending order.
+func mergeSorted(runs [][]sim.Time) []sim.Time {
+	var out []sim.Time
+	for _, run := range runs {
+		merged := make([]sim.Time, 0, len(out)+len(run))
+		for len(out) > 0 && len(run) > 0 {
+			if run[0] < out[0] {
+				merged, run = append(merged, run[0]), run[1:]
+			} else {
+				merged, out = append(merged, out[0]), out[1:]
+			}
+		}
+		out = append(append(merged, out...), run...)
+	}
+	return out
 }
 
 // WriteJSON writes the report as canonical indented JSON. Everything in

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"time"
 
 	"resilientos"
@@ -15,28 +16,38 @@ import (
 // mid-flight to a storm strike) pays a reroute penalty and is re-routed
 // by the active policy, exactly the traffic-diversion story the fleet
 // simulation exists to measure.
+//
+// Requests are pooled: arrive takes one off the cluster's free list and
+// finish puts it back, so a steady campaign allocates none. A request has
+// at most one attempt pending; its one timer, made with it, ends that
+// attempt in finish, and dispatch records where the attempt runs and
+// whether it bounced.
 type request struct {
-	id       int64
-	class    string // resilientos.ClassNet, ClassDisk, or ClassChar
+	class    int // index into Cluster.classes
 	arrival  sim.Time
 	size     int64 // request payload bytes; the transfer term of serviceTime
 	reroutes int
+
+	node  *Node // where the pending attempt was dispatched
+	retry bool  // the attempt bounced: finish dispatches it again
+	timer *sim.Timer
+	next  *request // free-list link
 }
 
 // armArrivals starts the request source on the fleet clock: event i of
 // the campaign's arrival sequence fires at settle+T_i, up to the campaign
-// horizon. The chain keeps one pending timer instead of flooding the
-// event heap with the whole trace, and batches all events that share a
-// timestamp. Trace order is arrival order, so a recorded campaign
-// replays exactly — the generator's own random streams never touch the
-// cluster RNG, which keeps service-time draws identical between a
-// recording run and its replay.
+// horizon. One timer, re-armed for the next instant, keeps the chain's one
+// pending event instead of flooding the event heap with the whole trace,
+// and batches all events that share a timestamp. Trace order is arrival
+// order, so a recorded campaign replays exactly — the generator's own
+// random streams never touch the cluster RNG, which keeps service-time
+// draws identical between a recording run and its replay.
 func (c *Cluster) armArrivals(until sim.Time) {
 	events := c.cfg.Arrivals
 	base := c.fleet.Now() // the settle barrier
 	i := 0
-	var pump func()
-	pump = func() {
+	var next *sim.Timer
+	pump := func() {
 		now := c.fleet.Now()
 		for i < len(events) && base+events[i].T <= now {
 			if now < until {
@@ -45,122 +56,152 @@ func (c *Cluster) armArrivals(until sim.Time) {
 			i++
 		}
 		if i < len(events) && base+events[i].T < until {
-			c.fleet.Schedule(base+events[i].T-now, pump)
+			next.Reset(base + events[i].T - now)
 		}
 	}
+	next = c.fleet.NewTimer(pump)
 	pump()
 }
 
 // arrive admits one workload event as a request.
 func (c *Cluster) arrive(ev workload.Event) {
 	c.nextReq++
-	r := &request{id: c.nextReq, class: ev.Class, arrival: c.fleet.Now(), size: ev.Size}
+	r := c.free
+	if r == nil {
+		r = &request{}
+		r.timer = c.fleet.NewTimer(func() { c.finish(r) })
+	} else {
+		c.free = r.next
+	}
+	*r = request{class: c.classIndex(ev.Class), arrival: c.fleet.Now(), size: ev.Size, timer: r.timer}
 	c.outstanding++
-	c.reg.Counter("fleet.arrivals").Add(1)
-	c.arrivals.inc(ev.Class)
+	c.arrived.inc()
+	c.arrivals[r.class].inc()
 	c.dispatch(r)
 }
 
-// family is the counters "<prefix><key>" of one registry, each resolved
-// once: a counter is created by its key's first event, as a direct
-// Registry.Counter call would, so the registry holds the same names.
-type family struct {
-	reg    *obs.Registry
-	prefix string
-	byKey  map[string]*obs.Counter
+// classIndex is class's index in the campaign's classes. An arrival of a
+// class the campaign does not route is a caller's bug: no node serves it.
+func (c *Cluster) classIndex(class string) int {
+	for i, cl := range c.classes {
+		if cl == class {
+			return i
+		}
+	}
+	panic(fmt.Sprintf("cluster: an arrival of class %q, not one of the campaign's classes %v", class, c.classes))
 }
 
-func (f *family) inc(key string) {
-	ctr, ok := f.byKey[key]
-	if !ok {
-		ctr = f.reg.Counter(f.prefix + key)
-		f.byKey[key] = ctr
-	}
-	ctr.Add(1)
+// counter is one counter of a registry, resolved on its first event —
+// where a direct Registry.Counter call would create it, so the registry
+// holds the same names at every instant.
+type counter struct {
+	reg  *obs.Registry
+	name string
+	ctr  *obs.Counter
 }
+
+func (k *counter) inc() {
+	if k.ctr == nil {
+		k.ctr = k.reg.Counter(k.name)
+	}
+	k.ctr.Add(1)
+}
+
+// family is the counters "<prefix><key>", indexed as keys.
+func family(reg *obs.Registry, prefix string, keys []string) []counter {
+	f := make([]counter, len(keys))
+	for i, key := range keys {
+		f[i] = counter{reg: reg, name: prefix + key}
+	}
+	return f
+}
+
+// Why an attempt was rerouted, indexing Cluster.reroutes: it was
+// dispatched onto a sick node, or its node fell sick while serving it.
+const (
+	rerouteSick = iota
+	rerouteMidflight
+)
+
+var rerouteCauses = []string{rerouteSick: "sick", rerouteMidflight: "midflight"}
 
 // Per-class service-cost model: a fixed per-request base, a
-// size-proportional transfer term, and exponential jitter. Bandwidths
-// are ns-per-byte.
+// size-proportional transfer term, and exponential jitter.
 const (
 	netBase  = 1 * time.Millisecond
 	diskBase = 3 * time.Millisecond
 	charBase = 4 * time.Millisecond
 )
 
-var nsPerByte = map[string]float64{
-	resilientos.ClassNet:  1e9 / (16 << 20), // 16 MiB/s
-	resilientos.ClassDisk: 1e9 / (32 << 20), // 32 MiB/s
-	resilientos.ClassChar: 1e9 / (1 << 20),  // 1 MiB/s
-}
-
 // serviceTime draws a deterministic service time for one attempt:
-// base + size/bandwidth + jitter.
+// base + size/bandwidth + jitter, the bandwidth in ns per byte.
 func (c *Cluster) serviceTime(class string, size int64) sim.Time {
-	var base sim.Time
-	var jitter time.Duration
+	base, jitter, nsPerByte := netBase, 1500*time.Microsecond, 1e9/float64(16<<20) // 16 MiB/s
 	switch class {
 	case resilientos.ClassDisk:
-		base, jitter = sim.Time(diskBase), 2500*time.Microsecond
+		base, jitter, nsPerByte = diskBase, 2500*time.Microsecond, 1e9/float64(32<<20) // 32 MiB/s
 	case resilientos.ClassChar:
-		base, jitter = sim.Time(charBase), 2000*time.Microsecond
-	default:
-		base, jitter = sim.Time(netBase), 1500*time.Microsecond
+		base, jitter, nsPerByte = charBase, 2000*time.Microsecond, 1e9/float64(1<<20) // 1 MiB/s
 	}
-	return base + sim.Time(float64(size)*nsPerByte[class]) +
+	return sim.Time(base) + sim.Time(float64(size)*nsPerByte) +
 		sim.Time(c.rng.ExpFloat64()*float64(jitter))
 }
 
 // dispatch routes a request to a node chosen by the active policy, using
 // only barrier health snapshots and cluster bookkeeping (so routing is
-// independent of node-advance order).
+// independent of node-advance order), and arms the end of the attempt.
 func (c *Cluster) dispatch(r *request) {
-	n := c.nodes[c.policy.Pick(r.class, c.nodes)]
+	class := c.classes[r.class]
+	n := c.nodes[c.policy.Pick(class, c.nodes)]
 	n.inflight++
-	c.dispatched.inc(n.Name)
-	if !n.health.OK(r.class) {
+	c.dispatched[n.Index].inc()
+	r.node = n
+	if !n.health.OK(class) {
 		// Routed onto a sick node (health-blind policy, or a fleet-wide
-		// outage): the attempt stalls until the client re-routes.
-		c.bounce(r, n, "sick")
+		// outage): the attempt stalls until the client re-routes, after
+		// its retry timeout.
+		c.reroute(r, rerouteSick)
+		r.retry = true
+		r.timer.Reset(retryAfter)
 		return
 	}
-	st := c.serviceTime(r.class, r.size)
-	c.fleet.Schedule(st, func() { c.finish(r, n) })
+	r.retry = false
+	r.timer.Reset(c.serviceTime(class, r.size))
 }
 
-// bounce records a failed attempt and re-dispatches after the client's
-// retry timeout.
-func (c *Cluster) bounce(r *request, n *Node, why string) {
+// reroute books one failed attempt of r.
+func (c *Cluster) reroute(r *request, why int) {
 	r.reroutes++
 	c.rerouted++
-	c.reroutes.inc(why)
+	c.reroutes[why].inc()
 	c.tracker.noteBounce(r.class, c.fleet.Now())
-	c.fleet.Schedule(retryAfter, func() {
-		n.inflight--
-		c.dispatch(r)
-	})
 }
 
-// finish completes one attempt. If the node lost the request's service
-// class mid-flight (a storm strike landed during service), the attempt's
-// work is lost and the request re-routes immediately.
-func (c *Cluster) finish(r *request, n *Node) {
-	if !n.health.OK(r.class) {
-		r.reroutes++
-		c.rerouted++
-		c.reroutes.inc("midflight")
-		c.tracker.noteBounce(r.class, c.fleet.Now())
-		n.inflight--
+// finish ends the pending attempt, at its timer. A bounced attempt is
+// dispatched again. If the node lost the request's service class
+// mid-flight (a storm strike landed during service), the attempt's work
+// is lost and the request re-routes immediately. Otherwise the request
+// completes and goes back to the free list.
+func (c *Cluster) finish(r *request) {
+	n := r.node
+	n.inflight--
+	if r.retry {
 		c.dispatch(r)
 		return
 	}
-	n.inflight--
+	if !n.health.OK(c.classes[r.class]) {
+		c.reroute(r, rerouteMidflight)
+		c.dispatch(r)
+		return
+	}
 	c.outstanding--
-	c.reg.Counter("fleet.complete").Add(1)
-	lat := c.fleet.Now() - r.arrival
+	c.completed.inc()
+	now := c.fleet.Now()
+	lat := now - r.arrival
 	c.latencies[r.class] = append(c.latencies[r.class], lat)
-	c.tracker.noteComplete(r.class, c.fleet.Now(), lat)
+	c.tracker.noteComplete(r.class, now, lat)
 	if r.reroutes > 0 {
 		c.reroutedReqs++
 	}
+	r.node, r.next, c.free = nil, c.free, r
 }

@@ -159,13 +159,19 @@ type LatencySummary struct {
 }
 
 // Summarize computes exact percentiles over the given latencies (the
-// nearest-rank method on the sorted values).
+// nearest-rank method on the sorted values). lat is left as it is.
 func Summarize(lat []sim.Time) LatencySummary {
-	if len(lat) == 0 {
-		return LatencySummary{}
-	}
 	sorted := append([]sim.Time(nil), lat...)
 	slices.Sort(sorted)
+	return SummarizeSorted(sorted)
+}
+
+// SummarizeSorted is Summarize over latencies already in ascending
+// order, for a caller that sorted them in place once.
+func SummarizeSorted(sorted []sim.Time) LatencySummary {
+	if len(sorted) == 0 {
+		return LatencySummary{}
+	}
 	var sum sim.Time
 	for _, v := range sorted {
 		sum += v
