@@ -21,7 +21,6 @@ import (
 	"resilientos/internal/core"
 	"resilientos/internal/ds"
 	"resilientos/internal/kernel"
-	"resilientos/internal/loc"
 	"resilientos/internal/policy"
 	"resilientos/internal/proc"
 	"resilientos/internal/proto"
@@ -119,25 +118,6 @@ func fig3Rows(logf func(string, ...any)) []string {
 		fmt.Sprintf("%-10s %-8s %-16s", "Network", yesno(w.OK && w.Err == nil), "Network server"),
 		fmt.Sprintf("%-10s %-8s %-16s", "Block", yesno(d.Err == nil && d.Bytes == 16<<20), "File server"),
 		fmt.Sprintf("%-10s %-8s %-16s (app saw: %v)", "Character", "Maybe", "Application", chrErr),
-	}
-}
-
-// BenchmarkTable_LoCStats regenerates Fig. 9 (source code statistics and
-// recovery-specific reengineering effort).
-func BenchmarkTable_LoCStats(b *testing.B) {
-	root, err := loc.ModuleRoot(".")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		rows, err := loc.Table(root)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Logf("\n%s", loc.Render(rows))
-		total := rows[len(rows)-1]
-		b.ReportMetric(float64(total.Total), "total_loc")
-		b.ReportMetric(float64(total.Recovery), "recovery_loc")
 	}
 }
 

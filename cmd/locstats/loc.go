@@ -1,10 +1,11 @@
-// Package loc counts lines of executable code the way the paper's §7.3
-// does with sclc.pl: blank lines, comments, and declarations-only lines do
-// not add to code complexity and are excluded. It also counts the
-// recovery-specific lines, which this code base marks with a trailing
-// "// [recovery]" comment — reproducing Fig. 9's reengineering-effort
+// Lines of executable code are counted the way the paper's §7.3 does
+// with sclc.pl: blank lines, comments, and declarations-only lines do
+// not add to code complexity and are excluded. The recovery-specific
+// lines, which this code base marks with a trailing "// [recovery]"
+// comment, are counted too — reproducing Fig. 9's reengineering-effort
 // metric over this reproduction's own source.
-package loc
+
+package main
 
 import (
 	"fmt"
@@ -15,34 +16,34 @@ import (
 	"strings"
 )
 
-// Count is the line tally of one file, package, or component.
-type Count struct {
+// lineCount is the line tally of one file, package, or component.
+type lineCount struct {
 	Code     int // executable LoC (non-blank, non-comment)
 	Comment  int
 	Blank    int
 	Recovery int // code lines marked "// [recovery]"
 }
 
-// Add accumulates.
-func (c *Count) Add(o Count) {
+// add accumulates.
+func (c *lineCount) add(o lineCount) {
 	c.Code += o.Code
 	c.Comment += o.Comment
 	c.Blank += o.Blank
 	c.Recovery += o.Recovery
 }
 
-// Recovery markers. A trailing RecoveryMarker counts one line; a
-// RecoveryBegin/RecoveryEnd comment pair counts every code line between
+// Recovery markers. A trailing recoveryMarker counts one line; a
+// recoveryBegin/recoveryEnd comment pair counts every code line between
 // (for whole recovery-specific functions).
 const (
-	RecoveryMarker = "// [recovery]"
-	RecoveryBegin  = "// [recovery:begin]"
-	RecoveryEnd    = "// [recovery:end]"
+	recoveryMarker = "// [recovery]"
+	recoveryBegin  = "// [recovery:begin]"
+	recoveryEnd    = "// [recovery:end]"
 )
 
-// CountSource tallies one Go source text.
-func CountSource(src string) Count {
-	var c Count
+// countSource tallies one Go source text.
+func countSource(src string) lineCount {
+	var c lineCount
 	inBlock := false
 	inRegion := false
 	for _, raw := range strings.Split(src, "\n") {
@@ -57,10 +58,10 @@ func CountSource(src string) Count {
 			c.Blank++
 		case strings.HasPrefix(line, "//"):
 			c.Comment++
-			if strings.Contains(line, RecoveryBegin) {
+			if strings.Contains(line, recoveryBegin) {
 				inRegion = true
 			}
-			if strings.Contains(line, RecoveryEnd) {
+			if strings.Contains(line, recoveryEnd) {
 				inRegion = false
 			}
 		case strings.HasPrefix(line, "/*"):
@@ -70,7 +71,7 @@ func CountSource(src string) Count {
 			}
 		default:
 			c.Code++
-			if inRegion || strings.Contains(line, RecoveryMarker) {
+			if inRegion || strings.Contains(line, recoveryMarker) {
 				c.Recovery++
 			}
 		}
@@ -78,48 +79,48 @@ func CountSource(src string) Count {
 	return c
 }
 
-// CountFile tallies one file on disk.
-func CountFile(path string) (Count, error) {
+// countFile tallies one file on disk.
+func countFile(path string) (lineCount, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
-		return Count{}, err
+		return lineCount{}, err
 	}
-	return CountSource(string(b)), nil
+	return countSource(string(b)), nil
 }
 
-// CountDir tallies all non-test Go files under dir (non-recursive).
-func CountDir(dir string) (Count, error) {
-	var total Count
+// countDir tallies all non-test Go files under dir (non-recursive).
+func countDir(dir string) (lineCount, error) {
+	var total lineCount
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return Count{}, err
+		return lineCount{}, err
 	}
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		c, err := CountFile(filepath.Join(dir, name))
+		c, err := countFile(filepath.Join(dir, name))
 		if err != nil {
-			return Count{}, err
+			return lineCount{}, err
 		}
-		total.Add(c)
+		total.add(c)
 	}
 	return total, nil
 }
 
-// Component maps a Fig. 9 row to the directories implementing it.
-type Component struct {
+// component maps a Fig. 9 row to the directories implementing it.
+type component struct {
 	Name string
 	Dirs []string
 }
 
-// Fig9Components is this reproduction's component inventory in the order
+// fig9Components is this reproduction's component inventory in the order
 // of the paper's Fig. 9 (plus the substrates the paper's table does not
 // break out).
-func Fig9Components(root string) []Component {
+func fig9Components(root string) []component {
 	d := func(p string) string { return filepath.Join(root, p) }
-	return []Component{
+	return []component{
 		{"Reinc. Server", []string{d("internal/core")}},
 		{"Data Store", []string{d("internal/ds")}},
 		{"VFS Server", []string{d("internal/vfs")}},
@@ -137,15 +138,15 @@ func Fig9Components(root string) []Component {
 	}
 }
 
-// Row is one rendered table row.
-type Row struct {
+// row is one rendered table row.
+type row struct {
 	Name     string
 	Total    int
 	Recovery int
 }
 
-// Pct renders the recovery percentage like the paper does ("<1%", "0%").
-func (r Row) Pct() string {
+// pct renders the recovery percentage like the paper does ("<1%", "0%").
+func (r row) pct() string {
 	if r.Total == 0 {
 		return "-"
 	}
@@ -160,21 +161,21 @@ func (r Row) Pct() string {
 	}
 }
 
-// Table computes the Fig. 9 table for the module rooted at root.
-func Table(root string) ([]Row, error) {
-	var rows []Row
-	var total Row
+// table computes the Fig. 9 table for the module rooted at root.
+func table(root string) ([]row, error) {
+	var rows []row
+	var total row
 	total.Name = "Total"
-	for _, comp := range Fig9Components(root) {
-		var c Count
+	for _, comp := range fig9Components(root) {
+		var c lineCount
 		for _, dir := range comp.Dirs {
-			dc, err := CountDir(dir)
+			dc, err := countDir(dir)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", comp.Name, err)
 			}
-			c.Add(dc)
+			c.add(dc)
 		}
-		rows = append(rows, Row{Name: comp.Name, Total: c.Code, Recovery: c.Recovery})
+		rows = append(rows, row{Name: comp.Name, Total: c.Code, Recovery: c.Recovery})
 		total.Total += c.Code
 		total.Recovery += c.Recovery
 	}
@@ -182,18 +183,18 @@ func Table(root string) ([]Row, error) {
 	return rows, nil
 }
 
-// Render formats rows as the Fig. 9-style table.
-func Render(rows []Row) string {
+// render formats rows as the Fig. 9-style table.
+func render(rows []row) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-18s %9s %13s %6s\n", "Component", "Total LoC", "Recovery LoC", "%")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-18s %9d %13d %6s\n", r.Name, r.Total, r.Recovery, r.Pct())
+		fmt.Fprintf(&b, "%-18s %9d %13d %6s\n", r.Name, r.Total, r.Recovery, r.pct())
 	}
 	return b.String()
 }
 
-// ModuleRoot walks up from dir to the directory containing go.mod.
-func ModuleRoot(dir string) (string, error) {
+// moduleRoot walks up from dir to the directory containing go.mod.
+func moduleRoot(dir string) (string, error) {
 	dir, err := filepath.Abs(dir)
 	if err != nil {
 		return "", err
@@ -204,16 +205,16 @@ func ModuleRoot(dir string) (string, error) {
 		}
 		parent := filepath.Dir(dir)
 		if parent == dir {
-			return "", fmt.Errorf("loc: no go.mod above %s", dir)
+			return "", fmt.Errorf("no go.mod above %s", dir)
 		}
 		dir = parent
 	}
 }
 
-// TotalsByPackage tallies every package under root (for reporting overall
+// totalsByPackage tallies every package under root (for reporting overall
 // repository size).
-func TotalsByPackage(root string) (map[string]Count, error) {
-	out := make(map[string]Count)
+func totalsByPackage(root string) (map[string]lineCount, error) {
+	out := make(map[string]lineCount)
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -224,7 +225,7 @@ func TotalsByPackage(root string) (map[string]Count, error) {
 		if d.Name() == ".git" {
 			return fs.SkipDir
 		}
-		c, err := CountDir(path)
+		c, err := countDir(path)
 		if err != nil {
 			return err
 		}
@@ -237,8 +238,8 @@ func TotalsByPackage(root string) (map[string]Count, error) {
 	return out, err
 }
 
-// SortedNames returns map keys in order.
-func SortedNames(m map[string]Count) []string {
+// sortedNames returns map keys in order.
+func sortedNames(m map[string]lineCount) []string {
 	names := make([]string, 0, len(m))
 	for k := range m {
 		names = append(names, k)

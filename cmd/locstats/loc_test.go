@@ -1,4 +1,4 @@
-package loc
+package main
 
 import (
 	"strings"
@@ -16,7 +16,7 @@ func f() int {
 	return x // [recovery]
 }
 `
-	c := CountSource(src)
+	c := countSource(src)
 	if c.Code != 5 {
 		t.Errorf("Code = %d, want 5", c.Code)
 	}
@@ -33,25 +33,25 @@ func f() int {
 
 func TestCountSourceBlockComment(t *testing.T) {
 	src := "code()\n/*\na\nb\n*/\ncode()\n"
-	c := CountSource(src)
+	c := countSource(src)
 	if c.Code != 2 || c.Comment != 4 {
 		t.Fatalf("code=%d comment=%d", c.Code, c.Comment)
 	}
 }
 
 func TestModuleRootAndTable(t *testing.T) {
-	root, err := ModuleRoot(".")
+	root, err := moduleRoot(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := Table(root)
+	rows, err := table(root)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) < 10 {
 		t.Fatalf("only %d rows", len(rows))
 	}
-	byName := map[string]Row{}
+	byName := map[string]row{}
 	for _, r := range rows {
 		byName[r.Name] = r
 	}
@@ -84,7 +84,7 @@ func TestModuleRootAndTable(t *testing.T) {
 	if fs.Recovery == 0 || fs.Recovery*2 > fs.Total {
 		t.Errorf("file server recovery = %d of %d", fs.Recovery, fs.Total)
 	}
-	out := Render(rows)
+	out := render(rows)
 	if !strings.Contains(out, "Reinc. Server") || !strings.Contains(out, "Total") {
 		t.Fatalf("render missing rows:\n%s", out)
 	}
@@ -92,27 +92,27 @@ func TestModuleRootAndTable(t *testing.T) {
 
 func TestPct(t *testing.T) {
 	cases := []struct {
-		r    Row
+		r    row
 		want string
 	}{
-		{Row{Total: 100, Recovery: 0}, "0%"},
-		{Row{Total: 1000, Recovery: 5}, "<1%"},
-		{Row{Total: 100, Recovery: 30}, "30%"},
-		{Row{Total: 0, Recovery: 0}, "-"},
+		{row{Total: 100, Recovery: 0}, "0%"},
+		{row{Total: 1000, Recovery: 5}, "<1%"},
+		{row{Total: 100, Recovery: 30}, "30%"},
+		{row{Total: 0, Recovery: 0}, "-"},
 	}
 	for _, tc := range cases {
-		if got := tc.r.Pct(); got != tc.want {
+		if got := tc.r.pct(); got != tc.want {
 			t.Errorf("Pct(%+v) = %q, want %q", tc.r, got, tc.want)
 		}
 	}
 }
 
 func TestTotalsByPackage(t *testing.T) {
-	root, err := ModuleRoot(".")
+	root, err := moduleRoot(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	totals, err := TotalsByPackage(root)
+	totals, err := totalsByPackage(root)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,8 +15,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-
-	"resilientos/internal/loc"
 )
 
 func main() {
@@ -35,33 +33,32 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	root, err := loc.ModuleRoot(".")
+	root, err := moduleRoot(".")
 	if err != nil {
 		return err
 	}
-	rows, err := loc.Table(root)
+	rows, err := table(root)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(stdout, "Fig. 9: reengineering effort specific to recovery (executable LoC)")
 	fmt.Fprintln(stdout, "(paper: RS 30%, DS 15%, VFS 5%, FS <1%, drivers ~5 lines, PM and kernel 0)")
 	fmt.Fprintln(stdout)
-	fmt.Fprint(stdout, loc.Render(rows))
+	fmt.Fprint(stdout, render(rows))
 
 	if *all {
 		fmt.Fprintln(stdout, "\nAll packages (code / comment / blank):")
-		totals, err := loc.TotalsByPackage(root)
+		totals, err := totalsByPackage(root)
 		if err != nil {
 			return err
 		}
-		var code, comment int
-		for _, name := range loc.SortedNames(totals) {
+		var total lineCount
+		for _, name := range sortedNames(totals) {
 			c := totals[name]
 			fmt.Fprintf(stdout, "  %-32s %6d %6d %6d\n", name, c.Code, c.Comment, c.Blank)
-			code += c.Code
-			comment += c.Comment
+			total.add(c)
 		}
-		fmt.Fprintf(stdout, "  %-32s %6d %6d\n", "TOTAL", code, comment)
+		fmt.Fprintf(stdout, "  %-32s %6d %6d %6d\n", "TOTAL", total.Code, total.Comment, total.Blank)
 	}
 	return nil
 }

@@ -3,7 +3,9 @@ package main
 import (
 	"errors"
 	"flag"
+	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -17,7 +19,7 @@ func TestHelp(t *testing.T) {
 }
 
 // The Fig. 9 table and the per-package totals render from this module's
-// own source.
+// own source, and the TOTAL row sums each of the three columns.
 func TestFig9Table(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{"-all"}, &out); err != nil {
@@ -27,5 +29,28 @@ func TestFig9Table(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output lacks %q:\n%s", want, out.String())
 		}
+	}
+	_, pkgs, _ := strings.Cut(out.String(), "All packages (code / comment / blank):\n")
+	var sum [3]int
+	var total string
+	for _, line := range strings.Split(strings.TrimSuffix(pkgs, "\n"), "\n") {
+		f := strings.Fields(line)
+		if len(f) > 0 && f[0] == "TOTAL" {
+			total = line
+			break
+		}
+		if len(f) != 4 {
+			t.Fatalf("package row %q: want name, code, comment, blank", line)
+		}
+		for i := range sum {
+			n, err := strconv.Atoi(f[i+1])
+			if err != nil {
+				t.Fatalf("package row %q: %v", line, err)
+			}
+			sum[i] += n
+		}
+	}
+	if want := fmt.Sprintf("  %-32s %6d %6d %6d", "TOTAL", sum[0], sum[1], sum[2]); total != want {
+		t.Errorf("TOTAL row = %q, want %q", total, want)
 	}
 }

@@ -7,7 +7,7 @@
 // time, per-component compute/blocked/dead split).
 //
 //	tracestat fig7.jsonl
-//	tracestat -decisions base.jsonl   # summarize a recovery decision log (cmd/whatif)
+//	tracestat -decisions base.jsonl   # summarize a recovery decision log (faultbench -record)
 //	tracestat -spans fig7.jsonl       # also dump every recovery span
 //	tracestat -comp eth.rtl8139 trace.jsonl
 //	tracestat -kinds span.begin,span.end,span.orphan trace.jsonl
@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"resilientos/internal/obs"
-	"resilientos/internal/obs/export"
 	"resilientos/internal/obs/profile"
 )
 
@@ -65,6 +64,17 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	if *decisions {
+		// The other flags read an obs trace; a decision log has none of
+		// what they select or write.
+		var other string
+		fs.Visit(func(f *flag.Flag) {
+			if other == "" && f.Name != "decisions" && f.Value.String() != f.DefValue {
+				other = f.Name
+			}
+		})
+		if other != "" {
+			return fmt.Errorf("-%s does not apply to -decisions", other)
+		}
 		if fs.NArg() != 1 {
 			fs.Usage()
 			return fmt.Errorf("-decisions needs exactly one decision-log file")
@@ -190,15 +200,7 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "\nfolded stacks written to %s\n", *folded)
 	}
 	if *perfetto != "" {
-		out, err := os.Create(*perfetto)
-		if err != nil {
-			return err
-		}
-		if err := export.Export(out, events); err != nil {
-			out.Close()
-			return err
-		}
-		if err := out.Close(); err != nil {
+		if err := os.WriteFile(*perfetto, perfettoJSON(events), 0o644); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "perfetto trace written to %s\n", *perfetto)

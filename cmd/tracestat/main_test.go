@@ -159,4 +159,20 @@ func TestDecisionsSummary(t *testing.T) {
 	if err := run([]string{"-decisions", filepath.Join(t.TempDir(), "missing")}, io.Discard); err == nil {
 		t.Error("-decisions on a missing file: no error")
 	}
+	// Every flag of the trace summary is refused by name, not dropped.
+	path := writeFile(t, "decisions.jsonl", log)
+	perfetto := filepath.Join(t.TempDir(), "x.json")
+	for _, args := range [][]string{
+		{"-perfetto", perfetto}, {"-folded", perfetto}, {"-kinds", "bogus"},
+		{"-comp", "eth.rtl8139"}, {"-spans"}, {"-top", "3"},
+	} {
+		err := run(append(append([]string{"-decisions"}, args...), path), io.Discard)
+		if err == nil || !strings.Contains(err.Error(), args[0]) {
+			t.Errorf("-decisions %q: err = %v, want one naming %s", args, err, args[0])
+		}
+	}
+	if _, err := os.Stat(perfetto); !os.IsNotExist(err) {
+		t.Errorf("-decisions -perfetto wrote %s (stat: %v)", perfetto, err)
+	}
+	requireAll(t, tracestat(t, "-decisions", "-top", "10", path), "9 decision events")
 }

@@ -1,5 +1,5 @@
-// Package export renders an obs event stream as a Chrome trace-event /
-// Perfetto JSON document (https://ui.perfetto.dev loads it directly).
+// The -perfetto export renders an obs event stream as a Chrome trace-event
+// / Perfetto JSON document (https://ui.perfetto.dev loads it directly).
 // Components become tracks, causal spans become complete ("X") slices in
 // virtual time, recovery milestones become instant events, and causal
 // edges — span links and IPC send/receive pairs — become flow arrows.
@@ -9,10 +9,10 @@
 // input order), so a fixed seed+workload produces a byte-identical
 // document — the determinism gate CI enforces by exporting twice and
 // comparing.
-package export
+
+package main
 
 import (
-	"io"
 	"sort"
 	"strconv"
 
@@ -28,21 +28,15 @@ var instantKinds = map[obs.Kind]bool{
 	obs.KindGiveUp:      true,
 }
 
-// Bytes renders events as a complete trace document.
-func Bytes(events []obs.Event) []byte {
-	var d doc
+// perfettoJSON renders events as a complete trace document.
+func perfettoJSON(events []obs.Event) []byte {
+	var d traceDoc
 	d.build(events)
 	return d.out
 }
 
-// Export writes the trace document for events to w.
-func Export(w io.Writer, events []obs.Event) error {
-	_, err := w.Write(Bytes(events))
-	return err
-}
-
-// doc accumulates the output document.
-type doc struct {
+// traceDoc accumulates the output document.
+type traceDoc struct {
 	out   []byte
 	first bool // next traceEvents element is the first
 	pid   int  // current segment's process id
@@ -53,7 +47,7 @@ type doc struct {
 // within one mark-delimited segment (each experiment run boots a fresh
 // recorder), so every segment is rendered as its own Perfetto process —
 // resolving IDs across segments would silently merge unrelated spans.
-func (d *doc) build(events []obs.Event) {
+func (d *traceDoc) build(events []obs.Event) {
 	d.out = append(d.out, `{"displayTimeUnit":"ms","traceEvents":[`...)
 	d.first = true
 	flowID := 0
@@ -65,7 +59,7 @@ func (d *doc) build(events []obs.Event) {
 }
 
 // segment renders one mark-delimited run as process pid.
-func (d *doc) segment(pid int, events []obs.Event, flowID *int) {
+func (d *traceDoc) segment(pid int, events []obs.Event, flowID *int) {
 	d.pid = pid
 	forest := obs.BuildForest(events)
 
@@ -124,7 +118,7 @@ func (d *doc) segment(pid int, events []obs.Event, flowID *int) {
 }
 
 // procMeta emits the process_name metadata record naming one segment.
-func (d *doc) procMeta(name string) {
+func (d *traceDoc) procMeta(name string) {
 	d.sep()
 	d.out = append(d.out, `{"name":"process_name","ph":"M","pid":`...)
 	d.out = strconv.AppendInt(d.out, int64(d.pid), 10)
@@ -133,7 +127,7 @@ func (d *doc) procMeta(name string) {
 	d.out = append(d.out, `}}`...)
 }
 
-func (d *doc) sep() {
+func (d *traceDoc) sep() {
 	if d.first {
 		d.first = false
 		return
@@ -142,7 +136,7 @@ func (d *doc) sep() {
 }
 
 // meta emits the thread_name metadata record naming one track.
-func (d *doc) meta(comp string) {
+func (d *traceDoc) meta(comp string) {
 	d.sep()
 	d.out = append(d.out, `{"name":"thread_name","ph":"M","pid":`...)
 	d.out = strconv.AppendInt(d.out, int64(d.pid), 10)
@@ -154,7 +148,7 @@ func (d *doc) meta(comp string) {
 }
 
 // slice emits one span as a complete ("X") event.
-func (d *doc) slice(s *obs.TraceSpan) {
+func (d *traceDoc) slice(s *obs.TraceSpan) {
 	d.sep()
 	d.out = append(d.out, `{"name":`...)
 	d.out = strconv.AppendQuote(d.out, s.Name)
@@ -189,7 +183,7 @@ func (d *doc) slice(s *obs.TraceSpan) {
 }
 
 // instant emits one recovery milestone as a thread-scoped instant event.
-func (d *doc) instant(e obs.Event) {
+func (d *traceDoc) instant(e obs.Event) {
 	d.sep()
 	d.out = append(d.out, `{"name":`...)
 	name := e.Kind.String()
@@ -207,7 +201,7 @@ func (d *doc) instant(e obs.Event) {
 }
 
 // flow emits one half of a flow arrow (ph "s" start / "f" finish).
-func (d *doc) flow(ph, kind string, id int, comp string, t sim.Time) {
+func (d *traceDoc) flow(ph, kind string, id int, comp string, t sim.Time) {
 	d.sep()
 	d.out = append(d.out, `{"name":`...)
 	d.out = strconv.AppendQuote(d.out, kind)

@@ -1,14 +1,21 @@
-package export
+package main
 
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"resilientos"
 	"resilientos/internal/obs"
 	"resilientos/internal/sim"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files from the current output")
 
 // fixture builds a small two-component trace with a crash-orphaned span,
 // a retry link, and a matched IPC send/recv pair.
@@ -31,7 +38,7 @@ func fixture() []obs.Event {
 }
 
 func TestExportIsValidJSON(t *testing.T) {
-	out := Bytes(fixture())
+	out := perfettoJSON(fixture())
 	var doc struct {
 		DisplayTimeUnit string           `json:"displayTimeUnit"`
 		TraceEvents     []map[string]any `json:"traceEvents"`
@@ -90,7 +97,7 @@ func TestExportSegmentsPerRun(t *testing.T) {
 	events = append(events, mark("run interval=1s"))
 	events = append(events, fixture()...)
 
-	out := Bytes(events)
+	out := perfettoJSON(events)
 	var doc struct {
 		TraceEvents []map[string]any `json:"traceEvents"`
 	}
@@ -118,8 +125,8 @@ func TestExportSegmentsPerRun(t *testing.T) {
 }
 
 func TestExportDeterministic(t *testing.T) {
-	a := Bytes(fixture())
-	b := Bytes(fixture())
+	a := perfettoJSON(fixture())
+	b := perfettoJSON(fixture())
 	if !bytes.Equal(a, b) {
 		t.Fatal("two exports of the same events differ")
 	}
@@ -132,5 +139,104 @@ func TestMicrosFraction(t *testing.T) {
 	}
 	if got := string(appendMicros(nil, sim.Time(5000))); got != "5" {
 		t.Fatalf("appendMicros(5000ns) = %q, want 5", got)
+	}
+}
+
+// causalTrace runs a small fixed network workload under periodic driver
+// kills with the full causal trace (spans, links, IPC edges) captured in
+// memory, and returns the event stream.
+func causalTrace(t *testing.T) []obs.Event {
+	t.Helper()
+	const seed, size = 11, 1 << 20
+	sink := &obs.SliceSink{}
+	sys := resilientos.New(resilientos.Config{
+		Seed:        seed,
+		DisableDisk: true,
+		DisableChar: true,
+		Obs:         obs.NewRecorder(sink),
+	})
+	defer sys.Close()
+	sys.Run(3 * time.Second)
+	sys.ServeFile(80, seed, size)
+	var w resilientos.WgetResult
+	sys.Wget(resilientos.DriverRTL8139, 80, seed, size, &w)
+	sys.Every(400*time.Millisecond, func() {
+		if w.Duration == 0 && w.Err == nil {
+			sys.KillDriver(resilientos.DriverRTL8139)
+		}
+	})
+	sys.Run(2 * time.Minute)
+	if !w.OK {
+		t.Fatalf("wget failed under kills: %d bytes err=%v", w.Bytes, w.Err)
+	}
+	return sink.Events()
+}
+
+// TestPerfettoExportGolden pins the export of a fixed seed+workload
+// byte-for-byte against a committed golden file. Any change to span
+// emission, ID allocation, or the export encoding shows up as a diff
+// here. Regenerate with: go test ./cmd/tracestat -run PerfettoExportGolden -update
+func TestPerfettoExportGolden(t *testing.T) {
+	got := perfettoJSON(causalTrace(t))
+	golden := filepath.Join("testdata", "perfetto_fig7_seed11.json")
+	if *update {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden (regenerate with -update): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("perfetto export differs from %s (%d vs %d bytes); "+
+			"if the change is intentional, regenerate with -update",
+			golden, len(got), len(want))
+	}
+}
+
+// TestPerfettoExportRunToRun reruns the golden workload from scratch and
+// demands a byte-identical document — the acceptance property that makes
+// exports diffable across commits and machines.
+func TestPerfettoExportRunToRun(t *testing.T) {
+	a := perfettoJSON(causalTrace(t))
+	b := perfettoJSON(causalTrace(t))
+	if !bytes.Equal(a, b) {
+		t.Fatalf("perfetto export not reproducible across runs: %d vs %d bytes", len(a), len(b))
+	}
+}
+
+// TestSweepExport drives -perfetto on a real two-interval sweep capture
+// read back from JSONL: each run's mark-delimited segment becomes its own
+// Perfetto process, named by its mark.
+func TestSweepExport(t *testing.T) {
+	var buf bytes.Buffer
+	sink := obs.NewJSONLSink(&buf)
+	cfg := resilientos.FigureConfig{Fig: 8, Size: 64 << 20, Trace: sink}
+	points := resilientos.Sweep(cfg, []time.Duration{time.Second, 2 * time.Second})
+	if err := sink.Err(); err != nil {
+		t.Fatal(err)
+	}
+	path := writeFile(t, "sweep.jsonl", buf.Bytes())
+	out := filepath.Join(t.TempDir(), "sweep.json")
+	tracestat(t, "-top", "0", "-perfetto", out, path)
+	raw, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []map[string]any `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("export is not valid JSON: %v", err)
+	}
+	procs := 0
+	for _, e := range doc.TraceEvents {
+		if e["name"] == "process_name" {
+			procs++
+		}
+	}
+	if procs != len(points) {
+		t.Errorf("%d Perfetto processes for %d runs", procs, len(points))
 	}
 }

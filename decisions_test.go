@@ -97,7 +97,7 @@ func TestDecisionLogFig7Golden(t *testing.T) {
 
 // TestDecisionLogRunToRun reruns the golden workload from scratch and
 // demands a byte-identical decision log — the reproducibility property
-// cmd/whatif's record/replay mode is built on.
+// faultbench's -record / -replay is built on.
 func TestDecisionLogRunToRun(t *testing.T) {
 	a := decision.Encode(fig7DecisionEvents(t, 11))
 	b := decision.Encode(fig7DecisionEvents(t, 11))

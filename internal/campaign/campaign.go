@@ -75,16 +75,13 @@ type Config struct {
 	Workers int
 	// Invariants attaches the live checker to every cell.
 	Invariants bool
-	// TraceTail is the number of trace events kept per cell for violation
-	// repro dumps (default 32).
-	TraceTail int
 	// Progress, if set, is called after each finished cell with
 	// (done, total). Calls are serialized but unordered across cells.
 	Progress func(done, total int)
 
 	// System is the configuration every cell boots: the recovery knobs
 	// (heartbeat, restart budget, policy script, mechanism — the
-	// counterfactual levers cmd/whatif sweeps) and the machine (the
+	// counterfactual levers faultbench -override sweeps) and the machine (the
 	// real-hardware gate). The zero value is the standard system. A cell
 	// overwrites only what a cell owns: Seed, Obs, Decisions, Perf,
 	// PreallocFiles and the three Disable* switches.
@@ -127,10 +124,11 @@ func (cfg *Config) fill() {
 	if cfg.Perf != nil {
 		cfg.Workers = 1
 	}
-	if cfg.TraceTail <= 0 {
-		cfg.TraceTail = 32
-	}
 }
+
+// traceTail is the number of trace events kept per cell for a violation's
+// repro dump.
+const traceTail = 32
 
 // Cell is one point of the campaign matrix.
 type Cell struct {
@@ -265,7 +263,7 @@ func runCellKeeping(cell Cell, cfg Config, keep []obs.Kind, injected func(*ucode
 			Kernel:    sys.Kernel,
 			RS:        sys.RS,
 			DS:        sys.DS,
-			TraceTail: cfg.TraceTail,
+			TraceTail: traceTail,
 		})
 		if decRec != nil {
 			decRec.AddSink(ck.DecisionSink())

@@ -16,10 +16,11 @@ import (
 )
 
 // SpecUsage is the one grammar that names a campaign wherever one is named
-// in text — faultbench -matrix, whatif -matrix and -override, the header of
-// a whatif recording, the repro line of a violation report — worded as flag
-// help. Keys apply left to right, so a key given twice keeps the last; how a campaign is run (workers,
-// invariants, decision log) is not part of its name.
+// in text — faultbench -matrix and -override, the header of a -record
+// file, the repro line of a violation report — worded as flag help. Keys
+// apply left to right, so a key given twice keeps the last; how a
+// campaign is run (workers, invariants, decision log) is not part of its
+// name.
 const SpecUsage = `campaign spec: comma-separated key=value, ';' between list items
   seeds=N | seed=a;b  seeds 1..N | exactly these seeds
   victims=a;b|all     driver labels (eth.dp8390, eth.rtl8139, disk.sata)

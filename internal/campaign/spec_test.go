@@ -14,9 +14,9 @@ import (
 	"resilientos/internal/policy"
 )
 
-// whatifBaseline is cmd/whatif's standard scenario, the spec most
-// recordings carry.
-const whatifBaseline = "seed=11,victims=eth.rtl8139,faults=bit-flip,per-cell=10,hb=500ms,misses=3,budget=0,backoff=1s,policy=on,mech=respawn,hw=off"
+// sweepBaseline is the campaign of the committed counterfactual sweep
+// (faultbench -override), spelled out in full.
+const sweepBaseline = "seed=11,victims=eth.rtl8139,faults=bit-flip,per-cell=10,hb=500ms,misses=3,budget=0,backoff=1s,policy=on,mech=respawn,hw=off"
 
 func mustParse(t *testing.T, spec string) Config {
 	t.Helper()
@@ -29,12 +29,12 @@ func mustParse(t *testing.T, spec string) Config {
 
 func TestSpecRoundTrip(t *testing.T) {
 	base := mustParse(t, "seed=11,victims=eth.rtl8139,faults=bit-flip,per-cell=10,backoff=1s")
-	if got := base.Spec(); got != whatifBaseline {
-		t.Fatalf("baseline spec = %q, want %q", got, whatifBaseline)
+	if got := base.Spec(); got != sweepBaseline {
+		t.Fatalf("baseline spec = %q, want %q", got, sweepBaseline)
 	}
 	parsed := mustParse(t, base.Spec())
-	if got := parsed.Spec(); got != whatifBaseline {
-		t.Fatalf("Spec(ParseSpec(Spec())) = %q, want %q", got, whatifBaseline)
+	if got := parsed.Spec(); got != sweepBaseline {
+		t.Fatalf("Spec(ParseSpec(Spec())) = %q, want %q", got, sweepBaseline)
 	}
 	if !reflect.DeepEqual(Cells(parsed), Cells(base)) {
 		t.Fatalf("round trip changed the matrix: %v vs %v", Cells(parsed), Cells(base))
@@ -80,7 +80,7 @@ func TestSpecRoundTrip(t *testing.T) {
 }
 
 // TestSeedsCountVsSeedList: seeds=N is a count, seed=a;b a list — the
-// pair faultbench and whatif used to read in opposite ways.
+// pair two campaign commands used to read in opposite ways.
 func TestSeedsCountVsSeedList(t *testing.T) {
 	if got := mustParse(t, "seeds=3").Seeds; !reflect.DeepEqual(got, []int64{1, 2, 3}) {
 		t.Errorf("seeds=3 -> %v, want 1..3", got)
@@ -104,7 +104,7 @@ func TestParseSpecErrors(t *testing.T) {
 		"seed=11,nonsense",            // not key=value
 		"seed=11,warp=9",              // unknown key
 		"seed=11,victim=eth.dp8390",   // unknown key: the singular is not an alias
-		"seed=11 victims=eth.dp8390",  // space-separated is the old whatif header
+		"seed=11 victims=eth.dp8390",  // space-separated is the old recording header
 		"seed=11,per-cell=0",          // per-cell below 1
 		"seed=11,hb=banana",           // bad duration
 		"seed=11,hb=0s",               // a zero period is not a period
@@ -143,7 +143,7 @@ func TestParseSpecErrors(t *testing.T) {
 }
 
 func TestApplyOverride(t *testing.T) {
-	base := mustParse(t, whatifBaseline)
+	base := mustParse(t, sweepBaseline)
 	sc, err := base.Override("hb=250ms, budget=1")
 	if err != nil {
 		t.Fatal(err)
@@ -153,10 +153,10 @@ func TestApplyOverride(t *testing.T) {
 	}
 	// The base is untouched (Override works on a copy) and everything
 	// the override did not name is kept.
-	if base.Spec() != whatifBaseline {
+	if base.Spec() != sweepBaseline {
 		t.Fatalf("baseline mutated: %s", base.Spec())
 	}
-	if want := strings.NewReplacer("hb=500ms", "hb=250ms", "budget=0", "budget=1").Replace(whatifBaseline); sc.Spec() != want {
+	if want := strings.NewReplacer("hb=500ms", "hb=250ms", "budget=0", "budget=1").Replace(sweepBaseline); sc.Spec() != want {
 		t.Fatalf("override = %q, want %q", sc.Spec(), want)
 	}
 
@@ -313,7 +313,7 @@ func TestReproLineReproduces(t *testing.T) {
 // accepts renders to a spec that is a fixed point of parse-then-render.
 func FuzzParseSpec(f *testing.F) {
 	for _, seed := range []string{
-		"", whatifBaseline, "seeds=64,victims=all,faults=all,per-cell=25",
+		"", sweepBaseline, "seeds=64,victims=all,faults=all,per-cell=25",
 		"seed=1,victims=eth.dp8390,faults=random,per-cell=12500,hw=on",
 		"seed=3;7,hb=off,policy=off,mech=standby", "backoff=0.3s", "seeds=0", "seed=;", "a=b", "=,=", "hb=1e9h",
 	} {

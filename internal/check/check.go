@@ -395,7 +395,7 @@ func (s decisionSink) Emit(e decision.Event) { s.c.onDecision(e) }
 // opens, exactly one outcome closes, actions and policy steps must fall
 // inside. Triggers are pre-episode by design and always allowed. Marks
 // reset the state via the obs-side KindMark case — but decision logs can
-// carry their own marks too (whatif cell boundaries), handled here.
+// carry their own marks too (campaign cell boundaries), handled here.
 func (c *Checker) onDecision(e decision.Event) {
 	switch e.Kind {
 	case decision.KindMark:

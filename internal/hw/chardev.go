@@ -241,10 +241,12 @@ func (h *AudioHandle) ReadCapture(max int) []byte {
 
 // PrinterConfig configures the printer device.
 type PrinterConfig struct {
-	Base     uint32
-	IRQ      int
-	LineTime sim.Time // time to print one line
+	Base uint32
+	IRQ  int
 }
+
+// printerLineTime is the time to print one line.
+const printerLineTime = 50 * sim.Time(1e6)
 
 // Printer prints lines one at a time. The driver cannot observe how far
 // into a line the device got — the §6.3 "duplicate printouts may result"
@@ -264,9 +266,6 @@ var _ kernel.Device = (*Printer)(nil)
 
 // NewPrinter creates the printer device mapped at [Base, Base+0x10).
 func NewPrinter(env *sim.Env, k *kernel.Kernel, cfg PrinterConfig) *Printer {
-	if cfg.LineTime == 0 {
-		cfg.LineTime = 50 * sim.Time(1e6) // 50ms/line
-	}
 	p := &Printer{env: env, k: k, cfg: cfg}
 	k.MapDevice(kernel.PortRange{Lo: cfg.Base, Hi: cfg.Base + 0x10}, p)
 	return p
@@ -320,7 +319,7 @@ func (h *PrinterHandle) Submit(line string) bool {
 	}
 	p.busy = true
 	p.pending = line
-	p.env.Schedule(p.cfg.LineTime, func() {
+	p.env.Schedule(printerLineTime, func() {
 		if !p.busy { // reset raced the completion
 			return
 		}
@@ -339,7 +338,6 @@ func (h *PrinterHandle) Submit(line string) bool {
 type BurnerConfig struct {
 	Base     uint32
 	IRQ      int
-	WriteBps int64    // laser write rate
 	GapLimit sim.Time // max stall before the burn is ruined (buffer underrun)
 }
 
@@ -364,9 +362,6 @@ var _ kernel.Device = (*Burner)(nil)
 
 // NewBurner creates the burner mapped at [Base, Base+0x10).
 func NewBurner(env *sim.Env, k *kernel.Kernel, cfg BurnerConfig) *Burner {
-	if cfg.WriteBps == 0 {
-		cfg.WriteBps = 2_400_000
-	}
 	if cfg.GapLimit == 0 {
 		cfg.GapLimit = 300 * sim.Time(1e6) // 300ms of buffer
 	}

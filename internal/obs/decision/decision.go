@@ -11,7 +11,7 @@
 // is valid and free, timestamps are virtual time, and the JSONL
 // encoding has a fixed field order so same-seed runs produce
 // byte-identical decision logs (usable as golden files and as the
-// replay substrate of cmd/whatif).
+// replay substrate of faultbench -replay).
 package decision
 
 import (

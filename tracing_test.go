@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
-	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -12,7 +11,6 @@ import (
 
 	"resilientos/internal/fi"
 	"resilientos/internal/obs"
-	"resilientos/internal/obs/export"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files from the current output")
@@ -45,40 +43,6 @@ func causalTraceEvents(t *testing.T, seed int64, size int64, also ...obs.Sink) [
 		t.Fatalf("wget failed under kills: %d bytes err=%v", w.Bytes, w.Err)
 	}
 	return sink.Events()
-}
-
-// TestPerfettoExportGolden pins the Chrome trace-event export of a fixed
-// seed+workload byte-for-byte against a committed golden file. Any
-// change to span emission, ID allocation, or the export encoding shows
-// up as a diff here. Regenerate with: go test -run PerfettoExportGolden -update
-func TestPerfettoExportGolden(t *testing.T) {
-	got := export.Bytes(causalTraceEvents(t, 11, 1<<20))
-	const golden = "testdata/perfetto_fig7_seed11.json"
-	if *updateGolden {
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("read golden (regenerate with -update): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("perfetto export differs from %s (%d vs %d bytes); "+
-			"if the change is intentional, regenerate with -update",
-			golden, len(got), len(want))
-	}
-}
-
-// TestPerfettoExportRunToRun reruns the golden workload from scratch and
-// demands a byte-identical trace.json — the acceptance property that
-// makes exports diffable across commits and machines.
-func TestPerfettoExportRunToRun(t *testing.T) {
-	a := export.Bytes(causalTraceEvents(t, 11, 1<<20))
-	b := export.Bytes(causalTraceEvents(t, 11, 1<<20))
-	if !bytes.Equal(a, b) {
-		t.Fatalf("perfetto export not reproducible across runs: %d vs %d bytes", len(a), len(b))
-	}
 }
 
 // TestSliceSinkMatchesJSONLStream cross-checks the chunked SliceSink
