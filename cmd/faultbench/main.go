@@ -73,8 +73,9 @@ type variant struct {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("faultbench", flag.ContinueOnError)
 	matrix := fs.String("matrix", "", campaign.SpecUsage)
-	var overrides multiFlag
-	fs.Var(&overrides, "override", "counterfactual spec applied on top of the campaign, e.g. hb=250ms,budget=1 (repeatable): run it again under each and compare")
+	var overrides []string
+	fs.Func("override", "counterfactual spec applied on top of the campaign, e.g. hb=250ms,budget=1 (repeatable): run it again under each and compare",
+		func(spec string) error { overrides = append(overrides, spec); return nil })
 	record := fs.String("record", "", "write the campaign's decision log (spec header + JSONL) to this file")
 	replay := fs.String("replay", "", "re-run the campaign recorded in this file and byte-compare its decision log before any -override runs")
 	invariants := fs.Bool("invariants", false, "run the live invariant checker in every cell")
@@ -290,13 +291,4 @@ func compareDoc(base campaign.Config, variants []variant) bench.Doc {
 		doc.Latency(key+"recovery", latencySummary(v.rep))
 	}
 	return doc
-}
-
-// multiFlag collects a repeatable string flag.
-type multiFlag []string
-
-func (m *multiFlag) String() string { return strings.Join(*m, " ") }
-func (m *multiFlag) Set(s string) error {
-	*m = append(*m, s)
-	return nil
 }

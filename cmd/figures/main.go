@@ -18,11 +18,12 @@
 // distribution (defect to reintegration, virtual time) per interval;
 // -bench then writes BENCH_throughput.json.
 //
-// With -mechanisms, the command instead runs the recovery-mechanism
-// comparison: the same Fig. 7 (or 8) configuration once per mechanism
-// (respawn, microreboot, standby) with VM-level crash injection, writing
-// fig<N>_seed<S>_<mech>.csv per mechanism plus BENCH_recovery.json, the
-// paper-style extension table of dip depth and width per mechanism.
+// With -override <system spec> (repeatable), the command instead runs
+// the figure as the baseline and once more per override, all with
+// VM-level crash injection, prints one row per run, and writes
+// fig<N>_seed<S>_<baseline|knobs>.csv and, with -bench,
+// BENCH_recovery.json (baseline/… and override/<knobs>/…, as faultbench
+// -override groups them).
 //
 //	figures                             # both figures, quick defaults
 //	figures -fig 7 -seed 11             # the committed golden configuration
@@ -30,7 +31,7 @@
 //	figures -bench                      # also write BENCH_fig7/8.json
 //	figures -fig 7 -size 512 -interval 1,2,4,6,8,10,12,15   # the paper's Fig. 7 sweep
 //	figures -fig 7 -size 16 -interval 1 -trace fig7.jsonl   # capture a full trace (summarize with tracestat)
-//	figures -mechanisms -seed 11        # recovery-mechanism comparison
+//	figures -seed 11 -size 32 -interval 1 -override mech=microreboot -override mech=standby -bench
 //
 // Exit status is non-zero if a transfer fails its integrity check or never
 // completes, the window series violates its structural invariants, or any
@@ -76,13 +77,16 @@ func run(args []string, stdout io.Writer) error {
 	window := fs.String("window", "1", "telemetry window width in seconds")
 	out := fs.String("out", ".", "output directory")
 	doBench := fs.Bool("bench", false, "also write the internal/bench summary: BENCH_fig<N>.json, or BENCH_throughput.json for a sweep")
-	mechs := fs.Bool("mechanisms", false, "run the recovery-mechanism comparison instead (writes BENCH_recovery.json)")
+	var overrides []string
+	fs.Func("override", "system `spec` to compare against the baseline, e.g. mech=microreboot (repeatable): runs the figure\n"+
+		"again under each, crashes injected into the driver's VM (-bench: BENCH_recovery.json); comma-separated key=value:\n"+resilientos.SpecUsage,
+		func(spec string) error { overrides = append(overrides, spec); return nil })
 	trace := fs.String("trace", "", "write every run's full JSONL event trace to this file (use a small -size; summarize with tracestat)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() != 0 {
-		return fmt.Errorf("usage: figures [-fig 7|8] [-seed n] [-size mb] [-interval s[,s...]] [-window s] [-out dir] [-bench] [-mechanisms] [-trace file]")
+		return fmt.Errorf("usage: figures [-fig 7|8] [-seed n] [-size mb] [-interval s[,s...]] [-window s] [-out dir] [-bench] [-override spec]... [-trace file]")
 	}
 	if *fig != 0 && *fig != 7 && *fig != 8 {
 		return fmt.Errorf("unknown figure %d (want 7 or 8)", *fig)
@@ -100,12 +104,22 @@ func run(args []string, stdout io.Writer) error {
 	if cfg.Window, err = parseSeconds(*window); err != nil {
 		return fmt.Errorf("-window: %w", err)
 	}
+	// Every override is parsed before anything runs: a typo costs no run.
+	variants := []variant{{name: "baseline", system: cfg.System}}
+	for _, ov := range overrides {
+		sys, err := cfg.System.Override(ov)
+		if err != nil {
+			return fmt.Errorf("-override: %v", err)
+		}
+		variants = append(variants, variant{name: strings.ReplaceAll(ov, " ", ""), system: sys})
+	}
+	compare := len(variants) > 1
 	figs := []int{cfg.Fig}
 	sweep := len(intervals) > 1
 	switch {
-	case sweep && *mechs:
-		return fmt.Errorf("-mechanisms takes a single -interval")
-	case cfg.Fig == 0 && (sweep || *mechs):
+	case sweep && compare:
+		return fmt.Errorf("-override takes a single -interval")
+	case cfg.Fig == 0 && (sweep || compare):
 		figs = []int{7} // a sweep or a comparison is a single-figure table; default to the network one
 	case cfg.Fig == 0:
 		figs = []int{7, 8}
@@ -134,8 +148,8 @@ func run(args []string, stdout io.Writer) error {
 
 	for _, cfg.Fig = range figs {
 		switch {
-		case *mechs:
-			err = runMechanisms(stdout, cfg, *out)
+		case compare:
+			err = runOverrides(stdout, cfg, variants, *out, *doBench)
 		case sweep:
 			err = runSweep(stdout, cfg, intervals, *out, *doBench)
 		default:
@@ -247,51 +261,65 @@ func runSweep(w io.Writer, cfg resilientos.FigureConfig, intervals []time.Durati
 	return nil
 }
 
-// runMechanisms runs the recovery-mechanism comparison: one identical
-// figure run per mechanism with VM-level crash injection, a per-mechanism
-// CSV each, and the BENCH_recovery.json document with the standby-depth
-// and microreboot-width gains over the respawn baseline.
-func runMechanisms(w io.Writer, cfg resilientos.FigureConfig, out string) error {
-	wallStart := time.Now()
-	results, doc := resilientos.RunMechanismComparison(cfg)
-	mechs := resilientos.RecoveryMechanisms
+// variant is one run of an -override comparison.
+type variant struct {
+	name   string // "baseline", or the override's knobs
+	system resilientos.Config
+}
 
-	first := results[0]
-	fmt.Fprintf(w, "fig%d recovery mechanisms: %d MB, crash every %v, seed %d (%.1fs wall)\n",
-		first.Fig, first.Size>>20, first.Interval, first.Seed, time.Since(wallStart).Seconds())
-	fmt.Fprintf(w, "  %-12s %8s %8s %10s %12s %10s\n",
-		"mechanism", "MB/s", "crashes", "depth %", "width ms", "recov %")
+// runOverrides runs the figure once per variant with VM-level crash
+// injection, prints each run's dip against the baseline's, and writes one
+// CSV per run and, with doBench, the comparison document.
+func runOverrides(w io.Writer, cfg resilientos.FigureConfig, variants []variant, out string, doBench bool) error {
+	results := make([]resilientos.FigureResult, len(variants))
+	for i, v := range variants {
+		cfg.System, cfg.CrashVM = v.system, true
+		results[i] = resilientos.RunFigure(cfg)
+	}
+	base := results[0]
+	baseDepth, baseWidth := base.MeanDip()
+	fmt.Fprintf(w, "fig%d overrides: %d MB, crash every %v, seed %d\n  baseline: %s\n",
+		base.Fig, base.Size>>20, base.Interval, base.Seed, variants[0].system.Spec())
+	fmt.Fprintf(w, "  %-24s %8s %8s %10s %10s %12s %10s %10s\n",
+		"variant", "MB/s", "crashes", "depth %", "Δdepth", "width ms", "Δwidth", "recov %")
+	params := base.BenchDoc().Params
+	params["spec"] = variants[0].system.Spec()
+	doc := bench.New("figures -override", params)
 	for i, res := range results {
 		depth, width := res.MeanDip()
-		fmt.Fprintf(w, "  %-12s %8.2f %8d %10.1f %12.1f %10.1f\n",
-			mechs[i], res.MBps, res.Kills, depth, width, res.RecoveredPct)
+		dDepth, dWidth, key := "-", "-", "baseline/"
+		if i > 0 {
+			dDepth, dWidth = fmt.Sprintf("%+.1f", depth-baseDepth), fmt.Sprintf("%+.1f", width-baseWidth)
+			key = "override/" + strings.ReplaceAll(variants[i].name, ",", "/") + "/"
+		}
+		fmt.Fprintf(w, "  %-24s %8.2f %8d %10.1f %10s %12.1f %10s %10.1f\n",
+			variants[i].name, res.MBps, res.Kills, depth, dDepth, width, dWidth, res.RecoveredPct)
+		for _, m := range res.BenchDoc().Metrics {
+			doc.Add(key+m.Name, m.Value, m.Unit, m.Better)
+		}
 	}
-	depthGain, _ := doc.Value("standby_depth_gain_pct")
-	widthGain, _ := doc.Value("micro_width_gain_ms")
-	fmt.Fprintf(w, "  standby depth gain: %.1f pct points, microreboot width gain: %.1f ms\n",
-		depthGain, widthGain)
 
 	for i, res := range results {
 		var csv bytes.Buffer
 		if err := resilientos.WriteFigureCSV(&csv, res); err != nil {
 			return err
 		}
-		path := filepath.Join(out, fmt.Sprintf("fig%d_seed%d_%s.csv",
-			res.Fig, res.Seed, mechs[i]))
+		path := filepath.Join(out, fmt.Sprintf("fig%d_seed%d_%s.csv", res.Fig, res.Seed, variants[i].name))
 		if err := os.WriteFile(path, csv.Bytes(), 0o644); err != nil {
 			return fmt.Errorf("fig%d: write %s: %w", res.Fig, path, err)
 		}
 		fmt.Fprintf(w, "  wrote %s\n", path)
 	}
-	path := filepath.Join(out, "BENCH_recovery.json")
-	if err := bench.WriteFile(path, doc); err != nil {
-		return fmt.Errorf("write %s: %w", path, err)
+	if doBench {
+		path := filepath.Join(out, "BENCH_recovery.json")
+		if err := bench.WriteFile(path, doc); err != nil {
+			return fmt.Errorf("write %s: %w", path, err)
+		}
+		fmt.Fprintf(w, "  wrote %s\n", path)
 	}
-	fmt.Fprintf(w, "  wrote %s\n", path)
-
 	for i, res := range results {
 		if err := verdict(res); err != nil {
-			return fmt.Errorf("fig%d %s: %w", res.Fig, mechs[i], err)
+			return fmt.Errorf("fig%d %s: %w", res.Fig, variants[i].name, err)
 		}
 	}
 	return nil

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"resilientos/internal/bench"
 )
 
 // Every cmd must answer -h with its flag documentation and a clean exit
@@ -116,24 +118,76 @@ func TestSweepMatchesGolden(t *testing.T) {
 	sameFile(t, filepath.Join(dir, "BENCH_throughput.json"), filepath.Join("..", "..", "testdata", "BENCH_throughput_fig8.json"))
 }
 
-// The recovery-mechanism comparison, in-process: one curve per mechanism
-// and the comparison document, each byte-identical to its golden.
+// The recovery-mechanism comparison, in-process: the respawn baseline
+// and one run per mechanism override, each curve and the comparison
+// document byte-identical to its golden.
 func TestMechanismsMatchGoldens(t *testing.T) {
 	dir := t.TempDir()
 	var out strings.Builder
-	if err := run([]string{"-mechanisms", "-seed", "11", "-size", "32", "-interval", "1", "-out", dir}, &out); err != nil {
+	args := []string{"-seed", "11", "-size", "32", "-interval", "1", "-bench", "-out", dir,
+		"-override", "mech=microreboot", "-override", "mech=standby"}
+	if err := run(args, &out); err != nil {
 		t.Fatalf("%v\n%s", err, out.String())
 	}
-	if !strings.Contains(out.String(), "standby depth gain:") {
-		t.Errorf("output lacks the gains line:\n%s", out.String())
+	if !strings.Contains(out.String(), "baseline: hb=500ms,misses=3,budget=0,policy=off,mech=respawn,hw=off") {
+		t.Errorf("output lacks the baseline's spec:\n%s", out.String())
 	}
 	golden := filepath.Join("..", "..", "testdata")
 	sameFile(t, filepath.Join(dir, "BENCH_recovery.json"), filepath.Join(golden, "BENCH_recovery_seed11.json"))
-	for _, m := range []string{"respawn", "microreboot", "standby"} {
-		name := "fig7_seed11_" + m + ".csv"
-		sameFile(t, filepath.Join(dir, name), filepath.Join(golden, name))
+	for run, mech := range map[string]string{"baseline": "respawn", "mech=microreboot": "microreboot", "mech=standby": "standby"} {
+		sameFile(t, filepath.Join(dir, "fig7_seed11_"+run+".csv"), filepath.Join(golden, "fig7_seed11_"+mech+".csv"))
 	}
-	if err := run([]string{"-mechanisms", "-interval", "1,2"}, io.Discard); err == nil {
-		t.Error("-mechanisms with a sweep: no error")
+
+	// The headline claims: a warm standby's dip is shallower than a
+	// respawn's, a microreboot's narrower.
+	doc, err := bench.ReadFile(filepath.Join(dir, "BENCH_recovery.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	value := func(name string) float64 {
+		v, ok := doc.Value(name)
+		if !ok {
+			t.Fatalf("bench document lacks %q", name)
+		}
+		return v
+	}
+	if s, r := value("override/mech=standby/mean_dip_depth_pct"), value("baseline/mean_dip_depth_pct"); s >= r {
+		t.Errorf("standby dip depth %.1f%% not shallower than respawn's %.1f%%", s, r)
+	}
+	if m, r := value("override/mech=microreboot/mean_dip_width_ms"), value("baseline/mean_dip_width_ms"); m >= r {
+		t.Errorf("microreboot dip width %.1fms not narrower than respawn's %.1fms", m, r)
+	}
+}
+
+// A comparison that cannot run as asked is refused before any run, with
+// an error naming the problem; without -bench it writes no document.
+func TestOverrideFlag(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-override", "mech=standby", "-interval", "1,2"}, "-override takes a single -interval"},
+		{[]string{"-override", ""}, "spec: empty"},
+		{[]string{"-override", " , "}, "spec: empty"},
+		{[]string{"-override", "seeds=2"}, `unknown key "seeds"`},
+		{[]string{"-override", "mech=warp"}, "bad mech=warp"},
+	} {
+		err := run(append(tc.args, "-out", t.TempDir()), io.Discard)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "-override") {
+			t.Errorf("run(%q) = %v, want an -override error naming %q", tc.args, err, tc.want)
+		}
+	}
+
+	dir := t.TempDir()
+	if err := run([]string{"-fig", "8", "-size", "4", "-interval", "1", "-override", "budget=1", "-out", dir}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"fig8_seed1_baseline.csv", "fig8_seed1_budget=1.csv"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("comparison did not write %s: %v", name, err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "BENCH_recovery.json")); !os.IsNotExist(err) {
+		t.Errorf("comparison without -bench wrote BENCH_recovery.json (%v)", err)
 	}
 }

@@ -39,29 +39,8 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	// The paper's Fig. 2 generic policy script guards the network drivers:
-	// binary exponential backoff plus a failure alert.
-	generic := policy.MustParse(`
-component=$1
-reason=$2
-repetition=$3
-shift 3
-if [ ! $reason -eq 6 ]; then
-	sleep $((1 << ($repetition - 1)))
-fi
-service restart $component
-status=$?
-while getopts a: option; do
-	case $option in
-	a)
-		cat << END | mail -s "Failure Alert" "$OPTARG"
-failure: $component, $reason, $repetition
-restart status: $status
-END
-		;;
-	esac
-done
-`)
+	// The paper's Fig. 2 generic policy script guards the network drivers.
+	generic := policy.MustParse(policy.Fig2)
 
 	cfg := resilientos.Config{
 		Seed:            *seed,

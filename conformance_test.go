@@ -52,7 +52,7 @@ func TestRecoveryConformance(t *testing.T) { recoveryConformance(t) }
 
 func recoveryConformance(t *testing.T) {
 	for _, victim := range []string{DriverRTL8139, DriverDP8390, DriverSATA} {
-		for _, mech := range RecoveryMechanisms {
+		for _, mech := range []core.Mechanism{core.MechRespawn, core.MechMicroreboot, core.MechStandby} {
 			for _, salvage := range []bool{false, true} {
 				for _, fault := range conformanceFaults {
 					name := fmt.Sprintf("%s/%s/salvage=%v/%s", victim, mech, salvage, fault.name)

@@ -36,27 +36,7 @@ func run(w io.Writer) {
 	defer sys.Close()
 
 	// --- Scene 1: Fig. 2 policy script guarding a crash-looping service.
-	generic := policy.MustParse(`
-component=$1
-reason=$2
-repetition=$3
-shift 3
-if [ ! $reason -eq 6 ]; then
-	sleep $((1 << ($repetition - 1)))
-fi
-service restart $component
-status=$?
-while getopts a: option; do
-	case $option in
-	a)
-		cat << END | mail -s "Failure Alert" "$OPTARG"
-failure: $component, $reason, $repetition
-restart status: $status
-END
-		;;
-	esac
-done
-`)
+	generic := policy.MustParse(policy.Fig2)
 	sys.RS.StartService(core.ServiceConfig{
 		Label: "flaky",
 		Binary: func(c *kernel.Ctx) {

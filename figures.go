@@ -453,40 +453,6 @@ func analyzeDips(points []FigurePoint, kills []time.Duration, baseline float64, 
 	return dips
 }
 
-// RecoveryMechanisms is the canonical mechanism order of the recovery
-// comparison: the respawn baseline first, then what each alternative buys.
-var RecoveryMechanisms = []core.Mechanism{
-	core.MechRespawn, core.MechMicroreboot, core.MechStandby,
-}
-
-// RunMechanismComparison runs the same figure configuration once per
-// recovery mechanism — with VM-level crash injection forced on, since an
-// external SIGKILL cannot be microrebooted — and assembles the paper-style
-// extension table of Fig. 7/8 dip depth and width per mechanism as a
-// bench document: every run's summary under "<mechanism>/", then the two
-// headline claims — what a warm standby buys in dip depth and what a
-// microreboot buys in dip width over respawn. Results are returned in
-// RecoveryMechanisms order.
-func RunMechanismComparison(cfg FigureConfig) ([]FigureResult, bench.Doc) {
-	results := make([]FigureResult, 0, len(RecoveryMechanisms))
-	for _, mech := range RecoveryMechanisms {
-		c := cfg
-		c.System.Mechanism = mech
-		c.CrashVM = true
-		results = append(results, RunFigure(c))
-	}
-	doc := bench.New("figures -mechanisms", results[0].benchParams())
-	for i, r := range results {
-		r.addBench(&doc, RecoveryMechanisms[i].String()+"/")
-	}
-	respawnDepth, respawnWidth := results[0].MeanDip()
-	_, microWidth := results[1].MeanDip()
-	standbyDepth, _ := results[2].MeanDip()
-	doc.Add("standby_depth_gain_pct", respawnDepth-standbyDepth, "%", bench.Higher)
-	doc.Add("micro_width_gain_ms", respawnWidth-microWidth, "virt_ms", bench.Higher)
-	return results, doc
-}
-
 // MeanDip averages the run's dips: depth in % of the baseline, width in
 // virtual milliseconds (both 0 without a dip).
 func (r FigureResult) MeanDip() (depthPct, widthMs float64) {
@@ -501,11 +467,29 @@ func (r FigureResult) MeanDip() (depthPct, widthMs float64) {
 	return depthPct / n, widthMs / n
 }
 
-// BenchDoc summarizes the result as the bench document of `figures -bench`.
+// BenchDoc summarizes the result as the bench document of `figures -bench`
+// (`figures -override` files each run's metrics under its own prefix).
 func (r FigureResult) BenchDoc() bench.Doc {
-	doc := bench.New("figures", r.benchParams())
-	r.addBench(&doc, "")
-	return doc
+	d := bench.New("figures", map[string]string{
+		"fig":           strconv.Itoa(r.Fig),
+		"seed":          strconv.FormatInt(r.Seed, 10),
+		"size_bytes":    strconv.FormatInt(r.Size, 10),
+		"kill_interval": r.Interval.String(),
+		"window":        r.Window.String(),
+	})
+	depth, width := r.MeanDip()
+	d.Add("mbps", r.MBps, "MB/s", bench.Higher) // end-to-end transfer rate
+	d.Add("baseline_mbps", r.BaselineMBps, "MB/s", bench.Higher)
+	d.Add("mean_mbps", r.MeanMBps, "MB/s", bench.Higher)
+	d.Add("min_mbps", r.MinMBps, "MB/s", bench.Higher)
+	d.Count("windows", len(r.Points))
+	d.Count("kills", r.Kills)
+	d.Count("dips", len(r.Dips))
+	d.Add("mean_dip_depth_pct", depth, "%", bench.Lower)
+	d.Add("mean_dip_width_ms", width, "virt_ms", bench.Lower)
+	d.Add("recovered_pct", r.RecoveredPct, "%", bench.Higher) // post-recovery rate vs baseline
+	d.Latency("recovery", r.Recovery)
+	return d
 }
 
 // SweepBenchDoc summarizes a Sweep as the bench document `figures -bench`
@@ -527,31 +511,6 @@ func SweepBenchDoc(points []FigureResult) bench.Doc {
 		doc.Latency(key+"recovery", p.Recovery)
 	}
 	return doc
-}
-
-func (r FigureResult) benchParams() map[string]string {
-	return map[string]string{
-		"fig":           strconv.Itoa(r.Fig),
-		"seed":          strconv.FormatInt(r.Seed, 10),
-		"size_bytes":    strconv.FormatInt(r.Size, 10),
-		"kill_interval": r.Interval.String(),
-		"window":        r.Window.String(),
-	}
-}
-
-func (r FigureResult) addBench(d *bench.Doc, prefix string) {
-	depth, width := r.MeanDip()
-	d.Add(prefix+"mbps", r.MBps, "MB/s", bench.Higher) // end-to-end transfer rate
-	d.Add(prefix+"baseline_mbps", r.BaselineMBps, "MB/s", bench.Higher)
-	d.Add(prefix+"mean_mbps", r.MeanMBps, "MB/s", bench.Higher)
-	d.Add(prefix+"min_mbps", r.MinMBps, "MB/s", bench.Higher)
-	d.Count(prefix+"windows", len(r.Points))
-	d.Count(prefix+"kills", r.Kills)
-	d.Count(prefix+"dips", len(r.Dips))
-	d.Add(prefix+"mean_dip_depth_pct", depth, "%", bench.Lower)
-	d.Add(prefix+"mean_dip_width_ms", width, "virt_ms", bench.Lower)
-	d.Add(prefix+"recovered_pct", r.RecoveredPct, "%", bench.Higher) // post-recovery rate vs baseline
-	d.Latency(prefix+"recovery", r.Recovery)
 }
 
 // ---------------------------------------------------------------------

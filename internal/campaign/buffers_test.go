@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"resilientos"
+	"resilientos/internal/drvlib"
 	"resilientos/internal/fi"
 	"resilientos/internal/obs"
 	"resilientos/internal/ucode"
@@ -21,7 +22,7 @@ func TestPoisonCampaignCells(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign in -short mode")
 	}
-	for _, mech := range resilientos.RecoveryMechanisms {
+	for _, mech := range []drvlib.Mechanism{drvlib.MechRespawn, drvlib.MechMicroreboot, drvlib.MechStandby} {
 		cfg := Config{
 			Seeds:         []int64{1},
 			FaultTypes:    []fi.FaultType{fi.FaultRandom},

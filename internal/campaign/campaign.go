@@ -60,7 +60,7 @@ var DefaultVictims = []string{
 
 // Config parameterizes a campaign.
 type Config struct {
-	// Seeds are the per-cell base seeds. Use Seq(n) for 1..n.
+	// Seeds are the per-cell base seeds. seeds=N in a spec is 1..N.
 	Seeds []int64
 	// Victims are the driver labels to inject into (DefaultVictims when
 	// empty). Network drivers get a download workload, the disk driver a
@@ -99,8 +99,8 @@ type Config struct {
 	Perf *perf.Profiler
 }
 
-// Seq returns seeds 1..n.
-func Seq(n int) []int64 {
+// seq returns seeds 1..n.
+func seq(n int) []int64 {
 	out := make([]int64, n)
 	for i := range out {
 		out[i] = int64(i + 1)
@@ -110,7 +110,7 @@ func Seq(n int) []int64 {
 
 func (cfg *Config) fill() {
 	if len(cfg.Seeds) == 0 {
-		cfg.Seeds = Seq(1)
+		cfg.Seeds = seq(1)
 	}
 	if len(cfg.Victims) == 0 {
 		cfg.Victims = DefaultVictims

@@ -16,9 +16,9 @@ import (
 )
 
 func TestSeq(t *testing.T) {
-	s := Seq(3)
+	s := seq(3)
 	if len(s) != 3 || s[0] != 1 || s[2] != 3 {
-		t.Fatalf("Seq(3) = %v", s)
+		t.Fatalf("seq(3) = %v", s)
 	}
 }
 

@@ -7,11 +7,9 @@ import (
 	"testing"
 	"time"
 
-	"resilientos"
 	"resilientos/internal/check"
 	"resilientos/internal/drvlib"
 	"resilientos/internal/fi"
-	"resilientos/internal/policy"
 )
 
 // sweepBaseline is the campaign of the committed counterfactual sweep
@@ -53,8 +51,7 @@ func TestSpecRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(re.Seeds, []int64{3, 7, 11}) ||
 		!reflect.DeepEqual(re.FaultTypes, []fi.FaultType{fi.FaultRandom, fi.FaultElide}) ||
-		re.System.HeartbeatPeriod >= 0 || re.System.NetPolicy != nil || re.System.MaxRestarts != 2 ||
-		re.System.Mechanism != drvlib.MechStandby || re.System.Machine != hwGate {
+		re.System.Spec() != "hb=off,misses=3,budget=2,policy=off,mech=standby,hw=on" {
 		t.Fatalf("round trip lost a key: %+v", re)
 	}
 	for _, want := range []string{"hb=off", "policy=off", "mech=standby", "hw=on", "faults=random;elided-instruction"} {
@@ -106,16 +103,7 @@ func TestParseSpecErrors(t *testing.T) {
 		"seed=11,victim=eth.dp8390",   // unknown key: the singular is not an alias
 		"seed=11 victims=eth.dp8390",  // space-separated is the old recording header
 		"seed=11,per-cell=0",          // per-cell below 1
-		"seed=11,hb=banana",           // bad duration
-		"seed=11,hb=0s",               // a zero period is not a period
-		"seed=11,hb=-1s",              // negative duration
-		"seed=11,backoff=9000h",       // beyond the bound: 8x would overflow
-		"seed=11,policy=sometimes",    // bad policy value
-		"seed=11,policy=custom",       // what Spec prints for a foreign script
-		"seed=11,mech=teleport",       // unknown mechanism
-		"seed=11,hw=maybe",            // bad gate value
-		"seed=11,misses=0",            // misses below 1
-		"seed=11,budget=-1",           // negative budget
+		"seed=11,hb=banana",           // a system key's bad value (resilientos.Config rejects it)
 		"seeds=0",                     // seed count below 1
 		"seeds=1;2",                   // a list under the count key
 		"seeds=99999999999",           // count beyond the bound
@@ -127,7 +115,11 @@ func TestParseSpecErrors(t *testing.T) {
 		"victims=eth.dp8390;disk.ram", // guarded, but no tracked ucode VM to inject into
 		"victims=all;eth.dp8390",      // all is a value, not an item
 		"faults=bit-flip;all",         // likewise
-		"salvage=on",                  // not a key (and must not become one by accident)
+		"seed=0",                      // the system would boot it as seed 1
+		"seed=0;1,victims=eth.dp8390,faults=bit-flip,per-cell=3", // two identical cells
+		"seed=1;1",                      // a seed given twice
+		"victims=eth.dp8390;eth.dp8390", // a victim given twice
+		"faults=bit-flip;bit-flip",      // a fault class given twice
 	} {
 		if cfg, err := ParseSpec(spec); err == nil {
 			t.Errorf("ParseSpec(%q) accepted: %s", spec, cfg.Spec())
@@ -165,107 +157,10 @@ func TestApplyOverride(t *testing.T) {
 		t.Fatalf("mech override: mech=%v err=%v", sc2.System.Mechanism, err)
 	}
 
-	// backoff and policy name one script; like every key they apply left
-	// to right: a base attaches it, off detaches it, on keeps what is there.
-	for ov, want := range map[string]string{
-		"backoff=4s":            "backoff=4s,policy=on",
-		"policy=off":            "policy=off",
-		"policy=off,backoff=4s": "backoff=4s,policy=on",
-		"backoff=4s,policy=off": "policy=off",
-		"policy=on":             "backoff=1s,policy=on",
-		"policy=on,backoff=2s":  "backoff=2s,policy=on",
-		"backoff=1.5s":          "backoff=1.5s,policy=on",
-		"backoff=1ns":           "backoff=1ns,policy=on",
-		"backoff=24h":           "backoff=24h0m0s,policy=on",
-	} {
-		got, err := base.Override(ov)
-		if err != nil {
-			t.Errorf("Override(%q): %v", ov, err)
-			continue
-		}
-		if !strings.Contains(got.Spec(), ","+want+",mech=") {
-			t.Errorf("Override(%q) = %q, want %q", ov, got.Spec(), want)
-		}
-	}
-	off, _ := base.Override("policy=off")
-	if on, _ := off.Override("policy=on"); !strings.Contains(on.Spec(), "backoff=1s,policy=on") {
-		t.Errorf("policy=on over a direct-restart base = %q, want the standard base", on.Spec())
-	}
-
-	for _, bad := range []string{"", ",", "hb", "hb=0s", "misses=0", "budget=-1", "warp=9", "mech=warp"} {
+	for _, bad := range []string{"", ",", "hb", "seeds=0", "warp=9", "mech=warp"} {
 		if _, err := base.Override(bad); err == nil {
 			t.Errorf("Override(%q) accepted", bad)
 		}
-	}
-}
-
-// TestSpecOfForeignConfig: a Config built in code around something the
-// grammar cannot name must not render as if it were standard.
-func TestSpecOfForeignConfig(t *testing.T) {
-	cfg := Config{System: resilientos.Config{NetPolicy: policy.MustParse("service restart $1\n")}}
-	cfg.System.Machine.NICConfuseProb = 0.1
-	spec := cfg.Spec()
-	if !strings.Contains(spec, "policy=custom") || !strings.Contains(spec, "hw=custom") {
-		t.Fatalf("spec %q hides a foreign script or machine", spec)
-	}
-	if _, err := ParseSpec(spec); err == nil {
-		t.Fatalf("ParseSpec accepted %q", spec)
-	}
-}
-
-// TestBackoffScript executes the generated policy against a stub service
-// command and checks the exponential backoff arms: the sleep doubles per
-// repetition, caps at 8x base, is skipped entirely for dynamic updates
-// (reason 6), and always ends in a restart of the failed component.
-func TestBackoffScript(t *testing.T) {
-	script := backoffScript(500 * time.Millisecond)
-	cases := []struct {
-		reason, repetition string
-		sleep              string // expected sleep argv[1], "" = no sleep
-	}{
-		{"2", "1", "0.5"},
-		{"2", "2", "1"},
-		{"2", "3", "2"},
-		{"2", "4", "4"},
-		{"2", "9", "4"}, // capped at the fourth arm
-		{"6", "1", ""},  // update: no backoff
-	}
-	for _, tc := range cases {
-		var steps [][]string
-		var restarts [][]string
-		in := policy.NewInterp(
-			policy.WithArgs("eth.rtl8139", tc.reason, tc.repetition),
-			policy.WithTrace(func(argv []string, status int) {
-				steps = append(steps, append([]string(nil), argv...))
-			}),
-			policy.WithCommand("service", func(argv []string, stdin string) (string, int) {
-				restarts = append(restarts, append([]string(nil), argv...))
-				return "", 0
-			}),
-		)
-		status, err := in.Run(script)
-		if err != nil {
-			t.Fatalf("reason=%s rep=%s: %v", tc.reason, tc.repetition, err)
-		}
-		if status != 0 {
-			t.Fatalf("reason=%s rep=%s: exit %d", tc.reason, tc.repetition, status)
-		}
-		var slept string
-		for _, argv := range steps {
-			if argv[0] == "sleep" {
-				slept = argv[1]
-			}
-		}
-		if slept != tc.sleep {
-			t.Errorf("reason=%s rep=%s: slept %q, want %q", tc.reason, tc.repetition, slept, tc.sleep)
-		}
-		want := [][]string{{"service", "restart", "eth.rtl8139"}}
-		if !reflect.DeepEqual(restarts, want) {
-			t.Errorf("reason=%s rep=%s: service calls %v, want %v", tc.reason, tc.repetition, restarts, want)
-		}
-	}
-	if base, ok := backoffBase(script); !ok || base != 500*time.Millisecond {
-		t.Errorf("backoffBase = %v, %v; want 500ms", base, ok)
 	}
 }
 
@@ -300,10 +195,8 @@ func TestReproLineReproduces(t *testing.T) {
 	if got.Spec() != one.Spec() {
 		t.Fatalf("repro %q parses to %q, want %q", line, got.Spec(), one.Spec())
 	}
-	if got.FaultsPerCell != 37 || got.System.HeartbeatPeriod != 250*time.Millisecond ||
-		got.System.MaxRestarts != 2 || got.System.Mechanism != drvlib.MechMicroreboot ||
-		got.System.Machine != hwGate || got.System.NetPolicy == nil ||
-		got.System.NetPolicy.Source() != backoffScript(2*time.Second).Source() {
+	if got.FaultsPerCell != 37 ||
+		got.System.Spec() != "hb=250ms,misses=3,budget=2,backoff=2s,policy=on,mech=microreboot,hw=on" {
 		t.Fatalf("repro %q lost a knob: %+v", line, got)
 	}
 }

@@ -36,6 +36,30 @@ func Parse(src string) (*Script, error) {
 	return &Script{root: list, docs: lx.docs, src: src}, nil
 }
 
+// Fig2 is the paper's generic policy script (Fig. 2): exponential backoff
+// (none for a dynamic update), a restart, and an alert mailed to -a's address.
+const Fig2 = `
+component=$1
+reason=$2
+repetition=$3
+shift 3
+if [ ! $reason -eq 6 ]; then
+	sleep $((1 << ($repetition - 1)))
+fi
+service restart $component
+status=$?
+while getopts a: option; do
+	case $option in
+	a)
+		cat << END | mail -s "Failure Alert" "$OPTARG"
+failure: $component, $reason, $repetition
+restart status: $status
+END
+		;;
+	esac
+done
+`
+
 // MustParse is Parse that panics on error, for compiled-in policies.
 func MustParse(src string) *Script {
 	s, err := Parse(src)

@@ -2,7 +2,6 @@ package resilientos
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"testing"
@@ -14,11 +13,22 @@ import (
 	"resilientos/internal/obs"
 )
 
-// mechanismComparisonConfig is the committed-golden configuration of the
-// recovery-mechanism comparison — the same shape `cmd/figures -mechanisms
-// -seed 11 -size 32 -interval 1` runs, pinned byte-for-byte in testdata.
-func mechanismComparisonConfig() FigureConfig {
-	return FigureConfig{Fig: 7, System: Config{Seed: 11}, Size: 32 << 20, Interval: time.Second}
+// mechanismRuns runs the committed-golden recovery-mechanism comparison:
+// the respawn baseline, then the same Fig. 7 run under each alternative
+// mechanism, crashes injected into the driver's VM — what `cmd/figures
+// -seed 11 -size 32 -interval 1 -override mech=microreboot -override
+// mech=standby` runs, pinned byte-for-byte in testdata.
+func mechanismRuns(t *testing.T) map[string]FigureResult {
+	results := map[string]FigureResult{}
+	for _, mech := range []string{"respawn", "microreboot", "standby"} {
+		cfg := FigureConfig{Fig: 7, Size: 32 << 20, Interval: time.Second, CrashVM: true}
+		var err error
+		if cfg.System, err = (Config{Seed: 11}).Override("mech=" + mech); err != nil {
+			t.Fatal(err)
+		}
+		results[mech] = RunFigure(cfg)
+	}
+	return results
 }
 
 // TestRecoveryMechanismGoldens pins the seed-11 per-mechanism Fig. 7
@@ -27,9 +37,8 @@ func mechanismComparisonConfig() FigureConfig {
 // microreboot's dip is narrower. Regenerate with:
 // go test -run RecoveryMechanismGoldens -update
 func TestRecoveryMechanismGoldens(t *testing.T) {
-	results, doc := RunMechanismComparison(mechanismComparisonConfig())
-	for i, res := range results {
-		mech := RecoveryMechanisms[i]
+	results := mechanismRuns(t)
+	for mech, res := range results {
 		if res.Violation != nil {
 			t.Fatalf("%s: window series invariant violated: %v", mech, res.Violation)
 		}
@@ -62,57 +71,36 @@ func TestRecoveryMechanismGoldens(t *testing.T) {
 				mech, golden, got.Len(), len(want))
 		}
 	}
-	// The table `figures -mechanisms` writes as BENCH_recovery.json.
-	checkBenchGolden(t, "testdata/BENCH_recovery_seed11.json", doc)
-
-	value := func(name string) float64 {
-		v, ok := doc.Value(name)
-		if !ok {
-			t.Fatalf("bench document lacks %q", name)
-		}
-		return v
+	respawnDepth, respawnWidth := results["respawn"].MeanDip()
+	if s, _ := results["standby"].MeanDip(); s >= respawnDepth {
+		t.Errorf("standby dip depth %.1f%% not shallower than respawn's %.1f%%", s, respawnDepth)
 	}
-	if s, r := value("standby/mean_dip_depth_pct"), value("respawn/mean_dip_depth_pct"); s >= r {
-		t.Errorf("standby dip depth %.1f%% not shallower than respawn's %.1f%%", s, r)
-	}
-	if m, r := value("microreboot/mean_dip_width_ms"), value("respawn/mean_dip_width_ms"); m >= r {
-		t.Errorf("microreboot dip width %.1fms not narrower than respawn's %.1fms", m, r)
-	}
-	if d, w := value("standby_depth_gain_pct"), value("micro_width_gain_ms"); d <= 0 || w <= 0 {
-		t.Errorf("headline gains not positive: depth %.1f pct points, width %.1f ms", d, w)
+	if _, m := results["microreboot"].MeanDip(); m >= respawnWidth {
+		t.Errorf("microreboot dip width %.1fms not narrower than respawn's %.1fms", m, respawnWidth)
 	}
 }
 
 // TestRecoveryMechanismRunToRun reruns the whole comparison from scratch
-// and demands byte-identical curves and an identical bench document —
-// the reproducibility property the committed BENCH_recovery golden relies on.
+// in the same process and demands byte-identical curves — the
+// reproducibility property the committed goldens rely on.
 func TestRecoveryMechanismRunToRun(t *testing.T) {
-	encode := func() ([][]byte, []byte) {
-		results, doc := RunMechanismComparison(mechanismComparisonConfig())
-		var curves [][]byte
-		for _, res := range results {
+	encode := func() map[string][]byte {
+		curves := map[string][]byte{}
+		for mech, res := range mechanismRuns(t) {
 			var buf bytes.Buffer
 			if err := WriteFigureCSV(&buf, res); err != nil {
 				t.Fatal(err)
 			}
-			curves = append(curves, buf.Bytes())
+			curves[mech] = buf.Bytes()
 		}
-		blob, err := json.Marshal(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return curves, blob
+		return curves
 	}
-	curvesA, docA := encode()
-	curvesB, docB := encode()
-	for i := range curvesA {
-		if !bytes.Equal(curvesA[i], curvesB[i]) {
+	curvesA, curvesB := encode(), encode()
+	for mech := range curvesA {
+		if !bytes.Equal(curvesA[mech], curvesB[mech]) {
 			t.Errorf("%s curve not reproducible across runs: %d vs %d bytes",
-				RecoveryMechanisms[i], len(curvesA[i]), len(curvesB[i]))
+				mech, len(curvesA[mech]), len(curvesB[mech]))
 		}
-	}
-	if !bytes.Equal(docA, docB) {
-		t.Error("bench recovery document not reproducible across runs")
 	}
 }
 

@@ -175,11 +175,14 @@ func New(cfg Config) *System {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	if cfg.HeartbeatPeriod == 0 {
-		cfg.HeartbeatPeriod = 500 * time.Millisecond
+	switch {
+	case cfg.HeartbeatPeriod == 0:
+		cfg.HeartbeatPeriod = defaultHeartbeatPeriod
+	case cfg.HeartbeatPeriod < 0:
+		cfg.HeartbeatPeriod = 0 // RS pings nothing
 	}
 	if cfg.HeartbeatMisses == 0 {
-		cfg.HeartbeatMisses = 3
+		cfg.HeartbeatMisses = defaultHeartbeatMisses
 	}
 	env := sim.NewEnv(cfg.Seed)
 	k := kernel.New(env)
@@ -233,23 +236,9 @@ func New(cfg Config) *System {
 		// VFS serves both file paths (via MFS) and /dev device nodes, so
 		// it boots whenever either subsystem is present.
 		sys.VFS = vfs.New(vfs.Config{DS: sys.DSEp, FSLabel: ServerMFS})
-		sys.RS.StartService(core.ServiceConfig{
-			Label:           ServerVFS,
-			Binary:          sys.VFS.Binary(),
-			Priv:            sys.serverPriv(false),
-			HeartbeatPeriod: sys.hb(),
-			HeartbeatMisses: sys.cfg.HeartbeatMisses,
-		})
+		sys.guard(ServerVFS, sys.VFS.Binary(), sys.serverPriv(false))
 	}
 	return sys
-}
-
-// hb returns the effective heartbeat period (0 disables).
-func (sys *System) hb() sim.Time {
-	if sys.cfg.HeartbeatPeriod < 0 {
-		return 0
-	}
-	return sys.cfg.HeartbeatPeriod
 }
 
 // trackVM records the live VM of a ucode driver instance (and, when
@@ -287,11 +276,21 @@ func (sys *System) guardedDriver(label string, priv kernel.Privileges,
 		Label:           label,
 		Binary:          binary(drvlib.Options{Mechanism: sys.cfg.Mechanism, Salvage: sys.cfg.Salvage}),
 		Priv:            priv,
-		HeartbeatPeriod: sys.hb(),
+		HeartbeatPeriod: sys.cfg.HeartbeatPeriod,
 		HeartbeatMisses: sys.cfg.HeartbeatMisses,
 		MaxRestarts:     sys.cfg.MaxRestarts,
 		Mechanism:       sys.cfg.Mechanism,
 	}
+}
+
+// guard starts a service whose only recovery knobs are the system's
+// liveness ones: a server, or a character driver.
+func (sys *System) guard(label string, binary core.Binary, priv kernel.Privileges) {
+	sys.RS.StartService(core.ServiceConfig{
+		Label: label, Binary: binary, Priv: priv,
+		HeartbeatPeriod: sys.cfg.HeartbeatPeriod,
+		HeartbeatMisses: sys.cfg.HeartbeatMisses,
+	})
 }
 
 func (sys *System) serverPriv(mayComplain bool) kernel.Privileges {
@@ -304,7 +303,6 @@ func (sys *System) serverPriv(mayComplain bool) kernel.Privileges {
 }
 
 func (sys *System) bootNet() {
-	cfg := sys.cfg
 	m := sys.Machine
 	// Local drivers.
 	eth := func(label string, nic *hw.NIC, binary func(drvlib.EthConfig) func(*kernel.Ctx)) {
@@ -312,7 +310,7 @@ func (sys *System) bootNet() {
 			func(o drvlib.Options) core.Binary {
 				return binary(drvlib.EthConfig{NIC: nic, OnVM: sys.trackVM(label), Options: o})
 			})
-		svc.Policy, svc.PolicyParams = cfg.NetPolicy, cfg.NetPolicyParams
+		svc.Policy, svc.PolicyParams = sys.cfg.NetPolicy, sys.cfg.NetPolicyParams
 		sys.RS.StartService(svc)
 	}
 	eth(DriverRTL8139, m.NIC0, rtl8139.Binary)
@@ -334,13 +332,7 @@ func (sys *System) bootNet() {
 		DS:      sys.DSEp,
 		RTOInit: sys.cfg.RTOInit,
 	})
-	sys.RS.StartService(core.ServiceConfig{
-		Label:           ServerInet,
-		Binary:          sys.LocalInet.Binary(),
-		Priv:            sys.serverPriv(true),
-		HeartbeatPeriod: sys.hb(),
-		HeartbeatMisses: cfg.HeartbeatMisses,
-	})
+	sys.guard(ServerInet, sys.LocalInet.Binary(), sys.serverPriv(true))
 	sys.RemoteInet = inet.New(inet.Config{
 		Pattern: "reth.*",
 		DS:      sys.DSEp,
@@ -391,38 +383,14 @@ func (sys *System) bootDisk() {
 		Disk:         mfs.Geometry{Sectors: sys.Machine.Disk.Sectors()},
 		PollInterval: sys.cfg.MFSPollInterval,
 	})
-	sys.RS.StartService(core.ServiceConfig{
-		Label:           ServerMFS,
-		Binary:          sys.MFS.Binary(),
-		Priv:            sys.serverPriv(true),
-		HeartbeatPeriod: sys.hb(),
-		HeartbeatMisses: sys.cfg.HeartbeatMisses,
-	})
+	sys.guard(ServerMFS, sys.MFS.Binary(), sys.serverPriv(true))
 }
 
 func (sys *System) bootChar() {
 	m := sys.Machine
-	sys.RS.StartService(core.ServiceConfig{
-		Label:           DriverAudio,
-		Binary:          chardrv.AudioBinary(m.Audio),
-		Priv:            sys.driverPriv(m.Audio.PortRange(), m.Audio.IRQ()),
-		HeartbeatPeriod: sys.hb(),
-		HeartbeatMisses: sys.cfg.HeartbeatMisses,
-	})
-	sys.RS.StartService(core.ServiceConfig{
-		Label:           DriverPrinter,
-		Binary:          chardrv.PrinterBinary(m.Printer),
-		Priv:            sys.driverPriv(m.Printer.PortRange(), m.Printer.IRQ()),
-		HeartbeatPeriod: sys.hb(),
-		HeartbeatMisses: sys.cfg.HeartbeatMisses,
-	})
-	sys.RS.StartService(core.ServiceConfig{
-		Label:           DriverBurner,
-		Binary:          chardrv.BurnerBinary(m.Burner),
-		Priv:            sys.driverPriv(m.Burner.PortRange(), m.Burner.IRQ()),
-		HeartbeatPeriod: sys.hb(),
-		HeartbeatMisses: sys.cfg.HeartbeatMisses,
-	})
+	sys.guard(DriverAudio, chardrv.AudioBinary(m.Audio), sys.driverPriv(m.Audio.PortRange(), m.Audio.IRQ()))
+	sys.guard(DriverPrinter, chardrv.PrinterBinary(m.Printer), sys.driverPriv(m.Printer.PortRange(), m.Printer.IRQ()))
+	sys.guard(DriverBurner, chardrv.BurnerBinary(m.Burner), sys.driverPriv(m.Burner.PortRange(), m.Burner.IRQ()))
 }
 
 // Run advances the simulation by d of virtual time (0 = until the event

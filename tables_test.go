@@ -74,7 +74,11 @@ func TestExperimentsTablesMatchGoldens(t *testing.T) {
 				{"Recovery latency (p95)", "recovery_p95_ms", "%.0f ms"},
 			}),
 		"recovery": benchTable(
-			[]benchCol{{"respawn", rec, "respawn/"}, {"microreboot", rec, "microreboot/"}, {"standby", rec, "standby/"}},
+			[]benchCol{
+				{"respawn (baseline)", rec, "baseline/"},
+				{"mech=microreboot", rec, "override/mech=microreboot/"},
+				{"mech=standby", rec, "override/mech=standby/"},
+			},
 			[]benchRow{
 				{"end-to-end throughput", "mbps", "%.2f MB/s"},
 				{"crashes", "kills", "%.0f"},
@@ -82,11 +86,6 @@ func TestExperimentsTablesMatchGoldens(t *testing.T) {
 				{"mean dip width", "mean_dip_width_ms", "%.0f ms"},
 				{"recovered throughput", "recovered_pct", "%.1f %% of baseline"},
 				{"recovery latency (p95)", "recovery_p95_ms", "%.0f ms"},
-			}) + "\n" + benchTable(
-			[]benchCol{{"gain over respawn", rec, ""}},
-			[]benchRow{
-				{"standby, dip depth", "standby_depth_gain_pct", "%.1f points"},
-				{"microreboot, dip width", "micro_width_gain_ms", "%.0f ms"},
 			}),
 		"fleet-compare": benchTable(
 			[]benchCol{
