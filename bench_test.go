@@ -1,17 +1,17 @@
 package resilientos
 
-// The benchmark harness regenerates every table and figure of the paper's
-// evaluation (§7) plus ablations of the design choices DESIGN.md calls
-// out. Experiment outputs are functions of *virtual* time (deterministic);
-// the wall-clock numbers Go reports measure the simulator itself.
+// The benchmark harness regenerates the paper's Fig. 3 table plus
+// ablations of the design choices DESIGN.md calls out, and times the
+// simulator's core paths. Experiment outputs are functions of *virtual*
+// time (deterministic); the wall-clock numbers Go reports measure the
+// simulator itself.
 //
-//	go test -bench=Fig7 -benchtime=1x     # Fig. 7 series
+//	go test -bench=Ablation -benchtime=1x # the ablation series
 //	go test -bench=. -benchmem            # everything
 //
-// Full-scale runs (the paper's 512 MB / 1 GB / 12,500 faults) live behind
-// cmd/figures and cmd/faultbench; the benches default to reduced sizes
-// so `go test -bench=.` stays minutes, not hours. Throughput in MB/s is
-// size-invariant, so the reduced runs land on the same series shape.
+// Figs. 7/8 (the kill-interval sweeps) are `cmd/figures -interval`, and
+// the §7.2 campaign is cmd/faultbench; the benches default to reduced
+// sizes so `go test -bench=.` stays minutes, not hours.
 
 import (
 	"fmt"
@@ -27,38 +27,6 @@ import (
 	"resilientos/internal/sim"
 	"resilientos/internal/ucode"
 )
-
-// benchIntervals is the reduced kill-interval sweep used by the benches.
-var benchIntervals = []time.Duration{1 * time.Second, 2 * time.Second, 4 * time.Second, 8 * time.Second, 15 * time.Second}
-
-// BenchmarkFig7_NetworkRecovery regenerates Fig. 7 (networking throughput
-// vs. Ethernet-driver kill interval; paper: 10.8 MB/s uninterrupted,
-// 25%..1% loss across 1..15 s intervals).
-func BenchmarkFig7_NetworkRecovery(b *testing.B) { benchSweep(b, 7, 48<<20) }
-
-// BenchmarkFig8_DiskRecovery regenerates Fig. 8 (disk throughput vs. disk-
-// driver kill interval; paper: 32.7 MB/s uninterrupted, 62%..7% loss).
-func BenchmarkFig8_DiskRecovery(b *testing.B) { benchSweep(b, 8, 96<<20) }
-
-func benchSweep(b *testing.B, fig int, size int64) {
-	for i := 0; i < b.N; i++ {
-		points := Sweep(FigureConfig{Fig: fig, Size: size}, benchIntervals)
-		b.ReportMetric(points[0].MBps, "clean_MB/s")
-		for _, p := range points {
-			if !p.OK {
-				b.Fatalf("integrity failure at %v", p.Interval)
-			}
-			b.Logf("kill every %v: %.2f MB/s (%d kills, %d recoveries, %v/kill lost)",
-				p.Interval, p.MBps, p.Kills, p.Recoveries, p.PerKillLoss(points[0]).Round(time.Millisecond))
-			if p.Interval == time.Second {
-				b.ReportMetric(p.MBps, "kill1s_MB/s")
-			}
-			if p.Interval == 15*time.Second {
-				b.ReportMetric(p.MBps, "kill15s_MB/s")
-			}
-		}
-	}
-}
 
 // BenchmarkFig3_RecoverySchemes regenerates the Fig. 3 table: which driver
 // classes recover transparently (network: yes, in the network server;

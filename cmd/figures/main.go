@@ -2,28 +2,29 @@
 // periodic network-driver kills) and Fig. 8 (disk read under periodic
 // block-driver kills) as data: a windowed virtual-time throughput curve
 // with per-kill dips, dip depth/width analysis, and the
-// recovered-throughput ratio, emitted as byte-reproducible CSV + JSON
-// plus a self-contained SVG render. For a fixed -seed two runs produce
-// identical CSV/JSON/SVG bytes, so the outputs double as golden files.
+// recovered-throughput ratio, emitted as byte-reproducible CSV plus a
+// self-contained SVG render. For a fixed -seed two runs produce identical
+// bytes (stdout included), so the outputs double as golden files.
 //
-// Output files land in -out, named fig<N>_seed<S>.{csv,json,svg} plus
-// fig<N>_seed<S>_windows.csv (the raw window series: counters, event
-// kinds, annotations, per-service status). With -bench, the per-figure
-// summary is also written as BENCH_fig<N>.json (internal/bench document,
-// as byte-reproducible as the rest).
+// Every invocation runs one list per figure: a baseline followed by zero
+// or more variants. One -interval value is a list of one run. Several are
+// the paper's kill-interval sweep: the uninterrupted transfer, then one
+// run per interval. -override <system spec> (repeatable) is the baseline
+// at the one interval, then one run per spec, all with crashes injected
+// into the driver's VM. A variant that received other bytes than the
+// baseline fails. The command prints one row per run (MB/s, kills,
+// per-kill loss, dip depth and width against the baseline, recovered
+// throughput, recovery latency) with the run's dips under it.
 //
-// With several -interval values, the command instead runs the paper's
-// kill-interval sweep — the uninterrupted transfer, then one run per
-// interval — and prints throughput, relative loss and the recovery-latency
-// distribution (defect to reintegration, virtual time) per interval;
-// -bench then writes BENCH_throughput.json.
-//
-// With -override <system spec> (repeatable), the command instead runs
-// the figure as the baseline and once more per override, all with
-// VM-level crash injection, prints one row per run, and writes
-// fig<N>_seed<S>_<baseline|knobs>.csv and, with -bench,
-// BENCH_recovery.json (baseline/… and override/<knobs>/…, as faultbench
-// -override groups them).
+// Each run writes fig<N>_seed<S>[_<name>].{csv,svg} and
+// fig<N>_seed<S>[_<name>]_windows.csv (the raw window series: counters,
+// event kinds, annotations, per-service status) into -out. A list of one
+// run has no name; in a longer one the runs are named baseline,
+// interval=<d> or the override's knobs. With -bench the list's
+// internal/bench document is written too: BENCH_fig<N>.json for one run,
+// BENCH_throughput.json for a sweep, BENCH_recovery.json for overrides,
+// the last two filing each run's metrics under baseline/, interval/<d>/
+// or override/<knobs>/ (as faultbench -override groups them).
 //
 //	figures                             # both figures, quick defaults
 //	figures -fig 7 -seed 11             # the committed golden configuration
@@ -96,38 +97,34 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("-interval: %w", err)
 	}
 	cfg := resilientos.FigureConfig{
-		Fig:      *fig,
-		Size:     *sizeMB << 20,
-		Interval: intervals[0],
-		System:   resilientos.Config{Seed: *seed},
+		Fig:    *fig,
+		Size:   *sizeMB << 20,
+		System: resilientos.Config{Seed: *seed},
 	}
 	if cfg.Window, err = parseSeconds(*window); err != nil {
 		return fmt.Errorf("-window: %w", err)
 	}
-	// Every override is parsed before anything runs: a typo costs no run.
-	variants := []variant{{name: "baseline", system: cfg.System}}
-	for _, ov := range overrides {
-		sys, err := cfg.System.Override(ov)
-		if err != nil {
-			return fmt.Errorf("-override: %v", err)
-		}
-		variants = append(variants, variant{name: strings.ReplaceAll(ov, " ", ""), system: sys})
-	}
-	compare := len(variants) > 1
 	figs := []int{cfg.Fig}
-	sweep := len(intervals) > 1
 	switch {
-	case sweep && compare:
-		return fmt.Errorf("-override takes a single -interval")
-	case cfg.Fig == 0 && (sweep || compare):
+	case cfg.Fig == 0 && (len(intervals) > 1 || len(overrides) > 0):
 		figs = []int{7} // a sweep or a comparison is a single-figure table; default to the network one
 	case cfg.Fig == 0:
 		figs = []int{7, 8}
+	}
+	// Every list is built before anything runs: a typo costs no run.
+	var lists []runList
+	for _, cfg.Fig = range figs {
+		l, err := buildList(cfg, intervals, overrides)
+		if err != nil {
+			return err
+		}
+		lists = append(lists, l)
 	}
 
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		return err
 	}
+	var sink obs.Sink
 	traceDone := func() error { return nil }
 	if *trace != "" {
 		f, err := os.Create(*trace)
@@ -136,7 +133,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 		bw := bufio.NewWriterSize(f, 1<<20)
 		js := obs.NewJSONLSink(bw)
-		cfg.Trace = js
+		sink = js
 		traceDone = func() error {
 			if err := errors.Join(js.Err(), bw.Flush(), f.Close()); err != nil {
 				return err
@@ -146,16 +143,11 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	for _, cfg.Fig = range figs {
-		switch {
-		case compare:
-			err = runOverrides(stdout, cfg, variants, *out, *doBench)
-		case sweep:
-			err = runSweep(stdout, cfg, intervals, *out, *doBench)
-		default:
-			err = runFigure(stdout, cfg, *out, *doBench)
+	for _, l := range lists {
+		for i := range l.runs {
+			l.runs[i].Trace = sink
 		}
-		if err != nil {
+		if err = l.run(stdout, *out, *doBench); err != nil {
 			break
 		}
 	}
@@ -187,9 +179,147 @@ func parseSeconds(item string) (time.Duration, error) {
 	return time.Duration(ns), nil
 }
 
+// runList is one figure's run list: a baseline followed by zero or more
+// variants, each with the suffix of its file names and the prefix of its
+// metrics in a bench document of several runs.
+type runList struct {
+	runs        []resilientos.FigureConfig
+	names, keys []string
+	source      string // the bench document's source
+	bench       string // and its file name
+}
+
+func (l *runList) add(name, key string, cfg resilientos.FigureConfig) {
+	l.runs = append(l.runs, cfg)
+	l.names = append(l.names, name)
+	l.keys = append(l.keys, key)
+}
+
+// buildList is the one place the mode is decided. Overrides are the
+// baseline at the one interval plus one run per spec, all with crashes
+// injected into the driver's VM; several intervals are the uninterrupted
+// baseline plus one run per interval; anything else is the one run.
+func buildList(cfg resilientos.FigureConfig, intervals []time.Duration, overrides []string) (runList, error) {
+	cfg.Interval = intervals[0]
+	switch {
+	case len(overrides) > 0:
+		l := runList{source: "figures -override", bench: "BENCH_recovery.json"}
+		cfg.CrashVM = true
+		l.add("baseline", "baseline", cfg)
+		for _, ov := range overrides {
+			v := cfg
+			var err error
+			if v.System, err = cfg.System.Override(ov); err != nil {
+				return l, fmt.Errorf("-override: %v", err)
+			}
+			name := strings.ReplaceAll(ov, " ", "")
+			l.add(name, "override/"+strings.ReplaceAll(name, ",", "/"), v)
+		}
+		if len(intervals) > 1 {
+			return l, errors.New("-override takes a single -interval")
+		}
+		return l, nil
+	case len(intervals) > 1:
+		l := runList{source: "figures -interval", bench: "BENCH_throughput.json"}
+		cfg.Interval = 0
+		l.add("baseline", "baseline", cfg)
+		for _, cfg.Interval = range intervals {
+			l.add("interval="+cfg.Interval.String(), "interval/"+cfg.Interval.String(), cfg)
+		}
+		return l, nil
+	default:
+		l := runList{source: "figures", bench: fmt.Sprintf("BENCH_fig%d.json", cfg.Fig)}
+		l.add("baseline", "baseline", cfg)
+		return l, nil
+	}
+}
+
+// paper is what the paper reports for each figure's sweep.
+var paper = map[int]string{
+	7: "paper, 512 MB: 10.8 MB/s uninterrupted; 8.1 MB/s at 1s kills; 10.7 MB/s at 15s",
+	8: "paper, 1 GB: 32.7 MB/s uninterrupted; 12.3 MB/s at 1s kills; 30.5 MB/s at 15s",
+}
+
+// run runs the list and prints one row per run with its dips under it,
+// writes every run's curve files and, with doBench, the list's bench
+// document, then fails on the first run that is not sound. Nothing it
+// prints depends on the host, so two runs print the same bytes.
+func (l runList) run(w io.Writer, out string, doBench bool) error {
+	results := resilientos.RunFigures(l.runs)
+	base := results[0]
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+	fmt.Fprintf(w, "fig%d: %d MB via %s, seed %d (%s)\n  baseline: %s\n",
+		base.Fig, base.Size>>20, base.Driver, base.Seed, paper[base.Fig], l.runs[0].System.Spec())
+	fmt.Fprintf(w, "  %-24s %6s %8s %6s %9s %8s %7s %9s %8s %8s %7s %7s %5s\n", "run", "every",
+		"MB/s", "kills", "loss/kill", "depth %", "Δdepth", "width ms", "Δwidth", "recov %", "p50 ms", "p95 ms", "ok")
+	baseDepth, baseWidth := base.MeanDip()
+	for i, res := range results {
+		every, dDepth, dWidth, p50, p95 := "-", "-", "-", "-", "-"
+		if res.Interval > 0 {
+			every = res.Interval.String()
+		}
+		depth, width := res.MeanDip()
+		if i > 0 {
+			dDepth, dWidth = fmt.Sprintf("%+.1f", depth-baseDepth), fmt.Sprintf("%+.1f", width-baseWidth)
+		}
+		if res.Recovery.Count > 0 {
+			p50, p95 = fmt.Sprintf("%.1f", ms(res.Recovery.P50)), fmt.Sprintf("%.1f", ms(res.Recovery.P95))
+		}
+		fmt.Fprintf(w, "  %-24s %6s %8.2f %6d %9s %8.1f %7s %9.1f %8s %8.1f %7s %7s %5v\n",
+			l.names[i], every, res.MBps, res.Kills, res.PerKillLoss(base).Round(time.Millisecond),
+			depth, dDepth, width, dWidth, res.RecoveredPct, p50, p95, res.OK)
+		for j, d := range res.Dips {
+			state := fmt.Sprintf("recovered to %.2f MB/s (%.1f%%)", d.RecoveredMBps, d.RecoveredPct)
+			if d.Truncated {
+				state = "truncated (transfer or next kill before recovery window)"
+			}
+			fmt.Fprintf(w, "    dip %d: kill at %v, depth %.1f%%, width %v, %s\n", j, d.Kill, d.DepthPct, d.Width, state)
+		}
+	}
+
+	for i, res := range results {
+		stem := fmt.Sprintf("fig%d_seed%d", res.Fig, res.Seed)
+		if len(results) > 1 {
+			stem += "_" + l.names[i]
+		}
+		stem = filepath.Join(out, stem)
+		var csv, svg, raw bytes.Buffer
+		err := errors.Join(resilientos.WriteFigureCSV(&csv, res), resilientos.WriteFigureSVG(&svg, res),
+			timeseries.WriteCSV(&raw, res.Segments))
+		if err != nil {
+			return err
+		}
+		for _, f := range []struct {
+			path string
+			data []byte
+		}{{stem + ".csv", csv.Bytes()}, {stem + ".svg", svg.Bytes()}, {stem + "_windows.csv", raw.Bytes()}} {
+			if err := os.WriteFile(f.path, f.data, 0o644); err != nil {
+				return fmt.Errorf("fig%d: write %s: %w", res.Fig, f.path, err)
+			}
+			fmt.Fprintf(w, "  wrote %s\n", f.path)
+		}
+	}
+	if doBench {
+		path := filepath.Join(out, l.bench)
+		doc := resilientos.FiguresBenchDoc(l.source, l.runs[0].System.Spec(), l.keys, results)
+		if err := bench.WriteFile(path, doc); err != nil {
+			return fmt.Errorf("fig%d: write %s: %w", base.Fig, path, err)
+		}
+		fmt.Fprintf(w, "  wrote %s\n", path)
+	}
+	fmt.Fprintln(w)
+
+	for i, res := range results {
+		if err := verdict(res, base); err != nil {
+			return fmt.Errorf("fig%d %s: %w", res.Fig, l.names[i], err)
+		}
+	}
+	return nil
+}
+
 // verdict is the error a finished run makes the command exit with, nil
 // for a sound one.
-func verdict(res resilientos.FigureResult) error {
+func verdict(res, base resilientos.FigureResult) error {
 	switch {
 	case res.Violation != nil:
 		return fmt.Errorf("window series invariant violated: %w", res.Violation)
@@ -197,196 +327,9 @@ func verdict(res resilientos.FigureResult) error {
 		return nil
 	case res.Duration == 0:
 		return errors.New("transfer did not complete within the horizon (kill interval below recovery time?)")
+	case res.Bytes == res.Size && res.Digest != base.Digest:
+		return fmt.Errorf("transfer received other bytes than the baseline (digest %s, baseline %s)", res.Digest, base.Digest)
 	default:
 		return fmt.Errorf("transfer failed integrity check (%d of %d bytes)", res.Bytes, res.Size)
 	}
-}
-
-// runSweep runs the kill-interval sweep and prints one row per point,
-// then the throughput-vs-interval and recovery-latency tables.
-func runSweep(w io.Writer, cfg resilientos.FigureConfig, intervals []time.Duration, out string, doBench bool) error {
-	points := resilientos.Sweep(cfg, intervals)
-	base := points[0]
-	if base.Fig == 8 {
-		fmt.Fprintf(w, "Fig. 8: dd %d MB | sha1sum, killing the SATA-class driver\n", base.Size>>20)
-		fmt.Fprintf(w, "(paper: 32.7 MB/s uninterrupted; 12.3 MB/s at 1s kills; 30.5 MB/s at 15s)\n\n")
-	} else {
-		fmt.Fprintf(w, "Fig. 7: wget %d MB over TCP, killing the RTL8139-class driver\n", base.Size>>20)
-		fmt.Fprintf(w, "(paper: 10.8 MB/s uninterrupted; 8.1 MB/s at 1s kills; 10.7 MB/s at 15s)\n\n")
-	}
-	for _, p := range points {
-		kind := "uninterrupted"
-		if p.Interval > 0 {
-			kind = fmt.Sprintf("kill every %v", p.Interval)
-		}
-		fmt.Fprintf(w, "%-16s %8.2f MB/s  (%d kills, %d recoveries, %v/kill lost, ok=%v)\n",
-			kind, p.MBps, p.Kills, p.Recoveries, p.PerKillLoss(base).Round(time.Millisecond), p.OK)
-		if p.Recovery.Count > 0 {
-			fmt.Fprintf(w, "                 recovery latency: %s\n", p.Recovery)
-		}
-		if err := verdict(p); err != nil {
-			return fmt.Errorf("fig%d, %s: %w", p.Fig, kind, err)
-		}
-	}
-	fmt.Fprintln(w)
-	fmt.Fprintln(w, "interval_s  throughput_MBps  relative_loss")
-	for _, p := range points[1:] {
-		fmt.Fprintf(w, "%10.0f  %15.2f  %12.0f%%\n",
-			p.Interval.Seconds(), p.MBps, 100*(1-p.MBps/base.MBps))
-	}
-	var recovered []resilientos.FigureResult
-	for _, p := range points {
-		if p.Recovery.Count > 0 {
-			recovered = append(recovered, p)
-		}
-	}
-	if len(recovered) > 0 {
-		ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-		fmt.Fprintln(w)
-		fmt.Fprintln(w, "recovery latency (defect -> reintegration, virtual time)")
-		fmt.Fprintln(w, "interval_s  count  mean_ms   p50_ms   p95_ms   p99_ms   max_ms")
-		for _, p := range recovered {
-			r := p.Recovery
-			fmt.Fprintf(w, "%10.0f  %5d  %7.1f  %7.1f  %7.1f  %7.1f  %7.1f\n",
-				p.Interval.Seconds(), r.Count, ms(r.Mean), ms(r.P50), ms(r.P95), ms(r.P99), ms(r.Max))
-		}
-	}
-	if doBench {
-		path := filepath.Join(out, "BENCH_throughput.json")
-		if err := bench.WriteFile(path, resilientos.SweepBenchDoc(points)); err != nil {
-			return fmt.Errorf("write %s: %w", path, err)
-		}
-		fmt.Fprintf(w, "\nwrote %s\n", path)
-	}
-	return nil
-}
-
-// variant is one run of an -override comparison.
-type variant struct {
-	name   string // "baseline", or the override's knobs
-	system resilientos.Config
-}
-
-// runOverrides runs the figure once per variant with VM-level crash
-// injection, prints each run's dip against the baseline's, and writes one
-// CSV per run and, with doBench, the comparison document.
-func runOverrides(w io.Writer, cfg resilientos.FigureConfig, variants []variant, out string, doBench bool) error {
-	results := make([]resilientos.FigureResult, len(variants))
-	for i, v := range variants {
-		cfg.System, cfg.CrashVM = v.system, true
-		results[i] = resilientos.RunFigure(cfg)
-	}
-	base := results[0]
-	baseDepth, baseWidth := base.MeanDip()
-	fmt.Fprintf(w, "fig%d overrides: %d MB, crash every %v, seed %d\n  baseline: %s\n",
-		base.Fig, base.Size>>20, base.Interval, base.Seed, variants[0].system.Spec())
-	fmt.Fprintf(w, "  %-24s %8s %8s %10s %10s %12s %10s %10s\n",
-		"variant", "MB/s", "crashes", "depth %", "Δdepth", "width ms", "Δwidth", "recov %")
-	params := base.BenchDoc().Params
-	params["spec"] = variants[0].system.Spec()
-	doc := bench.New("figures -override", params)
-	for i, res := range results {
-		depth, width := res.MeanDip()
-		dDepth, dWidth, key := "-", "-", "baseline/"
-		if i > 0 {
-			dDepth, dWidth = fmt.Sprintf("%+.1f", depth-baseDepth), fmt.Sprintf("%+.1f", width-baseWidth)
-			key = "override/" + strings.ReplaceAll(variants[i].name, ",", "/") + "/"
-		}
-		fmt.Fprintf(w, "  %-24s %8.2f %8d %10.1f %10s %12.1f %10s %10.1f\n",
-			variants[i].name, res.MBps, res.Kills, depth, dDepth, width, dWidth, res.RecoveredPct)
-		for _, m := range res.BenchDoc().Metrics {
-			doc.Add(key+m.Name, m.Value, m.Unit, m.Better)
-		}
-	}
-
-	for i, res := range results {
-		var csv bytes.Buffer
-		if err := resilientos.WriteFigureCSV(&csv, res); err != nil {
-			return err
-		}
-		path := filepath.Join(out, fmt.Sprintf("fig%d_seed%d_%s.csv", res.Fig, res.Seed, variants[i].name))
-		if err := os.WriteFile(path, csv.Bytes(), 0o644); err != nil {
-			return fmt.Errorf("fig%d: write %s: %w", res.Fig, path, err)
-		}
-		fmt.Fprintf(w, "  wrote %s\n", path)
-	}
-	if doBench {
-		path := filepath.Join(out, "BENCH_recovery.json")
-		if err := bench.WriteFile(path, doc); err != nil {
-			return fmt.Errorf("write %s: %w", path, err)
-		}
-		fmt.Fprintf(w, "  wrote %s\n", path)
-	}
-	for i, res := range results {
-		if err := verdict(res); err != nil {
-			return fmt.Errorf("fig%d %s: %w", res.Fig, variants[i].name, err)
-		}
-	}
-	return nil
-}
-
-func runFigure(w io.Writer, cfg resilientos.FigureConfig, out string, doBench bool) error {
-	wallStart := time.Now()
-	res := resilientos.RunFigure(cfg)
-	wall := time.Since(wallStart)
-
-	fmt.Fprintf(w, "fig%d: %d MB via %s, kill every %v, seed %d\n",
-		res.Fig, res.Size>>20, res.Driver, res.Interval, res.Seed)
-	fmt.Fprintf(w, "  %.2f MB/s end to end over %v virtual (%d kills, ok=%v, %.1fs wall)\n",
-		res.MBps, res.Duration.Round(time.Millisecond), res.Kills, res.OK, wall.Seconds())
-	fmt.Fprintf(w, "  windows: %d, baseline %.2f MB/s, min %.2f, recovered %.1f%% of baseline\n",
-		len(res.Points), res.BaselineMBps, res.MinMBps, res.RecoveredPct)
-	for i, d := range res.Dips {
-		state := fmt.Sprintf("recovered to %.2f MB/s (%.1f%%)", d.RecoveredMBps, d.RecoveredPct)
-		if d.Truncated {
-			state = "truncated (transfer or next kill before recovery window)"
-		}
-		fmt.Fprintf(w, "  dip %d: kill at %v, depth %.1f%%, width %v, %s\n",
-			i, d.Kill, d.DepthPct, d.Width, state)
-	}
-	if res.Recovery.Count > 0 {
-		fmt.Fprintf(w, "  recovery latency: %s\n", res.Recovery)
-	}
-
-	stem := filepath.Join(out, fmt.Sprintf("fig%d_seed%d", res.Fig, res.Seed))
-	var csv, doc, svg, raw bytes.Buffer
-	if err := resilientos.WriteFigureCSV(&csv, res); err != nil {
-		return err
-	}
-	if err := resilientos.WriteFigureJSON(&doc, res); err != nil {
-		return err
-	}
-	if err := resilientos.WriteFigureSVG(&svg, res); err != nil {
-		return err
-	}
-	if err := timeseries.WriteCSV(&raw, res.Segments); err != nil {
-		return err
-	}
-	for _, f := range []struct {
-		path string
-		data []byte
-	}{
-		{stem + ".csv", csv.Bytes()},
-		{stem + ".json", doc.Bytes()},
-		{stem + ".svg", svg.Bytes()},
-		{stem + "_windows.csv", raw.Bytes()},
-	} {
-		if err := os.WriteFile(f.path, f.data, 0o644); err != nil {
-			return fmt.Errorf("fig%d: write %s: %w", res.Fig, f.path, err)
-		}
-		fmt.Fprintf(w, "  wrote %s\n", f.path)
-	}
-	if doBench {
-		path := filepath.Join(out, fmt.Sprintf("BENCH_fig%d.json", res.Fig))
-		if err := bench.WriteFile(path, res.BenchDoc()); err != nil {
-			return fmt.Errorf("fig%d: write %s: %w", res.Fig, path, err)
-		}
-		fmt.Fprintf(w, "  wrote %s\n", path)
-	}
-	fmt.Fprintln(w)
-
-	if err := verdict(res); err != nil {
-		return fmt.Errorf("fig%d: %w", res.Fig, err)
-	}
-	return nil
 }

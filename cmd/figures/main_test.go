@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"resilientos"
 	"resilientos/internal/bench"
 )
 
@@ -96,9 +97,9 @@ func sameFile(t *testing.T, got, want string) {
 	}
 }
 
-// The kill-interval sweep, in-process: it prints the throughput and
-// latency tables and writes the throughput document CI compares with its
-// committed golden.
+// The kill-interval sweep, in-process: one table row per run with the
+// same columns as a comparison, a curve per run, and the throughput
+// document CI compares with its committed golden.
 func TestSweepMatchesGolden(t *testing.T) {
 	dir := t.TempDir()
 	var out strings.Builder
@@ -106,16 +107,37 @@ func TestSweepMatchesGolden(t *testing.T) {
 		t.Fatalf("%v\n%s", err, out.String())
 	}
 	for _, want := range []string{
-		"Fig. 8: dd 64 MB | sha1sum",
-		"interval_s  throughput_MBps  relative_loss",
-		"recovery latency (defect -> reintegration, virtual time)",
-		"/kill lost, ok=true)",
+		"fig8: 64 MB via disk.sata, seed 1",
+		"run                       every     MB/s  kills loss/kill  depth %  Δdepth  width ms   Δwidth  recov %  p50 ms  p95 ms    ok",
+		"baseline                      -    32.71      0        0s      0.0       -       0.0        -    100.0       -       -  true",
+		"interval=1s                  1s    17.18      3     618ms     64.8   +64.8    1000.0  +1000.0      0.0   600.0   600.0  true",
+		"    dip 2: kill at 3s, depth 71.1%, width 1s, truncated",
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output lacks %q:\n%s", want, out.String())
 		}
 	}
+	for _, run := range []string{"baseline", "interval=1s", "interval=4s"} {
+		if _, err := os.Stat(filepath.Join(dir, "fig8_seed1_"+run+".csv")); err != nil {
+			t.Errorf("sweep wrote no curve for %s: %v", run, err)
+		}
+	}
 	sameFile(t, filepath.Join(dir, "BENCH_throughput.json"), filepath.Join("..", "..", "testdata", "BENCH_throughput_fig8.json"))
+}
+
+// A variant that reads other bytes than its baseline fails the command
+// even though its own transfer completed: here the variant's disk holds
+// other contents (another disk seed) under the same file.
+func TestVariantWithOtherBytesFails(t *testing.T) {
+	cfg := resilientos.FigureConfig{Fig: 8, Size: 4 << 20, System: resilientos.Config{Seed: 3}}
+	var l runList
+	l.add("baseline", "baseline", cfg)
+	cfg.System.Machine.DiskSeed = 4
+	l.add("disk=4", "disk/4", cfg)
+	err := l.run(io.Discard, t.TempDir(), false)
+	if err == nil || !strings.Contains(err.Error(), "fig8 disk=4: transfer received other bytes than the baseline") {
+		t.Fatalf("run = %v, want the variant refused for its bytes", err)
+	}
 }
 
 // The recovery-mechanism comparison, in-process: the respawn baseline

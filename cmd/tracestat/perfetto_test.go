@@ -212,8 +212,11 @@ func TestPerfettoExportRunToRun(t *testing.T) {
 func TestSweepExport(t *testing.T) {
 	var buf bytes.Buffer
 	sink := obs.NewJSONLSink(&buf)
-	cfg := resilientos.FigureConfig{Fig: 8, Size: 64 << 20, Trace: sink}
-	points := resilientos.Sweep(cfg, []time.Duration{time.Second, 2 * time.Second})
+	var runs []resilientos.FigureConfig
+	for _, iv := range []time.Duration{0, time.Second, 2 * time.Second} {
+		runs = append(runs, resilientos.FigureConfig{Fig: 8, Size: 64 << 20, Interval: iv, Trace: sink})
+	}
+	points := resilientos.RunFigures(runs)
 	if err := sink.Err(); err != nil {
 		t.Fatal(err)
 	}

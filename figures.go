@@ -1,7 +1,6 @@
 package resilientos
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -11,7 +10,6 @@ import (
 	"resilientos/internal/core"
 	"resilientos/internal/obs"
 	"resilientos/internal/obs/timeseries"
-	"resilientos/internal/sim"
 )
 
 // The figure pipeline renders the paper's Figs. 7 and 8 as *data*: one
@@ -19,9 +17,10 @@ import (
 // driver kills, sampled by the windowed telemetry layer
 // (internal/obs/timeseries) into a per-second throughput curve with the
 // kills, restarts, and recovery dips resolved — the envelope the paper
-// plots — and, swept over kill intervals (Sweep), the end-to-end averages
-// of the paper's x-axis. RunFigure is the one §7.1 runner. For a fixed
-// seed every byte of the CSV/JSON/SVG output is reproducible, so the
+// plots. RunFigure is the one §7.1 run; RunFigures runs a list of them, a
+// baseline and its variants (the paper's x-axis of kill intervals, or
+// other recovery knobs), and FiguresBenchDoc summarizes the list. For a
+// fixed seed every byte of the CSV/SVG output is reproducible, so the
 // curves and their bench documents (internal/bench) are committed as
 // golden files.
 
@@ -60,14 +59,14 @@ type FigureConfig struct {
 // start relative to the transfer's start; the final window may be
 // narrower than the configured width.
 type FigurePoint struct {
-	T        time.Duration `json:"t_ns"`
-	Width    time.Duration `json:"width_ns"`
-	Bytes    int64         `json:"bytes"`
-	MBps     float64       `json:"mbps"`
-	IPC      int64         `json:"ipc"` // kernel IPC sends in the window
-	Kills    int           `json:"kills"`
-	Defects  int           `json:"defects"`
-	Restarts int           `json:"restarts"`
+	T        time.Duration
+	Width    time.Duration
+	Bytes    int64
+	MBps     float64
+	IPC      int64 // kernel IPC sends in the window
+	Kills    int
+	Defects  int
+	Restarts int
 }
 
 // FigureDip is the throughput dip around one driver kill: how deep the
@@ -76,12 +75,12 @@ type FigurePoint struct {
 // dips (transfer or next kill arrived before recovery was visible) are
 // excluded from the recovered-throughput ratio.
 type FigureDip struct {
-	Kill          time.Duration `json:"kill_ns"` // relative to transfer start
-	DepthPct      float64       `json:"depth_pct"`
-	Width         time.Duration `json:"width_ns"`
-	RecoveredMBps float64       `json:"recovered_mbps"`
-	RecoveredPct  float64       `json:"recovered_pct"`
-	Truncated     bool          `json:"truncated,omitempty"`
+	Kill          time.Duration // relative to transfer start
+	DepthPct      float64
+	Width         time.Duration
+	RecoveredMBps float64
+	RecoveredPct  float64
+	Truncated     bool
 }
 
 // FigureResult is one figure run with its curve, dip analysis, and the
@@ -260,22 +259,19 @@ func RunFigure(cfg FigureConfig) FigureResult {
 	return res
 }
 
-// Sweep runs the kill-interval sweep behind the paper's Fig. 7 / Fig. 8
-// x-axis: the uninterrupted transfer first (cfg.Interval is ignored),
-// then one RunFigure per interval. A point is OK only if it also
-// received the same bytes as the uninterrupted run (Fig. 8: the same
-// SHA-1 across all runs). The paper uses 512 MB (fig 7) and 1 GB (fig 8);
-// throughput is a function of virtual time, so a smaller size barely
-// moves it.
-func Sweep(cfg FigureConfig, intervals []time.Duration) []FigureResult {
-	cfg.Interval = 0
-	base := RunFigure(cfg)
-	results := []FigureResult{base}
-	for _, iv := range intervals {
-		cfg.Interval = iv
+// RunFigures runs a figure list in order: runs[0] is the baseline, every
+// later run a variant of it (another kill interval, other system knobs).
+// A variant is OK only if it also received the same bytes as the baseline
+// (the same MD5 for Fig. 7, SHA-1 for Fig. 8): a recovery that delivers
+// wrong data fails even when its transfer completes. The paper uses
+// 512 MB (fig 7) and 1 GB (fig 8); throughput is a function of virtual
+// time, so a smaller size barely moves it.
+func RunFigures(runs []FigureConfig) []FigureResult {
+	results := make([]FigureResult, len(runs))
+	for i, cfg := range runs {
 		r := RunFigure(cfg)
-		r.OK = r.OK && r.Digest == base.Digest
-		results = append(results, r)
+		r.OK = r.OK && (i == 0 || r.Digest == results[0].Digest)
+		results[i] = r
 	}
 	return results
 }
@@ -467,8 +463,8 @@ func (r FigureResult) MeanDip() (depthPct, widthMs float64) {
 	return depthPct / n, widthMs / n
 }
 
-// BenchDoc summarizes the result as the bench document of `figures -bench`
-// (`figures -override` files each run's metrics under its own prefix).
+// BenchDoc summarizes the result as the bench document of a one-run
+// `figures -bench` (FiguresBenchDoc files a longer list's under prefixes).
 func (r FigureResult) BenchDoc() bench.Doc {
 	d := bench.New("figures", map[string]string{
 		"fig":           strconv.Itoa(r.Fig),
@@ -492,23 +488,22 @@ func (r FigureResult) BenchDoc() bench.Doc {
 	return d
 }
 
-// SweepBenchDoc summarizes a Sweep as the bench document `figures -bench`
-// writes for it (BENCH_throughput.json): one metric group per point, the
-// uninterrupted run first (interval 0).
-func SweepBenchDoc(points []FigureResult) bench.Doc {
-	base := points[0]
-	doc := bench.New("throughput", map[string]string{
-		"exp":        fmt.Sprintf("fig%d", base.Fig),
-		"seed":       strconv.FormatInt(base.Seed, 10),
-		"size_bytes": strconv.FormatInt(base.Bytes, 10),
-	})
-	for _, p := range points {
-		key := fmt.Sprintf("interval_%gs/", p.Interval.Seconds())
-		doc.Add(key+"mbps", p.MBps, "MB/s", bench.Higher)
-		doc.Add(key+"virtual_s", p.Duration.Seconds(), "virt_s", bench.Lower)
-		doc.Count(key+"kills", p.Kills)
-		doc.Count(key+"recoveries", p.Recoveries)
-		doc.Latency(key+"recovery", p.Recovery)
+// FiguresBenchDoc is the bench document of a figure list, the one
+// `figures -bench` writes. A one-run list is that run's BenchDoc. A longer
+// list files each run's BenchDoc metrics under keys[i]+"/" in one
+// document from source, whose params are the baseline's plus spec, the
+// system knobs the baseline booted with.
+func FiguresBenchDoc(source, spec string, keys []string, results []FigureResult) bench.Doc {
+	if len(results) == 1 {
+		return results[0].BenchDoc()
+	}
+	params := results[0].BenchDoc().Params
+	params["spec"] = spec
+	doc := bench.New(source, params)
+	for i, r := range results {
+		for _, m := range r.BenchDoc().Metrics {
+			doc.Add(keys[i]+"/"+m.Name, m.Value, m.Unit, m.Better)
+		}
 	}
 	return doc
 }
@@ -547,74 +542,6 @@ func WriteFigureCSV(w io.Writer, r FigureResult) error {
 		buf = append(buf, '\n')
 	}
 	_, err := w.Write(buf)
-	return err
-}
-
-// figureDoc is the JSON series document (curve + dips + summary). It
-// deliberately contains no wall-clock fields: the document is
-// byte-identical across runs for a fixed seed.
-type figureDoc struct {
-	Schema       string          `json:"schema"`
-	Fig          int             `json:"fig"`
-	Seed         int64           `json:"seed"`
-	SizeBytes    int64           `json:"size_bytes"`
-	KillInterval time.Duration   `json:"kill_interval_ns"`
-	Window       time.Duration   `json:"window_ns"`
-	Driver       string          `json:"driver"`
-	Bytes        int64           `json:"bytes"`
-	Duration     time.Duration   `json:"duration_ns"`
-	MBps         float64         `json:"mbps"`
-	Kills        int             `json:"kills"`
-	OK           bool            `json:"ok"`
-	BaselineMBps float64         `json:"baseline_mbps"`
-	MeanMBps     float64         `json:"mean_mbps"`
-	MinMBps      float64         `json:"min_mbps"`
-	RecoveredPct float64         `json:"recovered_pct"`
-	Recovery     recoveryLatency `json:"recovery"`
-	Points       []FigurePoint   `json:"points"`
-	Dips         []FigureDip     `json:"dips"`
-}
-
-// recoveryLatency is a latency distribution in virtual milliseconds.
-type recoveryLatency struct {
-	Count  int     `json:"count"`
-	MeanMs float64 `json:"mean_ms"`
-	P50Ms  float64 `json:"p50_ms"`
-	P95Ms  float64 `json:"p95_ms"`
-	P99Ms  float64 `json:"p99_ms"`
-	MaxMs  float64 `json:"max_ms"`
-}
-
-// WriteFigureJSON writes the full series document as indented JSON.
-func WriteFigureJSON(w io.Writer, r FigureResult) error {
-	ms := func(t sim.Time) float64 { return float64(t) / 1e6 }
-	doc := figureDoc{
-		Schema: "resilientos/figure-series/v1",
-		Fig:    r.Fig, Seed: r.Seed, SizeBytes: r.Size,
-		KillInterval: r.Interval, Window: r.Window, Driver: r.Driver,
-		Bytes: r.Bytes, Duration: r.Duration, MBps: r.MBps,
-		Kills: r.Kills, OK: r.OK,
-		BaselineMBps: r.BaselineMBps, MeanMBps: r.MeanMBps, MinMBps: r.MinMBps,
-		RecoveredPct: r.RecoveredPct,
-		Recovery: recoveryLatency{
-			Count: r.Recovery.Count, MeanMs: ms(r.Recovery.Mean),
-			P50Ms: ms(r.Recovery.P50), P95Ms: ms(r.Recovery.P95),
-			P99Ms: ms(r.Recovery.P99), MaxMs: ms(r.Recovery.Max),
-		},
-		Points: r.Points,
-		Dips:   r.Dips,
-	}
-	if doc.Points == nil {
-		doc.Points = []FigurePoint{}
-	}
-	if doc.Dips == nil {
-		doc.Dips = []FigureDip{}
-	}
-	b, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(append(b, '\n'))
 	return err
 }
 

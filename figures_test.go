@@ -77,18 +77,9 @@ func TestFigureGoldens(t *testing.T) {
 					golden, got.Len(), len(want))
 			}
 
-			// The JSON and SVG encoders must be deterministic functions of
-			// the result (no map iteration, no wall clock).
-			var j1, j2, s1, s2 bytes.Buffer
-			if err := WriteFigureJSON(&j1, res); err != nil {
-				t.Fatal(err)
-			}
-			if err := WriteFigureJSON(&j2, res); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(j1.Bytes(), j2.Bytes()) {
-				t.Error("JSON encoding not deterministic")
-			}
+			// The SVG encoder must be a deterministic function of the
+			// result (no map iteration, no wall clock).
+			var s1, s2 bytes.Buffer
 			if err := WriteFigureSVG(&s1, res); err != nil {
 				t.Fatal(err)
 			}
@@ -148,30 +139,67 @@ func checkBenchGolden(t *testing.T, golden string, doc bench.Doc) {
 		"with -update and say why in the PR:\n%s", golden, diff.String())
 }
 
-// TestRunnersCloseTheirSystems: the figure runner boots a system per
-// call (a sweep one per point) and must close it once the results are
-// harvested, or each leaves its parked processes
-// behind as goroutines.
+// sweepRuns is the list `figures -interval` builds: cfg uninterrupted as
+// the baseline, then once per kill interval.
+func sweepRuns(cfg FigureConfig, intervals ...time.Duration) []FigureConfig {
+	cfg.Interval = 0
+	runs := []FigureConfig{cfg}
+	for _, cfg.Interval = range intervals {
+		runs = append(runs, cfg)
+	}
+	return runs
+}
+
+// TestRunnersCloseTheirSystems: the figure runner boots a system per run
+// and must close it once the results are harvested, or each leaves its
+// parked processes behind as goroutines.
 func TestRunnersCloseTheirSystems(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
-		RunFigure(FigureConfig{Fig: 7, System: Config{Seed: 3}, Size: 1 << 20})
+		RunFigures([]FigureConfig{{Fig: 7, System: Config{Seed: 3}, Size: 1 << 20}})
 	}
-	RunFigure(FigureConfig{Fig: 8, System: Config{Seed: 3}, Size: 4 << 20})
-	Sweep(FigureConfig{Fig: 7, System: Config{Seed: 3}, Size: 1 << 20}, []time.Duration{time.Second, 2 * time.Second})
-	Sweep(FigureConfig{Fig: 8, System: Config{Seed: 3}, Size: 4 << 20}, []time.Duration{time.Second})
+	RunFigures([]FigureConfig{{Fig: 8, System: Config{Seed: 3}, Size: 4 << 20}})
+	RunFigures(sweepRuns(FigureConfig{Fig: 7, System: Config{Seed: 3}, Size: 1 << 20}, time.Second, 2*time.Second))
+	RunFigures(sweepRuns(FigureConfig{Fig: 8, System: Config{Seed: 3}, Size: 4 << 20}, time.Second))
 	if after := sim.SettledGoroutines(before); after > before {
 		t.Errorf("%d goroutines before the runners, %d after", before, after)
 	}
 }
 
 // TestBenchGolden runs CI's trace-artifacts sweep (Fig. 8, 64 MB, kills
-// every 1 s and 4 s, seed 1) and byte-compares the bench document with
-// the committed golden — the file `throughput -bench-json` wrote before
-// the sweep became a loop over RunFigure, bytes unchanged.
+// every 1 s and 4 s, seed 1) and byte-compares its bench document, each
+// run's BenchDoc under baseline/ or interval/<d>/, with the committed
+// golden `figures -fig 8 -size 64 -interval 1,4 -bench` writes.
 func TestBenchGolden(t *testing.T) {
-	points := Sweep(FigureConfig{Fig: 8, Size: 64 << 20}, []time.Duration{time.Second, 4 * time.Second})
-	checkBenchGolden(t, "testdata/BENCH_throughput_fig8.json", SweepBenchDoc(points))
+	runs := sweepRuns(FigureConfig{Fig: 8, Size: 64 << 20}, time.Second, 4*time.Second)
+	doc := FiguresBenchDoc("figures -interval", runs[0].System.Spec(),
+		[]string{"baseline", "interval/1s", "interval/4s"}, RunFigures(runs))
+	checkBenchGolden(t, "testdata/BENCH_throughput_fig8.json", doc)
+}
+
+// TestRunFiguresChecksBytes: a variant is held to the baseline's bytes.
+// Here the variant's disk holds other contents under the same file (another
+// disk seed), so its dd completes with every byte of the file and its own
+// transfer looks sound, yet the comparison fails it. `figures` exits
+// non-zero on every run that is not OK.
+func TestRunFiguresChecksBytes(t *testing.T) {
+	base := FigureConfig{Fig: 8, Size: 4 << 20, System: Config{Seed: 3}}
+	other := base
+	other.System.Machine.DiskSeed = 4
+	if alone := RunFigure(other); !alone.OK {
+		t.Fatalf("the variant fails on its own (%d of %d bytes)", alone.Bytes, alone.Size)
+	}
+	results := RunFigures([]FigureConfig{base, other})
+	if !results[0].OK {
+		t.Fatalf("baseline failed: %d of %d bytes", results[0].Bytes, results[0].Size)
+	}
+	if results[1].Digest == results[0].Digest {
+		t.Fatalf("another disk seed read the same bytes (sha1 %s)", results[0].Digest)
+	}
+	if results[1].OK || results[1].Bytes != results[1].Size {
+		t.Errorf("variant with other bytes: ok=%v, %d of %d bytes; want !ok with every byte read",
+			results[1].OK, results[1].Bytes, results[1].Size)
+	}
 }
 
 // TestSweepPinned pins sweep rows to the values the deleted point runners
@@ -203,7 +231,7 @@ func TestSweepPinned(t *testing.T) {
 		t.Run(fmt.Sprintf("fig%d", tc.fig), func(t *testing.T) {
 			t.Parallel()
 			cfg := FigureConfig{Fig: tc.fig, Size: tc.size, System: Config{Seed: 11}}
-			points := Sweep(cfg, []time.Duration{time.Second, 2 * time.Second})
+			points := RunFigures(sweepRuns(cfg, time.Second, 2*time.Second))
 			for i, p := range points {
 				if !p.OK || p.Violation != nil {
 					t.Errorf("kill every %v: ok=%v violation=%v", p.Interval, p.OK, p.Violation)
@@ -224,7 +252,7 @@ func TestSweepPinned(t *testing.T) {
 func TestSweepTrace(t *testing.T) {
 	sink := &obs.SliceSink{}
 	cfg := FigureConfig{Fig: 8, Size: 64 << 20, Trace: sink}
-	points := Sweep(cfg, []time.Duration{time.Second, 2 * time.Second})
+	points := RunFigures(sweepRuns(cfg, time.Second, 2*time.Second))
 	segs := obs.Segments(sink.Events())
 	if len(segs) != len(points) {
 		t.Fatalf("%d mark-delimited segments for %d runs", len(segs), len(points))

@@ -221,7 +221,7 @@ func TestCommittedGoldens(t *testing.T) {
 			prev = dir
 		}
 	}
-	for _, src := range []string{"throughput", "faultbench", "figures", "figures -override", "fleetbench", "faultbench -override", "simspeed"} {
+	for _, src := range []string{"figures", "figures -interval", "figures -override", "faultbench", "fleetbench", "faultbench -override", "simspeed"} {
 		if !sources[src] {
 			t.Errorf("no committed golden from producer %q", src)
 		}

@@ -19,14 +19,18 @@ import (
 // -seed 11 -size 32 -interval 1 -override mech=microreboot -override
 // mech=standby` runs, pinned byte-for-byte in testdata.
 func mechanismRuns(t *testing.T) map[string]FigureResult {
-	results := map[string]FigureResult{}
-	for _, mech := range []string{"respawn", "microreboot", "standby"} {
-		cfg := FigureConfig{Fig: 7, Size: 32 << 20, Interval: time.Second, CrashVM: true}
+	mechs := []string{"respawn", "microreboot", "standby"}
+	runs := make([]FigureConfig, len(mechs))
+	for i, mech := range mechs {
+		runs[i] = FigureConfig{Fig: 7, Size: 32 << 20, Interval: time.Second, CrashVM: true}
 		var err error
-		if cfg.System, err = (Config{Seed: 11}).Override("mech=" + mech); err != nil {
+		if runs[i].System, err = (Config{Seed: 11}).Override("mech=" + mech); err != nil {
 			t.Fatal(err)
 		}
-		results[mech] = RunFigure(cfg)
+	}
+	results := map[string]FigureResult{}
+	for i, res := range RunFigures(runs) {
+		results[mechs[i]] = res
 	}
 	return results
 }
