@@ -26,6 +26,7 @@ import (
 	"resilientos/internal/perf"
 	"resilientos/internal/sim"
 	"resilientos/internal/ucode"
+	"resilientos/internal/workload"
 )
 
 // gateAllocs fails b when op allocates: these paths allocated nothing when
@@ -337,6 +338,35 @@ func BenchmarkHotpathTraceAppendNil(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rec.Emit(obs.KindIPCSend, "bench", "hotpath", int64(i), 0)
 	}
+}
+
+// fleetMix is the benchmark's fleet_storm arrival mix over the 20 s its
+// workload.generate probe times: net Poisson at 90 rps with a 2 s diurnal
+// term, disk gamma at 45, char Weibull at 15, eleven client chains.
+const fleetMix = `{"name":"bench-mix","seed":1,"horizon":"20s","classes":[
+{"class":"net","clients":6,"rps":90,"arrival":{"process":"poisson"},"size":{"min":1024,"max":65536},"slo":"25ms","periods":[{"period":"2s","amplitude":0.4}]},
+{"class":"disk","clients":3,"rps":45,"arrival":{"process":"gamma","shape":4},"size":{"min":4096,"max":131072},"slo":"40ms"},
+{"class":"char","clients":2,"rps":15,"arrival":{"process":"weibull","shape":1.5},"size":{"min":256,"max":8192},"slo":"35ms"}]}`
+
+// BenchmarkHotpathGenerate measures one expansion of the fleet mix into
+// its arrival sequence, most of a fleet campaign's set-up. An arrival
+// costs its 40 B Event once plus its 16 B draw, the draw buffer sized
+// from the spec's arrival bound (1.24 times the mean count here).
+// Ceiling: 80 B per arrival plus 64 KiB for the random streams; appending
+// every arrival to one growing []Event and sorting it cost about 140 B.
+func BenchmarkHotpathGenerate(b *testing.B) {
+	spec, err := workload.Parse([]byte(fleetMix))
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := len(spec.Generate())
+	gateAllocBytes(b, "generating the fleet mix", uint64(80*n+64<<10), func() { spec.Generate() })
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		spec.Generate()
+	}
+	b.ReportMetric(float64(n), "arrivals/op")
 }
 
 // BenchmarkHotpathEveryTick measures one periodic-timer firing: heap

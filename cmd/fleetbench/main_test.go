@@ -51,6 +51,7 @@ func TestBadFlags(t *testing.T) {
 		{"rps zero", []string{"-rps", "0", "-horizon", "1s"}, "-rps 0"},
 		{"rps negative", []string{"-rps", "-5", "-horizon", "1s"}, "-rps -5"},
 		{"rps below one request per horizon", []string{"-rps", "1e-12", "-horizon", "1s"}, "no arrivals"},
+		{"rps above the arrival cap", []string{"-rps", "1e9", "-horizon", "1h"}, "-rps 1e+09 over -horizon 1h0m0s: workload: spec \"classic\": up to 3600000000000 arrivals over its 1h0m0s horizon, more than the cap of 10000000"},
 		{"compare plus csv", []string{"-compare", "-csv", "x.csv"}, "cannot take -csv"},
 		{"compare plus json", []string{"-compare", "-json", "x.json"}, "cannot take -json"},
 		{"compare plus policy", []string{"-compare", "-policy", "bogus"}, "cannot take -policy"},

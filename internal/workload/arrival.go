@@ -1,10 +1,8 @@
 package workload
 
 import (
-	"cmp"
 	"math"
 	"math/rand"
-	"slices"
 
 	"resilientos/internal/sim"
 )
@@ -27,11 +25,11 @@ func splitmix64(x uint64) uint64 {
 	return x
 }
 
-// stream returns the deterministic random stream owned by one (class,
+// streamSeed returns the seed of the random stream owned by one (class,
 // client) chain: the spec seed split through splitmix64 twice, so chains
 // are statistically independent and reordering classes in a spec only
 // permutes — never perturbs — the per-chain draws.
-func stream(seed int64, class, client int) *rand.Rand {
+func streamSeed(seed int64, class, client int) int64 {
 	x := splitmix64(uint64(seed))
 	x = splitmix64(x ^ uint64(class+1)*0xBF58476D1CE4E5B9)
 	x = splitmix64(x ^ uint64(client+1)*0x94D049BB133111EB)
@@ -39,7 +37,7 @@ func stream(seed int64, class, client int) *rand.Rand {
 	if s == 0 {
 		s = 1
 	}
-	return rand.New(rand.NewSource(s))
+	return s
 }
 
 // process draws unit-mean inter-arrival gaps; the generator scales them
@@ -149,21 +147,54 @@ type Event struct {
 	Size   int64    `json:"size"`
 }
 
+// arrival is one draw of a chain: its instant and request size. It holds
+// no pointer, so a buffer of them costs the collector nothing to scan.
+type arrival struct {
+	t    sim.Time
+	size int64
+}
+
+// chain is one (class, client) run of draws, buf[lo:hi] of Generate's
+// buffer; its instants strictly increase.
+type chain struct {
+	class  string
+	client int
+	lo, hi int
+}
+
 // Generate expands the spec into its full arrival sequence over
 // [0, Horizon), merged across classes and clients in time order (ties
 // keep class-declaration then client order). The output depends only on
 // the spec, so generating twice — or on different machines — yields the
 // same slice element for element.
+//
+// Every (class, client) chain draws from its own stream into one
+// pointer-free buffer, sized from the spec's arrival bound (Spec.bound),
+// and a binary heap keyed on (instant, chain index) merges the chains
+// into an output allocated once at its exact length: O(n log k) for n
+// arrivals over k chains. Chains are numbered in class-declaration, then
+// client order, and every gap is at least minGap, so no two draws of one
+// chain tie and the heap's tie rule is exactly a stable sort of the
+// concatenated chains by instant.
 func (s *Spec) Generate() []Event {
 	horizon := sim.Time(s.Horizon)
-	var out []Event
+	// The bound is a mean, so the draws may overrun it: four Poisson
+	// standard deviations on top spare the append its regrowth in the
+	// common case. normalize holds the bound to MaxArrivals.
+	n := s.bound()
+	buf := make([]arrival, 0, int(n+4*math.Sqrt(n)))
+	var chains []chain
+	// One stream, re-seeded per chain: the same draws as a fresh source
+	// per chain, without one 5 KB source apiece.
+	r := rand.New(rand.NewSource(1))
 	for ci, cs := range s.Classes {
 		// Each client chain runs at RPS/Clients so the class aggregate
 		// matches the spec rate.
 		meanGapSec := float64(cs.Clients) / cs.RPS
+		p := newProcess(cs.Arrival)
 		for cl := 0; cl < cs.Clients; cl++ {
-			r := stream(s.Seed, ci, cl)
-			p := newProcess(cs.Arrival)
+			r.Seed(streamSeed(s.Seed, ci, cl))
+			lo := len(buf)
 			t := sim.Time(0)
 			for {
 				g := p.gap(r) * meanGapSec / modAt(cs.Periods, t) * 1e9
@@ -182,10 +213,65 @@ func (s *Spec) Generate() []Event {
 				if cs.Size.Max > cs.Size.Min {
 					size += r.Int63n(cs.Size.Max - cs.Size.Min + 1)
 				}
-				out = append(out, Event{T: t, Class: cs.Class, Client: cl, Size: size})
+				buf = append(buf, arrival{t: t, size: size})
+			}
+			if len(buf) > lo {
+				chains = append(chains, chain{class: cs.Class, client: cl, lo: lo, hi: len(buf)})
 			}
 		}
 	}
-	slices.SortStableFunc(out, func(a, b Event) int { return cmp.Compare(a.T, b.T) })
+
+	// heads is a binary min-heap of each unfinished chain's next draw.
+	heads := make(heap, len(chains))
+	for c := range chains {
+		heads[c] = head{t: buf[chains[c].lo].t, chain: c}
+	}
+	for i := len(heads)/2 - 1; i >= 0; i-- {
+		heads.down(i)
+	}
+	out := make([]Event, len(buf))
+	for i := range out {
+		c := &chains[heads[0].chain]
+		a := buf[c.lo]
+		out[i] = Event{T: a.t, Class: c.class, Client: c.client, Size: a.size}
+		if c.lo++; c.lo < c.hi {
+			heads[0].t = buf[c.lo].t
+		} else {
+			heads[0] = heads[len(heads)-1]
+			heads = heads[:len(heads)-1]
+		}
+		heads.down(0)
+	}
 	return out
+}
+
+// head is a chain's next draw in Generate's merge.
+type head struct {
+	t     sim.Time
+	chain int
+}
+
+// heap is a binary min-heap of heads ordered by instant, then chain index.
+type heap []head
+
+func (h heap) before(i, j int) bool {
+	return h[i].t < h[j].t || h[i].t == h[j].t && h[i].chain < h[j].chain
+}
+
+// down sifts h[i] to its place below i.
+func (h heap) down(i int) {
+	for {
+		m := i
+		if l := 2*i + 1; l < len(h) && h.before(l, m) {
+			m = l
+		}
+		if r := 2*i + 2; r < len(h) && h.before(r, m) {
+			m = r
+		}
+		if m == i {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
 }

@@ -125,6 +125,13 @@ type Spec struct {
 	Classes []ClassSpec `json:"classes"`
 }
 
+// MaxArrivals caps a spec's arrival bound (Spec.bound). Gaps floor at
+// minGap, so without it a large rate or modulation amplitude asks for up
+// to one arrival per microsecond per chain until memory runs out; at the
+// cap a generated sequence is about 480 MB of Event. A one-hour fleet of
+// the benchmark's 150 rps mix is about 6.7·10⁵.
+const MaxArrivals = 10_000_000
+
 // defaultSizes supplies a per-class size range when the spec leaves the
 // size block zero.
 var defaultSizes = map[string]SizeSpec{
@@ -253,7 +260,26 @@ func (s *Spec) normalize() error {
 			}
 		}
 	}
+	if n := s.bound(); n > MaxArrivals {
+		return fmt.Errorf("workload: spec %q: up to %.0f arrivals over its %s horizon, more than the cap of %d",
+			s.Name, n, time.Duration(s.Horizon), MaxArrivals)
+	}
 	return nil
+}
+
+// bound is the spec's bound on its mean arrival count: per class the rate
+// at the modulation's highest possible peak, 1 + the sum of amplitudes,
+// over the whole horizon.
+func (s *Spec) bound() float64 {
+	var n float64
+	for _, cs := range s.Classes {
+		peak := 1.0
+		for _, p := range cs.Periods {
+			peak += p.Amplitude
+		}
+		n += cs.RPS * peak * time.Duration(s.Horizon).Seconds()
+	}
+	return n
 }
 
 // ClassNames returns the spec's class names in declaration order.

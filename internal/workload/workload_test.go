@@ -1,12 +1,14 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"math/rand"
+	"os"
 	"reflect"
 	"regexp"
 	"slices"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -87,6 +89,9 @@ func TestParseErrors(t *testing.T) {
 		{"negative slo", `{"horizon":"1s","classes":[{"class":"net","rps":1,"arrival":{"process":"fixed"},"slo":"-5ms"}]}`, "slo must be non-negative"},
 		{"zero period", `{"horizon":"1s","classes":[{"class":"net","rps":1,"arrival":{"process":"fixed"},"periods":[{"period":"0s","amplitude":0.5}]}]}`, "period must be positive"},
 		{"negative amplitude", `{"horizon":"1s","classes":[{"class":"net","rps":1,"arrival":{"process":"fixed"},"periods":[{"period":"1s","amplitude":-0.5}]}]}`, "amplitude must be non-negative"},
+		{"arrival cap by rate", `{"horizon":"1h","classes":[{"class":"net","rps":1e9,"arrival":{"process":"poisson"}}]}`, "up to 3600000000000 arrivals over its 1h0m0s horizon, more than the cap of 10000000"},
+		{"arrival cap by amplitude", `{"horizon":"1h","classes":[{"class":"net","rps":100,"arrival":{"process":"fixed"},"periods":[{"period":"1s","amplitude":1e6}]}]}`, "up to 360000360000 arrivals over its 1h0m0s horizon, more than the cap of 10000000"},
+		{"arrival cap summed over classes", `{"horizon":"1h","classes":[{"class":"net","rps":2000,"arrival":{"process":"poisson"}},{"class":"disk","rps":2000,"arrival":{"process":"poisson"}}]}`, "up to 14400000 arrivals over its 1h0m0s horizon, more than the cap of 10000000"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -98,6 +103,20 @@ func TestParseErrors(t *testing.T) {
 				t.Fatalf("error %q does not contain %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestArrivalBound: the cap counts every class at its modulation's peak
+// over the whole horizon, and an hour of the benchmark's fleet mix stays
+// far below it.
+func TestArrivalBound(t *testing.T) {
+	s, err := Parse([]byte(strings.Replace(fmt.Sprintf(benchMix, 1), `"200s"`, `"1h"`, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// net 90 rps at 1 + 0.4, disk 45, char 15, for 3,600 s.
+	if got, want := s.bound(), (90*1.4+45+15)*3600.0; math.Abs(got-want) > 1e-6*want {
+		t.Fatalf("bound = %.0f, want %.0f", got, want)
 	}
 }
 
@@ -235,8 +254,9 @@ func TestStreamIndependence(t *testing.T) {
 
 // TestClassic pins the built-in mix as a spec: reproducible from the
 // seed, Poisson net:disk at 3:1 adding up to the asked rate, the two
-// fixed sizes, and a rate that is not a positive finite number refused —
-// a near-zero one generating nothing instead of overflowing into a flood.
+// fixed sizes, and a rate that is not a positive finite number or that
+// asks for more than MaxArrivals refused — a near-zero one generating
+// nothing instead of overflowing into a flood.
 func TestClassic(t *testing.T) {
 	const rps, horizon = 200, 60 * time.Second
 	s, err := Classic(11, rps, horizon)
@@ -275,6 +295,9 @@ func TestClassic(t *testing.T) {
 			t.Errorf("Classic(rps=%v) = %v, want an error naming rps", bad, err)
 		}
 	}
+	if _, err := Classic(1, 1e9, time.Hour); err == nil || !strings.Contains(err.Error(), "more than the cap") {
+		t.Errorf("Classic(rps=1e9, 1h) = %v, want the arrival cap's error", err)
+	}
 	slow, err := Classic(11, 1e-12, horizon)
 	if err != nil {
 		t.Fatal(err)
@@ -291,40 +314,143 @@ const benchMix = `{"name":"bench-mix","seed":%d,"horizon":"200s","classes":[
 {"class":"disk","clients":3,"rps":45,"arrival":{"process":"gamma","shape":4},"size":{"min":4096,"max":131072},"slo":"40ms"},
 {"class":"char","clients":2,"rps":15,"arrival":{"process":"weibull","shape":1.5},"size":{"min":256,"max":8192},"slo":"35ms"}]}`
 
-// TestGenerateOrderMatchesStableReference: Generate's merge equals the
-// reflective sort.SliceStable it replaced, element for element. Each
-// client chain is strictly increasing in T, so sorting the output by
-// (class, client) recovers the concatenated chains the merge started
-// from; the reference sorts those again. With every class at a fixed rate
-// the clients of a class tie on every instant, so ties must keep class
-// then client order.
-func TestGenerateOrderMatchesStableReference(t *testing.T) {
-	fixed := regexp.MustCompile(`"arrival":\{[^}]*\}`)
-	for _, mix := range []string{benchMix, fixed.ReplaceAllString(benchMix, `"arrival":{"process":"fixed"}`)} {
-		for _, seed := range []int64{1, 7, 11} {
-			s, err := Parse([]byte(fmt.Sprintf(mix, seed)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := s.Generate()
-			if len(got) == 0 {
-				t.Fatalf("seed %d: no events", seed)
-			}
-			class := map[string]int{}
-			for i, cs := range s.Classes {
-				class[cs.Class] = i
-			}
-			ref := slices.Clone(got)
-			sort.SliceStable(ref, func(i, j int) bool {
-				a, b := ref[i], ref[j]
-				return class[a.Class] < class[b.Class] || class[a.Class] == class[b.Class] && a.Client < b.Client
-			})
-			sort.SliceStable(ref, func(i, j int) bool { return ref[i].T < ref[j].T })
-			for i := range got {
-				if got[i] != ref[i] {
-					t.Fatalf("seed %d, %s: event %d is %+v, stable reference %+v", seed, s.Classes[0].Arrival.Process, i, got[i], ref[i])
+// stream returns a fresh random stream for one (class, client) chain.
+func stream(seed int64, class, client int) *rand.Rand {
+	return rand.New(rand.NewSource(streamSeed(seed, class, client)))
+}
+
+// referenceGenerate is Generate as it was before the merge: every chain
+// drawn from its own fresh stream and appended to one slice, which a
+// stable sort then orders by instant.
+func referenceGenerate(s *Spec) []Event {
+	horizon := sim.Time(s.Horizon)
+	var out []Event
+	for ci, cs := range s.Classes {
+		// Each client chain runs at RPS/Clients so the class aggregate
+		// matches the spec rate.
+		meanGapSec := float64(cs.Clients) / cs.RPS
+		for cl := 0; cl < cs.Clients; cl++ {
+			r := stream(s.Seed, ci, cl)
+			p := newProcess(cs.Arrival)
+			t := sim.Time(0)
+			for {
+				g := p.gap(r) * meanGapSec / modAt(cs.Periods, t) * 1e9
+				if g >= float64(horizon) {
+					break // also: a near-zero rate's gap must not overflow sim.Time below
 				}
+				gap := sim.Time(g)
+				if gap < minGap {
+					gap = minGap
+				}
+				t += gap
+				if t >= horizon {
+					break
+				}
+				size := cs.Size.Min
+				if cs.Size.Max > cs.Size.Min {
+					size += r.Int63n(cs.Size.Max - cs.Size.Min + 1)
+				}
+				out = append(out, Event{T: t, Class: cs.Class, Client: cl, Size: size})
 			}
 		}
 	}
+	slices.SortStableFunc(out, func(a, b Event) int { return cmp.Compare(a.T, b.T) })
+	return out
+}
+
+// fuzzSpec builds a small spec from fuzz bytes: 1–3 classes of 1–8
+// clients, each with its process and shape and 0–2 modulation periods,
+// over at most 5 s. Rates stay low enough that a run is milliseconds.
+func fuzzSpec(seed int64, horizonMS uint16, knobs []byte) *Spec {
+	knob := func(i int) int { // knobs cycle, so any length describes a spec
+		if len(knobs) == 0 {
+			return 0
+		}
+		return int(knobs[i%len(knobs)])
+	}
+	processes := []string{ProcessFixed, ProcessPoisson, ProcessGamma, ProcessWeibull}
+	s := &Spec{Seed: seed, Horizon: Duration(time.Duration(1+int(horizonMS)%5000) * time.Millisecond)}
+	classes := []string{ClassNet, ClassDisk, ClassChar}
+	for ci := 0; ci < 1+knob(0)%3; ci++ {
+		k := 1 + 13*ci // a class reads 13 knobs: 7, then 3 per period
+		cs := ClassSpec{
+			Class:   classes[ci],
+			Clients: 1 + knob(k)%8,
+			RPS:     1 + float64(knob(k+1)*4),
+			Arrival: ArrivalSpec{Process: processes[knob(k+2)%4]},
+			Size:    SizeSpec{Min: 1 + int64(knob(k+3)), Max: 1 + int64(knob(k+3)) + int64(knob(k+4)%3*100)},
+		}
+		if cs.Arrival.Process == ProcessGamma || cs.Arrival.Process == ProcessWeibull {
+			cs.Arrival.Shape = 0.25 + float64(knob(k+5))/32 // 0.25 to 8.2
+		}
+		for pi := 0; pi < knob(k+6)%3; pi++ {
+			j := k + 7 + 3*pi
+			cs.Periods = append(cs.Periods, Period{
+				Period:    Duration(time.Duration(1+knob(j)) * 20 * time.Millisecond),
+				Amplitude: float64(knob(j+1)) / 64, // to 4: deep enough to reach the floor
+				Phase:     float64(knob(j+2)) / 40,
+			})
+		}
+		s.Classes = append(s.Classes, cs)
+	}
+	if err := s.normalize(); err != nil {
+		panic(err) // every spec built above is valid
+	}
+	return s
+}
+
+// FuzzGenerateOrderMatchesReference: Generate's merge returns what the
+// per-chain draws plus a stable sort returned, element for element, for
+// any spec. The reference does not read Generate's output, so a lost
+// arrival or a wrong draw shows, not only a misordering. A spec is either
+// built from the seed, horizon and knob bytes (fuzzSpec) or, when js is
+// set, parsed from it. The seed corpus is the benchmark's fleet mix and
+// its fixed-rate twin, whose clients tie on every instant, at seeds 1, 7
+// and 11, the fleetbench spec file, and three knob-built specs.
+func FuzzGenerateOrderMatchesReference(f *testing.F) {
+	fixed := regexp.MustCompile(`"arrival":\{[^}]*\}`)
+	var seeds []string
+	for _, mix := range []string{benchMix, fixed.ReplaceAllString(benchMix, `"arrival":{"process":"fixed"}`)} {
+		for _, seed := range []int64{1, 7, 11} {
+			seeds = append(seeds, fmt.Sprintf(mix, seed))
+		}
+	}
+	b, err := os.ReadFile("../../cmd/fleetbench/testdata/workload_seed11.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	seeds = append(seeds, string(b))
+	for _, js := range seeds {
+		f.Add(int64(0), uint16(0), []byte(nil), js)
+	}
+	// Knob-built seeds: net Poisson under two periods, disk gamma(4) and
+	// char Weibull(0.5) under one deep enough to reach the floor; three
+	// classes of eight fixed-rate clients, tied on every instant; and the
+	// smallest spec, one fixed-rate client of net at 1 rps.
+	f.Add(int64(1), uint16(3000), []byte{2,
+		5, 22, 1, 7, 2, 0, 2, 99, 26, 0, 9, 64, 63,
+		2, 11, 2, 40, 1, 120, 0, 0, 0, 0, 0, 0, 0,
+		1, 4, 3, 3, 2, 8, 1, 4, 200, 100, 0, 0, 0}, "")
+	f.Add(int64(7), uint16(2000), []byte{2,
+		7, 10, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+		7, 5, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+		7, 2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0}, "")
+	f.Add(int64(11), uint16(4999), []byte(nil), "")
+	f.Fuzz(func(t *testing.T, seed int64, horizonMS uint16, knobs []byte, js string) {
+		var s *Spec
+		if js == "" {
+			s = fuzzSpec(seed, horizonMS, knobs)
+		} else if s, err = Parse([]byte(js)); err != nil || s.bound() > 1e5 {
+			t.Skip() // a mutated spec file: only a valid, small one is compared
+		}
+		got, want := s.Generate(), referenceGenerate(s)
+		if len(got) != len(want) {
+			t.Fatalf("%d events, reference %d", len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("event %d is %+v, reference %+v", i, got[i], want[i])
+			}
+		}
+	})
 }
