@@ -72,8 +72,8 @@ func TestModuleRootAndTable(t *testing.T) {
 	if d := byName["RTL8139 Driver"]; d.Recovery != 0 {
 		t.Errorf("rtl8139 has %d device-specific recovery LoC, want 0", d.Recovery)
 	}
-	if lib := byName["Driver Library"]; lib.Recovery == 0 || lib.Recovery > 10 {
-		t.Errorf("driver library recovery LoC = %d, want the paper's ~5", lib.Recovery)
+	if lib := byName["Driver Library"]; lib.Recovery != 5 {
+		t.Errorf("driver library recovery LoC = %d, want the paper's 5", lib.Recovery)
 	}
 	// 4. The RAM disk has none at all.
 	if rd := byName["RAM Disk"]; rd.Recovery != 0 {

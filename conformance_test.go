@@ -16,7 +16,7 @@ import (
 // from under a transfer: an external SIGKILL no in-process mechanism can
 // intercept, an internal defect in the running ucode (the one fault a
 // microreboot absorbs in place), and a clean dynamic update (the one
-// handover that flushes a state capsule).
+// handover the old instance takes part in, through its SIGTERM shutdown).
 var conformanceFaults = []struct {
 	name   string
 	strike func(sys *System, label string)
@@ -40,10 +40,10 @@ var conformanceFile = []PreallocFile{{Name: "big", Size: 8 << 20}}
 
 // TestRecoveryConformance is the predecessor/successor contract every
 // ucode driver owes under every rung of the recovery ladder, as one
-// table: {driver} × {mechanism} × {salvage off, on} × {fault}. Three
+// table: {driver} × {mechanism} × {fault}, 27 cells. Three
 // strikes 70 ms apart land in a 4 MiB wget (network drivers) or an 8 MiB
 // dd (disk driver) with the live invariant checker attached. Whatever
-// mix of respawn, promotion, in-place reset and capsule adoption the cell
+// mix of respawn, promotion and in-place reset the cell
 // takes, the application must see nothing: the transfer completes with
 // the right bytes, no invariant is violated, and RS logged a recovery of
 // the victim. The driver half of all of it is drvlib's — a driver that
@@ -53,27 +53,23 @@ func TestRecoveryConformance(t *testing.T) { recoveryConformance(t) }
 func recoveryConformance(t *testing.T) {
 	for _, victim := range []string{DriverRTL8139, DriverDP8390, DriverSATA} {
 		for _, mech := range []core.Mechanism{core.MechRespawn, core.MechMicroreboot, core.MechStandby} {
-			for _, salvage := range []bool{false, true} {
-				for _, fault := range conformanceFaults {
-					name := fmt.Sprintf("%s/%s/salvage=%v/%s", victim, mech, salvage, fault.name)
-					t.Run(name, func(t *testing.T) {
-						t.Parallel()
-						conformanceCell(t, victim, mech, salvage, fault.strike)
-					})
-				}
+			for _, fault := range conformanceFaults {
+				t.Run(fmt.Sprintf("%s/%s/%s", victim, mech, fault.name), func(t *testing.T) {
+					t.Parallel()
+					conformanceCell(t, victim, mech, fault.strike)
+				})
 			}
 		}
 	}
 }
 
-func conformanceCell(t *testing.T, victim string, mech core.Mechanism, salvage bool,
-	strike func(*System, string)) {
+func conformanceCell(t *testing.T, victim string, mech core.Mechanism, strike func(*System, string)) {
 	disk := victim == DriverSATA
 	rec := obs.NewRecorder()
 	rec.Disable(obs.KindIPCSend, obs.KindIPCRecv)
 	sys := New(Config{
 		Seed: 3, DisableNet: disk, DisableDisk: !disk, DisableChar: true,
-		Obs: rec, Mechanism: mech, Salvage: salvage, PreallocFiles: conformanceFile,
+		Obs: rec, Mechanism: mech, PreallocFiles: conformanceFile,
 	})
 	ck := check.Attach(sys.Env, rec, check.Config{Kernel: sys.Kernel, RS: sys.RS, DS: sys.DS})
 	sys.Run(3 * time.Second) // boot settle

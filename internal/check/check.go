@@ -35,11 +35,7 @@
 //   - failover: warm-standby failover is safe — the data store never maps
 //     a published name to a live standby replica that was not promoted
 //     (a standby never serves before promotion; together with
-//     endpoint-unique this also means a name never has two live owners),
-//     and state-capsule versions are monotone per driver: every save
-//     strictly exceeds the last version seen, and a successor never
-//     adopts a capsule older than one already written (a rejected adopt
-//     legitimately restarts the chain — the successor cold-starts).
+//     endpoint-unique this also means a name never has two live owners).
 //
 // Violations carry the virtual time and a one-line detail; the checker
 // also keeps a bounded tail of recent trace events so a campaign can turn
@@ -168,7 +164,6 @@ type Checker struct {
 	openCausal     map[int64]causalSpan // causal span ID -> begin info (span-leak)
 	openDecisions  map[string]sim.Time  // label -> decision-level detect time
 	openDecPolicy  map[string]sim.Time  // label -> decision-level policy-run time
-	capsuleVer     map[string]int64     // label -> last capsule version saved or adopted
 
 	// Per-scan scratch state, reused to keep the scans allocation-free.
 	seenEp     map[kernel.Endpoint]string
@@ -245,7 +240,6 @@ func New(cfg Config) *Checker {
 		openCausal:     make(map[int64]causalSpan),
 		openDecisions:  make(map[string]sim.Time),
 		openDecPolicy:  make(map[string]sim.Time),
-		capsuleVer:     make(map[string]int64),
 		seenEp:         make(map[kernel.Endpoint]string),
 		seenLabel:      make(map[string]kernel.Endpoint),
 		liveStale:      make(map[grantKey]bool),
@@ -308,7 +302,7 @@ func (c *Checker) TraceTail() []obs.Event { return c.tail.Events() }
 // Emit implements obs.Sink: it feeds the repro tail and maintains the
 // span and publish state machines. A case that writes state the scans
 // read (pendingPublish, openSpans, openPolicies) sets dirty; the causal
-// span, decision and capsule state is read only here and in Finish.
+// span and decision state is read only here and in Finish.
 func (c *Checker) Emit(e obs.Event) {
 	c.tail.Emit(e)
 	switch e.Kind {
@@ -321,7 +315,6 @@ func (c *Checker) Emit(e obs.Event) {
 		c.openCausal = make(map[int64]causalSpan)
 		c.openDecisions = make(map[string]sim.Time)
 		c.openDecPolicy = make(map[string]sim.Time)
-		c.capsuleVer = make(map[string]int64)
 	case obs.KindSpanBegin:
 		if prev, dup := c.openCausal[e.Span]; dup {
 			c.report(fmt.Sprintf("spanbegin:%d", e.Span), "span-leak", e.Comp,
@@ -358,25 +351,6 @@ func (c *Checker) Emit(e obs.Event) {
 		// Aux is the published name (V2=1 marks a withdraw).
 		c.dirty = true
 		delete(c.pendingPublish, e.Aux)
-	case obs.KindCapsuleSave:
-		// Capsule versions must be strictly monotone per driver label.
-		if prev, ok := c.capsuleVer[e.Comp]; ok && e.V1 <= prev {
-			c.report(fmt.Sprintf("capver:%s:%d", e.Comp, e.V1), "failover", e.Comp,
-				fmt.Sprintf("capsule version not monotone: saved v%d after v%d", e.V1, prev))
-		}
-		c.capsuleVer[e.Comp] = e.V1
-	case obs.KindCapsuleAdopt:
-		if e.V2 != 0 {
-			// Rejected capsule: the successor cold-starts and legitimately
-			// restarts the version chain from zero.
-			delete(c.capsuleVer, e.Comp)
-			break
-		}
-		if prev, ok := c.capsuleVer[e.Comp]; ok && e.V1 < prev {
-			c.report(fmt.Sprintf("capadopt:%s:%d", e.Comp, e.V1), "failover", e.Comp,
-				fmt.Sprintf("adopted capsule v%d older than last written v%d", e.V1, prev))
-		}
-		c.capsuleVer[e.Comp] = e.V1
 	}
 }
 

@@ -721,7 +721,7 @@ func TestWindowMonotonicInvariant(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------
-// Failover invariants: standby-never-serves and capsule monotonicity.
+// Failover invariant: standby-never-serves.
 
 // failoverState builds a kernel with a live primary and its parked warm
 // standby replica; published names are the caller's choice.
@@ -774,51 +774,5 @@ func TestStandbyServesBeforePromotion(t *testing.T) {
 	c.Step()
 	if n := countInvariant(c, "failover"); n != 1 {
 		t.Fatalf("promotion did not clear the episode: %d violations", n)
-	}
-}
-
-func TestCapsuleVersionMonotone(t *testing.T) {
-	c := check.New(check.Config{})
-	save := func(v int64) {
-		c.Emit(obs.Event{Kind: obs.KindCapsuleSave, Comp: "eth.x", Aux: "conf", V1: v})
-	}
-	adopt := func(v, rejected int64) {
-		c.Emit(obs.Event{Kind: obs.KindCapsuleAdopt, Comp: "eth.x", Aux: "conf", V1: v, V2: rejected})
-	}
-
-	save(1)
-	adopt(1, 0)
-	save(2)
-	save(3)
-	c.Finish()
-	if !c.Ok() {
-		t.Fatalf("monotone capsule chain flagged: %v", c.Violations())
-	}
-
-	// A save that repeats or regresses the version is a violation.
-	c = check.New(check.Config{})
-	save(3)
-	save(3)
-	v := wantInvariant(t, c, "failover")
-	if !strings.Contains(v.Detail, "not monotone") {
-		t.Fatalf("unexpected detail: %q", v.Detail)
-	}
-
-	// Adopting a capsule older than the last written one is a violation:
-	// the successor resurrected stale state.
-	c = check.New(check.Config{})
-	save(5)
-	adopt(2, 0)
-	wantInvariant(t, c, "failover")
-
-	// A rejected adopt means the successor cold-started: its restart from
-	// version 1 is legal, not a regression.
-	c = check.New(check.Config{})
-	save(5)
-	adopt(5, 1) // rejected (e.g. corrupt payload)
-	save(1)
-	c.Finish()
-	if !c.Ok() {
-		t.Fatalf("post-rejection cold restart flagged: %v", c.Violations())
 	}
 }

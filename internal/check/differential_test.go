@@ -91,7 +91,6 @@ func swifiCell(seed int64, mech core.Mechanism, ckCfg check.Config, plain bool) 
 		DisableChar: true,
 		Obs:         rec,
 		Mechanism:   mech,
-		Salvage:     mech != core.MechRespawn,
 		NetPolicy:   slowRestart,
 	})
 	ck := check.Attach(sys.Env, rec, views(ckCfg, plain, sys.Kernel, sys.RS, sys.DS))
@@ -121,8 +120,8 @@ func swifiCell(seed int64, mech core.Mechanism, ckCfg check.Config, plain bool) 
 }
 
 // TestDifferentialSWIFI sweeps 64 seeds over the three recovery
-// mechanisms (respawn, and the failover sweep's standby and microreboot
-// with salvage). The checker's thresholds are set below what a recovery
+// mechanisms (respawn, and the failover sweep's standby and
+// microreboot). The checker's thresholds are set below what a recovery
 // through slowRestart needs, so that ordinary crashes trip the deadline
 // invariants in the middle of a busy transfer: the sweep then compares
 // violations whose timestamps depend on the deadline bookkeeping, not
@@ -179,7 +178,6 @@ func TestCountersCoverEveryChange(t *testing.T) {
 				Seed:          3,
 				DisableChar:   true,
 				Mechanism:     mech,
-				Salvage:       mech != core.MechRespawn,
 				NetPolicy:     slowRestart,
 				PreallocFiles: []resilientos.PreallocFile{{Name: "big", Size: 64 << 20}},
 			})

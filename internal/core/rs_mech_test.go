@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -268,75 +267,5 @@ func TestMicrorebootCountsAgainstMaxRestarts(t *testing.T) {
 	}
 	if r.rs.FailureCount("drv") != 3 {
 		t.Fatalf("failures = %d at give-up, want 3", r.rs.FailureCount("drv"))
-	}
-}
-
-// salvageDevice adds the Salvager hooks: SaveState flushes d.payload,
-// RestoreState records what the successor adopted (or rejects it).
-type salvageDevice struct {
-	mechDevice
-	payload      []byte
-	restoreErr   error
-	restoredKind string
-	restored     []byte
-}
-
-func (d *salvageDevice) SaveState(c *kernel.Ctx) (string, []byte) {
-	return "test.state", d.payload
-}
-
-func (d *salvageDevice) RestoreState(c *kernel.Ctx, kind string, payload []byte) error {
-	if d.restoreErr != nil {
-		return d.restoreErr
-	}
-	d.restoredKind = kind
-	d.restored = append([]byte(nil), payload...)
-	return nil
-}
-
-// TestSalvageAcrossUpdate: a dynamic update SIGTERMs the old instance,
-// which flushes its state capsule; the successor validates and adopts it.
-func TestSalvageAcrossUpdate(t *testing.T) {
-	r := boot(t)
-	dev := &salvageDevice{payload: []byte("cfg-v1")}
-	cfg := svcCfg("drv", mechBinary(dev, drvlib.Options{Salvage: true}))
-	r.rs.StartService(cfg)
-	r.env.Run(time.Second)
-
-	r.rs.UpdateService(ServiceConfig{Label: "drv", Version: "v2"})
-	r.env.Run(2 * time.Second)
-	if dev.initCount != 2 {
-		t.Fatalf("initCount = %d after update, want 2", dev.initCount)
-	}
-	if dev.restoredKind != "test.state" || string(dev.restored) != "cfg-v1" {
-		t.Fatalf("successor adopted (%q, %q), want (test.state, cfg-v1)",
-			dev.restoredKind, dev.restored)
-	}
-
-	// A second update carries the newer state (capsule version v2).
-	dev.payload = []byte("cfg-v2")
-	r.rs.UpdateService(ServiceConfig{Label: "drv", Version: "v3"})
-	r.env.Run(2 * time.Second)
-	if string(dev.restored) != "cfg-v2" {
-		t.Fatalf("second successor adopted %q, want cfg-v2", dev.restored)
-	}
-}
-
-// TestSalvageRejectedKeepsColdState: a capsule the device refuses leaves
-// the successor on its cold state — and alive.
-func TestSalvageRejectedKeepsColdState(t *testing.T) {
-	r := boot(t)
-	dev := &salvageDevice{payload: []byte("poisoned"), restoreErr: errors.New("bad state")}
-	cfg := svcCfg("drv", mechBinary(dev, drvlib.Options{Salvage: true}))
-	r.rs.StartService(cfg)
-	r.env.Run(time.Second)
-
-	r.rs.UpdateService(ServiceConfig{Label: "drv", Version: "v2"})
-	r.env.Run(2 * time.Second)
-	if dev.restored != nil {
-		t.Fatalf("rejected capsule adopted anyway: %q", dev.restored)
-	}
-	if r.rs.ServiceEndpoint("drv") == kernel.None {
-		t.Fatal("service down after rejecting a capsule")
 	}
 }

@@ -8,9 +8,6 @@
 package ramdisk
 
 import (
-	"encoding/binary"
-	"errors"
-
 	"resilientos/internal/drvlib"
 	"resilientos/internal/hw"
 	"resilientos/internal/kernel"
@@ -125,31 +122,3 @@ func (d *driver) HandleAlarm(c *kernel.Ctx) {}
 
 // Shutdown implements drvlib.Device.
 func (d *driver) Shutdown(c *kernel.Ctx) {}
-
-// capsuleKind tags this driver's state capsules.
-const capsuleKind = "ramdisk.geom"
-
-// SaveState implements drvlib.Salvager: the disk geometry survives a
-// clean handover.
-func (d *driver) SaveState(c *kernel.Ctx) (string, []byte) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(d.cfg.Sectors))
-	return capsuleKind, b[:]
-}
-
-// RestoreState implements drvlib.Salvager: validate, then adopt. A
-// capsule whose geometry disagrees with this instance's backing store
-// describes a different disk and is rejected rather than adopted.
-func (d *driver) RestoreState(c *kernel.Ctx, kind string, payload []byte) error {
-	if kind != capsuleKind || len(payload) != 8 {
-		return errors.New("ramdisk: foreign or malformed capsule")
-	}
-	sectors := int64(binary.LittleEndian.Uint64(payload))
-	if sectors <= 0 {
-		return errors.New("ramdisk: capsule geometry is non-positive")
-	}
-	if sectors != d.cfg.Sectors {
-		return errors.New("ramdisk: capsule geometry mismatch")
-	}
-	return nil
-}

@@ -10,9 +10,7 @@
 package sata
 
 import (
-	"encoding/binary"
 	"errors"
-	"sort"
 	"time"
 
 	"resilientos/internal/drvlib"
@@ -161,47 +159,6 @@ func (d *driver) Microreboot(c *kernel.Ctx) error {
 	if d.busy != kernel.None {
 		_ = c.Send(d.busy, kernel.Message{Type: proto.BdevReply, Arg1: proto.ErrIO})
 		d.busy = kernel.None
-	}
-	return nil
-}
-
-// capsuleKind tags this driver's state capsules.
-const capsuleKind = "sata.queue"
-
-// SaveState implements drvlib.Salvager: the open-minor table — the
-// pending-queue summary of a quiesced disk driver — survives a clean
-// handover, so the file server's open devices stay open.
-func (d *driver) SaveState(c *kernel.Ctx) (string, []byte) {
-	minors := make([]int64, 0, len(d.opened))
-	for m, open := range d.opened {
-		if open {
-			minors = append(minors, m)
-		}
-	}
-	sort.Slice(minors, func(i, j int) bool { return minors[i] < minors[j] })
-	b := make([]byte, 0, 4+8*len(minors))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(minors)))
-	for _, m := range minors {
-		b = binary.LittleEndian.AppendUint64(b, uint64(m))
-	}
-	return capsuleKind, b
-}
-
-// RestoreState implements drvlib.Salvager: validate, then adopt.
-func (d *driver) RestoreState(c *kernel.Ctx, kind string, payload []byte) error {
-	if kind != capsuleKind || len(payload) < 4 {
-		return errors.New("sata: foreign or malformed capsule")
-	}
-	n := int(binary.LittleEndian.Uint32(payload))
-	if n < 0 || n > 1024 || len(payload) != 4+8*n {
-		return errors.New("sata: capsule minor count out of range")
-	}
-	for i := 0; i < n; i++ {
-		minor := int64(binary.LittleEndian.Uint64(payload[4+8*i:]))
-		if minor < 0 {
-			return errors.New("sata: capsule names a negative minor")
-		}
-		d.opened[minor] = true
 	}
 	return nil
 }

@@ -21,24 +21,17 @@
 //     and, if granted, resets its VM and ring state in place via the
 //     Microrebooter hook — no respawn, no re-grant churn. Denial or a
 //     failed reset falls back to the original fatal (full respawn).
-//   - state salvage (Options.Salvage): devices implementing Salvager
-//     flush a small versioned state capsule to the data store on clean
-//     shutdown; the successor instance retrieves, validates, and adopts
-//     it instead of cold re-initializing, rejecting corrupt capsules.
 //
 // Lines that exist only to support the paper's baseline recovery —
 // answering heartbeats and honoring shutdown — carry the recovery
 // marker cmd/locstats counts to regenerate Fig. 9. The count
 // deliberately excludes the beyond-paper mechanism layer (standby
-// parking, microreboot interception, salvage): that is opt-in machinery
+// parking, microreboot interception): that is opt-in machinery
 // the paper's 5-line claim never covered.
 package drvlib
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"strings"
 	"time"
 
@@ -134,32 +127,17 @@ type Microrebooter interface {
 	Microreboot(c *kernel.Ctx) error
 }
 
-// Salvager is implemented by devices with crash-consistent state worth
-// carrying across instances (configuration, open minors, geometry).
-type Salvager interface {
-	// SaveState returns the state capsule payload to flush on a clean
-	// shutdown, tagged with a device-specific kind.
-	SaveState(c *kernel.Ctx) (kind string, payload []byte)
-	// RestoreState validates a predecessor's capsule payload and adopts
-	// it. An error rejects the capsule (the driver keeps its cold state).
-	RestoreState(c *kernel.Ctx, kind string, payload []byte) error
-}
-
 // Options configures the message loop's recovery behavior beyond the
-// paper's baseline. The zero value is the baseline (respawn, no salvage).
+// paper's baseline. The zero value is the baseline (respawn).
 type Options struct {
 	Mechanism Mechanism
-	// Salvage enables the state-capsule save/restore handshake for
-	// devices implementing Salvager.
-	Salvage bool
 }
 
 // runState is the per-instance loop state, parked in the process-local
 // slot so package helpers (React, Stuck) can reach it with only a Ctx.
 type runState struct {
-	opts       Options
-	armed      bool   // inside steady-state dispatch: VM fatals are catchable
-	capVersion uint32 // version of the last adopted/saved capsule
+	opts  Options
+	armed bool // inside steady-state dispatch: VM fatals are catchable
 }
 
 // vmFatal carries an intercepted fatal VM outcome up to the dispatch
@@ -172,7 +150,7 @@ func state(c *kernel.Ctx) *runState {
 }
 
 // Run executes the canonical driver message loop with baseline recovery
-// (kill-and-respawn, no salvage). It does not return except by process
+// (kill-and-respawn). It does not return except by process
 // exit.
 func Run(c *kernel.Ctx, d Device) { RunWith(c, d, Options{}) }
 
@@ -200,7 +178,6 @@ func RunWith(c *kernel.Ctx, d Device, opts Options) {
 		}
 		c.EndWork(initSpan, 0)
 	}
-	adoptCapsule(c, d, st)
 	c.SetTraceCtx(obs.SpanContext{}) // startup context must not bleed into steady state
 	for {
 		m, err := c.Receive(kernel.Any)
@@ -245,9 +222,8 @@ func dispatch(c *kernel.Ctx, d Device, st *runState, m kernel.Message) (fatal *v
 	case m.Type == kernel.MsgNotify && m.Source == kernel.System:
 		for _, sig := range c.SigPending() {
 			if sig == kernel.SIGTERM { // [recovery] shutdown request
-				saveCapsule(c, d, st) // [recovery] flush state capsule
-				d.Shutdown(c)         // [recovery]
-				c.Exit(0)             // [recovery]
+				d.Shutdown(c) // [recovery]
+				c.Exit(0)     // [recovery]
 			}
 		}
 	case m.Type == proto.RSPing: // [recovery] heartbeat request
@@ -437,130 +413,4 @@ func React(c *kernel.Ctx, res ucode.Result) bool {
 	microFatal(c, res)
 	executeFatal(c, res)
 	return false
-}
-
-// ---------------------------------------------------------------------
-// State capsules
-
-// Capsule framing constants.
-const (
-	capsuleMagic      = "RSC1"
-	capsuleMaxKind    = 64
-	capsuleMaxPayload = 1 << 20
-)
-
-// Capsule errors.
-var (
-	ErrCapsuleTruncated = errors.New("drvlib: capsule truncated")
-	ErrCapsuleMagic     = errors.New("drvlib: bad capsule magic")
-	ErrCapsuleCRC       = errors.New("drvlib: capsule checksum mismatch")
-	ErrCapsuleSize      = errors.New("drvlib: capsule field size out of range")
-)
-
-// EncodeCapsule frames a versioned state capsule:
-//
-//	"RSC1" | version u32 LE | kindLen u8 | kind | payloadLen u32 LE |
-//	payload | CRC32-IEEE of everything preceding, u32 LE
-//
-// The version is monotonically increasing per service label (the
-// checker's capsule invariant); the CRC lets a successor reject a
-// corrupt capsule instead of adopting garbage.
-func EncodeCapsule(version uint32, kind string, payload []byte) []byte {
-	b := make([]byte, 0, len(capsuleMagic)+4+1+len(kind)+4+len(payload)+4)
-	b = append(b, capsuleMagic...)
-	b = binary.LittleEndian.AppendUint32(b, version)
-	b = append(b, byte(len(kind)))
-	b = append(b, kind...)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
-	b = append(b, payload...)
-	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
-}
-
-// DecodeCapsule parses and verifies a capsule. It never panics: a
-// truncated, oversized, or corrupt input is an error.
-func DecodeCapsule(b []byte) (version uint32, kind string, payload []byte, err error) {
-	const header = len(capsuleMagic) + 4 + 1
-	if len(b) < header+4+4 {
-		return 0, "", nil, ErrCapsuleTruncated
-	}
-	if string(b[:len(capsuleMagic)]) != capsuleMagic {
-		return 0, "", nil, ErrCapsuleMagic
-	}
-	version = binary.LittleEndian.Uint32(b[len(capsuleMagic):])
-	kindLen := int(b[header-1])
-	if kindLen > capsuleMaxKind {
-		return 0, "", nil, ErrCapsuleSize
-	}
-	if len(b) < header+kindLen+4+4 {
-		return 0, "", nil, ErrCapsuleTruncated
-	}
-	kind = string(b[header : header+kindLen])
-	payLen := int(binary.LittleEndian.Uint32(b[header+kindLen:]))
-	if payLen > capsuleMaxPayload {
-		return 0, "", nil, ErrCapsuleSize
-	}
-	body := header + kindLen + 4 + payLen
-	if len(b) != body+4 {
-		return 0, "", nil, ErrCapsuleTruncated
-	}
-	if crc32.ChecksumIEEE(b[:body]) != binary.LittleEndian.Uint32(b[body:]) {
-		return 0, "", nil, ErrCapsuleCRC
-	}
-	payload = append([]byte(nil), b[header+kindLen+4:body]...)
-	return version, kind, payload, nil
-}
-
-// capsuleKey is the data-store key capsules live under (the record is
-// additionally bound to the saving instance's stable label).
-const capsuleKey = "capsule"
-
-// saveCapsule flushes the device's state capsule to the data store on a
-// clean shutdown (the terminate half of the flush/terminate handshake).
-func saveCapsule(c *kernel.Ctx, d Device, st *runState) {
-	sal, ok := d.(Salvager)
-	if !ok || !st.opts.Salvage {
-		return
-	}
-	ds := c.LookupLabel("ds")
-	if ds == kernel.None {
-		return
-	}
-	kind, payload := sal.SaveState(c)
-	st.capVersion++
-	blob := EncodeCapsule(st.capVersion, kind, payload)
-	reply, err := c.SendRec(ds, kernel.Message{Type: proto.DSStore, Name: capsuleKey, Payload: blob})
-	if err != nil || reply.Arg2 != proto.OK {
-		return
-	}
-	c.Obs().Emit(obs.KindCapsuleSave, c.Label(), kind, int64(st.capVersion), int64(len(payload)))
-}
-
-// adoptCapsule retrieves the predecessor instance's state capsule from
-// the data store (authenticated by the shared stable label), validates
-// it, and adopts it via the Salvager hook. Corrupt or rejected capsules
-// leave the driver on its cold state and are reported with V2 = 1.
-func adoptCapsule(c *kernel.Ctx, d Device, st *runState) {
-	sal, ok := d.(Salvager)
-	if !ok || !st.opts.Salvage {
-		return
-	}
-	ds := c.LookupLabel("ds")
-	if ds == kernel.None {
-		return
-	}
-	reply, err := c.SendRec(ds, kernel.Message{Type: proto.DSRetrieve, Name: capsuleKey})
-	if err != nil || reply.Arg2 != proto.OK || len(reply.Payload) == 0 {
-		return // no capsule: cold start
-	}
-	version, kind, payload, err := DecodeCapsule(reply.Payload)
-	if err != nil {
-		c.Obs().Emit(obs.KindCapsuleAdopt, c.Label(), "corrupt", int64(version), 1)
-		return
-	}
-	if err := sal.RestoreState(c, kind, payload); err != nil {
-		c.Obs().Emit(obs.KindCapsuleAdopt, c.Label(), kind, int64(version), 1)
-		return
-	}
-	st.capVersion = version
-	c.Obs().Emit(obs.KindCapsuleAdopt, c.Label(), kind, int64(version), 0)
 }

@@ -1,7 +1,6 @@
 package drvlib
 
 import (
-	"encoding/binary"
 	"errors"
 	"slices"
 	"time"
@@ -60,7 +59,7 @@ func EthBinary(chip EthChip, cfg EthConfig) func(c *kernel.Ctx) {
 const txQueueLen = 64
 
 // Eth is the Go half of an Ethernet driver, shared by every chip: the
-// transmit queue, the client binding and its state capsule, and the
+// transmit queue, the client binding, and the
 // bring-up that follows each way of coming to own the card. Control
 // decisions run as ucode on the embedded VMDevice; bulk frame data moves
 // through the NIC's DMA window.
@@ -100,35 +99,6 @@ func (e *Eth) up(c *kernel.Ctx, err error) error {
 	return nil
 }
 
-// bound reports whether client names a network server that configured the
-// driver (the zero value and None both mean nobody has).
-func bound(client kernel.Endpoint) bool { return client != 0 && client != kernel.None }
-
-// SaveState implements Salvager: the network server binding survives a
-// clean handover, so the successor serves without waiting to be
-// re-configured.
-func (e *Eth) SaveState(c *kernel.Ctx) (string, []byte) {
-	return e.Chip + ".conf", binary.LittleEndian.AppendUint64(nil, uint64(e.client))
-}
-
-// RestoreState implements Salvager: validate, then adopt. A capsule
-// naming a dead client endpoint is stale state from an older epoch and is
-// rejected — the successor cold-starts instead.
-func (e *Eth) RestoreState(c *kernel.Ctx, kind string, payload []byte) error {
-	if kind != e.Chip+".conf" || len(payload) != 8 {
-		return errors.New(e.Chip + ": foreign or malformed capsule")
-	}
-	client := kernel.Endpoint(binary.LittleEndian.Uint64(payload))
-	if !bound(client) {
-		return nil // predecessor was never configured: nothing to adopt
-	}
-	if !c.Kernel().Alive(client) {
-		return errors.New(e.Chip + ": capsule client endpoint is stale")
-	}
-	e.client = client
-	return nil
-}
-
 // HandleRequest implements Device.
 func (e *Eth) HandleRequest(c *kernel.Ctx, m kernel.Message) {
 	switch m.Type {
@@ -164,7 +134,7 @@ func (e *Eth) Deliver(c *kernel.Ctx) bool {
 	if frame == nil {
 		return false
 	}
-	if bound(e.client) {
+	if e.client != 0 && e.client != kernel.None { // zero or None: no network server configured us
 		_ = c.AsyncSend(e.client, kernel.Message{Type: proto.EthRecv, Payload: frame})
 	}
 	return true

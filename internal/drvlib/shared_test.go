@@ -1,7 +1,6 @@
 package drvlib
 
 import (
-	"encoding/binary"
 	"testing"
 	"time"
 
@@ -49,68 +48,4 @@ func TestResetCycleTimesOut(t *testing.T) {
 				name, err, took, d.Timeout)
 		}
 	}
-}
-
-// TestEthCapsuleSaveAdopt is the salvage contract of the shared Ethernet
-// half, for both chips: what a predecessor saves, a successor of the same
-// chip adopts — and nothing else.
-func TestEthCapsuleSaveAdopt(t *testing.T) {
-	env := sim.NewEnv(1)
-	k := kernel.New(env)
-	idle := func(c *kernel.Ctx) { c.Sleep(time.Hour) }
-	live, err := k.Spawn("inet", kernel.Privileges{}, idle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gone, err := k.Spawn("inet.old", kernel.Privileges{}, func(*kernel.Ctx) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw := func(ep kernel.Endpoint) []byte {
-		return binary.LittleEndian.AppendUint64(nil, uint64(ep))
-	}
-	if _, err := k.Spawn("drv", kernel.Privileges{}, func(c *kernel.Ctx) {
-		c.Sleep(time.Millisecond) // let inet.old finish dying
-		if k.Alive(gone.Endpoint()) {
-			t.Error("test premise broken: the stale client is still alive")
-		}
-		for _, chip := range []string{"rtl8139", "dp8390"} {
-			other := map[string]string{"rtl8139": "dp8390", "dp8390": "rtl8139"}[chip]
-			saved := func(client kernel.Endpoint) (string, []byte) {
-				return (&Eth{VMDevice: VMDevice{Chip: chip}, client: client}).SaveState(c)
-			}
-			boundKind, bound := saved(live.Endpoint())
-			_, unbound := saved(0)
-			cases := []struct {
-				name    string
-				kind    string
-				payload []byte
-				wantErr bool
-				want    kernel.Endpoint // successor's client afterwards
-			}{
-				{"bound client adopted", boundKind, bound, false, live.Endpoint()},
-				{"unbound predecessor", boundKind, unbound, false, 0},
-				{"explicit None", boundKind, raw(kernel.None), false, 0},
-				{"dead client endpoint", boundKind, raw(gone.Endpoint()), true, 0},
-				{"other chip's capsule", other + ".conf", bound, true, 0},
-				{"foreign kind", "sata.queue", bound, true, 0},
-				{"short payload", boundKind, bound[:7], true, 0},
-				{"long payload", boundKind, append([]byte{1}, bound...), true, 0},
-			}
-			for _, tc := range cases {
-				succ := &Eth{VMDevice: VMDevice{Chip: chip}}
-				err := succ.RestoreState(c, tc.kind, tc.payload)
-				if (err != nil) != tc.wantErr || succ.client != tc.want {
-					t.Errorf("%s, %s: err=%v client=%v, want error=%v client=%v",
-						chip, tc.name, err, succ.client, tc.wantErr, tc.want)
-				}
-			}
-			if boundKind != chip+".conf" {
-				t.Errorf("%s saves kind %q", chip, boundKind)
-			}
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	env.Run(time.Second)
 }

@@ -25,7 +25,7 @@ func (b StatusBits) In(st uint32) bool { return st&b.Mask == b.Want }
 // The chip's control program must export "reset" (start a device reset)
 // and "status" (r1 = status register).
 type VMDevice struct {
-	Chip string // names the chip in errors and capsule kinds
+	Chip string // names the chip in errors
 	// Image assembles the chip's pristine binary for a port base. It runs
 	// once per (Chip, base) in the life of the program (see pristine), so
 	// it may depend on nothing else.

@@ -34,7 +34,7 @@ type Message struct {
 	// owner with the message: the sender must not touch it again, and
 	// the last receiver puts it back on the free list (Ctx.Bufs) once it
 	// has copied the bytes out. A request's payload (data to write or
-	// send, a state capsule) is only lent: the receiver copies what it
+	// send, a data-store record) is only lent: the receiver copies what it
 	// keeps before it replies.
 	Payload []byte
 }

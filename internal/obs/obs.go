@@ -86,14 +86,6 @@ const (
 	// parent/child tree: Span is the successor, Parent the predecessor,
 	// Aux the edge kind ("retry-of", "recovered-by").
 	KindSpanLink
-	// KindCapsuleSave is a driver flushing its versioned state capsule to
-	// the data store on a clean shutdown (Aux = capsule kind, V1 =
-	// version, V2 = payload bytes).
-	KindCapsuleSave
-	// KindCapsuleAdopt is a successor instance deciding about its
-	// predecessor's state capsule (Aux = capsule kind or "corrupt",
-	// V1 = version, V2 = 0 adopted / 1 rejected).
-	KindCapsuleAdopt
 
 	kindMax
 )
@@ -129,8 +121,6 @@ var kindNames = [...]string{
 	KindSpanEnd:       "span.end",
 	KindSpanOrphan:    "span.orphan",
 	KindSpanLink:      "span.link",
-	KindCapsuleSave:   "capsule.save",
-	KindCapsuleAdopt:  "capsule.adopt",
 }
 
 func (k Kind) String() string {

@@ -132,6 +132,22 @@ type Spec struct {
 // the benchmark's 150 rps mix is about 6.7·10⁵.
 const MaxArrivals = 10_000_000
 
+// MinShape is the smallest gamma or Weibull shape a spec may ask for. The
+// cap above bounds a spec's mean count, but a small shape puts most gaps
+// under the minGap floor, and the floored bursts then outrun the mean. One
+// Weibull chain at 1 rps for an hour (bound 3,600) averaged 3,945 arrivals
+// at shape 0.2 and 7,569 at 0.1; over 2 s at 10⁴ rps, shape 0.05 drew 19×
+// its bound. Below ≈ 0.006 the Weibull norm Γ(1 + 1/shape) overflows and
+// every gap floors.
+const MinShape = 0.2
+
+// MaxClients caps a class's client count. Each client is one chain that
+// re-seeds the stream whether or not it draws (≈ 12 µs on a 2-vCPU Xeon
+// host), so 10⁵ clients spend 1.2 s producing two arrivals; at the cap the
+// seeding takes ≈ 13 ms, about a fleet's whole set-up. The committed specs
+// use at most 8.
+const MaxClients = 1000
+
 // defaultSizes supplies a per-class size range when the spec leaves the
 // size block zero.
 var defaultSizes = map[string]SizeSpec{
@@ -219,8 +235,9 @@ func (s *Spec) normalize() error {
 		if cs.Clients == 0 {
 			cs.Clients = 1
 		}
-		if cs.Clients < 0 {
-			return fmt.Errorf("workload: class %q: clients must be positive", cs.Class)
+		if cs.Clients < 0 || cs.Clients > MaxClients {
+			return fmt.Errorf("workload: class %q: clients must be positive and at most %d, got %d",
+				cs.Class, MaxClients, cs.Clients)
 		}
 		if !(cs.RPS > 0) || math.IsInf(cs.RPS, 0) { // !(x > 0) is also true of NaN
 			return fmt.Errorf("workload: class %q: rps must be positive and finite", cs.Class)
@@ -234,8 +251,9 @@ func (s *Spec) normalize() error {
 			if cs.Arrival.Shape == 0 {
 				cs.Arrival.Shape = 1
 			}
-			if cs.Arrival.Shape < 0 {
-				return fmt.Errorf("workload: class %q: shape must be positive", cs.Class)
+			if !(cs.Arrival.Shape >= MinShape) {
+				return fmt.Errorf("workload: class %q: shape must be positive and at least %g, got %g",
+					cs.Class, MinShape, cs.Arrival.Shape)
 			}
 		case "":
 			return fmt.Errorf("workload: class %q: arrival.process required (fixed, poisson, gamma, or weibull)", cs.Class)

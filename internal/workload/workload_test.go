@@ -85,6 +85,9 @@ func TestParseErrors(t *testing.T) {
 		{"unknown process", `{"horizon":"1s","classes":[{"class":"net","rps":1,"arrival":{"process":"pareto"}}]}`, "unknown arrival process"},
 		{"poisson shape", `{"horizon":"1s","classes":[{"class":"net","rps":1,"arrival":{"process":"poisson","shape":2}}]}`, "takes no shape"},
 		{"negative shape", `{"horizon":"1s","classes":[{"class":"net","rps":1,"arrival":{"process":"gamma","shape":-1}}]}`, "shape must be positive"},
+		{"weibull shape below the floor", `{"horizon":"2s","classes":[{"class":"net","rps":1,"arrival":{"process":"weibull","shape":0.005}}]}`, "shape must be positive and at least 0.2, got 0.005"},
+		{"gamma shape below the floor", `{"horizon":"2s","classes":[{"class":"net","rps":1,"arrival":{"process":"gamma","shape":1e-6}}]}`, "shape must be positive and at least 0.2, got 1e-06"},
+		{"too many clients", `{"horizon":"2s","classes":[{"class":"net","clients":100000,"rps":1,"arrival":{"process":"poisson"}}]}`, "clients must be positive and at most 1000, got 100000"},
 		{"bad size range", `{"horizon":"1s","classes":[{"class":"net","rps":1,"arrival":{"process":"fixed"},"size":{"min":100,"max":10}}]}`, "size range"},
 		{"negative slo", `{"horizon":"1s","classes":[{"class":"net","rps":1,"arrival":{"process":"fixed"},"slo":"-5ms"}]}`, "slo must be non-negative"},
 		{"zero period", `{"horizon":"1s","classes":[{"class":"net","rps":1,"arrival":{"process":"fixed"},"periods":[{"period":"0s","amplitude":0.5}]}]}`, "period must be positive"},

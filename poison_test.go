@@ -37,9 +37,9 @@ func TestPoisonFigures(t *testing.T) {
 	}
 }
 
-// TestPoisonRecoveryConformance is the 54-cell recovery table with every
-// released buffer overwritten: respawn, promotion, in-place reset and
-// capsule adoption all drop buffers on the floor, and none may come back.
+// TestPoisonRecoveryConformance is the 27-cell recovery table with every
+// released buffer overwritten: respawn, promotion and in-place reset all
+// drop buffers on the floor, and none may come back.
 func TestPoisonRecoveryConformance(t *testing.T) {
 	ddReference() // the reference digest is an unpoisoned read
 	poison(t)

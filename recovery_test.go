@@ -110,10 +110,9 @@ func TestRecoveryMechanismRunToRun(t *testing.T) {
 
 // TestFailoverInvariantsSWIFI is the property test for the new failover
 // invariants: across a 64-seed SWIFI sweep against the network driver —
-// half the seeds under warm-standby failover, half under microreboot,
-// all with state salvage armed — the checker must never observe a live
-// standby serving requests, two owners of one endpoint, or a
-// non-monotone capsule version, no matter where the corruption lands.
+// half the seeds under warm-standby failover, half under microreboot —
+// the checker must never observe a live standby serving requests or two
+// owners of one endpoint, no matter where the corruption lands.
 func TestFailoverInvariantsSWIFI(t *testing.T) {
 	const seeds = 64
 	for seed := int64(1); seed <= seeds; seed++ {
@@ -132,7 +131,6 @@ func TestFailoverInvariantsSWIFI(t *testing.T) {
 				DisableChar: true,
 				Obs:         rec,
 				Mechanism:   mech,
-				Salvage:     true,
 			})
 			ck := check.Attach(sys.Env, rec, check.Config{
 				Kernel: sys.Kernel, RS: sys.RS, DS: sys.DS,
@@ -167,72 +165,10 @@ func TestFailoverInvariantsSWIFI(t *testing.T) {
 	}
 }
 
-// TestSalvageAcrossDriverUpdate exercises the crash-consistent salvage
-// handshake end to end on the standard machine: a dynamic update of the
-// NIC driver mid-transfer must flush a state capsule on the SIGTERM-able
-// shutdown and the successor must validate and adopt it — and the
-// transfer must still complete intact.
-func TestSalvageAcrossDriverUpdate(t *testing.T) {
-	sink := &obs.SliceSink{}
-	rec := obs.NewRecorder(sink)
-	rec.Disable(obs.KindIPCSend, obs.KindIPCRecv)
-	sys := New(Config{
-		Seed:        5,
-		DisableDisk: true,
-		DisableChar: true,
-		Obs:         rec,
-		Salvage:     true,
-	})
-	sys.Run(3 * time.Second)
-	sys.ServeFile(80, 5, 4<<20)
-	var w WgetResult
-	sys.Wget(DriverRTL8139, 80, 5, 4<<20, &w)
-	sys.After(300*time.Millisecond, func() {
-		sys.UpdateDriver(core.ServiceConfig{Label: DriverRTL8139, Version: "v2"})
-	})
-	sys.Run(2 * time.Minute)
-	if w.Err != nil || !w.OK {
-		t.Fatalf("transfer across salvaging update failed: ok=%v err=%v", w.OK, w.Err)
-	}
-
-	saves, adopts, rejects := 0, 0, 0
-	var savedVer, adoptedVer int64
-	for _, e := range sink.Events() {
-		if e.Comp != DriverRTL8139 {
-			continue
-		}
-		switch e.Kind {
-		case obs.KindCapsuleSave:
-			saves++
-			savedVer = e.V1
-		case obs.KindCapsuleAdopt:
-			if e.V2 != 0 {
-				rejects++
-				continue
-			}
-			adopts++
-			adoptedVer = e.V1
-		}
-	}
-	if saves == 0 || adopts == 0 {
-		t.Fatalf("salvage handshake incomplete: %d saves, %d adopts, %d rejects",
-			saves, adopts, rejects)
-	}
-	if rejects != 0 {
-		t.Errorf("%d capsules rejected during a clean update", rejects)
-	}
-	if adoptedVer != savedVer {
-		t.Errorf("successor adopted capsule v%d, predecessor saved v%d", adoptedVer, savedVer)
-	}
-}
-
-// The RAM disk's geometry capsule crosses a clean update the same way,
-// and a character driver (no capsule) is shut down and replaced.
-func TestSalvageRAMDiskAndCharUpdate(t *testing.T) {
-	sink := &obs.SliceSink{}
-	rec := obs.NewRecorder(sink)
-	rec.Disable(obs.KindIPCSend, obs.KindIPCRecv)
-	sys := New(Config{DisableNet: true, Obs: rec, Salvage: true})
+// TestRAMDiskAndCharUpdate: a dynamic update shuts down and replaces a
+// block driver without hardware (disk.ram) and a character driver alike.
+func TestRAMDiskAndCharUpdate(t *testing.T) {
+	sys := New(Config{DisableNet: true})
 	defer sys.Close()
 	sys.Run(time.Second)
 	for _, label := range []string{DriverRAMDisk, DriverAudio} {
@@ -240,19 +176,6 @@ func TestSalvageRAMDiskAndCharUpdate(t *testing.T) {
 	}
 	sys.Run(5 * time.Second)
 
-	saves, adopts := 0, 0
-	for _, e := range sink.Events() {
-		switch {
-		case e.Comp != DriverRAMDisk:
-		case e.Kind == obs.KindCapsuleSave:
-			saves++
-		case e.Kind == obs.KindCapsuleAdopt && e.V2 == 0 && e.Aux == "ramdisk.geom":
-			adopts++
-		}
-	}
-	if saves != 1 || adopts != 1 {
-		t.Errorf("disk.ram capsule: %d saves, %d adoptions; want 1 and 1", saves, adopts)
-	}
 	updated := map[string]bool{}
 	for _, e := range sys.RS.Events() {
 		if e.Defect == core.DefectUpdate && e.Recovered {

@@ -121,11 +121,6 @@ type Config struct {
 	// standby replica promoted on failure. Drivers without the matching
 	// hooks fall back to respawn behavior transparently.
 	Mechanism core.Mechanism
-	// Salvage enables the crash-consistent state-capsule handshake: on a
-	// clean shutdown a driver flushes a small versioned capsule to the
-	// data store, and its successor validates-then-adopts it instead of
-	// cold-starting.
-	Salvage bool
 
 	// PreallocFiles are materialized by mkfs with pseudo-random content
 	// already "on disk" — e.g. the Fig. 8 experiment's 1-GB random file.
@@ -274,7 +269,7 @@ func (sys *System) guardedDriver(label string, priv kernel.Privileges,
 	binary func(drvlib.Options) core.Binary) core.ServiceConfig {
 	return core.ServiceConfig{
 		Label:           label,
-		Binary:          binary(drvlib.Options{Mechanism: sys.cfg.Mechanism, Salvage: sys.cfg.Salvage}),
+		Binary:          binary(drvlib.Options{Mechanism: sys.cfg.Mechanism}),
 		Priv:            priv,
 		HeartbeatPeriod: sys.cfg.HeartbeatPeriod,
 		HeartbeatMisses: sys.cfg.HeartbeatMisses,
