@@ -40,30 +40,40 @@ var conformanceFile = []PreallocFile{{Name: "big", Size: 8 << 20}}
 
 // TestRecoveryConformance is the predecessor/successor contract every
 // ucode driver owes under every rung of the recovery ladder, as one
-// table: {driver} × {mechanism} × {fault}, 27 cells. Three
-// strikes 70 ms apart land in a 4 MiB wget (network drivers) or an 8 MiB
-// dd (disk driver) with the live invariant checker attached. Whatever
-// mix of respawn, promotion and in-place reset the cell
-// takes, the application must see nothing: the transfer completes with
-// the right bytes, no invariant is violated, and RS logged a recovery of
-// the victim. The driver half of all of it is drvlib's — a driver that
-// passes here does so without recovery code of its own.
+// table: {driver} × {mechanism} × {salvage=false, true} × {fault}, 54
+// cells. Three strikes 70 ms apart land in a 4 MiB wget (network
+// drivers) or an 8 MiB dd (disk driver) with the live invariant checker
+// attached. Whatever mix of respawn, promotion and in-place reset the
+// cell takes, the application must see nothing: the transfer completes
+// with the right bytes, no invariant is violated, and RS logged a
+// recovery of the victim. The driver half of all of it is drvlib's — a
+// driver that passes here does so without recovery code of its own.
+//
+// The salvage level asks whether state survives the restart. The one way
+// it does is the data-store backup, which the data store hands to
+// whichever instance bears the owner's stable label (paper §5.3); so a
+// salvage=true cell also checks that the instance serving after the
+// strikes is the one the data store authenticates as the victim.
 func TestRecoveryConformance(t *testing.T) { recoveryConformance(t) }
 
 func recoveryConformance(t *testing.T) {
 	for _, victim := range []string{DriverRTL8139, DriverDP8390, DriverSATA} {
 		for _, mech := range []core.Mechanism{core.MechRespawn, core.MechMicroreboot, core.MechStandby} {
-			for _, fault := range conformanceFaults {
-				t.Run(fmt.Sprintf("%s/%s/%s", victim, mech, fault.name), func(t *testing.T) {
-					t.Parallel()
-					conformanceCell(t, victim, mech, fault.strike)
-				})
+			for _, salvage := range []bool{false, true} {
+				for _, fault := range conformanceFaults {
+					name := fmt.Sprintf("%s/%s/salvage=%v/%s", victim, mech, salvage, fault.name)
+					t.Run(name, func(t *testing.T) {
+						t.Parallel()
+						conformanceCell(t, victim, mech, salvage, fault.strike)
+					})
+				}
 			}
 		}
 	}
 }
 
-func conformanceCell(t *testing.T, victim string, mech core.Mechanism, strike func(*System, string)) {
+func conformanceCell(t *testing.T, victim string, mech core.Mechanism, salvage bool,
+	strike func(*System, string)) {
 	disk := victim == DriverSATA
 	rec := obs.NewRecorder()
 	rec.Disable(obs.KindIPCSend, obs.KindIPCRecv)
@@ -106,5 +116,12 @@ func conformanceCell(t *testing.T, victim string, mech core.Mechanism, strike fu
 	}
 	if recovered == 0 {
 		t.Errorf("no recovery of %s in the RS event log: the strikes missed", victim)
+	}
+	if salvage {
+		ep := sys.RS.ServiceEndpoint(victim)
+		if owner := sys.Kernel.LabelOf(ep); owner != victim {
+			t.Errorf("%s is served by %v, which the data store knows as %q: the backups of %s are out of its reach",
+				victim, ep, owner, victim)
+		}
 	}
 }

@@ -37,7 +37,7 @@ func TestPoisonFigures(t *testing.T) {
 	}
 }
 
-// TestPoisonRecoveryConformance is the 27-cell recovery table with every
+// TestPoisonRecoveryConformance is the 54-cell recovery table with every
 // released buffer overwritten: respawn, promotion and in-place reset all
 // drop buffers on the floor, and none may come back.
 func TestPoisonRecoveryConformance(t *testing.T) {
