@@ -388,11 +388,11 @@ func BenchmarkHotpathEveryTick(b *testing.B) {
 
 // BenchmarkHotpathIdleSecond measures one virtual second of a booted,
 // idle default System, char stack on: the codec's 100 Hz capture and
-// playback ticks, the audio driver woken by their interrupts, RS's
-// heartbeats and its re-armed alarm — 324 events, and nothing else. A
-// machine at rest allocates nothing; before PR 25 it took 446
-// allocations and 14.8 KB a second (a closure and an event per codec
-// tick and per alarm, RS's label list per timer).
+// playback ticks, RS's heartbeats and its re-armed alarm — 226 events,
+// and nothing else (TestIdleSystemExactCounts pins the count). A machine
+// at rest allocates nothing; before PR 25 it took 446 allocations and
+// 14.8 KB a second (a closure and an event per codec tick and per alarm,
+// RS's label list per timer).
 func BenchmarkHotpathIdleSecond(b *testing.B) {
 	sys := New(Config{Seed: 1})
 	defer sys.Close()

@@ -14,7 +14,10 @@ import (
 // refAudio is the codec as it was before its ticks ran on sim.Ticker: a
 // fresh closure and event per tick, and a capture tick that walks every
 // sample, appending it or counting it lost. It is the reference the
-// arithmetic capture tick is held to.
+// arithmetic capture tick is held to. It also keeps the old level-raised
+// interrupt — one on every tick while a status bit is set — but only
+// counts it in raised, so that the codec's line is the only one the
+// kernel sees.
 type refAudio struct {
 	env *sim.Env
 	k   *kernel.Kernel
@@ -32,6 +35,7 @@ type refAudio struct {
 	CaptureLost int64
 	inUnderrun  bool
 	ticker      *sim.Event
+	raised      int
 }
 
 func (a *refAudio) scheduleCapture() {
@@ -54,7 +58,7 @@ func (a *refAudio) scheduleCapture() {
 			a.captureSeq++
 		}
 		if len(a.capture) > 0 {
-			a.k.RaiseIRQ(a.cfg.IRQ)
+			a.raised++
 		}
 		a.scheduleCapture()
 	})
@@ -105,7 +109,7 @@ func (a *refAudio) scheduleTick() {
 			}
 		}
 		if a.buf < a.cfg.Watermark {
-			a.k.RaiseIRQ(a.cfg.IRQ)
+			a.raised++
 		}
 		a.scheduleTick()
 	})
@@ -126,6 +130,13 @@ func (a *refAudio) readCapture(max int) []byte {
 	copy(out, a.capture[:max])
 	a.capture = a.capture[max:]
 	return out
+}
+
+// levels returns the two status bits the codec interrupts on: capture
+// bytes available, and the playback buffer below the watermark while
+// running.
+func (a *refAudio) levels() (inAvail, lowBuf bool) {
+	return len(a.capture) > 0, a.running && a.buf < a.cfg.Watermark
 }
 
 // diff names the first state the two codecs disagree on, or "".
@@ -150,6 +161,14 @@ func (a *refAudio) diff(b *Audio) string {
 // of 0–20 KiB at unaligned sizes, feeds, Reset / Start / Stop — over
 // capture rates and ring sizes that do not divide into whole samples. The
 // ring bytes and every counter must agree after every step.
+//
+// It is also the interrupt oracle: in every step the codec raises line 5
+// exactly as often as the reference's two level conditions (see levels)
+// rise. No step can raise a condition twice — between reads, feeds and
+// commands the ring only grows and the playback buffer only drains — so
+// comparing the levels before and after each step sees every rising
+// edge. The reference's per-tick raises must outnumber them, or the
+// script never held a bit set across a tick.
 func TestCaptureMatchesPerSampleReference(t *testing.T) {
 	configs := []AudioConfig{
 		{CaptureRate: 64000},                              // the machine's codec: 160 samples a tick
@@ -165,9 +184,11 @@ func TestCaptureMatchesPerSampleReference(t *testing.T) {
 			ref := &refAudio{env: env, k: k, cfg: a.cfg}
 			ref.scheduleCapture()
 			rng := rand.New(rand.NewSource(seed))
-			read := 0
+			read, edges := 0, uint64(0)
 			for step := 0; step < 400; step++ {
 				var did string
+				inAvail, lowBuf := ref.levels()
+				raised := k.IRQsRaised(cfg.IRQ)
 				switch op := rng.Intn(10); {
 				case op < 4:
 					d := sim.Time(rng.Int63n(int64(40 * a.cfg.Tick)))
@@ -197,6 +218,23 @@ func TestCaptureMatchesPerSampleReference(t *testing.T) {
 				if d := ref.diff(a); d != "" {
 					t.Fatalf("config %d seed %d step %d, after %s: %s", ci, seed, step, did, d)
 				}
+				nowAvail, nowLow := ref.levels()
+				rose := uint64(0)
+				if !inAvail && nowAvail {
+					rose++
+				}
+				if !lowBuf && nowLow {
+					rose++
+				}
+				edges += rose
+				if got := k.IRQsRaised(cfg.IRQ) - raised; got != rose {
+					t.Fatalf("config %d seed %d step %d, after %s: codec raised line %d %d times, the status bits rose %d times",
+						ci, seed, step, did, cfg.IRQ, got, rose)
+				}
+			}
+			if uint64(ref.raised) <= edges {
+				t.Fatalf("config %d seed %d: the reference's per-tick raises (%d) do not outnumber the edges (%d)",
+					ci, seed, ref.raised, edges)
 			}
 			if a.CaptureMade > 0 && (a.CaptureLost == 0 || read == 0) {
 				t.Fatalf("config %d seed %d: made %d, lost %d, read %d: the script never lost or never read a sample",

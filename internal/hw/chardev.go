@@ -44,7 +44,7 @@ type AudioConfig struct {
 	IRQ       int
 	PlayRate  int64    // playback consumption, bytes/s
 	BufSize   int      // playback buffer capacity in bytes
-	Watermark int      // refill IRQ threshold
+	Watermark int      // playback buffer level below which LowBuf is set
 	Tick      sim.Time // consumption granularity
 
 	// CaptureRate enables the input side: the codec produces this many
@@ -59,6 +59,15 @@ type AudioConfig struct {
 // Audio is a playback codec: the driver feeds samples, the device consumes
 // them at a fixed rate, and an empty buffer while running is an audible
 // hiccup.
+//
+// The codec interrupts on a rising edge of a status bit, not on a level:
+// once when CharStatInAvail goes from clear to set (the capture ring
+// becomes non-empty), and once when CharStatLowBuf becomes set while
+// running (a playback tick takes the buffer below the watermark, or Start
+// finds it there). A bit that stays set raises nothing more, so an idle
+// driver is not woken a hundred times a second; a driver that wants the
+// next edge drains the ring or refills the buffer, and Reset + Start
+// re-arms both.
 type Audio struct {
 	env *sim.Env
 	k   *kernel.Kernel
@@ -110,14 +119,15 @@ func NewAudio(env *sim.Env, k *kernel.Kernel, cfg AudioConfig) *Audio {
 // samples that fit are written; the rest existed, numbered, and are gone.
 func (a *Audio) captureTick() {
 	n := int(a.cfg.CaptureRate*int64(a.cfg.Tick)/int64(sim.Time(1e9))) / 4 // whole 4-byte samples
-	fit := min(n, max(0, (a.cfg.CaptureBuf-len(a.capture))/4))
+	was := len(a.capture)
+	fit := min(n, max(0, (a.cfg.CaptureBuf-was)/4))
 	for i := range fit {
 		a.capture = binary.LittleEndian.AppendUint32(a.capture, a.captureSeq+uint32(i))
 	}
 	a.captureSeq += uint32(n)
 	a.CaptureMade += 4 * int64(n)
 	a.CaptureLost += 4 * int64(n-fit)
-	if len(a.capture) > 0 {
+	if was == 0 && len(a.capture) > 0 {
 		a.k.RaiseIRQ(a.cfg.IRQ)
 	}
 }
@@ -167,6 +177,9 @@ func (a *Audio) PortOut(port uint32, val uint32) error {
 		if !a.running {
 			a.running = true
 			a.play = a.env.Tick(a.cfg.Tick, a.playTick)
+			if a.buf < a.cfg.Watermark {
+				a.k.RaiseIRQ(a.cfg.IRQ)
+			}
 		}
 	case CharCmdStop:
 		a.stop()
@@ -183,6 +196,7 @@ func (a *Audio) stop() {
 // playTick consumes one tick of playback while the codec runs.
 func (a *Audio) playTick() {
 	need := int(a.cfg.PlayRate * int64(a.cfg.Tick) / int64(sim.Time(1e9)))
+	wasLow := a.buf < a.cfg.Watermark
 	if a.buf >= need {
 		a.buf -= need
 		a.Consumed += int64(need)
@@ -197,7 +211,7 @@ func (a *Audio) playTick() {
 			a.inUnderrun = true
 		}
 	}
-	if a.buf < a.cfg.Watermark {
+	if !wasLow && a.buf < a.cfg.Watermark {
 		a.k.RaiseIRQ(a.cfg.IRQ)
 	}
 }
@@ -222,17 +236,15 @@ func (h *AudioHandle) Feed(n int) int {
 // Buffered returns the bytes currently queued for playback.
 func (h *AudioHandle) Buffered() int { return h.a.buf }
 
-// ReadCapture pops up to max captured bytes from the controller. The
-// data is consumed by the read: a second read never sees it again.
-func (h *AudioHandle) ReadCapture(max int) []byte {
+// ReadCapture pops up to n captured bytes (whole samples; n < 0 reads
+// none) from the controller. The data is consumed by the read: a second
+// read never sees it again.
+func (h *AudioHandle) ReadCapture(n int) []byte {
 	a := h.a
-	if max > len(a.capture) {
-		max = len(a.capture)
-	}
-	max &^= 3
-	out := make([]byte, max)
-	copy(out, a.capture[:max])
-	a.capture = a.capture[max:]
+	n = min(max(n, 0), len(a.capture)) &^ 3
+	out := make([]byte, n)
+	copy(out, a.capture[:n])
+	a.capture = a.capture[n:]
 	return out
 }
 

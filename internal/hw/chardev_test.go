@@ -72,6 +72,23 @@ func TestAudioStopAndReset(t *testing.T) {
 	}
 }
 
+// A negative read length reads nothing and leaves the ring alone; it
+// used to make a negative slice and panic the driver that asked.
+func TestAudioNegativeReadCapture(t *testing.T) {
+	env, k := testRig(t)
+	a := NewAudio(env, k, AudioConfig{Base: 0x3000, IRQ: 5, CaptureRate: 64000})
+	env.Run(15 * time.Millisecond)
+	ring := len(a.capture)
+	for _, n := range []int{-1, -1 << 40} {
+		if got := a.Handle().ReadCapture(n); len(got) != 0 || len(a.capture) != ring {
+			t.Fatalf("ReadCapture(%d) = %d bytes, ring %d → %d", n, len(got), ring, len(a.capture))
+		}
+	}
+	if ring == 0 {
+		t.Fatal("nothing captured")
+	}
+}
+
 func TestPrinterPrintsLines(t *testing.T) {
 	env, k := testRig(t)
 	p := NewPrinter(env, k, PrinterConfig{Base: 0x3100, IRQ: 7})

@@ -49,10 +49,11 @@ func (k *Kernel) irqLineFor(line int) *irqLine {
 	return l
 }
 
-// RaiseIRQ asserts interrupt line `line`: every subscribed, unmasked
-// process gets (or merges) a Hardware notification with the line's bit set
-// in the pending mask. Device models call this.
+// RaiseIRQ asserts interrupt line `line` (0–63): every subscribed,
+// unmasked process gets (or merges) a Hardware notification with the
+// line's bit set in the pending mask. Device models call this.
 func (k *Kernel) RaiseIRQ(line int) {
+	k.raised[line]++
 	l, ok := k.irqs[line]
 	if !ok {
 		return // no driver attached; interrupt is lost, as on real hardware
@@ -65,6 +66,10 @@ func (k *Kernel) RaiseIRQ(line int) {
 		k.notifyEntry(e, Hardware)
 	}
 }
+
+// IRQsRaised counts the times line has been asserted, subscribed or not:
+// the machine's /proc/interrupts.
+func (k *Kernel) IRQsRaised(line int) uint64 { return k.raised[line] }
 
 // devIn performs a privileged port read for e.
 func (k *Kernel) devIn(e *procEntry, port uint32) (uint32, error) {

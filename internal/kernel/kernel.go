@@ -93,8 +93,9 @@ type Kernel struct {
 	version  uint64 // see Version; bumped on every proc- or grant-table write
 	deathFns []DeathHook
 
-	ports map[uint32]Device // device port space
-	irqs  map[int]*irqLine
+	ports  map[uint32]Device // device port space
+	irqs   map[int]*irqLine
+	raised [64]uint64 // RaiseIRQ calls per line (see IRQsRaised)
 
 	bufs Bufs // the system's bulk-buffer free list
 
@@ -258,6 +259,15 @@ func (k *Kernel) LookupLabel(label string) Endpoint {
 		return e.ep
 	}
 	return None
+}
+
+// Resumes counts the scheduler's hand-offs to the live instance at ep (0
+// if it is dead or stale): one per wake-up, whatever woke it.
+func (k *Kernel) Resumes(ep Endpoint) uint64 {
+	if e := k.lookup(ep); e != nil {
+		return e.proc.Resumes()
+	}
+	return 0
 }
 
 // Alive reports whether the endpoint refers to a live process instance.

@@ -295,10 +295,11 @@ func (s *Server) closeFd(m kernel.Message) {
 	s.reply(m.Source, kernel.Message{Arg1: proto.ErrBadCall})
 }
 
-// read handles FSRead on a descriptor; Arg2 = max bytes.
+// read handles FSRead on a descriptor; Arg2 = max bytes. A negative
+// length is the client's error: it never reaches MFS or a driver.
 func (s *Server) read(m kernel.Message) {
 	f := s.lookupFd(m)
-	if f == nil {
+	if f == nil || m.Arg2 < 0 {
 		s.reply(m.Source, kernel.Message{Arg1: proto.ErrBadCall})
 		return
 	}

@@ -667,3 +667,33 @@ func TestGaveUpServiceIsNotRecovering(t *testing.T) {
 		t.Fatalf("health %+v, want one given-up service, none recovering, net down", h)
 	}
 }
+
+// TestIdleSystemExactCounts pins what a booted default System at rest
+// costs. The codec interrupts on a rising edge of a status bit, not on
+// every tick while the bit stays set (hw.Audio), so over an idle minute
+// line 5 is raised twice — the buffer found low at Start, the first
+// capture — and the audio driver wakes for RS's pings and at most those
+// two edges. Settled, a virtual second is exactly 226 events: the codec's
+// 100 Hz capture and playback ticks, RS's heartbeats and its alarm.
+func TestIdleSystemExactCounts(t *testing.T) {
+	sys := New(Config{Seed: 1})
+	defer sys.Close()
+	sys.Run(time.Millisecond) // the audio driver is up
+	audio := sys.Kernel.LookupLabel(DriverAudio)
+	woken := sys.Kernel.Resumes(audio)
+	sys.Run(time.Minute)
+	pings := uint64(time.Minute / defaultHeartbeatPeriod)
+	if got := sys.Kernel.Resumes(audio) - woken; got < pings || got > pings+2 {
+		t.Errorf("%s woke %d times in an idle minute, want its %d pings plus at most 2 edges", DriverAudio, got, pings)
+	}
+	if got := sys.Kernel.IRQsRaised(hw.IRQAudio); got != 2 {
+		t.Errorf("line %d raised %d times in an idle minute, want the 2 post-boot edges", hw.IRQAudio, got)
+	}
+	for i := 0; i < 3; i++ {
+		before := sys.Env.EventsExecuted()
+		sys.Run(time.Second)
+		if got := sys.Env.EventsExecuted() - before; got != 226 {
+			t.Fatalf("idle second %d ran %d events, want 226", i, got)
+		}
+	}
+}

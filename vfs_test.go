@@ -1,6 +1,7 @@
 package resilientos
 
 import (
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -214,5 +215,59 @@ func TestVFSUnlink(t *testing.T) {
 	sys.Run(time.Minute)
 	if !done {
 		t.Fatal("app did not finish")
+	}
+}
+
+// TestVFSNegativeReadLengthRejected: the length of a read comes from the
+// client. A negative one used to reach MFS (a regular file) or the audio
+// driver (a device) as a negative slice length, and the panic took the
+// whole simulator down. VFS refuses it with ErrBadCall; the descriptor
+// still reads, and nothing crashed or was restarted.
+func TestVFSNegativeReadLengthRejected(t *testing.T) {
+	for _, path := range []string{"/file", "/dev/" + DriverAudio} {
+		for _, n := range []int64{-1, -1 << 40} {
+			t.Run(fmt.Sprintf("%s%d", path[strings.LastIndex(path, "/")+1:], n), func(t *testing.T) {
+				sys := New(Config{DisableNet: true})
+				defer sys.Close()
+				var bad kernel.Message
+				got := -1
+				sys.Spawn("app", func(p *Proc) {
+					p.Sleep(time.Second)
+					if path == "/file" {
+						f, err := p.Create(path)
+						if err != nil {
+							t.Errorf("create: %v", err)
+							return
+						}
+						f.Write([]byte("resilient"))
+						f.Close()
+					}
+					f, err := p.Open(path)
+					if err != nil {
+						t.Errorf("open: %v", err)
+						return
+					}
+					bad, err = p.Ctx().SendRec(p.vfsEp(), kernel.Message{Type: proto.FSRead, Arg1: f.Fd(), Arg2: n})
+					if err != nil {
+						t.Errorf("read %d: %v", n, err)
+						return
+					}
+					got, err = f.Read(make([]byte, 8))
+					if err != nil {
+						t.Errorf("read after the refused one: %v", err)
+					}
+				})
+				sys.Run(5 * time.Second)
+				if bad.Arg1 != proto.ErrBadCall {
+					t.Errorf("read of %d bytes answered %d, want ErrBadCall (%d)", n, bad.Arg1, proto.ErrBadCall)
+				}
+				if got != 8 {
+					t.Errorf("the next read returned %d bytes, want 8", got)
+				}
+				if events := sys.RS.Events(); len(events) != 0 {
+					t.Errorf("recovery events: %+v", events)
+				}
+			})
+		}
 	}
 }
