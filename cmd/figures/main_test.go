@@ -109,9 +109,9 @@ func TestSweepMatchesGolden(t *testing.T) {
 	for _, want := range []string{
 		"fig8: 64 MB via disk.sata, seed 1",
 		"run                       every     MB/s  kills loss/kill  depth %  Δdepth  width ms   Δwidth  recov %  p50 ms  p95 ms    ok",
-		"baseline                      -    32.71      0        0s      0.0       -       0.0        -    100.0       -       -  true",
-		"interval=1s                  1s    17.18      3     618ms     64.8   +64.8    1000.0  +1000.0      0.0   600.0   600.0  true",
-		"    dip 2: kill at 3s, depth 71.1%, width 1s, truncated",
+		"baseline                      -    32.70      0        0s      0.0       -       0.0        -    100.0       -       -  true",
+		"interval=1s                  1s    17.40      3     601ms     63.9   +63.9     966.7   +966.7      0.0   600.0   600.0  true",
+		"    dip 2: kill at 3s, depth 71.5%, width 900ms, truncated",
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output lacks %q:\n%s", want, out.String())

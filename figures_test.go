@@ -221,10 +221,13 @@ func TestSweepPinned(t *testing.T) {
 			{time.Second, 1846548715, 1, 1, 120 * time.Millisecond},
 			{2 * time.Second, 1546346896, 0, 0, 0},
 		}},
+		// Fig. 8 re-recorded once the file servers stopped polling (VFS no
+		// longer notices MFS's replies at a 50 µs / 20 ms step) and the
+		// disk rate was recalibrated to keep 32.7 MB/s uninterrupted.
 		{8, 64 << 20, []row{
-			{0, 2051450000, 0, 0, 0},
-			{time.Second, 3905600000, 3, 3, 600 * time.Millisecond},
-			{2 * time.Second, 2669500000, 1, 1, 600 * time.Millisecond},
+			{0, 2052209776, 0, 0, 0},
+			{time.Second, 3855989022, 3, 3, 600 * time.Millisecond},
+			{2 * time.Second, 2653669044, 1, 1, 600 * time.Millisecond},
 		}},
 	} {
 		tc := tc

@@ -37,7 +37,7 @@ const (
 	// DiskRateBps is the disk media transfer rate; after per-command
 	// overhead and server hops at 64 KiB transfers this yields the
 	// paper's uninterrupted 32.7 MB/s.
-	DiskRateBps = 34_100_000
+	DiskRateBps = 33_600_000
 
 	// DiskCmdOverhead is the fixed per-command cost (seek + submission).
 	DiskCmdOverhead = 50 * sim.Time(1e3) // 50µs

@@ -45,13 +45,13 @@ func (c *Ctx) Resumes() uint64 { return c.e.proc.Resumes() }
 func (c *Ctx) Send(dst Endpoint, msg Message) error { return c.k.send(c.e, dst, msg) }
 
 // Receive blocks until a message from the given source (or Any) arrives.
-func (c *Ctx) Receive(from Endpoint) (Message, error) { return c.k.receive(c.e, from) }
+func (c *Ctx) Receive(from Endpoint) (Message, error) { return c.k.receive(c.e, from, None) }
 
-// TryReceive returns a pending message from the given source without
-// blocking; ok is false when nothing matching is queued. Servers use it
-// to answer heartbeats while logically blocked on another condition.
-func (c *Ctx) TryReceive(from Endpoint) (Message, bool) {
-	return c.k.tryReceive(c.e, from)
+// ReceiveOr is Receive(from) that also accepts a message from also. Only
+// from is watched: its death aborts the wait with ErrSrcDied, also's does
+// not. Servers use it to answer heartbeats while blocked on one peer.
+func (c *Ctx) ReceiveOr(from, also Endpoint) (Message, error) {
+	return c.k.receive(c.e, from, also)
 }
 
 // SendRec sends msg to dst and blocks for dst's reply. If dst dies before
@@ -97,7 +97,7 @@ func (c *Ctx) sendRec(dst Endpoint, msg Message) (Message, error) {
 	if err := c.k.send(c.e, dst, msg); err != nil {
 		return Message{}, err
 	}
-	return c.k.receive(c.e, dst)
+	return c.k.receive(c.e, dst, None)
 }
 
 // Notify posts a nonblocking notification to dst.

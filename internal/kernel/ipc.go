@@ -13,6 +13,9 @@ import (
 //   - Receive: blocks for a matching notification, async message, or
 //     sender. Receive from a *specific* source is aborted with ErrSrcDied
 //     when that source dies; receive-from-Any keeps waiting.
+//   - ReceiveOr: Receive that also accepts a second source. Only the first
+//     is watched for death; the second is a side channel (a server blocked
+//     on one peer keeps answering the reincarnation server's heartbeats).
 //   - SendRec: Send followed by Receive from the same destination (the
 //     standard request/reply shape for driver protocols).
 //   - Notify: nonblocking notification bit, never fails against a live
@@ -52,7 +55,7 @@ func (k *Kernel) send(e *procEntry, dst Endpoint, msg Message) error {
 		k.obs.EmitCtx(obs.KindIPCSend, e.label, d.label, int64(msg.Type), 0, msg.Trace)
 	}
 	msg.Source = e.ep
-	if d.recvWait && (d.recvFrom == Any || d.recvFrom == e.ep) {
+	if d.wants(e.ep) {
 		d.deliver(msg)
 		k.perf.End(perf.RegionKernelIPC)
 		return nil
@@ -79,8 +82,8 @@ func (k *Kernel) send(e *procEntry, dst Endpoint, msg Message) error {
 // ipc.abort, and the receiver adopts the message's causal context as its
 // ambient context (notifications never carry one, so they cannot clobber
 // a context a driver is working under).
-func (k *Kernel) receive(e *procEntry, from Endpoint) (Message, error) {
-	m, err := k.receiveInner(e, from)
+func (k *Kernel) receive(e *procEntry, from, also Endpoint) (Message, error) {
+	m, err := k.receiveInner(e, from, also)
 	if k.obs != nil {
 		if err == nil {
 			k.ipcRecv.Add(1)
@@ -99,61 +102,72 @@ func (k *Kernel) receive(e *procEntry, from Endpoint) (Message, error) {
 	return m, err
 }
 
-// receiveInner implements the blocking receive for e. As in send, the
-// wall-clock region covers the delivery scan only, never the park.
-func (k *Kernel) receiveInner(e *procEntry, from Endpoint) (Message, error) {
+// receiveInner implements the blocking receive for e: a message from from
+// (or Any) or from also (None when there is no second source). As in
+// send, the wall-clock region covers the delivery scan only, never the
+// park.
+func (k *Kernel) receiveInner(e *procEntry, from, also Endpoint) (Message, error) {
 	if !e.alive {
 		return Message{}, ErrDying
 	}
 	k.perf.Begin(perf.RegionKernelIPC)
-	for {
-		// 1. Pending notifications, pseudo-sources first.
-		if msg, ok := e.takeNotification(from); ok {
-			k.perf.End(perf.RegionKernelIPC)
-			return msg, nil
-		}
-		// 2. Queued asynchronous messages.
-		for i, m := range e.asyncQ {
-			if from == Any || m.Source == from {
-				e.asyncQ = append(e.asyncQ[:i], e.asyncQ[i+1:]...)
-				k.perf.End(perf.RegionKernelIPC)
-				return m, nil
-			}
-		}
-		// 3. Blocked senders.
-		for i, s := range e.senders {
-			if from == Any || s.ep == from {
-				e.senders = append(e.senders[:i], e.senders[i+1:]...)
-				msg := s.sendMsg
-				s.sendTo = nil
-				s.sendMsg = Message{}
-				s.proc.Wake(sendOK{})
-				k.perf.End(perf.RegionKernelIPC)
-				return msg, nil
-			}
-		}
-		// 4. If waiting for a specific process source, make sure it is
-		// alive (pseudo-sources like Hardware/Clock never "die").
-		if from.valid() && k.lookup(from) == nil {
-			k.perf.End(perf.RegionKernelIPC)
-			return Message{}, ErrSrcDied
-		}
-		// 5. Block.
-		e.recvWait = true
-		e.recvFrom = from
+	e.recvFrom, e.recvAlso = from, also
+	// 1. Pending notifications, pseudo-sources first.
+	if msg, ok := e.takeNotification(); ok {
 		k.perf.End(perf.RegionKernelIPC)
-		switch v := e.proc.Park().(type) {
-		case delivered:
-			msg := e.inbox
-			e.inbox = Message{}
-			return msg, nil
-		case ipcAbort:
-			return Message{}, v.err
-		default:
-			panic("kernel: unexpected wake value in receive")
+		return msg, nil
+	}
+	// 2. Queued asynchronous messages.
+	for i, m := range e.asyncQ {
+		if e.accepts(m.Source) {
+			e.asyncQ = append(e.asyncQ[:i], e.asyncQ[i+1:]...)
+			k.perf.End(perf.RegionKernelIPC)
+			return m, nil
 		}
 	}
+	// 3. Blocked senders.
+	for i, s := range e.senders {
+		if e.accepts(s.ep) {
+			e.senders = append(e.senders[:i], e.senders[i+1:]...)
+			msg := s.sendMsg
+			s.sendTo = nil
+			s.sendMsg = Message{}
+			s.proc.Wake(sendOK{})
+			k.perf.End(perf.RegionKernelIPC)
+			return msg, nil
+		}
+	}
+	// 4. If waiting for a specific process source, make sure it is alive
+	// (pseudo-sources like Hardware/Clock never "die").
+	if from.valid() && k.lookup(from) == nil {
+		k.perf.End(perf.RegionKernelIPC)
+		return Message{}, ErrSrcDied
+	}
+	// 5. Block.
+	e.recvWait = true
+	k.perf.End(perf.RegionKernelIPC)
+	switch v := e.proc.Park().(type) {
+	case delivered:
+		msg := e.inbox
+		e.inbox = Message{}
+		return msg, nil
+	case ipcAbort:
+		return Message{}, v.err
+	default:
+		panic("kernel: unexpected wake value in receive")
+	}
 }
+
+// accepts reports whether the receive e last entered takes a message
+// from src.
+func (e *procEntry) accepts(src Endpoint) bool {
+	return e.recvFrom == Any || src == e.recvFrom || src == e.recvAlso
+}
+
+// wants reports whether e is blocked in a receive that takes a message
+// from src: the one test every delivery path makes before handing a
+// message over directly instead of queueing it.
+func (e *procEntry) wants(src Endpoint) bool { return e.recvWait && e.accepts(src) }
 
 // deliver hands msg to a process blocked in Receive. The message waits in
 // the entry's inbox and the wake value only says it is there: boxing a
@@ -164,13 +178,13 @@ func (d *procEntry) deliver(msg Message) {
 	d.proc.Wake(delivered{})
 }
 
-// takeNotification pops the highest-priority pending notification matching
-// from, building its message.
-func (e *procEntry) takeNotification(from Endpoint) (Message, bool) {
+// takeNotification pops the highest-priority pending notification the
+// current receive accepts, building its message.
+func (e *procEntry) takeNotification() (Message, bool) {
 	pick := -1
 	// Pseudo-sources get priority in fixed order.
 	for _, pri := range []Endpoint{Hardware, Clock, System} {
-		if from != Any && from != pri {
+		if !e.accepts(pri) {
 			continue
 		}
 		for i, src := range e.notifyQ {
@@ -185,7 +199,7 @@ func (e *procEntry) takeNotification(from Endpoint) (Message, bool) {
 	}
 	if pick < 0 {
 		for i, src := range e.notifyQ {
-			if from == Any || src == from {
+			if e.accepts(src) {
 				pick = i
 				break
 			}
@@ -204,54 +218,13 @@ func (e *procEntry) takeNotification(from Endpoint) (Message, bool) {
 	return msg, true
 }
 
-// tryReceive is the nonblocking receive (MINIX's RECEIVE with the
-// non-blocking flag): it returns a matching pending notification, queued
-// async message, or blocked sender's message if one exists, and reports
-// false otherwise. Like receive, it adopts the delivered message's causal
-// context.
-func (k *Kernel) tryReceive(e *procEntry, from Endpoint) (Message, bool) {
-	m, ok := k.tryReceiveInner(e, from)
-	if ok && k.obs != nil && m.Type != MsgNotify {
-		e.traceCtx = m.Trace
-	}
-	return m, ok
-}
-
-func (k *Kernel) tryReceiveInner(e *procEntry, from Endpoint) (Message, bool) {
-	if !e.alive {
-		return Message{}, false
-	}
-	k.perf.Begin(perf.RegionKernelIPC)
-	defer k.perf.End(perf.RegionKernelIPC)
-	if msg, ok := e.takeNotification(from); ok {
-		return msg, true
-	}
-	for i, m := range e.asyncQ {
-		if from == Any || m.Source == from {
-			e.asyncQ = append(e.asyncQ[:i], e.asyncQ[i+1:]...)
-			return m, true
-		}
-	}
-	for i, snd := range e.senders {
-		if from == Any || snd.ep == from {
-			e.senders = append(e.senders[:i], e.senders[i+1:]...)
-			msg := snd.sendMsg
-			snd.sendTo = nil
-			snd.sendMsg = Message{}
-			snd.proc.Wake(sendOK{})
-			return msg, true
-		}
-	}
-	return Message{}, false
-}
-
 // notify posts a notification from src to the entry, merging duplicates,
 // and delivers immediately when the target is blocked and matching.
 func (k *Kernel) notifyEntry(d *procEntry, src Endpoint) {
 	if d == nil || !d.alive {
 		return
 	}
-	if d.recvWait && (d.recvFrom == Any || d.recvFrom == src) {
+	if d.wants(src) {
 		msg := Message{Source: src, Type: MsgNotify}
 		if src == Hardware {
 			msg.Arg1 = int64(d.irqPending)
@@ -297,7 +270,7 @@ func (k *Kernel) PostAsync(dst Endpoint, msg Message) error {
 		return ErrDeadDst
 	}
 	msg.Source = System
-	if d.recvWait && (d.recvFrom == Any || d.recvFrom == System) {
+	if d.wants(System) {
 		d.deliver(msg)
 		return nil
 	}
@@ -327,7 +300,7 @@ func (k *Kernel) asyncSend(e *procEntry, dst Endpoint, msg Message) error {
 		k.obs.EmitCtx(obs.KindIPCSend, e.label, d.label, int64(msg.Type), 1, msg.Trace)
 	}
 	msg.Source = e.ep
-	if d.recvWait && (d.recvFrom == Any || d.recvFrom == e.ep) {
+	if d.wants(e.ep) {
 		d.deliver(msg)
 		return nil
 	}

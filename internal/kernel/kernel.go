@@ -158,6 +158,7 @@ type procEntry struct {
 	recvWait bool       // blocked in Receive
 	inbox    Message    // delivered to the blocked Receive, until it resumes
 	recvFrom Endpoint   // who we are waiting for (Any allowed)
+	recvAlso Endpoint   // ReceiveOr's second source, None for Receive
 	sendTo   *procEntry // non-nil when blocked sending to that process
 	sendMsg  Message    // the message being sent while blocked
 	senders  []*procEntry

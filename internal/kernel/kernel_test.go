@@ -632,86 +632,196 @@ func TestProcCount(t *testing.T) {
 	}
 }
 
-func TestTryReceive(t *testing.T) {
-	env, k := newKernel(t)
-	var got []int32
-	var missed int
-	rc, _ := k.Spawn("server", trusted(), func(c *Ctx) {
-		c.Sleep(time.Second)
-		// Drain everything queued without blocking.
-		for {
-			m, ok := c.TryReceive(Any)
-			if !ok {
-				break
-			}
-			got = append(got, m.Type)
-		}
-		// Nothing left: TryReceive reports false.
-		if _, ok := c.TryReceive(Any); ok {
-			missed++
-		}
-	})
-	k.Spawn("sender", trusted(), func(c *Ctx) {
-		c.AsyncSend(rc.Endpoint(), Message{Type: 5})
-		c.AsyncSend(rc.Endpoint(), Message{Type: 6})
-	})
-	env.Run(2 * time.Second)
-	if len(got) != 2 || got[0] != 5 || got[1] != 6 {
-		t.Fatalf("got %v", got)
+// deliverVia is one way a peer hands a message to a process: the source
+// the message carries is the peer's endpoint, or System for PostAsync.
+type deliverVia struct {
+	name string
+	send func(k *Kernel, c *Ctx, dst Endpoint)
+}
+
+var deliveries = []deliverVia{
+	{"Send", func(_ *Kernel, c *Ctx, dst Endpoint) { c.Send(dst, Message{Type: 7}) }},
+	{"AsyncSend", func(_ *Kernel, c *Ctx, dst Endpoint) { c.AsyncSend(dst, Message{Type: 7}) }},
+	{"PostAsync", func(k *Kernel, _ *Ctx, dst Endpoint) { k.PostAsync(dst, Message{Type: 7}) }},
+	{"Notify", func(_ *Kernel, c *Ctx, dst Endpoint) { c.Notify(dst) }},
+}
+
+// srcOf is the source a message delivered by via from peer carries.
+func (via deliverVia) srcOf(peer Endpoint) Endpoint {
+	if via.name == "PostAsync" {
+		return System
 	}
-	if missed != 0 {
-		t.Fatal("TryReceive returned a message from an empty queue")
+	return peer
+}
+
+// TestReceiveOrTakesQueued: a message already waiting — as a pending
+// notification, in the async queue or as a blocked sender — is taken from
+// either source, ahead of an older one from a third process, which stays
+// queued (a blocked sender stays blocked) for the next Receive.
+func TestReceiveOrTakesQueued(t *testing.T) {
+	for _, via := range deliveries {
+		for _, pick := range []string{"from", "also"} {
+			t.Run(via.name+"/"+pick, func(t *testing.T) {
+				env, k := newKernel(t)
+				var from, also, other *Ctx
+				var got, rest Message
+				var gotAt sim.Time
+				rc, _ := k.Spawn("server", trusted(), func(c *Ctx) {
+					c.Sleep(time.Second)
+					f, a := from.Endpoint(), via.srcOf(also.Endpoint())
+					if pick == "from" {
+						f, a = via.srcOf(from.Endpoint()), also.Endpoint()
+					}
+					var err error
+					if got, err = c.ReceiveOr(f, a); err != nil {
+						t.Errorf("ReceiveOr: %v", err)
+					}
+					gotAt = c.Now()
+					rest, _ = c.Receive(Any)
+				})
+				peer := func(label string, at time.Duration, send bool) *Ctx {
+					pc, _ := k.Spawn(label, trusted(), func(c *Ctx) {
+						if send {
+							c.Sleep(at)
+							via.send(k, c, rc.Endpoint())
+						}
+						c.Sleep(time.Hour)
+					})
+					return pc
+				}
+				// other queues first: PostAsync has one source, so its
+				// bystander is a process's AsyncSend instead.
+				other, _ = k.Spawn("other", trusted(), func(c *Ctx) {
+					if via.name == "PostAsync" {
+						c.AsyncSend(rc.Endpoint(), Message{Type: 8})
+					} else {
+						via.send(k, c, rc.Endpoint())
+					}
+					c.Sleep(time.Hour)
+				})
+				from = peer("from", 10*time.Millisecond, pick == "from")
+				also = peer("also", 10*time.Millisecond, pick == "also")
+				env.Run(2 * time.Second)
+				want := via.srcOf(from.Endpoint())
+				if pick == "also" {
+					want = via.srcOf(also.Endpoint())
+				}
+				if got.Source != want || gotAt != time.Second {
+					t.Fatalf("ReceiveOr took %v at %v, want %v's message at 1s", got.Source, gotAt, pick)
+				}
+				if rest.Source != other.Endpoint() {
+					t.Fatalf("next Receive took %v, want other's queued message", rest.Source)
+				}
+			})
+		}
 	}
 }
 
-func TestTryReceiveUnblocksSender(t *testing.T) {
+// TestReceiveOrDirectDelivery: a process blocked in ReceiveOr takes a
+// message from also the instant it is sent, by each of the four delivery
+// paths, while a third process's earlier message stays queued.
+func TestReceiveOrDirectDelivery(t *testing.T) {
+	for _, via := range deliveries {
+		t.Run(via.name, func(t *testing.T) {
+			env, k := newKernel(t)
+			var from, also *Ctx
+			var got Message
+			var gotAt sim.Time
+			rc, _ := k.Spawn("server", trusted(), func(c *Ctx) {
+				var err error
+				if got, err = c.ReceiveOr(from.Endpoint(), via.srcOf(also.Endpoint())); err != nil {
+					t.Errorf("ReceiveOr: %v", err)
+				}
+				gotAt = c.Now()
+				c.Sleep(time.Hour)
+			})
+			other, _ := k.Spawn("other", trusted(), func(c *Ctx) {
+				c.Sleep(500 * time.Millisecond)
+				c.AsyncSend(rc.Endpoint(), Message{Type: 8})
+			})
+			from, _ = k.Spawn("from", trusted(), func(c *Ctx) { c.Sleep(time.Hour) })
+			also, _ = k.Spawn("also", trusted(), func(c *Ctx) {
+				c.Sleep(time.Second)
+				via.send(k, c, rc.Endpoint())
+				c.Sleep(time.Hour)
+			})
+			env.Run(2 * time.Second)
+			if got.Source != via.srcOf(also.Endpoint()) || gotAt != time.Second {
+				t.Fatalf("ReceiveOr took %v at %v, want also's message at 1s", got.Source, gotAt)
+			}
+			if q := rc.e.asyncQ; len(q) != 1 || q[0].Source != other.Endpoint() {
+				t.Fatalf("async queue %+v, want other's message still queued", q)
+			}
+		})
+	}
+}
+
+// TestReceiveOrWatchesOnlyFrom: from's death aborts the wait with
+// ErrSrcDied, exactly as Receive(from) does; also's death does not, and
+// the wait goes on to take from's next message.
+func TestReceiveOrWatchesOnlyFrom(t *testing.T) {
+	for _, dies := range []string{"from", "also"} {
+		t.Run(dies, func(t *testing.T) {
+			env, k := newKernel(t)
+			var from, also *Ctx
+			var got Message
+			var err error
+			var gotAt sim.Time
+			rc, _ := k.Spawn("server", trusted(), func(c *Ctx) {
+				got, err = c.ReceiveOr(from.Endpoint(), also.Endpoint())
+				gotAt = c.Now()
+			})
+			from, _ = k.Spawn("from", trusted(), func(c *Ctx) {
+				c.Sleep(time.Second)
+				if dies == "from" {
+					c.Exit(1)
+				}
+				c.Sleep(time.Second)
+				c.Send(rc.Endpoint(), Message{Type: 5})
+			})
+			also, _ = k.Spawn("also", trusted(), func(c *Ctx) {
+				c.Sleep(time.Second)
+				if dies == "also" {
+					c.Exit(1)
+				}
+				c.Sleep(time.Hour)
+			})
+			env.Run(3 * time.Second)
+			if dies == "from" {
+				if !errors.Is(err, ErrSrcDied) || gotAt != time.Second {
+					t.Fatalf("ReceiveOr = %+v, %v at %v; want ErrSrcDied at 1s", got, err, gotAt)
+				}
+				return
+			}
+			if err != nil || got.Type != 5 || gotAt != 2*time.Second {
+				t.Fatalf("ReceiveOr = %+v, %v at %v; want from's message at 2s", got, err, gotAt)
+			}
+		})
+	}
+}
+
+// TestReceiveOrReleasesBlockedSender: a receive that takes a queued
+// rendezvous sender's message completes that sender's Send.
+func TestReceiveOrReleasesBlockedSender(t *testing.T) {
 	env, k := newKernel(t)
-	var senderDone bool
+	var senderDone sim.Time
+	var from *Ctx
 	rc, _ := k.Spawn("server", trusted(), func(c *Ctx) {
 		c.Sleep(time.Second)
-		if m, ok := c.TryReceive(Any); !ok || m.Type != 9 {
-			t.Errorf("tryreceive: ok=%v m=%+v", ok, m)
+		if m, err := c.ReceiveOr(from.Endpoint(), None); err != nil || m.Type != 9 {
+			t.Errorf("ReceiveOr = %+v, %v", m, err)
 		}
 		c.Sleep(time.Second)
 	})
-	k.Spawn("sender", trusted(), func(c *Ctx) {
+	from, _ = k.Spawn("sender", trusted(), func(c *Ctx) {
 		if err := c.Send(rc.Endpoint(), Message{Type: 9}); err != nil {
 			t.Errorf("send: %v", err)
 		}
-		senderDone = true
+		senderDone = c.Now()
 	})
 	env.Run(3 * time.Second)
-	if !senderDone {
-		t.Fatal("rendezvous sender not released by TryReceive")
-	}
-}
-
-func TestTryReceiveSourceFilter(t *testing.T) {
-	env, k := newKernel(t)
-	var aEp, bEp Endpoint
-	var first Endpoint
-	rc, _ := k.Spawn("server", trusted(), func(c *Ctx) {
-		c.Sleep(time.Second)
-		// Only take b's message even though a's arrived first.
-		if m, ok := c.TryReceive(bEp); ok {
-			first = m.Source
-		}
-		// a's message is still queued.
-		if m, ok := c.TryReceive(Any); !ok || m.Source != aEp {
-			t.Errorf("a's message lost: ok=%v", ok)
-		}
-	})
-	ac, _ := k.Spawn("a", trusted(), func(c *Ctx) {
-		c.AsyncSend(rc.Endpoint(), Message{Type: 1})
-	})
-	bc, _ := k.Spawn("b", trusted(), func(c *Ctx) {
-		c.Sleep(100 * time.Millisecond)
-		c.AsyncSend(rc.Endpoint(), Message{Type: 2})
-	})
-	aEp, bEp = ac.Endpoint(), bc.Endpoint()
-	env.Run(2 * time.Second)
-	if first != bEp {
-		t.Fatalf("first = %v, want b", first)
+	if senderDone != time.Second {
+		t.Fatalf("sender released at %v, want 1s", senderDone)
 	}
 }
 

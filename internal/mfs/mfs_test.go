@@ -453,6 +453,94 @@ func TestMFSComplainsAboutProtocolViolation(t *testing.T) {
 	}
 }
 
+// TestMFSAlwaysErrIODriverFailsTheRequest: a driver that answers every
+// transfer with ErrIO, in zero virtual time, cannot hold MFS in a reissue
+// loop. The first ErrIO is reissued, the second is a complaint that gets
+// the driver restarted, and the fresh instance's ErrIO fails the request:
+// one complaint, one restart and an error for the client. The fake stops
+// the run after 100 replies, so a reissue loop fails the test at once.
+func TestMFSAlwaysErrIODriverFailsTheRequest(t *testing.T) {
+	env := sim.NewEnv(1)
+	k := kernel.New(env)
+	dsEp, err := ds.Start(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replies := 0
+	spawnDriver := func() kernel.Endpoint {
+		dc, err := k.Spawn("disk.sata", kernel.Privileges{AllowAllIPC: true}, func(c *kernel.Ctx) {
+			for {
+				m, err := c.Receive(kernel.Any)
+				if err != nil {
+					return
+				}
+				reply := kernel.Message{Type: proto.BdevReply, Arg1: proto.ErrIO}
+				if m.Type == proto.BdevOpen {
+					reply.Arg1 = proto.OK
+				} else if replies++; replies == 100 {
+					env.Stop()
+				}
+				c.Send(m.Source, reply)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dc.Endpoint()
+	}
+	srv := New(Config{DS: dsEp, DriverLabel: "disk.sata", Disk: Geometry{Sectors: 1 << 18}})
+	mc, err := k.Spawn("mfs", kernel.Privileges{
+		AllowAllIPC: true,
+		Calls:       []kernel.Call{kernel.CallSafeCopy},
+		MayComplain: true,
+	}, srv.Binary())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The client asks before any driver is published, so the mount that
+	// meets the failing driver is the one its request triggers.
+	var reply kernel.Message
+	done := false
+	k.Spawn("app", kernel.Privileges{AllowAllIPC: true}, func(c *kernel.Ctx) {
+		c.Sleep(100 * time.Millisecond)
+		reply, err = c.SendRec(mc.Endpoint(), kernel.Message{Type: proto.FSOpen, Name: "/f"})
+		done = err == nil
+	})
+	var complaints, restarts int
+	k.Spawn("rs", kernel.Privileges{AllowAllIPC: true, Calls: []kernel.Call{kernel.CallKill}}, func(c *kernel.Ctx) {
+		publish := func() kernel.Endpoint {
+			ep := spawnDriver()
+			c.SendRec(dsEp, kernel.Message{Type: proto.DSPublish, Name: "disk.sata", Arg1: int64(ep)})
+			return ep
+		}
+		c.Sleep(time.Second)
+		drv := publish()
+		for {
+			m, err := c.Receive(kernel.Any)
+			if err != nil {
+				return
+			}
+			if m.Type == proto.RSComplain && m.Name == "disk.sata" {
+				complaints++
+				c.Send(m.Source, kernel.Message{Type: proto.RSAck, Arg1: proto.OK})
+				c.Kill(drv, kernel.SIGKILL)
+				restarts++
+				drv = publish()
+			}
+		}
+	})
+	env.Run(time.Minute)
+	if !done || reply.Arg1 >= 0 {
+		t.Fatalf("client: done=%v reply=%+v, want an error reply (%d driver replies)", done, reply, replies)
+	}
+	if complaints != 1 || restarts != 1 || srv.Stats().Complaints != 1 {
+		t.Fatalf("%d complaints (MFS counts %d), %d restarts; want one each", complaints, srv.Stats().Complaints, restarts)
+	}
+	if replies != 3 {
+		t.Errorf("the driver answered %d transfers, want 3: reissue, complain, fail", replies)
+	}
+}
+
 // Property: random write/read sequences through MFS behave like an
 // in-memory reference file.
 func TestMFSMatchesReferenceModel(t *testing.T) {

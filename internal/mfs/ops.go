@@ -83,9 +83,7 @@ func (s *Server) serveInner(m kernel.Message, sc obs.SpanContext) int64 {
 		if !s.driverUp {
 			s.awaitDriver()
 		}
-		if s.sb == nil {
-			s.mount()
-		}
+		s.mount()
 		if s.sb == nil {
 			_ = s.ctx.Send(m.Source, kernel.Message{Type: proto.FSReply, Arg1: proto.ErrAgain, Trace: sc})
 			return 1

@@ -3,6 +3,7 @@ package mfs
 import (
 	"errors"
 
+	"resilientos/internal/core"
 	"resilientos/internal/kernel"
 	"resilientos/internal/obs"
 	"resilientos/internal/proto"
@@ -101,6 +102,7 @@ func (s *Server) run(c *kernel.Ctx) {
 		}
 	} else if ep, ok := s.pollOnce(); ok {
 		s.onDriverUpdate(kernel.Message{Type: proto.DSUpdate, Arg1: int64(ep)})
+		s.mount()
 	}
 	for {
 		m, err := c.Receive(kernel.Any)
@@ -112,6 +114,7 @@ func (s *Server) run(c *kernel.Ctx) {
 			_ = c.AsyncSend(m.Source, kernel.Message{Type: proto.RSPong}) // [recovery]
 		case proto.DSUpdate:
 			s.onDriverUpdate(m) // [recovery]
+			s.mount()
 		case proto.FSOpen, proto.FSCreate, proto.FSRead, proto.FSWrite,
 			proto.FSUnlink, proto.FSStat, proto.FSSync, proto.FSMkdir,
 			proto.FSReaddir:
@@ -130,8 +133,9 @@ func (s *Server) onDriverUpdate(m kernel.Message) {
 	restarted := s.driverEp != 0 && s.driverEp != kernel.Endpoint(m.Arg1) // [recovery]
 	s.driverEp = kernel.Endpoint(m.Arg1)
 	s.bytes = s.ctx.Obs().Metrics().Counter("mfs.bytes." + s.cfg.DriverLabel)
-	// Reopen minor devices on the fresh instance.
-	reply, err := s.ctx.SendRec(s.driverEp, kernel.Message{Type: proto.BdevOpen, Arg1: 0})
+	// Reopen minor devices on the fresh instance. It may still be resetting
+	// its device, so the wait answers heartbeats.
+	reply, err := core.Call(s.ctx, s.driverEp, kernel.Message{Type: proto.BdevOpen, Arg1: 0})
 	if err != nil || reply.Arg1 != proto.OK {
 		s.driverUp = false
 		return
@@ -142,13 +146,15 @@ func (s *Server) onDriverUpdate(m kernel.Message) {
 		s.ctx.Obs().Emit(obs.KindReintegrate, s.ctx.Label(), s.cfg.DriverLabel, int64(s.driverEp), 0) // [recovery]
 		s.episode = m.Trace                                                                           // [recovery]
 	}
-	if s.sb == nil {
-		s.mount()
-	}
 }
 
-// mount reads the superblock once the driver is first available.
+// mount reads the superblock once the driver is first available. It
+// runs from the message loop only, never from a wait inside rawIO, so a
+// driver that fails the superblock read cannot nest one mount in another.
 func (s *Server) mount() {
+	if s.sb != nil || !s.driverUp {
+		return
+	}
 	blk, err := s.readBlock(0)
 	if err != nil {
 		return
@@ -164,7 +170,9 @@ func (s *Server) mount() {
 // driver failures: on a dead driver the request is marked pending, the
 // server blocks until the data store publishes the restarted driver, and
 // the idempotent operation is reissued (§6.2). It only returns once the
-// transfer succeeded (or the volume is impossible, e.g. out of range).
+// transfer succeeded, the driver failed it three times (see the ErrIO
+// case), the data store is gone, or the volume is impossible (e.g. out of
+// range).
 //
 // Each attempt is its own span under the enclosing request's context: an
 // attempt the driver's death interrupts is orphaned, and the reissue is
@@ -182,9 +190,10 @@ func (s *Server) rawIO(write bool, firstSector int64, count int64, buf []byte) e
 	}
 	reqCtx := s.ctx.TraceCtx()
 	var orphaned obs.SpanContext // the last crash-interrupted attempt
-	for attempt := 0; ; attempt++ {
-		if !s.driverUp { // [recovery]
-			s.awaitDriver() // [recovery]
+	errIOs := 0                  // ErrIO replies to this request so far
+	for {
+		if !s.driverUp && !s.awaitDriver() { // [recovery]
+			return errDriverDown // [recovery]
 		}
 		sc := s.ctx.BeginWork(opName, reqCtx)
 		if orphaned.Valid() { // [recovery]
@@ -224,13 +233,24 @@ func (s *Server) rawIO(write bool, firstSector int64, count int64, buf []byte) e
 			s.driverUp = false                                     // [recovery]
 			continue                                               // [recovery]
 		case reply.Arg1 == proto.ErrIO:
-			// The driver survived but the transfer failed (e.g. it was
-			// restarted mid-command and lost the device state); retry.
+			// The driver survived but the transfer failed. A driver
+			// restarted mid-command answers the request it lost this way
+			// once: reissue. A second ErrIO means the driver is failing:
+			// complain and reissue to the replacement. A third, from that
+			// replacement, fails the request.
 			s.ctx.EndWork(sc, 1)     // [recovery]
 			orphaned = sc            // [recovery]
 			s.stats.DriverFailures++ // [recovery]
-			s.stats.Reissues++       // [recovery]
-			continue                 // [recovery]
+			errIOs++                 // [recovery]
+			if errIOs > 2 {          // [recovery]
+				return errDriverDown // [recovery]
+			} // [recovery]
+			if errIOs == 2 { // [recovery]
+				s.complain()       // [recovery]
+				s.driverUp = false // [recovery]
+			} // [recovery]
+			s.stats.Reissues++ // [recovery]
+			continue           // [recovery]
 		case reply.Arg1 < 0:
 			s.ctx.EndWork(sc, 1)
 			return errDriverDown
@@ -243,63 +263,38 @@ func (s *Server) rawIO(write bool, firstSector int64, count int64, buf []byte) e
 
 // awaitDriver blocks until the data store announces a live driver — "the
 // file server blocks and waits until the disk driver has been restarted".
-// While waiting it keeps answering the reincarnation server's heartbeats,
-// so being blocked on a dead driver is not mistaken for being stuck.
-func (s *Server) awaitDriver() { // [recovery]
+// While waiting it answers the reincarnation server's heartbeats, so being
+// blocked on a dead driver is not mistaken for being stuck. With the
+// ablation's PollInterval it instead looks the driver up each time an
+// alarm of that interval fires, so a restart goes unnoticed for up to one
+// interval. It reports false when the data store died mid-wait: then no
+// announcement can come.
+func (s *Server) awaitDriver() bool { // [recovery]
+	from := s.cfg.DS            // [recovery]
 	if s.cfg.PollInterval > 0 { // [recovery]
-		s.awaitDriverPolling() // [recovery]
-		return                 // [recovery]
+		from = kernel.Clock                // [recovery]
+		s.ctx.SetAlarm(s.cfg.PollInterval) // [recovery]
 	} // [recovery]
-	for !s.driverUp { // [recovery]
-		s.answerPings()                              // [recovery]
-		if m, ok := s.ctx.TryReceive(s.cfg.DS); ok { // [recovery]
-			if m.Type == proto.DSUpdate { // [recovery]
-				s.onDriverUpdate(m) // [recovery]
-			} // [recovery]
-			continue // [recovery]
-		} // [recovery]
-		s.ctx.Sleep(20 * sim.Time(1e6)) // [recovery]
-	} // [recovery]
-}
-
-// answerPings drains queued heartbeat requests; only messages from the
-// reincarnation server are touched, so client requests stay queued in
-// arrival order.
-func (s *Server) answerPings() { // [recovery]
-	rsEp := s.ctx.LookupLabel("rs") // [recovery]
-	if rsEp == kernel.None {        // [recovery]
-		return // [recovery]
-	} // [recovery]
-	for { // [recovery]
-		m, ok := s.ctx.TryReceive(rsEp) // [recovery]
-		if !ok {                        // [recovery]
-			return // [recovery]
-		} // [recovery]
-		if m.Type == proto.RSPing { // [recovery]
+	rs := s.ctx.LookupLabel(core.Label) // [recovery]
+	for !s.driverUp {                   // [recovery]
+		m, err := s.ctx.ReceiveOr(from, rs) // [recovery]
+		switch {                            // [recovery]
+		case err != nil: // [recovery]
+			return false // [recovery]
+		case m.Type == proto.RSPing: // [recovery]
 			_ = s.ctx.AsyncSend(m.Source, kernel.Message{Type: proto.RSPong}) // [recovery]
-		} // [recovery]
-	} // [recovery]
-}
-
-// awaitDriverPolling is the ablation's strawman: rediscover the driver by
-// periodic name lookups instead of subscription pushes. Each restart goes
-// unnoticed for up to a full poll interval.
-func (s *Server) awaitDriverPolling() { // [recovery]
-	for !s.driverUp { // [recovery]
-		// Sleep one poll interval in heartbeat-friendly slices.
-		for slept := sim.Time(0); slept < s.cfg.PollInterval; { // [recovery]
-			s.answerPings()                      // [recovery]
-			step := 100 * sim.Time(1e6)          // [recovery]
-			if step > s.cfg.PollInterval-slept { // [recovery]
-				step = s.cfg.PollInterval - slept // [recovery]
+		case m.Type == proto.DSUpdate: // [recovery]
+			s.onDriverUpdate(m) // [recovery]
+		case m.Source == kernel.Clock: // [recovery]
+			if ep, ok := s.pollOnce(); ok { // [recovery]
+				s.onDriverUpdate(kernel.Message{Type: proto.DSUpdate, Arg1: int64(ep)}) // [recovery]
 			} // [recovery]
-			s.ctx.Sleep(step) // [recovery]
-			slept += step     // [recovery]
-		} // [recovery]
-		if ep, ok := s.pollOnce(); ok { // [recovery]
-			s.onDriverUpdate(kernel.Message{Type: proto.DSUpdate, Arg1: int64(ep)}) // [recovery]
+			if !s.driverUp { // [recovery]
+				s.ctx.SetAlarm(s.cfg.PollInterval) // [recovery]
+			} // [recovery]
 		} // [recovery]
 	} // [recovery]
+	return true // [recovery]
 }
 
 // pollOnce asks the data store for the driver's current endpoint.
@@ -315,9 +310,9 @@ func (s *Server) pollOnce() (kernel.Endpoint, bool) { // [recovery]
 
 // complain reports the malfunctioning driver to the reincarnation server.
 func (s *Server) complain() { // [recovery]
-	s.stats.Complaints++            // [recovery]
-	rsEp := s.ctx.LookupLabel("rs") // [recovery]
-	if rsEp == kernel.None {        // [recovery]
+	s.stats.Complaints++                  // [recovery]
+	rsEp := s.ctx.LookupLabel(core.Label) // [recovery]
+	if rsEp == kernel.None {              // [recovery]
 		return // [recovery]
 	} // [recovery]
 	_, _ = s.ctx.SendRec(rsEp, kernel.Message{ // [recovery]

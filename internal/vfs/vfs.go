@@ -11,8 +11,7 @@
 package vfs
 
 import (
-	"time"
-
+	"resilientos/internal/core"
 	"resilientos/internal/kernel"
 	"resilientos/internal/obs"
 	"resilientos/internal/proto"
@@ -175,54 +174,11 @@ func (s *Server) fsCall(m kernel.Message) (kernel.Message, bool) {
 			return kernel.Message{}, false
 		}
 	}
-	reply, err := s.callPinging(s.fsEp, m)
+	reply, err := core.Call(s.ctx, s.fsEp, m)
 	if err != nil {
 		return kernel.Message{}, false
 	}
 	return reply, true
-}
-
-// callPinging performs an asynchronous request/reply with a reply wait
-// that stays responsive to heartbeats. The poll step starts fine-grained
-// (no measurable cost against device timing) and coarsens for long waits.
-func (s *Server) callPinging(dst kernel.Endpoint, m kernel.Message) (kernel.Message, error) {
-	if err := s.ctx.AsyncSend(dst, m); err != nil {
-		return kernel.Message{}, err
-	}
-	var waited time.Duration
-	step := 50 * time.Microsecond
-	for {
-		if reply, ok := s.ctx.TryReceive(dst); ok {
-			return reply, nil
-		}
-		if !s.ctx.Kernel().Alive(dst) {
-			return kernel.Message{}, kernel.ErrSrcDied
-		}
-		if waited > 100*time.Millisecond { // [recovery]
-			s.answerPings()              // [recovery]
-			step = 20 * time.Millisecond // [recovery]
-		}
-		s.ctx.Sleep(step)
-		waited += step
-	}
-}
-
-// answerPings drains queued heartbeat requests from the reincarnation
-// server without touching queued client requests.
-func (s *Server) answerPings() { // [recovery]
-	rsEp := s.ctx.LookupLabel("rs") // [recovery]
-	if rsEp == kernel.None {        // [recovery]
-		return // [recovery]
-	} // [recovery]
-	for { // [recovery]
-		m, ok := s.ctx.TryReceive(rsEp) // [recovery]
-		if !ok {                        // [recovery]
-			return // [recovery]
-		} // [recovery]
-		if m.Type == proto.RSPing { // [recovery]
-			_ = s.ctx.AsyncSend(m.Source, kernel.Message{Type: proto.RSPong}) // [recovery]
-		} // [recovery]
-	} // [recovery]
 }
 
 // devEp resolves a character driver's current endpoint via its label.
@@ -370,7 +326,7 @@ func (s *Server) devCall(m kernel.Message, f *file, req kernel.Message) {
 		s.reply(m.Source, kernel.Message{Arg1: proto.ErrIO})
 		return
 	}
-	reply, err := s.callPinging(ep, req)
+	reply, err := core.Call(s.ctx, ep, req)
 	if err != nil {
 		s.stats.DevErrors++ // [recovery] driver died mid-request
 		s.reply(m.Source, kernel.Message{Arg1: proto.ErrIO})

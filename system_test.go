@@ -2,11 +2,13 @@ package resilientos
 
 import (
 	"io"
+	"maps"
 	"runtime"
 	"testing"
 	"time"
 
 	"resilientos/internal/core"
+	"resilientos/internal/ds"
 	"resilientos/internal/hw"
 	"resilientos/internal/kernel"
 	"resilientos/internal/obs"
@@ -695,5 +697,95 @@ func TestIdleSystemExactCounts(t *testing.T) {
 		if got := sys.Env.EventsExecuted() - before; got != 226 {
 			t.Fatalf("idle second %d ran %d events, want 226", i, got)
 		}
+	}
+}
+
+// TestServersWaitOnEvents: VFS and MFS block on messages, never on a
+// clock. An uninterrupted dd wakes each about twice per request (the
+// request, then the reply from below), and across a disk-driver kill
+// neither misses a heartbeat while MFS, waiting for the restarted driver,
+// is woken only by pings, the data store's push and the fresh instance's
+// answer to the reopen.
+func TestServersWaitOnEvents(t *testing.T) {
+	t.Run("uninterrupted", func(t *testing.T) {
+		sys := New(Config{
+			Seed: 1, HeartbeatPeriod: -1, DisableNet: true, DisableChar: true,
+			PreallocFiles: []PreallocFile{{Name: "data", Size: 8 << 20}},
+		})
+		defer sys.Close()
+		sys.Run(3 * time.Second) // booted, volume mounted
+		vfsEp, mfsEp := sys.Kernel.LookupLabel(ServerVFS), sys.Kernel.LookupLabel(ServerMFS)
+		v0, m0 := sys.Kernel.Resumes(vfsEp), sys.Kernel.Resumes(mfsEp)
+		var res DdResult
+		sys.Dd("/data", 64<<10, &res)
+		sys.Run(time.Minute)
+		if res.Err != nil || res.Bytes != 8<<20 {
+			t.Fatalf("dd: %d bytes, %v", res.Bytes, res.Err)
+		}
+		// 131 requests reach VFS (open, 128 reads, the read that sees EOF,
+		// close) and all but the close reach MFS. VFS wakes for each and
+		// for MFS's reply; MFS wakes for each and for the driver's reply
+		// to each transfer. Polling for replies, VFS woke 5,271 times and
+		// MFS 395.
+		if v, m := sys.Kernel.Resumes(vfsEp)-v0, sys.Kernel.Resumes(mfsEp)-m0; v != 261 || m != 265 {
+			t.Errorf("dd woke VFS %d and MFS %d times, want 261 and 265", v, m)
+		}
+	})
+	t.Run("driver-kill", func(t *testing.T) {
+		w := &mfsWait{}
+		sys := New(Config{
+			Seed: 1, Obs: obs.NewRecorder(w), HeartbeatPeriod: 250 * time.Millisecond,
+			DisableNet: true, DisableChar: true,
+			PreallocFiles: []PreallocFile{{Name: "data", Size: 16 << 20}},
+		})
+		defer sys.Close()
+		w.k = sys.Kernel
+		sys.Run(3 * time.Second)
+		var res DdResult
+		sys.Dd("/data", 64<<10, &res)
+		sys.After(200*time.Millisecond, func() { sys.KillDriver(DriverSATA) })
+		sys.Run(time.Minute)
+		if res.Err != nil || res.Bytes != 16<<20 {
+			t.Fatalf("dd: %d bytes, %v", res.Bytes, res.Err)
+		}
+		if w.misses != 0 {
+			t.Errorf("VFS and MFS missed %d heartbeats", w.misses)
+		}
+		// The driver's 600 ms reset spans three 250 ms pings.
+		want := map[string]int{core.Label: 3, ds.Label: 1, DriverSATA: 1}
+		if !maps.Equal(w.received, want) {
+			t.Errorf("waiting for the driver, MFS received %v, want %v", w.received, want)
+		}
+		if w.woke != 5 {
+			t.Errorf("waiting for the driver, MFS woke %d times for 5 messages", w.woke)
+		}
+	})
+}
+
+// mfsWait watches MFS's wait for a restarted disk driver on the trace
+// bus: from the abort of its call to the dead driver to its
+// reintegration, it counts MFS's wake-ups and the messages it received,
+// by sender. It also counts heartbeat misses of VFS and MFS.
+type mfsWait struct {
+	k        *kernel.Kernel
+	waiting  bool
+	woke     uint64 // MFS resumes at the abort, then the count during the wait
+	received map[string]int
+	misses   int
+}
+
+func (w *mfsWait) Emit(e obs.Event) {
+	switch {
+	case e.Kind == obs.KindHeartbeat && (e.Comp == ServerVFS || e.Comp == ServerMFS):
+		w.misses++
+	case e.Comp != ServerMFS: // the cases below are MFS's events
+	case e.Kind == obs.KindIPCAbort && e.Aux == "dead" && w.received == nil:
+		w.waiting, w.received = true, map[string]int{}
+		w.woke = w.k.Resumes(w.k.LookupLabel(ServerMFS))
+	case e.Kind == obs.KindIPCRecv && w.waiting:
+		w.received[e.Aux]++
+	case e.Kind == obs.KindReintegrate && w.waiting:
+		w.waiting = false
+		w.woke = w.k.Resumes(w.k.LookupLabel(ServerMFS)) - w.woke
 	}
 }
