@@ -86,8 +86,11 @@ func summarizeDecisions(w io.Writer, events []decision.Event) {
 		if e.Kind != decision.KindOutcome {
 			continue
 		}
-		if e.Action == "gave-up" {
+		switch e.Action {
+		case "gave-up":
 			gaveUps = append(gaveUps, e)
+			continue
+		case "stopped": // an administrative stop overtook the recovery
 			continue
 		}
 		byClass[e.Defect] = append(byClass[e.Defect], e.Latency)

@@ -388,3 +388,67 @@ func TestDecisionEpisodeLinkage(t *testing.T) {
 		t.Fatalf("outcome not in the same trace: %+v", outcomes)
 	}
 }
+
+// TestPolicyOutsideTheShellLanguageFallsBackToRestart: a policy that
+// uses a construct the policy shell does not have — a for loop, echo,
+// true — fails as an unknown command, the runner exits 1, and RS
+// restarts the service directly instead of stranding it.
+func TestPolicyOutsideTheShellLanguageFallsBackToRestart(t *testing.T) {
+	for _, src := range []string{
+		"for s in $1; do\n\tservice restart $s\ndone\n",
+		"echo restarting $1\nservice restart $1\n",
+		"true\nservice restart $1\n",
+	} {
+		r, sink := decBoot(t)
+		cfg := svcCfg("drv", crashAfter(time.Second))
+		cfg.Policy = policy.MustParse(src)
+		r.rs.StartService(cfg)
+		r.env.Run(1500 * time.Millisecond)
+		if events := r.rs.Events(); len(events) != 1 || !events[0].Recovered {
+			t.Fatalf("%q: recovery events %+v, want one recovery", src, events)
+		}
+		if r.rs.ServiceEndpoint("drv") == kernel.None {
+			t.Fatalf("%q: service stranded", src)
+		}
+		steps := byKind(sink.Events(), decision.KindPolicyStep)
+		if len(steps) != 1 || steps[0].Action != "exit" || steps[0].Status != 1 {
+			t.Fatalf("%q: policy steps %+v, want only the failed runner's exit 1", src, steps)
+		}
+	}
+}
+
+// TestStopOvertakingMicrorebootClosesEpisode: an administrative stop
+// that lands between a granted RSMicroAsk and its RSMicroDone ends the
+// microreboot's episode with a terminal "stopped" decision, so the
+// decision log and the recover: span hold no dangling episode.
+func TestStopOvertakingMicrorebootClosesEpisode(t *testing.T) {
+	r, sink := decBoot(t)
+	granted := false
+	cfg := svcCfg("drv", func(c *kernel.Ctx) {
+		c.Sleep(100 * time.Millisecond)
+		reply, err := c.SendRec(r.rs.Endpoint(), kernel.Message{
+			Type: proto.RSMicroAsk, Name: c.Label(), Arg1: int64(DefectException)})
+		granted = err == nil && reply.Arg1 == proto.OK
+		steadyBody(c) // the in-place reset never reports done
+	})
+	cfg.Mechanism = MechMicroreboot
+	r.rs.StartService(cfg)
+	r.env.Schedule(500*time.Millisecond, func() { r.rs.StopService("drv") })
+	r.env.Run(2 * time.Second)
+
+	if !granted {
+		t.Fatal("microreboot was not granted")
+	}
+	if info := findService(t, r.rs, "drv"); info.Phase != PhaseStopped {
+		t.Fatalf("phase %v, want stopped", info.Phase)
+	}
+	events := sink.Events()
+	if problems := decision.Check(events); len(problems) != 0 {
+		t.Fatalf("decision log ill-formed: %v", problems)
+	}
+	outcomes := byKind(events, decision.KindOutcome)
+	if len(outcomes) != 1 || outcomes[0].Action != "stopped" || outcomes[0].Status != 1 ||
+		outcomes[0].Defect != int(DefectException) {
+		t.Fatalf("outcomes %+v, want one stopped outcome of the exception episode", outcomes)
+	}
+}

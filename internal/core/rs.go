@@ -215,7 +215,7 @@ type service struct {
 	ep    kernel.Endpoint
 	phase Phase  // written by setPhase only
 	cause Defect // why RS is killing the instance (heartbeat, complaint, update; 0 = it is not)
-	class Defect // defect class of the open recovery episode
+	class Defect // defect class of the open recovery episode (0 = none open)
 
 	failures    int // consecutive failure count (the script's $3)
 	lastFailure sim.Time
@@ -749,6 +749,11 @@ func (rs *RS) onExitEvent(c *kernel.Ctx, m kernel.Message) {
 	svc.cause = 0
 	if svc.phase == PhaseStopping {
 		svc.setPhase(PhaseStopped) // administrative stop: expected, no recovery
+		// A stop that overtook a granted microreboot ends its episode:
+		// the service is down on request, not recovered.
+		if svc.class != 0 {
+			rs.closeEpisode(c, svc, svc.class, "stopped", "", 1)
+		}
 		return
 	}
 	if class == 0 {
@@ -981,12 +986,13 @@ func (rs *RS) settle(c *kernel.Ctx, svc *service, class Defect, how string) {
 }
 
 // closeEpisode records the episode's terminal decision and ends its span
-// with status (0 recovered, 1 gave up).
+// with status (0 recovered, 1 gave up or stopped).
 func (rs *RS) closeEpisode(c *kernel.Ctx, svc *service, class Defect, outcome, how string, status int64) {
 	rs.decide(svc, class, decision.Event{Kind: decision.KindOutcome,
 		Action: outcome, Detail: how, Status: status, Latency: c.Now() - svc.detectedAt})
 	c.Obs().EndSpan(Label, svc.episode, status)
 	svc.episode = obs.SpanContext{}
+	svc.class = 0
 	c.SetTraceCtx(obs.SpanContext{})
 }
 

@@ -56,8 +56,9 @@ const (
 	// The synthetic final step "exit" carries the script's return code.
 	KindPolicyStep
 	// KindOutcome is the terminal decision of an episode: "recovered"
-	// (Status 0) or "gave-up" (Status 1), with Latency = virtual time
-	// from detection to terminal.
+	// (Status 0), "gave-up" or "stopped" (Status 1; an administrative stop
+	// overtook the recovery), with Latency = virtual time from detection
+	// to terminal.
 	KindOutcome
 
 	kindMax

@@ -247,6 +247,9 @@ func (p *arithParser) parseName() (int64, error) {
 	for p.pos < len(p.src) && isNameByte(p.src[p.pos]) {
 		p.pos++
 	}
+	if p.pos == start && start > 0 && p.src[start-1] == '$' && p.pos < len(p.src) && strings.IndexByte("#?", p.src[p.pos]) >= 0 {
+		p.pos++ // $# or $?
+	}
 	name := p.src[start:p.pos]
 	if name == "" {
 		return 0, fmt.Errorf("arith: empty variable name")

@@ -1,25 +1,14 @@
 package policy
 
-// AST node types. A script is a list of and-or chains of pipelines of
-// commands; compound commands (if/while/for/case) nest lists.
+// AST node types. A script is a list of pipelines of commands; compound
+// commands (if/while/case) nest lists.
 
 // node is any executable AST node.
 type node interface{ isNode() }
 
-// listNode is a sequence of and-or chains separated by ';' or newline.
+// listNode is a sequence of pipelines separated by ';' or newline.
 type listNode struct {
 	items []node
-}
-
-// andOrNode chains pipelines with && / ||.
-type andOrNode struct {
-	first node
-	rest  []andOrLink
-}
-
-type andOrLink struct {
-	op   string // "&&" or "||"
-	next node
 }
 
 // pipeNode connects commands with '|'.
@@ -57,13 +46,6 @@ type whileNode struct {
 	body *listNode
 }
 
-// forNode: for name in words; do body done.
-type forNode struct {
-	name  string
-	words []word
-	body  *listNode
-}
-
 // caseNode: case word in pattern) body ;; ... esac.
 type caseNode struct {
 	subject word
@@ -76,10 +58,8 @@ type caseArm struct {
 }
 
 func (*listNode) isNode()   {}
-func (*andOrNode) isNode()  {}
 func (*pipeNode) isNode()   {}
 func (*simpleNode) isNode() {}
 func (*ifNode) isNode()     {}
 func (*whileNode) isNode()  {}
-func (*forNode) isNode()    {}
 func (*caseNode) isNode()   {}

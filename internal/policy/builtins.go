@@ -2,6 +2,7 @@ package policy
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -11,12 +12,6 @@ import (
 func (in *Interp) invoke(argv []string, stdin string) (stdout string, status int, err error) {
 	name := argv[0]
 	switch name {
-	case ":", "true":
-		return "", 0, nil
-	case "false":
-		return "", 1, nil
-	case "echo":
-		return strings.Join(argv[1:], " ") + "\n", 0, nil
 	case "cat":
 		// cat without file arguments echoes stdin (the heredoc case).
 		return stdin, 0, nil
@@ -36,7 +31,7 @@ func (in *Interp) invoke(argv []string, stdin string) (stdout string, status int
 			n = v
 		}
 		if n > len(in.args) {
-			return "", 1, nil
+			return "", 2, fmt.Errorf("policy: shift: count %d exceeds $# = %d", n, len(in.args))
 		}
 		in.args = in.args[n:]
 		in.optind = 0 // positional params changed; restart option parsing
@@ -62,27 +57,13 @@ func (in *Interp) invoke(argv []string, stdin string) (stdout string, status int
 			return "", 1, fmt.Errorf("policy: sleep: missing duration")
 		}
 		secs, convErr := strconv.ParseFloat(argv[1], 64)
-		if convErr != nil || secs < 0 {
+		if convErr != nil || !(secs >= 0 && secs < math.MaxInt64/float64(time.Second)) {
 			return "", 1, fmt.Errorf("policy: sleep: bad duration %q", argv[1])
 		}
 		in.sleep(time.Duration(secs * float64(time.Second)))
 		return "", 0, nil
 	case "getopts":
 		return in.getopts(argv[1:])
-	case "read":
-		// read var: first line of stdin into var.
-		if len(argv) < 2 {
-			return "", 1, nil
-		}
-		line := stdin
-		if i := strings.IndexByte(line, '\n'); i >= 0 {
-			line = line[:i]
-		}
-		in.vars[argv[1]] = line
-		if stdin == "" {
-			return "", 1, nil
-		}
-		return "", 0, nil
 	}
 	if fn, ok := in.commands[name]; ok {
 		out, st := fn(argv, stdin)
@@ -128,8 +109,11 @@ func (in *Interp) getopts(args []string) (string, int, error) {
 			in.optind++
 		} else {
 			if idx+1 >= len(in.args) {
+				// Missing argument: opt='?' and the loop goes on, as in sh.
 				in.vars[varname] = "?"
-				return "", 1, nil
+				delete(in.vars, "OPTARG")
+				in.optind++
+				return "", 0, nil
 			}
 			in.vars["OPTARG"] = in.args[idx+1]
 			in.optind += 2

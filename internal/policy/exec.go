@@ -3,7 +3,6 @@ package policy
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"strconv"
 	"strings"
@@ -24,7 +23,6 @@ type Interp struct {
 	status   int      // $?
 	commands map[string]Command
 	sleep    func(time.Duration)
-	stdout   io.Writer
 	limit    int    // remaining execution steps (runaway guard)
 	docsRef  []word // heredoc bodies of the script being run
 	optind   int    // getopts cursor (1-based position in args)
@@ -50,19 +48,9 @@ func WithSleep(fn func(time.Duration)) Option {
 	return func(in *Interp) { in.sleep = fn }
 }
 
-// WithStdout directs unpiped command output.
-func WithStdout(w io.Writer) Option {
-	return func(in *Interp) { in.stdout = w }
-}
-
 // WithArgs sets the positional parameters.
 func WithArgs(args ...string) Option {
 	return func(in *Interp) { in.args = append([]string(nil), args...) }
-}
-
-// WithVar presets a variable.
-func WithVar(name, value string) Option {
-	return func(in *Interp) { in.vars[name] = value }
 }
 
 // WithTrace installs the step-level trace hook.
@@ -74,9 +62,6 @@ func WithTrace(fn Trace) Option {
 // space-separated "name=value" list in name order, so trace hooks can
 // snapshot the arith/variable state deterministically.
 func (in *Interp) VarState() string {
-	if len(in.vars) == 0 {
-		return ""
-	}
 	names := make([]string, 0, len(in.vars))
 	for n := range in.vars {
 		names = append(names, n)
@@ -98,13 +83,19 @@ func (in *Interp) VarState() string {
 // exceeds it is defective itself.
 const stepLimit = 100_000
 
+// maxExpansion bounds the bytes one word, assignment, case word or
+// heredoc expands to: a loop that doubles a string fails here, with an
+// error, instead of in the host's memory.
+const maxExpansion = 64 << 10
+
+var errExpansion = fmt.Errorf("policy: expansion exceeds %d bytes", maxExpansion)
+
 // NewInterp creates an interpreter.
 func NewInterp(opts ...Option) *Interp {
 	in := &Interp{
 		vars:     make(map[string]string),
 		commands: make(map[string]Command),
 		sleep:    func(time.Duration) {},
-		stdout:   io.Discard,
 		limit:    stepLimit,
 	}
 	for _, o := range opts {
@@ -159,8 +150,6 @@ func (in *Interp) lookupVar(name string) string {
 		return strconv.Itoa(in.status)
 	case "#":
 		return strconv.Itoa(len(in.args))
-	case "@", "*":
-		return strings.Join(in.args, " ")
 	}
 	if len(name) == 1 && name[0] >= '0' && name[0] <= '9' {
 		idx := int(name[0] - '0')
@@ -175,6 +164,18 @@ func (in *Interp) lookupVar(name string) string {
 	return in.vars[name]
 }
 
+// expandPart expands one part of a word.
+func (in *Interp) expandPart(p part) (string, error) {
+	switch p.kind {
+	case partVar:
+		return in.lookupVar(p.s), nil
+	case partArith:
+		v, err := in.evalArith(p.s)
+		return strconv.FormatInt(v, 10), err
+	}
+	return p.s, nil
+}
+
 // expandWord expands a word into fields (IFS splitting applies to unquoted
 // expansions).
 func (in *Interp) expandWord(w word) ([]string, error) {
@@ -182,20 +183,17 @@ func (in *Interp) expandWord(w word) ([]string, error) {
 		s      string
 		quoted bool
 	}
-	var frags []frag
+	frags := make([]frag, 0, len(w))
+	size := 0
 	for _, p := range w {
-		switch p.kind {
-		case partLit:
-			frags = append(frags, frag{p.s, p.quoted})
-		case partVar:
-			frags = append(frags, frag{in.lookupVar(p.s), p.quoted})
-		case partArith:
-			v, err := in.evalArith(p.s)
-			if err != nil {
-				return nil, err
-			}
-			frags = append(frags, frag{strconv.FormatInt(v, 10), p.quoted})
+		s, err := in.expandPart(p)
+		if err != nil {
+			return nil, err
 		}
+		if size += len(s); size > maxExpansion {
+			return nil, errExpansion
+		}
+		frags = append(frags, frag{s, p.quoted})
 	}
 	// Assemble fields: quoted fragments never split; unquoted fragments
 	// split on whitespace.
@@ -215,7 +213,7 @@ func (in *Interp) expandWord(w word) ([]string, error) {
 			started = true
 			continue
 		}
-		parts := strings.Fields(f.s)
+		parts := strings.FieldsFunc(f.s, isIFS)
 		if len(parts) == 0 {
 			if f.s == "" {
 				continue
@@ -224,8 +222,7 @@ func (in *Interp) expandWord(w word) ([]string, error) {
 			flush()
 			continue
 		}
-		lead := f.s[0] == ' ' || f.s[0] == '\t' || f.s[0] == '\n'
-		trail := f.s[len(f.s)-1] == ' ' || f.s[len(f.s)-1] == '\t' || f.s[len(f.s)-1] == '\n'
+		lead, trail := isIFS(rune(f.s[0])), isIFS(rune(f.s[len(f.s)-1]))
 		for i, pt := range parts {
 			if i == 0 && !lead {
 				cur += pt
@@ -244,23 +241,23 @@ func (in *Interp) expandWord(w word) ([]string, error) {
 	return fields, nil
 }
 
+// isIFS reports whether r separates fields: the default IFS is space,
+// tab and newline.
+func isIFS(r rune) bool { return r == ' ' || r == '\t' || r == '\n' }
+
 // expandOne expands a word into exactly one string (no field splitting) —
 // for assignments and case subjects.
 func (in *Interp) expandOne(w word) (string, error) {
 	var b strings.Builder
 	for _, p := range w {
-		switch p.kind {
-		case partLit:
-			b.WriteString(p.s)
-		case partVar:
-			b.WriteString(in.lookupVar(p.s))
-		case partArith:
-			v, err := in.evalArith(p.s)
-			if err != nil {
-				return "", err
-			}
-			b.WriteString(strconv.FormatInt(v, 10))
+		s, err := in.expandPart(p)
+		if err != nil {
+			return "", err
 		}
+		if b.Len()+len(s) > maxExpansion {
+			return "", errExpansion
+		}
+		b.WriteString(s)
 	}
 	return b.String(), nil
 }
@@ -274,8 +271,9 @@ func (in *Interp) execList(l *listNode) error {
 	return nil
 }
 
-// execNode executes a node. stdin is the piped input; if out is non-nil
-// the node's output is collected there instead of going to in.stdout.
+// execNode executes a node. stdin is the piped input; the node's output
+// is collected in out, or discarded when out is nil (a script's own
+// output goes nowhere: the reincarnation server gives it no terminal).
 func (in *Interp) execNode(n node, stdin string, out *strings.Builder) error {
 	if err := in.step(); err != nil {
 		return err
@@ -283,27 +281,15 @@ func (in *Interp) execNode(n node, stdin string, out *strings.Builder) error {
 	switch n := n.(type) {
 	case *listNode:
 		return in.execList(n)
-	case *andOrNode:
-		if err := in.execNode(n.first, stdin, out); err != nil {
-			return err
-		}
-		for _, link := range n.rest {
-			if (link.op == "&&" && in.status != 0) || (link.op == "||" && in.status == 0) {
-				continue
-			}
-			if err := in.execNode(link.next, stdin, out); err != nil {
-				return err
-			}
-		}
-		return nil
 	case *pipeNode:
-		data := stdin
+		data, before := stdin, in.status
 		for i, cmd := range n.cmds {
 			var buf strings.Builder
 			sink := &buf
 			if i == len(n.cmds)-1 {
-				sink = out // may be nil -> stdout
+				sink = out
 			}
+			in.status = before // as in sh, every command sees the $? from before the pipeline
 			if err := in.execNode(cmd, data, sink); err != nil {
 				return err
 			}
@@ -329,35 +315,20 @@ func (in *Interp) execNode(n node, stdin string, out *strings.Builder) error {
 		in.status = 0
 		return nil
 	case *whileNode:
+		status := 0 // the last body's, as in sh
 		for {
 			if err := in.execList(n.cond); err != nil {
 				return err
 			}
 			if in.status != 0 {
-				in.status = 0
+				in.status = status
 				return nil
 			}
 			if err := in.execList(n.body); err != nil {
 				return err
 			}
+			status = in.status
 		}
-	case *forNode:
-		var items []string
-		for _, w := range n.words {
-			fields, err := in.expandWord(w)
-			if err != nil {
-				return err
-			}
-			items = append(items, fields...)
-		}
-		for _, item := range items {
-			in.vars[n.name] = item
-			if err := in.execList(n.body); err != nil {
-				return err
-			}
-		}
-		in.status = 0
-		return nil
 	case *caseNode:
 		subj, err := in.expandOne(n.subject)
 		if err != nil {
@@ -370,6 +341,9 @@ func (in *Interp) execNode(n node, stdin string, out *strings.Builder) error {
 					return err
 				}
 				if globMatch(pat, subj) {
+					if len(arm.body.items) == 0 {
+						in.status = 0 // an empty arm succeeds
+					}
 					return in.execList(arm.body)
 				}
 			}
@@ -420,12 +394,8 @@ func (in *Interp) execSimple(n *simpleNode, stdin string, out *strings.Builder) 
 	if in.trace != nil {
 		in.trace(argv, status)
 	}
-	if stdout != "" {
-		if out != nil {
-			out.WriteString(stdout)
-		} else {
-			io.WriteString(in.stdout, stdout)
-		}
+	if out != nil {
+		out.WriteString(stdout)
 	}
 	return nil
 }

@@ -1,13 +1,17 @@
 // Package policy implements the policy-script engine of the recovery
-// procedure (paper §5.2): a small POSIX-flavored shell. Recovery policies
-// are real scripts — the paper's Fig. 2 generic script runs here nearly
-// verbatim — with host-provided commands (`service`, `mail`, `reboot`)
-// bound by the reincarnation server and `sleep` bound to virtual time.
+// procedure (paper §5.2): the subset of the POSIX shell that recovery
+// policies use. Recovery policies are real scripts — the paper's Fig. 2
+// generic script runs here nearly verbatim — with host-provided commands
+// (`service`, `mail`, `log`, `reboot`) bound by the reincarnation server
+// and `sleep` bound to virtual time.
 //
-// Supported: variables and positional parameters, `shift`, quoting,
-// `$((...))` arithmetic, `if`/`elif`/`else`, `while`, `for`, `case` with
-// glob patterns, pipelines, `&&`/`||`, `getopts`, heredocs, and the
-// builtins echo, cat, test/[, sleep, exit, true, false, log, and `:`.
+// Supported: assignments, positional parameters, `$?` and `$#`, quoting,
+// `$((...))` arithmetic, `if`/`elif`/`else`, `while`, `case` with glob
+// patterns and `|`, pipelines, heredocs, and the builtins test/[, shift,
+// exit, cat, sleep and getopts. Anything else (`for`, `&&`, `||`, `$@`,
+// echo, true, ...) fails to parse or fails as an unknown command, and the
+// reincarnation server falls back to a direct restart. Every expansion is
+// bounded at maxExpansion bytes and every run at stepLimit commands.
 package policy
 
 import (
@@ -19,7 +23,7 @@ type tokKind int
 
 const (
 	tokWord    tokKind = iota + 1
-	tokOp              // | ; && || ( ) ;;
+	tokOp              // | ; ( ) ;;
 	tokNewline         // line break (separator)
 	tokHeredoc         // << TAG; Doc holds the body index
 	tokEOF
@@ -54,7 +58,7 @@ type partKind int
 
 const (
 	partLit   partKind = iota + 1 // literal text
-	partVar                       // $name / ${name} / $1 / $? / $# / $@ / $*
+	partVar                       // $name / ${name} / $1 / $? / $#
 	partArith                     // $(( expr ))
 )
 
@@ -109,10 +113,8 @@ func lex(src string) (*lexer, error) {
 	lx := &lexer{lines: strings.Split(src, "\n")}
 	for li := 0; li < len(lx.lines); li++ {
 		line := lx.lines[li]
-		var pendingDocs []struct {
-			tag string
-			idx int
-		}
+		var pendingTags []string // heredocs opened on this line, in order
+		firstDoc := len(lx.docs)
 		pos := 0
 		lineNo := li + 1
 		for pos < len(line) {
@@ -122,21 +124,15 @@ func lex(src string) (*lexer, error) {
 				pos++
 			case c == '#':
 				pos = len(line) // comment to end of line
+			case c == '&' || strings.HasPrefix(line[pos:], "||"):
+				op := line[pos : pos+1]
+				if pos+1 < len(line) && line[pos+1] == c {
+					op = line[pos : pos+2]
+				}
+				return nil, &lexError{lineNo, fmt.Sprintf("%q not supported", op)}
 			case c == '|':
-				if pos+1 < len(line) && line[pos+1] == '|' {
-					lx.emitOp("||", lineNo)
-					pos += 2
-				} else {
-					lx.emitOp("|", lineNo)
-					pos++
-				}
-			case c == '&':
-				if pos+1 < len(line) && line[pos+1] == '&' {
-					lx.emitOp("&&", lineNo)
-					pos += 2
-				} else {
-					return nil, &lexError{lineNo, "background jobs not supported"}
-				}
+				lx.emitOp("|", lineNo)
+				pos++
 			case c == ';':
 				if pos+1 < len(line) && line[pos+1] == ';' {
 					lx.emitOp(";;", lineNo)
@@ -166,13 +162,9 @@ func lex(src string) (*lexer, error) {
 					if tag == "" {
 						return nil, &lexError{lineNo, "heredoc without tag"}
 					}
-					idx := len(lx.docs)
+					lx.toks = append(lx.toks, token{kind: tokHeredoc, doc: len(lx.docs), line: lineNo})
 					lx.docs = append(lx.docs, nil)
-					lx.toks = append(lx.toks, token{kind: tokHeredoc, doc: idx, line: lineNo})
-					pendingDocs = append(pendingDocs, struct {
-						tag string
-						idx int
-					}{tag, idx})
+					pendingTags = append(pendingTags, tag)
 				} else {
 					return nil, &lexError{lineNo, "input redirection not supported"}
 				}
@@ -187,25 +179,25 @@ func lex(src string) (*lexer, error) {
 		}
 		lx.toks = append(lx.toks, token{kind: tokNewline, line: lineNo})
 		// Collect heredoc bodies following this line.
-		for _, pd := range pendingDocs {
+		for i, tag := range pendingTags {
 			var body []string
 			li++
 			found := false
 			for ; li < len(lx.lines); li++ {
-				if strings.TrimRight(lx.lines[li], " \t") == pd.tag {
+				if strings.TrimRight(lx.lines[li], " \t") == tag {
 					found = true
 					break
 				}
 				body = append(body, lx.lines[li])
 			}
 			if !found {
-				return nil, &lexError{lineNo, fmt.Sprintf("heredoc tag %q not terminated", pd.tag)}
+				return nil, &lexError{lineNo, fmt.Sprintf("heredoc tag %q not terminated", tag)}
 			}
 			doc, err := lexDocBody(strings.Join(body, "\n")+"\n", lineNo)
 			if err != nil {
 				return nil, err
 			}
-			lx.docs[pd.idx] = doc
+			lx.docs[firstDoc+i] = doc
 		}
 	}
 	lx.toks = append(lx.toks, token{kind: tokEOF, line: len(lx.lines)})
@@ -259,9 +251,11 @@ func lexWord(s string, line int) (word, int, error) {
 			start := pos
 			empty := true
 			for pos < len(s) && s[pos] != '"' {
-				if s[pos] == '\\' && pos+1 < len(s) {
+				// A backslash escapes only $ " \ and `; before anything
+				// else it stands for itself, as in sh.
+				if s[pos] == '\\' && pos+1 < len(s) && strings.IndexByte("$\"\\`", s[pos+1]) >= 0 {
 					appendLit(s[start:pos], true)
-					appendLit(unescape(s[pos+1]), true)
+					appendLit(s[pos+1:pos+2], true)
 					pos += 2
 					start = pos
 					empty = false
@@ -317,17 +311,6 @@ func lexWord(s string, line int) (word, int, error) {
 	return w, pos, nil
 }
 
-func unescape(c byte) string {
-	switch c {
-	case 'n':
-		return "\n"
-	case 't':
-		return "\t"
-	default:
-		return string(c)
-	}
-}
-
 // lexDollar scans a $-expansion at s[0] == '$'.
 func lexDollar(s string, line int, quoted bool) (part, int, error) {
 	if len(s) < 2 {
@@ -359,8 +342,10 @@ func lexDollar(s string, line int, quoted bool) (part, int, error) {
 		return part{kind: partVar, s: s[2:end], quoted: quoted}, end + 1, nil
 	case c >= '0' && c <= '9':
 		return part{kind: partVar, s: string(c), quoted: quoted}, 2, nil
-	case c == '?' || c == '#' || c == '@' || c == '*':
+	case c == '?' || c == '#':
 		return part{kind: partVar, s: string(c), quoted: quoted}, 2, nil
+	case c == '@' || c == '*':
+		return part{}, 0, &lexError{line, fmt.Sprintf("$%c not supported", c)}
 	case isNameByte(c) && !(c >= '0' && c <= '9'):
 		end := 1
 		for end < len(s) && isNameByte(s[end]) {

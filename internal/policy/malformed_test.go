@@ -20,48 +20,53 @@ func runNoPanic(t *testing.T, src string, opts ...Option) (status int, err error
 	return in.RunSource(src)
 }
 
-func TestMalformedScriptsErrorNeverPanic(t *testing.T) {
-	cases := []struct {
-		name string
-		src  string
-	}{
-		// Unknown verbs: not builtins and not host-bound commands.
-		{"unknown-verb", `restrt "$1"`},
-		{"unknown-verb-in-if", `if true; then frobnicate; fi`},
-		{"unknown-verb-in-pipe", `echo x | mangle`},
+// malformedScripts are damaged policies, each of which must end in an
+// error or a nonzero status; they also seed the fuzz targets.
+var malformedScripts = []struct {
+	name string
+	src  string
+}{
+	// Unknown verbs: not builtins and not host-bound commands.
+	{"unknown-verb", `restrt "$1"`},
+	{"unknown-verb-in-if", `if [ 1 ]; then frobnicate; fi`},
+	{"unknown-verb-in-pipe", `cat | mangle`},
 
-		// Unterminated strings and expansions.
-		{"unterminated-double-quote", `service restart "eth`},
-		{"unterminated-single-quote", `mail 'driver died`},
-		{"unterminated-brace-var", `echo ${label`},
-		{"unterminated-arith", `t=$((t * 2`},
-		{"unterminated-heredoc", "mail root << EOF\nsubject: down\n"},
-		{"dangling-backslash", `echo oops\`},
+	// Unterminated strings and expansions.
+	{"unterminated-double-quote", `service restart "eth`},
+	{"unterminated-single-quote", `mail 'driver died`},
+	{"unterminated-brace-var", `log ${label`},
+	{"unterminated-arith", `t=$((t * 2`},
+	{"unterminated-heredoc", "mail root << EOF\nsubject: down\n"},
+	{"dangling-backslash", `log oops\`},
 
-		// Backoff arithmetic gone wrong: the Fig. 2 pattern with a shift
-		// or operand that overflows must error out of the run.
-		{"backoff-shift-overflow", `
+	// Backoff arithmetic gone wrong: the Fig. 2 pattern with a shift
+	// or operand that overflows must error out of the run.
+	{"backoff-shift-overflow", `
 count=70
 sleep $((1 << count))
 `},
-		{"backoff-negative-shift", `sleep $((1 << -1))`},
-		{"backoff-huge-literal", `sleep $((99999999999999999999 * 2))`},
-		{"backoff-divide-by-zero", `sleep $((60 / (count - count)))`},
-		{"backoff-bad-variable", `
+	{"backoff-negative-shift", `sleep $((1 << -1))`},
+	{"backoff-huge-literal", `sleep $((99999999999999999999 * 2))`},
+	{"backoff-divide-by-zero", `sleep $((60 / (count - count)))`},
+	{"backoff-bad-variable", `
 period=soon
 sleep $((period * 2))
 `},
-		{"sleep-overflowing-duration", `sleep 9e999`},
-		{"sleep-negative", `sleep -5`},
+	{"sleep-overflowing-duration", `sleep 9e999`},
+	{"sleep-negative", `sleep -5`},
+	{"sleep-beyond-duration", `sleep 1e300`},
+	{"sleep-nan", `sleep NaN`},
 
-		// Structural damage around the same constructs.
-		{"if-without-fi", `if test $count -gt 3; then mail root`},
-		{"while-without-done", `while true; do service restart net`},
-		{"case-pattern-junk", `case $1 in |) echo x;; esac`},
-		{"background-job", `service restart net &`},
-		{"shift-bad-count", `shift banana`},
-	}
-	for _, tc := range cases {
+	// Structural damage around the same constructs.
+	{"if-without-fi", `if test $count -gt 3; then mail root`},
+	{"while-without-done", `while [ 1 ]; do service restart net`},
+	{"case-pattern-junk", `case $1 in |) log x;; esac`},
+	{"background-job", `service restart net &`},
+	{"shift-bad-count", `shift banana`},
+}
+
+func TestMalformedScriptsErrorNeverPanic(t *testing.T) {
+	for _, tc := range malformedScripts {
 		t.Run(tc.name, func(t *testing.T) {
 			status, err := runNoPanic(t, tc.src)
 			if err == nil && status == 0 {

@@ -136,38 +136,12 @@ func (p *parser) parseList(stops []string) (*listNode, error) {
 				return list, nil
 			}
 		}
-		item, err := p.parseAndOr(stops)
+		item, err := p.parsePipeline(stops)
 		if err != nil {
 			return nil, err
 		}
 		list.items = append(list.items, item)
 	}
-}
-
-func (p *parser) parseAndOr(stops []string) (node, error) {
-	first, err := p.parsePipeline(stops)
-	if err != nil {
-		return nil, err
-	}
-	ao := &andOrNode{first: first}
-	for {
-		t := p.peek()
-		if t.kind == tokOp && (t.op == "&&" || t.op == "||") {
-			p.next()
-			p.skipSeparators() // allow continuation on the next line
-			next, err := p.parsePipeline(stops)
-			if err != nil {
-				return nil, err
-			}
-			ao.rest = append(ao.rest, andOrLink{op: t.op, next: next})
-			continue
-		}
-		break
-	}
-	if len(ao.rest) == 0 {
-		return ao.first, nil
-	}
-	return ao, nil
 }
 
 func (p *parser) parsePipeline(stops []string) (node, error) {
@@ -197,14 +171,12 @@ func (p *parser) parsePipeline(stops []string) (node, error) {
 }
 
 func (p *parser) parseCommand(stops []string) (node, error) {
-	if word, ok := p.atReserved("if", "while", "for", "case"); ok {
+	if word, ok := p.atReserved("if", "while", "case"); ok {
 		switch word {
 		case "if":
 			return p.parseIf()
 		case "while":
 			return p.parseWhile()
-		case "for":
-			return p.parseFor()
 		case "case":
 			return p.parseCase()
 		}
@@ -270,37 +242,6 @@ func (p *parser) parseWhile() (node, error) {
 		return nil, err
 	}
 	return &whileNode{cond: cond, body: body}, nil
-}
-
-func (p *parser) parseFor() (node, error) {
-	line := p.peek().line
-	p.next() // "for"
-	nameTok := p.next()
-	name, ok := "", false
-	if nameTok.kind == tokWord {
-		name, ok = nameTok.w.literal()
-	}
-	if !ok || name == "" {
-		return nil, &parseError{line, "for needs a variable name"}
-	}
-	if err := p.expectReserved("in"); err != nil {
-		return nil, err
-	}
-	var words []word
-	for p.peek().kind == tokWord {
-		words = append(words, p.next().w)
-	}
-	if err := p.expectReserved("do"); err != nil {
-		return nil, err
-	}
-	body, err := p.parseList([]string{"done"})
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectReserved("done"); err != nil {
-		return nil, err
-	}
-	return &forNode{name: name, words: words, body: body}, nil
 }
 
 func (p *parser) parseCase() (node, error) {

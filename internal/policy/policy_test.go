@@ -50,29 +50,20 @@ m=$#
 	}
 }
 
-func TestEchoToStdout(t *testing.T) {
-	var sb strings.Builder
-	run(t, `echo hello world`, WithStdout(&sb))
-	if sb.String() != "hello world\n" {
-		t.Fatalf("stdout = %q", sb.String())
-	}
-}
-
-// Inside double quotes a backslash escapes the next character: \n and \t
-// are a newline and a tab, anything else stands for itself.
+// Inside double quotes a backslash escapes $, ", \ and `; before any
+// other character it stands for itself, as in sh (so \t is not a tab).
 func TestDoubleQuoteEscapes(t *testing.T) {
-	var sb strings.Builder
-	run(t, `echo "a\tb\nc\"d\$e"`, WithStdout(&sb))
-	if want := "a\tb\nc\"d$e\n"; sb.String() != want {
-		t.Fatalf("stdout = %q, want %q", sb.String(), want)
+	in, _ := run(t, `x="a\tb\nc\"d\$e\\f"`)
+	if want := `a\tb\nc"d$e\f`; in.Var("x") != want {
+		t.Fatalf("x = %q, want %q", in.Var("x"), want)
 	}
 }
 
 func TestStatusVariable(t *testing.T) {
 	in, _ := run(t, `
-false
+[ 1 -eq 2 ]
 a=$?
-true
+[ 1 -eq 1 ]
 b=$?
 `)
 	if in.Var("a") != "1" || in.Var("b") != "0" {
@@ -98,13 +89,13 @@ fi
 
 func TestElifAndElse(t *testing.T) {
 	src := `
-if [ $x -eq 1 ]; then r=a
-elif [ $x -eq 2 ]; then r=b
+if [ $1 -eq 1 ]; then r=a
+elif [ $1 -eq 2 ]; then r=b
 else r=c
 fi
 `
 	for x, want := range map[string]string{"1": "a", "2": "b", "9": "c"} {
-		in, _ := run(t, src, WithVar("x", x))
+		in, _ := run(t, src, WithArgs(x))
 		if in.Var("r") != want {
 			t.Errorf("x=%s: r=%q want %q", x, in.Var("r"), want)
 		}
@@ -148,21 +139,9 @@ done
 	}
 }
 
-func TestForLoop(t *testing.T) {
-	in, _ := run(t, `
-acc=
-for x in a b c; do
-	acc=$acc$x
-done
-`)
-	if in.Var("acc") != "abc" {
-		t.Fatalf("acc = %q", in.Var("acc"))
-	}
-}
-
 func TestCaseGlob(t *testing.T) {
 	src := `
-case $x in
+case $1 in
 	eth*) r=net ;;
 	disk|sata) r=blk ;;
 	?) r=single ;;
@@ -173,7 +152,7 @@ esac
 		"eth0": "net", "ethernet": "net", "sata": "blk", "disk": "blk",
 		"a": "single", "printer": "other",
 	} {
-		in, _ := run(t, src, WithVar("x", x))
+		in, _ := run(t, src, WithArgs(x))
 		if in.Var("r") != want {
 			t.Errorf("x=%q: r=%q, want %q", x, in.Var("r"), want)
 		}
@@ -230,23 +209,11 @@ func TestPipelines(t *testing.T) {
 		got = stdin
 		return "", 0
 	}))
-	if _, err := in.RunSource(`echo hello | upper | sink`); err != nil {
+	if _, err := in.RunSource("cat << END | upper | sink\nhello\nEND\n"); err != nil {
 		t.Fatal(err)
 	}
 	if got != "HELLO\n" {
 		t.Fatalf("got %q", got)
-	}
-}
-
-func TestAndOrChains(t *testing.T) {
-	in, _ := run(t, `
-true && a=yes
-false && b=yes
-false || c=yes
-true || d=yes
-`)
-	if in.Var("a") != "yes" || in.Var("b") != "" || in.Var("c") != "yes" || in.Var("d") != "" {
-		t.Fatalf("a=%q b=%q c=%q d=%q", in.Var("a"), in.Var("b"), in.Var("c"), in.Var("d"))
 	}
 }
 
@@ -354,8 +321,8 @@ func TestSleepUsesHostClock(t *testing.T) {
 func TestRunawayScriptStopped(t *testing.T) {
 	in := NewInterp()
 	_, err := in.RunSource(`
-while true; do
-	:
+while [ 1 -eq 1 ]; do
+	x=1
 done
 `)
 	if err == nil || !strings.Contains(err.Error(), "steps") {
@@ -365,14 +332,15 @@ done
 
 func TestParseErrors(t *testing.T) {
 	cases := []string{
-		`if true; then echo hi`,  // missing fi
-		`while true; do echo hi`, // missing done
+		`if [ 1 ]; then log hi`,  // missing fi
+		`while [ 1 ]; do log hi`, // missing done
 		`case x in`,              // missing esac
-		`echo "unterminated`,     // bad quote
-		`echo 'unterminated`,     // bad quote
+		`log "unterminated`,      // bad quote
+		`log 'unterminated`,      // bad quote
 		`cat << EOF`,             // unterminated heredoc
-		`echo $((1 + 2)`,         // unterminated arith is a lex error
-		`for do done`,            // bad for
+		`log $((1 + 2)`,          // unterminated arith is a lex error
+		`log hi |`,               // pipe into nothing
+		`case x y in`,            // the error names the stray word
 	}
 	for _, src := range cases {
 		_, err := Parse(src)
@@ -573,8 +541,8 @@ func TestFieldSplittingUnquoted(t *testing.T) {
 	in := NewInterp(WithCommand("probe", func(a []string, stdin string) (string, int) {
 		argv = a
 		return "", 0
-	}), WithVar("v", "one two  three"))
-	if _, err := in.RunSource(`probe $v "$v"`); err != nil {
+	}))
+	if _, err := in.RunSource(`v="one two  three"; probe $v "$v"`); err != nil {
 		t.Fatal(err)
 	}
 	if len(argv) != 5 {
@@ -582,5 +550,82 @@ func TestFieldSplittingUnquoted(t *testing.T) {
 	}
 	if argv[4] != "one two  three" {
 		t.Fatalf("quoted arg = %q", argv[4])
+	}
+}
+
+// TestRemovedConstructsAreRefused: the language is what recovery
+// policies use, and nothing else. A construct outside it fails to parse
+// or fails as an unknown command, with an error that names it, so RS
+// falls back to a direct restart instead of running half a policy.
+func TestRemovedConstructsAreRefused(t *testing.T) {
+	cases := []struct{ name, src string }{
+		{`"for"`, "for x in a b; do\n\tlog $x\ndone\n"},
+		{`"&&"`, `[ 1 ] && log yes`},
+		{`"||"`, `[ 1 ] || log no`},
+		{`"&"`, `log bg &`},
+		{`"echo"`, `echo hello`},
+		{`"read"`, `cat << END | read line
+hello
+END`},
+		{`"true"`, `true`},
+		{`"false"`, `false`},
+		{`":"`, `:`},
+		{`$@`, `log "$@"`},
+		{`$*`, `log $*`},
+	}
+	for _, tc := range cases {
+		in := NewInterp(WithCommand("log", func([]string, string) (string, int) { return "", 0 }))
+		_, err := in.RunSource(tc.src)
+		if err == nil || !strings.Contains(err.Error(), tc.name) {
+			t.Errorf("%q: err = %v, want an error naming %s", tc.src, err, tc.name)
+		}
+	}
+}
+
+// TestShiftPastArgCountStopsScript: as in sh, shifting more positional
+// parameters than there are is an error that ends the script, not a
+// status the script runs on past.
+func TestShiftPastArgCountStopsScript(t *testing.T) {
+	restarted := false
+	in := NewInterp(WithArgs("eth.rtl8139"), WithCommand("service", func([]string, string) (string, int) {
+		restarted = true
+		return "", 0
+	}))
+	_, err := in.RunSource("shift 3\nservice restart eth.rtl8139\n")
+	if err == nil || !strings.Contains(err.Error(), "shift") {
+		t.Fatalf("err = %v, want a shift error", err)
+	}
+	if restarted {
+		t.Fatal("the script ran on past the failed shift")
+	}
+}
+
+// TestExpansionIsBounded: every expansion — an assignment, a command
+// word, a heredoc — fails past maxExpansion bytes. Each script stops at
+// twice the bound, so a missing check shows as a run without an error,
+// not as a host out of memory.
+func TestExpansionIsBounded(t *testing.T) {
+	// Fifteen doublings: a is 32 KiB, half the bound.
+	const grow = "a=x\ni=0\nwhile [ $i -lt 15 ]; do\n\ta=$a$a\n\ti=$((i + 1))\ndone\n"
+	cases := map[string]string{
+		"assignment": grow + "b=$a$a$a$a\n",
+		"word":       grow + "probe $a$a$a$a\n",
+		"heredoc":    grow + "cat << END | probe\n$a$a$a$a\nEND\n",
+		"case":       grow + "case $a$a$a$a in\n*) probe ;;\nesac\n",
+		"doubling":   "a=x\ni=0\nwhile [ $i -lt 18 ]; do\n\ta=$a$a\n\ti=$((i + 1))\ndone\n",
+	}
+	for name, src := range cases {
+		probed := false
+		in := NewInterp(WithCommand("probe", func([]string, string) (string, int) {
+			probed = true
+			return "", 0
+		}))
+		_, err := in.RunSource(src)
+		if err == nil || !strings.Contains(err.Error(), "expansion exceeds") {
+			t.Errorf("%s: err = %v, want an expansion-size error", name, err)
+		}
+		if probed {
+			t.Errorf("%s: the oversize expansion reached a command", name)
+		}
 	}
 }

@@ -31,7 +31,7 @@ component=$1
 backoff=$((1 << ($3 - 1)))
 sleep $backoff
 service restart $component
-false
+[ 1 -eq 2 ]
 `)
 	if _, err := in.Run(script); err != nil {
 		t.Fatal(err)
@@ -39,7 +39,7 @@ false
 	want := [][]string{
 		{"sleep", "2"},
 		{"service", "restart", "eth"},
-		{"false"},
+		{"[", "1", "-eq", "2", "]"},
 	}
 	if len(steps) != len(want) {
 		t.Fatalf("traced %d steps, want %d: %+v", len(steps), len(want), steps)
@@ -50,7 +50,7 @@ false
 		}
 	}
 	if steps[2].status != 1 {
-		t.Fatalf("false traced with status %d", steps[2].status)
+		t.Fatalf("a false test traced with status %d", steps[2].status)
 	}
 	// Variable state is canonical: sorted name order.
 	if steps[0].vars != "backoff=2 component=eth" {

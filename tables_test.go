@@ -62,6 +62,7 @@ func TestExperimentsTablesMatchGoldens(t *testing.T) {
 	fig7, fig8 := load("testdata/BENCH_fig7_seed11.json"), load("testdata/BENCH_fig8_seed11.json")
 	rec := load("testdata/BENCH_recovery_seed11.json")
 	fleet := load("cmd/fleetbench/testdata/BENCH_fleet_compare_seed11.json")
+	speed := load("cmd/simspeed/testdata/BENCH_simspeed_seed1.json")
 	blocks := map[string]string{
 		"fig7": benchTable(
 			[]benchCol{{"Fig. 7 (net, seed 11)", fig7, ""}, {"Fig. 8 (disk, seed 11)", fig8, ""}},
@@ -102,6 +103,18 @@ func TestExperimentsTablesMatchGoldens(t *testing.T) {
 				{"reroutes", "reroutes", "%.0f"},
 				{"kills", "kills", "%.0f"},
 				{"recovered", "recovered_pct", "%.0f %%"},
+			}),
+		"simspeed": benchTable(
+			[]benchCol{{"fig7", speed, "fig7/"}, {"fleet", speed, "fleet/"}, {"campaign", speed, "campaign/"}},
+			[]benchRow{
+				{"events", "events", "%.0f"},
+				{"bare events", "bare_events", "%.0f"},
+				{"obs events", "obs_events", "%.0f"},
+				{"virtual ms", "virtual_ms", "%.0f"},
+				{"kernel.ipc entries", "region/kernel.ipc/entries", "%.0f"},
+				{"ucode entries", "region/ucode/entries", "%.0f"},
+				{"check entries", "region/check/entries", "%.0f"},
+				{"barrier entries", "region/barrier/entries", "%.0f"},
 			}),
 	}
 
