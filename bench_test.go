@@ -1,13 +1,11 @@
 package resilientos
 
-// The benchmark harness regenerates the paper's Fig. 3 table plus
-// ablations of the design choices DESIGN.md calls out, and times the
-// simulator's core paths. Experiment outputs are functions of *virtual*
-// time (deterministic); the wall-clock numbers Go reports measure the
-// simulator itself.
+// The benchmark harness regenerates the paper's Fig. 3 table and times
+// the simulator's core paths. Experiment outputs are functions of
+// *virtual* time (deterministic); the wall-clock numbers Go reports
+// measure the simulator itself.
 //
-//	go test -bench=Ablation -benchtime=1x # the ablation series
-//	go test -bench=. -benchmem            # everything
+//	go test -bench=. -benchmem
 //
 // Figs. 7/8 (the kill-interval sweeps) are `cmd/figures -interval`, and
 // the §7.2 campaign is cmd/faultbench; the benches default to reduced
@@ -18,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"resilientos/internal/core"
 	"resilientos/internal/ds"
 	"resilientos/internal/kernel"
 	"resilientos/internal/policy"
@@ -86,205 +83,6 @@ func fig3Rows(logf func(string, ...any)) []string {
 		fmt.Sprintf("%-10s %-8s %-16s", "Network", yesno(w.OK && w.Err == nil), "Network server"),
 		fmt.Sprintf("%-10s %-8s %-16s", "Block", yesno(d.Err == nil && d.Bytes == 16<<20), "File server"),
 		fmt.Sprintf("%-10s %-8s %-16s (app saw: %v)", "Character", "Maybe", "Application", chrErr),
-	}
-}
-
-// ---------------------------------------------------------------------
-// Ablations (design choices called out in DESIGN.md §5)
-
-// BenchmarkAblation_HeartbeatPeriod measures stuck-driver detection
-// latency as a function of the heartbeat period: shorter periods detect
-// wedged drivers faster at the cost of more ping traffic.
-func BenchmarkAblation_HeartbeatPeriod(b *testing.B) {
-	for _, period := range []time.Duration{250 * time.Millisecond, 500 * time.Millisecond, time.Second, 2 * time.Second} {
-		b.Run(period.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sys := New(Config{HeartbeatPeriod: period, DisableNet: true, DisableDisk: true})
-				sys.Run(2 * time.Second)
-				// Wedge the audio driver by stalling its process: simulate
-				// with a kill marked as heartbeat via a stuck body is
-				// intricate; instead measure detection of a driver that
-				// stops answering by replacing it with a stuck instance.
-				sys.RS.StartService(core.ServiceConfig{
-					Label:           "wedge",
-					Binary:          func(c *kernel.Ctx) { c.Sleep(time.Hour) }, // never answers pings
-					Priv:            kernel.Privileges{AllowAllIPC: true},
-					HeartbeatPeriod: period,
-					HeartbeatMisses: 3,
-				})
-				start := sys.Env.Now()
-				sys.Run(time.Minute)
-				var detected time.Duration
-				for _, e := range sys.RS.Events() {
-					if e.Label == "wedge" && e.Defect == core.DefectHeartbeat {
-						detected = e.Time - start
-						break
-					}
-				}
-				if detected == 0 {
-					b.Fatal("stuck service never detected")
-				}
-				b.ReportMetric(detected.Seconds(), "detect_s")
-			}
-		})
-	}
-}
-
-// BenchmarkAblation_Backoff compares restart storms under a crash loop
-// with and without the Fig. 2 exponential backoff policy.
-func BenchmarkAblation_Backoff(b *testing.B) {
-	backoff := policy.MustParse(`
-sleep $((1 << ($3 - 1)))
-service restart $1
-`)
-	run := func(script *policy.Script) int {
-		sys := New(Config{DisableNet: true, DisableDisk: true, DisableChar: true})
-		sys.RS.StartService(core.ServiceConfig{
-			Label:  "crashy",
-			Binary: func(c *kernel.Ctx) { c.Sleep(10 * time.Millisecond); c.Panic("bug") },
-			Priv:   kernel.Privileges{AllowAllIPC: true},
-			Policy: script,
-		})
-		sys.Run(30 * time.Second)
-		return len(sys.RS.Events())
-	}
-	for i := 0; i < b.N; i++ {
-		direct := run(nil)
-		withBackoff := run(backoff)
-		if withBackoff >= direct {
-			b.Fatalf("backoff (%d restarts) did not dampen the crash loop vs direct (%d)",
-				withBackoff, direct)
-		}
-		b.ReportMetric(float64(direct), "direct_restarts/30s")
-		b.ReportMetric(float64(withBackoff), "backoff_restarts/30s")
-	}
-}
-
-// BenchmarkAblation_RTO measures how TCP's initial retransmission timeout
-// trades clean-path overhead against recovery speed after a driver kill.
-func BenchmarkAblation_RTO(b *testing.B) {
-	for _, rto := range []time.Duration{150 * time.Millisecond, 600 * time.Millisecond, 1200 * time.Millisecond} {
-		b.Run(rto.String(), func(b *testing.B) {
-			const size = 24 << 20
-			for i := 0; i < b.N; i++ {
-				sys := New(Config{DisableDisk: true, DisableChar: true, RTOInit: rto})
-				sys.Run(3 * time.Second)
-				sys.ServeFile(80, 1, size)
-				var res WgetResult
-				sys.Wget(DriverRTL8139, 80, 1, size, &res)
-				sys.Every(time.Second, func() {
-					if res.Duration == 0 && res.Err == nil {
-						sys.KillDriver(DriverRTL8139)
-					}
-				})
-				sys.Run(10 * time.Minute)
-				if !res.OK {
-					// A huge RTO may fail to converge against 1s kills —
-					// that IS the ablation's finding; report zero.
-					b.Logf("rto=%v: did not converge (%d bytes)", rto, res.Bytes)
-					b.ReportMetric(0, "MB/s_kill1s")
-					continue
-				}
-				b.ReportMetric(mbps(res.Bytes, res.Duration), "MB/s_kill1s")
-			}
-		})
-	}
-}
-
-// BenchmarkAblation_BlockCache measures the file server's driver-call
-// amplification as a function of block cache size on a metadata-heavy
-// workload.
-func BenchmarkAblation_BlockCache(b *testing.B) {
-	for _, blocks := range []int{8, 64, 512} {
-		b.Run(fmt.Sprintf("cache%d", blocks), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sys := New(Config{DisableNet: true, DisableChar: true})
-				sys.MFS.SetCacheBlocks(blocks)
-				done := false
-				sys.Spawn("meta", func(p *Proc) {
-					// A metadata working set larger than the small caches:
-					// 10 directories x 20 files, then repeated stat sweeps.
-					for d := 0; d < 10; d++ {
-						if err := p.Mkdir(fmt.Sprintf("/d%d", d)); err != nil {
-							b.Errorf("mkdir: %v", err)
-							return
-						}
-						for f := 0; f < 20; f++ {
-							file, err := p.Create(fmt.Sprintf("/d%d/f%02d", d, f))
-							if err != nil {
-								b.Errorf("create: %v", err)
-								return
-							}
-							file.Write(make([]byte, 2000))
-							file.Close()
-						}
-					}
-					for round := 0; round < 3; round++ {
-						for d := 0; d < 10; d++ {
-							if _, err := p.Readdir(fmt.Sprintf("/d%d", d)); err != nil {
-								b.Errorf("readdir: %v", err)
-								return
-							}
-							for f := 0; f < 20; f++ {
-								if _, err := p.Stat(fmt.Sprintf("/d%d/f%02d", d, f)); err != nil {
-									b.Errorf("stat: %v", err)
-									return
-								}
-							}
-						}
-					}
-					done = true
-				})
-				sys.Run(time.Minute)
-				if !done {
-					b.Fatal("workload did not finish")
-				}
-				st := sys.MFS.Stats()
-				b.ReportMetric(float64(st.CacheMisses), "cache_misses")
-				b.ReportMetric(float64(st.CacheHits), "cache_hits")
-			}
-		})
-	}
-}
-
-// BenchmarkAblation_PubSub compares the paper's publish/subscribe
-// reintegration (the file server learns a restarted driver's endpoint the
-// instant the reincarnation server publishes it) against a polling
-// strawman: each kill goes unnoticed for up to a poll interval, which
-// shows up directly as lost disk throughput.
-func BenchmarkAblation_PubSub(b *testing.B) {
-	cases := []struct {
-		name string
-		poll time.Duration
-	}{
-		{"pubsub", 0},
-		{"poll250ms", 250 * time.Millisecond},
-		{"poll1s", time.Second},
-		{"poll3s", 3 * time.Second},
-	}
-	for _, tc := range cases {
-		b.Run(tc.name, func(b *testing.B) {
-			const size = 192 << 20
-			for i := 0; i < b.N; i++ {
-				sys := New(Config{
-					DisableNet: true, DisableChar: true,
-					MFSPollInterval: tc.poll,
-					PreallocFiles:   []PreallocFile{{Name: "f", Size: size}},
-				})
-				var res DdResult
-				sys.Dd("/f", 64<<10, &res)
-				sys.Every(4*time.Second, func() {
-					if res.Duration == 0 && res.Err == nil {
-						sys.KillDriver(DriverSATA)
-					}
-				})
-				sys.Run(30 * time.Minute)
-				if res.Err != nil || res.Bytes != size {
-					b.Fatalf("dd failed: %d bytes err=%v", res.Bytes, res.Err)
-				}
-				b.ReportMetric(mbps(res.Bytes, res.Duration), "MB/s_kill4s")
-			}
-		})
 	}
 }
 

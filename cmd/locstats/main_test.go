@@ -5,10 +5,14 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite EXPERIMENTS.md's Fig. 9 block from the current source")
 
 // Every cmd must answer -h with its flag documentation and a clean exit
 // (main treats flag.ErrHelp as success).
@@ -52,5 +56,47 @@ func TestFig9Table(t *testing.T) {
 	}
 	if want := fmt.Sprintf("  %-32s %6d %6d %6d", "TOTAL", sum[0], sum[1], sum[2]); total != want {
 		t.Errorf("TOTAL row = %q, want %q", total, want)
+	}
+}
+
+// TestExperimentsFig9MatchesLocstats keeps EXPERIMENTS.md's measured
+// Fig. 9 table, between the <!-- bench:fig9 --> markers, equal to what
+// this command counts in the module's source; -update rewrites it.
+func TestExperimentsFig9MatchesLocstats(t *testing.T) {
+	root, err := moduleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := table(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	want.WriteString("| Component | Total LoC | Recovery LoC | % |\n|---|---|---|---|\n")
+	for _, r := range rows {
+		fmt.Fprintf(&want, "| %s | %d | %d | %s |\n", r.Name, r.Total, r.Recovery, r.pct())
+	}
+
+	path := filepath.Join(root, "EXPERIMENTS.md")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	md := string(raw)
+	const open, end = "<!-- bench:fig9 -->\n", "<!-- /bench:fig9 -->"
+	i, j := strings.Index(md, open), strings.Index(md, end)
+	if i < 0 || j < i {
+		t.Fatalf("EXPERIMENTS.md: markers %q … %q not found", strings.TrimSpace(open), end)
+	}
+	i += len(open)
+	if md[i:j] == want.String() {
+		return
+	}
+	if !*update {
+		t.Fatalf("EXPERIMENTS.md's Fig. 9 block is not what locstats counts "+
+			"(go test ./cmd/locstats -run TestExperimentsFig9MatchesLocstats -update):\n%s", want.String())
+	}
+	if err := os.WriteFile(path, []byte(md[:i]+want.String()+md[j:]), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -28,10 +28,12 @@
 //     must have been orphaned by the kernel's reaper; an open span with
 //     a live owner is a request legitimately still in flight).
 //   - decision: the recovery-decision log (internal/obs/decision) is
-//     consistent with the episode lifecycle — no action, policy step, or
+//     consistent with the episode lifecycle (decision.Episodes, the
+//     machine decision.Check runs offline) — no action, policy step, or
 //     terminal outcome outside an open recovery episode
-//     (decision-without-episode), and every crash's episode ends with
-//     exactly one terminal decision (episode-without-terminal-decision).
+//     (decision-without-episode), every crash's episode ends with
+//     exactly one terminal decision (episode-without-terminal-decision),
+//     and every policy run exits (policy-run-without-exit).
 //   - failover: warm-standby failover is safe — the data store never maps
 //     a published name to a live standby replica that was not promoted
 //     (a standby never serves before promotion; together with
@@ -61,6 +63,7 @@ package check
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"resilientos/internal/core"
@@ -162,8 +165,7 @@ type Checker struct {
 	deadSince      map[string]sim.Time  // label -> first seen dead-while-running
 	staleGrants    map[grantKey]int     // grant -> step first seen with dead grantee
 	openCausal     map[int64]causalSpan // causal span ID -> begin info (span-leak)
-	openDecisions  map[string]sim.Time  // label -> decision-level detect time
-	openDecPolicy  map[string]sim.Time  // label -> decision-level policy-run time
+	decisions      decision.Episodes    // the decision log's open episodes and policy runs
 
 	// Per-scan scratch state, reused to keep the scans allocation-free.
 	seenEp     map[kernel.Endpoint]string
@@ -238,8 +240,6 @@ func New(cfg Config) *Checker {
 		deadSince:      make(map[string]sim.Time),
 		staleGrants:    make(map[grantKey]int),
 		openCausal:     make(map[int64]causalSpan),
-		openDecisions:  make(map[string]sim.Time),
-		openDecPolicy:  make(map[string]sim.Time),
 		seenEp:         make(map[kernel.Endpoint]string),
 		seenLabel:      make(map[string]kernel.Endpoint),
 		liveStale:      make(map[grantKey]bool),
@@ -313,8 +313,7 @@ func (c *Checker) Emit(e obs.Event) {
 		c.openSpans = make(map[string]sim.Time)
 		c.openPolicies = make(map[string]sim.Time)
 		c.openCausal = make(map[int64]causalSpan)
-		c.openDecisions = make(map[string]sim.Time)
-		c.openDecPolicy = make(map[string]sim.Time)
+		c.decisions = decision.Episodes{}
 	case obs.KindSpanBegin:
 		if prev, dup := c.openCausal[e.Span]; dup {
 			c.report(fmt.Sprintf("spanbegin:%d", e.Span), "span-leak", e.Comp,
@@ -365,48 +364,28 @@ type decisionSink struct{ c *Checker }
 
 func (s decisionSink) Emit(e decision.Event) { s.c.onDecision(e) }
 
-// onDecision maintains the decision-level episode state machine: detect
-// opens, exactly one outcome closes, actions and policy steps must fall
-// inside. Triggers are pre-episode by design and always allowed. Marks
-// reset the state via the obs-side KindMark case — but decision logs can
-// carry their own marks too (campaign cell boundaries), handled here.
+// decisionRules is each broken decision.Rule's violation key prefix and
+// detail (formatted with the event's action and time).
+var decisionRules = [...]struct{ key, text string }{
+	decision.RuleActionOutsideEpisode:  {"decact:", "decision-without-episode: action %q at %v outside an open recovery episode"},
+	decision.RuleStepOutsidePolicyRun:  {"decstep:", "decision-without-episode: policy step %q at %v outside a policy run"},
+	decision.RuleOutcomeWithoutEpisode: {"decterm:", "decision-without-episode: terminal decision %q at %v without an open episode (missing detect, or a second terminal)"},
+}
+
+// onDecision runs the decision log's episode state machine
+// (decision.Episodes) and reports each rule an event breaks. Decision
+// logs carry their own marks (campaign cell boundaries), which reset it
+// as the obs-side KindMark does.
 func (c *Checker) onDecision(e decision.Event) {
-	switch e.Kind {
-	case decision.KindMark:
-		c.openDecisions = make(map[string]sim.Time)
-		c.openDecPolicy = make(map[string]sim.Time)
-	case decision.KindTrigger:
-		// Pre-episode by design.
-	case decision.KindDetect:
-		c.openDecisions[e.Service] = e.T
+	if r := c.decisions.Step(e); r != decision.RuleOK && r != decision.RuleUnknownKind {
+		c.report(decisionRules[r].key+e.Service, "decision", e.Service,
+			fmt.Sprintf(decisionRules[r].text, e.Action, time.Duration(e.T)))
+	}
+	if e.Kind == decision.KindDetect {
 		c.clearKey("decact:" + e.Service)
 		c.clearKey("decterm:" + e.Service)
-	case decision.KindAction:
-		if _, open := c.openDecisions[e.Service]; !open {
-			c.report("decact:"+e.Service, "decision", e.Service,
-				fmt.Sprintf("decision-without-episode: action %q at %v outside an open recovery episode",
-					e.Action, time.Duration(e.T)))
-		}
-		if e.Action == "policy-run" {
-			c.openDecPolicy[e.Service] = e.T
-		}
-	case decision.KindPolicyStep:
-		if _, open := c.openDecPolicy[e.Service]; !open {
-			c.report("decstep:"+e.Service, "decision", e.Service,
-				fmt.Sprintf("decision-without-episode: policy step %q at %v outside a policy run",
-					e.Action, time.Duration(e.T)))
-		}
-		if e.Action == "exit" {
-			delete(c.openDecPolicy, e.Service)
-			c.clearKey("decstep:" + e.Service)
-		}
-	case decision.KindOutcome:
-		if _, open := c.openDecisions[e.Service]; !open {
-			c.report("decterm:"+e.Service, "decision", e.Service,
-				fmt.Sprintf("decision-without-episode: terminal decision %q at %v without an open episode (missing detect, or a second terminal)",
-					e.Action, time.Duration(e.T)))
-		}
-		delete(c.openDecisions, e.Service)
+	} else if e.Kind == decision.KindPolicyStep && e.Action == "exit" {
+		c.clearKey("decstep:" + e.Service)
 	}
 }
 
@@ -492,10 +471,16 @@ func (c *Checker) Finish() {
 			fmt.Sprintf("policy script started at %v never exited",
 				time.Duration(c.openPolicies[comp])))
 	}
-	for _, comp := range sortedTimeKeys(c.openDecisions) {
+	episodes, runs := c.decisions.Unclosed()
+	for _, comp := range sortedTimeKeys(episodes) {
 		c.report("finish-decision:"+comp, "decision", comp,
 			fmt.Sprintf("episode-without-terminal-decision: crash detected at %v has no terminal decision",
-				time.Duration(c.openDecisions[comp])))
+				time.Duration(episodes[comp])))
+	}
+	for _, comp := range sortedTimeKeys(runs) {
+		c.report("finish-decision-policy:"+comp, "decision", comp,
+			fmt.Sprintf("policy-run-without-exit: policy run started at %v never exited",
+				time.Duration(runs[comp])))
 	}
 	for _, id := range sortedSpanIDs(c.openCausal) {
 		sp := c.openCausal[id]
@@ -734,11 +719,7 @@ func sortedSpanIDs(m map[int64]causalSpan) []int64 {
 	for id := range m {
 		ids = append(ids, id)
 	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
+	slices.Sort(ids)
 	return ids
 }
 
@@ -747,11 +728,6 @@ func sortedTimeKeys(m map[string]sim.Time) []string {
 	for k := range m {
 		keys = append(keys, k)
 	}
-	// Insertion sort: the maps are tiny (open spans are rare).
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
+	slices.Sort(keys)
 	return keys
 }

@@ -11,6 +11,8 @@ import (
 	"resilientos/internal/core"
 	"resilientos/internal/kernel"
 	"resilientos/internal/obs"
+	"resilientos/internal/obs/decision"
+	"resilientos/internal/policy"
 	"resilientos/internal/sim"
 )
 
@@ -626,6 +628,42 @@ func TestFullSystemUnderCrashesHoldsInvariants(t *testing.T) {
 	}
 	if res.Bytes == 0 {
 		t.Error("wget transferred nothing; workload never exercised the system")
+	}
+}
+
+// TestStopDuringBackoffHoldsInvariants: an administrative stop that
+// lands while a driver's policy script sleeps out its backoff closes the
+// recovery span and the decision episode, so neither the trace-span nor
+// the decision family fires, and the trace counts no recovery.
+func TestStopDuringBackoffHoldsInvariants(t *testing.T) {
+	rec := obs.NewRecorder()
+	rec.Disable(obs.KindIPCSend, obs.KindIPCRecv)
+	trace := &obs.SliceSink{}
+	rec.AddSink(trace)
+	dec := decision.NewRecorder()
+	sys := resilientos.New(resilientos.Config{
+		Obs: rec, Decisions: dec, DisableDisk: true, DisableChar: true,
+		NetPolicy: policy.MustParse("sleep 1\nservice restart $1\n"),
+	})
+	defer sys.Close()
+	ck := check.Attach(sys.Env, rec, check.Config{Kernel: sys.Kernel, RS: sys.RS, DS: sys.DS})
+	dec.AddSink(ck.DecisionSink())
+	sys.Run(time.Second)
+	sys.KillDriver(resilientos.DriverRTL8139)
+	sys.Run(500 * time.Millisecond)
+	sys.RS.StopService(resilientos.DriverRTL8139)
+	sys.Run(5 * time.Second)
+	ck.Finish()
+	for _, v := range ck.Violations() {
+		t.Errorf("invariant violation: %v", v)
+	}
+	for _, sp := range obs.Timeline(trace.Events()) {
+		if sp.Comp == resilientos.DriverRTL8139 && sp.Latency() > 0 {
+			t.Errorf("the stop counts as a recovery: %v", sp)
+		}
+	}
+	if ep := sys.Kernel.LookupLabel(resilientos.DriverRTL8139); ep != kernel.None {
+		t.Errorf("instance %v runs; the script's restart overrode the stop", ep)
 	}
 }
 

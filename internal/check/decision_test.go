@@ -101,3 +101,16 @@ func TestDecisionReDetectWhileOpenAllowed(t *testing.T) {
 		t.Fatalf("re-detect flagged: %v", c.Violations())
 	}
 }
+
+func TestDecisionPolicyRunNeverExited(t *testing.T) {
+	c := check.New(check.Config{})
+	s := decSink(c)
+	s.Emit(decision.Event{Kind: decision.KindDetect, Service: "eth"})
+	s.Emit(decision.Event{Kind: decision.KindAction, Service: "eth", Action: "policy-run"})
+	s.Emit(decision.Event{Kind: decision.KindOutcome, Service: "eth", Action: "recovered"})
+	c.Finish()
+	v := wantInvariant(t, c, "decision")
+	if !strings.Contains(v.Detail, "policy-run-without-exit") {
+		t.Fatalf("detail = %q", v.Detail)
+	}
+}

@@ -201,8 +201,8 @@ var ladder = [numPhases][]Phase{
 	PhaseServing:        {PhaseTerminating, PhaseStopping, PhaseRecovering, PhaseMicrorebooting},
 	PhaseTerminating:    {PhaseTerminating, PhaseStopping, PhaseRecovering},
 	PhaseStopping:       {PhaseStopping, PhaseStopped},
-	PhaseStopped:        {PhaseDown, PhaseServing, PhaseRecovering},
-	PhaseRecovering:     {PhaseDown, PhaseServing, PhaseRecovering, PhaseGaveUp},
+	PhaseStopped:        {PhaseRecovering},
+	PhaseRecovering:     {PhaseDown, PhaseServing, PhaseStopped, PhaseRecovering, PhaseGaveUp},
 	PhaseMicrorebooting: {PhaseServing, PhaseTerminating, PhaseStopping, PhaseRecovering, PhaseMicrorebooting},
 	PhaseGaveUp:         {PhaseDown, PhaseServing, PhaseRecovering},
 }
@@ -1141,6 +1141,8 @@ func (rs *RS) onRestartRequest(c *kernel.Ctx, m kernel.Message) {
 	switch {
 	case !ok:
 		reply.Arg1 = proto.ErrNotFound
+	case svc.phase == PhaseStopped: // a stop holds against the script of the episode it ended
+		reply.Arg1 = proto.ErrPerm
 	case svc.phase.running():
 		// Restart of a live service = administrative replace.
 		rs.beginTermination(c, svc, PhaseTerminating)
@@ -1155,14 +1157,22 @@ func (rs *RS) onRestartRequest(c *kernel.Ctx, m kernel.Message) {
 
 // [recovery:end]
 
-// doStop administratively stops a service.
+// doStop administratively stops a service. A recovering service has no
+// instance to terminate: it is stopped at once, and its episode ends with
+// the terminal decision "stopped" (status 1), not a recovery.
 func (rs *RS) doStop(c *kernel.Ctx, label string) {
 	svc, ok := rs.services[label]
-	if !ok || !svc.phase.running() {
+	if !ok || !svc.phase.running() && svc.phase != PhaseRecovering {
 		return
 	}
 	rs.killStandby(c, svc, kernel.SIGTERM)
-	rs.beginTermination(c, svc, PhaseStopping)
+	if svc.phase.running() {
+		rs.beginTermination(c, svc, PhaseStopping)
+		return
+	}
+	svc.setPhase(PhaseStopped)
+	c.Obs().Emit(obs.KindGiveUp, svc.cfg.Label, "stopped", int64(svc.failures), 0) // [recovery]
+	rs.closeEpisode(c, svc, svc.class, "stopped", "", 1)                           // [recovery]
 }
 
 // [recovery:begin]

@@ -7,6 +7,7 @@ import (
 
 	"resilientos/internal/ds"
 	"resilientos/internal/kernel"
+	"resilientos/internal/obs/decision"
 	"resilientos/internal/policy"
 	"resilientos/internal/proc"
 	"resilientos/internal/proto"
@@ -566,8 +567,9 @@ func TestStopServiceEscalatesToSIGKILL(t *testing.T) {
 
 func TestPolicyScriptCanStopService(t *testing.T) {
 	// A policy that gives up after 2 failures by stopping the service —
-	// the "at least don't crash-loop" strategy of §5.2.
-	r := boot(t)
+	// the "at least don't crash-loop" strategy of §5.2. The stop ends the
+	// third episode: the service reads stopped, not recovering.
+	r, sink := decBoot(t)
 	script := policy.MustParse(`
 if [ $3 -ge 3 ]; then
 	service stop $1
@@ -590,6 +592,42 @@ service restart $1
 	}
 	if recoveries != 2 {
 		t.Fatalf("recoveries = %d, want 2 before the scripted stop", recoveries)
+	}
+	if info := findService(t, r.rs, "flaky"); info.Phase != PhaseStopped {
+		t.Fatalf("phase %v, want stopped", info.Phase)
+	}
+	if problems := decision.Check(sink.Events()); len(problems) != 0 {
+		t.Fatalf("decision log ill-formed: %v", problems)
+	}
+}
+
+// TestStopDuringBackoffHolds: an administrative stop that lands while the
+// policy script sleeps out its backoff ends the episode as "stopped", and
+// the script's later `service restart` is refused, so the stop holds.
+func TestStopDuringBackoffHolds(t *testing.T) {
+	r, sink := decBoot(t)
+	cfg := svcCfg("drv", crashAfter(100*time.Millisecond))
+	cfg.Policy = policy.MustParse("sleep 1\nservice restart $1\n")
+	r.rs.StartService(cfg)
+	r.env.Schedule(500*time.Millisecond, func() { r.rs.StopService("drv") })
+	r.env.Run(3 * time.Second)
+
+	if info := findService(t, r.rs, "drv"); info.Phase != PhaseStopped {
+		t.Fatalf("phase %v, want stopped", info.Phase)
+	}
+	if ep := r.k.LookupLabel("drv"); ep != kernel.None {
+		t.Fatalf("instance %v runs; the script's restart overrode the stop", ep)
+	}
+	events := sink.Events()
+	if problems := decision.Check(events); len(problems) != 0 {
+		t.Fatalf("decision log ill-formed: %v", problems)
+	}
+	outcomes := byKind(events, decision.KindOutcome)
+	if len(outcomes) != 1 || outcomes[0].Action != "stopped" || outcomes[0].Status != 1 {
+		t.Fatalf("outcomes %+v, want one stopped outcome", outcomes)
+	}
+	if evs := r.rs.Events(); len(evs) != 0 {
+		t.Fatalf("recovery events %+v, want none", evs)
 	}
 }
 

@@ -27,7 +27,6 @@ const (
 // MachineConfig tunes the standard machine.
 type MachineConfig struct {
 	DiskSeed       int64   // content seed for unwritten sectors
-	NICMasterReset bool    // whether local NICs support master reset
 	NICConfuseProb float64 // P(garbage command wedges a NIC)
 	NICDeepProb    float64 // P(wedge is deep), given wedged
 }
@@ -52,12 +51,10 @@ func NewMachine(env *sim.Env, k *kernel.Kernel, cfg MachineConfig) *Machine {
 	m := &Machine{}
 	m.NIC0 = NewNIC(env, k, NICConfig{
 		Base: PortNIC0, IRQ: IRQNIC0,
-		MasterReset: cfg.NICMasterReset,
 		ConfuseProb: cfg.NICConfuseProb, DeepConfuseProb: cfg.NICDeepProb,
 	})
 	m.NIC1 = NewNIC(env, k, NICConfig{
 		Base: PortNIC1, IRQ: IRQNIC1,
-		MasterReset: cfg.NICMasterReset,
 		ConfuseProb: cfg.NICConfuseProb, DeepConfuseProb: cfg.NICDeepProb,
 	})
 	// Remote peers live outside the simulated OS: their "drivers" are

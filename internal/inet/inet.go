@@ -25,23 +25,15 @@ type Config struct {
 	Pattern string
 	// DS is the data store endpoint.
 	DS kernel.Endpoint
-	// RTOInit is the first TCP retransmission timeout of a connection;
+}
+
+const (
+	// rtoInit is the first TCP retransmission timeout of a connection;
 	// every retransmission doubles it, up to rtoMax.
-	RTOInit sim.Time
-}
-
-// rtoMax caps the exponential retransmission backoff.
-const rtoMax = 5 * sim.Time(1e9) // 5s
-
-// Defaults fills unset config fields.
-func (c *Config) defaults() {
-	if c.Pattern == "" {
-		c.Pattern = "eth.*"
-	}
-	if c.RTOInit == 0 {
-		c.RTOInit = 300 * sim.Time(1e6) // 300ms
-	}
-}
+	rtoInit = 300 * sim.Time(1e6) // 300ms
+	// rtoMax caps the exponential retransmission backoff.
+	rtoMax = 5 * sim.Time(1e9) // 5s
+)
 
 // Stats counts transport events for experiments and tests.
 type Stats struct {
@@ -116,7 +108,6 @@ type Server struct {
 
 // New creates a network server; run its Binary as an RS service.
 func New(cfg Config) *Server {
-	cfg.defaults()
 	return &Server{
 		cfg:       cfg,
 		chByName:  make(map[string]*channel),
@@ -401,7 +392,7 @@ func (s *Server) onConnect(m kernel.Message) {
 		remotePort: uint16(m.Arg1),
 		state:      stateSynSent,
 		iss:        s.nextISS,
-		rto:        s.cfg.RTOInit,
+		rto:        rtoInit,
 		peerWnd:    0xFFFF,
 		connectW:   m.Source,
 	}
@@ -425,7 +416,7 @@ func (s *Server) acceptSyn(ch *channel, lst *sock, seg *segment) {
 		remotePort: seg.srcPort,
 		state:      stateSynRcvd,
 		iss:        s.nextISS,
-		rto:        s.cfg.RTOInit,
+		rto:        rtoInit,
 		peerWnd:    seg.wnd,
 		rcvNxt:     seg.seq + 1,
 	}

@@ -305,7 +305,7 @@ func (s *Server) handleSegment(ch *channel, seg *segment) {
 			c.sndUna = c.iss + 1
 			c.sndNxt = c.sndUna
 			c.state = stateEstablished
-			c.rto = s.cfg.RTOInit
+			c.rto = rtoInit
 			c.retxAt = 0
 			s.sendAck(c)
 			if c.connectW != 0 {
@@ -320,7 +320,7 @@ func (s *Server) handleSegment(ch *channel, seg *segment) {
 			c.sndUna = c.iss + 1
 			c.sndNxt = c.sndUna
 			c.state = stateEstablished
-			c.rto = s.cfg.RTOInit
+			c.rto = rtoInit
 			c.retxAt = 0
 			if lst := s.listeners[c.localPort]; lst != nil {
 				lst.acceptQ = append(lst.acceptQ, c.id)
@@ -370,7 +370,7 @@ func (s *Server) processAck(c *tcpConn, ack uint32) {
 		c.sndBuf = c.sndBuf[dataAcked:]
 		c.sndUna = ack
 		c.dupAcks = 0
-		c.rto = s.cfg.RTOInit
+		c.rto = rtoInit
 		if c.inFlight() {
 			s.armRetx(c)
 		} else {
@@ -590,7 +590,7 @@ func appendSliding(buf, back *[]byte, p []byte) {
 // maybeFinish schedules connection teardown once both directions closed.
 func (s *Server) maybeFinish(c *tcpConn) {
 	if c.finSent && c.finAcked && c.rcvFIN && len(c.rcvBuf) == 0 && c.deleteAt == 0 {
-		c.deleteAt = s.now() + 2*s.cfg.RTOInit
+		c.deleteAt = s.now() + 2*rtoInit
 	}
 	if c.rcvFIN {
 		s.wakeReader(c)

@@ -7,7 +7,6 @@ import (
 	"resilientos/internal/kernel"
 	"resilientos/internal/obs"
 	"resilientos/internal/proto"
-	"resilientos/internal/sim"
 )
 
 // Geometry describes the served volume.
@@ -23,14 +22,10 @@ type Config struct {
 	DriverLabel string
 	// Disk is the volume geometry.
 	Disk Geometry
-	// CacheBlocks bounds the block cache (default 512 = 2 MiB).
-	CacheBlocks int
-	// PollInterval, when nonzero, replaces the data store's
-	// publish/subscribe reintegration with periodic DSLookup polling —
-	// the strawman the paper's pub-sub design avoids. Used by the
-	// ablation benchmarks only.
-	PollInterval sim.Time
 }
+
+// cacheBlocks bounds the block cache (2 MiB).
+const cacheBlocks = 512
 
 // Stats counts file-server events for experiments.
 type Stats struct {
@@ -39,8 +34,6 @@ type Stats struct {
 	Reissues       int // pending requests retried after a restart
 	Recoveries     int // driver restarts absorbed
 	Complaints     int // protocol violations reported to RS
-	CacheHits      int
-	CacheMisses    int
 }
 
 // Server is the file server.
@@ -67,9 +60,6 @@ type Server struct {
 
 // New creates a file server; run its Binary as an RS service.
 func New(cfg Config) *Server {
-	if cfg.CacheBlocks == 0 {
-		cfg.CacheBlocks = 512
-	}
 	return &Server{cfg: cfg}
 }
 
@@ -88,21 +78,15 @@ func (s *Server) run(c *kernel.Ctx) {
 	s.ctx = c
 	// Fresh per-incarnation state: a restarted file server remounts and
 	// rebinds its driver; the write-through cache holds nothing dirty.
-	s.cache = newBlockCache(s.cfg.CacheBlocks)
+	s.cache = newBlockCache(cacheBlocks)
 	s.sb = nil
 	s.driverEp = 0
 	s.driverUp = false
-	// Subscribe to the disk driver's naming updates (or rely on polling
-	// when the ablation's PollInterval is set).
-	if s.cfg.PollInterval == 0 {
-		if _, err := c.SendRec(s.cfg.DS, kernel.Message{
-			Type: proto.DSSubscribe, Name: s.cfg.DriverLabel,
-		}); err != nil {
-			c.Panic("subscribe: " + err.Error())
-		}
-	} else if ep, ok := s.pollOnce(); ok {
-		s.onDriverUpdate(kernel.Message{Type: proto.DSUpdate, Arg1: int64(ep)})
-		s.mount()
+	// Subscribe to the disk driver's naming updates.
+	if _, err := c.SendRec(s.cfg.DS, kernel.Message{
+		Type: proto.DSSubscribe, Name: s.cfg.DriverLabel,
+	}); err != nil {
+		c.Panic("subscribe: " + err.Error())
 	}
 	for {
 		m, err := c.Receive(kernel.Any)
@@ -264,48 +248,22 @@ func (s *Server) rawIO(write bool, firstSector int64, count int64, buf []byte) e
 // awaitDriver blocks until the data store announces a live driver — "the
 // file server blocks and waits until the disk driver has been restarted".
 // While waiting it answers the reincarnation server's heartbeats, so being
-// blocked on a dead driver is not mistaken for being stuck. With the
-// ablation's PollInterval it instead looks the driver up each time an
-// alarm of that interval fires, so a restart goes unnoticed for up to one
-// interval. It reports false when the data store died mid-wait: then no
-// announcement can come.
+// blocked on a dead driver is not mistaken for being stuck. It reports
+// false when the data store died mid-wait: then no announcement can come.
 func (s *Server) awaitDriver() bool { // [recovery]
-	from := s.cfg.DS            // [recovery]
-	if s.cfg.PollInterval > 0 { // [recovery]
-		from = kernel.Clock                // [recovery]
-		s.ctx.SetAlarm(s.cfg.PollInterval) // [recovery]
-	} // [recovery]
 	rs := s.ctx.LookupLabel(core.Label) // [recovery]
 	for !s.driverUp {                   // [recovery]
-		m, err := s.ctx.ReceiveOr(from, rs) // [recovery]
-		switch {                            // [recovery]
+		m, err := s.ctx.ReceiveOr(s.cfg.DS, rs) // [recovery]
+		switch {                                // [recovery]
 		case err != nil: // [recovery]
 			return false // [recovery]
 		case m.Type == proto.RSPing: // [recovery]
 			_ = s.ctx.AsyncSend(m.Source, kernel.Message{Type: proto.RSPong}) // [recovery]
 		case m.Type == proto.DSUpdate: // [recovery]
 			s.onDriverUpdate(m) // [recovery]
-		case m.Source == kernel.Clock: // [recovery]
-			if ep, ok := s.pollOnce(); ok { // [recovery]
-				s.onDriverUpdate(kernel.Message{Type: proto.DSUpdate, Arg1: int64(ep)}) // [recovery]
-			} // [recovery]
-			if !s.driverUp { // [recovery]
-				s.ctx.SetAlarm(s.cfg.PollInterval) // [recovery]
-			} // [recovery]
 		} // [recovery]
 	} // [recovery]
 	return true // [recovery]
-}
-
-// pollOnce asks the data store for the driver's current endpoint.
-func (s *Server) pollOnce() (kernel.Endpoint, bool) { // [recovery]
-	reply, err := s.ctx.SendRec(s.cfg.DS, kernel.Message{ // [recovery]
-		Type: proto.DSLookup, Name: s.cfg.DriverLabel, // [recovery]
-	}) // [recovery]
-	if err != nil || reply.Arg2 != proto.OK { // [recovery]
-		return kernel.None, false // [recovery]
-	} // [recovery]
-	return kernel.Endpoint(reply.Arg1), true // [recovery]
 }
 
 // complain reports the malfunctioning driver to the reincarnation server.
@@ -323,10 +281,8 @@ func (s *Server) complain() { // [recovery]
 // readBlock returns one FS block, through the cache.
 func (s *Server) readBlock(blockNo int64) ([]byte, error) {
 	if b, ok := s.cache.get(blockNo); ok {
-		s.stats.CacheHits++
 		return b, nil
 	}
-	s.stats.CacheMisses++
 	buf := make([]byte, BlockSize)
 	if err := s.rawIO(false, blockNo*SectorsPerBlock, SectorsPerBlock, buf); err != nil {
 		return nil, err
@@ -355,14 +311,4 @@ func (s *Server) writeZones(zone int64, n int64, buf []byte) error {
 		s.cache.drop(zone + i)
 	}
 	return s.rawIO(true, zone*SectorsPerBlock, n*SectorsPerBlock, buf)
-}
-
-// SetCacheBlocks adjusts the block cache capacity. Takes effect
-// immediately on a live cache, or at startup if the server has not run
-// yet (the ablation benches resize before boot).
-func (s *Server) SetCacheBlocks(n int) {
-	s.cfg.CacheBlocks = n
-	if s.cache != nil {
-		s.cache.cap = n
-	}
 }

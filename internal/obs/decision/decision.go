@@ -351,66 +351,97 @@ func ParseJSONL(r io.Reader) ([]Event, error) {
 	return out, nil
 }
 
-// Check verifies a decision log's well-formedness offline, mirroring
-// the live internal/check invariant: a detect opens an episode for its
-// service, actions and policy steps only occur inside one, each episode
-// gets exactly one terminal outcome, and policy steps only occur inside
-// a policy run opened by a "policy-run" action and closed by its "exit"
-// step. Marks reset all state (independent runs sharing one log).
-// Returns a description of every problem found (nil = well-formed).
+// Rule is the well-formedness rule of a decision log that an event broke.
+type Rule uint8
+
+// The rules; RuleOK is none.
+const (
+	RuleOK                    Rule = iota
+	RuleActionOutsideEpisode       // an action with no episode open
+	RuleStepOutsidePolicyRun       // a policy step with no policy run open
+	RuleOutcomeWithoutEpisode      // a terminal decision with no episode open (or a second one)
+	RuleUnknownKind                // an event of no known kind
+)
+
+// Episodes is the decision log's episode state machine, run offline by
+// Check and live by internal/check: a detect opens an episode for its
+// service, which takes actions and exactly one terminal outcome; policy
+// steps fall between a "policy-run" action and the run's "exit" step. A
+// mark resets all state (runs sharing one log). The zero value is ready.
+type Episodes struct {
+	open, policyRun map[string]sim.Time // service -> detect / policy-run time
+}
+
+// Step applies e and returns the rule it broke.
+func (s *Episodes) Step(e Event) Rule {
+	if s.open == nil || e.Kind == KindMark {
+		s.open, s.policyRun = map[string]sim.Time{}, map[string]sim.Time{}
+	}
+	_, inEpisode := s.open[e.Service]
+	_, inRun := s.policyRun[e.Service]
+	switch e.Kind {
+	case KindMark, KindTrigger: // triggers stand outside episodes by design
+	case KindDetect:
+		s.open[e.Service] = e.T
+	case KindAction:
+		if e.Action == "policy-run" {
+			s.policyRun[e.Service] = e.T
+		}
+		if !inEpisode {
+			return RuleActionOutsideEpisode
+		}
+	case KindPolicyStep:
+		if e.Action == "exit" {
+			delete(s.policyRun, e.Service)
+		}
+		if !inRun {
+			return RuleStepOutsidePolicyRun
+		}
+	case KindOutcome:
+		delete(s.open, e.Service)
+		if !inEpisode {
+			return RuleOutcomeWithoutEpisode
+		}
+	default:
+		return RuleUnknownKind
+	}
+	return RuleOK
+}
+
+// Unclosed returns the episodes with no terminal decision and the policy
+// runs that never exited, as service -> the time each opened. The caller
+// must not modify the maps.
+func (s *Episodes) Unclosed() (episodes, runs map[string]sim.Time) {
+	return s.open, s.policyRun
+}
+
+var checkText = [...]string{
+	RuleActionOutsideEpisode:  "action %q for %s outside an open episode",
+	RuleStepOutsidePolicyRun:  "policy step %q for %s outside a policy run",
+	RuleOutcomeWithoutEpisode: "terminal decision %q for %s without an open episode",
+}
+
+// Check runs Episodes over a whole decision log and describes every
+// problem found (nil = well-formed).
 func Check(events []Event) []string {
+	var s Episodes
 	var problems []string
-	open := map[string]sim.Time{}      // service -> detect time
-	policyRun := map[string]sim.Time{} // service -> policy-run time
 	for i, e := range events {
-		switch e.Kind {
-		case KindMark:
-			open = map[string]sim.Time{}
-			policyRun = map[string]sim.Time{}
-		case KindTrigger:
-			// Triggers stand outside episodes by design.
-		case KindDetect:
-			open[e.Service] = e.T
-		case KindAction:
-			if _, ok := open[e.Service]; !ok {
-				problems = append(problems, fmt.Sprintf(
-					"event %d at %v: action %q for %s outside an open episode",
-					i, e.T, e.Action, e.Service))
-			}
-			if e.Action == "policy-run" {
-				policyRun[e.Service] = e.T
-			}
-		case KindPolicyStep:
-			if _, ok := policyRun[e.Service]; !ok {
-				problems = append(problems, fmt.Sprintf(
-					"event %d at %v: policy step %q for %s outside a policy run",
-					i, e.T, e.Action, e.Service))
-			}
-			if e.Action == "exit" {
-				delete(policyRun, e.Service)
-			}
-		case KindOutcome:
-			if _, ok := open[e.Service]; !ok {
-				problems = append(problems, fmt.Sprintf(
-					"event %d at %v: terminal decision %q for %s without an open episode",
-					i, e.T, e.Action, e.Service))
-			} else {
-				delete(open, e.Service)
-			}
+		switch r := s.Step(e); r {
+		case RuleOK:
+		case RuleUnknownKind:
+			problems = append(problems, fmt.Sprintf("event %d at %v: unknown kind %d", i, e.T, int(e.Kind)))
 		default:
-			problems = append(problems, fmt.Sprintf(
-				"event %d at %v: unknown kind %d", i, e.T, int(e.Kind)))
+			problems = append(problems, fmt.Sprintf("event %d at %v: "+checkText[r], i, e.T, e.Action, e.Service))
 		}
 	}
 	// Map-derived tail problems get a sorted, deterministic order.
 	var tail []string
-	for svc, t := range open {
-		tail = append(tail, fmt.Sprintf(
-			"episode for %s detected at %v has no terminal decision", svc, t))
+	for svc, t := range s.open {
+		tail = append(tail, fmt.Sprintf("episode for %s detected at %v has no terminal decision", svc, t))
 	}
-	for svc, t := range policyRun {
-		tail = append(tail, fmt.Sprintf(
-			"policy run for %s started at %v never exited", svc, t))
+	for svc, t := range s.policyRun {
+		tail = append(tail, fmt.Sprintf("policy run for %s started at %v never exited", svc, t))
 	}
 	sort.Strings(tail)
 	return append(problems, tail...)

@@ -68,7 +68,9 @@ const (
 	// (Comp = server, Aux = driver label, V1 = the endpoint rebound: the V1
 	// of the KindRestart whose span it completes).
 	KindReintegrate
-	// KindGiveUp is the reincarnation server abandoning a component.
+	// KindGiveUp is the reincarnation server abandoning a component's
+	// recovery (Aux = defect class, or "stopped" for an administrative
+	// stop of a recovering component). Closes a span.
 	KindGiveUp
 	// KindPublish is a data-store naming change (Aux = "publish" or
 	// "withdraw", V1 = endpoint).

@@ -131,14 +131,6 @@ type Config struct {
 	DisableNet  bool
 	DisableDisk bool
 	DisableChar bool
-
-	// RTOInit overrides TCP's initial retransmission timeout.
-	RTOInit time.Duration
-
-	// MFSPollInterval switches the file server's driver reintegration
-	// from data-store publish/subscribe to periodic polling (ablation
-	// benchmarks only; 0 = the paper's pub-sub design).
-	MFSPollInterval time.Duration
 }
 
 // System is a booted instance of the failure-resilient OS plus its
@@ -325,13 +317,11 @@ func (sys *System) bootNet() {
 	sys.LocalInet = inet.New(inet.Config{
 		Pattern: "eth.*",
 		DS:      sys.DSEp,
-		RTOInit: sys.cfg.RTOInit,
 	})
 	sys.guard(ServerInet, sys.LocalInet.Binary(), sys.serverPriv(true))
 	sys.RemoteInet = inet.New(inet.Config{
 		Pattern: "reth.*",
 		DS:      sys.DSEp,
-		RTOInit: sys.cfg.RTOInit,
 	})
 	sys.RS.StartService(core.ServiceConfig{
 		Label:  ServerRemoteInet,
@@ -373,10 +363,9 @@ func (sys *System) bootDisk() {
 	sys.RS.StartService(ram)
 	// File server stack.
 	sys.MFS = mfs.New(mfs.Config{
-		DS:           sys.DSEp,
-		DriverLabel:  DriverSATA,
-		Disk:         mfs.Geometry{Sectors: sys.Machine.Disk.Sectors()},
-		PollInterval: sys.cfg.MFSPollInterval,
+		DS:          sys.DSEp,
+		DriverLabel: DriverSATA,
+		Disk:        mfs.Geometry{Sectors: sys.Machine.Disk.Sectors()},
 	})
 	sys.guard(ServerMFS, sys.MFS.Binary(), sys.serverPriv(true))
 }

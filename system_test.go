@@ -353,7 +353,7 @@ func TestHardwareGateBIOSReset(t *testing.T) {
 	sys := New(Config{
 		DisableDisk: true, DisableChar: true,
 		Machine: hw.MachineConfig{
-			NICConfuseProb: 1.0, NICDeepProb: 1.0, NICMasterReset: false,
+			NICConfuseProb: 1.0, NICDeepProb: 1.0,
 		},
 	})
 	sys.Run(3 * time.Second)
