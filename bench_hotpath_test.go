@@ -14,6 +14,7 @@ package resilientos
 import (
 	"crypto/sha1"
 	"hash"
+	"io"
 	"runtime"
 	"testing"
 	"time"
@@ -181,6 +182,65 @@ func BenchmarkHotpathTCPFrame(b *testing.B) {
 	}
 	if reads != b.N {
 		b.Fatalf("%d reads in %d runs", reads, b.N)
+	}
+}
+
+// BenchmarkHotpathTCPConnection measures one whole connection: dial the
+// remote download server, read its 1 MiB to EOF, close — what the SWIFI
+// campaign's wget does after every crash. Each side's window is a ring
+// taken from the free list on its first byte and put back when its
+// direction ends, so a warm connection reuses the last one's rings. What
+// it still allocates is the socket and connection records. Ceiling: 8
+// KiB a connection — far under the 128 KiB receive window, where each
+// connection used to grow ≈ 1 MB of window arrays.
+func BenchmarkHotpathTCPConnection(b *testing.B) {
+	const size = 1 << 20
+	sys := New(Config{DisableDisk: true, DisableChar: true})
+	defer sys.Close()
+	sys.ServeFile(80, 1, size)
+	conns := 0
+	sys.Spawn("reader", func(p *Proc) {
+		buf := make([]byte, 64<<10)
+		for {
+			conn, err := p.Dial(NetLocal, DriverRTL8139, 80)
+			if err != nil {
+				b.Errorf("dial: %v", err)
+				return
+			}
+			got := 0
+			for {
+				n, err := conn.Read(buf)
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					b.Errorf("read: %v", err)
+					return
+				}
+				got += n
+			}
+			conn.Close()
+			if got != size {
+				b.Errorf("read %d bytes, want %d", got, size)
+			}
+			conns++
+			sys.Env.Stop() // one Run is one connection
+		}
+	})
+	connection := func() { sys.Run(0) }
+	for i := 0; i < 4; i++ {
+		connection() // boot, and the rings' first trips
+	}
+	gateAllocBytes(b, "a 1 MiB TCP connection", 8<<10, connection)
+	conns = 0
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		connection()
+	}
+	if conns != b.N {
+		b.Fatalf("%d connections in %d runs", conns, b.N)
 	}
 }
 

@@ -77,18 +77,18 @@ type datagram struct {
 }
 
 // frameSum is the CRC-32 of f with the four checksum bytes at off taken
-// as zero: the sum over the three ranges around the field, so neither
-// end has to copy the frame or clear the field to compute it.
+// as zero. It zeroes them for one pass over the whole frame and puts them
+// back, so the frame is neither copied nor changed.
 func frameSum(f []byte, off int) uint32 {
-	sum := crc32.Update(0, crc32.IEEETable, f[:off])
-	sum = crc32.Update(sum, crc32.IEEETable, zeroSum[:])
-	return crc32.Update(sum, crc32.IEEETable, f[off+4:])
+	field := binary.BigEndian.Uint32(f[off:])
+	binary.BigEndian.PutUint32(f[off:], 0)
+	sum := crc32.ChecksumIEEE(f)
+	binary.BigEndian.PutUint32(f[off:], field)
+	return sum
 }
 
-var zeroSum [4]byte // a local would escape into crc32's assembly, one allocation a frame
-
-// encodeTCP serializes a segment into f, which the caller sized to
-// tcpHeaderLen+len(s.payload); every byte of f is written.
+// encodeTCP writes a segment's header and checksum into f, whose payload
+// f[tcpHeaderLen:] the caller has filled; s.payload is not read.
 func encodeTCP(f []byte, s *segment) []byte {
 	f[0] = protoTCP
 	binary.BigEndian.PutUint16(f[1:], s.srcPort)
@@ -97,7 +97,6 @@ func encodeTCP(f []byte, s *segment) []byte {
 	binary.BigEndian.PutUint32(f[9:], s.ack)
 	f[13] = s.flags
 	binary.BigEndian.PutUint16(f[14:], s.wnd)
-	copy(f[tcpHeaderLen:], s.payload)
 	binary.BigEndian.PutUint32(f[tcpSumOff:], frameSum(f, tcpSumOff))
 	return f
 }

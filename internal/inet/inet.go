@@ -287,7 +287,7 @@ func (s *Server) frameOut(ch *channel, frame []byte, trace obs.SpanContext) {
 }
 
 // onFrame ingests a frame delivered by a driver. A TCP frame ends here:
-// handleSegment copies what it keeps (into rcvBuf, or a parked
+// handleSegment copies what it keeps (into the receive ring, or a parked
 // out-of-order segment), so the frame goes back to the free list. A
 // datagram's payload stays a view of its frame and goes to the reader
 // with it.
@@ -355,7 +355,10 @@ func (s *Server) findConn(local, remote uint16) *tcpConn {
 	return nil
 }
 
+// removeConn drops a connection and puts its rings back.
 func (s *Server) removeConn(c *tcpConn) {
+	c.snd.release(s.ctx.Bufs())
+	c.rcv.release(s.ctx.Bufs())
 	s.removeSock(c.id)
 }
 
@@ -400,7 +403,7 @@ func (s *Server) onConnect(m kernel.Message) {
 	c.sndNxt = c.iss + 1
 	sk.conn = c
 	c.connectCtx = s.ctx.BeginWork("tcp.connect", m.Trace)
-	s.tcpSegOut(c, flagSYN, c.iss, nil)
+	s.tcpSegOut(c, flagSYN, c.iss, 0, 0)
 	s.armRetx(c)
 }
 
@@ -423,7 +426,7 @@ func (s *Server) acceptSyn(ch *channel, lst *sock, seg *segment) {
 	c.sndUna = c.iss
 	c.sndNxt = c.iss + 1
 	sk.conn = c
-	s.tcpSegOut(c, flagSYN|flagACK, c.iss, nil)
+	s.tcpSegOut(c, flagSYN|flagACK, c.iss, 0, 0)
 	s.armRetx(c)
 }
 
@@ -491,7 +494,7 @@ func (s *Server) onRecv(m kernel.Message) {
 		max = MSS
 	}
 	c.recvCtx = s.ctx.BeginWork("tcp.recv", m.Trace)
-	if len(c.rcvBuf) > 0 || c.rcvFIN {
+	if c.rcv.n > 0 || c.rcvFIN {
 		s.replyRecv(c, m.Source, max)
 		return
 	}

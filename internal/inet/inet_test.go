@@ -566,7 +566,9 @@ func TestSegmentCodecRoundtrip(t *testing.T) {
 		seq: 12345, ack: 67890, flags: flagACK | flagFIN,
 		wnd: 555, payload: []byte("payload bytes"),
 	}
-	dec, ok := decodeTCP(encodeTCP(dirtyFrame(tcpHeaderLen+len(seg.payload)), seg))
+	f := dirtyFrame(tcpHeaderLen + len(seg.payload))
+	copy(f[tcpHeaderLen:], seg.payload) // the sender fills the payload in place
+	dec, ok := decodeTCP(encodeTCP(f, seg))
 	if !ok {
 		t.Fatal("decode failed")
 	}

@@ -1,6 +1,9 @@
 package inet
 
 import (
+	"bytes"
+	"slices"
+
 	"resilientos/internal/kernel"
 	"resilientos/internal/obs"
 	"resilientos/internal/proto"
@@ -24,7 +27,8 @@ const (
 	stateClosed
 )
 
-// Buffer limits.
+// Window sizes: the capacities of a connection's send and receive rings,
+// powers of two as ring requires.
 const (
 	sndBufLimit = 256 << 10
 	rcvBufLimit = 128 << 10
@@ -38,13 +42,12 @@ type tcpConn struct {
 	remotePort uint16
 	state      tcpState
 
-	// Send side. sndBuf holds bytes [sndUna, sndUna+len(sndBuf)); it is a
-	// window sliding through sndBack (see appendSliding).
+	// Send side. snd holds bytes [sndUna, sndUna+snd.n); its buffer goes
+	// back to the free list once the FIN is acked.
 	iss      uint32
 	sndUna   uint32
 	sndNxt   uint32
-	sndBuf   []byte
-	sndBack  []byte
+	snd      ring
 	peerWnd  uint16
 	dupAcks  int
 	closeReq bool // app closed; FIN goes out after the buffer drains
@@ -53,13 +56,13 @@ type tcpConn struct {
 	finAcked bool
 	synAcked bool
 
-	// Receive side. rcvBuf slides through rcvBack as sndBuf does through
-	// sndBack.
-	rcvNxt  uint32
-	rcvBuf  []byte
-	rcvBack []byte
-	rcvFIN  bool
-	ooo     map[uint32][]byte // out-of-order segments awaiting the gap fill
+	// Receive side. rcv holds the bytes delivered in order and not yet
+	// read; its buffer goes back to the free list once the reader has
+	// taken EOF.
+	rcvNxt uint32
+	rcv    ring
+	rcvFIN bool
+	ooo    []oooSeg // out-of-order segments awaiting the gap fill, by seq
 
 	// Retransmission.
 	rto    sim.Time
@@ -100,7 +103,7 @@ func (c *tcpConn) inFlight() bool {
 
 // rcvWindow is the receive window to advertise.
 func (c *tcpConn) rcvWindow() uint16 {
-	avail := rcvBufLimit - len(c.rcvBuf)
+	avail := rcvBufLimit - c.rcv.n
 	if avail < 0 {
 		avail = 0
 	}
@@ -110,26 +113,28 @@ func (c *tcpConn) rcvWindow() uint16 {
 	return uint16(avail)
 }
 
-// tcpSegOut builds and transmits one segment on the connection's channel.
-func (s *Server) tcpSegOut(c *tcpConn, flags uint8, seq uint32, payload []byte) {
-	s.segOut(c.ch, &segment{
+// tcpSegOut transmits one segment on the connection's channel, carrying
+// the n bytes of the send window that start off bytes past sndUna. They
+// are copied from the ring into the frame once. The frame comes from the
+// free list and changes hands with every hop — driver, card, wire, peer
+// card, peer driver — and the network server it reaches puts it back
+// (onFrame); one dropped on the way is garbage.
+func (s *Server) tcpSegOut(c *tcpConn, flags uint8, seq uint32, off, n int) {
+	f := s.ctx.Bufs().Get(tcpHeaderLen + n)
+	c.snd.read(f[tcpHeaderLen:], off)
+	s.frameOut(c.ch, encodeTCP(f, &segment{
 		srcPort: c.localPort,
 		dstPort: c.remotePort,
 		seq:     seq,
 		ack:     c.rcvNxt,
 		flags:   flags,
 		wnd:     c.rcvWindow(),
-		payload: payload,
-	}, c.opCtx())
+	}), c.opCtx())
 }
 
-// segOut frames a segment in a buffer from the free list and transmits
-// it. The frame changes hands with every hop — driver, card, wire, peer
-// card, peer driver — and the network server it reaches puts it back
-// (onFrame); one dropped on the way is garbage.
-func (s *Server) segOut(ch *channel, seg *segment, trace obs.SpanContext) {
-	f := s.ctx.Bufs().Get(tcpHeaderLen + len(seg.payload))
-	s.frameOut(ch, encodeTCP(f, seg), trace)
+// rstOut transmits a bare RST outside any connection's window.
+func (s *Server) rstOut(ch *channel, seg *segment) {
+	s.frameOut(ch, encodeTCP(s.ctx.Bufs().Get(tcpHeaderLen), seg), obs.SpanContext{})
 }
 
 // opCtx picks the causal context an outgoing segment belongs to: the
@@ -149,7 +154,7 @@ func (c *tcpConn) opCtx() obs.SpanContext {
 
 // sendAck emits a bare ACK.
 func (s *Server) sendAck(c *tcpConn) {
-	s.tcpSegOut(c, flagACK, c.sndNxt, nil)
+	s.tcpSegOut(c, flagACK, c.sndNxt, 0, 0)
 }
 
 // armRetx starts (or restarts) the retransmission timer.
@@ -166,16 +171,16 @@ func (s *Server) trySend(c *tcpConn) {
 	if wnd == 0 {
 		// Zero window: rely on the retransmission timer as a persist
 		// probe when data is pending.
-		if len(c.sndBuf) > 0 && c.retxAt == 0 {
+		if c.snd.n > 0 && c.retxAt == 0 {
 			s.armRetx(c)
 		}
 	}
 	for !c.finSent {
 		offset := c.sndNxt - c.sndUna // bytes already in flight
-		if offset >= uint32(len(c.sndBuf)) {
+		if offset >= uint32(c.snd.n) {
 			break // everything buffered is in flight
 		}
-		avail := uint32(len(c.sndBuf)) - offset
+		avail := uint32(c.snd.n) - offset
 		if avail == 0 || offset >= wnd {
 			break
 		}
@@ -189,18 +194,17 @@ func (s *Server) trySend(c *tcpConn) {
 		if n == 0 {
 			break
 		}
-		payload := c.sndBuf[offset : offset+n]
-		s.tcpSegOut(c, flagACK, c.sndNxt, payload)
+		s.tcpSegOut(c, flagACK, c.sndNxt, int(offset), int(n))
 		c.sndNxt += n
 		if c.retxAt == 0 {
 			s.armRetx(c)
 		}
 	}
 	// All buffered data transmitted: flush a pending FIN.
-	if c.closeReq && !c.finSent && c.sndNxt == c.sndUna+uint32(len(c.sndBuf)) {
+	if c.closeReq && !c.finSent && c.sndNxt == c.sndUna+uint32(c.snd.n) {
 		c.finSeq = c.sndNxt
 		c.finSent = true
-		s.tcpSegOut(c, flagFIN|flagACK, c.finSeq, nil)
+		s.tcpSegOut(c, flagFIN|flagACK, c.finSeq, 0, 0)
 		c.sndNxt++
 		if c.retxAt == 0 {
 			s.armRetx(c)
@@ -210,20 +214,20 @@ func (s *Server) trySend(c *tcpConn) {
 
 // onTcpTimer handles a retransmission timeout for one connection.
 func (s *Server) onTcpTimer(c *tcpConn) {
-	if !c.inFlight() && len(c.sndBuf) == 0 {
+	if !c.inFlight() && c.snd.n == 0 {
 		c.retxAt = 0
 		return
 	}
 	switch c.state {
 	case stateSynSent:
-		s.tcpSegOut(c, flagSYN, c.iss, nil)
+		s.tcpSegOut(c, flagSYN, c.iss, 0, 0)
 	case stateSynRcvd:
-		s.tcpSegOut(c, flagSYN|flagACK, c.iss, nil)
+		s.tcpSegOut(c, flagSYN|flagACK, c.iss, 0, 0)
 	case stateEstablished:
 		switch {
-		case seqLT(c.sndUna, c.sndNxt) && len(c.sndBuf) > 0:
+		case seqLT(c.sndUna, c.sndNxt) && c.snd.n > 0:
 			// Retransmit the first unacknowledged chunk.
-			n := len(c.sndBuf)
+			n := c.snd.n
 			if n > MSS {
 				n = MSS
 			}
@@ -234,7 +238,7 @@ func (s *Server) onTcpTimer(c *tcpConn) {
 			if n > inflight && inflight > 0 {
 				n = inflight
 			}
-			s.tcpSegOut(c, flagACK, c.sndUna, c.sndBuf[:n])
+			s.tcpSegOut(c, flagACK, c.sndUna, 0, n)
 			// Go-back-N: a timeout usually means the whole flight was
 			// lost (a dead driver drops everything). Collapse the send
 			// window so the acks that follow stream the lost region out
@@ -244,11 +248,10 @@ func (s *Server) onTcpTimer(c *tcpConn) {
 				c.finSent = false // FIN re-flushes after the data drains
 			}
 		case c.finSent && !c.finAcked:
-			s.tcpSegOut(c, flagFIN|flagACK, c.finSeq, nil)
-		case len(c.sndBuf) > 0:
+			s.tcpSegOut(c, flagFIN|flagACK, c.finSeq, 0, 0)
+		case c.snd.n > 0:
 			// Persist probe against a zero window.
-			n := 1
-			s.tcpSegOut(c, flagACK, c.sndNxt, c.sndBuf[c.sndNxt-c.sndUna:][:n])
+			s.tcpSegOut(c, flagACK, c.sndNxt, int(c.sndNxt-c.sndUna), 1)
 			c.sndNxt++
 		}
 	}
@@ -274,10 +277,10 @@ func (s *Server) handleSegment(ch *channel, seg *segment) {
 		}
 		if seg.flags&flagRST == 0 {
 			// No socket: refuse.
-			s.segOut(ch, &segment{
+			s.rstOut(ch, &segment{
 				srcPort: seg.dstPort, dstPort: seg.srcPort,
 				seq: seg.ack, ack: seg.seq, flags: flagRST,
-			}, obs.SpanContext{})
+			})
 		}
 		return
 	}
@@ -294,10 +297,10 @@ func (s *Server) handleSegment(ch *channel, seg *segment) {
 			// previous network-server instance. Answer RST (RFC 793) so
 			// the peer discards the stale connection; our SYN retransmit
 			// then reaches its listener.
-			s.segOut(c.ch, &segment{
+			s.rstOut(c.ch, &segment{
 				srcPort: c.localPort, dstPort: c.remotePort,
 				seq: seg.ack, flags: flagRST,
-			}, obs.SpanContext{})
+			})
 			return
 		}
 		if seg.flags&(flagSYN|flagACK) == flagSYN|flagACK && seg.ack == c.iss+1 {
@@ -330,7 +333,7 @@ func (s *Server) handleSegment(ch *channel, seg *segment) {
 			s.processData(c, seg)
 		} else if seg.flags&flagSYN != 0 {
 			// Duplicate SYN: re-answer.
-			s.tcpSegOut(c, flagSYN|flagACK, c.iss, nil)
+			s.tcpSegOut(c, flagSYN|flagACK, c.iss, 0, 0)
 		}
 	case stateEstablished:
 		if seg.flags&flagSYN != 0 {
@@ -364,10 +367,13 @@ func (s *Server) processAck(c *tcpConn, ack uint32) {
 			c.finAcked = true
 			dataAcked--
 		}
-		if int(dataAcked) > len(c.sndBuf) {
-			dataAcked = uint32(len(c.sndBuf))
+		if int(dataAcked) > c.snd.n {
+			dataAcked = uint32(c.snd.n)
 		}
-		c.sndBuf = c.sndBuf[dataAcked:]
+		c.snd.discard(int(dataAcked))
+		if c.finAcked {
+			c.snd.release(s.ctx.Bufs()) // nothing is sent after the FIN
+		}
 		c.sndUna = ack
 		c.dupAcks = 0
 		c.rto = rtoInit
@@ -384,12 +390,12 @@ func (s *Server) processAck(c *tcpConn, ack uint32) {
 	if ack == c.sndUna && seqLT(c.sndUna, c.sndNxt) {
 		// Duplicate ACK: third one triggers fast retransmit.
 		c.dupAcks++
-		if c.dupAcks == 3 && len(c.sndBuf) > 0 {
-			n := len(c.sndBuf)
+		if c.dupAcks == 3 && c.snd.n > 0 {
+			n := c.snd.n
 			if n > MSS {
 				n = MSS
 			}
-			s.tcpSegOut(c, flagACK, c.sndUna, c.sndBuf[:n])
+			s.tcpSegOut(c, flagACK, c.sndUna, 0, n)
 			s.stats.FastRetransmits++
 			c.dupAcks = 0
 		}
@@ -418,29 +424,19 @@ func (s *Server) processData(c *tcpConn, seg *segment) {
 			switch {
 			case seq != c.rcvNxt:
 				s.stats.SegsFuture++
-				// Out of order: park it for reassembly (bounded).
-				if c.ooo == nil {
-					c.ooo = make(map[uint32][]byte)
-				}
-				if len(c.ooo) < oooLimit {
-					if _, dup := c.ooo[seq]; !dup {
-						cp := make([]byte, len(payload))
-						copy(cp, payload)
-						c.ooo[seq] = cp
-					}
-				}
-			case rcvBufLimit-len(c.rcvBuf) <= 0:
+				c.park(seq, payload)
+			case rcvBufLimit-c.rcv.n <= 0:
 				s.stats.SegsNoRoom++
 			}
 		}
 		if len(payload) > 0 && seq == c.rcvNxt {
-			room := rcvBufLimit - len(c.rcvBuf)
+			room := rcvBufLimit - c.rcv.n
 			if room > 0 {
 				n := len(payload)
 				if n > room {
 					n = room
 				}
-				appendSliding(&c.rcvBuf, &c.rcvBack, payload[:n])
+				c.rcv.push(s.ctx.Bufs(), rcvBufLimit, payload[:n])
 				c.rcvNxt += uint32(n)
 				advanced = true
 				s.stats.SegsAccepted++
@@ -470,38 +466,46 @@ func (s *Server) processData(c *tcpConn, seg *segment) {
 // oooLimit bounds the out-of-order reassembly buffer (segments).
 const oooLimit = 128
 
-// drainOoo folds parked out-of-order segments into the in-order stream
-// once the gap closes.
+// oooSeg is an out-of-order segment parked until the gap before it closes.
+type oooSeg struct {
+	seq  uint32
+	data []byte
+}
+
+// park keeps a copy of an out-of-order segment, in seq order, unless
+// oooLimit segments are parked already or one starts at the same seq.
+func (c *tcpConn) park(seq uint32, payload []byte) {
+	if len(c.ooo) >= oooLimit {
+		return
+	}
+	i := len(c.ooo)
+	for i > 0 && seqLT(seq, c.ooo[i-1].seq) {
+		i--
+	}
+	if i > 0 && c.ooo[i-1].seq == seq {
+		return
+	}
+	c.ooo = slices.Insert(c.ooo, i, oooSeg{seq, bytes.Clone(payload)})
+}
+
+// drainOoo folds parked segments into the in-order stream once the gap
+// before them closes, lowest seq first, so the bytes taken and the
+// segments left parked are a function of the segments alone. A segment
+// the receive window cannot take whole stays parked, and a later fold
+// takes the rest of it.
 func (s *Server) drainOoo(c *tcpConn) {
-	for len(c.ooo) > 0 {
-		found := false
-		for seq, payload := range c.ooo {
-			end := seq + uint32(len(payload))
-			if seqLE(end, c.rcvNxt) {
-				delete(c.ooo, seq) // fully stale
-				found = true
-				continue
-			}
-			if seqLE(seq, c.rcvNxt) {
-				// Overlaps the gap edge: take the fresh part.
-				fresh := payload[c.rcvNxt-seq:]
-				room := rcvBufLimit - len(c.rcvBuf)
-				if room <= 0 {
-					return
-				}
-				n := len(fresh)
-				if n > room {
-					n = room
-				}
-				appendSliding(&c.rcvBuf, &c.rcvBack, fresh[:n])
-				c.rcvNxt += uint32(n)
-				delete(c.ooo, seq)
-				found = true
+	for len(c.ooo) > 0 && seqLE(c.ooo[0].seq, c.rcvNxt) {
+		p := c.ooo[0]
+		if skip := int(c.rcvNxt - p.seq); skip < len(p.data) {
+			fresh := p.data[skip:]
+			n := min(len(fresh), rcvBufLimit-c.rcv.n)
+			c.rcv.push(s.ctx.Bufs(), rcvBufLimit, fresh[:n])
+			c.rcvNxt += uint32(n)
+			if n < len(fresh) {
+				return // the window is full
 			}
 		}
-		if !found {
-			return
-		}
+		c.ooo = slices.Delete(c.ooo, 0, 1)
 	}
 }
 
@@ -510,7 +514,7 @@ func (s *Server) wakeReader(c *tcpConn) {
 	if c.recvW == 0 {
 		return
 	}
-	if len(c.rcvBuf) == 0 && !c.rcvFIN {
+	if c.rcv.n == 0 && !c.rcvFIN {
 		return
 	}
 	waiter := c.recvW
@@ -519,21 +523,20 @@ func (s *Server) wakeReader(c *tcpConn) {
 }
 
 // replyRecv answers a TCPRecv with available data (or EOF) and closes
-// the receive op span.
+// the receive op span. Once the reader has taken EOF the receive ring is
+// done with.
 func (s *Server) replyRecv(c *tcpConn, to kernel.Endpoint, max int) {
-	if len(c.rcvBuf) == 0 && c.rcvFIN {
+	if c.rcv.n == 0 && c.rcvFIN {
+		c.rcv.release(s.ctx.Bufs())
 		s.reply(to, kernel.Message{Type: proto.SockReply, Arg1: 0}) // EOF
 		s.ctx.EndWork(c.recvCtx, 0)
 		c.recvCtx = obs.SpanContext{}
 		return
 	}
-	n := len(c.rcvBuf)
-	if n > max {
-		n = max
-	}
+	n := min(c.rcv.n, max)
 	payload := s.ctx.Bufs().Get(n) // the reader puts it back
-	copy(payload, c.rcvBuf[:n])
-	c.rcvBuf = c.rcvBuf[n:]
+	c.rcv.read(payload, 0)
+	c.rcv.discard(n)
 	// Reading opened the window: tell the sender.
 	s.sendAck(c)
 	s.reply(to, kernel.Message{Type: proto.SockReply, Arg1: int64(n), Payload: payload})
@@ -547,15 +550,12 @@ func (s *Server) admitBlockedSend(c *tcpConn) {
 	if c.sendW == 0 {
 		return
 	}
-	room := sndBufLimit - len(c.sndBuf)
+	room := sndBufLimit - c.snd.n
 	if room <= 0 {
 		return
 	}
-	n := len(c.sendData)
-	if n > room {
-		n = room
-	}
-	appendSliding(&c.sndBuf, &c.sndBack, c.sendData[:n])
+	n := min(len(c.sendData), room)
+	c.snd.push(s.ctx.Bufs(), sndBufLimit, c.sendData[:n])
 	c.sendData = c.sendData[n:]
 	c.sendDone += n
 	if len(c.sendData) == 0 {
@@ -568,28 +568,9 @@ func (s *Server) admitBlockedSend(c *tcpConn) {
 	s.trySend(c)
 }
 
-// appendSliding appends p to *buf, a window that the consumer slides
-// forward through the backing array *back (ACKs for the send buffer,
-// reads for the receive buffer). When the tail runs out the bytes held
-// move back to the front of the same array instead of into a fresh one.
-// The array is kept at least twice the bytes held, so a move copies
-// fewer bytes than were consumed since the last one — amortised O(1) per
-// byte, where plain append reallocated the whole buffer each time.
-// Nothing else aliases the window (encodeTCP and replyRecv copy out).
-func appendSliding(buf, back *[]byte, p []byte) {
-	need := len(*buf) + len(p)
-	if need > cap(*buf) {
-		if len(*back) < 2*need {
-			*back = make([]byte, 2*need)
-		}
-		*buf = (*back)[:copy(*back, *buf)]
-	}
-	*buf = append(*buf, p...)
-}
-
 // maybeFinish schedules connection teardown once both directions closed.
 func (s *Server) maybeFinish(c *tcpConn) {
-	if c.finSent && c.finAcked && c.rcvFIN && len(c.rcvBuf) == 0 && c.deleteAt == 0 {
+	if c.finSent && c.finAcked && c.rcvFIN && c.rcv.n == 0 && c.deleteAt == 0 {
 		c.deleteAt = s.now() + 2*rtoInit
 	}
 	if c.rcvFIN {

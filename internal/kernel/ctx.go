@@ -68,12 +68,13 @@ func (c *Ctx) ReceiveOr(from, also Endpoint) (Message, error) {
 // caller's next, unrelated call).
 func (c *Ctx) SendRec(dst Endpoint, msg Message) (Message, error) {
 	var sc, ambient obs.SpanContext
-	var dstLabel string
+	var crash string
 	traced := c.k.obs.On(obs.KindSpanBegin)
 	if traced {
 		ambient = c.e.traceCtx
-		dstLabel = c.k.labelFor(dst)
-		sc = c.k.obs.StartSpan(c.e.label, "call:"+dstLabel, ambient)
+		var call string
+		call, crash = c.k.spanNames(dst)
+		sc = c.k.obs.StartSpan(c.e.label, call, ambient)
 		msg.Trace = sc
 		c.e.openSpans = append(c.e.openSpans, sc)
 	}
@@ -83,7 +84,7 @@ func (c *Ctx) SendRec(dst Endpoint, msg Message) (Message, error) {
 		case nil:
 			c.k.obs.EndSpan(c.e.label, sc, 0)
 		case ErrDeadDst, ErrSrcDied:
-			c.k.obs.OrphanSpan(c.e.label, sc, "crash:"+dstLabel)
+			c.k.obs.OrphanSpan(c.e.label, sc, crash)
 		default:
 			c.k.obs.EndSpan(c.e.label, sc, 1)
 		}

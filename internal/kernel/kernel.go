@@ -99,16 +99,19 @@ type Kernel struct {
 
 	bufs Bufs // the system's bulk-buffer free list
 
+	spanNamesOf map[string][2]string // label → spanNames, filled by traced calls
+
 	debugLeakGrants bool // test-only: skip grant revocation in reap
 }
 
 // New creates a kernel on the given simulation environment.
 func New(env *sim.Env) *Kernel {
 	return &Kernel{
-		env:     env,
-		byLabel: make(map[string]*procEntry),
-		ports:   make(map[uint32]Device),
-		irqs:    make(map[int]*irqLine),
+		env:         env,
+		byLabel:     make(map[string]*procEntry),
+		ports:       make(map[uint32]Device),
+		irqs:        make(map[int]*irqLine),
+		spanNamesOf: make(map[string][2]string),
 	}
 }
 
@@ -186,6 +189,19 @@ type (
 	ipcAbort  struct{ err error }
 	sendOK    struct{}
 )
+
+// spanNames returns the name of the span a traced call to ep opens and
+// the reason it is orphaned with when ep dies: "call:" and "crash:"
+// before labelFor(ep), built once per label by the first traced call.
+func (k *Kernel) spanNames(ep Endpoint) (call, crash string) {
+	label := k.labelFor(ep)
+	names, ok := k.spanNamesOf[label]
+	if !ok {
+		names = [2]string{"call:" + label, "crash:" + label}
+		k.spanNamesOf[label] = names
+	}
+	return names[0], names[1]
+}
 
 // Spawn creates a new system process with the given stable label,
 // privileges, and body. The slot is the lowest free one and the endpoint

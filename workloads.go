@@ -53,19 +53,20 @@ func patternLane(seed, lane int64) uint64 {
 
 // ServeFile starts the remote peer's download server: for every accepted
 // connection it streams size bytes of Pattern(seed) and closes. This is
-// "the Internet" end of the wget experiment.
+// "the Internet" end of the wget experiment. One buffer serves every
+// connection: INET has copied a write's bytes before it replies.
 func (sys *System) ServeFile(port uint16, seed int64, size int64) {
 	sys.Spawn("httpd", func(p *Proc) {
 		lst, err := p.Listen(NetRemote, port)
 		if err != nil {
 			return
 		}
+		buf := make([]byte, 64<<10)
 		for {
 			conn, err := lst.Accept()
 			if err != nil {
 				return
 			}
-			buf := make([]byte, 64<<10)
 			for off := int64(0); off < size; {
 				n := int64(len(buf))
 				if n > size-off {
