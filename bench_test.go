@@ -194,7 +194,7 @@ func (nopBus) Out(uint32, uint32) bool  { return true }
 func BenchmarkDSPublishSubscribe(b *testing.B) {
 	env := sim.NewEnv(1)
 	k := kernel.New(env)
-	dsEp, err := ds.Start(k)
+	_, dsEp, err := ds.StartServer(k)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -353,7 +353,7 @@ func TestDecisionEpisodeLinkage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dsEp, err := ds.Start(k)
+	_, dsEp, err := ds.StartServer(k)
 	if err != nil {
 		t.Fatal(err)
 	}

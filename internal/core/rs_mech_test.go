@@ -107,15 +107,8 @@ func TestStandbyPromotionFailsOver(t *testing.T) {
 	}
 
 	// The data store must agree with RS about the promoted endpoint.
-	var published int64
-	r.k.Spawn("lookup-probe", kernel.Privileges{AllowAllIPC: true}, func(c *kernel.Ctx) {
-		reply, err := c.SendRec(r.dsEp, kernel.Message{Type: proto.DSLookup, Name: "drv"})
-		if err == nil {
-			published = reply.Arg1
-		}
-	})
 	r.env.Run(time.Second)
-	if kernel.Endpoint(published) != standby {
+	if published, _ := r.published("drv"); published != standby {
 		t.Fatalf("DS publishes %v after failover, want %v", published, standby)
 	}
 }

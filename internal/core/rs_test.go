@@ -19,6 +19,7 @@ type rig struct {
 	env  *sim.Env
 	k    *kernel.Kernel
 	rs   *RS
+	ds   *ds.DS
 	dsEp kernel.Endpoint
 	pmEp kernel.Endpoint
 }
@@ -31,7 +32,7 @@ func boot(t *testing.T, opts ...Option) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dsEp, err := ds.Start(k)
+	d, dsEp, err := ds.StartServer(k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,17 @@ func boot(t *testing.T, opts ...Option) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &rig{env: env, k: k, rs: rs, dsEp: dsEp, pmEp: pmEp}
+	return &rig{env: env, k: k, rs: rs, ds: d, dsEp: dsEp, pmEp: pmEp}
+}
+
+// published reads name's entry in the data store's naming table.
+func (r *rig) published(name string) (ep kernel.Endpoint, ok bool) {
+	r.ds.VisitNames(func(n string, e kernel.Endpoint) {
+		if n == name {
+			ep, ok = e, true
+		}
+	})
+	return ep, ok
 }
 
 // steadyBody is a well-behaved service: answers heartbeats forever.
@@ -81,21 +92,12 @@ func svcCfg(label string, b Binary) ServiceConfig {
 func TestServiceStartPublishesEndpoint(t *testing.T) {
 	r := boot(t)
 	r.rs.StartService(svcCfg("drv", steadyBody))
-	var ep int64
-	r.k.Spawn("probe", kernel.Privileges{AllowAllIPC: true}, func(c *kernel.Ctx) {
-		c.Sleep(time.Second)
-		reply, err := c.SendRec(r.dsEp, kernel.Message{Type: proto.DSLookup, Name: "drv"})
-		if err != nil {
-			t.Errorf("lookup: %v", err)
-			return
-		}
-		ep = reply.Arg1
-	})
 	r.env.Run(2 * time.Second)
+	ep, _ := r.published("drv")
 	if ep <= 0 {
 		t.Fatalf("published endpoint = %d", ep)
 	}
-	if kernel.Endpoint(ep) != r.rs.ServiceEndpoint("drv") {
+	if ep != r.rs.ServiceEndpoint("drv") {
 		t.Fatal("DS and RS disagree about the endpoint")
 	}
 }
@@ -440,16 +442,9 @@ func TestMaxRestartsGivesUpAndWithdraws(t *testing.T) {
 		t.Fatalf("recoveries = %d, want 3", recoveries)
 	}
 	// Name must be withdrawn from DS.
-	var found int64 = proto.OK
-	r.k.Spawn("probe", kernel.Privileges{AllowAllIPC: true}, func(c *kernel.Ctx) {
-		reply, err := c.SendRec(r.dsEp, kernel.Message{Type: proto.DSLookup, Name: "drv"})
-		if err == nil {
-			found = reply.Arg2
-		}
-	})
 	r.env.Run(time.Second)
-	if found != proto.ErrNotFound {
-		t.Fatalf("DS lookup after give-up = %d, want ErrNotFound", found)
+	if ep, ok := r.published("drv"); ok {
+		t.Fatalf("DS still publishes drv as %v after give-up", ep)
 	}
 }
 

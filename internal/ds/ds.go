@@ -67,12 +67,6 @@ func (d *DS) sortedNames() []string {
 	return d.sorted
 }
 
-// Start spawns the data store on k and returns its endpoint.
-func Start(k *kernel.Kernel) (kernel.Endpoint, error) {
-	_, ep, err := StartServer(k)
-	return ep, err
-}
-
 // StartServer spawns the data store and also returns the server handle,
 // which the live invariant checker inspects via VisitNames.
 func StartServer(k *kernel.Kernel) (*DS, kernel.Endpoint, error) {
@@ -114,8 +108,6 @@ func (d *DS) run(c *kernel.Ctx) {
 			d.withdraw(m)
 		case proto.DSFailover:
 			d.failover(m)
-		case proto.DSLookup:
-			d.lookup(m)
 		case proto.DSSubscribe:
 			d.subscribe(m)
 		case proto.DSStore:
@@ -224,18 +216,6 @@ func (d *DS) fanout(name string, ep int64) {
 }
 
 // [recovery:end]
-
-func (d *DS) lookup(m kernel.Message) {
-	reply := kernel.Message{Type: proto.DSAck, Name: m.Name}
-	if ep, ok := d.names[m.Name]; ok {
-		reply.Arg1 = int64(ep)
-		reply.Arg2 = proto.OK
-	} else {
-		reply.Arg1 = proto.InvalidEndpoint
-		reply.Arg2 = proto.ErrNotFound
-	}
-	d.reply(m.Source, reply)
-}
 
 func (d *DS) subscribe(m kernel.Message) {
 	sub := subscription{

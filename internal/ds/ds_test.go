@@ -12,13 +12,32 @@ import (
 
 func bootDS(t *testing.T) (*sim.Env, *kernel.Kernel, kernel.Endpoint) {
 	t.Helper()
+	env, k, _, ep := bootServer(t)
+	return env, k, ep
+}
+
+// bootServer is bootDS that also returns the server handle, whose naming
+// table VisitNames reads.
+func bootServer(t *testing.T) (*sim.Env, *kernel.Kernel, *DS, kernel.Endpoint) {
+	t.Helper()
 	env := sim.NewEnv(1)
 	k := kernel.New(env)
-	ep, err := Start(k)
+	d, ep, err := StartServer(k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return env, k, ep
+	return env, k, d, ep
+}
+
+// published returns the naming table's entry for name, or None.
+func (d *DS) published(name string) kernel.Endpoint {
+	got := kernel.None
+	d.VisitNames(func(n string, ep kernel.Endpoint) {
+		if n == name {
+			got = ep
+		}
+	})
+	return got
 }
 
 // spawnRS spawns a process with the publisher label "rs" running body.
@@ -30,43 +49,19 @@ func spawnRS(t *testing.T, k *kernel.Kernel, body func(c *kernel.Ctx)) {
 }
 
 func TestPublishLookup(t *testing.T) {
-	env, k, dsEp := bootDS(t)
+	env, k, d, dsEp := bootServer(t)
 	spawnRS(t, k, func(c *kernel.Ctx) {
 		reply, err := c.SendRec(dsEp, kernel.Message{Type: proto.DSPublish, Name: "eth.rtl8139", Arg1: 4242})
 		if err != nil || reply.Arg2 != proto.OK {
 			t.Errorf("publish: %v %d", err, reply.Arg2)
 		}
 	})
-	var got int64
-	k.Spawn("inet", kernel.Privileges{AllowAllIPC: true}, func(c *kernel.Ctx) {
-		c.Sleep(time.Second)
-		reply, err := c.SendRec(dsEp, kernel.Message{Type: proto.DSLookup, Name: "eth.rtl8139"})
-		if err != nil {
-			t.Errorf("lookup: %v", err)
-			return
-		}
-		got = reply.Arg1
-	})
 	env.Run(2 * time.Second)
-	if got != 4242 {
-		t.Fatalf("lookup = %d", got)
+	if got := d.published("eth.rtl8139"); got != 4242 {
+		t.Fatalf("eth.rtl8139 published as %d", got)
 	}
-}
-
-func TestLookupMissing(t *testing.T) {
-	env, k, dsEp := bootDS(t)
-	var code int64
-	k.Spawn("probe", kernel.Privileges{AllowAllIPC: true}, func(c *kernel.Ctx) {
-		reply, err := c.SendRec(dsEp, kernel.Message{Type: proto.DSLookup, Name: "nope"})
-		if err != nil {
-			t.Errorf("lookup: %v", err)
-			return
-		}
-		code = reply.Arg2
-	})
-	env.Run(time.Second)
-	if code != proto.ErrNotFound {
-		t.Fatalf("code = %d", code)
+	if got := d.published("nope"); got != kernel.None {
+		t.Fatalf("nope published as %d", got)
 	}
 }
 
@@ -204,12 +199,7 @@ func TestPrivateStoreRoundtrip(t *testing.T) {
 func TestPrivateStoreAuthenticationByStableName(t *testing.T) {
 	// A *restarted* instance with the same label can read the record; a
 	// different label cannot (paper §5.3).
-	env := sim.NewEnv(1)
-	k := kernel.New(env)
-	dsEp, err := Start(k)
-	if err != nil {
-		t.Fatal(err)
-	}
+	env, k, dsEp := bootDS(t)
 	k.Spawn("inet", kernel.Privileges{AllowAllIPC: true}, func(c *kernel.Ctx) {
 		c.SendRec(dsEp, kernel.Message{Type: proto.DSStore, Name: "state", Payload: []byte("secret")})
 		c.Exit(0) // crash; state outlives the instance

@@ -2,8 +2,10 @@ package hw
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -139,11 +141,24 @@ func (a *refAudio) levels() (inAvail, lowBuf bool) {
 	return len(a.capture) > 0, a.running && a.buf < a.cfg.Watermark
 }
 
+// ringBytes is the codec's capture ring as the bytes a reader would get.
+func ringBytes(b *Audio) []byte {
+	var out []byte
+	for _, r := range b.capture {
+		for i := range r.n {
+			out = binary.LittleEndian.AppendUint32(out, r.seq+uint32(i))
+		}
+	}
+	return out
+}
+
 // diff names the first state the two codecs disagree on, or "".
 func (a *refAudio) diff(b *Audio) string {
 	switch {
-	case !bytes.Equal(a.capture, b.capture):
-		return fmt.Sprintf("ring: %d bytes, reference %d", len(b.capture), len(a.capture))
+	case !bytes.Equal(a.capture, ringBytes(b)):
+		return fmt.Sprintf("ring: %d bytes, reference %d", len(ringBytes(b)), len(a.capture))
+	case 4*b.held != len(a.capture):
+		return fmt.Sprintf("ring: %d samples held, reference %d bytes", b.held, len(a.capture))
 	case a.CaptureMade != b.CaptureMade || a.CaptureLost != b.CaptureLost:
 		return fmt.Sprintf("made/lost %d/%d, reference %d/%d", b.CaptureMade, b.CaptureLost, a.CaptureMade, a.CaptureLost)
 	case a.captureSeq != b.captureSeq:
@@ -241,5 +256,25 @@ func TestCaptureMatchesPerSampleReference(t *testing.T) {
 					ci, seed, a.CaptureMade, a.CaptureLost, read)
 			}
 		}
+	}
+}
+
+// TestIdleCodecAllocatesNothing: a codec whose capture ring nobody reads
+// fills it, then loses every later sample, for a virtual minute without
+// allocating: the ring holds sample numbers, never bytes. Every booted
+// system runs such a codec.
+func TestIdleCodecAllocatesNothing(t *testing.T) {
+	env, k := testRig(t)
+	a := NewAudio(env, k, AudioConfig{Base: 0x3000, IRQ: 5, CaptureRate: 64000})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	env.Run(time.Minute)
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("a minute of an idle codec made %d allocations (%d B), want 0",
+			n, after.TotalAlloc-before.TotalAlloc)
+	}
+	if a.held != a.cfg.CaptureBuf/4 || a.CaptureLost == 0 {
+		t.Fatalf("ring holds %d samples, %d bytes lost: the ring never filled", a.held, a.CaptureLost)
 	}
 }

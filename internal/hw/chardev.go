@@ -2,6 +2,7 @@ package hw
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"resilientos/internal/kernel"
 	"resilientos/internal/sim"
@@ -76,8 +77,9 @@ type Audio struct {
 	running bool
 	buf     int // bytes buffered (content does not matter, only timing)
 
-	capture    []byte // capture ring (content is sequence-numbered)
-	captureSeq uint32 // next sample sequence number
+	capture    []captureRun // capture ring: the held samples' numbers, oldest first
+	held       int          // samples in the capture ring
+	captureSeq uint32       // next sample sequence number
 
 	Consumed    int64
 	Underruns   int   // distinct hiccup episodes
@@ -85,6 +87,15 @@ type Audio struct {
 	CaptureLost int64 // capture bytes dropped because nobody read them
 	inUnderrun  bool  // currently starved
 	play        *sim.Ticker
+}
+
+// captureRun is a run of consecutively numbered samples in the capture
+// ring. Sample i is the four bytes LittleEndian(uint32(i)), so the ring
+// holds numbers, not bytes; a gap between two runs is the samples that
+// arrived while the ring was full.
+type captureRun struct {
+	seq uint32 // the run's first sample
+	n   int    // samples in the run
 }
 
 var _ kernel.Device = (*Audio)(nil)
@@ -109,6 +120,9 @@ func NewAudio(env *sim.Env, k *kernel.Kernel, cfg AudioConfig) *Audio {
 	a := &Audio{env: env, k: k, cfg: cfg}
 	k.MapDevice(kernel.PortRange{Lo: cfg.Base, Hi: cfg.Base + 0x10}, a)
 	if cfg.CaptureRate > 0 {
+		// A run starts only after a loss, and reads slide the array
+		// down, so these few slots seldom regrow.
+		a.capture = make([]captureRun, 0, 4)
 		env.Tick(cfg.Tick, a.captureTick)
 	}
 	return a
@@ -119,15 +133,20 @@ func NewAudio(env *sim.Env, k *kernel.Kernel, cfg AudioConfig) *Audio {
 // samples that fit are written; the rest existed, numbered, and are gone.
 func (a *Audio) captureTick() {
 	n := int(a.cfg.CaptureRate*int64(a.cfg.Tick)/int64(sim.Time(1e9))) / 4 // whole 4-byte samples
-	was := len(a.capture)
-	fit := min(n, max(0, (a.cfg.CaptureBuf-was)/4))
-	for i := range fit {
-		a.capture = binary.LittleEndian.AppendUint32(a.capture, a.captureSeq+uint32(i))
+	was := a.held
+	fit := min(n, max(0, a.cfg.CaptureBuf/4-was))
+	if fit > 0 {
+		if last := len(a.capture) - 1; last >= 0 && a.capture[last].seq+uint32(a.capture[last].n) == a.captureSeq {
+			a.capture[last].n += fit
+		} else {
+			a.capture = append(a.capture, captureRun{seq: a.captureSeq, n: fit})
+		}
+		a.held += fit
 	}
 	a.captureSeq += uint32(n)
 	a.CaptureMade += 4 * int64(n)
 	a.CaptureLost += 4 * int64(n-fit)
-	if was == 0 && len(a.capture) > 0 {
+	if was == 0 && a.held > 0 {
 		a.k.RaiseIRQ(a.cfg.IRQ)
 	}
 }
@@ -150,7 +169,7 @@ func (a *Audio) PortIn(port uint32) (uint32, error) {
 		if a.buf < a.cfg.Watermark {
 			s |= CharStatLowBuf
 		}
-		if len(a.capture) > 0 {
+		if a.held > 0 {
 			s |= CharStatInAvail
 		}
 		return s, nil
@@ -171,8 +190,9 @@ func (a *Audio) PortOut(port uint32, val uint32) error {
 		// Resetting the codec flushes the capture FIFO: whatever input
 		// was pending is unrecoverable (read-once, §6.3). A restarted
 		// driver always resets.
-		a.CaptureLost += int64(len(a.capture))
-		a.capture = nil
+		a.CaptureLost += 4 * int64(a.held)
+		a.capture = a.capture[:0]
+		a.held = 0
 	case CharCmdStart:
 		if !a.running {
 			a.running = true
@@ -241,10 +261,19 @@ func (h *AudioHandle) Buffered() int { return h.a.buf }
 // read never sees it again.
 func (h *AudioHandle) ReadCapture(n int) []byte {
 	a := h.a
-	n = min(max(n, 0), len(a.capture)) &^ 3
-	out := make([]byte, n)
-	copy(out, a.capture[:n])
-	a.capture = a.capture[n:]
+	take := min(max(n, 0)/4, a.held) // whole samples
+	out := make([]byte, 4*take)
+	done := 0 // runs read to their end
+	for b := out; len(b) > 0; b = b[4:] {
+		r := &a.capture[done]
+		binary.LittleEndian.PutUint32(b, r.seq)
+		r.seq++
+		if r.n--; r.n == 0 {
+			done++
+		}
+	}
+	a.capture = slices.Delete(a.capture, 0, done)
+	a.held -= take
 	return out
 }
 

@@ -78,10 +78,10 @@ func TestAudioNegativeReadCapture(t *testing.T) {
 	env, k := testRig(t)
 	a := NewAudio(env, k, AudioConfig{Base: 0x3000, IRQ: 5, CaptureRate: 64000})
 	env.Run(15 * time.Millisecond)
-	ring := len(a.capture)
+	ring := a.held
 	for _, n := range []int{-1, -1 << 40} {
-		if got := a.Handle().ReadCapture(n); len(got) != 0 || len(a.capture) != ring {
-			t.Fatalf("ReadCapture(%d) = %d bytes, ring %d → %d", n, len(got), ring, len(a.capture))
+		if got := a.Handle().ReadCapture(n); len(got) != 0 || a.held != ring {
+			t.Fatalf("ReadCapture(%d) = %d bytes, ring %d → %d samples", n, len(got), ring, a.held)
 		}
 	}
 	if ring == 0 {

@@ -59,8 +59,8 @@ func NewMachine(env *sim.Env, k *kernel.Kernel, cfg MachineConfig) *Machine {
 	})
 	// Remote peers live outside the simulated OS: their "drivers" are
 	// ideal and never fail, so only the local side's recovery is measured.
-	m.Remote = NewNIC(env, k, NICConfig{Base: 0xF000, IRQ: 30, MasterReset: true})
-	m.Remote1 = NewNIC(env, k, NICConfig{Base: 0xF100, IRQ: 31, MasterReset: true})
+	m.Remote = NewNIC(env, k, NICConfig{Base: 0xF000, IRQ: 30})
+	m.Remote1 = NewNIC(env, k, NICConfig{Base: 0xF100, IRQ: 31})
 	m.Wire0 = Connect(env, m.NIC0, m.Remote)
 	m.Wire1 = Connect(env, m.NIC1, m.Remote1)
 	m.Disk = NewDisk(env, k, DiskConfig{

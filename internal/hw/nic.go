@@ -25,9 +25,8 @@ const NICBnryPages = 16
 
 // NIC commands (values written to NICRegCmd).
 const (
-	NICCmdReset       = 1 // soft reset; clears ordinary confusion
-	NICCmdRxEnable    = 2 // enable the receiver
-	NICCmdMasterReset = 3 // full reset; clears deep confusion if supported
+	NICCmdReset    = 1 // soft reset; clears ordinary confusion
+	NICCmdRxEnable = 2 // enable the receiver
 )
 
 // NIC status bits (read from NICRegStatus).
@@ -49,7 +48,7 @@ const (
 const (
 	nicOK   = 0
 	nicSoft = 1 // cleared by NICCmdReset
-	nicDeep = 2 // cleared by master reset (if supported) or BIOSReset
+	nicDeep = 2 // cleared only by BIOSReset
 )
 
 // NICStats counts observable NIC events for tests and experiments.
@@ -66,7 +65,6 @@ type NICConfig struct {
 	IRQ             int     // interrupt line
 	RingSize        int     // receive ring capacity (frames); default 64
 	RateBps         int64   // serialization rate; default NICRateBps
-	MasterReset     bool    // whether the card supports a master reset
 	ConfuseProb     float64 // P(bad command confuses the card)
 	DeepConfuseProb float64 // P(confusion is deep), given confused
 }
@@ -192,15 +190,7 @@ func (n *NIC) command(val uint32) {
 	}
 	switch val {
 	case NICCmdReset:
-		n.beginReset(false)
-	case NICCmdMasterReset:
-		if !n.cfg.MasterReset {
-			// The card does not implement this command; poking it is a
-			// protocol violation like any other garbage command.
-			n.maybeConfuse()
-			return
-		}
-		n.beginReset(true)
+		n.beginReset()
 	case NICCmdRxEnable:
 		if n.confusion != nicOK {
 			return // wedged card ignores enable
@@ -211,7 +201,7 @@ func (n *NIC) command(val uint32) {
 	}
 }
 
-func (n *NIC) beginReset(master bool) {
+func (n *NIC) beginReset() {
 	n.resetBusy = true
 	n.enabled = false
 	n.rxRing = nil
@@ -219,10 +209,7 @@ func (n *NIC) beginReset(master bool) {
 	n.txBusy = false
 	n.env.Schedule(NICResetDelay, func() {
 		n.resetBusy = false
-		switch {
-		case master:
-			n.confusion = nicOK
-		case n.confusion == nicSoft:
+		if n.confusion == nicSoft {
 			n.confusion = nicOK
 		}
 	})

@@ -181,37 +181,13 @@ func TestNICConfusionOnGarbageCommand(t *testing.T) {
 	}
 }
 
-func TestNICDeepConfusionNeedsMasterReset(t *testing.T) {
-	env, k := testRig(t)
-	n := NewNIC(env, k, NICConfig{
-		Base: 0x1000, IRQ: 9,
-		ConfuseProb: 1.0, DeepConfuseProb: 1.0, MasterReset: true,
-	})
-	n.PortOut(0x1000+NICRegCmd, 0xDEAD)
-	if _, deep := n.Confused(); !deep {
-		t.Fatal("expected deep confusion")
-	}
-	// Soft reset does not clear deep confusion.
-	n.PortOut(0x1000+NICRegCmd, NICCmdReset)
-	env.Run(time.Second)
-	if c, _ := n.Confused(); !c {
-		t.Fatal("soft reset cleared deep confusion")
-	}
-	// Master reset does.
-	n.PortOut(0x1000+NICRegCmd, NICCmdMasterReset)
-	env.Run(time.Second)
-	if c, _ := n.Confused(); c {
-		t.Fatal("master reset did not clear deep confusion")
-	}
-}
-
 func TestNICWithoutMasterResetNeedsBIOS(t *testing.T) {
 	// The authors' card: no master reset command, so only a host-level
 	// BIOS reset recovers deep confusion (paper §7.2).
 	env, k := testRig(t)
 	n := NewNIC(env, k, NICConfig{
 		Base: 0x1000, IRQ: 9,
-		ConfuseProb: 1.0, DeepConfuseProb: 1.0, MasterReset: false,
+		ConfuseProb: 1.0, DeepConfuseProb: 1.0,
 	})
 	n.PortOut(0x1000+NICRegCmd, 0xBAD)
 	if _, deep := n.Confused(); !deep {
@@ -219,10 +195,13 @@ func TestNICWithoutMasterResetNeedsBIOS(t *testing.T) {
 	}
 	n.PortOut(0x1000+NICRegCmd, NICCmdReset)
 	env.Run(time.Second)
-	n.PortOut(0x1000+NICRegCmd, NICCmdMasterReset) // unsupported
+	if c, _ := n.Confused(); !c {
+		t.Fatal("soft reset cleared deep confusion")
+	}
+	n.PortOut(0x1000+NICRegCmd, 3) // a master reset on other cards: garbage here
 	env.Run(time.Second)
 	if c, _ := n.Confused(); !c {
-		t.Fatal("unsupported master reset cleared confusion")
+		t.Fatal("command 3 cleared confusion")
 	}
 	n.BIOSReset()
 	if c, _ := n.Confused(); c {

@@ -116,7 +116,7 @@ func newRig(t *testing.T) *rig {
 	t.Helper()
 	env := sim.NewEnv(1)
 	k := kernel.New(env)
-	dsEp, err := ds.Start(k)
+	_, dsEp, err := ds.StartServer(k)
 	if err != nil {
 		t.Fatal(err)
 	}

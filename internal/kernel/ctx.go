@@ -101,9 +101,6 @@ func (c *Ctx) sendRec(dst Endpoint, msg Message) (Message, error) {
 	return c.k.receive(c.e, dst, None)
 }
 
-// Notify posts a nonblocking notification to dst.
-func (c *Ctx) Notify(dst Endpoint) error { return c.k.notifyFrom(c.e, dst) }
-
 // AsyncSend queues msg at dst without ever blocking the caller (MINIX
 // senda); the reincarnation server uses it for heartbeat requests.
 func (c *Ctx) AsyncSend(dst Endpoint, msg Message) error { return c.k.asyncSend(c.e, dst, msg) }
@@ -228,9 +225,6 @@ func (c *Ctx) DevOut(port uint32, val uint32) error { return c.k.devOut(c.e, por
 // IRQSubscribe attaches the process to an interrupt line; subsequent
 // interrupts arrive as Hardware notifications with the line's bit set.
 func (c *Ctx) IRQSubscribe(line int) error { return c.k.irqSubscribe(c.e, line) }
-
-// IRQMask masks (true) or unmasks (false) the line for this process.
-func (c *Ctx) IRQMask(line int, masked bool) error { return c.k.irqSetMask(c.e, line, masked) }
 
 // SetAlarm arranges a Clock notification after d; any previous alarm is
 // replaced. d <= 0 cancels.

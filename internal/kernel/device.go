@@ -1,5 +1,7 @@
 package kernel
 
+import "slices"
+
 // Device is the hardware side of the port-I/O bus. Device models in
 // internal/hw implement it and are mapped into the kernel's port space; a
 // driver reaches them only through Ctx.DevIn/DevOut, which enforce the
@@ -23,43 +25,14 @@ func (k *Kernel) MapDevice(r PortRange, dev Device) {
 	}
 }
 
-// irqLine fans an interrupt line out to subscribed processes.
-type irqLine struct {
-	line int
-	subs []*procEntry
-	mask map[*procEntry]bool // true = disabled (masked) for that subscriber
-}
-
-func (l *irqLine) unsubscribe(e *procEntry) {
-	for i, s := range l.subs {
-		if s == e {
-			l.subs = append(l.subs[:i], l.subs[i+1:]...)
-			delete(l.mask, e)
-			return
-		}
-	}
-}
-
-func (k *Kernel) irqLineFor(line int) *irqLine {
-	l, ok := k.irqs[line]
-	if !ok {
-		l = &irqLine{line: line, mask: make(map[*procEntry]bool)}
-		k.irqs[line] = l
-	}
-	return l
-}
-
-// RaiseIRQ asserts interrupt line `line` (0–63): every subscribed,
-// unmasked process gets (or merges) a Hardware notification with the
-// line's bit set in the pending mask. Device models call this.
+// RaiseIRQ asserts interrupt line `line` (0–63): every subscribed process
+// gets (or merges) a Hardware notification with the line's bit set in the
+// pending mask. Device models call this.
 func (k *Kernel) RaiseIRQ(line int) {
 	k.raised[line]++
-	l, ok := k.irqs[line]
-	if !ok {
-		return // no driver attached; interrupt is lost, as on real hardware
-	}
-	for _, e := range l.subs {
-		if l.mask[e] || !e.alive {
+	// With no driver attached the interrupt is lost, as on real hardware.
+	for _, e := range k.irqs[line] {
+		if !e.alive {
 			continue
 		}
 		e.irqPending |= 1 << uint(line)
@@ -95,41 +68,14 @@ func (k *Kernel) devOut(e *procEntry, port uint32, val uint32) error {
 	return dev.PortOut(port, val)
 }
 
-// irqSubscribe attaches e to the line (enabled).
+// irqSubscribe attaches e to the line; subscribing twice is one
+// subscription.
 func (k *Kernel) irqSubscribe(e *procEntry, line int) error {
 	if !e.priv.allowsCall(CallIRQCtl) || !e.priv.allowsIRQ(line) {
 		return ErrNotAllowed
 	}
-	l := k.irqLineFor(line)
-	for _, s := range l.subs {
-		if s == e {
-			l.mask[e] = false
-			return nil
-		}
+	if !slices.Contains(k.irqs[line], e) {
+		k.irqs[line] = append(k.irqs[line], e)
 	}
-	l.subs = append(l.subs, e)
-	l.mask[e] = false
-	return nil
-}
-
-// irqSetMask masks or unmasks the line for e.
-func (k *Kernel) irqSetMask(e *procEntry, line int, masked bool) error {
-	if !e.priv.allowsCall(CallIRQCtl) || !e.priv.allowsIRQ(line) {
-		return ErrNotAllowed
-	}
-	l, ok := k.irqs[line]
-	if !ok {
-		return ErrBadIRQ
-	}
-	found := false
-	for _, s := range l.subs {
-		if s == e {
-			found = true
-		}
-	}
-	if !found {
-		return ErrBadIRQ
-	}
-	l.mask[e] = masked
 	return nil
 }

@@ -102,30 +102,6 @@ func TestIRQDelivery(t *testing.T) {
 	}
 }
 
-func TestIRQMasking(t *testing.T) {
-	env := sim.NewEnv(1)
-	k := New(env)
-	got := 0
-	k.Spawn("drv", driverPriv(PortRange{}, 3), func(c *Ctx) {
-		if err := c.IRQSubscribe(3); err != nil {
-			t.Errorf("subscribe: %v", err)
-		}
-		if err := c.IRQMask(3, true); err != nil {
-			t.Errorf("mask: %v", err)
-		}
-		c.SetAlarm(5 * time.Second)
-		m, _ := c.Receive(Any)
-		if m.Source == Hardware {
-			got++
-		}
-	})
-	env.Schedule(time.Second, func() { k.RaiseIRQ(3) })
-	env.Run(0)
-	if got != 0 {
-		t.Fatalf("masked IRQ delivered %d times", got)
-	}
-}
-
 func TestIRQPrivilege(t *testing.T) {
 	env := sim.NewEnv(1)
 	k := New(env)
@@ -152,8 +128,8 @@ func TestIRQUnsubscribedOnDeath(t *testing.T) {
 	// Raising the line after the driver died must not panic or deliver.
 	k.RaiseIRQ(4)
 	env.Run(time.Second)
-	if l := k.irqs[4]; len(l.subs) != 0 {
-		t.Fatalf("dead driver still subscribed: %d subs", len(l.subs))
+	if subs := k.irqs[4]; len(subs) != 0 {
+		t.Fatalf("dead driver still subscribed: %d subs", len(subs))
 	}
 }
 

@@ -26,9 +26,6 @@ var (
 	// granted ranges or with no device mapped.
 	ErrBadPort = errors.New("kernel: bad device port")
 
-	// ErrBadIRQ is returned for IRQ control on lines the caller may not use.
-	ErrBadIRQ = errors.New("kernel: bad IRQ line")
-
 	// ErrDying is returned for kernel calls from a process that is being
 	// torn down.
 	ErrDying = errors.New("kernel: process is dying")

@@ -18,14 +18,16 @@ import (
 //     on one peer keeps answering the reincarnation server's heartbeats).
 //   - SendRec: Send followed by Receive from the same destination (the
 //     standard request/reply shape for driver protocols).
-//   - Notify: nonblocking notification bit, never fails against a live
-//     target, merged if already pending.
+//   - Notifications come only from the kernel's pseudo-sources: Hardware
+//     (interrupts), Clock (alarms) and System (catchable signals). One is
+//     a pending bit per source, merged if already set; no process can
+//     notify another.
 //   - AsyncSend: nonblocking queued message (MINIX senda), used by the
 //     reincarnation server for heartbeat pings so a stuck driver cannot
 //     block it (paper §5.1).
 //
 // Delivery priority in Receive follows MINIX: notifications (Hardware,
-// Clock, System first) > async messages > queued senders.
+// then Clock, then System) > async messages > queued senders.
 
 // send implements the blocking rendezvous send from e to dst.
 //
@@ -178,85 +180,44 @@ func (d *procEntry) deliver(msg Message) {
 	d.proc.Wake(delivered{})
 }
 
+// notifyBit is src's bit in procEntry.notified. Only the kernel's
+// pseudo-sources notify, and Hardware, Clock and System are -3, -4 and
+// -5: bits 0, 1 and 2, in the order Receive serves them.
+func notifyBit(src Endpoint) uint8 { return 1 << (Hardware - src) }
+
 // takeNotification pops the highest-priority pending notification the
-// current receive accepts, building its message.
+// current receive accepts (Hardware, then Clock, then System), building
+// its message.
 func (e *procEntry) takeNotification() (Message, bool) {
-	pick := -1
-	// Pseudo-sources get priority in fixed order.
-	for _, pri := range []Endpoint{Hardware, Clock, System} {
-		if !e.accepts(pri) {
-			continue
-		}
-		for i, src := range e.notifyQ {
-			if src == pri {
-				pick = i
-				break
-			}
-		}
-		if pick >= 0 {
-			break
+	for src := Hardware; src >= System; src-- {
+		if e.notified&notifyBit(src) != 0 && e.accepts(src) {
+			e.notified &^= notifyBit(src)
+			return e.notification(src), true
 		}
 	}
-	if pick < 0 {
-		for i, src := range e.notifyQ {
-			if e.accepts(src) {
-				pick = i
-				break
-			}
-		}
-	}
-	if pick < 0 {
-		return Message{}, false
-	}
-	src := e.notifyQ[pick]
-	e.notifyQ = append(e.notifyQ[:pick], e.notifyQ[pick+1:]...)
+	return Message{}, false
+}
+
+// notification builds the message announcing src; a Hardware one carries
+// the pending IRQ lines and clears them.
+func (e *procEntry) notification(src Endpoint) Message {
 	msg := Message{Source: src, Type: MsgNotify}
 	if src == Hardware {
 		msg.Arg1 = int64(e.irqPending)
 		e.irqPending = 0
 	}
-	return msg, true
+	return msg
 }
 
-// notify posts a notification from src to the entry, merging duplicates,
-// and delivers immediately when the target is blocked and matching.
+// notifyEntry posts a notification from the pseudo-source src to the live
+// entry d, merged with one already pending, and delivers it at once when
+// d is blocked in a receive that takes it.
 func (k *Kernel) notifyEntry(d *procEntry, src Endpoint) {
-	if d == nil || !d.alive {
-		return
-	}
 	if d.wants(src) {
-		msg := Message{Source: src, Type: MsgNotify}
-		if src == Hardware {
-			msg.Arg1 = int64(d.irqPending)
-			d.irqPending = 0
-		}
-		d.deliver(msg)
+		d.deliver(d.notification(src))
 		return
 	}
-	for _, pending := range d.notifyQ {
-		if pending == src {
-			return // merged
-		}
-	}
-	d.notifyQ = append(d.notifyQ, src)
-}
-
-// notifyFrom is the process-level notify call.
-func (k *Kernel) notifyFrom(e *procEntry, dst Endpoint) error {
-	if !e.alive {
-		return ErrDying
-	}
-	k.perf.Begin(perf.RegionKernelIPC)
-	defer k.perf.End(perf.RegionKernelIPC)
-	d := k.lookup(dst)
-	if d == nil {
-		return ErrDeadDst
-	}
-	if !e.priv.allowsIPCTo(d.label) {
-		return ErrNotAllowed
-	}
-	k.notifyEntry(d, e.ep)
-	return nil
+	d.notified |= notifyBit(src)
 }
 
 // PostAsync queues msg at dst on behalf of the kernel itself (Source =

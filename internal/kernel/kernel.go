@@ -11,6 +11,7 @@ package kernel
 
 import (
 	"fmt"
+	"slices"
 
 	"resilientos/internal/obs"
 	"resilientos/internal/perf"
@@ -93,9 +94,9 @@ type Kernel struct {
 	version  uint64 // see Version; bumped on every proc- or grant-table write
 	deathFns []DeathHook
 
-	ports  map[uint32]Device // device port space
-	irqs   map[int]*irqLine
-	raised [64]uint64 // RaiseIRQ calls per line (see IRQsRaised)
+	ports  map[uint32]Device    // device port space
+	irqs   map[int][]*procEntry // subscribers per interrupt line
+	raised [64]uint64           // RaiseIRQ calls per line (see IRQsRaised)
 
 	bufs Bufs // the system's bulk-buffer free list
 
@@ -110,7 +111,7 @@ func New(env *sim.Env) *Kernel {
 		env:         env,
 		byLabel:     make(map[string]*procEntry),
 		ports:       make(map[uint32]Device),
-		irqs:        make(map[int]*irqLine),
+		irqs:        make(map[int][]*procEntry),
 		spanNamesOf: make(map[string][2]string),
 	}
 }
@@ -166,7 +167,7 @@ type procEntry struct {
 	sendMsg  Message    // the message being sent while blocked
 	senders  []*procEntry
 	asyncQ   []Message
-	notifyQ  []Endpoint // pending notification sources, insertion order
+	notified uint8 // pending notifications, one bit per pseudo-source (notifyBit)
 
 	irqPending uint64
 	sigPending []Signal
@@ -393,7 +394,7 @@ func (k *Kernel) reap(e *procEntry, status int) {
 	}
 	e.senders = nil
 	e.asyncQ = nil
-	e.notifyQ = nil
+	e.notified = 0
 	e.inbox = Message{} // delivered, but killed before Receive resumed
 	// Abort everyone blocked receiving specifically from us (this is the
 	// rendezvous abort the file server relies on, paper §6.2).
@@ -410,8 +411,8 @@ func (k *Kernel) reap(e *procEntry, status int) {
 	if !k.debugLeakGrants {
 		e.grants = map[GrantID]*grant{}
 	}
-	for _, line := range k.irqs {
-		line.unsubscribe(e)
+	for line, subs := range k.irqs {
+		k.irqs[line] = slices.DeleteFunc(subs, func(s *procEntry) bool { return s == e })
 	}
 	if k.byLabel[e.label] == e {
 		delete(k.byLabel, e.label)

@@ -223,69 +223,73 @@ func TestReceiveAnySurvivesUnrelatedDeath(t *testing.T) {
 	}
 }
 
+// TestNotifyDelivery: only the kernel's pseudo-sources notify. Posted at
+// a busy receiver in the reverse of their priority — a System
+// notification (a catchable signal), a Clock alarm, then Hardware lines 3
+// and 2, each raised twice — behind an async message PostAsync queued
+// first, they are served Hardware, then Clock, then System, and the async
+// message last. The four interrupts merge into one notification carrying
+// both line bits, and a receive from one pseudo-source takes its
+// notification and leaves the other two pending. Afterwards nothing is:
+// the next message is a fresh alarm.
 func TestNotifyDelivery(t *testing.T) {
-	env, k := newKernel(t)
-	var got Message
-	rc, _ := k.Spawn("receiver", trusted(), func(c *Ctx) {
-		m, err := c.Receive(Any)
-		if err != nil {
-			t.Errorf("receive: %v", err)
-		}
-		got = m
-	})
-	sender, _ := k.Spawn("notifier", trusted(), func(c *Ctx) {
-		c.Sleep(time.Second)
-		if err := c.Notify(rc.Endpoint()); err != nil {
-			t.Errorf("notify: %v", err)
-		}
-	})
-	env.Run(0)
-	if got.Type != MsgNotify || got.Source != sender.Endpoint() {
-		t.Fatalf("got %+v", got)
+	type delivery struct {
+		src Endpoint
+		typ int32
+		arg int64
 	}
-}
-
-func TestNotifyMergesDuplicates(t *testing.T) {
-	env, k := newKernel(t)
-	count := 0
-	rc, _ := k.Spawn("receiver", trusted(), func(c *Ctx) {
-		c.Sleep(2 * time.Second)
-		for {
-			c.SetAlarm(time.Second)
-			m, err := c.Receive(Any)
-			if err != nil {
-				return
+	irq := delivery{Hardware, MsgNotify, 1<<2 | 1<<3}
+	alarm := delivery{Clock, MsgNotify, 0}
+	signal := delivery{System, MsgNotify, 0}
+	async := delivery{System, 7, 0}
+	for _, tc := range []struct {
+		name string
+		from []Endpoint // the source of each Receive
+		want []delivery
+	}{
+		{"Any", []Endpoint{Any, Any, Any, Any}, []delivery{irq, alarm, signal, async}},
+		{"Hardware", []Endpoint{Hardware, Any, Any, Any}, []delivery{irq, alarm, signal, async}},
+		{"Clock", []Endpoint{Clock, Any, Any, Any}, []delivery{alarm, irq, signal, async}},
+		{"System", []Endpoint{System, Any, Any, Any}, []delivery{signal, irq, alarm, async}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env, k := newKernel(t)
+			var got []delivery
+			var last Message
+			var lastAt sim.Time
+			priv := trusted()
+			priv.IRQs = []int{2, 3}
+			rc, _ := k.Spawn("busy", priv, func(c *Ctx) {
+				c.IRQSubscribe(2)
+				c.IRQSubscribe(3)
+				c.SetAlarm(2 * time.Second)
+				c.Sleep(5 * time.Second) // everything arrives while busy
+				for _, from := range tc.from {
+					m, err := c.Receive(from)
+					if err != nil {
+						t.Errorf("Receive(%v): %v", from, err)
+					}
+					got = append(got, delivery{m.Source, m.Type, m.Arg1})
+				}
+				c.SetAlarm(time.Second)
+				last, _ = c.Receive(Any)
+				lastAt = c.Now()
+			})
+			k.Spawn("signaller", trusted(), func(c *Ctx) {
+				c.Sleep(time.Second)
+				c.Kill(rc.Endpoint(), SIGTERM)
+			})
+			env.Schedule(500*time.Millisecond, func() { k.PostAsync(rc.Endpoint(), Message{Type: 7}) })
+			env.Schedule(3*time.Second, func() { k.RaiseIRQ(3); k.RaiseIRQ(2) })
+			env.Schedule(4*time.Second, func() { k.RaiseIRQ(3); k.RaiseIRQ(2) })
+			env.Run(10 * time.Second)
+			if !slices.Equal(got, tc.want) {
+				t.Fatalf("received %+v, want %+v", got, tc.want)
 			}
-			if m.Source == Clock {
-				return // idle for a second: done
+			if last.Source != Clock || lastAt != 6*time.Second {
+				t.Fatalf("then %+v at %v, want the next alarm at 6s: a notification stayed pending", last, lastAt)
 			}
-			count++
-		}
-	})
-	k.Spawn("notifier", trusted(), func(c *Ctx) {
-		for i := 0; i < 5; i++ {
-			c.Notify(rc.Endpoint())
-		}
-	})
-	env.Run(0)
-	if count != 1 {
-		t.Fatalf("notification count = %d, want 1 (merged)", count)
-	}
-}
-
-func TestNotifyNonblocking(t *testing.T) {
-	env, k := newKernel(t)
-	rc, _ := k.Spawn("busy", trusted(), func(c *Ctx) { c.Sleep(time.Hour) })
-	var done sim.Time
-	k.Spawn("notifier", trusted(), func(c *Ctx) {
-		if err := c.Notify(rc.Endpoint()); err != nil {
-			t.Errorf("notify: %v", err)
-		}
-		done = c.Now()
-	})
-	env.Run(2 * time.Second)
-	if done != 0 {
-		t.Fatalf("notify blocked until %v", done)
+		})
 	}
 }
 
@@ -351,18 +355,14 @@ func TestIPCPrivilegeEnforced(t *testing.T) {
 	rc, _ := k.Spawn("fs", trusted(), func(c *Ctx) {
 		c.Sleep(time.Hour)
 	})
-	var sendErr, notifyErr error
+	var sendErr error
 	restricted := Privileges{IPCTo: []string{"ds"}} // may not talk to fs
 	k.Spawn("drv", restricted, func(c *Ctx) {
 		sendErr = c.Send(rc.Endpoint(), Message{Type: 1})
-		notifyErr = c.Notify(rc.Endpoint())
 	})
 	env.Run(time.Second)
 	if !errors.Is(sendErr, ErrNotAllowed) {
 		t.Fatalf("send err = %v, want ErrNotAllowed", sendErr)
-	}
-	if !errors.Is(notifyErr, ErrNotAllowed) {
-		t.Fatalf("notify err = %v, want ErrNotAllowed", notifyErr)
 	}
 }
 
@@ -633,22 +633,25 @@ func TestProcCount(t *testing.T) {
 }
 
 // deliverVia is one way a peer hands a message to a process: the source
-// the message carries is the peer's endpoint, or System for PostAsync.
+// the message carries is the peer's endpoint, or System for PostAsync and
+// for a notification, which only the kernel's pseudo-sources post (here
+// the System one a catchable signal raises).
 type deliverVia struct {
-	name string
-	send func(k *Kernel, c *Ctx, dst Endpoint)
+	name   string
+	system bool // the message carries System, not the peer's endpoint
+	send   func(k *Kernel, c *Ctx, dst Endpoint)
 }
 
 var deliveries = []deliverVia{
-	{"Send", func(_ *Kernel, c *Ctx, dst Endpoint) { c.Send(dst, Message{Type: 7}) }},
-	{"AsyncSend", func(_ *Kernel, c *Ctx, dst Endpoint) { c.AsyncSend(dst, Message{Type: 7}) }},
-	{"PostAsync", func(k *Kernel, _ *Ctx, dst Endpoint) { k.PostAsync(dst, Message{Type: 7}) }},
-	{"Notify", func(_ *Kernel, c *Ctx, dst Endpoint) { c.Notify(dst) }},
+	{"Send", false, func(_ *Kernel, c *Ctx, dst Endpoint) { c.Send(dst, Message{Type: 7}) }},
+	{"AsyncSend", false, func(_ *Kernel, c *Ctx, dst Endpoint) { c.AsyncSend(dst, Message{Type: 7}) }},
+	{"PostAsync", true, func(k *Kernel, _ *Ctx, dst Endpoint) { k.PostAsync(dst, Message{Type: 7}) }},
+	{"Notify", true, func(_ *Kernel, c *Ctx, dst Endpoint) { c.Kill(dst, SIGTERM) }},
 }
 
 // srcOf is the source a message delivered by via from peer carries.
 func (via deliverVia) srcOf(peer Endpoint) Endpoint {
-	if via.name == "PostAsync" {
+	if via.system {
 		return System
 	}
 	return peer
@@ -689,10 +692,10 @@ func TestReceiveOrTakesQueued(t *testing.T) {
 					})
 					return pc
 				}
-				// other queues first: PostAsync has one source, so its
-				// bystander is a process's AsyncSend instead.
+				// other queues first: a System message has one source,
+				// so its bystander is a process's AsyncSend instead.
 				other, _ = k.Spawn("other", trusted(), func(c *Ctx) {
-					if via.name == "PostAsync" {
+					if via.system {
 						c.AsyncSend(rc.Endpoint(), Message{Type: 8})
 					} else {
 						via.send(k, c, rc.Endpoint())
@@ -853,7 +856,7 @@ func TestInboxEmptyAfterReceive(t *testing.T) {
 		c.Sleep(time.Second)
 		c.AsyncSend(rc.Endpoint(), Message{Type: 2, Name: "y"})
 		c.Sleep(time.Second)
-		c.Notify(rc.Endpoint())
+		c.Kill(rc.Endpoint(), SIGTERM)
 		c.Sleep(time.Second)
 		k.PostAsync(rc.Endpoint(), Message{Type: 4})
 	})

@@ -173,7 +173,7 @@ func newFsRig(t *testing.T, prealloc []PreallocFile) *fsRig {
 	t.Helper()
 	env := sim.NewEnv(1)
 	k := kernel.New(env)
-	dsEp, err := ds.Start(k)
+	_, dsEp, err := ds.StartServer(k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +396,7 @@ func TestMFSComplainsAboutProtocolViolation(t *testing.T) {
 	// complaint path (defect class 5).
 	env := sim.NewEnv(1)
 	k := kernel.New(env)
-	dsEp, err := ds.Start(k)
+	_, dsEp, err := ds.StartServer(k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +462,7 @@ func TestMFSComplainsAboutProtocolViolation(t *testing.T) {
 func TestMFSAlwaysErrIODriverFailsTheRequest(t *testing.T) {
 	env := sim.NewEnv(1)
 	k := kernel.New(env)
-	dsEp, err := ds.Start(k)
+	_, dsEp, err := ds.StartServer(k)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,8 +60,6 @@ func fsOpName(typ int32) string {
 		return "unlink"
 	case proto.FSReaddir:
 		return "readdir"
-	case proto.FSSync:
-		return "sync"
 	default:
 		return "badcall"
 	}
@@ -141,8 +139,6 @@ func (s *Server) serveInner(m kernel.Message, sc obs.SpanContext) int64 {
 			reply.Payload = []byte(strings.Join(names, "\n"))
 			reply.Arg1 = int64(len(names))
 		}
-	case proto.FSSync:
-		reply.Arg1 = proto.OK // write-through: nothing buffered
 	default:
 		reply.Arg1 = proto.ErrBadCall
 	}

@@ -100,8 +100,7 @@ func (s *Server) run(c *kernel.Ctx) {
 			s.onDriverUpdate(m) // [recovery]
 			s.mount()
 		case proto.FSOpen, proto.FSCreate, proto.FSRead, proto.FSWrite,
-			proto.FSUnlink, proto.FSStat, proto.FSSync, proto.FSMkdir,
-			proto.FSReaddir:
+			proto.FSUnlink, proto.FSStat, proto.FSMkdir, proto.FSReaddir:
 			s.serve(m)
 		}
 	}

@@ -2,8 +2,7 @@
 // bookkeeper of paper §5.1: it observes every system-process death through
 // the kernel, records the exit status or killing signal, and reports it to
 // the reincarnation server — the SIGCHLD path that feeds defect classes
-// 1–3. It also delivers user-initiated signals ("killed by user", and the
-// crash-simulation scripts' SIGKILL).
+// 1–3.
 //
 // Notably, PM itself needs *zero* recovery-specific code (Fig. 9 lists the
 // process manager at 0 recovery LoC): everything here is ordinary POSIX
@@ -22,7 +21,6 @@ const Label = "pm"
 func Privileges() kernel.Privileges {
 	return kernel.Privileges{
 		AllowAllIPC: true,
-		Calls:       []kernel.Call{kernel.CallKill},
 		UID:         0,
 	}
 }
@@ -102,8 +100,6 @@ func (pm *PM) run(c *kernel.Ctx) {
 			for _, ev := range backlog {
 				pm.forward(ev)
 			}
-		case proto.PMKill:
-			pm.kill(m)
 		}
 	}
 }
@@ -118,15 +114,4 @@ func (pm *PM) forward(ev kernel.Message) {
 		pm.backlog = append(pm.backlog, ev)
 		pm.subscriber = kernel.None
 	}
-}
-
-func (pm *PM) kill(m kernel.Message) {
-	reply := kernel.Message{Type: proto.PMAck, Arg1: proto.OK}
-	target := pm.ctx.LookupLabel(m.Name)
-	if target == kernel.None {
-		reply.Arg1 = proto.ErrNotFound
-	} else if err := pm.ctx.Kill(target, kernel.Signal(m.Arg1)); err != nil {
-		reply.Arg1 = proto.ErrIO
-	}
-	_ = pm.ctx.Send(m.Source, reply)
 }

@@ -91,53 +91,20 @@ func TestBacklogDeliveredToLateSubscriber(t *testing.T) {
 	}
 }
 
-func TestPMKillByLabel(t *testing.T) {
+func TestExitEventForSignal(t *testing.T) {
 	env, k, pmEp := bootPM(t)
 	events := subscribe(t, k, pmEp)
-	k.Spawn("victim", kernel.Privileges{}, func(c *kernel.Ctx) {
+	victim, _ := k.Spawn("victim", kernel.Privileges{}, func(c *kernel.Ctx) {
 		c.Sleep(time.Hour)
 	})
-	var ack int64 = -99
-	k.Spawn("user", kernel.Privileges{AllowAllIPC: true}, func(c *kernel.Ctx) {
-		c.Sleep(time.Second)
-		reply, err := c.SendRec(pmEp, kernel.Message{
-			Type: proto.PMKill, Name: "victim", Arg1: int64(kernel.SIGKILL),
-		})
-		if err != nil {
-			t.Errorf("kill: %v", err)
-			return
-		}
-		ack = reply.Arg1
-		c.Sleep(time.Hour) // stay alive; only the victim's event matters
-	})
+	env.Schedule(time.Second, func() { k.Kill(victim.Endpoint(), kernel.SIGKILL) })
 	env.Run(3 * time.Second)
-	if ack != proto.OK {
-		t.Fatalf("ack = %d", ack)
-	}
-	if len(*events) != 1 || (*events)[0].Arg2 != proto.CauseSignal {
+	if len(*events) != 1 || (*events)[0].Arg2 != proto.CauseSignal ||
+		(*events)[0].Arg3 != int64(kernel.SIGKILL) {
 		t.Fatalf("events = %+v", *events)
 	}
 	if (*events)[0].Name != "victim" {
 		t.Fatalf("event for %q", (*events)[0].Name)
-	}
-}
-
-func TestPMKillUnknownLabel(t *testing.T) {
-	env, k, pmEp := bootPM(t)
-	var ack int64
-	k.Spawn("user", kernel.Privileges{AllowAllIPC: true}, func(c *kernel.Ctx) {
-		reply, err := c.SendRec(pmEp, kernel.Message{
-			Type: proto.PMKill, Name: "ghost", Arg1: int64(kernel.SIGKILL),
-		})
-		if err != nil {
-			t.Errorf("kill: %v", err)
-			return
-		}
-		ack = reply.Arg1
-	})
-	env.Run(time.Second)
-	if ack != proto.ErrNotFound {
-		t.Fatalf("ack = %d, want ErrNotFound", ack)
 	}
 }
 

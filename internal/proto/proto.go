@@ -9,8 +9,9 @@ const (
 	// Name = label, Arg1 = endpoint, Arg2 = CauseKind, Arg3 = status or
 	// signal number, Arg4 = exception type.
 	PMExitEvent int32 = 100 + iota
-	// PMKill: request PM to deliver a signal. Name = label, Arg1 = signal.
-	PMKill
+	// 101 is retired (nothing sent it); the blank keeps the numbers
+	// after it, which every IPC trace event records.
+	_
 	// PMSubscribe: RS registers for exit events. Reply: PMAck.
 	PMSubscribe
 	// PMAck: generic PM reply. Arg1 = 0 on success, else error code.
@@ -24,9 +25,9 @@ const (
 	DSPublish int32 = 200 + iota
 	// DSWithdraw: remove Name from the naming table. Reply: DSAck.
 	DSWithdraw
-	// DSLookup: resolve Name. Reply: DSAck with Arg1 = endpoint (or
-	// ErrNotFound in Arg2).
-	DSLookup
+	// 202 is retired (nothing sent it); the blank keeps the numbers
+	// after it, which every IPC trace event records.
+	_
 	// DSSubscribe: Name = glob pattern ("eth.*"); current matches are
 	// replayed as DSUpdate messages. Reply: DSAck.
 	DSSubscribe
@@ -184,8 +185,9 @@ const (
 	FSUnlink
 	// FSStat: stat path Name. Reply: FSReply with Arg1 = size.
 	FSStat
-	// FSSync: flush caches. Reply: FSReply.
-	FSSync
+	// 807 is retired (nothing sent it); the blank keeps the numbers
+	// after it, which every IPC trace event records.
+	_
 	// FSMkdir: create directory Name. Reply: FSReply.
 	FSMkdir
 	// FSReaddir: list directory Name, entries separated by '\n' in the

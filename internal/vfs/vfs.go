@@ -97,7 +97,7 @@ func (s *Server) run(c *kernel.Ctx) {
 			}
 		case proto.FSOpen, proto.FSCreate, proto.FSClose, proto.FSRead,
 			proto.FSWrite, proto.FSIoctl, proto.FSStat, proto.FSUnlink,
-			proto.FSMkdir, proto.FSReaddir, proto.FSSync:
+			proto.FSMkdir, proto.FSReaddir:
 			s.dispatch(m)
 		}
 	}
@@ -126,8 +126,6 @@ func vfsOpName(typ int32) string {
 		return "mkdir"
 	case proto.FSReaddir:
 		return "readdir"
-	case proto.FSSync:
-		return "sync"
 	default:
 		return "badcall"
 	}

@@ -39,8 +39,8 @@ const maxKnobDuration = 24 * time.Hour
 
 // hwGate is the machine behind hw=on: a garbage value in a control
 // register wedges the card half the time, and a quarter of wedges are
-// deep — only a BIOS reset, or the master reset the authors' card
-// lacked, clears them.
+// deep — only a BIOS reset clears them, since the card, like the
+// authors', has no master reset.
 var hwGate = hw.MachineConfig{NICConfuseProb: 0.5, NICDeepProb: 0.25}
 
 // Override returns cfg with the spec's system keys applied on top (cfg
