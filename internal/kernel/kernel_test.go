@@ -293,6 +293,45 @@ func TestNotifyDelivery(t *testing.T) {
 	}
 }
 
+// TestNotifyMergesDuplicates: an interrupt line raised five times and a
+// catchable signal sent five times while the receiver is busy leave one
+// Hardware and one System notification, not ten.
+func TestNotifyMergesDuplicates(t *testing.T) {
+	env, k := newKernel(t)
+	count := map[Endpoint]int{}
+	priv := trusted()
+	priv.IRQs = []int{2}
+	rc, _ := k.Spawn("receiver", priv, func(c *Ctx) {
+		c.IRQSubscribe(2)
+		c.Sleep(2 * time.Second)
+		for {
+			c.SetAlarm(time.Second)
+			m, err := c.Receive(Any)
+			if err != nil {
+				return
+			}
+			if m.Source == Clock {
+				return // idle for a second: done
+			}
+			count[m.Source]++
+		}
+	})
+	k.Spawn("signaller", trusted(), func(c *Ctx) {
+		for i := 0; i < 5; i++ {
+			c.Kill(rc.Endpoint(), SIGTERM)
+		}
+	})
+	env.Schedule(time.Second, func() {
+		for i := 0; i < 5; i++ {
+			k.RaiseIRQ(2)
+		}
+	})
+	env.Run(0)
+	if count[Hardware] != 1 || count[System] != 1 || len(count) != 2 {
+		t.Fatalf("notification counts = %v, want one each from Hardware and System (merged)", count)
+	}
+}
+
 func TestAsyncSendQueued(t *testing.T) {
 	env, k := newKernel(t)
 	var got []int64
