@@ -7,14 +7,14 @@ import (
 
 // §6.3 in one run: lpd gets every job on paper despite two printer kills,
 // the mp3 player plays on with audible hiccups, and the burn the burner's
-// death interrupted comes back as a ruined disc the user is told about.
+// death interrupted fails with an error the user is told about.
 func TestPrintfarmCharacterDeviceOutcomes(t *testing.T) {
 	var out strings.Builder
 	run(&out)
 	got := out.String()
 	for _, want := range []string{
 		"jobs submitted: 5/5",
-		"disc ok: false",
+		"burn failed, reported to user: burn failed at 114688/524288 bytes",
 		"chr.printer  defect=killed recovered=true",
 		"chr.audio    defect=killed recovered=true",
 	} {

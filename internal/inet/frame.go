@@ -5,15 +5,12 @@ import (
 	"hash/crc32"
 )
 
-// Wire format: one Ethernet frame carries one TCP segment or UDP
-// datagram. The header layout is fixed:
+// Wire format: one Ethernet frame carries one TCP segment. The header
+// layout is fixed:
 //
-//	byte 0     protocol (1 = TCP, 2 = UDP)
-//	bytes 1-2  source port
-//	bytes 3-4  destination port
-//
-// TCP continues with:
-//
+//	byte 0      protocol (1 = TCP)
+//	bytes 1-2   source port
+//	bytes 3-4   destination port
 //	bytes 5-8   sequence number
 //	bytes 9-12  acknowledgment number
 //	byte  13    flags (SYN/ACK/FIN/RST)
@@ -21,20 +18,12 @@ import (
 //	bytes 16-19 checksum (CRC-32 over the frame with this field zeroed)
 //	bytes 20+   payload
 //
-// UDP continues with:
-//
-//	bytes 5-8   checksum
-//	bytes 9+    payload
-//
 // The end-to-end checksum is what guarantees that a buggy driver cannot
 // silently corrupt a TCP stream (§6.1: TCP "will notice and reinsert the
 // missing packets in the data stream").
 
-// Protocol numbers.
-const (
-	protoTCP = 1
-	protoUDP = 2
-)
+// protoTCP is the protocol number in byte 0 of every frame.
+const protoTCP = 1
 
 // TCP header flags.
 const (
@@ -51,13 +40,6 @@ const (
 	tcpSumOff    = 16
 )
 
-// udpHeaderLen is the byte length of the UDP-on-wire header, udpSumOff
-// the offset of its checksum field.
-const (
-	udpHeaderLen = 9
-	udpSumOff    = 5
-)
-
 // MSS is the maximum TCP payload per frame (Ethernet 1500 minus header).
 const MSS = 1500 - tcpHeaderLen
 
@@ -67,12 +49,6 @@ type segment struct {
 	seq, ack         uint32
 	flags            uint8
 	wnd              uint16
-	payload          []byte
-}
-
-// datagram is a decoded UDP datagram.
-type datagram struct {
-	srcPort, dstPort uint16
 	payload          []byte
 }
 
@@ -116,31 +92,6 @@ func decodeTCP(f []byte) (segment, bool) {
 		flags:   f[13],
 		wnd:     binary.BigEndian.Uint16(f[14:]),
 		payload: f[tcpHeaderLen:],
-	}, true
-}
-
-// encodeUDP serializes a datagram into a frame.
-func encodeUDP(d *datagram) []byte {
-	f := make([]byte, udpHeaderLen+len(d.payload))
-	f[0] = protoUDP
-	binary.BigEndian.PutUint16(f[1:], d.srcPort)
-	binary.BigEndian.PutUint16(f[3:], d.dstPort)
-	copy(f[udpHeaderLen:], d.payload)
-	binary.BigEndian.PutUint32(f[udpSumOff:], frameSum(f, udpSumOff))
-	return f
-}
-
-// decodeUDP parses a frame as a UDP datagram, verifying the checksum. The
-// datagram's payload is a view of the frame.
-func decodeUDP(f []byte) (*datagram, bool) {
-	if len(f) < udpHeaderLen || f[0] != protoUDP ||
-		frameSum(f, udpSumOff) != binary.BigEndian.Uint32(f[udpSumOff:]) {
-		return nil, false
-	}
-	return &datagram{
-		srcPort: binary.BigEndian.Uint16(f[1:]),
-		dstPort: binary.BigEndian.Uint16(f[3:]),
-		payload: f[udpHeaderLen:],
 	}, true
 }
 

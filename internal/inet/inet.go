@@ -1,5 +1,5 @@
-// Package inet implements the network server (INET): TCP and UDP sockets
-// for applications, multiplexed over Ethernet driver channels. Its
+// Package inet implements the network server (INET): TCP sockets for
+// applications, multiplexed over Ethernet driver channels. Its
 // recovery role is the paper's §6.1: INET subscribes to 'eth.*' naming
 // updates in the data store; when a driver is restarted, the data store
 // notifies INET, which reconfigures the fresh driver (promiscuous mode)
@@ -63,22 +63,16 @@ type channel struct {
 // sock is one application-visible socket.
 type sock struct {
 	id      int64
-	kind    int // 1 = listener, 2 = tcp conn, 3 = udp
+	kind    int // sockListen or sockTCP
 	port    uint16
 	conn    *tcpConn
 	acceptQ []int64
 	acceptW kernel.Endpoint
-
-	// UDP state.
-	udpQ [][]byte
-	udpW kernel.Endpoint
-	ch   *channel
 }
 
 const (
 	sockListen = 1
 	sockTCP    = 2
-	sockUDP    = 3
 )
 
 // Server is the network server. Fields are only touched from its own
@@ -93,7 +87,6 @@ type Server struct {
 	socks     map[int64]*sock
 	sockOrder []int64 // deterministic iteration order
 	listeners map[uint16]*sock
-	udpBinds  map[uint16]*sock
 	nextSock  int64
 	nextPort  uint16
 	nextISS   uint32
@@ -113,7 +106,6 @@ func New(cfg Config) *Server {
 		chByName:  make(map[string]*channel),
 		socks:     make(map[int64]*sock),
 		listeners: make(map[uint16]*sock),
-		udpBinds:  make(map[uint16]*sock),
 		nextSock:  1,
 		nextPort:  40000,
 		nextISS:   1000,
@@ -144,7 +136,6 @@ func (s *Server) resetState() {
 	s.socks = make(map[int64]*sock)
 	s.sockOrder = nil
 	s.listeners = make(map[uint16]*sock)
-	s.udpBinds = make(map[uint16]*sock)
 	s.nextSock = 1
 	s.nextPort = 40000
 	s.nextISS = 1000
@@ -193,10 +184,6 @@ func (s *Server) run(c *kernel.Ctx) {
 			s.onRecv(m)
 		case proto.TCPClose:
 			s.onClose(m)
-		case proto.UDPSend:
-			s.onUDPSend(m)
-		case proto.UDPRecv:
-			s.onUDPRecv(m)
 		}
 	}
 }
@@ -286,11 +273,10 @@ func (s *Server) frameOut(ch *channel, frame []byte, trace obs.SpanContext) {
 	ch.bytes.Add(int64(len(frame)))
 }
 
-// onFrame ingests a frame delivered by a driver. A TCP frame ends here:
+// onFrame ingests a frame delivered by a driver. A frame that is not a
+// well-formed TCP segment is dropped. Either way the frame ends here:
 // handleSegment copies what it keeps (into the receive ring, or a parked
-// out-of-order segment), so the frame goes back to the free list. A
-// datagram's payload stays a view of its frame and goes to the reader
-// with it.
+// out-of-order segment), so the frame goes back to the free list.
 func (s *Server) onFrame(m kernel.Message) {
 	ch := s.channelByEp(m.Source)
 	if ch == nil {
@@ -298,21 +284,10 @@ func (s *Server) onFrame(m kernel.Message) {
 	}
 	s.stats.FramesIn++
 	ch.bytes.Add(int64(len(m.Payload)))
-	f := m.Payload
-	if len(f) == 0 {
-		return
+	if seg, ok := decodeTCP(m.Payload); ok {
+		s.handleSegment(ch, &seg)
 	}
-	switch f[0] {
-	case protoTCP:
-		if seg, ok := decodeTCP(f); ok {
-			s.handleSegment(ch, &seg)
-		}
-		s.ctx.Bufs().Put(f)
-	case protoUDP:
-		if d, ok := decodeUDP(f); ok {
-			s.handleDatagram(d)
-		}
-	}
+	s.ctx.Bufs().Put(m.Payload)
 }
 
 func (s *Server) channelByEp(ep kernel.Endpoint) *channel {
@@ -369,7 +344,7 @@ func (s *Server) allocPort() uint16 {
 			s.nextPort = 40000
 		}
 		p := s.nextPort
-		if s.listeners[p] == nil && s.udpBinds[p] == nil {
+		if s.listeners[p] == nil {
 			return p
 		}
 	}
@@ -518,78 +493,11 @@ func (s *Server) onClose(m kernel.Message) {
 	case sockListen:
 		delete(s.listeners, sk.port)
 		s.removeSock(sk.id)
-	case sockUDP:
-		delete(s.udpBinds, sk.port)
-		s.removeSock(sk.id)
 	case sockTCP:
 		sk.conn.closeReq = true
 		s.trySend(sk.conn)
 	}
 	s.reply(m.Source, kernel.Message{Type: proto.SockReply, Arg1: proto.OK})
-}
-
-// ---------------------------------------------------------------------
-// UDP
-
-func (s *Server) udpBind(port uint16) *sock {
-	if sk := s.udpBinds[port]; sk != nil {
-		return sk
-	}
-	sk := s.newSock(sockUDP)
-	sk.port = port
-	s.udpBinds[port] = sk
-	return sk
-}
-
-// onUDPSend: Name = channel label, Arg1 = destination port, Arg2 = source
-// port (0 = ephemeral). Datagram loss is explicitly tolerated (§6.1).
-func (s *Server) onUDPSend(m kernel.Message) {
-	ch := s.chByName[m.Name]
-	if ch == nil && len(s.channels) == 1 {
-		ch = s.channels[0]
-	}
-	if ch == nil {
-		s.reply(m.Source, kernel.Message{Type: proto.SockReply, Arg1: proto.ErrNotFound})
-		return
-	}
-	src := uint16(m.Arg2)
-	if src == 0 {
-		src = s.allocPort()
-	}
-	s.frameOut(ch, encodeUDP(&datagram{
-		srcPort: src,
-		dstPort: uint16(m.Arg1),
-		payload: m.Payload,
-	}), m.Trace)
-	s.reply(m.Source, kernel.Message{Type: proto.SockReply, Arg1: int64(len(m.Payload))})
-}
-
-// onUDPRecv blocks until a datagram arrives on the local port (Arg1).
-func (s *Server) onUDPRecv(m kernel.Message) {
-	sk := s.udpBind(uint16(m.Arg1))
-	if len(sk.udpQ) > 0 {
-		d := sk.udpQ[0]
-		sk.udpQ = sk.udpQ[1:]
-		s.reply(m.Source, kernel.Message{Type: proto.SockReply, Arg1: int64(len(d)), Payload: d})
-		return
-	}
-	sk.udpW = m.Source
-}
-
-func (s *Server) handleDatagram(d *datagram) {
-	sk := s.udpBinds[d.dstPort]
-	if sk == nil {
-		return // no listener: dropped, as UDP does
-	}
-	if sk.udpW != 0 {
-		w := sk.udpW
-		sk.udpW = 0
-		s.reply(w, kernel.Message{Type: proto.SockReply, Arg1: int64(len(d.payload)), Payload: d.payload})
-		return
-	}
-	if len(sk.udpQ) < 64 {
-		sk.udpQ = append(sk.udpQ, d.payload)
-	}
 }
 
 // ---------------------------------------------------------------------

@@ -485,54 +485,6 @@ func TestTCPFlowControlSlowReader(t *testing.T) {
 	}
 }
 
-func TestUDPRoundtrip(t *testing.T) {
-	r := newRig(t)
-	var got []byte
-	r.spawnApp(t, "sink", func(c *kernel.Ctx) {
-		got, _ = netlib.UDPRecv(c, r.bEp, 500)
-	})
-	r.spawnApp(t, "src", func(c *kernel.Ctx) {
-		c.Sleep(50 * time.Millisecond)
-		if err := netlib.UDPSend(c, r.aEp, "eth.a", 500, 501, []byte("datagram")); err != nil {
-			t.Errorf("udp send: %v", err)
-		}
-	})
-	r.env.Run(time.Minute)
-	if string(got) != "datagram" {
-		t.Fatalf("got %q", got)
-	}
-}
-
-func TestUDPQueuesWhenNoReader(t *testing.T) {
-	r := newRig(t)
-	r.spawnApp(t, "src", func(c *kernel.Ctx) {
-		c.Sleep(50 * time.Millisecond)
-		for i := 0; i < 3; i++ {
-			netlib.UDPSend(c, r.aEp, "eth.a", 500, 501, []byte{byte('a' + i)})
-		}
-	})
-	var got []string
-	r.spawnApp(t, "lateSink", func(c *kernel.Ctx) {
-		c.Sleep(time.Second)
-		// Prime the bind so datagrams queue... too late for that; instead
-		// read whatever was queued after binding happened on first recv.
-		for i := 0; i < 3; i++ {
-			d, err := netlib.UDPRecv(c, r.bEp, 500)
-			if err != nil {
-				return
-			}
-			got = append(got, string(d))
-		}
-	})
-	r.env.Run(30 * time.Second)
-	// Datagrams sent before any bind existed are dropped (UDP semantics);
-	// the first recv binds the port, so this test only asserts no crash
-	// and no duplication.
-	if len(got) > 3 {
-		t.Fatalf("got %v", got)
-	}
-}
-
 // dirtyFrame is a frame buffer as the free list hands them out: the
 // previous holder's bytes still in it.
 func dirtyFrame(n int) []byte { return bytes.Repeat([]byte{0xDB}, n) }
@@ -552,10 +504,6 @@ func TestFrameSumMatchesZeroedFieldCRC(t *testing.T) {
 		tcp := encodeTCP(dirtyFrame(tcpHeaderLen+len(payload)), &segment{seq: uint32(n), payload: payload})
 		if got, want := binary.BigEndian.Uint32(tcp[tcpSumOff:]), reference(tcp, tcpSumOff); got != want {
 			t.Fatalf("tcp frame of %d bytes carries %#x, want %#x", len(tcp), got, want)
-		}
-		udp := encodeUDP(&datagram{srcPort: uint16(n), payload: payload})
-		if got, want := binary.BigEndian.Uint32(udp[udpSumOff:]), reference(udp, udpSumOff); got != want {
-			t.Fatalf("udp frame of %d bytes carries %#x, want %#x", len(udp), got, want)
 		}
 	}
 }
@@ -584,25 +532,6 @@ func TestSegmentChecksumRejectsCorruption(t *testing.T) {
 	f[len(f)-1] ^= 0xFF
 	if _, ok := decodeTCP(f); ok {
 		t.Fatal("corrupted segment accepted")
-	}
-}
-
-func TestDatagramCodecRoundtrip(t *testing.T) {
-	d := &datagram{srcPort: 9, dstPort: 10, payload: []byte("dgram")}
-	dec, ok := decodeUDP(encodeUDP(d))
-	if !ok {
-		t.Fatal("decode failed")
-	}
-	if dec.srcPort != 9 || dec.dstPort != 10 || !bytes.Equal(dec.payload, d.payload) {
-		t.Fatalf("roundtrip mismatch")
-	}
-}
-
-func TestDatagramChecksumRejectsCorruption(t *testing.T) {
-	f := encodeUDP(&datagram{srcPort: 1, dstPort: 2, payload: []byte("x")})
-	f[udpHeaderLen] ^= 0xFF
-	if _, ok := decodeUDP(f); ok {
-		t.Fatal("corrupted datagram accepted")
 	}
 }
 

@@ -54,7 +54,6 @@ type tcpConn struct {
 	finSent  bool
 	finSeq   uint32
 	finAcked bool
-	synAcked bool
 
 	// Receive side. rcv holds the bytes delivered in order and not yet
 	// read; its buffer goes back to the free list once the reader has

@@ -259,6 +259,10 @@ func TestMFSCreateWriteRead(t *testing.T) {
 			return
 		}
 		ino := reply.Arg1
+		// A name is created once: the second create of it fails.
+		if re := fsCall(t, c, r.mfsEp, kernel.Message{Type: proto.FSCreate, Name: "/f"}); re.Arg1 != proto.ErrExist {
+			t.Errorf("dup create: %d", re.Arg1)
+		}
 		content := bytes.Repeat([]byte("filesystem "), 1000) // ~11KB: spans blocks
 		reply = fsCall(t, c, r.mfsEp, kernel.Message{
 			Type: proto.FSWrite, Arg1: ino, Arg3: 0, Payload: content,
@@ -280,45 +284,6 @@ func TestMFSCreateWriteRead(t *testing.T) {
 		})
 		if reply.Arg1 != 0 {
 			t.Errorf("read past EOF returned %d", reply.Arg1)
-		}
-		done = true
-	})
-	r.env.Run(time.Minute)
-	if !done {
-		t.Fatal("client did not finish")
-	}
-}
-
-func TestMFSDirectoriesAndUnlink(t *testing.T) {
-	r := newFsRig(t, nil)
-	done := false
-	r.client(t, func(c *kernel.Ctx) {
-		c.Sleep(time.Second)
-		if re := fsCall(t, c, r.mfsEp, kernel.Message{Type: proto.FSMkdir, Name: "/d"}); re.Arg1 <= 0 {
-			t.Errorf("mkdir: %d", re.Arg1)
-			return
-		}
-		fsCall(t, c, r.mfsEp, kernel.Message{Type: proto.FSCreate, Name: "/d/x"})
-		fsCall(t, c, r.mfsEp, kernel.Message{Type: proto.FSCreate, Name: "/d/y"})
-		// Duplicate create fails.
-		if re := fsCall(t, c, r.mfsEp, kernel.Message{Type: proto.FSCreate, Name: "/d/x"}); re.Arg1 != proto.ErrExist {
-			t.Errorf("dup create: %d", re.Arg1)
-		}
-		re := fsCall(t, c, r.mfsEp, kernel.Message{Type: proto.FSReaddir, Name: "/d"})
-		if string(re.Payload) != "x\ny" {
-			t.Errorf("readdir: %q", re.Payload)
-		}
-		// Non-empty directory cannot be unlinked.
-		if re := fsCall(t, c, r.mfsEp, kernel.Message{Type: proto.FSUnlink, Name: "/d"}); re.Arg1 != proto.ErrExist {
-			t.Errorf("unlink non-empty: %d", re.Arg1)
-		}
-		fsCall(t, c, r.mfsEp, kernel.Message{Type: proto.FSUnlink, Name: "/d/x"})
-		fsCall(t, c, r.mfsEp, kernel.Message{Type: proto.FSUnlink, Name: "/d/y"})
-		if re := fsCall(t, c, r.mfsEp, kernel.Message{Type: proto.FSUnlink, Name: "/d"}); re.Arg1 != proto.OK {
-			t.Errorf("unlink empty dir: %d", re.Arg1)
-		}
-		if re := fsCall(t, c, r.mfsEp, kernel.Message{Type: proto.FSOpen, Name: "/d"}); re.Arg1 != proto.ErrNotFound {
-			t.Errorf("open unlinked: %d", re.Arg1)
 		}
 		done = true
 	})
@@ -600,7 +565,7 @@ func TestMFSMatchesReferenceModel(t *testing.T) {
 // TestTwoReadersOneMFS interleaves two readers of two files on one file
 // server. Each holds a reply for a while before copying it out — long
 // enough for the server to finish the other's next read — and then
-// recycles it, poisoned, the way fslib does. The digests must equal
+// recycles it, poisoned, the way File.Read does. The digests must equal
 // those of each file read alone: a server answering every read out of
 // one scratch buffer hands the second reader's bytes to the first.
 func TestTwoReadersOneMFS(t *testing.T) {

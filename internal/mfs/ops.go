@@ -46,20 +46,12 @@ func fsOpName(typ int32) string {
 	switch typ {
 	case proto.FSOpen:
 		return "open"
-	case proto.FSStat:
-		return "stat"
 	case proto.FSCreate:
 		return "create"
-	case proto.FSMkdir:
-		return "mkdir"
 	case proto.FSRead:
 		return "read"
 	case proto.FSWrite:
 		return "write"
-	case proto.FSUnlink:
-		return "unlink"
-	case proto.FSReaddir:
-		return "readdir"
 	default:
 		return "badcall"
 	}
@@ -89,7 +81,7 @@ func (s *Server) serveInner(m kernel.Message, sc obs.SpanContext) int64 {
 	}
 	reply := kernel.Message{Type: proto.FSReply, Trace: sc}
 	switch m.Type {
-	case proto.FSOpen, proto.FSStat:
+	case proto.FSOpen:
 		ino, in, err := s.lookupPath(m.Name)
 		if err != nil {
 			reply.Arg1 = errCode(err)
@@ -101,14 +93,7 @@ func (s *Server) serveInner(m kernel.Message, sc obs.SpanContext) int64 {
 			}
 		}
 	case proto.FSCreate:
-		ino, err := s.create(m.Name, ModeFile)
-		if err != nil {
-			reply.Arg1 = errCode(err)
-		} else {
-			reply.Arg1 = int64(ino)
-		}
-	case proto.FSMkdir:
-		ino, err := s.create(m.Name, ModeDir)
+		ino, err := s.create(m.Name)
 		if err != nil {
 			reply.Arg1 = errCode(err)
 		} else {
@@ -128,16 +113,6 @@ func (s *Server) serveInner(m kernel.Message, sc obs.SpanContext) int64 {
 			reply.Arg1 = errCode(err)
 		} else {
 			reply.Arg1 = int64(n)
-		}
-	case proto.FSUnlink:
-		reply.Arg1 = errCode(s.unlink(m.Name))
-	case proto.FSReaddir:
-		names, err := s.readdir(m.Name)
-		if err != nil {
-			reply.Arg1 = errCode(err)
-		} else {
-			reply.Payload = []byte(strings.Join(names, "\n"))
-			reply.Arg1 = int64(len(names))
 		}
 	default:
 		reply.Arg1 = proto.ErrBadCall
@@ -209,18 +184,6 @@ func (s *Server) allocFromBitmap(start, blocks, limit uint32) (uint32, error) {
 		}
 	}
 	return 0, errNoSpace
-}
-
-func (s *Server) freeInBitmap(start uint32, idx uint32) error {
-	b := idx / (BlockSize * 8)
-	blk, err := s.readBlock(int64(start + b))
-	if err != nil {
-		return err
-	}
-	cp := make([]byte, BlockSize)
-	copy(cp, blk)
-	cp[(idx%(BlockSize*8))/8] &^= 1 << uint(idx%8)
-	return s.writeBlock(int64(start+b), cp)
 }
 
 func (s *Server) allocInode() (uint32, error) {
@@ -531,8 +494,8 @@ func (s *Server) readDirents(dir *inode) ([]dirent, error) {
 	return ents, nil
 }
 
-// create makes a file or directory at path.
-func (s *Server) create(path string, mode uint32) (uint32, error) {
+// create makes a file at path.
+func (s *Server) create(path string) (uint32, error) {
 	comps := splitPath(path)
 	if len(comps) == 0 {
 		return 0, errExist
@@ -556,7 +519,7 @@ func (s *Server) create(path string, mode uint32) (uint32, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := s.writeInode(ino, inode{Mode: mode}); err != nil {
+	if err := s.writeInode(ino, inode{Mode: ModeFile}); err != nil {
 		return 0, err
 	}
 	if err := s.dirAdd(dirIno, &dir, dirent{Ino: ino, Name: name}); err != nil {
@@ -565,30 +528,9 @@ func (s *Server) create(path string, mode uint32) (uint32, error) {
 	return ino, nil
 }
 
-// dirAdd appends (or reuses a free slot for) an entry.
+// dirAdd appends an entry. Nothing clears an entry, so a directory has
+// no free slot to reuse.
 func (s *Server) dirAdd(dirIno uint32, dir *inode, e dirent) error {
-	// Scan for a free slot.
-	for off := int64(0); off < dir.Size; off += DirentSize {
-		z, err := s.bmap(dir, off/BlockSize, false)
-		if err != nil {
-			return err
-		}
-		if z == 0 {
-			continue
-		}
-		blk, err := s.readBlock(int64(z))
-		if err != nil {
-			return err
-		}
-		p := off % BlockSize
-		if decodeDirent(blk[p:]).Ino == 0 {
-			cp := make([]byte, BlockSize)
-			copy(cp, blk)
-			encodeDirent(e, cp[p:])
-			return s.writeBlock(int64(z), cp)
-		}
-	}
-	// Append at the end.
 	off := dir.Size
 	z, err := s.bmap(dir, off/BlockSize, true)
 	if err != nil {
@@ -606,143 +548,4 @@ func (s *Server) dirAdd(dirIno uint32, dir *inode, e dirent) error {
 	}
 	dir.Size = off + DirentSize
 	return s.writeInode(dirIno, *dir)
-}
-
-// unlink removes a file (directories must be empty).
-func (s *Server) unlink(path string) error {
-	comps := splitPath(path)
-	if len(comps) == 0 {
-		return errBadCall
-	}
-	name := comps[len(comps)-1]
-	dirPath := "/" + strings.Join(comps[:len(comps)-1], "/")
-	_, dir, err := s.lookupPath(dirPath)
-	if err != nil {
-		return err
-	}
-	ino, err := s.dirLookup(&dir, name)
-	if err != nil {
-		return err
-	}
-	in, err := s.readInode(ino)
-	if err != nil {
-		return err
-	}
-	if in.Mode == ModeDir {
-		ents, err := s.readDirents(&in)
-		if err != nil {
-			return err
-		}
-		for _, e := range ents {
-			if e.Ino != 0 {
-				return errExist // not empty
-			}
-		}
-	}
-	// Clear the directory entry.
-	if err := s.dirRemove(&dir, name); err != nil {
-		return err
-	}
-	// Free data zones and the inode.
-	if err := s.truncate(&in); err != nil {
-		return err
-	}
-	if err := s.writeInode(ino, inode{}); err != nil {
-		return err
-	}
-	return s.freeInBitmap(s.sb.imapStart(), ino)
-}
-
-func (s *Server) dirRemove(dir *inode, name string) error {
-	for off := int64(0); off < dir.Size; off += DirentSize {
-		z, err := s.bmap(dir, off/BlockSize, false)
-		if err != nil {
-			return err
-		}
-		if z == 0 {
-			continue
-		}
-		blk, err := s.readBlock(int64(z))
-		if err != nil {
-			return err
-		}
-		p := off % BlockSize
-		if e := decodeDirent(blk[p:]); e.Ino != 0 && e.Name == name {
-			cp := make([]byte, BlockSize)
-			copy(cp, blk)
-			encodeDirent(dirent{}, cp[p:])
-			return s.writeBlock(int64(z), cp)
-		}
-	}
-	return errNoEnt
-}
-
-// truncate frees all zones of an inode.
-func (s *Server) truncate(in *inode) error {
-	freeZone := func(z uint32) error {
-		if z == 0 {
-			return nil
-		}
-		return s.freeInBitmap(s.sb.zmapStart(), z)
-	}
-	for i := 0; i < NDirect; i++ {
-		if err := freeZone(in.Zones[i]); err != nil {
-			return err
-		}
-	}
-	freeIndirect := func(root uint32) error {
-		if root == 0 {
-			return nil
-		}
-		blk, err := s.readBlock(int64(root))
-		if err != nil {
-			return err
-		}
-		for i := 0; i < ZonesPerBlock; i++ {
-			if err := freeZone(binary.LittleEndian.Uint32(blk[4*i:])); err != nil {
-				return err
-			}
-		}
-		return freeZone(root)
-	}
-	if err := freeIndirect(in.Indirect); err != nil {
-		return err
-	}
-	if in.DblInd != 0 {
-		blk, err := s.readBlock(int64(in.DblInd))
-		if err != nil {
-			return err
-		}
-		for i := 0; i < ZonesPerBlock; i++ {
-			if err := freeIndirect(binary.LittleEndian.Uint32(blk[4*i:])); err != nil {
-				return err
-			}
-		}
-		if err := freeZone(in.DblInd); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// readdir lists a directory's entry names.
-func (s *Server) readdir(path string) ([]string, error) {
-	_, dir, err := s.lookupPath(path)
-	if err != nil {
-		return nil, err
-	}
-	if dir.Mode != ModeDir {
-		return nil, errNotDir
-	}
-	ents, err := s.readDirents(&dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range ents {
-		if e.Ino != 0 {
-			names = append(names, e.Name)
-		}
-	}
-	return names, nil
 }

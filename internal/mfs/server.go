@@ -99,8 +99,7 @@ func (s *Server) run(c *kernel.Ctx) {
 		case proto.DSUpdate:
 			s.onDriverUpdate(m) // [recovery]
 			s.mount()
-		case proto.FSOpen, proto.FSCreate, proto.FSRead, proto.FSWrite,
-			proto.FSUnlink, proto.FSStat, proto.FSMkdir, proto.FSReaddir:
+		case proto.FSOpen, proto.FSCreate, proto.FSRead, proto.FSWrite:
 			s.serve(m)
 		}
 	}

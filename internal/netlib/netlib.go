@@ -130,30 +130,3 @@ func (cn *Conn) Close() error {
 	_, err := cn.ctx.SendRec(cn.inet, kernel.Message{Type: proto.TCPClose, Arg1: cn.id})
 	return err
 }
-
-// UDPSend transmits one datagram (fire and forget).
-func UDPSend(c *kernel.Ctx, inetEp kernel.Endpoint, channel string, dstPort, srcPort uint16, payload []byte) error {
-	reply, err := c.SendRec(inetEp, kernel.Message{
-		Type: proto.UDPSend, Name: channel,
-		Arg1: int64(dstPort), Arg2: int64(srcPort), Payload: payload,
-	})
-	if err != nil {
-		return ErrNoServer
-	}
-	if reply.Arg1 < 0 {
-		return codeErr(reply.Arg1)
-	}
-	return nil
-}
-
-// UDPRecv blocks for one datagram on the local port.
-func UDPRecv(c *kernel.Ctx, inetEp kernel.Endpoint, port uint16) ([]byte, error) {
-	reply, err := c.SendRec(inetEp, kernel.Message{Type: proto.UDPRecv, Arg1: int64(port)})
-	if err != nil {
-		return nil, ErrNoServer
-	}
-	if reply.Arg1 < 0 {
-		return nil, codeErr(reply.Arg1)
-	}
-	return reply.Payload, nil
-}

@@ -157,12 +157,11 @@ const (
 	TCPRecv
 	// TCPClose: close socket Arg1. Reply: SockReply.
 	TCPClose
-	// UDPSend: send Payload as a datagram to port Arg1.
-	// Reply: SockReply.
-	UDPSend
-	// UDPRecv: receive one datagram on local port Arg1 (blocks).
-	// Reply: SockReply with Payload.
-	UDPRecv
+	// 706 and 707 are retired (UDPSend, UDPRecv: nothing sent them);
+	// the blanks keep the numbers after them, which every IPC trace
+	// event records.
+	_
+	_
 	// SockReply: INET reply. Arg1 = result (>= 0 ok, < 0 error code).
 	SockReply
 )
@@ -181,18 +180,14 @@ const (
 	FSClose
 	// FSCreate: create file Name. Reply: FSReply = fd.
 	FSCreate
-	// FSUnlink: remove file Name. Reply: FSReply.
-	FSUnlink
-	// FSStat: stat path Name. Reply: FSReply with Arg1 = size.
-	FSStat
-	// 807 is retired (nothing sent it); the blank keeps the numbers
-	// after it, which every IPC trace event records.
+	// 805, 806, 808 and 809 are retired (FSUnlink, FSStat, FSMkdir,
+	// FSReaddir: nothing sent them), as 807 was before them; the blanks
+	// keep the numbers after them, which every IPC trace event records.
 	_
-	// FSMkdir: create directory Name. Reply: FSReply.
-	FSMkdir
-	// FSReaddir: list directory Name, entries separated by '\n' in the
-	// reply Payload, starting at entry index Arg3. Reply: FSReply.
-	FSReaddir
+	_
+	_
+	_
+	_
 	// FSIoctl: device-specific control on fd Arg1 (VFS routes to the
 	// character driver). Arg2 = op, Arg3 = arg. Reply: FSReply.
 	FSIoctl

@@ -39,8 +39,8 @@ type Stats struct {
 type file struct {
 	fd     int64
 	owner  kernel.Endpoint
-	ino    uint32 // file-server handle (0 for devices)
-	dev    string // device driver label ("" for regular files)
+	ino    uint32          // file-server handle (0 for devices)
+	drv    kernel.Endpoint // the driver instance a device was opened on (None for regular files)
 	offset int64
 	flags  int64
 }
@@ -96,8 +96,7 @@ func (s *Server) run(c *kernel.Ctx) {
 				s.fsEp = kernel.Endpoint(m.Arg1)
 			}
 		case proto.FSOpen, proto.FSCreate, proto.FSClose, proto.FSRead,
-			proto.FSWrite, proto.FSIoctl, proto.FSStat, proto.FSUnlink,
-			proto.FSMkdir, proto.FSReaddir:
+			proto.FSWrite, proto.FSIoctl:
 			s.dispatch(m)
 		}
 	}
@@ -118,14 +117,6 @@ func vfsOpName(typ int32) string {
 		return "write"
 	case proto.FSIoctl:
 		return "ioctl"
-	case proto.FSStat:
-		return "stat"
-	case proto.FSUnlink:
-		return "unlink"
-	case proto.FSMkdir:
-		return "mkdir"
-	case proto.FSReaddir:
-		return "readdir"
 	default:
 		return "badcall"
 	}
@@ -149,8 +140,6 @@ func (s *Server) dispatch(m kernel.Message) {
 		s.write(m)
 	case proto.FSIoctl:
 		s.ioctl(m)
-	default:
-		s.forward(m)
 	}
 	s.ctx.EndWork(sc, 0)
 }
@@ -179,18 +168,12 @@ func (s *Server) fsCall(m kernel.Message) (kernel.Message, bool) {
 	return reply, true
 }
 
-// devEp resolves a character driver's current endpoint via its label.
-func (s *Server) devEp(label string) kernel.Endpoint {
-	return s.ctx.LookupLabel(label)
-}
-
 // open handles FSOpen/FSCreate for files and devices.
 func (s *Server) open(m kernel.Message, create bool) {
 	path := m.Name
 	if len(path) > len(DevPrefix) && path[:len(DevPrefix)] == DevPrefix {
 		s.stats.DevOps++
-		label := path[len(DevPrefix):]
-		ep := s.devEp(label)
+		ep := s.ctx.LookupLabel(path[len(DevPrefix):])
 		if ep == kernel.None {
 			s.reply(m.Source, kernel.Message{Arg1: proto.ErrNotFound})
 			return
@@ -201,7 +184,7 @@ func (s *Server) open(m kernel.Message, create bool) {
 			s.reply(m.Source, kernel.Message{Arg1: proto.ErrIO})
 			return
 		}
-		f := &file{fd: s.nextFd, owner: m.Source, dev: label, flags: m.Arg1}
+		f := &file{fd: s.nextFd, owner: m.Source, drv: ep, flags: m.Arg1}
 		s.nextFd++
 		s.files[f.fd] = f
 		s.reply(m.Source, kernel.Message{Arg1: f.fd})
@@ -225,6 +208,7 @@ func (s *Server) open(m kernel.Message, create bool) {
 		fd:    s.nextFd,
 		owner: m.Source,
 		ino:   uint32(reply.Arg1),
+		drv:   kernel.None,
 		flags: m.Arg1,
 	}
 	s.nextFd++
@@ -257,7 +241,7 @@ func (s *Server) read(m kernel.Message) {
 		s.reply(m.Source, kernel.Message{Arg1: proto.ErrBadCall})
 		return
 	}
-	if f.dev != "" {
+	if f.drv != kernel.None {
 		s.devCall(m, f, kernel.Message{Type: proto.ChrRead, Arg1: m.Arg2})
 		return
 	}
@@ -283,7 +267,7 @@ func (s *Server) write(m kernel.Message) {
 		s.reply(m.Source, kernel.Message{Arg1: proto.ErrBadCall})
 		return
 	}
-	if f.dev != "" {
+	if f.drv != kernel.None {
 		s.devCall(m, f, kernel.Message{Type: proto.ChrWrite, Payload: m.Payload})
 		return
 	}
@@ -305,28 +289,24 @@ func (s *Server) write(m kernel.Message) {
 // ioctl routes a device control call.
 func (s *Server) ioctl(m kernel.Message) {
 	f := s.lookupFd(m)
-	if f == nil || f.dev == "" {
+	if f == nil || f.drv == kernel.None {
 		s.reply(m.Source, kernel.Message{Arg1: proto.ErrBadCall})
 		return
 	}
 	s.devCall(m, f, kernel.Message{Type: proto.ChrIoctl, Arg1: m.Arg2, Arg2: m.Arg3})
 }
 
-// devCall relays one request to a character driver. A dead driver —
-// including one that dies mid-request, aborting the rendezvous — is an
-// ErrIO to the application: there is no transparent recovery for
-// character streams (§6.3).
+// devCall relays one request to the driver instance the descriptor was
+// opened on. A dead driver — one that dies mid-request, aborting the
+// rendezvous, or one a restart has already replaced — is an ErrIO to the
+// application: there is no transparent recovery for character streams
+// (§6.3). Endpoints are temporally unique, so a descriptor never reaches
+// the replacement; the application reopens the device.
 func (s *Server) devCall(m kernel.Message, f *file, req kernel.Message) {
 	s.stats.DevOps++
-	ep := s.devEp(f.dev)
-	if ep == kernel.None {
-		s.stats.DevErrors++ // [recovery]
-		s.reply(m.Source, kernel.Message{Arg1: proto.ErrIO})
-		return
-	}
-	reply, err := core.Call(s.ctx, ep, req)
+	reply, err := core.Call(s.ctx, f.drv, req)
 	if err != nil {
-		s.stats.DevErrors++ // [recovery] driver died mid-request
+		s.stats.DevErrors++ // [recovery] the instance died
 		s.reply(m.Source, kernel.Message{Arg1: proto.ErrIO})
 		return
 	}
@@ -339,15 +319,4 @@ func (s *Server) devCall(m kernel.Message, f *file, req kernel.Message) {
 		}
 	}
 	s.reply(m.Source, kernel.Message{Arg1: reply.Arg1, Payload: reply.Payload})
-}
-
-// forward relays path-based calls (stat/unlink/mkdir/readdir/sync).
-func (s *Server) forward(m kernel.Message) {
-	s.stats.FileOps++
-	reply, ok := s.fsCall(kernel.Message{Type: m.Type, Name: m.Name})
-	if !ok {
-		s.reply(m.Source, kernel.Message{Arg1: proto.ErrIO})
-		return
-	}
-	s.reply(m.Source, kernel.Message{Arg1: reply.Arg1, Arg2: reply.Arg2, Arg3: reply.Arg3, Payload: reply.Payload})
 }

@@ -1,16 +1,20 @@
 package resilientos
 
 import (
+	"errors"
+	"fmt"
+	"io"
 	"time"
 
-	"resilientos/internal/fslib"
 	"resilientos/internal/kernel"
 	"resilientos/internal/netlib"
+	"resilientos/internal/proto"
 )
 
 // Proc is a simulated application process: the handle a workload body
 // uses for time, sockets, and files. All calls are blocking in virtual
-// time, like the system calls of a real process.
+// time, like the system calls of a real process; the file calls play the
+// role of libc's, as blocking wrappers over the VFS protocol.
 type Proc struct {
 	sys *System
 	ctx *kernel.Ctx
@@ -29,9 +33,6 @@ func (sys *System) Spawn(name string, body func(p *Proc)) {
 		panic(err)
 	}
 }
-
-// Ctx exposes the raw kernel context for advanced use.
-func (p *Proc) Ctx() *kernel.Ctx { return p.ctx }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return p.ctx.Now() }
@@ -76,47 +77,116 @@ func (p *Proc) Listen(side NetSide, port uint16) (*netlib.Listener, error) {
 	return netlib.Listen(p.ctx, p.inetEp(side), port)
 }
 
-// UDPSend transmits one datagram on the given side.
-func (p *Proc) UDPSend(side NetSide, channel string, dstPort, srcPort uint16, payload []byte) error {
-	return netlib.UDPSend(p.ctx, p.inetEp(side), channel, dstPort, srcPort, payload)
-}
-
-// UDPRecv blocks for one datagram on the given side.
-func (p *Proc) UDPRecv(side NetSide, port uint16) ([]byte, error) {
-	return netlib.UDPRecv(p.ctx, p.inetEp(side), port)
-}
-
 // vfsEp resolves the VFS endpoint, waiting for boot to settle.
 func (p *Proc) vfsEp() kernel.Endpoint {
 	return p.waitLabel(ServerVFS)
 }
 
-// Open opens an existing file or device (e.g. "/dev/chr.printer").
-func (p *Proc) Open(path string) (*fslib.File, error) {
-	return fslib.Open(p.ctx, p.vfsEp(), path)
+// Errors of the file calls, mapped from VFS reply codes. Their texts
+// name the file library they were first written for; recorded outputs
+// carry them.
+var (
+	ErrNotFound = errors.New("fslib: no such file")
+	ErrExist    = errors.New("fslib: file exists")
+	ErrIO       = errors.New("fslib: I/O error")
+	ErrNoSpace  = errors.New("fslib: no space")
+	ErrAgain    = errors.New("fslib: try again")
+)
+
+func codeErr(code int64) error {
+	switch code {
+	case proto.ErrNotFound:
+		return ErrNotFound
+	case proto.ErrExist:
+		return ErrExist
+	case proto.ErrIO:
+		return ErrIO
+	case proto.ErrNoSpace:
+		return ErrNoSpace
+	case proto.ErrAgain:
+		return ErrAgain
+	default:
+		return fmt.Errorf("fslib: error %d", code)
+	}
 }
+
+// vfsCall is a SendRec to VFS with uniform error mapping.
+func vfsCall(c *kernel.Ctx, vfs kernel.Endpoint, m kernel.Message) (kernel.Message, error) {
+	reply, err := c.SendRec(vfs, m)
+	if err != nil {
+		return kernel.Message{}, ErrIO
+	}
+	if reply.Arg1 < 0 {
+		return reply, codeErr(reply.Arg1)
+	}
+	return reply, nil
+}
+
+// File is one open descriptor belonging to the calling process.
+type File struct {
+	ctx *kernel.Ctx
+	vfs kernel.Endpoint
+	fd  int64
+}
+
+// Open opens an existing file or device (e.g. "/dev/chr.printer").
+func (p *Proc) Open(path string) (*File, error) { return p.open(proto.FSOpen, path) }
 
 // Create creates and opens a new file.
-func (p *Proc) Create(path string) (*fslib.File, error) {
-	return fslib.Create(p.ctx, p.vfsEp(), path)
+func (p *Proc) Create(path string) (*File, error) { return p.open(proto.FSCreate, path) }
+
+func (p *Proc) open(typ int32, path string) (*File, error) {
+	vfs := p.vfsEp()
+	reply, err := vfsCall(p.ctx, vfs, kernel.Message{
+		Type: typ, Name: path, Arg1: proto.FSFlagRead | proto.FSFlagWrite,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &File{ctx: p.ctx, vfs: vfs, fd: reply.Arg1}, nil
 }
 
-// Stat returns a file's size.
-func (p *Proc) Stat(path string) (int64, error) {
-	return fslib.Stat(p.ctx, p.vfsEp(), path)
+// Read reads up to len(p) bytes at the current offset into p; io.EOF at
+// end of file. The reply buffer goes back to the system's free list.
+func (f *File) Read(p []byte) (int, error) {
+	reply, err := vfsCall(f.ctx, f.vfs, kernel.Message{
+		Type: proto.FSRead, Arg1: f.fd, Arg2: int64(len(p)),
+	})
+	if err != nil {
+		return 0, err
+	}
+	if reply.Arg1 == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, reply.Payload)
+	f.ctx.Bufs().Put(reply.Payload)
+	return n, nil
 }
 
-// Unlink removes a file.
-func (p *Proc) Unlink(path string) error {
-	return fslib.Unlink(p.ctx, p.vfsEp(), path)
+// Write appends b at the current offset.
+func (f *File) Write(b []byte) (int, error) {
+	reply, err := vfsCall(f.ctx, f.vfs, kernel.Message{
+		Type: proto.FSWrite, Arg1: f.fd, Payload: b,
+	})
+	if err != nil {
+		return 0, err
+	}
+	return int(reply.Arg1), nil
 }
 
-// Mkdir creates a directory.
-func (p *Proc) Mkdir(path string) error {
-	return fslib.Mkdir(p.ctx, p.vfsEp(), path)
+// Ioctl issues a device control call on a device descriptor.
+func (f *File) Ioctl(op, arg int64) (int64, error) {
+	reply, err := vfsCall(f.ctx, f.vfs, kernel.Message{
+		Type: proto.FSIoctl, Arg1: f.fd, Arg2: op, Arg3: arg,
+	})
+	if err != nil {
+		return 0, err
+	}
+	return reply.Arg1, nil
 }
 
-// Readdir lists a directory.
-func (p *Proc) Readdir(path string) ([]string, error) {
-	return fslib.Readdir(p.ctx, p.vfsEp(), path)
+// Close releases the descriptor.
+func (f *File) Close() error {
+	_, err := vfsCall(f.ctx, f.vfs, kernel.Message{Type: proto.FSClose, Arg1: f.fd})
+	return err
 }

@@ -1,19 +1,37 @@
 package resilientos
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"strings"
 	"testing"
 	"time"
 
-	"resilientos/internal/fslib"
 	"resilientos/internal/kernel"
 	"resilientos/internal/proto"
 )
 
 // VFS-level behavior through the public API: descriptor ownership, device
 // routing, and error propagation.
+
+func TestCodeErrMapping(t *testing.T) {
+	cases := map[int64]error{
+		proto.ErrNotFound: ErrNotFound,
+		proto.ErrExist:    ErrExist,
+		proto.ErrIO:       ErrIO,
+		proto.ErrNoSpace:  ErrNoSpace,
+		proto.ErrAgain:    ErrAgain,
+	}
+	for code, want := range cases {
+		if !errors.Is(codeErr(code), want) {
+			t.Errorf("code %d not mapped to %v", code, want)
+		}
+	}
+	if err := codeErr(-99); err == nil {
+		t.Error("unknown code mapped to nil")
+	}
+}
 
 func TestFig3RecoverySchemes(t *testing.T) {
 	rows := fig3Rows(t.Logf)
@@ -43,7 +61,7 @@ func TestVFSFdIsolationBetweenProcesses(t *testing.T) {
 			return
 		}
 		// Expose the raw fd number to the thief.
-		fdCh <- f.Fd()
+		fdCh <- f.fd
 		p.Sleep(time.Hour)
 	})
 	sys.Spawn("thief", func(p *Proc) {
@@ -51,13 +69,13 @@ func TestVFSFdIsolationBetweenProcesses(t *testing.T) {
 		select {
 		case fd := <-fdCh:
 			vfsEp := sys.Kernel.LookupLabel(ServerVFS)
-			reply, err := p.Ctx().SendRec(vfsEp, kernel.Message{
+			reply, err := p.ctx.SendRec(vfsEp, kernel.Message{
 				Type: proto.FSRead, Arg1: fd, Arg2: 16,
 			})
 			if err != nil {
 				stolen = err
 			} else if reply.Arg1 < 0 {
-				stolen = fslib.ErrIO
+				stolen = ErrIO
 			}
 		default:
 			t.Error("no fd to steal")
@@ -173,51 +191,6 @@ func TestVFSCloseInvalidatesFd(t *testing.T) {
 	}
 }
 
-// Unlink goes through VFS to MFS: a non-empty directory refuses, a file
-// goes away, and the emptied directory can then be removed.
-func TestVFSUnlink(t *testing.T) {
-	sys := New(Config{DisableNet: true, DisableChar: true})
-	defer sys.Close()
-	done := false
-	sys.Spawn("app", func(p *Proc) {
-		if err := p.Mkdir("/d"); err != nil {
-			t.Errorf("mkdir: %v", err)
-			return
-		}
-		f, err := p.Create("/d/x")
-		if err != nil {
-			t.Errorf("create: %v", err)
-			return
-		}
-		f.Close()
-		if err := p.Unlink("/d"); err == nil {
-			t.Error("unlink of a non-empty directory succeeded")
-			return
-		}
-		if err := p.Unlink("/d/x"); err != nil {
-			t.Errorf("unlink file: %v", err)
-			return
-		}
-		if _, err := p.Stat("/d/x"); err == nil {
-			t.Error("unlinked file still stats")
-			return
-		}
-		if names, err := p.Readdir("/d"); err != nil || len(names) != 0 {
-			t.Errorf("readdir after unlink = %v, %v", names, err)
-			return
-		}
-		if err := p.Unlink("/d"); err != nil {
-			t.Errorf("unlink empty directory: %v", err)
-			return
-		}
-		done = true
-	})
-	sys.Run(time.Minute)
-	if !done {
-		t.Fatal("app did not finish")
-	}
-}
-
 // TestVFSNegativeReadLengthRejected: the length of a read comes from the
 // client. A negative one used to reach MFS (a regular file) or the audio
 // driver (a device) as a negative slice length, and the panic took the
@@ -247,7 +220,7 @@ func TestVFSNegativeReadLengthRejected(t *testing.T) {
 						t.Errorf("open: %v", err)
 						return
 					}
-					bad, err = p.Ctx().SendRec(p.vfsEp(), kernel.Message{Type: proto.FSRead, Arg1: f.Fd(), Arg2: n})
+					bad, err = p.ctx.SendRec(p.vfsEp(), kernel.Message{Type: proto.FSRead, Arg1: f.fd, Arg2: n})
 					if err != nil {
 						t.Errorf("read %d: %v", n, err)
 						return

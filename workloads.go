@@ -225,10 +225,7 @@ func (sys *System) Mp3(seconds int, res *Mp3Result) {
 		const rate = 176_400 // bytes per second of audio
 		chunk := make([]byte, rate/10)
 		deadline := p.Now() + time.Duration(seconds)*time.Second
-		var f interface {
-			Write([]byte) (int, error)
-			Close() error
-		}
+		var f *File
 		for p.Now() < deadline {
 			if f == nil {
 				file, err := p.Open("/dev/" + DriverAudio)
