@@ -3,6 +3,7 @@ package mfs
 import (
 	"bytes"
 	"crypto/sha1"
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -259,10 +260,6 @@ func TestMFSCreateWriteRead(t *testing.T) {
 			return
 		}
 		ino := reply.Arg1
-		// A name is created once: the second create of it fails.
-		if re := fsCall(t, c, r.mfsEp, kernel.Message{Type: proto.FSCreate, Name: "/f"}); re.Arg1 != proto.ErrExist {
-			t.Errorf("dup create: %d", re.Arg1)
-		}
 		content := bytes.Repeat([]byte("filesystem "), 1000) // ~11KB: spans blocks
 		reply = fsCall(t, c, r.mfsEp, kernel.Message{
 			Type: proto.FSWrite, Arg1: ino, Arg3: 0, Payload: content,
@@ -284,6 +281,59 @@ func TestMFSCreateWriteRead(t *testing.T) {
 		})
 		if reply.Arg1 != 0 {
 			t.Errorf("read past EOF returned %d", reply.Arg1)
+		}
+		done = true
+	})
+	r.env.Run(time.Minute)
+	if !done {
+		t.Fatal("client did not finish")
+	}
+}
+
+// TestMFSDirectoriesAndUnlink checks what is left of directories: the
+// root directory, which grows past its first block as files are created
+// in it, refuses a name twice and resolves every name it holds. MFS no
+// longer serves mkdir, readdir or unlink.
+func TestMFSDirectoriesAndUnlink(t *testing.T) {
+	r := newFsRig(t, nil)
+	const n = BlockSize/DirentSize + 6 // the last entries land in a second block
+	done := false
+	r.client(t, func(c *kernel.Ctx) {
+		c.Sleep(time.Second)
+		inos := make([]int64, n)
+		for i := range inos {
+			re := fsCall(t, c, r.mfsEp, kernel.Message{Type: proto.FSCreate, Name: fmt.Sprintf("/f%d", i)})
+			if re.Arg1 <= 0 {
+				t.Errorf("create /f%d: %d", i, re.Arg1)
+				return
+			}
+			inos[i] = re.Arg1
+		}
+		// A name is created once: the second create of it fails, in
+		// either block of the directory.
+		for _, name := range []string{"/f0", fmt.Sprintf("/f%d", n-1)} {
+			if re := fsCall(t, c, r.mfsEp, kernel.Message{Type: proto.FSCreate, Name: name}); re.Arg1 != proto.ErrExist {
+				t.Errorf("dup create %s: %d", name, re.Arg1)
+			}
+		}
+		for i, ino := range inos {
+			if re := fsCall(t, c, r.mfsEp, kernel.Message{Type: proto.FSOpen, Name: fmt.Sprintf("/f%d", i)}); re.Arg1 != ino || re.Arg3 != 0 {
+				t.Errorf("open /f%d: ino %d dir %d, want ino %d file", i, re.Arg1, re.Arg3, ino)
+			}
+		}
+		root := fsCall(t, c, r.mfsEp, kernel.Message{Type: proto.FSOpen, Name: "/"})
+		if root.Arg1 != RootIno || root.Arg3 != 1 || root.Arg2 != n*DirentSize {
+			t.Errorf("open /: ino %d dir %d size %d, want %d 1 %d", root.Arg1, root.Arg3, root.Arg2, RootIno, n*DirentSize)
+		}
+		if re := fsCall(t, c, r.mfsEp, kernel.Message{Type: proto.FSOpen, Name: "/missing"}); re.Arg1 != proto.ErrNotFound {
+			t.Errorf("open missing: %d", re.Arg1)
+		}
+		// A file is not a directory, and a missing directory holds nothing.
+		if re := fsCall(t, c, r.mfsEp, kernel.Message{Type: proto.FSCreate, Name: "/f0/x"}); re.Arg1 != proto.ErrBadCall {
+			t.Errorf("create under a file: %d", re.Arg1)
+		}
+		if re := fsCall(t, c, r.mfsEp, kernel.Message{Type: proto.FSCreate, Name: "/missing/x"}); re.Arg1 != proto.ErrNotFound {
+			t.Errorf("create under a missing directory: %d", re.Arg1)
 		}
 		done = true
 	})
