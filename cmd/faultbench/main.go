@@ -214,7 +214,7 @@ func benchDoc(rep *campaign.Report) bench.Doc {
 	doc.Count("crashes", rep.Crashes)
 	doc.Count("recovered", rep.Recovered)
 	doc.Count("gave_up", rep.GaveUp)
-	if rep.Config.System.Machine.NICConfuseProb > 0 {
+	if rep.Config.System.Machine.ConfusableNICs {
 		doc.Count("bios_resets", rep.BIOSResets)
 	}
 	rate := 0.0

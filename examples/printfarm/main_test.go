@@ -6,14 +6,16 @@ import (
 )
 
 // §6.3 in one run: lpd gets every job on paper despite two printer kills,
-// the mp3 player plays on with audible hiccups, and the burn the burner's
-// death interrupted fails with an error the user is told about.
+// the mp3 player plays on through one audible hiccup (the audio kill's),
+// and the burn the burner's death interrupted fails with an error the
+// user is told about.
 func TestPrintfarmCharacterDeviceOutcomes(t *testing.T) {
 	var out strings.Builder
 	run(&out)
 	got := out.String()
 	for _, want := range []string{
 		"jobs submitted: 5/5",
+		"bytes played: 5292000, driver failures ridden out: 1, audible hiccups: 1\n",
 		"burn failed, reported to user: burn failed at 114688/524288 bytes",
 		"chr.printer  defect=killed recovered=true",
 		"chr.audio    defect=killed recovered=true",
@@ -24,8 +26,5 @@ func TestPrintfarmCharacterDeviceOutcomes(t *testing.T) {
 	}
 	if strings.Contains(got, "on paper: false") {
 		t.Errorf("a job was lost:\n%s", got)
-	}
-	if strings.Contains(got, "audible hiccups: 0\n") {
-		t.Errorf("the audio kill left no hiccup:\n%s", got)
 	}
 }

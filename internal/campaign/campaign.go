@@ -585,7 +585,7 @@ func (r *Report) Render(w io.Writer) {
 	fmt.Fprintf(w, "%-20s %9d %8d %6s %6s %6s %5d (%3.0f%%) %7d\n",
 		"total", r.Injected, r.Crashes, "", "", "",
 		r.Recovered, pct(r.Recovered, r.Crashes), r.GaveUp)
-	if cfg.System.Machine.NICConfuseProb > 0 {
+	if cfg.System.Machine.ConfusableNICs {
 		fmt.Fprintf(w, "BIOS resets needed:  %d\n", r.BIOSResets)
 	}
 	if slices.Contains(cfg.FaultTypes, fi.FaultRandom) {

@@ -182,10 +182,7 @@ func TestDP8390SurvivesBenignFaultsAndCrashesOnBadOnes(t *testing.T) {
 func TestSATATransferViaGrant(t *testing.T) {
 	env := sim.NewEnv(1)
 	k := kernel.New(env)
-	disk := hw.NewDisk(env, k, hw.DiskConfig{
-		Base: 0x2000, IRQ: 14, Sectors: 4096, Seed: 5,
-		ResetDelay: 10 * time.Millisecond,
-	})
+	disk := hw.NewDisk(env, k, hw.DiskConfig{Sectors: 4096, Seed: 5})
 	dc, err := k.Spawn("sata", driverPriv(disk.PortRange(), disk.IRQ()),
 		sata.Binary(sata.Config{Disk: disk}))
 	if err != nil {

@@ -14,10 +14,9 @@ import (
 	"resilientos/internal/proto"
 )
 
-// Config configures a RAM disk instance factory.
+// Config configures a RAM disk instance factory. Its capacity is
+// hw.RAMDiskSectors.
 type Config struct {
-	// Sectors is the capacity (default 2048 sectors = 1 MiB).
-	Sectors int64
 	// Backing, if non-nil, is shared across instances: a restarted RAM
 	// disk driver keeps serving the same memory, like MINIX's RAM disk
 	// whose contents live in core, not in the driver process.
@@ -55,9 +54,6 @@ func (s *Store) Write(lba int64, data []byte) {
 
 // Binary returns the service binary for this driver.
 func Binary(cfg Config) func(c *kernel.Ctx) {
-	if cfg.Sectors == 0 {
-		cfg.Sectors = 2048
-	}
 	if cfg.Backing == nil {
 		cfg.Backing = NewStore()
 	}
@@ -87,7 +83,7 @@ func (d *driver) HandleRequest(c *kernel.Ctx, m kernel.Message) {
 
 func (d *driver) rw(c *kernel.Ctx, m kernel.Message, write bool) {
 	lba, count := m.Arg1, m.Arg2
-	if count <= 0 || lba < 0 || lba+count > d.cfg.Sectors {
+	if count <= 0 || lba < 0 || lba+count > hw.RAMDiskSectors {
 		_ = c.Send(m.Source, kernel.Message{Type: proto.BdevReply, Arg1: proto.ErrIO})
 		return
 	}

@@ -23,7 +23,6 @@ import (
 type refAudio struct {
 	env *sim.Env
 	k   *kernel.Kernel
-	cfg AudioConfig
 
 	running bool
 	buf     int
@@ -35,18 +34,18 @@ type refAudio struct {
 	Underruns   int
 	CaptureMade int64
 	CaptureLost int64
-	inUnderrun  bool
+	gap         bool
 	ticker      *sim.Event
 	raised      int
 }
 
 func (a *refAudio) scheduleCapture() {
-	a.env.Schedule(a.cfg.Tick, func() {
-		n := int(a.cfg.CaptureRate * int64(a.cfg.Tick) / int64(sim.Time(1e9)))
+	a.env.Schedule(AudioTick, func() {
+		n := int(AudioInputRate * int64(AudioTick) / int64(sim.Time(1e9)))
 		n &^= 3 // whole 4-byte samples
 		for i := 0; i < n; i += 4 {
 			a.CaptureMade += 4
-			if len(a.capture)+4 > a.cfg.CaptureBuf {
+			if len(a.capture)+4 > AudioInputRing {
 				a.CaptureLost += 4
 				a.captureSeq++ // the sample existed; it is simply gone
 				continue
@@ -71,7 +70,7 @@ func (a *refAudio) portOut(val uint32) {
 	case CharCmdReset:
 		a.stop()
 		a.buf = 0
-		a.inUnderrun = false
+		a.gap = a.Consumed > 0
 		a.CaptureLost += int64(len(a.capture))
 		a.capture = nil
 	case CharCmdStart:
@@ -93,24 +92,24 @@ func (a *refAudio) stop() {
 }
 
 func (a *refAudio) scheduleTick() {
-	a.ticker = a.env.Schedule(a.cfg.Tick, func() {
+	a.ticker = a.env.Schedule(AudioTick, func() {
 		if !a.running {
 			return
 		}
-		need := int(a.cfg.PlayRate * int64(a.cfg.Tick) / int64(sim.Time(1e9)))
+		need := int(AudioPlayRate * int64(AudioTick) / int64(sim.Time(1e9)))
 		if a.buf >= need {
 			a.buf -= need
 			a.Consumed += int64(need)
-			a.inUnderrun = false
+			if a.gap {
+				a.Underruns++
+				a.gap = false
+			}
 		} else {
 			a.Consumed += int64(a.buf)
 			a.buf = 0
-			if !a.inUnderrun {
-				a.Underruns++
-				a.inUnderrun = true
-			}
+			a.gap = a.Consumed > 0
 		}
-		if a.buf < a.cfg.Watermark {
+		if a.buf < AudioWatermark {
 			a.raised++
 		}
 		a.scheduleTick()
@@ -118,7 +117,7 @@ func (a *refAudio) scheduleTick() {
 }
 
 func (a *refAudio) feed(n int) int {
-	n = min(n, a.cfg.BufSize-a.buf)
+	n = min(n, AudioBufSize-a.buf)
 	a.buf += n
 	return n
 }
@@ -138,7 +137,7 @@ func (a *refAudio) readCapture(max int) []byte {
 // bytes available, and the playback buffer below the watermark while
 // running.
 func (a *refAudio) levels() (inAvail, lowBuf bool) {
-	return len(a.capture) > 0, a.running && a.buf < a.cfg.Watermark
+	return len(a.capture) > 0, a.running && a.buf < AudioWatermark
 }
 
 // ringBytes is the codec's capture ring as the bytes a reader would get.
@@ -170,91 +169,81 @@ func (a *refAudio) diff(b *Audio) string {
 	return ""
 }
 
-// TestCaptureMatchesPerSampleReference drives the codec and the
-// per-sample reference through the same random script — runs of any
+// TestCaptureMatchesPerSampleReference drives the machine's codec and
+// the per-sample reference through the same random script — runs of any
 // length (a full ring included: nothing reads for up to 40 ticks), reads
-// of 0–20 KiB at unaligned sizes, feeds, Reset / Start / Stop — over
-// capture rates and ring sizes that do not divide into whole samples. The
-// ring bytes and every counter must agree after every step.
+// of 0–20 KiB at unaligned sizes, feeds, Reset / Start / Stop. The ring
+// bytes and every counter must agree after every step.
 //
-// It is also the interrupt oracle: in every step the codec raises line 5
-// exactly as often as the reference's two level conditions (see levels)
-// rise. No step can raise a condition twice — between reads, feeds and
-// commands the ring only grows and the playback buffer only drains — so
-// comparing the levels before and after each step sees every rising
-// edge. The reference's per-tick raises must outnumber them, or the
-// script never held a bit set across a tick.
+// It is also the interrupt oracle: in every step the codec raises its
+// line exactly as often as the reference's two level conditions (see
+// levels) rise. No step can raise a condition twice — between reads,
+// feeds and commands the ring only grows and the playback buffer only
+// drains — so comparing the levels before and after each step sees every
+// rising edge. The reference's per-tick raises must outnumber them, or
+// the script never held a bit set across a tick.
 func TestCaptureMatchesPerSampleReference(t *testing.T) {
-	configs := []AudioConfig{
-		{CaptureRate: 64000},                              // the machine's codec: 160 samples a tick
-		{CaptureRate: 64100, CaptureBuf: 1001},            // 641 bytes a tick, a ring of 250¼ samples
-		{CaptureRate: 300, CaptureBuf: 6, PlayRate: 9000}, // less than one sample a tick
-		{CaptureRate: 1 << 20, CaptureBuf: 4099, Tick: 3 * time.Millisecond},
-	}
-	for ci, cfg := range configs {
-		for seed := int64(0); seed < 16; seed++ {
-			env, k := testRig(t)
-			cfg.Base, cfg.IRQ = 0x3000, 5
-			a := NewAudio(env, k, cfg)
-			ref := &refAudio{env: env, k: k, cfg: a.cfg}
-			ref.scheduleCapture()
-			rng := rand.New(rand.NewSource(seed))
-			read, edges := 0, uint64(0)
-			for step := 0; step < 400; step++ {
-				var did string
-				inAvail, lowBuf := ref.levels()
-				raised := k.IRQsRaised(cfg.IRQ)
-				switch op := rng.Intn(10); {
-				case op < 4:
-					d := sim.Time(rng.Int63n(int64(40 * a.cfg.Tick)))
-					did = fmt.Sprintf("run %v", d)
-					env.Run(d)
-				case op < 6:
-					n := rng.Intn(20<<10 + 1)
-					did = fmt.Sprintf("read %d", n)
-					got, want := a.Handle().ReadCapture(n), ref.readCapture(n)
-					if !bytes.Equal(got, want) {
-						t.Fatalf("config %d seed %d step %d: %s returned %d bytes, reference %d",
-							ci, seed, step, did, len(got), len(want))
-					}
-					read += len(got)
-				case op < 7:
-					n := rng.Intn(8000)
-					did = fmt.Sprintf("feed %d", n)
-					if got, want := a.Handle().Feed(n), ref.feed(n); got != want {
-						t.Fatalf("config %d seed %d step %d: %s took %d, reference %d", ci, seed, step, did, got, want)
-					}
-				default:
-					cmd := []uint32{CharCmdReset, CharCmdStart, CharCmdStop}[rng.Intn(3)]
-					did = fmt.Sprintf("command %d", cmd)
-					a.PortOut(cfg.Base+CharRegCmd, cmd)
-					ref.portOut(cmd)
+	for seed := int64(0); seed < 16; seed++ {
+		env, k := testRig(t)
+		a := NewAudio(env, k)
+		ref := &refAudio{env: env, k: k}
+		ref.scheduleCapture()
+		rng := rand.New(rand.NewSource(seed))
+		read, edges := 0, uint64(0)
+		for step := 0; step < 400; step++ {
+			var did string
+			inAvail, lowBuf := ref.levels()
+			raised := k.IRQsRaised(IRQAudio)
+			switch op := rng.Intn(10); {
+			case op < 4:
+				d := sim.Time(rng.Int63n(int64(40 * AudioTick)))
+				did = fmt.Sprintf("run %v", d)
+				env.Run(d)
+			case op < 6:
+				n := rng.Intn(20<<10 + 1)
+				did = fmt.Sprintf("read %d", n)
+				got, want := a.Handle().ReadCapture(n), ref.readCapture(n)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("seed %d step %d: %s returned %d bytes, reference %d",
+						seed, step, did, len(got), len(want))
 				}
-				if d := ref.diff(a); d != "" {
-					t.Fatalf("config %d seed %d step %d, after %s: %s", ci, seed, step, did, d)
+				read += len(got)
+			case op < 7:
+				n := rng.Intn(8000)
+				did = fmt.Sprintf("feed %d", n)
+				if got, want := a.Handle().Feed(n), ref.feed(n); got != want {
+					t.Fatalf("seed %d step %d: %s took %d, reference %d", seed, step, did, got, want)
 				}
-				nowAvail, nowLow := ref.levels()
-				rose := uint64(0)
-				if !inAvail && nowAvail {
-					rose++
-				}
-				if !lowBuf && nowLow {
-					rose++
-				}
-				edges += rose
-				if got := k.IRQsRaised(cfg.IRQ) - raised; got != rose {
-					t.Fatalf("config %d seed %d step %d, after %s: codec raised line %d %d times, the status bits rose %d times",
-						ci, seed, step, did, cfg.IRQ, got, rose)
-				}
+			default:
+				cmd := []uint32{CharCmdReset, CharCmdStart, CharCmdStop}[rng.Intn(3)]
+				did = fmt.Sprintf("command %d", cmd)
+				a.PortOut(PortAudio+CharRegCmd, cmd)
+				ref.portOut(cmd)
 			}
-			if uint64(ref.raised) <= edges {
-				t.Fatalf("config %d seed %d: the reference's per-tick raises (%d) do not outnumber the edges (%d)",
-					ci, seed, ref.raised, edges)
+			if d := ref.diff(a); d != "" {
+				t.Fatalf("seed %d step %d, after %s: %s", seed, step, did, d)
 			}
-			if a.CaptureMade > 0 && (a.CaptureLost == 0 || read == 0) {
-				t.Fatalf("config %d seed %d: made %d, lost %d, read %d: the script never lost or never read a sample",
-					ci, seed, a.CaptureMade, a.CaptureLost, read)
+			nowAvail, nowLow := ref.levels()
+			rose := uint64(0)
+			if !inAvail && nowAvail {
+				rose++
 			}
+			if !lowBuf && nowLow {
+				rose++
+			}
+			edges += rose
+			if got := k.IRQsRaised(IRQAudio) - raised; got != rose {
+				t.Fatalf("seed %d step %d, after %s: codec raised line %d %d times, the status bits rose %d times",
+					seed, step, did, IRQAudio, got, rose)
+			}
+		}
+		if uint64(ref.raised) <= edges {
+			t.Fatalf("seed %d: the reference's per-tick raises (%d) do not outnumber the edges (%d)",
+				seed, ref.raised, edges)
+		}
+		if a.CaptureLost == 0 || read == 0 {
+			t.Fatalf("seed %d: made %d, lost %d, read %d: the script never lost or never read a sample",
+				seed, a.CaptureMade, a.CaptureLost, read)
 		}
 	}
 }
@@ -265,7 +254,7 @@ func TestCaptureMatchesPerSampleReference(t *testing.T) {
 // system runs such a codec.
 func TestIdleCodecAllocatesNothing(t *testing.T) {
 	env, k := testRig(t)
-	a := NewAudio(env, k, AudioConfig{Base: 0x3000, IRQ: 5, CaptureRate: 64000})
+	a := NewAudio(env, k)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	env.Run(time.Minute)
@@ -274,7 +263,7 @@ func TestIdleCodecAllocatesNothing(t *testing.T) {
 		t.Fatalf("a minute of an idle codec made %d allocations (%d B), want 0",
 			n, after.TotalAlloc-before.TotalAlloc)
 	}
-	if a.held != a.cfg.CaptureBuf/4 || a.CaptureLost == 0 {
+	if a.held != AudioInputRing/4 || a.CaptureLost == 0 {
 		t.Fatalf("ring holds %d samples, %d bytes lost: the ring never filled", a.held, a.CaptureLost)
 	}
 }

@@ -39,24 +39,6 @@ const (
 // ---------------------------------------------------------------------------
 // Audio codec
 
-// AudioConfig configures the audio device.
-type AudioConfig struct {
-	Base      uint32
-	IRQ       int
-	PlayRate  int64    // playback consumption, bytes/s
-	BufSize   int      // playback buffer capacity in bytes
-	Watermark int      // playback buffer level below which LowBuf is set
-	Tick      sim.Time // consumption granularity
-
-	// CaptureRate enables the input side: the codec produces this many
-	// bytes/s of samples into a small ring. Input can be read from the
-	// controller exactly once: if no driver drains the ring, samples are
-	// gone forever (§6.3's read-once property).
-	CaptureRate int64
-	// CaptureBuf is the capture ring capacity (default 16 KiB).
-	CaptureBuf int
-}
-
 // Audio is a playback codec: the driver feeds samples, the device consumes
 // them at a fixed rate, and an empty buffer while running is an audible
 // hiccup.
@@ -72,7 +54,6 @@ type AudioConfig struct {
 type Audio struct {
 	env *sim.Env
 	k   *kernel.Kernel
-	cfg AudioConfig
 
 	running bool
 	buf     int // bytes buffered (content does not matter, only timing)
@@ -82,10 +63,10 @@ type Audio struct {
 	captureSeq uint32       // next sample sequence number
 
 	Consumed    int64
-	Underruns   int   // distinct hiccup episodes
+	Underruns   int   // hiccups: starved stretches between two of playback
 	CaptureMade int64 // capture bytes produced by the codec
 	CaptureLost int64 // capture bytes dropped because nobody read them
-	inUnderrun  bool  // currently starved
+	gap         bool  // silent since playback last ran (a hiccup if it resumes)
 	play        *sim.Ticker
 }
 
@@ -100,31 +81,20 @@ type captureRun struct {
 
 var _ kernel.Device = (*Audio)(nil)
 
-// NewAudio creates the audio device and maps it at [Base, Base+0x10).
-func NewAudio(env *sim.Env, k *kernel.Kernel, cfg AudioConfig) *Audio {
-	if cfg.PlayRate == 0 {
-		cfg.PlayRate = 176_400 // 44.1 kHz, 16-bit stereo
-	}
-	if cfg.BufSize == 0 {
-		cfg.BufSize = 65536
-	}
-	if cfg.Watermark == 0 {
-		cfg.Watermark = cfg.BufSize / 4
-	}
-	if cfg.Tick == 0 {
-		cfg.Tick = 10 * sim.Time(1e6) // 10ms
-	}
-	if cfg.CaptureBuf == 0 {
-		cfg.CaptureBuf = 16 << 10
-	}
-	a := &Audio{env: env, k: k, cfg: cfg}
-	k.MapDevice(kernel.PortRange{Lo: cfg.Base, Hi: cfg.Base + 0x10}, a)
-	if cfg.CaptureRate > 0 {
-		// A run starts only after a loss, and reads slide the array
-		// down, so these few slots seldom regrow.
-		a.capture = make([]captureRun, 0, 4)
-		env.Tick(cfg.Tick, a.captureTick)
-	}
+// Per-tick amounts: playback bytes consumed, and whole 4-byte capture
+// samples produced.
+const (
+	audioTickBytes   = int(AudioPlayRate * int64(AudioTick) / int64(sim.Time(1e9)))
+	audioTickSamples = int(AudioInputRate*int64(AudioTick)/int64(sim.Time(1e9))) / 4
+)
+
+// NewAudio creates the audio device and maps it at [PortAudio, PortAudio+0x10).
+func NewAudio(env *sim.Env, k *kernel.Kernel) *Audio {
+	// A run starts only after a loss, and reads slide the array down, so
+	// these few slots seldom regrow.
+	a := &Audio{env: env, k: k, capture: make([]captureRun, 0, 4)}
+	k.MapDevice(a.PortRange(), a)
+	env.Tick(AudioTick, a.captureTick)
 	return a
 }
 
@@ -132,9 +102,9 @@ func NewAudio(env *sim.Env, k *kernel.Kernel, cfg AudioConfig) *Audio {
 // a driver is alive to read them, and overflow is silent loss. Only the
 // samples that fit are written; the rest existed, numbered, and are gone.
 func (a *Audio) captureTick() {
-	n := int(a.cfg.CaptureRate*int64(a.cfg.Tick)/int64(sim.Time(1e9))) / 4 // whole 4-byte samples
+	n := audioTickSamples // whole 4-byte samples
 	was := a.held
-	fit := min(n, max(0, a.cfg.CaptureBuf/4-was))
+	fit := min(n, max(0, AudioInputRing/4-was))
 	if fit > 0 {
 		if last := len(a.capture) - 1; last >= 0 && a.capture[last].seq+uint32(a.capture[last].n) == a.captureSeq {
 			a.capture[last].n += fit
@@ -147,26 +117,26 @@ func (a *Audio) captureTick() {
 	a.CaptureMade += 4 * int64(n)
 	a.CaptureLost += 4 * int64(n-fit)
 	if was == 0 && a.held > 0 {
-		a.k.RaiseIRQ(a.cfg.IRQ)
+		a.k.RaiseIRQ(IRQAudio)
 	}
 }
 
 // PortRange returns the ports an audio driver needs.
 func (a *Audio) PortRange() kernel.PortRange {
-	return kernel.PortRange{Lo: a.cfg.Base, Hi: a.cfg.Base + 0x10}
+	return kernel.PortRange{Lo: PortAudio, Hi: PortAudio + 0x10}
 }
 
 // IRQ returns the audio interrupt line.
-func (a *Audio) IRQ() int { return a.cfg.IRQ }
+func (a *Audio) IRQ() int { return IRQAudio }
 
 // PortIn implements kernel.Device.
 func (a *Audio) PortIn(port uint32) (uint32, error) {
-	if port-a.cfg.Base == CharRegStatus {
+	if port-PortAudio == CharRegStatus {
 		var s uint32 = CharStatReady
 		if a.running {
 			s |= CharStatRunning
 		}
-		if a.buf < a.cfg.Watermark {
+		if a.buf < AudioWatermark {
 			s |= CharStatLowBuf
 		}
 		if a.held > 0 {
@@ -179,14 +149,16 @@ func (a *Audio) PortIn(port uint32) (uint32, error) {
 
 // PortOut implements kernel.Device.
 func (a *Audio) PortOut(port uint32, val uint32) error {
-	if port-a.cfg.Base != CharRegCmd {
+	if port-PortAudio != CharRegCmd {
 		return nil
 	}
 	switch val {
 	case CharCmdReset:
 		a.stop()
+		// Whatever was queued is gone: silence until the next chunk
+		// plays, one hiccup with the starved stretch it may extend.
 		a.buf = 0
-		a.inUnderrun = false
+		a.gap = a.Consumed > 0
 		// Resetting the codec flushes the capture FIFO: whatever input
 		// was pending is unrecoverable (read-once, §6.3). A restarted
 		// driver always resets.
@@ -196,9 +168,9 @@ func (a *Audio) PortOut(port uint32, val uint32) error {
 	case CharCmdStart:
 		if !a.running {
 			a.running = true
-			a.play = a.env.Tick(a.cfg.Tick, a.playTick)
-			if a.buf < a.cfg.Watermark {
-				a.k.RaiseIRQ(a.cfg.IRQ)
+			a.play = a.env.Tick(AudioTick, a.playTick)
+			if a.buf < AudioWatermark {
+				a.k.RaiseIRQ(IRQAudio)
 			}
 		}
 	case CharCmdStop:
@@ -213,26 +185,27 @@ func (a *Audio) stop() {
 	a.play = nil
 }
 
-// playTick consumes one tick of playback while the codec runs.
+// playTick consumes one tick of playback while the codec runs. A hiccup
+// is a starved stretch between two stretches of playback: it counts once,
+// when playback resumes, however many ticks it lasted. The wait for the
+// first chunk and the silence after the last are not hiccups.
 func (a *Audio) playTick() {
-	need := int(a.cfg.PlayRate * int64(a.cfg.Tick) / int64(sim.Time(1e9)))
-	wasLow := a.buf < a.cfg.Watermark
-	if a.buf >= need {
-		a.buf -= need
-		a.Consumed += int64(need)
-		a.inUnderrun = false
+	wasLow := a.buf < AudioWatermark
+	if a.buf >= audioTickBytes {
+		a.buf -= audioTickBytes
+		a.Consumed += int64(audioTickBytes)
+		if a.gap {
+			a.Underruns++
+			a.gap = false
+		}
 	} else {
-		// Starved: whatever remains plays, then silence. One episode
-		// counts once however many ticks it lasts.
+		// Starved: whatever remains plays, then silence.
 		a.Consumed += int64(a.buf)
 		a.buf = 0
-		if !a.inUnderrun {
-			a.Underruns++
-			a.inUnderrun = true
-		}
+		a.gap = a.Consumed > 0
 	}
-	if !wasLow && a.buf < a.cfg.Watermark {
-		a.k.RaiseIRQ(a.cfg.IRQ)
+	if !wasLow && a.buf < AudioWatermark {
+		a.k.RaiseIRQ(IRQAudio)
 	}
 }
 
@@ -245,7 +218,7 @@ func (a *Audio) Handle() *AudioHandle { return &AudioHandle{a: a} }
 // Feed appends n bytes of samples to the playback buffer; it returns how
 // many bytes fit.
 func (h *AudioHandle) Feed(n int) int {
-	room := h.a.cfg.BufSize - h.a.buf
+	room := AudioBufSize - h.a.buf
 	if n > room {
 		n = room
 	}
@@ -280,22 +253,12 @@ func (h *AudioHandle) ReadCapture(n int) []byte {
 // ---------------------------------------------------------------------------
 // Line printer
 
-// PrinterConfig configures the printer device.
-type PrinterConfig struct {
-	Base uint32
-	IRQ  int
-}
-
-// printerLineTime is the time to print one line.
-const printerLineTime = 50 * sim.Time(1e6)
-
 // Printer prints lines one at a time. The driver cannot observe how far
 // into a line the device got — the §6.3 "duplicate printouts may result"
 // property.
 type Printer struct {
 	env *sim.Env
 	k   *kernel.Kernel
-	cfg PrinterConfig
 
 	busy    bool
 	pending string
@@ -305,24 +268,24 @@ type Printer struct {
 
 var _ kernel.Device = (*Printer)(nil)
 
-// NewPrinter creates the printer device mapped at [Base, Base+0x10).
-func NewPrinter(env *sim.Env, k *kernel.Kernel, cfg PrinterConfig) *Printer {
-	p := &Printer{env: env, k: k, cfg: cfg}
-	k.MapDevice(kernel.PortRange{Lo: cfg.Base, Hi: cfg.Base + 0x10}, p)
+// NewPrinter creates the printer device mapped at [PortPrinter, PortPrinter+0x10).
+func NewPrinter(env *sim.Env, k *kernel.Kernel) *Printer {
+	p := &Printer{env: env, k: k}
+	k.MapDevice(p.PortRange(), p)
 	return p
 }
 
 // PortRange returns the ports a printer driver needs.
 func (p *Printer) PortRange() kernel.PortRange {
-	return kernel.PortRange{Lo: p.cfg.Base, Hi: p.cfg.Base + 0x10}
+	return kernel.PortRange{Lo: PortPrinter, Hi: PortPrinter + 0x10}
 }
 
 // IRQ returns the printer interrupt line.
-func (p *Printer) IRQ() int { return p.cfg.IRQ }
+func (p *Printer) IRQ() int { return IRQPrinter }
 
 // PortIn implements kernel.Device.
 func (p *Printer) PortIn(port uint32) (uint32, error) {
-	if port-p.cfg.Base == CharRegStatus {
+	if port-PortPrinter == CharRegStatus {
 		var s uint32
 		if !p.busy {
 			s = CharStatReady
@@ -336,7 +299,7 @@ func (p *Printer) PortIn(port uint32) (uint32, error) {
 
 // PortOut implements kernel.Device.
 func (p *Printer) PortOut(port uint32, val uint32) error {
-	if port-p.cfg.Base == CharRegCmd && val == CharCmdReset {
+	if port-PortPrinter == CharRegCmd && val == CharCmdReset {
 		// Reset mid-line: the partial line is lost; the device cannot say
 		// whether it completed.
 		p.busy = false
@@ -360,27 +323,20 @@ func (h *PrinterHandle) Submit(line string) bool {
 	}
 	p.busy = true
 	p.pending = line
-	p.env.Schedule(printerLineTime, func() {
+	p.env.Schedule(PrinterLineTime, func() {
 		if !p.busy { // reset raced the completion
 			return
 		}
 		p.Output = append(p.Output, p.pending)
 		p.busy = false
 		p.pending = ""
-		p.k.RaiseIRQ(p.cfg.IRQ)
+		p.k.RaiseIRQ(IRQPrinter)
 	})
 	return true
 }
 
 // ---------------------------------------------------------------------------
 // CD burner
-
-// BurnerConfig configures the CD burner.
-type BurnerConfig struct {
-	Base     uint32
-	IRQ      int
-	GapLimit sim.Time // max stall before the burn is ruined (buffer underrun)
-}
 
 // Burner models the one device where recovery can never help: a burn in
 // progress that stalls longer than the buffer can cover ruins the disc
@@ -389,44 +345,39 @@ type BurnerConfig struct {
 type Burner struct {
 	env *sim.Env
 	k   *kernel.Kernel
-	cfg BurnerConfig
 
-	burning   bool
-	ruined    bool
-	written   int64
-	total     int64
-	lastWrite sim.Time
-	guard     *sim.Timer // the gap limit, re-armed by every chunk
+	burning bool
+	ruined  bool
+	written int64
+	total   int64
+	guard   *sim.Timer // BurnerMaxStall, re-armed by every chunk
 }
 
 var _ kernel.Device = (*Burner)(nil)
 
-// NewBurner creates the burner mapped at [Base, Base+0x10).
-func NewBurner(env *sim.Env, k *kernel.Kernel, cfg BurnerConfig) *Burner {
-	if cfg.GapLimit == 0 {
-		cfg.GapLimit = 300 * sim.Time(1e6) // 300ms of buffer
-	}
-	b := &Burner{env: env, k: k, cfg: cfg}
+// NewBurner creates the burner mapped at [PortBurner, PortBurner+0x10).
+func NewBurner(env *sim.Env, k *kernel.Kernel) *Burner {
+	b := &Burner{env: env, k: k}
 	b.guard = env.NewTimer(func() {
 		if b.burning && b.written < b.total {
 			b.ruined = true
 		}
 	})
-	k.MapDevice(kernel.PortRange{Lo: cfg.Base, Hi: cfg.Base + 0x10}, b)
+	k.MapDevice(b.PortRange(), b)
 	return b
 }
 
 // PortRange returns the ports a burner driver needs.
 func (b *Burner) PortRange() kernel.PortRange {
-	return kernel.PortRange{Lo: b.cfg.Base, Hi: b.cfg.Base + 0x10}
+	return kernel.PortRange{Lo: PortBurner, Hi: PortBurner + 0x10}
 }
 
 // IRQ returns the burner interrupt line.
-func (b *Burner) IRQ() int { return b.cfg.IRQ }
+func (b *Burner) IRQ() int { return IRQBurner }
 
 // PortIn implements kernel.Device.
 func (b *Burner) PortIn(port uint32) (uint32, error) {
-	if port-b.cfg.Base == CharRegStatus {
+	if port-PortBurner == CharRegStatus {
 		var s uint32 = CharStatReady
 		if b.burning {
 			s |= CharStatRunning
@@ -438,7 +389,7 @@ func (b *Burner) PortIn(port uint32) (uint32, error) {
 
 // PortOut implements kernel.Device.
 func (b *Burner) PortOut(port uint32, val uint32) error {
-	if port-b.cfg.Base == CharRegCmd && val == CharCmdReset {
+	if port-PortBurner == CharRegCmd && val == CharCmdReset {
 		// Resetting the controller mid-burn aborts the write session: the
 		// disc is ruined (§6.3's "will most certainly produce a corrupted
 		// disc"). A restarted driver always resets.
@@ -462,8 +413,7 @@ func (h *BurnerHandle) Begin(total int64) {
 	b.ruined = false
 	b.written = 0
 	b.total = total
-	b.lastWrite = b.env.Now()
-	b.guard.Reset(b.cfg.GapLimit)
+	b.guard.Reset(BurnerMaxStall)
 }
 
 // Write feeds the next chunk of the burn. Late chunks (after the gap
@@ -475,8 +425,7 @@ func (h *BurnerHandle) Write(n int64) {
 		return
 	}
 	b.written += n
-	b.lastWrite = b.env.Now()
-	b.guard.Reset(b.cfg.GapLimit)
+	b.guard.Reset(BurnerMaxStall)
 }
 
 // Finish ends the burn and reports whether the disc is good.

@@ -7,48 +7,66 @@ import (
 
 func TestAudioPlaybackConsumes(t *testing.T) {
 	env, k := testRig(t)
-	a := NewAudio(env, k, AudioConfig{Base: 0x3000, IRQ: 5, PlayRate: 100_000})
+	a := NewAudio(env, k)
 	h := a.Handle()
 	h.Feed(50_000)
-	a.PortOut(0x3000+CharRegCmd, CharCmdStart)
+	a.PortOut(PortAudio+CharRegCmd, CharCmdStart)
 	env.Run(200 * time.Millisecond)
-	if a.Consumed == 0 {
-		t.Fatal("nothing consumed")
-	}
-	if a.Consumed > 50_000 {
-		t.Fatalf("consumed %d > fed 50000", a.Consumed)
+	if want := int64(20 * audioTickBytes); a.Consumed != want {
+		t.Fatalf("consumed %d in 20 ticks, want %d", a.Consumed, want)
 	}
 }
 
+// TestAudioUnderrunOnStarvation: a hiccup is a starved stretch between
+// two stretches of playback, counted once when playback resumes. Neither
+// the wait for the first chunk nor the silence after the last is one, so
+// an unbroken run reads 0; a Reset while playing flushes the buffer and
+// counts once with the starvation it joins.
 func TestAudioUnderrunOnStarvation(t *testing.T) {
 	env, k := testRig(t)
-	a := NewAudio(env, k, AudioConfig{Base: 0x3000, IRQ: 5, PlayRate: 100_000})
+	a := NewAudio(env, k)
 	h := a.Handle()
-	h.Feed(10_000) // 100ms of audio
-	a.PortOut(0x3000+CharRegCmd, CharCmdStart)
-	env.Run(time.Second) // runs dry
-	if a.Underruns != 1 {
-		t.Fatalf("Underruns = %d, want 1 episode", a.Underruns)
+	a.PortOut(PortAudio+CharRegCmd, CharCmdStart)
+	env.Run(time.Second) // idle before the first chunk
+	h.Feed(AudioPlayRate / 10)
+	env.Run(time.Second) // plays, then runs dry
+	if a.Underruns != 0 || a.Consumed != AudioPlayRate/10 {
+		t.Fatalf("Underruns = %d after %d bytes, want 0 for an unbroken run", a.Underruns, a.Consumed)
 	}
-	// Refill: a second starvation is a second episode.
-	h.Feed(10_000)
+	// Refill: the silence between the two chunks was one hiccup.
+	h.Feed(AudioPlayRate / 10)
 	env.Run(time.Second)
+	if a.Underruns != 1 {
+		t.Fatalf("Underruns = %d, want 1", a.Underruns)
+	}
+	h.Feed(AudioBufSize)
+	env.Run(50 * time.Millisecond)
 	if a.Underruns != 2 {
 		t.Fatalf("Underruns = %d, want 2", a.Underruns)
+	}
+	// Reset mid-play, restart, feed: one more, however long the gap.
+	a.PortOut(PortAudio+CharRegCmd, CharCmdReset)
+	env.Run(time.Second)
+	a.PortOut(PortAudio+CharRegCmd, CharCmdStart)
+	env.Run(time.Second)
+	h.Feed(AudioPlayRate / 10)
+	env.Run(time.Second)
+	if a.Underruns != 3 {
+		t.Fatalf("Underruns = %d, want 3", a.Underruns)
 	}
 }
 
 func TestAudioFeedRespectsCapacity(t *testing.T) {
 	env, k := testRig(t)
-	a := NewAudio(env, k, AudioConfig{Base: 0x3000, IRQ: 5, BufSize: 1000})
+	a := NewAudio(env, k)
 	h := a.Handle()
-	if n := h.Feed(800); n != 800 {
-		t.Fatalf("Feed = %d, want 800", n)
+	if n := h.Feed(AudioBufSize - 200); n != AudioBufSize-200 {
+		t.Fatalf("Feed = %d, want %d", n, AudioBufSize-200)
 	}
 	if n := h.Feed(800); n != 200 {
 		t.Fatalf("Feed = %d, want 200 (capacity)", n)
 	}
-	if h.Buffered() != 1000 {
+	if h.Buffered() != AudioBufSize {
 		t.Fatalf("Buffered = %d", h.Buffered())
 	}
 	_ = env
@@ -56,17 +74,17 @@ func TestAudioFeedRespectsCapacity(t *testing.T) {
 
 func TestAudioStopAndReset(t *testing.T) {
 	env, k := testRig(t)
-	a := NewAudio(env, k, AudioConfig{Base: 0x3000, IRQ: 5, PlayRate: 100_000})
+	a := NewAudio(env, k)
 	a.Handle().Feed(50_000)
-	a.PortOut(0x3000+CharRegCmd, CharCmdStart)
+	a.PortOut(PortAudio+CharRegCmd, CharCmdStart)
 	env.Run(100 * time.Millisecond)
-	a.PortOut(0x3000+CharRegCmd, CharCmdStop)
+	a.PortOut(PortAudio+CharRegCmd, CharCmdStop)
 	consumed := a.Consumed
 	env.Run(time.Second)
 	if a.Consumed != consumed {
 		t.Fatal("device consumed while stopped")
 	}
-	a.PortOut(0x3000+CharRegCmd, CharCmdReset)
+	a.PortOut(PortAudio+CharRegCmd, CharCmdReset)
 	if a.Handle().Buffered() != 0 {
 		t.Fatal("reset kept buffer")
 	}
@@ -76,7 +94,7 @@ func TestAudioStopAndReset(t *testing.T) {
 // used to make a negative slice and panic the driver that asked.
 func TestAudioNegativeReadCapture(t *testing.T) {
 	env, k := testRig(t)
-	a := NewAudio(env, k, AudioConfig{Base: 0x3000, IRQ: 5, CaptureRate: 64000})
+	a := NewAudio(env, k)
 	env.Run(15 * time.Millisecond)
 	ring := a.held
 	for _, n := range []int{-1, -1 << 40} {
@@ -91,7 +109,7 @@ func TestAudioNegativeReadCapture(t *testing.T) {
 
 func TestPrinterPrintsLines(t *testing.T) {
 	env, k := testRig(t)
-	p := NewPrinter(env, k, PrinterConfig{Base: 0x3100, IRQ: 7})
+	p := NewPrinter(env, k)
 	h := p.Handle()
 	if !h.Submit("page 1") {
 		t.Fatal("submit rejected on idle printer")
@@ -111,9 +129,9 @@ func TestPrinterPrintsLines(t *testing.T) {
 
 func TestPrinterResetLosesInFlightLine(t *testing.T) {
 	env, k := testRig(t)
-	p := NewPrinter(env, k, PrinterConfig{Base: 0x3100, IRQ: 7})
+	p := NewPrinter(env, k)
 	p.Handle().Submit("doomed")
-	p.PortOut(0x3100+CharRegCmd, CharCmdReset)
+	p.PortOut(PortPrinter+CharRegCmd, CharCmdReset)
 	env.Run(time.Second)
 	if len(p.Output) != 0 {
 		t.Fatalf("output = %v, want empty (line was lost by reset)", p.Output)
@@ -122,11 +140,11 @@ func TestPrinterResetLosesInFlightLine(t *testing.T) {
 
 func TestBurnerCompletesWhenFed(t *testing.T) {
 	env, k := testRig(t)
-	b := NewBurner(env, k, BurnerConfig{Base: 0x3200, IRQ: 11, GapLimit: 100 * time.Millisecond})
+	b := NewBurner(env, k)
 	h := b.Handle()
 	h.Begin(1000)
 	for i := 0; i < 10; i++ {
-		env.Run(50 * time.Millisecond) // inside the gap limit
+		env.Run(BurnerMaxStall - time.Millisecond) // inside the gap limit
 		h.Write(100)
 	}
 	if !h.Finish() {
@@ -136,17 +154,17 @@ func TestBurnerCompletesWhenFed(t *testing.T) {
 
 func TestBurnerRuinedByGap(t *testing.T) {
 	env, k := testRig(t)
-	b := NewBurner(env, k, BurnerConfig{Base: 0x3200, IRQ: 11, GapLimit: 100 * time.Millisecond})
+	b := NewBurner(env, k)
 	h := b.Handle()
 	h.Begin(1000)
 	h.Write(100)
-	env.Run(500 * time.Millisecond) // driver dead: gap exceeds the limit
+	env.Run(BurnerMaxStall + time.Millisecond) // driver dead: gap exceeds the limit
 	for i := 0; i < 9; i++ {
 		h.Write(100)
 		env.Run(10 * time.Millisecond)
 	}
 	if h.Finish() {
-		t.Fatal("burn with a half-second stall produced a good disc")
+		t.Fatal("burn with a stall past the gap limit produced a good disc")
 	}
 	if !b.Ruined() {
 		t.Fatal("Ruined not reported")
@@ -155,7 +173,7 @@ func TestBurnerRuinedByGap(t *testing.T) {
 
 func TestBurnerIncompleteIsBad(t *testing.T) {
 	env, k := testRig(t)
-	b := NewBurner(env, k, BurnerConfig{Base: 0x3200, IRQ: 11})
+	b := NewBurner(env, k)
 	h := b.Handle()
 	h.Begin(1000)
 	h.Write(100)
@@ -187,7 +205,8 @@ func TestMachineAssembly(t *testing.T) {
 
 // Each character device's status register reflects its state: ready when
 // idle, running while it plays, prints or burns, and — for audio — low
-// buffer once playback drains below the watermark. Other registers read 0.
+// buffer once playback drains below the watermark and input available
+// once a tick has captured. Other registers read 0.
 func TestCharStatusRegisters(t *testing.T) {
 	env, k := testRig(t)
 	status := func(d interface {
@@ -204,31 +223,39 @@ func TestCharStatusRegisters(t *testing.T) {
 		return s
 	}
 
-	a := NewAudio(env, k, AudioConfig{Base: 0x3000, IRQ: 5, BufSize: 1000, Watermark: 500})
-	if s := status(a, 0x3000); s != CharStatReady|CharStatLowBuf {
+	a := NewAudio(env, k)
+	if s := status(a, PortAudio); s != CharStatReady|CharStatLowBuf {
 		t.Errorf("idle empty audio status = %#x", s)
 	}
-	a.Handle().Feed(1000)
-	a.PortOut(0x3000+CharRegCmd, CharCmdStart)
-	if s := status(a, 0x3000); s != CharStatReady|CharStatRunning {
+	a.Handle().Feed(AudioWatermark + audioTickBytes)
+	a.PortOut(PortAudio+CharRegCmd, CharCmdStart)
+	if s := status(a, PortAudio); s != CharStatReady|CharStatRunning {
 		t.Errorf("playing audio status = %#x", s)
 	}
+	env.Run(AudioTick) // one tick leaves exactly the watermark, and captures
+	if s := status(a, PortAudio); s != CharStatReady|CharStatRunning|CharStatInAvail {
+		t.Errorf("audio at the watermark status = %#x", s)
+	}
+	env.Run(AudioTick) // the next takes it below
+	if s := status(a, PortAudio); s != CharStatReady|CharStatRunning|CharStatLowBuf|CharStatInAvail {
+		t.Errorf("audio below the watermark status = %#x", s)
+	}
 
-	p := NewPrinter(env, k, PrinterConfig{Base: 0x3100, IRQ: 6})
-	if s := status(p, 0x3100); s != CharStatReady {
+	p := NewPrinter(env, k)
+	if s := status(p, PortPrinter); s != CharStatReady {
 		t.Errorf("idle printer status = %#x", s)
 	}
 	p.Handle().Submit("line")
-	if s := status(p, 0x3100); s != CharStatRunning {
+	if s := status(p, PortPrinter); s != CharStatRunning {
 		t.Errorf("printing printer status = %#x", s)
 	}
 
-	b := NewBurner(env, k, BurnerConfig{Base: 0x3200, IRQ: 7})
-	if s := status(b, 0x3200); s != CharStatReady {
+	b := NewBurner(env, k)
+	if s := status(b, PortBurner); s != CharStatReady {
 		t.Errorf("idle burner status = %#x", s)
 	}
 	b.Handle().Begin(1 << 20)
-	if s := status(b, 0x3200); s != CharStatReady|CharStatRunning {
+	if s := status(b, PortBurner); s != CharStatReady|CharStatRunning {
 		t.Errorf("burning burner status = %#x", s)
 	}
 }

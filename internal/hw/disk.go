@@ -33,15 +33,10 @@ const (
 	DiskStatDRQ   = 1 << 3 // data buffer holds a completed read
 )
 
-// DiskConfig configures a simulated disk.
+// DiskConfig sizes the simulated disk; it sits at PortDisk, IRQDisk.
 type DiskConfig struct {
-	Base       uint32
-	IRQ        int
-	Sectors    int64 // capacity in sectors
-	Seed       int64 // generator seed for unwritten sector content
-	RateBps    int64 // media rate; default DiskRateBps
-	Overhead   sim.Time
-	ResetDelay sim.Time
+	Sectors int64 // capacity in sectors
+	Seed    int64 // generator seed for unwritten sector content
 }
 
 // Disk is a register-level model of a simple SATA-like disk. Unwritten
@@ -79,36 +74,27 @@ type DiskStats struct {
 
 var _ kernel.Device = (*Disk)(nil)
 
-// NewDisk creates a disk and maps its registers at [Base, Base+0x10).
+// NewDisk creates a disk and maps its registers at [PortDisk, PortDisk+0x10).
 func NewDisk(env *sim.Env, k *kernel.Kernel, cfg DiskConfig) *Disk {
-	if cfg.RateBps == 0 {
-		cfg.RateBps = DiskRateBps
-	}
-	if cfg.Overhead == 0 {
-		cfg.Overhead = DiskCmdOverhead
-	}
-	if cfg.ResetDelay == 0 {
-		cfg.ResetDelay = DiskResetDelay
-	}
 	d := &Disk{env: env, k: k, cfg: cfg, cow: make(map[int64][]byte)}
-	k.MapDevice(kernel.PortRange{Lo: cfg.Base, Hi: cfg.Base + 0x10}, d)
+	k.MapDevice(d.PortRange(), d)
 	return d
 }
 
 // PortRange returns the ports a disk driver needs privileges for.
 func (d *Disk) PortRange() kernel.PortRange {
-	return kernel.PortRange{Lo: d.cfg.Base, Hi: d.cfg.Base + 0x10}
+	return kernel.PortRange{Lo: PortDisk, Hi: PortDisk + 0x10}
 }
 
 // IRQ returns the disk's interrupt line.
-func (d *Disk) IRQ() int { return d.cfg.IRQ }
+func (d *Disk) IRQ() int { return IRQDisk }
 
 // Sectors returns the disk capacity in sectors.
 func (d *Disk) Sectors() int64 { return d.cfg.Sectors }
 
 // PortIn implements kernel.Device.
 func (d *Disk) PortIn(port uint32) (uint32, error) {
-	switch port - d.cfg.Base {
+	switch port - PortDisk {
 	case DiskRegStatus:
 		var s uint32
 		if !d.busy {
@@ -135,7 +121,7 @@ func (d *Disk) PortIn(port uint32) (uint32, error) {
 
 // PortOut implements kernel.Device.
 func (d *Disk) PortOut(port uint32, val uint32) error {
-	switch port - d.cfg.Base {
+	switch port - PortDisk {
 	case DiskRegLBA:
 		d.lba = val
 	case DiskRegCount:
@@ -159,12 +145,12 @@ func (d *Disk) command(val uint32) {
 		d.errbit = false
 		d.drq = false
 		d.buf = nil
-		d.env.Schedule(d.cfg.ResetDelay, func() {
+		d.env.Schedule(DiskResetDelay, func() {
 			if d.gen != gen {
 				return
 			}
 			d.busy = false
-			d.k.RaiseIRQ(d.cfg.IRQ)
+			d.k.RaiseIRQ(IRQDisk)
 		})
 	case DiskCmdRead, DiskCmdWrite:
 		if d.busy {
@@ -173,13 +159,13 @@ func (d *Disk) command(val uint32) {
 		lba, count := int64(d.lba), int64(d.count)
 		if count == 0 || lba < 0 || lba+count > d.cfg.Sectors {
 			d.errbit = true
-			d.k.RaiseIRQ(d.cfg.IRQ)
+			d.k.RaiseIRQ(IRQDisk)
 			return
 		}
 		d.errbit = false
 		d.busy = true
 		bytes := count * SectorSize
-		dur := d.cfg.Overhead + sim.Time(bytes*int64(sim.Time(1e9))/d.cfg.RateBps)
+		dur := DiskCmdOverhead + sim.Time(bytes*int64(sim.Time(1e9))/DiskRateBps)
 		gen := d.gen
 		if val == DiskCmdRead {
 			d.Stats.Reads++
@@ -191,7 +177,7 @@ func (d *Disk) command(val uint32) {
 				d.busy = false
 				d.drq = true
 				d.Stats.SectorsIO += count
-				d.k.RaiseIRQ(d.cfg.IRQ)
+				d.k.RaiseIRQ(IRQDisk)
 			})
 		} else {
 			d.Stats.Writes++
@@ -205,7 +191,7 @@ func (d *Disk) command(val uint32) {
 				d.drq = false
 				d.buf = nil
 				d.Stats.SectorsIO += count
-				d.k.RaiseIRQ(d.cfg.IRQ)
+				d.k.RaiseIRQ(IRQDisk)
 			})
 		}
 	default:

@@ -10,16 +10,14 @@ import (
 func newTestDisk(t *testing.T) (*Disk, func(horizon time.Duration)) {
 	t.Helper()
 	env, k := testRig(t)
-	d := NewDisk(env, k, DiskConfig{
-		Base: 0x2000, IRQ: 14, Sectors: 1024, Seed: 7,
-	})
+	d := NewDisk(env, k, DiskConfig{Sectors: 1024, Seed: 7})
 	return d, func(h time.Duration) { env.Run(h) }
 }
 
-func (d *Disk) out(reg, val uint32) { d.PortOut(d.cfg.Base+reg, val) }
+func (d *Disk) out(reg, val uint32) { d.PortOut(PortDisk+reg, val) }
 
 func (d *Disk) in(reg uint32) uint32 {
-	v, _ := d.PortIn(d.cfg.Base + reg)
+	v, _ := d.PortIn(PortDisk + reg)
 	return v
 }
 
@@ -159,20 +157,18 @@ func TestDiskCommandIgnoredWhileBusy(t *testing.T) {
 
 func TestDiskTimingMatchesRate(t *testing.T) {
 	env, k := testRig(t)
-	d := NewDisk(env, k, DiskConfig{
-		Base: 0x2000, IRQ: 14, Sectors: 1 << 20, Seed: 1,
-		RateBps: 32 * 1024 * 1024, Overhead: 0,
-	})
+	d := NewDisk(env, k, DiskConfig{Sectors: 1 << 20, Seed: 1})
 	d.out(DiskRegLBA, 0)
-	d.out(DiskRegCount, 64) // 32 KiB at 32 MiB/s = ~1ms
+	d.out(DiskRegCount, 64) // 32 KiB: the command overhead plus 32 KiB at DiskRateBps
 	d.out(DiskRegCmd, DiskCmdRead)
-	env.Run(500 * time.Microsecond)
+	want := DiskCmdOverhead + 32<<10*time.Second/DiskRateBps
+	env.Run(want - 1)
 	if d.in(DiskRegStatus)&DiskStatBusy == 0 {
 		t.Fatal("finished too early")
 	}
-	env.Run(time.Second)
+	env.Run(1)
 	if d.in(DiskRegStatus)&DiskStatDRQ == 0 {
-		t.Fatal("read never completed")
+		t.Fatalf("read not complete at %v", want)
 	}
 }
 

@@ -9,11 +9,16 @@
 // the kernel and model transfer timing in virtual time, which is what
 // calibrates the throughput experiments (Figs. 7 and 8).
 //
-// The NIC also models the paper's §7.2 hardware gate: a garbled command
-// stream can leave the card "confused"; ordinary confusion clears on a
-// RESET command, deep confusion requires a master reset — and, like the
-// authors' RealTek card, a NIC can be configured without master-reset
-// support, in which case only a host-level BIOS reset recovers it.
+// There is one machine and one calibration: every rate, size and delay
+// below is a constant, and a device is configured only by where it sits
+// (port base, IRQ line) and, for the disk, by its size and content seed.
+//
+// The NIC also models the paper's §7.2 hardware gate. A confusable card
+// (the machine's ConfusableNICs, what hw=on selects) can be wedged by a
+// garbage value in a control register: ordinary confusion clears on a
+// RESET command, deep confusion on nothing the driver can send. Like the
+// authors' RealTek card it has no master reset, so only a host-level
+// BIOS reset recovers it.
 package hw
 
 import (
@@ -22,9 +27,9 @@ import (
 	"resilientos/internal/sim"
 )
 
-// Calibration constants for the simulated machine. These are the knobs
-// that set the absolute throughput scale of the reproduced figures; see
-// EXPERIMENTS.md for the calibration against the paper's testbed.
+// Calibration constants for the simulated machine: every rate, size and
+// delay a device has. EXPERIMENTS.md's calibration table renders them
+// beside the paper's numbers (TestExperimentsTablesMatchGoldens).
 const (
 	// NICRateBps is the NIC serialization rate. With TCP/IP header and ACK
 	// overhead this yields roughly the paper's 10.8 MB/s wget throughput.
@@ -33,6 +38,13 @@ const (
 	// NICResetDelay is how long a NIC RESET takes; a restarted network
 	// driver pays this once during reinitialization.
 	NICResetDelay = 120 * sim.Time(1e6) // 120ms
+
+	// NICRingFrames is the receive ring's capacity. A confusable card
+	// is wedged by a garbage control value with NICWedgeProb, deeply (only
+	// a BIOS reset clears it) with NICDeepWedgeProb of those.
+	NICRingFrames    = 64
+	NICWedgeProb     = 0.5
+	NICDeepWedgeProb = 0.25
 
 	// DiskRateBps is the disk media transfer rate; after per-command
 	// overhead and server hops at 64 KiB transfers this yields the
@@ -47,6 +59,22 @@ const (
 	// per-kill loss at 1 s intervals works out to ~0.6 s, of which the
 	// device reset is the bulk).
 	DiskResetDelay = 600 * sim.Time(1e6) // 600ms
+
+	// The audio codec plays AudioPlayRate bytes/s (44.1 kHz, 16-bit
+	// stereo) from an AudioBufSize buffer, asking for a refill below
+	// AudioWatermark, and captures AudioInputRate bytes/s into an
+	// AudioInputRing-byte ring nobody can read twice (§6.3); it does both
+	// once per AudioTick.
+	AudioPlayRate  = 176_400
+	AudioBufSize   = 65536
+	AudioWatermark = AudioBufSize / 4
+	AudioInputRate = 64000
+	AudioInputRing = 16 << 10
+	AudioTick      = 10 * sim.Time(1e6) // 10ms
+
+	PrinterLineTime = 50 * sim.Time(1e6)  // to print one line
+	BurnerMaxStall  = 300 * sim.Time(1e6) // the longest stall a burn survives
+	RAMDiskSectors  = 2048                // 1 MiB
 )
 
 // FCS computes the frame check sequence the NIC appends on transmit and

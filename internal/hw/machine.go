@@ -7,7 +7,8 @@ import (
 
 // Canonical machine layout: port bases and IRQ lines for the devices the
 // reproduction's standard machine carries. Drivers receive privileges for
-// exactly their device's range and line (least authority, paper §4).
+// exactly their device's range and line (least authority, paper §4). The
+// single-instance devices (disk, codec, printer, burner) always sit here.
 const (
 	PortNIC0    uint32 = 0x1000 // RTL8139-class NIC (local host)
 	PortNIC1    uint32 = 0x1100 // DP8390-class NIC (fault-injection target)
@@ -26,9 +27,11 @@ const (
 
 // MachineConfig tunes the standard machine.
 type MachineConfig struct {
-	DiskSeed       int64   // content seed for unwritten sectors
-	NICConfuseProb float64 // P(garbage command wedges a NIC)
-	NICDeepProb    float64 // P(wedge is deep), given wedged
+	DiskSeed int64 // content seed for unwritten sectors
+	// ConfusableNICs turns on the §7.2 hardware gate on both local NICs:
+	// a garbage control value can wedge the card (NICWedgeProb), and a
+	// wedge can be deep (NICDeepWedgeProb).
+	ConfusableNICs bool
 }
 
 // Machine is the standard simulated hardware complement: two NICs (one
@@ -49,14 +52,8 @@ type Machine struct {
 // NewMachine builds the standard machine on the environment and kernel.
 func NewMachine(env *sim.Env, k *kernel.Kernel, cfg MachineConfig) *Machine {
 	m := &Machine{}
-	m.NIC0 = NewNIC(env, k, NICConfig{
-		Base: PortNIC0, IRQ: IRQNIC0,
-		ConfuseProb: cfg.NICConfuseProb, DeepConfuseProb: cfg.NICDeepProb,
-	})
-	m.NIC1 = NewNIC(env, k, NICConfig{
-		Base: PortNIC1, IRQ: IRQNIC1,
-		ConfuseProb: cfg.NICConfuseProb, DeepConfuseProb: cfg.NICDeepProb,
-	})
+	m.NIC0 = NewNIC(env, k, NICConfig{Base: PortNIC0, IRQ: IRQNIC0, Confusable: cfg.ConfusableNICs})
+	m.NIC1 = NewNIC(env, k, NICConfig{Base: PortNIC1, IRQ: IRQNIC1, Confusable: cfg.ConfusableNICs})
 	// Remote peers live outside the simulated OS: their "drivers" are
 	// ideal and never fail, so only the local side's recovery is measured.
 	m.Remote = NewNIC(env, k, NICConfig{Base: 0xF000, IRQ: 30})
@@ -64,12 +61,11 @@ func NewMachine(env *sim.Env, k *kernel.Kernel, cfg MachineConfig) *Machine {
 	m.Wire0 = Connect(env, m.NIC0, m.Remote)
 	m.Wire1 = Connect(env, m.NIC1, m.Remote1)
 	m.Disk = NewDisk(env, k, DiskConfig{
-		Base: PortDisk, IRQ: IRQDisk,
 		Sectors: 8 << 20, // 8 Mi sectors = 4 GiB
 		Seed:    cfg.DiskSeed,
 	})
-	m.Audio = NewAudio(env, k, AudioConfig{Base: PortAudio, IRQ: IRQAudio, CaptureRate: 64000})
-	m.Printer = NewPrinter(env, k, PrinterConfig{Base: PortPrinter, IRQ: IRQPrinter})
-	m.Burner = NewBurner(env, k, BurnerConfig{Base: PortBurner, IRQ: IRQBurner})
+	m.Audio = NewAudio(env, k)
+	m.Printer = NewPrinter(env, k)
+	m.Burner = NewBurner(env, k)
 	return m
 }

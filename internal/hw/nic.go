@@ -59,14 +59,11 @@ type NICStats struct {
 	FCSErrors   int // frames dropped for bad FCS
 }
 
-// NICConfig configures a simulated Ethernet controller.
+// NICConfig places a simulated Ethernet controller.
 type NICConfig struct {
-	Base            uint32  // port base
-	IRQ             int     // interrupt line
-	RingSize        int     // receive ring capacity (frames); default 64
-	RateBps         int64   // serialization rate; default NICRateBps
-	ConfuseProb     float64 // P(bad command confuses the card)
-	DeepConfuseProb float64 // P(confusion is deep), given confused
+	Base       uint32 // port base
+	IRQ        int    // interrupt line
+	Confusable bool   // a garbage control value can wedge the card (§7.2)
 }
 
 // NIC is a register-level model of an Ethernet controller.
@@ -98,12 +95,6 @@ var _ kernel.Device = (*NIC)(nil)
 // NewNIC creates a NIC and maps it into the kernel's port space at
 // [cfg.Base, cfg.Base+0x20).
 func NewNIC(env *sim.Env, k *kernel.Kernel, cfg NICConfig) *NIC {
-	if cfg.RingSize == 0 {
-		cfg.RingSize = 64
-	}
-	if cfg.RateBps == 0 {
-		cfg.RateBps = NICRateBps
-	}
 	n := &NIC{env: env, k: k, cfg: cfg}
 	k.MapDevice(kernel.PortRange{Lo: cfg.Base, Hi: cfg.Base + 0x20}, n)
 	return n
@@ -217,14 +208,14 @@ func (n *NIC) beginReset() {
 
 // maybeConfuse models the card wedging on a garbage command stream.
 func (n *NIC) maybeConfuse() {
-	if n.cfg.ConfuseProb <= 0 || n.confusion == nicDeep {
+	if !n.cfg.Confusable || n.confusion == nicDeep {
 		return
 	}
-	if n.env.Rand().Float64() >= n.cfg.ConfuseProb {
+	if n.env.Rand().Float64() >= NICWedgeProb {
 		return
 	}
 	n.confusion = nicSoft
-	if n.env.Rand().Float64() < n.cfg.DeepConfuseProb {
+	if n.env.Rand().Float64() < NICDeepWedgeProb {
 		n.confusion = nicDeep
 	}
 	n.enabled = false
@@ -256,7 +247,7 @@ func (n *NIC) transmit() {
 	n.txFrame = nil
 	n.txBusy = true
 	n.Stats.TxFrames++
-	serialize := sim.Time(int64(len(frame)) * int64(sim.Time(1e9)) / n.cfg.RateBps)
+	serialize := sim.Time(int64(len(frame)) * int64(sim.Time(1e9)) / NICRateBps)
 	n.wire.fly(serialize, n, nil, frame, 0)
 }
 
@@ -279,7 +270,7 @@ func (n *NIC) deliver(frame []byte, fcs uint32) {
 		n.Stats.FCSErrors++
 		return
 	}
-	if len(n.rxRing) >= n.cfg.RingSize {
+	if len(n.rxRing) >= NICRingFrames {
 		n.Stats.RxDropped++
 		return
 	}

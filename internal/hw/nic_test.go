@@ -73,17 +73,21 @@ func TestNICDropsWhenDisabled(t *testing.T) {
 
 func TestNICRingOverflow(t *testing.T) {
 	env, k := testRig(t)
-	a, b, _ := nicPair(env, k, NICConfig{Base: 0x1000, IRQ: 9, RingSize: 2})
+	a, b, _ := nicPair(env, k, NICConfig{Base: 0x1000, IRQ: 9})
 	enable(a)
 	enable(b)
-	for i := 0; i < 5; i++ {
+	const sent = NICRingFrames + 3
+	for i := 0; i < sent; i++ {
 		a.Handle().SetTx([]byte{byte(i)})
 		a.PortOut(0x1000+NICRegTxGo, 1)
 		env.Run(time.Millisecond) // let each serialize
 	}
 	env.Run(time.Second)
 	if b.Stats.RxDropped != 3 {
-		t.Fatalf("RxDropped = %d, want 3 (ring of 2, 5 frames)", b.Stats.RxDropped)
+		t.Fatalf("RxDropped = %d, want 3 (ring of %d, %d frames)", b.Stats.RxDropped, NICRingFrames, sent)
+	}
+	if got := takeAll(b); len(got) != NICRingFrames || got[0][0] != 0 || got[len(got)-1][0] != NICRingFrames-1 {
+		t.Fatalf("ring held %d frames, want the first %d", len(got), NICRingFrames)
 	}
 }
 
@@ -104,10 +108,10 @@ func TestNICTxBusySerializes(t *testing.T) {
 
 func TestNICSerializationDelayMatchesRate(t *testing.T) {
 	env, k := testRig(t)
-	a, b, _ := nicPair(env, k, NICConfig{Base: 0x1000, IRQ: 9, RateBps: 1_000_000})
+	a, b, _ := nicPair(env, k, NICConfig{Base: 0x1000, IRQ: 9})
 	enable(a)
 	enable(b)
-	a.Handle().SetTx(make([]byte, 1000)) // 1000B at 1MB/s = 1ms + 50µs wire
+	a.Handle().SetTx(make([]byte, NICRateBps/10_000)) // 100µs at NICRateBps + 50µs wire
 	a.PortOut(0x1000+NICRegTxGo, 1)
 	var arrived sim.Time
 	for i := sim.Time(0); i < 10*time.Millisecond; i += 10 * time.Microsecond {
@@ -119,7 +123,7 @@ func TestNICSerializationDelayMatchesRate(t *testing.T) {
 			}
 		}
 	}
-	want := sim.Time(1050 * time.Microsecond)
+	want := sim.Time(150 * time.Microsecond)
 	if arrived != want {
 		t.Fatalf("frame arrived at %v, want %v", arrived, want)
 	}
@@ -156,14 +160,35 @@ func TestWireLoss(t *testing.T) {
 	}
 }
 
+// wedge writes garbage commands to a confusable card until it is
+// confused at the wanted depth, at hw=on's own probabilities. A soft
+// wedge escalates under more garbage, so one that went deep when a soft
+// one was wanted is BIOS-reset and tried again.
+func wedge(t *testing.T, n *NIC, deep bool) {
+	t.Helper()
+	for range 1000 {
+		n.PortOut(n.cfg.Base+NICRegCmd, 0xDEAD)
+		switch c, d := n.Confused(); {
+		case c && d == deep:
+			return
+		case d:
+			n.BIOSReset()
+		}
+	}
+	t.Fatalf("1000 garbage commands never wedged the card (deep=%v)", deep)
+}
+
 func TestNICConfusionOnGarbageCommand(t *testing.T) {
 	env, k := testRig(t)
-	n := NewNIC(env, k, NICConfig{Base: 0x1000, IRQ: 9, ConfuseProb: 1.0})
-	n.PortOut(0x1000+NICRegCmd, 0xDEAD) // garbage command
-	confused, deep := n.Confused()
-	if !confused || deep {
-		t.Fatalf("confused=%v deep=%v, want soft confusion", confused, deep)
+	plain := NewNIC(env, k, NICConfig{Base: 0x1100, IRQ: 10})
+	for range 100 {
+		plain.PortOut(0x1100+NICRegCmd, 0xDEAD)
 	}
+	if c, _ := plain.Confused(); c {
+		t.Fatal("a card without the hardware gate was wedged")
+	}
+	n := NewNIC(env, k, NICConfig{Base: 0x1000, IRQ: 9, Confusable: true})
+	wedge(t, n, false)
 	// Enable is ignored while confused.
 	enable(n)
 	if s, _ := n.PortIn(0x1000 + NICRegStatus); s&NICStatEnabled != 0 {
@@ -185,14 +210,8 @@ func TestNICWithoutMasterResetNeedsBIOS(t *testing.T) {
 	// The authors' card: no master reset command, so only a host-level
 	// BIOS reset recovers deep confusion (paper §7.2).
 	env, k := testRig(t)
-	n := NewNIC(env, k, NICConfig{
-		Base: 0x1000, IRQ: 9,
-		ConfuseProb: 1.0, DeepConfuseProb: 1.0,
-	})
-	n.PortOut(0x1000+NICRegCmd, 0xBAD)
-	if _, deep := n.Confused(); !deep {
-		t.Fatal("expected deep confusion")
-	}
+	n := NewNIC(env, k, NICConfig{Base: 0x1000, IRQ: 9, Confusable: true})
+	wedge(t, n, true)
 	n.PortOut(0x1000+NICRegCmd, NICCmdReset)
 	env.Run(time.Second)
 	if c, _ := n.Confused(); !c {

@@ -167,30 +167,25 @@ type PreallocFile struct {
 	Size int64
 }
 
-// MkfsConfig parameterizes volume creation.
-type MkfsConfig struct {
-	NInodes uint32 // default 4096
-	Ateach  []PreallocFile
-}
+// volumeInodes is the inode count every volume is made with.
+const volumeInodes = 4096
 
 // Mkfs formats the disk in place (factory image: writes bypass the
-// driver). Returns the superblock.
-func Mkfs(d *hw.Disk, cfg MkfsConfig) (*Superblock, error) {
-	if cfg.NInodes == 0 {
-		cfg.NInodes = 4096
-	}
+// driver), with the prealloc files in its root directory. Returns the
+// superblock.
+func Mkfs(d *hw.Disk, prealloc []PreallocFile) (*Superblock, error) {
 	nZones := uint32(d.Sectors() / SectorsPerBlock)
 	if nZones < 64 {
 		return nil, errors.New("mfs: disk too small")
 	}
 	sb := &Superblock{
 		Magic:      Magic,
-		NInodes:    cfg.NInodes,
+		NInodes:    volumeInodes,
 		NZones:     nZones,
-		ImapBlocks: (cfg.NInodes + BlockSize*8 - 1) / (BlockSize * 8),
+		ImapBlocks: (volumeInodes + BlockSize*8 - 1) / (BlockSize * 8),
 		ZmapBlocks: (nZones + BlockSize*8 - 1) / (BlockSize * 8),
 	}
-	sb.ITblBlocks = (cfg.NInodes + InodesPerBlock - 1) / InodesPerBlock
+	sb.ITblBlocks = (volumeInodes + InodesPerBlock - 1) / InodesPerBlock
 	sb.FirstData = sb.itblStart() + sb.ITblBlocks
 
 	w := &rawWriter{d: d}
@@ -217,13 +212,13 @@ func Mkfs(d *hw.Disk, cfg MkfsConfig) (*Superblock, error) {
 	rootBlock := make([]byte, BlockSize)
 	rootEntries := 0
 
-	for _, pf := range cfg.Ateach {
+	for _, pf := range prealloc {
 		if pf.Size > MaxFileSize {
 			return nil, fmt.Errorf("mfs: %s exceeds max file size", pf.Name)
 		}
 		ino := nextIno
 		nextIno++
-		if ino >= cfg.NInodes {
+		if ino >= volumeInodes {
 			return nil, errors.New("mfs: out of inodes")
 		}
 		imap.set(int(ino))

@@ -127,11 +127,11 @@ func TestBlockCacheCopies(t *testing.T) {
 func TestMkfsLayout(t *testing.T) {
 	env := sim.NewEnv(1)
 	k := kernel.New(env)
-	disk := hw.NewDisk(env, k, hw.DiskConfig{Base: 0x2000, IRQ: 14, Sectors: 1 << 16, Seed: 3})
-	sb, err := Mkfs(disk, MkfsConfig{Ateach: []PreallocFile{
+	disk := hw.NewDisk(env, k, hw.DiskConfig{Sectors: 1 << 16, Seed: 3})
+	sb, err := Mkfs(disk, []PreallocFile{
 		{Name: "big", Size: 5 << 20}, // needs indirect + double indirect? 5MB > 4.2MB direct+ind
 		{Name: "small", Size: 100},
-	}})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,8 +152,8 @@ func TestMkfsLayout(t *testing.T) {
 func TestMkfsTooSmall(t *testing.T) {
 	env := sim.NewEnv(1)
 	k := kernel.New(env)
-	disk := hw.NewDisk(env, k, hw.DiskConfig{Base: 0x2000, IRQ: 14, Sectors: 64, Seed: 3})
-	if _, err := Mkfs(disk, MkfsConfig{}); err == nil {
+	disk := hw.NewDisk(env, k, hw.DiskConfig{Sectors: 64, Seed: 3})
+	if _, err := Mkfs(disk, nil); err == nil {
 		t.Fatal("mkfs on tiny disk succeeded")
 	}
 }
@@ -178,11 +178,8 @@ func newFsRig(t *testing.T, prealloc []PreallocFile) *fsRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	disk := hw.NewDisk(env, k, hw.DiskConfig{
-		Base: 0x2000, IRQ: 14, Sectors: 1 << 18, Seed: 7,
-		ResetDelay: 10 * time.Millisecond,
-	})
-	if _, err := Mkfs(disk, MkfsConfig{Ateach: prealloc}); err != nil {
+	disk := hw.NewDisk(env, k, hw.DiskConfig{Sectors: 1 << 18, Seed: 7})
+	if _, err := Mkfs(disk, prealloc); err != nil {
 		t.Fatal(err)
 	}
 	r := &fsRig{env: env, k: k, disk: disk, dsEp: dsEp}
@@ -415,8 +412,8 @@ func TestMFSComplainsAboutProtocolViolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	disk := hw.NewDisk(env, k, hw.DiskConfig{Base: 0x2000, IRQ: 14, Sectors: 1 << 18, Seed: 7})
-	if _, err := Mkfs(disk, MkfsConfig{}); err != nil {
+	disk := hw.NewDisk(env, k, hw.DiskConfig{Sectors: 1 << 18, Seed: 7})
+	if _, err := Mkfs(disk, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Misbehaving driver: acks opens, replies garbage to reads.

@@ -168,7 +168,8 @@ const (
 
 // File system protocol (applications <-> VFS, VFS <-> MFS).
 const (
-	// FSOpen: open path Name with flags Arg1. Reply: FSReply = fd.
+	// FSOpen: open path Name. Reply: FSReply = fd (from MFS to VFS: the
+	// inode, Arg2 = size, Arg3 = 1 for a directory).
 	FSOpen int32 = 800 + iota
 	// FSRead: read Arg2 bytes at offset Arg3 from fd Arg1.
 	// Reply: FSReply with Payload.
@@ -193,12 +194,6 @@ const (
 	FSIoctl
 	// FSReply: reply. Arg1 = result (>= 0 ok, < 0 error code).
 	FSReply
-)
-
-// Open flags for FSOpen.
-const (
-	FSFlagRead  int64 = 1 << iota // open for reading
-	FSFlagWrite                   // open for writing
 )
 
 // Result codes carried in reply Arg fields (negative = error).

@@ -42,7 +42,6 @@ type file struct {
 	ino    uint32          // file-server handle (0 for devices)
 	drv    kernel.Endpoint // the driver instance a device was opened on (None for regular files)
 	offset int64
-	flags  int64
 }
 
 // Server is the virtual file system.
@@ -184,7 +183,7 @@ func (s *Server) open(m kernel.Message, create bool) {
 			s.reply(m.Source, kernel.Message{Arg1: proto.ErrIO})
 			return
 		}
-		f := &file{fd: s.nextFd, owner: m.Source, drv: ep, flags: m.Arg1}
+		f := &file{fd: s.nextFd, owner: m.Source, drv: ep}
 		s.nextFd++
 		s.files[f.fd] = f
 		s.reply(m.Source, kernel.Message{Arg1: f.fd})
@@ -209,11 +208,10 @@ func (s *Server) open(m kernel.Message, create bool) {
 		owner: m.Source,
 		ino:   uint32(reply.Arg1),
 		drv:   kernel.None,
-		flags: m.Arg1,
 	}
 	s.nextFd++
 	s.files[f.fd] = f
-	s.reply(m.Source, kernel.Message{Arg1: f.fd, Arg2: reply.Arg2})
+	s.reply(m.Source, kernel.Message{Arg1: f.fd})
 }
 
 func (s *Server) lookupFd(m kernel.Message) *file {

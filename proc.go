@@ -137,9 +137,7 @@ func (p *Proc) Create(path string) (*File, error) { return p.open(proto.FSCreate
 
 func (p *Proc) open(typ int32, path string) (*File, error) {
 	vfs := p.vfsEp()
-	reply, err := vfsCall(p.ctx, vfs, kernel.Message{
-		Type: typ, Name: path, Arg1: proto.FSFlagRead | proto.FSFlagWrite,
-	})
+	reply, err := vfsCall(p.ctx, vfs, kernel.Message{Type: typ, Name: path})
 	if err != nil {
 		return nil, err
 	}

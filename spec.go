@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"resilientos/internal/drvlib"
-	"resilientos/internal/hw"
 	"resilientos/internal/policy"
 )
 
@@ -36,12 +35,6 @@ const (
 // maxKnobDuration bounds hb and backoff; it keeps the script's last arm
 // (8× base) far from overflow.
 const maxKnobDuration = 24 * time.Hour
-
-// hwGate is the machine behind hw=on: a garbage value in a control
-// register wedges the card half the time, and a quarter of wedges are
-// deep — only a BIOS reset clears them, since the card, like the
-// authors', has no master reset.
-var hwGate = hw.MachineConfig{NICConfuseProb: 0.5, NICDeepProb: 0.25}
 
 // Override returns cfg with the spec's system keys applied on top (cfg
 // itself is not modified). A spec that names no key, or any key but the
@@ -90,11 +83,12 @@ func (cfg Config) Override(spec string) (Config, error) {
 				err = errors.New("want respawn, microreboot or standby")
 			}
 		case "hw":
+			// hw=on: a garbage value in a control register can wedge a
+			// NIC, and a deep wedge yields only to a BIOS reset, since
+			// the card, like the authors', has no master reset.
 			switch val {
-			case "on":
-				cfg.Machine = hwGate
-			case "off":
-				cfg.Machine = hw.MachineConfig{}
+			case "on", "off":
+				cfg.Machine.ConfusableNICs = val == "on"
 			default:
 				err = errors.New("want on or off")
 			}
@@ -110,8 +104,9 @@ func (cfg Config) Override(spec string) (Config, error) {
 
 // Spec renders the system keys canonically, every key spelled out;
 // Override on the zero Config inverts it. A Config built in code around a
-// policy script or machine the grammar cannot name renders that key as
-// "custom", which Override rejects — nothing is silently dropped.
+// policy script the grammar cannot name renders it as "policy=custom",
+// which Override rejects — nothing is silently dropped. Like Seed, the
+// machine's DiskSeed is what a run is about, not a knob.
 func (cfg Config) Spec() string {
 	hb := "off"
 	if cfg.HeartbeatPeriod >= 0 {
@@ -124,11 +119,8 @@ func (cfg Config) Spec() string {
 			pol = fmt.Sprintf("backoff=%s,policy=on", base)
 		}
 	}
-	gate := "custom"
-	switch cfg.Machine {
-	case hw.MachineConfig{}:
-		gate = "off"
-	case hwGate:
+	gate := "off"
+	if cfg.Machine.ConfusableNICs {
 		gate = "on"
 	}
 	return fmt.Sprintf("hb=%s,misses=%d,budget=%d,%s,mech=%s,hw=%s",

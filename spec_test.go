@@ -24,7 +24,7 @@ func TestConfigOverride(t *testing.T) {
 	}
 	if cfg.HeartbeatPeriod >= 0 || cfg.HeartbeatMisses != 5 || cfg.MaxRestarts != 2 ||
 		cfg.NetPolicy.Source() != backoffScript(2*time.Second).Source() ||
-		cfg.Mechanism != core.MechStandby || cfg.Machine != hwGate {
+		cfg.Mechanism != core.MechStandby || !cfg.Machine.ConfusableNICs {
 		t.Fatalf("override lost a key: %+v", cfg)
 	}
 	const want = "hb=off,misses=5,budget=2,backoff=2s,policy=on,mech=standby,hw=on"
@@ -34,9 +34,11 @@ func TestConfigOverride(t *testing.T) {
 	if again, err := (Config{}).Override(cfg.Spec()); err != nil || again.Spec() != want {
 		t.Fatalf("round trip = %q, %v; want %q", again.Spec(), err, want)
 	}
-	// Keys the grammar does not name are kept: the seed is not a knob.
-	if seeded, _ := (Config{Seed: 7}).Override("hb=1s"); seeded.Seed != 7 {
-		t.Fatalf("Override dropped the seed: %d", seeded.Seed)
+	// Keys the grammar does not name are kept: the seeds are not knobs.
+	seeded := Config{Seed: 7}
+	seeded.Machine.DiskSeed = 9
+	if seeded, _ := seeded.Override("hb=1s,hw=on"); seeded.Seed != 7 || seeded.Machine.DiskSeed != 9 {
+		t.Fatalf("Override dropped a seed: %d, disk %d", seeded.Seed, seeded.Machine.DiskSeed)
 	}
 
 	// backoff and policy name one script; like every key they apply left
@@ -92,14 +94,13 @@ func TestConfigOverride(t *testing.T) {
 	}
 }
 
-// TestSpecOfForeignConfig: a Config built in code around something the
-// grammar cannot name must not render as if it were standard.
+// TestSpecOfForeignConfig: a Config built in code around a policy script
+// the grammar cannot name must not render as if it were standard.
 func TestSpecOfForeignConfig(t *testing.T) {
 	cfg := Config{NetPolicy: policy.MustParse("service restart $1\n")}
-	cfg.Machine.NICConfuseProb = 0.1
 	spec := cfg.Spec()
-	if !strings.Contains(spec, "policy=custom") || !strings.Contains(spec, "hw=custom") {
-		t.Fatalf("spec %q hides a foreign script or machine", spec)
+	if !strings.Contains(spec, "policy=custom") {
+		t.Fatalf("spec %q hides a foreign script", spec)
 	}
 	if _, err := (Config{}).Override(spec); err == nil {
 		t.Fatalf("Override accepted %q", spec)

@@ -343,7 +343,7 @@ func (sys *System) bootDisk() {
 	for _, pf := range sys.cfg.PreallocFiles {
 		prealloc = append(prealloc, mfs.PreallocFile{Name: pf.Name, Size: pf.Size})
 	}
-	if _, err := mfs.Mkfs(m.Disk, mfs.MkfsConfig{Ateach: prealloc}); err != nil {
+	if _, err := mfs.Mkfs(m.Disk, prealloc); err != nil {
 		panic(err)
 	}
 	// §6.2: no policy script for disk drivers — direct RAM restart.

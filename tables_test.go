@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"resilientos/internal/bench"
+	"resilientos/internal/hw"
 )
 
 // benchCol is one table column: the metrics of doc under prefix.
@@ -46,10 +47,41 @@ func benchTable(cols []benchCol, rows []benchRow) string {
 	return b.String()
 }
 
+// calibrationTable renders the machine's hw constants beside the paper's
+// numbers where it gives one.
+func calibrationTable() string {
+	mbps := func(bps float64) string { return fmt.Sprintf("%.1f MB/s", bps/1e6) }
+	rows := [][4]string{
+		{"NICRateBps", mbps(hw.NICRateBps), "NIC serialization (wget, Fig. 7)", "10.8 MB/s wget"},
+		{"NICResetDelay", fmt.Sprint(hw.NICResetDelay), "NIC reset a restarted network driver waits for", "–"},
+		{"NICRingFrames", fmt.Sprint(hw.NICRingFrames), "receive ring, frames", "–"},
+		{"NICWedgeProb", fmt.Sprint(hw.NICWedgeProb), "`hw=on`: a garbage control value wedges the card", "–"},
+		{"NICDeepWedgeProb", fmt.Sprint(hw.NICDeepWedgeProb), "`hw=on`: a wedge needs a BIOS reset", "–"},
+		{"DiskRateBps", mbps(hw.DiskRateBps), "disk media rate (dd, Fig. 8)", "32.7 MB/s dd"},
+		{"DiskCmdOverhead", fmt.Sprint(hw.DiskCmdOverhead), "per disk command", "–"},
+		{"DiskResetDelay", fmt.Sprint(hw.DiskResetDelay), "reset+identify a restarted disk driver waits for", "≈ 0.62 s lost per kill"},
+		{"AudioPlayRate", fmt.Sprintf("%d B/s", hw.AudioPlayRate), "codec playback (44.1 kHz, 16-bit stereo)", "–"},
+		{"AudioBufSize", fmt.Sprintf("%d B", hw.AudioBufSize), "codec playback buffer", "–"},
+		{"AudioWatermark", fmt.Sprintf("%d B", hw.AudioWatermark), "refill interrupt below this level", "–"},
+		{"AudioInputRate", fmt.Sprintf("%d B/s", hw.AudioInputRate), "codec capture (read-once input)", "–"},
+		{"AudioInputRing", fmt.Sprintf("%d B", hw.AudioInputRing), "capture ring", "–"},
+		{"AudioTick", fmt.Sprint(hw.AudioTick), "codec playback and capture step", "–"},
+		{"PrinterLineTime", fmt.Sprint(hw.PrinterLineTime), "one printed line", "–"},
+		{"BurnerMaxStall", fmt.Sprint(hw.BurnerMaxStall), "longest stall a burn survives", "–"},
+		{"RAMDiskSectors", fmt.Sprint(hw.RAMDiskSectors), "RAM disk, 512-byte sectors", "–"},
+	}
+	var b strings.Builder
+	b.WriteString("| `hw` constant | Value | Sets | Paper |\n|---|---|---|---|\n")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "| `%s` | %s | %s | %s |\n", r[0], r[1], r[2], r[3])
+	}
+	return b.String()
+}
+
 // TestExperimentsTablesMatchGoldens keeps the EXPERIMENTS.md tables that
 // sit between <!-- bench:NAME --> markers equal to what the committed
-// bench goldens render to, so the doc holds no second copy of a number
-// that can rot. -update rewrites the blocks (this file sorts after the
+// bench goldens (and, for the calibration table, the hw constants)
+// render to, so the doc holds no second copy of a number that can rot. -update rewrites the blocks (this file sorts after the
 // golden tests, so one -update run regenerates goldens and tables both).
 func TestExperimentsTablesMatchGoldens(t *testing.T) {
 	load := func(path string) bench.Doc {
@@ -64,6 +96,7 @@ func TestExperimentsTablesMatchGoldens(t *testing.T) {
 	fleet := load("cmd/fleetbench/testdata/BENCH_fleet_compare_seed11.json")
 	speed := load("cmd/simspeed/testdata/BENCH_simspeed_seed1.json")
 	blocks := map[string]string{
+		"calibration": calibrationTable(),
 		"fig7": benchTable(
 			[]benchCol{{"Fig. 7 (net, seed 11)", fig7, ""}, {"Fig. 8 (disk, seed 11)", fig8, ""}},
 			[]benchRow{
