@@ -3,6 +3,9 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -17,7 +20,14 @@ import (
 // member ended up.
 type fingerprint struct {
 	report, csv []byte
-	members     string // per member: RS event log, executed events, final clock
+	members     string // per member: RS event log, executed events, final clock, probe answers
+
+	// Where the walk stopped: boundaries the fleet clock ticked at, and
+	// boundaries each member was probed at, summed; and how many
+	// boundaries there were from settle to the fleet's and each member's
+	// final clock, summed likewise.
+	ticks, probes           int
+	tickBounds, probeBounds int
 }
 
 func runFingerprint(t *testing.T, cfg Config, sliceCadence bool) fingerprint {
@@ -35,42 +45,67 @@ func runFingerprint(t *testing.T, cfg Config, sliceCadence bool) fingerprint {
 		t.Fatal(err)
 	}
 	fp.report, fp.csv = rep.Bytes(), csv.Bytes()
+	bounds := func(clock sim.Time) int { return int((clock-settle)/slice) + 1 }
+	fp.ticks, fp.tickBounds = c.ticks, bounds(c.Now())
 	for _, n := range c.Nodes() {
-		fp.members += fmt.Sprintf("%s clock=%s executed=%d events=%+v\n",
-			n.Name, n.Sys.Env.Now(), n.Sys.Env.EventsExecuted(), n.Sys.RS.Events())
+		fp.members += fmt.Sprintf("%s clock=%s executed=%d events=%+v changes=%+v\n",
+			n.Name, n.Sys.Env.Now(), n.Sys.Env.EventsExecuted(), n.Sys.RS.Events(), n.changes)
+		fp.probes += n.probes
+		fp.probeBounds += bounds(n.Sys.Env.Now())
 	}
 	return fp
 }
 
 // TestOneSectionMatchesSliceCadence holds the two-phase campaign — every
-// member from boot to the end in one parallel section, then the fleet loop
-// — to its reference: a fleet whose members and fleet loop alternate at
-// every 5 ms boundary (sliceCadence, what the drain does). Reports, window
-// series and each member's recovery log, event count and clock must be
-// the same bytes for every storm shape — strikes on slice multiples, off
-// them, several per slice, per-node Poisson chains, SWIFI injection, none
-// — and any worker count.
+// member from boot to the end in one parallel section, stepping only to
+// the boundaries where something can change, then the fleet loop, ticking
+// only where a member's answer changes — to its reference: a fleet whose
+// members and fleet loop alternate at every 5 ms boundary (sliceCadence,
+// what the drain does), each member probed at every boundary and the
+// fleet clock ticked at every one. Reports, window series and each
+// member's recovery log, event count and clock must be the same bytes for
+// every storm shape — strikes on slice multiples, off them, several per
+// slice, per-node Poisson chains, SWIFI injection, a disk driver whose
+// restart takes its reset delay, none — with and
+// without the char class (whose members boot the codec, and one of whose
+// storms kills its driver), and for any worker count.
 func TestOneSectionMatchesSliceCadence(t *testing.T) {
 	const nic = resilientos.DriverRTL8139
-	storms := []Storm{
-		{Kind: "correlated", Driver: nic, K: 2, Interval: time.Second},
-		{Kind: "correlated", Driver: nic, K: 2, Interval: 1500 * time.Millisecond},
-		{Kind: "correlated", Driver: nic, K: 1, Interval: 333 * time.Millisecond},
-		{Kind: "correlated", Driver: nic, K: 3, Interval: 7 * time.Millisecond},
-		{Kind: "poisson", Driver: nic, Mean: 400 * time.Millisecond},
-		{Kind: "poisson", Driver: nic, Mean: 900 * time.Millisecond, Mode: ModeInject},
-		{Kind: "none"},
+	rows := []struct {
+		storm Storm
+		char  bool // the testSpec load: net, disk and char classes
+	}{
+		{storm: Storm{Kind: "correlated", Driver: nic, K: 2, Interval: time.Second}},
+		{storm: Storm{Kind: "correlated", Driver: nic, K: 2, Interval: 1500 * time.Millisecond}},
+		{storm: Storm{Kind: "correlated", Driver: nic, K: 1, Interval: 333 * time.Millisecond}},
+		{storm: Storm{Kind: "correlated", Driver: nic, K: 3, Interval: 7 * time.Millisecond}},
+		{storm: Storm{Kind: "poisson", Driver: nic, Mean: 400 * time.Millisecond}},
+		{storm: Storm{Kind: "poisson", Driver: nic, Mean: 900 * time.Millisecond, Mode: ModeInject}},
+		{storm: Storm{Kind: "poisson", Driver: resilientos.DriverSATA, Mean: 700 * time.Millisecond}},
+		{storm: Storm{Kind: "none"}},
+		{storm: Storm{Kind: "correlated", Driver: nic, K: 2, Interval: time.Second}, char: true},
+		{storm: Storm{Kind: "poisson", Driver: resilientos.DriverAudio, Mean: 500 * time.Millisecond}, char: true},
 	}
-	for _, storm := range storms {
+	var ticks, probes, refTicks, refProbes int
+	for _, row := range rows {
 		for _, seed := range []int64{1, 7, 11} {
 			cfg := testConfig()
-			cfg.Arrivals = nil // the classic load of this seed
-			cfg.Seed, cfg.Storm, cfg.Horizon = seed, storm, 2*time.Second
+			if row.char {
+				cfg = workloadConfig(t)
+			} else {
+				cfg.Arrivals = nil // the classic load of this seed
+			}
+			cfg.Seed, cfg.Storm, cfg.Horizon = seed, row.storm, 2*time.Second
 			want := runFingerprint(t, cfg, true)
+			name := fmt.Sprintf("storm %s char %v seed %d", row.storm, row.char, seed)
+			if want.ticks != want.tickBounds || want.probes != want.probeBounds {
+				t.Fatalf("%s: the reference ticked %d of %d boundaries and probed %d of %d",
+					name, want.ticks, want.tickBounds, want.probes, want.probeBounds)
+			}
 			for _, workers := range []int{1, 3} {
 				cfg.Workers = workers
 				got := runFingerprint(t, cfg, false)
-				name := fmt.Sprintf("storm %s seed %d workers %d", storm, seed, workers)
+				name := fmt.Sprintf("%s workers %d", name, workers)
 				if !bytes.Equal(got.report, want.report) {
 					t.Errorf("%s: report differs\none section:\n%s\nslice cadence:\n%s", name, got.report, want.report)
 				}
@@ -80,7 +115,130 @@ func TestOneSectionMatchesSliceCadence(t *testing.T) {
 				if got.members != want.members {
 					t.Errorf("%s: members differ\none section:\n%s\nslice cadence:\n%s", name, got.members, want.members)
 				}
+				ticks, probes = ticks+got.ticks, probes+got.probes
+				refTicks, refProbes = refTicks+want.ticks, refProbes+want.probes
 			}
+		}
+	}
+	// The jumps must be taken, or the comparison above held the
+	// reference to itself.
+	if 2*ticks > refTicks || 2*probes > refProbes {
+		t.Errorf("one section ticked %d times and probed %d, the reference %d and %d: want under half",
+			ticks, probes, refTicks, refProbes)
+	}
+}
+
+// TestAdvanceMatchesEverySlice holds a member's jumps to the walk through
+// every boundary where a fleet storm never goes: RS's answer moving at an
+// instant off the 5 ms grid. Besides the strikes of its list, each member
+// kills a driver at random instants from events of its own, so the change
+// shows only at the first boundary after a member event and the warmup
+// ends between two boundaries. Every other member has RS's heartbeats off,
+// so no ping to the restarted driver falls where its warmup ends, and the
+// campaign ends off their 500 ms grid. The jumping member is advanced in
+// random chunks, the reference one boundary at a time; probe answers,
+// clock and executed events must agree, and the jumps must skip most
+// boundaries.
+func TestAdvanceMatchesEverySlice(t *testing.T) {
+	victims := []string{resilientos.DriverRTL8139, resilientos.DriverSATA, resilientos.DriverAudio}
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		end := settle + 4*time.Second + 35*time.Millisecond
+		heartbeat := time.Duration(0) // the default
+		if seed%2 == 0 {
+			heartbeat = -1
+		}
+		offGrid := func() sim.Time { return settle + sim.Time(rng.Int63n(int64(end-settle))) }
+		var kills, strikes []sim.Time
+		for range 5 {
+			kills = append(kills, offGrid())
+		}
+		for range 3 {
+			strikes = append(strikes, offGrid())
+		}
+		slices.Sort(strikes)
+		member := func(everySlice bool) *Node {
+			n := &Node{
+				Sys:        resilientos.New(resilientos.Config{Seed: seed, HeartbeatPeriod: heartbeat}),
+				next:       settle,
+				everySlice: everySlice,
+			}
+			t.Cleanup(n.Sys.Close)
+			n.storm = Storm{Kind: "poisson", Driver: resilientos.DriverRTL8139}
+			for _, at := range strikes {
+				n.strikes = append(n.strikes, strike{at: at})
+			}
+			for i, at := range kills {
+				n.Sys.After(at, func() { n.Sys.KillDriver(victims[i%len(victims)]) })
+			}
+			return n
+		}
+		ref, got := member(true), member(false)
+		ref.advance(end)
+		for to := settle; to < end; {
+			to = min(end, to+slice*sim.Time(1+rng.Intn(80)))
+			got.advance(to)
+		}
+		state := func(n *Node) string {
+			return fmt.Sprintf("clock=%s executed=%d struck=%d events=%+v changes=%+v",
+				n.Sys.Env.Now(), n.Sys.Env.EventsExecuted(), n.struck, n.Sys.RS.Events(), n.changes)
+		}
+		if g, w := state(got), state(ref); g != w {
+			t.Fatalf("seed %d: jumping member\n%s\nevery boundary\n%s", seed, g, w)
+		}
+		if len(ref.changes) < 2*len(kills) || 2*got.probes > ref.probes {
+			t.Fatalf("seed %d: %d answers changed, probed at %d of %d boundaries: want the kills seen and most boundaries skipped",
+				seed, len(ref.changes), got.probes, ref.probes)
+		}
+	}
+}
+
+// sampleBarrier is the tracker's booking of one barrier as the fleet loop
+// did it at every slice: the reference for sampleBarriers.
+func sampleBarrier(t *tracker, at sim.Time, healthy []int, recoveringNodes int) {
+	t.barriers++
+	t.overlapSum += int64(recoveringNodes)
+	if recoveringNodes > t.overlapMax {
+		t.overlapMax = recoveringNodes
+	}
+	w := t.window(at)
+	for c, h := range healthy {
+		t.healthySum[c] += int64(h)
+		if w >= 0 && h < t.minHealthy[c][w] {
+			t.minHealthy[c][w] = h
+		}
+	}
+}
+
+// TestSampleBarriersMatchesPerBarrier holds the fleet loop's one-step
+// booking of the barriers it skips to a booking at each of them
+// (sampleBarrier): random runs of 1–40 barriers with random counts,
+// starting before the first window and ending past the last (the drain),
+// so runs cross window edges, start and end on them, and fall outside
+// every window.
+func TestSampleBarriersMatchesPerBarrier(t *testing.T) {
+	classes := []string{resilientos.ClassNet, resilientos.ClassDisk, resilientos.ClassChar}
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		width := slice * sim.Time(1+rng.Intn(6))
+		got := newTracker(settle, width, 12, classes, nil)
+		want := newTracker(settle, width, 12, classes, nil)
+		healthy := make([]int, len(classes))
+		for at := settle - 10*slice; at < settle+15*width; {
+			n := sim.Time(1 + rng.Intn(40))
+			for c := range healthy {
+				healthy[c] = rng.Intn(5)
+			}
+			recovering := rng.Intn(4)
+			last := at + (n-1)*slice
+			got.sampleBarriers(at, last, healthy, recovering)
+			for b := at; b <= last; b += slice {
+				sampleBarrier(want, b, healthy, recovering)
+			}
+			at = last + slice
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: one-step booking\n%+v\nper barrier\n%+v", seed, got, want)
 		}
 	}
 }

@@ -15,8 +15,9 @@
 // its strike list and of nothing else, so a campaign has two phases: the
 // members, as independent jobs of one sim.Each, run from boot to the end
 // of the campaign, each dealing itself its strikes and probing its own
-// health at every slice boundary into a transition list; then the fleet
-// loop runs alone and adopts those answers as its clock passes them.
+// health at the slice boundaries where it can change into a transition
+// list; then the fleet loop runs alone and adopts those answers as its
+// clock passes them, stopping only where one changed.
 // Cluster-level logic therefore reads exactly the node state it would
 // have read by stopping every member at every boundary, and a campaign is
 // byte-reproducible from its fleet seed regardless of how many workers
@@ -148,6 +149,7 @@ type Cluster struct {
 	// by slice through the whole campaign, as they do in the drain — the
 	// reference the one-section run is compared against.
 	sliceCadence bool
+	ticks        int // boundaries the fleet clock stopped at
 
 	// tick's tally, redone only when an adopted answer moved: healthy
 	// nodes per class (indexed as classes) and nodes mid-recovery.
@@ -246,6 +248,7 @@ func (c *Cluster) advance(t sim.Time) {
 // tick sees exactly the state a probe at t saw — then the tally, which
 // only an adopted answer can move.
 func (c *Cluster) tick(t sim.Time) {
+	c.ticks++
 	c.fleet.RunUntil(t)
 	moved := false
 	for _, n := range c.nodes {
@@ -266,7 +269,7 @@ func (c *Cluster) tick(t sim.Time) {
 		}
 	}
 	if c.tracker != nil {
-		c.tracker.sampleBarrier(t, c.healthy, c.recovering)
+		c.tracker.sampleBarriers(t, t, c.healthy, c.recovering)
 	}
 }
 
@@ -286,13 +289,16 @@ func (c *Cluster) countStrike(i int) {
 
 // Run executes the campaign. The members go first, in one parallel
 // section: boot settling, then the storm phase to its end. Then the fleet
-// loop, alone, one slice of its clock at a time over what the members
-// left behind. The drain that follows waits for in-flight requests and
+// loop, alone, over what the members left behind, from one boundary where
+// an answer changed to the next. The drain that follows waits for in-flight requests and
 // recoveries to finish; its end is not known in advance, so there members
 // and fleet loop alternate slice by slice. Returns the fleet report.
 func (c *Cluster) Run() *Report {
 	end := settle + c.horizon
 	if c.sliceCadence {
+		for _, n := range c.nodes {
+			n.everySlice = true
+		}
 		c.advance(settle)
 	} else {
 		c.advance(end)
@@ -311,6 +317,11 @@ func (c *Cluster) Run() *Report {
 	for t := settle + slice; t <= end; t += slice {
 		if c.sliceCadence {
 			c.advance(t)
+		} else if next := c.nextChange(end); next > t {
+			// No member's answer moves before next: the barriers in
+			// between see the tally the last tick left.
+			c.tracker.sampleBarriers(t, next-slice, c.healthy, c.recovering)
+			t = next
 		}
 		c.tick(t)
 	}
@@ -328,6 +339,18 @@ func (c *Cluster) Run() *Report {
 	}
 	c.sampler.Finish()
 	return c.buildReport()
+}
+
+// nextChange returns the earliest boundary at which some member's change
+// list has an entry the fleet has not adopted yet, or limit if none comes
+// before it.
+func (c *Cluster) nextChange(limit sim.Time) sim.Time {
+	for _, n := range c.nodes {
+		if n.adopted < len(n.changes) {
+			limit = min(limit, n.changes[n.adopted].at)
+		}
+	}
+	return limit
 }
 
 func (c *Cluster) anyRecovering() bool {

@@ -85,19 +85,24 @@ func (t *tracker) window(at sim.Time) int {
 	return i
 }
 
-// sampleBarrier records one barrier's healthy-node counts per class
-// (indexed as classes) and the number of nodes with a recovery in flight.
-func (t *tracker) sampleBarrier(at sim.Time, healthy []int, recoveringNodes int) {
-	t.barriers++
-	t.overlapSum += int64(recoveringNodes)
-	if recoveringNodes > t.overlapMax {
-		t.overlapMax = recoveringNodes
-	}
-	w := t.window(at)
+// sampleBarriers records the barriers from first to last, a slice apart,
+// at all of which the healthy-node counts per class (indexed as classes)
+// and the number of nodes with a recovery in flight were the same.
+func (t *tracker) sampleBarriers(first, last sim.Time, healthy []int, recoveringNodes int) {
+	n := int64((last-first)/slice) + 1
+	t.barriers += int(n)
+	t.overlapSum += n * int64(recoveringNodes)
+	t.overlapMax = max(t.overlapMax, recoveringNodes)
+	// A window is at least a slice wide, so every window from first's to
+	// last's holds one of the barriers; those outside all windows count
+	// only in the sums.
+	lo, hi := max(first, t.start), min(last, t.start+sim.Time(t.windows)*t.width-1)
 	for c, h := range healthy {
-		t.healthySum[c] += int64(h)
-		if w >= 0 && h < t.minHealthy[c][w] {
-			t.minHealthy[c][w] = h
+		t.healthySum[c] += n * int64(h)
+		if lo <= hi {
+			for w := t.window(lo); w <= t.window(hi); w++ {
+				t.minHealthy[c][w] = min(t.minHealthy[c][w], h)
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 
@@ -50,8 +51,11 @@ type Node struct {
 	struck  int
 	counted int
 
-	// next is the slice boundary advance stops at next.
-	next sim.Time
+	// next is the slice boundary advance stops at next, and everySlice
+	// makes that every boundary (the sliceCadence reference).
+	next       sim.Time
+	everySlice bool
+	probes     int // boundaries advance stopped at
 
 	// Probe state, written only by whoever advances this node (one worker
 	// at a time). rsHealth is System.Health as of rsVersion, and
@@ -199,27 +203,66 @@ func (n *Node) probe(now sim.Time) (h resilientos.Health, degraded bool) {
 }
 
 // advance is the member's whole part in a campaign: it runs the member
-// through the slice boundaries it has not reached yet (settle first, then
-// every slice) up to to, dealing it the strikes of its list that fall in
-// each slice before running it — so a strike lands on a member standing on
-// the boundary just before its instant — and probing at each boundary
-// exactly as a fleet that stopped there would. The answers that differ
-// from their predecessor go to changes for the fleet loop to adopt as its
-// own clock passes them. It touches only this node, so nodes advance
-// concurrently, each as far ahead of the fleet clock as it is told.
+// through the slice boundaries it has not reached yet (settle first) up to
+// to, dealing it the strikes of its list that fall in each slice before
+// running it — so a strike lands on a member standing on the boundary just
+// before its instant — and probing at each boundary exactly as a fleet
+// that stopped there would. The answers that differ from their
+// predecessor go to changes for the fleet loop to adopt as its own clock
+// passes them. It touches only this node, so nodes advance concurrently,
+// each as far ahead of the fleet clock as it is told.
+//
+// It stops only at the boundaries where something can differ from the
+// one before (see after); at the others the member would run no event and
+// the probe would answer as before. It ends with the member's clock at
+// to, where a walk through every boundary leaves it.
 func (n *Node) advance(to sim.Time) {
-	for ; n.next <= to; n.next += slice {
+	for n.next <= to {
 		t := n.next
 		for ; n.struck < len(n.strikes) && n.strikes[n.struck].at <= t; n.struck++ {
 			n.strikes[n.struck].landed = n.strike()
 		}
 		n.Sys.Env.RunUntil(t)
 		h, degraded := n.probe(t)
+		n.probes++
 		if h != n.probed.health || degraded != n.probed.degraded {
 			n.probed = healthChange{at: t, health: h, degraded: degraded}
 			n.changes = append(n.changes, n.probed)
 		}
+		n.next = n.after(t)
 	}
+	n.Sys.Env.RunUntil(to)
+}
+
+// after returns the first boundary past t that advance must stop at: the
+// earliest of the first boundary at or after the member's next event
+// (before it the member stands still), the first at or after a warmup
+// deadline still ahead (where the probe's answer changes with no event),
+// and the one just before the next strike's boundary (where the strike
+// lands, see advance).
+func (n *Node) after(t sim.Time) sim.Time {
+	next := t + slice
+	if n.everySlice {
+		return next
+	}
+	stop := sim.Time(math.MaxInt64)
+	if at, ok := n.Sys.Env.NextEvent(); ok {
+		stop = boundaryAt(at)
+	}
+	for _, until := range [...]sim.Time{n.netWarmUntil, n.diskWarmUntil, n.charWarmUntil} {
+		if until > t {
+			stop = min(stop, boundaryAt(until))
+		}
+	}
+	if n.struck < len(n.strikes) {
+		stop = min(stop, boundaryAt(n.strikes[n.struck].at)-slice)
+	}
+	return max(stop, next)
+}
+
+// boundaryAt returns the first slice boundary at or after at.
+func boundaryAt(at sim.Time) sim.Time {
+	return (at + slice - 1) / slice * slice
 }
 
 // adopt makes the probe answer for boundary t the node's routing health,

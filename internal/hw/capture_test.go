@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 	"time"
 
@@ -37,9 +36,12 @@ type refAudio struct {
 	gap         bool
 	ticker      *sim.Event
 	raised      int
+
+	capAt, playAt sim.Time // the instants of the pending capture and playback ticks
 }
 
 func (a *refAudio) scheduleCapture() {
+	a.capAt = a.env.Now() + AudioTick
 	a.env.Schedule(AudioTick, func() {
 		n := int(AudioInputRate * int64(AudioTick) / int64(sim.Time(1e9)))
 		n &^= 3 // whole 4-byte samples
@@ -92,6 +94,7 @@ func (a *refAudio) stop() {
 }
 
 func (a *refAudio) scheduleTick() {
+	a.playAt = a.env.Now() + AudioTick
 	a.ticker = a.env.Schedule(AudioTick, func() {
 		if !a.running {
 			return
@@ -151,20 +154,23 @@ func ringBytes(b *Audio) []byte {
 	return out
 }
 
-// diff names the first state the two codecs disagree on, or "".
+// diff names the first state the two codecs disagree on, or "". It reads
+// the codec through its accessors first, so the ticks it has not run as
+// events are applied (Audio.sync) before anything is compared.
 func (a *refAudio) diff(b *Audio) string {
+	made, lost, buffered := b.CaptureMade(), b.CaptureLost(), b.Handle().Buffered()
 	switch {
 	case !bytes.Equal(a.capture, ringBytes(b)):
 		return fmt.Sprintf("ring: %d bytes, reference %d", len(ringBytes(b)), len(a.capture))
 	case 4*b.held != len(a.capture):
 		return fmt.Sprintf("ring: %d samples held, reference %d bytes", b.held, len(a.capture))
-	case a.CaptureMade != b.CaptureMade || a.CaptureLost != b.CaptureLost:
-		return fmt.Sprintf("made/lost %d/%d, reference %d/%d", b.CaptureMade, b.CaptureLost, a.CaptureMade, a.CaptureLost)
+	case a.CaptureMade != made || a.CaptureLost != lost:
+		return fmt.Sprintf("made/lost %d/%d, reference %d/%d", made, lost, a.CaptureMade, a.CaptureLost)
 	case a.captureSeq != b.captureSeq:
 		return fmt.Sprintf("captureSeq %d, reference %d", b.captureSeq, a.captureSeq)
-	case a.Consumed != b.Consumed || a.Underruns != b.Underruns || a.buf != b.buf:
+	case a.Consumed != b.Consumed || a.Underruns != b.Underruns || a.buf != buffered:
 		return fmt.Sprintf("consumed/underruns/buffered %d/%d/%d, reference %d/%d/%d",
-			b.Consumed, b.Underruns, b.buf, a.Consumed, a.Underruns, a.buf)
+			b.Consumed, b.Underruns, buffered, a.Consumed, a.Underruns, a.buf)
 	}
 	return ""
 }
@@ -173,7 +179,15 @@ func (a *refAudio) diff(b *Audio) string {
 // the per-sample reference through the same random script — runs of any
 // length (a full ring included: nothing reads for up to 40 ticks), reads
 // of 0–20 KiB at unaligned sizes, feeds, Reset / Start / Stop. The ring
-// bytes and every counter must agree after every step.
+// bytes and every counter must agree after every step, read through the
+// codec's catch-up path: a full ring and a starved playback tick no
+// events, and their ticks are applied when something looks.
+//
+// Some runs end exactly on a capture or a playback tick instant, and the
+// step after one is a read, a feed or a command at that instant: the
+// codec's state then includes the tick due there, as the reference's,
+// whose tick event has fired, does. Feeds that find playback parked
+// after a starved tick must happen, and must resume it on its phase.
 //
 // It is also the interrupt oracle: in every step the codec raises its
 // line exactly as often as the reference's two level conditions (see
@@ -183,6 +197,7 @@ func (a *refAudio) diff(b *Audio) string {
 // rising edge. The reference's per-tick raises must outnumber them, or
 // the script never held a bit set across a tick.
 func TestCaptureMatchesPerSampleReference(t *testing.T) {
+	ties, parkedFeeds := 0, 0
 	for seed := int64(0); seed < 16; seed++ {
 		env, k := testRig(t)
 		a := NewAudio(env, k)
@@ -190,11 +205,18 @@ func TestCaptureMatchesPerSampleReference(t *testing.T) {
 		ref.scheduleCapture()
 		rng := rand.New(rand.NewSource(seed))
 		read, edges := 0, uint64(0)
+		onTick := false // the last step ended on a tick instant
 		for step := 0; step < 400; step++ {
 			var did string
 			inAvail, lowBuf := ref.levels()
 			raised := k.IRQsRaised(IRQAudio)
-			switch op := rng.Intn(10); {
+			op := rng.Intn(12)
+			if onTick {
+				op = 4 + rng.Intn(6) // a read, a feed or a command, at the instant
+				ties++
+			}
+			onTick = false
+			switch {
 			case op < 4:
 				d := sim.Time(rng.Int63n(int64(40 * AudioTick)))
 				did = fmt.Sprintf("run %v", d)
@@ -211,14 +233,26 @@ func TestCaptureMatchesPerSampleReference(t *testing.T) {
 			case op < 7:
 				n := rng.Intn(8000)
 				did = fmt.Sprintf("feed %d", n)
+				if a.running && a.starved && n > 0 {
+					parkedFeeds++
+				}
 				if got, want := a.Handle().Feed(n), ref.feed(n); got != want {
 					t.Fatalf("seed %d step %d: %s took %d, reference %d", seed, step, did, got, want)
 				}
-			default:
+			case op < 10:
 				cmd := []uint32{CharCmdReset, CharCmdStart, CharCmdStop}[rng.Intn(3)]
 				did = fmt.Sprintf("command %d", cmd)
 				a.PortOut(PortAudio+CharRegCmd, cmd)
 				ref.portOut(cmd)
+			default:
+				at := ref.capAt
+				if ref.running && rng.Intn(2) == 0 {
+					at = ref.playAt
+				}
+				at += sim.Time(rng.Intn(30)) * AudioTick
+				did = fmt.Sprintf("run to the tick at %v", at)
+				env.RunUntil(at)
+				onTick = true
 			}
 			if d := ref.diff(a); d != "" {
 				t.Fatalf("seed %d step %d, after %s: %s", seed, step, did, d)
@@ -241,29 +275,70 @@ func TestCaptureMatchesPerSampleReference(t *testing.T) {
 			t.Fatalf("seed %d: the reference's per-tick raises (%d) do not outnumber the edges (%d)",
 				seed, ref.raised, edges)
 		}
-		if a.CaptureLost == 0 || read == 0 {
+		if a.lost == 0 || read == 0 {
 			t.Fatalf("seed %d: made %d, lost %d, read %d: the script never lost or never read a sample",
-				seed, a.CaptureMade, a.CaptureLost, read)
+				seed, a.made, a.lost, read)
 		}
+	}
+	if ties < 400 || parkedFeeds < 50 {
+		t.Fatalf("%d accesses on a tick instant, %d feeds to a parked playback: the script missed the cases it is for",
+			ties, parkedFeeds)
 	}
 }
 
 // TestIdleCodecAllocatesNothing: a codec whose capture ring nobody reads
 // fills it, then loses every later sample, for a virtual minute without
-// allocating: the ring holds sample numbers, never bytes. Every booted
-// system runs such a codec.
+// allocating: the ring holds sample numbers, never bytes, and the timers
+// that fire its ticks are reused. Every booted system runs such a codec.
+// Only the codec's own work is counted: a Reset + Start, a minute, and
+// the counters read through the catch-up path.
 func TestIdleCodecAllocatesNothing(t *testing.T) {
 	env, k := testRig(t)
 	a := NewAudio(env, k)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	env.Run(time.Minute)
-	runtime.ReadMemStats(&after)
-	if n := after.Mallocs - before.Mallocs; n != 0 {
-		t.Fatalf("a minute of an idle codec made %d allocations (%d B), want 0",
-			n, after.TotalAlloc-before.TotalAlloc)
+	allocs := testing.AllocsPerRun(20, func() {
+		a.PortOut(PortAudio+CharRegCmd, CharCmdReset)
+		a.PortOut(PortAudio+CharRegCmd, CharCmdStart)
+		env.Run(time.Minute)
+		a.CaptureLost()
+	})
+	if allocs != 0 {
+		t.Fatalf("a minute of an idle codec made %v allocations, want 0", allocs)
 	}
-	if a.held != AudioInputRing/4 || a.CaptureLost == 0 {
-		t.Fatalf("ring holds %d samples, %d bytes lost: the ring never filled", a.held, a.CaptureLost)
+	if a.held != AudioInputRing/4 || a.CaptureLost() == 0 {
+		t.Fatalf("ring holds %d samples, %d bytes lost: the ring never filled", a.held, a.CaptureLost())
+	}
+}
+
+// TestIdleCodecRunsNoEvents: after a Reset + Start nobody feeds or reads,
+// the codec raises its two edges — the buffer found low at Start, the
+// first capture — and runs one tick event per side: the capture tick that
+// finds the ring empty and the playback tick that starves. After those it
+// executes no event for a virtual minute, and the minute's ticks are
+// still all applied when something looks.
+func TestIdleCodecRunsNoEvents(t *testing.T) {
+	env, k := testRig(t)
+	a := NewAudio(env, k)
+	a.PortOut(PortAudio+CharRegCmd, CharCmdReset)
+	a.PortOut(PortAudio+CharRegCmd, CharCmdStart)
+	env.Run(AudioTick)
+	if got := k.IRQsRaised(IRQAudio); got != 2 {
+		t.Fatalf("line %d raised %d times after the first tick, want the 2 edges", IRQAudio, got)
+	}
+	if got := env.EventsExecuted(); got != 2 {
+		t.Fatalf("the first tick ran %d events, want one per side", got)
+	}
+	env.Run(time.Minute)
+	if got := env.EventsExecuted(); got != 2 {
+		t.Fatalf("an idle minute ran %d events, want none", got-2)
+	}
+	ticks := int64((AudioTick + time.Minute) / AudioTick)
+	if made, want := a.CaptureMade(), 4*int64(audioTickSamples)*ticks; made != want {
+		t.Fatalf("captured %d bytes in %d ticks, want %d", made, ticks, want)
+	}
+	if lost, want := a.CaptureLost(), a.CaptureMade()-AudioInputRing; lost != want {
+		t.Fatalf("lost %d bytes, want all but a ring's worth: %d", lost, want)
+	}
+	if got := k.IRQsRaised(IRQAudio); got != 2 {
+		t.Fatalf("line %d raised %d times in an idle minute, want the 2 post-boot edges", IRQAudio, got)
 	}
 }

@@ -51,6 +51,14 @@ const (
 // driver is not woken a hundred times a second; a driver that wants the
 // next edge drains the ring or refills the buffer, and Reset + Start
 // re-arms both.
+//
+// Both sides tick once per AudioTick, capture on the phase of NewAudio and
+// playback on that of Start, but a tick costs an event only where it can
+// raise an edge or move playback: the capture tick that finds the ring
+// empty, and the playback ticks until one is starved (every later one is
+// a no-op until a Feed). The other ticks are applied arithmetically by
+// sync, which everything that reads or changes the codec calls first: the
+// state at any instant includes every tick due at or before it.
 type Audio struct {
 	env *sim.Env
 	k   *kernel.Kernel
@@ -61,13 +69,20 @@ type Audio struct {
 	capture    []captureRun // capture ring: the held samples' numbers, oldest first
 	held       int          // samples in the capture ring
 	captureSeq uint32       // next sample sequence number
+	made, lost int64        // capture bytes produced, and dropped because nobody read them
 
-	Consumed    int64
-	Underruns   int   // hiccups: starved stretches between two of playback
-	CaptureMade int64 // capture bytes produced by the codec
-	CaptureLost int64 // capture bytes dropped because nobody read them
-	gap         bool  // silent since playback last ran (a hiccup if it resumes)
-	play        *sim.Ticker
+	// Playback counters. Only a tick that fires as an event moves them,
+	// so they are exact between events.
+	Consumed  int64
+	Underruns int  // hiccups: starved stretches between two of playback
+	gap       bool // silent since playback last ran (a hiccup if it resumes)
+	starved   bool // the last playback tick was starved: later ones are no-ops until a Feed
+
+	// The next tick of each side not yet applied, and the timers that
+	// fire it when it needs an event (armed says which are pending).
+	capNext, playNext   sim.Time
+	capTimer, playTimer *sim.Timer
+	capArmed, playArmed bool
 }
 
 // captureRun is a run of consecutively numbered samples in the capture
@@ -92,19 +107,63 @@ const (
 func NewAudio(env *sim.Env, k *kernel.Kernel) *Audio {
 	// A run starts only after a loss, and reads slide the array down, so
 	// these few slots seldom regrow.
-	a := &Audio{env: env, k: k, capture: make([]captureRun, 0, 4)}
+	a := &Audio{env: env, k: k, capture: make([]captureRun, 0, 4), capNext: env.Now() + AudioTick}
+	a.capTimer = env.NewTimer(func() { a.capArmed = false; a.sync() })
+	a.playTimer = env.NewTimer(func() { a.playArmed = false; a.sync() })
 	k.MapDevice(a.PortRange(), a)
-	env.Tick(AudioTick, a.captureTick)
+	a.arm()
 	return a
 }
 
-// captureTick runs the codec's input side: samples appear whether or not
-// a driver is alive to read them, and overflow is silent loss. Only the
-// samples that fit are written; the rest existed, numbered, and are gone.
-func (a *Audio) captureTick() {
-	n := audioTickSamples // whole 4-byte samples
+// sync applies every tick due at or before now, raising the edges they
+// make, and arms the timers for the next ticks that need an event.
+func (a *Audio) sync() {
+	now := a.env.Now()
+	if a.capNext <= now {
+		k := ticksThrough(a.capNext, now)
+		a.captureTicks(k)
+		a.capNext += sim.Time(k) * AudioTick
+	}
+	for a.running && a.playNext <= now {
+		if a.starved {
+			a.playNext += sim.Time(ticksThrough(a.playNext, now)) * AudioTick
+			break
+		}
+		a.playTick()
+		a.playNext += AudioTick
+	}
+	a.arm()
+}
+
+// ticksThrough counts the ticks from next, one per AudioTick, due at or
+// before now (next <= now).
+func ticksThrough(next, now sim.Time) int64 { return int64((now-next)/AudioTick) + 1 }
+
+// arm schedules the next tick of each side that can raise an edge or
+// move playback: capture only while the ring is empty, playback while it
+// runs and is not starved. A pending timer is left alone, so a tick keeps
+// its place among the events of its instant.
+func (a *Audio) arm() {
+	now := a.env.Now()
+	if a.held == 0 && !a.capArmed {
+		a.capArmed = true
+		a.capTimer.Reset(a.capNext - now)
+	}
+	if a.running && !a.starved && !a.playArmed {
+		a.playArmed = true
+		a.playTimer.Reset(a.playNext - now)
+	}
+}
+
+// captureTicks runs k ticks of the codec's input side: samples appear
+// whether or not a driver is alive to read them, and overflow is silent
+// loss. Nothing reads the ring between the k ticks, so the samples kept
+// are the first of the k ticks' that fit; the rest existed, numbered, and
+// are gone.
+func (a *Audio) captureTicks(k int64) {
+	n := k * int64(audioTickSamples) // whole 4-byte samples
 	was := a.held
-	fit := min(n, max(0, AudioInputRing/4-was))
+	fit := int(min(n, int64(AudioInputRing/4-was)))
 	if fit > 0 {
 		if last := len(a.capture) - 1; last >= 0 && a.capture[last].seq+uint32(a.capture[last].n) == a.captureSeq {
 			a.capture[last].n += fit
@@ -114,11 +173,24 @@ func (a *Audio) captureTick() {
 		a.held += fit
 	}
 	a.captureSeq += uint32(n)
-	a.CaptureMade += 4 * int64(n)
-	a.CaptureLost += 4 * int64(n-fit)
+	a.made += 4 * n
+	a.lost += 4 * (n - int64(fit))
 	if was == 0 && a.held > 0 {
 		a.k.RaiseIRQ(IRQAudio)
 	}
+}
+
+// CaptureMade returns the capture bytes the codec has produced.
+func (a *Audio) CaptureMade() int64 {
+	a.sync()
+	return a.made
+}
+
+// CaptureLost returns the capture bytes dropped because nobody read them:
+// those that found the ring full, and those a Reset flushed.
+func (a *Audio) CaptureLost() int64 {
+	a.sync()
+	return a.lost
 }
 
 // PortRange returns the ports an audio driver needs.
@@ -132,6 +204,7 @@ func (a *Audio) IRQ() int { return IRQAudio }
 // PortIn implements kernel.Device.
 func (a *Audio) PortIn(port uint32) (uint32, error) {
 	if port-PortAudio == CharRegStatus {
+		a.sync()
 		var s uint32 = CharStatReady
 		if a.running {
 			s |= CharStatRunning
@@ -152,6 +225,7 @@ func (a *Audio) PortOut(port uint32, val uint32) error {
 	if port-PortAudio != CharRegCmd {
 		return nil
 	}
+	a.sync()
 	switch val {
 	case CharCmdReset:
 		a.stop()
@@ -162,13 +236,13 @@ func (a *Audio) PortOut(port uint32, val uint32) error {
 		// Resetting the codec flushes the capture FIFO: whatever input
 		// was pending is unrecoverable (read-once, §6.3). A restarted
 		// driver always resets.
-		a.CaptureLost += 4 * int64(a.held)
+		a.lost += 4 * int64(a.held)
 		a.capture = a.capture[:0]
 		a.held = 0
 	case CharCmdStart:
 		if !a.running {
-			a.running = true
-			a.play = a.env.Tick(AudioTick, a.playTick)
+			a.running, a.starved = true, false
+			a.playNext = a.env.Now() + AudioTick
 			if a.buf < AudioWatermark {
 				a.k.RaiseIRQ(IRQAudio)
 			}
@@ -176,13 +250,16 @@ func (a *Audio) PortOut(port uint32, val uint32) error {
 	case CharCmdStop:
 		a.stop()
 	}
+	a.arm()
 	return nil
 }
 
 func (a *Audio) stop() {
 	a.running = false
-	a.play.Stop()
-	a.play = nil
+	if a.playArmed {
+		a.playArmed = false
+		a.playTimer.Stop()
+	}
 }
 
 // playTick consumes one tick of playback while the codec runs. A hiccup
@@ -203,6 +280,7 @@ func (a *Audio) playTick() {
 		a.Consumed += int64(a.buf)
 		a.buf = 0
 		a.gap = a.Consumed > 0
+		a.starved = true
 	}
 	if !wasLow && a.buf < AudioWatermark {
 		a.k.RaiseIRQ(IRQAudio)
@@ -218,22 +296,29 @@ func (a *Audio) Handle() *AudioHandle { return &AudioHandle{a: a} }
 // Feed appends n bytes of samples to the playback buffer; it returns how
 // many bytes fit.
 func (h *AudioHandle) Feed(n int) int {
-	room := AudioBufSize - h.a.buf
-	if n > room {
-		n = room
+	a := h.a
+	a.sync()
+	n = min(n, AudioBufSize-a.buf)
+	a.buf += n
+	if n > 0 {
+		a.starved = false
+		a.arm()
 	}
-	h.a.buf += n
 	return n
 }
 
 // Buffered returns the bytes currently queued for playback.
-func (h *AudioHandle) Buffered() int { return h.a.buf }
+func (h *AudioHandle) Buffered() int {
+	h.a.sync()
+	return h.a.buf
+}
 
 // ReadCapture pops up to n captured bytes (whole samples; n < 0 reads
 // none) from the controller. The data is consumed by the read: a second
 // read never sees it again.
 func (h *AudioHandle) ReadCapture(n int) []byte {
 	a := h.a
+	a.sync()
 	take := min(max(n, 0)/4, a.held) // whole samples
 	out := make([]byte, 4*take)
 	done := 0 // runs read to their end
@@ -247,6 +332,7 @@ func (h *AudioHandle) ReadCapture(n int) []byte {
 	}
 	a.capture = slices.Delete(a.capture, 0, done)
 	a.held -= take
+	a.arm()
 	return out
 }
 

@@ -64,7 +64,9 @@ const (
 	// stereo) from an AudioBufSize buffer, asking for a refill below
 	// AudioWatermark, and captures AudioInputRate bytes/s into an
 	// AudioInputRing-byte ring nobody can read twice (§6.3); it does both
-	// once per AudioTick.
+	// once per AudioTick. Only the ticks that can raise an edge or move
+	// playback run as events; the rest are applied from the clock when
+	// the codec is next read or changed (Audio.sync).
 	AudioPlayRate  = 176_400
 	AudioBufSize   = 65536
 	AudioWatermark = AudioBufSize / 4

@@ -390,6 +390,18 @@ func (e *Env) raiseFatal() {
 	}
 }
 
+// NextEvent reports when the first pending event is due, and false when
+// none is pending.
+func (e *Env) NextEvent() (Time, bool) {
+	switch {
+	case e.runLive > 0:
+		return e.now, true
+	case len(e.events) > 0:
+		return e.events[0].at, true
+	}
+	return 0, false
+}
+
 // Pending reports the number of events waiting in the queue.
 func (e *Env) Pending() int { return len(e.events) + e.runLive }
 

@@ -176,6 +176,34 @@ func TestPending(t *testing.T) {
 	}
 }
 
+// TestNextEvent: the earliest due time of what is pending, a live
+// run-queue entry (due now) before the heap, a canceled one not at all.
+func TestNextEvent(t *testing.T) {
+	e := NewEnv(1)
+	if _, ok := e.NextEvent(); ok {
+		t.Fatal("NextEvent on an empty queue reports an event")
+	}
+	late := e.Schedule(2*time.Second, func() {})
+	early := e.Schedule(time.Second, func() {})
+	if at, ok := e.NextEvent(); !ok || at != time.Second {
+		t.Fatalf("NextEvent = %v, %v, want 1s", at, ok)
+	}
+	early.Cancel()
+	if at, ok := e.NextEvent(); !ok || at != 2*time.Second {
+		t.Fatalf("NextEvent after a cancel = %v, %v, want 2s", at, ok)
+	}
+	e.RunUntil(1500 * time.Millisecond)
+	now := e.Schedule(0, func() {})
+	if at, ok := e.NextEvent(); !ok || at != 1500*time.Millisecond {
+		t.Fatalf("NextEvent with an entry due now = %v, %v, want the clock, 1.5s", at, ok)
+	}
+	now.Cancel()
+	late.Cancel()
+	if at, ok := e.NextEvent(); ok {
+		t.Fatalf("NextEvent = %v after every event was canceled", at)
+	}
+}
+
 // TestCancelLeavesNoDeadEntries re-arms one timer 10,000 times among a
 // few live events, the way a retransmit timer is re-armed per ACK: a
 // canceled event must leave the queue at once, not linger until its time
