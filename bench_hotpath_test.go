@@ -12,7 +12,9 @@ package resilientos
 // results — the workloads are deterministic, the ns/op numbers are not.
 
 import (
+	"bytes"
 	"crypto/sha1"
+	"encoding/binary"
 	"hash"
 	"io"
 	"runtime"
@@ -21,6 +23,7 @@ import (
 	"unsafe"
 
 	"resilientos/internal/check"
+	"resilientos/internal/hw"
 	"resilientos/internal/inet"
 	"resilientos/internal/kernel"
 	"resilientos/internal/obs"
@@ -62,9 +65,12 @@ func gateAllocBytes(b *testing.B, what string, ceiling uint64, op func()) {
 // application → VFS → MFS → disk.sata → hw.Disk and back, the unit of
 // work of Fig. 8. The disk fills its own transfer buffer, the driver
 // copies through MFS's grant straight into a recycled reply, and the
-// reader copies that into its own 64 KiB. Ceiling: 2 KiB per read (193 B
-// today) — nothing the size of the payload, where the path allocated
-// three such buffers before (DESIGN.md, "Who owns a buffer").
+// reader copies that into its own 64 KiB. Ceiling: 384 B per read — 231
+// B over the gate's 200 reads today (194 B a read over a long run: a
+// grant, MFS's indirect blocks), plus a margin of 153 B. One sector-sized
+// allocation per read trips it, let alone one the size of the payload,
+// where the path allocated three such buffers before (DESIGN.md, "Who
+// owns a buffer"); the disk's completion records are pooled.
 func BenchmarkHotpathFileRead(b *testing.B) {
 	const chunk = 64 << 10
 	sys := New(Config{DisableNet: true, DisableChar: true,
@@ -97,7 +103,7 @@ func BenchmarkHotpathFileRead(b *testing.B) {
 	for i := 0; i < 8; i++ {
 		read() // boot, open, and the buffers' first trip
 	}
-	gateAllocBytes(b, "a 64 KiB file read", 2<<10, read)
+	gateAllocBytes(b, "a 64 KiB file read", 384, read)
 	reads = 0
 	b.SetBytes(chunk)
 	b.ReportAllocs()
@@ -136,6 +142,61 @@ func BenchmarkHotpathSHA1(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkHotpathSectorFill measures what the disk does for each of
+// dd's reads: one 64 KiB read command on a bare disk whose sectors are
+// unwritten, so the generator makes their content — the completion, the
+// fill of 128 sectors as interleaved chains, and the hand-over of the
+// data. It allocates nothing. The one_chain row beside it fills the same
+// sectors one serial chain at a time, as the disk did before, and is not
+// gated; its last fill must equal the disk's bytes.
+func BenchmarkHotpathSectorFill(b *testing.B) {
+	const count = 128
+	const seed = 1
+	env := sim.NewEnv(1)
+	disk := hw.NewDisk(env, kernel.New(env), hw.DiskConfig{Sectors: 1 << 20, Seed: seed})
+	read := func(lba uint32) []byte {
+		disk.PortOut(hw.PortDisk+hw.DiskRegLBA, lba)
+		disk.PortOut(hw.PortDisk+hw.DiskRegCount, count)
+		disk.PortOut(hw.PortDisk+hw.DiskRegCmd, hw.DiskCmdRead)
+		env.Run(0)
+		data := disk.Handle().TakeData()
+		if len(data) != count*hw.SectorSize {
+			b.Fatal("the read returned no data")
+		}
+		return data
+	}
+	lbaOf := func(i int) uint32 { return uint32(i*count) % (1 << 20) }
+	b.Run("disk", func(b *testing.B) {
+		gateAllocs(b, "a 64 KiB sector fill", func() { read(0) })
+		b.SetBytes(count * hw.SectorSize)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			read(lbaOf(i))
+		}
+	})
+	b.Run("one_chain", func(b *testing.B) {
+		buf := make([]byte, count*hw.SectorSize)
+		b.SetBytes(int64(len(buf)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for s := 0; s < count; s++ {
+				x := uint64(seed)*0x9E3779B97F4A7C15 + uint64(lbaOf(i)+uint32(s))*0xBF58476D1CE4E5B9 + 1
+				for w := s * hw.SectorSize; w < (s+1)*hw.SectorSize; w += 8 {
+					x ^= x >> 12
+					x ^= x << 25
+					x ^= x >> 27
+					binary.LittleEndian.PutUint64(buf[w:], x*0x2545F4914F6CDD1D)
+				}
+			}
+		}
+		b.StopTimer()
+		if !bytes.Equal(buf, read(lbaOf(b.N-1))) {
+			b.Fatal("the one-chain fill differs from the disk's")
+		}
+	})
 }
 
 // BenchmarkHotpathTCPFrame measures one full-size TCP data segment on

@@ -162,6 +162,28 @@ func TestPatternMD5Pinned(t *testing.T) {
 	}
 }
 
+// TestDdDigestPinned pins Fig. 8's content: the figures compare each run's
+// digest with a baseline run's, and other tests compare two runs, so a disk
+// fill that went wrong the same way everywhere would pass them all. This
+// sum was taken from the one-chain-per-sector generator.
+func TestDdDigestPinned(t *testing.T) {
+	const size = 8 << 20
+	cfg := Config{DisableNet: true, DisableChar: true,
+		PreallocFiles: []PreallocFile{{Name: "f", Size: size}}}
+	cfg.Machine.DiskSeed = 11
+	sys := New(cfg)
+	defer sys.Close()
+	var res DdResult
+	sys.Dd("/f", 64<<10, &res)
+	sys.Run(time.Minute)
+	if res.Err != nil || res.Bytes != size {
+		t.Fatalf("dd read %d bytes, err %v", res.Bytes, res.Err)
+	}
+	if got, want := fmt.Sprintf("%x", res.SHA1), "4b143faeefe399b6b956aa3f77b63cfad263be22"; got != want {
+		t.Fatalf("dd SHA-1 = %s, want %s", got, want)
+	}
+}
+
 // TestWgetDetectsCorruption: wget's verdict is a byte-for-byte comparison
 // with the pattern, made as the stream arrives, and its MD5 is the digest
 // of what arrived. A server that flips one byte mid-stream, one that
