@@ -6,8 +6,8 @@
 // drivers — and the nodes run their whole campaign in parallel, one per
 // CPU (GOMAXPROCS); a fleet-level event loop then routes synthetic
 // requests with a pluggable policy over what they went through: a storm
-// that kills (or SWIFI-mutates) the same driver on several nodes at once,
-// or Poisson-faults nodes independently.
+// that kills the same driver on several nodes at once, or kills it on each
+// node at independent Poisson instants.
 // Output is byte-reproducible from -seed on any number of CPUs.
 //
 // The load is always a workload spec (internal/workload): by default the
@@ -19,7 +19,7 @@
 // re-drives exactly that sequence, byte for byte.
 //
 //	fleetbench -nodes 4 -policy failure-aware -storm correlated:eth.rtl8139,k=2,every=1s
-//	fleetbench -policy round-robin -storm poisson:disk.sata,mean=800ms,mode=inject
+//	fleetbench -policy round-robin -storm poisson:disk.sata,mean=800ms
 //	fleetbench -compare -storm correlated:eth.rtl8139    # all policies side by side
 //	fleetbench -seed 11 -csv fleet.csv -bench-json BENCH_fleet.json
 //	fleetbench -workload spec.json -record trace.jsonl   # pin a campaign
@@ -58,9 +58,9 @@ func run(args []string, stdout io.Writer) error {
 	seed := fs.Int64("seed", 1, "fleet seed; node seeds and every draw derive from it")
 	policy := fs.String("policy", "failure-aware",
 		"routing policy: round-robin, least-loaded, or failure-aware")
-	storm := fs.String("storm", "none", "fault storm spec:\n"+
-		"none | correlated:<driver>[,k=N][,every=DUR][,mode=kill|inject]\n"+
-		"     | poisson:<driver>[,mean=DUR][,mode=kill|inject]\n"+
+	storm := fs.String("storm", "none", "driver-kill storm spec:\n"+
+		"none | correlated:<driver>[,k=N][,every=DUR]\n"+
+		"     | poisson:<driver>[,mean=DUR]\n"+
 		"example: correlated:eth.rtl8139,k=2,every=1s")
 	horizon := fs.Duration("horizon", 12*time.Second, "campaign length in virtual time")
 	window := fs.Duration("window", 250*time.Millisecond, "availability window width")
@@ -250,7 +250,6 @@ func addBench(doc *bench.Doc, prefix string, r *cluster.Report) {
 	doc.Count(prefix+"reroutes", int(r.Reroutes))
 	doc.Latency(prefix+"request", r.Latency)
 	doc.Count(prefix+"kills", r.Kills)
-	doc.Count(prefix+"injections", r.Injections)
 	doc.Count(prefix+"crashes", r.Crashes)
 	doc.Count(prefix+"recovered", r.Recovered)
 	doc.Count(prefix+"gave_up", r.GaveUp)

@@ -38,6 +38,7 @@ func TestBadFlags(t *testing.T) {
 	}{
 		{"unknown policy", []string{"-policy", "bogus", "-horizon", "1s"}, "policy"},
 		{"unknown storm", []string{"-storm", "hail:everything"}, "storm"},
+		{"storm fault mode", []string{"-storm", "poisson:eth.rtl8139,mode=inject"}, `unknown storm key "mode"`},
 		{"unknown flag", []string{"-wrokload", "x.json"}, "flag"},
 		{"mistyped storm victim", []string{"-storm", "correlated:eth.bogus,every=300ms", "-horizon", "2s"}, `-storm correlated:eth.bogus`},
 		{"mistyped storm victim under compare", []string{"-compare", "-storm", "poisson:eth.bogus", "-horizon", "1s"}, `-storm poisson:eth.bogus`},

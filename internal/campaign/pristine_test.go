@@ -1,11 +1,17 @@
 package campaign
 
 import (
+	"maps"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
+	_ "unsafe" // for go:linkname
 
 	"resilientos"
 	"resilientos/internal/drivers/dp8390"
+	"resilientos/internal/drivers/rtl8139"
+	"resilientos/internal/drivers/sata"
 	"resilientos/internal/fi"
 	"resilientos/internal/hw"
 	"resilientos/internal/obs"
@@ -13,22 +19,37 @@ import (
 	"resilientos/internal/ucode"
 )
 
-// TestPristineImageConcurrentCells runs two dp8390 cells at once on the
-// workers of sim.Each (under -race in CI). Their driver instances all run
-// copies of one shared pristine image, so after every injection the
-// victim's image differs from the assembler's only where that VM's own
-// injector wrote — never where the other cell's did — and each cell
-// reports exactly what it reports when it runs alone.
+// pristine is internal/drvlib's cache of assembled driver images, one per
+// (chip, port base). It stays unexported there; the test reads it here.
+//
+//go:linkname pristine resilientos/internal/drvlib.pristine
+var pristine sync.Map
+
+// TestPristineImageConcurrentCells runs two dp8390 cells and an rtl8139
+// cell at once on two workers of sim.Each (under -race in CI). Their
+// driver instances all run copies of the shared pristine images, so after
+// every injection the victim's image differs from its assembler's only
+// where that VM's own injector wrote — never where another cell's did,
+// nor where the mutated instance that crashed before it did: each cell
+// must mutate a respawned instance too. Each cell reports exactly what it
+// reports when it runs alone, and afterwards every cached image is still
+// what its assembler makes.
 func TestPristineImageConcurrentCells(t *testing.T) {
 	cfg := Config{FaultsPerCell: 20}
 	cfg.fill()
 	cells := []Cell{
 		{Seed: 1, Victim: resilientos.DriverDP8390, Fault: fi.FaultRandom},
 		{Seed: 2, Victim: resilientos.DriverDP8390, Fault: fi.FaultRandom},
+		{Seed: 1, Victim: resilientos.DriverRTL8139, Fault: fi.FaultRandom},
 	}
-	want := dp8390.Image(hw.PortNIC1)
+	assembled := map[string]*ucode.Image{
+		resilientos.DriverDP8390:  dp8390.Image(hw.PortNIC1),
+		resilientos.DriverRTL8139: rtl8139.Image(hw.PortNIC0),
+	}
 	together := make([]CellResult, len(cells))
+	instances := make([]int, len(cells))
 	sim.Each(2, len(cells), func(i int) {
+		want := assembled[cells[i].Victim]
 		own := map[*ucode.VM]map[int]bool{} // per instance: what its injector wrote
 		together[i] = runCellKeeping(cells[i], cfg, obs.TimelineKinds, func(vm *ucode.VM, inj fi.Injection) {
 			if own[vm] == nil {
@@ -42,16 +63,36 @@ func TestPristineImageConcurrentCells(t *testing.T) {
 				}
 			}
 		})
+		instances[i] = len(own)
 	})
 	if t.Failed() {
 		return // a shared image is wrecked by now: a cell alone would run on it for minutes
 	}
 	for i, cell := range cells {
-		if together[i].Injected == 0 || together[i].Crashes == 0 {
-			t.Fatalf("%v: %d injected, %d crashes: not the cell this test needs", cell, together[i].Injected, together[i].Crashes)
+		if together[i].Injected == 0 || together[i].Crashes == 0 || instances[i] < 2 {
+			t.Fatalf("%v: %d injected, %d crashes, %d instances mutated: not the cell this test needs",
+				cell, together[i].Injected, together[i].Crashes, instances[i])
 		}
 		if alone := runCell(cell, cfg); !reflect.DeepEqual(alone, together[i]) {
 			t.Errorf("%v reports differently run beside another cell:\n%+v\nalone:\n%+v", cell, together[i], alone)
 		}
+	}
+
+	assemble := map[string]func(uint32) *ucode.Image{
+		"rtl8139": rtl8139.Image, "dp8390": dp8390.Image, "sata": sata.Image,
+	}
+	chips := map[string]bool{}
+	pristine.Range(func(k, v any) bool {
+		key := reflect.ValueOf(k) // drvlib.imageKey{chip, base}
+		chip, base := key.Field(0).String(), uint32(key.Field(1).Uint())
+		img, fn := v.(*ucode.Image), assemble[chip]
+		if fn == nil || !slices.Equal(img.Code, fn(base).Code) || !maps.Equal(img.Entries, fn(base).Entries) {
+			t.Errorf("cached image of %s at %#x is not the assembler's", chip, base)
+		}
+		chips[chip] = true
+		return true
+	})
+	if !chips["rtl8139"] || !chips["dp8390"] {
+		t.Errorf("cached images of %v, want at least rtl8139 and dp8390", chips)
 	}
 }

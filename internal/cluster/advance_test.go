@@ -22,6 +22,9 @@ type fingerprint struct {
 	report, csv []byte
 	members     string // per member: RS event log, executed events, final clock, probe answers
 
+	// The fleet's crashes, and how many of them ended recovered or given up.
+	crashes, settled int
+
 	// Where the walk stopped: boundaries the fleet clock ticked at, and
 	// boundaries each member was probed at, summed; and how many
 	// boundaries there were from settle to the fleet's and each member's
@@ -45,6 +48,7 @@ func runFingerprint(t *testing.T, cfg Config, sliceCadence bool) fingerprint {
 		t.Fatal(err)
 	}
 	fp.report, fp.csv = rep.Bytes(), csv.Bytes()
+	fp.crashes, fp.settled = r.Crashes, r.Recovered+r.GaveUp
 	bounds := func(clock sim.Time) int { return int((clock-settle)/slice) + 1 }
 	fp.ticks, fp.tickBounds = c.ticks, bounds(c.Now())
 	for _, n := range c.Nodes() {
@@ -65,10 +69,12 @@ func runFingerprint(t *testing.T, cfg Config, sliceCadence bool) fingerprint {
 // fleet clock ticked at every one. Reports, window series and each
 // member's recovery log, event count and clock must be the same bytes for
 // every storm shape — strikes on slice multiples, off them, several per
-// slice, per-node Poisson chains, SWIFI injection, a disk driver whose
-// restart takes its reset delay, none — with and
-// without the char class (whose members boot the codec, and one of whose
-// storms kills its driver), and for any worker count.
+// slice, per-node Poisson chains, a disk driver whose restart takes its
+// reset delay, none — with and without the char class (whose members boot
+// the codec, and one of whose storms kills its driver), and for any worker
+// count. A storm that strikes must crash its victim, and every crash must
+// end recovered or given up: a storm whose strikes crash nothing would
+// compare two runs of nothing.
 func TestOneSectionMatchesSliceCadence(t *testing.T) {
 	const nic = resilientos.DriverRTL8139
 	rows := []struct {
@@ -80,7 +86,6 @@ func TestOneSectionMatchesSliceCadence(t *testing.T) {
 		{storm: Storm{Kind: "correlated", Driver: nic, K: 1, Interval: 333 * time.Millisecond}},
 		{storm: Storm{Kind: "correlated", Driver: nic, K: 3, Interval: 7 * time.Millisecond}},
 		{storm: Storm{Kind: "poisson", Driver: nic, Mean: 400 * time.Millisecond}},
-		{storm: Storm{Kind: "poisson", Driver: nic, Mean: 900 * time.Millisecond, Mode: ModeInject}},
 		{storm: Storm{Kind: "poisson", Driver: resilientos.DriverSATA, Mean: 700 * time.Millisecond}},
 		{storm: Storm{Kind: "none"}},
 		{storm: Storm{Kind: "correlated", Driver: nic, K: 2, Interval: time.Second}, char: true},
@@ -101,6 +106,10 @@ func TestOneSectionMatchesSliceCadence(t *testing.T) {
 			if want.ticks != want.tickBounds || want.probes != want.probeBounds {
 				t.Fatalf("%s: the reference ticked %d of %d boundaries and probed %d of %d",
 					name, want.ticks, want.tickBounds, want.probes, want.probeBounds)
+			}
+			if row.storm.Kind != "none" && (want.crashes == 0 || want.settled != want.crashes) {
+				t.Errorf("%s: %d crashes, %d of them recovered or given up: want at least one, and all",
+					name, want.crashes, want.settled)
 			}
 			for _, workers := range []int{1, 3} {
 				cfg.Workers = workers
@@ -164,10 +173,7 @@ func TestAdvanceMatchesEverySlice(t *testing.T) {
 				everySlice: everySlice,
 			}
 			t.Cleanup(n.Sys.Close)
-			n.storm = Storm{Kind: "poisson", Driver: resilientos.DriverRTL8139}
-			for _, at := range strikes {
-				n.strikes = append(n.strikes, strike{at: at})
-			}
+			n.victim, n.strikes = resilientos.DriverRTL8139, strikes
 			for i, at := range kills {
 				n.Sys.After(at, func() { n.Sys.KillDriver(victims[i%len(victims)]) })
 			}
@@ -307,7 +313,7 @@ func settledNode(tb testing.TB) *Node {
 	n := newNode(0, 11, false, nil)
 	tb.Cleanup(n.Sys.Close)
 	n.Sys.Run(3 * time.Second)
-	n.kill(resilientos.DriverRTL8139)
+	n.Sys.KillDriver(resilientos.DriverRTL8139)
 	n.Sys.Run(time.Second)
 	if h, degraded := n.probe(n.Sys.Env.Now()); !h.NetOK || !h.DiskOK || degraded || n.seenEvents != 1 {
 		tb.Fatalf("settled node probes %+v degraded=%v after %d recoveries", h, degraded, n.seenEvents)

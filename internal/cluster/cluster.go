@@ -134,7 +134,7 @@ type Cluster struct {
 	cfg    Config
 	policy Policy
 
-	fleet *sim.Env // fleet clock: arrivals, routing, strike counts, windows
+	fleet *sim.Env // fleet clock: arrivals, routing, kill counts, windows
 	nodes []*Node
 
 	reg     *obs.Registry
@@ -219,7 +219,7 @@ func Boot(cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: storm victim %q is not a driver the fleet's members guard", s.Driver)
 	}
 	for i, strikes := range strikeSchedule(cfg.Seed, cfg.Storm, cfg.Nodes, settle+c.horizon) {
-		c.nodes[i].storm, c.nodes[i].strikes = cfg.Storm, strikes
+		c.nodes[i].victim, c.nodes[i].strikes = cfg.Storm.Driver, strikes
 	}
 	return c, nil
 }
@@ -273,20 +273,6 @@ func (c *Cluster) tick(t sim.Time) {
 	}
 }
 
-// countStrike books, at its instant on the fleet clock, the strike node i
-// dealt itself there (see Node.advance).
-func (c *Cluster) countStrike(i int) {
-	n := c.nodes[i]
-	landed := n.strikes[n.counted].landed
-	n.counted++
-	switch {
-	case c.cfg.Storm.Mode != ModeInject:
-		c.reg.Counter("fleet.kills").Add(1)
-	case landed:
-		c.reg.Counter("fleet.injections").Add(1)
-	}
-}
-
 // Run executes the campaign. The members go first, in one parallel
 // section: boot settling, then the storm phase to its end. Then the fleet
 // loop, alone, over what the members left behind, from one boundary where
@@ -312,7 +298,11 @@ func (c *Cluster) Run() *Report {
 		c.classes, c.cfg.Budgets)
 	c.sampler.Attach(c.fleet)
 	c.armArrivals(end)
-	startStorm(c.fleet, c.cfg.Seed, c.cfg.Storm, len(c.nodes), end, c.countStrike)
+	// The fleet clock books each strike, at its instant, that a member
+	// dealt itself there (see Node.advance).
+	startStorm(c.fleet, c.cfg.Seed, c.cfg.Storm, len(c.nodes), end, func(int) {
+		c.reg.Counter("fleet.kills").Add(1)
+	})
 
 	for t := settle + slice; t <= end; t += slice {
 		if c.sliceCadence {

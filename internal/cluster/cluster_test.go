@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"resilientos/internal/obs/timeseries"
-	"resilientos/internal/ucode"
 	"resilientos/internal/workload"
 )
 
@@ -121,45 +120,6 @@ func TestFailureAwareBeatsRoundRobin(t *testing.T) {
 	}
 }
 
-// TestPoissonInjectStorm exercises the SWIFI storm mode end to end:
-// independent per-node fault injection, detection via the nodes' own
-// defect machinery, and full recovery accounting.
-func TestPoissonInjectStorm(t *testing.T) {
-	cfg := testConfig()
-	cfg.Storm = Storm{Kind: "poisson", Driver: "eth.rtl8139",
-		Mean: 900 * time.Millisecond, Mode: ModeInject}
-	r := Run(cfg)
-	if r.Injections == 0 {
-		t.Fatalf("no injections recorded: %+v", r)
-	}
-	if r.GaveUp != 0 {
-		t.Fatalf("gave up %d times", r.GaveUp)
-	}
-	if r.Completed == 0 {
-		t.Fatalf("no requests completed")
-	}
-}
-
-// TestInjectRefusesExhaustedImage: a SWIFI storm that outlasts a driver's
-// image (every instruction already mutated into a NOP) must see inject
-// report "nothing to mutate", not spin inside the injector.
-func TestInjectRefusesExhaustedImage(t *testing.T) {
-	n := newNode(0, 11, false, nil)
-	defer n.Sys.Close()
-	n.Sys.Run(3 * time.Second)
-	const driver = "eth.rtl8139"
-	if !n.inject(driver) {
-		t.Fatal("inject into a freshly booted driver refused")
-	}
-	img := n.Sys.DriverVM(driver).Img
-	for pc := range img.Code {
-		img.Code[pc] = ucode.Enc(ucode.OpNop, 0, 0, 0)
-	}
-	if n.inject(driver) || n.injections != 1 {
-		t.Fatalf("inject into an all-NOP image: injections = %d, want it refused", n.injections)
-	}
-}
-
 func TestParsePolicy(t *testing.T) {
 	for _, name := range []string{"round-robin", "least-loaded", "failure-aware"} {
 		p, err := ParsePolicy(name)
@@ -182,15 +142,18 @@ func TestParseStorm(t *testing.T) {
 			Interval: 2 * time.Second, Mean: time.Second}, true},
 		{"", Storm{Kind: "none", Driver: "eth.rtl8139", K: 2,
 			Interval: 2 * time.Second, Mean: time.Second}, true},
-		{"correlated:disk.sata,k=3,every=500ms,mode=inject",
+		{"correlated:disk.sata,k=3,every=500ms",
 			Storm{Kind: "correlated", Driver: "disk.sata", K: 3,
-				Interval: 500 * time.Millisecond, Mean: time.Second, Mode: ModeInject}, true},
+				Interval: 500 * time.Millisecond, Mean: time.Second}, true},
 		{"poisson:eth.dp8390,mean=750ms",
 			Storm{Kind: "poisson", Driver: "eth.dp8390", K: 2,
 				Interval: 2 * time.Second, Mean: 750 * time.Millisecond}, true},
 		{"hail:everything", Storm{}, false},
 		{"correlated:eth.rtl8139,k=0", Storm{}, false},
 		{"poisson:eth.rtl8139,mean=xyz", Storm{}, false},
+		// A storm is a kill storm: there is no fault-mode key.
+		{"poisson:eth.rtl8139,mode=inject", Storm{}, false},
+		{"correlated:eth.rtl8139,mode=kill", Storm{}, false},
 		// A spacing below 1 ms is 10⁹ fleet events per virtual second at
 		// the extreme; the floor is the Poisson arm's own gap clamp.
 		{"correlated:eth.rtl8139,every=1ns", Storm{}, false},
@@ -214,8 +177,8 @@ func TestParseStorm(t *testing.T) {
 	}
 	// Round trip: String output re-parses to the same storm.
 	for _, spec := range []string{
-		"correlated:disk.sata,k=3,every=500ms,mode=inject",
-		"poisson:eth.dp8390,mean=750ms,mode=kill",
+		"correlated:disk.sata,k=3,every=500ms",
+		"poisson:eth.dp8390,mean=750ms",
 	} {
 		s, err := ParseStorm(spec)
 		if err != nil {

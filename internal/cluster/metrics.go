@@ -17,7 +17,7 @@ import (
 // horizon is cut into fixed windows; at every fleet tick (barrier) the
 // tracker records the minimum healthy-node count per service class, and
 // the request path reports every bounced attempt into the window it
-// landed in. A window is available for a class when at least one node
+// fell in. A window is available for a class when at least one node
 // served the class at every barrier AND no request of that class
 // bounced — so health-blind routing hurts availability even while
 // healthy nodes exist, which is precisely the failure-aware policy's
@@ -207,13 +207,12 @@ type SLOReport struct {
 
 // NodeReport is one node's slice of the fleet report.
 type NodeReport struct {
-	Name       string `json:"name"`
-	Seed       int64  `json:"seed"`
-	Kills      int    `json:"kills"`
-	Injections int    `json:"injections"`
-	Crashes    int    `json:"crashes"`
-	Recovered  int    `json:"recovered"`
-	GaveUp     int    `json:"gave_up"`
+	Name      string `json:"name"`
+	Seed      int64  `json:"seed"`
+	Kills     int    `json:"kills"`
+	Crashes   int    `json:"crashes"`
+	Recovered int    `json:"recovered"`
+	GaveUp    int    `json:"gave_up"`
 	// MeanRecoveryMs averages detection-to-republish over this node's
 	// recovery episodes.
 	MeanRecoveryMs float64 `json:"mean_recovery_ms"`
@@ -251,7 +250,6 @@ type Report struct {
 	Classes []ClassReport      `json:"classes"`
 
 	Kills        int     `json:"kills"`
-	Injections   int     `json:"injections"`
 	Crashes      int     `json:"crashes"`
 	Recovered    int     `json:"recovered"`
 	GaveUp       int     `json:"gave_up"`
@@ -319,7 +317,7 @@ func (c *Cluster) buildReport() *Report {
 	r.ReroutedReqs = c.reroutedReqs
 
 	for _, n := range c.nodes {
-		nr := NodeReport{Name: n.Name, Seed: n.Seed, Kills: n.kills, Injections: n.injections}
+		nr := NodeReport{Name: n.Name, Seed: n.Seed, Kills: n.struck}
 		var recSum sim.Time
 		for _, ev := range n.Sys.RS.Events() {
 			nr.Crashes++
@@ -335,7 +333,6 @@ func (c *Cluster) buildReport() *Report {
 			nr.MeanRecoveryMs = float64(recSum.Milliseconds()) / float64(nr.Recovered)
 		}
 		r.Kills += nr.Kills
-		r.Injections += nr.Injections
 		r.Crashes += nr.Crashes
 		r.Recovered += nr.Recovered
 		r.GaveUp += nr.GaveUp
@@ -405,13 +402,13 @@ func (r *Report) Render(w io.Writer) {
 	fmt.Fprintf(w, "latency: p50 %s  p95 %s  p99 %s  max %s\n",
 		time.Duration(r.Latency.P50), time.Duration(r.Latency.P95),
 		time.Duration(r.Latency.P99), time.Duration(r.Latency.Max))
-	fmt.Fprintf(w, "faults: %d kills, %d injections -> %d crashes, %d recovered (%.1f%%), %d gave up\n",
-		r.Kills, r.Injections, r.Crashes, r.Recovered, r.RecoveredPct, r.GaveUp)
+	fmt.Fprintf(w, "faults: %d kills -> %d crashes, %d recovered (%.1f%%), %d gave up\n",
+		r.Kills, r.Crashes, r.Recovered, r.RecoveredPct, r.GaveUp)
 	fmt.Fprintf(w, "recovery overlap: max %d nodes, mean %.3f\n",
 		r.MaxRecoveryOverlap, r.MeanRecoveryOverlap)
 	for _, nr := range r.PerNode {
-		fmt.Fprintf(w, "  %s seed=%d kills=%d inj=%d crashes=%d recovered=%d gaveup=%d meanrec=%.1fms\n",
-			nr.Name, nr.Seed, nr.Kills, nr.Injections, nr.Crashes, nr.Recovered, nr.GaveUp, nr.MeanRecoveryMs)
+		fmt.Fprintf(w, "  %s seed=%d kills=%d crashes=%d recovered=%d gaveup=%d meanrec=%.1fms\n",
+			nr.Name, nr.Seed, nr.Kills, nr.Crashes, nr.Recovered, nr.GaveUp, nr.MeanRecoveryMs)
 	}
 }
 

@@ -3,11 +3,9 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"strings"
 
 	"resilientos"
-	"resilientos/internal/fi"
 	"resilientos/internal/perf"
 	"resilientos/internal/sim"
 )
@@ -34,22 +32,12 @@ type Node struct {
 	// node (the least-loaded policy's signal).
 	inflight int
 
-	// injector mutates this node's running driver images for fault-mode
-	// storms. Its RNG is derived from the node seed but separate from the
-	// node's simulation RNG, so storms do not perturb the node's own
-	// deterministic execution stream.
-	injector   *fi.Injector
-	kills      int
-	injections int
-
 	// The node's share of the storm (see strikeSchedule): which driver is
-	// struck and how, and the instants, in time order. The member deals
-	// itself strikes[:struck] as it advances; the fleet clock books
-	// strikes[:counted] as it passes them.
-	storm   Storm
-	strikes []strike
+	// killed, and the instants, in time order. The member deals itself
+	// strikes[:struck] as it advances.
+	victim  string
+	strikes []sim.Time
 	struck  int
-	counted int
 
 	// next is the slice boundary advance stops at next, and everySlice
 	// makes that every boundary (the sliceCadence reference).
@@ -81,13 +69,6 @@ type Node struct {
 	changes []healthChange
 	probed  healthChange
 	adopted int
-}
-
-// strike is one entry of a node's strike list. landed is the member's to
-// write: false for an injection that found nothing to mutate.
-type strike struct {
-	at     sim.Time
-	landed bool
 }
 
 // healthChange is one entry of a node's transition list: what the probe
@@ -136,7 +117,7 @@ func deriveSeed(fleetSeed int64, index int) int64 {
 // routes char jobs (withChar), keeping net+disk fleets lean.
 func newNode(index int, fleetSeed int64, withChar bool, p *perf.Profiler) *Node {
 	seed := deriveSeed(fleetSeed, index)
-	n := &Node{
+	return &Node{
 		Index: index,
 		Name:  fmt.Sprintf("node%02d", index),
 		Seed:  seed,
@@ -145,10 +126,8 @@ func newNode(index int, fleetSeed int64, withChar bool, p *perf.Profiler) *Node 
 			DisableChar: !withChar,
 			Perf:        p,
 		}),
-		injector: fi.New(rand.New(rand.NewSource(seed ^ 0x5DEECE66D))),
-		next:     settle,
+		next: settle,
 	}
-	return n
 }
 
 // probe answers a health probe at the member's boundary time now: the RS
@@ -204,8 +183,9 @@ func (n *Node) probe(now sim.Time) (h resilientos.Health, degraded bool) {
 
 // advance is the member's whole part in a campaign: it runs the member
 // through the slice boundaries it has not reached yet (settle first) up to
-// to, dealing it the strikes of its list that fall in each slice before
-// running it — so a strike lands on a member standing on the boundary just
+// to, dealing it the strikes of its list (kills of the storm's victim
+// driver, §7.1's fault model) that fall in each slice before running it —
+// so a strike lands on a member standing on the boundary just
 // before its instant — and probing at each boundary exactly as a fleet
 // that stopped there would. The answers that differ from their
 // predecessor go to changes for the fleet loop to adopt as its own clock
@@ -219,8 +199,8 @@ func (n *Node) probe(now sim.Time) (h resilientos.Health, degraded bool) {
 func (n *Node) advance(to sim.Time) {
 	for n.next <= to {
 		t := n.next
-		for ; n.struck < len(n.strikes) && n.strikes[n.struck].at <= t; n.struck++ {
-			n.strikes[n.struck].landed = n.strike()
+		for ; n.struck < len(n.strikes) && n.strikes[n.struck] <= t; n.struck++ {
+			n.Sys.KillDriver(n.victim)
 		}
 		n.Sys.Env.RunUntil(t)
 		h, degraded := n.probe(t)
@@ -255,7 +235,7 @@ func (n *Node) after(t sim.Time) sim.Time {
 		}
 	}
 	if n.struck < len(n.strikes) {
-		stop = min(stop, boundaryAt(n.strikes[n.struck].at)-slice)
+		stop = min(stop, boundaryAt(n.strikes[n.struck])-slice)
 	}
 	return max(stop, next)
 }
@@ -275,37 +255,4 @@ func (n *Node) adopt(t sim.Time) bool {
 		n.adopted++
 	}
 	return n.adopted != from
-}
-
-// strike damages the storm's victim driver on this node according to the
-// storm's fault mode, and reports whether there was anything to damage.
-func (n *Node) strike() bool {
-	if n.storm.Mode == ModeInject {
-		return n.inject(n.storm.Driver)
-	}
-	n.kill(n.storm.Driver)
-	return true
-}
-
-// kill delivers a SIGKILL crash to the named driver — the §7.1 fault
-// model, applied fleet-wide by the storm driver.
-func (n *Node) kill(driver string) {
-	n.Sys.KillDriver(driver)
-	n.kills++
-}
-
-// inject mutates the named driver's running code image with one random
-// fault (§7.2 fault model). It reports false when the driver has no live
-// VM to mutate (down or mid-restart) or its image has no instruction
-// left that any fault class applies to.
-func (n *Node) inject(driver string) bool {
-	vm := n.Sys.DriverVM(driver)
-	if vm == nil || n.Sys.RS.ServiceEndpoint(driver) < 0 {
-		return false
-	}
-	if _, ok := n.injector.InjectRandom(vm.Img); !ok {
-		return false
-	}
-	n.injections++
-	return true
 }

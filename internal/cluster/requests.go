@@ -179,7 +179,7 @@ func (c *Cluster) reroute(r *request, why int) {
 
 // finish ends the pending attempt, at its timer. A bounced attempt is
 // dispatched again. If the node lost the request's service class
-// mid-flight (a storm strike landed during service), the attempt's work
+// mid-flight (a storm killed its driver during service), the attempt's work
 // is lost and the request re-routes immediately. Otherwise the request
 // completes and goes back to the free list.
 func (c *Cluster) finish(r *request) {

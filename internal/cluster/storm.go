@@ -11,34 +11,16 @@ import (
 	"resilientos/internal/sim"
 )
 
-// FaultMode is how a storm damages a driver.
-type FaultMode int
-
-// Fault modes.
-const (
-	// ModeKill delivers SIGKILL — the §7.1 crash-simulation fault model.
-	ModeKill FaultMode = iota
-	// ModeInject mutates the running driver image with one random fault
-	// via the internal/fi injector — the §7.2 SWIFI fault model. The
-	// driver keeps running until the corrupted code path is exercised.
-	ModeInject
-)
-
-func (m FaultMode) String() string {
-	if m == ModeInject {
-		return "inject"
-	}
-	return "kill"
-}
-
-// Storm is a fleet-wide fault schedule. The zero value is no storm.
+// Storm is a fleet-wide fault schedule. The zero value is no storm. Every
+// strike is a SIGKILL of the victim driver through the member's own RS —
+// the §7.1 fault model. Fleet requests never enter a member, so a mutated
+// driver would never run its mutation: SWIFI under traffic is
+// internal/campaign's.
 type Storm struct {
 	// Kind is "none", "correlated", or "poisson".
 	Kind string
 	// Driver is the victim driver label (default eth.rtl8139).
 	Driver string
-	// Mode selects SIGKILL or SWIFI injection.
-	Mode FaultMode
 
 	// Correlated storms: every Interval, the same driver is hit on K
 	// nodes at once (rotating through the fleet wave by wave), modeling a
@@ -57,9 +39,9 @@ func (s Storm) String() string {
 	case "", "none":
 		return "none"
 	case "correlated":
-		return fmt.Sprintf("correlated:%s,k=%d,every=%s,mode=%s", s.Driver, s.K, s.Interval, s.Mode)
+		return fmt.Sprintf("correlated:%s,k=%d,every=%s", s.Driver, s.K, s.Interval)
 	case "poisson":
-		return fmt.Sprintf("poisson:%s,mean=%s,mode=%s", s.Driver, s.Mean, s.Mode)
+		return fmt.Sprintf("poisson:%s,mean=%s", s.Driver, s.Mean)
 	}
 	return s.Kind
 }
@@ -93,11 +75,11 @@ func (s Storm) validate() error {
 // ParseStorm parses a storm spec:
 //
 //	none
-//	correlated:<driver>[,k=N][,every=DUR][,mode=kill|inject]
-//	poisson:<driver>[,mean=DUR][,mode=kill|inject]
+//	correlated:<driver>[,k=N][,every=DUR]
+//	poisson:<driver>[,mean=DUR]
 //
 // Durations use Go syntax ("2s", "750ms"). Defaults: driver
-// eth.rtl8139, k=2, every=2s, mean=1s, mode=kill.
+// eth.rtl8139, k=2, every=2s, mean=1s.
 func ParseStorm(spec string) (Storm, error) {
 	s := Storm{Kind: "none", Driver: resilientos.DriverRTL8139, K: 2,
 		Interval: 2 * time.Second, Mean: time.Second}
@@ -139,15 +121,6 @@ func ParseStorm(spec string) (Storm, error) {
 				return s, fmt.Errorf("cluster: bad storm mean %q", val)
 			}
 			s.Mean = d
-		case "mode":
-			switch val {
-			case "kill":
-				s.Mode = ModeKill
-			case "inject":
-				s.Mode = ModeInject
-			default:
-				return s, fmt.Errorf("cluster: bad storm mode %q (want kill or inject)", val)
-			}
 		default:
 			return s, fmt.Errorf("cluster: unknown storm key %q", key)
 		}
@@ -160,13 +133,13 @@ func ParseStorm(spec string) (Storm, error) {
 // a clock of their own that starts, like the campaign, at the end of the
 // settle phase. The schedule is a pure function of its arguments, exactly
 // as cfg.Arrivals is of the workload spec.
-func strikeSchedule(seed int64, s Storm, nodes int, until sim.Time) [][]strike {
+func strikeSchedule(seed int64, s Storm, nodes int, until sim.Time) [][]sim.Time {
 	clock := sim.NewEnv(seed)
 	defer clock.Close()
 	clock.RunUntil(settle)
-	strikes := make([][]strike, nodes)
+	strikes := make([][]sim.Time, nodes)
 	startStorm(clock, seed, s, nodes, until, func(node int) {
-		strikes[node] = append(strikes[node], strike{at: clock.Now()})
+		strikes[node] = append(strikes[node], clock.Now())
 	})
 	clock.RunUntil(until)
 	return strikes

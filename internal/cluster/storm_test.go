@@ -24,7 +24,7 @@ func TestStrikeSchedule(t *testing.T) {
 		{Storm{Kind: "correlated", Driver: nic, K: 3, Interval: 7 * time.Millisecond}, 4},
 		{Storm{Kind: "correlated", Driver: nic, K: 4, Interval: 2500 * time.Millisecond}, 4},
 		{Storm{Kind: "poisson", Driver: nic, Mean: 400 * time.Millisecond}, 4},
-		{Storm{Kind: "poisson", Driver: nic, Mean: minStormGap, Mode: ModeInject}, 2},
+		{Storm{Kind: "poisson", Driver: nic, Mean: minStormGap}, 2},
 		{Storm{Kind: "none"}, 4},
 	}
 	for _, tc := range cases {
@@ -41,8 +41,7 @@ func TestStrikeSchedule(t *testing.T) {
 			for node, at := range got {
 				total += len(at)
 				prev := sim.Time(settle)
-				for i, strike := range at {
-					s := strike.at
+				for i, s := range at {
 					gap := s - prev
 					switch {
 					case s > until:
@@ -66,7 +65,7 @@ func TestStrikeSchedule(t *testing.T) {
 				// Every chain runs to until: its last strike is less than
 				// a long gap (20 means: e⁻²⁰) short of it.
 				for node, at := range got {
-					if len(at) == 0 || until-at[len(at)-1].at > 20*tc.storm.Mean {
+					if len(at) == 0 || until-at[len(at)-1] > 20*tc.storm.Mean {
 						t.Errorf("%s: node %d chain stops early: %d strikes", name, node, len(at))
 					}
 				}
@@ -110,8 +109,8 @@ func TestBoundaryStrikesAreCounted(t *testing.T) {
 		t.Fatalf("%d kills, %d crashes, %d recovered, want 4 of each", r.Kills, r.Crashes, r.Recovered)
 	}
 	for _, n := range c.Nodes() {
-		if n.struck != len(n.strikes) || n.counted != len(n.strikes) {
-			t.Errorf("%s: dealt itself %d and was booked %d of %d strikes", n.Name, n.struck, n.counted, len(n.strikes))
+		if n.struck != len(n.strikes) {
+			t.Errorf("%s: dealt itself %d of %d strikes", n.Name, n.struck, len(n.strikes))
 		}
 	}
 	segs := c.Segments()
@@ -136,7 +135,7 @@ func TestReportNamesTheStormThatRan(t *testing.T) {
 	cfg.Horizon = time.Second
 	cfg.Storm = Storm{Kind: "correlated", Driver: resilientos.DriverRTL8139, K: 99, Interval: time.Second}
 	r := Run(cfg)
-	if want := "correlated:eth.rtl8139,k=4,every=1s,mode=kill"; r.Storm != want {
+	if want := "correlated:eth.rtl8139,k=4,every=1s"; r.Storm != want {
 		t.Errorf("report names storm %q, want %q", r.Storm, want)
 	}
 	if r.Kills != 4 {
