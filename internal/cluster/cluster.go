@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"time"
 
 	"resilientos"
@@ -134,8 +135,9 @@ type Cluster struct {
 	cfg    Config
 	policy Policy
 
-	fleet *sim.Env // fleet clock: arrivals, routing, kill counts, windows
-	nodes []*Node
+	fleet  *sim.Env // fleet clock: arrivals, routing, kill counts, windows
+	nodes  []*Node
+	byName []*Node // the nodes in name order, for the window status column
 
 	reg     *obs.Registry
 	sampler *timeseries.Sampler
@@ -169,6 +171,7 @@ type Cluster struct {
 	rerouted     int64
 	reroutedReqs int64
 	latencies    [][]sim.Time // completed requests' latencies, indexed as classes
+	latencyBuf   []sim.Time   // what the latencies are runs of (see sizeLatencies)
 }
 
 // Boot boots a fleet and lists its storm; call Run to execute the
@@ -202,7 +205,7 @@ func Boot(cfg Config) (*Cluster, error) {
 	c.sampler = timeseries.New(timeseries.Config{
 		Window:   sim.Time(cfg.Window),
 		Registry: c.reg,
-		Status:   c.statusFunc(),
+		Status:   c.status,
 	})
 	if cfg.Perf != nil {
 		cfg.Perf.Attach(c.fleet)
@@ -214,6 +217,8 @@ func Boot(cfg Config) (*Cluster, error) {
 		names[i] = c.nodes[i].Name
 	}
 	c.dispatched = family(c.reg, "fleet.dispatch.", names)
+	c.byName = slices.Clone(c.nodes)
+	slices.SortFunc(c.byName, func(a, b *Node) int { return strings.Compare(a.Name, b.Name) })
 	if s := cfg.Storm; s.Kind != "none" && !c.nodes[0].Sys.RS.Guards(s.Driver) {
 		c.Close()
 		return nil, fmt.Errorf("cluster: storm victim %q is not a driver the fleet's members guard", s.Driver)

@@ -2,10 +2,13 @@ package cluster
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"time"
 
+	"resilientos"
 	"resilientos/internal/obs/timeseries"
+	"resilientos/internal/sim"
 	"resilientos/internal/workload"
 )
 
@@ -205,4 +208,82 @@ func TestDeriveSeed(t *testing.T) {
 			seen[s] = true
 		}
 	}
+}
+
+// BenchmarkHotpathFleetWindow measures one window rollover of the fleet's
+// sampler: every fleet counter of a finished campaign moves, and the
+// rollover closes the window over the registry and the node status. It
+// fails above the window's own two rows, the counter deltas and the
+// status column, each allocated once at its length; a registry walk that
+// sorts or allocates again, or a row that grows by appends, trips it.
+func BenchmarkHotpathFleetWindow(b *testing.B) {
+	cfg := testConfig()
+	cfg.Horizon = time.Second
+	c := New(cfg)
+	b.Cleanup(c.Close)
+	c.Run()
+	c.sampler.Attach(c.fleet) // a fresh segment on the finished campaign
+	ctrs := []*counter{&c.arrived, &c.completed}
+	for _, f := range [][]counter{c.arrivals, c.dispatched, c.reroutes} {
+		for i := range f {
+			ctrs = append(ctrs, &f[i])
+		}
+	}
+	op := func() {
+		for _, k := range ctrs {
+			k.inc()
+		}
+		c.fleet.Run(sim.Time(cfg.Window))
+	}
+	op()
+	segs := c.Segments()
+	w := segs[len(segs)-1].Windows[0]
+	if len(w.Counters) != len(ctrs) || len(w.Status) != cfg.Nodes {
+		b.Fatalf("one rollover: %d counter deltas and %d status entries, want %d and %d",
+			len(w.Counters), len(w.Status), len(ctrs), cfg.Nodes)
+	}
+	if allocs := testing.AllocsPerRun(100, op); allocs > 2 {
+		b.Fatalf("one window rollover allocates %v times, want its 2 rows", allocs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+// TestFleetHourHeapBound holds a long campaign's memory: four members
+// under a k=2 NIC kill storm every second for one virtual hour, serving
+// the classic load (720,110 requests, 7,200 kills, 14,400 windows). The
+// live heap after a collection must stay under 64 MB in all (45.9 MB
+// measured, 28.8 MB of it the arrival list), and the run itself may add
+// at most 20 MB to what Boot left (15.1 MB measured: the latency logs
+// sized from the arrivals, 5.8 MB, then the window series and the
+// members' recovery logs). A request, event or window that keeps more
+// than its row trips it.
+func TestFleetHourHeapBound(t *testing.T) {
+	live := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	base := live()
+	c := New(Config{Nodes: 4, Seed: 1, Horizon: time.Hour,
+		Storm: Storm{Kind: "correlated", Driver: resilientos.DriverRTL8139, K: 2, Interval: time.Second}})
+	defer c.Close()
+	booted := live()
+	r := c.Run()
+	ran := live()
+	if r.Kills != 7200 || r.Windows != 14400 || r.Completed != r.Requests {
+		t.Fatalf("%d kills, %d windows, %d of %d requests completed: want 7200, 14400 and all",
+			r.Kills, r.Windows, r.Completed, r.Requests)
+	}
+	const mb = 1e6
+	t.Logf("live heap: %.1f MB booted, %.1f MB after the hour", float64(booted-base)/mb, float64(ran-base)/mb)
+	if ran-base > 64*mb || ran-booted > 20*mb {
+		t.Fatalf("live heap %.1f MB after the hour, %.1f MB of it added by the run: want at most 64 and 20",
+			float64(ran-base)/mb, float64(ran-booted)/mb)
+	}
+	runtime.KeepAlive(c)
 }

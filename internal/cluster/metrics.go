@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"slices"
-	"sort"
 	"time"
 
 	"resilientos/internal/obs"
@@ -264,7 +262,8 @@ type Report struct {
 	PerNode []NodeReport `json:"per_node"`
 }
 
-// buildReport assembles the Report after the drain phase.
+// buildReport assembles the Report after the drain phase. It reorders
+// and moves the latency logs, so Run calls it once.
 func (c *Cluster) buildReport() *Report {
 	r := &Report{
 		Nodes:    len(c.nodes),
@@ -288,14 +287,13 @@ func (c *Cluster) buildReport() *Report {
 			mean = float64(c.tracker.healthySum[i]) / float64(c.tracker.barriers)
 		}
 		lat := c.latencies[i]
-		slices.Sort(lat)
 		r.Classes = append(r.Classes, ClassReport{
 			Class:               cl,
 			AvailabilityPct:     served,
 			NodeAvailabilityPct: node,
 			MeanHealthyNodes:    mean,
 			Requests:            int64(len(lat)),
-			Latency:             obs.SummarizeSorted(lat),
+			Latency:             obs.SummarizeInPlace(lat),
 			SLO:                 c.tracker.slo(i),
 		})
 	}
@@ -307,8 +305,13 @@ func (c *Cluster) buildReport() *Report {
 		}
 	}
 	r.NodeAvailabilityPct = nodeAll
-	pool := mergeSorted(c.latencies)
-	r.Latency = obs.SummarizeSorted(pool)
+	// The class logs are runs of one buffer, each no longer than its
+	// class's arrivals (see sizeLatencies), so they close up into its head.
+	pool := c.latencyBuf[:0]
+	for _, lat := range c.latencies {
+		pool = append(pool, lat...)
+	}
+	r.Latency = obs.SummarizeInPlace(pool)
 
 	r.Requests = c.nextReq
 	r.Completed = int64(len(pool))
@@ -348,24 +351,6 @@ func (c *Cluster) buildReport() *Report {
 	}
 	r.MaxRecoveryOverlap = c.tracker.overlapMax
 	return r
-}
-
-// mergeSorted merges runs, each in ascending order, into one new slice in
-// ascending order.
-func mergeSorted(runs [][]sim.Time) []sim.Time {
-	var out []sim.Time
-	for _, run := range runs {
-		merged := make([]sim.Time, 0, len(out)+len(run))
-		for len(out) > 0 && len(run) > 0 {
-			if run[0] < out[0] {
-				merged, run = append(merged, run[0]), run[1:]
-			} else {
-				merged, out = append(merged, out[0]), out[1:]
-			}
-		}
-		out = append(append(merged, out...), run...)
-	}
-	return out
 }
 
 // WriteJSON writes the report as canonical indented JSON. Everything in
@@ -412,34 +397,31 @@ func (r *Report) Render(w io.Writer) {
 	}
 }
 
-// statusFunc builds the fleet-level Status column for the timeseries
-// sampler: one entry per node, summarizing the barrier snapshot.
-func (c *Cluster) statusFunc() func() []timeseries.ServiceStatus {
-	return func() []timeseries.ServiceStatus {
-		out := make([]timeseries.ServiceStatus, 0, len(c.nodes))
-		for _, n := range c.nodes {
-			h := n.health
-			state := "live"
-			switch {
-			case h.GaveUp > 0:
-				state = "gave-up"
-			case h.Recovering > 0:
-				state = "recovering"
-			default:
-				for _, cl := range c.classes {
-					if !h.OK(cl) {
-						state = "dead"
-						break
-					}
+// status is the fleet-level Status column for the timeseries sampler: one
+// entry per node, in name order, summarizing the barrier snapshot.
+func (c *Cluster) status() []timeseries.ServiceStatus {
+	out := make([]timeseries.ServiceStatus, 0, len(c.byName))
+	for _, n := range c.byName {
+		h := n.health
+		state := "live"
+		switch {
+		case h.GaveUp > 0:
+			state = "gave-up"
+		case h.Recovering > 0:
+			state = "recovering"
+		default:
+			for _, cl := range c.classes {
+				if !h.OK(cl) {
+					state = "dead"
+					break
 				}
 			}
-			out = append(out, timeseries.ServiceStatus{
-				Label:    n.Name,
-				State:    state,
-				Failures: h.Failures,
-			})
 		}
-		sort.Slice(out, func(i, j int) bool { return out[i].Label < out[j].Label })
-		return out
+		out = append(out, timeseries.ServiceStatus{
+			Label:    n.Name,
+			State:    state,
+			Failures: h.Failures,
+		})
 	}
+	return out
 }

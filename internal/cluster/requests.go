@@ -44,6 +44,7 @@ type request struct {
 // draws identical between a recording run and its replay.
 func (c *Cluster) armArrivals(until sim.Time) {
 	events := c.cfg.Arrivals
+	classes := c.sizeLatencies()
 	base := c.fleet.Now() // the settle barrier
 	i := 0
 	var next *sim.Timer
@@ -51,7 +52,7 @@ func (c *Cluster) armArrivals(until sim.Time) {
 		now := c.fleet.Now()
 		for i < len(events) && base+events[i].T <= now {
 			if now < until {
-				c.arrive(events[i])
+				c.arrive(events[i], int(classes[i]))
 			}
 			i++
 		}
@@ -63,8 +64,32 @@ func (c *Cluster) armArrivals(until sim.Time) {
 	pump()
 }
 
-// arrive admits one workload event as a request.
-func (c *Cluster) arrive(ev workload.Event) {
+// sizeLatencies resolves the class of every arrival once, returning the
+// indices as the arrivals are ordered (a byte each: the classes are the
+// few routable service classes), and lays the per-class latency logs out as
+// consecutive runs of one buffer, each as long as its class's arrivals:
+// a class completes at most the requests that arrive, so no log ever
+// grows, and the report can pool them in place.
+func (c *Cluster) sizeLatencies() []uint8 {
+	classes := make([]uint8, len(c.cfg.Arrivals))
+	counts := make([]int, len(c.classes))
+	for i, ev := range c.cfg.Arrivals {
+		k := c.classIndex(ev.Class)
+		classes[i] = uint8(k)
+		counts[k]++
+	}
+	c.latencyBuf = make([]sim.Time, len(c.cfg.Arrivals))
+	off := 0
+	for i, n := range counts {
+		c.latencies[i] = c.latencyBuf[off : off : off+n]
+		off += n
+	}
+	return classes
+}
+
+// arrive admits one workload event, of the class with index class, as a
+// request.
+func (c *Cluster) arrive(ev workload.Event, class int) {
 	c.nextReq++
 	r := c.free
 	if r == nil {
@@ -73,7 +98,7 @@ func (c *Cluster) arrive(ev workload.Event) {
 	} else {
 		c.free = r.next
 	}
-	*r = request{class: c.classIndex(ev.Class), arrival: c.fleet.Now(), size: ev.Size, timer: r.timer}
+	*r = request{class: class, arrival: c.fleet.Now(), size: ev.Size, timer: r.timer}
 	c.outstanding++
 	c.arrived.inc()
 	c.arrivals[r.class].inc()

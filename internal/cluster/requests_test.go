@@ -68,8 +68,8 @@ func BenchmarkHotpathFleetRequest(b *testing.B) {
 	c.nodes[0].health, c.nodes[2].health = ok, ok
 	ev := workload.Event{Class: resilientos.ClassNet, Size: 16 << 10}
 	op := func() {
-		c.arrive(ev)
-		c.arrive(ev)
+		c.arrive(ev, 0)
+		c.arrive(ev, 0)
 		c.fleet.Run(0)
 		// The latency log grows with the campaign; keep it short so that
 		// no doubling of it lands inside a measured run.

@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"slices"
 	"sort"
+	"strings"
 	"time"
 )
 
@@ -9,27 +11,33 @@ import (
 // sites one-liners; a nil *Registry (from a nil Recorder) returns nil
 // counters whose methods are no-ops, so instrumentation is free when
 // observability is off. VisitCounters walks them in name order, keeping
-// dumps deterministic.
+// dumps deterministic: the registry keeps them in that order as they are
+// created, so a walk neither sorts nor allocates, and a lookup is a
+// binary search (callers on a hot path keep the counter they got).
 type Registry struct {
-	counters map[string]*Counter
+	counters []namedCounter // in name order
+}
+
+type namedCounter struct {
+	name string
+	c    *Counter
 }
 
 // NewRegistry creates an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{counters: make(map[string]*Counter)}
-}
+func NewRegistry() *Registry { return &Registry{} }
 
 // Counter returns the named counter, creating it on first use.
 func (g *Registry) Counter(name string) *Counter {
 	if g == nil {
 		return nil
 	}
-	c, ok := g.counters[name]
-	if !ok {
-		c = &Counter{}
-		g.counters[name] = c
+	i, found := slices.BinarySearchFunc(g.counters, name, func(e namedCounter, name string) int {
+		return strings.Compare(e.name, name)
+	})
+	if !found {
+		g.counters = slices.Insert(g.counters, i, namedCounter{name, &Counter{}})
 	}
-	return c
+	return g.counters[i].c
 }
 
 // Counter is a monotonically increasing count.
@@ -135,12 +143,7 @@ func (g *Registry) VisitCounters(fn func(name string, v int64)) {
 	if g == nil {
 		return
 	}
-	names := make([]string, 0, len(g.counters))
-	for name := range g.counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fn(name, g.counters[name].Value())
+	for _, e := range g.counters {
+		fn(e.name, e.c.v)
 	}
 }

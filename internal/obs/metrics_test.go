@@ -58,3 +58,28 @@ func TestRegistryVisitsCountersSorted(t *testing.T) {
 		t.Fatalf("visited %v, want %s", got, want)
 	}
 }
+
+// TestVisitCountersAllocatesNothing: the windowed sampler walks the
+// registry at every rollover, so the walk must neither sort nor allocate.
+// Counters created after others still come out in name order.
+func TestVisitCountersAllocatesNothing(t *testing.T) {
+	g := NewRegistry()
+	for i := 0; i < 40; i++ {
+		g.Counter(fmt.Sprintf("c%02d", (i*17)%40)).Add(int64(i))
+	}
+	var sum int64
+	prev := ""
+	visit := func(name string, v int64) {
+		if name <= prev {
+			t.Fatalf("%q visited after %q", name, prev)
+		}
+		prev, sum = name, sum+v
+	}
+	g.VisitCounters(visit)
+	if sum != 40*39/2 {
+		t.Fatalf("visited a sum of %d, want %d", sum, 40*39/2)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { prev = ""; g.VisitCounters(visit) }); allocs != 0 {
+		t.Fatalf("VisitCounters allocates %v times", allocs)
+	}
+}

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -161,40 +162,75 @@ type LatencySummary struct {
 // Summarize computes exact percentiles over the given latencies (the
 // nearest-rank method on the sorted values). lat is left as it is.
 func Summarize(lat []sim.Time) LatencySummary {
-	sorted := append([]sim.Time(nil), lat...)
-	slices.Sort(sorted)
-	return SummarizeSorted(sorted)
+	return SummarizeInPlace(append([]sim.Time(nil), lat...))
 }
 
-// SummarizeSorted is Summarize over latencies already in ascending
-// order, for a caller that sorted them in place once.
-func SummarizeSorted(sorted []sim.Time) LatencySummary {
-	if len(sorted) == 0 {
+// SummarizeInPlace is Summarize for a caller done with the order of lat:
+// it reorders lat, selecting each percentile's rank within it, where
+// Summarize sorts a copy.
+func SummarizeInPlace(lat []sim.Time) LatencySummary {
+	n := len(lat)
+	if n == 0 {
 		return LatencySummary{}
 	}
+	s := LatencySummary{Count: n, Min: lat[0], Max: lat[0]}
 	var sum sim.Time
-	for _, v := range sorted {
+	for _, v := range lat {
 		sum += v
+		s.Min, s.Max = min(s.Min, v), max(s.Max, v)
 	}
-	pick := func(q float64) sim.Time {
-		rank := int(q*float64(len(sorted)) + 0.9999999)
-		if rank < 1 {
-			rank = 1
+	s.Mean = sum / sim.Time(n)
+	// The ranks ascend, so each selection needs only the part of lat the
+	// one before left at or above its rank.
+	pick := func(q float64, from int) int {
+		rank := int(q*float64(n) + 0.9999999)
+		k := min(max(rank, 1), n) - 1
+		selectNth(lat[from:], k-from)
+		return k
+	}
+	k := pick(0.50, 0)
+	s.P50 = lat[k]
+	k = pick(0.95, k)
+	s.P95 = lat[k]
+	s.P99 = lat[pick(0.99, k)]
+	return s
+}
+
+// selectNth reorders a so that a[k] holds the value a sorted a would, with
+// no greater value before it and no smaller one after it: quickselect
+// with a median-of-three pivot and a three-way partition, so runs of
+// equal values cost one pass. Past 2·log2(len(a)) rounds it sorts what is
+// left, which bounds the worst case at a sort's.
+func selectNth(a []sim.Time, k int) {
+	lo, hi := 0, len(a) // a[k] lies in a[lo:hi]
+	for rounds := 2 * bits.Len(uint(len(a))); hi-lo > 12 && rounds > 0; rounds-- {
+		x, y, z := a[lo], a[lo+(hi-lo)/2], a[hi-1]
+		p := max(min(x, y), min(max(x, y), z))
+		// a[lo:lt] < p, a[lt:i] == p, a[gt:hi] > p.
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch v := a[i]; {
+			case v < p:
+				a[lt], a[i] = v, a[lt]
+				lt++
+				i++
+			case v > p:
+				gt--
+				a[i], a[gt] = a[gt], v
+			default:
+				i++
+			}
 		}
-		if rank > len(sorted) {
-			rank = len(sorted)
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return
 		}
-		return sorted[rank-1]
 	}
-	return LatencySummary{
-		Count: len(sorted),
-		Mean:  sum / sim.Time(len(sorted)),
-		P50:   pick(0.50),
-		P95:   pick(0.95),
-		P99:   pick(0.99),
-		Min:   sorted[0],
-		Max:   sorted[len(sorted)-1],
-	}
+	slices.Sort(a[lo:hi])
 }
 
 func (s LatencySummary) String() string {

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -161,5 +163,67 @@ func TestSummarizePercentiles(t *testing.T) {
 	one := Summarize([]sim.Time{7 * ms})
 	if one.P50 != 7*ms || one.P99 != 7*ms || one.Mean != 7*ms {
 		t.Fatalf("single summary = %+v", one)
+	}
+}
+
+// summarizeBySort is Summarize as it was before selection: nearest-rank
+// percentiles read off a sorted copy.
+func summarizeBySort(lat []sim.Time) LatencySummary {
+	if len(lat) == 0 {
+		return LatencySummary{}
+	}
+	sorted := slices.Clone(lat)
+	slices.Sort(sorted)
+	var sum sim.Time
+	for _, v := range sorted {
+		sum += v
+	}
+	pick := func(q float64) sim.Time {
+		rank := int(q*float64(len(sorted)) + 0.9999999)
+		return sorted[min(max(rank, 1), len(sorted))-1]
+	}
+	return LatencySummary{
+		Count: len(sorted), Mean: sum / sim.Time(len(sorted)),
+		P50: pick(0.50), P95: pick(0.95), P99: pick(0.99),
+		Min: sorted[0], Max: sorted[len(sorted)-1],
+	}
+}
+
+// TestSummarizeMatchesSort holds the selected percentiles to the sorted
+// reference for every n from 0 to 2,000, over inputs with distinct
+// values, few distinct values, a single value, and ascending, descending
+// and organ-pipe orders (a median-of-three pivot's bad cases). Summarize
+// must leave its argument as it was.
+func TestSummarizeMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	shapes := []struct {
+		name string
+		at   func(i, n int) sim.Time
+	}{
+		{"random", func(i, n int) sim.Time { return sim.Time(rng.Int63n(1 << 40)) }},
+		{"duplicates", func(i, n int) sim.Time { return sim.Time(rng.Intn(4)) * ms }},
+		{"single", func(i, n int) sim.Time { return 7 * ms }},
+		{"ascending", func(i, n int) sim.Time { return sim.Time(i) }},
+		{"descending", func(i, n int) sim.Time { return sim.Time(n - i) }},
+		{"organ pipe", func(i, n int) sim.Time { return sim.Time(min(i, n-i)) }},
+	}
+	for _, shape := range shapes {
+		for n := 0; n <= 2000; n++ {
+			lat := make([]sim.Time, n)
+			for i := range lat {
+				lat[i] = shape.at(i, n)
+			}
+			before := slices.Clone(lat)
+			got, want := Summarize(lat), summarizeBySort(lat)
+			if got != want {
+				t.Fatalf("%s n=%d: %+v, sorted reference %+v", shape.name, n, got, want)
+			}
+			if !slices.Equal(lat, before) {
+				t.Fatalf("%s n=%d: Summarize reordered its argument", shape.name, n)
+			}
+			if inPlace := SummarizeInPlace(lat); inPlace != want {
+				t.Fatalf("%s n=%d: in place %+v, sorted reference %+v", shape.name, n, inPlace, want)
+			}
+		}
 	}
 }

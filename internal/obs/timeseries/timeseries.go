@@ -28,7 +28,7 @@ package timeseries
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 
 	"resilientos/internal/obs"
@@ -146,14 +146,18 @@ type Sampler struct {
 	curStart sim.Time // current window's start
 	curIdx   int
 
-	base map[string]int64 // counter values at the last rollover
+	// Counter values at the last rollover, in name order: a rollover
+	// merges them against the registry's own walk in that order, and
+	// gathers the window's deltas in deltas before copying them out.
+	base, deltas []Delta
 
 	// Event state for the open window, plus overflow buffers for events
 	// stamped exactly on the pending boundary (they precede the rollover
-	// tick in scheduler order but belong to the next window).
-	kinds    map[obs.Kind]int
+	// tick in scheduler order but belong to the next window). The counts
+	// are indexed by kind, a byte.
+	kinds    [1 << 8]int
 	anns     []Annotation
-	overKind map[obs.Kind]int
+	overKind [1 << 8]int
 	overAnn  []Annotation
 
 	violation string // first structural violation (window monotonicity)
@@ -175,9 +179,6 @@ func New(cfg Config) *Sampler {
 		cfg:      cfg,
 		width:    cfg.Window,
 		annotate: make(map[obs.Kind]bool, len(DefaultAnnotate)),
-		base:     make(map[string]int64),
-		kinds:    make(map[obs.Kind]int),
-		overKind: make(map[obs.Kind]int),
 	}
 	for _, k := range DefaultAnnotate {
 		s.annotate[k] = true
@@ -202,9 +203,7 @@ func (s *Sampler) openSegment(label string, start sim.Time) {
 	s.rebase()
 	s.resetWindowState()
 	s.overAnn = nil
-	for k := range s.overKind {
-		delete(s.overKind, k)
-	}
+	s.overKind = [len(s.overKind)]int{}
 	if s.env != nil {
 		s.ticker = s.env.Tick(s.width, s.rollover)
 	}
@@ -212,22 +211,16 @@ func (s *Sampler) openSegment(label string, start sim.Time) {
 
 // rebase re-snapshots every counter as the new delta baseline.
 func (s *Sampler) rebase() {
-	for k := range s.base {
-		delete(s.base, k)
-	}
-	s.cfg.Registry.VisitCounters(func(name string, v int64) { s.base[name] = v })
+	s.base = s.base[:0]
+	s.cfg.Registry.VisitCounters(func(name string, v int64) {
+		s.base = append(s.base, Delta{Name: name, Value: v})
+	})
 }
 
 func (s *Sampler) resetWindowState() {
-	for k := range s.kinds {
-		delete(s.kinds, k)
-	}
 	s.anns = nil
 	// Events that arrived stamped on the boundary open the new window.
-	for k, n := range s.overKind {
-		s.kinds[k] = n
-		delete(s.overKind, k)
-	}
+	s.kinds, s.overKind = s.overKind, [len(s.overKind)]int{}
 	s.anns = append(s.anns, s.overAnn...)
 	s.overAnn = nil
 }
@@ -254,14 +247,37 @@ func (s *Sampler) closeWindow(end sim.Time) {
 			End:   end,
 			Full:  end-s.curStart == s.width,
 		}
+		// The registry only grows, in name order, so a name the baseline
+		// lacks is a counter created since: its baseline is 0. Each row
+		// the window keeps is allocated once, at its length.
+		i := 0
+		s.deltas = s.deltas[:0]
 		s.cfg.Registry.VisitCounters(func(name string, v int64) {
-			if d := v - s.base[name]; d != 0 {
-				w.Counters = append(w.Counters, Delta{Name: name, Value: d})
+			if i == len(s.base) || s.base[i].Name != name {
+				s.base = slices.Insert(s.base, i, Delta{Name: name})
 			}
-			s.base[name] = v
+			if d := v - s.base[i].Value; d != 0 {
+				s.deltas = append(s.deltas, Delta{Name: name, Value: d})
+			}
+			s.base[i].Value = v
+			i++
 		})
-		for _, k := range sortedKinds(s.kinds) {
-			w.Kinds = append(w.Kinds, KindCount{Kind: k, N: s.kinds[k]})
+		if len(s.deltas) > 0 {
+			w.Counters = slices.Clone(s.deltas)
+		}
+		kinds := 0
+		for _, n := range s.kinds {
+			if n != 0 {
+				kinds++
+			}
+		}
+		if kinds > 0 {
+			w.Kinds = make([]KindCount, 0, kinds)
+			for k, n := range s.kinds {
+				if n != 0 {
+					w.Kinds = append(w.Kinds, KindCount{Kind: obs.Kind(k), N: n})
+				}
+			}
 		}
 		w.Annotations = s.anns
 		if s.cfg.Status != nil {
@@ -346,15 +362,6 @@ func (s *Sampler) Err() error {
 		return nil
 	}
 	return fmt.Errorf("timeseries: %s", s.violation)
-}
-
-func sortedKinds(m map[obs.Kind]int) []obs.Kind {
-	out := make([]obs.Kind, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // ---------------------------------------------------------------------

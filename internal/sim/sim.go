@@ -12,7 +12,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
@@ -48,32 +47,81 @@ func (ev *Event) before(at Time, seq uint64) bool {
 	return ev.seq < seq
 }
 
-type eventHeap []*Event
+// eventQueue is a 4-ary min-heap on (at, seq), each event holding its
+// own index. No two events share a (at, seq), so the pop order is a total
+// order that any heap shape yields the same: this one halves the depth of
+// a binary heap, and, typed, it calls no interface methods.
+type eventQueue []*Event
 
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool { return h[i].before(h[j].at, h[j].seq) }
-
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+// push adds ev to the heap.
+func (q *eventQueue) push(ev *Event) {
+	*q = append(*q, ev)
+	q.up(len(*q)-1, ev)
 }
 
-func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = idle
-	*h = old[:n-1]
+// popMin removes and returns the first event by (at, seq).
+func (q *eventQueue) popMin() *Event {
+	ev := (*q)[0]
+	q.remove(0)
 	return ev
+}
+
+// remove takes the event at index i out of the heap and marks it idle.
+func (q *eventQueue) remove(i int) {
+	h := *q
+	n := len(h) - 1
+	ev, last := h[i], h[n]
+	h[n] = nil
+	*q = h[:n]
+	ev.index = idle
+	if i == n {
+		return
+	}
+	if q.down(i, last) == i {
+		q.up(i, last)
+	}
+}
+
+// up places ev, which belongs at index i or above it, on the path from i
+// to the root.
+func (q eventQueue) up(i int, ev *Event) {
+	for i > 0 {
+		p := (i - 1) / 4
+		if !ev.before(q[p].at, q[p].seq) {
+			break
+		}
+		q[i] = q[p]
+		q[i].index = i
+		i = p
+	}
+	q[i] = ev
+	ev.index = i
+}
+
+// down places ev, which belongs at index i or below it, among the
+// descendants of i, and returns the index it landed at.
+func (q eventQueue) down(i int, ev *Event) int {
+	for {
+		c := 4*i + 1
+		if c >= len(q) {
+			break
+		}
+		m := c
+		for j := c + 1; j < min(c+4, len(q)); j++ {
+			if q[j].before(q[m].at, q[m].seq) {
+				m = j
+			}
+		}
+		if !q[m].before(ev.at, ev.seq) {
+			break
+		}
+		q[i] = q[m]
+		q[i].index = i
+		i = m
+	}
+	q[i] = ev
+	ev.index = i
+	return i
 }
 
 // runEntry is one run-queue slot. It is live while its event is still in
@@ -115,7 +163,7 @@ type Observer func(ev ProcEvent, name string, pid, status int)
 // firing order is the one a single heap would give.
 type Env struct {
 	now     Time
-	events  eventHeap  // due later than the instant they were scheduled at
+	events  eventQueue // due later than the instant they were scheduled at
 	runq    []runEntry // due now; pending entries are runq[runHead:]
 	runHead int
 	runLive int // run-queue entries not canceled
@@ -196,7 +244,7 @@ func (e *Env) enqueue(ev *Event, d Time) {
 	ev.at, ev.seq = e.now+d, e.seq
 	e.seq++
 	if d > 0 {
-		heap.Push(&e.events, ev)
+		e.events.push(ev)
 		return
 	}
 	// A queue that never drains (two processes waking each other inside
@@ -227,7 +275,7 @@ func (ev *Event) Cancel() bool {
 		ev.index = idle
 		ev.env.runLive--
 	default:
-		heap.Remove(&ev.env.events, ev.index)
+		ev.env.events.remove(ev.index)
 	}
 	return true
 }
@@ -363,7 +411,7 @@ func (e *Env) pop(limit Time) *Event {
 		live := r.live()
 		if live && len(e.events) > 0 && e.events[0].before(r.ev.at, r.seq) {
 			// Scheduled for this instant before it began: the heap's turn.
-			return heap.Pop(&e.events).(*Event)
+			return e.events.popMin()
 		}
 		e.runq[e.runHead] = runEntry{}
 		if e.runHead++; e.runHead == len(e.runq) {
@@ -378,7 +426,7 @@ func (e *Env) pop(limit Time) *Event {
 	if len(e.events) == 0 || limit >= 0 && e.events[0].at > limit {
 		return nil
 	}
-	return heap.Pop(&e.events).(*Event)
+	return e.events.popMin()
 }
 
 // raiseFatal re-raises, on the scheduler's goroutine and with the process
