@@ -20,13 +20,13 @@ import (
 	"runtime"
 	"testing"
 	"time"
-	"unsafe"
 
 	"resilientos/internal/check"
 	"resilientos/internal/hw"
 	"resilientos/internal/inet"
 	"resilientos/internal/kernel"
 	"resilientos/internal/obs"
+	"resilientos/internal/obs/timeseries"
 	"resilientos/internal/perf"
 	"resilientos/internal/sim"
 	"resilientos/internal/ucode"
@@ -412,27 +412,34 @@ func BenchmarkHotpathTraceAppend(b *testing.B) {
 	}
 }
 
+// retainedRecord is the bytes one event costs a SliceSink past its first
+// 4,096 events: its pointer-free record (internal/obs pins the size in
+// TestSliceSinkRecordHoldsNoPointers). An obs.Event is 88 B.
+const retainedRecord = 56
+
+// retaining returns a recorder whose SliceSink is already past its
+// plainly appended first 4,096 events.
+func retaining(sinks ...obs.Sink) *obs.Recorder {
+	rec := obs.NewRecorder(append([]obs.Sink{&obs.SliceSink{}}, sinks...)...)
+	for i := 0; i <= 4096; i++ {
+		rec.Emit(obs.KindIPCSend, "bench", "hotpath", int64(i), 0)
+	}
+	return rec
+}
+
 // BenchmarkHotpathTraceRetain measures one emit into a SliceSink past
 // its first 4,096 events, the shape of a full-capture run (wget_observed
 // keeps 185,472 a unit): stamp, fan-out, store. A retained event costs
-// its own bytes once. Ceiling: unsafe.Sizeof(obs.Event{}) plus 8 B of
-// chunk overhead per emit; a sink that regrows one slice copies
-// everything it holds at each growth, several hundred bytes per emit.
+// its record's bytes once. Ceiling: retainedRecord plus 8 B of chunk
+// overhead per emit; a chunk of whole Events (88 B each) trips it, and a
+// sink that regrows one slice copies everything it holds at each growth,
+// several hundred bytes per emit.
 func BenchmarkHotpathTraceRetain(b *testing.B) {
-	// retaining returns a recorder whose SliceSink is already past its
-	// plainly appended first 4,096 events.
-	retaining := func() *obs.Recorder {
-		rec := obs.NewRecorder(&obs.SliceSink{})
-		for i := 0; i <= 4096; i++ {
-			rec.Emit(obs.KindIPCSend, "bench", "hotpath", int64(i), 0)
-		}
-		return rec
-	}
 	// 200 gated runs emit 12,000 events, just under 3 × 4,096: whatever
 	// the phase, at most three chunks are allocated among them.
 	const perOp = 60
 	rec := retaining()
-	gateAllocBytes(b, "retaining a trace event", perOp*uint64(unsafe.Sizeof(obs.Event{})+8), func() {
+	gateAllocBytes(b, "retaining a trace event", perOp*(retainedRecord+8), func() {
 		for i := 0; i < perOp; i++ {
 			rec.Emit(obs.KindIPCSend, "bench", "hotpath", int64(i), 0)
 		}
@@ -446,6 +453,58 @@ func BenchmarkHotpathTraceRetain(b *testing.B) {
 			b.StartTimer()
 		}
 		rec.Emit(obs.KindIPCSend, "bench", "hotpath", int64(i), 0)
+	}
+}
+
+// BenchmarkHotpathTraceFanout measures one span, begin plus end, through
+// a recorder carrying wget_observed's sinks: a SliceSink past its first
+// 4,096 events, the invariant checker and the window sampler. Each sink
+// reads the recorder's own event through its pointer; only the SliceSink
+// keeps it. Gates: no allocation per span (the chunks amortize to none),
+// and at most the two retained records at TraceRetain's ceiling each. An
+// event copied to the heap on its way to the sinks, as passing the
+// address of a local through the interface does, costs 96 B each and
+// trips the bytes gate.
+func BenchmarkHotpathTraceFanout(b *testing.B) {
+	env := sim.NewEnv(1)
+	defer env.Close()
+	sampler := timeseries.New(timeseries.Config{Window: time.Second})
+	sampler.Attach(env)
+	ck := check.New(check.Config{Now: env.Now})
+	var rec *obs.Recorder
+	fresh := func() {
+		rec = retaining(ck, sampler)
+		rec.SetClock(env.Now)
+	}
+	span := func() {
+		sc := rec.StartSpan("inet", "tcp.segment", obs.SpanContext{})
+		rec.EndSpan("inet", sc, 0)
+	}
+	// As in TraceRetain: 200 gated runs retain 12,000 records, so at most
+	// three chunks fall among them.
+	const perOp = 30
+	fresh()
+	spans := func() {
+		for i := 0; i < perOp; i++ {
+			span()
+		}
+	}
+	gateAllocs(b, "a span through the observed sinks", spans)
+	gateAllocBytes(b, "a span through the observed sinks", perOp*2*(retainedRecord+8), spans)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%(1<<15) == 0 { // a fresh sink now and then keeps the heap small
+			b.StopTimer()
+			fresh()
+			b.StartTimer()
+		}
+		span()
+	}
+	b.StopTimer()
+	sampler.Finish()
+	if !ck.Ok() {
+		b.Fatalf("a begun and ended span violates invariants: %v", ck.Violations())
 	}
 }
 

@@ -117,8 +117,8 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	counts := obs.NewCountSink()
-	for _, e := range events {
-		counts.Emit(e)
+	for i := range events {
+		counts.Emit(&events[i])
 	}
 	fmt.Fprintf(stdout, "%d events, %v .. %v virtual time\n\n",
 		counts.Total, events[0].T, events[len(events)-1].T)

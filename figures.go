@@ -191,7 +191,7 @@ func RunFigure(cfg FigureConfig) FigureResult {
 	// The boot / transfer boundary of the window series is the sampler's
 	// alone: a captured trace stays one mark-delimited segment per run.
 	markT := sys.Env.Now()
-	sampler.Emit(obs.Event{T: markT, Kind: obs.KindMark, Comp: "run", Aux: runDesc, V1: cfg.Size})
+	sampler.Emit(&obs.Event{T: markT, Kind: obs.KindMark, Comp: "run", Aux: runDesc, V1: cfg.Size})
 
 	var done func() bool
 	var finish func(r *FigureResult)

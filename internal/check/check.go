@@ -303,7 +303,7 @@ func (c *Checker) TraceTail() []obs.Event { return c.tail.Events() }
 // span and publish state machines. A case that writes state the scans
 // read (pendingPublish, openSpans, openPolicies) sets dirty; the causal
 // span and decision state is read only here and in Finish.
-func (c *Checker) Emit(e obs.Event) {
+func (c *Checker) Emit(e *obs.Event) {
 	c.tail.Emit(e)
 	switch e.Kind {
 	case obs.KindMark:

@@ -248,7 +248,7 @@ func TestStaleEndpointPublishWindow(t *testing.T) {
 	c := check.New(check.Config{Kernel: fk, DS: fd})
 
 	// Restart announced: the publish is legitimately in flight.
-	c.Emit(obs.Event{Kind: obs.KindRestart, Comp: "eth.x", V1: int64(ep(1, 2))})
+	c.Emit(&obs.Event{Kind: obs.KindRestart, Comp: "eth.x", V1: int64(ep(1, 2))})
 	for i := 0; i < 50; i++ {
 		c.Step()
 	}
@@ -258,7 +258,7 @@ func TestStaleEndpointPublishWindow(t *testing.T) {
 
 	// Publish lands but the data store still shows the old endpoint (the
 	// fake never updates): now it is a real violation.
-	c.Emit(obs.Event{Kind: obs.KindPublish, Comp: "ds", Aux: "eth.x", V1: int64(ep(1, 2))})
+	c.Emit(&obs.Event{Kind: obs.KindPublish, Comp: "ds", Aux: "eth.x", V1: int64(ep(1, 2))})
 	c.Step()
 	wantInvariant(t, c, "stale-endpoint")
 }
@@ -373,7 +373,7 @@ func TestDefectSpanDeadline(t *testing.T) {
 		Now:          func() sim.Time { return now },
 		SpanDeadline: time.Second,
 	})
-	c.Emit(obs.Event{T: 0, Kind: obs.KindDefect, Comp: "eth.x", Aux: "exit"})
+	c.Emit(&obs.Event{T: 0, Kind: obs.KindDefect, Comp: "eth.x", Aux: "exit"})
 	now = 500 * time.Millisecond
 	c.Step()
 	if n := countInvariant(c, "trace-span"); n != 0 {
@@ -390,10 +390,10 @@ func TestDefectSpanDeadline(t *testing.T) {
 func TestSpanClosedByRestartAndGiveUp(t *testing.T) {
 	var now sim.Time
 	c := check.New(check.Config{Now: func() sim.Time { return now }, SpanDeadline: time.Second})
-	c.Emit(obs.Event{Kind: obs.KindDefect, Comp: "eth.x"})
-	c.Emit(obs.Event{Kind: obs.KindRestart, Comp: "eth.x"})
-	c.Emit(obs.Event{Kind: obs.KindDefect, Comp: "disk.sata"})
-	c.Emit(obs.Event{Kind: obs.KindGiveUp, Comp: "disk.sata"})
+	c.Emit(&obs.Event{Kind: obs.KindDefect, Comp: "eth.x"})
+	c.Emit(&obs.Event{Kind: obs.KindRestart, Comp: "eth.x"})
+	c.Emit(&obs.Event{Kind: obs.KindDefect, Comp: "disk.sata"})
+	c.Emit(&obs.Event{Kind: obs.KindGiveUp, Comp: "disk.sata"})
 	now = 10 * time.Second
 	c.Step()
 	c.Finish()
@@ -404,7 +404,7 @@ func TestSpanClosedByRestartAndGiveUp(t *testing.T) {
 
 func TestPolicySpanNeverExits(t *testing.T) {
 	c := check.New(check.Config{})
-	c.Emit(obs.Event{T: time.Second, Kind: obs.KindPolicyStart, Comp: "eth.x"})
+	c.Emit(&obs.Event{T: time.Second, Kind: obs.KindPolicyStart, Comp: "eth.x"})
 	c.Finish()
 	v := wantInvariant(t, c, "trace-span")
 	if !strings.Contains(v.Detail, "never exited") {
@@ -414,16 +414,16 @@ func TestPolicySpanNeverExits(t *testing.T) {
 
 func TestFinishFlagsOpenSpan(t *testing.T) {
 	c := check.New(check.Config{})
-	c.Emit(obs.Event{Kind: obs.KindDefect, Comp: "eth.x"})
+	c.Emit(&obs.Event{Kind: obs.KindDefect, Comp: "eth.x"})
 	c.Finish()
 	wantInvariant(t, c, "trace-span")
 }
 
 func TestMarkResetsOpenState(t *testing.T) {
 	c := check.New(check.Config{})
-	c.Emit(obs.Event{Kind: obs.KindDefect, Comp: "eth.x"})
-	c.Emit(obs.Event{Kind: obs.KindPolicyStart, Comp: "eth.x"})
-	c.Emit(obs.Event{Kind: obs.KindMark, Comp: "experiment", Aux: "run-boundary"})
+	c.Emit(&obs.Event{Kind: obs.KindDefect, Comp: "eth.x"})
+	c.Emit(&obs.Event{Kind: obs.KindPolicyStart, Comp: "eth.x"})
+	c.Emit(&obs.Event{Kind: obs.KindMark, Comp: "experiment", Aux: "run-boundary"})
 	c.Finish()
 	if !c.Ok() {
 		t.Fatalf("state survived a mark: %v", c.Violations())
@@ -446,7 +446,7 @@ func TestViolationEpisodeDedup(t *testing.T) {
 func TestTraceTailKeepsRecentEvents(t *testing.T) {
 	c := check.New(check.Config{TraceTail: 4})
 	for i := 0; i < 10; i++ {
-		c.Emit(obs.Event{T: sim.Time(i), Kind: obs.KindHeartbeat, Comp: "eth.x"})
+		c.Emit(&obs.Event{T: sim.Time(i), Kind: obs.KindHeartbeat, Comp: "eth.x"})
 	}
 	tail := c.TraceTail()
 	if len(tail) != 4 {
@@ -522,7 +522,7 @@ func TestGatedDeadlinesFireAtTheSameStep(t *testing.T) {
 				cfg.Now = func() sim.Time { return now }
 				c := check.New(cfg)
 				for _, e := range tc.emit {
-					c.Emit(e)
+					c.Emit(&e)
 				}
 				return firstViolation(c, &now, dt, 100), c.Violations()
 			}
@@ -588,12 +588,12 @@ func TestGatedScanFollowsCounters(t *testing.T) {
 	// So does an event that rewrites state the scans read, with every
 	// counter still — and only such an event.
 	before := fk.scans
-	c.Emit(obs.Event{Kind: obs.KindSpanBegin, Comp: "inet", Span: 1})
+	c.Emit(&obs.Event{Kind: obs.KindSpanBegin, Comp: "inet", Span: 1})
 	c.Step()
 	if fk.scans != before {
 		t.Fatal("a causal-span event, which no scan reads, caused a scan")
 	}
-	c.Emit(obs.Event{Kind: obs.KindRestart, Comp: "eth.x"})
+	c.Emit(&obs.Event{Kind: obs.KindRestart, Comp: "eth.x"})
 	c.Step()
 	c.Step()
 	if fk.scans != before+1 {

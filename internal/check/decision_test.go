@@ -80,7 +80,7 @@ func TestDecisionMarkResets(t *testing.T) {
 	s.Emit(decision.Event{Kind: decision.KindDetect, Service: "eth"})
 	s.Emit(decision.Event{Kind: decision.KindMark, Service: "campaign", Action: "cell"})
 	s.Emit(decision.Event{Kind: decision.KindDetect, Service: "disk"})
-	c.Emit(obs.Event{Kind: obs.KindMark, Comp: "experiment"})
+	c.Emit(&obs.Event{Kind: obs.KindMark, Comp: "experiment"})
 	c.Finish()
 	if !c.Ok() {
 		t.Fatalf("marks did not reset decision state: %v", c.Violations())

@@ -173,8 +173,14 @@ type Event struct {
 
 // Sink receives every event the recorder emits. Sinks run synchronously in
 // scheduler order, so anything they do must be deterministic.
+//
+// The event is passed by pointer so the fan-out copies nothing: it points
+// at the recorder's own Event and is valid only for the duration of the
+// call. A sink that keeps the event copies *e; none may keep the pointer,
+// write through it, or emit into the recorder that called it (that would
+// overwrite the event the remaining sinks are about to read).
 type Sink interface {
-	Emit(Event)
+	Emit(e *Event)
 }
 
 // Recorder is the trace bus: it stamps events with virtual time, filters
@@ -192,6 +198,11 @@ type Recorder struct {
 	// plain counters are deterministic for a fixed seed+workload.
 	nextTrace int64
 	nextSpan  int64
+
+	// ev is the event being fanned out: every sink gets &ev. Taking the
+	// address of a local instead would move it to the heap at each emit,
+	// since the interface call lets the pointer escape.
+	ev Event
 }
 
 // NewRecorder creates a recorder with all event kinds enabled, a fresh
@@ -251,13 +262,7 @@ func (r *Recorder) Emit(k Kind, comp, aux string, v1, v2 int64) {
 		return
 	}
 	r.perf.Begin(perf.RegionObs)
-	e := Event{Kind: k, Comp: comp, Aux: aux, V1: v1, V2: v2}
-	if r.clock != nil {
-		e.T = r.clock()
-	}
-	for _, s := range r.sinks {
-		s.Emit(e)
-	}
+	r.publish(k, comp, aux, v1, v2, 0, 0, 0)
 	r.perf.End(perf.RegionObs)
 }
 
@@ -268,27 +273,32 @@ func (r *Recorder) EmitCtx(k Kind, comp, aux string, v1, v2 int64, sc SpanContex
 		return
 	}
 	r.perf.Begin(perf.RegionObs)
-	e := Event{Kind: k, Comp: comp, Aux: aux, V1: v1, V2: v2, Trace: sc.Trace, Span: sc.Span}
-	if r.clock != nil {
-		e.T = r.clock()
-	}
-	for _, s := range r.sinks {
-		s.Emit(e)
-	}
+	r.publish(k, comp, aux, v1, v2, sc.Trace, sc.Span, 0)
 	r.perf.End(perf.RegionObs)
 }
 
 // emitSpan publishes a span-lifecycle event with full trace fields.
 func (r *Recorder) emitSpan(k Kind, comp, aux string, v1 int64, tr, sp, pa int64) {
 	r.perf.Begin(perf.RegionObs)
-	e := Event{Kind: k, Comp: comp, Aux: aux, V1: v1, Trace: tr, Span: sp, Parent: pa}
+	r.publish(k, comp, aux, v1, 0, tr, sp, pa)
+	r.perf.End(perf.RegionObs)
+}
+
+// publish fills and stamps the recorder's own event and hands every sink
+// a pointer to it. The fields are stored one by one: assigning an Event
+// literal builds it on the stack and copies all 88 bytes over.
+func (r *Recorder) publish(k Kind, comp, aux string, v1, v2, tr, sp, pa int64) {
+	e := &r.ev
+	e.T = 0
 	if r.clock != nil {
 		e.T = r.clock()
 	}
+	e.Kind, e.Comp, e.Aux = k, comp, aux
+	e.V1, e.V2 = v1, v2
+	e.Trace, e.Span, e.Parent = tr, sp, pa
 	for _, s := range r.sinks {
-		s.Emit(e)
+		s.Emit(&r.ev)
 	}
-	r.perf.End(perf.RegionObs)
 }
 
 // Metrics returns the recorder's registry (nil for a nil recorder; the
@@ -330,16 +340,16 @@ func NewRingSink(capacity int) *RingSink {
 }
 
 // Emit implements Sink.
-func (s *RingSink) Emit(e Event) {
+func (s *RingSink) Emit(e *Event) {
 	if !s.full && len(s.buf) < cap(s.buf) {
-		s.buf = append(s.buf, e)
+		s.buf = append(s.buf, *e)
 		if len(s.buf) == cap(s.buf) {
 			s.full = true
 		}
 		return
 	}
 	s.dropped++
-	s.buf[s.next] = e
+	s.buf[s.next] = *e
 	s.next = (s.next + 1) % len(s.buf)
 }
 
@@ -359,45 +369,152 @@ func (s *RingSink) Dropped() int { return s.dropped }
 
 // SliceSink keeps every event, unbounded (experiments use it to
 // post-process a whole run's trace). Up to sliceChunk events it is one
-// plainly appended slice; past that it fills whole sliceChunk-event
-// chunks, so nothing it already holds is copied again while the run
-// emits. Events joins the chunks once; read it after the run.
+// plainly appended []Event, so a short trace costs what a bare append
+// does. Past that it stores each event as a pointer-free record in whole
+// sliceChunk-record chunks: nothing it holds is copied again while the
+// run emits, and the garbage collector never scans the chunks. A
+// record's strings are indices into the sink's string table. Events
+// decodes the records once; read it after the run.
 type SliceSink struct {
-	full [][]Event // filled chunks, oldest first
-	tail []Event   // the chunk being filled; the whole trace while full is empty
+	head []Event   // the first sliceChunk events; after a decode, all of them
+	more *retained // nil until the first chunk is full
+}
+
+// retained is what a SliceSink keeps past its first chunk, allocated on
+// the first event there: a short trace's sink is its slice and a nil
+// pointer, no bigger than the sink of whole chunks was.
+type retained struct {
+	recs [][]record // every later event, oldest chunk first
+	strs stringTable
 }
 
 // sliceChunk is the SliceSink chunk size in events: a campaign cell
 // (about 35 events) never reaches it, a Fig. 7 run fills dozens.
 const sliceChunk = 4096
 
+// record is one retained event past the first chunk. It holds no pointer,
+// so a chunk of them is allocated noscan; TestSliceSinkRecordHoldsNoPointers
+// keeps it that way. Comp and Aux are string-table indices, and kindAux
+// packs the Aux index above the kind byte.
+type record struct {
+	T                   sim.Time
+	V1, V2              int64
+	Trace, Span, Parent int64
+	comp                uint32
+	kindAux             uint32
+}
+
 // Emit implements Sink.
-func (s *SliceSink) Emit(e Event) {
-	if len(s.tail) >= sliceChunk {
-		s.full = append(s.full, s.tail)
-		s.tail = make([]Event, 0, sliceChunk)
+func (s *SliceSink) Emit(e *Event) {
+	if len(s.head) < sliceChunk {
+		s.head = append(s.head, *e)
+		return
 	}
-	s.tail = append(s.tail, e)
+	m := s.more
+	if m == nil {
+		m = &retained{}
+		s.more = m
+	}
+	n := len(m.recs)
+	if n == 0 || len(m.recs[n-1]) == sliceChunk {
+		m.recs = append(m.recs, make([]record, 0, sliceChunk))
+		n++
+	}
+	m.recs[n-1] = append(m.recs[n-1], record{
+		T: e.T, V1: e.V1, V2: e.V2,
+		Trace: e.Trace, Span: e.Span, Parent: e.Parent,
+		comp:    m.strs.index(e.Comp, &m.strs.comp),
+		kindAux: m.strs.index(e.Aux, &m.strs.aux)<<8 | uint32(e.Kind),
+	})
 }
 
 // Events returns the recorded events in emission order. A trace of one
-// chunk is returned as held; a longer one is joined into an exactly
+// chunk is returned as held; a longer one is decoded into an exactly
 // sized slice the first time, and later calls return that slice until
-// the next Emit.
+// the next Emit. A slice returned earlier is never written again.
 func (s *SliceSink) Events() []Event {
-	if len(s.full) == 0 {
-		return s.tail
+	m := s.more
+	if m == nil || len(m.recs) == 0 {
+		return s.head
 	}
-	n := len(s.tail)
-	for _, c := range s.full {
+	n := len(s.head)
+	for _, c := range m.recs {
 		n += len(c)
 	}
-	out := make([]Event, 0, n)
-	for _, c := range s.full {
-		out = append(out, c...)
+	out := make([]Event, len(s.head), n)
+	copy(out, s.head)
+	for _, c := range m.recs {
+		for i := range c {
+			r := &c[i]
+			out = append(out, Event{
+				T: r.T, Kind: Kind(r.kindAux), Comp: m.strs.at(r.comp), Aux: m.strs.at(r.kindAux >> 8),
+				V1: r.V1, V2: r.V2, Trace: r.Trace, Span: r.Span, Parent: r.Parent,
+			})
+		}
 	}
-	s.full, s.tail = nil, append(out, s.tail...)
-	return s.tail
+	// The decoded slice is the head from now on: its length is past
+	// sliceChunk, so a later Emit goes to a fresh record chunk and leaves
+	// it untouched. The string table stays for the records to come.
+	s.head, m.recs = out, nil
+	return out
+}
+
+// stringTable interns a SliceSink's component labels and aux strings.
+// Index 0 is the empty string. Labels and span names repeat: a Fig. 7
+// trace finds 99 % of its strings among its field's last four, so those
+// are checked before the map.
+type stringTable struct {
+	strs      []string // by index; strs[0] is "" once anything is interned
+	ids       map[string]uint32
+	comp, aux recent
+}
+
+// recent is a field's last few distinct strings and their indices.
+type recent struct {
+	s    [4]string
+	id   [4]uint32
+	next int // the slot the next miss replaces
+}
+
+// maxStrings bounds the table: an Aux index must fit in the 24 bits
+// kindAux leaves above the kind.
+const maxStrings = 1 << 24
+
+// index returns str's index, adding it on first sight; r is the field's
+// recent strings.
+func (t *stringTable) index(str string, r *recent) uint32 {
+	if str == "" {
+		return 0
+	}
+	for i := range r.s {
+		if r.s[i] == str {
+			return r.id[i]
+		}
+	}
+	id, ok := t.ids[str]
+	if !ok {
+		if t.ids == nil {
+			t.strs = []string{""}
+			t.ids = make(map[string]uint32)
+		}
+		if len(t.strs) == maxStrings {
+			panic(fmt.Sprintf("obs: SliceSink holds %d distinct strings, the most a record can index", maxStrings))
+		}
+		id = uint32(len(t.strs))
+		t.strs = append(t.strs, str)
+		t.ids[str] = id
+	}
+	r.s[r.next], r.id[r.next] = str, id
+	r.next = (r.next + 1) % len(r.s)
+	return id
+}
+
+// at returns the string at index id.
+func (t *stringTable) at(id uint32) string {
+	if id == 0 {
+		return ""
+	}
+	return t.strs[id]
 }
 
 // Only returns a sink that passes events of the given kinds on to s and
@@ -416,7 +533,7 @@ type kindFilter struct {
 	to   Sink
 }
 
-func (f kindFilter) Emit(e Event) {
+func (f kindFilter) Emit(e *Event) {
 	if f.mask&(1<<uint(e.Kind)) != 0 {
 		f.to.Emit(e)
 	}
@@ -435,7 +552,7 @@ func NewCountSink() *CountSink {
 }
 
 // Emit implements Sink.
-func (s *CountSink) Emit(e Event) {
+func (s *CountSink) Emit(e *Event) {
 	s.Total++
 	s.ByKind[e.Kind]++
 	s.ByComp[e.Comp]++
@@ -457,11 +574,11 @@ type JSONLSink struct {
 func NewJSONLSink(w io.Writer) *JSONLSink { return &JSONLSink{w: w} }
 
 // Emit implements Sink.
-func (s *JSONLSink) Emit(e Event) {
+func (s *JSONLSink) Emit(e *Event) {
 	if s.err != nil {
 		return
 	}
-	s.buf = AppendJSONL(s.buf[:0], e)
+	s.buf = AppendJSONL(s.buf[:0], *e)
 	if _, err := s.w.Write(s.buf); err != nil {
 		s.err = err
 	}

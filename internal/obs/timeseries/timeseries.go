@@ -136,7 +136,7 @@ type Config struct {
 type Sampler struct {
 	cfg      Config
 	width    sim.Time
-	annotate map[obs.Kind]bool
+	annotate uint64 // bit k set = Kind(k) kept as an annotation
 
 	env    *sim.Env
 	ticker *sim.Ticker
@@ -175,13 +175,9 @@ func New(cfg Config) *Sampler {
 	if cfg.Window <= 0 {
 		cfg.Window = DefaultWindow
 	}
-	s := &Sampler{
-		cfg:      cfg,
-		width:    cfg.Window,
-		annotate: make(map[obs.Kind]bool, len(DefaultAnnotate)),
-	}
+	s := &Sampler{cfg: cfg, width: cfg.Window}
 	for _, k := range DefaultAnnotate {
-		s.annotate[k] = true
+		s.annotate |= 1 << uint(k)
 	}
 	return s
 }
@@ -306,7 +302,7 @@ func (s *Sampler) closeWindow(end sim.Time) {
 
 // Emit implements obs.Sink: events are binned by timestamp into half-open
 // windows; marks flush the current window and open a fresh segment.
-func (s *Sampler) Emit(e obs.Event) {
+func (s *Sampler) Emit(e *obs.Event) {
 	if !s.active {
 		return
 	}
@@ -320,13 +316,13 @@ func (s *Sampler) Emit(e obs.Event) {
 		// Stamped on the pending boundary, emitted before the rollover
 		// tick: belongs to the next window.
 		s.overKind[e.Kind]++
-		if s.annotate[e.Kind] {
+		if s.annotate&(1<<uint(e.Kind)) != 0 {
 			s.overAnn = append(s.overAnn, Annotation{T: e.T, Kind: e.Kind, Comp: e.Comp, Aux: e.Aux})
 		}
 		return
 	}
 	s.kinds[e.Kind]++
-	if s.annotate[e.Kind] {
+	if s.annotate&(1<<uint(e.Kind)) != 0 {
 		s.anns = append(s.anns, Annotation{T: e.T, Kind: e.Kind, Comp: e.Comp, Aux: e.Aux})
 	}
 }

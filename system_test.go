@@ -811,7 +811,7 @@ type mfsWait struct {
 	misses   int
 }
 
-func (w *mfsWait) Emit(e obs.Event) {
+func (w *mfsWait) Emit(e *obs.Event) {
 	switch {
 	case e.Kind == obs.KindHeartbeat && (e.Comp == ServerVFS || e.Comp == ServerMFS):
 		w.misses++
