@@ -14,16 +14,15 @@
 // built-in "classic" one (-rps Poisson requests a second, 3 net : 1
 // disk), with -workload a JSON file declaring per-class client
 // populations, arrival processes (Poisson, Gamma, Weibull, fixed-rate),
-// diurnal rate modulation, sizes, and SLO budgets. -record pins the
-// generated arrival sequence as a tracev2 JSONL file and -replay
-// re-drives exactly that sequence, byte for byte.
+// diurnal rate modulation, sizes, and SLO budgets. The spec and its seed
+// pin the arrival sequence: the same file drives the same campaign, byte
+// for byte, on any machine.
 //
 //	fleetbench -nodes 4 -policy failure-aware -storm correlated:eth.rtl8139,k=2,every=1s
 //	fleetbench -policy round-robin -storm poisson:disk.sata,mean=800ms
 //	fleetbench -compare -storm correlated:eth.rtl8139    # all policies side by side
 //	fleetbench -seed 11 -csv fleet.csv -bench-json BENCH_fleet.json
-//	fleetbench -workload spec.json -record trace.jsonl   # pin a campaign
-//	fleetbench -replay trace.jsonl                       # regression-replay it
+//	fleetbench -workload spec.json                       # a declared workload
 package main
 
 import (
@@ -75,9 +74,6 @@ func run(args []string, stdout io.Writer) error {
 		"workload spec JSON (internal/workload): declarative per-class arrival\n"+
 			"processes, sizes, and SLO budgets; replaces the classic workload\n"+
 			"(-rps), and the spec horizon overrides -horizon")
-	recordPath := fs.String("record", "", "write the generated arrival sequence as a tracev2 JSONL trace")
-	replayPath := fs.String("replay", "", "re-drive a recorded tracev2 trace (exclusive with -workload and -record;\n"+
-		"the trace's horizon overrides -horizon)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -101,45 +97,25 @@ func run(args []string, stdout io.Writer) error {
 	}
 	cfg.Storm = st
 
-	// One load path: a trace header plus its events, read back from a
-	// recording or generated from the one spec this run names.
-	var h workload.Header
-	var events []workload.Event
-	if *replayPath != "" {
-		if *workloadPath != "" || *recordPath != "" {
-			return errors.New("fleetbench: -replay is exclusive with -workload and -record")
-		}
-		if h, events, err = workload.ReadTraceFile(*replayPath); err != nil {
-			return err
-		}
-	} else {
-		var spec *workload.Spec
-		if *workloadPath != "" {
-			spec, err = workload.Load(*workloadPath)
-		} else if spec, err = workload.Classic(*seed, *rps, *horizon); err != nil {
-			err = fmt.Errorf("fleetbench: -rps %v over -horizon %s: %w", *rps, *horizon, err)
-		}
-		if err != nil {
-			return err
-		}
-		events = spec.Generate()
-		h = spec.TraceHeader(len(events))
-		if *recordPath != "" {
-			if err := workload.WriteTraceFile(*recordPath, h, events); err != nil {
-				return err
-			}
-			fmt.Fprintf(stdout, "recorded %d events to %s\n", len(events), *recordPath)
-		}
+	// One load path: the spec this run names, the classic one by default.
+	var spec *workload.Spec
+	if *workloadPath != "" {
+		spec, err = workload.Load(*workloadPath)
+	} else if spec, err = workload.Classic(*seed, *rps, *horizon); err != nil {
+		err = fmt.Errorf("fleetbench: -rps %v over -horizon %s: %w", *rps, *horizon, err)
 	}
-	if len(events) == 0 {
+	if err != nil {
+		return err
+	}
+	cfg.Arrivals = spec.Generate()
+	if len(cfg.Arrivals) == 0 {
 		// cluster.Config reads an empty sequence as "the default load".
-		return fmt.Errorf("fleetbench: workload %q has no arrivals within its %s horizon", h.Name, time.Duration(h.HorizonNS))
+		return fmt.Errorf("fleetbench: workload %q has no arrivals within its %s horizon", spec.Name, time.Duration(spec.Horizon))
 	}
-	cfg.Arrivals = events
-	cfg.Classes = h.ClassNames()
-	cfg.Budgets = h.Budgets()
-	cfg.WorkloadName = h.Name
-	cfg.Horizon = time.Duration(h.HorizonNS)
+	cfg.Classes = spec.ClassNames()
+	cfg.Budgets = spec.Budgets()
+	cfg.WorkloadName = spec.Name
+	cfg.Horizon = time.Duration(spec.Horizon)
 
 	var doc bench.Doc
 	if *compare {

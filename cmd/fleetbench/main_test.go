@@ -12,7 +12,7 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "regenerate the golden trace and campaign outputs in testdata/")
+var update = flag.Bool("update", false, "regenerate the golden campaign outputs in testdata/")
 
 // Every cmd must answer -h with its flag documentation and a clean exit
 // (main treats flag.ErrHelp as success).
@@ -27,10 +27,6 @@ func TestBadFlags(t *testing.T) {
 	if err := os.WriteFile(badSpec, []byte(`{"horizon":"1s","classes":[]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	badTrace := filepath.Join(t.TempDir(), "bad.jsonl")
-	if err := os.WriteFile(badTrace, []byte("not a trace\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	cases := []struct {
 		name string
 		args []string
@@ -40,6 +36,8 @@ func TestBadFlags(t *testing.T) {
 		{"unknown storm", []string{"-storm", "hail:everything"}, "storm"},
 		{"storm fault mode", []string{"-storm", "poisson:eth.rtl8139,mode=inject"}, `unknown storm key "mode"`},
 		{"unknown flag", []string{"-wrokload", "x.json"}, "flag"},
+		{"replay is not a flag", []string{"-replay", "x"}, "flag provided but not defined: -replay"},
+		{"record is not a flag", []string{"-record", "x"}, "flag provided but not defined: -record"},
 		{"mistyped storm victim", []string{"-storm", "correlated:eth.bogus,every=300ms", "-horizon", "2s"}, `-storm correlated:eth.bogus`},
 		{"mistyped storm victim under compare", []string{"-compare", "-storm", "poisson:eth.bogus", "-horizon", "1s"}, `-storm poisson:eth.bogus`},
 		{"storm interval below a millisecond", []string{"-storm", "correlated:eth.rtl8139,every=1ns", "-horizon", "1s"}, "-storm correlated:eth.rtl8139,every=1ns"},
@@ -56,12 +54,8 @@ func TestBadFlags(t *testing.T) {
 		{"compare plus csv", []string{"-compare", "-csv", "x.csv"}, "cannot take -csv"},
 		{"compare plus json", []string{"-compare", "-json", "x.json"}, "cannot take -json"},
 		{"compare plus policy", []string{"-compare", "-policy", "bogus"}, "cannot take -policy"},
-		{"replay plus workload", []string{"-replay", "t.jsonl", "-workload", "w.json"}, "-replay is exclusive"},
-		{"replay plus record", []string{"-replay", "t.jsonl", "-record", "u.jsonl"}, "-replay is exclusive"},
 		{"missing spec file", []string{"-workload", filepath.Join(t.TempDir(), "absent.json")}, "no such file"},
 		{"invalid spec", []string{"-workload", badSpec}, "at least one class"},
-		{"missing trace file", []string{"-replay", filepath.Join(t.TempDir(), "absent.jsonl")}, "no such file"},
-		{"malformed trace", []string{"-replay", badTrace}, "bad header"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -77,13 +71,13 @@ func TestBadFlags(t *testing.T) {
 }
 
 // goldenArgs are the campaign flags every golden run shares; only the
-// workload source and the number of CPUs (GOMAXPROCS, which is the worker
-// count) vary.
+// number of CPUs (GOMAXPROCS, which is the worker count) varies.
 func goldenArgs(dir string) []string {
 	return []string{
 		"-nodes", "3", "-seed", "11",
 		"-storm", "correlated:eth.rtl8139,k=1,every=1500ms",
 		"-window", "200ms",
+		"-workload", "testdata/workload_seed11.json",
 		"-csv", filepath.Join(dir, "fleet.csv"),
 		"-bench-json", filepath.Join(dir, "BENCH_fleet.json"),
 	}
@@ -98,65 +92,22 @@ func readFile(t *testing.T, path string) []byte {
 	return b
 }
 
-// TestGoldenReplay is the pinned-campaign regression test: the seed-11
-// mixed-class spec records a golden trace, the recording run's outputs
-// match the checked-in goldens, and replaying the golden trace on 1, 2,
-// and 8 CPUs reproduces them byte for byte. Run with -update
-// to regenerate testdata after an intentional change.
-func TestGoldenReplay(t *testing.T) {
-	const (
-		goldenTrace = "testdata/trace_seed11.jsonl"
-		goldenCSV   = "testdata/fleet_seed11.csv"
-		goldenBench = "testdata/BENCH_fleet_seed11.json"
-	)
-
-	dir := t.TempDir()
-	tracePath := filepath.Join(dir, "trace.jsonl")
-	args := append(goldenArgs(dir),
-		"-workload", "testdata/workload_seed11.json", "-record", tracePath)
-	if err := run(args, io.Discard); err != nil {
-		t.Fatalf("record run: %v", err)
-	}
-
-	if *update {
-		for _, cp := range [][2]string{
-			{tracePath, goldenTrace},
-			{filepath.Join(dir, "fleet.csv"), goldenCSV},
-			{filepath.Join(dir, "BENCH_fleet.json"), goldenBench},
-		} {
-			if err := os.WriteFile(cp[1], readFile(t, cp[0]), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		t.Log("goldens regenerated")
-	}
-
-	if !bytes.Equal(readFile(t, tracePath), readFile(t, goldenTrace)) {
-		t.Error("recorded trace differs from golden (rerun with -update if intentional)")
-	}
-	wantCSV := readFile(t, goldenCSV)
-	wantBench := readFile(t, goldenBench)
-	if !bytes.Equal(readFile(t, filepath.Join(dir, "fleet.csv")), wantCSV) {
-		t.Error("recording run CSV differs from golden")
-	}
-	if !bytes.Equal(readFile(t, filepath.Join(dir, "BENCH_fleet.json")), wantBench) {
-		t.Error("recording run bench doc differs from golden")
-	}
-
+// TestWorkloadGolden is the pinned-campaign regression test: the seed-11
+// mixed-class spec, run on 1, 2 and 8 CPUs, reproduces the checked-in
+// window series and bench document byte for byte. The spec and its seed
+// pin the arrivals (internal/workload's TestSeed11ArrivalsPinned holds
+// their digest). Run with -update to regenerate the goldens after an
+// intentional change.
+func TestWorkloadGolden(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
-		rdir := t.TempDir()
-		args := append(goldenArgs(rdir), "-replay", goldenTrace)
-		if err := run(args, io.Discard); err != nil {
-			t.Fatalf("replay GOMAXPROCS=%d: %v", procs, err)
+		dir := t.TempDir()
+		if err := run(goldenArgs(dir), io.Discard); err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
-		if !bytes.Equal(readFile(t, filepath.Join(rdir, "fleet.csv")), wantCSV) {
-			t.Errorf("replay GOMAXPROCS=%d: CSV differs from golden", procs)
-		}
-		if !bytes.Equal(readFile(t, filepath.Join(rdir, "BENCH_fleet.json")), wantBench) {
-			t.Errorf("replay GOMAXPROCS=%d: bench doc differs from golden", procs)
-		}
+		checkGolden(t, filepath.Join(dir, "fleet.csv"), "testdata/fleet_seed11.csv")
+		checkGolden(t, filepath.Join(dir, "BENCH_fleet.json"), "testdata/BENCH_fleet_seed11.json")
 	}
 }
 
@@ -180,8 +131,7 @@ func checkGolden(t *testing.T, got, golden string) {
 
 // TestFleetSmokeGolden runs CI's fleet-smoke campaign through the CLI,
 // byte-compares the bench document it writes with the committed golden,
-// and holds -record to its contract on the built-in workload: replaying
-// the recording on another number of CPUs reproduces every output.
+// and reruns it on another number of CPUs: every output is the same.
 func TestFleetSmokeGolden(t *testing.T) {
 	outputs := func(dir string) []string {
 		return []string{
@@ -192,19 +142,15 @@ func TestFleetSmokeGolden(t *testing.T) {
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	dir, rdir := t.TempDir(), t.TempDir()
-	trace := filepath.Join(dir, "classic.jsonl")
-	args := append(append([]string{"-horizon", "6s", "-policy", "failure-aware", "-record", trace}, smokeArgs...), outputs(dir)...)
-	if err := run(args, io.Discard); err != nil {
+	args := append([]string{"-horizon", "6s", "-policy", "failure-aware"}, smokeArgs...)
+	if err := run(append(args, outputs(dir)...), io.Discard); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	checkGolden(t, filepath.Join(dir, "BENCH_fleet.json"), "testdata/BENCH_fleet_storm_seed11.json")
 
-	// The trace carries the horizon and the load; storm, fleet and policy
-	// are campaign flags a replay repeats.
 	runtime.GOMAXPROCS(4)
-	args = append(append([]string{"-replay", trace}, smokeArgs...), outputs(rdir)...)
-	if err := run(args, io.Discard); err != nil {
-		t.Fatalf("replay: %v", err)
+	if err := run(append(args, outputs(rdir)...), io.Discard); err != nil {
+		t.Fatalf("rerun: %v", err)
 	}
 	for _, name := range []string{"fleet.csv", "fleet.json", "BENCH_fleet.json"} {
 		want := readFile(t, filepath.Join(dir, name))
@@ -212,7 +158,7 @@ func TestFleetSmokeGolden(t *testing.T) {
 			t.Fatalf("%s not written", name)
 		}
 		if !bytes.Equal(readFile(t, filepath.Join(rdir, name)), want) {
-			t.Errorf("replay at GOMAXPROCS=4: %s differs from the recording run's", name)
+			t.Errorf("GOMAXPROCS=4: %s differs from the GOMAXPROCS=1 run's", name)
 		}
 	}
 }

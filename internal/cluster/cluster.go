@@ -60,8 +60,8 @@ type Config struct {
 	Perf *perf.Profiler
 
 	// Arrivals is the load: the arrival sequence the fleet serves,
-	// generated from a workload spec or replayed from a recorded tracev2
-	// trace. Event times are offsets from the end of the settle phase.
+	// generated from a workload spec. Event times are offsets from the
+	// end of the settle phase.
 	// Empty means workload.Classic at defaultRPS over the horizon.
 	Arrivals []workload.Event
 	// Classes lists the routable service classes (default net+disk).

@@ -69,43 +69,6 @@ func TestWorkloadDeterminism(t *testing.T) {
 	}
 }
 
-// TestWorkloadReplayMatchesGeneration: driving the cluster from a
-// recorded trace reproduces the generating run byte for byte — the
-// record/replay contract at the library layer.
-func TestWorkloadReplayMatchesGeneration(t *testing.T) {
-	cfg := workloadConfig(t)
-	csv1, rep1 := runBytes(t, cfg)
-
-	spec, err := workload.Parse([]byte(testSpec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	events := spec.Generate()
-	var buf bytes.Buffer
-	if err := workload.WriteTrace(&buf, spec.TraceHeader(len(events)), events); err != nil {
-		t.Fatal(err)
-	}
-	h, replayed, err := workload.ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	rcfg := workloadConfig(t)
-	rcfg.Arrivals = replayed
-	rcfg.Classes = h.ClassNames()
-	rcfg.Budgets = h.Budgets()
-	rcfg.WorkloadName = h.Name
-	rcfg.Horizon = time.Duration(h.HorizonNS)
-	csv2, rep2 := runBytes(t, rcfg)
-
-	if !bytes.Equal(csv1, csv2) {
-		t.Fatal("replayed trace: CSV differs from generating run")
-	}
-	if !bytes.Equal(rep1, rep2) {
-		t.Fatalf("replayed trace: report differs from generating run\ngen:\n%s\nreplay:\n%s", rep1, rep2)
-	}
-}
-
 // TestWorkloadReport checks the per-class accounting a workload-driven
 // campaign adds: every declared class serves traffic, every request
 // completes, and the report carries the workload name.

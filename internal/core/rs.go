@@ -428,10 +428,10 @@ func WithDecisions(d *decision.Recorder) Option {
 // decision carries — the service, the defect class, the budget state it
 // was computed from and the link to the recovery episode's span — is
 // filled in here. Triggers precede the episode their kill opens and carry
-// no link. Callers guard with rs.dec.On only where building Detail costs
+// no link. Callers guard with rs.dec != nil only where building Detail costs
 // something.
 func (rs *RS) decide(svc *service, class Defect, ev decision.Event) {
-	if !rs.dec.On(ev.Kind) {
+	if rs.dec == nil {
 		return
 	}
 	ev.Service, ev.Defect = svc.cfg.Label, int(class)
@@ -854,7 +854,7 @@ func (rs *RS) promoteStandby(c *kernel.Ctx, svc *service, class Defect) bool {
 	if err := c.Relabel(ep, svc.cfg.Label); err != nil {
 		return false
 	}
-	if rs.dec.On(decision.KindAction) {
+	if rs.dec != nil {
 		rs.decide(svc, class, decision.Event{Kind: decision.KindAction,
 			Action: "promote-standby", Detail: fmt.Sprintf("replica=%v", ep)})
 	}
@@ -919,7 +919,7 @@ func (rs *RS) onMicroAsk(c *kernel.Ctx, m kernel.Message) {
 	svc.class = class
 	svc.detectedAt = c.Now()
 	rs.openEpisode(c, svc, class)
-	if rs.dec.On(decision.KindAction) {
+	if rs.dec != nil {
 		rs.decide(svc, class, decision.Event{Kind: decision.KindAction, Action: "microreboot",
 			Detail: fmt.Sprintf("in-place vm reset %d/%d", svc.microCount, microBudget)})
 	}
@@ -962,7 +962,7 @@ func (rs *RS) openEpisode(c *kernel.Ctx, svc *service, class Defect) {
 	if !svc.episode.Valid() {
 		svc.episode = c.Obs().StartSpan(Label, "recover:"+svc.cfg.Label, obs.SpanContext{})
 	}
-	if rs.dec.On(decision.KindDetect) {
+	if rs.dec != nil {
 		rs.decide(svc, class, decision.Event{Kind: decision.KindDetect, Detail: svc.hbWindow()})
 	}
 }
@@ -1046,7 +1046,7 @@ func (rs *RS) runPolicyScript(c *kernel.Ctx, svc *service, class Defect) {
 				return "", 0
 			}),
 		}
-		if rs.dec.On(decision.KindPolicyStep) {
+		if rs.dec != nil {
 			opts = append(opts, policy.WithTrace(func(argv []string, status int) {
 				ev := decision.Event{
 					Kind:   decision.KindPolicyStep,
@@ -1081,7 +1081,7 @@ func (rs *RS) runPolicyScript(c *kernel.Ctx, svc *service, class Defect) {
 		rs.completeRecovery(c, svc, class)
 		return
 	}
-	if rs.dec.On(decision.KindAction) {
+	if rs.dec != nil {
 		rs.decide(svc, class, decision.Event{Kind: decision.KindAction,
 			Action: "policy-run", Detail: strings.Join(args, " ")})
 	}
@@ -1242,7 +1242,7 @@ func (rs *RS) onComplaint(c *kernel.Ctx, m kernel.Message) {
 		_ = c.Send(m.Source, reply)
 		return
 	}
-	if rs.dec.On(decision.KindTrigger) {
+	if rs.dec != nil {
 		rs.decide(svc, DefectComplaint, decision.Event{Kind: decision.KindTrigger,
 			Action: "complaint-kill", Detail: "complaint from " + rs.k.LabelOf(m.Source)})
 	}
@@ -1317,13 +1317,13 @@ func (rs *RS) onTimer(c *kernel.Ctx) {
 			if svc.awaiting {
 				svc.missed++
 				c.Obs().Emit(obs.KindHeartbeat, svc.cfg.Label, "miss", int64(svc.missed), 0)
-				if rs.dec.On(decision.KindDetect) {
+				if rs.dec != nil {
 					svc.recordHB(false)
 				}
 				if svc.missed >= svc.cfg.HeartbeatMisses {
 					// Defect class 4: the component is stuck. Kill it;
 					// the exit event completes the recovery.
-					if rs.dec.On(decision.KindTrigger) {
+					if rs.dec != nil {
 						rs.decide(svc, DefectHeartbeat, decision.Event{Kind: decision.KindTrigger,
 							Action: "declare-stuck",
 							Detail: fmt.Sprintf("hb=%s missed=%d", svc.hbWindow(), svc.missed)})
@@ -1348,7 +1348,7 @@ func (rs *RS) onTimer(c *kernel.Ctx) {
 func (rs *RS) onPong(from kernel.Endpoint) {
 	for _, svc := range rs.ordered {
 		if svc.ep == from {
-			if svc.awaiting && rs.dec.On(decision.KindDetect) {
+			if svc.awaiting && rs.dec != nil {
 				svc.recordHB(true)
 			}
 			svc.awaiting = false

@@ -3,6 +3,7 @@ package inet
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"testing"
@@ -10,7 +11,6 @@ import (
 
 	"resilientos/internal/ds"
 	"resilientos/internal/kernel"
-	"resilientos/internal/netlib"
 	"resilientos/internal/proto"
 	"resilientos/internal/sim"
 )
@@ -161,10 +161,69 @@ func (r *rig) spawnApp(t *testing.T, name string, body func(c *kernel.Ctx)) {
 	}
 }
 
+// appSock is an application's end of a socket. The tests speak the
+// socket protocol through this minimal client: the application-side
+// calls live in the root package, which imports this one.
+type appSock struct {
+	c    *kernel.Ctx
+	inet kernel.Endpoint
+	id   int64
+}
+
+// sockCall sends m to the network server; a negative reply code is an
+// error.
+func sockCall(c *kernel.Ctx, inet kernel.Endpoint, m kernel.Message) (kernel.Message, error) {
+	reply, err := c.SendRec(inet, m)
+	if err == nil && reply.Arg1 < 0 {
+		err = fmt.Errorf("inet reply code %d", reply.Arg1)
+	}
+	return reply, err
+}
+
+func dial(c *kernel.Ctx, inet kernel.Endpoint, channel string, port uint16) (*appSock, error) {
+	reply, err := sockCall(c, inet, kernel.Message{Type: proto.TCPConnect, Name: channel, Arg1: int64(port)})
+	return &appSock{c, inet, reply.Arg1}, err
+}
+
+func listen(c *kernel.Ctx, inet kernel.Endpoint, port uint16) (*appSock, error) {
+	reply, err := sockCall(c, inet, kernel.Message{Type: proto.TCPListen, Arg1: int64(port)})
+	return &appSock{c, inet, reply.Arg1}, err
+}
+
+func (s *appSock) Accept() (*appSock, error) {
+	reply, err := sockCall(s.c, s.inet, kernel.Message{Type: proto.TCPAccept, Arg1: s.id})
+	return &appSock{s.c, s.inet, reply.Arg1}, err
+}
+
+func (s *appSock) Write(b []byte) (int, error) {
+	reply, err := sockCall(s.c, s.inet, kernel.Message{Type: proto.TCPSend, Arg1: s.id, Payload: b})
+	return int(reply.Arg1), err
+}
+
+// Read copies the reply into p and recycles its buffer; io.EOF once the
+// peer's orderly close has drained.
+func (s *appSock) Read(p []byte) (int, error) {
+	reply, err := sockCall(s.c, s.inet, kernel.Message{Type: proto.TCPRecv, Arg1: s.id, Arg2: int64(len(p))})
+	if err != nil {
+		return 0, err
+	}
+	if reply.Arg1 == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, reply.Payload)
+	s.c.Bufs().Put(reply.Payload)
+	return n, nil
+}
+
+func (s *appSock) Close() error {
+	_, err := s.c.SendRec(s.inet, kernel.Message{Type: proto.TCPClose, Arg1: s.id})
+	return err
+}
+
 func TestTCPHandshakeAndEcho(t *testing.T) {
 	r := newRig(t)
 	r.spawnApp(t, "server", func(c *kernel.Ctx) {
-		lst, err := netlib.Listen(c, r.bEp, 7)
+		lst, err := listen(c, r.bEp, 7)
 		if err != nil {
 			t.Errorf("listen: %v", err)
 			return
@@ -186,7 +245,7 @@ func TestTCPHandshakeAndEcho(t *testing.T) {
 	var got []byte
 	r.spawnApp(t, "client", func(c *kernel.Ctx) {
 		c.Sleep(100 * time.Millisecond)
-		conn, err := netlib.Dial(c, r.aEp, "eth.a", 7)
+		conn, err := dial(c, r.aEp, "eth.a", 7)
 		if err != nil {
 			t.Errorf("dial: %v", err)
 			return
@@ -214,7 +273,7 @@ func transfer(t *testing.T, r *rig, size int) {
 	done := false
 	r.spawnApp(t, "client", func(c *kernel.Ctx) {
 		c.Sleep(50 * time.Millisecond)
-		conn, err := netlib.Dial(c, r.aEp, "eth.a", 80)
+		conn, err := dial(c, r.aEp, "eth.a", 80)
 		if err != nil {
 			t.Errorf("dial: %v", err)
 			return
@@ -265,7 +324,7 @@ func patterned(t *testing.T, port uint16, off int, data []byte) bool {
 func serve(t *testing.T, r *rig, port uint16, size int) {
 	t.Helper()
 	r.spawnApp(t, "server", func(c *kernel.Ctx) {
-		lst, err := netlib.Listen(c, r.bEp, port)
+		lst, err := listen(c, r.bEp, port)
 		if err != nil {
 			t.Errorf("listen: %v", err)
 			return
@@ -297,7 +356,7 @@ func serve(t *testing.T, r *rig, port uint16, size int) {
 // network servers over a wire that drops and duplicates. The readers
 // speak the socket protocol by hand so they can hold each read reply for
 // a while — long enough for the server to answer the other — before
-// checking it and recycling it, poisoned, the way netlib does. A frame
+// checking it and recycling it, poisoned, the way appSock.Read does. A frame
 // recycled before its payload was copied, or one reply buffer serving
 // both readers, corrupts a stream.
 func TestTwoReadersOneINET(t *testing.T) {
@@ -380,7 +439,7 @@ func TestTCPConnectRefused(t *testing.T) {
 	var err error
 	r.spawnApp(t, "client", func(c *kernel.Ctx) {
 		c.Sleep(50 * time.Millisecond)
-		_, err = netlib.Dial(c, r.aEp, "eth.a", 9999) // nobody listens
+		_, err = dial(c, r.aEp, "eth.a", 9999) // nobody listens
 	})
 	r.env.Run(time.Minute)
 	if err == nil {
@@ -392,11 +451,11 @@ func TestTCPListenPortConflict(t *testing.T) {
 	r := newRig(t)
 	var second error
 	r.spawnApp(t, "server", func(c *kernel.Ctx) {
-		if _, err := netlib.Listen(c, r.bEp, 80); err != nil {
+		if _, err := listen(c, r.bEp, 80); err != nil {
 			t.Errorf("first listen: %v", err)
 			return
 		}
-		_, second = netlib.Listen(c, r.bEp, 80)
+		_, second = listen(c, r.bEp, 80)
 	})
 	r.env.Run(time.Second)
 	if second == nil {
@@ -407,7 +466,7 @@ func TestTCPListenPortConflict(t *testing.T) {
 func TestTCPEOFAfterClose(t *testing.T) {
 	r := newRig(t)
 	r.spawnApp(t, "server", func(c *kernel.Ctx) {
-		lst, _ := netlib.Listen(c, r.bEp, 80)
+		lst, _ := listen(c, r.bEp, 80)
 		conn, err := lst.Accept()
 		if err != nil {
 			return
@@ -419,7 +478,7 @@ func TestTCPEOFAfterClose(t *testing.T) {
 	var first []byte
 	r.spawnApp(t, "client", func(c *kernel.Ctx) {
 		c.Sleep(50 * time.Millisecond)
-		conn, err := netlib.Dial(c, r.aEp, "eth.a", 80)
+		conn, err := dial(c, r.aEp, "eth.a", 80)
 		if err != nil {
 			t.Errorf("dial: %v", err)
 			return
@@ -444,7 +503,7 @@ func TestTCPFlowControlSlowReader(t *testing.T) {
 	r := newRig(t)
 	const size = 300 << 10 // larger than rcvBufLimit + sndBufLimit
 	r.spawnApp(t, "server", func(c *kernel.Ctx) {
-		lst, _ := netlib.Listen(c, r.bEp, 80)
+		lst, _ := listen(c, r.bEp, 80)
 		conn, err := lst.Accept()
 		if err != nil {
 			return
@@ -466,7 +525,7 @@ func TestTCPFlowControlSlowReader(t *testing.T) {
 	total := 0
 	r.spawnApp(t, "client", func(c *kernel.Ctx) {
 		c.Sleep(50 * time.Millisecond)
-		conn, err := netlib.Dial(c, r.aEp, "eth.a", 80)
+		conn, err := dial(c, r.aEp, "eth.a", 80)
 		if err != nil {
 			return
 		}

@@ -154,21 +154,20 @@ type Sink interface {
 	Emit(Event)
 }
 
-// Recorder is the decision bus: it stamps events with virtual time,
-// filters by kind, and fans out to its sinks. A nil *Recorder is valid —
-// every method is a no-op — so the RS hot path with decision tracing
-// off costs a single nil check per decision point.
+// Recorder is the decision bus: it stamps events with virtual time and
+// fans them out to its sinks. A nil *Recorder is valid — every method
+// is a no-op — so the RS hot path with decision tracing off costs a
+// single nil check per decision point.
 type Recorder struct {
 	clock func() sim.Time
 	sinks []Sink
-	mask  uint64 // bit i set = Kind(i) enabled
 
 	perf *perf.Profiler // wall-clock cost attribution (nil = off)
 }
 
-// NewRecorder creates a recorder with all kinds enabled.
+// NewRecorder creates a recorder that fans out to sinks.
 func NewRecorder(sinks ...Sink) *Recorder {
-	return &Recorder{sinks: sinks, mask: ^uint64(0)}
+	return &Recorder{sinks: sinks}
 }
 
 // SetClock installs the virtual-time source (the simulation
@@ -189,24 +188,6 @@ func (r *Recorder) AddSink(s Sink) {
 	r.sinks = append(r.sinks, s)
 }
 
-// Disable turns the given kinds off; their Emit calls become no-ops and
-// On reports false (instrumentation uses On to skip argument work).
-func (r *Recorder) Disable(kinds ...Kind) {
-	if r == nil {
-		return
-	}
-	for _, k := range kinds {
-		r.mask &^= 1 << uint(k)
-	}
-}
-
-// On reports whether events of kind k are recorded. Nil-safe; the RS
-// calls this before computing expensive event details (heartbeat
-// windows, joined argv).
-func (r *Recorder) On(k Kind) bool {
-	return r != nil && r.mask&(1<<uint(k)) != 0
-}
-
 // SetPerf installs the wall-clock profiler: every emitted event's
 // stamping and sink fan-out runs inside RegionDecision. Nil-safe; a nil
 // profiler (the default) keeps the emit path free.
@@ -220,7 +201,7 @@ func (r *Recorder) SetPerf(p *perf.Profiler) {
 // Emit stamps e with the current virtual time and publishes it to every
 // sink. Nil-safe.
 func (r *Recorder) Emit(e Event) {
-	if r == nil || r.mask&(1<<uint(e.Kind)) == 0 {
+	if r == nil {
 		return
 	}
 	r.perf.Begin(perf.RegionDecision)

@@ -137,14 +137,14 @@ func modAt(periods []Period, t sim.Time) float64 {
 	return m
 }
 
-// Event is one arrival of a generated (or recorded) workload: at virtual
-// time T from campaign start, client Client of class Class issues a
-// request of Size bytes.
+// Event is one arrival of a generated workload: at virtual time T from
+// campaign start, client Client of class Class issues a request of Size
+// bytes.
 type Event struct {
-	T      sim.Time `json:"t"` // nanoseconds from campaign start
-	Class  string   `json:"class"`
-	Client int      `json:"client"`
-	Size   int64    `json:"size"`
+	T      sim.Time // nanoseconds from campaign start
+	Class  string
+	Client int
+	Size   int64
 }
 
 // arrival is one draw of a chain: its instant and request size. It holds

@@ -10,13 +10,9 @@
 // splitting: every (class, client) pair owns a statistically independent
 // random stream, so a spec is byte-reproducible — the same spec always
 // generates the same sequence, independent of every other configuration
-// knob (fleet size, policy, storm, workers).
-//
-// A generated sequence can be recorded as a canonical tracev2 JSONL
-// file (trace.go) and replayed later: the replayer re-drives exactly the
-// recorded (vtime, class, client, size) events through the load
-// balancer, which turns any interesting campaign into a pinned
-// regression artifact.
+// knob (fleet size, policy, storm, workers). The spec with its seed is
+// therefore the pinned artifact of a campaign: there is no recorded
+// arrival format, because a recording would pin nothing the spec does not.
 package workload
 
 import (
@@ -36,11 +32,6 @@ const (
 	ClassDisk = "disk" // block I/O via VFS/MFS + the SATA driver
 	ClassChar = "char" // character-device jobs via the chr.* drivers
 )
-
-// KnownClass reports whether c names a routable service class.
-func KnownClass(c string) bool {
-	return c == ClassNet || c == ClassDisk || c == ClassChar
-}
 
 // Duration is a JSON duration: it unmarshals from either a Go duration
 // string ("250ms") or a plain nanosecond integer.
@@ -224,7 +215,7 @@ func (s *Spec) normalize() error {
 	seen := make(map[string]bool, len(s.Classes))
 	for i := range s.Classes {
 		cs := &s.Classes[i]
-		if !KnownClass(cs.Class) {
+		if cs.Class != ClassNet && cs.Class != ClassDisk && cs.Class != ClassChar {
 			return fmt.Errorf("workload: spec %q: unknown class %q (want %s, %s, or %s)",
 				s.Name, cs.Class, ClassNet, ClassDisk, ClassChar)
 		}

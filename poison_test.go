@@ -83,7 +83,7 @@ func TestPoisonLossyWire(t *testing.T) {
 // TestTwoReaders runs two dd readers on one file server and two wget
 // readers on one network server at once, poisoned, through the whole
 // stack: four streams draw replies and frames from one free list, and
-// every digest must be right. (File.Read and netlib copy a reply out the
+// every digest must be right. (File.Read and Conn.Read copy a reply out the
 // instant it arrives; the readers that sit on one for a while — the
 // case one server-wide scratch reply would break — are in internal/mfs
 // and internal/inet.)

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"resilientos/internal/kernel"
-	"resilientos/internal/netlib"
 	"resilientos/internal/proto"
 )
 
@@ -56,8 +55,8 @@ func (p *Proc) waitLabel(label string) kernel.Endpoint {
 	}
 }
 
-// inetEp resolves the network server for a side, failing soft (netlib
-// reports ErrNoServer on None).
+// inetEp resolves the network server for a side, failing soft (the
+// socket calls report ErrNoServer on None).
 func (p *Proc) inetEp(side NetSide) kernel.Endpoint {
 	label := ServerInet
 	if side == NetRemote {
@@ -66,15 +65,125 @@ func (p *Proc) inetEp(side NetSide) kernel.Endpoint {
 	return p.waitLabel(label)
 }
 
-// Dial opens a TCP connection through the given side's network server
-// over the named driver channel.
-func (p *Proc) Dial(side NetSide, channel string, port uint16) (*netlib.Conn, error) {
-	return netlib.Dial(p.ctx, p.inetEp(side), channel, port)
+// Errors of the socket calls, mapped from the network server's reply
+// codes. Their texts name the socket library they were first written
+// for; recorded outputs carry them.
+var (
+	ErrClosed   = errors.New("netlib: connection closed")
+	ErrRefused  = errors.New("netlib: connection refused")
+	ErrNoServer = errors.New("netlib: network server unavailable")
+)
+
+func sockErr(code int64) error {
+	switch code {
+	case proto.ErrClosed:
+		return ErrClosed
+	case proto.ErrNotFound:
+		return ErrRefused
+	default:
+		return fmt.Errorf("netlib: error %d", code)
+	}
 }
 
-// Listen binds a TCP listener on the given side.
-func (p *Proc) Listen(side NetSide, port uint16) (*netlib.Listener, error) {
-	return netlib.Listen(p.ctx, p.inetEp(side), port)
+// inetCall is a SendRec to the network server with uniform error
+// mapping.
+func inetCall(c *kernel.Ctx, inet kernel.Endpoint, m kernel.Message) (kernel.Message, error) {
+	reply, err := c.SendRec(inet, m)
+	if err != nil {
+		return kernel.Message{}, ErrNoServer
+	}
+	if reply.Arg1 < 0 {
+		return reply, sockErr(reply.Arg1)
+	}
+	return reply, nil
+}
+
+// Conn is one TCP socket belonging to the calling process.
+type Conn struct {
+	ctx  *kernel.Ctx
+	inet kernel.Endpoint
+	id   int64
+}
+
+// Listener accepts inbound TCP connections on a port.
+type Listener struct {
+	ctx  *kernel.Ctx
+	inet kernel.Endpoint
+	id   int64
+}
+
+// Dial opens a TCP connection through the given side's network server
+// over the named driver channel to the remote port. It blocks until the
+// handshake completes.
+func (p *Proc) Dial(side NetSide, channel string, port uint16) (*Conn, error) {
+	inet := p.inetEp(side)
+	reply, err := inetCall(p.ctx, inet, kernel.Message{
+		Type: proto.TCPConnect, Name: channel, Arg1: int64(port),
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Conn{ctx: p.ctx, inet: inet, id: reply.Arg1}, nil
+}
+
+// Listen binds a TCP listener on the given side's local port.
+func (p *Proc) Listen(side NetSide, port uint16) (*Listener, error) {
+	inet := p.inetEp(side)
+	reply, err := inetCall(p.ctx, inet, kernel.Message{Type: proto.TCPListen, Arg1: int64(port)})
+	if err != nil {
+		return nil, err
+	}
+	return &Listener{ctx: p.ctx, inet: inet, id: reply.Arg1}, nil
+}
+
+// Accept blocks for the next inbound connection.
+func (l *Listener) Accept() (*Conn, error) {
+	reply, err := inetCall(l.ctx, l.inet, kernel.Message{Type: proto.TCPAccept, Arg1: l.id})
+	if err != nil {
+		return nil, err
+	}
+	return &Conn{ctx: l.ctx, inet: l.inet, id: reply.Arg1}, nil
+}
+
+// Close closes the listener.
+func (l *Listener) Close() error {
+	_, err := l.ctx.SendRec(l.inet, kernel.Message{Type: proto.TCPClose, Arg1: l.id})
+	return err
+}
+
+// Write sends b, blocking until the network server has queued all of it.
+func (cn *Conn) Write(b []byte) (int, error) {
+	reply, err := inetCall(cn.ctx, cn.inet, kernel.Message{
+		Type: proto.TCPSend, Arg1: cn.id, Payload: b,
+	})
+	if err != nil {
+		return 0, err
+	}
+	return int(reply.Arg1), nil
+}
+
+// Read blocks for up to len(p) bytes into p; io.EOF after the peer's
+// orderly close has drained. The reply buffer goes back to the system's
+// free list.
+func (cn *Conn) Read(p []byte) (int, error) {
+	reply, err := inetCall(cn.ctx, cn.inet, kernel.Message{
+		Type: proto.TCPRecv, Arg1: cn.id, Arg2: int64(len(p)),
+	})
+	if err != nil {
+		return 0, err
+	}
+	if reply.Arg1 == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, reply.Payload)
+	cn.ctx.Bufs().Put(reply.Payload)
+	return n, nil
+}
+
+// Close initiates an orderly close.
+func (cn *Conn) Close() error {
+	_, err := cn.ctx.SendRec(cn.inet, kernel.Message{Type: proto.TCPClose, Arg1: cn.id})
+	return err
 }
 
 // vfsEp resolves the VFS endpoint, waiting for boot to settle.

@@ -33,6 +33,18 @@ func TestCodeErrMapping(t *testing.T) {
 	}
 }
 
+func TestSockErrMapping(t *testing.T) {
+	if !errors.Is(sockErr(proto.ErrClosed), ErrClosed) {
+		t.Error("ErrClosed not mapped")
+	}
+	if !errors.Is(sockErr(proto.ErrNotFound), ErrRefused) {
+		t.Error("ErrNotFound not mapped to refused")
+	}
+	if err := sockErr(proto.ErrIO); err == nil {
+		t.Error("unknown code mapped to nil")
+	}
+}
+
 func TestFig3RecoverySchemes(t *testing.T) {
 	rows := fig3Rows(t.Logf)
 	for _, r := range rows {

@@ -10,7 +10,6 @@ import (
 	"io"
 	"time"
 
-	"resilientos/internal/netlib"
 	"resilientos/internal/proto"
 )
 
@@ -114,7 +113,7 @@ func (sys *System) Wget(channel string, port uint16, seed int64, size int64, res
 		for got < size {
 			n, err := conn.Read(buf)
 			if err != nil {
-				if err == io.EOF || errors.Is(err, netlib.ErrClosed) {
+				if err == io.EOF || errors.Is(err, ErrClosed) {
 					break
 				}
 				res.Err = err
