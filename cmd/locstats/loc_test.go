@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -87,6 +89,51 @@ func TestModuleRootAndTable(t *testing.T) {
 	out := render(rows)
 	if !strings.Contains(out, "Reinc. Server") || !strings.Contains(out, "Total") {
 		t.Fatalf("render missing rows:\n%s", out)
+	}
+}
+
+// Every non-test Go file of the reincarnation server's package is counted
+// by exactly one Fig. 9 row, so a row that names files rather than the
+// directory neither drops a file nor counts one twice.
+func TestCoreFilesCountedOnce(t *testing.T) {
+	root, err := moduleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// goFiles lists the files countPath tallies for path.
+	goFiles := func(path string) []string {
+		if strings.HasSuffix(path, ".go") {
+			return []string{path}
+		}
+		entries, err := os.ReadDir(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var files []string
+		for _, e := range entries {
+			name := e.Name()
+			if !e.IsDir() && strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
+				files = append(files, filepath.Join(path, name))
+			}
+		}
+		return files
+	}
+	counted := map[string][]string{} // file -> the rows counting it
+	for _, comp := range fig9Components(root) {
+		for _, path := range comp.Paths {
+			for _, f := range goFiles(path) {
+				counted[f] = append(counted[f], comp.Name)
+			}
+		}
+	}
+	core := goFiles(filepath.Join(root, "internal/core"))
+	if len(core) == 0 {
+		t.Fatal("internal/core: no Go files")
+	}
+	for _, f := range core {
+		if rows := counted[f]; len(rows) != 1 {
+			t.Errorf("%s is counted by %d rows %q, want exactly 1", f, len(rows), rows)
+		}
 	}
 }
 

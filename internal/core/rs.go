@@ -20,6 +20,8 @@
 // direct-restart path covers components without a script, including disk
 // drivers, which MINIX restarts straight from a RAM image because their
 // script would live on the very disk that just lost its driver (§6.2).
+// The two rungs beyond the paper's respawn, warm-standby promotion and
+// in-place microreboot, live in standby.go and microreboot.go.
 package core
 
 import (
@@ -270,9 +272,6 @@ func (svc *service) creditStableRun(now sim.Time) {
 	}
 }
 
-// [recovery:end]
-
-// [recovery:begin]
 // setPhase moves svc to phase p. It is the only writer of svc.phase, and
 // a move the ladder does not list is a bug in RS.
 func (svc *service) setPhase(p Phase) {
@@ -370,12 +369,6 @@ const stableResetAfter = 60 * time.Second
 // termGrace is how long a SIGTERM'd component gets before SIGKILL (§6).
 const termGrace = 500 * time.Millisecond
 
-// microBudget is how many in-place microreboots one instance may perform
-// before RS denies further requests and forces a full respawn — the
-// escalation rung for a VM whose state is corrupt beyond an in-place
-// reset. A full respawn (or a long stable run) resets the budget.
-const microBudget = 3
-
 // RS is the reincarnation server.
 type RS struct {
 	ctx  *kernel.Ctx
@@ -383,8 +376,7 @@ type RS struct {
 	dsEp kernel.Endpoint
 	pmEp kernel.Endpoint
 
-	services map[string]*service
-	ordered  []*service   // the services in label order, rebuilt when one is added
+	services []*service   // in label order, found by lookup
 	pending  []pendingReq // Go-level API requests awaiting the RS loop
 	shSeq    int          // policy-script runner sequence numbers
 
@@ -399,7 +391,7 @@ type RS struct {
 }
 
 type pendingReq struct {
-	kind  string // "start", "stop", "restart", "update", "kill"
+	kind  string // "start", "stop", "update", "kill"
 	cfg   ServiceConfig
 	label string
 	sig   kernel.Signal
@@ -447,12 +439,7 @@ func (rs *RS) decide(svc *service, class Defect, ev decision.Event) {
 // Start spawns the reincarnation server. It subscribes to PM's exit
 // events; services are then added with StartService.
 func Start(k *kernel.Kernel, pmEp, dsEp kernel.Endpoint, opts ...Option) (*RS, error) {
-	rs := &RS{
-		k:        k,
-		dsEp:     dsEp,
-		pmEp:     pmEp,
-		services: make(map[string]*service),
-	}
+	rs := &RS{k: k, dsEp: dsEp, pmEp: pmEp}
 	for _, o := range opts {
 		o(rs)
 	}
@@ -490,7 +477,7 @@ func (rs *RS) Rebooted() bool { return rs.rebooted }
 // ServiceEndpoint returns the current endpoint of a service (None when
 // down).
 func (rs *RS) ServiceEndpoint(label string) kernel.Endpoint {
-	if svc, ok := rs.services[label]; ok && svc.phase.running() {
+	if svc := rs.lookup(label); svc != nil && svc.phase.running() {
 		return svc.ep
 	}
 	return kernel.None
@@ -500,7 +487,7 @@ func (rs *RS) ServiceEndpoint(label string) kernel.Endpoint {
 // asked to start once its process first runs — so a caller can tell a
 // mistyped label from a real one before the simulation has taken a step.
 func (rs *RS) Guards(label string) bool {
-	if _, ok := rs.services[label]; ok {
+	if rs.lookup(label) != nil {
 		return true
 	}
 	for _, req := range rs.pending {
@@ -548,7 +535,7 @@ func (rs *RS) Services() []ServiceInfo { return rs.ServicesInto(nil) }
 // reuse one buffer.
 func (rs *RS) ServicesInto(buf []ServiceInfo) []ServiceInfo {
 	out := buf
-	for _, svc := range rs.ordered {
+	for _, svc := range rs.services {
 		out = append(out, ServiceInfo{
 			Label:           svc.cfg.Label,
 			Ep:              svc.ep,
@@ -567,10 +554,25 @@ func (rs *RS) ServicesInto(buf []ServiceInfo) []ServiceInfo {
 
 // FailureCount returns a service's consecutive-failure count.
 func (rs *RS) FailureCount(label string) int {
-	if svc, ok := rs.services[label]; ok {
+	if svc := rs.lookup(label); svc != nil {
 		return svc.failures
 	}
 	return 0
+}
+
+// lookup returns the service guarded under label, or nil.
+func (rs *RS) lookup(label string) *service {
+	if i, ok := rs.find(label); ok {
+		return rs.services[i]
+	}
+	return nil
+}
+
+// find returns the index label has, or would take, in rs.services.
+func (rs *RS) find(label string) (int, bool) {
+	return slices.BinarySearchFunc(rs.services, label, func(svc *service, l string) int {
+		return strings.Compare(svc.cfg.Label, l)
+	})
 }
 
 // StartService registers and starts a service. Callable from outside the
@@ -642,7 +644,10 @@ func (rs *RS) run(c *kernel.Ctx) {
 		case m.Type == proto.RSComplain:
 			rs.onComplaint(c, m)
 		case m.Type == proto.RSReboot:
-			rs.doReboot(c)
+			rs.rebooted = true
+			if rs.onReboot != nil {
+				rs.onReboot()
+			}
 			_ = c.Send(m.Source, kernel.Message{Type: proto.RSAck, Arg1: proto.OK})
 		case m.Type == proto.RSUpdate:
 			// A message cannot carry a new binary: updates come through
@@ -662,19 +667,18 @@ func (rs *RS) drain(c *kernel.Ctx) {
 			if svc.cfg.HeartbeatMisses == 0 {
 				svc.cfg.HeartbeatMisses = 3
 			}
-			rs.services[req.cfg.Label] = svc
-			rs.ordered = rs.ordered[:0]
-			for _, s := range rs.services {
-				rs.ordered = append(rs.ordered, s)
+			if i, ok := rs.find(req.cfg.Label); ok {
+				rs.services[i] = svc // a second start replaces the record
+			} else {
+				rs.services = slices.Insert(rs.services, i, svc)
 			}
-			slices.SortFunc(rs.ordered, func(a, b *service) int { return strings.Compare(a.cfg.Label, b.cfg.Label) })
 			rs.spawnInstance(c, svc)
 		case "stop":
 			rs.doStop(c, req.label)
 		case "update":
 			rs.doUpdate(c, req.cfg)
 		case "kill":
-			if svc, ok := rs.services[req.label]; ok && svc.phase.running() {
+			if svc := rs.lookup(req.label); svc != nil && svc.phase.running() {
 				// Attributed to "killed by user": RS merely relays.
 				_ = c.Kill(svc.ep, req.sig)
 			}
@@ -706,32 +710,6 @@ func (rs *RS) spawnInstance(c *kernel.Ctx, svc *service) {
 	}
 }
 
-// spawnStandby parks a fresh warm replica for svc under the "/sb" label.
-// The replica runs the same binary with the same privileges but does not
-// touch the device until promoted (internal/drvlib's standby loop parks
-// it before Init).
-// [recovery:begin]
-func (rs *RS) spawnStandby(c *kernel.Ctx, svc *service) {
-	if svc.standbyEp != kernel.None || svc.phase == PhaseStopping || svc.phase == PhaseStopped || svc.phase == PhaseGaveUp {
-		return
-	}
-	if ep, err := c.Spawn(drvlib.StandbyLabel(svc.cfg.Label), svc.cfg.Priv, svc.cfg.Binary); err == nil {
-		svc.standbyEp = ep
-	}
-}
-
-// killStandby retires the parked replica (give-up, administrative stop).
-// The endpoint is cleared before the kill so the resulting death event is
-// not mistaken for a replica crash and back-filled.
-func (rs *RS) killStandby(c *kernel.Ctx, svc *service, sig kernel.Signal) {
-	if ep := svc.standbyEp; ep != kernel.None {
-		svc.standbyEp = kernel.None
-		_ = c.Kill(ep, sig)
-	}
-}
-
-// [recovery:end]
-
 // [recovery:begin]
 // onExitEvent handles a PM exit report — defect classes 1–3, plus the
 // tail ends of classes 4–6 whose kills RS itself initiated.
@@ -740,8 +718,8 @@ func (rs *RS) onExitEvent(c *kernel.Ctx, m kernel.Message) {
 		rs.onStandbyExit(c, m)
 		return
 	}
-	svc, ok := rs.services[m.Name]
-	if !ok || kernel.Endpoint(m.Arg1) != svc.ep {
+	svc := rs.lookup(m.Name)
+	if svc == nil || kernel.Endpoint(m.Arg1) != svc.ep {
 		return // not ours, or a stale instance's echo
 	}
 	svc.termKillAt = 0
@@ -766,27 +744,9 @@ func (rs *RS) onExitEvent(c *kernel.Ctx, m kernel.Message) {
 			class = DefectKilled
 		}
 	}
-	svc.detectedAt = c.Now()
 	rs.recover(c, svc, class)
 }
 
-// onStandbyExit handles a parked replica dying: clear it and back-fill,
-// so the pool self-heals. Deliberate retirements (give-up, stop,
-// promotion) clear standbyEp before acting and are ignored here.
-func (rs *RS) onStandbyExit(c *kernel.Ctx, m kernel.Message) {
-	svc, ok := rs.services[strings.TrimSuffix(m.Name, drvlib.StandbySuffix)]
-	if !ok || kernel.Endpoint(m.Arg1) != svc.standbyEp {
-		return
-	}
-	svc.standbyEp = kernel.None
-	if svc.cfg.Mechanism == MechStandby {
-		rs.spawnStandby(c, svc)
-	}
-}
-
-// [recovery:end]
-
-// [recovery:begin]
 // recover runs the policy-driven recovery procedure (§5.2).
 func (rs *RS) recover(c *kernel.Ctx, svc *service, class Defect) {
 	svc.creditStableRun(c.Now())
@@ -838,112 +798,6 @@ func (rs *RS) recover(c *kernel.Ctx, svc *service, class Defect) {
 	rs.runPolicyScript(c, svc, class)
 }
 
-// [recovery:end]
-
-// [recovery:begin]
-// promoteStandby fails over to the parked warm replica: the kernel
-// relabels the replica onto the service label, the replica is told to
-// attach, and the data store atomically republishes the endpoint — no
-// spawn and no cold device reset on the critical path, which is what
-// makes the Fig. 7 dip shallower than a respawn. A fresh standby is
-// back-filled in the same turn. Returns false (the caller falls back to
-// the spawn path) if the kernel refuses the relabel.
-func (rs *RS) promoteStandby(c *kernel.Ctx, svc *service, class Defect) bool {
-	ep := svc.standbyEp
-	svc.standbyEp = kernel.None
-	if err := c.Relabel(ep, svc.cfg.Label); err != nil {
-		return false
-	}
-	if rs.dec != nil {
-		rs.decide(svc, class, decision.Event{Kind: decision.KindAction,
-			Action: "promote-standby", Detail: fmt.Sprintf("replica=%v", ep)})
-	}
-	c.SetTraceCtx(svc.episode)
-	svc.serveFrom(c, ep)
-	// The promote must be queued at the replica before the data-store
-	// fanout lets dependents talk to it; per-receiver delivery is arrival
-	// order, so the replica attaches before serving its first request.
-	_ = c.AsyncSend(ep, kernel.Message{Type: proto.RSPromote, Name: svc.cfg.Label})
-	// As in spawnInstance, a failover the data store does not answer has
-	// no fallback.
-	_, _ = c.SendRec(rs.dsEp, kernel.Message{
-		Type: proto.DSFailover, Name: svc.cfg.Label, Arg1: int64(ep),
-	})
-	rs.settle(c, svc, class, "promote-standby")
-	rs.spawnStandby(c, svc) // back-fill the pool in the background
-	return true
-}
-
-// [recovery:end]
-
-// [recovery:begin]
-// onMicroAsk arbitrates a driver's request to microreboot its faulted
-// ucode VM in place. Every granted microreboot is charged against the
-// same consecutive-failure budget as a respawn — MaxRestarts bounds
-// recoveries, not process spawns — and against the per-instance
-// microreboot budget; when either is exhausted the request is denied,
-// the driver carries out its original fatal, and the ladder escalates to
-// a full respawn (which resets the microreboot budget).
-func (rs *RS) onMicroAsk(c *kernel.Ctx, m kernel.Message) {
-	svc, ok := rs.services[m.Name]
-	reply := kernel.Message{Type: proto.RSAck, Arg1: proto.OK}
-	if !ok || m.Source != svc.ep || svc.cfg.Mechanism != MechMicroreboot ||
-		(svc.phase != PhaseServing && svc.phase != PhaseMicrorebooting) {
-		reply.Arg1 = proto.ErrPerm
-		_ = c.Send(m.Source, reply)
-		return
-	}
-	class := Defect(m.Arg1)
-	if class < DefectExit || class > DefectUpdate {
-		class = DefectExit
-	}
-	svc.creditStableRun(c.Now())
-	var deny string
-	switch {
-	case svc.microCount >= microBudget:
-		deny = fmt.Sprintf("microreboot budget exhausted (%d/%d)", svc.microCount, microBudget)
-	case svc.cfg.MaxRestarts > 0 && svc.failures+1 > svc.cfg.MaxRestarts:
-		deny = "restart budget exhausted"
-	}
-	if deny != "" {
-		rs.decide(svc, class, decision.Event{Kind: decision.KindTrigger,
-			Action: "microreboot-deny", Detail: deny})
-		reply.Arg1 = proto.ErrAgain
-		_ = c.Send(m.Source, reply)
-		return
-	}
-	svc.failures++
-	svc.lastFailure = c.Now()
-	svc.microCount++
-	svc.setPhase(PhaseMicrorebooting)
-	svc.class = class
-	svc.detectedAt = c.Now()
-	rs.openEpisode(c, svc, class)
-	if rs.dec != nil {
-		rs.decide(svc, class, decision.Event{Kind: decision.KindAction, Action: "microreboot",
-			Detail: fmt.Sprintf("in-place vm reset %d/%d", svc.microCount, microBudget)})
-	}
-	_ = c.Send(m.Source, reply)
-}
-
-// [recovery:end]
-
-// [recovery:begin]
-// onMicroDone closes an in-place microreboot episode: the driver is
-// serving again on the same endpoint, so there is no republish and no
-// reintegration — only the books are settled.
-func (rs *RS) onMicroDone(c *kernel.Ctx, m kernel.Message) {
-	svc, ok := rs.services[m.Name]
-	if !ok || m.Source != svc.ep || svc.phase != PhaseMicrorebooting {
-		return
-	}
-	svc.restartHeartbeat(c.Now())
-	rs.settle(c, svc, svc.class, "microreboot")
-}
-
-// [recovery:end]
-
-// [recovery:begin]
 // completeRecovery restarts the component and records the event. The
 // spawn and publish run under the episode's context, so the fresh
 // instance's initialization and the data-store fanout that triggers
@@ -962,6 +816,7 @@ func (rs *RS) openEpisode(c *kernel.Ctx, svc *service, class Defect) {
 	if !svc.episode.Valid() {
 		svc.episode = c.Obs().StartSpan(Label, "recover:"+svc.cfg.Label, obs.SpanContext{})
 	}
+	svc.detectedAt = c.Now()
 	if rs.dec != nil {
 		rs.decide(svc, class, decision.Event{Kind: decision.KindDetect, Detail: svc.hbWindow()})
 	}
@@ -996,9 +851,6 @@ func (rs *RS) closeEpisode(c *kernel.Ctx, svc *service, class Defect, outcome, h
 	c.SetTraceCtx(obs.SpanContext{})
 }
 
-// [recovery:end]
-
-// [recovery:begin]
 // runPolicyScript launches a transient process that executes the
 // service's recovery script. The script's `service restart` command calls
 // back into RS — "restarting is always done by requesting the
@@ -1087,9 +939,6 @@ func (rs *RS) runPolicyScript(c *kernel.Ctx, svc *service, class Defect) {
 	}
 }
 
-// [recovery:end]
-
-// [recovery:begin]
 // serviceCommand implements the policy scripts' `service` builtin.
 func (rs *RS) serviceCommand(sh *kernel.Ctx, rsEp kernel.Endpoint, argv []string) (string, int) {
 	if len(argv) < 3 {
@@ -1113,9 +962,6 @@ func (rs *RS) serviceCommand(sh *kernel.Ctx, rsEp kernel.Endpoint, argv []string
 	return "", 0
 }
 
-// [recovery:end]
-
-// [recovery:begin]
 // mailCommand implements the policy scripts' `mail` (alert sink).
 func (rs *RS) mailCommand(sh *kernel.Ctx, argv []string, stdin string) {
 	alert := Alert{Time: sh.Now(), Body: stdin}
@@ -1130,16 +976,13 @@ func (rs *RS) mailCommand(sh *kernel.Ctx, argv []string, stdin string) {
 	rs.alerts = append(rs.alerts, alert)
 }
 
-// [recovery:end]
-
-// [recovery:begin]
 // onRestartRequest restarts a service on behalf of a policy script or the
 // service utility.
 func (rs *RS) onRestartRequest(c *kernel.Ctx, m kernel.Message) {
-	svc, ok := rs.services[m.Name]
+	svc := rs.lookup(m.Name)
 	reply := kernel.Message{Type: proto.RSAck, Arg1: proto.OK}
 	switch {
-	case !ok:
+	case svc == nil:
 		reply.Arg1 = proto.ErrNotFound
 	case svc.phase == PhaseStopped: // a stop holds against the script of the episode it ended
 		reply.Arg1 = proto.ErrPerm
@@ -1161,8 +1004,8 @@ func (rs *RS) onRestartRequest(c *kernel.Ctx, m kernel.Message) {
 // instance to terminate: it is stopped at once, and its episode ends with
 // the terminal decision "stopped" (status 1), not a recovery.
 func (rs *RS) doStop(c *kernel.Ctx, label string) {
-	svc, ok := rs.services[label]
-	if !ok || !svc.phase.running() && svc.phase != PhaseRecovering {
+	svc := rs.lookup(label)
+	if svc == nil || !svc.phase.running() && svc.phase != PhaseRecovering {
 		return
 	}
 	rs.killStandby(c, svc, kernel.SIGTERM)
@@ -1180,10 +1023,9 @@ func (rs *RS) doStop(c *kernel.Ctx, label string) {
 // (SIGTERM), escalate to SIGKILL after a grace period, then start the new
 // binary. The exit event carries the class-6 attribution via svc.cause.
 func (rs *RS) doUpdate(c *kernel.Ctx, cfg ServiceConfig) {
-	svc, ok := rs.services[cfg.Label]
-	if !ok {
+	svc := rs.lookup(cfg.Label)
+	if svc == nil {
 		rs.pending = append(rs.pending, pendingReq{kind: "start", cfg: cfg})
-		rs.drain(c)
 		return
 	}
 	// Swap in the new binary/version/policy for the next instance; fields
@@ -1199,7 +1041,6 @@ func (rs *RS) doUpdate(c *kernel.Ctx, cfg ServiceConfig) {
 		svc.cfg.PolicyParams = cfg.PolicyParams
 	}
 	if !svc.phase.running() {
-		svc.detectedAt = c.Now()
 		rs.recover(c, svc, DefectUpdate)
 		return
 	}
@@ -1236,8 +1077,8 @@ func (rs *RS) onComplaint(c *kernel.Ctx, m kernel.Message) {
 		_ = c.Send(m.Source, reply)
 		return
 	}
-	svc, ok := rs.services[m.Name]
-	if !ok || !svc.phase.running() {
+	svc := rs.lookup(m.Name)
+	if svc == nil || !svc.phase.running() {
 		reply.Arg1 = proto.ErrNotFound
 		_ = c.Send(m.Source, reply)
 		return
@@ -1253,18 +1094,11 @@ func (rs *RS) onComplaint(c *kernel.Ctx, m kernel.Message) {
 
 // [recovery:end]
 
-func (rs *RS) doReboot(c *kernel.Ctx) {
-	rs.rebooted = true
-	if rs.onReboot != nil {
-		rs.onReboot()
-	}
-}
-
 // armTimer sets RS's alarm to the earliest pending deadline (heartbeat
 // pings and SIGTERM escalations share the single kernel alarm).
 func (rs *RS) armTimer(c *kernel.Ctx) {
 	var next sim.Time
-	for _, svc := range rs.ordered {
+	for _, svc := range rs.services {
 		if !svc.phase.running() {
 			continue
 		}
@@ -1300,7 +1134,7 @@ func (rs *RS) onTimer(c *kernel.Ctx) {
 	// last recovery left ambient would leak into heartbeat pings: clear it.
 	c.SetTraceCtx(obs.SpanContext{})
 	now := c.Now()
-	for _, svc := range rs.ordered {
+	for _, svc := range rs.services {
 		if !svc.phase.running() {
 			continue
 		}
@@ -1346,7 +1180,7 @@ func (rs *RS) onTimer(c *kernel.Ctx) {
 // [recovery:end]
 
 func (rs *RS) onPong(from kernel.Endpoint) {
-	for _, svc := range rs.ordered {
+	for _, svc := range rs.services {
 		if svc.ep == from {
 			if svc.awaiting && rs.dec != nil {
 				svc.recordHB(true)

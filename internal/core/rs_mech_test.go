@@ -1,12 +1,14 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
 
 	"resilientos/internal/drvlib"
 	"resilientos/internal/kernel"
+	"resilientos/internal/obs/decision"
 	"resilientos/internal/proto"
 	"resilientos/internal/ucode"
 )
@@ -19,6 +21,7 @@ type mechDevice struct {
 	promoteCount int
 	microCount   int
 	failNext     bool // next request raises a fatal VM outcome
+	failMicro    bool // next in-place reset fails
 }
 
 func (d *mechDevice) Init(c *kernel.Ctx) error { d.initCount++; return nil }
@@ -34,10 +37,17 @@ func (d *mechDevice) HandleIRQ(c *kernel.Ctx, mask uint64) {}
 func (d *mechDevice) HandleAlarm(c *kernel.Ctx)            {}
 func (d *mechDevice) Shutdown(c *kernel.Ctx)               {}
 func (d *mechDevice) Promote(c *kernel.Ctx) error          { d.promoteCount++; return nil }
-func (d *mechDevice) Microreboot(c *kernel.Ctx) error      { d.microCount++; return nil }
+func (d *mechDevice) Microreboot(c *kernel.Ctx) error {
+	d.microCount++
+	if d.failMicro {
+		d.failMicro = false
+		return errors.New("induced reset failure")
+	}
+	return nil
+}
 
-func mechBinary(d drvlib.Device, opts drvlib.Options) Binary {
-	return func(c *kernel.Ctx) { drvlib.RunWith(c, d, opts) }
+func mechBinary(d drvlib.Device, mech Mechanism) Binary {
+	return func(c *kernel.Ctx) { drvlib.RunWith(c, d, mech) }
 }
 
 func findService(t *testing.T, rs *RS, label string) ServiceInfo {
@@ -69,7 +79,7 @@ func poke(r *rig, dev *mechDevice, label string, n int) {
 func TestStandbyPromotionFailsOver(t *testing.T) {
 	r := boot(t)
 	dev := &mechDevice{}
-	cfg := svcCfg("drv", mechBinary(dev, drvlib.Options{Mechanism: drvlib.MechStandby}))
+	cfg := svcCfg("drv", mechBinary(dev, MechStandby))
 	cfg.Mechanism = MechStandby
 	r.rs.StartService(cfg)
 	r.env.Run(2 * time.Second)
@@ -119,7 +129,7 @@ func TestStandbyPromotionFailsOver(t *testing.T) {
 func TestStandbyReplicaDeathIsBackFilled(t *testing.T) {
 	r := boot(t)
 	dev := &mechDevice{}
-	cfg := svcCfg("drv", mechBinary(dev, drvlib.Options{Mechanism: drvlib.MechStandby}))
+	cfg := svcCfg("drv", mechBinary(dev, MechStandby))
 	cfg.Mechanism = MechStandby
 	r.rs.StartService(cfg)
 	r.env.Run(2 * time.Second)
@@ -184,7 +194,7 @@ func TestRelabelRefusesLiveDuplicate(t *testing.T) {
 func TestMicrorebootRecoversInPlace(t *testing.T) {
 	r := boot(t)
 	dev := &mechDevice{}
-	cfg := svcCfg("drv", mechBinary(dev, drvlib.Options{Mechanism: drvlib.MechMicroreboot}))
+	cfg := svcCfg("drv", mechBinary(dev, MechMicroreboot))
 	cfg.Mechanism = MechMicroreboot
 	r.rs.StartService(cfg)
 	r.env.Run(time.Second)
@@ -239,7 +249,7 @@ func TestMicrorebootRecoversInPlace(t *testing.T) {
 func TestMicrorebootCountsAgainstMaxRestarts(t *testing.T) {
 	r := boot(t)
 	dev := &mechDevice{}
-	cfg := svcCfg("drv", mechBinary(dev, drvlib.Options{Mechanism: drvlib.MechMicroreboot}))
+	cfg := svcCfg("drv", mechBinary(dev, MechMicroreboot))
 	cfg.Mechanism = MechMicroreboot
 	cfg.MaxRestarts = 2
 	r.rs.StartService(cfg)
@@ -260,5 +270,44 @@ func TestMicrorebootCountsAgainstMaxRestarts(t *testing.T) {
 	}
 	if r.rs.FailureCount("drv") != 3 {
 		t.Fatalf("failures = %d at give-up, want 3", r.rs.FailureCount("drv"))
+	}
+}
+
+// TestMicrorebootFailedResetRespawns walks recover's PhaseMicrorebooting
+// branch: RS grants the in-place reset, the reset fails, and the driver
+// dies with its original fatal. The death is the tail of the granted
+// microreboot, not a second failure: one episode, charged once at
+// RSMicroAsk, settled by a full respawn at a fresh endpoint.
+func TestMicrorebootFailedResetRespawns(t *testing.T) {
+	r, sink := decBoot(t)
+	dev := &mechDevice{failMicro: true}
+	cfg := svcCfg("drv", mechBinary(dev, MechMicroreboot))
+	cfg.Mechanism = MechMicroreboot
+	r.rs.StartService(cfg)
+	r.env.Run(time.Second)
+	ep := r.rs.ServiceEndpoint("drv")
+
+	poke(r, dev, "drv", 1)
+
+	respawned := r.rs.ServiceEndpoint("drv")
+	if respawned == ep || respawned == kernel.None {
+		t.Fatalf("endpoint %v after the failed reset, want a fresh respawn (was %v)", respawned, ep)
+	}
+	if dev.microCount != 1 || dev.initCount != 2 {
+		t.Fatalf("micro=%d init=%d, want 1 failed reset and 2 inits", dev.microCount, dev.initCount)
+	}
+	events := r.rs.Events()
+	if len(events) != 1 || !events[0].Recovered || events[0].Repetition != 1 || events[0].NewEp != respawned {
+		t.Fatalf("events %+v, want one recovery at repetition 1 onto %v", events, respawned)
+	}
+	if got := r.rs.FailureCount("drv"); got != 1 {
+		t.Fatalf("failures = %d, want 1: the death must not be charged again", got)
+	}
+	decs := sink.Events()
+	if problems := decision.Check(decs); len(problems) != 0 {
+		t.Fatalf("decision log ill-formed: %v", problems)
+	}
+	if outcomes := byKind(decs, decision.KindOutcome); len(outcomes) != 1 || outcomes[0].Action != "recovered" {
+		t.Fatalf("outcomes %+v, want the one episode recovered", outcomes)
 	}
 }

@@ -21,8 +21,8 @@ type Config struct {
 	// disk driver keeps serving the same memory, like MINIX's RAM disk
 	// whose contents live in core, not in the driver process.
 	Backing *Store
-	// Options selects the driver half of the recovery mechanism.
-	drvlib.Options
+	// Mechanism selects the driver half of the recovery mechanism.
+	Mechanism drvlib.Mechanism
 }
 
 // Store is the RAM disk's backing memory, deliberately held outside the
@@ -58,7 +58,7 @@ func Binary(cfg Config) func(c *kernel.Ctx) {
 		cfg.Backing = NewStore()
 	}
 	return func(c *kernel.Ctx) {
-		drvlib.RunWith(c, &driver{cfg: cfg}, cfg.Options)
+		drvlib.RunWith(c, &driver{cfg: cfg}, cfg.Mechanism)
 	}
 }
 

@@ -107,8 +107,8 @@ type Config struct {
 	Disk *hw.Disk
 	// OnVM is the fault-injection hook.
 	OnVM func(*ucode.VM)
-	// Options selects the driver half of the recovery mechanism.
-	drvlib.Options
+	// Mechanism selects the driver half of the recovery mechanism.
+	Mechanism drvlib.Mechanism
 }
 
 // Binary returns the service binary for this driver.
@@ -128,7 +128,7 @@ func Binary(cfg Config) func(c *kernel.Ctx) {
 			handle: cfg.Disk.Handle(),
 			opened: make(map[int64]bool),
 			busy:   kernel.None,
-		}, cfg.Options)
+		}, cfg.Mechanism)
 	}
 }
 

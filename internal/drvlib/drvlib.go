@@ -127,16 +127,10 @@ type Microrebooter interface {
 	Microreboot(c *kernel.Ctx) error
 }
 
-// Options configures the message loop's recovery behavior beyond the
-// paper's baseline. The zero value is the baseline (respawn).
-type Options struct {
-	Mechanism Mechanism
-}
-
 // runState is the per-instance loop state, parked in the process-local
 // slot so package helpers (React, Stuck) can reach it with only a Ctx.
 type runState struct {
-	opts  Options
+	mech  Mechanism
 	armed bool // inside steady-state dispatch: VM fatals are catchable
 }
 
@@ -152,10 +146,10 @@ func state(c *kernel.Ctx) *runState {
 // Run executes the canonical driver message loop with baseline recovery
 // (kill-and-respawn). It does not return except by process
 // exit.
-func Run(c *kernel.Ctx, d Device) { RunWith(c, d, Options{}) }
+func Run(c *kernel.Ctx, d Device) { RunWith(c, d, MechRespawn) }
 
 // RunWith executes the canonical driver message loop under the given
-// recovery options. It does not return except by process exit.
+// recovery mechanism. It does not return except by process exit.
 //
 // When span tracing is on the loop also carries the causal story: the
 // process starts under its spawner's ambient context — for an instance
@@ -165,8 +159,8 @@ func Run(c *kernel.Ctx, d Device) { RunWith(c, d, Options{}) }
 // A driver that dies mid-request leaves that span open; the kernel's
 // reaper orphans it, which is how a crash-interrupted request becomes
 // visible in the trace.
-func RunWith(c *kernel.Ctx, d Device, opts Options) {
-	st := &runState{opts: opts}
+func RunWith(c *kernel.Ctx, d Device, mech Mechanism) {
+	st := &runState{mech: mech}
 	c.SetLocal(st)
 	if IsStandbyLabel(c.Label()) {
 		standby(c)
@@ -194,7 +188,7 @@ func RunWith(c *kernel.Ctx, d Device, opts Options) {
 // armed: a fatal VM outcome unwinds here as a *vmFatal instead of
 // killing the process, and is returned for the microreboot path.
 func dispatch(c *kernel.Ctx, d Device, st *runState, m kernel.Message) (fatal *vmFatal) {
-	if st.opts.Mechanism == MechMicroreboot {
+	if st.mech == MechMicroreboot {
 		st.armed = true
 		defer func() {
 			st.armed = false

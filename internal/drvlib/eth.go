@@ -32,8 +32,8 @@ type EthConfig struct {
 	// OnVM, if set, is called with each new instance's VM — the hook the
 	// fault-injection campaign uses to reach the running binary.
 	OnVM func(*ucode.VM)
-	// Options selects the driver half of the recovery mechanism.
-	Options
+	// Mechanism selects the driver half of the recovery mechanism.
+	Mechanism Mechanism
 }
 
 // EthBinary returns the service binary of an Ethernet driver for chip.
@@ -51,7 +51,7 @@ func EthBinary(chip EthChip, cfg EthConfig) func(c *kernel.Ctx) {
 			},
 			drain:  chip.Drain,
 			handle: cfg.NIC.Handle(),
-		}, cfg.Options)
+		}, cfg.Mechanism)
 	}
 }
 

@@ -254,14 +254,14 @@ func (sys *System) driverPriv(ports kernel.PortRange, irq int) kernel.Privileges
 }
 
 // guardedDriver describes one of the drivers the recovery mechanism
-// applies to. The mechanism has a driver half (drvlib.Options, handed to
-// binary) and an RS half (ServiceConfig.Mechanism) that must agree; both
-// are derived here from the one Config value.
+// applies to. The mechanism has a driver half (handed to binary) and an
+// RS half (ServiceConfig.Mechanism) that must agree; both are derived here
+// from the one Config value.
 func (sys *System) guardedDriver(label string, priv kernel.Privileges,
-	binary func(drvlib.Options) core.Binary) core.ServiceConfig {
+	binary func(drvlib.Mechanism) core.Binary) core.ServiceConfig {
 	return core.ServiceConfig{
 		Label:           label,
-		Binary:          binary(drvlib.Options{Mechanism: sys.cfg.Mechanism}),
+		Binary:          binary(sys.cfg.Mechanism),
 		Priv:            priv,
 		HeartbeatPeriod: sys.cfg.HeartbeatPeriod,
 		HeartbeatMisses: sys.cfg.HeartbeatMisses,
@@ -294,8 +294,8 @@ func (sys *System) bootNet() {
 	// Local drivers.
 	eth := func(label string, nic *hw.NIC, binary func(drvlib.EthConfig) func(*kernel.Ctx)) {
 		svc := sys.guardedDriver(label, sys.driverPriv(nic.PortRange(), nic.IRQ()),
-			func(o drvlib.Options) core.Binary {
-				return binary(drvlib.EthConfig{NIC: nic, OnVM: sys.trackVM(label), Options: o})
+			func(mech drvlib.Mechanism) core.Binary {
+				return binary(drvlib.EthConfig{NIC: nic, OnVM: sys.trackVM(label), Mechanism: mech})
 			})
 		svc.Policy, svc.PolicyParams = sys.cfg.NetPolicy, sys.cfg.NetPolicyParams
 		sys.RS.StartService(svc)
@@ -348,16 +348,16 @@ func (sys *System) bootDisk() {
 	}
 	// §6.2: no policy script for disk drivers — direct RAM restart.
 	sys.RS.StartService(sys.guardedDriver(DriverSATA, sys.driverPriv(m.Disk.PortRange(), m.Disk.IRQ()),
-		func(o drvlib.Options) core.Binary {
-			return sata.Binary(sata.Config{Disk: m.Disk, OnVM: sys.trackVM(DriverSATA), Options: o})
+		func(mech drvlib.Mechanism) core.Binary {
+			return sata.Binary(sata.Config{Disk: m.Disk, OnVM: sys.trackVM(DriverSATA), Mechanism: mech})
 		}))
 	sys.RAMStore = ramdisk.NewStore()
 	ram := sys.guardedDriver(DriverRAMDisk, kernel.Privileges{
 		IPCTo: []string{core.Label, ds.Label, ServerMFS, ServerVFS},
 		Calls: []kernel.Call{kernel.CallSafeCopy},
 		UID:   100,
-	}, func(o drvlib.Options) core.Binary {
-		return ramdisk.Binary(ramdisk.Config{Backing: sys.RAMStore, Options: o})
+	}, func(mech drvlib.Mechanism) core.Binary {
+		return ramdisk.Binary(ramdisk.Config{Backing: sys.RAMStore, Mechanism: mech})
 	})
 	ram.MaxRestarts = 0 // the trusted RAM disk is never given up on
 	sys.RS.StartService(ram)
