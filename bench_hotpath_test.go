@@ -568,7 +568,7 @@ func BenchmarkHotpathEveryTick(b *testing.B) {
 
 // BenchmarkHotpathIdleSecond measures one virtual second of a booted,
 // idle default System, char stack on: the codec's 100 Hz capture and
-// playback ticks, RS's heartbeats and its re-armed alarm — 226 events,
+// playback ticks, RS's heartbeats and its re-armed alarm — 26 events,
 // and nothing else (TestIdleSystemExactCounts pins the count). A machine
 // at rest allocates nothing; before PR 25 it took 446 allocations and
 // 14.8 KB a second (a closure and an event per codec tick and per alarm,
@@ -585,6 +585,43 @@ func BenchmarkHotpathIdleSecond(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		second()
+	}
+}
+
+// BenchmarkHotpathRestart measures one kill-to-settle of eth.rtl8139 on a
+// settled seed-1 System: RS's detection, the direct restart, the NIC's
+// 120 ms reset and INET's rebind, then idle time to the end of the second
+// (which allocates nothing, BenchmarkHotpathIdleSecond). A restart still
+// allocates — the fresh process, its coroutine, its VM image — and the
+// gate holds it at the 41 allocations (≈ 7.7 KB) a kill-to-settle took
+// when the gate was set, so a change to RS's recovery path cannot add one
+// unseen.
+func BenchmarkHotpathRestart(b *testing.B) {
+	sys := New(Config{Seed: 1})
+	defer sys.Close()
+	sys.Run(3 * time.Second) // boot settle
+	restart := func() {
+		sys.KillDriver(DriverRTL8139)
+		sys.Run(time.Second)
+	}
+	restart() // the first recovery's one-time growth
+	if allocs := testing.AllocsPerRun(20, restart); allocs > 41 {
+		b.Fatalf("a kill-to-settle allocates %v times, gate 41", allocs)
+	}
+	before := len(sys.RS.Events())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		restart()
+	}
+	b.StopTimer()
+	for _, ev := range sys.RS.EventsSince(before) {
+		if !ev.Recovered || ev.Label != DriverRTL8139 {
+			b.Fatalf("event %+v, want every kill recovered", ev)
+		}
+	}
+	if got := len(sys.RS.Events()) - before; got != b.N {
+		b.Fatalf("%d recoveries in %d kills", got, b.N)
 	}
 }
 
