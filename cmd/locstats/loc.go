@@ -129,8 +129,8 @@ type component struct {
 func fig9Components(root string) []component {
 	d := func(p string) string { return filepath.Join(root, p) }
 	return []component{
-		{"Reinc. Server", []string{d("internal/core/rs.go"), d("internal/core/call.go")}},
-		{"RS rungs", []string{d("internal/core/standby.go"), d("internal/core/microreboot.go")}},
+		{"Reinc. Server", []string{d("internal/core/rs.go"), d("internal/core/ladder.go"), d("internal/core/call.go")}},
+		{"RS rungs", []string{d("internal/core/standby.go")}},
 		{"Data Store", []string{d("internal/ds")}},
 		{"VFS Server", []string{d("internal/vfs")}},
 		{"File Server", []string{d("internal/mfs")}},

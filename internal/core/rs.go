@@ -6,14 +6,8 @@
 // the new endpoint through the data store, and thereby masks the failure
 // from applications and users.
 //
-// Defect detection covers the six input classes of paper §5.1:
-//
-//  1. process exit or panic            (PM exit event, CauseExit)
-//  2. crashed by CPU or MMU exception  (PM exit event, CauseException)
-//  3. killed by user                   (PM exit event, CauseSignal)
-//  4. heartbeat message missing        (N consecutive missed pongs)
-//  5. complaint by another component   (RSComplain from an authorized server)
-//  6. dynamic update by user           (UpdateService)
+// Defect detection covers the six input classes of paper §5.1 (Defect);
+// what RS does about each is one pure function, step (ladder.go).
 //
 // Recovery is policy-driven (§5.2): a service may carry a shell script
 // (internal/policy) that decides when and how to restart — the default
@@ -21,11 +15,14 @@
 // drivers, which MINIX restarts straight from a RAM image because their
 // script would live on the very disk that just lost its driver (§6.2).
 // The two rungs beyond the paper's respawn, warm-standby promotion and
-// in-place microreboot, live in standby.go and microreboot.go.
+// in-place microreboot, are steps of the same ladder; standby.go keeps
+// the replica.
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -58,23 +55,14 @@ const (
 	DefectUpdate    Defect = 6 // dynamic update by user
 )
 
+var defectNames = [...]string{DefectExit: "exit/panic", DefectException: "exception", DefectKilled: "killed",
+	DefectHeartbeat: "heartbeat", DefectComplaint: "complaint", DefectUpdate: "update"}
+
 func (d Defect) String() string {
-	switch d {
-	case DefectExit:
-		return "exit/panic"
-	case DefectException:
-		return "exception"
-	case DefectKilled:
-		return "killed"
-	case DefectHeartbeat:
-		return "heartbeat"
-	case DefectComplaint:
-		return "complaint"
-	case DefectUpdate:
-		return "update"
-	default:
-		return fmt.Sprintf("Defect(%d)", int(d))
+	if d >= DefectExit && d <= DefectUpdate {
+		return defectNames[d]
 	}
+	return fmt.Sprintf("Defect(%d)", int(d))
 }
 
 // Mechanism selects the recovery mechanism for a guarded service. It is
@@ -149,78 +137,11 @@ type Alert struct {
 	Body    string
 }
 
-// Phase is where a guarded service stands on the recovery ladder between
-// two turns of the reincarnation server. One turn may pass through
-// several (a direct restart goes serving → recovering → serving); the
-// spawn, promote and publish steps inside a turn are not phases. Every
-// change goes through service.setPhase, which refuses a move the ladder
-// does not allow (DESIGN §10 lists them).
-type Phase uint8
-
-// The phases.
-const (
-	PhaseDown           Phase = iota // no instance: none spawned yet, or the last spawn failed
-	PhaseServing                     // the instance serves
-	PhaseTerminating                 // SIGTERM sent for a dynamic update or replace; the instance still serves
-	PhaseStopping                    // SIGTERM sent for an administrative stop
-	PhaseStopped                     // administratively stopped: no recovery
-	PhaseRecovering                  // defect detected; the fresh instance is not published yet
-	PhaseMicrorebooting              // in-place VM reset granted; RSMicroDone not seen yet
-	PhaseGaveUp                      // MaxRestarts exhausted: the service stays down
-	numPhases
-)
-
-var phaseNames = [numPhases]string{"down", "serving", "terminating", "stopping",
-	"stopped", "recovering", "microrebooting", "gave-up"}
-
-func (p Phase) String() string {
-	if p < numPhases {
-		return phaseNames[p]
-	}
-	return fmt.Sprintf("Phase(%d)", int(p))
-}
-
-// Serving reports whether the instance serves requests; node health
-// counts the service as up.
-func (p Phase) Serving() bool { return p == PhaseServing || p == PhaseTerminating }
-
-// Recovering reports whether a recovery episode is open: a defect was
-// detected and no fresh instance is published yet.
-func (p Phase) Recovering() bool { return p == PhaseRecovering || p == PhaseMicrorebooting }
-
-// Guarded reports whether RS vouches for a live instance and recovers it
-// if it dies, which is what the invariant checker's rs-guard holds RS to.
-func (p Phase) Guarded() bool { return p.Serving() || p == PhaseMicrorebooting }
-
-// running reports whether the instance RS last spawned is alive as far as
-// RS knows: its death is still to be reported.
-func (p Phase) running() bool { return p.Guarded() || p == PhaseStopping }
-
-// [recovery:begin]
-// ladder lists each phase's legal next phases.
-var ladder = [numPhases][]Phase{
-	PhaseDown:           {PhaseDown, PhaseServing, PhaseRecovering},
-	PhaseServing:        {PhaseTerminating, PhaseStopping, PhaseRecovering, PhaseMicrorebooting},
-	PhaseTerminating:    {PhaseTerminating, PhaseStopping, PhaseRecovering},
-	PhaseStopping:       {PhaseStopping, PhaseStopped},
-	PhaseStopped:        {PhaseRecovering},
-	PhaseRecovering:     {PhaseDown, PhaseServing, PhaseStopped, PhaseRecovering, PhaseGaveUp},
-	PhaseMicrorebooting: {PhaseServing, PhaseTerminating, PhaseStopping, PhaseRecovering, PhaseMicrorebooting},
-	PhaseGaveUp:         {PhaseDown, PhaseServing, PhaseRecovering},
-}
-
-// [recovery:end]
-
 // service is RS's per-component bookkeeping.
 type service struct {
-	cfg   ServiceConfig
-	ep    kernel.Endpoint
-	phase Phase  // written by setPhase only
-	cause Defect // why RS is killing the instance (heartbeat, complaint, update; 0 = it is not)
-	class Defect // defect class of the open recovery episode (0 = none open)
-
-	failures    int // consecutive failure count (the script's $3)
-	lastFailure sim.Time
+	cfg ServiceConfig
+	ep  kernel.Endpoint
+	ledger
 
 	// Heartbeat state.
 	nextPing sim.Time
@@ -228,15 +149,10 @@ type service struct {
 	missed   int
 
 	termKillAt sim.Time // when to escalate SIGTERM to SIGKILL
-	detectedAt sim.Time // when the open episode's defect was detected, for Duration
 
 	// standbyEp is the parked warm replica (Mechanism == MechStandby;
 	// kernel.None = none).
 	standbyEp kernel.Endpoint
-
-	// microCount is how many in-place reboots the instance has had since
-	// the last full respawn (Mechanism == MechMicroreboot).
-	microCount int
 
 	// Heartbeat history window for decision tracing: the last up-to-8
 	// ping results of the current instance, bit 0 = most recent,
@@ -244,67 +160,18 @@ type service struct {
 	hbBits uint16
 	hbN    int
 
-	// episode is the recovery episode's root span, opened at defect
-	// detection and closed when the fresh instance is published (or RS
-	// gives up). Everything the recovery touches — the policy script, the
-	// new instance's initialization, dependents' reintegration — nests
+	// episode is the recovery episode's root span, from detection to the
+	// episode's close. Everything the recovery touches — the policy script,
+	// the new instance's initialization, dependents' reintegration — nests
 	// under or links back to it.
 	episode obs.SpanContext
 }
 
-// restartBudget is how many restarts remain before MaxRestarts forces a
-// give-up (-1 = unlimited, 0 = the next failure gives up).
-func restartBudget(svc *service) int {
-	if svc.cfg.MaxRestarts <= 0 {
-		return -1
-	}
-	return max(svc.cfg.MaxRestarts-svc.failures, 0)
-}
-
-// [recovery:begin]
-// creditStableRun resets the consecutive-failure accounting — and with it
-// the microreboot budget — after a long stable run, so the budgets
-// reflect crash *loops* rather than lifetime totals.
-func (svc *service) creditStableRun(now sim.Time) {
-	if svc.lastFailure != 0 && now-svc.lastFailure > stableResetAfter+svc.cfg.HeartbeatPeriod {
-		svc.failures = 0
-		svc.microCount = 0
-	}
-}
-
-// setPhase moves svc to phase p. It is the only writer of svc.phase, and
-// a move the ladder does not list is a bug in RS.
-func (svc *service) setPhase(p Phase) {
-	if !slices.Contains(ladder[svc.phase], p) {
-		panic(fmt.Sprintf("rs: %s: illegal phase move %v -> %v", svc.cfg.Label, svc.phase, p))
-	}
-	svc.phase = p
-}
-
-// killFor records why RS is killing the instance, so its exit is
-// attributed to that defect class. An update wins over a heartbeat or
-// complaint kill that races it: the exit is class 6.
-func (svc *service) killFor(class Defect) {
-	if svc.cause != DefectUpdate {
-		svc.cause = class
-	}
-}
-
-// [recovery:end]
-
 // serveFrom makes ep the service's instance, with a clean monitoring
-// slate and a fresh microreboot budget. Outside a recovery episode it
-// serves at once; an episode's fresh instance serves once settle has
-// booked the episode.
+// slate (step resets its ladder part once the instance is published).
 func (svc *service) serveFrom(c *kernel.Ctx, ep kernel.Endpoint) {
 	svc.ep = ep
-	if svc.phase != PhaseRecovering {
-		svc.setPhase(PhaseServing)
-	}
-	svc.cause = 0
-	svc.microCount = 0
-	svc.hbBits = 0
-	svc.hbN = 0
+	svc.hbBits, svc.hbN = 0, 0
 	svc.restartHeartbeat(c.Now())
 	c.Obs().Emit(obs.KindRestart, svc.cfg.Label, svc.cfg.Version, int64(ep), int64(svc.failures))
 }
@@ -312,8 +179,7 @@ func (svc *service) serveFrom(c *kernel.Ctx, ep kernel.Endpoint) {
 // restartHeartbeat forgets outstanding pings and schedules the next one a
 // full period out.
 func (svc *service) restartHeartbeat(now sim.Time) {
-	svc.missed = 0
-	svc.awaiting = false
+	svc.missed, svc.awaiting = 0, false
 	if svc.cfg.HeartbeatPeriod > 0 {
 		svc.nextPing = now + svc.cfg.HeartbeatPeriod
 	}
@@ -334,37 +200,15 @@ func (svc *service) recordHB(ok bool) {
 // hbWindow renders the heartbeat history oldest-first, 'o' = answered,
 // 'm' = missed ("" when unmonitored or no pings yet).
 func (svc *service) hbWindow() string {
-	if svc.hbN == 0 {
-		return ""
-	}
 	b := make([]byte, svc.hbN)
-	for i := 0; i < svc.hbN; i++ {
-		if svc.hbBits>>uint(svc.hbN-1-i)&1 == 1 {
-			b[i] = 'o'
-		} else {
-			b[i] = 'm'
-		}
+	for i := range b {
+		b[i] = "mo"[svc.hbBits>>uint(svc.hbN-1-i)&1]
 	}
 	return string(b)
 }
 
-// policyStepDetail renders one traced script step: the expanded argv
-// plus the interpreter's variable state at that point.
-func policyStepDetail(argv []string, vars string) string {
-	d := strings.Join(argv, " ")
-	if vars != "" {
-		d += " [" + vars + "]"
-	}
-	return d
-}
-
-// internal message type: drain the pending Go-level requests.
+// internal message type: drain the queued Go API requests.
 const msgRSDrain int32 = 390
-
-// stableResetAfter: a service that stays up this long gets its
-// consecutive-failure count reset, so the exponential backoff reflects
-// crash *loops* rather than lifetime totals.
-const stableResetAfter = 60 * time.Second
 
 // termGrace is how long a SIGTERM'd component gets before SIGKILL (§6).
 const termGrace = 500 * time.Millisecond
@@ -376,9 +220,9 @@ type RS struct {
 	dsEp kernel.Endpoint
 	pmEp kernel.Endpoint
 
-	services []*service   // in label order, found by lookup
-	pending  []pendingReq // Go-level API requests awaiting the RS loop
-	shSeq    int          // policy-script runner sequence numbers
+	services []*service // in label order, found by lookup
+	requests []request  // Go API requests awaiting the RS loop
+	shSeq    int        // policy-script runner sequence numbers
 
 	events   []Event
 	alerts   []Alert
@@ -390,11 +234,13 @@ type RS struct {
 	dec *decision.Recorder
 }
 
-type pendingReq struct {
-	kind  string // "start", "stop", "update", "kill"
-	cfg   ServiceConfig
-	label string
-	sig   kernel.Signal
+// request is a Go API call waiting for RS's process: its input, the
+// configuration a start or update brings (whose Label names the service)
+// and the signal a user kill relays.
+type request struct {
+	in  input
+	cfg ServiceConfig
+	sig kernel.Signal
 }
 
 // Option configures the reincarnation server.
@@ -416,18 +262,15 @@ func WithDecisions(d *decision.Recorder) Option {
 
 // [recovery:begin]
 // decide records one recovery decision about svc. The caller says what
-// was decided (Kind, Action, Detail, Delay, Status, Latency); what every
-// decision carries — the service, the defect class, the budget state it
-// was computed from and the link to the recovery episode's span — is
-// filled in here. Triggers precede the episode their kill opens and carry
-// no link. Callers guard with rs.dec != nil only where building Detail costs
-// something.
+// was decided; what every decision carries — the service, the defect
+// class, the budget state and the link to the episode's span — is filled
+// in here. Triggers precede the episode their kill opens and carry no link.
 func (rs *RS) decide(svc *service, class Defect, ev decision.Event) {
 	if rs.dec == nil {
 		return
 	}
 	ev.Service, ev.Defect = svc.cfg.Label, int(class)
-	ev.Failures, ev.Budget = svc.failures, restartBudget(svc)
+	ev.Failures, ev.Budget = svc.failures, restartBudget(&svc.ledger)
 	if ev.Kind != decision.KindTrigger {
 		ev.Trace, ev.Span = svc.episode.Trace, svc.episode.Span
 	}
@@ -445,9 +288,7 @@ func Start(k *kernel.Kernel, pmEp, dsEp kernel.Endpoint, opts ...Option) (*RS, e
 	}
 	ctx, err := k.Spawn(Label, kernel.Privileges{
 		AllowAllIPC: true,
-		Calls: []kernel.Call{
-			kernel.CallSpawn, kernel.CallKill, kernel.CallPrivCtl, kernel.CallAlarm,
-		},
+		Calls:       []kernel.Call{kernel.CallSpawn, kernel.CallKill, kernel.CallPrivCtl, kernel.CallAlarm},
 	}, rs.run)
 	if err != nil {
 		return nil, err
@@ -487,15 +328,8 @@ func (rs *RS) ServiceEndpoint(label string) kernel.Endpoint {
 // asked to start once its process first runs — so a caller can tell a
 // mistyped label from a real one before the simulation has taken a step.
 func (rs *RS) Guards(label string) bool {
-	if rs.lookup(label) != nil {
-		return true
-	}
-	for _, req := range rs.pending {
-		if req.kind == "start" && req.cfg.Label == label {
-			return true
-		}
-	}
-	return false
+	return rs.lookup(label) != nil ||
+		slices.ContainsFunc(rs.requests, func(r request) bool { return r.in.kind == inStart && r.cfg.Label == label })
 }
 
 // ServiceInfo is a read-only snapshot of one guarded service, for the
@@ -519,12 +353,10 @@ type ServiceInfo struct {
 	StandbyEp kernel.Endpoint
 }
 
-// Version moves whenever the service bookkeeping may have changed. Every
-// service field is written by the RS process itself — never by a
-// scheduler callback, a death hook or a policy shell — so the count of
-// hand-offs to that process is a sufficient (if generous) counter, and no
-// write site needs to remember to bump anything. The invariant checker
-// skips rescanning the services while it stands still.
+// Version moves whenever the service bookkeeping may have changed: every
+// service field is written by the RS process itself, so the count of
+// hand-offs to that process is a sufficient (if generous) counter. The
+// invariant checker skips rescanning the services while it stands still.
 func (rs *RS) Version() uint64 { return rs.ctx.Resumes() }
 
 // Services returns a snapshot of every guarded service, in label order.
@@ -578,37 +410,36 @@ func (rs *RS) find(label string) (int, bool) {
 // StartService registers and starts a service. Callable from outside the
 // simulation loop (before Run) or from within any process.
 func (rs *RS) StartService(cfg ServiceConfig) {
-	rs.pending = append(rs.pending, pendingReq{kind: "start", cfg: cfg})
-	rs.kick()
+	rs.post(request{in: input{kind: inStart}, cfg: cfg})
 }
 
 // StopService administratively stops a service (SIGTERM, then SIGKILL);
 // no recovery is performed.
 func (rs *RS) StopService(label string) {
-	rs.pending = append(rs.pending, pendingReq{kind: "stop", label: label})
-	rs.kick()
+	rs.post(request{in: input{kind: inStop}, cfg: ServiceConfig{Label: label}})
 }
 
 // UpdateService performs a dynamic update (defect class 6): the running
 // instance is asked to exit and a fresh instance — possibly a new binary
 // registered via cfg — takes its place with no backoff delay.
 func (rs *RS) UpdateService(cfg ServiceConfig) {
-	rs.pending = append(rs.pending, pendingReq{kind: "update", cfg: cfg, label: cfg.Label})
-	rs.kick()
+	rs.post(request{in: input{kind: inUpdate}, cfg: cfg})
 }
 
 // KillService sends the service a signal as the "user kill" defect
 // class 3 (the crash-simulation scripts of §7.1 use SIGKILL).
 func (rs *RS) KillService(label string, sig kernel.Signal) {
-	rs.pending = append(rs.pending, pendingReq{kind: "kill", label: label, sig: sig})
-	rs.kick()
+	rs.post(request{in: input{kind: inKill}, cfg: ServiceConfig{Label: label}, sig: sig})
 }
 
-func (rs *RS) kick() {
+// post queues r for RS's process and wakes it.
+func (rs *RS) post(r request) {
+	rs.requests = append(rs.requests, r)
 	_ = rs.k.PostAsync(rs.ctx.Endpoint(), kernel.Message{Type: msgRSDrain})
 }
 
-// run is the RS message loop.
+// run is the RS message loop. Every message about a service's ladder is
+// one input, admitted to feed as the Go API's requests are by drain.
 func (rs *RS) run(c *kernel.Ctx) {
 	// Subscribe to PM exit events before anything can die.
 	if _, err := c.SendRec(rs.pmEp, kernel.Message{Type: proto.PMSubscribe}); err != nil {
@@ -621,28 +452,38 @@ func (rs *RS) run(c *kernel.Ctx) {
 		if err != nil {
 			return
 		}
+		exit := m.Type == proto.PMExitEvent && m.Source == rs.pmEp
 		switch {
 		case m.Type == kernel.MsgNotify && m.Source == kernel.Clock:
 			rs.onTimer(c)
 		case m.Type == msgRSDrain && m.Source == kernel.System:
 			rs.drain(c)
-		case m.Type == proto.PMExitEvent:
-			if m.Source == rs.pmEp {
-				rs.onExitEvent(c, m)
+		case exit && drvlib.IsStandbyLabel(m.Name):
+			rs.onStandbyExit(c, m)
+		case exit:
+			class := DefectKilled
+			switch m.Arg2 {
+			case proto.CauseExit:
+				class = DefectExit
+			case proto.CauseException:
+				class = DefectException
 			}
+			rs.admit(c, m, input{kind: inExit, class: class}, kernel.Endpoint(m.Arg1), 0)
 		case m.Type == proto.RSPong:
 			rs.onPong(m.Source)
 		case m.Type == proto.RSMicroAsk:
-			rs.onMicroAsk(c, m)
+			rs.admit(c, m, input{kind: inMicroAsk, class: Defect(m.Arg1)}, m.Source, proto.ErrPerm)
 		case m.Type == proto.RSMicroDone:
-			rs.onMicroDone(c, m)
+			rs.admit(c, m, input{kind: inMicroDone}, m.Source, 0)
 		case m.Type == proto.RSRestart:
-			rs.onRestartRequest(c, m)
+			rs.admit(c, m, input{kind: inRestart}, kernel.None, proto.ErrNotFound)
 		case m.Type == proto.RSStop:
-			rs.doStop(c, m.Name)
+			rs.admit(c, m, input{kind: inStop}, kernel.None, 0)
 			_ = c.Send(m.Source, kernel.Message{Type: proto.RSAck, Arg1: proto.OK})
+		case m.Type == proto.RSComplain && rs.k.MayComplain(m.Source):
+			rs.admit(c, m, input{kind: inComplain}, kernel.None, proto.ErrNotFound)
 		case m.Type == proto.RSComplain:
-			rs.onComplaint(c, m)
+			_ = c.Send(m.Source, kernel.Message{Type: proto.RSAck, Arg1: proto.ErrPerm})
 		case m.Type == proto.RSReboot:
 			rs.rebooted = true
 			if rs.onReboot != nil {
@@ -657,187 +498,186 @@ func (rs *RS) run(c *kernel.Ctx) {
 	}
 }
 
+// admit feeds in to the service m names if the instance it concerns,
+// inst, is the service's (None: any): a report from or about an earlier
+// instance is a stale echo. Otherwise a request gets refuse (0: no reply).
+func (rs *RS) admit(c *kernel.Ctx, m kernel.Message, in input, inst kernel.Endpoint, refuse int64) {
+	if svc := rs.lookup(m.Name); svc != nil && (inst == kernel.None || inst == svc.ep) {
+		rs.feed(c, svc, in, m)
+	} else if refuse != 0 {
+		_ = c.Send(m.Source, kernel.Message{Type: proto.RSAck, Arg1: refuse})
+	}
+}
+
+// drain feeds the queued Go API requests, in order.
 func (rs *RS) drain(c *kernel.Ctx) {
-	for len(rs.pending) > 0 {
-		req := rs.pending[0]
-		rs.pending = rs.pending[1:]
-		switch req.kind {
-		case "start":
-			svc := &service{cfg: req.cfg, standbyEp: kernel.None}
-			if svc.cfg.HeartbeatMisses == 0 {
-				svc.cfg.HeartbeatMisses = 3
-			}
-			if i, ok := rs.find(req.cfg.Label); ok {
+	for len(rs.requests) > 0 {
+		r := rs.requests[0]
+		rs.requests = rs.requests[1:]
+		i, ok := rs.find(r.cfg.Label)
+		switch {
+		case r.in.kind == inStart:
+			svc := &service{cfg: r.cfg, standbyEp: kernel.None}
+			svc.cfg.HeartbeatMisses = cmp.Or(svc.cfg.HeartbeatMisses, 3)
+			if ok {
 				rs.services[i] = svc // a second start replaces the record
 			} else {
 				rs.services = slices.Insert(rs.services, i, svc)
 			}
-			rs.spawnInstance(c, svc)
-		case "stop":
-			rs.doStop(c, req.label)
-		case "update":
-			rs.doUpdate(c, req.cfg)
-		case "kill":
-			if svc := rs.lookup(req.label); svc != nil && svc.phase.running() {
-				// Attributed to "killed by user": RS merely relays.
-				_ = c.Kill(svc.ep, req.sig)
+		case !ok && r.in.kind == inUpdate: // an update of an unknown service starts it
+			r.in.kind = inStart
+			rs.requests = append(rs.requests, r)
+			continue
+		case !ok:
+			continue
+		case r.in.kind == inUpdate:
+			// The next instance runs the new binary, version and policy;
+			// fields left zero keep the current ones.
+			cfg := &rs.services[i].cfg
+			if r.cfg.Binary != nil {
+				cfg.Binary = r.cfg.Binary
+			}
+			cfg.Version = cmp.Or(r.cfg.Version, cfg.Version)
+			if r.cfg.Policy != nil {
+				cfg.Policy, cfg.PolicyParams = r.cfg.Policy, r.cfg.PolicyParams
 			}
 		}
+		rs.feed(c, rs.services[i], r.in, kernel.Message{Arg1: int64(r.sig)})
 	}
 }
 
-// spawnInstance starts a fresh process for svc and reintegrates it:
-// privileges are applied at spawn, the new endpoint is published in the
-// data store, and heartbeat monitoring restarts.
-func (rs *RS) spawnInstance(c *kernel.Ctx, svc *service) {
+// spawnInstance starts a fresh process for svc with its privileges,
+// restarts heartbeat monitoring and publishes the endpoint. The ladder
+// learns that the kernel refused the spawn, or that the instance is up: at
+// once outside an episode, once published for an episode's instance.
+func (rs *RS) spawnInstance(c *kernel.Ctx, svc *service, act action) {
+	if act == actRespawn {
+		c.SetTraceCtx(svc.episode)
+	}
 	ep, err := c.Spawn(svc.cfg.Label, svc.cfg.Priv, svc.cfg.Binary)
 	if err != nil {
-		svc.setPhase(PhaseDown)
+		rs.feed(c, svc, input{kind: inSpawnFailed}, kernel.Message{})
 		return
 	}
 	svc.serveFrom(c, ep)
-	// Publish the new endpoint; dependent components subscribed through
-	// the data store learn about the restart from this (paper §5.3). A
-	// publish the data store does not answer has no fallback: there is no
+	if act == actSpawn {
+		rs.feed(c, svc, input{kind: inSpawned}, kernel.Message{})
+	}
+	// Dependents subscribed through the data store learn about the restart
+	// from this (§5.3). An unanswered publish has no fallback: there is no
 	// other way to tell them.
-	_, _ = c.SendRec(rs.dsEp, kernel.Message{
-		Type: proto.DSPublish,
-		Name: svc.cfg.Label,
-		Arg1: int64(ep),
-	})
+	_, _ = c.SendRec(rs.dsEp, kernel.Message{Type: proto.DSPublish, Name: svc.cfg.Label, Arg1: int64(ep)})
 	if svc.cfg.Mechanism == MechStandby {
 		rs.spawnStandby(c, svc) // keep the warm pool filled
 	}
+	if act == actRespawn {
+		rs.feed(c, svc, input{kind: inSpawned}, kernel.Message{})
+	}
 }
 
-// [recovery:begin]
-// onExitEvent handles a PM exit report — defect classes 1–3, plus the
-// tail ends of classes 4–6 whose kills RS itself initiated.
-func (rs *RS) onExitEvent(c *kernel.Ctx, m kernel.Message) {
-	if drvlib.IsStandbyLabel(m.Name) {
-		rs.onStandbyExit(c, m)
-		return
+// feed steps svc's ladder with one input and carries out the actions it
+// returns, in order. m is the message the input came in: a reply goes to
+// its sender, a complaint names it, and a user kill relays its Arg1 as the
+// signal. An effect whose result the ladder needs feeds that result back.
+func (rs *RS) feed(c *kernel.Ctx, svc *service, in input, m kernel.Message) {
+	svc.maxRestarts, svc.mech, svc.hbPeriod = svc.cfg.MaxRestarts, svc.cfg.Mechanism, svc.cfg.HeartbeatPeriod
+	svc.script, svc.parked = svc.cfg.Policy != nil, svc.standbyEp != kernel.None
+	if in.kind == inExit {
+		svc.termKillAt = 0 // the escalation dies with the instance
 	}
-	svc := rs.lookup(m.Name)
-	if svc == nil || kernel.Endpoint(m.Arg1) != svc.ep {
-		return // not ours, or a stale instance's echo
-	}
-	svc.termKillAt = 0
-	class := svc.cause
-	svc.cause = 0
-	if svc.phase == PhaseStopping {
-		svc.setPhase(PhaseStopped) // administrative stop: expected, no recovery
-		// A stop that overtook a granted microreboot ends its episode:
-		// the service is down on request, not recovered.
-		if svc.class != 0 {
-			rs.closeEpisode(c, svc, svc.class, "stopped", "", 1)
+	var acts actions
+	svc.ledger, acts = step(svc.ledger, in, c.Now())
+	for _, act := range acts.list[:acts.n] {
+		switch act {
+		case actSpawn, actRespawn:
+			rs.spawnInstance(c, svc, act)
+		case actRetire:
+			rs.killStandby(c, svc, kernel.SIGTERM)
+		case actTerminate:
+			svc.termKillAt = c.Now() + termGrace
+			_ = c.Kill(svc.ep, kernel.SIGTERM)
+		case actRelay: // attributed to "killed by user": RS merely relays
+			_ = c.Kill(svc.ep, kernel.Signal(m.Arg1))
+		// [recovery:begin]
+		case actPromote:
+			rs.promoteStandby(c, svc, acts.class)
+		case actRunScript:
+			if rs.runPolicyScript(c, svc, acts.class) != nil {
+				rs.feed(c, svc, input{kind: inRunnerFailed}, kernel.Message{})
+			}
+		case actDefect:
+			c.Obs().Emit(obs.KindDefect, svc.cfg.Label, acts.class.String(), int64(svc.failures), int64(acts.class))
+		case actDetect: // the root span of the episode, opened at its first detection
+			if !svc.episode.Valid() {
+				svc.episode = c.Obs().StartSpan(Label, "recover:"+svc.cfg.Label, obs.SpanContext{})
+			}
+			if rs.dec != nil {
+				rs.decide(svc, acts.class, decision.Event{Kind: decision.KindDetect, Detail: svc.hbWindow()})
+			}
+		case actGiveUp: // no pool for an abandoned service; dependents see it gone
+			rs.killStandby(c, svc, kernel.SIGKILL)
+			rs.events = append(rs.events, Event{Time: c.Now(), Label: svc.cfg.Label, Defect: acts.class,
+				Repetition: svc.failures, GaveUp: true})
+			c.Obs().Emit(obs.KindGiveUp, svc.cfg.Label, acts.class.String(), int64(svc.failures), 0)
+			rs.decide(svc, acts.class, decision.Event{Kind: decision.KindAction,
+				Action: "give-up", Detail: "restart budget exhausted"})
+			c.SetTraceCtx(svc.episode)
+			_, _ = c.SendRec(rs.dsEp, kernel.Message{Type: proto.DSWithdraw, Name: svc.cfg.Label})
+			rs.closeEpisode(c, svc, acts.class, "gave-up", "", 1)
+		case actResume:
+			svc.restartHeartbeat(c.Now())
+		case actSettle: // whichever rung carried the recovery out
+			rs.events = append(rs.events, Event{Time: svc.detectedAt, Label: svc.cfg.Label, Defect: acts.class,
+				Repetition: svc.failures, Recovered: true, Duration: c.Now() - svc.detectedAt, NewEp: svc.ep})
+			c.Obs().ObserveRecovery(svc.cfg.Label)
+			rs.closeEpisode(c, svc, acts.class, "recovered", rungs[in.kind], 0)
+		case actStopped:
+			// The trace's recovery span closes without counting as a recovery.
+			c.Obs().Emit(obs.KindGiveUp, svc.cfg.Label, "stopped", int64(svc.failures), 0)
+			fallthrough
+		case actClose:
+			rs.closeEpisode(c, svc, acts.class, "stopped", "", 1)
+		case actKill:
+			_ = c.Kill(svc.ep, kernel.SIGKILL)
+		case actReplyOK, actReplyPerm, actReplyNotFound, actReplyAgain:
+			_ = c.Send(m.Source, kernel.Message{Type: proto.RSAck, Arg1: replies[act-actReplyOK]})
+		default: // a decision, with the detail that needs the run's facts
+			if rs.dec == nil {
+				break
+			}
+			ev := decisions[act]
+			switch act {
+			case decMicroreboot:
+				ev.Detail = fmt.Sprintf("in-place vm reset %d/%d", svc.microCount, microBudget)
+			case decDenyMicro:
+				ev.Detail = fmt.Sprintf("microreboot budget exhausted (%d/%d)", svc.microCount, microBudget)
+			case decComplaint:
+				ev.Detail = "complaint from " + rs.k.LabelOf(m.Source)
+			case decStuck:
+				ev.Detail = fmt.Sprintf("hb=%s missed=%d", svc.hbWindow(), svc.missed)
+			}
+			rs.decide(svc, acts.class, ev)
 		}
-		return
-	}
-	if class == 0 {
-		switch m.Arg2 {
-		case proto.CauseExit:
-			class = DefectExit
-		case proto.CauseException:
-			class = DefectException
-		default:
-			class = DefectKilled
-		}
-	}
-	rs.recover(c, svc, class)
-}
-
-// recover runs the policy-driven recovery procedure (§5.2).
-func (rs *RS) recover(c *kernel.Ctx, svc *service, class Defect) {
-	svc.creditStableRun(c.Now())
-	// A death while microrebooting is the failed tail of a granted
-	// microreboot, which was already charged at RSMicroAsk.
-	if svc.phase != PhaseMicrorebooting && class != DefectUpdate {
-		svc.failures++
-	}
-	svc.setPhase(PhaseRecovering)
-	svc.class = class
-	svc.lastFailure = c.Now()
-	c.Obs().Emit(obs.KindDefect, svc.cfg.Label, class.String(), int64(svc.failures), int64(class))
-	rs.openEpisode(c, svc, class)
-
-	if svc.cfg.MaxRestarts > 0 && svc.failures > svc.cfg.MaxRestarts {
-		svc.setPhase(PhaseGaveUp)
-		rs.killStandby(c, svc, kernel.SIGKILL) // no pool for an abandoned service
-		rs.events = append(rs.events, Event{
-			Time: c.Now(), Label: svc.cfg.Label, Defect: class,
-			Repetition: svc.failures, GaveUp: true,
-		})
-		c.Obs().Emit(obs.KindGiveUp, svc.cfg.Label, class.String(), int64(svc.failures), 0)
-		rs.decide(svc, class, decision.Event{Kind: decision.KindAction,
-			Action: "give-up", Detail: "restart budget exhausted"})
-		// Withdraw the name so dependents see the component as gone. The
-		// episode ends unsuccessfully (status 1): the component stays down.
-		c.SetTraceCtx(svc.episode)
-		_, _ = c.SendRec(rs.dsEp, kernel.Message{Type: proto.DSWithdraw, Name: svc.cfg.Label})
-		rs.closeEpisode(c, svc, class, "gave-up", "", 1)
-		return
-	}
-
-	// Warm-standby fast path: fail over to the parked replica instead of
-	// spawning. Dynamic updates still respawn (the update's new binary
-	// must run), and a missing or unpromotable replica falls through to
-	// the ordinary spawn path below.
-	if svc.cfg.Mechanism == MechStandby && class != DefectUpdate && svc.standbyEp != kernel.None {
-		if rs.promoteStandby(c, svc, class) {
-			return
-		}
-	}
-
-	if svc.cfg.Policy == nil {
-		// Direct restart (the disk-driver path of §6.2).
-		rs.decide(svc, class, decision.Event{Kind: decision.KindAction, Action: "restart-direct"})
-		rs.completeRecovery(c, svc, class)
-		return
-	}
-	rs.runPolicyScript(c, svc, class)
-}
-
-// completeRecovery restarts the component and records the event. The
-// spawn and publish run under the episode's context, so the fresh
-// instance's initialization and the data-store fanout that triggers
-// dependents' reintegration are causal children of the episode span.
-func (rs *RS) completeRecovery(c *kernel.Ctx, svc *service, class Defect) {
-	c.SetTraceCtx(svc.episode)
-	rs.spawnInstance(c, svc)
-	rs.settle(c, svc, class, "")
-}
-
-// openEpisode opens the recovery episode's root span at defect detection
-// (a granted microreboot whose reset then fails is detected twice; the
-// second detection continues the first's episode) and records the
-// detection.
-func (rs *RS) openEpisode(c *kernel.Ctx, svc *service, class Defect) {
-	if !svc.episode.Valid() {
-		svc.episode = c.Obs().StartSpan(Label, "recover:"+svc.cfg.Label, obs.SpanContext{})
-	}
-	svc.detectedAt = c.Now()
-	if rs.dec != nil {
-		rs.decide(svc, class, decision.Event{Kind: decision.KindDetect, Detail: svc.hbWindow()})
 	}
 }
 
-// settle books a completed recovery, whichever rung of the ladder carried
-// it out (how; "" for a respawn): svc.ep is serving again, so the event
-// log, the restart counter and the decision trail get their entry, the
-// episode closes and the service serves (a respawn whose spawn failed
-// stays down).
-func (rs *RS) settle(c *kernel.Ctx, svc *service, class Defect, how string) {
-	took := c.Now() - svc.detectedAt
-	rs.events = append(rs.events, Event{
-		Time: svc.detectedAt, Label: svc.cfg.Label, Defect: class,
-		Repetition: svc.failures, Recovered: true, Duration: took, NewEp: svc.ep,
-	})
-	c.Obs().ObserveRecovery(svc.cfg.Label)
-	rs.closeEpisode(c, svc, class, "recovered", how, 0)
-	if svc.phase != PhaseDown {
-		svc.setPhase(PhaseServing)
-	}
+// replies are the codes of actReplyOK, -Perm, -NotFound and -Again.
+var replies = [...]int64{proto.OK, proto.ErrPerm, proto.ErrNotFound, proto.ErrAgain}
+
+// rungs names the rung a settle books by the input that settled it.
+var rungs = [numInputs]string{inMicroDone: "microreboot", inPromoted: "promote-standby"}
+
+// decisions is what each decide action records.
+var decisions = [numActions]decision.Event{
+	decDirect:       {Kind: decision.KindAction, Action: "restart-direct"},
+	decRunnerFailed: {Kind: decision.KindAction, Action: "restart-direct", Detail: "policy runner spawn failed"},
+	decMicroreboot:  {Kind: decision.KindAction, Action: "microreboot"},
+	decDenyMicro:    {Kind: decision.KindTrigger, Action: "microreboot-deny"},
+	decDenyBudget:   {Kind: decision.KindTrigger, Action: "microreboot-deny", Detail: "restart budget exhausted"},
+	decTerminate:    {Kind: decision.KindTrigger, Action: "terminate", Detail: "dynamic update", Delay: termGrace},
+	decEscalate:     {Kind: decision.KindTrigger, Action: "escalate-sigkill", Detail: "termination grace expired"},
+	decComplaint:    {Kind: decision.KindTrigger, Action: "complaint-kill"},
+	decStuck:        {Kind: decision.KindTrigger, Action: "declare-stuck"},
 }
 
 // closeEpisode records the episode's terminal decision and ends its span
@@ -847,7 +687,6 @@ func (rs *RS) closeEpisode(c *kernel.Ctx, svc *service, class Defect, outcome, h
 		Action: outcome, Detail: how, Status: status, Latency: c.Now() - svc.detectedAt})
 	c.Obs().EndSpan(Label, svc.episode, status)
 	svc.episode = obs.SpanContext{}
-	svc.class = 0
 	c.SetTraceCtx(obs.SpanContext{})
 }
 
@@ -855,8 +694,9 @@ func (rs *RS) closeEpisode(c *kernel.Ctx, svc *service, class Defect, outcome, h
 // service's recovery script. The script's `service restart` command calls
 // back into RS — "restarting is always done by requesting the
 // reincarnation server to do so, since that is the only process with the
-// privileges to create new servers and drivers" (§5.2).
-func (rs *RS) runPolicyScript(c *kernel.Ctx, svc *service, class Defect) {
+// privileges to create new servers and drivers" (§5.2). It returns the
+// runner's spawn error, which feed reports to the ladder.
+func (rs *RS) runPolicyScript(c *kernel.Ctx, svc *service, class Defect) error {
 	rs.shSeq++
 	runnerLabel := fmt.Sprintf("sh.%s.%d", svc.cfg.Label, rs.shSeq)
 	rsEp := rs.ctx.Endpoint()
@@ -871,10 +711,7 @@ func (rs *RS) runPolicyScript(c *kernel.Ctx, svc *service, class Defect) {
 	// The runner inherits the episode context at spawn: the script's
 	// restart calls show up inside the episode's span tree.
 	c.SetTraceCtx(svc.episode)
-	_, err := c.Spawn(runnerLabel, kernel.Privileges{
-		IPCTo: []string{Label},
-		UID:   1000,
-	}, func(sh *kernel.Ctx) {
+	_, err := c.Spawn(runnerLabel, kernel.Privileges{IPCTo: []string{Label}, UID: 1000}, func(sh *kernel.Ctx) {
 		var interp *policy.Interp
 		opts := []policy.Option{
 			policy.WithArgs(args...),
@@ -888,9 +725,7 @@ func (rs *RS) runPolicyScript(c *kernel.Ctx, svc *service, class Defect) {
 			}),
 			// log succeeds and prints nowhere: its argv is already in the
 			// decision trail as a policy step.
-			policy.WithCommand("log", func(argv []string, stdin string) (string, int) {
-				return "", 0
-			}),
+			policy.WithCommand("log", func([]string, string) (string, int) { return "", 0 }),
 			policy.WithCommand("reboot", func(argv []string, stdin string) (string, int) {
 				if _, err := sh.SendRec(rsEp, kernel.Message{Type: proto.RSReboot}); err != nil {
 					return "", 1
@@ -900,10 +735,11 @@ func (rs *RS) runPolicyScript(c *kernel.Ctx, svc *service, class Defect) {
 		}
 		if rs.dec != nil {
 			opts = append(opts, policy.WithTrace(func(argv []string, status int) {
-				ev := decision.Event{
-					Kind:   decision.KindPolicyStep,
-					Action: argv[0], Detail: policyStepDetail(argv, interp.VarState()),
-					Status: int64(status),
+				// The expanded argv plus the interpreter's variable state.
+				ev := decision.Event{Kind: decision.KindPolicyStep, Action: argv[0],
+					Detail: strings.Join(argv, " "), Status: int64(status)}
+				if vars := interp.VarState(); vars != "" {
+					ev.Detail += " [" + vars + "]"
 				}
 				// The sleep builtin is the script's backoff: surface the
 				// computed delay as a first-class field.
@@ -927,16 +763,11 @@ func (rs *RS) runPolicyScript(c *kernel.Ctx, svc *service, class Defect) {
 		sh.Obs().Emit(obs.KindPolicyExit, args[0], runnerLabel, rc, 0)
 		sh.Exit(0)
 	})
-	if err != nil {
-		rs.decide(svc, class, decision.Event{Kind: decision.KindAction,
-			Action: "restart-direct", Detail: "policy runner spawn failed"})
-		rs.completeRecovery(c, svc, class)
-		return
-	}
-	if rs.dec != nil {
+	if err == nil && rs.dec != nil {
 		rs.decide(svc, class, decision.Event{Kind: decision.KindAction,
 			Action: "policy-run", Detail: strings.Join(args, " ")})
 	}
+	return err
 }
 
 // serviceCommand implements the policy scripts' `service` builtin.
@@ -976,152 +807,25 @@ func (rs *RS) mailCommand(sh *kernel.Ctx, argv []string, stdin string) {
 	rs.alerts = append(rs.alerts, alert)
 }
 
-// onRestartRequest restarts a service on behalf of a policy script or the
-// service utility.
-func (rs *RS) onRestartRequest(c *kernel.Ctx, m kernel.Message) {
-	svc := rs.lookup(m.Name)
-	reply := kernel.Message{Type: proto.RSAck, Arg1: proto.OK}
-	switch {
-	case svc == nil:
-		reply.Arg1 = proto.ErrNotFound
-	case svc.phase == PhaseStopped: // a stop holds against the script of the episode it ended
-		reply.Arg1 = proto.ErrPerm
-	case svc.phase.running():
-		// Restart of a live service = administrative replace.
-		rs.beginTermination(c, svc, PhaseTerminating)
-	case svc.phase == PhaseRecovering:
-		// The script is finishing a recovery already in progress.
-		rs.completeRecovery(c, svc, svc.class)
-	default:
-		rs.spawnInstance(c, svc)
-	}
-	_ = c.Send(m.Source, reply)
-}
-
-// [recovery:end]
-
-// doStop administratively stops a service. A recovering service has no
-// instance to terminate: it is stopped at once, and its episode ends with
-// the terminal decision "stopped" (status 1), not a recovery.
-func (rs *RS) doStop(c *kernel.Ctx, label string) {
-	svc := rs.lookup(label)
-	if svc == nil || !svc.phase.running() && svc.phase != PhaseRecovering {
-		return
-	}
-	rs.killStandby(c, svc, kernel.SIGTERM)
-	if svc.phase.running() {
-		rs.beginTermination(c, svc, PhaseStopping)
-		return
-	}
-	svc.setPhase(PhaseStopped)
-	c.Obs().Emit(obs.KindGiveUp, svc.cfg.Label, "stopped", int64(svc.failures), 0) // [recovery]
-	rs.closeEpisode(c, svc, svc.class, "stopped", "", 1)                           // [recovery]
-}
-
-// [recovery:begin]
-// doUpdate performs the dynamic-update flow: ask the component to exit
-// (SIGTERM), escalate to SIGKILL after a grace period, then start the new
-// binary. The exit event carries the class-6 attribution via svc.cause.
-func (rs *RS) doUpdate(c *kernel.Ctx, cfg ServiceConfig) {
-	svc := rs.lookup(cfg.Label)
-	if svc == nil {
-		rs.pending = append(rs.pending, pendingReq{kind: "start", cfg: cfg})
-		return
-	}
-	// Swap in the new binary/version/policy for the next instance; fields
-	// left zero keep the current ones (update-in-place restart).
-	if cfg.Binary != nil {
-		svc.cfg.Binary = cfg.Binary
-	}
-	if cfg.Version != "" {
-		svc.cfg.Version = cfg.Version
-	}
-	if cfg.Policy != nil {
-		svc.cfg.Policy = cfg.Policy
-		svc.cfg.PolicyParams = cfg.PolicyParams
-	}
-	if !svc.phase.running() {
-		rs.recover(c, svc, DefectUpdate)
-		return
-	}
-	rs.beginTermination(c, svc, PhaseTerminating)
-}
-
-// [recovery:end]
-
-// beginTermination sends SIGTERM and arms the SIGKILL escalation, for an
-// administrative stop (PhaseStopping) or a dynamic update or replace
-// (PhaseTerminating). A stop under way wins over a later update or
-// replace: the service stays stopping.
-func (rs *RS) beginTermination(c *kernel.Ctx, svc *service, p Phase) {
-	if p == PhaseTerminating {
-		svc.killFor(DefectUpdate)
-		rs.decide(svc, DefectUpdate, decision.Event{Kind: decision.KindTrigger,
-			Action: "terminate", Detail: "dynamic update", Delay: termGrace})
-		if svc.phase == PhaseStopping {
-			p = PhaseStopping
-		}
-	}
-	svc.setPhase(p)
-	svc.termKillAt = c.Now() + termGrace
-	_ = c.Kill(svc.ep, kernel.SIGTERM)
-}
-
-// [recovery:begin]
-// onComplaint handles defect class 5: an authorized server reports a
-// malfunctioning component; RS kills and replaces it.
-func (rs *RS) onComplaint(c *kernel.Ctx, m kernel.Message) {
-	reply := kernel.Message{Type: proto.RSAck, Arg1: proto.OK}
-	if !rs.k.MayComplain(m.Source) {
-		reply.Arg1 = proto.ErrPerm
-		_ = c.Send(m.Source, reply)
-		return
-	}
-	svc := rs.lookup(m.Name)
-	if svc == nil || !svc.phase.running() {
-		reply.Arg1 = proto.ErrNotFound
-		_ = c.Send(m.Source, reply)
-		return
-	}
-	if rs.dec != nil {
-		rs.decide(svc, DefectComplaint, decision.Event{Kind: decision.KindTrigger,
-			Action: "complaint-kill", Detail: "complaint from " + rs.k.LabelOf(m.Source)})
-	}
-	svc.killFor(DefectComplaint)
-	_ = c.Kill(svc.ep, kernel.SIGKILL)
-	_ = c.Send(m.Source, reply)
-}
-
 // [recovery:end]
 
 // armTimer sets RS's alarm to the earliest pending deadline (heartbeat
 // pings and SIGTERM escalations share the single kernel alarm).
 func (rs *RS) armTimer(c *kernel.Ctx) {
-	var next sim.Time
+	next := sim.Time(math.MaxInt64)
 	for _, svc := range rs.services {
-		if !svc.phase.running() {
-			continue
+		if svc.phase.running() && svc.cfg.HeartbeatPeriod > 0 {
+			next = min(next, svc.nextPing)
 		}
-		if svc.cfg.HeartbeatPeriod > 0 {
-			if next == 0 || svc.nextPing < next {
-				next = svc.nextPing
-			}
-		}
-		if svc.termKillAt != 0 {
-			if next == 0 || svc.termKillAt < next {
-				next = svc.termKillAt
-			}
+		if svc.phase.running() && svc.termKillAt != 0 {
+			next = min(next, svc.termKillAt)
 		}
 	}
-	if next == 0 {
+	if next == math.MaxInt64 {
 		c.SetAlarm(0)
-		return
+	} else {
+		c.SetAlarm(max(next-c.Now(), 1)) // fire on the next tick, never in the past
 	}
-	d := next - c.Now()
-	if d <= 0 {
-		d = 1 // fire on the next tick, never in the past
-	}
-	c.SetAlarm(d)
 }
 
 // [recovery:begin]
@@ -1140,11 +844,7 @@ func (rs *RS) onTimer(c *kernel.Ctx) {
 		}
 		if svc.termKillAt != 0 && now >= svc.termKillAt {
 			svc.termKillAt = 0
-			if svc.phase == PhaseTerminating {
-				rs.decide(svc, DefectUpdate, decision.Event{Kind: decision.KindTrigger,
-					Action: "escalate-sigkill", Detail: "termination grace expired"})
-			}
-			_ = c.Kill(svc.ep, kernel.SIGKILL)
+			rs.feed(c, svc, input{kind: inGrace}, kernel.Message{})
 			continue
 		}
 		if svc.cfg.HeartbeatPeriod > 0 && now >= svc.nextPing {
@@ -1155,17 +855,10 @@ func (rs *RS) onTimer(c *kernel.Ctx) {
 					svc.recordHB(false)
 				}
 				if svc.missed >= svc.cfg.HeartbeatMisses {
-					// Defect class 4: the component is stuck. Kill it;
+					// Defect class 4: the component is stuck. It is killed;
 					// the exit event completes the recovery.
-					if rs.dec != nil {
-						rs.decide(svc, DefectHeartbeat, decision.Event{Kind: decision.KindTrigger,
-							Action: "declare-stuck",
-							Detail: fmt.Sprintf("hb=%s missed=%d", svc.hbWindow(), svc.missed)})
-					}
-					svc.killFor(DefectHeartbeat)
-					svc.awaiting = false
-					svc.missed = 0
-					_ = c.Kill(svc.ep, kernel.SIGKILL)
+					rs.feed(c, svc, input{kind: inStuck}, kernel.Message{})
+					svc.awaiting, svc.missed = false, 0
 					continue
 				}
 			}
@@ -1185,8 +878,7 @@ func (rs *RS) onPong(from kernel.Endpoint) {
 			if svc.awaiting && rs.dec != nil {
 				svc.recordHB(true)
 			}
-			svc.awaiting = false
-			svc.missed = 0
+			svc.awaiting, svc.missed = false, 0
 			return
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"resilientos/internal/kernel"
 	"resilientos/internal/obs/decision"
 	"resilientos/internal/proto"
+	"resilientos/internal/sim"
 	"resilientos/internal/ucode"
 )
 
@@ -20,8 +21,9 @@ type mechDevice struct {
 	initCount    int
 	promoteCount int
 	microCount   int
-	failNext     bool // next request raises a fatal VM outcome
-	failMicro    bool // next in-place reset fails
+	failNext     bool          // next request raises a fatal VM outcome
+	failMicro    bool          // next in-place reset fails
+	microSleep   time.Duration // how long a failing in-place reset takes
 }
 
 func (d *mechDevice) Init(c *kernel.Ctx) error { d.initCount++; return nil }
@@ -41,6 +43,7 @@ func (d *mechDevice) Microreboot(c *kernel.Ctx) error {
 	d.microCount++
 	if d.failMicro {
 		d.failMicro = false
+		c.Sleep(d.microSleep)
 		return errors.New("induced reset failure")
 	}
 	return nil
@@ -277,10 +280,12 @@ func TestMicrorebootCountsAgainstMaxRestarts(t *testing.T) {
 // branch: RS grants the in-place reset, the reset fails, and the driver
 // dies with its original fatal. The death is the tail of the granted
 // microreboot, not a second failure: one episode, charged once at
-// RSMicroAsk, settled by a full respawn at a fresh endpoint.
+// RSMicroAsk, settled by a full respawn at a fresh endpoint. The episode
+// is detected at the ask, so the failed reset's time is part of its
+// recovery: the second detection does not restart the clock.
 func TestMicrorebootFailedResetRespawns(t *testing.T) {
 	r, sink := decBoot(t)
-	dev := &mechDevice{failMicro: true}
+	dev := &mechDevice{failMicro: true, microSleep: 50 * time.Millisecond}
 	cfg := svcCfg("drv", mechBinary(dev, MechMicroreboot))
 	cfg.Mechanism = MechMicroreboot
 	r.rs.StartService(cfg)
@@ -307,7 +312,19 @@ func TestMicrorebootFailedResetRespawns(t *testing.T) {
 	if problems := decision.Check(decs); len(problems) != 0 {
 		t.Fatalf("decision log ill-formed: %v", problems)
 	}
-	if outcomes := byKind(decs, decision.KindOutcome); len(outcomes) != 1 || outcomes[0].Action != "recovered" {
+	outcomes := byKind(decs, decision.KindOutcome)
+	if len(outcomes) != 1 || outcomes[0].Action != "recovered" {
 		t.Fatalf("outcomes %+v, want the one episode recovered", outcomes)
+	}
+	var asked sim.Time
+	for _, d := range byKind(decs, decision.KindAction) {
+		if d.Action == "microreboot" {
+			asked = d.T
+		}
+	}
+	if ev := events[0]; ev.Time != asked || ev.Duration < dev.microSleep || outcomes[0].Latency != ev.Duration {
+		t.Fatalf("recovery at %v taking %v, outcome latency %v; want it detected at the ask (%v), "+
+			"at least the %v reset, and the latency equal to the duration",
+			ev.Time, ev.Duration, outcomes[0].Latency, asked, dev.microSleep)
 	}
 }

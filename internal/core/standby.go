@@ -43,23 +43,21 @@ func (rs *RS) onStandbyExit(c *kernel.Ctx, m kernel.Message) {
 		return
 	}
 	svc.standbyEp = kernel.None
-	if svc.cfg.Mechanism == MechStandby {
-		rs.spawnStandby(c, svc)
-	}
+	rs.spawnStandby(c, svc)
 }
 
 // promoteStandby fails over to the parked warm replica: the kernel
-// relabels the replica onto the service label, the replica is told to
-// attach, and the data store atomically republishes the endpoint — no
-// spawn and no cold device reset on the critical path, which is what
-// makes the Fig. 7 dip shallower than a respawn. A fresh standby is
-// back-filled in the same turn. Returns false (the caller falls back to
-// the spawn path) if the kernel refuses the relabel.
-func (rs *RS) promoteStandby(c *kernel.Ctx, svc *service, class Defect) bool {
+// relabels it onto the service label, it is told to attach, and the data
+// store atomically republishes the endpoint — no spawn and no cold device
+// reset, which makes the Fig. 7 dip shallower than a respawn's. The ladder
+// learns the promotion or the refused relabel; a fresh standby is
+// back-filled in the same turn.
+func (rs *RS) promoteStandby(c *kernel.Ctx, svc *service, class Defect) {
 	ep := svc.standbyEp
 	svc.standbyEp = kernel.None
 	if err := c.Relabel(ep, svc.cfg.Label); err != nil {
-		return false
+		rs.feed(c, svc, input{kind: inRelabelRefused}, kernel.Message{})
+		return
 	}
 	if rs.dec != nil {
 		rs.decide(svc, class, decision.Event{Kind: decision.KindAction,
@@ -76,9 +74,8 @@ func (rs *RS) promoteStandby(c *kernel.Ctx, svc *service, class Defect) bool {
 	_, _ = c.SendRec(rs.dsEp, kernel.Message{
 		Type: proto.DSFailover, Name: svc.cfg.Label, Arg1: int64(ep),
 	})
-	rs.settle(c, svc, class, "promote-standby")
+	rs.feed(c, svc, input{kind: inPromoted}, kernel.Message{})
 	rs.spawnStandby(c, svc) // back-fill the pool in the background
-	return true
 }
 
 // [recovery:end]
