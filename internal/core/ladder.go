@@ -313,7 +313,7 @@ func step(l ledger, in input, now time.Duration) (ledger, actions) {
 		l = settle(l, &a)
 	case k == inSpawnFailed && l.phase == PhaseRecovering:
 		l.setPhase(PhaseDown)
-		l = settle(l, &a) // booked as the paper's RS books it: a respawn was tried
+		l = settle(l, &a) // still booked as recovered: the respawn was tried
 	case k == inRunnerFailed && l.phase == PhaseRecovering:
 		a.class = l.class
 		a.add(decRunnerFailed, actRespawn)

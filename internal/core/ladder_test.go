@@ -150,6 +150,23 @@ func TestLadderMatchesDesign(t *testing.T) {
 	}
 }
 
+// TestStepAllocatesNothing: actions is a fixed array, so no step — one
+// per input on every recovery — allocates.
+func TestStepAllocatesNothing(t *testing.T) {
+	states, ins := ledgers(), inputs()
+	var last ledger
+	allocs := testing.AllocsPerRun(3, func() {
+		for _, l := range states {
+			for _, in := range ins {
+				last, _ = step(l, in, time.Minute)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("stepping every ledger on every input allocates %v times (last %+v)", allocs, last)
+	}
+}
+
 // TestSetPhaseRefusesIllegalMove: a move the ladder does not list is a
 // bug in RS and stops the run loudly.
 func TestSetPhaseRefusesIllegalMove(t *testing.T) {

@@ -234,9 +234,8 @@ type RS struct {
 	dec *decision.Recorder
 }
 
-// request is a Go API call waiting for RS's process: its input, the
-// configuration a start or update brings (whose Label names the service)
-// and the signal a user kill relays.
+// request is a Go API call waiting for RS's process: its input, a start's
+// or update's configuration (whose Label names the service), a kill's signal.
 type request struct {
 	in  input
 	cfg ServiceConfig
@@ -354,9 +353,10 @@ type ServiceInfo struct {
 }
 
 // Version moves whenever the service bookkeeping may have changed: every
-// service field is written by the RS process itself, so the count of
-// hand-offs to that process is a sufficient (if generous) counter. The
-// invariant checker skips rescanning the services while it stands still.
+// service field is written by the RS process itself — never by a scheduler
+// callback, a death hook or a policy shell — so the count of hand-offs to
+// that process is a sufficient (if generous) counter. The invariant
+// checker skips rescanning the services while it stands still.
 func (rs *RS) Version() uint64 { return rs.ctx.Resumes() }
 
 // Services returns a snapshot of every guarded service, in label order.
