@@ -82,7 +82,7 @@ func run(args []string, stdout io.Writer) (int, error) {
 		return 2, fmt.Errorf("usage: simspeed [-bench-json file] [-seed n] [-scenario list] [-folded file] [-cpuprofile file] [-memprofile file]")
 	}
 
-	o := options{seed: *seed}
+	o := options{seed: *seed, folded: *foldedPath != ""}
 	if *only != "" {
 		o.filter = make(map[string]bool)
 		for _, name := range strings.Split(*only, ",") {
@@ -136,6 +136,7 @@ func run(args []string, stdout io.Writer) (int, error) {
 type options struct {
 	seed   int64
 	filter map[string]bool // nil = all
+	folded bool            // fig7 keeps its trace for the folded stacks
 }
 
 func (o options) want(name string) bool {
@@ -174,8 +175,11 @@ func runFig7(o options, instrumented bool) (*perf.Profiler, []byte) {
 	var events *obs.SliceSink
 	var decRec *decision.Recorder
 	if instrumented {
-		events = &obs.SliceSink{}
-		rec = obs.NewRecorder(events)
+		rec = obs.NewRecorder()
+		if o.folded {
+			events = &obs.SliceSink{}
+			rec.AddSink(events)
+		}
 		// Spans stay ON (the folded merge needs them); only the
 		// per-frame IPC kinds are dropped, as in every analysis run.
 		rec.Disable(obs.KindIPCSend, obs.KindIPCRecv)
@@ -233,7 +237,7 @@ func runFig7(o options, instrumented bool) (*perf.Profiler, []byte) {
 	p.Finish(sys.Env.Now())
 
 	var folded []byte
-	if instrumented {
+	if events != nil {
 		// Merge planes: the virtual-time profiler's folded span stacks
 		// (weights in virtual µs) plus the wall-clock region self-times
 		// ("wall:<region>", weights in wall µs) in one flamegraph feed.
@@ -283,8 +287,8 @@ func runFleet(o options) *perf.Profiler {
 // runCampaign is the SWIFI shard scenario: one seed, one victim, two
 // mutation classes. Instrumented attaches the live invariant checker
 // and the decision log to every cell; the cell trace recorder itself
-// is structural (recovery latencies are harvested from it) and stays
-// on in both variants.
+// is structural (its recovery spans are stitched as events arrive) and
+// stays on in both variants.
 func runCampaign(o options, instrumented bool) *perf.Profiler {
 	p := perf.New()
 	p.Start(0)

@@ -57,7 +57,7 @@ func TestBatteryTwiceIdenticalBytes(t *testing.T) {
 // fig7 run executes different events from the bare one (which is why
 // both are pinned); and the live checker runs once per step.
 func TestBatteryExactCounts(t *testing.T) {
-	doc, folded := battery(options{seed: 1})
+	doc, folded := battery(options{seed: 1, folded: true})
 	value := func(name string) float64 {
 		v, ok := doc.Value(name)
 		if !ok {

@@ -142,8 +142,8 @@ func RunFigure(cfg FigureConfig) FigureResult {
 	}
 	seed := cfg.System.Seed
 
-	events := &obs.SliceSink{} // for the recovery timeline; a full trace goes to cfg.Trace alone
-	rec := obs.NewRecorder(obs.Only(events, obs.TimelineKinds...))
+	spans := obs.NewStitcher() // the recovery timeline, stitched as the run goes
+	rec := obs.NewRecorder(spans)
 	if cfg.Trace != nil {
 		rec.AddSink(cfg.Trace)
 	} else {
@@ -253,8 +253,7 @@ func RunFigure(cfg FigureConfig) FigureResult {
 	if res.Violation == nil {
 		res.Violation = timeseries.Validate(res.Segments, cfg.Window)
 	}
-	spans := obs.Timeline(events.Events())
-	res.Recovery = obs.Summarize(obs.RecoveryLatencies(spans, driver))
+	res.Recovery = obs.Summarize(obs.RecoveryLatencies(spans.Spans(), driver))
 	analyzeFigure(&res, bytesName, killTimes)
 	return res
 }

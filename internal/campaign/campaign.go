@@ -215,24 +215,21 @@ func Run(cfg Config) *Report {
 }
 
 // runCell boots one independent system and runs the cell's injections.
-// It keeps the few dozen events its latencies are stitched from, not the
-// million-odd the recorder emits.
+// It keeps none of the million-odd events the recorder emits: recovery
+// spans are stitched as they arrive.
 func runCell(cell Cell, cfg Config) CellResult {
-	return runCellKeeping(cell, cfg, obs.TimelineKinds, nil)
+	return runCellWith(cell, cfg, nil)
 }
 
-// runCellKeeping is runCell with its two seams for tests: keep is the set
-// of kinds the cell's event slice retains (every kind gives the plain
-// slice the filtered one is checked against), and injected, if set, runs
+// runCellWith is runCell with its seam for tests: injected, if set, runs
 // after every injection with the VM it mutated.
-func runCellKeeping(cell Cell, cfg Config, keep []obs.Kind, injected func(*ucode.VM, fi.Injection)) CellResult {
+func runCellWith(cell Cell, cfg Config, injected func(*ucode.VM, fi.Injection)) CellResult {
 	res := CellResult{Cell: cell, ByDefect: make(map[core.Defect]int)}
 
-	// The checker is a sink of its own and sees everything the recorder
-	// emits, whatever the slice keeps. Per-frame IPC kinds dominate trace
-	// volume and are not emitted at all.
-	events := &obs.SliceSink{}
-	rec := obs.NewRecorder(obs.Only(events, keep...))
+	// The checker is a sink of its own beside the stitcher. Per-frame IPC
+	// kinds dominate trace volume and are not emitted at all.
+	spans := obs.NewStitcher()
+	rec := obs.NewRecorder(spans)
 	rec.Disable(obs.KindIPCSend, obs.KindIPCRecv)
 
 	var decSink *decision.SliceSink
@@ -354,7 +351,7 @@ func runCellKeeping(cell Cell, cfg Config, keep []obs.Kind, injected func(*ucode
 	// Recovery latency is the paper's end-to-end span — defect detected to
 	// first dependent server rebound to the fresh instance — stitched from
 	// the trace, not RS bookkeeping (which only covers detect→respawn).
-	res.Latencies = obs.RecoveryLatencies(obs.Timeline(events.Events()), cell.Victim)
+	res.Latencies = obs.RecoveryLatencies(spans.Spans(), cell.Victim)
 
 	if decSink != nil {
 		end := sys.Env.Now()

@@ -14,7 +14,6 @@ import (
 	"resilientos/internal/drivers/sata"
 	"resilientos/internal/fi"
 	"resilientos/internal/hw"
-	"resilientos/internal/obs"
 	"resilientos/internal/sim"
 	"resilientos/internal/ucode"
 )
@@ -51,7 +50,7 @@ func TestPristineImageConcurrentCells(t *testing.T) {
 	sim.Each(2, len(cells), func(i int) {
 		want := assembled[cells[i].Victim]
 		own := map[*ucode.VM]map[int]bool{} // per instance: what its injector wrote
-		together[i] = runCellKeeping(cells[i], cfg, obs.TimelineKinds, func(vm *ucode.VM, inj fi.Injection) {
+		together[i] = runCellWith(cells[i], cfg, func(vm *ucode.VM, inj fi.Injection) {
 			if own[vm] == nil {
 				own[vm] = map[int]bool{}
 			}

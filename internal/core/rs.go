@@ -516,14 +516,12 @@ func (rs *RS) drain(c *kernel.Ctx) {
 		rs.requests = rs.requests[1:]
 		i, ok := rs.find(r.cfg.Label)
 		switch {
+		case r.in.kind == inStart && ok: // refused, as `service up` of a guarded label is
+			continue
 		case r.in.kind == inStart:
 			svc := &service{cfg: r.cfg, standbyEp: kernel.None}
 			svc.cfg.HeartbeatMisses = cmp.Or(svc.cfg.HeartbeatMisses, 3)
-			if ok {
-				rs.services[i] = svc // a second start replaces the record
-			} else {
-				rs.services = slices.Insert(rs.services, i, svc)
-			}
+			rs.services = slices.Insert(rs.services, i, svc)
 		case !ok && r.in.kind == inUpdate: // an update of an unknown service starts it
 			r.in.kind = inStart
 			rs.requests = append(rs.requests, r)

@@ -647,3 +647,36 @@ func TestHeartbeatNotSentWhenDisabled(t *testing.T) {
 		t.Fatalf("pings = %d for a service without heartbeats", pings)
 	}
 }
+
+// A second start of a label RS already guards is refused: nothing is
+// spawned, and the first instance stays the one RS guards and the kernel
+// resolves the label to.
+func TestSecondStartIsRefused(t *testing.T) {
+	r := boot(t)
+	r.rs.StartService(svcCfg("drv", steadyBody))
+	r.env.Run(time.Second)
+	first := r.rs.ServiceEndpoint("drv")
+	if first == kernel.None {
+		t.Fatal("the first start did not serve")
+	}
+	r.rs.StartService(svcCfg("drv", steadyBody))
+	r.env.Run(2 * time.Second)
+	var live []kernel.Endpoint
+	r.k.VisitProcs(func(p kernel.ProcInfo) {
+		if p.Label == "drv" && p.Alive {
+			live = append(live, p.Ep)
+		}
+	})
+	if len(live) != 1 || live[0] != first {
+		t.Fatalf("live drv instances %v, want only the first, %v", live, first)
+	}
+	if got := r.rs.ServiceEndpoint("drv"); got != first {
+		t.Errorf("RS guards %v, want the first instance %v", got, first)
+	}
+	if got := r.k.LookupLabel("drv"); got != first {
+		t.Errorf("the label resolves to %v, want the first instance %v", got, first)
+	}
+	if ep, _ := r.published("drv"); ep != first {
+		t.Errorf("the data store publishes %v, want the first instance %v", ep, first)
+	}
+}

@@ -96,13 +96,6 @@ const (
 // span tracking off wholesale (StartSpan then returns the zero context).
 var SpanKinds = []Kind{KindSpanBegin, KindSpanEnd, KindSpanOrphan, KindSpanLink}
 
-// TimelineKinds lists the kinds Timeline reads: a run that wants only
-// recovery spans keeps these (see Only) and none of the rest.
-var TimelineKinds = []Kind{
-	KindMark, KindDefect, KindPolicyStart, KindPolicyExit,
-	KindRestart, KindReintegrate, KindGiveUp,
-}
-
 var kindNames = [...]string{
 	KindMark:          "mark",
 	KindIPCSend:       "ipc.send",
@@ -388,8 +381,8 @@ type retained struct {
 	strs stringTable
 }
 
-// sliceChunk is the SliceSink chunk size in events: a campaign cell
-// (about 35 events) never reaches it, a Fig. 7 run fills dozens.
+// sliceChunk is the SliceSink chunk size in events: a short capture
+// never reaches it, a Fig. 7 run fills dozens.
 const sliceChunk = 4096
 
 // record is one retained event past the first chunk. It holds no pointer,
@@ -515,28 +508,6 @@ func (t *stringTable) at(id uint32) string {
 		return ""
 	}
 	return t.strs[id]
-}
-
-// Only returns a sink that passes events of the given kinds on to s and
-// drops the rest. The recorder's own mask decides what is emitted at all
-// — to every sink; this narrows what one of them keeps.
-func Only(s Sink, kinds ...Kind) Sink {
-	f := kindFilter{to: s}
-	for _, k := range kinds {
-		f.mask |= 1 << uint(k)
-	}
-	return f
-}
-
-type kindFilter struct {
-	mask uint64
-	to   Sink
-}
-
-func (f kindFilter) Emit(e *Event) {
-	if f.mask&(1<<uint(e.Kind)) != 0 {
-		f.to.Emit(e)
-	}
 }
 
 // CountSink counts events by kind and by component without storing them.

@@ -448,7 +448,7 @@ func (s *appendSink) Emit(e *Event) { s.events = append(s.events, *e) }
 
 // A short trace grows by plain append, so it allocates what a bare
 // append sink does: the same allocations, of the same sizes (the same
-// capacity at the end). Campaign cells keep about 35 events each.
+// capacity at the end).
 func TestSliceSinkSmallTraceAllocs(t *testing.T) {
 	const n = 10
 	var sink *SliceSink

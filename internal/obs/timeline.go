@@ -55,86 +55,106 @@ func (s Span) String() string {
 		s.Comp, s.Defect, s.Repetition, s.Start, s.Latency(), state)
 }
 
-// Timeline stitches a trace into recovery spans. Events must be in
-// emission order (as every sink preserves). A KindMark event is a run
-// boundary: spans still open are flushed as Open and pending
-// reintegrations are forgotten, so traces of several runs can share a
-// file without cross-linking.
-func Timeline(events []Event) []Span {
-	// A reintegration names the driver and the endpoint it rebinds; the
-	// span it completes is the one whose restart published that endpoint.
-	type instance struct {
-		comp string
-		ep   int64
-	}
-	var out []Span
-	open := make(map[string]*Span)   // component -> span awaiting restart
-	closed := make(map[instance]int) // restarted instance -> out index awaiting reintegration
-	flush := func() {
-		// Deterministic order: flush open spans sorted by component.
-		comps := make([]string, 0, len(open))
-		for c := range open {
-			comps = append(comps, c)
-		}
-		slices.Sort(comps)
-		for _, c := range comps {
-			sp := open[c]
+// Stitcher is a sink that stitches recovery spans per component as
+// events arrive, in emission order: a defect opens a span, the policy
+// events annotate it, a restart closes it, and a reintegration completes
+// the closed span whose restart published the endpoint it rebinds. A
+// KindMark event is a run boundary: spans still open are flushed as Open
+// and pending reintegrations are forgotten, so the runs of one stream
+// never cross-link. Every other kind is ignored.
+type Stitcher struct {
+	out    []Span
+	open   map[string]*Span // component -> span awaiting restart
+	closed map[instance]int // restarted instance -> out index awaiting reintegration
+}
+
+// instance is a restarted driver's label and published endpoint.
+type instance struct {
+	comp string
+	ep   int64
+}
+
+// NewStitcher returns a stitcher that has seen no events.
+func NewStitcher() *Stitcher {
+	return &Stitcher{open: make(map[string]*Span), closed: make(map[instance]int)}
+}
+
+// Emit implements Sink.
+func (s *Stitcher) Emit(e *Event) {
+	switch e.Kind {
+	case KindMark:
+		s.out = s.Spans()
+		clear(s.open)
+		clear(s.closed)
+	case KindDefect:
+		if sp, ok := s.open[e.Comp]; ok {
+			// A second defect before the first recovery finished:
+			// close the stale span as interrupted.
 			sp.Open = true
-			out = append(out, *sp)
+			s.out = append(s.out, *sp)
 		}
-		open = make(map[string]*Span)
-		closed = make(map[instance]int)
-	}
-	for _, e := range events {
-		switch e.Kind {
-		case KindMark:
-			flush()
-		case KindDefect:
-			if sp, ok := open[e.Comp]; ok {
-				// A second defect before the first recovery finished:
-				// close the stale span as interrupted.
-				sp.Open = true
-				out = append(out, *sp)
-			}
-			open[e.Comp] = &Span{
-				Comp: e.Comp, Defect: e.Aux, Repetition: e.V1, Start: e.T,
-			}
-		case KindPolicyStart:
-			if sp, ok := open[e.Comp]; ok {
-				sp.PolicyStart = e.T
-			}
-		case KindPolicyExit:
-			if sp, ok := open[e.Comp]; ok {
-				sp.PolicyEnd = e.T
-			}
-		case KindRestart:
-			sp, ok := open[e.Comp]
-			if !ok {
-				continue // initial start, not a recovery
-			}
-			sp.Restart = e.T
-			delete(open, e.Comp)
-			out = append(out, *sp)
-			closed[instance{e.Comp, e.V1}] = len(out) - 1
-		case KindReintegrate:
-			// Comp is the reintegrating server; Aux names the driver and
-			// V1 the endpoint rebound. The first dependent to rebind it
-			// completes the span; a restart nobody rebinds stays as it is.
-			key := instance{e.Aux, e.V1}
-			if i, ok := closed[key]; ok {
-				out[i].Reintegrated = e.T
-				delete(closed, key)
-			}
-		case KindGiveUp:
-			if sp, ok := open[e.Comp]; ok {
-				sp.GaveUp = true
-				delete(open, e.Comp)
-				out = append(out, *sp)
-			}
+		s.open[e.Comp] = &Span{Comp: e.Comp, Defect: e.Aux, Repetition: e.V1, Start: e.T}
+	case KindPolicyStart:
+		if sp, ok := s.open[e.Comp]; ok {
+			sp.PolicyStart = e.T
+		}
+	case KindPolicyExit:
+		if sp, ok := s.open[e.Comp]; ok {
+			sp.PolicyEnd = e.T
+		}
+	case KindRestart:
+		sp, ok := s.open[e.Comp]
+		if !ok {
+			return // initial start, not a recovery
+		}
+		sp.Restart = e.T
+		delete(s.open, e.Comp)
+		s.out = append(s.out, *sp)
+		s.closed[instance{e.Comp, e.V1}] = len(s.out) - 1
+	case KindReintegrate:
+		// Comp is the reintegrating server; Aux names the driver and V1
+		// the endpoint rebound. The first dependent to rebind it
+		// completes the span; a restart nobody rebinds stays as it is.
+		key := instance{e.Aux, e.V1}
+		if i, ok := s.closed[key]; ok {
+			s.out[i].Reintegrated = e.T
+			delete(s.closed, key)
+		}
+	case KindGiveUp:
+		if sp, ok := s.open[e.Comp]; ok {
+			sp.GaveUp = true
+			delete(s.open, e.Comp)
+			s.out = append(s.out, *sp)
 		}
 	}
-	flush()
+}
+
+// Spans returns the spans stitched so far: the closed ones in the order
+// they closed, then the open ones sorted by component and marked Open.
+// It leaves the stitcher as it was, so a run can read it and go on.
+func (s *Stitcher) Spans() []Span {
+	comps := make([]string, 0, len(s.open))
+	for c := range s.open {
+		comps = append(comps, c)
+	}
+	slices.Sort(comps) // map order is not deterministic
+	out := slices.Clone(s.out)
+	for _, c := range comps {
+		sp := *s.open[c]
+		sp.Open = true
+		out = append(out, sp)
+	}
 	return out
+}
+
+// Timeline stitches a whole trace into recovery spans (see Stitcher).
+// Events must be in emission order, as every sink preserves.
+func Timeline(events []Event) []Span {
+	s := NewStitcher()
+	for i := range events {
+		s.Emit(&events[i])
+	}
+	return s.Spans()
 }
 
 // RecoveryLatencies extracts the effective latencies of completed spans;

@@ -227,3 +227,167 @@ func TestSummarizeMatchesSort(t *testing.T) {
 		}
 	}
 }
+
+// timelineReference is Timeline as it was before the Stitcher: one batch
+// pass over the whole trace.
+func timelineReference(events []Event) []Span {
+	type instance struct {
+		comp string
+		ep   int64
+	}
+	var out []Span
+	open := make(map[string]*Span)
+	closed := make(map[instance]int)
+	flush := func() {
+		comps := make([]string, 0, len(open))
+		for c := range open {
+			comps = append(comps, c)
+		}
+		slices.Sort(comps)
+		for _, c := range comps {
+			sp := open[c]
+			sp.Open = true
+			out = append(out, *sp)
+		}
+		open = make(map[string]*Span)
+		closed = make(map[instance]int)
+	}
+	for _, e := range events {
+		switch e.Kind {
+		case KindMark:
+			flush()
+		case KindDefect:
+			if sp, ok := open[e.Comp]; ok {
+				sp.Open = true
+				out = append(out, *sp)
+			}
+			open[e.Comp] = &Span{Comp: e.Comp, Defect: e.Aux, Repetition: e.V1, Start: e.T}
+		case KindPolicyStart:
+			if sp, ok := open[e.Comp]; ok {
+				sp.PolicyStart = e.T
+			}
+		case KindPolicyExit:
+			if sp, ok := open[e.Comp]; ok {
+				sp.PolicyEnd = e.T
+			}
+		case KindRestart:
+			sp, ok := open[e.Comp]
+			if !ok {
+				continue
+			}
+			sp.Restart = e.T
+			delete(open, e.Comp)
+			out = append(out, *sp)
+			closed[instance{e.Comp, e.V1}] = len(out) - 1
+		case KindReintegrate:
+			key := instance{e.Aux, e.V1}
+			if i, ok := closed[key]; ok {
+				out[i].Reintegrated = e.T
+				delete(closed, key)
+			}
+		case KindGiveUp:
+			if sp, ok := open[e.Comp]; ok {
+				sp.GaveUp = true
+				delete(open, e.Comp)
+				out = append(out, *sp)
+			}
+		}
+	}
+	flush()
+	return out
+}
+
+// The fuzz program's operations, one per byte pair (op, arg).
+const (
+	stitchMark = iota
+	stitchDefect
+	stitchPolicyStart
+	stitchPolicyExit
+	stitchRestart
+	stitchReintegrate
+	stitchGiveUp
+	stitchOther // a kind the stitcher ignores, naming a driver all the same
+	stitchSpans // read Spans between emits
+	stitchOps
+
+	maxStitchOps = 512 // each read re-runs the reference over the prefix
+)
+
+// A Stitcher fed a stream event by event holds what the batch reference
+// makes of the same stream, whenever Spans is read, and reading it
+// changes nothing: over one to four components, the seven recovery kinds,
+// run marks, kinds it must ignore, and reintegrations that name a stale
+// endpoint of the driver as well as the fresh one.
+func FuzzStitcherMatchesTimeline(f *testing.F) {
+	prog := func(ops ...byte) []byte { return ops }
+	// A full span with its script, a rebind, a second run after a mark
+	// that rebinds the first run's endpoint.
+	f.Add(prog(1, stitchDefect, 0, stitchPolicyStart, 0, stitchPolicyExit, 0, stitchRestart, 0,
+		stitchReintegrate, 0, stitchSpans, 0, stitchMark, 0, stitchReintegrate, 0))
+	// Two drivers: a restart nobody rebinds before the next defect, a
+	// stale rebind, a give-up, a span left open across a mark.
+	f.Add(prog(2, stitchDefect, 0, stitchRestart, 0, stitchDefect, 1, stitchDefect, 0,
+		stitchRestart, 0, stitchReintegrate, 4, stitchSpans, 0, stitchReintegrate, 0,
+		stitchGiveUp, 1, stitchDefect, 1, stitchOther, 1, stitchMark, 0, stitchSpans, 0))
+	// Four drivers open at once, read, a second defect interrupting one.
+	f.Add(prog(4, stitchDefect, 3, stitchDefect, 1, stitchDefect, 2, stitchDefect, 0,
+		stitchSpans, 0, stitchDefect, 2, stitchRestart, 1, stitchOther, 5, stitchSpans, 0))
+	f.Add([]byte{})
+	comps := []string{"eth.rtl8139", "eth.dp8390", "disk.sata", "chr.audio"}
+	servers := []string{"inet", "mfs"}
+	others := []Kind{KindHeartbeat, KindProcExit, KindPublish, KindProcSpawn, KindSpanBegin}
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) == 0 {
+			return
+		}
+		n := 1 + int(prog[0])%len(comps)
+		var (
+			events []Event
+			clk    sim.Time
+			ep     = make([]int64, n) // each driver's last published endpoint
+		)
+		s := NewStitcher()
+		check := func() {
+			got, want := s.Spans(), timelineReference(events)
+			if !slices.Equal(got, want) {
+				t.Fatalf("after %d events:\nstitcher  %+v\nreference %+v", len(events), got, want)
+			}
+		}
+		prog = prog[1:min(len(prog), 1+2*maxStitchOps)]
+		for ; len(prog) >= 2; prog = prog[2:] {
+			op, arg := prog[0]%stitchOps, prog[1]
+			i := int(arg) % n
+			clk += sim.Time(arg>>4) * ms
+			e := Event{T: clk, Comp: comps[i]}
+			switch op {
+			case stitchMark:
+				e.Kind, e.Comp, e.Aux = KindMark, "run", "next"
+			case stitchDefect:
+				e.Kind, e.Aux, e.V1 = KindDefect, "killed", int64(arg>>2)
+			case stitchPolicyStart:
+				e.Kind = KindPolicyStart
+			case stitchPolicyExit:
+				e.Kind = KindPolicyExit
+			case stitchRestart:
+				ep[i] += 1 + int64(arg>>6)
+				e.Kind, e.V1 = KindRestart, ep[i]
+			case stitchReintegrate:
+				// The fresh endpoint, or one up to three restarts stale.
+				e.Kind, e.Comp, e.Aux, e.V1 = KindReintegrate, servers[arg>>7], comps[i], ep[i]-int64(arg>>2&3)
+			case stitchGiveUp:
+				e.Kind = KindGiveUp
+			case stitchOther:
+				e.Kind, e.Aux, e.V1 = others[int(arg>>2)%len(others)], comps[int(arg>>4)%n], ep[i]
+			case stitchSpans:
+				check()
+				continue
+			}
+			events = append(events, e)
+			s.Emit(&e)
+		}
+		check()
+		if got := Timeline(events); !slices.Equal(got, timelineReference(events)) {
+			t.Fatalf("Timeline %+v, reference %+v", got, timelineReference(events))
+		}
+	})
+}

@@ -108,6 +108,41 @@ func TestRecoveryMechanismRunToRun(t *testing.T) {
 	}
 }
 
+// TestFigureRecoveryMatchesTimeline: a figure run stitches its recovery
+// spans as events arrive and keeps no trace, and its summary equals the
+// one obs.Timeline makes of the whole trace captured beside it, under
+// each mechanism (crashes injected into the VM beyond respawn), on both
+// figures' drivers. An in-place reset publishes no restart, so a
+// microreboot closes no span and both summaries are empty there (ROADMAP
+// item 4); RS still completes its recoveries.
+func TestFigureRecoveryMatchesTimeline(t *testing.T) {
+	for _, fig := range []struct {
+		n        int
+		size     int64
+		interval time.Duration
+	}{{7, 8 << 20, 500 * time.Millisecond}, {8, 64 << 20, time.Second}} {
+		for _, mech := range []string{"respawn", "microreboot", "standby"} {
+			t.Run(fmt.Sprintf("fig%d/%s", fig.n, mech), func(t *testing.T) {
+				trace := &obs.SliceSink{}
+				cfg := FigureConfig{Fig: fig.n, Size: fig.size, Interval: fig.interval, Trace: trace, CrashVM: mech != "respawn"}
+				var err error
+				if cfg.System, err = (Config{Seed: 3}).Override("mech=" + mech); err != nil {
+					t.Fatal(err)
+				}
+				res := RunFigure(cfg)
+				if !res.OK || res.Recoveries == 0 || res.Recovery.Count == 0 && mech != "microreboot" {
+					t.Fatalf("ok=%v kills=%d recoveries=%d spans=%d: not the run this test needs",
+						res.OK, res.Kills, res.Recoveries, res.Recovery.Count)
+				}
+				want := obs.Summarize(obs.RecoveryLatencies(obs.Timeline(trace.Events()), res.Driver))
+				if res.Recovery != want {
+					t.Errorf("recovery %+v, from the captured trace %+v", res.Recovery, want)
+				}
+			})
+		}
+	}
+}
+
 // TestFailoverInvariantsSWIFI is the property test for the new failover
 // invariants: across a 64-seed SWIFI sweep against the network driver —
 // half the seeds under warm-standby failover, half under microreboot —
