@@ -184,7 +184,7 @@ func FuzzParse(f *testing.F) {
 // never reorders. Every producer must have one.
 func TestCommittedGoldens(t *testing.T) {
 	var paths []string
-	for _, pat := range []string{"../../testdata/BENCH_*.json", "../../cmd/*/testdata/BENCH_*.json"} {
+	for _, pat := range []string{"../../testdata/BENCH_*.json", "../../cmd/*/testdata/BENCH_*.json", "../perf/testdata/BENCH_*.json"} {
 		m, err := filepath.Glob(pat)
 		if err != nil {
 			t.Fatal(err)

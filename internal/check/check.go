@@ -661,7 +661,7 @@ func (c *Checker) scanServices(now sim.Time) {
 		if svc.HeartbeatPeriod > 0 {
 			misses := svc.HeartbeatMisses
 			if misses <= 0 {
-				misses = 3
+				misses = core.DefaultHeartbeatMisses
 			}
 			if svc.Missed >= misses {
 				c.report("hbmiss:"+svc.Label, "heartbeat", svc.Label,

@@ -78,6 +78,10 @@ const (
 	MechStandby     = drvlib.MechStandby
 )
 
+// DefaultHeartbeatMisses is the N a ServiceConfig with no
+// HeartbeatMisses gets.
+const DefaultHeartbeatMisses = 3
+
 // Binary is a service's executable image: the body its process runs. A
 // restart executes a fresh call of the Binary — the "fresh copy" that
 // cures transient failures.
@@ -96,7 +100,7 @@ type ServiceConfig struct {
 	// HeartbeatPeriod enables proactive liveness pings when > 0.
 	HeartbeatPeriod sim.Time
 	// HeartbeatMisses is N: consecutive unanswered pings before the
-	// component is declared stuck (default 3).
+	// component is declared stuck (default DefaultHeartbeatMisses).
 	HeartbeatMisses int
 
 	// Policy is the recovery script; nil selects RS's direct restart.
@@ -520,7 +524,7 @@ func (rs *RS) drain(c *kernel.Ctx) {
 			continue
 		case r.in.kind == inStart:
 			svc := &service{cfg: r.cfg, standbyEp: kernel.None}
-			svc.cfg.HeartbeatMisses = cmp.Or(svc.cfg.HeartbeatMisses, 3)
+			svc.cfg.HeartbeatMisses = cmp.Or(svc.cfg.HeartbeatMisses, DefaultHeartbeatMisses)
 			rs.services = slices.Insert(rs.services, i, svc)
 		case !ok && r.in.kind == inUpdate: // an update of an unknown service starts it
 			r.in.kind = inStart

@@ -36,7 +36,6 @@ func (d *mechDevice) HandleRequest(c *kernel.Ctx, m kernel.Message) {
 	_ = c.AsyncSend(m.Source, kernel.Message{Type: proto.RSAck})
 }
 func (d *mechDevice) HandleIRQ(c *kernel.Ctx, mask uint64) {}
-func (d *mechDevice) HandleAlarm(c *kernel.Ctx)            {}
 func (d *mechDevice) Shutdown(c *kernel.Ctx)               {}
 func (d *mechDevice) Promote(c *kernel.Ctx) error          { d.promoteCount++; return nil }
 func (d *mechDevice) Microreboot(c *kernel.Ctx) error {

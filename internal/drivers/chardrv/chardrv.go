@@ -57,8 +57,6 @@ func (d *audioDriver) HandleRequest(c *kernel.Ctx, m kernel.Message) {
 
 func (d *audioDriver) HandleIRQ(c *kernel.Ctx, mask uint64) {} // refill is app-paced
 
-func (d *audioDriver) HandleAlarm(c *kernel.Ctx) {}
-
 func (d *audioDriver) Shutdown(c *kernel.Ctx) {
 	_ = c.DevOut(d.dev.PortRange().Lo+hw.CharRegCmd, hw.CharCmdStop)
 }
@@ -109,8 +107,6 @@ func (d *printerDriver) HandleRequest(c *kernel.Ctx, m kernel.Message) {
 }
 
 func (d *printerDriver) HandleIRQ(c *kernel.Ctx, mask uint64) {}
-
-func (d *printerDriver) HandleAlarm(c *kernel.Ctx) {}
 
 func (d *printerDriver) Shutdown(c *kernel.Ctx) {}
 
@@ -165,7 +161,5 @@ func (d *burnerDriver) HandleRequest(c *kernel.Ctx, m kernel.Message) {
 }
 
 func (d *burnerDriver) HandleIRQ(c *kernel.Ctx, mask uint64) {}
-
-func (d *burnerDriver) HandleAlarm(c *kernel.Ctx) {}
 
 func (d *burnerDriver) Shutdown(c *kernel.Ctx) {}

@@ -113,8 +113,5 @@ func (d *driver) rw(c *kernel.Ctx, m kernel.Message, write bool) {
 // HandleIRQ implements drvlib.Device.
 func (d *driver) HandleIRQ(c *kernel.Ctx, mask uint64) {}
 
-// HandleAlarm implements drvlib.Device.
-func (d *driver) HandleAlarm(c *kernel.Ctx) {}
-
 // Shutdown implements drvlib.Device.
 func (d *driver) Shutdown(c *kernel.Ctx) {}

@@ -105,8 +105,6 @@ type Device interface {
 	HandleRequest(c *kernel.Ctx, m kernel.Message)
 	// HandleIRQ processes a hardware interrupt (mask of pending lines).
 	HandleIRQ(c *kernel.Ctx, mask uint64)
-	// HandleAlarm processes a clock alarm.
-	HandleAlarm(c *kernel.Ctx)
 	// Shutdown quiesces the device for a clean exit (dynamic update).
 	Shutdown(c *kernel.Ctx)
 }
@@ -211,8 +209,8 @@ func dispatch(c *kernel.Ctx, d Device, st *runState, m kernel.Message) (fatal *v
 		c.SetTraceCtx(obs.SpanContext{})
 		d.HandleIRQ(c, uint64(m.Arg1))
 	case m.Type == kernel.MsgNotify && m.Source == kernel.Clock:
-		c.SetTraceCtx(obs.SpanContext{})
-		d.HandleAlarm(c)
+		// No driver sets an alarm; a stray one is dropped here rather
+		// than handed to HandleRequest as a protocol request.
 	case m.Type == kernel.MsgNotify && m.Source == kernel.System:
 		for _, sig := range c.SigPending() {
 			if sig == kernel.SIGTERM { // [recovery] shutdown request

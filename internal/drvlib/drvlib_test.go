@@ -16,7 +16,6 @@ type fakeDevice struct {
 	initErr  error
 	requests []int32
 	irqs     []uint64
-	alarms   int
 	shutdown bool
 }
 
@@ -30,8 +29,6 @@ func (d *fakeDevice) HandleRequest(c *kernel.Ctx, m kernel.Message) {
 }
 
 func (d *fakeDevice) HandleIRQ(c *kernel.Ctx, mask uint64) { d.irqs = append(d.irqs, mask) }
-
-func (d *fakeDevice) HandleAlarm(c *kernel.Ctx) { d.alarms++ }
 
 func (d *fakeDevice) Shutdown(c *kernel.Ctx) { d.shutdown = true }
 
@@ -117,19 +114,25 @@ func TestRunShutdownOnSIGTERM(t *testing.T) {
 	}
 }
 
+// An interrupt reaches HandleIRQ; the alarm the device sets in Init is
+// dropped by the loop: it reaches no handler and does not kill the
+// driver.
 func TestRunDispatchesIRQsAndAlarms(t *testing.T) {
 	env := sim.NewEnv(1)
 	k := kernel.New(env)
 	dev := &fakeDevice{}
 	devSetup := &irqSetupDevice{inner: dev}
-	spawnDriver(t, k, devSetup)
+	ep := spawnDriver(t, k, devSetup)
 	env.Schedule(100*time.Millisecond, func() { k.RaiseIRQ(3) })
 	env.Run(time.Second)
 	if len(dev.irqs) != 1 || dev.irqs[0] != 1<<3 {
 		t.Fatalf("irqs = %v", dev.irqs)
 	}
-	if dev.alarms != 1 {
-		t.Fatalf("alarms = %d, want 1", dev.alarms)
+	if len(dev.requests) != 0 {
+		t.Fatalf("the alarm reached HandleRequest: requests = %v", dev.requests)
+	}
+	if cause, dead := k.CauseOf(ep); dead {
+		t.Fatalf("the alarm killed the driver: %v", cause)
 	}
 }
 
@@ -149,7 +152,6 @@ func (d *irqSetupDevice) HandleRequest(c *kernel.Ctx, m kernel.Message) {
 	d.inner.HandleRequest(c, m)
 }
 func (d *irqSetupDevice) HandleIRQ(c *kernel.Ctx, mask uint64) { d.inner.HandleIRQ(c, mask) }
-func (d *irqSetupDevice) HandleAlarm(c *kernel.Ctx)            { d.inner.HandleAlarm(c) }
 func (d *irqSetupDevice) Shutdown(c *kernel.Ctx)               { d.inner.Shutdown(c) }
 
 func TestRunInitFailurePanicsDriver(t *testing.T) {

@@ -155,6 +155,3 @@ func (d *VMDevice) Microreboot(c *kernel.Ctx) error {
 
 // Shutdown implements Device: quiesce the device for a clean exit.
 func (d *VMDevice) Shutdown(c *kernel.Ctx) { d.Call(c, "reset") }
-
-// HandleAlarm implements Device; ucode drivers set no alarms.
-func (d *VMDevice) HandleAlarm(c *kernel.Ctx) {}

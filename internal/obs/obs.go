@@ -240,7 +240,7 @@ func (r *Recorder) On(k Kind) bool {
 
 // SetPerf installs the wall-clock profiler: every emitted event's
 // stamping and sink fan-out runs inside RegionObs, so the cost of the
-// observability stack itself shows up in the simspeed report. Nil-safe,
+// observability stack itself shows up in the profiler's obs region. Nil-safe,
 // and a nil profiler (the default) keeps the emit path free.
 func (r *Recorder) SetPerf(p *perf.Profiler) {
 	if r == nil {

@@ -1,6 +1,6 @@
 // Package perf is wall-clock performance telemetry for the simulator
-// itself — the meters behind cmd/simspeed's exact counts and the
-// per-layer table of benchmark/. It lives strictly apart from the
+// itself — the meters behind the exact-count battery (battery_test.go)
+// and the per-layer table of benchmark/. It lives strictly apart from the
 // deterministic virtual-time plane: everything the simulation computes
 // (event order, virtual clocks, traces, figures) is identical with and
 // without a Profiler attached.
@@ -11,7 +11,8 @@
 //   - Deterministic counters: how many times each region was entered,
 //     and which entries were alloc-sampled (every Kth entry of a region,
 //     a pure count-based rule). These are byte-reproducible across runs
-//     and machines; cmd/simspeed's committed golden pins them.
+//     and machines; the battery's committed golden
+//     (testdata/BENCH_simspeed_seed1.json) pins them.
 //   - Wall-clock samples: nanoseconds and allocation deltas observed
 //     while inside a region. These vary run to run; benchmark/ reads
 //     them from runs long enough to resolve them.
@@ -34,7 +35,6 @@ package perf
 import (
 	"fmt"
 	"runtime/metrics"
-	"sort"
 	"time"
 
 	"resilientos/internal/sim"
@@ -299,24 +299,4 @@ func (p *Profiler) Report() Report {
 		rep.Regions = append(rep.Regions, rr)
 	}
 	return rep
-}
-
-// FoldedLines renders the wall-clock region self-times in the folded
-// stack-line format of the virtual-time profiler (obs/profile
-// WriteFolded): "wall:<region> <self µs>", sorted, one line per region
-// that was entered. Appending these to the virtual folded stacks puts
-// wall and virtual cost side by side in one flamegraph.
-func (p *Profiler) FoldedLines() []string {
-	if p == nil {
-		return nil
-	}
-	lines := make([]string, 0, regionMax)
-	for r := Region(0); r < regionMax; r++ {
-		if p.counts[r] == 0 {
-			continue
-		}
-		lines = append(lines, fmt.Sprintf("wall:%s %d", r, p.selfNs[r]/1000))
-	}
-	sort.Strings(lines)
-	return lines
 }

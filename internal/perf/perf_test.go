@@ -1,7 +1,6 @@
 package perf
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -25,9 +24,6 @@ func TestNilProfilerIsNoOp(t *testing.T) {
 	}
 	if got := p.Report(); got.Events != 0 || got.Regions != nil {
 		t.Fatal("nil profiler produced a report")
-	}
-	if p.FoldedLines() != nil {
-		t.Fatal("nil profiler produced folded lines")
 	}
 }
 
@@ -228,25 +224,5 @@ func TestReportStructure(t *testing.T) {
 	}
 	if rep.Events != 1 || rep.VirtualNs != int64(time.Second) {
 		t.Fatalf("events=%d virtual=%d", rep.Events, rep.VirtualNs)
-	}
-}
-
-func TestFoldedLines(t *testing.T) {
-	p := New()
-	p.Begin(RegionStep)
-	p.Begin(RegionUcode)
-	p.End(RegionUcode)
-	p.End(RegionStep)
-	lines := p.FoldedLines()
-	if len(lines) != 2 {
-		t.Fatalf("%d folded lines, want 2 (entered regions only): %v", len(lines), lines)
-	}
-	for _, ln := range lines {
-		if !strings.HasPrefix(ln, "wall:") {
-			t.Fatalf("folded line %q lacks wall: prefix", ln)
-		}
-	}
-	if lines[0] >= lines[1] {
-		t.Fatalf("folded lines not sorted: %v", lines)
 	}
 }

@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"resilientos/internal/core"
 	"resilientos/internal/obs"
+	"resilientos/internal/policy"
 )
 
 // killDriverTrace runs the kill-driver workload with a full JSONL trace
@@ -94,5 +96,49 @@ func TestTraceRecoveryTimeline(t *testing.T) {
 	restarts := rec.Metrics().Counter("restarts." + DriverRTL8139).Value()
 	if restarts != int64(len(lat)) {
 		t.Errorf("restart counter %d, %d recovery spans in the trace", restarts, len(lat))
+	}
+
+	// A masked trace of the whole system: with the IPC and span kinds
+	// off, killing one driver of each class under the Fig. 2 script on
+	// the network drivers still streams the defects, the script's start,
+	// the restarts and the reintegrations, and every kill recovers.
+	var buf bytes.Buffer
+	sink := obs.NewJSONLSink(&buf)
+	masked := obs.NewRecorder(sink)
+	masked.Disable(append([]obs.Kind{obs.KindIPCSend, obs.KindIPCRecv}, obs.SpanKinds...)...)
+	sys := New(Config{Seed: 7, NetPolicy: policy.MustParse(policy.Fig2), Obs: masked})
+	defer sys.Close()
+	sys.Run(3 * time.Second)
+	victims := []string{DriverRTL8139, DriverSATA, DriverPrinter, DriverAudio}
+	for _, d := range victims {
+		sys.KillDriver(d)
+	}
+	sys.Run(5 * time.Second)
+	if sink.Err() != nil {
+		t.Fatal(sink.Err())
+	}
+	if rs := sys.RS.Events(); len(rs) != len(victims) {
+		t.Errorf("%d recoveries for %d kills: %v", len(rs), len(victims), rs)
+	}
+	for _, e := range sys.RS.Events() {
+		if e.Defect != core.DefectKilled || !e.Recovered {
+			t.Errorf("kill of %s not recovered: %+v", e.Label, e)
+		}
+	}
+	events, err = obs.ParseJSONL(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[obs.Kind]int{}
+	for _, e := range events {
+		kinds[e.Kind]++
+	}
+	for _, k := range []obs.Kind{obs.KindDefect, obs.KindRestart, obs.KindReintegrate, obs.KindPolicyStart} {
+		if kinds[k] == 0 {
+			t.Errorf("masked trace has no %v event (kinds %v)", k, kinds)
+		}
+	}
+	if kinds[obs.KindIPCSend] != 0 || kinds[obs.KindSpanBegin] != 0 {
+		t.Errorf("masked trace carries IPC or span events: %v", kinds)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"resilientos/internal/core"
 	"resilientos/internal/drvlib"
 	"resilientos/internal/policy"
 )
@@ -25,12 +26,10 @@ const SpecUsage = `  hb=<dur>|off        heartbeat period (off disables liveness
   mech=<name>         respawn, microreboot or standby
   hw=on|off           real-hardware gate: confusable NIC, no master reset`
 
-// The standard liveness knobs: what New boots with and Spec renders for
-// a zero HeartbeatPeriod or HeartbeatMisses.
-const (
-	defaultHeartbeatPeriod = 500 * time.Millisecond
-	defaultHeartbeatMisses = 3
-)
+// The standard heartbeat period: what New boots with and Spec renders for
+// a zero HeartbeatPeriod. A zero HeartbeatMisses gets
+// core.DefaultHeartbeatMisses.
+const defaultHeartbeatPeriod = 500 * time.Millisecond
 
 // maxKnobDuration bounds hb and backoff; it keeps the script's last arm
 // (8× base) far from overflow.
@@ -124,7 +123,7 @@ func (cfg Config) Spec() string {
 		gate = "on"
 	}
 	return fmt.Sprintf("hb=%s,misses=%d,budget=%d,%s,mech=%s,hw=%s",
-		hb, cmp.Or(cfg.HeartbeatMisses, defaultHeartbeatMisses), cfg.MaxRestarts, pol, cfg.Mechanism, gate)
+		hb, cmp.Or(cfg.HeartbeatMisses, core.DefaultHeartbeatMisses), cfg.MaxRestarts, pol, cfg.Mechanism, gate)
 }
 
 func parseKnobInt(val string, min int) (int, error) {

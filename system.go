@@ -103,14 +103,13 @@ type Config struct {
 	// the default, negative disables heartbeats).
 	HeartbeatPeriod time.Duration
 	// HeartbeatMisses is N consecutive misses before a driver is declared
-	// stuck (default 3).
+	// stuck (default core.DefaultHeartbeatMisses).
 	HeartbeatMisses int
 
-	// NetPolicy optionally attaches a recovery policy script (and its
-	// parameters) to the network drivers. Disk drivers never get one
-	// (§6.2: they are restarted directly from RAM).
-	NetPolicy       *policy.Script
-	NetPolicyParams []string
+	// NetPolicy optionally attaches a recovery policy script to the
+	// network drivers. Disk drivers never get one (§6.2: they are
+	// restarted directly from RAM).
+	NetPolicy *policy.Script
 
 	// MaxRestarts bounds consecutive recoveries per driver (0 = forever).
 	MaxRestarts int
@@ -169,7 +168,7 @@ func New(cfg Config) *System {
 		cfg.HeartbeatPeriod = 0 // RS pings nothing
 	}
 	if cfg.HeartbeatMisses == 0 {
-		cfg.HeartbeatMisses = defaultHeartbeatMisses
+		cfg.HeartbeatMisses = core.DefaultHeartbeatMisses
 	}
 	env := sim.NewEnv(cfg.Seed)
 	k := kernel.New(env)
@@ -297,7 +296,7 @@ func (sys *System) bootNet() {
 			func(mech drvlib.Mechanism) core.Binary {
 				return binary(drvlib.EthConfig{NIC: nic, OnVM: sys.trackVM(label), Mechanism: mech})
 			})
-		svc.Policy, svc.PolicyParams = sys.cfg.NetPolicy, sys.cfg.NetPolicyParams
+		svc.Policy = sys.cfg.NetPolicy
 		sys.RS.StartService(svc)
 	}
 	eth(DriverRTL8139, m.NIC0, rtl8139.Binary)

@@ -94,7 +94,7 @@ func TestExperimentsTablesMatchGoldens(t *testing.T) {
 	fig7, fig8 := load("testdata/BENCH_fig7_seed11.json"), load("testdata/BENCH_fig8_seed11.json")
 	rec := load("testdata/BENCH_recovery_seed11.json")
 	fleet := load("cmd/fleetbench/testdata/BENCH_fleet_compare_seed11.json")
-	speed := load("cmd/simspeed/testdata/BENCH_simspeed_seed1.json")
+	speed := load("internal/perf/testdata/BENCH_simspeed_seed1.json")
 	blocks := map[string]string{
 		"calibration": calibrationTable(),
 		"fig7": benchTable(
