@@ -102,6 +102,10 @@ func TestTraceRecoveryTimeline(t *testing.T) {
 	// off, killing one driver of each class under the Fig. 2 script on
 	// the network drivers still streams the defects, the script's start,
 	// the restarts and the reintegrations, and every kill recovers.
+	t.Run("masked_system", testMaskedSystemTrace)
+}
+
+func testMaskedSystemTrace(t *testing.T) {
 	var buf bytes.Buffer
 	sink := obs.NewJSONLSink(&buf)
 	masked := obs.NewRecorder(sink)
@@ -125,7 +129,7 @@ func TestTraceRecoveryTimeline(t *testing.T) {
 			t.Errorf("kill of %s not recovered: %+v", e.Label, e)
 		}
 	}
-	events, err = obs.ParseJSONL(&buf)
+	events, err := obs.ParseJSONL(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
