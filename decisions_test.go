@@ -145,7 +145,7 @@ func TestDecisionWellFormedSWIFI(t *testing.T) {
 					if vm == nil || sys.RS.ServiceEndpoint(DriverRTL8139) < 0 {
 						continue // down or restarting: nothing to mutate
 					}
-					injector.InjectRandom(vm.Img)
+					injector.InjectRandom(vm.Writable())
 					injected++
 					stall = 0
 				}

@@ -322,7 +322,7 @@ func runCellWith(cell Cell, cfg Config, injected func(*ucode.VM, fi.Injection)) 
 		if vm == nil || sys.RS.ServiceEndpoint(cell.Victim) < 0 {
 			continue // down or restarting: nothing to mutate
 		}
-		inj, ok := injector.TryInject(vm.Img, cell.Fault)
+		inj, ok := injector.TryInject(vm.Writable(), cell.Fault)
 		if !ok {
 			break // no applicable site left: report the shortfall, never pad
 		}

@@ -85,7 +85,7 @@ func TestPristineImageConcurrentCells(t *testing.T) {
 		key := reflect.ValueOf(k) // drvlib.imageKey{chip, base}
 		chip, base := key.Field(0).String(), uint32(key.Field(1).Uint())
 		img, fn := v.(*ucode.Image), assemble[chip]
-		if fn == nil || !slices.Equal(img.Code, fn(base).Code) || !maps.Equal(img.Entries, fn(base).Entries) {
+		if fn == nil || !slices.Equal(img.Code, fn(base).Code) || !maps.Equal(img.EntryTable(), fn(base).EntryTable()) {
 			t.Errorf("cached image of %s at %#x is not the assembler's", chip, base)
 		}
 		chips[chip] = true

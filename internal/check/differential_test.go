@@ -110,7 +110,7 @@ func swifiCell(seed int64, mech core.Mechanism, ckCfg check.Config, plain bool) 
 		if vm == nil || sys.RS.ServiceEndpoint(resilientos.DriverRTL8139) < 0 {
 			continue // down or restarting: nothing to mutate
 		}
-		injector.InjectRandom(vm.Img)
+		injector.InjectRandom(vm.Writable())
 		injected++
 		stall = 0
 	}

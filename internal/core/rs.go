@@ -515,15 +515,15 @@ func (rs *RS) admit(c *kernel.Ctx, m kernel.Message, in input, inst kernel.Endpo
 
 // drain feeds the queued Go API requests, in order.
 func (rs *RS) drain(c *kernel.Ctx) {
-	for len(rs.requests) > 0 {
-		r := rs.requests[0]
-		rs.requests = rs.requests[1:]
+	for n := 0; n < len(rs.requests); n++ {
+		r := rs.requests[n]
 		i, ok := rs.find(r.cfg.Label)
 		switch {
 		case r.in.kind == inStart && ok: // refused, as `service up` of a guarded label is
 			continue
 		case r.in.kind == inStart:
 			svc := &service{cfg: r.cfg, standbyEp: kernel.None}
+			svc.cfg.Priv = r.cfg.Priv.Clone() // every instance shares RS's own copy
 			svc.cfg.HeartbeatMisses = cmp.Or(svc.cfg.HeartbeatMisses, DefaultHeartbeatMisses)
 			rs.services = slices.Insert(rs.services, i, svc)
 		case !ok && r.in.kind == inUpdate: // an update of an unknown service starts it
@@ -546,6 +546,8 @@ func (rs *RS) drain(c *kernel.Ctx) {
 		}
 		rs.feed(c, rs.services[i], r.in, kernel.Message{Arg1: int64(r.sig)})
 	}
+	clear(rs.requests) // the array takes the next requests
+	rs.requests = rs.requests[:0]
 }
 
 // spawnInstance starts a fresh process for svc with its privileges,
@@ -610,7 +612,7 @@ func (rs *RS) feed(c *kernel.Ctx, svc *service, in input, m kernel.Message) {
 		case actDefect:
 			c.Obs().Emit(obs.KindDefect, svc.cfg.Label, acts.class.String(), int64(svc.failures), int64(acts.class))
 		case actDetect: // the root span of the episode, opened at its first detection
-			if !svc.episode.Valid() {
+			if !svc.episode.Valid() && c.Obs().On(obs.KindSpanBegin) {
 				svc.episode = c.Obs().StartSpan(Label, "recover:"+svc.cfg.Label, obs.SpanContext{})
 			}
 			if rs.dec != nil {

@@ -166,7 +166,7 @@ func TestDP8390SurvivesBenignFaultsAndCrashesOnBadOnes(t *testing.T) {
 			break
 		}
 		if vm != nil {
-			inj.InjectRandom(vm.Img)
+			inj.InjectRandom(vm.Writable())
 		}
 	}
 	if !crashed {

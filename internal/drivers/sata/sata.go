@@ -114,10 +114,11 @@ type Config struct {
 // Binary returns the service binary for this driver.
 func Binary(cfg Config) func(c *kernel.Ctx) {
 	ready := drvlib.StatusBits{Mask: hw.DiskStatBusy | hw.DiskStatReady, Want: hw.DiskStatReady}
+	rams := new(ucode.RAMs)
 	return func(c *kernel.Ctx) {
 		drvlib.RunWith(c, &driver{
 			VMDevice: drvlib.VMDevice{
-				Chip: "sata", Image: Image, OnVM: cfg.OnVM,
+				Chip: "sata", Image: Image, OnVM: cfg.OnVM, RAMs: rams,
 				Base: cfg.Disk.PortRange().Lo, IRQ: cfg.Disk.IRQ(),
 				// The reset+identify cycle is what makes disk-driver
 				// recovery slower than network-driver recovery in the

@@ -160,6 +160,9 @@ func Run(c *kernel.Ctx, d Device) { RunWith(c, d, MechRespawn) }
 func RunWith(c *kernel.Ctx, d Device, mech Mechanism) {
 	st := &runState{mech: mech}
 	c.SetLocal(st)
+	if v, ok := d.(interface{ releaseVM() }); ok {
+		defer v.releaseVM() // the instance dies by unwinding through here
+	}
 	if IsStandbyLabel(c.Label()) {
 		standby(c)
 		attach(c, d)

@@ -40,10 +40,11 @@ type EthConfig struct {
 // Each (re)start calls it afresh, so a restarted instance runs a pristine
 // image.
 func EthBinary(chip EthChip, cfg EthConfig) func(c *kernel.Ctx) {
+	rams := new(ucode.RAMs)
 	return func(c *kernel.Ctx) {
 		RunWith(c, &Eth{
 			VMDevice: VMDevice{
-				Chip: chip.Name, Image: chip.Image, Plant: chip.Plant, OnVM: cfg.OnVM,
+				Chip: chip.Name, Image: chip.Image, Plant: chip.Plant, OnVM: cfg.OnVM, RAMs: rams,
 				Base: cfg.NIC.PortRange().Lo, IRQ: cfg.NIC.IRQ(),
 				Poll: 10 * time.Millisecond, Timeout: 2 * time.Second,
 				Ready: StatusBits{Mask: hw.NICStatResetBsy},

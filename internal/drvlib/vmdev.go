@@ -36,6 +36,11 @@ type VMDevice struct {
 	// OnVM, if set, is called with each new VM — the hook the
 	// fault-injection campaign uses to reach the running binary.
 	OnVM func(*ucode.VM)
+	// RAMs is the free list an instance's VMs take their RAM from and
+	// give it back to (nil: the allocator). A driver's binary keeps one
+	// for all its instances, so a respawned or microrebooted instance
+	// runs on the block its predecessor released.
+	RAMs *ucode.RAMs
 	Base uint32 // port base the image is assembled for
 	IRQ  int
 
@@ -52,10 +57,11 @@ type VMDevice struct {
 }
 
 // pristine holds the one assembled image of each chip at each port base
-// (the image is position-dependent on it). No VM runs it: every instance
-// runs a Clone — the paper's restart from a RAM copy — so faults injected
-// into the running copy die with it. Fleet members and campaign cells
-// boot concurrently, hence the sync.Map.
+// (the image is position-dependent on it). Every instance runs it shared
+// and read-only — the paper's restart from a RAM copy — until a fault is
+// injected: VM.Writable gives the mutated instance a copy of its own, so
+// the fault dies with it. Fleet members and campaign cells boot
+// concurrently, hence the sync.Map.
 var pristine sync.Map // imageKey -> *ucode.Image
 
 type imageKey struct {
@@ -63,15 +69,17 @@ type imageKey struct {
 	base uint32
 }
 
-// fresh swaps in a VM running a copy of the pristine image, without
-// touching device state.
+// fresh swaps in a VM running the pristine image on zeroed RAM, without
+// touching device state. The VM it replaces (a microreboot's) gives its
+// RAM back first.
 func (d *VMDevice) fresh(c *kernel.Ctx) {
 	key := imageKey{d.Chip, d.Base}
 	img, ok := pristine.Load(key)
 	if !ok {
 		img, _ = pristine.LoadOrStore(key, d.Image(d.Base))
 	}
-	d.VM = ucode.New(img.(*ucode.Image).Clone(), CtxBus{C: c})
+	d.RAMs.Release(d.VM)
+	d.VM = d.RAMs.New(img.(*ucode.Image), CtxBus{C: c})
 	if d.Plant != nil {
 		d.Plant(d.VM)
 	}
@@ -79,6 +87,9 @@ func (d *VMDevice) fresh(c *kernel.Ctx) {
 		d.OnVM(d.VM)
 	}
 }
+
+// releaseVM gives the instance's RAM back when the instance dies.
+func (d *VMDevice) releaseVM() { d.RAMs.Release(d.VM) }
 
 // attach gives a new instance its VM and the device's interrupt line.
 func (d *VMDevice) attach(c *kernel.Ctx) error {

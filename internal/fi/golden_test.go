@@ -97,7 +97,7 @@ func TestGoldenImageEncoding(t *testing.T) {
 			t.Errorf("pc %d: word %#08x, want %#08x", pc, uint32(img.Code[pc]), uint32(w))
 		}
 	}
-	if got, ok := img.Entries["main"]; !ok || got != 0 {
+	if got, ok := img.EntryTable()["main"]; !ok || got != 0 {
 		t.Errorf("entry main = %d, %v; want 0, true", got, ok)
 	}
 }

@@ -67,6 +67,8 @@ type Disk struct {
 
 	idle []*diskOp // completed commands, ready for the next one
 
+	handle DiskHandle // the one DMA handle every driver instance gets
+
 	Stats DiskStats
 }
 
@@ -86,6 +88,7 @@ var _ kernel.Device = (*Disk)(nil)
 func NewDisk(env *sim.Env, k *kernel.Kernel, cfg DiskConfig) *Disk {
 	d := &Disk{env: env, k: k, cfg: cfg,
 		cow: make(map[int64][]byte), written: make(map[int64]uint64)}
+	d.handle.d = d
 	k.MapDevice(d.PortRange(), d)
 	return d
 }
@@ -357,8 +360,9 @@ func (d *Disk) put(lba int64, s []byte) {
 // DiskHandle is the driver-side data window standing in for DMA.
 type DiskHandle struct{ d *Disk }
 
-// Handle returns the disk's DMA handle.
-func (d *Disk) Handle() *DiskHandle { return &DiskHandle{d: d} }
+// Handle returns the disk's DMA handle. It holds no state of its own,
+// so every driver instance shares the disk's one handle.
+func (d *Disk) Handle() *DiskHandle { return &d.handle }
 
 // TakeData returns (and clears) the device buffer after a completed read:
 // a view of device memory, to be copied out before the next command.

@@ -87,6 +87,9 @@ type NIC struct {
 	txBusy  bool
 	dmaRx   [][]byte // popped frames awaiting pickup by the driver handle
 
+	handle    NICHandle  // the one DMA handle every driver instance gets
+	resetDone *sim.Timer // ends a reset; see beginReset
+
 	Stats NICStats
 }
 
@@ -96,6 +99,8 @@ var _ kernel.Device = (*NIC)(nil)
 // [cfg.Base, cfg.Base+0x20).
 func NewNIC(env *sim.Env, k *kernel.Kernel, cfg NICConfig) *NIC {
 	n := &NIC{env: env, k: k, cfg: cfg}
+	n.handle.n = n
+	n.resetDone = env.NewTimer(n.endReset)
 	k.MapDevice(kernel.PortRange{Lo: cfg.Base, Hi: cfg.Base + 0x20}, n)
 	return n
 }
@@ -198,12 +203,20 @@ func (n *NIC) beginReset() {
 	n.rxRing = nil
 	n.dmaRx = nil
 	n.txBusy = false
-	n.env.Schedule(NICResetDelay, func() {
-		n.resetBusy = false
-		if n.confusion == nicSoft {
-			n.confusion = nicOK
-		}
-	})
+	// Each reset ends NICResetDelay after it began, also one begun while
+	// another is in flight; the timer carries the first in flight.
+	if n.resetDone.Pending() {
+		n.env.Schedule(NICResetDelay, n.endReset)
+	} else {
+		n.resetDone.Reset(NICResetDelay)
+	}
+}
+
+func (n *NIC) endReset() {
+	n.resetBusy = false
+	if n.confusion == nicSoft {
+		n.confusion = nicOK
+	}
 }
 
 // maybeConfuse models the card wedging on a garbage command stream.
@@ -283,8 +296,9 @@ func (n *NIC) deliver(frame []byte, fcs uint32) {
 // the port registers.
 type NICHandle struct{ n *NIC }
 
-// Handle returns the DMA handle for the driver.
-func (n *NIC) Handle() *NICHandle { return &NICHandle{n: n} }
+// Handle returns the DMA handle for the driver. It holds no state of its
+// own, so every driver instance shares the card's one handle.
+func (n *NIC) Handle() *NICHandle { return &n.handle }
 
 // TakeRx returns the oldest frame popped via NICRegRxPop and not yet
 // collected, or nil when the DMA window is empty.

@@ -206,7 +206,9 @@ func (s *Server) onDriverUpdate(c *kernel.Ctx, m kernel.Message) {
 	newEp := kernel.Endpoint(m.Arg1)
 	restarted := known && ch.ep != newEp // [recovery]
 	ch.ep = newEp
-	ch.bytes = c.Obs().Metrics().Counter("inet.bytes." + ch.label)
+	if ch.bytes == nil && c.Obs() != nil { // named once, not at every restart
+		ch.bytes = c.Obs().Metrics().Counter("inet.bytes." + ch.label)
+	}
 	reply, err := c.SendRec(ch.ep, kernel.Message{
 		Type: proto.EthConf,
 		Arg1: proto.EthConfPromisc,

@@ -7,18 +7,22 @@ import (
 
 // Ctx is a system process's handle on the kernel: every kernel call and IPC
 // primitive a server or driver may use goes through it, with the process's
-// privileges enforced. A Ctx is only valid on its own process's goroutine.
+// privileges enforced. A Ctx is only valid on its own process's goroutine,
+// while the process lives; once it is dead only Endpoint answers, with the
+// dead endpoint (its process-table entry passes to the slot's next
+// instance).
 type Ctx struct {
-	k *Kernel
-	e *procEntry
-	p *sim.Proc
+	k  *Kernel
+	e  *procEntry
+	p  *sim.Proc
+	ep Endpoint
 }
 
 // Kernel returns the kernel this context belongs to.
 func (c *Ctx) Kernel() *Kernel { return c.k }
 
 // Endpoint returns the process's own (generation-tagged) endpoint.
-func (c *Ctx) Endpoint() Endpoint { return c.e.ep }
+func (c *Ctx) Endpoint() Endpoint { return c.ep }
 
 // Label returns the process's stable component label.
 func (c *Ctx) Label() string { return c.e.label }

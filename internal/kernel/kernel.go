@@ -146,7 +146,11 @@ func (k *Kernel) labelFor(ep Endpoint) string {
 // process dies, after all IPC cleanup for the death completed.
 func (k *Kernel) OnDeath(fn DeathHook) { k.deathFns = append(k.deathFns, fn) }
 
-// procEntry is one process-table slot instance.
+// procEntry is one process-table slot. It holds one instance at a time:
+// Spawn reuses the entry of a dead instance for the slot's next one (see
+// recycle), so the entry, its grant table, its queues' arrays, its alarm
+// timer and its sim process are allocated once per slot, not once per
+// instance. Only the Ctx is the instance's own.
 type procEntry struct {
 	k     *Kernel
 	slot  int
@@ -157,6 +161,10 @@ type procEntry struct {
 	priv  Privileges
 	alive bool
 	cause Cause
+
+	ctx   *Ctx            // the instance's handle
+	body  func(c *Ctx)    // the instance's body
+	start func(*sim.Proc) // runs body; made once per entry
 
 	// IPC state.
 	recvWait bool       // blocked in Receive
@@ -209,17 +217,21 @@ func (k *Kernel) spanNames(ep Endpoint) (call, crash string) {
 // carries a fresh generation, so endpoints of previous instances with the
 // same label remain stale. Returns the new instance's Ctx handle (endpoint
 // available immediately, e.g. for the spawner to publish it).
+//
+// priv is shared, not copied: Privileges is an immutable value, which
+// neither the kernel nor the caller writes once it is handed over. A
+// reused slot's entry is the dead instance's, recycled; the Ctx is new,
+// so the dead instance's still reports the dead endpoint.
 func (k *Kernel) Spawn(label string, priv Privileges, body func(c *Ctx)) (*Ctx, error) {
 	slot := -1
-	gen := 1
-	for i, e := range k.slots {
-		if e == nil {
+	var e *procEntry
+	for i, old := range k.slots {
+		if old == nil {
 			slot = i
 			break
 		}
-		if !e.alive && e.proc.State() == sim.StateDead {
-			slot = i
-			gen = e.gen + 1
+		if !old.alive && old.proc.State() == sim.StateDead {
+			slot, e = i, old
 			break
 		}
 	}
@@ -230,28 +242,45 @@ func (k *Kernel) Spawn(label string, priv Privileges, body func(c *Ctx)) (*Ctx, 
 		k.slots = append(k.slots, nil)
 		slot = len(k.slots) - 1
 	}
-	e := &procEntry{
-		k:      k,
-		slot:   slot,
-		gen:    gen,
-		ep:     makeEndpoint(slot, gen),
-		label:  label,
-		alive:  true,
-		priv:   priv.Clone(),
-		grants: make(map[GrantID]*grant),
+	if e == nil {
+		e = &procEntry{k: k, slot: slot, grants: make(map[GrantID]*grant)}
+		e.start = func(p *sim.Proc) {
+			e.ctx.p = p
+			e.body(e.ctx)
+		}
+		k.slots[slot] = e
+	} else {
+		e.recycle()
 	}
-	k.slots[slot] = e
+	e.gen++
+	e.ep = makeEndpoint(slot, e.gen)
+	e.label, e.priv, e.body, e.alive = label, priv, body, true
+	e.ctx = &Ctx{k: k, e: e, ep: e.ep}
 	k.byLabel[label] = e
 	k.version++
-	ctx := &Ctx{k: k, e: e}
-	e.proc = k.env.Spawn(fmt.Sprintf("%s/%d", label, gen), func(p *sim.Proc) {
-		ctx.p = p
-		body(ctx)
-	})
-	// All death paths (exit, kill, exception, crash) funnel through the sim
-	// process's exit hook so IPC cleanup is centralized.
-	e.proc.OnExit(func(status int) { k.reap(e, status) })
-	return ctx, nil
+	if e.proc == nil {
+		e.proc = k.env.Respawn(nil, label, e.gen, e.start)
+		// All death paths (exit, kill, exception, crash) funnel through
+		// the sim process's exit hook so IPC cleanup is centralized. The
+		// hook stays with the process when the entry is reused.
+		e.proc.OnExit(func(status int) { k.reap(e, status) })
+	} else {
+		e.proc = k.env.Respawn(e.proc, label, e.gen, e.start)
+	}
+	return e.ctx, nil
+}
+
+// recycle readies a dead instance's entry for the slot's next instance:
+// every field is reset, and the storage reap emptied is kept. The grant
+// table is emptied here too, for when reap left it (DebugLeakGrantsOnDeath):
+// a grant never passes to the next instance.
+func (e *procEntry) recycle() {
+	clear(e.grants)
+	*e = procEntry{
+		k: e.k, slot: e.slot, gen: e.gen, proc: e.proc,
+		start: e.start, alarm: e.alarm, grants: e.grants,
+		senders: e.senders[:0], asyncQ: e.asyncQ[:0], openSpans: e.openSpans[:0],
+	}
 }
 
 // lookup resolves a live endpoint to its process entry.
@@ -377,8 +406,8 @@ func (k *Kernel) reap(e *procEntry, status int) {
 		for i := len(e.openSpans) - 1; i >= 0; i-- {
 			k.obs.OrphanSpan(e.label, e.openSpans[i], reason)
 		}
-		e.openSpans = nil
 	}
+	e.openSpans = e.openSpans[:0]
 	e.traceCtx = obs.SpanContext{}
 
 	e.alarm.Stop()
@@ -392,8 +421,9 @@ func (k *Kernel) reap(e *procEntry, status int) {
 		s.sendTo = nil
 		s.proc.Wake(ipcAbort{err: ErrDeadDst})
 	}
-	e.senders = nil
-	e.asyncQ = nil
+	clear(e.senders)
+	clear(e.asyncQ)
+	e.senders, e.asyncQ = e.senders[:0], e.asyncQ[:0]
 	e.notified = 0
 	e.inbox = Message{} // delivered, but killed before Receive resumed
 	// Abort everyone blocked receiving specifically from us (this is the
@@ -409,7 +439,7 @@ func (k *Kernel) reap(e *procEntry, status int) {
 	}
 	// Revoke grants and IRQ subscriptions.
 	if !k.debugLeakGrants {
-		e.grants = map[GrantID]*grant{}
+		clear(e.grants)
 	}
 	for line, subs := range k.irqs {
 		k.irqs[line] = slices.DeleteFunc(subs, func(s *procEntry) bool { return s == e })

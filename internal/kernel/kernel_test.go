@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -964,5 +965,99 @@ func TestAbortWinsOverEarlierDelivery(t *testing.T) {
 	}
 	if !errors.Is(err2, ErrSrcDied) || second.Type != 0 || second.Arg1 != 0 {
 		t.Fatalf("second receive = %+v, %v; want an empty message and ErrSrcDied", second, err2)
+	}
+}
+
+// TestRecycledEntryHoldsNothingOfTheDead: Spawn hands a dead instance's
+// process-table entry to the slot's next instance, here under another
+// label. Nothing of the dead instance reaches the new one, and no handle
+// to the dead instance reaches the new one's state: its endpoint still
+// fails as dead (a send with ErrDeadDst, a receive from it with
+// ErrSrcDied, a copy through its grant with ErrDeadDst), its Ctx still
+// reports it, its label resolves to None, its grants, queued message and
+// pending alarm are gone — also when reap leaves the grants behind
+// (DebugLeakGrantsOnDeath), where the dead instance shows them until the
+// slot passes on, and the new instance starts with none.
+func TestRecycledEntryHoldsNothingOfTheDead(t *testing.T) {
+	for _, leak := range []bool{false, true} {
+		t.Run(fmt.Sprintf("leak=%v", leak), func(t *testing.T) {
+			env, k := newKernel(t)
+			k.DebugLeakGrantsOnDeath(leak)
+			buf := make([]byte, 8)
+			var gid GrantID
+			dead, _ := k.Spawn("drv", trusted(), func(c *Ctx) {
+				gid = c.CreateGrant(buf, GrantRead, Any)
+				c.SetAlarm(10 * time.Second) // pending at death
+				c.Sleep(time.Second)
+				c.Exit(2)
+			})
+			oldEp := dead.Endpoint()
+			k.Spawn("client", trusted(), func(c *Ctx) {
+				if err := c.AsyncSend(oldEp, Message{Type: 5}); err != nil { // queued, never received
+					t.Errorf("async send: %v", err)
+				}
+			})
+			env.Run(2 * time.Second)
+			var deadGrants int
+			k.VisitProcs(func(p ProcInfo) {
+				if p.Ep == oldEp {
+					deadGrants = p.Grants
+				}
+			})
+			if want := map[bool]int{false: 0, true: 1}[leak]; deadGrants != want {
+				t.Fatalf("dead instance shows %d grants, want %d", deadGrants, want)
+			}
+
+			entry := k.slots[oldEp.slot()]
+			var got []Message
+			next, err := k.Spawn("other", trusted(), func(c *Ctx) {
+				for {
+					m, err := c.Receive(Any)
+					if err != nil {
+						return
+					}
+					got = append(got, m)
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			newEp := next.Endpoint()
+			if newEp.slot() != oldEp.slot() || newEp == oldEp || k.slots[newEp.slot()] != entry {
+				t.Fatalf("successor %v, dead %v: want the dead instance's entry under a new generation", newEp, oldEp)
+			}
+			if ep := dead.Endpoint(); ep != oldEp {
+				t.Errorf("the dead instance's Ctx reports %v, want its own %v", ep, oldEp)
+			}
+			if ep := k.LookupLabel("drv"); ep != None {
+				t.Errorf("LookupLabel(drv) = %v after its entry passed to other, want None", ep)
+			}
+			if ep := k.LookupLabel("other"); ep != newEp {
+				t.Errorf("LookupLabel(other) = %v, want %v", ep, newEp)
+			}
+			var sendErr, recvErr, copyErr error
+			k.Spawn("stale", trusted(), func(c *Ctx) {
+				sendErr = c.Send(oldEp, Message{Type: 6})
+				_, recvErr = c.Receive(oldEp)
+				copyErr = c.SafeCopyFrom(oldEp, gid, 0, make([]byte, 4))
+			})
+			env.Run(20 * time.Second) // past the dead alarm's 10 s
+
+			if !errors.Is(sendErr, ErrDeadDst) || !errors.Is(recvErr, ErrSrcDied) || !errors.Is(copyErr, ErrDeadDst) {
+				t.Errorf("stale endpoint: send %v, receive %v, copy %v; want ErrDeadDst, ErrSrcDied, ErrDeadDst",
+					sendErr, recvErr, copyErr)
+			}
+			if len(got) != 0 {
+				t.Errorf("successor received %+v, meant for the dead instance or from its alarm", got)
+			}
+			k.VisitProcs(func(p ProcInfo) {
+				if p.Ep == newEp && p.Grants != 0 {
+					t.Errorf("successor starts with %d grants of the dead instance", p.Grants)
+				}
+			})
+			k.VisitGrants(func(g GrantInfo) {
+				t.Errorf("grant %d of %v (%s) survives", g.ID, g.Owner, g.OwnerLabel)
+			})
+		})
 	}
 }

@@ -29,6 +29,11 @@ func (r PortRange) Contains(p uint32) bool { return p >= r.Lo && p < r.Hi }
 // components it may talk to, which kernel calls it may make, which I/O
 // ports and IRQ lines it may touch, and whether it may file complaints
 // about other components (paper §4, §5.1). The zero value permits nothing.
+//
+// A Privileges value is immutable once handed to Spawn: the kernel keeps
+// it as given, shares its slices with every instance spawned from it, and
+// writes none of them; the caller must not write them either. Derive a
+// variant from a Clone.
 type Privileges struct {
 	// IPCTo lists the stable component labels this process may send to.
 	// Nil means "may send to anything" is NOT implied; an empty list blocks
@@ -57,8 +62,8 @@ type Privileges struct {
 	UID int
 }
 
-// Clone returns a deep copy so a stored policy cannot be mutated through
-// shared slices.
+// Clone returns a deep copy, whose slices can be written without
+// touching the original's.
 func (pr Privileges) Clone() Privileges {
 	cp := pr
 	cp.IPCTo = append([]string(nil), pr.IPCTo...)

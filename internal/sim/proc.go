@@ -12,6 +12,7 @@ import (
 	"iter"
 	"runtime/debug"
 	"slices"
+	"strconv"
 )
 
 // ProcState describes the lifecycle of a simulated process.
@@ -56,6 +57,7 @@ type Proc struct {
 	env     *Env
 	pid     int
 	name    string
+	nameN   int // > 0: the name is name+"/"+nameN, not yet formatted (see Name)
 	state   ProcState
 	body    func(*Proc)
 	resumes uint64 // hand-offs so far (see Resumes)
@@ -66,6 +68,11 @@ type Proc struct {
 	resume func() (struct{}, bool)
 	stop   func()
 	yield  func(struct{}) bool
+
+	// A process made by Respawn keeps its coroutine when it dies: the
+	// coroutine parks as a spare until a Respawn hands it the next body
+	// or Close ends it.
+	keep, spare bool
 
 	// wake is the one event a process ever has pending: its start, a Wake
 	// in flight, its sleep timer, its unwind after Kill, or the run of its
@@ -83,7 +90,12 @@ type Proc struct {
 func (p *Proc) PID() int { return p.pid }
 
 // Name returns the process's human-readable name.
-func (p *Proc) Name() string { return p.name }
+func (p *Proc) Name() string {
+	if p.nameN > 0 {
+		p.name, p.nameN = p.name+"/"+strconv.Itoa(p.nameN), 0
+	}
+	return p.name
+}
 
 // State returns the process's lifecycle state.
 func (p *Proc) State() ProcState { return p.state }
@@ -100,7 +112,8 @@ func (p *Proc) Alive() bool { return p.state != StateDead }
 func (p *Proc) Resumes() uint64 { return p.resumes }
 
 // OnExit registers fn to run (in scheduler context) when the process dies.
-// Hooks run in registration order.
+// Hooks run in registration order. They stay registered when the process
+// is respawned (Env.Respawn), and run again at each death.
 func (p *Proc) OnExit(fn func(status int)) {
 	p.exitHooks = append(p.exitHooks, fn)
 }
@@ -109,18 +122,46 @@ func (p *Proc) OnExit(fn func(status int)) {
 // at the current virtual time. The body runs on its own coroutine, and only
 // while the scheduler has handed it control.
 func (e *Env) Spawn(name string, body func(p *Proc)) *Proc {
-	p := &Proc{
-		env:   e,
-		pid:   e.nextPID,
-		name:  name,
-		state: StateRunnable,
-		body:  body,
+	return e.start(e.newProc(false), name, 0, body)
+}
+
+// Respawn is Spawn of a process named name+"/"+n (n > 0) that runs in p,
+// a process made by Respawn that died and whose exit hooks have run, or
+// in a new one if p is nil. A reused p has a new PID and keeps its exit
+// hooks and its coroutine (a goroutine): every handle to it names the new
+// process, so only the one owner of a dead process may respawn it. The
+// name is formatted only when something asks for it, so a respawn with
+// no observer allocates nothing.
+func (e *Env) Respawn(p *Proc, name string, n int, body func(p *Proc)) *Proc {
+	switch {
+	case p == nil:
+		p = e.newProc(true)
+	case !p.keep || p.env != e || p.state != StateDead || e.procs[p.pid] == p:
+		panic(fmt.Sprintf("sim: respawn of %s process %q", p.state, p.Name()))
+	case !p.spare: // its coroutine ended (see top), or it never had one
+		p.resume, p.stop, p.yield = nil, nil, nil
 	}
+	return e.start(p, name, n, body)
+}
+
+func (e *Env) newProc(keep bool) *Proc {
+	p := &Proc{env: e, keep: keep}
 	p.wake = Event{env: e, fn: p.fire, index: idle}
+	if keep {
+		e.kept = append(e.kept, p)
+	}
+	return p
+}
+
+// start readies p, new or dead, to run body as a new process.
+func (e *Env) start(p *Proc, name string, n int, body func(p *Proc)) *Proc {
+	p.pid, p.name, p.nameN = e.nextPID, name, n
+	p.state, p.body, p.resumes = StateRunnable, body, 0
+	p.wakeVal, p.killed, p.exitStatus = nil, false, 0
 	e.nextPID++
 	e.procs[p.pid] = p
 	if e.observer != nil {
-		e.observer(ProcSpawn, name, p.pid, 0)
+		e.observer(ProcSpawn, p.Name(), p.pid, 0)
 	}
 	e.enqueue(&p.wake, 0)
 	return p
@@ -132,7 +173,7 @@ func (p *Proc) fire() {
 	case p.state == StateDead:
 		p.runExitHooks()
 		return
-	case p.resume != nil:
+	case p.resumes > 0:
 		// A Wake, the sleep timer or the unwind after Kill.
 	case p.killed:
 		// Killed before it ever ran: just report death.
@@ -140,20 +181,39 @@ func (p *Proc) fire() {
 		p.exitStatus = -1
 		p.runExitHooks()
 		return
-	default:
+	case p.resume == nil:
 		p.resume, p.stop = iter.Pull(p.top)
+	default: // a respawn: the parked coroutine runs the new body
+		p.spare = false
 	}
 	p.state = StateRunning
 	p.resumes++
 	p.resume()
 }
 
-// top is the root frame of a process coroutine. It recovers the unwind
-// sentinels, records unexpected panics for the scheduler to re-raise, and
-// always returns control. Exit hooks are left to the wake event so they
-// run in scheduler context.
+// top is the root frame of a process coroutine: it runs the body (live),
+// then either returns, ending the coroutine, or — for a process that
+// keeps it — parks as a spare until the next body or Close.
 func (p *Proc) top(yield func(struct{}) bool) {
 	p.yield = yield
+	for {
+		p.live()
+		if !p.keep {
+			return
+		}
+		p.spare = true
+		if !yield(struct{}{}) {
+			p.spare = false // Close
+			return
+		}
+	}
+}
+
+// live runs the body. It recovers the unwind sentinels, records
+// unexpected panics for the scheduler to re-raise, and always returns
+// control. Exit hooks are left to the wake event so they run in
+// scheduler context.
+func (p *Proc) live() {
 	status := 0
 	defer func() {
 		if r := recover(); r != nil {
@@ -163,7 +223,7 @@ func (p *Proc) top(yield func(struct{}) bool) {
 			case exitSentinel:
 				status = v.status
 			default:
-				p.env.fatal = &procPanic{proc: p.name, value: r, stack: string(debug.Stack())}
+				p.env.fatal = &procPanic{proc: p.Name(), value: r, stack: string(debug.Stack())}
 				status = -1
 			}
 		}
@@ -175,13 +235,11 @@ func (p *Proc) top(yield func(struct{}) bool) {
 }
 
 func (p *Proc) runExitHooks() {
-	hooks := p.exitHooks
-	p.exitHooks = nil
 	delete(p.env.procs, p.pid)
 	if p.env.observer != nil {
-		p.env.observer(ProcExit, p.name, p.pid, p.exitStatus)
+		p.env.observer(ProcExit, p.Name(), p.pid, p.exitStatus)
 	}
-	for _, h := range hooks {
+	for _, h := range p.exitHooks {
 		h(p.exitStatus)
 	}
 }
@@ -193,7 +251,7 @@ func (p *Proc) runExitHooks() {
 // Park must only be called from the process's own coroutine.
 func (p *Proc) Park() any {
 	if p.state != StateRunning {
-		panic(fmt.Sprintf("sim: Park on %s process %q", p.state, p.name))
+		panic(fmt.Sprintf("sim: Park on %s process %q", p.state, p.Name()))
 	}
 	p.state = StateParked
 	p.switchOut()
@@ -215,10 +273,10 @@ func (p *Proc) switchOut() {
 // (the kernel layer) are responsible for tracking blocking state.
 func (p *Proc) Wake(v any) {
 	if p.state != StateParked {
-		panic(fmt.Sprintf("sim: Wake on %s process %q", p.state, p.name))
+		panic(fmt.Sprintf("sim: Wake on %s process %q", p.state, p.Name()))
 	}
 	if p.wake.index != idle { // asleep, not parked
-		panic(fmt.Sprintf("sim: double Wake on process %q", p.name))
+		panic(fmt.Sprintf("sim: double Wake on process %q", p.Name()))
 	}
 	p.state = StateRunnable
 	p.wakeVal = v
@@ -229,7 +287,7 @@ func (p *Proc) Wake(v any) {
 // killed while sleeping, Sleep never returns.
 func (p *Proc) Sleep(d Time) {
 	if p.state != StateRunning {
-		panic(fmt.Sprintf("sim: Sleep on %s process %q", p.state, p.name))
+		panic(fmt.Sprintf("sim: Sleep on %s process %q", p.state, p.Name()))
 	}
 	p.state = StateParked
 	p.env.enqueue(&p.wake, d)
@@ -272,8 +330,9 @@ func (p *Proc) Kill() {
 
 // Close tears the environment down once its results are harvested: every
 // process still alive is unwound, in PID order, as if killed — deferred
-// calls run, exit hooks fire with status -1 — and the queues are dropped,
-// so no coroutine (a goroutine each) outlives the environment. Nothing an
+// calls run, exit hooks fire with status -1 —, the spare coroutines of
+// dead processes are ended, and the queues are dropped, so no coroutine
+// (a goroutine each) outlives the environment. Nothing an
 // unwinding process or a hook schedules runs. The environment must not be
 // used afterwards.
 func (e *Env) Close() {
@@ -293,6 +352,12 @@ func (e *Env) Close() {
 		}
 		p.fire() // dead by now, or never started: the exit hooks, here
 	}
+	for _, p := range e.kept {
+		if p.spare {
+			p.stop() // yield returns false; the parked top returns
+		}
+	}
+	e.kept = nil
 	// Drop the queues; handles to the dropped events stay safe to Cancel.
 	for _, ev := range e.events {
 		ev.index = idle

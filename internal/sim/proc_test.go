@@ -2,6 +2,7 @@ package sim
 
 import (
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -434,5 +435,62 @@ func TestProcStateNames(t *testing.T) {
 		if got := s.String(); got != want {
 			t.Errorf("ProcState(%d) = %q, want %q", int(s), got, want)
 		}
+	}
+}
+
+// TestRespawnReusesProcess: Respawn runs a new process in a dead one's
+// Proc, on the coroutine the dead one left parked: a new PID and name,
+// the exit hooks kept, no allocation and no new goroutine per respawn
+// once the first life has run. A respawned process killed before it
+// runs dies as one killed before it ever ran, and its coroutine still
+// carries the next life. Close ends the parked coroutines, and Respawn
+// refuses a live process or one Spawn made.
+func TestRespawnReusesProcess(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := NewEnv(1)
+	var lives, ran []int
+	body := func(p *Proc) { ran = append(ran, p.PID()) }
+	p := e.Respawn(nil, "drv", 1, body)
+	p.OnExit(func(status int) { lives = append(lives, status) })
+	e.Run(0)
+	pid1 := p.PID()
+	if q := e.Respawn(p, "drv", 2, body); q != p || q.PID() == pid1 || q.Name() != "drv/2" {
+		t.Fatalf("respawn = %p %d %q, want %p under a new PID named drv/2", q, q.PID(), q.Name(), p)
+	}
+	p.Kill() // before it runs
+	e.Run(0)
+	e.Respawn(p, "drv", 3, body)
+	e.Run(0)
+	if !slices.Equal(lives, []int{0, -1, 0}) || len(ran) != 2 || ran[1] != p.PID() {
+		t.Fatalf("exit statuses %v, bodies run by %v; want [0 -1 0] and the first and third lives", lives, ran)
+	}
+	goroutines := runtime.NumGoroutine()
+	respawn := func() {
+		ran = ran[:0]
+		e.Respawn(p, "drv", 4, body)
+		e.Run(0)
+	}
+	if allocs := testing.AllocsPerRun(100, respawn); allocs != 0 {
+		t.Errorf("a respawn allocates %v times", allocs)
+	}
+	if n := runtime.NumGoroutine(); n != goroutines {
+		t.Errorf("%d goroutines after 100 respawns, %d before", n, goroutines)
+	}
+	for _, bad := range []func(){
+		func() { e.Respawn(e.Spawn("plain", func(*Proc) {}), "x", 1, body) },
+		func() { e.Respawn(e.Respawn(nil, "live", 1, func(p *Proc) { p.Park() }), "x", 1, body) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("Respawn of a process it may not reuse did not panic")
+				}
+			}()
+			bad()
+		}()
+	}
+	e.Close()
+	if after := SettledGoroutines(before); after > before {
+		t.Fatalf("%d goroutines before, %d after Close", before, after)
 	}
 }

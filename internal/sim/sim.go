@@ -171,6 +171,7 @@ type Env struct {
 	nexec   uint64 // events executed (scheduler work metric)
 	rng     *rand.Rand
 	procs   map[int]*Proc
+	kept    []*Proc // processes made by Respawn, whose spare coroutines Close ends
 	nextPID int
 	stopped bool
 	fatal   *procPanic // unexpected panic captured from a process
@@ -338,6 +339,9 @@ func (t *Timer) Reset(d Time) {
 	t.ev.Cancel()
 	t.ev.env.enqueue(&t.ev, d)
 }
+
+// Pending reports whether the timer is armed and has not fired yet.
+func (t *Timer) Pending() bool { return t != nil && t.ev.index != idle }
 
 // Stop cancels a pending firing and reports whether there was one. A nil
 // timer has none.

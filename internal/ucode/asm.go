@@ -30,7 +30,7 @@ func Assemble(src string, consts map[string]uint32) (*Image, error) {
 		label string // target label
 		line  int
 	}
-	img := &Image{Entries: make(map[string]int)}
+	img := &Image{entries: make(map[string]int)}
 	labels := make(map[string]int)
 	var fixups []pending
 	var entryNext []string
@@ -62,7 +62,7 @@ func Assemble(src string, consts map[string]uint32) (*Image, error) {
 			}
 			labels[label] = len(img.Code)
 			for _, e := range entryNext {
-				img.Entries[e] = len(img.Code)
+				img.entries[e] = len(img.Code)
 			}
 			entryNext = nil
 			continue

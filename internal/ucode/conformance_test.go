@@ -199,7 +199,7 @@ var conformance = []confCase{
 
 func runConfCase(t *testing.T, tc confCase) {
 	t.Helper()
-	img := &Image{Code: tc.code, Entries: map[string]int{"main": 0}}
+	img := &Image{Code: tc.code, entries: map[string]int{"main": 0}}
 	bus := newBus()
 	for p, v := range tc.bus {
 		bus.regs[p] = v
@@ -270,7 +270,7 @@ func FuzzAssemble(f *testing.F) {
 		if err != nil {
 			return
 		}
-		for name := range img.Entries {
+		for name := range img.entries {
 			vm := New(img.Clone(), newBus())
 			vm.Budget = 512
 			res := vm.Run(name)

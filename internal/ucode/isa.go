@@ -22,7 +22,11 @@
 // "replace with a fresh copy" cure these failures.
 package ucode
 
-import "fmt"
+import (
+	"fmt"
+	"maps"
+	"slices"
+)
 
 // Op is an instruction opcode.
 type Op uint8
@@ -153,21 +157,20 @@ func (i Instr) String() string {
 
 // Image is an executable ucode program: the "driver binary" the fault
 // injector mutates. Entry points are named (one routine per driver
-// operation).
+// operation). The entry table is immutable once assembled: clones share
+// it, and outside the VM it is read only through EntryTable.
 type Image struct {
 	Code    []Instr
-	Entries map[string]int // routine name -> instruction index
+	entries map[string]int // routine name -> instruction index
 }
 
-// Clone returns a deep copy; a driver instance runs on a clone so that
-// injected faults die with the instance (a restart loads a fresh image).
+// EntryTable returns a copy of the entry table; writing it changes no
+// image.
+func (im *Image) EntryTable() map[string]int { return maps.Clone(im.entries) }
+
+// Clone returns a copy a driver instance may mutate, so that injected
+// faults die with the instance (a restart loads a fresh image). The code
+// is copied; the entry table, which nothing writes, is shared.
 func (im *Image) Clone() *Image {
-	cp := &Image{
-		Code:    append([]Instr(nil), im.Code...),
-		Entries: make(map[string]int, len(im.Entries)),
-	}
-	for k, v := range im.Entries {
-		cp.Entries[k] = v
-	}
-	return cp
+	return &Image{Code: slices.Clone(im.Code), entries: im.entries}
 }

@@ -1,6 +1,7 @@
 package ucode
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -146,7 +147,7 @@ main:
 func TestCPUTrapOnIllegalOpcode(t *testing.T) {
 	img := &Image{
 		Code:    []Instr{Enc(Op(0xEE), 0, 0, 0)},
-		Entries: map[string]int{"main": 0},
+		entries: map[string]int{"main": 0},
 	}
 	res := New(img, newBus()).Run("main")
 	if res.Outcome != OutcomeCPU {
@@ -388,6 +389,9 @@ bump:
 	}
 }
 
+// TestImageClone: a clone's code is its own, and the entry table it
+// shares with the original cannot be written through it — there is no
+// exported map to write, and the table a caller gets is a copy.
 func TestImageClone(t *testing.T) {
 	img := MustAssemble("\n.entry main\nmain:\n\tmovi r1, 5\n\thalt\n", nil)
 	cp := img.Clone()
@@ -395,9 +399,21 @@ func TestImageClone(t *testing.T) {
 	if img.Code[0].Imm() != 5 {
 		t.Fatal("clone shares code with original")
 	}
-	cp.Entries["other"] = 1
-	if _, ok := img.Entries["other"]; ok {
-		t.Fatal("clone shares entries with original")
+	tbl := cp.EntryTable()
+	tbl["other"] = 1
+	tbl["main"] = 7
+	for _, im := range []*Image{img, cp} {
+		if _, ok := im.entries["other"]; ok {
+			t.Fatal("an entry added to the returned table reached an image")
+		}
+		if pc, ok := im.entries["main"]; !ok || pc != 0 {
+			t.Fatalf("entry main = %d, %v after writing the returned table; want 0, true", pc, ok)
+		}
+	}
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Image{})) {
+		if f.IsExported() && f.Type.Kind() == reflect.Map {
+			t.Errorf("Image exports map field %s: the shared entry table is writable", f.Name)
+		}
 	}
 }
 
@@ -441,7 +457,7 @@ func TestVMNeverPanicsOnArbitraryCode(t *testing.T) {
 		for i, w := range words {
 			code[i] = Instr(w)
 		}
-		img := &Image{Code: code, Entries: map[string]int{"main": 0}}
+		img := &Image{Code: code, entries: map[string]int{"main": 0}}
 		vm := New(img, newBus())
 		vm.Budget = 2000
 		res := vm.Run("main")

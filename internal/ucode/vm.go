@@ -60,7 +60,7 @@ const DefaultStepBudget = 50_000
 type VM struct {
 	Img    *Image
 	Bus    IOBus
-	RAM    [RAMWords]uint32
+	RAM    *[RAMWords]uint32
 	Regs   [NumRegs]uint32
 	Budget int // per-invocation step budget; DefaultStepBudget if zero
 
@@ -71,12 +71,62 @@ type VM struct {
 	// profiler (internal/perf). Both nil (the default) or both set;
 	// they must not touch VM state.
 	PerfBegin, PerfEnd func()
+
+	shared bool // Img is not this VM's to write: Writable copies it first
 }
 
 // New creates a VM running img (not cloned; clone first if the image will
-// be mutated per-instance) on the given bus.
+// be mutated per-instance) on the given bus, with fresh zeroed RAM.
 func New(img *Image, bus IOBus) *VM {
-	return &VM{Img: img, Bus: bus}
+	return &VM{Img: img, Bus: bus, RAM: new([RAMWords]uint32)}
+}
+
+// Writable returns the image the VM runs, first giving the VM a copy of
+// its own if it runs a shared one (see RAMs.New). Whatever writes the
+// running binary — the fault injector — goes through it.
+func (v *VM) Writable() *Image {
+	if v.shared {
+		v.Img, v.shared = v.Img.Clone(), false
+	}
+	return v.Img
+}
+
+// RAMs is a free list of VM RAM blocks: a driver's successor, or the VM
+// a microreboot swaps in, takes the block its predecessor released
+// instead of 4 KiB from the allocator. Like kernel.Bufs it serves one
+// system (drvlib keeps one per driver binary, which drives one machine's
+// device), whose processes run one at a time, so it needs no lock, and
+// which block a VM gets is a function of the seed. The zero value is
+// empty and ready; a nil *RAMs allocates every block.
+type RAMs struct{ free []*[RAMWords]uint32 }
+
+// New creates a VM that shares img, which nothing may write while VMs
+// run it (Writable copies it for the VM that wants to), on a RAM block
+// from the list, zeroed: the VM sees exactly what New's fresh block
+// gives it.
+func (r *RAMs) New(img *Image, bus IOBus) *VM {
+	v := &VM{Img: img, Bus: bus, shared: true}
+	if r == nil || len(r.free) == 0 {
+		v.RAM = new([RAMWords]uint32)
+		return v
+	}
+	v.RAM = r.free[len(r.free)-1]
+	r.free = r.free[:len(r.free)-1]
+	*v.RAM = [RAMWords]uint32{}
+	return v
+}
+
+// Release takes back the RAM block of a VM that will never run again
+// (its instance died, or a microreboot replaced it). The VM is left
+// without RAM or bus, so no handle to it reaches the block's next owner.
+func (r *RAMs) Release(v *VM) {
+	if v == nil || v.RAM == nil {
+		return
+	}
+	if r != nil {
+		r.free = append(r.free, v.RAM)
+	}
+	v.RAM, v.Bus = nil, nil
 }
 
 // Result is the outcome of one routine invocation.
@@ -98,7 +148,7 @@ func (v *VM) Run(entry string, args ...uint32) Result {
 }
 
 func (v *VM) run(entry string, args ...uint32) Result {
-	pc, ok := v.Img.Entries[entry]
+	pc, ok := v.Img.entries[entry]
 	if !ok {
 		return Result{Outcome: OutcomeCPU, Reason: fmt.Sprintf("no entry %q", entry)}
 	}

@@ -153,6 +153,8 @@ type System struct {
 	cfg    Config
 	vms    map[string]*ucode.VM // live driver VMs, by label
 	svcBuf []core.ServiceInfo   // Health's reused RS snapshot
+
+	onVM func(label string, vm *ucode.VM) // tests: sees each VM as it is made
 }
 
 // New boots a system. It panics only on configuration bugs (boot is a
@@ -233,6 +235,9 @@ func (sys *System) trackVM(label string) func(*ucode.VM) {
 	return func(vm *ucode.VM) {
 		sys.vms[label] = vm
 		sys.cfg.Perf.AttachVM(vm)
+		if sys.onVM != nil {
+			sys.onVM(label, vm)
+		}
 	}
 }
 
@@ -427,8 +432,9 @@ func (sys *System) CrashDriverVM(label string) {
 		return
 	}
 	crash := ucode.Enc(ucode.OpAssert, 0, 0, 0)
-	for i := range vm.Img.Code {
-		vm.Img.Code[i] = crash
+	code := vm.Writable().Code
+	for i := range code {
+		code[i] = crash
 	}
 }
 
