@@ -447,8 +447,9 @@ func (k *Kernel) reap(e *procEntry, status int) {
 	if k.byLabel[e.label] == e {
 		delete(k.byLabel, e.label)
 	}
+	label, ep, cause := e.label, e.ep, e.cause // a hook that spawns may recycle e
 	for _, fn := range k.deathFns {
-		fn(e.label, e.ep, e.cause)
+		fn(label, ep, cause)
 	}
 }
 
