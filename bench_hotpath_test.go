@@ -595,7 +595,7 @@ func BenchmarkHotpathIdleSecond(b *testing.B) {
 // what the dead instance held (DESIGN.md, "What a restart reuses"): its
 // process-table entry, sim process and coroutine, its VM's RAM block, the
 // shared pristine image and privileges. What it still allocates is what
-// is new to the successor, 4 allocations and ≈ 500–600 B in all:
+// is new to the successor, 4 allocations and ≈ 0.5–0.7 KB in all:
 //
 //   - the kernel.Ctx (32 B), the instance's own handle, which keeps
 //     answering the dead endpoint after the entry passes on;
