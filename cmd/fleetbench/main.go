@@ -152,12 +152,11 @@ func run(args []string, stdout io.Writer) error {
 // series and the JSON report where asked, and returns its bench document.
 func runOne(w io.Writer, cfg cluster.Config, csvPath, jsonPath string) (bench.Doc, error) {
 	start := time.Now()
-	c, err := boot(cfg)
+	c, r, err := campaign(cfg)
 	if err != nil {
 		return bench.Doc{}, err
 	}
 	defer c.Close()
-	r := c.Run()
 	r.Render(w)
 	fmt.Fprintf(w, "wall clock: %.2fs\n", time.Since(start).Seconds())
 
@@ -169,15 +168,21 @@ func runOne(w io.Writer, cfg cluster.Config, csvPath, jsonPath string) (bench.Do
 	return doc, writeOut(w, jsonPath, r.WriteJSON)
 }
 
-// boot boots the fleet. The flags have been parsed by now, so what
+// campaign boots the fleet, runs it and holds its window series to
+// timeseries.Validate. The flags have been parsed by now, so what
 // cluster.Boot can still refuse is a storm the members cannot be struck
-// by: a victim they do not guard.
-func boot(cfg cluster.Config) (*cluster.Cluster, error) {
+// by: a victim they do not guard. The caller closes the cluster.
+func campaign(cfg cluster.Config) (*cluster.Cluster, *cluster.Report, error) {
 	c, err := cluster.Boot(cfg)
 	if err != nil {
-		return nil, fmt.Errorf("fleetbench: -storm %s: %w", cfg.Storm, err)
+		return nil, nil, fmt.Errorf("fleetbench: -storm %s: %w", cfg.Storm, err)
 	}
-	return c, nil
+	r := c.Run()
+	if err := timeseries.Validate(c.Segments(), r.Window); err != nil {
+		c.Close()
+		return nil, nil, fmt.Errorf("fleetbench: %s fleet series: %w", r.Policy, err)
+	}
+	return c, r, nil
 }
 
 // writeOut writes what write produces to path and reports it on stdout;
@@ -256,11 +261,10 @@ func runCompare(w io.Writer, cfg cluster.Config) (bench.Doc, error) {
 	var reports []*cluster.Report
 	for _, p := range cluster.Policies() {
 		cfg.Policy = p
-		c, err := boot(cfg)
+		c, r, err := campaign(cfg)
 		if err != nil {
 			return bench.Doc{}, err
 		}
-		r := c.Run()
 		c.Close()
 		fmt.Fprintf(w, "%-14s %12.2f %12.2f %10s %10s %10d %9.1f %8d\n",
 			r.Policy, r.AvailabilityPct, r.NodeAvailabilityPct,

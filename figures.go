@@ -113,8 +113,9 @@ type FigureResult struct {
 	Segments []timeseries.Segment // full raw series (boot + transfer)
 	Recovery obs.LatencySummary
 
-	// Violation is non-nil if the sampler's window series failed its own
-	// structural invariants — never in a correct build.
+	// Violation is timeseries.Validate's verdict on Segments: non-nil
+	// only if the window series breaks its structure, never in a correct
+	// build.
 	Violation error
 }
 
@@ -249,10 +250,7 @@ func RunFigure(cfg FigureConfig) FigureResult {
 	}
 	finish(&res)
 	res.MBps = mbps(res.Bytes, res.Duration)
-	res.Violation = sampler.Err()
-	if res.Violation == nil {
-		res.Violation = timeseries.Validate(res.Segments, cfg.Window)
-	}
+	res.Violation = timeseries.Validate(res.Segments, cfg.Window)
 	res.Recovery = obs.Summarize(obs.RecoveryLatencies(spans.Spans(), driver))
 	analyzeFigure(&res, bytesName, killTimes)
 	return res

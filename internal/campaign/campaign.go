@@ -342,7 +342,7 @@ func runCellWith(cell Cell, cfg Config, injected func(*ucode.VM, fi.Injection)) 
 		// wait out policy backoff until recovery quiesces. Idle virtual
 		// time is nearly free; the bound only guards a wedged recovery,
 		// which the checker then rightly reports.
-		for extra := 0; extra < 300 && anyRecovering(sys); extra++ {
+		for extra := 0; extra < 300 && sys.Health().Recovering > 0; extra++ {
 			sys.Run(time.Second)
 		}
 	}
@@ -373,16 +373,6 @@ func runCellWith(cell Cell, cfg Config, injected func(*ucode.VM, fi.Injection)) 
 	}
 	sys.Close() // a campaign boots thousands of these
 	return res
-}
-
-// anyRecovering reports whether any guarded service is mid-recovery.
-func anyRecovering(sys *resilientos.System) bool {
-	for _, s := range sys.RS.Services() {
-		if s.Phase.Recovering() {
-			return true
-		}
-	}
-	return false
 }
 
 // downtime sums the victim's unavailability windows from a decision

@@ -126,20 +126,12 @@ type Config struct {
 	// before the monitoring itself is declared stalled (default: one
 	// heartbeat period).
 	HeartbeatSlack sim.Time
-
-	// Windows, if set, is polled on every step (scan or not) for the
-	// windowed telemetry sampler's structural self-check
-	// (timeseries.Sampler.Err): a non-nil result — windows out of order,
-	// overlapping, or with non-dense indices — is a window-monotonic
-	// violation. The poll is a single function call, so attaching a
-	// sampler to a checked run costs nothing measurable.
-	Windows func() error
 }
 
 // Violation is one invariant failure.
 type Violation struct {
 	T         sim.Time
-	Invariant string // "rs-guard", "endpoint-unique", "stale-endpoint", "grant-safety", "heartbeat", "trace-span", "span-leak", "window-monotonic", "decision", "failover"
+	Invariant string // "rs-guard", "endpoint-unique", "stale-endpoint", "grant-safety", "heartbeat", "trace-span", "span-leak", "decision", "failover"
 	Comp      string // component label the violation is about
 	Detail    string
 }
@@ -398,29 +390,25 @@ func (c *Checker) onDecision(e decision.Event) {
 func (c *Checker) Step() {
 	c.step++
 	now := c.now()
-	if !c.quiet(now) {
-		c.dirty = false
-		for i, v := range c.views {
-			c.seen[i] = v.Version()
-		}
-		c.deadline = noDeadline // the scans below re-derive it (due)
-		if c.cfg.Kernel != nil {
-			c.scanProcs()
-			c.scanGrants()
-			if c.cfg.DS != nil {
-				c.scanNames()
-			}
-		}
-		if c.cfg.RS != nil {
-			c.scanServices(now)
-		}
-		c.scanSpans(now)
+	if c.quiet(now) {
+		return
 	}
-	if c.cfg.Windows != nil {
-		if err := c.cfg.Windows(); err != nil {
-			c.report("windows", "window-monotonic", "timeseries", err.Error())
+	c.dirty = false
+	for i, v := range c.views {
+		c.seen[i] = v.Version()
+	}
+	c.deadline = noDeadline // the scans below re-derive it (due)
+	if c.cfg.Kernel != nil {
+		c.scanProcs()
+		c.scanGrants()
+		if c.cfg.DS != nil {
+			c.scanNames()
 		}
 	}
+	if c.cfg.RS != nil {
+		c.scanServices(now)
+	}
+	c.scanSpans(now)
 }
 
 // quiet reports whether a scan at this step could neither report nor
@@ -454,13 +442,6 @@ func (c *Checker) due(now, at sim.Time) {
 // are violations regardless of deadline (the run is over; they can never
 // close). Call it once after the final Run.
 func (c *Checker) Finish() {
-	// Final poll of the window series: the sampler's own Finish flushes a
-	// partial window after the scheduler's last step hook has run.
-	if c.cfg.Windows != nil {
-		if err := c.cfg.Windows(); err != nil {
-			c.report("windows", "window-monotonic", "timeseries", err.Error())
-		}
-	}
 	for _, comp := range sortedTimeKeys(c.openSpans) {
 		c.report("finish-span:"+comp, "trace-span", comp,
 			fmt.Sprintf("recovery span open at end of run (defect at %v, no restart/give-up)",

@@ -1,7 +1,6 @@
 package check_test
 
 import (
-	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -676,7 +675,6 @@ func TestBrokenKernelCaught(t *testing.T) {
 		k := kernel.New(env)
 		rec := obs.NewRecorder()
 		rec.SetClock(env.Now)
-		obs.AttachSim(env, rec)
 		k.SetObs(rec)
 		k.DebugLeakGrantsOnDeath(broken)
 		ck := check.Attach(env, rec, check.Config{Kernel: k})
@@ -714,48 +712,6 @@ func TestBrokenKernelCaught(t *testing.T) {
 	if len(ck.TraceTail()) == 0 {
 		t.Fatal("no trace tail for the repro dump")
 	}
-}
-
-// TestWindowMonotonicInvariant wires the windowed telemetry sampler's
-// self-check into the checker: a healthy sampled run reports nothing,
-// and an injected series violation surfaces as window-monotonic — both
-// from Step (mid-run polls) and from the final Finish poll.
-func TestWindowMonotonicInvariant(t *testing.T) {
-	var winErr error
-	c := check.New(check.Config{Windows: func() error { return winErr }})
-	c.Step()
-	c.Finish()
-	if !c.Ok() {
-		t.Fatalf("healthy sampler flagged: %v", c.Violations())
-	}
-
-	winErr = errors.New("timeseries: segment 0: window 2 starts at 3s, previous ended at 2s")
-	c = check.New(check.Config{Windows: func() error { return winErr }})
-	for i := 0; i < 10; i++ {
-		c.Step()
-	}
-	c.Finish()
-	v := wantInvariant(t, c, "window-monotonic")
-	if !strings.Contains(v.Detail, "previous ended") {
-		t.Fatalf("unexpected detail: %q", v.Detail)
-	}
-	if n := countInvariant(c, "window-monotonic"); n != 1 {
-		t.Fatalf("violation reported %d times; episodes must dedup", n)
-	}
-
-	// Finish alone must also catch a violation that only appears in the
-	// sampler's final partial-window flush.
-	fired := false
-	c = check.New(check.Config{Windows: func() error {
-		if !fired {
-			return nil
-		}
-		return errors.New("timeseries: segment 0: first window starts at 1s, segment at 0s")
-	}})
-	c.Step()
-	fired = true
-	c.Finish()
-	wantInvariant(t, c, "window-monotonic")
 }
 
 // ---------------------------------------------------------------------

@@ -271,7 +271,6 @@ func newSeededBugRig() *seededBugRig {
 	k := kernel.New(env)
 	rec := obs.NewRecorder()
 	rec.SetClock(env.Now)
-	obs.AttachSim(env, rec)
 	k.SetObs(rec)
 	return &seededBugRig{env: env, k: k, rec: rec}
 }

@@ -321,6 +321,33 @@ func settledNode(tb testing.TB) *Node {
 	return n
 }
 
+// Only a kill on a class's path puts that class into its warmup: 300 ms
+// after the second NIC's driver (eth.dp8390, on no class's path) dies and
+// recovers, the member serves net and is not degraded; 300 ms after the
+// primary NIC's driver dies, net is still warming.
+func TestWarmupOnlyForClassPath(t *testing.T) {
+	for _, tc := range []struct {
+		victim string
+		warms  bool
+	}{
+		{resilientos.DriverDP8390, false},
+		{resilientos.DriverRTL8139, true},
+	} {
+		n := newNode(0, 11, false, nil)
+		n.Sys.Run(3 * time.Second)
+		n.Sys.KillDriver(tc.victim)
+		n.Sys.Run(300 * time.Millisecond)
+		h, degraded := n.probe(n.Sys.Env.Now())
+		if n.seenEvents != 1 || h.Recovering != 0 {
+			t.Errorf("%s: %d recoveries folded, %d recovering; want 1 and 0", tc.victim, n.seenEvents, h.Recovering)
+		}
+		if h.NetOK == tc.warms || degraded != tc.warms {
+			t.Errorf("%s killed 300 ms ago: NetOK=%v degraded=%v, want warming=%v", tc.victim, h.NetOK, degraded, tc.warms)
+		}
+		n.Sys.Close()
+	}
+}
+
 // BenchmarkHotpathHealthProbe measures the steady-state probe: one
 // version compare and three deadline compares. Like the root package's
 // Hotpath gates it fails if the operation ever allocates.

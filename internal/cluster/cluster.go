@@ -326,7 +326,8 @@ func (c *Cluster) Run() *Report {
 	// drain budget runs out — survivors are reported as Incomplete).
 	drainEnd := end + drain
 	for t := end + slice; t <= drainEnd; t += slice {
-		if c.outstanding == 0 && !c.anyRecovering() {
+		recovering := slices.ContainsFunc(c.nodes, func(n *Node) bool { return n.health.Recovering > 0 })
+		if c.outstanding == 0 && !recovering {
 			break
 		}
 		c.advance(t)
@@ -346,15 +347,6 @@ func (c *Cluster) nextChange(limit sim.Time) sim.Time {
 		}
 	}
 	return limit
-}
-
-func (c *Cluster) anyRecovering() bool {
-	for _, n := range c.nodes {
-		if n.health.Recovering > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // Nodes exposes the fleet members (read-only use).

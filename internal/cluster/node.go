@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"resilientos"
 	"resilientos/internal/perf"
@@ -80,21 +79,6 @@ type healthChange struct {
 	degraded bool
 }
 
-// classOf maps a guarded service label to the fleet service class it
-// carries, or "" for services outside the routable classes.
-func classOf(label string) string {
-	switch {
-	case strings.HasPrefix(label, "eth.") || label == resilientos.ServerInet:
-		return resilientos.ClassNet
-	case strings.HasPrefix(label, "disk.") ||
-		label == resilientos.ServerVFS || label == resilientos.ServerMFS:
-		return resilientos.ClassDisk
-	case strings.HasPrefix(label, "chr."):
-		return resilientos.ClassChar
-	}
-	return ""
-}
-
 // deriveSeed expands the fleet seed into statistically independent
 // per-node seeds (splitmix64 over fleet seed and node index). Seed 0 is
 // remapped: resilientos.Config treats 0 as "default".
@@ -149,7 +133,7 @@ func (n *Node) probe(now sim.Time) (h resilientos.Health, degraded bool) {
 				continue
 			}
 			var until *sim.Time
-			switch classOf(ev.Label) {
+			switch resilientos.ClassOf(ev.Label) {
 			case resilientos.ClassNet:
 				until = &n.netWarmUntil
 			case resilientos.ClassDisk:

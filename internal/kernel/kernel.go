@@ -221,7 +221,8 @@ func (k *Kernel) spanNames(ep Endpoint) (call, crash string) {
 // priv is shared, not copied: Privileges is an immutable value, which
 // neither the kernel nor the caller writes once it is handed over. A
 // reused slot's entry is the dead instance's, recycled; the Ctx is new,
-// so the dead instance's still reports the dead endpoint.
+// so the dead instance's still reports the dead endpoint. The kernel
+// traces every process's lifecycle: proc.spawn here, proc.exit in reap.
 func (k *Kernel) Spawn(label string, priv Privileges, body func(c *Ctx)) (*Ctx, error) {
 	slot := -1
 	var e *procEntry
@@ -266,6 +267,9 @@ func (k *Kernel) Spawn(label string, priv Privileges, body func(c *Ctx)) (*Ctx, 
 		e.proc.OnExit(func(status int) { k.reap(e, status) })
 	} else {
 		e.proc = k.env.Respawn(e.proc, label, e.gen, e.start)
+	}
+	if k.obs.On(obs.KindProcSpawn) {
+		k.obs.Emit(obs.KindProcSpawn, label, e.proc.Name(), 0, int64(e.proc.PID()))
 	}
 	return e.ctx, nil
 }
@@ -381,6 +385,9 @@ func (k *Kernel) CauseOf(ep Endpoint) (Cause, bool) {
 // reap performs all kernel-side cleanup for a dead process and notifies
 // death hooks. Runs in scheduler context via the sim exit hook.
 func (k *Kernel) reap(e *procEntry, status int) {
+	if k.obs.On(obs.KindProcExit) {
+		k.obs.Emit(obs.KindProcExit, e.label, e.proc.Name(), int64(status), int64(e.proc.PID()))
+	}
 	if e.cause.Kind == 0 {
 		if status >= 0 {
 			// Body returned normally (or called sim-level exit).

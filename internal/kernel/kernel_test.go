@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"resilientos/internal/obs"
 	"resilientos/internal/sim"
 )
 
@@ -507,6 +508,44 @@ func TestDeathHookFires(t *testing.T) {
 	env.Run(0)
 	if label != "drv" || cause.Kind != CauseExit || cause.Status != 2 {
 		t.Fatalf("hook got label=%q cause=%v", label, cause)
+	}
+}
+
+// The kernel traces process lifecycle itself, with no scheduler hook
+// installed: Comp is the label whole, even one holding a '/', Aux the
+// incarnation's name, V2 its PID, and a death's proc.exit comes before
+// the proc.exception that says why.
+func TestLifecycleEventsFromKernel(t *testing.T) {
+	env, k := newKernel(t)
+	sink := &obs.SliceSink{}
+	rec := obs.NewRecorder(sink)
+	rec.SetClock(env.Now)
+	k.SetObs(rec)
+	var want []string
+	for i, body := range []func(c *Ctx){
+		func(c *Ctx) { c.Trap(ExcMMU) },
+		func(c *Ctx) { c.Exit(3) },
+	} {
+		ctx, err := k.Spawn("x/sb", trusted(), body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pid, name := ctx.e.proc.PID(), fmt.Sprintf("x/sb/%d", i+1)
+		want = append(want, fmt.Sprintf("proc.spawn x/sb %s 0 %d", name, pid))
+		if i == 0 {
+			want = append(want, fmt.Sprintf("proc.exit x/sb %s -1 %d", name, pid),
+				fmt.Sprintf("proc.exception x/sb MMU %d 0", ctx.Endpoint()))
+		} else {
+			want = append(want, fmt.Sprintf("proc.exit x/sb %s 3 %d", name, pid))
+		}
+		env.Run(0)
+	}
+	var got []string
+	for _, e := range sink.Events() {
+		got = append(got, fmt.Sprintf("%s %s %s %d %d", e.Kind, e.Comp, e.Aux, e.V1, e.V2))
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("trace:\n%q\nwant:\n%q", got, want)
 	}
 }
 

@@ -45,9 +45,10 @@ const (
 	// KindIPCAbort is an IPC primitive aborted by a peer's death — the
 	// failure signal the recovery architecture is built on.
 	KindIPCAbort
-	// KindProcSpawn is a simulated process starting (Aux = name/generation).
+	// KindProcSpawn is a kernel process starting (Comp = label, Aux =
+	// label/generation, V2 = PID).
 	KindProcSpawn
-	// KindProcExit is a simulated process dying (V1 = exit status).
+	// KindProcExit is a kernel process dying (V1 = exit status, V2 = PID).
 	KindProcExit
 	// KindProcException is a process killed by a CPU/MMU exception.
 	KindProcException
@@ -631,34 +632,4 @@ func ParseJSONL(r io.Reader) ([]Event, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// ---------------------------------------------------------------------
-// Simulation hookup
-
-// AttachSim registers r as env's process-lifecycle observer: every
-// simulated process spawn and exit becomes a trace event. Comp is the
-// stable label (name minus the "/generation" suffix); Aux keeps the full
-// per-incarnation name.
-func AttachSim(env *sim.Env, r *Recorder) {
-	if env == nil || r == nil {
-		return
-	}
-	env.SetObserver(func(ev sim.ProcEvent, name string, pid, status int) {
-		kind := KindProcSpawn
-		if ev == sim.ProcExit {
-			kind = KindProcExit
-		}
-		if !r.On(kind) {
-			return
-		}
-		comp := name
-		for i := len(name) - 1; i >= 0; i-- {
-			if name[i] == '/' {
-				comp = name[:i]
-				break
-			}
-		}
-		r.Emit(kind, comp, name, int64(status), int64(pid))
-	})
 }

@@ -162,27 +162,6 @@ func TestKindNamesRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAttachSim(t *testing.T) {
-	env := sim.NewEnv(1)
-	s := &SliceSink{}
-	r := NewRecorder(s)
-	r.SetClock(env.Now)
-	AttachSim(env, r)
-	p := env.Spawn("eth.rtl8139/2", func(p *sim.Proc) {})
-	env.Run(0)
-	_ = p
-	ev := s.Events()
-	if len(ev) != 2 {
-		t.Fatalf("got %d events, want spawn+exit", len(ev))
-	}
-	if ev[0].Kind != KindProcSpawn || ev[0].Comp != "eth.rtl8139" || ev[0].Aux != "eth.rtl8139/2" {
-		t.Fatalf("spawn event = %+v", ev[0])
-	}
-	if ev[1].Kind != KindProcExit {
-		t.Fatalf("exit event = %+v", ev[1])
-	}
-}
-
 // Overflow under sustained high rate: a flight-recorder ring fed
 // through the Recorder at trace rates must account for every event —
 // kept + dropped == emitted — and keep exactly the newest window in

@@ -160,8 +160,6 @@ type Sampler struct {
 	overKind [1 << 8]int
 	overAnn  []Annotation
 
-	violation string // first structural violation (window monotonicity)
-
 	perf *perf.Profiler // wall-clock cost attribution (nil = off)
 }
 
@@ -279,20 +277,6 @@ func (s *Sampler) closeWindow(end sim.Time) {
 		if s.cfg.Status != nil {
 			w.Status = s.cfg.Status()
 		}
-		// Monotonicity self-check: append-only, contiguous, half-open.
-		if n := len(seg.Windows); s.violation == "" {
-			switch {
-			case n == 0 && w.Start != seg.Start:
-				s.violation = fmt.Sprintf("segment %d: first window starts at %v, segment at %v",
-					len(s.segs)-1, w.Start, seg.Start)
-			case n > 0 && w.Start != seg.Windows[n-1].End:
-				s.violation = fmt.Sprintf("segment %d: window %d starts at %v, previous ended at %v",
-					len(s.segs)-1, w.Index, w.Start, seg.Windows[n-1].End)
-			case n > 0 && w.Index != seg.Windows[n-1].Index+1:
-				s.violation = fmt.Sprintf("segment %d: window index %d after %d",
-					len(s.segs)-1, w.Index, seg.Windows[n-1].Index)
-			}
-		}
 		seg.Windows = append(seg.Windows, w)
 		s.curIdx++
 	}
@@ -349,16 +333,6 @@ func (s *Sampler) Finish() {
 // Segments returns the mark-delimited window series recorded so far.
 // The slice aliases the sampler's state; call after Finish.
 func (s *Sampler) Segments() []Segment { return s.segs }
-
-// Err reports the first structural violation the sampler observed in its
-// own series (nil in any correct run). The live invariant checker polls
-// this through check.Config.Windows.
-func (s *Sampler) Err() error {
-	if s.violation == "" {
-		return nil
-	}
-	return fmt.Errorf("timeseries: %s", s.violation)
-}
 
 // ---------------------------------------------------------------------
 // Validation

@@ -130,8 +130,8 @@ func (e *Env) Spawn(name string, body func(p *Proc)) *Proc {
 // in a new one if p is nil. A reused p has a new PID and keeps its exit
 // hooks and its coroutine (a goroutine): every handle to it names the new
 // process, so only the one owner of a dead process may respawn it. The
-// name is formatted only when something asks for it, so a respawn with
-// no observer allocates nothing.
+// name is formatted only when something asks for it, so an untraced
+// respawn allocates nothing.
 func (e *Env) Respawn(p *Proc, name string, n int, body func(p *Proc)) *Proc {
 	switch {
 	case p == nil:
@@ -160,9 +160,6 @@ func (e *Env) start(p *Proc, name string, n int, body func(p *Proc)) *Proc {
 	p.wakeVal, p.killed, p.exitStatus = nil, false, 0
 	e.nextPID++
 	e.procs[p.pid] = p
-	if e.observer != nil {
-		e.observer(ProcSpawn, p.Name(), p.pid, 0)
-	}
 	e.enqueue(&p.wake, 0)
 	return p
 }
@@ -236,9 +233,6 @@ func (p *Proc) live() {
 
 func (p *Proc) runExitHooks() {
 	delete(p.env.procs, p.pid)
-	if p.env.observer != nil {
-		p.env.observer(ProcExit, p.Name(), p.pid, p.exitStatus)
-	}
 	for _, h := range p.exitHooks {
 		h(p.exitStatus)
 	}

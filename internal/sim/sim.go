@@ -135,22 +135,6 @@ type runEntry struct {
 
 func (r runEntry) live() bool { return r.ev.index == inRunq && r.ev.seq == r.seq }
 
-// ProcEvent identifies a process-lifecycle transition reported to an
-// observer (see Env.SetObserver).
-type ProcEvent int
-
-// Process-lifecycle transitions.
-const (
-	ProcSpawn ProcEvent = iota + 1
-	ProcExit
-)
-
-// Observer receives process-lifecycle events from the engine. For
-// ProcSpawn status is 0; for ProcExit it is the exit status (-1 for
-// killed/crashed). Observers run synchronously in scheduler order and
-// must be deterministic.
-type Observer func(ev ProcEvent, name string, pid, status int)
-
 // Env is a simulation environment: one virtual clock, one event queue, and
 // the set of processes living on it. An Env is not safe for concurrent use;
 // the entire simulation is single-threaded by design.
@@ -176,7 +160,6 @@ type Env struct {
 	stopped bool
 	fatal   *procPanic // unexpected panic captured from a process
 
-	observer Observer
 	stepHook func()     // runs after every executed event (see SetStepHook)
 	perf     *PerfHooks // wall-clock instrumentation (see SetPerfHooks)
 }
@@ -194,10 +177,6 @@ func (e *Env) Now() Time { return e.now }
 
 // Rand returns the environment's deterministic random source.
 func (e *Env) Rand() *rand.Rand { return e.rng }
-
-// SetObserver installs the process-lifecycle observer (nil disables).
-// The observability layer (internal/obs) attaches here.
-func (e *Env) SetObserver(o Observer) { e.observer = o }
 
 // SetStepHook installs a callback that runs in scheduler context after
 // every executed event (nil disables). The live invariant checker

@@ -176,7 +176,6 @@ func New(cfg Config) *System {
 	k := kernel.New(env)
 	if cfg.Obs != nil {
 		cfg.Obs.SetClock(env.Now)
-		obs.AttachSim(env, cfg.Obs)
 		k.SetObs(cfg.Obs)
 	}
 	if cfg.Perf != nil {
@@ -394,7 +393,6 @@ func (sys *System) Run(d time.Duration) time.Duration {
 // in neither the trace nor the region counts. A runner that boots systems
 // in a loop calls it on each before dropping it.
 func (sys *System) Close() {
-	sys.Env.SetObserver(nil)
 	sys.Kernel.SetObs(nil)
 	sys.Kernel.SetPerf(nil)
 	sys.Env.Close()
@@ -452,6 +450,20 @@ const (
 	ClassChar = "char" // character-device jobs via the chr.* drivers
 )
 
+// ClassOf maps a guarded service label to the class whose path it is on,
+// or "" for a service on none (eth.dp8390, disk.ram).
+func ClassOf(label string) string {
+	switch label {
+	case ServerInet, DriverRTL8139:
+		return ClassNet
+	case ServerVFS, ServerMFS, DriverSATA:
+		return ClassDisk
+	case DriverAudio, DriverPrinter, DriverBurner:
+		return ClassChar
+	}
+	return ""
+}
+
 // Health is a node-level health snapshot derived from the reincarnation
 // server's per-service state — the signal a fleet load balancer routes on.
 type Health struct {
@@ -497,12 +509,12 @@ func (sys *System) Health() Health {
 		if !s.Phase.Serving() {
 			continue
 		}
-		switch s.Label {
-		case ServerInet, DriverRTL8139:
+		switch ClassOf(s.Label) {
+		case ClassNet:
 			net++
-		case ServerVFS, ServerMFS, DriverSATA:
+		case ClassDisk:
 			disk++
-		case DriverAudio, DriverPrinter, DriverBurner:
+		case ClassChar:
 			char++
 		}
 	}
